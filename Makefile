@@ -4,12 +4,13 @@
 #              per-package coverage floors (learning core, serving layer,
 #              public api + client, WAL, replica, load statistics), a
 #              bench smoke run that cross-checks parallel vs serial
-#              results on the offline index build and the online sharded
-#              top-k scan, runs a live ApplyUpdate cycle cross-checked
-#              against a from-scratch rebuild, a WAL append/replay cycle,
-#              and an in-process routed-serving cycle (1 primary + 2
-#              followers, routed == direct), a two-process replication
-#              smoke (primary + follower on loopback), a routing smoke
+#              results on the offline index build and the online top-k
+#              scan against a by-key reference, runs a live ApplyUpdate
+#              cycle cross-checked against a from-scratch rebuild, a WAL
+#              append/replay cycle, and an in-process routed-serving
+#              cycle (1 primary + 2 followers, routed == direct), a
+#              two-process replication smoke (primary + follower on
+#              loopback), a routing smoke
 #              (routed client failover across a primary kill), a
 #              failover smoke (kill -9 the primary under a live write
 #              stream: promotion, no lost acked writes, zombie fencing),
@@ -91,9 +92,9 @@ cover:
 	done
 
 # Quick end-to-end bench: verifies identical parallel/serial results for
-# the offline build AND the online sharded scan, runs one live
-# ApplyUpdate cycle whose patched index must match a from-scratch rebuild
-# byte-for-byte, runs a WAL append/replay/reopen cycle that must lose no
+# the offline build, checks the online top-k scan against a by-key
+# reference, runs one live ApplyUpdate cycle whose patched index must
+# match a from-scratch rebuild byte-for-byte, runs a WAL append/replay/reopen cycle that must lose no
 # record, and stands up the routed-serving stack (primary + 2 followers
 # in-process) whose routed answers must be element-identical to direct
 # primary answers — all without touching the committed BENCH_*.json

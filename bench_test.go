@@ -250,26 +250,21 @@ func BenchmarkOnlineQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkRankTop measures the sharded online top-k scan behind /query
-// across worker counts. cmd/bench wraps the same measurement (plus a
-// serial/sharded equality gate) into BENCH_online.json for the perf
-// trajectory.
+// BenchmarkRankTop measures the online top-k scan behind /query: one
+// serial pass over the query's adjacency row, one allocation (the result).
+// cmd/bench wraps the same measurement (plus an equality gate against a
+// by-key reference) into BENCH_online.json for the perf trajectory.
 func BenchmarkRankTop(b *testing.B) {
 	g, ix := benchIndex(b)
+	ix.BuildAdjacency()
 	w := core.UniformWeights(ix.NumMeta())
 	users := g.NodesOfType(g.Types().ID("user"))
-	counts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if r := core.RankTopSharded(ix, w, users[i%len(users)], 10, workers); len(r) > 10 {
-					b.Fatal("k overflow")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := core.RankTop(ix, w, users[i%len(users)], 10); len(r) > 10 {
+			b.Fatal("k overflow")
+		}
 	}
 }
 

@@ -4,9 +4,10 @@
 //   - offline (BENCH_offline.json): mine → match → index across worker
 //     counts (the dominant cost of Table III), cross-checked byte-for-byte
 //     against the serial build before timings are reported.
-//   - online (BENCH_online.json): the sharded top-k candidate scan behind
-//     /query across worker counts, cross-checked element-for-element
-//     against the serial ranking for every query first.
+//   - online (BENCH_online.json): the top-k candidate scan behind /query
+//     (serial: queries never fan out), cross-checked element-for-element
+//     against a score-by-key, sort-everything reference for every query
+//     first.
 //   - update (BENCH_update.json): one live ApplyUpdate cycle through the
 //     public engine API, plus the incremental neighborhood re-match vs a
 //     full from-scratch re-match on a community-structured graph — the
@@ -47,6 +48,8 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,12 +75,6 @@ type run struct {
 	Speedup float64 `json:"speedup_vs_serial"`
 }
 
-type onlineRun struct {
-	run
-	NsPerQuery int64   `json:"ns_per_query"`
-	QPS        float64 `json:"qps"`
-}
-
 type offlineReport struct {
 	Benchmark  string    `json:"benchmark"`
 	Dataset    string    `json:"dataset"`
@@ -91,16 +88,18 @@ type offlineReport struct {
 }
 
 type onlineReport struct {
-	Benchmark  string      `json:"benchmark"`
-	Dataset    string      `json:"dataset"`
-	Users      int         `json:"users"`
-	Queries    int         `json:"queries"`
-	K          int         `json:"k"`
-	Metagraphs int         `json:"metagraphs"`
-	GoMaxProcs int         `json:"gomaxprocs"`
-	Reps       int         `json:"reps"`
-	Timestamp  time.Time   `json:"timestamp"`
-	Runs       []onlineRun `json:"runs"`
+	Benchmark  string    `json:"benchmark"`
+	Dataset    string    `json:"dataset"`
+	Users      int       `json:"users"`
+	Queries    int       `json:"queries"`
+	K          int       `json:"k"`
+	Metagraphs int       `json:"metagraphs"`
+	GoMaxProcs int       `json:"gomaxprocs"`
+	Reps       int       `json:"reps"`
+	Timestamp  time.Time `json:"timestamp"`
+	BestNs     int64     `json:"best_ns"`
+	NsPerQuery int64     `json:"ns_per_query"`
+	QPS        float64   `json:"qps"`
 }
 
 func main() {
@@ -142,7 +141,7 @@ func runBench() error {
 	if err != nil {
 		return err
 	}
-	online, err := benchOnline(ds, ref, len(ms), counts, *reps, *k)
+	online, err := benchOnline(ds, ref, len(ms), *reps, *k)
 	if err != nil {
 		return err
 	}
@@ -257,32 +256,44 @@ func benchOffline(ds *dataset.Dataset, ms []*metagraph.Metagraph, newMatcher fun
 	return ref, rep, nil
 }
 
-// benchOnline measures the sharded top-k candidate scan over every
-// anchor-typed node. Every worker count's ranking is first cross-checked
-// element-for-element (node AND score) against the serial reference.
-func benchOnline(ds *dataset.Dataset, ix *index.Index, numMeta int, counts []int, reps, k int) (*onlineReport, error) {
+// benchOnline measures the top-k candidate scan over every anchor-typed
+// node. Each ranking is first cross-checked element-for-element (node AND
+// score bits) against the definition: every partner scored by key through
+// core.Proximity, the positive ones sorted, the first k kept.
+func benchOnline(ds *dataset.Dataset, ix *index.Index, numMeta, reps, k int) (*onlineReport, error) {
 	w := core.UniformWeights(numMeta)
 	queries := ds.Users()
-	refs := make([][]core.Ranked, len(queries))
-	for i, q := range queries {
-		refs[i] = core.RankTop(ix, w, q, k)
-	}
-	for _, workers := range counts {
-		for i, q := range queries {
-			got := core.RankTopSharded(ix, w, q, k, workers)
-			if len(got) != len(refs[i]) {
-				return nil, fmt.Errorf("online: workers=%d query %d: %d results, want %d",
-					workers, q, len(got), len(refs[i]))
+	for _, q := range queries {
+		var want []core.Ranked
+		for _, v := range ix.Partners(q) {
+			if s := core.Proximity(ix, w, q, v); s > 0 {
+				want = append(want, core.Ranked{Node: v, Score: s})
 			}
-			for j := range got {
-				if got[j] != refs[i][j] {
-					return nil, fmt.Errorf("online: workers=%d query %d: result %d drifted (%+v vs %+v)",
-						workers, q, j, got[j], refs[i][j])
-				}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Score != want[j].Score {
+				return want[i].Score > want[j].Score
 			}
+			return want[i].Node < want[j].Node
+		})
+		if k > 0 && len(want) > k {
+			want = want[:k]
+		}
+		if got := core.RankTop(ix, w, q, k); !slices.Equal(got, want) {
+			return nil, fmt.Errorf("online: query %d: RankTop drifted from the by-key reference (%+v vs %+v)", q, got, want)
 		}
 	}
 
+	best := time.Duration(0)
+	for r := 0; r < reps; r++ {
+		t0 := time.Now()
+		for _, q := range queries {
+			core.RankTop(ix, w, q, k)
+		}
+		if d := time.Since(t0); best == 0 || d < best {
+			best = d
+		}
+	}
 	rep := &onlineReport{
 		Benchmark:  "online_rank_top",
 		Dataset:    ds.Name,
@@ -293,32 +304,12 @@ func benchOnline(ds *dataset.Dataset, ix *index.Index, numMeta int, counts []int
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Reps:       reps,
 		Timestamp:  time.Now().UTC(),
+		BestNs:     best.Nanoseconds(),
+		NsPerQuery: best.Nanoseconds() / int64(len(queries)),
+		QPS:        float64(len(queries)) / best.Seconds(),
 	}
-	var serialBest time.Duration
-	for _, workers := range counts {
-		best := time.Duration(0)
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			for _, q := range queries {
-				core.RankTopSharded(ix, w, q, k, workers)
-			}
-			d := time.Since(t0)
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		if workers == 1 {
-			serialBest = best
-		}
-		or := onlineRun{
-			run:        makeRun(workers, best, serialBest),
-			NsPerQuery: best.Nanoseconds() / int64(len(queries)),
-			QPS:        float64(len(queries)) / best.Seconds(),
-		}
-		rep.Runs = append(rep.Runs, or)
-		fmt.Printf("online  workers=%-3d best=%8.2fms qps=%9.0f speedup=%.2fx\n",
-			workers, or.BestMs, or.QPS, or.Speedup)
-	}
+	fmt.Printf("online  best=%8.2fms ns/query=%d qps=%9.0f\n",
+		float64(rep.BestNs)/1e6, rep.NsPerQuery, rep.QPS)
 	return rep, nil
 }
 

@@ -86,7 +86,7 @@ func main() {
 		nExamples  = flag.Int("examples", 200, "training triplets to sample per class (ignored with -snapshot)")
 		maxNodes   = flag.Int("max-nodes", 4, "metagraph size cap (ignored with -snapshot)")
 		minSupport = flag.Int("min-support", 5, "MNI support threshold for mining (ignored with -snapshot)")
-		workers    = flag.Int("workers", 0, "matching/query workers (<1 = all CPUs; overrides a snapshot's setting)")
+		workers    = flag.Int("workers", 0, "offline matching workers, used when training (<1 = all CPUs; overrides a snapshot's setting)")
 		seed       = flag.Int64("seed", 1, "random seed (ignored with -snapshot)")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling endpoints")
 		requestLog = flag.Bool("request-log", true, "emit one structured log line per request (endpoint, status, latency, trace ID, epoch)")
@@ -336,8 +336,8 @@ func buildEngine(snapshot, dsName string, users int, classes string, candidates,
 		if err != nil {
 			return nil, err
 		}
-		// The snapshot carries the saving host's worker count; shard
-		// queries for THIS host instead.
+		// The snapshot carries the saving host's worker count; match on
+		// THIS host's CPUs instead.
 		eng.SetWorkers(workers)
 		log.Printf("loaded snapshot %s in %.2fs: %d metagraphs, classes %v, LSN %d",
 			snapshot, time.Since(start).Seconds(), eng.NumMetagraphs(), eng.Classes(), eng.LSN())

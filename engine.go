@@ -29,7 +29,8 @@ type Options struct {
 	// available CPU. Matching fans out one metagraph per worker with a
 	// private matcher, and the per-metagraph vectors merge
 	// deterministically by metagraph offset, so the built index is
-	// identical for every worker count.
+	// identical for every worker count. Queries never fan out: a ranked
+	// read is one short serial scan on the caller's goroutine.
 	Workers int
 	// LogTransform applies log(1+count) to the metagraph vectors, the
 	// count transform suggested in Sect. II-A. Off by default.
@@ -178,8 +179,7 @@ func (e *Engine) LSN() uint64 { return e.cur.Load().lsn }
 // SetWorkers overrides Options.Workers (values < 1 mean one worker per
 // CPU). A snapshot-loaded engine carries the worker count of the host
 // that saved it; the serving host retunes it here. Call before serving —
-// unlike everything else on the engine, it must not race with queries,
-// training, or updates.
+// unlike everything else on the engine, it must not race with training.
 func (e *Engine) SetWorkers(n int) { e.opts.Workers = n }
 
 // Metagraphs returns the mined metagraph set M (do not modify).
@@ -252,8 +252,14 @@ func (e *Engine) MatchedCount() int {
 }
 
 // publish installs the next epoch with its pending-compaction count
-// recomputed. Callers hold e.mu.
+// recomputed. It is the one door to readers, so it finishes every class
+// index first: the partner adjacency a ranked read scans is built here, on
+// the writer (a no-op for an index that inherited it through WithPatch),
+// and no reader of a published epoch ever builds it. Callers hold e.mu.
 func (e *Engine) publish(ep *epoch) {
+	for _, cm := range ep.classes {
+		cm.ix.BuildAdjacency()
+	}
 	ep.pending = 0
 	if ep.g.Overlaid() {
 		ep.pending++
@@ -368,12 +374,11 @@ func (e *Engine) Weights(class string) []float64 {
 // key on it — take one View and read everything through it. Views are
 // cheap (one atomic load) and must not be retained beyond the request:
 // a held View keeps its whole epoch reachable.
-func (e *Engine) View() View { return View{e: e, ep: e.cur.Load()} }
+func (e *Engine) View() View { return View{ep: e.cur.Load()} }
 
 // View is one pinned serving epoch of an Engine (see Engine.View). Safe
 // for concurrent use; all methods describe the same generation.
 type View struct {
-	e  *Engine
 	ep *epoch
 }
 
@@ -396,11 +401,9 @@ func (v View) Classes() []string {
 
 // Query ranks the nodes closest to q under the named class and returns
 // the top k (k <= 0 returns all candidates). The class must be trained.
-// The candidate scan shards over Options.Workers goroutines with per-shard
-// top-k heaps (long candidate lists dominate online latency), and the
-// sharded result is identical to the serial scan for every worker count.
-// Safe for concurrent use at any time, including while the engine trains,
-// applies updates, or compacts.
+// The scan runs on the caller's goroutine (core.RankTop). Safe for
+// concurrent use at any time, including while the engine trains, applies
+// updates, or compacts.
 func (e *Engine) Query(class string, q NodeID, k int) ([]Ranked, error) {
 	return e.View().Query(class, q, k)
 }
@@ -411,15 +414,20 @@ func (v View) Query(class string, q NodeID, k int) ([]Ranked, error) {
 	if cm == nil {
 		return nil, fmt.Errorf("semprox: class %q not trained", class)
 	}
-	return core.RankTopSharded(cm.ix, cm.model.W, q, k, v.e.opts.Workers), nil
+	return rank(cm, q, k), nil
 }
 
-// QueryBatch answers many queries of one class in a single call, fanning
-// the queries out over Options.Workers goroutines. Each query runs the
-// serial scan — cross-query parallelism already saturates the workers, and
-// per-query results are identical either way. Results align with qs, and
-// the whole batch is answered from ONE epoch: a concurrent ApplyUpdate
-// never splits a batch across generations. Safe for concurrent use.
+// rank answers one ranked query on a class and records how many
+// candidates the scan visited.
+func rank(cm *classModel, q NodeID, k int) []Ranked {
+	engCandidates.Observe(int64(len(cm.ix.Partners(q))))
+	return core.RankTop(cm.ix, cm.model.W, q, k)
+}
+
+// QueryBatch answers many queries of one class in a single call, one
+// after the other. Results align with qs, and the whole batch is answered
+// from ONE epoch: a concurrent ApplyUpdate never splits a batch across
+// generations. Safe for concurrent use.
 func (e *Engine) QueryBatch(class string, qs []NodeID, k int) ([][]Ranked, error) {
 	return e.View().QueryBatch(class, qs, k)
 }
@@ -431,32 +439,9 @@ func (v View) QueryBatch(class string, qs []NodeID, k int) ([][]Ranked, error) {
 		return nil, fmt.Errorf("semprox: class %q not trained", class)
 	}
 	out := make([][]Ranked, len(qs))
-	workers := index.Workers(v.e.opts.Workers)
-	if workers > len(qs) {
-		workers = len(qs)
+	for i, q := range qs {
+		out[i] = rank(cm, q, k)
 	}
-	if workers <= 1 {
-		for i, q := range qs {
-			out[i] = core.RankTop(cm.ix, cm.model.W, q, k)
-		}
-		return out, nil
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = core.RankTop(cm.ix, cm.model.W, qs[i], k)
-			}
-		}()
-	}
-	for i := range qs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	return out, nil
 }
 

@@ -290,3 +290,29 @@ func TestMakeExamplesFacade(t *testing.T) {
 		t.Fatal("no examples")
 	}
 }
+
+// TestQueryObservesCandidatesScanned pins the work counter: every ranked
+// query — single or inside a batch — records one observation of its scan
+// length, and a proximity (no scan) records none.
+func TestQueryObservesCandidatesScanned(t *testing.T) {
+	eng, g := toyEngine(t)
+	eng.Train("classmate", classmateExamples(g))
+	kate, jay := g.NodeByName("Kate"), g.NodeByName("Jay")
+
+	before := engCandidates.Summary().Count
+	if _, err := eng.Query("classmate", kate, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.QueryBatch("classmate", []NodeID{kate, jay, kate}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Proximity("classmate", kate, jay); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Query("untrained", kate, 3); err == nil {
+		t.Fatal("untrained class answered")
+	}
+	if got := engCandidates.Summary().Count - before; got != 4 {
+		t.Fatalf("4 ranked queries recorded %d scan lengths", got)
+	}
+}

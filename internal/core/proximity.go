@@ -4,7 +4,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/index"
@@ -45,9 +45,15 @@ func rankedBetter(a, b Ranked) bool {
 	return a.Node < b.Node
 }
 
-// sortRanked orders rs by rankedBetter.
-func sortRanked(rs []Ranked) {
-	sort.Slice(rs, func(i, j int) bool { return rankedBetter(rs[i], rs[j]) })
+// compareRanked is rankedBetter as a three-way comparison.
+func compareRanked(a, b Ranked) int {
+	switch {
+	case rankedBetter(a, b):
+		return -1
+	case rankedBetter(b, a):
+		return 1
+	}
+	return 0
 }
 
 // Rank returns the candidate nodes for query q ordered by descending MGP
@@ -55,30 +61,78 @@ func sortRanked(rs []Ranked) {
 // nodes that co-occur symmetrically with q in at least one instance — every
 // other node has proximity 0 (online phase of Fig. 3).
 func Rank(ix *index.Index, w []float64, q graph.NodeID) []Ranked {
-	partners := ix.Partners(q)
-	out := make([]Ranked, 0, len(partners))
+	return RankTop(ix, w, q, 0)
+}
+
+// RankTop returns the top k of Rank (k <= 0 means all). It is one pass
+// over q's adjacency row: every candidate's vectors sit at stored
+// positions (no search per candidate), and only the k best are kept, in a
+// bounded heap — the returned slice is the call's one allocation.
+func RankTop(ix *index.Index, w []float64, q graph.NodeID, k int) []Ranked {
+	cands := ix.Candidates(q)
+	// No ranking is longer than the candidate list, so an oversized k (a
+	// client asking for "everything") never sizes the allocation.
+	if k <= 0 || k > len(cands.Nodes) {
+		k = len(cands.Nodes)
+	}
+	top := make(worstHeap, 0, k)
 	qDot := ix.NodeVec(q).Dot(w)
-	for _, v := range partners {
-		den := qDot + ix.NodeVec(v).Dot(w)
+	for i, v := range cands.Nodes {
+		den := qDot + cands.NodeVec(i).Dot(w)
 		if den <= 0 {
 			continue
 		}
-		s := 2 * ix.PairVec(q, v).Dot(w) / den
-		if s > 0 {
-			out = append(out, Ranked{v, s})
+		s := 2 * cands.PairVec(i).Dot(w) / den
+		if s <= 0 {
+			continue
+		}
+		r := Ranked{v, s}
+		switch {
+		case len(top) < k:
+			top = append(top, r)
+			if len(top) == k {
+				top.init()
+			}
+		case rankedBetter(r, top[0]):
+			top[0] = r
+			top.siftDown(0)
 		}
 	}
-	sortRanked(out)
-	return out
+	slices.SortFunc(top, compareRanked)
+	return top
 }
 
-// RankTop returns the top k of Rank (k <= 0 means all).
-func RankTop(ix *index.Index, w []float64, q graph.NodeID, k int) []Ranked {
-	r := Rank(ix, w, q)
-	if k > 0 && len(r) > k {
-		r = r[:k]
+// worstHeap is a bounded top-k heap with the WORST kept candidate at the
+// root (a min-heap under the ranking order), so replacing the loser when a
+// better candidate arrives is one root swap plus a sift. Hand-rolled
+// instead of container/heap to keep the per-query hot loop free of
+// interface boxing.
+type worstHeap []Ranked
+
+// init establishes the heap property over arbitrary contents.
+func (h worstHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
 	}
-	return r
+}
+
+// siftDown restores the heap property below position i.
+func (h worstHeap) siftDown(i int) {
+	n := len(h)
+	for {
+		worst := i
+		if l := 2*i + 1; l < n && rankedBetter(h[worst], h[l]) {
+			worst = l
+		}
+		if r := 2*i + 2; r < n && rankedBetter(h[worst], h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // UniformWeights returns the all-ones weight vector of length n (the MGP-U

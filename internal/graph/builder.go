@@ -73,6 +73,7 @@ func (b *Builder) Build() (*Graph, error) {
 		types:    b.types.Clone(),
 		nodeType: append([]TypeID(nil), b.nodeType...),
 		nodeName: append([]string(nil), b.nodeName...),
+		names:    &nameIndex{n: n},
 	}
 
 	// Deduplicate edges, drop self loops, and count degrees.

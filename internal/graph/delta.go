@@ -144,6 +144,8 @@ func (g *Graph) Apply(d Delta) (*Graph, []NodeID, error) {
 		numEdges: g.numEdges + len(added),
 		version:  g.version + 1,
 		ovl:      g.ovl, // replaced below unless the delta is a no-op
+		names:    g.names,
+		added:    g.added,
 	}
 	if len(d.Nodes) > 0 {
 		ng.nodeType = append(append(make([]TypeID, 0, newN), g.nodeType...), newTypes...)
@@ -152,6 +154,17 @@ func (g *Graph) Apply(d Delta) (*Graph, []NodeID, error) {
 			names = append(names, n.Value)
 		}
 		ng.nodeName = names
+		// Extend the name lookup by this delta's nodes; the parent's map is
+		// shared with its readers, so the (small) added set is copied.
+		ng.added = make(map[string]NodeID, len(g.added)+len(d.Nodes))
+		for name, v := range g.added {
+			ng.added[name] = v
+		}
+		for i, n := range d.Nodes {
+			if _, dup := ng.added[n.Value]; !dup && n.Value != "" {
+				ng.added[n.Value] = NodeID(oldN + i)
+			}
+		}
 		// byType rows gaining nodes are copied ONCE, pre-sized for every
 		// addition; the rest stay shared. New ids exceed all old ids, so
 		// appending keeps rows ascending.
@@ -260,6 +273,13 @@ func (g *Graph) Compact() *Graph {
 		byType:   g.byType,
 		numEdges: g.numEdges,
 		version:  g.version,
+		names:    g.names,
+	}
+	if len(g.added) > 0 {
+		// Fold the names added since the last flat build, here on the
+		// compacting writer, so added never outgrows one overlay's worth.
+		ng.names = &nameIndex{n: n}
+		ng.names.get(ng.nodeName)
 	}
 	ng.off = make([]int64, n+1)
 	for v := 0; v < n; v++ {

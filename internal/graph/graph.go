@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node (object) within a Graph. IDs are dense: a graph
@@ -49,6 +50,37 @@ type Graph struct {
 	// accessors pay one nil check on the common path.
 	version uint64
 	ovl     map[NodeID]*ovlRow
+
+	// names and added answer NodeByName: names covers the nodes the graph
+	// had when it was last built flat (shared by every Apply descendant),
+	// added the named nodes Apply appended since. A name in both belongs
+	// to names, whose ids are the smaller.
+	names *nameIndex
+	added map[string]NodeID
+}
+
+// nameIndex maps each non-empty intrinsic value among the first n nodes of
+// a graph to the first node carrying it. It is built on first use — most
+// graphs (every induced update neighborhood) never resolve a name — and
+// immutable afterwards.
+type nameIndex struct {
+	once  sync.Once
+	n     int
+	first map[string]NodeID
+}
+
+// get returns the lookup, building it from names on first use. Apply only
+// appends nodes, so every graph sharing x sees the same names[:x.n].
+func (x *nameIndex) get(names []string) map[string]NodeID {
+	x.once.Do(func() {
+		x.first = make(map[string]NodeID, x.n)
+		for v, name := range names[:x.n] {
+			if _, dup := x.first[name]; !dup && name != "" {
+				x.first[name] = NodeID(v)
+			}
+		}
+	})
+	return x.first
 }
 
 // Types returns the graph's type registry.
@@ -159,13 +191,15 @@ func (g *Graph) Edges(fn func(u, v NodeID) bool) {
 }
 
 // NodeByName returns the first node whose intrinsic value equals name, or
-// InvalidNode. It is a linear scan intended for examples and tests, not hot
-// paths; real applications should keep their own name index.
+// InvalidNode when there is none; the empty name is no value and resolves
+// to InvalidNode. One map lookup (two on a graph grown by Apply), so it is
+// fit for the request path.
 func (g *Graph) NodeByName(name string) NodeID {
-	for v, n := range g.nodeName {
-		if n == name {
-			return NodeID(v)
-		}
+	if v, ok := g.names.get(g.nodeName)[name]; ok {
+		return v
+	}
+	if v, ok := g.added[name]; ok {
+		return v
 	}
 	return InvalidNode
 }

@@ -2,9 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -449,4 +451,111 @@ func TestGraphValidNode(t *testing.T) {
 	if !g.validNode(0) || g.validNode(-1) || g.validNode(NodeID(g.NumNodes())) {
 		t.Fatal("validNode misbehaves")
 	}
+}
+
+// TestNodeByNameLookup pins the name lookup's contract through a graph's
+// whole life: the first node wins a duplicated name, "" and unknown names
+// resolve to InvalidNode, Apply extends the lookup without disturbing the
+// parent's, and Compact keeps every answer.
+func TestNodeByNameLookup(t *testing.T) {
+	b := NewBuilder()
+	b.Types().Register("user")
+	first := b.AddNode("user", "dup")
+	b.AddNode("user", "")
+	b.AddNode("user", "dup")
+	solo := b.AddNode("user", "solo")
+	g := b.MustBuild()
+
+	check := func(g *Graph, name string, want NodeID) {
+		t.Helper()
+		if got := g.NodeByName(name); got != want {
+			t.Fatalf("NodeByName(%q) = %d, want %d", name, got, want)
+		}
+	}
+	check(g, "dup", first)
+	check(g, "solo", solo)
+	check(g, "", InvalidNode)
+	check(g, "nobody", InvalidNode)
+
+	n := NodeID(g.NumNodes())
+	g1, _, err := g.Apply(Delta{Nodes: []DeltaNode{
+		{Type: "user", Value: "new"}, {Type: "user", Value: "dup"}, {Type: "user", Value: ""}, {Type: "user", Value: "new"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, _, err := g1.Apply(Delta{Nodes: []DeltaNode{{Type: "user", Value: "newer"}, {Type: "user", Value: "new"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{g2, g2.Compact(), g2.WithVersion(9)} {
+		check(g, "dup", first)
+		check(g, "solo", solo)
+		check(g, "new", n)
+		check(g, "newer", n+4)
+		check(g, "", InvalidNode)
+		check(g, "nobody", InvalidNode)
+	}
+	// Older versions never see what later ones added.
+	check(g, "new", InvalidNode)
+	check(g1, "new", n)
+	check(g1, "newer", InvalidNode)
+
+	// A sibling applied to the same parent gives the same id another name.
+	sib, _, err := g.Apply(Delta{Nodes: []DeltaNode{{Type: "user", Value: "other"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(sib, "other", n)
+	check(sib, "new", InvalidNode)
+
+	// Every answer agrees with the definition: a scan for the first match.
+	for _, g := range []*Graph{g, g1, g2, g2.Compact(), sib} {
+		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+			want := InvalidNode
+			for u := NodeID(0); u <= v && g.Name(v) != ""; u++ {
+				if g.Name(u) == g.Name(v) {
+					want = u
+					break
+				}
+			}
+			check(g, g.Name(v), want)
+		}
+	}
+}
+
+// TestNodeByNameConcurrentFirstUse races the lookup's lazy build: many
+// first readers of one graph and of its Apply descendants (run under
+// -race).
+func TestNodeByNameConcurrentFirstUse(t *testing.T) {
+	b := NewBuilder()
+	b.Types().Register("user")
+	for i := 0; i < 64; i++ {
+		b.AddNode("user", fmt.Sprintf("u%d", i))
+	}
+	g := b.MustBuild()
+	child, _, err := g.Apply(Delta{Nodes: []DeltaNode{{Type: "user", Value: "late"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				gr := g
+				if (w+i)%2 == 0 {
+					gr = child
+				}
+				if got := gr.NodeByName(fmt.Sprintf("u%d", i)); got != NodeID(i) {
+					t.Errorf("NodeByName(u%d) = %d", i, got)
+				}
+			}
+			if child.NodeByName("late") != 64 || g.NodeByName("late") != InvalidNode {
+				t.Error("late resolved wrongly")
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -7,16 +7,17 @@
 //
 // The frozen Index uses a flat CSR-style layout mirroring the graph
 // substrate: all rows of a table live in one contiguous []Entry arena,
-// addressed through sorted key and offset slices. Reads (NodeVec, PairVec,
-// Partners) are a binary search plus a slice header — no allocation, no
-// pointer chasing — and Merge/Project/Transform operate on whole arenas
-// instead of one small map row at a time.
+// addressed through sorted key and offset slices. Reads by key (NodeVec,
+// PairVec) are a binary search plus a slice header — no allocation, no
+// pointer chasing — the candidate scan of a ranked query follows the
+// derived partner adjacency (adjacency.go) and searches nothing, and
+// Merge/Project/Transform operate on whole arenas instead of one small map
+// row at a time.
 package index
 
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -185,22 +186,14 @@ type Index struct {
 	// delta only adds instances, so no row ever vanishes).
 	ovlMx  csr[graph.NodeID]
 	ovlMxy csr[PairKey]
-	// partners lists, per node, every y that shares at least one instance
-	// with x symmetrically; the online phase ranks these candidates. It is
-	// derived from the pair keys on first use: the single-metagraph parts
-	// the parallel build produces are merged without their partner tables
-	// ever being read, so building them eagerly would be pure waste.
-	partners *partnerTable
-}
-
-// partnerTable is the lazily built partner CSR (same shape as the vector
-// tables, with node lists instead of entries). The Once makes the build
-// safe under concurrent first reads.
-type partnerTable struct {
-	once sync.Once
-	keys []graph.NodeID
-	off  []int32
-	list []graph.NodeID
+	// adj lists, per node, every y that shares at least one instance with
+	// x symmetrically — the candidates the online phase ranks — with the
+	// positions of their rows (see adjacency.go). Never nil. It is derived
+	// from the keys when a writer finishes the index for readers, or on
+	// first use: the single-metagraph parts the parallel build produces are
+	// merged without their adjacency ever being read, so building it in
+	// every constructor would be pure waste.
+	adj *lazyAdjacency
 }
 
 // NumMeta returns |M|, the length of the weight vectors this index pairs
@@ -232,41 +225,7 @@ func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
 
 // Partners returns the nodes that co-occur symmetrically with x in at least
 // one instance, in ascending order. The slice is shared; do not modify.
-func (ix *Index) Partners(x graph.NodeID) []graph.NodeID {
-	pt := ix.partners
-	pt.once.Do(func() { pt.build(unionKeys(ix.mxy.keys, ix.ovlMxy.keys)) })
-	i := findKey(pt.keys, x)
-	if i < 0 {
-		return nil
-	}
-	return pt.list[pt.off[i]:pt.off[i+1]]
-}
-
-// unionKeys merges two sorted key slices without duplicates, returning a
-// directly when b is empty (the common, un-patched case).
-func unionKeys[K cmp.Ordered](a, b []K) []K {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]K, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
+func (ix *Index) Partners(x graph.NodeID) []graph.NodeID { return ix.Candidates(x).Nodes }
 
 // NumPairs returns the number of node pairs with a non-zero m_xy.
 func (ix *Index) NumPairs() int {
@@ -279,49 +238,9 @@ func (ix *Index) NumPairs() int {
 	return n
 }
 
-// build derives the partner CSR from the sorted pair keys. For a fixed
-// node x the sorted (min, max) pair order emits partners below x first
-// (ascending, while x is the max endpoint) and partners above x after
-// (ascending, while x is the min endpoint), so every row comes out sorted
-// without a per-row sort.
-func (pt *partnerTable) build(pairs []PairKey) {
-	if len(pairs) == 0 {
-		return
-	}
-	ends := make([]graph.NodeID, 0, 2*len(pairs))
-	for _, k := range pairs {
-		x, y := k.Nodes()
-		ends = append(ends, x, y)
-	}
-	slices.Sort(ends)
-	keys := dedupeSorted(ends)
-
-	off := make([]int32, len(keys)+1)
-	for _, k := range pairs {
-		x, y := k.Nodes()
-		off[findKey(keys, x)+1]++
-		off[findKey(keys, y)+1]++
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	list := make([]graph.NodeID, off[len(keys)])
-	cur := make([]int32, len(keys))
-	copy(cur, off[:len(keys)])
-	for _, k := range pairs {
-		x, y := k.Nodes()
-		xi, yi := findKey(keys, x), findKey(keys, y)
-		list[cur[xi]] = y
-		cur[xi]++
-		list[cur[yi]] = x
-		cur[yi]++
-	}
-	pt.keys, pt.off, pt.list = keys, off, list
-}
-
 // Transform returns a copy of the index with f applied to every count; the
 // paper mentions log-style transforms of the raw counts (Sect. II-A). Keys,
-// offsets and partner lists are shared with the receiver (both are
+// offsets and the adjacency are shared with the receiver (both are
 // immutable); only the entry arenas are copied. A patched receiver is
 // compacted first.
 func (ix *Index) Transform(f func(float64) float64) *Index {
@@ -360,10 +279,10 @@ func (ix *Index) Project(keep []int) *Index {
 		}
 	}
 	return &Index{
-		numMeta:  len(keep),
-		mx:       projectCSR(ix.mx, remap, ascending),
-		mxy:      projectCSR(ix.mxy, remap, ascending),
-		partners: &partnerTable{},
+		numMeta: len(keep),
+		mx:      projectCSR(ix.mx, remap, ascending),
+		mxy:     projectCSR(ix.mxy, remap, ascending),
+		adj:     &lazyAdjacency{},
 	}
 }
 
@@ -412,7 +331,7 @@ func projectCSR[K cmp.Ordered](c csr[K], remap []int32, ascending bool) csr[K] {
 // so appending part rows in part order yields sorted rows directly — no
 // per-row sort is ever needed.
 func Merge(parts ...*Index) *Index {
-	out := &Index{partners: &partnerTable{}}
+	out := &Index{adj: &lazyAdjacency{}}
 	offsets := make([]int32, len(parts))
 	var off int32
 	compacted := make([]*Index, len(parts))
@@ -558,9 +477,9 @@ func (b *Builder) AddMetagraph(i int, m *metagraph.Metagraph, matcher match.Matc
 // Build freezes the accumulated counts into an immutable Index.
 func (b *Builder) Build() *Index {
 	return &Index{
-		numMeta:  b.numMeta,
-		mx:       csrFromRows(b.mx),
-		mxy:      csrFromRows(b.mxy),
-		partners: &partnerTable{},
+		numMeta: b.numMeta,
+		mx:      csrFromRows(b.mx),
+		mxy:     csrFromRows(b.mxy),
+		adj:     &lazyAdjacency{},
 	}
 }

@@ -320,7 +320,7 @@ func TestIndexRoundTrip(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 	raw := append([]byte(nil), buf.Bytes()...) // Read drains the buffer
-	got, err := Read(&buf)
+	got, err := Read(&buf, g.NumNodes())
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -394,7 +394,7 @@ func TestZeroAllocReads(t *testing.T) {
 }
 
 func TestIndexReadErrors(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString("garbage")); err == nil {
+	if _, err := Read(bytes.NewBufferString("garbage"), 8); err == nil {
 		t.Fatal("Read accepted garbage")
 	}
 }
@@ -403,6 +403,7 @@ func TestIndexReadErrors(t *testing.T) {
 // invariant-violating files through Read; each must fail loudly instead of
 // panicking later at query time.
 func TestIndexReadRejectsCorruptTables(t *testing.T) {
+	one := []Entry{{Meta: 0, Count: 1}}
 	cases := []struct {
 		name string
 		s    serIndex
@@ -431,14 +432,89 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		}},
 		{"negative numMeta", serIndex{Version: serVersion, NumMeta: -1}},
 		{"bad version", serIndex{Version: 1}},
+		// What the derived adjacency indexes by: node ids and pair
+		// endpoints, against a graph of 8 nodes.
+		{"negative node key", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxKeys: []graph.NodeID{-1}, MxOff: []int32{0, 1}, MxEnt: one,
+		}},
+		{"node key beyond the graph", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxKeys: []graph.NodeID{8}, MxOff: []int32{0, 1}, MxEnt: one,
+		}},
+		{"id-sized node key", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxKeys: []graph.NodeID{math.MaxInt32}, MxOff: []int32{0, 1}, MxEnt: one,
+		}},
+		{"pair endpoint beyond the graph", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxyKeys: []PairKey{MakePairKey(1, 8)}, MxyOff: []int32{0, 1}, MxyEnt: one,
+		}},
+		{"id-sized pair endpoint", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxyKeys: []PairKey{MakePairKey(1, math.MaxInt32)}, MxyOff: []int32{0, 1}, MxyEnt: one,
+		}},
+		{"negative pair endpoint", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxyKeys: []PairKey{PairKey(1)<<32 | 0xFFFFFFFF}, MxyOff: []int32{0, 1}, MxyEnt: one,
+		}},
+		{"pair of one node", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxyKeys: []PairKey{MakePairKey(3, 3)}, MxyOff: []int32{0, 1}, MxyEnt: one,
+		}},
+		{"pair with the larger endpoint first", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxyKeys: []PairKey{PairKey(5)<<32 | 2}, MxyOff: []int32{0, 1}, MxyEnt: one,
+		}},
+		{"unsorted pair keys", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxyKeys: []PairKey{MakePairKey(2, 5), MakePairKey(1, 3)}, MxyOff: []int32{0, 1, 2},
+			MxyEnt: []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}},
+		}},
+		{"duplicate pair keys", serIndex{
+			Version: serVersion, NumMeta: 1,
+			MxyKeys: []PairKey{MakePairKey(1, 3), MakePairKey(1, 3)}, MxyOff: []int32{0, 1, 2},
+			MxyEnt: []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}},
+		}},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&c.s); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Read(&buf); err == nil {
+		if _, err := Read(&buf, 8); err == nil {
 			t.Errorf("%s: Read accepted corrupt file", c.name)
 		}
 	}
+}
+
+// scanEverything reads every adjacency row of ix and every vector behind
+// it: whatever Read accepted must be safe to rank on.
+func scanEverything(ix *Index, numNodes int) {
+	ix.BuildAdjacency()
+	w := make([]float64, ix.NumMeta())
+	for v := graph.NodeID(-1); int(v) <= numNodes; v++ {
+		c := ix.Candidates(v)
+		for i := range c.Nodes {
+			sinkFloat += c.NodeVec(i).Dot(w) + c.PairVec(i).Dot(w)
+		}
+	}
+}
+
+// FuzzIndexRead feeds arbitrary bytes through Read: it may refuse them,
+// but an index it returns must build its adjacency and serve every row
+// without a panic, inside allocations bounded by the stated graph size.
+func FuzzIndexRead(f *testing.F) {
+	_, ix := buildToyIndex(f)
+	f.Add(writeBytes(f, ix), uint16(14))
+	f.Add(writeBytes(f, ix), uint16(3))
+	f.Add(writeBytes(f, NewBuilder(2).Build()), uint16(0))
+	f.Add([]byte("garbage"), uint16(8))
+	f.Fuzz(func(t *testing.T, data []byte, numNodes uint16) {
+		ix, err := Read(bytes.NewReader(data), int(numNodes))
+		if err != nil {
+			return
+		}
+		scanEverything(ix, int(numNodes))
+	})
 }

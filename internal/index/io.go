@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -50,9 +51,13 @@ func Write(w io.Writer, ix *Index) error {
 	return gob.NewEncoder(w).Encode(&s)
 }
 
-// Read deserializes an index written by Write, rebuilding the partner
-// lists.
-func Read(r io.Reader) (*Index, error) {
+// Read deserializes an index written by Write for a graph of numNodes
+// nodes. The bytes are untrusted: everything the derived adjacency later
+// indexes by node id or by row position is validated here, so a corrupt
+// file is refused with an error and can neither panic a reader nor size an
+// allocation by an id it made up. The adjacency itself is not built (see
+// BuildAdjacency).
+func Read(r io.Reader, numNodes int) (*Index, error) {
 	var s serIndex
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("index: decode: %w", err)
@@ -69,11 +74,25 @@ func Read(r io.Reader) (*Index, error) {
 	if err := checkCSR(s.MxyKeys, s.MxyOff, s.MxyEnt, s.NumMeta); err != nil {
 		return nil, fmt.Errorf("index: pair table: %w", err)
 	}
+	// Keys ascend strictly (checkCSR), so the ends bound the node keys.
+	if n := len(s.MxKeys); n > 0 && (s.MxKeys[0] < 0 || int(s.MxKeys[n-1]) >= numNodes) {
+		return nil, fmt.Errorf("index: node table: keys outside [0, %d)", numNodes)
+	}
+	if len(s.MxyKeys) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("index: pair table: %d pairs overflow the adjacency's slot positions", len(s.MxyKeys))
+	}
+	for _, k := range s.MxyKeys {
+		// MakePairKey puts the smaller endpoint first; equal endpoints
+		// are no pair at all.
+		if x, y := k.Nodes(); x < 0 || x >= y || int(y) >= numNodes {
+			return nil, fmt.Errorf("index: pair table: key (%d,%d) is not a pair of nodes in [0, %d)", x, y, numNodes)
+		}
+	}
 	return &Index{
-		numMeta:  s.NumMeta,
-		mx:       csr[graph.NodeID]{keys: s.MxKeys, off: s.MxOff, ent: s.MxEnt},
-		mxy:      csr[PairKey]{keys: s.MxyKeys, off: s.MxyOff, ent: s.MxyEnt},
-		partners: &partnerTable{},
+		numMeta: s.NumMeta,
+		mx:      csr[graph.NodeID]{keys: s.MxKeys, off: s.MxOff, ent: s.MxEnt},
+		mxy:     csr[PairKey]{keys: s.MxyKeys, off: s.MxyOff, ent: s.MxyEnt},
+		adj:     &lazyAdjacency{},
 	}, nil
 }
 
@@ -91,8 +110,8 @@ func Marshal(ix *Index) ([]byte, error) {
 
 // Unmarshal decodes a byte slice produced by Marshal, running the same
 // structural validation as Read.
-func Unmarshal(b []byte) (*Index, error) {
-	return Read(bytes.NewReader(b))
+func Unmarshal(b []byte, numNodes int) (*Index, error) {
+	return Read(bytes.NewReader(b), numNodes)
 }
 
 // checkCSR validates the invariants of one serialized table that reads

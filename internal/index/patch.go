@@ -77,6 +77,10 @@ func (p *Patch) Transform(f func(float64) float64) *Patch {
 // already-patched index merges the overlays (the newer patch wins on
 // overlapping keys). Reads through the result see the replacement rows
 // immediately; call Compact to fold the overlay into flat storage.
+//
+// When the receiver's adjacency is built the result's is too: it shares
+// the receiver's flat rows and re-derives only the rows of the overlay's
+// endpoints, so an update never costs its first reader an O(pairs) build.
 func (ix *Index) WithPatch(p *Patch) *Index {
 	if p.numMeta != ix.numMeta {
 		panic(fmt.Sprintf("index: patch spans %d metagraphs, index %d", p.numMeta, ix.numMeta))
@@ -84,14 +88,18 @@ func (ix *Index) WithPatch(p *Patch) *Index {
 	if p.Empty() {
 		return ix
 	}
-	return &Index{
-		numMeta:  ix.numMeta,
-		mx:       ix.mx,
-		mxy:      ix.mxy,
-		ovlMx:    shadowMerge(ix.ovlMx, p.mx),
-		ovlMxy:   shadowMerge(ix.ovlMxy, p.mxy),
-		partners: &partnerTable{},
+	out := &Index{
+		numMeta: ix.numMeta,
+		mx:      ix.mx,
+		mxy:     ix.mxy,
+		ovlMx:   shadowMerge(ix.ovlMx, p.mx),
+		ovlMxy:  shadowMerge(ix.ovlMxy, p.mxy),
+		adj:     &lazyAdjacency{},
 	}
+	if a := ix.adj.p.Load(); a != nil {
+		out.adj.p.Store(overlayAdjacency(a.flat, out))
+	}
+	return out
 }
 
 // Pending reports whether the index carries an uncompacted patch overlay.
@@ -100,16 +108,17 @@ func (ix *Index) Pending() bool { return len(ix.ovlMx.keys) != 0 || len(ix.ovlMx
 // Compact folds the patch overlay into fresh flat CSR arenas, returning
 // the receiver unchanged when there is nothing pending. The result is
 // byte-identical (under Write) to an index built from scratch on the
-// post-delta graph.
+// post-delta graph. Every row moves, so the result's adjacency starts
+// unbuilt: whoever hands it to readers calls BuildAdjacency first.
 func (ix *Index) Compact() *Index {
 	if !ix.Pending() {
 		return ix
 	}
 	return &Index{
-		numMeta:  ix.numMeta,
-		mx:       shadowMerge(ix.mx, ix.ovlMx),
-		mxy:      shadowMerge(ix.mxy, ix.ovlMxy),
-		partners: &partnerTable{},
+		numMeta: ix.numMeta,
+		mx:      shadowMerge(ix.mx, ix.ovlMx),
+		mxy:     shadowMerge(ix.mxy, ix.ovlMxy),
+		adj:     &lazyAdjacency{},
 	}
 }
 

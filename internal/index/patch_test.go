@@ -33,7 +33,12 @@ func randTyped(rng *rand.Rand) (*graph.Graph, graph.Delta) {
 		}
 	}
 	g := b.MustBuild()
+	return g, randDelta(rng, g)
+}
 
+// randDelta draws a fresh delta against g: up to one new user and a few
+// random edges over the old and new nodes.
+func randDelta(rng *rand.Rand, g *graph.Graph) graph.Delta {
 	var d graph.Delta
 	for i := rng.Intn(2); i > 0; i-- {
 		d.Nodes = append(d.Nodes, graph.DeltaNode{Type: "user", Value: ""})
@@ -42,7 +47,7 @@ func randTyped(rng *rand.Rand) (*graph.Graph, graph.Delta) {
 	for i := 1 + rng.Intn(4); i > 0; i-- {
 		d.Edges = append(d.Edges, graph.Edge{U: graph.NodeID(rng.Intn(total)), V: graph.NodeID(rng.Intn(total))})
 	}
-	return g, d
+	return d
 }
 
 // patchMetagraphs are the patterns the patch property test re-matches: a

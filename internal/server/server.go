@@ -460,7 +460,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// querySingle answers one query through the sharded scan.
+// querySingle answers one ranked query.
 func querySingle(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 	q, herr := resolveNode(v.Graph(), "query", req.Query)
 	if herr != nil {
@@ -481,7 +481,7 @@ func querySingle(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 }
 
 // queryBatch resolves every query name, then answers them in one
-// QueryBatch call that fans out over the engine's workers.
+// QueryBatch call — one epoch for the whole batch.
 func queryBatch(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 	if len(req.Queries) > MaxBatch {
 		writeErr(w, errBadRequest("batch of %d queries exceeds limit %d", len(req.Queries), MaxBatch))
@@ -611,19 +611,6 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateSta
 			fresh[n.Name] = semprox.NodeID(g.NumNodes() + i)
 		}
 	}
-	// One pass over the graph replaces a per-endpoint NodeByName scan;
-	// like NodeByName, the first node wins a duplicated name.
-	var byName map[string]semprox.NodeID
-	if len(req.Edges) > 0 {
-		byName = make(map[string]semprox.NodeID, g.NumNodes())
-		for v := semprox.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if name := g.Name(v); name != "" {
-				if _, dup := byName[name]; !dup {
-					byName[name] = v
-				}
-			}
-		}
-	}
 	resolve := func(field, name string) (semprox.NodeID, *api.Error) {
 		if name == "" {
 			return semprox.InvalidNode, errBadRequest("missing %s", field)
@@ -631,7 +618,7 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateSta
 		if id, ok := fresh[name]; ok {
 			return id, nil
 		}
-		if id, ok := byName[name]; ok {
+		if id := g.NodeByName(name); id != semprox.InvalidNode {
 			return id, nil
 		}
 		return semprox.InvalidNode, errNotFound(api.CodeNodeNotFound, "node %q neither in graph nor added by this update", name)

@@ -1,5 +1,5 @@
-// Engine observability: the update hot path records into the obs
-// default registry (every engine in the process folds into one series —
+// Engine observability: the update hot path and every ranked query record
+// into the obs default registry (every engine in the process folds into one series —
 // a real daemon runs one engine; in-process test stacks share the
 // family, which only fattens the histograms). Per-instance gauges (the
 // serving epoch) are registered by the tier that owns the instance —
@@ -13,6 +13,8 @@ var (
 		"ApplyUpdate latency: validate, patch, and publish one new serving epoch.", obs.Seconds)
 	engRematched = obs.Default().Histogram("semprox_engine_rematched_metagraphs",
 		"Matched metagraphs incrementally re-matched per update — the delta-bounded work the paper's offline rebuild would redo in full.", obs.Units)
+	engCandidates = obs.Default().Histogram("semprox_query_candidates_scanned",
+		"Candidates one ranked query scored: the length of the query node's partner list, the work a slow query did.", obs.Units)
 	engCompactions = obs.Default().Counter("semprox_engine_compactions_total",
 		"Background compactions that folded update overlays into flat storage.")
 )

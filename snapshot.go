@@ -165,7 +165,9 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 // Query, Proximity, Weights and Classes identically to the saved one,
 // resumes at the saved epoch, and training new classes picks up the
 // restored matching cache (already matched metagraphs are never
-// re-matched).
+// re-matched). Every index is validated against the snapshot's own graph,
+// and the class indices' partner adjacencies — derived, never stored —
+// are rebuilt here, so the first query pays for nothing.
 func LoadEngine(r io.Reader) (*Engine, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -212,7 +214,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		if ep.metaIx[p.Slot] != nil {
 			return nil, fmt.Errorf("semprox: snapshot part slot %d duplicated", p.Slot)
 		}
-		ix, err := index.Unmarshal(p.Ix)
+		ix, err := index.Unmarshal(p.Ix, g.NumNodes())
 		if err != nil {
 			return nil, fmt.Errorf("semprox: snapshot part %d: %w", p.Slot, err)
 		}
@@ -233,7 +235,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 				return nil, fmt.Errorf("semprox: snapshot class %q keeps metagraph %d out of range [0, %d)", sc.Name, idx, len(e.ms))
 			}
 		}
-		ix, err := index.Unmarshal(sc.Ix)
+		ix, err := index.Unmarshal(sc.Ix, g.NumNodes())
 		if err != nil {
 			return nil, fmt.Errorf("semprox: snapshot class %q: %w", sc.Name, err)
 		}
@@ -250,6 +252,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 			},
 		}
 	}
-	e.cur.Store(ep)
+	e.publish(ep)
 	return e, nil
 }

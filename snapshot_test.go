@@ -239,10 +239,16 @@ func TestSnapshotBitFlipsNeverPanic(t *testing.T) {
 					return
 				}
 				// A flip that still loads must yield a usable engine:
-				// probing the core read paths must not panic either.
+				// LoadEngine already built every class adjacency from the
+				// flipped keys, and ranking from every node — in and just
+				// beyond the graph — must not panic either.
 				_ = eng.Stats()
+				n := NodeID(eng.Graph().NumNodes())
 				for _, class := range eng.Classes() {
-					_, _ = eng.Query(class, 0, 3)
+					for q := NodeID(-1); q <= n; q++ {
+						_, _ = eng.Query(class, q, 3)
+						_, _ = eng.Proximity(class, q, n-q)
+					}
 				}
 			}()
 		}

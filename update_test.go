@@ -59,7 +59,7 @@ func randomToyDelta(rng *rand.Rand, numNodes int, tag string) Delta {
 }
 
 // assertEngineEquivalent checks that two engines answer every query,
-// proximity and weight read byte-identically, across worker counts.
+// proximity and weight read byte-identically.
 func assertEngineEquivalent(t *testing.T, got, want *Engine, tag string) {
 	t.Helper()
 	g := want.Graph()
@@ -75,20 +75,15 @@ func assertEngineEquivalent(t *testing.T, got, want *Engine, tag string) {
 		if !reflect.DeepEqual(got.Weights(class), want.Weights(class)) {
 			t.Fatalf("%s: weights of %q differ", tag, class)
 		}
-		for _, workers := range []int{1, 3, 8} {
-			got.SetWorkers(workers)
-			want.SetWorkers(workers)
-			for _, q := range users {
-				for _, k := range []int{0, 3} {
-					a, errA := got.Query(class, q, k)
-					b, errB := want.Query(class, q, k)
-					if (errA != nil) != (errB != nil) {
-						t.Fatalf("%s: query error mismatch: %v vs %v", tag, errA, errB)
-					}
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s: class %q workers=%d k=%d query %d:\n got %v\nwant %v",
-							tag, class, workers, k, q, a, b)
-					}
+		for _, q := range users {
+			for _, k := range []int{0, 3} {
+				a, errA := got.Query(class, q, k)
+				b, errB := want.Query(class, q, k)
+				if (errA != nil) != (errB != nil) {
+					t.Fatalf("%s: query error mismatch: %v vs %v", tag, errA, errB)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: class %q k=%d query %d:\n got %v\nwant %v", tag, class, k, q, a, b)
 				}
 			}
 		}
@@ -106,8 +101,7 @@ func assertEngineEquivalent(t *testing.T, got, want *Engine, tag string) {
 
 // TestApplyUpdateEqualsScratch is the tentpole property: for random delta
 // sequences, the incrementally updated engine is byte-identical — every
-// query, every proximity, every weight vector, every worker count — to an
-// engine rebuilt from scratch on the final graph, both before and after
+// query, every proximity, every weight vector — to an engine rebuilt from scratch on the final graph, both before and after
 // compaction, for full and dual-stage trained classes alike.
 func TestApplyUpdateEqualsScratch(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
@@ -239,6 +233,13 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 					return
 				default:
 				}
+				// Whatever epoch a reader can see is already finished:
+				// none of these reads may be the one that builds the
+				// class index's adjacency.
+				if !eng.cur.Load().classes["classmate"].ix.HasAdjacency() {
+					t.Error("a published epoch left its adjacency for a reader to build")
+					return
+				}
 				q := probes[i%len(probes)]
 				r, err := eng.Query("classmate", q, 5)
 				if err != nil {
@@ -294,6 +295,58 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 	}
 }
 
+// TestPublishedEpochsNeedNoReaderBuild pins who builds the partner
+// adjacency: every path that publishes an epoch — full and dual-stage
+// training, updates (a first patch and a patch over a patch), compaction,
+// snapshot load — hands readers class indices whose adjacency exists
+// BEFORE the first read, so no read path can trigger the O(pairs) build.
+// TestQueriesServeDuringUpdate asserts the same from concurrent readers.
+func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
+	finished := func(stage string, e *Engine) {
+		t.Helper()
+		ep := e.cur.Load()
+		if len(ep.classes) != 2 {
+			t.Fatalf("%s: %d classes published, want 2", stage, len(ep.classes))
+		}
+		for name, cm := range ep.classes {
+			if !cm.ix.HasAdjacency() {
+				t.Fatalf("%s: class %q published without its adjacency", stage, name)
+			}
+		}
+	}
+	eng, g := toyEngine(t)
+	eng.Train("classmate", classmateExamples(g))
+	eng.TrainDualStage("classmate2", classmateExamples(g), 2)
+	finished("training", eng)
+
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 2; step++ {
+		st, err := eng.ApplyUpdate(randomToyDelta(rng, eng.Graph().NumNodes(), fmt.Sprintf("adj-%d", step)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rematched == 0 || st.Pending == 0 {
+			t.Fatalf("update %d patched nothing (%+v): the overlay path was not exercised", step, st)
+		}
+		finished(fmt.Sprintf("update %d", step), eng)
+	}
+	eng.Compact()
+	if p := eng.Stats().PendingCompaction; p != 0 {
+		t.Fatalf("compaction left %d structures pending", p)
+	}
+	finished("compaction", eng)
+
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished("snapshot load", loaded)
+}
+
 // TestSnapshotRoundTripAfterUpdates: a mutated engine must round-trip
 // through Save/LoadEngine — same epoch, same answers, nothing pending.
 func TestSnapshotRoundTripAfterUpdates(t *testing.T) {
@@ -320,9 +373,7 @@ func TestSnapshotRoundTripAfterUpdates(t *testing.T) {
 		t.Fatalf("loaded engine pending = %d", p)
 	}
 
-	// Saving twice yields identical bytes (epoch included). Checked before
-	// assertEngineEquivalent, which retunes Options.Workers — a field the
-	// snapshot intentionally carries.
+	// Saving twice yields identical bytes (epoch included).
 	var buf2 bytes.Buffer
 	if err := eng.Save(&buf2); err != nil {
 		t.Fatal(err)
@@ -333,8 +384,8 @@ func TestSnapshotRoundTripAfterUpdates(t *testing.T) {
 	assertEngineEquivalent(t, loaded, eng, "snapshot round-trip")
 }
 
-// QueryBatch edge cases: empty batch, untrained class, more workers than
-// queries, and the k <= 0 "full ranking" convention.
+// QueryBatch edge cases: empty batch, untrained class, alignment with
+// single queries, and the k <= 0 "full ranking" convention.
 func TestQueryBatchEdgeCases(t *testing.T) {
 	eng, g := toyEngine(t)
 
@@ -348,9 +399,7 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 		t.Fatalf("empty batch: %v, %d results", err, len(out))
 	}
 
-	// More workers than queries: the fan-out clamps to len(qs) and the
-	// results still align with qs and match single queries.
-	eng.SetWorkers(16)
+	// Results align with qs and match single queries.
 	qs := []NodeID{g.NodeByName("Kate"), g.NodeByName("Bob")}
 	out, err = eng.QueryBatch("classmate", qs, 3)
 	if err != nil || len(out) != len(qs) {
@@ -382,8 +431,8 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 // behind the follower's batched catch-up: a contiguous run of logged
 // deltas applied as ONE ApplyUpdateBatchAt call (concatenated delta,
 // epoch advanced once per covered record) must leave the engine
-// byte-identical — snapshot bytes, epoch, LSN, every query at every
-// worker count — to applying the records one ApplyUpdateAt at a time.
+// byte-identical — snapshot bytes, epoch, LSN, every query — to applying
+// the records one ApplyUpdateAt at a time.
 func TestApplyUpdateBatchMatchesOneAtATime(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
