@@ -98,9 +98,12 @@ cover:
 # record, and stands up the routed-serving stack (primary + 2 followers
 # in-process) whose routed answers must be element-identical to direct
 # primary answers — all without touching the committed BENCH_*.json
-# files. Exits non-zero on any drift.
+# files. Exits non-zero on any drift. Then one iteration each of the
+# snapshot codec benchmarks (Save and LoadEngine at 5 000 users), so the
+# restart-to-serving path is compiled and run on every commit.
 bench-smoke:
 	$(GO) run ./cmd/bench -reps 1 -workers 1,4 -out - -online-out - -update-out - -wal-out - -routing-out - -failover-out -
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$' -benchtime=1x .
 
 # Two-process replication smoke: durable primary + follower on loopback,
 # live updates pushed through the typed client (semproxctl), follower

@@ -1,6 +1,7 @@
 package semprox
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -460,4 +461,69 @@ func BenchmarkApplyUpdate(b *testing.B) {
 			build()
 		}
 	})
+}
+
+// ---- snapshot codec ----
+
+var (
+	snapBenchOnce  sync.Once
+	snapBenchEng   *Engine
+	snapBenchBytes []byte
+)
+
+// snapshotBench builds (once) the engine benchmark/'s read_direct workload
+// boots — 5 000 LinkedIn users, MaxNodes 3, one trained class — and its
+// snapshot, so restart-to-serving is measured at the size the daemons pay.
+func snapshotBench(b *testing.B) (*Engine, []byte) {
+	b.Helper()
+	snapBenchOnce.Do(func() {
+		ds := dataset.LinkedIn(dataset.Config{Users: 5000, Seed: 1, NoiseRate: 0.05})
+		opts := DefaultOptions()
+		opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 5}
+		opts.Train.Restarts = 1
+		opts.Train.MaxIters = 60
+		eng, err := NewEngine(ds.G, "user", opts)
+		if err != nil {
+			panic(err)
+		}
+		labels := ds.Classes["college"]
+		eng.Train("college", MakeExamples(labels, labels.Queries(), ds.Users(), 100, 1))
+		var buf bytes.Buffer
+		if err := eng.Save(&buf); err != nil {
+			panic(err)
+		}
+		snapBenchEng, snapBenchBytes = eng, buf.Bytes()
+	})
+	return snapBenchEng, snapBenchBytes
+}
+
+// BenchmarkSnapshotSave measures Engine.Save into memory: the codec alone,
+// no disk.
+func BenchmarkSnapshotSave(b *testing.B) {
+	eng, snap := snapshotBench(b)
+	var buf bytes.Buffer
+	buf.Grow(len(snap))
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := eng.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotLoad measures LoadEngine from memory, including the
+// adjacency build that makes the loaded engine ready to serve.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	_, snap := snapshotBench(b)
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadEngine(bytes.NewReader(snap)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,10 +2,11 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/metagraph"
@@ -401,89 +402,93 @@ func TestIndexReadErrors(t *testing.T) {
 
 // TestIndexReadRejectsCorruptTables feeds structurally plausible but
 // invariant-violating files through Read; each must fail loudly instead of
-// panicking later at query time.
+// panicking later at query time. The encoder validates nothing — deltas and
+// counts of broken tables simply wrap — so Write turns each hand-built
+// Index into exactly the bytes a corrupt file would hold.
 func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	one := []Entry{{Meta: 0, Count: 1}}
+	two := []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}}
+	node := func(numMeta int, keys []graph.NodeID, off []int32, ent []Entry) *Index {
+		return &Index{numMeta: numMeta, mx: csr[graph.NodeID]{keys: keys, off: off, ent: ent}}
+	}
+	pair := func(keys []PairKey, off []int32, ent []Entry) *Index {
+		return &Index{numMeta: 1, mxy: csr[PairKey]{keys: keys, off: off, ent: ent}}
+	}
 	cases := []struct {
 		name string
-		s    serIndex
+		ix   *Index
 	}{
-		{"meta out of range", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxKeys: []graph.NodeID{1}, MxOff: []int32{0, 1}, MxEnt: []Entry{{Meta: 5, Count: 1}},
-		}},
-		{"negative meta", serIndex{
-			Version: serVersion, NumMeta: 2,
-			MxKeys: []graph.NodeID{1}, MxOff: []int32{0, 1}, MxEnt: []Entry{{Meta: -1, Count: 1}},
-		}},
-		{"unsorted keys", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxKeys: []graph.NodeID{4, 2}, MxOff: []int32{0, 1, 2},
-			MxEnt: []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}},
-		}},
-		{"offset mismatch", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxKeys: []graph.NodeID{1}, MxOff: []int32{0, 2}, MxEnt: []Entry{{Meta: 0, Count: 1}},
-		}},
-		{"unsorted row", serIndex{
-			Version: serVersion, NumMeta: 4,
-			MxKeys: []graph.NodeID{1}, MxOff: []int32{0, 2},
-			MxEnt: []Entry{{Meta: 3, Count: 1}, {Meta: 1, Count: 1}},
-		}},
-		{"negative numMeta", serIndex{Version: serVersion, NumMeta: -1}},
-		{"bad version", serIndex{Version: 1}},
+		{"meta out of range", node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 5, Count: 1}})},
+		{"negative meta", node(2, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: -1, Count: 1}})},
+		{"unsorted keys", node(1, []graph.NodeID{4, 2}, []int32{0, 1, 2}, two)},
+		{"duplicate keys", node(1, []graph.NodeID{4, 4}, []int32{0, 1, 2}, two)},
+		{"rows longer than the arena", node(1, []graph.NodeID{1}, []int32{0, 2}, one)},
+		{"rows shorter than the arena", node(1, []graph.NodeID{1}, []int32{0, 1}, two)},
+		{"entries without keys", node(1, nil, nil, one)},
+		{"unsorted row", node(4, []graph.NodeID{1}, []int32{0, 2}, []Entry{{Meta: 3, Count: 1}, {Meta: 1, Count: 1}})},
+		{"negative numMeta", node(-1, nil, nil, nil)},
 		// What the derived adjacency indexes by: node ids and pair
 		// endpoints, against a graph of 8 nodes.
-		{"negative node key", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxKeys: []graph.NodeID{-1}, MxOff: []int32{0, 1}, MxEnt: one,
-		}},
-		{"node key beyond the graph", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxKeys: []graph.NodeID{8}, MxOff: []int32{0, 1}, MxEnt: one,
-		}},
-		{"id-sized node key", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxKeys: []graph.NodeID{math.MaxInt32}, MxOff: []int32{0, 1}, MxEnt: one,
-		}},
-		{"pair endpoint beyond the graph", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxyKeys: []PairKey{MakePairKey(1, 8)}, MxyOff: []int32{0, 1}, MxyEnt: one,
-		}},
-		{"id-sized pair endpoint", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxyKeys: []PairKey{MakePairKey(1, math.MaxInt32)}, MxyOff: []int32{0, 1}, MxyEnt: one,
-		}},
-		{"negative pair endpoint", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxyKeys: []PairKey{PairKey(1)<<32 | 0xFFFFFFFF}, MxyOff: []int32{0, 1}, MxyEnt: one,
-		}},
-		{"pair of one node", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxyKeys: []PairKey{MakePairKey(3, 3)}, MxyOff: []int32{0, 1}, MxyEnt: one,
-		}},
-		{"pair with the larger endpoint first", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxyKeys: []PairKey{PairKey(5)<<32 | 2}, MxyOff: []int32{0, 1}, MxyEnt: one,
-		}},
-		{"unsorted pair keys", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxyKeys: []PairKey{MakePairKey(2, 5), MakePairKey(1, 3)}, MxyOff: []int32{0, 1, 2},
-			MxyEnt: []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}},
-		}},
-		{"duplicate pair keys", serIndex{
-			Version: serVersion, NumMeta: 1,
-			MxyKeys: []PairKey{MakePairKey(1, 3), MakePairKey(1, 3)}, MxyOff: []int32{0, 1, 2},
-			MxyEnt: []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}},
-		}},
+		{"negative node key", node(1, []graph.NodeID{-1}, []int32{0, 1}, one)},
+		{"node key beyond the graph", node(1, []graph.NodeID{8}, []int32{0, 1}, one)},
+		{"id-sized node key", node(1, []graph.NodeID{math.MaxInt32}, []int32{0, 1}, one)},
+		{"pair endpoint beyond the graph", pair([]PairKey{MakePairKey(1, 8)}, []int32{0, 1}, one)},
+		{"id-sized pair endpoint", pair([]PairKey{MakePairKey(1, math.MaxInt32)}, []int32{0, 1}, one)},
+		{"negative pair endpoint", pair([]PairKey{PairKey(1)<<32 | 0xFFFFFFFF}, []int32{0, 1}, one)},
+		{"pair of one node", pair([]PairKey{MakePairKey(3, 3)}, []int32{0, 1}, one)},
+		{"pair with the larger endpoint first", pair([]PairKey{PairKey(5)<<32 | 2}, []int32{0, 1}, one)},
+		{"unsorted pair keys", pair([]PairKey{MakePairKey(2, 5), MakePairKey(1, 3)}, []int32{0, 1, 2}, two)},
+		{"duplicate pair keys", pair([]PairKey{MakePairKey(1, 3), MakePairKey(1, 3)}, []int32{0, 1, 2}, two)},
 	}
 	for _, c := range cases {
+		if _, err := Read(bytes.NewReader(writeBytes(t, c.ix)), 8); err == nil {
+			t.Errorf("%s: Read accepted corrupt file", c.name)
+		}
+	}
+	good := writeBytes(t, node(1, []graph.NodeID{1}, []int32{0, 1}, one))
+	if _, err := Read(bytes.NewReader(good), 8); err != nil {
+		t.Fatalf("the cases' well-formed sibling is refused: %v", err)
+	}
+	for name, mutate := range map[string]func([]byte) []byte{
+		"bad version": func(b []byte) []byte { b[len(fileMagic)-1]--; return b },
+		// The tail is: 8 Count bytes, the empty pair table's two zero
+		// counts, the 4-byte trailer. Only the checksum can catch this.
+		"flipped count bit":        func(b []byte) []byte { b[len(b)-8] ^= 0x10; return b },
+		"truncated before trailer": func(b []byte) []byte { return b[:len(b)-4] },
+		"bytes after the trailer":  func(b []byte) []byte { return append(b, 0) },
+	} {
+		if _, err := Read(bytes.NewReader(mutate(bytes.Clone(good))), 8); err == nil {
+			t.Errorf("%s: Read accepted corrupt file", name)
+		}
+	}
+}
+
+// TestIndexReadBoundsAllocationByBytesReceived: a follower decodes index
+// sections off the network, so a short stream claiming 2^31-1 keys and
+// entries (the most the int32 offsets admit; 2^40 is refused outright)
+// must cost what it sent, not what it claims — ~40 GB here.
+func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
+	for _, claim := range []uint64{math.MaxInt32, 1 << 40} {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&c.s); err != nil {
+		fw := flat.NewWriter(&buf, fileMagic)
+		fw.Uvarint(1) // numMeta
+		fw.Uvarint(claim)
+		fw.Uvarint(claim)
+		for i := 0; i < 80; i++ {
+			fw.Uvarint(1) // consecutive keys, then the stream just stops
+		}
+		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Read(&buf, 8); err == nil {
-			t.Errorf("%s: Read accepted corrupt file", c.name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(buf.Bytes()), math.MaxInt32)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("claim %d: a %d-byte stream was accepted", claim, buf.Len())
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("claim %d: a %d-byte stream cost %d bytes of allocation", claim, buf.Len(), got)
 		}
 	}
 }
@@ -501,9 +506,9 @@ func scanEverything(ix *Index, numNodes int) {
 	}
 }
 
-// FuzzIndexRead feeds arbitrary bytes through Read: it may refuse them,
-// but an index it returns must build its adjacency and serve every row
-// without a panic, inside allocations bounded by the stated graph size.
+// FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse
+// them, but an index it returns must build its adjacency and serve every
+// row without a panic, inside allocations bounded by the stated graph size.
 func FuzzIndexRead(f *testing.F) {
 	_, ix := buildToyIndex(f)
 	f.Add(writeBytes(f, ix), uint16(14))
@@ -511,8 +516,14 @@ func FuzzIndexRead(f *testing.F) {
 	f.Add(writeBytes(f, NewBuilder(2).Build()), uint16(0))
 	f.Add([]byte("garbage"), uint16(8))
 	f.Fuzz(func(t *testing.T, data []byte, numNodes uint16) {
-		ix, err := Read(bytes.NewReader(data), int(numNodes))
+		// Decode, not Read: Read's checksum turns away nearly every
+		// mutation, and the structural checks must hold without it.
+		fr, err := flat.NewReader(bytes.NewReader(data), fileMagic)
 		if err != nil {
+			return
+		}
+		ix, err := Decode(fr, int(numNodes))
+		if err != nil || ix.NumMeta() > 1<<16 { // scanEverything allocates a weight vector
 			return
 		}
 		scanEverything(ix, int(numNodes))

@@ -1,13 +1,12 @@
 package index
 
 import (
-	"bytes"
-	"cmp"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
+	"repro/internal/flat"
 	"repro/internal/graph"
 )
 
@@ -15,142 +14,184 @@ import (
 // offline phase (Table III), so persisting its output lets deployments
 // mine+match once and train/query many times.
 //
-// The wire format mirrors the in-memory CSR layout: sorted keys, row
-// offsets and one flat entry arena per table. Index internals are already
-// deterministic, so Write is byte-stable without any extra sorting.
+// An index travels as one section of a flat stream (internal/flat), written
+// straight from the CSR arenas and read straight back into them:
+//
+//	numMeta
+//	node table, pair table, each:
+//	  nKeys nEntries
+//	  nKeys   × key delta  (keys ascend strictly, so every delta — the
+//	                        first one is key+1 — is at least 1)
+//	  nKeys   × row length
+//	  nEntries × (Meta, Count as its 8 IEEE-754 bytes)
+//
+// Everything but Count is an unsigned varint. Index internals are already
+// deterministic, so the bytes are stable without any extra sorting. Engine
+// snapshots embed one section per index; Write/Read frame a single section
+// as a file of its own.
 
-// serIndex is the gob-friendly mirror of Index.
-type serIndex struct {
-	Version int
-	NumMeta int
-	MxKeys  []graph.NodeID
-	MxOff   []int32
-	MxEnt   []Entry
-	MxyKeys []PairKey
-	MxyOff  []int32
-	MxyEnt  []Entry
-}
-
-const serVersion = 2
+const fileMagic = "SPXI\x03"
 
 // Write serializes ix. A patched index is compacted first, so the wire
 // format never carries an overlay and an incrementally updated index
 // serializes byte-identically to a from-scratch build of the same rows.
 func Write(w io.Writer, ix *Index) error {
-	ix = ix.Compact()
-	s := serIndex{
-		Version: serVersion,
-		NumMeta: ix.numMeta,
-		MxKeys:  ix.mx.keys,
-		MxOff:   ix.mx.off,
-		MxEnt:   ix.mx.ent,
-		MxyKeys: ix.mxy.keys,
-		MxyOff:  ix.mxy.off,
-		MxyEnt:  ix.mxy.ent,
-	}
-	return gob.NewEncoder(w).Encode(&s)
+	fw := flat.NewWriter(w, fileMagic)
+	Encode(fw, ix)
+	return fw.Close()
 }
 
 // Read deserializes an index written by Write for a graph of numNodes
-// nodes. The bytes are untrusted: everything the derived adjacency later
-// indexes by node id or by row position is validated here, so a corrupt
-// file is refused with an error and can neither panic a reader nor size an
-// allocation by an id it made up. The adjacency itself is not built (see
-// BuildAdjacency).
+// nodes, with the guarantees of Decode plus the stream's checksum.
 func Read(r io.Reader, numNodes int) (*Index, error) {
-	var s serIndex
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
+	fr, err := flat.NewReader(r, fileMagic)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	if s.Version != serVersion {
-		return nil, fmt.Errorf("index: unsupported version %d", s.Version)
+	ix, err := Decode(fr, numNodes)
+	if err != nil {
+		return nil, err
 	}
-	if s.NumMeta < 0 {
-		return nil, fmt.Errorf("index: negative metagraph count")
+	if err := fr.Close(); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	if err := checkCSR(s.MxKeys, s.MxOff, s.MxEnt, s.NumMeta); err != nil {
+	return ix, nil
+}
+
+// Encode appends ix (compacted, like Write) to w as one section.
+func Encode(w *flat.Writer, ix *Index) {
+	ix = ix.Compact()
+	w.Uvarint(uint64(ix.numMeta))
+	encodeTable(w, &ix.mx)
+	encodeTable(w, &ix.mxy)
+}
+
+func encodeTable[K ~int32 | ~uint64](w *flat.Writer, c *csr[K]) {
+	w.Uvarint(uint64(len(c.keys)))
+	w.Uvarint(uint64(len(c.ent)))
+	prev := uint64(0)
+	for _, k := range c.keys {
+		next := uint64(k) + 1
+		w.Uvarint(next - prev)
+		prev = next
+	}
+	for i := range c.keys {
+		w.Uvarint(uint64(c.off[i+1] - c.off[i]))
+	}
+	for _, e := range c.ent {
+		w.Uvarint(uint64(e.Meta))
+		w.Uint64(math.Float64bits(e.Count))
+	}
+}
+
+// Decode reads one section for a graph of numNodes nodes. The bytes are
+// untrusted: everything reads rely on (strictly ascending keys and row
+// Metas, Metas within numMeta) and everything the derived adjacency later
+// indexes by node id or by row position (node keys and pair endpoints
+// within the graph, smaller endpoint first) is checked as it is decoded,
+// so a corrupt stream is refused with an error and can neither panic a
+// reader nor size an allocation by a number it made up (see flat.Grow).
+// The adjacency itself is not built (see BuildAdjacency).
+func Decode(r *flat.Reader, numNodes int) (*Index, error) {
+	numMeta := r.Uvarint()
+	if numMeta > math.MaxInt32 {
+		return nil, fmt.Errorf("index: %w", corrupt(r, "metagraph count", "overflows int32"))
+	}
+	mx, err := decodeTable[graph.NodeID](r, numMeta, uint64(numNodes))
+	if err != nil {
 		return nil, fmt.Errorf("index: node table: %w", err)
 	}
-	if err := checkCSR(s.MxyKeys, s.MxyOff, s.MxyEnt, s.NumMeta); err != nil {
+	// Pair keys carry the smaller endpoint in the high word, so the
+	// largest legal one bounds them all; each is then checked by itself.
+	var limit uint64
+	if numNodes >= 2 {
+		limit = uint64(MakePairKey(graph.NodeID(numNodes-2), graph.NodeID(numNodes-1))) + 1
+	}
+	mxy, err := decodeTable[PairKey](r, numMeta, limit)
+	if err != nil {
 		return nil, fmt.Errorf("index: pair table: %w", err)
 	}
-	// Keys ascend strictly (checkCSR), so the ends bound the node keys.
-	if n := len(s.MxKeys); n > 0 && (s.MxKeys[0] < 0 || int(s.MxKeys[n-1]) >= numNodes) {
-		return nil, fmt.Errorf("index: node table: keys outside [0, %d)", numNodes)
+	if len(mxy.keys) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("index: pair table: %d pairs overflow the adjacency's slot positions", len(mxy.keys))
 	}
-	if len(s.MxyKeys) > math.MaxInt32/2 {
-		return nil, fmt.Errorf("index: pair table: %d pairs overflow the adjacency's slot positions", len(s.MxyKeys))
-	}
-	for _, k := range s.MxyKeys {
-		// MakePairKey puts the smaller endpoint first; equal endpoints
-		// are no pair at all.
-		if x, y := k.Nodes(); x < 0 || x >= y || int(y) >= numNodes {
+	for _, k := range mxy.keys {
+		if x, y := k.Nodes(); x >= y || int(y) >= numNodes {
 			return nil, fmt.Errorf("index: pair table: key (%d,%d) is not a pair of nodes in [0, %d)", x, y, numNodes)
 		}
 	}
-	return &Index{
-		numMeta: s.NumMeta,
-		mx:      csr[graph.NodeID]{keys: s.MxKeys, off: s.MxOff, ent: s.MxEnt},
-		mxy:     csr[PairKey]{keys: s.MxyKeys, off: s.MxyOff, ent: s.MxyEnt},
-		adj:     &lazyAdjacency{},
-	}, nil
+	return &Index{numMeta: int(numMeta), mx: mx, mxy: mxy, adj: &lazyAdjacency{}}, nil
 }
 
-// Marshal serializes ix to a byte slice. Engine snapshots embed many
-// indices (one per matched metagraph plus one per trained class) inside a
-// single outer stream, and a length-delimited []byte per index keeps each
-// one independently decodable.
-func Marshal(ix *Index) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, ix); err != nil {
-		return nil, err
+// corrupt names an invariant the stream broke — unless the stream itself
+// already failed, in which case the zero it returned is not the cause.
+func corrupt(r *flat.Reader, what, how string) error {
+	if err := r.Err(); err != nil {
+		return err
 	}
-	return buf.Bytes(), nil
+	return errors.New(what + " " + how)
 }
 
-// Unmarshal decodes a byte slice produced by Marshal, running the same
-// structural validation as Read.
-func Unmarshal(b []byte, numNodes int) (*Index, error) {
-	return Read(bytes.NewReader(b), numNodes)
-}
-
-// checkCSR validates the invariants of one serialized table that reads
-// rely on: strictly ascending keys (binary-searched lookups silently
-// return wrong rows otherwise) and in-range entry Metas (Dot and Project
-// index dense numMeta-length arrays by Meta, so an out-of-range value
-// would panic far from the load site).
-func checkCSR[K cmp.Ordered](keys []K, off []int32, ent []Entry, numMeta int) error {
-	if len(keys) == 0 {
-		if len(off) > 1 || len(ent) != 0 {
-			return fmt.Errorf("corrupt empty table")
+// decodeTable reads one table whose keys must lie in [0, limit).
+func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c csr[K], err error) {
+	nKeys, nEnt := r.Uvarint(), r.Uvarint()
+	if nKeys > math.MaxInt32 || nEnt > math.MaxInt32 {
+		return c, corrupt(r, "table size", "overflows the int32 row offsets")
+	}
+	if nKeys == 0 {
+		if nEnt != 0 {
+			return c, corrupt(r, "empty table", "has entries")
 		}
-		return nil
+		return c, r.Err()
 	}
-	if len(off) != len(keys)+1 || off[0] != 0 || int(off[len(keys)]) != len(ent) {
-		return fmt.Errorf("corrupt key/offset tables")
-	}
-	for i := 1; i < len(off); i++ {
-		if off[i] < off[i-1] {
-			return fmt.Errorf("offsets not monotone")
-		}
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			return fmt.Errorf("keys not strictly ascending")
-		}
-	}
-	for _, e := range ent {
-		if e.Meta < 0 || int(e.Meta) >= numMeta {
-			return fmt.Errorf("entry metagraph %d out of range [0, %d)", e.Meta, numMeta)
-		}
-	}
-	for i := 0; i < len(keys); i++ {
-		row := ent[off[i]:off[i+1]]
-		for j := 1; j < len(row); j++ {
-			if row[j].Meta <= row[j-1].Meta {
-				return fmt.Errorf("row entries not strictly ascending by metagraph")
+	n := int(nKeys)
+	next := uint64(0) // key+1 of the previous key
+	for i := 0; i < n; i++ {
+		if i == cap(c.keys) {
+			if c.keys, err = flat.Grow(r, c.keys, n); err != nil {
+				return c, err
 			}
 		}
+		d := r.Uvarint()
+		if d == 0 || d > limit-next {
+			return c, corrupt(r, "keys", fmt.Sprintf("not strictly ascending within [0, %d)", limit))
+		}
+		next += d
+		c.keys = append(c.keys, K(next-1))
 	}
-	return nil
+	total := uint64(0)
+	for i := 0; i <= n; i++ { // off[0] = 0, then the running total after each row
+		if i == cap(c.off) {
+			if c.off, err = flat.Grow(r, c.off, n+1); err != nil {
+				return c, err
+			}
+		}
+		if i > 0 {
+			l := r.Uvarint()
+			if l > nEnt-total {
+				return c, corrupt(r, "row lengths", "exceed the entry count")
+			}
+			total += l
+		}
+		c.off = append(c.off, int32(total))
+	}
+	if total != nEnt {
+		return c, corrupt(r, "row lengths", "fall short of the entry count")
+	}
+	for i := 0; i < n; i++ {
+		prev := int64(-1)
+		for j := c.off[i]; j < c.off[i+1]; j++ {
+			if int(j) == cap(c.ent) {
+				if c.ent, err = flat.Grow(r, c.ent, int(nEnt)); err != nil {
+					return c, err
+				}
+			}
+			m := r.Uvarint()
+			if m >= numMeta || int64(m) <= prev {
+				return c, corrupt(r, "row entries", fmt.Sprintf("not strictly ascending by metagraph within [0, %d)", numMeta))
+			}
+			prev = int64(m)
+			c.ent = append(c.ent, Entry{Meta: int32(m), Count: math.Float64frombits(r.Uint64())})
+		}
+	}
+	return c, r.Err()
 }

@@ -201,31 +201,19 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		if err := os.MkdirAll(f.Dir, 0o755); err != nil {
 			return fmt.Errorf("replica: bootstrap: %w", err)
 		}
-		// Persist first (atomic: temp + fsync + rename), then load from
-		// the local copy — the stream is consumed once either way, and a
-		// load failure removes the unusable file so Restore can't boot
-		// from it.
-		if err := atomicfile.WriteWith(f.snapPath(), func(w io.Writer) error {
-			_, cerr := io.Copy(w, body)
-			return cerr
-		}); err != nil {
-			return fmt.Errorf("replica: bootstrap: persist snapshot: %w", err)
-		}
-		snap, err := os.Open(f.snapPath())
-		if err != nil {
-			return fmt.Errorf("replica: bootstrap: %w", err)
-		}
-		eng, err = semprox.LoadEngine(snap)
-		snap.Close()
-		if err != nil {
-			os.Remove(f.snapPath())
-			return fmt.Errorf("replica: bootstrap: %w", err)
-		}
+		// Load while persisting: the decoder pulls the stream through a
+		// tee into the staged file, and the rename happens only after the
+		// load — checksum included — has succeeded, so a stream that does
+		// not load never becomes a file Restore could boot from.
+		err = atomicfile.WriteWith(f.snapPath(), func(w io.Writer) (lerr error) {
+			eng, lerr = semprox.LoadEngine(io.TeeReader(body, w))
+			return lerr
+		})
 	} else {
 		eng, err = semprox.LoadEngine(body)
-		if err != nil {
-			return fmt.Errorf("replica: bootstrap: %w", err)
-		}
+	}
+	if err != nil {
+		return fmt.Errorf("replica: bootstrap: %w", err)
 	}
 	eng.SetWorkers(f.Workers)
 	if f.Dir != "" {

@@ -8,8 +8,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,6 +223,47 @@ func TestFollowerBootstrapRejectsBadPrimary(t *testing.T) {
 	f := replica.NewFollower(ts.URL, ts.Client())
 	if err := f.Bootstrap(context.Background()); err == nil {
 		t.Fatal("bootstrap from a non-primary succeeded")
+	}
+}
+
+// TestFollowerBootstrapPersistsOnlyWhatLoads: a durable follower loads the
+// stream while staging it, and renames the staged file into place only
+// after the load — checksum included — succeeded. A primary that dies
+// mid-snapshot (here: the stream minus its last byte) must therefore leave
+// the state directory empty, with nothing for Restore to boot from; the
+// whole stream must leave exactly the primary's bytes.
+func TestFollowerBootstrapPersistsOnlyWhatLoads(t *testing.T) {
+	h := newPrimaryHarness(t)
+	var snap bytes.Buffer
+	if err := h.eng.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var send atomic.Int64
+	send.Store(int64(snap.Len() - 1))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(snap.Bytes()[:send.Load()])
+	}))
+	defer ts.Close()
+	dir := t.TempDir()
+	f := replica.NewFollower(ts.URL, ts.Client())
+	f.Dir = dir
+	if err := f.Bootstrap(context.Background()); err == nil {
+		t.Fatal("bootstrap from a truncated snapshot stream succeeded")
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("failed bootstrap left %v in the state directory (err %v)", left, err)
+	}
+	if ok, err := f.Restore(); ok || err != nil {
+		t.Fatalf("Restore after a failed bootstrap = %v, %v; want nothing to restore", ok, err)
+	}
+
+	send.Store(int64(snap.Len()))
+	if err := f.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if got, err := os.ReadFile(filepath.Join(dir, "engine.snap")); err != nil || !bytes.Equal(got, snap.Bytes()) {
+		t.Fatalf("persisted snapshot differs from the primary's stream (err %v)", err)
 	}
 }
 

@@ -787,10 +787,11 @@ func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	// The snapshot streams straight from one immutable epoch; an error
-	// after the first byte cannot become a structured response, so the
-	// client detects it as a truncated gob stream.
+	// after the first byte cannot become a structured response: the
+	// stream then ends without its checksum trailer, which LoadEngine on
+	// the follower refuses.
 	if err := primary.ServeSnapshot(w, r); err != nil {
-		//lint:semprox-allow mid-stream failure: headers (and possibly body bytes) are already sent, so no envelope can travel; the client detects the truncated gob stream
+		//lint:semprox-allow mid-stream failure: headers (and possibly body bytes) are already sent, so no envelope can travel; the follower's LoadEngine refuses a stream without a valid checksum trailer
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

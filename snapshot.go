@@ -2,12 +2,14 @@ package semprox
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/metagraph"
@@ -25,11 +27,23 @@ import (
 //
 // A live-updated engine round-trips too: the graph text format
 // materializes the copy-on-write overlay, update overlays on the indices
-// compact on the way out (index.Write), and the epoch counter plus the
+// compact on the way out (index.Encode), and the epoch counter plus the
 // durable log position (LSN) ride in the snapshot header — so a loaded
 // engine resumes at the saved epoch with nothing pending, answering
 // exactly as the saved one did, and recovery knows which WAL records the
 // snapshot already covers (see ReplayWAL).
+//
+// The bytes are one flat stream (internal/flat; layout in DESIGN.md
+// "Snapshot format"): magic, the header below as length-prefixed JSON, the
+// graph's text format length-prefixed, one index section per matched part,
+// then per class its log-likelihood and weights as IEEE-754 bits (JSON
+// has no NaN, and they must round-trip exactly) and its index section,
+// closed by a CRC-32C trailer. Both ends stream through their own buffer:
+// Save writes straight from the serving epoch's arenas, LoadEngine reads
+// straight into fresh ones, and a follower decodes while its primary is
+// still encoding.
+
+const snapshotMagic = "SPXS\x04"
 
 // snapMetagraph rebuilds one metagraph via metagraph.New.
 type snapMetagraph struct {
@@ -37,47 +51,22 @@ type snapMetagraph struct {
 	Edges []metagraph.Edge
 }
 
-// snapPart is one matched slot of the engine's lazy matching cache.
-type snapPart struct {
-	Slot int
-	Ix   []byte // index.Marshal of the single-metagraph part
-}
-
-// snapClass is one trained class model.
+// snapClass describes one trained class model.
 type snapClass struct {
-	Name          string
-	Kept          []int
-	W             []float64
-	LogLikelihood float64
-	Iterations    int
-	Ix            []byte // index.Marshal of the merged class index
+	Name       string
+	Kept       []int
+	Iterations int
 }
 
-// snapshot is the gob wire format of a saved engine.
-type snapshot struct {
-	Version    int
-	Epoch      uint64 // serving epoch counter (v2+; zero for v1 streams)
-	LSN        uint64 // durable log position (v3+; see loadLSN for v1/v2)
-	Graph      []byte // graph.Write text format
-	AnchorType string
-	Opts       Options
-	Metas      []snapMetagraph
-	Parts      []snapPart
-	Classes    []snapClass
-}
-
-// snapshotVersion is the current wire version. Version 1 (pre-live-update,
-// no epoch counter) still loads, resuming at epoch 0; version 2 (epoch but
-// no LSN) loads with the LSN anchored to the epoch counter, which is what
-// the LSN of a WAL-less engine would have been.
-const snapshotVersion = 3
-
-// loadLSN maps a decoded snapshot to the engine LSN it represents.
-func loadLSN(s *snapshot) uint64 {
-	if s.Version >= 3 {
-		return s.LSN
-	}
-	return s.Epoch
+// snapHeader says what follows it in the stream.
+type snapHeader struct {
+	Epoch   uint64 // serving epoch counter
+	LSN     uint64 // durable log position
+	Anchor  string
+	Opts    Options
+	Metas   []snapMetagraph
+	Parts   []int       // matched slots of the lazy matching cache, ascending
+	Classes []snapClass // sorted by name
 }
 
 // Save serializes the engine so LoadEngine can restore it without mining,
@@ -109,91 +98,99 @@ func (e *Engine) SaveWait(w io.Writer, wait func(lsn uint64) error) error {
 }
 
 func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
+	h := snapHeader{
+		Epoch:  ep.version,
+		LSN:    ep.lsn,
+		Anchor: ep.g.Types().Name(e.anchor),
+		Opts:   e.opts,
+		Metas:  make([]snapMetagraph, len(e.ms)),
+	}
+	for i, m := range e.ms {
+		h.Metas[i] = snapMetagraph{Types: m.Types(), Edges: m.Edges()}
+	}
+	for i, ix := range ep.metaIx {
+		if ix != nil {
+			h.Parts = append(h.Parts, i)
+		}
+	}
+	for name, cm := range ep.classes {
+		h.Classes = append(h.Classes, snapClass{Name: name, Kept: cm.kept, Iterations: cm.model.Iterations})
+	}
+	sort.Slice(h.Classes, func(i, j int) bool { return h.Classes[i].Name < h.Classes[j].Name })
+	hdr, err := json.Marshal(&h)
+	if err != nil {
+		return fmt.Errorf("semprox: snapshot header: %w", err)
+	}
 	var gbuf bytes.Buffer
 	if err := graph.Write(&gbuf, ep.g); err != nil {
 		return fmt.Errorf("semprox: snapshot graph: %w", err)
 	}
-	s := snapshot{
-		Version:    snapshotVersion,
-		Epoch:      ep.version,
-		LSN:        ep.lsn,
-		Graph:      gbuf.Bytes(),
-		AnchorType: ep.g.Types().Name(e.anchor),
-		Opts:       e.opts,
+	fw := flat.NewWriter(w, snapshotMagic)
+	fw.Bytes(hdr)
+	fw.Bytes(gbuf.Bytes())
+	for _, slot := range h.Parts {
+		index.Encode(fw, ep.metaIx[slot])
 	}
-	s.Metas = make([]snapMetagraph, len(e.ms))
-	for i, m := range e.ms {
-		s.Metas[i] = snapMetagraph{
-			Types: m.Types(),
-			Edges: append([]metagraph.Edge(nil), m.Edges()...),
+	for _, sc := range h.Classes {
+		cm := ep.classes[sc.Name]
+		fw.Uint64(math.Float64bits(cm.model.LogLikelihood))
+		for _, wi := range cm.model.W {
+			fw.Uint64(math.Float64bits(wi))
 		}
+		index.Encode(fw, cm.ix)
 	}
-	for i, ix := range ep.metaIx {
-		if ix == nil {
-			continue
-		}
-		b, err := index.Marshal(ix)
-		if err != nil {
-			return fmt.Errorf("semprox: snapshot metagraph %d: %w", i, err)
-		}
-		s.Parts = append(s.Parts, snapPart{Slot: i, Ix: b})
+	if err := fw.Close(); err != nil {
+		return fmt.Errorf("semprox: snapshot write: %w", err)
 	}
-	names := make([]string, 0, len(ep.classes))
-	for name := range ep.classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cm := ep.classes[name]
-		b, err := index.Marshal(cm.ix)
-		if err != nil {
-			return fmt.Errorf("semprox: snapshot class %q: %w", name, err)
-		}
-		s.Classes = append(s.Classes, snapClass{
-			Name:          name,
-			Kept:          cm.kept,
-			W:             cm.model.W,
-			LogLikelihood: cm.model.LogLikelihood,
-			Iterations:    cm.model.Iterations,
-			Ix:            b,
-		})
-	}
-	return gob.NewEncoder(w).Encode(&s)
+	return nil
 }
 
 // LoadEngine restores an engine written by Save. The loaded engine answers
 // Query, Proximity, Weights and Classes identically to the saved one,
 // resumes at the saved epoch, and training new classes picks up the
 // restored matching cache (already matched metagraphs are never
-// re-matched). Every index is validated against the snapshot's own graph,
-// and the class indices' partner adjacencies — derived, never stored —
-// are rebuilt here, so the first query pays for nothing.
+// re-matched). The bytes are untrusted — a follower takes them off the
+// network: every index is validated against the snapshot's own graph as it
+// is decoded, no allocation is sized by a count the stream merely claims,
+// and nothing is published before the checksum has passed. The class
+// indices' partner adjacencies — derived, never stored — are rebuilt
+// here, so the first query pays for nothing.
 func LoadEngine(r io.Reader) (*Engine, error) {
-	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("semprox: snapshot decode: %w", err)
+	fr, err := flat.NewReader(r, snapshotMagic)
+	if err != nil {
+		return nil, fmt.Errorf("semprox: snapshot: %w", err)
 	}
-	if s.Version < 1 || s.Version > snapshotVersion {
-		return nil, fmt.Errorf("semprox: unsupported snapshot version %d", s.Version)
+	// A failed stream hands out empty byte strings: its own error, not
+	// the parse error of what it did not deliver, is the one to report.
+	var h snapHeader
+	err = json.Unmarshal(fr.Bytes(), &h)
+	if fr.Err() != nil {
+		err = fr.Err()
 	}
-	g, err := graph.Read(bytes.NewReader(s.Graph))
+	if err != nil {
+		return nil, fmt.Errorf("semprox: snapshot header: %w", err)
+	}
+	g, err := graph.Read(bytes.NewReader(fr.Bytes()))
+	if fr.Err() != nil {
+		err = fr.Err()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("semprox: snapshot graph: %w", err)
 	}
-	g = g.WithVersion(s.Epoch)
-	anchor := g.Types().ID(s.AnchorType)
+	g = g.WithVersion(h.Epoch)
+	anchor := g.Types().ID(h.Anchor)
 	if anchor == graph.InvalidType {
-		return nil, fmt.Errorf("semprox: snapshot anchor type %q not in graph", s.AnchorType)
+		return nil, fmt.Errorf("semprox: snapshot anchor type %q not in graph", h.Anchor)
 	}
-	if !validEngine(s.Opts.Engine) {
-		return nil, fmt.Errorf("semprox: snapshot matching engine %q unknown", s.Opts.Engine)
+	if !validEngine(h.Opts.Engine) {
+		return nil, fmt.Errorf("semprox: snapshot matching engine %q unknown", h.Opts.Engine)
 	}
 	e := &Engine{
 		anchor: anchor,
-		opts:   s.Opts,
-		ms:     make([]*metagraph.Metagraph, len(s.Metas)),
+		opts:   h.Opts,
+		ms:     make([]*metagraph.Metagraph, len(h.Metas)),
 	}
-	for i, sm := range s.Metas {
+	for i, sm := range h.Metas {
 		m, err := metagraph.New(sm.Types, sm.Edges)
 		if err != nil {
 			return nil, fmt.Errorf("semprox: snapshot metagraph %d: %w", i, err)
@@ -203,54 +200,54 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	ep := &epoch{
 		g:       g,
 		metaIx:  make([]*index.Index, len(e.ms)),
-		classes: make(map[string]*classModel, len(s.Classes)),
-		version: s.Epoch,
-		lsn:     loadLSN(&s),
+		classes: make(map[string]*classModel, len(h.Classes)),
+		version: h.Epoch,
+		lsn:     h.LSN,
 	}
-	for _, p := range s.Parts {
-		if p.Slot < 0 || p.Slot >= len(e.ms) {
-			return nil, fmt.Errorf("semprox: snapshot part slot %d out of range [0, %d)", p.Slot, len(e.ms))
+	for _, slot := range h.Parts {
+		if slot < 0 || slot >= len(e.ms) {
+			return nil, fmt.Errorf("semprox: snapshot part slot %d out of range [0, %d)", slot, len(e.ms))
 		}
-		if ep.metaIx[p.Slot] != nil {
-			return nil, fmt.Errorf("semprox: snapshot part slot %d duplicated", p.Slot)
+		if ep.metaIx[slot] != nil {
+			return nil, fmt.Errorf("semprox: snapshot part slot %d duplicated", slot)
 		}
-		ix, err := index.Unmarshal(p.Ix, g.NumNodes())
+		ix, err := index.Decode(fr, g.NumNodes())
 		if err != nil {
-			return nil, fmt.Errorf("semprox: snapshot part %d: %w", p.Slot, err)
+			return nil, fmt.Errorf("semprox: snapshot part %d: %w", slot, err)
 		}
 		if ix.NumMeta() != 1 {
-			return nil, fmt.Errorf("semprox: snapshot part %d spans %d metagraphs, want 1", p.Slot, ix.NumMeta())
+			return nil, fmt.Errorf("semprox: snapshot part %d spans %d metagraphs, want 1", slot, ix.NumMeta())
 		}
-		ep.metaIx[p.Slot] = ix
+		ep.metaIx[slot] = ix
 	}
-	for _, sc := range s.Classes {
+	for _, sc := range h.Classes {
 		if _, dup := ep.classes[sc.Name]; dup {
 			return nil, fmt.Errorf("semprox: snapshot class %q duplicated", sc.Name)
-		}
-		if len(sc.W) != len(sc.Kept) {
-			return nil, fmt.Errorf("semprox: snapshot class %q: %d weights for %d metagraphs", sc.Name, len(sc.W), len(sc.Kept))
 		}
 		for _, idx := range sc.Kept {
 			if idx < 0 || idx >= len(e.ms) {
 				return nil, fmt.Errorf("semprox: snapshot class %q keeps metagraph %d out of range [0, %d)", sc.Name, idx, len(e.ms))
 			}
 		}
-		ix, err := index.Unmarshal(sc.Ix, g.NumNodes())
+		model := &core.Model{
+			LogLikelihood: math.Float64frombits(fr.Uint64()),
+			W:             make([]float64, len(sc.Kept)),
+			Iterations:    sc.Iterations,
+		}
+		for i := range model.W {
+			model.W[i] = math.Float64frombits(fr.Uint64())
+		}
+		ix, err := index.Decode(fr, g.NumNodes())
 		if err != nil {
 			return nil, fmt.Errorf("semprox: snapshot class %q: %w", sc.Name, err)
 		}
 		if ix.NumMeta() != len(sc.Kept) {
 			return nil, fmt.Errorf("semprox: snapshot class %q: index spans %d metagraphs, want %d", sc.Name, ix.NumMeta(), len(sc.Kept))
 		}
-		ep.classes[sc.Name] = &classModel{
-			kept: sc.Kept,
-			ix:   ix,
-			model: &core.Model{
-				W:             sc.W,
-				LogLikelihood: sc.LogLikelihood,
-				Iterations:    sc.Iterations,
-			},
-		}
+		ep.classes[sc.Name] = &classModel{kept: sc.Kept, ix: ix, model: model}
+	}
+	if err := fr.Close(); err != nil {
+		return nil, fmt.Errorf("semprox: snapshot: %w", err)
 	}
 	e.publish(ep)
 	return e, nil

@@ -2,9 +2,12 @@ package semprox
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/fixtures"
+	"repro/internal/flat"
 )
 
 // saveLoad round-trips an engine through the snapshot format.
@@ -181,7 +184,7 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 
 // fullSnapshot saves a trained, updated engine — the richest wire shape
 // (graph, epoch, LSN, matched parts, classes) — for the corruption tests.
-func fullSnapshot(t *testing.T) []byte {
+func fullSnapshot(t testing.TB) []byte {
 	t.Helper()
 	eng, g := toyEngine(t)
 	eng.Train("classmate", classmateExamples(g))
@@ -217,40 +220,117 @@ func TestSnapshotEveryPrefixTruncationErrors(t *testing.T) {
 	}
 }
 
-// TestSnapshotBitFlipsNeverPanic flips bits across the snapshot: loads
-// may fail (almost all do) or — when the flip lands in a don't-care byte
-// — succeed, but must never panic. This is the contract that lets
-// semproxd load operator-provided files straight off disk.
+// TestSnapshotBitFlipsNeverPanic flips two bits of every byte of the
+// snapshot, one at a time: each load must fail — never panic, and never succeed. Structure
+// alone cannot promise that (a flip inside a Count, a weight or a node name
+// parses fine and would serve wrong answers); the CRC-32C trailer does, and
+// that is what lets semproxd load operator-provided files straight off disk
+// and a follower trust what it pulled over the network.
 func TestSnapshotBitFlipsNeverPanic(t *testing.T) {
 	data := fullSnapshot(t)
-	stride := len(data)/4096 + 1
-	for pos := 0; pos < len(data); pos += stride {
-		for _, mask := range []byte{0x01, 0x80} {
-			mutated := append([]byte(nil), data...)
-			mutated[pos] ^= mask
+	for pos := range data {
+		for _, bit := range []int{pos % 8, (pos + 4) % 8} {
+			mutated := bytes.Clone(data)
+			mutated[pos] ^= 1 << bit
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("LoadEngine panicked on bit flip at %d (mask %#x): %v", pos, mask, r)
+						t.Fatalf("LoadEngine panicked on bit %d of byte %d flipped: %v", bit, pos, r)
 					}
 				}()
-				eng, err := LoadEngine(bytes.NewReader(mutated))
-				if err != nil || eng == nil {
-					return
-				}
-				// A flip that still loads must yield a usable engine:
-				// LoadEngine already built every class adjacency from the
-				// flipped keys, and ranking from every node — in and just
-				// beyond the graph — must not panic either.
-				_ = eng.Stats()
-				n := NodeID(eng.Graph().NumNodes())
-				for _, class := range eng.Classes() {
-					for q := NodeID(-1); q <= n; q++ {
-						_, _ = eng.Query(class, q, 3)
-						_, _ = eng.Proximity(class, q, n-q)
-					}
+				if _, err := LoadEngine(bytes.NewReader(mutated)); err == nil {
+					t.Fatalf("LoadEngine accepted a snapshot with bit %d of byte %d/%d flipped", bit, pos, len(data))
 				}
 			}()
 		}
 	}
+}
+
+// gobFixtureBytes is what the last gob-encoded snapshot format (wire
+// version 3) produced for fullSnapshot's engine.
+const gobFixtureBytes = 5978
+
+// TestSnapshotNoLargerThanGob pins the size side of the flat codec:
+// delta-varint keys and row lengths must keep the fixture's snapshot at or
+// under what gob spent on it.
+func TestSnapshotNoLargerThanGob(t *testing.T) {
+	if n := len(fullSnapshot(t)); n > gobFixtureBytes {
+		t.Fatalf("snapshot is %d bytes; the gob format needed %d", n, gobFixtureBytes)
+	}
+}
+
+// TestSnapshotClaimsCostWhatTheStreamDelivers: a follower loads its
+// snapshot off the network, so a short stream that announces a gigantic
+// header, graph or index must be refused for what it sent, not allocated
+// for what it claims.
+func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
+	fr, err := flat.NewReader(bytes.NewReader(fullSnapshot(t)), snapshotMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, graphText := fr.Bytes(), fr.Bytes()
+	if fr.Err() != nil {
+		t.Fatal(fr.Err())
+	}
+	for name, body := range map[string]func(w *flat.Writer){
+		"header of 2^40 bytes": func(w *flat.Writer) { w.Uvarint(1 << 40) },
+		"graph of 2^40 bytes":  func(w *flat.Writer) { w.Bytes(hdr); w.Uvarint(1 << 40) },
+		"index of 2^31-1 keys and entries": func(w *flat.Writer) {
+			w.Bytes(hdr)
+			w.Bytes(graphText)
+			w.Uvarint(1) // numMeta
+			w.Uvarint(math.MaxInt32)
+			w.Uvarint(math.MaxInt32)
+			w.Uvarint(1) // the first key; nothing else follows
+		},
+		"index of 2^40 keys and entries": func(w *flat.Writer) {
+			w.Bytes(hdr)
+			w.Bytes(graphText)
+			w.Uvarint(1)
+			w.Uvarint(1 << 40)
+			w.Uvarint(1 << 40)
+		},
+	} {
+		var buf bytes.Buffer
+		w := flat.NewWriter(&buf, snapshotMagic)
+		body(w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadEngine(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a %d-byte stream loaded", name, buf.Len())
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("%s: a %d-byte stream cost %d bytes of allocation (%v)", name, buf.Len(), got, err)
+		}
+	}
+}
+
+// FuzzLoadEngine feeds arbitrary bytes through LoadEngine: it may refuse
+// them, but an engine it returns must answer from every node without a
+// panic.
+func FuzzLoadEngine(f *testing.F) {
+	data := fullSnapshot(f)
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add(data[:len(data)-4])
+	f.Add([]byte(snapshotMagic))
+	f.Add([]byte("not a snapshot"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		eng, err := LoadEngine(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n := NodeID(eng.Graph().NumNodes())
+		for _, class := range eng.Classes() {
+			for q := NodeID(-1); q <= n; q++ {
+				_, _ = eng.Query(class, q, 3)
+				_, _ = eng.Proximity(class, q, n-q)
+			}
+		}
+	})
 }
