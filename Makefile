@@ -22,13 +22,17 @@
 #              epoch-keyed cache flush + zero failed reads across a
 #              primary kill), and the observability smoke (/metrics on
 #              real daemons with moving counters, one trace ID across
-#              the proxy and backend request logs, pprof answering).
+#              the proxy and backend request logs, pprof answering),
+#              and the measurement spine's own check (benchmark/: vet,
+#              unit tests and the -quick smoke of all four workloads
+#              against out-of-process daemons, every answer checked
+#              against the oracle).
 GO ?= go
 COVER_FLOOR ?= 80
 
-.PHONY: ci lint vet build test cover fuzz-smoke bench-smoke bench replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate load-bench proxy-bench
+.PHONY: ci lint vet build test cover fuzz-smoke bench-smoke benchmark-check bench replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate load-bench proxy-bench
 
-ci: lint build test cover fuzz-smoke bench-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-gate
+ci: lint build test cover fuzz-smoke bench-smoke benchmark-check replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-gate
 
 # gofmt must be a no-op, vet must be clean, and the repo's own analyzer
 # suite (cmd/semproxlint: rawpath, atomicwrite, metricname, envelope,
@@ -100,10 +104,23 @@ cover:
 # primary answers — all without touching the committed BENCH_*.json
 # files. Exits non-zero on any drift. Then one iteration each of the
 # snapshot codec benchmarks (Save and LoadEngine at 5 000 users), so the
-# restart-to-serving path is compiled and run on every commit.
+# restart-to-serving path is compiled and run on every commit, and one
+# update on the highest-degree node of a LinkedIn-shaped graph, the case
+# the community graphs of the update leg above do not reach.
 bench-smoke:
 	$(GO) run ./cmd/bench -reps 1 -workers 1,4 -out - -online-out - -update-out - -wal-out - -routing-out - -failover-out -
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
+
+# The measurement spine compiles against the product and checks it:
+# benchmark/ is a module of its own, so `go build ./...` and `go test
+# ./...` never touch it, and a product change that breaks its compile
+# (it calls index.RematchDelta, graph.Apply, the wal and server packages
+# directly) or its oracle would otherwise surface only in an acceptance
+# run. Vet, unit tests, and the -quick smoke of all four workloads.
+# Needs GOMAXPROCS >= 2 (the smoke skips itself below that).
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Two-process replication smoke: durable primary + follower on loopback,
 # live updates pushed through the typed client (semproxctl), follower

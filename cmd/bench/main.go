@@ -9,7 +9,7 @@
 //     against a score-by-key, sort-everything reference for every query
 //     first.
 //   - update (BENCH_update.json): one live ApplyUpdate cycle through the
-//     public engine API, plus the incremental neighborhood re-match vs a
+//     public engine API, plus the incremental delta-seeded re-match vs a
 //     full from-scratch re-match on a community-structured graph — the
 //     patched index is cross-checked byte-for-byte against the scratch
 //     build before timings are reported.
@@ -525,8 +525,8 @@ func benchWAL(counts []int, reps int) (*walReport, error) {
 
 // updateGraph mirrors the community-structured bench graph of
 // BenchmarkApplyUpdate: clusters of users around cluster-local attribute
-// nodes, the regime where a delta's re-match neighborhood stays a small
-// fraction of the graph.
+// nodes. (Its attribute nodes have degree 10; BenchmarkApplyUpdate/hub is
+// the update on a hub.)
 func updateGraph(communities, usersPer int) *graph.Graph {
 	b := graph.NewBuilder()
 	for _, tn := range []string{"user", "school", "employer", "hobby"} {
@@ -602,13 +602,13 @@ func benchUpdate(reps int) (*updateReport, error) {
 
 	// Byte-for-byte cross-check of the incremental index maintenance.
 	parts, _ := index.MatchParts(ms, func() match.Matcher { return mkMatcher(g) }, 1)
-	ng, touched, err := g.Apply(delta)
+	ng, _, err := g.Apply(delta)
 	if err != nil {
 		return nil, err
 	}
 	patched := make([]*index.Index, len(ms))
 	for i, m := range ms {
-		patched[i] = parts[i].WithPatch(index.RematchDelta(ng, m, mkMatcher, touched))
+		patched[i] = parts[i].WithPatch(index.RematchDelta(ng, m, nil, nil))
 	}
 	final := ng.Compact()
 	var got, want bytes.Buffer
@@ -627,7 +627,7 @@ func benchUpdate(reps int) (*updateReport, error) {
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
 		for _, m := range ms {
-			index.RematchDelta(ng, m, mkMatcher, touched)
+			index.RematchDelta(ng, m, nil, nil)
 		}
 		if d := time.Since(t0); incBest == 0 || d < incBest {
 			incBest = d

@@ -172,8 +172,8 @@ func (e *Engine) Epoch() uint64 { return e.cur.Load().version }
 
 // LSN returns the log sequence number of the last update applied: the
 // position of this engine in its write-ahead log (see internal/wal).
-// Snapshots persist it (wire v3), so recovery knows exactly which WAL
-// records the snapshot already covers. Safe for concurrent use.
+// Snapshots persist it, so recovery knows exactly which WAL records the
+// snapshot already covers. Safe for concurrent use.
 func (e *Engine) LSN() uint64 { return e.cur.Load().lsn }
 
 // SetWorkers overrides Options.Workers (values < 1 mean one worker per

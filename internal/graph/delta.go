@@ -16,8 +16,10 @@ import (
 // Deltas are additive: nodes and edges can be added, never removed. That
 // matches the serving scenario (the object graph only grows while queries
 // are in flight) and is what makes incremental index maintenance exact —
-// existing metagraph instances are never destroyed, so per-key counts only
-// need recomputing inside the neighborhood a delta touched.
+// existing metagraph instances are never destroyed, and an instance is new
+// exactly when one of its edges is (Def. 2), so per-key counts only grow, by
+// the instances through the delta's edges. The graph an Apply returns
+// therefore remembers those edges (DeltaEdges).
 
 // DeltaNode declares one node addition: a type name (which must already be
 // registered in the graph — a delta cannot invent types) and an intrinsic
@@ -60,6 +62,14 @@ func (g *Graph) WithVersion(v uint64) *Graph {
 	return &ng
 }
 
+// DeltaEdges returns the edges the Apply that produced g genuinely added —
+// normalized U < V, in delta order, without self loops, duplicates or edges
+// the parent already had. It is empty for a built, loaded or compacted graph
+// and for the result of a no-op delta. Every instance g has and its parent
+// lacked maps a metagraph edge onto one of these, which is all incremental
+// re-matching enumerates. The slice is shared; do not modify.
+func (g *Graph) DeltaEdges() []Edge { return g.deltaEdges }
+
 // Overlaid reports whether g carries copy-on-write rows that Compact would
 // fold into flat CSR storage.
 func (g *Graph) Overlaid() bool { return g.ovl != nil }
@@ -90,9 +100,9 @@ func ValidateApply(types *TypeRegistry, numNodes int, d Delta) error {
 
 // Apply returns a new graph one version later with the delta's nodes and
 // edges added, plus the sorted set of existing-row nodes whose adjacency
-// actually changed (endpoints of genuinely new edges — the seeds for
-// incremental re-matching). The receiver is not modified and all untouched
-// adjacency storage is shared.
+// actually changed (the old endpoints of genuinely new edges). The
+// receiver is not modified and all untouched adjacency storage is shared;
+// the result carries the genuinely new edges as DeltaEdges.
 //
 // Apply fails if a node names an unregistered type or an edge endpoint is
 // out of range (see ValidateApply); on failure the receiver is unchanged
@@ -146,6 +156,8 @@ func (g *Graph) Apply(d Delta) (*Graph, []NodeID, error) {
 		ovl:      g.ovl, // replaced below unless the delta is a no-op
 		names:    g.names,
 		added:    g.added,
+
+		deltaEdges: added,
 	}
 	if len(d.Nodes) > 0 {
 		ng.nodeType = append(append(make([]TypeID, 0, newN), g.nodeType...), newTypes...)
@@ -298,71 +310,4 @@ func (g *Graph) Compact() *Graph {
 		}
 	}
 	return ng
-}
-
-// HopDistances runs a multi-source BFS from seeds and returns the hop
-// distance of every node within max hops (seeds themselves at distance 0).
-// Out-of-range seeds are ignored.
-func (g *Graph) HopDistances(seeds []NodeID, max int) map[NodeID]int32 {
-	dist := make(map[NodeID]int32, len(seeds))
-	frontier := make([]NodeID, 0, len(seeds))
-	for _, s := range seeds {
-		if !g.validNode(s) {
-			continue
-		}
-		if _, ok := dist[s]; !ok {
-			dist[s] = 0
-			frontier = append(frontier, s)
-		}
-	}
-	for d := int32(1); int(d) <= max && len(frontier) > 0; d++ {
-		var next []NodeID
-		for _, v := range frontier {
-			for _, u := range g.Neighbors(v) {
-				if _, ok := dist[u]; !ok {
-					dist[u] = d
-					next = append(next, u)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
-}
-
-// Induced builds the node-induced subgraph of g on nodes (duplicates
-// ignored) as a standalone flat graph whose type registry assigns the SAME
-// TypeIDs as g, plus the mapping from subgraph id to original id (ascending
-// in the original ids). Matching a metagraph on the subgraph therefore uses
-// the exact type vocabulary of the full graph.
-func Induced(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
-	toFull := append([]NodeID(nil), nodes...)
-	sort.Slice(toFull, func(i, j int) bool { return toFull[i] < toFull[j] })
-	uniq := toFull[:0]
-	for i, v := range toFull {
-		if i == 0 || v != toFull[i-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	toFull = uniq
-
-	b := NewBuilder()
-	for _, name := range g.types.Names() {
-		b.Types().Register(name)
-	}
-	toSub := make(map[NodeID]NodeID, len(toFull))
-	for i, v := range toFull {
-		toSub[v] = NodeID(i)
-		b.AddNode(g.types.Name(g.Type(v)), g.Name(v))
-	}
-	for _, v := range toFull {
-		for _, u := range g.Neighbors(v) {
-			if v < u {
-				if su, ok := toSub[u]; ok {
-					b.AddEdge(toSub[v], su)
-				}
-			}
-		}
-	}
-	return b.MustBuild(), toFull
 }

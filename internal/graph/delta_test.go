@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -190,37 +191,37 @@ func TestApplyEqualsRebuild(t *testing.T) {
 	}
 }
 
-func TestHopDistances(t *testing.T) {
+// TestDeltaEdges pins what the post-delta graph remembers of its delta:
+// the genuinely new edges, normalized, in delta order — and nothing of any
+// earlier delta or after a compaction.
+func TestDeltaEdges(t *testing.T) {
 	g := applyToy(t) // u0-s0, u1-s0, u2-s1
-	dist := g.HopDistances([]NodeID{0}, 2)
-	want := map[NodeID]int32{0: 0, 3: 1, 1: 2}
-	if len(dist) != len(want) {
-		t.Fatalf("dist = %v, want %v", dist, want)
+	if len(g.DeltaEdges()) != 0 {
+		t.Fatalf("built graph has delta edges %v", g.DeltaEdges())
 	}
-	for v, d := range want {
-		if dist[v] != d {
-			t.Fatalf("dist[%d] = %d, want %d", v, dist[v], d)
-		}
+	ng, _, err := g.Apply(Delta{
+		Nodes: []DeltaNode{{Type: "user", Value: "u3"}},
+		Edges: []Edge{{5, 3}, {0, 3}, {2, 2}, {3, 5}, {4, 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := g.HopDistances([]NodeID{0, 2}, 0); len(d) != 2 {
-		t.Fatalf("radius 0 = %v", d)
+	want := []Edge{{3, 5}, {1, 4}} // 0-3 is present, 2-2 a loop, 3-5 repeated
+	if got := ng.DeltaEdges(); !slices.Equal(got, want) {
+		t.Fatalf("DeltaEdges = %v, want %v", got, want)
 	}
-}
-
-func TestInduced(t *testing.T) {
-	g := applyToy(t)
-	sub, toFull := Induced(g, []NodeID{3, 0, 1, 3})
-	if sub.NumNodes() != 3 || sub.NumEdges() != 2 {
-		t.Fatalf("sub = %v", sub)
+	if got := ng.WithVersion(7).DeltaEdges(); !slices.Equal(got, want) {
+		t.Fatalf("WithVersion dropped the delta edges: %v", got)
 	}
-	if len(toFull) != 3 || toFull[0] != 0 || toFull[1] != 1 || toFull[2] != 3 {
-		t.Fatalf("toFull = %v", toFull)
+	if got := ng.Compact().DeltaEdges(); len(got) != 0 {
+		t.Fatalf("compacted graph has delta edges %v", got)
 	}
-	if sub.Types().ID("school") != g.Types().ID("school") {
-		t.Fatal("type ids not preserved")
+	noop, _, err := ng.Apply(Delta{Edges: []Edge{{5, 3}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sub.HasEdge(0, 2) || !sub.HasEdge(1, 2) || sub.HasEdge(0, 1) {
-		t.Fatal("induced edges wrong")
+	if got := noop.DeltaEdges(); len(got) != 0 {
+		t.Fatalf("no-op delta inherited delta edges %v", got)
 	}
 }
 

@@ -57,11 +57,15 @@ type Graph struct {
 	// to names, whose ids are the smaller.
 	names *nameIndex
 	added map[string]NodeID
+
+	// deltaEdges are the edges the Apply that produced this graph added
+	// (see DeltaEdges); nil unless the graph came out of Apply.
+	deltaEdges []Edge
 }
 
 // nameIndex maps each non-empty intrinsic value among the first n nodes of
 // a graph to the first node carrying it. It is built on first use — most
-// graphs (every induced update neighborhood) never resolve a name — and
+// graphs (every test and offline build) never resolve a name — and
 // immutable afterwards.
 type nameIndex struct {
 	once  sync.Once

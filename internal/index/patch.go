@@ -1,33 +1,35 @@
-// Incremental index maintenance. When the object graph gains nodes or
-// edges, only keys near the mutation can change: every node of a metagraph
-// instance lies within Diameter(M) hops of every other (each metagraph edge
-// maps onto a graph edge), so an instance using a new edge keeps all of its
-// nodes within Diameter(M) hops of that edge's endpoints. RematchDelta
-// exploits this: it re-runs the matcher on the induced neighborhood within
-// 2·Diameter(M) hops of the touched nodes — large enough to contain every
-// instance that CONTAINS an affected key, not just the new instances — and
-// emits the recomputed rows as a Patch. WithPatch overlays those rows over
-// the flat CSR without rebuilding it; Compact folds the overlay into fresh
-// arenas identical to a from-scratch build of the final graph.
+// Incremental index maintenance. Deltas are additive, so a graph mutation
+// never destroys an instance and creates exactly the instances that map a
+// metagraph edge onto an added graph edge (Def. 2). RematchDelta enumerates
+// those — seeded at the added edges, see match.Delta — and counts, per key,
+// the instances GAINED; a row after the delta is the row before it plus its
+// gains. WithPatch overlays the resulting rows over the flat CSR without
+// rebuilding it; Compact folds the overlay into fresh arenas identical to a
+// from-scratch build of the final graph.
 package index
 
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/metagraph"
 )
 
-// Patch is a set of full replacement rows for one index: every key listed
-// shadows its base row entirely. Rows are canonical (keys ascending,
-// entries ascending by Meta) and never empty.
+// Patch is a set of rows for one index, in one of two forms. Replacement
+// rows (NewPatch, Over) shadow the base row of every key listed. Gains
+// (RematchDelta) hold raw instance counts to ADD to the rows of the index
+// they land on; WithPatch resolves them, so callers apply either form the
+// same way. Rows are canonical (keys ascending, entries ascending by Meta)
+// and never empty.
 type Patch struct {
 	numMeta int
 	mx      csr[graph.NodeID]
 	mxy     csr[PairKey]
+	gains   bool
+	// enumerated is the work the re-match behind a gains patch did.
+	enumerated int64
 }
 
 // NewPatch freezes replacement rows into a Patch for an index spanning
@@ -62,18 +64,70 @@ func (p *Patch) NodeKeys() []graph.NodeID { return p.mx.keys }
 // is shared; do not modify.
 func (p *Patch) PairKeys() []PairKey { return p.mxy.keys }
 
-// Transform returns a copy of the patch with f applied to every count,
-// mirroring Index.Transform for indices built with a count transform.
-func (p *Patch) Transform(f func(float64) float64) *Patch {
+// Enumerated returns the number of assignments the enumeration behind the
+// patch visited (match.Delta.Visited); 0 for a hand-built patch.
+func (p *Patch) Enumerated() int64 { return p.enumerated }
+
+// Over resolves gains into replacement rows over ix, the index they are
+// about to land on: every row becomes ix's current row (read through any
+// overlay) plus the gained counts. For an index that stores transformed
+// counts pass the transform f and its inverse on stored values: a row
+// entry becomes f(inv(old) + gained), which equals the from-scratch
+// f(total) whenever inv recovers the raw count exactly. Nil functions mean
+// raw counts. A patch that already holds replacement rows is returned as is.
+func (p *Patch) Over(ix *Index, f, inv func(float64) float64) *Patch {
+	if !p.gains {
+		return p
+	}
 	return &Patch{
-		numMeta: p.numMeta,
-		mx:      csr[graph.NodeID]{keys: p.mx.keys, off: p.mx.off, ent: transformArena(p.mx.ent, f)},
-		mxy:     csr[PairKey]{keys: p.mxy.keys, off: p.mxy.off, ent: transformArena(p.mxy.ent, f)},
+		numMeta:    p.numMeta,
+		mx:         addGains(p.mx, ix.NodeVec, f, inv),
+		mxy:        addGains(p.mxy, func(k PairKey) SparseVec { return ix.PairVec(k.Nodes()) }, f, inv),
+		enumerated: p.enumerated,
 	}
 }
 
+// addGains returns the table of old(k) + gains' row of k for every key of
+// gains, merging the two Meta-sorted rows coordinate by coordinate.
+func addGains[K cmp.Ordered](gains csr[K], old func(K) SparseVec, f, inv func(float64) float64) csr[K] {
+	if len(gains.keys) == 0 {
+		return csr[K]{}
+	}
+	id := func(c float64) float64 { return c }
+	if f == nil {
+		f = id
+	}
+	if inv == nil {
+		inv = id
+	}
+	out := csr[K]{
+		keys: gains.keys,
+		off:  make([]int32, 1, len(gains.off)),
+		ent:  make([]Entry, 0, len(gains.ent)),
+	}
+	for i, k := range gains.keys {
+		was, gain := old(k), gains.ent[gains.off[i]:gains.off[i+1]]
+		for len(was) > 0 || len(gain) > 0 {
+			switch {
+			case len(gain) == 0 || len(was) > 0 && was[0].Meta < gain[0].Meta:
+				out.ent = append(out.ent, was[0])
+				was = was[1:]
+			case len(was) == 0 || gain[0].Meta < was[0].Meta:
+				out.ent = append(out.ent, Entry{gain[0].Meta, f(gain[0].Count)})
+				gain = gain[1:]
+			default:
+				out.ent = append(out.ent, Entry{gain[0].Meta, f(inv(was[0].Count) + gain[0].Count)})
+				was, gain = was[1:], gain[1:]
+			}
+		}
+		out.off = append(out.off, int32(len(out.ent)))
+	}
+	return out
+}
+
 // WithPatch returns a new index whose overlay replaces the patched rows;
-// the receiver is unchanged and all base arenas are shared. Patching an
+// the receiver is unchanged and all base arenas are shared. Gains are first
+// resolved against the receiver as raw counts (see Over). Patching an
 // already-patched index merges the overlays (the newer patch wins on
 // overlapping keys). Reads through the result see the replacement rows
 // immediately; call Compact to fold the overlay into flat storage.
@@ -88,6 +142,7 @@ func (ix *Index) WithPatch(p *Patch) *Index {
 	if p.Empty() {
 		return ix
 	}
+	p = p.Over(ix, nil, nil)
 	out := &Index{
 		numMeta: ix.numMeta,
 		mx:      ix.mx,
@@ -167,81 +222,18 @@ func shadowMerge[K cmp.Ordered](base, over csr[K]) csr[K] {
 	return csr[K]{keys: keys, off: off, ent: ent}
 }
 
-// Rematch recomputes the rows of one metagraph's single-metagraph part
-// index affected by a graph mutation. sub is the induced update
-// neighborhood (every instance containing an affected key lies entirely
-// inside it), matcher matches on sub, toFull maps sub ids back to full
-// graph ids, and affected holds the full-graph keys whose rows may have
-// changed. Counting is restricted to affected keys: a node row is
-// recomputed when the node is affected, a pair row when both endpoints
-// are. The returned patch rows equal the rows a from-scratch match of the
-// full post-delta graph would produce for those keys.
-func Rematch(m *metagraph.Metagraph, matcher match.Matcher, toFull []graph.NodeID, affected map[graph.NodeID]bool) *Patch {
-	symPairs := m.SymmetricPairs()
-	if len(symPairs) == 0 || len(affected) == 0 {
-		return NewPatch(1, nil, nil)
-	}
-	posSet := make([]int, 0, m.N())
-	seen := make(map[int]bool, m.N())
-	for _, p := range symPairs {
-		if !seen[p.U] {
-			seen[p.U] = true
-			posSet = append(posSet, p.U)
-		}
-		if !seen[p.V] {
-			seen[p.V] = true
-			posSet = append(posSet, p.V)
-		}
-	}
-	nodeCnt := make(map[graph.NodeID]float64)
-	pairCnt := make(map[PairKey]float64)
-	match.Instances(matcher, m, func(a []graph.NodeID) bool {
-		for _, p := range symPairs {
-			x, y := toFull[a[p.U]], toFull[a[p.V]]
-			if affected[x] && affected[y] {
-				pairCnt[MakePairKey(x, y)]++
-			}
-		}
-		for _, p := range posSet {
-			if x := toFull[a[p]]; affected[x] {
-				nodeCnt[x]++
-			}
-		}
-		return true
-	})
-	mx := make(map[graph.NodeID][]Entry, len(nodeCnt))
-	for k, c := range nodeCnt {
-		mx[k] = []Entry{{0, c}}
-	}
-	mxy := make(map[PairKey][]Entry, len(pairCnt))
-	for k, c := range pairCnt {
-		mxy[k] = []Entry{{0, c}}
-	}
-	return NewPatch(1, mx, mxy)
-}
-
-// RematchDelta computes the patch of one metagraph's part index for a
-// graph mutation: touched are the nodes whose adjacency changed (plus any
-// new nodes with edges), g is the POST-delta graph. Affected keys are the
-// nodes within Diameter(m) hops of a touched node; the matcher re-runs on
-// the induced neighborhood within twice that radius, which contains every
-// instance touching an affected key. newMatcher builds a matcher for the
-// neighborhood subgraph.
-func RematchDelta(g *graph.Graph, m *metagraph.Metagraph, newMatcher func(*graph.Graph) match.Matcher, touched []graph.NodeID) *Patch {
-	if len(touched) == 0 {
-		return NewPatch(1, nil, nil)
-	}
-	diam := m.Diameter()
-	dist := g.HopDistances(touched, 2*diam)
-	affected := make(map[graph.NodeID]bool, len(dist))
-	region := make([]graph.NodeID, 0, len(dist))
-	for v, d := range dist {
-		region = append(region, v)
-		if int(d) <= diam {
-			affected[v] = true
-		}
-	}
-	slices.Sort(region)
-	sub, toFull := graph.Induced(g, region)
-	return Rematch(m, newMatcher(sub), toFull, affected)
+// RematchDelta returns what one metagraph's part index gains from the
+// delta behind g, the graph a graph.Apply returned: per key, the number of
+// new instances counted exactly as Builder.AddMetagraph counts all of them.
+// The result is a gains patch (see Patch); the part's WithPatch turns it
+// into the rows a from-scratch match of g would produce.
+//
+// The two trailing parameters are unused: the enumeration is seeded from
+// g.DeltaEdges and needs neither a matcher for a subgraph nor the touched
+// nodes. They stay until benchmark/, which calls this signature and may
+// not change in the same PR, is ported.
+func RematchDelta(g *graph.Graph, m *metagraph.Metagraph, _ func(*graph.Graph) match.Matcher, _ []graph.NodeID) *Patch {
+	d := match.NewDelta(g)
+	gained := matchOne(m, d)
+	return &Patch{numMeta: 1, mx: gained.mx, mxy: gained.mxy, gains: true, enumerated: d.Visited()}
 }

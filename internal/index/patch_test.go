@@ -163,3 +163,132 @@ func TestWithPatchBasics(t *testing.T) {
 	}()
 	ix.WithPatch(NewPatch(2, map[graph.NodeID][]Entry{1: {{Meta: 0, Count: 1}}}, nil))
 }
+
+// hubGraph builds users around one school every user attends and a few
+// small hobbies: the shape on which a hop-bounded neighbourhood of any
+// edge is the whole graph.
+func hubGraph(rng *rand.Rand, users int) (g *graph.Graph, userIDs []graph.NodeID, school graph.NodeID, hobbies []graph.NodeID) {
+	b := graph.NewBuilder()
+	for _, n := range []string{"user", "school", "hobby"} {
+		b.Types().Register(n)
+	}
+	for i := 0; i < users; i++ {
+		userIDs = append(userIDs, b.AddNode("user", ""))
+	}
+	school = b.AddNode("school", "")
+	for i := 0; i < 4; i++ {
+		hobbies = append(hobbies, b.AddNode("hobby", ""))
+	}
+	for _, u := range userIDs {
+		b.AddEdge(u, school)
+		b.AddEdge(u, hobbies[rng.Intn(len(hobbies))])
+	}
+	return b.MustBuild(), userIDs, school, hobbies
+}
+
+// TestPatchOnHubEqualsScratch runs the incremental-indexing property on
+// the two shapes the random trials rarely draw: a delta edge on the
+// highest-degree node, and instances that contain two delta edges (a new
+// user joining the hub and a hobby in one delta; two new users meeting at
+// a hobby) — through two successive patches, compacted or not.
+func TestPatchOnHubEqualsScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	mk := func(g *graph.Graph) match.Matcher { return match.NewSymISO(g) }
+	g0, users, school, hobbies := hubGraph(rng, 40)
+	n := graph.NodeID(g0.NumNodes())
+	user := graph.DeltaNode{Type: "user"}
+	d1 := graph.Delta{Nodes: []graph.DeltaNode{user}, Edges: []graph.Edge{{U: n, V: school}, {U: n, V: hobbies[0]}}}
+	d2 := graph.Delta{
+		Nodes: []graph.DeltaNode{user, user},
+		Edges: []graph.Edge{{U: n + 1, V: hobbies[1]}, {U: n + 2, V: hobbies[1]}, {U: n + 2, V: school}, {U: users[0], V: hobbies[1]}, {U: school, V: n + 1}},
+	}
+	g1, _, err := g0.Apply(d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, _, err := g1.Apply(d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mi, m := range patchMetagraphs() {
+		p1, p2 := RematchDelta(g1, m, nil, nil), RematchDelta(g2, m, nil, nil)
+		if p1.Empty() || p2.Empty() {
+			t.Fatalf("metagraph %d: a hub delta gained nothing", mi)
+		}
+		patched := matchOne(m, mk(g0)).WithPatch(p1).WithPatch(p2)
+		var want bytes.Buffer
+		if err := Write(&want, matchOne(m, mk(g2.Compact()))); err != nil {
+			t.Fatal(err)
+		}
+		for label, ix := range map[string]*Index{"overlaid": patched, "compacted": patched.Compact()} {
+			var got bytes.Buffer
+			if err := Write(&got, ix); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("metagraph %d: %s index differs from the scratch build", mi, label)
+			}
+		}
+	}
+}
+
+// TestRematchWorkIsLocal asserts what the seeded enumeration is for: the
+// assignments one delta makes it visit are the same on G and on G next to
+// a disjoint second copy of G — the work follows the degrees around the new
+// edges, not the size of the graph. (The hop-bounded re-match this replaced
+// visited the whole hub graph for the same delta.)
+func TestRematchWorkIsLocal(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g, users, school, hobbies := hubGraph(rng, 60)
+
+	// twice = G followed by a copy of G shifted by |V|.
+	b := graph.NewBuilder()
+	for _, n := range g.Types().Names() {
+		b.Types().Register(n)
+	}
+	for copyNo := 0; copyNo < 2; copyNo++ {
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			b.AddNode(g.Types().Name(g.Type(v)), "")
+		}
+	}
+	shift := graph.NodeID(g.NumNodes())
+	g.Edges(func(u, v graph.NodeID) bool {
+		b.AddEdge(u, v)
+		b.AddEdge(u+shift, v+shift)
+		return true
+	})
+	twice := b.MustBuild()
+
+	// One new user on the hub and a hobby, one old user gaining a hobby.
+	second := hobbies[0]
+	if g.HasEdge(users[7], second) {
+		second = hobbies[1]
+	}
+	delta := func(on *graph.Graph) graph.Delta {
+		n := graph.NodeID(on.NumNodes())
+		return graph.Delta{
+			Nodes: []graph.DeltaNode{{Type: "user"}},
+			Edges: []graph.Edge{{U: n, V: school}, {U: n, V: hobbies[2]}, {U: users[7], V: second}},
+		}
+	}
+	ng, _, err := g.Apply(delta(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ntwice, _, err := twice.Apply(delta(twice))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mi, m := range patchMetagraphs() {
+		small, big := RematchDelta(ng, m, nil, nil), RematchDelta(ntwice, m, nil, nil)
+		if small.Enumerated() == 0 {
+			t.Fatalf("metagraph %d: nothing enumerated", mi)
+		}
+		if small.Enumerated() != big.Enumerated() {
+			t.Fatalf("metagraph %d: %d assignments visited on G, %d on G plus a disjoint copy", mi, small.Enumerated(), big.Enumerated())
+		}
+		if len(small.PairKeys()) != len(big.PairKeys()) || len(small.NodeKeys()) != len(big.NodeKeys()) {
+			t.Fatalf("metagraph %d: gains differ between G and its doubling", mi)
+		}
+	}
+}

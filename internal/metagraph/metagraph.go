@@ -11,7 +11,6 @@ package metagraph
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -144,37 +143,6 @@ func (m *Metagraph) Neighbors(i int) []int {
 // Size returns |V_M| + |E_M|, the size measure used by the structural
 // similarity of Sect. III-C.
 func (m *Metagraph) Size() int { return m.N() + m.NumEdges() }
-
-// Diameter returns the longest shortest-path distance between any two
-// metagraph nodes. Because an instance maps every metagraph edge onto a
-// graph edge, all nodes of an instance lie within Diameter() hops of each
-// other in the object graph — the radius incremental re-matching uses to
-// bound the neighborhood a mutation can affect. Metagraphs are connected
-// by construction, so the value is always finite (0 for a single node).
-func (m *Metagraph) Diameter() int {
-	n := m.N()
-	diam := 0
-	for s := 0; s < n; s++ {
-		// BFS over the adjacency bitmasks.
-		seen := uint16(1) << uint(s)
-		frontier := seen
-		for d := 1; frontier != 0; d++ {
-			var next uint16
-			for f := frontier; f != 0; f &= f - 1 {
-				next |= m.adj[bits.TrailingZeros16(f)] &^ seen
-			}
-			if next == 0 {
-				break
-			}
-			seen |= next
-			frontier = next
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}
 
 // IsPath reports whether the metagraph is a metapath: a single node, or a
 // connected pattern whose nodes all have degree ≤ 2 with exactly two

@@ -550,21 +550,3 @@ func TestDecomposeFourLeafStarPartition(t *testing.T) {
 		}
 	}
 }
-
-func TestDiameter(t *testing.T) {
-	for _, tc := range []struct {
-		m    *Metagraph
-		want int
-	}{
-		{MustNew([]graph.TypeID{tUser}, nil), 0},
-		{m2(), 2}, // users joined through employer or hobby
-		{m3(), 2}, // user–address–user path
-		{m4(), 2}, // users joined through surname or address
-		{m5(), 4}, // u5(4)–u6(5)–u3(2)–u2(1)–u1(0)
-		{MustNew([]graph.TypeID{tUser, tUser}, []Edge{{0, 1}}), 1},
-	} {
-		if got := tc.m.Diameter(); got != tc.want {
-			t.Fatalf("Diameter(%v) = %d, want %d", tc.m, got, tc.want)
-		}
-	}
-}

@@ -13,6 +13,8 @@ var (
 		"ApplyUpdate latency: validate, patch, and publish one new serving epoch.", obs.Seconds)
 	engRematched = obs.Default().Histogram("semprox_engine_rematched_metagraphs",
 		"Matched metagraphs incrementally re-matched per update — the delta-bounded work the paper's offline rebuild would redo in full.", obs.Units)
+	engEnumerated = obs.Default().Histogram("semprox_update_instances_enumerated",
+		"Assignments, partial and complete, one update's delta-seeded re-match visited over all matched metagraphs: the work of an update, set by the degrees around its new edges and not by the size of the graph.", obs.Units)
 	engCandidates = obs.Default().Histogram("semprox_query_candidates_scanned",
 		"Candidates one ranked query scored: the length of the query node's partner list, the work a slow query did.", obs.Units)
 	engCompactions = obs.Default().Counter("semprox_engine_compactions_total",

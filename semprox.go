@@ -7,7 +7,7 @@
 //	          metagraph vectors m_x, m_xy → learn per-class weights w*
 //	online:   rank nodes by MGP proximity π(q, ·; w*)
 //	live:     ApplyUpdate grows the graph while queries keep serving —
-//	          neighborhood re-match, index patching, atomic epoch swap
+//	          delta-seeded re-match, index patching, atomic epoch swap
 //
 // The central type is Engine. A typical session:
 //

@@ -2,19 +2,19 @@ package semprox
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/match"
 )
 
 // Live graph mutations. ApplyUpdate threads a batch of node/edge additions
 // through every layer without repeating the offline pipeline: the graph
-// grows copy-on-write (graph.Apply), each already-matched metagraph is
-// re-matched ONLY on the neighborhood the delta touched
-// (index.RematchDelta), the recomputed rows overlay the flat CSR indices
+// grows copy-on-write (graph.Apply), for each already-matched metagraph
+// ONLY the instances through the delta's new edges are enumerated
+// (index.RematchDelta), the rows they add to overlay the flat CSR indices
 // (index.WithPatch), and the trained weight vectors are kept verbatim —
 // the paper's w* weighs metagraph features, not nodes, so a graph delta
 // changes the features, never the learned weights. The result is swapped
@@ -49,17 +49,21 @@ type UpdateStats struct {
 	// Rematched counts the matched metagraphs whose part indices were
 	// incrementally re-matched and patched.
 	Rematched int
+	// Enumerated counts the assignments, partial and complete, the
+	// re-match visited over all those metagraphs. It depends on the degrees
+	// around the new edges, not on the size of the graph.
+	Enumerated int64
 	// Pending counts the structures awaiting background compaction after
 	// the swap (see Engine.Compact).
 	Pending int
 }
 
 // ApplyUpdate grows the graph by d and atomically swaps in the next
-// serving epoch. Matched metagraphs are re-matched only inside the
-// neighborhood the delta touched, trained classes keep their weights and
-// have their merged indices patched row-for-row, and queries are answered
-// without interruption throughout (readers never block on the writer
-// lock). The updated engine answers every query exactly as an engine
+// serving epoch. Matched metagraphs gain the instances through the
+// delta's new edges and nothing else is matched, trained classes keep
+// their weights and have their merged indices patched row-for-row, and
+// queries are answered without interruption throughout (readers never
+// block on the writer lock). The updated engine answers every query exactly as an engine
 // whose index was rebuilt from scratch on the post-delta graph would.
 //
 // The metagraph set itself is NOT re-mined: the paper's framework
@@ -168,29 +172,17 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 		Touched:    len(touched),
 	}
 
-	// New nodes with edges are just as "touched" as existing endpoints:
-	// their adjacency is new, so they seed the re-match neighborhood too.
-	seeds := touched
-	for i := 0; i < len(d.Nodes); i++ {
-		v := graph.NodeID(ep.g.NumNodes() + i)
-		if ng.Degree(v) > 0 {
-			seeds = append(seeds, v)
-		}
-	}
-
 	metaIx := ep.metaIx
 	patches := make(map[int]*index.Patch)
-	if len(seeds) > 0 {
+	if len(ng.DeltaEdges()) > 0 {
 		cloned := false
 		for i, part := range ep.metaIx {
 			if part == nil {
 				continue
 			}
-			p := index.RematchDelta(ng, e.ms[i], func(sub *graph.Graph) match.Matcher {
-				return newMatcher(e.opts.Engine, sub)
-			}, seeds)
+			p := index.RematchDelta(ng, e.ms[i], nil, nil)
 			if e.opts.LogTransform {
-				p = p.Transform(log1p)
+				p = p.Over(part, log1p, unlog1p)
 			}
 			if !cloned {
 				metaIx = append([]*index.Index(nil), ep.metaIx...)
@@ -199,6 +191,7 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 			metaIx[i] = part.WithPatch(p)
 			patches[i] = p
 			st.Rematched++
+			st.Enumerated += p.Enumerated()
 		}
 	}
 
@@ -212,12 +205,20 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 	st.Pending = nep.pending
 	engApply.Since(start)
 	engRematched.Observe(int64(st.Rematched))
+	engEnumerated.Observe(st.Enumerated)
 	return st, nil
 }
 
+// unlog1p recovers the raw instance count from a stored log1p value.
+// Counts are integers far below 2^52, where Expm1(Log1p(c)) is within an
+// ulp or two of c, so rounding restores c exactly — which is what lets an
+// update add its gains to a transformed row and land on the very bits a
+// from-scratch log1p(total) produces.
+func unlog1p(v float64) float64 { return math.Round(math.Expm1(v)) }
+
 // patchClass rebuilds one trained class for the next epoch: the weight
 // vector and kept set carry over unchanged, and the merged class index is
-// patched with the re-merged rows of every key some kept part re-matched.
+// patched with the re-merged rows of every key some kept part gained on.
 // Row k of the merge is part kept[k] (each part spans one metagraph), so
 // a merged replacement row is the concatenation of the patched parts'
 // rows in kept order — exactly what a full index.Merge of the patched

@@ -8,8 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/eval"
 	"repro/internal/fixtures"
 	"repro/internal/index"
+	"repro/internal/mining"
 )
 
 // rebuildFromScratch builds a reference engine on the final graph: same
@@ -157,6 +160,96 @@ func TestApplyUpdateLogTransform(t *testing.T) {
 		}
 	}
 	assertEngineEquivalent(t, eng, rebuildFromScratch(t, eng), "log-transform")
+}
+
+// hubEngine trains one class on a small LinkedIn-shaped graph, whose
+// college, employer and location nodes are hubs, and returns the engine
+// with the graph's highest-degree node.
+func hubEngine(t testing.TB, users int, logTransform bool) (*Engine, NodeID) {
+	t.Helper()
+	ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 4, NoiseRate: 0.05})
+	opts := DefaultOptions()
+	opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 5}
+	opts.Train.Restarts, opts.Train.MaxIters = 1, 40
+	opts.LogTransform = logTransform
+	eng, err := NewEngine(ds.G, "user", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := ds.Classes["college"]
+	eng.Train("college", eval.MakeExamples(labels, labels.Queries(), ds.Users(), 30, 4))
+	if eng.MatchedCount() == 0 {
+		t.Fatalf("no metagraphs mined at %d users", users)
+	}
+	hub := NodeID(0)
+	for v := NodeID(1); int(v) < ds.G.NumNodes(); v++ {
+		if ds.G.Degree(v) > ds.G.Degree(hub) {
+			hub = v
+		}
+	}
+	return eng, hub
+}
+
+// TestApplyUpdateOnHubEqualsScratch holds the tentpole property where the
+// hop-bounded re-match was slowest and the random toy deltas never go: an
+// edge on the highest-degree node, instances made of two to four delta
+// edges, and an old user joining the hub — on raw and log-transformed
+// counts, before and after compaction. Every update reports the work it
+// did and records it.
+func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
+	for _, logTransform := range []bool{false, true} {
+		eng, hub := hubEngine(t, 200, logTransform)
+		g := eng.Graph()
+		n := NodeID(g.NumNodes())
+		employer := g.NodesOfType(g.Types().ID("employer"))[0]
+		var outsider NodeID
+		for _, u := range g.NodesOfType(g.Types().ID("user")) {
+			if !g.HasEdge(u, hub) {
+				outsider = u
+				break
+			}
+		}
+		user := DeltaNode{Type: "user"}
+		observed := engEnumerated.Summary().Count
+		for i, d := range []Delta{
+			{Nodes: []DeltaNode{user}, Edges: []Edge{{U: n, V: hub}}},
+			{Nodes: []DeltaNode{user, user}, Edges: []Edge{{U: n + 1, V: hub}, {U: n + 2, V: hub}, {U: employer, V: n + 1}, {U: n + 2, V: employer}}},
+			{Edges: []Edge{{U: outsider, V: hub}, {U: hub, V: outsider}}},
+		} {
+			st, err := eng.ApplyUpdate(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Rematched != eng.MatchedCount() || st.Enumerated == 0 {
+				t.Fatalf("log %v delta %d: stats %+v", logTransform, i, st)
+			}
+		}
+		if got := engEnumerated.Summary().Count - observed; got != 3 {
+			t.Fatalf("3 updates recorded %d enumeration counts", got)
+		}
+		scratch := rebuildFromScratch(t, eng)
+		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (patched)", logTransform))
+		eng.Compact()
+		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (compacted)", logTransform))
+	}
+}
+
+// TestUnlog1pRecoversCounts pins the one numeric fact the log-transformed
+// update path rests on: rounding expm1 of a stored log1p(count) gives the
+// count back exactly.
+func TestUnlog1pRecoversCounts(t *testing.T) {
+	check := func(c float64) {
+		if got := unlog1p(log1p(c)); got != c {
+			t.Fatalf("unlog1p(log1p(%v)) = %v", c, got)
+		}
+	}
+	for c := 0.0; c <= 200000; c++ {
+		check(c)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		check(float64(rng.Int63n(1 << 40)))
+	}
 }
 
 // TestApplyUpdateUntrained exercises the graph-only swap: no matched
