@@ -81,7 +81,7 @@ test:
 # any drop is a regression, not noise.
 COVER_PKGS ?= internal/core internal/server api client \
 	internal/wal:80 internal/replica:75 internal/loadstats:90 internal/report:85 \
-	internal/proxy:85 internal/obs:85 internal/lint:90
+	internal/proxy:85 internal/obs:85 internal/lint:90 internal/wire:90
 cover:
 	@for entry in $(COVER_PKGS); do \
 		pkg=$${entry%%:*}; floor=$${entry#*:}; \
@@ -106,11 +106,15 @@ cover:
 # snapshot codec benchmarks (Save and LoadEngine at 5 000 users), so the
 # restart-to-serving path is compiled and run on every commit, and one
 # update on the highest-degree node of a LinkedIn-shaped graph, the case
-# the community graphs of the update leg above do not reach.
+# the community graphs of the update leg above do not reach, and one
+# query and one batch of 8 through the whole server handler chain with
+# the request log on and off (allocs/op reported; TestServeAllocBudget
+# is the gate, this keeps the benchmarks themselves running).
 bench-smoke:
 	$(GO) run ./cmd/bench -reps 1 -workers 1,4 -out - -online-out - -update-out - -wal-out - -routing-out - -failover-out -
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server
 
 # The measurement spine compiles against the product and checks it:
 # benchmark/ is a module of its own, so `go build ./...` and `go test

@@ -18,6 +18,16 @@
 // Compatibility contract: within /v1, fields are only ever added (with
 // omitempty), never renamed, re-typed, or removed; codes and paths are
 // append-only. A breaking change means a /v2 prefix, served alongside.
+//
+// Bodies are JSON as encoding/json defines it. Servers send them compact
+// — no indentation, one trailing newline, Content-Length always set —
+// and insignificant whitespace is not part of the contract in either
+// direction: a consumer must parse, not pattern-match, and pipes a
+// response through jq (or uses semproxctl, which indents) to read one.
+// The hot types (QueryRequest, ProximityRequest, QueryResponse,
+// ProximityResponse) have a reflection-free codec in codec.go that
+// emits json.Marshal's exact bytes and decodes only that canonical form,
+// deferring to encoding/json for everything else.
 package api
 
 import (

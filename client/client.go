@@ -28,6 +28,7 @@ import (
 
 	"repro/api"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // DefaultTimeout bounds one HTTP request (connection + response) when
@@ -95,12 +96,12 @@ func setTrace(ctx context.Context, req *http.Request) {
 // (api.DefaultK).
 func (c *Client) Query(ctx context.Context, class, query string, k int) (api.QueryResponse, error) {
 	var out api.QueryResponse
-	err := c.postJSON(ctx, api.PathQuery, api.QueryRequest{Class: class, Query: query, K: max(k, 0)}, &out, true)
+	err := c.postJSON(ctx, api.PathQuery, &api.QueryRequest{Class: class, Query: query, K: max(k, 0)}, &out, true)
 	return out, err
 }
 
-// QueryBatch answers up to api.MaxBatch queries in one request, fanned
-// out over the server engine's worker pool.
+// QueryBatch answers up to api.MaxBatch queries in one request, all on
+// one serving epoch; the server ranks them one after another.
 func (c *Client) QueryBatch(ctx context.Context, class string, queries []string, k int) (api.QueryResponse, error) {
 	var out api.QueryResponse
 	if len(queries) == 0 {
@@ -109,14 +110,14 @@ func (c *Client) QueryBatch(ctx context.Context, class string, queries []string,
 	if len(queries) > api.MaxBatch {
 		return out, fmt.Errorf("client: batch of %d queries exceeds limit %d", len(queries), api.MaxBatch)
 	}
-	err := c.postJSON(ctx, api.PathQuery, api.QueryRequest{Class: class, Queries: queries, K: max(k, 0)}, &out, true)
+	err := c.postJSON(ctx, api.PathQuery, &api.QueryRequest{Class: class, Queries: queries, K: max(k, 0)}, &out, true)
 	return out, err
 }
 
 // Proximity scores one node pair under a trained class.
 func (c *Client) Proximity(ctx context.Context, class, x, y string) (api.ProximityResponse, error) {
 	var out api.ProximityResponse
-	err := c.postJSON(ctx, api.PathProximity, api.ProximityRequest{Class: class, X: x, Y: y}, &out, true)
+	err := c.postJSON(ctx, api.PathProximity, &api.ProximityRequest{Class: class, X: x, Y: y}, &out, true)
 	return out, err
 }
 
@@ -178,7 +179,7 @@ func (c *Client) Ready(ctx context.Context) (api.ReadyResponse, error) {
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 		return out, decodeError(resp)
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, api.MaxBodyBytes)).Decode(&out); err != nil {
+	if err := decodeBody(resp.Body, &out); err != nil {
 		return out, fmt.Errorf("client: readyz: undecodable body: %w", err)
 	}
 	return out, nil
@@ -271,7 +272,9 @@ func (c *Client) getJSON(ctx context.Context, path string, query url.Values, out
 // postJSON issues one POST with a JSON body and decodes the 200 body
 // into out.
 func (c *Client) postJSON(ctx context.Context, path string, in, out any, retry bool) error {
-	body, err := json.Marshal(in)
+	// Not pooled: the transport may still be reading the body after Do
+	// returns.
+	body, err := wire.AppendJSON(nil, in)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
@@ -332,7 +335,7 @@ func (c *Client) doWith(ctx context.Context, hc *http.Client, mkReq func() (*htt
 			}
 			return err
 		}
-		err = json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(out)
+		err = decodeBody(resp.Body, out)
 		drain(resp.Body)
 		if err != nil {
 			return fmt.Errorf("client: undecodable response: %w", err)
@@ -340,6 +343,31 @@ func (c *Client) doWith(ctx context.Context, hc *http.Client, mkReq func() (*htt
 		return nil
 	}
 	return lastErr
+}
+
+// maxResponseBytes bounds a decoded response body (a replication batch
+// is the large case).
+const maxResponseBytes = 256 << 20
+
+// decodeBody reads one bounded response body into a pooled buffer and
+// decodes it: the two hot response types through the api codec's forward
+// pass, every other type through encoding/json. The body must be exactly
+// one JSON value — anything but whitespace after it is an error.
+func decodeBody(body io.Reader, out any) error {
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
+	data, err := wire.ReadAll(*bp, body, maxResponseBytes)
+	*bp = data
+	if err != nil {
+		return err
+	}
+	switch out := out.(type) {
+	case *api.QueryResponse:
+		return api.UnmarshalQueryResponse(data, out)
+	case *api.ProximityResponse:
+		return api.UnmarshalProximityResponse(data, out)
+	}
+	return json.Unmarshal(data, out)
 }
 
 // decodeError turns a non-2xx response into *api.Error: the structured

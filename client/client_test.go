@@ -415,3 +415,47 @@ func TestBaseURLTrimsSlash(t *testing.T) {
 		t.Fatalf("base = %q", c.BaseURL())
 	}
 }
+
+// TestResponseBodyMustBeOneValue pins the one intended behaviour change of
+// the wire codec: a body is read whole and must be exactly one JSON value.
+// Bytes after it other than whitespace — which the streaming Decoder the
+// client used to run never looked at — are an undecodable response, on
+// the codec's path (query) and on encoding/json's (stats) alike; bodies
+// that are merely not in canonical form still decode.
+func TestResponseBodyMustBeOneValue(t *testing.T) {
+	body := map[string]string{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, body[r.URL.Path])
+	}))
+	defer ts.Close()
+	c := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+
+	const query = `{"class":"c","k":1,"results":[{"query":"q","results":[{"node":1,"name":"n","score":0.5}]}]}`
+	want := api.QueryResponse{Class: "c", K: 1, Results: []api.QueryResult{
+		{Query: "q", Results: []api.RankedResult{{Node: 1, Name: "n", Score: 0.5}}}}}
+	for name, b := range map[string]string{
+		"canonical": query + "\n",
+		"padded":    "  " + query + " \r\n\t",
+		"indented":  "{\n  \"class\": \"c\",\n  \"k\": 1,\n  \"results\": [\n    {\"query\": \"q\", \"results\": [{\"node\": 1, \"name\": \"\\u006e\", \"score\": 5e-1}]}\n  ]\n}\n",
+	} {
+		body[api.PathQuery] = b
+		got, err := c.Query(ctx, "c", "q", 1)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v, %v", name, got, err)
+		}
+	}
+
+	body[api.PathQuery] = query + "\n{}"
+	body[api.PathProximity] = `{"class":"c","x":"a","y":"b","proximity":1}x`
+	body[api.PathStats] = `{"epoch":1} trailing`
+	if _, err := c.Query(ctx, "c", "q", 1); err == nil {
+		t.Error("query: a second value after the response was accepted")
+	}
+	if _, err := c.Proximity(ctx, "c", "a", "b"); err == nil {
+		t.Error("proximity: trailing garbage was accepted")
+	}
+	if _, err := c.Stats(ctx); err == nil {
+		t.Error("stats: trailing garbage was accepted")
+	}
+}

@@ -10,6 +10,8 @@ package obs
 import (
 	"log/slog"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -77,22 +79,75 @@ func (w *statusWriter) Flush() {
 
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// statusClass renders a status code as its class label ("2xx").
-func statusClass(code int) string {
+// statusClasses are the values of the requests counter's code label;
+// statusClass indexes them.
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
+
+// statusClass maps a status code to its index in statusClasses.
+func statusClass(code int) int {
 	switch {
 	case code >= 500:
-		return "5xx"
+		return 3
 	case code >= 400:
-		return "4xx"
+		return 2
 	case code >= 300:
-		return "3xx"
+		return 1
 	default:
-		return "2xx"
+		return 0
 	}
+}
+
+// endpointMetrics are one path label's registry children, resolved once:
+// a lookup builds a label key (copy, sort, concatenation) under two
+// mutexes, which is per-scrape work, not per-request work. A status
+// class's counter is created when the class is first seen, so the
+// exposition lists exactly the series that have counted something.
+type endpointMetrics struct {
+	latency *Histogram
+	codes   [len(statusClasses)]atomic.Pointer[Counter]
+}
+
+// httpMetrics caches endpointMetrics by path label. PathLabel bounds
+// the label set, hence the map.
+type httpMetrics struct {
+	reg *Registry
+	mu  sync.RWMutex
+	by  map[string]*endpointMetrics
+}
+
+func (m *httpMetrics) observe(path string, status int, dur time.Duration) {
+	m.mu.RLock()
+	e := m.by[path]
+	m.mu.RUnlock()
+	if e == nil {
+		e = &endpointMetrics{latency: m.reg.Histogram(MetricHTTPLatency,
+			"Request latency by canonical endpoint.", Seconds, L("path", path))}
+		m.mu.Lock()
+		if prev := m.by[path]; prev != nil {
+			e = prev
+		} else {
+			m.by[path] = e
+		}
+		m.mu.Unlock()
+	}
+	e.latency.ObserveDuration(dur)
+	class := statusClass(status)
+	c := e.codes[class].Load()
+	if c == nil {
+		c = m.reg.Counter(MetricHTTPRequests,
+			"Requests served, by canonical endpoint and status class.",
+			L("path", path), L("code", statusClasses[class]))
+		e.codes[class].Store(c)
+	}
+	c.Inc()
 }
 
 // WrapHTTP wraps next with tracing, metrics, and request logging per o.
 func WrapHTTP(next http.Handler, o HTTPOptions) http.Handler {
+	var metrics *httpMetrics
+	if o.Registry != nil {
+		metrics = &httpMetrics{reg: o.Registry, by: make(map[string]*endpointMetrics)}
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx := r.Context()
@@ -121,13 +176,8 @@ func WrapHTTP(next http.Handler, o HTTPOptions) http.Handler {
 		if o.PathLabel != nil {
 			path = o.PathLabel(path)
 		}
-		if o.Registry != nil {
-			o.Registry.Histogram(MetricHTTPLatency,
-				"Request latency by canonical endpoint.", Seconds,
-				L("path", path)).ObserveDuration(dur)
-			o.Registry.Counter(MetricHTTPRequests,
-				"Requests served, by canonical endpoint and status class.",
-				L("path", path), L("code", statusClass(status))).Inc()
+		if metrics != nil {
+			metrics.observe(path, status, dur)
 		}
 		if o.Logger == nil {
 			return

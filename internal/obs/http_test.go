@@ -100,6 +100,30 @@ func TestMiddlewareMetrics(t *testing.T) {
 	}
 }
 
+// TestMiddlewareMetricsResolveChildrenOnce: recording a request must not
+// look its series up again (a lookup builds a label key under two
+// mutexes), and an unseen status class must not appear in the exposition
+// before it has counted something.
+func TestMiddlewareMetricsResolveChildrenOnce(t *testing.T) {
+	reg := NewRegistry()
+	m := &httpMetrics{reg: reg, by: make(map[string]*endpointMetrics)}
+	m.observe("/known", 200, time.Millisecond)
+	if a := testing.AllocsPerRun(100, func() { m.observe("/known", 200, time.Millisecond) }); a != 0 {
+		t.Fatalf("recording a request allocates %.0f times, want 0", a)
+	}
+	series := parseExposition(t, gatherText(t, reg))
+	if got := series[MetricHTTPRequests+`{code="2xx",path="/known"}`]; got != 102 {
+		t.Fatalf("2xx counter = %v, want 102", got)
+	}
+	if _, ok := series[MetricHTTPRequests+`{code="5xx",path="/known"}`]; ok {
+		t.Fatal("a status class that never occurred is exposed")
+	}
+	m.observe("/known", 503, time.Millisecond)
+	if got := parseExposition(t, gatherText(t, reg))[MetricHTTPRequests+`{code="5xx",path="/known"}`]; got != 1 {
+		t.Fatalf("5xx counter = %v, want 1", got)
+	}
+}
+
 // logLines decodes a JSON slog buffer into raw lines.
 func logLines(buf *bytes.Buffer) []string {
 	return strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -197,7 +221,7 @@ func TestWithTraceContext(t *testing.T) {
 
 func TestStatusClass(t *testing.T) {
 	for code, want := range map[int]string{200: "2xx", 204: "2xx", 301: "3xx", 404: "4xx", 500: "5xx", 503: "5xx"} {
-		if got := statusClass(code); got != want {
+		if got := statusClasses[statusClass(code)]; got != want {
 			t.Fatalf("statusClass(%d) = %s, want %s", code, got, want)
 		}
 	}

@@ -35,20 +35,19 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/api"
 	"repro/client"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // HeaderCache marks proxy read responses as served from the cache
@@ -482,12 +481,12 @@ func copyRespHeaders(w http.ResponseWriter, h http.Header) {
 // current epoch first, then a hedged forward whose 200 responses fill
 // the cache under the epoch the backend stamped them with.
 func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet, http.MethodPost) {
+	if !wire.MethodCheck(w, r, http.MethodGet, http.MethodPost) {
 		return
 	}
 	body, herr := readBody(r)
 	if herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	path := api.CanonicalPath(r.URL.Path)
@@ -496,13 +495,12 @@ func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(api.HeaderEpoch, strconv.FormatUint(epoch, 10))
 		w.Header().Set(HeaderCache, "hit")
-		w.WriteHeader(http.StatusOK)
-		w.Write(cached) //nolint:errcheck // the client is gone if this fails
+		wire.WriteBody(w, http.StatusOK, cached)
 		return
 	}
 	res, herr := p.forwardRead(r.Context(), r.Method, path, r.URL.RawQuery, body)
 	if herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	if res.status == http.StatusOK {
@@ -512,24 +510,22 @@ func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
 	}
 	copyRespHeaders(w, res.header)
 	w.Header().Set(HeaderCache, "miss")
-	w.WriteHeader(res.status)
-	w.Write(res.body) //nolint:errcheck // the client is gone if this fails
+	wire.WriteBody(w, res.status, res.body)
 }
 
 // handlePlainRead serves healthz and classes: hedged forward, no cache
 // (they're cheap and not epoch-stamped).
 func (p *Proxy) handlePlainRead(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	res, herr := p.forwardRead(r.Context(), r.Method, api.CanonicalPath(r.URL.Path), r.URL.RawQuery, nil)
 	if herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	copyRespHeaders(w, res.header)
-	w.WriteHeader(res.status)
-	w.Write(res.body) //nolint:errcheck // the client is gone if this fails
+	wire.WriteBody(w, res.status, res.body)
 }
 
 // handleUpdate forwards writes typed through Router.Update — never
@@ -538,12 +534,12 @@ func (p *Proxy) handlePlainRead(w http.ResponseWriter, r *http.Request) {
 // response's epoch as an immediate cache flush: a write through the
 // proxy invalidates synchronously, before its ack reaches the caller.
 func (p *Proxy) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodPost) {
+	if !wire.MethodCheck(w, r, http.MethodPost) {
 		return
 	}
 	var req api.UpdateRequest
-	if herr := decodeStrict(w, r, &req); herr != nil {
-		writeErr(w, herr)
+	if herr := wire.DecodeStrict(w, r, &req); herr != nil {
+		wire.WriteErr(w, herr)
 		return
 	}
 	resp, err := p.router.Update(r.Context(), req)
@@ -552,7 +548,7 @@ func (p *Proxy) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.cache.advance(resp.Epoch)
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleStats forwards the resolved primary's stats and appends the
@@ -560,7 +556,7 @@ func (p *Proxy) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // doubles as a cache-flush signal (poll piggybacking: any caller asking
 // for stats refreshes the proxy's epoch for free).
 func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	st, err := p.router.Stats(r.Context())
@@ -571,14 +567,14 @@ func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 	p.cache.advance(st.Epoch)
 	counters := p.Counters()
 	st.Proxy = &counters
-	writeJSON(w, http.StatusOK, st)
+	wire.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleReadyz answers for the proxy itself: ready while at least one
 // backend can serve reads (a live follower, or a reachable ready
 // primary).
 func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	ready := len(p.router.Live()) > 0
@@ -593,7 +589,7 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		out.Status = api.StatusNoBackends
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, out)
+	wire.WriteJSON(w, status, out)
 }
 
 // handleReplicate streams the replication endpoints through to the
@@ -601,7 +597,7 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // be buffered, hedged, or timed out by the proxy (the request context
 // still applies).
 func (p *Proxy) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	c := p.router.Primary()
@@ -611,7 +607,7 @@ func (p *Proxy) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
 	if err != nil {
-		writeErr(w, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "%v", err))
+		wire.WriteErr(w, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "%v", err))
 		return
 	}
 	resp, err := p.raw.Do(req)
@@ -625,63 +621,14 @@ func (p *Proxy) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	io.Copy(w, resp.Body) //nolint:errcheck // the client is gone if this fails
 }
 
-// --- wire helpers, mirroring internal/server's envelope rendering ---
-
-// writeJSON writes v with the given status in the server's format, so
-// typed forwards stay byte-identical to direct backend responses.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
-}
-
-// writeErr writes err as the structured error envelope.
-func writeErr(w http.ResponseWriter, err *api.Error) {
-	writeJSON(w, err.Status, api.ErrorEnvelope{Error: *err})
-}
-
 // writeUpstreamErr renders a typed-forward failure: a structured backend
 // error passes through under its own status and code; a transport
 // failure becomes a 502.
 func writeUpstreamErr(w http.ResponseWriter, err error) {
 	var apiErr *api.Error
 	if errors.As(err, &apiErr) {
-		writeErr(w, apiErr)
+		wire.WriteErr(w, apiErr)
 		return
 	}
-	writeErr(w, api.Errorf(http.StatusBadGateway, api.CodeInternal, "proxy: backend unreachable: %v", err))
-}
-
-// methodCheck mirrors internal/server's: 405 with the canonical path.
-func methodCheck(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
-	for _, m := range allowed {
-		if r.Method == m {
-			return true
-		}
-	}
-	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	writeErr(w, api.Errorf(http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-		"method %s not allowed on %s", r.Method, api.CanonicalPath(r.URL.Path)))
-	return false
-}
-
-// decodeStrict mirrors internal/server's body decoding so proxy-side
-// rejections carry the same envelope a backend would send.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) *api.Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return api.Errorf(http.StatusBadRequest, api.CodeBadRequest,
-				"request body exceeds %d bytes", api.MaxBodyBytes)
-		}
-		return api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "malformed JSON: %v", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "trailing data after JSON body")
-	}
-	return nil
+	wire.WriteErr(w, api.Errorf(http.StatusBadGateway, api.CodeInternal, "proxy: backend unreachable: %v", err))
 }

@@ -46,15 +46,12 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,15 +61,15 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Request limits re-exported from the wire contract; the api package is
 // the source of truth.
 const (
-	MaxBatch     = api.MaxBatch
-	MaxUpdate    = api.MaxUpdate
-	maxBodyBytes = api.MaxBodyBytes
-	defaultK     = api.DefaultK
+	MaxBatch  = api.MaxBatch
+	MaxUpdate = api.MaxUpdate
+	defaultK  = api.DefaultK
 )
 
 // role is everything about the server that changes when the node's
@@ -304,53 +301,6 @@ func errInternal(format string, args ...any) *api.Error {
 	return api.Errorf(http.StatusInternalServerError, api.CodeInternal, format, args...)
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
-}
-
-// writeErr writes err as the structured error envelope.
-func writeErr(w http.ResponseWriter, err *api.Error) {
-	writeJSON(w, err.Status, api.ErrorEnvelope{Error: *err})
-}
-
-// methodCheck 405s anything but the allowed methods. The message names
-// the canonical /v1 path whichever alias was hit, keeping legacy and
-// versioned responses byte-identical.
-func methodCheck(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
-	for _, m := range allowed {
-		if r.Method == m {
-			return true
-		}
-	}
-	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	writeErr(w, api.Errorf(http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-		"method %s not allowed on %s", r.Method, api.CanonicalPath(r.URL.Path)))
-	return false
-}
-
-// decodeStrict decodes one JSON object, rejecting unknown fields, trailing
-// garbage and oversized bodies with client errors.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) *api.Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return errBadRequest("request body exceeds %d bytes", maxBodyBytes)
-		}
-		return errBadRequest("malformed JSON: %v", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errBadRequest("trailing data after JSON body")
-	}
-	return nil
-}
-
 // resolveClass 404s for classes the serving epoch has not trained.
 func resolveClass(classes []string, class string) *api.Error {
 	if class == "" {
@@ -387,12 +337,12 @@ func setEpochHeader(w http.ResponseWriter, v semprox.View) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	eng := s.engine()
 	g := eng.Graph()
-	writeJSON(w, http.StatusOK, api.HealthResponse{
+	wire.WriteJSON(w, http.StatusOK, api.HealthResponse{
 		Status:     "ok",
 		Nodes:      g.NumNodes(),
 		Edges:      g.NumEdges(),
@@ -403,14 +353,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, api.ClassesResponse{Classes: s.engine().Classes()})
+	wire.WriteJSON(w, http.StatusOK, api.ClassesResponse{Classes: s.engine().Classes()})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet, http.MethodPost) {
+	if !wire.MethodCheck(w, r, http.MethodGet, http.MethodPost) {
 		return
 	}
 	var req api.QueryRequest
@@ -420,13 +370,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if kStr := r.URL.Query().Get("k"); kStr != "" {
 			k, err := strconv.Atoi(kStr)
 			if err != nil {
-				writeErr(w, errBadRequest("bad k %q", kStr))
+				wire.WriteErr(w, errBadRequest("bad k %q", kStr))
 				return
 			}
 			req.K = k
 		}
-	} else if herr := decodeStrict(w, r, &req); herr != nil {
-		writeErr(w, herr)
+	} else if herr := wire.DecodeStrict(w, r, &req); herr != nil {
+		wire.WriteErr(w, herr)
 		return
 	}
 	// k is a client-facing knob: 0 means "the default", and negative
@@ -434,7 +384,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// "k <= 0 returns every candidate" convention — an unbounded response
 	// a client can't ask for by accident.
 	if req.K < 0 {
-		writeErr(w, errBadRequest("k must be >= 0, got %d", req.K))
+		wire.WriteErr(w, errBadRequest("k must be >= 0, got %d", req.K))
 		return
 	}
 	if req.K == 0 {
@@ -445,18 +395,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// if an update swaps a new epoch in mid-request.
 	v := s.engine().View()
 	if herr := resolveClass(v.Classes(), req.Class); herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	switch {
 	case req.Query != "" && len(req.Queries) > 0:
-		writeErr(w, errBadRequest("set query or queries, not both"))
+		wire.WriteErr(w, errBadRequest("set query or queries, not both"))
 	case req.Query != "":
 		querySingle(w, v, req)
 	case len(req.Queries) > 0:
 		queryBatch(w, v, req)
 	default:
-		writeErr(w, errBadRequest("missing query"))
+		wire.WriteErr(w, errBadRequest("missing query"))
 	}
 }
 
@@ -464,16 +414,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func querySingle(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 	q, herr := resolveNode(v.Graph(), "query", req.Query)
 	if herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	ranked, err := v.Query(req.Class, q, req.K)
 	if err != nil {
-		writeErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
+		wire.WriteErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
 	setEpochHeader(w, v)
-	writeJSON(w, http.StatusOK, api.QueryResponse{
+	wire.WriteJSON(w, http.StatusOK, &api.QueryResponse{
 		Class:   req.Class,
 		K:       req.K,
 		Results: []api.QueryResult{render(v.Graph(), req.Query, ranked)},
@@ -484,21 +434,21 @@ func querySingle(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 // QueryBatch call — one epoch for the whole batch.
 func queryBatch(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 	if len(req.Queries) > MaxBatch {
-		writeErr(w, errBadRequest("batch of %d queries exceeds limit %d", len(req.Queries), MaxBatch))
+		wire.WriteErr(w, errBadRequest("batch of %d queries exceeds limit %d", len(req.Queries), MaxBatch))
 		return
 	}
 	qs := make([]semprox.NodeID, len(req.Queries))
 	for i, name := range req.Queries {
 		q, herr := resolveNode(v.Graph(), fmt.Sprintf("queries[%d]", i), name)
 		if herr != nil {
-			writeErr(w, herr)
+			wire.WriteErr(w, herr)
 			return
 		}
 		qs[i] = q
 	}
 	rankings, err := v.QueryBatch(req.Class, qs, req.K)
 	if err != nil {
-		writeErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
+		wire.WriteErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
 	out := api.QueryResponse{Class: req.Class, K: req.K, Results: make([]api.QueryResult, len(rankings))}
@@ -506,7 +456,7 @@ func queryBatch(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 		out.Results[i] = render(v.Graph(), req.Queries[i], ranked)
 	}
 	setEpochHeader(w, v)
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, &out)
 }
 
 // render converts one engine ranking to its wire shape.
@@ -519,31 +469,31 @@ func render(g *semprox.Graph, query string, ranked []semprox.Ranked) api.QueryRe
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodPost) {
+	if !wire.MethodCheck(w, r, http.MethodPost) {
 		return
 	}
 	rl := s.role.Load()
 	if rl.follower != nil {
-		writeErr(w, errUnavailable(api.CodeNotPrimary,
+		wire.WriteErr(w, errUnavailable(api.CodeNotPrimary,
 			"this replica is read-only; send updates to the primary at %s", rl.follower.PrimaryURL()))
 		return
 	}
 	var req api.UpdateRequest
-	if herr := decodeStrict(w, r, &req); herr != nil {
-		writeErr(w, herr)
+	if herr := wire.DecodeStrict(w, r, &req); herr != nil {
+		wire.WriteErr(w, herr)
 		return
 	}
 	if len(req.Nodes) == 0 && len(req.Edges) == 0 {
-		writeErr(w, errBadRequest("empty update: add nodes, edges, or both"))
+		wire.WriteErr(w, errBadRequest("empty update: add nodes, edges, or both"))
 		return
 	}
 	if total := len(req.Nodes) + len(req.Edges); total > MaxUpdate {
-		writeErr(w, errBadRequest("update of %d additions exceeds limit %d", total, MaxUpdate))
+		wire.WriteErr(w, errBadRequest("update of %d additions exceeds limit %d", total, MaxUpdate))
 		return
 	}
 	st, herr := s.applyUpdate(rl, req)
 	if herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	// Durability gate, OUTSIDE the lock: the record was enqueued and the
@@ -555,7 +505,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// applied stays visible locally but was never acked.
 	if rl.log != nil {
 		if err := rl.log.WaitDurable(st.LSN); err != nil {
-			writeErr(w, errInternal("update at LSN %d applied but not durable (log failed): %v", st.LSN, err))
+			wire.WriteErr(w, errInternal("update at LSN %d applied but not durable (log failed): %v", st.LSN, err))
 			return
 		}
 		if rl.primary != nil && s.ackReplicas.Load() > 0 {
@@ -565,7 +515,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			// applied and locally durable, but we cannot claim it's
 			// replicated; 500 tells the client its fate is unknown.
 			if !rl.primary.WaitConfirmed(r.Context(), st.LSN) {
-				writeErr(w, errInternal("update at LSN %d durable locally but not yet confirmed by any replica", st.LSN))
+				wire.WriteErr(w, errInternal("update at LSN %d durable locally but not yet confirmed by any replica", st.LSN))
 				return
 			}
 		}
@@ -577,7 +527,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			rl.eng.Compact()
 		}()
 	}
-	writeJSON(w, http.StatusOK, api.UpdateResponse{
+	wire.WriteJSON(w, http.StatusOK, api.UpdateResponse{
 		Epoch:             st.Epoch,
 		LSN:               st.LSN,
 		NodesAdded:        st.NodesAdded,
@@ -691,11 +641,11 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateSta
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	st := s.engine().Stats()
-	writeJSON(w, http.StatusOK, api.StatsResponse{
+	wire.WriteJSON(w, http.StatusOK, api.StatsResponse{
 		Epoch:             st.Epoch,
 		LSN:               st.LSN,
 		Nodes:             st.Nodes,
@@ -709,7 +659,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	rl := s.role.Load()
@@ -733,7 +683,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			resp.Status = api.StatusCatchingUp
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, resp)
+		wire.WriteJSON(w, status, resp)
 		return
 	}
 	role, term := api.RoleStandalone, uint64(0)
@@ -743,21 +693,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		// accept no more writes until restart; readiness is how load
 		// balancers find that out.
 		if err := rl.log.Err(); err != nil {
-			writeJSON(w, http.StatusServiceUnavailable,
+			wire.WriteJSON(w, http.StatusServiceUnavailable,
 				api.ReadyResponse{Status: api.StatusWALFailed, Role: role, LSN: rl.eng.LSN(), Term: term})
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, api.ReadyResponse{Status: api.StatusReady, Role: role, LSN: rl.eng.LSN(), Term: term})
+	wire.WriteJSON(w, http.StatusOK, api.ReadyResponse{Status: api.StatusReady, Role: role, LSN: rl.eng.LSN(), Term: term})
 }
 
 func (s *Server) handleReplicateSince(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	primary := s.role.Load().primary
 	if primary == nil {
-		writeErr(w, errUnavailable(api.CodeReplicationDisabled,
+		wire.WriteErr(w, errUnavailable(api.CodeReplicationDisabled,
 			"no write-ahead log attached (start with -wal to serve followers)"))
 		return
 	}
@@ -770,19 +720,19 @@ func (s *Server) handleReplicateSince(w http.ResponseWriter, r *http.Request) {
 		case status >= 500:
 			code = api.CodeInternal
 		}
-		writeErr(w, api.Errorf(status, code, "%s", err.Error()))
+		wire.WriteErr(w, api.Errorf(status, code, "%s", err.Error()))
 		return
 	}
-	writeJSON(w, status, body)
+	wire.WriteJSON(w, status, body)
 }
 
 func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
 	primary := s.role.Load().primary
 	if primary == nil {
-		writeErr(w, errUnavailable(api.CodeReplicationDisabled,
+		wire.WriteErr(w, errUnavailable(api.CodeReplicationDisabled,
 			"no write-ahead log attached (start with -wal to serve followers)"))
 		return
 	}
@@ -797,37 +747,37 @@ func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request)
 }
 
 func (s *Server) handleProximity(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet, http.MethodPost) {
+	if !wire.MethodCheck(w, r, http.MethodGet, http.MethodPost) {
 		return
 	}
 	var req api.ProximityRequest
 	if r.Method == http.MethodGet {
 		q := r.URL.Query()
 		req.Class, req.X, req.Y = q.Get("class"), q.Get("x"), q.Get("y")
-	} else if herr := decodeStrict(w, r, &req); herr != nil {
-		writeErr(w, herr)
+	} else if herr := wire.DecodeStrict(w, r, &req); herr != nil {
+		wire.WriteErr(w, herr)
 		return
 	}
 	v := s.engine().View()
 	if herr := resolveClass(v.Classes(), req.Class); herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	x, herr := resolveNode(v.Graph(), "x", req.X)
 	if herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	y, herr := resolveNode(v.Graph(), "y", req.Y)
 	if herr != nil {
-		writeErr(w, herr)
+		wire.WriteErr(w, herr)
 		return
 	}
 	p, err := v.Proximity(req.Class, x, y)
 	if err != nil {
-		writeErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
+		wire.WriteErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
 	setEpochHeader(w, v)
-	writeJSON(w, http.StatusOK, api.ProximityResponse{Class: req.Class, X: req.X, Y: req.Y, Proximity: p})
+	wire.WriteJSON(w, http.StatusOK, &api.ProximityResponse{Class: req.Class, X: req.X, Y: req.Y, Proximity: p})
 }
