@@ -1,38 +1,26 @@
 # Tier-1 verification plus the invariants this repo adds on top:
 #   make ci  — lint (gofmt + vet + the semproxlint analyzer suite),
-#              build, race-enabled tests, the
-#              per-package coverage floors (learning core, serving layer,
-#              public api + client, WAL, replica, load statistics), a
-#              bench smoke run that cross-checks parallel vs serial
-#              results on the offline index build and the online top-k
-#              scan against a by-key reference, runs a live ApplyUpdate
-#              cycle cross-checked against a from-scratch rebuild, a WAL
-#              append/replay cycle, and an in-process routed-serving
-#              cycle (1 primary + 2 followers, routed == direct), a
-#              two-process replication smoke (primary + follower on
-#              loopback), a routing smoke
-#              (routed client failover across a primary kill), a
-#              failover smoke (kill -9 the primary under a live write
-#              stream: promotion, no lost acked writes, zombie fencing),
-#              an open-loop load smoke (Poisson arrivals against the
-#              self-hosted serving stack, error-free with consistent
-#              percentiles), the load gate (fresh p99 at each scenario's
-#              gate rate vs the committed BENCH_load.json), and the edge
-#              proxy smoke (semproxy over real semproxd processes:
-#              epoch-keyed cache flush + zero failed reads across a
-#              primary kill), and the observability smoke (/metrics on
-#              real daemons with moving counters, one trace ID across
-#              the proxy and backend request logs, pprof answering),
-#              and the measurement spine's own check (benchmark/: vet,
-#              unit tests and the -quick smoke of all four workloads
-#              against out-of-process daemons, every answer checked
-#              against the oracle).
+#              build, race-enabled tests, the per-package coverage
+#              floors, a bounded fuzz smoke, one iteration of the
+#              restart / hub-update / handler-chain benchmarks, the
+#              measurement spine's own check (benchmark/: vet, unit
+#              tests and the -quick smoke of all four workloads against
+#              out-of-process daemons, every answer checked against the
+#              oracle), and five process-level smokes on loopback:
+#              replication, routing (primary kill under routed reads),
+#              failover (kill -9 under a live write stream: promotion,
+#              no lost acked writes, zombie fencing), the edge proxy
+#              (epoch-keyed cache flush + zero failed reads across a
+#              primary kill) and observability (/metrics with moving
+#              counters, one trace ID across proxy and backend logs,
+#              pprof).
+#   Numbers come from one place: `go run -C benchmark .` (BENCHMARK.json).
 GO ?= go
 COVER_FLOOR ?= 80
 
-.PHONY: ci lint vet build test cover fuzz-smoke bench-smoke benchmark-check bench replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate load-bench proxy-bench
+.PHONY: ci lint vet build test cover fuzz-smoke bench-smoke benchmark-check replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke
 
-ci: lint build test cover fuzz-smoke bench-smoke benchmark-check replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-gate
+ci: lint build test cover fuzz-smoke bench-smoke benchmark-check replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke
 
 # gofmt must be a no-op, vet must be clean, and the repo's own analyzer
 # suite (cmd/semproxlint: rawpath, atomicwrite, metricname, envelope,
@@ -80,7 +68,7 @@ test:
 # replica's network-failure arms keep those two below the default), so
 # any drop is a regression, not noise.
 COVER_PKGS ?= internal/core internal/server api client \
-	internal/wal:80 internal/replica:75 internal/loadstats:90 internal/report:85 \
+	internal/wal:80 internal/replica:75 internal/loadstats:90 internal/atomicfile:80 \
 	internal/proxy:85 internal/obs:85 internal/lint:90 internal/wire:90
 cover:
 	@for entry in $(COVER_PKGS); do \
@@ -95,23 +83,14 @@ cover:
 			|| { echo "FAIL: $$pkg statement coverage $$pct% is below the $$floor% floor"; exit 1; }; \
 	done
 
-# Quick end-to-end bench: verifies identical parallel/serial results for
-# the offline build, checks the online top-k scan against a by-key
-# reference, runs one live ApplyUpdate cycle whose patched index must
-# match a from-scratch rebuild byte-for-byte, runs a WAL append/replay/reopen cycle that must lose no
-# record, and stands up the routed-serving stack (primary + 2 followers
-# in-process) whose routed answers must be element-identical to direct
-# primary answers — all without touching the committed BENCH_*.json
-# files. Exits non-zero on any drift. Then one iteration each of the
-# snapshot codec benchmarks (Save and LoadEngine at 5 000 users), so the
-# restart-to-serving path is compiled and run on every commit, and one
-# update on the highest-degree node of a LinkedIn-shaped graph, the case
-# the community graphs of the update leg above do not reach, and one
-# query and one batch of 8 through the whole server handler chain with
-# the request log on and off (allocs/op reported; TestServeAllocBudget
-# is the gate, this keeps the benchmarks themselves running).
+# One iteration each of the benchmarks no other target runs, so they are
+# compiled and executed on every commit: the snapshot codec (Save and
+# LoadEngine at 5 000 users — the restart-to-serving path), one update
+# on the highest-degree node of a LinkedIn-shaped graph, and one query
+# and one batch of 8 through the whole server handler chain with the
+# request log on and off (allocs/op reported; TestServeAllocBudget is
+# the gate, this keeps the benchmarks themselves running).
 bench-smoke:
-	$(GO) run ./cmd/bench -reps 1 -workers 1,4 -out - -online-out - -update-out - -wal-out - -routing-out - -failover-out -
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server
@@ -128,8 +107,8 @@ benchmark-check:
 
 # Two-process replication smoke: durable primary + follower on loopback,
 # live updates pushed through the typed client (semproxctl), follower
-# must reach lag 0 and serve byte-identical query output, legacy aliases
-# must match /v1 (see scripts/replication_smoke.sh).
+# must reach lag 0 and serve byte-identical query output (see
+# scripts/replication_smoke.sh).
 replication-smoke:
 	bash scripts/replication_smoke.sh
 
@@ -165,44 +144,3 @@ proxy-smoke:
 # exposition (see scripts/obs_smoke.sh).
 obs-smoke:
 	bash scripts/obs_smoke.sh
-
-# Open-loop load smoke: stand up the real serving stack (durable primary
-# + 2 followers behind the routed client, in-process), fire every
-# scenario's Poisson stream at its gate rate for a short deterministic
-# window, and fail on any request error or inconsistent percentile
-# slate. Touches no committed files.
-load-smoke:
-	$(GO) run ./cmd/loadgen -mode smoke -out -
-
-# The same open-loop smoke fired at real semproxd processes (primary +
-# 2 followers on loopback) through loadgen's external mode — the
-# cross-check that the harness and the daemon wiring agree (see
-# scripts/load_smoke.sh).
-load-smoke-e2e:
-	bash scripts/load_smoke.sh
-
-# Load regression gate: a fresh short run at each scenario's gate rate,
-# compared against the committed BENCH_load.json. Fails when a fresh p99
-# exceeds baseline_p99 * 3 + 25ms (explicit tolerances — see cmd/loadgen)
-# or when any request errors.
-load-gate:
-	$(GO) run ./cmd/loadgen -mode gate -out -
-
-# Full benchmark; rewrites BENCH_offline.json, BENCH_online.json,
-# BENCH_update.json, BENCH_wal.json, BENCH_routing.json and
-# BENCH_failover.json (commit them to extend the perf trajectory).
-bench:
-	$(GO) run ./cmd/bench
-
-# Full open-loop load sweep; rewrites BENCH_load.json with per-rate
-# latency percentiles and each scenario's max sustainable QPS under its
-# p99 SLO (commit it to extend the load trajectory).
-load-bench:
-	$(GO) run ./cmd/loadgen
-
-# Edge-tier A/B; rewrites BENCH_proxy.json: hedged vs unhedged p99 with
-# an injected straggler follower, and cache-on vs cache-off max
-# sustainable QPS under the Zipf-hot scenario (commit it to extend the
-# perf trajectory).
-proxy-bench:
-	$(GO) run ./cmd/loadgen -mode proxy

@@ -6,9 +6,8 @@
 // re-declares a request or response shape.
 //
 // Every endpoint lives under the /v1 prefix (PathQuery, PathUpdate, …);
-// the pre-versioning unversioned paths remain served as byte-identical
-// aliases (LegacyPath) so old clients keep working. Every non-2xx
-// response is the uniform envelope
+// any other path is a 404. Every non-2xx response is the uniform
+// envelope
 //
 //	{"error": {"code": "<machine-readable>", "message": "<human>"}}
 //
@@ -30,10 +29,7 @@
 // deferring to encoding/json for everything else.
 package api
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Version is the current API version; every path below carries it.
 const Version = "v1"
@@ -41,8 +37,7 @@ const Version = "v1"
 // Prefix is the path prefix of every versioned endpoint.
 const Prefix = "/" + Version
 
-// Versioned endpoint paths. LegacyPath maps each to its pre-versioning
-// unversioned alias, which servers keep serving byte-identically.
+// Versioned endpoint paths.
 const (
 	PathHealthz           = Prefix + "/healthz"
 	PathReadyz            = Prefix + "/readyz"
@@ -55,33 +50,12 @@ const (
 	PathReplicateSnapshot = Prefix + "/replicate/snapshot"
 )
 
-// Paths lists every versioned endpoint, in a stable order. Servers
-// iterate it to mount versioned and legacy routes from one table.
+// Paths lists every versioned endpoint, in a stable order.
 func Paths() []string {
 	return []string{
 		PathHealthz, PathReadyz, PathClasses, PathQuery, PathProximity,
 		PathUpdate, PathStats, PathReplicateSince, PathReplicateSnapshot,
 	}
-}
-
-// LegacyPath returns the unversioned alias of a versioned path
-// ("/v1/query" → "/query"). Paths without the version prefix come back
-// unchanged.
-func LegacyPath(p string) string {
-	return strings.TrimPrefix(p, Prefix)
-}
-
-// CanonicalPath returns the versioned form of a request path: a known
-// legacy alias gains the /v1 prefix, everything else comes back
-// unchanged. Error messages mention canonical paths only, so a legacy
-// request and its /v1 twin produce byte-identical responses.
-func CanonicalPath(p string) string {
-	for _, v := range Paths() {
-		if p == v || p == LegacyPath(v) {
-			return v
-		}
-	}
-	return p
 }
 
 // HeaderEpoch is the response header stamping query and proximity
@@ -101,7 +75,7 @@ const HeaderEpoch = "X-Semprox-Epoch"
 // response — success or error envelope — so one failed routed read is
 // greppable across proxy and backend structured log lines. Like
 // HeaderEpoch it is transport metadata only: the ID never appears in a
-// response body, preserving byte-identity across replicas and aliases.
+// response body, preserving byte-identity across replicas.
 const HeaderTrace = "X-Semprox-Trace"
 
 // Request limits, enforced server-side with CodeBadRequest. Clients that
@@ -126,6 +100,8 @@ const (
 	CodeClassNotFound = "class_not_found"
 	// CodeNodeNotFound: a node name not present in the graph (HTTP 404).
 	CodeNodeNotFound = "node_not_found"
+	// CodeNotFound: a path that is not an endpoint (HTTP 404).
+	CodeNotFound = "not_found"
 	// CodeMethodNotAllowed: wrong HTTP method for the endpoint (HTTP 405).
 	CodeMethodNotAllowed = "method_not_allowed"
 	// CodeNotPrimary: an update sent to a read replica (HTTP 503); the

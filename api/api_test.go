@@ -25,34 +25,6 @@ func TestPathsAreVersioned(t *testing.T) {
 	}
 }
 
-func TestLegacyPathStripsPrefixOnly(t *testing.T) {
-	for _, tc := range []struct{ in, want string }{
-		{api.PathQuery, "/query"},
-		{api.PathReplicateSince, "/replicate/since"},
-		{"/query", "/query"},       // already legacy
-		{"/v2/query", "/v2/query"}, // other versions untouched
-		{"/metrics", "/metrics"},   // unknown paths untouched
-	} {
-		if got := api.LegacyPath(tc.in); got != tc.want {
-			t.Errorf("LegacyPath(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestCanonicalPathRoundTrips(t *testing.T) {
-	for _, p := range api.Paths() {
-		if got := api.CanonicalPath(p); got != p {
-			t.Errorf("CanonicalPath(%q) = %q, want unchanged", p, got)
-		}
-		if got := api.CanonicalPath(api.LegacyPath(p)); got != p {
-			t.Errorf("CanonicalPath(%q) = %q, want %q", api.LegacyPath(p), got, p)
-		}
-	}
-	if got := api.CanonicalPath("/not-an-endpoint"); got != "/not-an-endpoint" {
-		t.Errorf("CanonicalPath on unknown path = %q, want unchanged", got)
-	}
-}
-
 func TestErrorfAndEnvelope(t *testing.T) {
 	e := api.Errorf(404, api.CodeNodeNotFound, "node %q not in graph", "zoe")
 	if e.Status != 404 || e.Code != api.CodeNodeNotFound {

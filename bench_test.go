@@ -196,8 +196,7 @@ func BenchmarkMatchQuickSI(b *testing.B) {
 // BenchmarkOfflineIndexBuild measures the offline matching+indexing phase
 // (the dominant cost of Table III) across worker counts. On multicore
 // hardware the build scales near-linearly: matching fans out one metagraph
-// per worker and the parts merge by offset. cmd/bench wraps the same
-// measurement into BENCH_offline.json for the perf trajectory.
+// per worker and the parts merge by offset.
 func BenchmarkOfflineIndexBuild(b *testing.B) {
 	ds := benchDataset()
 	pats := mining.ProximityFilter(
@@ -251,10 +250,8 @@ func BenchmarkOnlineQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkRankTop measures the online top-k scan behind /query: one
+// BenchmarkRankTop measures the online top-k scan behind /v1/query: one
 // serial pass over the query's adjacency row, one allocation (the result).
-// cmd/bench wraps the same measurement (plus an equality gate against a
-// by-key reference) into BENCH_online.json for the perf trajectory.
 func BenchmarkRankTop(b *testing.B) {
 	g, ix := benchIndex(b)
 	ix.BuildAdjacency()

@@ -12,7 +12,7 @@
 //	# trained engine for the next start.
 //	semproxd -dataset linkedin -users 400 -save engine.snap
 //
-//	# Durable primary: every /update is fsynced to the write-ahead log
+//	# Durable primary: every /v1/update is fsynced to the write-ahead log
 //	# before it is applied; a crash (kill -9) replays the log tail on the
 //	# next boot, so no acknowledged update is ever lost.
 //	semproxd -snapshot engine.snap -wal /var/lib/semprox/wal
@@ -23,8 +23,7 @@
 //	semproxd -follow http://primary:8080 -addr :8081
 //
 //	# Query either of them. Every endpoint lives under /v1 (the wire
-//	# contract is the api package); the unversioned pre-v1 paths keep
-//	# working as byte-identical aliases.
+//	# contract is the api package); any other path is a 404.
 //	curl 'localhost:8080/v1/query?class=college&query=user-17&k=5'
 //	curl -d '{"class":"college","queries":["user-17","user-3"],"k":5}' localhost:8080/v1/query
 //

@@ -197,8 +197,8 @@ func (e *Engine) NumMetagraphs() int { return len(e.ms) }
 //
 // index.MatchParts cannot fail: its only returns are the part indices
 // (one per input metagraph, always populated) and the per-metagraph
-// wall-clock durations that cmd/bench reports — there is no error to
-// propagate here, only timing data this path has no use for.
+// wall-clock durations — there is no error to propagate here, only
+// timing data this path has no use for.
 func (e *Engine) matchMissing(ep *epoch, metaIx []*index.Index, indices []int) []*index.Index {
 	pending := make([]int, 0, len(indices))
 	for _, i := range indices {
@@ -387,6 +387,12 @@ func (v View) Epoch() uint64 { return v.ep.version }
 
 // Graph returns the graph of the pinned generation.
 func (v View) Graph() *Graph { return v.ep.g }
+
+// HasClass reports whether the pinned generation has trained class name.
+func (v View) HasClass(name string) bool {
+	_, ok := v.ep.classes[name]
+	return ok
+}
 
 // Classes returns the trained class names of the pinned generation,
 // sorted.

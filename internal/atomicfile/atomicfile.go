@@ -6,9 +6,9 @@
 // rename on one filesystem, which is what makes it atomic.
 //
 // One implementation serves every writer that needs the pattern — engine
-// snapshots (cmd/semproxd), benchmark reports (cmd/bench), the WAL's
-// skip-list sidecar (internal/wal) — so a future durability fix lands in
-// one place.
+// snapshots (cmd/semproxd), a follower's persisted bootstrap
+// (internal/replica), the WAL's term and skip-list sidecars
+// (internal/wal) — so a future durability fix lands in one place.
 package atomicfile
 
 import (

@@ -12,29 +12,17 @@ import (
 )
 
 // RawPath enforces the api package's monopoly on wire paths: outside
-// repro/api, no string literal may spell a versioned "/v1/..." path or a
-// pre-versioning legacy alias ("/query", "/stats", …). Handlers,
-// clients, proxies, and tools must name endpoints through the api path
-// constants (api.PathQuery, api.LegacyPath(api.PathQuery), …) so a path
-// rename or a /v2 cut is one diff in one package — the invariant PR 5
-// introduced and reviewers have policed by eye since.
+// repro/api, no string literal may spell a versioned "/v1/..." path.
+// Handlers, clients, proxies, and tools must name endpoints through the
+// api path constants (api.PathQuery, …) so a path rename or a /v2 cut is
+// one diff in one package — the invariant PR 5 introduced and reviewers
+// have policed by eye since.
 var RawPath = &analysis.Analyzer{
 	Name: "rawpath",
-	Doc: "report hardcoded /v1 or legacy-alias path literals outside the api package; " +
+	Doc: "report hardcoded /v1 path literals outside the api package; " +
 		"use the api path constants instead",
 	Run: runRawPath,
 }
-
-// legacyAliases is derived from the api package itself, so the analyzer
-// can never drift from the contract it polices: every versioned path's
-// unversioned alias is forbidden as a literal elsewhere.
-var legacyAliases = func() map[string]bool {
-	m := make(map[string]bool, len(api.Paths()))
-	for _, p := range api.Paths() {
-		m[api.LegacyPath(p)] = true
-	}
-	return m
-}()
 
 func runRawPath(pass *analysis.Pass) (any, error) {
 	if pkgIn(pass, pkgAPI) {
@@ -55,13 +43,9 @@ func runRawPath(pass *analysis.Pass) (any, error) {
 			if err != nil {
 				return true
 			}
-			switch {
-			case val == api.Prefix || strings.Contains(val, api.Prefix+"/"):
+			if val == api.Prefix || strings.Contains(val, api.Prefix+"/") {
 				sup.report(lit.Pos(),
 					"hardcoded versioned path %q: use the repro/api path constants (api.PathQuery, …)", val)
-			case legacyAliases[val]:
-				sup.report(lit.Pos(),
-					"hardcoded legacy alias %q: use api.LegacyPath on the repro/api path constant", val)
 			}
 			return true
 		})

@@ -17,9 +17,9 @@ func testdata(t *testing.T) string {
 	return abs
 }
 
-// TestRawPath pins the three behaviors of the path rule: versioned and
-// legacy literals are reported outside repro/api (including inside full
-// URLs), constant references and unrelated strings are not, and the api
+// TestRawPath pins the three behaviors of the path rule: versioned
+// literals are reported outside repro/api (including inside full URLs),
+// constant references and unrelated strings are not, and the api
 // package plus _test.go files are exempt. The rptool package also
 // carries the suppression-hatch goldens: a justified
 // //lint:semprox-allow (above or inline) silences the finding, a bare

@@ -12,12 +12,3 @@ const (
 	PathUpdate    = "/v1/update"
 	PathStats     = Prefix + "/stats"
 )
-
-// LegacyPath mirrors the real helper's shape; the alias literal below is
-// in-bounds because this is the api package.
-func LegacyPath(p string) string {
-	if p == PathQuery {
-		return "/query"
-	}
-	return p
-}

@@ -6,11 +6,10 @@ import "repro/api"
 var paths = []string{
 	"/v1/query",    // want `hardcoded versioned path "/v1/query"`
 	api.PathQuery,  // a constant reference, not a literal: in-bounds
-	"/query",       // want `hardcoded legacy alias "/query"`
-	"/stats",       // want `hardcoded legacy alias "/stats"`
+	"/query",       // unversioned: no such endpoint, nothing to police
 	"/v2/whatever", // a future version this suite does not own yet
 	"/unrelated",
-	"query", // no leading slash: not an alias
+	"query",
 }
 
 var base = "http://localhost:8080" + api.PathUpdate

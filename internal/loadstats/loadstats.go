@@ -1,5 +1,6 @@
-// Package loadstats is the latency-distribution math behind the open-loop
-// load harness (cmd/loadgen): a fixed-size log-linear histogram of int64
+// Package loadstats is the latency-distribution math behind the metrics
+// registry's histograms (internal/obs) and the proxy's hedge-budget
+// estimator (internal/proxy): a fixed-size log-linear histogram of int64
 // nanosecond durations in the HDR-histogram style, with streaming inserts,
 // exact lossless merge, and rank-based quantiles.
 //

@@ -3,7 +3,7 @@
 // from the caller when already present, and carried via context through
 // client/Router hops so every tier's structured log line shares it. The
 // ID rides HTTP headers and log lines ONLY — never response bodies,
-// which must stay byte-identical across replicas and legacy aliases.
+// which must stay byte-identical across replicas.
 package obs
 
 import (

@@ -180,8 +180,8 @@ func New(r *client.Router, opts Options) *Proxy {
 		api.PathReplicateSnapshot: p.handleReplicate,
 	} {
 		p.mux.HandleFunc(path, h)
-		p.mux.HandleFunc(api.LegacyPath(path), h)
 	}
+	p.mux.HandleFunc("/", wire.NotFound)
 	p.mux.Handle(metricsPath, obs.Handler(p.reg, obs.Default()))
 	// Routing transitions count on the proxy registry; an OnEvent the
 	// caller already installed keeps firing after ours.
@@ -236,8 +236,8 @@ func (p *Proxy) SetRequestLog(logger *slog.Logger, slow time.Duration) {
 	p.buildWrap(logger, slow)
 }
 
-// knownPaths bounds metric label cardinality: canonical /v1 paths and
-// /metrics keep their names, everything else (typos, scans) collapses.
+// knownPaths bounds metric label cardinality: /v1 paths and /metrics
+// keep their names, everything else (typos, scans) collapses.
 var knownPaths = func() map[string]bool {
 	m := map[string]bool{metricsPath: true}
 	for _, p := range api.Paths() {
@@ -247,8 +247,8 @@ var knownPaths = func() map[string]bool {
 }()
 
 func pathLabel(p string) string {
-	if c := api.CanonicalPath(p); knownPaths[c] {
-		return c
+	if knownPaths[p] {
+		return p
 	}
 	return "other"
 }
@@ -460,9 +460,7 @@ func readBody(r *http.Request) ([]byte, *api.Error) {
 }
 
 // cacheKey is the exact-request key: two requests share an entry only if
-// a backend would answer them byte-identically at one epoch. Legacy
-// aliases share entries with their /v1 twins (responses are
-// byte-identical by the api package's aliasing contract).
+// a backend would answer them byte-identically at one epoch.
 func cacheKey(method, path, rawQuery string, body []byte) string {
 	return method + "\x00" + path + "\x00" + rawQuery + "\x00" + string(body)
 }
@@ -489,7 +487,7 @@ func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
 		wire.WriteErr(w, herr)
 		return
 	}
-	path := api.CanonicalPath(r.URL.Path)
+	path := r.URL.Path
 	key := cacheKey(r.Method, path, r.URL.RawQuery, body)
 	if cached, epoch, ok := p.cache.get(key); ok {
 		w.Header().Set("Content-Type", "application/json")
@@ -519,7 +517,7 @@ func (p *Proxy) handlePlainRead(w http.ResponseWriter, r *http.Request) {
 	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
-	res, herr := p.forwardRead(r.Context(), r.Method, api.CanonicalPath(r.URL.Path), r.URL.RawQuery, nil)
+	res, herr := p.forwardRead(r.Context(), r.Method, r.URL.Path, r.URL.RawQuery, nil)
 	if herr != nil {
 		wire.WriteErr(w, herr)
 		return
@@ -601,7 +599,7 @@ func (p *Proxy) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c := p.router.Primary()
-	u := c.BaseURL() + api.CanonicalPath(r.URL.Path)
+	u := c.BaseURL() + r.URL.Path
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
 	}

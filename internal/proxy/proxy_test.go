@@ -540,6 +540,50 @@ func TestMethodAndBodyRejections(t *testing.T) {
 	}
 }
 
+// TestUnversionedPathsAre404OnBothTiers: with the pre-/v1 aliases gone,
+// "/query", "/stats", … are not endpoints — the server and the proxy
+// both answer the same 404 envelope (never the mux's plain-text page,
+// never a forward), and a 405 still names the /v1 path it refused.
+func TestUnversionedPathsAre404OnBothTiers(t *testing.T) {
+	st := newLiveStack(t, 0)
+	tiers := []string{st.backend.URL, st.edge.URL}
+	for _, p := range api.Paths() {
+		bare := strings.TrimPrefix(p, api.Prefix)
+		var bodies [2][]byte
+		for i, base := range tiers {
+			status, body, _ := get(t, base+bare)
+			var env api.ErrorEnvelope
+			if err := json.Unmarshal(body, &env); status != http.StatusNotFound || err != nil ||
+				env.Error.Code != api.CodeNotFound || !strings.Contains(env.Error.Message, bare) {
+				t.Fatalf("GET %s%s = %d %q (%v), want the 404 %s envelope naming the path",
+					base, bare, status, body, err, api.CodeNotFound)
+			}
+			bodies[i] = body
+		}
+		if string(bodies[0]) != string(bodies[1]) {
+			t.Fatalf("%s: server and proxy 404 bodies differ:\n%s\n%s", bare, bodies[0], bodies[1])
+		}
+	}
+	for _, base := range tiers {
+		req, err := http.NewRequest(http.MethodDelete, base+api.PathQuery, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var env api.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); resp.StatusCode != http.StatusMethodNotAllowed || err != nil ||
+			env.Error.Code != api.CodeMethodNotAllowed || !strings.Contains(env.Error.Message, api.PathQuery) {
+			t.Fatalf("DELETE %s%s = %d %q (%v), want a 405 envelope naming %s",
+				base, api.PathQuery, resp.StatusCode, body, err, api.PathQuery)
+		}
+	}
+}
+
 // TestUpdateUpstreamFailureIs502: a transport-dead primary must surface
 // as a structured 502, not a hung or empty response.
 func TestUpdateUpstreamFailureIs502(t *testing.T) {

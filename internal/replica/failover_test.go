@@ -269,6 +269,12 @@ func TestZombiePrimaryIsFenced(t *testing.T) {
 	tsB := httptest.NewServer(srvB)
 	defer tsB.Close()
 	waitCaughtUp(t, fb, 5)
+	// One more term-2 write, streamed rather than bootstrapped, so the
+	// follower holds a term-2 RECORD at its applied LSN.
+	if _, err := ca.Update(context.Background(), api.UpdateRequest{Nodes: []api.UpdateNode{{Type: "user", Name: "term2-streamed"}}}); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, fb, 6)
 	applied := fb.Status().Applied
 
 	fb.Retarget(h.ts.URL) // the zombie
@@ -303,9 +309,32 @@ func TestZombiePrimaryIsFenced(t *testing.T) {
 		t.Fatalf("fenced readyz = %d %q, want 503 %q", resp.StatusCode, ready.Status, api.StatusFenced)
 	}
 
+	// The zombie, synchronous, keeps taking writes until one lands on
+	// the very LSN the follower holds a term-2 record at; from then on
+	// its polls answer 409 term_mismatch. That is still a zombie, not
+	// divergence: the follower must not swap its history for the zombie's
+	// snapshot, and its polls must never release the zombie's acks.
+	h.srv.SetAckReplicas(1)
+	zc := client.New(h.ts.URL, h.ts.Client())
+	for h.log.DurableLSN() < applied {
+		zctx, zcancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		_, err := zc.Update(zctx, api.UpdateRequest{Nodes: []api.UpdateNode{
+			{Type: "user", Name: fmt.Sprintf("zombie-write-%d", h.log.DurableLSN()+1)}}})
+		zcancel()
+		if err == nil {
+			t.Fatal("the zombie acked a write on the strength of a fenced follower's polls")
+		}
+	}
+	if st := fb.Status(); !st.Fenced || st.Applied != applied {
+		t.Fatalf("follower polling a 409-answering zombie = %+v, want fenced at %d", st, applied)
+	}
+	if fb.Engine().Graph().NodeByName("term2-streamed") == semprox.InvalidNode {
+		t.Fatal("fenced follower re-bootstrapped into the zombie's history")
+	}
+
 	// Back on the real primary the fence clears without a re-bootstrap.
 	fb.Retarget(tsA.URL)
-	waitCaughtUp(t, fb, 5)
+	waitCaughtUp(t, fb, applied)
 	if st := fb.Status(); st.Fenced || st.Applied < applied {
 		t.Fatalf("fence did not clear cleanly: %+v", st)
 	}

@@ -188,8 +188,25 @@ func (f *Follower) Restore() (bool, error) {
 // means the old local history is useless (first boot) or diverged
 // (zombie suffix). The newest term this follower has seen survives the
 // wipe: it is seeded into the fresh log so a later Promote still
-// outranks the deposed primary.
+// outranks the deposed primary. A primary below that term is refused
+// before anything is downloaded or discarded.
 func (f *Follower) Bootstrap(ctx context.Context) error {
+	// Fencing comes before divergence here too. A deposed primary that
+	// keeps taking writes ends up holding a different record at our
+	// applied LSN, so its polls answer 409 like a real divergence would
+	// — but taking ITS snapshot would trade the newer history we hold
+	// for the one a promotion overwrote, and our next poll (term 0, at
+	// the snapshot's LSN) would release its synchronous acks.
+	if seen := f.seenTerm.Load(); seen > 1 {
+		rd, err := f.client().Ready(ctx)
+		if err != nil {
+			return fmt.Errorf("replica: bootstrap: %w", err)
+		}
+		if max(rd.Term, 1) < seen {
+			f.fenced.Store(true)
+			return fmt.Errorf("replica: bootstrap: fenced: primary %s is at term %d but term %d exists — not taking a zombie's snapshot", f.client().BaseURL(), rd.Term, seen)
+		}
+	}
 	repBootstraps.Inc()
 	body, err := f.client().ReplicateSnapshot(ctx)
 	if err != nil {
@@ -379,7 +396,15 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 	if after > 0 {
 		afterTerm = f.appTerm.Load()
 	}
-	sr, err := f.client().ReplicateSince(ctx, after, afterTerm, f.MaxBatch, f.PollWait)
+	// Until one poll has completed cleanly — after boot and after every
+	// re-bootstrap — ask without long-polling: readiness needs only the
+	// primary's durable LSN, and an idle primary would otherwise hold
+	// that first answer, and so /v1/readyz, for the whole PollWait.
+	wait := f.PollWait
+	if !f.polled.Load() {
+		wait = 0
+	}
+	sr, err := f.client().ReplicateSince(ctx, after, afterTerm, f.MaxBatch, wait)
 	if err != nil {
 		var apiErr *api.Error
 		if errors.As(err, &apiErr) && apiErr.Code == api.CodeTermMismatch {

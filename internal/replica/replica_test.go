@@ -17,6 +17,7 @@ import (
 	"time"
 
 	semprox "repro"
+	"repro/api"
 	"repro/internal/fixtures"
 	"repro/internal/graph"
 	"repro/internal/mining"
@@ -30,6 +31,7 @@ import (
 type primaryHarness struct {
 	eng *semprox.Engine
 	log *wal.WAL
+	srv *server.Server
 	ts  *httptest.Server
 }
 
@@ -57,7 +59,7 @@ func newPrimaryHarness(t *testing.T) *primaryHarness {
 	srv.AttachWAL(w)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &primaryHarness{eng: eng, log: w, ts: ts}
+	return &primaryHarness{eng: eng, log: w, srv: srv, ts: ts}
 }
 
 // applyRandom pushes one random delta through the primary's durable write
@@ -102,6 +104,31 @@ func waitCaughtUp(t *testing.T, f *replica.Follower, target uint64) {
 	st := f.Status()
 	t.Fatalf("follower never caught up: applied %d, primary %d, lag %d, ready %v (target %d)",
 		st.Applied, st.PrimaryLSN, st.Lag, st.Ready, target)
+}
+
+// TestFollowerOfIdlePrimaryIsReadyAtOnce: readiness follows from a
+// bootstrap plus one clean poll, and that first poll must not long-poll
+// — a primary that takes no writes would otherwise keep its follower
+// unready for a whole PollWait (set far past the test's patience here).
+func TestFollowerOfIdlePrimaryIsReadyAtOnce(t *testing.T) {
+	h := newPrimaryHarness(t)
+	f := replica.NewFollower(h.ts.URL, h.ts.Client())
+	f.PollWait = time.Minute
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- f.Run(ctx) }()
+	defer func() { cancel(); <-runDone }()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for !f.Status().Ready {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower of an idle primary not ready after 5s (PollWait %v): %+v", f.PollWait, f.Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := f.Status(); st.Applied != 0 || st.Lag != 0 {
+		t.Fatalf("ready at %+v, want applied 0 / lag 0 on a log with no records", st)
+	}
 }
 
 // TestFollowerConvergesByteIdentical is the acceptance property of the
@@ -197,7 +224,7 @@ func TestFollowerConvergesByteIdentical(t *testing.T) {
 	fsrv.SetFollower(f)
 	fts := httptest.NewServer(fsrv)
 	defer fts.Close()
-	resp, err := fts.Client().Get(fts.URL + "/readyz")
+	resp, err := fts.Client().Get(fts.URL + api.PathReadyz)
 	if err != nil {
 		t.Fatal(err)
 	}

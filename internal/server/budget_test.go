@@ -19,8 +19,8 @@ import (
 // one POST /v1/query (k=10) through ServeHTTP into a fresh recorder with
 // the request log on — the whole server shell: middleware, trace ID,
 // strict decode, name resolution, the scan, render, encode, log line.
-// Measured 32 (58 before the wire codec); raise it only with a reason.
-const serveQueryAllocBudget = 33
+// Measured 31 (58 before the wire codec); raise it only with a reason.
+const serveQueryAllocBudget = 32
 
 var (
 	serveFixtureOnce sync.Once

@@ -30,7 +30,7 @@ func walServer(t *testing.T) (*Server, *wal.WAL, *semprox.Engine, *semprox.Graph
 
 func TestReadyzStandalone(t *testing.T) {
 	s, _, _ := trainedServer(t)
-	rec := do(t, s, http.MethodGet, "/readyz", "")
+	rec := do(t, s, http.MethodGet, api.PathReadyz, "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -45,9 +45,9 @@ func TestReadyzStandalone(t *testing.T) {
 
 func TestReplicationDisabledWithoutWAL(t *testing.T) {
 	s, _, _ := trainedServer(t)
-	wantErr(t, do(t, s, http.MethodGet, "/replicate/since?lsn=0", ""),
+	wantErr(t, do(t, s, http.MethodGet, api.PathReplicateSince+"?lsn=0", ""),
 		http.StatusServiceUnavailable, "replication_disabled")
-	wantErr(t, do(t, s, http.MethodGet, "/replicate/snapshot", ""),
+	wantErr(t, do(t, s, http.MethodGet, api.PathReplicateSnapshot, ""),
 		http.StatusServiceUnavailable, "replication_disabled")
 }
 
@@ -57,7 +57,7 @@ func TestReplicationDisabledWithoutWAL(t *testing.T) {
 func TestUpdateDurableAndReplicated(t *testing.T) {
 	s, w, eng, _ := walServer(t)
 
-	rec := do(t, s, http.MethodPost, "/update",
+	rec := do(t, s, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"user","name":"zoe"}],"edges":[{"u":"zoe","v":"Kate"}]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("update status = %d (%s)", rec.Code, rec.Body.String())
@@ -76,7 +76,7 @@ func TestUpdateDurableAndReplicated(t *testing.T) {
 		t.Fatalf("engine LSN = %d, want 1", eng.LSN())
 	}
 
-	rec = do(t, s, http.MethodGet, "/stats", "")
+	rec = do(t, s, http.MethodGet, api.PathStats, "")
 	var st api.StatsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestUpdateDurableAndReplicated(t *testing.T) {
 		t.Fatalf("stats LSN = %d, want 1", st.LSN)
 	}
 
-	rec = do(t, s, http.MethodGet, "/readyz", "")
+	rec = do(t, s, http.MethodGet, api.PathReadyz, "")
 	var rr api.ReadyResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestUpdateDurableAndReplicated(t *testing.T) {
 	}
 
 	// The logged record replays to the same delta the handler resolved.
-	rec = do(t, s, http.MethodGet, "/replicate/since?lsn=0", "")
+	rec = do(t, s, http.MethodGet, api.PathReplicateSince+"?lsn=0", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("since status = %d (%s)", rec.Code, rec.Body.String())
 	}
@@ -123,7 +123,7 @@ func TestUpdateDurableAndReplicated(t *testing.T) {
 
 	// Caught-up poll: empty records, last_lsn tells the follower where
 	// the primary is.
-	rec = do(t, s, http.MethodGet, "/replicate/since?lsn=1", "")
+	rec = do(t, s, http.MethodGet, api.PathReplicateSince+"?lsn=1", "")
 	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestUpdateDurableAndReplicated(t *testing.T) {
 
 func TestReplicateSnapshotStreamsEngine(t *testing.T) {
 	s, _, eng, g := walServer(t)
-	rec := do(t, s, http.MethodGet, "/replicate/snapshot", "")
+	rec := do(t, s, http.MethodGet, api.PathReplicateSnapshot, "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -157,11 +157,11 @@ func TestReplicateSnapshotStreamsEngine(t *testing.T) {
 
 func TestReplicateSinceBadParams(t *testing.T) {
 	s, _, _, _ := walServer(t)
-	wantErr(t, do(t, s, http.MethodGet, "/replicate/since", ""), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodGet, "/replicate/since?lsn=x", ""), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodGet, "/replicate/since?lsn=0&max=0", ""), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodGet, "/replicate/since?lsn=0&wait_ms=-1", ""), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodPost, "/replicate/since?lsn=0", "{}"), http.StatusMethodNotAllowed, "method_not_allowed")
+	wantErr(t, do(t, s, http.MethodGet, api.PathReplicateSince, ""), http.StatusBadRequest, "bad_request")
+	wantErr(t, do(t, s, http.MethodGet, api.PathReplicateSince+"?lsn=x", ""), http.StatusBadRequest, "bad_request")
+	wantErr(t, do(t, s, http.MethodGet, api.PathReplicateSince+"?lsn=0&max=0", ""), http.StatusBadRequest, "bad_request")
+	wantErr(t, do(t, s, http.MethodGet, api.PathReplicateSince+"?lsn=0&wait_ms=-1", ""), http.StatusBadRequest, "bad_request")
+	wantErr(t, do(t, s, http.MethodPost, api.PathReplicateSince+"?lsn=0", "{}"), http.StatusMethodNotAllowed, "method_not_allowed")
 }
 
 // TestReadyzWALFailed: a primary whose log can no longer accept appends
@@ -172,7 +172,7 @@ func TestReadyzWALFailed(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec := do(t, s, http.MethodGet, "/readyz", "")
+	rec := do(t, s, http.MethodGet, api.PathReadyz, "")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz on a write-dead primary = %d, want 503", rec.Code)
 	}
@@ -207,7 +207,7 @@ func TestFollowerRebootstrapSwapsServedEngine(t *testing.T) {
 	// The primary moves on (LSN 1) while the follower is detached; a
 	// second Bootstrap — what Run does after a stream gap — installs a
 	// fresh engine at the primary's new state.
-	rec := do(t, ps, http.MethodPost, "/update",
+	rec := do(t, ps, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"user","name":"zoe"}],"edges":[{"u":"zoe","v":"Kate"}]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("primary update = %d (%s)", rec.Code, rec.Body.String())
@@ -221,7 +221,7 @@ func TestFollowerRebootstrapSwapsServedEngine(t *testing.T) {
 
 	// Every read surface serves the re-bootstrapped engine.
 	var st api.StatsResponse
-	if err := json.Unmarshal(do(t, fsrv, http.MethodGet, "/stats", "").Body.Bytes(), &st); err != nil {
+	if err := json.Unmarshal(do(t, fsrv, http.MethodGet, api.PathStats, "").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.LSN != peng.LSN() || st.Nodes != oldNodes+1 {
@@ -229,13 +229,13 @@ func TestFollowerRebootstrapSwapsServedEngine(t *testing.T) {
 			st.LSN, st.Nodes, peng.LSN(), oldNodes+1)
 	}
 	var hr api.HealthResponse
-	if err := json.Unmarshal(do(t, fsrv, http.MethodGet, "/healthz", "").Body.Bytes(), &hr); err != nil {
+	if err := json.Unmarshal(do(t, fsrv, http.MethodGet, api.PathHealthz, "").Body.Bytes(), &hr); err != nil {
 		t.Fatal(err)
 	}
 	if hr.Nodes != oldNodes+1 {
 		t.Fatalf("follower /healthz nodes = %d, want %d", hr.Nodes, oldNodes+1)
 	}
-	if rec := do(t, fsrv, http.MethodGet, "/query?class=classmate&query=zoe&k=3", ""); rec.Code != http.StatusOK {
+	if rec := do(t, fsrv, http.MethodGet, api.PathQuery+"?class=classmate&query=zoe&k=3", ""); rec.Code != http.StatusOK {
 		t.Fatalf("follower /query for a post-bootstrap node = %d (%s)", rec.Code, rec.Body.String())
 	}
 }
@@ -246,10 +246,10 @@ func TestFollowerRebootstrapSwapsServedEngine(t *testing.T) {
 func TestFollowerServerIsReadOnly(t *testing.T) {
 	s, _, _ := trainedServer(t)
 	s.SetFollower(replica.NewFollower("http://primary.example:8080", nil))
-	wantErr(t, do(t, s, http.MethodPost, "/update",
+	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"user","name":"zoe"}]}`), http.StatusServiceUnavailable, "not_primary")
 
-	rec := do(t, s, http.MethodGet, "/readyz", "")
+	rec := do(t, s, http.MethodGet, api.PathReadyz, "")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz on unbootstrapped follower = %d, want 503", rec.Code)
 	}

@@ -3,8 +3,7 @@
 // contract — every request/response type, the error envelope, the path
 // constants, the request limits — lives in the public api package; this
 // package only binds those shapes to an engine. Endpoints (all under
-// /v1, with the unversioned pre-v1 paths served as byte-identical
-// aliases):
+// /v1; anything else is a 404 envelope):
 //
 //	GET  /v1/healthz    liveness plus graph/class inventory
 //	GET  /v1/classes    trained class names
@@ -99,7 +98,7 @@ type Server struct {
 	// families (WAL, replica, engine hot paths) live on the obs default
 	// registry; /metrics renders the union, so one scrape sees both —
 	// and in-process multi-server stacks keep per-server HTTP counters
-	// separable, which is what lets loadgen cross-check request counts.
+	// separable.
 	reg *obs.Registry
 	// wrap is mux behind the obs middleware (tracing, metrics, request
 	// log). Rebuilt by SetRequestLog — call that before serving.
@@ -133,9 +132,7 @@ type Server struct {
 }
 
 // New wraps an engine in an HTTP handler with background compaction after
-// updates enabled. Every endpoint is mounted twice — at its versioned
-// /v1 path and at its unversioned legacy alias — serving byte-identical
-// responses (error messages mention the canonical /v1 path either way).
+// updates enabled.
 func New(eng *semprox.Engine) *Server {
 	s := &Server{mux: http.NewServeMux(), reg: obs.NewRegistry(), autoCompact: true}
 	s.role.Store(&role{eng: eng})
@@ -151,8 +148,8 @@ func New(eng *semprox.Engine) *Server {
 		api.PathReplicateSnapshot: s.handleReplicateSnapshot,
 	} {
 		s.mux.HandleFunc(path, h)
-		s.mux.HandleFunc(api.LegacyPath(path), h)
 	}
+	s.mux.HandleFunc("/", wire.NotFound)
 	s.mux.Handle(metricsPath, obs.Handler(s.reg, obs.Default()))
 	// The epoch/LSN gauges read through s.engine() so a follower's
 	// re-bootstrap (which swaps engines) and a promotion keep the series
@@ -193,8 +190,8 @@ func (s *Server) SetRequestLog(logger *slog.Logger, slow time.Duration) {
 	s.buildWrap(logger, slow)
 }
 
-// knownPaths bounds metric label cardinality: canonical /v1 paths and
-// /metrics keep their names, everything else (typos, scans) collapses.
+// knownPaths bounds metric label cardinality: /v1 paths and /metrics
+// keep their names, everything else (typos, scans) collapses.
 var knownPaths = func() map[string]bool {
 	m := map[string]bool{metricsPath: true}
 	for _, p := range api.Paths() {
@@ -204,8 +201,8 @@ var knownPaths = func() map[string]bool {
 }()
 
 func pathLabel(p string) string {
-	if c := api.CanonicalPath(p); knownPaths[c] {
-		return c
+	if knownPaths[p] {
+		return p
 	}
 	return "other"
 }
@@ -302,16 +299,14 @@ func errInternal(format string, args ...any) *api.Error {
 }
 
 // resolveClass 404s for classes the serving epoch has not trained.
-func resolveClass(classes []string, class string) *api.Error {
+func resolveClass(v semprox.View, class string) *api.Error {
 	if class == "" {
 		return errBadRequest("missing class")
 	}
-	for _, c := range classes {
-		if c == class {
-			return nil
-		}
+	if v.HasClass(class) {
+		return nil
 	}
-	return errNotFound(api.CodeClassNotFound, "class %q not trained (have %v)", class, classes)
+	return errNotFound(api.CodeClassNotFound, "class %q not trained (have %v)", class, v.Classes())
 }
 
 // resolveNode maps a node name to its id, 404ing unknown names.
@@ -394,7 +389,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// scan, and the epoch header all describe the same generation, even
 	// if an update swaps a new epoch in mid-request.
 	v := s.engine().View()
-	if herr := resolveClass(v.Classes(), req.Class); herr != nil {
+	if herr := resolveClass(v, req.Class); herr != nil {
 		wire.WriteErr(w, herr)
 		return
 	}
@@ -759,7 +754,7 @@ func (s *Server) handleProximity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.engine().View()
-	if herr := resolveClass(v.Classes(), req.Class); herr != nil {
+	if herr := resolveClass(v, req.Class); herr != nil {
 		wire.WriteErr(w, herr)
 		return
 	}

@@ -81,7 +81,7 @@ func wantErr(t *testing.T, rec *httptest.ResponseRecorder, status int, code stri
 
 func TestHealthz(t *testing.T) {
 	s, eng, g := trainedServer(t)
-	rec := do(t, s, http.MethodGet, "/healthz", "")
+	rec := do(t, s, http.MethodGet, api.PathHealthz, "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -98,7 +98,7 @@ func TestHealthz(t *testing.T) {
 
 func TestClasses(t *testing.T) {
 	s, _, _ := trainedServer(t)
-	rec := do(t, s, http.MethodGet, "/classes", "")
+	rec := do(t, s, http.MethodGet, api.PathClasses, "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -122,8 +122,8 @@ func TestQuerySingleMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range []*httptest.ResponseRecorder{
-		do(t, s, http.MethodGet, "/query?class=classmate&query=Kate&k=5", ""),
-		do(t, s, http.MethodPost, "/query", `{"class":"classmate","query":"Kate","k":5}`),
+		do(t, s, http.MethodGet, api.PathQuery+"?class=classmate&query=Kate&k=5", ""),
+		do(t, s, http.MethodPost, api.PathQuery, `{"class":"classmate","query":"Kate","k":5}`),
 	} {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status = %d (%s)", rec.Code, rec.Body.String())
@@ -161,7 +161,7 @@ func TestQueryBatchMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	req, _ := json.Marshal(api.QueryRequest{Class: "classmate", Queries: names, K: 3})
-	rec := do(t, s, http.MethodPost, "/query", string(req))
+	rec := do(t, s, http.MethodPost, api.PathQuery, string(req))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d (%s)", rec.Code, rec.Body.String())
 	}
@@ -194,20 +194,20 @@ func TestQueryClientErrors(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"bad class", http.MethodGet, "/query?class=nope&query=Kate", "", http.StatusNotFound, "class_not_found"},
-		{"bad node", http.MethodGet, "/query?class=classmate&query=Nobody", "", http.StatusNotFound, "node_not_found"},
-		{"bad node in batch", http.MethodPost, "/query", `{"class":"classmate","queries":["Kate","Nobody"]}`, http.StatusNotFound, "node_not_found"},
-		{"malformed JSON", http.MethodPost, "/query", `{"class":"classmate",`, http.StatusBadRequest, "bad_request"},
-		{"unknown field", http.MethodPost, "/query", `{"class":"classmate","query":"Kate","frobnicate":1}`, http.StatusBadRequest, "bad_request"},
-		{"trailing garbage", http.MethodPost, "/query", `{"class":"classmate","query":"Kate"} extra`, http.StatusBadRequest, "bad_request"},
-		{"missing class", http.MethodPost, "/query", `{"query":"Kate"}`, http.StatusBadRequest, "bad_request"},
-		{"missing query", http.MethodPost, "/query", `{"class":"classmate"}`, http.StatusBadRequest, "bad_request"},
-		{"both forms", http.MethodPost, "/query", `{"class":"classmate","query":"Kate","queries":["Bob"]}`, http.StatusBadRequest, "bad_request"},
-		{"bad k", http.MethodGet, "/query?class=classmate&query=Kate&k=ten", "", http.StatusBadRequest, "bad_request"},
-		{"negative k", http.MethodGet, "/query?class=classmate&query=Kate&k=-1", "", http.StatusBadRequest, "bad_request"},
-		{"negative k post", http.MethodPost, "/query", `{"class":"classmate","query":"Kate","k":-5}`, http.StatusBadRequest, "bad_request"},
-		{"bad method", http.MethodDelete, "/query", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{"bad method healthz", http.MethodPost, "/healthz", `{}`, http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"bad class", http.MethodGet, api.PathQuery + "?class=nope&query=Kate", "", http.StatusNotFound, "class_not_found"},
+		{"bad node", http.MethodGet, api.PathQuery + "?class=classmate&query=Nobody", "", http.StatusNotFound, "node_not_found"},
+		{"bad node in batch", http.MethodPost, api.PathQuery, `{"class":"classmate","queries":["Kate","Nobody"]}`, http.StatusNotFound, "node_not_found"},
+		{"malformed JSON", http.MethodPost, api.PathQuery, `{"class":"classmate",`, http.StatusBadRequest, "bad_request"},
+		{"unknown field", http.MethodPost, api.PathQuery, `{"class":"classmate","query":"Kate","frobnicate":1}`, http.StatusBadRequest, "bad_request"},
+		{"trailing garbage", http.MethodPost, api.PathQuery, `{"class":"classmate","query":"Kate"} extra`, http.StatusBadRequest, "bad_request"},
+		{"missing class", http.MethodPost, api.PathQuery, `{"query":"Kate"}`, http.StatusBadRequest, "bad_request"},
+		{"missing query", http.MethodPost, api.PathQuery, `{"class":"classmate"}`, http.StatusBadRequest, "bad_request"},
+		{"both forms", http.MethodPost, api.PathQuery, `{"class":"classmate","query":"Kate","queries":["Bob"]}`, http.StatusBadRequest, "bad_request"},
+		{"bad k", http.MethodGet, api.PathQuery + "?class=classmate&query=Kate&k=ten", "", http.StatusBadRequest, "bad_request"},
+		{"negative k", http.MethodGet, api.PathQuery + "?class=classmate&query=Kate&k=-1", "", http.StatusBadRequest, "bad_request"},
+		{"negative k post", http.MethodPost, api.PathQuery, `{"class":"classmate","query":"Kate","k":-5}`, http.StatusBadRequest, "bad_request"},
+		{"bad method", http.MethodDelete, api.PathQuery, "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"bad method healthz", http.MethodPost, api.PathHealthz, `{}`, http.StatusMethodNotAllowed, "method_not_allowed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,7 +223,7 @@ func TestQueryBatchTooLarge(t *testing.T) {
 		big.Queries[i] = "Kate"
 	}
 	req, _ := json.Marshal(big)
-	wantErr(t, do(t, s, http.MethodPost, "/query", string(req)), http.StatusBadRequest, "bad_request")
+	wantErr(t, do(t, s, http.MethodPost, api.PathQuery, string(req)), http.StatusBadRequest, "bad_request")
 }
 
 func TestProximity(t *testing.T) {
@@ -233,8 +233,8 @@ func TestProximity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range []*httptest.ResponseRecorder{
-		do(t, s, http.MethodGet, "/proximity?class=classmate&x=Kate&y=Jay", ""),
-		do(t, s, http.MethodPost, "/proximity", `{"class":"classmate","x":"Kate","y":"Jay"}`),
+		do(t, s, http.MethodGet, api.PathProximity+"?class=classmate&x=Kate&y=Jay", ""),
+		do(t, s, http.MethodPost, api.PathProximity, `{"class":"classmate","x":"Kate","y":"Jay"}`),
 	} {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status = %d (%s)", rec.Code, rec.Body.String())
@@ -249,9 +249,9 @@ func TestProximity(t *testing.T) {
 			t.Fatalf("proximity = %v, want %v", body.Proximity, want)
 		}
 	}
-	wantErr(t, do(t, s, http.MethodGet, "/proximity?class=classmate&x=Kate", ""),
+	wantErr(t, do(t, s, http.MethodGet, api.PathProximity+"?class=classmate&x=Kate", ""),
 		http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodGet, "/proximity?class=classmate&x=Kate&y=Nobody", ""),
+	wantErr(t, do(t, s, http.MethodGet, api.PathProximity+"?class=classmate&x=Kate&y=Nobody", ""),
 		http.StatusNotFound, "node_not_found")
 }
 
@@ -276,16 +276,16 @@ func TestConcurrentQueryDuringTrain(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				name := names[(w+i)%len(names)]
-				if rec := do(t, s, http.MethodGet, "/query?class=classmate&query="+name, ""); rec.Code != http.StatusOK {
+				if rec := do(t, s, http.MethodGet, api.PathQuery+"?class=classmate&query="+name, ""); rec.Code != http.StatusOK {
 					t.Errorf("query %s: status %d", name, rec.Code)
 					return
 				}
 				body := fmt.Sprintf(`{"class":"classmate","queries":["%s","Kate"],"k":3}`, name)
-				if rec := do(t, s, http.MethodPost, "/query", body); rec.Code != http.StatusOK {
+				if rec := do(t, s, http.MethodPost, api.PathQuery, body); rec.Code != http.StatusOK {
 					t.Errorf("batch %s: status %d", name, rec.Code)
 					return
 				}
-				if rec := do(t, s, http.MethodGet, "/healthz", ""); rec.Code != http.StatusOK {
+				if rec := do(t, s, http.MethodGet, api.PathHealthz, ""); rec.Code != http.StatusOK {
 					t.Errorf("healthz: status %d", rec.Code)
 					return
 				}
@@ -294,7 +294,7 @@ func TestConcurrentQueryDuringTrain(t *testing.T) {
 	}
 	wg.Wait()
 	<-done
-	rec := do(t, s, http.MethodGet, "/query?class=family&query=Alice", "")
+	rec := do(t, s, http.MethodGet, api.PathQuery+"?class=family&query=Alice", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("family query after train: %d (%s)", rec.Code, rec.Body.String())
 	}
@@ -316,11 +316,11 @@ func TestSnapshotServesIdentically(t *testing.T) {
 	}
 	s2 := New(loaded)
 	targets := []string{
-		"/query?class=classmate&query=Kate&k=5",
-		"/query?class=classmate&query=Bob",
-		"/proximity?class=classmate&x=Kate&y=Jay",
-		"/classes",
-		"/healthz",
+		api.PathQuery + "?class=classmate&query=Kate&k=5",
+		api.PathQuery + "?class=classmate&query=Bob",
+		api.PathProximity + "?class=classmate&x=Kate&y=Jay",
+		api.PathClasses,
+		api.PathHealthz,
 	}
 	for _, target := range targets {
 		r1 := do(t, s1, http.MethodGet, target, "")
@@ -333,8 +333,8 @@ func TestSnapshotServesIdentically(t *testing.T) {
 		}
 	}
 	batch := `{"class":"classmate","queries":["Kate","Bob","Alice"],"k":4}`
-	r1 := do(t, s1, http.MethodPost, "/query", batch)
-	r2 := do(t, s2, http.MethodPost, "/query", batch)
+	r1 := do(t, s1, http.MethodPost, api.PathQuery, batch)
+	r2 := do(t, s2, http.MethodPost, api.PathQuery, batch)
 	if r1.Code != http.StatusOK || !bytes.Equal(r1.Body.Bytes(), r2.Body.Bytes()) {
 		t.Fatalf("batched /query drifted after snapshot:\n%s\nvs\n%s", r1.Body.String(), r2.Body.String())
 	}
@@ -358,7 +358,7 @@ func TestUpdateAddsAndServes(t *testing.T) {
 	s.SetAutoCompact(false)
 	body := `{"nodes":[{"type":"user","name":"Zoe"},{"type":"school","name":"College Z"}],
 	          "edges":[{"u":"Zoe","v":"College Z"},{"u":"Kate","v":"College Z"},{"u":"Zoe","v":"College A"}]}`
-	out := decodeUpdate(t, do(t, s, http.MethodPost, "/update", body))
+	out := decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate, body))
 	if out.Epoch != 1 || out.NodesAdded != 2 || out.EdgesAdded != 3 {
 		t.Fatalf("update response = %+v", out)
 	}
@@ -373,7 +373,7 @@ func TestUpdateAddsAndServes(t *testing.T) {
 	}
 	// The new user is queryable: Zoe and Kate now share College Z with
 	// College A linking Zoe into Kate's old neighborhood.
-	rec := do(t, s, http.MethodGet, "/query?class=classmate&query=Zoe&k=5", "")
+	rec := do(t, s, http.MethodGet, api.PathQuery+"?class=classmate&query=Zoe&k=5", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query after update: %d (%s)", rec.Code, rec.Body.String())
 	}
@@ -389,16 +389,16 @@ func TestUpdateAddsAndServes(t *testing.T) {
 func TestUpdateValidation(t *testing.T) {
 	s, _, _ := trainedServer(t)
 	s.SetAutoCompact(false)
-	wantErr(t, do(t, s, http.MethodPost, "/update", `{}`), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodPost, "/update",
+	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate, `{}`), http.StatusBadRequest, "bad_request")
+	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"starship","name":"x"}]}`), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodPost, "/update",
+	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"user"}]}`), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodPost, "/update",
+	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"edges":[{"u":"Kate","v":"Nobody Known"}]}`), http.StatusNotFound, "node_not_found")
-	wantErr(t, do(t, s, http.MethodPost, "/update",
+	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"edges":[{"u":"Kate"}]}`), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodGet, "/update", ""), http.StatusMethodNotAllowed, "method_not_allowed")
+	wantErr(t, do(t, s, http.MethodGet, api.PathUpdate, ""), http.StatusMethodNotAllowed, "method_not_allowed")
 	// Oversized batches are rejected before any resolution work.
 	var sb strings.Builder
 	sb.WriteString(`{"edges":[`)
@@ -409,10 +409,10 @@ func TestUpdateValidation(t *testing.T) {
 		sb.WriteString(`{"u":"Kate","v":"Jay"}`)
 	}
 	sb.WriteString(`]}`)
-	wantErr(t, do(t, s, http.MethodPost, "/update", sb.String()), http.StatusBadRequest, "bad_request")
+	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate, sb.String()), http.StatusBadRequest, "bad_request")
 	// Nothing above may have advanced the epoch.
 	var st api.StatsResponse
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/stats", "").Body.Bytes(), &st); err != nil {
+	if err := json.Unmarshal(do(t, s, http.MethodGet, api.PathStats, "").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Epoch != 0 {
@@ -423,7 +423,7 @@ func TestUpdateValidation(t *testing.T) {
 func TestStats(t *testing.T) {
 	s, eng, g := trainedServer(t)
 	s.SetAutoCompact(false)
-	rec := do(t, s, http.MethodGet, "/stats", "")
+	rec := do(t, s, http.MethodGet, api.PathStats, "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d", rec.Code)
 	}
@@ -436,20 +436,20 @@ func TestStats(t *testing.T) {
 		st.PendingCompaction != 0 || len(st.Classes) != 1 || st.Classes[0] != "classmate" {
 		t.Fatalf("stats = %+v", st)
 	}
-	decodeUpdate(t, do(t, s, http.MethodPost, "/update",
+	decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"hobby","name":"chess"}],"edges":[{"u":"Kate","v":"chess"}]}`))
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/stats", "").Body.Bytes(), &st); err != nil {
+	if err := json.Unmarshal(do(t, s, http.MethodGet, api.PathStats, "").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Epoch != 1 || st.Nodes != g.NumNodes()+1 || st.Edges != g.NumEdges()+1 || st.PendingCompaction == 0 {
 		t.Fatalf("stats after update = %+v", st)
 	}
-	wantErr(t, do(t, s, http.MethodPost, "/stats", "{}"), http.StatusMethodNotAllowed, "method_not_allowed")
+	wantErr(t, do(t, s, http.MethodPost, api.PathStats, "{}"), http.StatusMethodNotAllowed, "method_not_allowed")
 }
 
 func TestUpdateAutoCompacts(t *testing.T) {
 	s, eng, _ := trainedServer(t)
-	decodeUpdate(t, do(t, s, http.MethodPost, "/update",
+	decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"hobby","name":"chess"}],"edges":[{"u":"Kate","v":"chess"}]}`))
 	s.WaitCompactions()
 	if p := eng.Stats().PendingCompaction; p != 0 {
@@ -475,12 +475,12 @@ func TestUpdateWhileQuerying(t *testing.T) {
 					return
 				default:
 				}
-				rec := do(t, s, http.MethodGet, "/query?class=classmate&query=Kate&k=5", "")
+				rec := do(t, s, http.MethodGet, api.PathQuery+"?class=classmate&query=Kate&k=5", "")
 				if rec.Code != http.StatusOK {
 					t.Errorf("query during update: %d (%s)", rec.Code, rec.Body.String())
 					return
 				}
-				if rec := do(t, s, http.MethodGet, "/stats", ""); rec.Code != http.StatusOK {
+				if rec := do(t, s, http.MethodGet, api.PathStats, ""); rec.Code != http.StatusOK {
 					t.Errorf("stats during update: %d", rec.Code)
 					return
 				}
@@ -489,7 +489,7 @@ func TestUpdateWhileQuerying(t *testing.T) {
 	}
 	for i := 0; i < updates; i++ {
 		body := fmt.Sprintf(`{"nodes":[{"type":"user","name":"live-%d"}],"edges":[{"u":"live-%d","v":"College A"}]}`, i, i)
-		decodeUpdate(t, do(t, s, http.MethodPost, "/update", body))
+		decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate, body))
 	}
 	close(stop)
 	wg.Wait()
@@ -515,7 +515,7 @@ func TestConcurrentUpdatesDoNotCrossWire(t *testing.T) {
 			body := fmt.Sprintf(
 				`{"nodes":[{"type":"user","name":"cc-%d"}],"edges":[{"u":"cc-%d","v":"College A"},{"u":"cc-%d","v":"Alice"}]}`,
 				i, i, i)
-			if rec := do(t, s, http.MethodPost, "/update", body); rec.Code != http.StatusOK {
+			if rec := do(t, s, http.MethodPost, api.PathUpdate, body); rec.Code != http.StatusOK {
 				t.Errorf("update %d: %d (%s)", i, rec.Code, rec.Body.String())
 			}
 		}(i)

@@ -11,7 +11,7 @@ import "repro/internal/obs"
 
 var (
 	walAppends = obs.Default().Counter("semprox_wal_appends_total",
-		"Records handed to the WAL commit pipeline (blocking, async, and raw-batch appends).")
+		"Records handed to the WAL commit pipeline (async and raw-batch appends).")
 	walFsync = obs.Default().Histogram("semprox_wal_fsync_seconds",
 		"Latency of each coalesced group-commit fsync.", obs.Seconds)
 	walBatch = obs.Default().Histogram("semprox_wal_commit_batch_records",

@@ -13,13 +13,10 @@
 //	uint32 length | uint32 CRC32-C of payload | payload
 //	payload = uvarint LSN ++ uvarint term ++ graph.AppendDelta encoding
 //
-// Two wire versions coexist, distinguished by the header magic. The
-// current format ("SPXWAL02") carries a term (promotion epoch) varint in
-// every payload; the legacy format ("SPXWAL01") has no term and its
-// records read back as term 1 — the term every log starts at. A legacy
-// log reopened by this version keeps its old segments readable in place,
-// seals the legacy active segment, and appends new records to a fresh
-// current-format segment: formats never mix within one segment.
+// There is one format: the magic is "SPXWAL02" and every payload carries
+// a term (promotion epoch) varint. A segment with any other magic —
+// including the term-less one of early checkouts, which nothing writes
+// — is refused at Open with an error that quotes it.
 //
 // LSNs (log sequence numbers) are assigned contiguously from 1 (or
 // Options.BaseLSN+1), one per appended delta, and match the engine's LSN
@@ -38,16 +35,16 @@
 // writer goroutine drains encoded records and issues the write() while a
 // syncer goroutine fsyncs the previous batch, so batch N+1 is being
 // written (and N+2 accumulating) while batch N's fsync is in flight.
-// Append blocks until its record is written AND fsynced; AppendAsync
-// returns as soon as the record is sequenced and WaitDurable supplies
-// the durability barrier separately, which lets a server apply an update
-// to its in-memory state while the fsync is still in flight and only
-// delay the client's ack — never visibility ordering — on the disk. A
-// torn tail write (crash mid-record) is detected by length/CRC at Open
-// and truncated away; corruption in any sealed (non-final) segment is an
-// error, never silently skipped. Options.Inject mounts a fault-injection
-// schedule (internal/faultfs) on every write/fsync/create path so tests
-// prove those claims with real injected failures.
+// AppendAsync returns as soon as the record is sequenced and WaitDurable
+// supplies the durability barrier separately (Append is the two in
+// sequence), which lets a server apply an update to its in-memory state
+// while the fsync is still in flight and only delay the client's ack —
+// never visibility ordering — on the disk. A torn tail write (crash
+// mid-record) is detected by length/CRC at Open and truncated away;
+// corruption in any sealed (non-final) segment is an error, never
+// silently skipped. Options.Inject mounts a fault-injection schedule
+// (internal/faultfs) on every write/fsync/create path so tests prove
+// those claims with real injected failures.
 package wal
 
 import (
@@ -69,9 +66,7 @@ import (
 )
 
 const (
-	// segMagicV1 opens legacy (term-less) segment files.
-	segMagicV1 = "SPXWAL01"
-	// segMagic opens every current-format segment file.
+	// segMagic opens every segment file.
 	segMagic = "SPXWAL02"
 	// headerSize is the segment header: magic plus the first LSN.
 	headerSize = len(segMagic) + 8
@@ -114,10 +109,9 @@ type Record struct {
 
 // segment tracks one on-disk segment file.
 type segment struct {
-	path    string
-	first   uint64 // first LSN the segment stores (header-declared)
-	last    uint64 // last LSN written, 0 while empty
-	version int    // wire version from the header magic (1 legacy, 2 current)
+	path  string
+	first uint64 // first LSN the segment stores (header-declared)
+	last  uint64 // last LSN written, 0 while empty
 }
 
 // syncReq asks the syncer goroutine for one fsync of f. last, when
@@ -490,7 +484,7 @@ func (w *WAL) recover() error {
 		}
 		final := i == len(w.segments)-1
 		var firstTerm, segLastTerm uint64
-		size, last, version, err := scanSegment(seg.path, seg.first, !final, func(lsn, term uint64, body []byte) bool {
+		size, last, err := scanSegment(seg.path, seg.first, !final, func(lsn, term uint64, body []byte) bool {
 			if firstTerm == 0 {
 				firstTerm = term
 			}
@@ -510,11 +504,9 @@ func (w *WAL) recover() error {
 			prevSegTerm = segLastTerm
 		}
 		seg.last = last
-		seg.version = version
 		if final {
 			// Truncate a torn tail (no-op when the scan consumed the whole
-			// file). Current-format segments reopen for appending; a legacy
-			// final segment is sealed here and a fresh segment created below.
+			// file) and reopen the segment for appending.
 			f, err := os.OpenFile(seg.path, os.O_RDWR, 0o644)
 			if err != nil {
 				return fmt.Errorf("wal: %w", err)
@@ -532,16 +524,12 @@ func (w *WAL) recover() error {
 					return fmt.Errorf("wal: %w", err)
 				}
 			}
-			if version == 2 {
-				if _, err := f.Seek(size, 0); err != nil {
-					f.Close()
-					return fmt.Errorf("wal: %w", err)
-				}
-				w.active = f
-				w.activeSize = size
-			} else if err := f.Close(); err != nil {
+			if _, err := f.Seek(size, 0); err != nil {
+				f.Close()
 				return fmt.Errorf("wal: %w", err)
 			}
+			w.active = f
+			w.activeSize = size
 		}
 		if last > 0 {
 			expect = last + 1
@@ -554,34 +542,6 @@ func (w *WAL) recover() error {
 	w.durable = expect - 1
 	w.lastTerm = prevSegTerm
 
-	if w.segments[len(w.segments)-1].version != 2 {
-		// Legacy active segment, now sealed. If it holds no records its
-		// name collides with the fresh segment's (same first LSN): drop
-		// it — an empty legacy tail is pure header, not data.
-		if tail := &w.segments[len(w.segments)-1]; tail.last == 0 && tail.first == expect {
-			if err := os.Remove(tail.path); err != nil {
-				return fmt.Errorf("wal: drop empty legacy segment: %w", err)
-			}
-			if err := syncDir(w.dir); err != nil {
-				return err
-			}
-			w.segments = w.segments[:len(w.segments)-1]
-		}
-		if len(w.segments) == 0 {
-			return w.openFresh(expect)
-		}
-		f, size, err := createSegment(w.segmentPath(expect), expect, w.opts.Inject)
-		if err != nil {
-			return err
-		}
-		if err := syncDir(w.dir); err != nil {
-			f.Close()
-			return err
-		}
-		w.active = f
-		w.activeSize = size
-		w.segments = append(w.segments, segment{path: f.Name(), first: expect, version: 2})
-	}
 	return nil
 }
 
@@ -597,14 +557,13 @@ func (w *WAL) openFresh(first uint64) error {
 	}
 	w.active = f
 	w.activeSize = size
-	w.segments = []segment{{path: f.Name(), first: first, version: 2}}
+	w.segments = []segment{{path: f.Name(), first: first}}
 	w.next = first
 	w.durable = first - 1
 	return nil
 }
 
-// createSegment writes a new current-format segment file with its
-// header, fsynced.
+// createSegment writes a new segment file with its header, fsynced.
 func createSegment(path string, first uint64, inject *faultfs.Injector) (*os.File, int64, error) {
 	if err := inject.Check(faultfs.OpCreate); err != nil {
 		return nil, 0, fmt.Errorf("wal: create segment: %w", err)
@@ -641,37 +600,19 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Append encodes d as the next record, hands it to the commit pipeline,
-// and blocks until the record is written and fsynced. It returns the
-// record's LSN. Concurrent appenders share fsyncs: all records that
-// accumulate while one sync is in flight commit with the next single
-// sync.
+// Append is AppendAsync followed by WaitDurable: it returns the record's
+// LSN once the record is written and fsynced. Concurrent appenders
+// share fsyncs: all records that accumulate while one sync is in flight
+// commit with the next single sync.
 func (w *WAL) Append(d graph.Delta) (uint64, error) {
-	body, err := encodeRecord(d)
+	lsn, err := w.AppendAsync(d)
+	if err == nil {
+		err = w.WaitDurable(lsn)
+	}
 	if err != nil {
 		return 0, err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return 0, w.err
-	}
-	if w.closed {
-		return 0, fmt.Errorf("wal: closed")
-	}
-	lsn := w.next
-	w.enqueueLocked(lsn, w.term, body)
-	walAppends.Inc()
-	if !w.writing {
-		w.leadOnceLocked()
-	}
-	for w.err == nil && w.durable < lsn {
-		w.cond.Wait()
-	}
-	if w.durable >= lsn {
-		return lsn, nil
-	}
-	return 0, w.err
+	return lsn, nil
 }
 
 // encodeRecord validates and encodes one delta for appending. A record
@@ -717,8 +658,7 @@ func (w *WAL) AppendAsync(d graph.Delta) (uint64, error) {
 	// Hand the batch to the flusher rather than leading inline: an async
 	// appender is a stream, and the records it enqueues while the
 	// flusher is writing the previous batch become the next convoy — one
-	// fsync for all of them. (Blocking Append leads inline instead: it
-	// is about to park anyway, and self-leading saves a handoff.)
+	// fsync for all of them.
 	w.cond.Broadcast()
 	return lsn, nil
 }
@@ -832,10 +772,10 @@ func (w *WAL) WaitDurable(lsn uint64) error {
 // syncer flushes batch N, the next leader is already writing batch N+1
 // and appenders are accumulating N+2, which is what lets one fsync
 // commit a whole convoy instead of collapsing to one record per sync
-// under lock-step wakeups. Running in the appender itself (rather than
-// a dedicated writer goroutine) keeps the uncontended single-writer
-// path at the same two goroutine handoffs the non-pipelined design
-// paid. Caller holds w.mu with w.writing false, pending non-empty and
+// under lock-step wakeups. AppendRawBatch runs it in the appender
+// itself — the follower's single writer is about to park anyway, and
+// self-leading saves a handoff; the flusher runs it for everyone else.
+// Caller holds w.mu with w.writing false, pending non-empty and
 // err nil; returns with w.mu held.
 func (w *WAL) leadOnceLocked() {
 	w.writing = true
@@ -890,10 +830,10 @@ func (w *WAL) leadOnceLocked() {
 	w.cond.Broadcast()
 }
 
-// flusherLoop is the fallback commit leader: it drains records no
-// appender is positioned to lead — AppendAsync stragglers enqueued
-// while another leader was mid-write — and performs the final drain at
-// Close. It parks unless there is work only it can pick up.
+// flusherLoop is the commit leader for everything AppendAsync (and so
+// Append) enqueues, picks up records that arrived while an
+// AppendRawBatch caller was leading mid-write, and performs the final
+// drain at Close. It parks unless there is pending work and no leader.
 func (w *WAL) flusherLoop() {
 	defer close(w.flusherDone)
 	w.mu.Lock()
@@ -1030,7 +970,7 @@ func (w *WAL) rotate(firstLSN uint64) error {
 	w.mu.Lock()
 	w.active = f
 	w.activeSize = size
-	w.segments = append(w.segments, segment{path: f.Name(), first: firstLSN, version: 2})
+	w.segments = append(w.segments, segment{path: f.Name(), first: firstLSN})
 	w.mu.Unlock()
 	return nil
 }

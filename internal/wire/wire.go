@@ -122,9 +122,13 @@ func WriteErr(w http.ResponseWriter, err *api.Error) {
 	WriteJSON(w, err.Status, api.ErrorEnvelope{Error: *err})
 }
 
-// MethodCheck 405s anything but the allowed methods. The message names
-// the canonical /v1 path whichever alias was hit, keeping legacy and
-// versioned responses byte-identical.
+// NotFound is the catch-all both tiers mount on "/": a path that is not
+// an endpoint gets the envelope, not the mux's plain-text 404.
+func NotFound(w http.ResponseWriter, r *http.Request) {
+	WriteErr(w, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no endpoint at %s", r.URL.Path))
+}
+
+// MethodCheck 405s anything but the allowed methods.
 func MethodCheck(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
 	for _, m := range allowed {
 		if r.Method == m {
@@ -133,7 +137,7 @@ func MethodCheck(w http.ResponseWriter, r *http.Request, allowed ...string) bool
 	}
 	w.Header().Set("Allow", strings.Join(allowed, ", "))
 	WriteErr(w, api.Errorf(http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-		"method %s not allowed on %s", r.Method, api.CanonicalPath(r.URL.Path)))
+		"method %s not allowed on %s", r.Method, r.URL.Path))
 	return false
 }
 

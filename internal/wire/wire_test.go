@@ -79,9 +79,8 @@ func TestWriteErrAndMethodCheck(t *testing.T) {
 	} else {
 		t.Fatal("GET refused")
 	}
-	// The legacy alias is refused with the canonical path in the message.
 	rec = httptest.NewRecorder()
-	if MethodCheck(rec, httptest.NewRequest(http.MethodDelete, "/update", nil), http.MethodPost) {
+	if MethodCheck(rec, httptest.NewRequest(http.MethodDelete, api.PathUpdate, nil), http.MethodPost) {
 		t.Fatal("DELETE allowed")
 	}
 	want := stdBody(t, api.ErrorEnvelope{Error: api.Error{Code: api.CodeMethodNotAllowed,

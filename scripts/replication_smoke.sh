@@ -81,17 +81,6 @@ for q in user-1 user-7 smoke-2; do
     }
 done
 
-echo "== legacy aliases answer byte-identically to /v1"
-for path in "query?class=college&query=user-1&k=10" stats healthz; do
-    curl -fsS "http://$PRIMARY/v1/$path" >"$tmp/v1.json"
-    curl -fsS "http://$PRIMARY/$path" >"$tmp/legacy.json"
-    cmp -s "$tmp/v1.json" "$tmp/legacy.json" || {
-        echo "FAIL: legacy /$path diverged from /v1/$path" >&2
-        diff "$tmp/v1.json" "$tmp/legacy.json" >&2 || true
-        exit 1
-    }
-done
-
 p_lsn=$(ctl -primary "http://$PRIMARY" -stats | jq .lsn)
 f_lsn=$(ctl -primary "http://$FOLLOWER" -stats | jq .lsn)
 lag=$(curl -fsS "http://$FOLLOWER/v1/readyz" | jq .lag)
