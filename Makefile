@@ -86,13 +86,17 @@ cover:
 # One iteration each of the benchmarks no other target runs, so they are
 # compiled and executed on every commit: the snapshot codec (Save and
 # LoadEngine at 5 000 users — the restart-to-serving path), one update
-# on the highest-degree node of a LinkedIn-shaped graph, and one query
-# and one batch of 8 through the whole server handler chain with the
-# request log on and off (allocs/op reported; TestServeAllocBudget is
-# the gate, this keeps the benchmarks themselves running).
+# on the highest-degree node of a LinkedIn-shaped graph, the ranked scan
+# (warm on a small index, and `uniform`: seeded random anchors on the
+# 5 000-user index, which is what a daemon pays), and one query and one
+# batch of 8 through the whole server handler chain with the request log
+# on and off and `uniform` likewise (allocs/op and candidates/op
+# reported; TestServeAllocBudget is the gate, this keeps the benchmarks
+# themselves running).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server
 
 # The measurement spine compiles against the product and checks it:

@@ -261,6 +261,21 @@ func waitReady(t testing.TB, f *replica.Follower) {
 	t.Fatal("follower never became ready")
 }
 
+// waitApplied blocks until f is ready AND has applied the log through lsn.
+// Readiness alone is as of the follower's last poll, which may predate the
+// writes a test just made.
+func waitApplied(t testing.TB, f *replica.Follower, lsn uint64) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		if st := f.Status(); st.Ready && st.Applied >= lsn {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("follower never applied LSN %d: %+v", lsn, f.Status())
+}
+
 // routedHarness is the full in-process routed-serving stack the ISSUE's
 // acceptance criteria name: one durable primary, two real followers
 // streaming its WAL, and a Router over all three.
@@ -423,7 +438,7 @@ func TestFailoverPrimaryDeath(t *testing.T) {
 		}
 	}
 	for _, f := range rh.followers {
-		waitReady(t, f)
+		waitApplied(t, f, rh.h.eng.LSN())
 	}
 	rh.waitAllReady(t)
 

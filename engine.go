@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -110,6 +111,11 @@ type classModel struct {
 	kept  []int // metagraph indices the model was trained on
 	ix    *index.Index
 	model *core.Model
+	// dots is ix.NodeDots(model.W): m_v·w by node id, the half of every
+	// candidate's denominator a query does not change. Derived like the
+	// adjacency — publish fills it in, patchClass carries it, no snapshot
+	// holds it.
+	dots []float64
 }
 
 // validEngine reports whether name selects a known matching engine,
@@ -253,12 +259,16 @@ func (e *Engine) MatchedCount() int {
 
 // publish installs the next epoch with its pending-compaction count
 // recomputed. It is the one door to readers, so it finishes every class
-// index first: the partner adjacency a ranked read scans is built here, on
-// the writer (a no-op for an index that inherited it through WithPatch),
-// and no reader of a published epoch ever builds it. Callers hold e.mu.
+// first: the partner adjacency a ranked read scans and the denominators it
+// adds up are derived here, on the writer (both already there for a class
+// patchClass carried over), and no reader of a published epoch ever builds
+// either. Callers hold e.mu.
 func (e *Engine) publish(ep *epoch) {
 	for _, cm := range ep.classes {
 		cm.ix.BuildAdjacency()
+		if cm.dots == nil {
+			cm.dots = cm.ix.NodeDots(cm.model.W)
+		}
 	}
 	ep.pending = 0
 	if ep.g.Overlaid() {
@@ -407,7 +417,7 @@ func (v View) Classes() []string {
 
 // Query ranks the nodes closest to q under the named class and returns
 // the top k (k <= 0 returns all candidates). The class must be trained.
-// The scan runs on the caller's goroutine (core.RankTop). Safe for
+// The scan runs on the caller's goroutine (core.RankCandidates). Safe for
 // concurrent use at any time, including while the engine trains, applies
 // updates, or compacts.
 func (e *Engine) Query(class string, q NodeID, k int) ([]Ranked, error) {
@@ -423,11 +433,15 @@ func (v View) Query(class string, q NodeID, k int) ([]Ranked, error) {
 	return rank(cm, q, k), nil
 }
 
-// rank answers one ranked query on a class and records how many
-// candidates the scan visited.
+// rank answers one ranked query on a class and records how long the scan
+// took and how many candidates it visited.
 func rank(cm *classModel, q NodeID, k int) []Ranked {
-	engCandidates.Observe(int64(len(cm.ix.Partners(q))))
-	return core.RankTop(cm.ix, cm.model.W, q, k)
+	start := time.Now()
+	cands := cm.ix.Candidates(q)
+	top := core.RankCandidates(cands, cm.model.W, cm.dots, k)
+	engRank.Since(start)
+	engCandidates.Observe(int64(len(cands.Nodes)))
+	return top
 }
 
 // QueryBatch answers many queries of one class in a single call, one

@@ -64,21 +64,44 @@ func Rank(ix *index.Index, w []float64, q graph.NodeID) []Ranked {
 	return RankTop(ix, w, q, 0)
 }
 
-// RankTop returns the top k of Rank (k <= 0 means all). It is one pass
-// over q's adjacency row: every candidate's vectors sit at stored
-// positions (no search per candidate), and only the k best are kept, in a
-// bounded heap — the returned slice is the call's one allocation.
+// RankTop returns the top k of Rank (k <= 0 means all): RankCandidates
+// over q's adjacency row, every denominator computed from the node rows.
 func RankTop(ix *index.Index, w []float64, q graph.NodeID, k int) []Ranked {
-	cands := ix.Candidates(q)
+	return RankCandidates(ix.Candidates(q), w, nil, k)
+}
+
+// RankCandidates is the scan of the online phase: one pass over the
+// adjacency row of a query node q, scoring every candidate v by Def. 3 and
+// keeping only the k best (k <= 0 means all) in a bounded heap — the
+// returned slice is the call's one allocation. Every candidate's pair row
+// sits in scan order (no search per candidate). dots, when non-nil, is
+// ix.NodeDots(w) of the index the row came from — m_v·w is a constant of
+// (w, v), so a caller that ranks under one w many times computes it once —
+// and the scan then reads no node row at all; with nil dots it evaluates
+// the same SparseVec.Dot per candidate, so both give the same bits.
+func RankCandidates(cands index.Candidates, w, dots []float64, k int) []Ranked {
 	// No ranking is longer than the candidate list, so an oversized k (a
 	// client asking for "everything") never sizes the allocation.
 	if k <= 0 || k > len(cands.Nodes) {
 		k = len(cands.Nodes)
 	}
 	top := make(worstHeap, 0, k)
-	qDot := ix.NodeVec(q).Dot(w)
+	if k == 0 {
+		return top
+	}
+	var qDot float64
+	if dots != nil {
+		qDot = dots[cands.Query]
+	} else {
+		qDot = cands.QueryVec().Dot(w)
+	}
 	for i, v := range cands.Nodes {
-		den := qDot + cands.NodeVec(i).Dot(w)
+		den := qDot
+		if dots != nil {
+			den += dots[v]
+		} else {
+			den += cands.NodeVec(i).Dot(w)
+		}
 		if den <= 0 {
 			continue
 		}

@@ -10,20 +10,25 @@ import (
 )
 
 // The query-major partner adjacency. The online phase (Fig. 3) scores every
-// node of Partners(q); looking each candidate's m_v and m_qv up by key costs
-// two binary searches per candidate, which is where a ranked query's time
-// went. The adjacency stores, per node, its ascending partner list with the
-// position of each pair's row in the pair arena beside it, and a dense
-// per-node position of every m_v row in the node arena — so a scan follows
-// stored positions and searches nothing.
+// node of Partners(q), and what it reads per candidate v is the row m_qv.
+// The by-key pair table keeps the rows of the pairs (q, v > q) side by side
+// — they share the high word of their key — but the row of a pair (v, q)
+// with v < q sits among v's, at an address unrelated to q's other rows: one
+// cache miss per partner below q. The adjacency stores, per node, its
+// ascending partner list and, INLINE in slot order, a copy of the rows of
+// the partners below it; the partners above it are read where the pair
+// table already holds them contiguously. A scan of q therefore walks a
+// handful of sequential streams and searches nothing. A dense per-node
+// position of every m_v row serves the scans that have no precomputed
+// denominators (NodeDots).
 //
-// It is derived from the key slices and never persisted. Whoever publishes
-// an index to readers builds it first (BuildAdjacency); WithPatch then
-// carries it from epoch to epoch, so no reader of a published index ever
-// pays the O(pairs) build. An index nobody finished builds it on first use.
+// It is derived from the tables and never persisted. Whoever publishes an
+// index to readers builds it first (BuildAdjacency); WithPatch then carries
+// it from epoch to epoch, so no reader of a published index ever pays the
+// O(pairs) build. An index nobody finished builds it on first use.
 
-// span is the position of one row in an entry arena: ent[lo:hi] of the base
-// table's arena or, when lo is negative, ent[^lo:hi] of the patch overlay's.
+// span is the position of one m_v row in the node table: ent[lo:hi] of the
+// base arena or, when lo is negative, ent[^lo:hi] of the patch overlay's.
 // The zero span is the empty row.
 type span struct{ lo, hi int32 }
 
@@ -43,13 +48,27 @@ func (s span) of(base, ovl []Entry) SparseVec {
 	return ovl[^s.lo:s.hi]
 }
 
-// adjRows is a partner CSR dense by node id: the partners of node v are
-// node[off[v]:off[v+1]], ascending, and pair[s] is the position of the row
-// of the pair {v, node[s]}. Nodes at or beyond len(off)-1 have no partners.
+// adjRows is a partner CSR dense by node id, derived from one pair table.
+// The partners of node v are node[off[v]:off[v+1]], ascending, and their
+// pair rows come in two runs:
+//
+//   - the first inl[v+1]-inl[v] are inline: inline slot s (v's are numbered
+//     from inl[v]) is ent[eoff[s]:eoff[s+1]];
+//   - the rest are consecutive rows of the table, from row off[v]-inl[v] on.
+//
+// In rows derived straight from a table (flatRows) the inline run of v is
+// its partners below v and the table run its partners above: the block of
+// keys (v, ·), which the table already stores side by side. The slots before
+// off[v] that are not inline number exactly the keys whose smaller endpoint
+// lies below v, and that is the row the block starts at — nothing is stored
+// to find it. Replacement rows (overlayAdjacency) are inline throughout: inl
+// is off. Nodes at or beyond len(off)-1 have no partners.
 type adjRows struct {
 	off  []int32
 	node []graph.NodeID
-	pair []span
+	inl  []int32
+	eoff []int32 // len = inline slots + 1 whenever off is non-empty
+	ent  []Entry
 }
 
 // row returns the slot range of v's partners (empty when v has none).
@@ -60,19 +79,33 @@ func (r *adjRows) row(v graph.NodeID) (lo, hi int32) {
 	return r.off[v], r.off[v+1]
 }
 
+// candidates returns v's row over table, the pair table r was derived from.
+func (r *adjRows) candidates(v graph.NodeID, table *csr[PairKey]) Candidates {
+	lo, hi := r.row(v)
+	if lo == hi {
+		return Candidates{}
+	}
+	il, ih := r.inl[v], r.inl[v+1]
+	c := Candidates{Nodes: r.node[lo:hi], eoff: r.eoff[il : ih+1], ent: r.ent}
+	if tail := (hi - lo) - (ih - il); tail > 0 {
+		c.tailOff, c.tailEnt = table.off[lo-il:][:tail+1], table.ent
+	}
+	return c
+}
+
 // adjacency is the derived read structure of one Index.
 type adjacency struct {
 	// nodeRow[v] is the position of m_v (the empty span when v has none).
 	// It covers every node key and every pair endpoint of the index.
 	nodeRow []span
 	// flat holds the rows derived from the base pair table. Every
-	// WithPatch descendant shares it until Compact.
+	// WithPatch descendant shares it (and the base table) until Compact.
 	flat adjRows
 	// ovl holds the complete replacement rows of the endpoints of the
 	// overlay's pair keys (all other rows are empty): the base partners
-	// merged with the overlay's, each slot referring to whichever arena
-	// holds that pair's row now. A node that is no such endpoint has no
-	// shadowed pair row, so its flat row is still exact.
+	// merged with the overlay's, each slot carrying that pair's row as it
+	// is now. A node that is no such endpoint has no shadowed pair row, so
+	// its flat row is still exact.
 	ovl adjRows
 }
 
@@ -100,20 +133,22 @@ func (ix *Index) adjacency() *adjacency {
 	if a := ix.adj.p.Load(); a != nil {
 		return a
 	}
-	a := overlayAdjacency(flatRows(&ix.mxy, false), ix)
+	a := overlayAdjacency(flatRows(&ix.mxy), ix)
 	ix.adj.p.Store(a)
 	return a
 }
 
-// flatRows derives partner rows from sorted pair keys in linear time: one
-// pass counts each endpoint's partners, a prefix sum turns the counts into
-// offsets, and a second pass drops every pair into both endpoints' rows.
-// For a fixed node x the sorted (min, max) key order emits the partners
-// below x first (ascending, while x is the max endpoint) and those above x
-// after (ascending, while x is the min endpoint), so every row comes out
-// sorted without a per-row sort. ovl says which arena the rows of pairs
-// live in.
-func flatRows(table *csr[PairKey], ovl bool) adjRows {
+// flatRows derives partner rows from a pair table in two linear passes, all
+// of it presized. The first counts, per endpoint, its partners, how many of
+// them lie below it and how many entries their rows hold; prefix sums turn
+// the counts into each node's first slot, first inline slot and first
+// inline entry. The second drops every pair into both endpoints' rows and
+// copies its row behind the larger endpoint's cursor. For a fixed node x
+// the sorted (min, max) key order emits the partners below x first
+// (ascending, while x is the max endpoint) and those above x after
+// (ascending, while x is the min endpoint), so every row comes out sorted,
+// inline part first, without a per-row sort.
+func flatRows(table *csr[PairKey]) adjRows {
 	pairs := table.keys
 	if len(pairs) == 0 {
 		return adjRows{}
@@ -124,28 +159,43 @@ func flatRows(table *csr[PairKey], ovl bool) adjRows {
 			n = int(y) + 1
 		}
 	}
-	off := make([]int32, n+1)
-	for _, k := range pairs {
+	off, inl, ecur := make([]int32, n+1), make([]int32, n+1), make([]int32, n+1)
+	for r, k := range pairs {
 		x, y := k.Nodes()
 		off[x+1]++
 		off[y+1]++
+		inl[y+1]++
+		ecur[y+1] += table.off[r+1] - table.off[r]
 	}
-	for i := 1; i < len(off); i++ {
+	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
+		inl[i] += inl[i-1]
+		ecur[i] += ecur[i-1]
 	}
 	rows := adjRows{
 		off:  off,
 		node: make([]graph.NodeID, off[n]),
-		pair: make([]span, off[n]),
+		inl:  inl,
+		eoff: make([]int32, inl[n]+1),
+		ent:  make([]Entry, ecur[n]),
 	}
-	cur := slices.Clone(off[:n])
+	rows.eoff[inl[n]] = ecur[n]
+	cur, icur := slices.Clone(off[:n]), slices.Clone(inl[:n])
 	for r, k := range pairs {
 		x, y := k.Nodes()
-		at := spanAt(table, r, ovl)
-		rows.node[cur[x]], rows.pair[cur[x]] = y, at
+		rows.node[cur[x]] = y
 		cur[x]++
-		rows.node[cur[y]], rows.pair[cur[y]] = x, at
+		rows.node[cur[y]] = x
 		cur[y]++
+		at := ecur[y]
+		rows.eoff[icur[y]] = at
+		icur[y]++
+		// Rows are an entry or two long: a loop beats a memmove call.
+		for _, e := range table.ent[table.off[r]:table.off[r+1]] {
+			rows.ent[at] = e
+			at++
+		}
+		ecur[y] = at
 	}
 	return rows
 }
@@ -156,7 +206,7 @@ func flatRows(table *csr[PairKey], ovl bool) adjRows {
 // the overlay's endpoints — never in the number of base pairs.
 func overlayAdjacency(flat adjRows, ix *Index) *adjacency {
 	a := &adjacency{flat: flat}
-	fresh := flatRows(&ix.ovlMxy, true)
+	fresh := flatRows(&ix.ovlMxy)
 
 	n := max(len(flat.off), len(fresh.off)) - 1
 	for _, keys := range [][]graph.NodeID{ix.mx.keys, ix.ovlMx.keys} {
@@ -181,65 +231,105 @@ func overlayAdjacency(flat adjRows, ix *Index) *adjacency {
 	// Merge each endpoint's flat row with its fresh one; both ascend by
 	// partner, and on a shared partner the overlay's pair row shadows the
 	// base's.
-	a.ovl.off = make([]int32, len(fresh.off))
+	ovl := &a.ovl
+	ovl.off = make([]int32, len(fresh.off))
+	ovl.inl = ovl.off
+	ovl.eoff = []int32{0}
+	add := func(c Candidates, i int) {
+		ovl.node = append(ovl.node, c.Nodes[i])
+		ovl.ent = append(ovl.ent, c.PairVec(i)...)
+		ovl.eoff = append(ovl.eoff, int32(len(ovl.ent)))
+	}
 	for v := graph.NodeID(0); int(v)+1 < len(fresh.off); v++ {
-		j, jEnd := fresh.off[v], fresh.off[v+1]
-		if j < jEnd {
-			i, iEnd := flat.row(v)
-			for i < iEnd || j < jEnd {
+		if over := fresh.candidates(v, &ix.ovlMxy); len(over.Nodes) > 0 {
+			base := flat.candidates(v, &ix.mxy)
+			i, j := 0, 0
+			for i < len(base.Nodes) || j < len(over.Nodes) {
 				switch {
-				case j == jEnd || (i < iEnd && flat.node[i] < fresh.node[j]):
-					a.ovl.node = append(a.ovl.node, flat.node[i])
-					a.ovl.pair = append(a.ovl.pair, flat.pair[i])
+				case j == len(over.Nodes) || (i < len(base.Nodes) && base.Nodes[i] < over.Nodes[j]):
+					add(base, i)
 					i++
 				default:
-					if i < iEnd && flat.node[i] == fresh.node[j] {
+					if i < len(base.Nodes) && base.Nodes[i] == over.Nodes[j] {
 						i++
 					}
-					a.ovl.node = append(a.ovl.node, fresh.node[j])
-					a.ovl.pair = append(a.ovl.pair, fresh.pair[j])
+					add(over, j)
 					j++
 				}
 			}
 		}
-		a.ovl.off[v+1] = int32(len(a.ovl.node))
+		ovl.off[v+1] = int32(len(ovl.node))
 	}
 	return a
 }
 
 // Candidates is the adjacency row of one query node: the nodes the online
-// phase ranks, each with its metagraph vectors one stored position away.
+// phase ranks, each with its pair row in scan order.
 type Candidates struct {
+	// Query is the node the row belongs to.
+	Query graph.NodeID
 	// Nodes lists the partners in ascending order. Shared; do not modify.
 	Nodes []graph.NodeID
 
-	pair    []span
+	// The first len(eoff)-1 pair rows are ent[eoff[i]:eoff[i+1]]; the rest
+	// are tailEnt[tailOff[j]:tailOff[j+1]], j counted from the first of them.
+	eoff, tailOff []int32
+	ent, tailEnt  []Entry
+
 	nodeRow []span
 	ix      *Index
 }
 
-// Candidates returns the partners of q together with the positions of
-// their vectors. Allocation-free and search-free once the adjacency is
-// built.
+// Candidates returns the partners of q together with their vectors.
+// Allocation-free and search-free once the adjacency is built.
 func (ix *Index) Candidates(q graph.NodeID) Candidates {
 	a := ix.adjacency()
-	rows := &a.ovl
-	lo, hi := rows.row(q)
-	if lo == hi {
-		rows = &a.flat
-		lo, hi = rows.row(q)
+	c := a.ovl.candidates(q, nil) // replacement rows have no tail
+	if len(c.Nodes) == 0 {
+		c = a.flat.candidates(q, &ix.mxy)
 	}
-	return Candidates{Nodes: rows.node[lo:hi], pair: rows.pair[lo:hi], nodeRow: a.nodeRow, ix: ix}
+	c.Query, c.nodeRow, c.ix = q, a.nodeRow, ix
+	return c
+}
+
+// QueryVec returns m_q of the query node itself: the entries
+// Index.NodeVec(Query) finds by key.
+func (c *Candidates) QueryVec() SparseVec {
+	if c.Query < 0 || int(c.Query) >= len(c.nodeRow) {
+		return nil
+	}
+	return c.nodeRow[c.Query].of(c.ix.mx.ent, c.ix.ovlMx.ent)
 }
 
 // NodeVec returns m_v of candidate i (v = Nodes[i]): the entries
 // Index.NodeVec(v) finds by key.
-func (c Candidates) NodeVec(i int) SparseVec {
+func (c *Candidates) NodeVec(i int) SparseVec {
 	return c.nodeRow[c.Nodes[i]].of(c.ix.mx.ent, c.ix.ovlMx.ent)
 }
 
 // PairVec returns m_qv of candidate i (v = Nodes[i]): the entries
 // Index.PairVec(q, v) finds by key.
-func (c Candidates) PairVec(i int) SparseVec {
-	return c.pair[i].of(c.ix.mxy.ent, c.ix.ovlMxy.ent)
+func (c *Candidates) PairVec(i int) SparseVec {
+	if inl := len(c.eoff) - 1; i >= inl {
+		i -= inl
+		return c.tailEnt[c.tailOff[i]:c.tailOff[i+1]]
+	}
+	return c.ent[c.eoff[i]:c.eoff[i+1]]
+}
+
+// NodeSpan returns the length of the node id range the index names: one
+// past the largest node key or pair endpoint.
+func (ix *Index) NodeSpan() int { return len(ix.adjacency().nodeRow) }
+
+// NodeDots returns m_v · w for every node id below NodeSpan, dense by id
+// (0 for a node without a row): the half of every candidate's denominator
+// that does not depend on the query. Every candidate and every query node
+// with candidates indexes it in range.
+func (ix *Index) NodeDots(w []float64) []float64 {
+	a := ix.adjacency()
+	dots := make([]float64, len(a.nodeRow))
+	for v, s := range a.nodeRow {
+		dots[v] = s.of(ix.mx.ent, ix.ovlMx.ent).Dot(w)
+	}
+	return dots
 }

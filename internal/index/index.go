@@ -10,7 +10,8 @@
 // addressed through sorted key and offset slices. Reads by key (NodeVec,
 // PairVec) are a binary search plus a slice header — no allocation, no
 // pointer chasing — the candidate scan of a ranked query follows the
-// derived partner adjacency (adjacency.go) and searches nothing, and
+// derived partner adjacency (adjacency.go), which lays every query node's
+// pair rows out in scan order and searches nothing, and
 // Merge/Project/Transform operate on whole arenas instead of one small map
 // row at a time.
 package index
@@ -187,9 +188,9 @@ type Index struct {
 	ovlMx  csr[graph.NodeID]
 	ovlMxy csr[PairKey]
 	// adj lists, per node, every y that shares at least one instance with
-	// x symmetrically — the candidates the online phase ranks — with the
-	// positions of their rows (see adjacency.go). Never nil. It is derived
-	// from the keys when a writer finishes the index for readers, or on
+	// x symmetrically — the candidates the online phase ranks — with their
+	// pair rows in scan order (see adjacency.go). Never nil. It is derived
+	// from the tables when a writer finishes the index for readers, or on
 	// first use: the single-metagraph parts the parallel build produces are
 	// merged without their adjacency ever being read, so building it in
 	// every constructor would be pure waste.
@@ -239,15 +240,16 @@ func (ix *Index) NumPairs() int {
 }
 
 // Transform returns a copy of the index with f applied to every count; the
-// paper mentions log-style transforms of the raw counts (Sect. II-A). Keys,
-// offsets and the adjacency are shared with the receiver (both are
-// immutable); only the entry arenas are copied. A patched receiver is
-// compacted first.
+// paper mentions log-style transforms of the raw counts (Sect. II-A). Keys
+// and offsets are shared with the receiver (they are immutable); the entry
+// arenas are copied, and the adjacency — which holds pair rows inline — is
+// derived afresh. A patched receiver is compacted first.
 func (ix *Index) Transform(f func(float64) float64) *Index {
 	ix = ix.Compact()
 	out := *ix
 	out.mx.ent = transformArena(ix.mx.ent, f)
 	out.mxy.ent = transformArena(ix.mxy.ent, f)
+	out.adj = &lazyAdjacency{}
 	return &out
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/flat"
@@ -181,10 +182,14 @@ func TestTransform(t *testing.T) {
 	g, ix := buildToyIndex(t)
 	kate := g.NodeByName("Kate")
 	jay := g.NodeByName("Jay")
+	// The adjacency holds pair rows inline, so a built one must not be
+	// handed to the transformed copy along with the keys.
+	ix.BuildAdjacency()
 	tr := ix.Transform(func(c float64) float64 { return math.Log1p(c) })
 	if got := tr.PairVec(kate, jay).Get(0); math.Abs(got-math.Log1p(1)) > 1e-12 {
 		t.Fatalf("transformed count = %f", got)
 	}
+	scanEverything(t, tr, g.NumNodes())
 	// Original untouched.
 	if got := ix.PairVec(kate, jay).Get(0); got != 1 {
 		t.Fatalf("original mutated: %f", got)
@@ -494,21 +499,72 @@ func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 }
 
 // scanEverything reads every adjacency row of ix and every vector behind
-// it: whatever Read accepted must be safe to rank on.
-func scanEverything(ix *Index, numNodes int) {
+// it — whatever Read accepted must be safe to rank on — and holds each to
+// the by-key read it stands in for: the inline and the by-table pair rows,
+// the node rows, the query's own row and the denominators.
+func scanEverything(t testing.TB, ix *Index, numNodes int) {
+	t.Helper()
 	ix.BuildAdjacency()
 	w := make([]float64, ix.NumMeta())
+	for i := range w {
+		w[i] = 1 / float64(i+3)
+	}
+	dots := ix.NodeDots(w)
+	if len(dots) != ix.NodeSpan() {
+		t.Fatalf("%d denominators for a node span of %d", len(dots), ix.NodeSpan())
+	}
 	for v := graph.NodeID(-1); int(v) <= numNodes; v++ {
 		c := ix.Candidates(v)
-		for i := range c.Nodes {
-			sinkFloat += c.NodeVec(i).Dot(w) + c.PairVec(i).Dot(w)
+		if !slices.Equal(c.QueryVec(), ix.NodeVec(v)) {
+			t.Fatalf("query row of %d is %v, by key %v", v, c.QueryVec(), ix.NodeVec(v))
+		}
+		if v >= 0 && int(v) < len(dots) && dots[v] != ix.NodeVec(v).Dot(w) {
+			t.Fatalf("denominator of %d is %v, by key %v", v, dots[v], ix.NodeVec(v).Dot(w))
+		}
+		for i, u := range c.Nodes {
+			if int(u) >= len(dots) || int(v) >= len(dots) {
+				t.Fatalf("pair (%d,%d) lies beyond the node span %d", v, u, len(dots))
+			}
+			if !slices.Equal(c.PairVec(i), ix.PairVec(v, u)) {
+				t.Fatalf("slot %d of node %d holds %v, the pair with %d by key %v", i, v, c.PairVec(i), u, ix.PairVec(v, u))
+			}
+			if !slices.Equal(c.NodeVec(i), ix.NodeVec(u)) {
+				t.Fatalf("slot %d of node %d: m_%d is %v, by key %v", i, v, u, c.NodeVec(i), ix.NodeVec(u))
+			}
 		}
 	}
 }
 
+// selfPatch builds a patch out of ix's own first rows with every count
+// doubled, plus (when the graph has room for one) a pair and a node row on
+// the highest node id, which ix may or may not hold.
+func selfPatch(ix *Index, numNodes int) *Patch {
+	double := func(row SparseVec) []Entry {
+		out := slices.Clone(row)
+		for i := range out {
+			out[i].Count *= 2
+		}
+		return out
+	}
+	mx, mxy := map[graph.NodeID][]Entry{}, map[PairKey][]Entry{}
+	for r, k := range ix.mx.keys[:min(3, len(ix.mx.keys))] {
+		mx[k] = double(ix.mx.ent[ix.mx.off[r]:ix.mx.off[r+1]])
+	}
+	for r, k := range ix.mxy.keys[:min(3, len(ix.mxy.keys))] {
+		mxy[k] = double(ix.mxy.ent[ix.mxy.off[r]:ix.mxy.off[r+1]])
+	}
+	if numNodes >= 2 && ix.NumMeta() > 0 {
+		last := graph.NodeID(numNodes - 1)
+		mx[last] = []Entry{{Meta: 0, Count: 3}}
+		mxy[MakePairKey(0, last)] = []Entry{{Meta: 0, Count: 1}}
+	}
+	return NewPatch(ix.NumMeta(), mx, mxy)
+}
+
 // FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse
 // them, but an index it returns must build its adjacency and serve every
-// row without a panic, inside allocations bounded by the stated graph size.
+// row — patched and compacted too — without a panic and equal to the by-key
+// read, inside allocations bounded by the stated graph size.
 func FuzzIndexRead(f *testing.F) {
 	_, ix := buildToyIndex(f)
 	f.Add(writeBytes(f, ix), uint16(14))
@@ -526,6 +582,15 @@ func FuzzIndexRead(f *testing.F) {
 		if err != nil || ix.NumMeta() > 1<<16 { // scanEverything allocates a weight vector
 			return
 		}
-		scanEverything(ix, int(numNodes))
+		scanEverything(t, ix, int(numNodes))
+		// The same through the overlay: rows carried by WithPatch, built
+		// from nothing on a patched index, and after compaction.
+		patch := selfPatch(ix, int(numNodes))
+		carried := ix.WithPatch(patch)
+		scanEverything(t, carried, int(numNodes))
+		fr, _ = flat.NewReader(bytes.NewReader(data), fileMagic)
+		lazy, _ := Decode(fr, int(numNodes))
+		scanEverything(t, lazy.WithPatch(patch), int(numNodes))
+		scanEverything(t, carried.Compact(), int(numNodes))
 	})
 }

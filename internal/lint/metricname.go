@@ -18,8 +18,8 @@ import (
 // and no obs.L label value may derive from the raw request
 // (url.URL fields/methods, Request.URL/RequestURI/Host), because one
 // crawler walking unbounded paths would mint an unbounded family of
-// time series. Paths must go through a bounded mapping (the pathLabel
-// table in internal/obs) before they become label values.
+// time series. Paths must go through a bounded mapping (wire.PathLabel,
+// which both tiers hand to obs.WrapHTTP) before they become label values.
 var MetricName = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: "report non-literal or non-semprox_-prefixed metric names at internal/obs registration " +

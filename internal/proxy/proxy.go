@@ -182,7 +182,7 @@ func New(r *client.Router, opts Options) *Proxy {
 		p.mux.HandleFunc(path, h)
 	}
 	p.mux.HandleFunc("/", wire.NotFound)
-	p.mux.Handle(metricsPath, obs.Handler(p.reg, obs.Default()))
+	p.mux.Handle(wire.MetricsPath, obs.Handler(p.reg, obs.Default()))
 	// Routing transitions count on the proxy registry; an OnEvent the
 	// caller already installed keeps firing after ours.
 	prev := r.OnEvent
@@ -210,10 +210,6 @@ const (
 	helpCacheLookups   = "Response cache lookups at the current epoch, by result."
 )
 
-// metricsPath serves the Prometheus exposition. Unversioned on purpose:
-// it is operational surface, not part of the /v1 wire contract.
-const metricsPath = "/metrics"
-
 // buildWrap (re)wraps the mux with the obs middleware.
 func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
 	p.wrap = obs.WrapHTTP(p.mux, obs.HTTPOptions{
@@ -222,7 +218,7 @@ func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
 		Component:     "proxy",
 		Logger:        logger,
 		SlowThreshold: slow,
-		PathLabel:     pathLabel,
+		PathLabel:     wire.PathLabel,
 		EpochHeader:   api.HeaderEpoch,
 		CacheHeader:   HeaderCache,
 	})
@@ -234,23 +230,6 @@ func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
 // slow (0 never escalates). Call before serving.
 func (p *Proxy) SetRequestLog(logger *slog.Logger, slow time.Duration) {
 	p.buildWrap(logger, slow)
-}
-
-// knownPaths bounds metric label cardinality: /v1 paths and /metrics
-// keep their names, everything else (typos, scans) collapses.
-var knownPaths = func() map[string]bool {
-	m := map[string]bool{metricsPath: true}
-	for _, p := range api.Paths() {
-		m[p] = true
-	}
-	return m
-}()
-
-func pathLabel(p string) string {
-	if knownPaths[p] {
-		return p
-	}
-	return "other"
 }
 
 // ServeHTTP implements http.Handler.

@@ -150,7 +150,7 @@ func New(eng *semprox.Engine) *Server {
 		s.mux.HandleFunc(path, h)
 	}
 	s.mux.HandleFunc("/", wire.NotFound)
-	s.mux.Handle(metricsPath, obs.Handler(s.reg, obs.Default()))
+	s.mux.Handle(wire.MetricsPath, obs.Handler(s.reg, obs.Default()))
 	// The epoch/LSN gauges read through s.engine() so a follower's
 	// re-bootstrap (which swaps engines) and a promotion keep the series
 	// pointed at whatever engine is actually serving.
@@ -164,10 +164,6 @@ func New(eng *semprox.Engine) *Server {
 	return s
 }
 
-// metricsPath serves the Prometheus exposition. Unversioned on purpose:
-// it is operational surface, not part of the /v1 wire contract.
-const metricsPath = "/metrics"
-
 // buildWrap (re)wraps the mux with the obs middleware.
 func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
 	s.wrap = obs.WrapHTTP(s.mux, obs.HTTPOptions{
@@ -176,7 +172,7 @@ func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
 		Component:     "server",
 		Logger:        logger,
 		SlowThreshold: slow,
-		PathLabel:     pathLabel,
+		PathLabel:     wire.PathLabel,
 		EpochHeader:   api.HeaderEpoch,
 	})
 }
@@ -188,23 +184,6 @@ func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
 // serving.
 func (s *Server) SetRequestLog(logger *slog.Logger, slow time.Duration) {
 	s.buildWrap(logger, slow)
-}
-
-// knownPaths bounds metric label cardinality: /v1 paths and /metrics
-// keep their names, everything else (typos, scans) collapses.
-var knownPaths = func() map[string]bool {
-	m := map[string]bool{metricsPath: true}
-	for _, p := range api.Paths() {
-		m[p] = true
-	}
-	return m
-}()
-
-func pathLabel(p string) string {
-	if knownPaths[p] {
-		return p
-	}
-	return "other"
 }
 
 // AttachWAL makes the server a primary: every accepted update is

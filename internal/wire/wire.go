@@ -128,6 +128,29 @@ func NotFound(w http.ResponseWriter, r *http.Request) {
 	WriteErr(w, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no endpoint at %s", r.URL.Path))
 }
 
+// MetricsPath serves the Prometheus exposition. Unversioned on purpose:
+// it is operational surface, not part of the /v1 wire contract.
+const MetricsPath = "/metrics"
+
+// knownPaths bounds metric label cardinality: /v1 paths and /metrics
+// keep their names, everything else (typos, scans) collapses.
+var knownPaths = func() map[string]bool {
+	m := map[string]bool{MetricsPath: true}
+	for _, p := range api.Paths() {
+		m[p] = true
+	}
+	return m
+}()
+
+// PathLabel maps a request path to its metric label value: the path itself
+// for a mounted one, "other" for anything else.
+func PathLabel(p string) string {
+	if knownPaths[p] {
+		return p
+	}
+	return "other"
+}
+
 // MethodCheck 405s anything but the allowed methods.
 func MethodCheck(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
 	for _, m := range allowed {

@@ -170,3 +170,18 @@ func TestReadAllAndPool(t *testing.T) {
 	huge := make([]byte, 0, maxPooled+1)
 	PutBuf(&huge) // dropped, not pooled: must not panic
 }
+
+// TestPathLabelIsBounded: every mounted path and /metrics label as
+// themselves; whatever else a client sends collapses into one series.
+func TestPathLabelIsBounded(t *testing.T) {
+	for _, p := range append(api.Paths(), MetricsPath) {
+		if got := PathLabel(p); got != p {
+			t.Errorf("PathLabel(%q) = %q", p, got)
+		}
+	}
+	for _, p := range []string{"", "/", "/query", api.PathQuery + "/", "/v1/../etc/passwd"} {
+		if got := PathLabel(p); got != "other" {
+			t.Errorf("PathLabel(%q) = %q, want other", p, got)
+		}
+	}
+}

@@ -15,6 +15,8 @@ var (
 		"Matched metagraphs incrementally re-matched per update — the delta-bounded work the paper's offline rebuild would redo in full.", obs.Units)
 	engEnumerated = obs.Default().Histogram("semprox_update_instances_enumerated",
 		"Assignments, partial and complete, one update's delta-seeded re-match visited over all matched metagraphs: the work of an update, set by the degrees around its new edges and not by the size of the graph.", obs.Units)
+	engRank = obs.Default().Histogram("semprox_query_rank_seconds",
+		"One ranked query's candidate scan inside the engine (resolve the adjacency row, score every candidate, keep the top k), as the serving process pays it — caches cold between requests, which an in-process loop over the same index does not see.", obs.Seconds)
 	engCandidates = obs.Default().Histogram("semprox_query_candidates_scanned",
 		"Candidates one ranked query scored: the length of the query node's partner list, the work a slow query did.", obs.Units)
 	engCompactions = obs.Default().Counter("semprox_engine_compactions_total",

@@ -217,8 +217,9 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 func unlog1p(v float64) float64 { return math.Round(math.Expm1(v)) }
 
 // patchClass rebuilds one trained class for the next epoch: the weight
-// vector and kept set carry over unchanged, and the merged class index is
-// patched with the re-merged rows of every key some kept part gained on.
+// vector and kept set carry over unchanged, the merged class index is
+// patched with the re-merged rows of every key some kept part gained on,
+// and the denominators are recomputed for exactly those node keys.
 // Row k of the merge is part kept[k] (each part spans one metagraph), so
 // a merged replacement row is the concatenation of the patched parts'
 // rows in kept order — exactly what a full index.Merge of the patched
@@ -262,8 +263,15 @@ func patchClass(cm *classModel, metaIx []*index.Index, patches map[int]*index.Pa
 		}
 		mxy[pk] = row
 	}
-	patch := index.NewPatch(len(cm.kept), mx, mxy)
-	return &classModel{kept: cm.kept, ix: cm.ix.WithPatch(patch), model: cm.model}
+	ix := cm.ix.WithPatch(index.NewPatch(len(cm.kept), mx, mxy))
+	// m_v·w moved for the patched node rows only; a node the delta added
+	// either is one of them or has no row.
+	dots := make([]float64, ix.NodeSpan())
+	copy(dots, cm.dots)
+	for x := range nodeKeys {
+		dots[x] = ix.NodeVec(x).Dot(cm.model.W)
+	}
+	return &classModel{kept: cm.kept, ix: ix, model: cm.model, dots: dots}
 }
 
 // Compact folds every copy-on-write overlay of the current epoch — the
@@ -289,7 +297,8 @@ func (e *Engine) Compact() {
 	}
 	classes := make(map[string]*classModel, len(ep.classes))
 	for name, cm := range ep.classes {
-		classes[name] = &classModel{kept: cm.kept, ix: cm.ix.Compact(), model: cm.model}
+		// Compaction moves rows, not values: the denominators stand.
+		classes[name] = &classModel{kept: cm.kept, ix: cm.ix.Compact(), model: cm.model, dots: cm.dots}
 	}
 	e.publish(&epoch{g: ep.g.Compact(), metaIx: metaIx, classes: classes, version: ep.version, lsn: ep.lsn})
 }

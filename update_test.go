@@ -3,11 +3,14 @@ package semprox
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/fixtures"
@@ -231,6 +234,132 @@ func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
 		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (patched)", logTransform))
 		eng.Compact()
 		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (compacted)", logTransform))
+	}
+}
+
+// checkDenominators holds every class of the serving epoch to what the
+// denominators are defined as: bit for bit the m_v·w a recompute over the
+// class's own index gives, and the one an engine rebuilt from scratch on
+// the same graph derives — and Engine.Query, which adds them up, to
+// core.RankTop, which evaluates every node row, on the same epoch.
+func checkDenominators(t *testing.T, e *Engine, tag string) {
+	t.Helper()
+	ep := e.cur.Load()
+	scratch := rebuildFromScratch(t, e).cur.Load()
+	bits := func(dots []float64) []uint64 {
+		out := make([]uint64, len(dots))
+		for i, d := range dots {
+			out[i] = math.Float64bits(d)
+		}
+		return out
+	}
+	if len(ep.classes) == 0 {
+		t.Fatalf("%s: no trained class", tag)
+	}
+	for name, cm := range ep.classes {
+		if cm.dots == nil {
+			t.Fatalf("%s: class %q published without denominators", tag, name)
+		}
+		got := bits(cm.dots)
+		if want := bits(cm.ix.NodeDots(cm.model.W)); !slices.Equal(got, want) {
+			t.Fatalf("%s: class %q carries denominators %v, recomputed %v", tag, name, cm.dots, cm.ix.NodeDots(cm.model.W))
+		}
+		if want := bits(scratch.classes[name].ix.NodeDots(cm.model.W)); !slices.Equal(got, want) {
+			t.Fatalf("%s: class %q carries denominators that differ from a from-scratch engine's", tag, name)
+		}
+		for q := NodeID(-1); int(q) <= ep.g.NumNodes(); q++ {
+			for _, k := range []int{0, 3} {
+				got, err := e.Query(name, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := core.RankTop(cm.ix, cm.model.W, q, k); !slices.Equal(got, want) {
+					t.Fatalf("%s: class %q query %d k=%d: engine %v, RankTop %v", tag, name, q, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDenominatorsCarriedEqualScratch is the property behind scanning with
+// precomputed denominators: whatever path published the epoch — training,
+// an update that patches node rows and adds nodes, a patch over a patch, a
+// coalesced batch, a hub update, compaction, a snapshot load; raw and
+// log-transformed counts — the vector the class carries is the vector a
+// recompute gives, so no score moves a bit.
+func TestDenominatorsCarriedEqualScratch(t *testing.T) {
+	for _, logTransform := range []bool{false, true} {
+		tag := fmt.Sprintf("toy, log %v", logTransform)
+		g := fixtures.Toy()
+		opts := DefaultOptions()
+		opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
+		opts.Train.Restarts, opts.Train.MaxIters = 1, 50
+		opts.LogTransform = logTransform
+		eng, err := NewEngine(g, "user", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Train("classmate", classmateExamples(g))
+		eng.TrainDualStage("classmate2", classmateExamples(g), 2)
+		checkDenominators(t, eng, tag+" (trained)")
+
+		// Each delta enrols new users at a school of the toy graph, so each
+		// adds nodes and moves the node rows of that school's students: a
+		// carry over a compacted base, then two over earlier patches.
+		rng := rand.New(rand.NewSource(21))
+		for step, school := range []string{"College A", "College B", "College A"} {
+			before := eng.cur.Load().classes["classmate"].dots
+			n := NodeID(eng.Graph().NumNodes())
+			d := randomToyDelta(rng, int(n)+1, fmt.Sprintf("den-%d", step))
+			d.Nodes = append([]DeltaNode{{Type: "user", Value: fmt.Sprintf("den-user-%d", step)}}, d.Nodes...)
+			d.Edges = append(d.Edges, Edge{U: n, V: g.NodeByName(school)}, Edge{U: n, V: g.NodeByName("Economics")})
+			if _, err := eng.ApplyUpdate(d); err != nil {
+				t.Fatal(err)
+			}
+			if slices.Equal(before, eng.cur.Load().classes["classmate"].dots[:len(before)]) {
+				t.Fatalf("%s: update %d moved no denominator; the carry was not exercised", tag, step)
+			}
+			checkDenominators(t, eng, fmt.Sprintf("%s (update %d)", tag, step))
+		}
+		n := NodeID(eng.Graph().NumNodes())
+		batch := Delta{
+			Nodes: []DeltaNode{{Type: "user", Value: "den-a"}, {Type: "user", Value: "den-b"}},
+			Edges: []Edge{{U: n, V: g.NodeByName("College A")}, {U: n + 1, V: g.NodeByName("College A")}},
+		}
+		if _, err := eng.ApplyUpdateBatchAt(batch, eng.LSN()+2, 2); err != nil {
+			t.Fatal(err)
+		}
+		checkDenominators(t, eng, tag+" (coalesced batch)")
+		eng.Compact()
+		checkDenominators(t, eng, tag+" (compacted)")
+
+		var buf bytes.Buffer
+		if err := eng.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadEngine(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDenominators(t, loaded, tag+" (loaded)")
+		if _, err := loaded.ApplyUpdate(randomToyDelta(rng, loaded.Graph().NumNodes(), "den-loaded")); err != nil {
+			t.Fatal(err)
+		}
+		checkDenominators(t, loaded, tag+" (loaded, updated)")
+
+		hubEng, hub := hubEngine(t, 200, logTransform)
+		m := NodeID(hubEng.Graph().NumNodes())
+		for i, d := range []Delta{
+			{Nodes: []DeltaNode{{Type: "user"}}, Edges: []Edge{{U: m, V: hub}}},
+			{Edges: []Edge{{U: hubEng.Graph().NodesOfType(hubEng.Graph().Types().ID("user"))[0], V: hub}, {U: m, V: hub}}},
+		} {
+			if _, err := hubEng.ApplyUpdate(d); err != nil {
+				t.Fatal(err)
+			}
+			checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (update %d)", logTransform, i))
+		}
+		hubEng.Compact()
+		checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (compacted)", logTransform))
 	}
 }
 
