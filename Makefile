@@ -25,9 +25,11 @@ ci: lint build test cover fuzz-smoke bench-smoke benchmark-check replication-smo
 # gofmt must be a no-op, vet must be clean, and the repo's own analyzer
 # suite (cmd/semproxlint: rawpath, atomicwrite, metricname, envelope,
 # ctxfirst, sleepwait — the invariants DESIGN.md used to state as prose)
-# must report nothing. semproxlint builds from this repo, so unlike the
-# external tools it can never be "not installed" — it always runs, even
-# for contributors with nothing but the Go toolchain. staticcheck and
+# must report nothing. semproxlint builds from this repo on the standard
+# library alone (it loads packages through `go list -export` and
+# type-checks them with go/types), so unlike the external tools it can
+# never be "not installed" — it always runs, even for contributors with
+# nothing but the Go toolchain. staticcheck and
 # govulncheck run when the host has them (the dev container may not);
 # CI installs pinned versions and sets REQUIRE_STATICCHECK=1 /
 # REQUIRE_GOVULNCHECK=1, turning each "not installed; skipped" branch

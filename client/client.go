@@ -190,17 +190,23 @@ func (c *Client) Ready(ctx context.Context) (api.ReadyResponse, error) {
 // of the record the caller holds at LSN after (0 to skip the check): a
 // server whose record at that LSN carries a different term answers 409
 // api.CodeTermMismatch — the histories diverged and the caller must
-// re-bootstrap from a snapshot instead of streaming. A quiet long poll
+// re-bootstrap from a snapshot instead of streaming. seenTerm is the
+// newest term the caller has observed anywhere (0 for none): a deposed
+// primary must not take the poll of a caller that knows of its successor
+// as a receipt for its own writes. A quiet long poll
 // must not be mistaken for a timeout: when wait approaches the
 // http.Client's own Timeout (which caps the whole request regardless of
 // context), the request runs on a timeout-free clone bounded by a
 // context deadline of wait plus the usual budget instead.
-func (c *Client) ReplicateSince(ctx context.Context, after, afterTerm uint64, max int, wait time.Duration) (api.SinceResponse, error) {
+func (c *Client) ReplicateSince(ctx context.Context, after, afterTerm, seenTerm uint64, max int, wait time.Duration) (api.SinceResponse, error) {
 	var out api.SinceResponse
 	q := url.Values{}
 	q.Set("lsn", fmt.Sprint(after))
 	if afterTerm > 0 {
 		q.Set("term", fmt.Sprint(afterTerm))
+	}
+	if seenTerm > 0 {
+		q.Set("seen_term", fmt.Sprint(seenTerm))
 	}
 	if max > 0 {
 		q.Set("max", fmt.Sprint(max))

@@ -268,7 +268,7 @@ func TestReplicateSinceAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sr, err := c.ReplicateSince(ctx, 0, 0, 10, 0)
+	sr, err := c.ReplicateSince(ctx, 0, 0, 0, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestReplicateSinceAndSnapshot(t *testing.T) {
 	// wait exceeds the http.Client timeout (the client extends the
 	// deadline past the poll).
 	short := client.New(h.ts.URL, &http.Client{Timeout: 80 * time.Millisecond})
-	sr, err = short.ReplicateSince(ctx, 1, 1, 10, 150*time.Millisecond)
+	sr, err = short.ReplicateSince(ctx, 1, 1, 1, 10, 150*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,6 +63,7 @@ import (
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -121,7 +122,7 @@ func main() {
 	}
 	startDebugServer(*debugAddr)
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: wire.ReadHeaderTimeout}
 	go func() {
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -3,71 +3,151 @@
 // used to state as prose: rawpath, atomicwrite, metricname, envelope,
 // ctxfirst, sleepwait.
 //
-// Two modes, one binary:
+//	semproxlint ./...        # what make lint runs
 //
-//	semproxlint ./...                      # driver mode (what make lint runs)
-//	go vet -vettool=$(command -v semproxlint) ./...
-//
-// Driver mode re-executes itself through `go vet -vettool`, which hands
-// each package's syntax and type information to the unitchecker
-// protocol — the same way staticcheck and vet run, with no extra
-// package-loading machinery. Any argument that looks like a flag or a
-// unitchecker *.cfg file selects vet-tool mode, so the one binary serves
-// both invocations.
+// It asks `go list -e -test -deps -export -json` for the files, the
+// import map and the compiled export data of every package the patterns
+// name, type-checks each of the main module's packages with go/types
+// against that export data, and prints the findings sorted as
+// file:line:col: analyzer: message. Exit status 1 means findings, 2
+// means a package did not load or type-check.
 package main
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"go/importer"
+	"go/token"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
-
-	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 && isPackagePatterns(args) {
-		os.Exit(drive(args))
-	}
-	// Vet-tool protocol: cmd/go invokes the tool with -V=full, -flags,
-	// and per-package *.cfg files. unitchecker never returns.
-	unitchecker.Main(lint.Analyzers()...)
+	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// isPackagePatterns reports whether every argument reads as a package
-// pattern ("./...", "repro/client"), i.e. none is a flag or a
-// unitchecker config file.
-func isPackagePatterns(args []string) bool {
-	for _, a := range args {
-		if strings.HasPrefix(a, "-") || strings.HasSuffix(a, ".cfg") {
-			return false
-		}
-	}
-	return true
+// listed is what the driver reads of one `go list -json` package.
+type listed struct {
+	ImportPath string // "p", or "p [q.test]" for p as compiled for q's test
+	Dir        string
+	GoFiles    []string          // of "p [p.test]": p's files and its in-package tests
+	ImportMap  map[string]string // import path in source → ImportPath, where they differ
+	Export     string            // file holding the compiled export data
+	ForTest    string
+	DepOnly    bool
+	Module     *struct{ Main bool }
+	Error      *struct{ Err string } // why it did not load or compile
+	DepsErrors []struct{}            // the same of its dependencies, reported there
 }
 
-// drive re-executes this binary under `go vet -vettool`, which performs
-// the package loading, caching, and diagnostic rendering. The exit code
-// is vet's: non-zero when any analyzer reports.
-func drive(patterns []string) int {
-	self, err := os.Executable()
+// finding is one rendered diagnostic, kept with its position to sort by.
+type finding struct {
+	pos  token.Position
+	text string
+}
+
+// run lints the packages patterns name in the module at dir and returns
+// the process exit status.
+func run(dir string, patterns []string, stdout, stderr io.Writer) int {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-test", "-deps", "-export", "-json"}, patterns...)...)
+	cmd.Dir = dir
+	cmd.Stderr = stderr
+	out, err := cmd.Output()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "semproxlint: cannot locate own executable: %v\n", err)
+		fmt.Fprintf(stderr, "semproxlint: go list: %v\n", err)
 		return 2
 	}
-	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, patterns...)...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
+	var pkgs []*listed
+	exports := make(map[string]string) // ImportPath → export data file
+	hasTests := make(map[string]bool)  // p → "p [p.test]" is listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		p := new(listed)
+		if err := dec.Decode(p); err == io.EOF {
+			break
+		} else if err != nil {
+			fmt.Fprintf(stderr, "semproxlint: go list output: %v\n", err)
+			return 2
 		}
-		fmt.Fprintf(os.Stderr, "semproxlint: %v\n", err)
-		return 2
+		pkgs = append(pkgs, p)
+		exports[p.ImportPath] = p.Export
+		if p.ImportPath == p.ForTest+" ["+p.ForTest+".test]" {
+			hasTests[p.ForTest] = true
+		}
 	}
-	return 0
+
+	status := 0
+	base, _ := filepath.Abs(dir)
+	var found []finding
+	for _, p := range pkgs {
+		if p.Error != nil {
+			fmt.Fprintf(stderr, "semproxlint: %s\n", strings.TrimSpace(p.Error.Err))
+			status = 2
+			continue
+		}
+		path, _, _ := strings.Cut(p.ImportPath, " [")
+		// Each source file exactly once: a package is analyzed as its
+		// test variant "p [p.test]" when it has one (that holds the
+		// in-package _test.go files too) and as the external "p_test
+		// [p.test]"; never as the generated "p.test" main, and never as
+		// a dependency (go list marks "q [p.test]", q recompiled for p's
+		// test, DepOnly like any other).
+		if p.Module == nil || !p.Module.Main || p.DepOnly || len(p.DepsErrors) > 0 ||
+			strings.HasSuffix(path, ".test") || p.ForTest == "" && hasTests[path] {
+			continue
+		}
+		pass, err := check(p, path, exports)
+		if err != nil {
+			fmt.Fprintf(stderr, "semproxlint: %s:\n%v\n", p.ImportPath, err)
+			status = 2
+			continue
+		}
+		for _, d := range pass.Diagnostics {
+			pos := pass.Fset.Position(d.Pos)
+			if rel, err := filepath.Rel(base, pos.Filename); err == nil {
+				pos.Filename = rel
+			}
+			found = append(found, finding{pos, fmt.Sprintf("%s: %s: %s", pos, d.Analyzer, d.Message)})
+		}
+	}
+	slices.SortFunc(found, func(a, b finding) int {
+		return cmp.Or(cmp.Compare(a.pos.Filename, b.pos.Filename),
+			cmp.Compare(a.pos.Line, b.pos.Line), cmp.Compare(a.text, b.text))
+	})
+	for _, f := range found {
+		fmt.Fprintln(stdout, f.text)
+	}
+	if status == 0 && len(found) > 0 {
+		status = 1
+	}
+	return status
+}
+
+// check type-checks one listed package against its dependencies' export
+// data and runs the suite. The importer is per package: it caches by
+// source import path, and the same path names different compiled
+// variants under different tests.
+func check(p *listed, path string, exports map[string]string) (*lint.Pass, error) {
+	files := make([]string, len(p.GoFiles))
+	for i, f := range p.GoFiles {
+		files[i] = filepath.Join(p.Dir, f)
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(ipath string) (io.ReadCloser, error) {
+		if mapped, ok := p.ImportMap[ipath]; ok {
+			ipath = mapped
+		}
+		if exports[ipath] == "" {
+			return nil, fmt.Errorf("no export data for %q", ipath)
+		}
+		return os.Open(exports[ipath])
+	})
+	return lint.Run(fset, path, files, imp, lint.Analyzers()...)
 }

@@ -43,6 +43,7 @@ import (
 	"repro/client"
 	"repro/internal/proxy"
 	"repro/internal/replica"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -126,7 +127,7 @@ func main() {
 
 	log.Printf("edge tier on %s: primary %s, %d follower(s), cache %d entries, hedge %v (cap %d%%)",
 		*addr, *primary, len(followerURLs), *cacheEntries, *hedge, *hedgeCap)
-	srv := &http.Server{Addr: *addr, Handler: p}
+	srv := &http.Server{Addr: *addr, Handler: p, ReadHeaderTimeout: wire.ReadHeaderTimeout}
 	go func() {
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -22,9 +22,6 @@ type Options struct {
 	Mining mining.Options
 	// Train configures gradient ascent (µ, γ, restarts, ...).
 	Train core.TrainOptions
-	// Engine selects the matching engine: "symiso" (default), "quicksi",
-	// "turboiso", or "boostiso". SymISO is the paper's algorithm.
-	Engine string
 	// Workers bounds the goroutines used for offline metagraph matching
 	// (the dominant cost of Table III). Values < 1 mean one worker per
 	// available CPU. Matching fans out one metagraph per worker with a
@@ -45,7 +42,6 @@ func DefaultOptions() Options {
 	return Options{
 		Mining: mining.DefaultOptions(),
 		Train:  core.DefaultTrain(),
-		Engine: "symiso",
 	}
 }
 
@@ -118,33 +114,6 @@ type classModel struct {
 	dots []float64
 }
 
-// validEngine reports whether name selects a known matching engine,
-// without paying for a matcher construction (BoostISO's costs a full
-// graph scan).
-func validEngine(name string) bool {
-	switch name {
-	case "", "symiso", "quicksi", "turboiso", "boostiso":
-		return true
-	}
-	return false
-}
-
-// newMatcher builds a matcher for an engine name already vetted by
-// validEngine in NewEngine.
-func newMatcher(name string, g *graph.Graph) match.Matcher {
-	switch name {
-	case "", "symiso":
-		return match.NewSymISO(g)
-	case "quicksi":
-		return match.NewQuickSI(g)
-	case "turboiso":
-		return match.NewTurboISO(g)
-	case "boostiso":
-		return match.NewBoostISO(g)
-	}
-	panic("semprox: unvalidated matching engine " + name)
-}
-
 // NewEngine mines the metagraph set of g (filtered to symmetric
 // metagraphs with a symmetric pair of anchor-typed nodes, per Sect. V-A)
 // and prepares lazy matching. anchorType is the object type proximity is
@@ -153,9 +122,6 @@ func NewEngine(g *graph.Graph, anchorType string, opts Options) (*Engine, error)
 	anchor := g.Types().ID(anchorType)
 	if anchor == graph.InvalidType {
 		return nil, fmt.Errorf("semprox: unknown anchor type %q", anchorType)
-	}
-	if !validEngine(opts.Engine) {
-		return nil, fmt.Errorf("semprox: unknown matching engine %q", opts.Engine)
 	}
 	e := &Engine{anchor: anchor, opts: opts}
 	patterns := mining.ProximityFilter(mining.Mine(g, opts.Mining), anchor)
@@ -220,7 +186,7 @@ func (e *Engine) matchMissing(ep *epoch, metaIx []*index.Index, indices []int) [
 		ms[k] = e.ms[i]
 	}
 	parts, _ := index.MatchParts(ms, func() match.Matcher {
-		return newMatcher(e.opts.Engine, ep.g)
+		return match.NewSymISO(ep.g)
 	}, e.opts.Workers)
 	out := append([]*index.Index(nil), metaIx...)
 	for k, i := range pending {

@@ -37,11 +37,6 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(g, "nope", DefaultOptions()); err == nil {
 		t.Fatal("unknown anchor type accepted")
 	}
-	bad := DefaultOptions()
-	bad.Engine = "nope"
-	if _, err := NewEngine(g, "user", bad); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
 }
 
 func TestEngineMinesMetagraphs(t *testing.T) {

@@ -1,10 +1,3 @@
 module repro
 
 go 1.24
-
-// The one tracked dependency: the go/analysis framework behind
-// cmd/semproxlint. Vendored (see vendor/) so builds never touch the
-// network; the pseudo-version pins the exact x/tools commit the vendor
-// tree was taken from, and `go build`'s inconsistent-vendoring check
-// fails the build if vendor/modules.txt ever drifts from this require.
-require golang.org/x/tools v0.28.1-0.20250131145412-98746475647e

@@ -2,8 +2,6 @@ package lint
 
 import (
 	"go/ast"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // AtomicWrite enforces the PR-4 lesson that birthed internal/atomicfile:
@@ -13,7 +11,7 @@ import (
 // for segments and sidecars), code must not reach for the raw
 // persistence primitives — os.Rename, os.Create, os.CreateTemp, or
 // (*os.File).Sync. Durable files go through atomicfile.Write/WriteWith.
-var AtomicWrite = &analysis.Analyzer{
+var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",
 	Doc: "report raw os.Rename/os.Create/os.CreateTemp/(*os.File).Sync persistence outside " +
 		"internal/atomicfile and internal/wal; durable files go through atomicfile.Write/WriteWith",
@@ -28,9 +26,9 @@ var rawPersistence = map[string]string{
 	"(*os.File).Sync": "a hand-rolled fsync schedule",
 }
 
-func runAtomicWrite(pass *analysis.Pass) (any, error) {
+func runAtomicWrite(pass *Pass) {
 	if pkgIn(pass, pkgAtomicfile, pkgWAL) {
-		return nil, nil // the two owners of raw durability
+		return // the two owners of raw durability
 	}
 	sup := newSuppressor(pass)
 	for _, file := range pass.Files {
@@ -51,5 +49,4 @@ func runAtomicWrite(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // CtxFirst pins the cancellation discipline of the I/O-performing
@@ -14,16 +12,16 @@ import (
 // on — and nothing mid-path manufactures its own context.Background()/
 // context.TODO(), which would detach the call from the caller's
 // deadline and make hedging, failover, and shutdown uncancellable.
-var CtxFirst = &analysis.Analyzer{
+var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc: "report exported functions in client/internal/proxy/internal/replica whose " +
 		"context.Context parameter is not first, and mid-path context.Background()/TODO() calls",
 	Run: runCtxFirst,
 }
 
-func runCtxFirst(pass *analysis.Pass) (any, error) {
+func runCtxFirst(pass *Pass) {
 	if !pkgIn(pass, pkgClient, pkgProxy, pkgReplica) {
-		return nil, nil
+		return
 	}
 	sup := newSuppressor(pass)
 	for _, file := range pass.Files {
@@ -44,12 +42,11 @@ func runCtxFirst(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkCtxPosition flags an exported function whose context.Context
 // parameter sits anywhere but position 0.
-func checkCtxPosition(pass *analysis.Pass, sup *suppressor, fn *ast.FuncDecl) {
+func checkCtxPosition(pass *Pass, sup *suppressor, fn *ast.FuncDecl) {
 	if !fn.Name.IsExported() || fn.Type.Params == nil {
 		return
 	}

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // Envelope protects the one error-body contract of the wire protocol:
@@ -15,7 +13,7 @@ import (
 // that no client can branch on and that breaks the byte-identity
 // guarantees the replica and alias tests pin. Errors must go through the
 // api envelope helpers (wire.WriteErr over api.Errorf).
-var Envelope = &analysis.Analyzer{
+var Envelope = &Analyzer{
 	Name: "envelope",
 	Doc: "report http.Error / fmt.Fprint* error rendering on ResponseWriters in internal/server " +
 		"and internal/proxy; non-2xx bodies must be the api error envelope",
@@ -30,9 +28,9 @@ var fprinters = map[string]bool{
 	"fmt.Fprintln": true,
 }
 
-func runEnvelope(pass *analysis.Pass) (any, error) {
+func runEnvelope(pass *Pass) {
 	if !pkgIn(pass, pkgServer, pkgProxy) {
-		return nil, nil
+		return
 	}
 	rw := responseWriterIface(pass.Pkg)
 	sup := newSuppressor(pass)
@@ -56,7 +54,6 @@ func runEnvelope(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // responseWriterIface finds net/http.ResponseWriter among the package's
@@ -79,7 +76,7 @@ func responseWriterIface(pkg *types.Package) *types.Interface {
 
 // writesToResponseWriter reports whether arg's static type satisfies
 // http.ResponseWriter.
-func writesToResponseWriter(pass *analysis.Pass, rw *types.Interface, arg ast.Expr) bool {
+func writesToResponseWriter(pass *Pass, rw *types.Interface, arg ast.Expr) bool {
 	if rw == nil {
 		return false
 	}

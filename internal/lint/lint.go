@@ -3,8 +3,10 @@
 // paths live only in api, durable files go through internal/atomicfile,
 // metric names are literal and cardinality-bounded, handlers render
 // errors through the api envelope, exported I/O takes a leading context,
-// serving code never sleep-polls) is a go/analysis pass here, run by
-// cmd/semproxlint under `make lint` and CI.
+// serving code never sleep-polls) is an Analyzer here, run by
+// cmd/semproxlint under `make lint` and CI. The framework is the
+// standard library's: Run parses and type-checks one package with
+// go/types and hands each analyzer a Pass.
 //
 // Suppression: a finding can be silenced with a
 //
@@ -17,21 +19,85 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
+// An Analyzer is one named rule: Run inspects a type-checked package
+// and reports what breaks the rule through Pass.Reportf.
+type Analyzer struct {
+	Name string
+	Doc  string
+	Run  func(*Pass)
+}
+
+// A Diagnostic is one finding of one analyzer.
+type Diagnostic struct {
+	Pos      token.Pos
+	Analyzer string
+	Message  string
+}
+
+// A Pass is one type-checked package as the analyzers see it, and
+// collects what they report.
+type Pass struct {
+	Fset        *token.FileSet
+	Files       []*ast.File
+	Pkg         *types.Package
+	TypesInfo   *types.Info
+	Diagnostics []Diagnostic
+
+	analyzer string // the one running, for Reportf
+}
+
+// Reportf records a finding of the running analyzer at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.Diagnostics = append(p.Diagnostics, Diagnostic{pos, p.analyzer, fmt.Sprintf(format, args...)})
+}
+
+// Run parses filenames as the package at import path, type-checks it
+// against imp and applies the analyzers in order. It is the one loading
+// step cmd/semproxlint and linttest share. A parse or type error is
+// returned with no analyzer run: the rules read types, and a package
+// that does not compile has none to trust.
+func Run(fset *token.FileSet, path string, filenames []string, imp types.Importer, analyzers ...*Analyzer) (*Pass, error) {
+	pass := &Pass{Fset: fset, TypesInfo: &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}}
+	var errs []error
+	for _, name := range filenames {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		pass.Files = append(pass.Files, f)
+	}
+	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err) }}
+	pass.Pkg, _ = conf.Check(path, fset, pass.Files, pass.TypesInfo)
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
+	for _, a := range analyzers {
+		pass.analyzer = a.Name
+		a.Run(pass)
+	}
+	return pass, nil
+}
+
 // Analyzers returns the full suite in a stable order; cmd/semproxlint
-// registers exactly this slice, so adding an analyzer here is all it
-// takes to put a new invariant under CI.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+// runs exactly this slice, so adding an analyzer here is all it takes
+// to put a new invariant under CI.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{
 		RawPath,
 		AtomicWrite,
 		MetricName,
@@ -56,12 +122,12 @@ const (
 
 // normPkgPath maps an external test package ("repro/api_test") onto the
 // package it tests, so scoping rules treat both the same way.
-func normPkgPath(pass *analysis.Pass) string {
+func normPkgPath(pass *Pass) string {
 	return strings.TrimSuffix(pass.Pkg.Path(), "_test")
 }
 
 // pkgIn reports whether the pass's package is one of paths.
-func pkgIn(pass *analysis.Pass, paths ...string) bool {
+func pkgIn(pass *Pass, paths ...string) bool {
 	p := normPkgPath(pass)
 	for _, want := range paths {
 		if p == want {
@@ -74,23 +140,30 @@ func pkgIn(pass *analysis.Pass, paths ...string) bool {
 // isTestFile reports whether file was parsed from a _test.go file.
 // Conventions about serving-path code do not bind tests: tests poll,
 // hardcode wire bytes, and write scratch files on purpose.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
+func isTestFile(pass *Pass, file *ast.File) bool {
 	return strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go")
 }
 
 // calleeName resolves the statically-called function of call to its
 // FullName ("os.Rename", "(*os.File).Sync"), or "" when the callee is
-// dynamic.
-func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
-	fn := typeutil.Callee(pass.TypesInfo, call)
-	if fn == nil {
-		return ""
+// dynamic, a conversion or a builtin. An explicit instantiation
+// (f[T](x)) reads as dynamic: no rule names a generic function.
+func calleeName(pass *Pass, call *ast.CallExpr) string {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = pass.TypesInfo.Uses[fun]
+	case *ast.SelectorExpr:
+		if sel, ok := pass.TypesInfo.Selections[fun]; ok {
+			obj = sel.Obj() // method
+		} else {
+			obj = pass.TypesInfo.Uses[fun.Sel] // qualified identifier
+		}
 	}
-	f, ok := fn.(*types.Func)
-	if !ok {
-		return ""
+	if f, ok := obj.(*types.Func); ok {
+		return f.FullName()
 	}
-	return f.FullName()
+	return ""
 }
 
 // allowDirective is the suppression escape hatch every analyzer honors.
@@ -99,12 +172,12 @@ const allowDirective = "//lint:semprox-allow"
 // suppressor indexes the //lint:semprox-allow comments of a pass so
 // report can drop findings the code explicitly (and justifiedly) waived.
 type suppressor struct {
-	pass *analysis.Pass
+	pass *Pass
 	// allows maps filename → line → justification text ("" = missing).
 	allows map[string]map[int]string
 }
 
-func newSuppressor(pass *analysis.Pass) *suppressor {
+func newSuppressor(pass *Pass) *suppressor {
 	s := &suppressor{pass: pass, allows: make(map[string]map[int]string)}
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {

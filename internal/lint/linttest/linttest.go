@@ -1,7 +1,7 @@
 // Package linttest is the golden-file harness the analyzer suite's
-// tests run on: a small, hermetic analogue of
-// golang.org/x/tools/go/analysis/analysistest (which is not in the
-// vendored subset of x/tools).
+// tests run on: a small, hermetic analogue of x/tools' analysistest on
+// the same lint.Run the real driver (cmd/semproxlint) loads packages
+// through.
 //
 // Layout is analysistest's GOPATH style: a testdata directory holds
 // src/<import/path>/*.go trees. Every import — including "stdlib"
@@ -22,59 +22,48 @@ package linttest
 
 import (
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/lint"
 )
 
 // Run loads each named package (and, transitively, everything it
 // imports) from dir's GOPATH-style src/ tree, applies a to each named
 // package, and fails t on any mismatch between reported diagnostics and
 // the // want expectations in the package's files.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
+func Run(t *testing.T, dir string, a *lint.Analyzer, pkgs ...string) {
 	t.Helper()
-	if len(a.Requires) > 0 {
-		t.Fatalf("linttest cannot run %s: analyzers with Requires need a full driver", a.Name)
-	}
 	l := &loader{
 		t:    t,
+		a:    a,
 		fset: token.NewFileSet(),
 		src:  filepath.Join(dir, "src"),
-		pkgs: make(map[string]*pkgInfo),
+		pkgs: make(map[string]*lint.Pass),
 	}
 	for _, path := range pkgs {
-		pi := l.load(path)
-		diags := runAnalyzer(t, a, l.fset, pi)
-		checkExpectations(t, a.Name, l.fset, pi.files, diags)
+		checkExpectations(t, a.Name, l.load(path))
 	}
-}
-
-// pkgInfo is one type-checked testdata package.
-type pkgInfo struct {
-	tpkg  *types.Package
-	files []*ast.File
-	info  *types.Info
 }
 
 // loader resolves and memoizes testdata packages; it is the
 // types.Importer of its own type-checking runs, so fakes in the tree
-// shadow the real standard library by construction.
+// shadow the real standard library by construction. Every package it
+// loads goes through lint.Run with the analyzer under test — imported
+// ones too, whose findings nobody reads.
 type loader struct {
 	t       *testing.T
+	a       *lint.Analyzer
 	fset    *token.FileSet
 	src     string
-	pkgs    map[string]*pkgInfo
+	pkgs    map[string]*lint.Pass
 	loading []string // active import chain, for cycle reporting
 }
 
@@ -85,90 +74,31 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		// bigger than the real thing.
 		return importer.Default().Import(path)
 	}
-	return l.load(path).tpkg, nil
+	return l.load(path).Pkg, nil
 }
 
-func (l *loader) load(path string) *pkgInfo {
+func (l *loader) load(path string) *lint.Pass {
 	l.t.Helper()
-	if pi, ok := l.pkgs[path]; ok {
-		if pi == nil {
+	if pass, ok := l.pkgs[path]; ok {
+		if pass == nil {
 			l.t.Fatalf("import cycle in testdata: %s", strings.Join(append(l.loading, path), " -> "))
 		}
-		return pi
+		return pass
 	}
 	l.pkgs[path] = nil // cycle marker
 	l.loading = append(l.loading, path)
 	defer func() { l.loading = l.loading[:len(l.loading)-1] }()
 
-	dir := filepath.Join(l.src, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		l.t.Fatalf("loading testdata package %s: %v", path, err)
-	}
-	var files []*ast.File
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		names = append(names, filepath.Join(dir, e.Name()))
-	}
-	sort.Strings(names)
+	names, _ := filepath.Glob(filepath.Join(l.src, filepath.FromSlash(path), "*.go")) // sorted
 	if len(names) == 0 {
 		l.t.Fatalf("testdata package %s has no .go files", path)
 	}
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			l.t.Fatalf("parsing %s: %v", name, err)
-		}
-		files = append(files, f)
+	pass, err := lint.Run(l.fset, path, names, l, l.a)
+	if err != nil {
+		l.t.Fatalf("testdata package %s must compile:\n%v", path, err)
 	}
-
-	info := &types.Info{
-		Types:        make(map[ast.Expr]types.TypeAndValue),
-		Instances:    make(map[*ast.Ident]types.Instance),
-		Defs:         make(map[*ast.Ident]types.Object),
-		Uses:         make(map[*ast.Ident]types.Object),
-		Implicits:    make(map[ast.Node]types.Object),
-		Selections:   make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:       make(map[ast.Node]*types.Scope),
-		FileVersions: make(map[*ast.File]string),
-	}
-	var terrs []string
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { terrs = append(terrs, err.Error()) },
-	}
-	tpkg, _ := conf.Check(path, l.fset, files, info)
-	if len(terrs) > 0 {
-		l.t.Fatalf("type errors in testdata package %s (testdata must compile):\n  %s",
-			path, strings.Join(terrs, "\n  "))
-	}
-	pi := &pkgInfo{tpkg: tpkg, files: files, info: info}
-	l.pkgs[path] = pi
-	return pi
-}
-
-// runAnalyzer applies a to one package and collects its diagnostics.
-func runAnalyzer(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, pi *pkgInfo) []analysis.Diagnostic {
-	t.Helper()
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      pi.files,
-		Pkg:        pi.tpkg,
-		TypesInfo:  pi.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   make(map[*analysis.Analyzer]any),
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFile:   os.ReadFile,
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s failed on %s: %v", a.Name, pi.tpkg.Path(), err)
-	}
-	return diags
+	l.pkgs[path] = pass
+	return pass
 }
 
 // expectation is one parsed // want regexp, consumed by at most one
@@ -186,10 +116,11 @@ type lineKey struct {
 
 // checkExpectations matches diagnostics against // want comments
 // line-for-line.
-func checkExpectations(t *testing.T, name string, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func checkExpectations(t *testing.T, name string, pass *lint.Pass) {
 	t.Helper()
+	fset := pass.Fset
 	wants := make(map[lineKey][]*expectation)
-	for _, f := range files {
+	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -207,7 +138,7 @@ func checkExpectations(t *testing.T, name string, fset *token.FileSet, files []*
 		}
 	}
 
-	for _, d := range diags {
+	for _, d := range pass.Diagnostics {
 		pos := fset.Position(d.Pos)
 		k := lineKey{pos.Filename, pos.Line}
 		matched := false

@@ -5,8 +5,6 @@ import (
 	"go/constant"
 	"go/types"
 	"regexp"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // MetricName keeps the /metrics exposition greppable and its
@@ -20,7 +18,7 @@ import (
 // crawler walking unbounded paths would mint an unbounded family of
 // time series. Paths must go through a bounded mapping (wire.PathLabel,
 // which both tiers hand to obs.WrapHTTP) before they become label values.
-var MetricName = &analysis.Analyzer{
+var MetricName = &Analyzer{
 	Name: "metricname",
 	Doc: "report non-literal or non-semprox_-prefixed metric names at internal/obs registration " +
 		"sites and unbounded (raw request derived) label values",
@@ -39,7 +37,7 @@ var registrars = map[string]bool{
 	"(*" + pkgObs + ".Registry).RegisterGaugeFunc": true,
 }
 
-func runMetricName(pass *analysis.Pass) (any, error) {
+func runMetricName(pass *Pass) {
 	sup := newSuppressor(pass)
 	for _, file := range pass.Files {
 		if isTestFile(pass, file) {
@@ -59,13 +57,12 @@ func runMetricName(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkMetricNameArg validates the name argument of a registration call:
 // it must carry a constant string value (literal or named constant) of
 // the semprox_ snake_case shape.
-func checkMetricNameArg(pass *analysis.Pass, sup *suppressor, call *ast.CallExpr) {
+func checkMetricNameArg(pass *Pass, sup *suppressor, call *ast.CallExpr) {
 	if len(call.Args) == 0 {
 		return
 	}
@@ -87,7 +84,7 @@ func checkMetricNameArg(pass *analysis.Pass, sup *suppressor, call *ast.CallExpr
 // any field or method of net/url.URL, or the unbounded fields of
 // net/http.Request. Such a value is unbounded-cardinality by
 // construction and must be mapped through a bounded table first.
-func checkLabelValue(pass *analysis.Pass, sup *suppressor, value ast.Expr) {
+func checkLabelValue(pass *Pass, sup *suppressor, value ast.Expr) {
 	ast.Inspect(value, func(n ast.Node) bool {
 		se, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -128,7 +125,7 @@ var unboundedRequestField = map[string]bool{
 // recvNamed resolves the receiver type of a selector to its named type,
 // unwrapping one level of pointer, or nil when the selector is not a
 // field/method selection on a named type.
-func recvNamed(pass *analysis.Pass, se *ast.SelectorExpr) *types.Named {
+func recvNamed(pass *Pass, se *ast.SelectorExpr) *types.Named {
 	sel := pass.TypesInfo.Selections[se]
 	if sel == nil {
 		return nil

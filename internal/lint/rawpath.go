@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-
 	"repro/api"
 )
 
@@ -17,16 +15,16 @@ import (
 // api path constants (api.PathQuery, …) so a path rename or a /v2 cut is
 // one diff in one package — the invariant PR 5 introduced and reviewers
 // have policed by eye since.
-var RawPath = &analysis.Analyzer{
+var RawPath = &Analyzer{
 	Name: "rawpath",
 	Doc: "report hardcoded /v1 path literals outside the api package; " +
 		"use the api path constants instead",
 	Run: runRawPath,
 }
 
-func runRawPath(pass *analysis.Pass) (any, error) {
+func runRawPath(pass *Pass) {
 	if pkgIn(pass, pkgAPI) {
-		return nil, nil // the one package allowed to spell paths out
+		return // the one package allowed to spell paths out
 	}
 	sup := newSuppressor(pass)
 	for _, file := range pass.Files {
@@ -50,5 +48,4 @@ func runRawPath(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }

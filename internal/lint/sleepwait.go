@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // SleepWait bans sleep-polling from the serving path. The WAL already
@@ -15,16 +13,16 @@ import (
 // internal/replica, internal/wal, or client burns a scheduling quantum
 // per probe and adds up to half the sleep interval of avoidable latency
 // to every wakeup; at millions of users that is the tail.
-var SleepWait = &analysis.Analyzer{
+var SleepWait = &Analyzer{
 	Name: "sleepwait",
 	Doc: "report time.Sleep polling loops in non-test serving code; block on wal.WaitSince, " +
 		"a sync.Cond, or a time.Ticker instead",
 	Run: runSleepWait,
 }
 
-func runSleepWait(pass *analysis.Pass) (any, error) {
+func runSleepWait(pass *Pass) {
 	if !pkgIn(pass, pkgServer, pkgProxy, pkgReplica, pkgWAL, pkgClient) {
-		return nil, nil
+		return
 	}
 	sup := newSuppressor(pass)
 	reported := make(map[token.Pos]bool)
@@ -46,13 +44,12 @@ func runSleepWait(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // flagSleeps reports time.Sleep calls lexically inside body, without
 // descending into nested function literals: a goroutine launched from a
 // loop that sleeps once is not the loop polling.
-func flagSleeps(pass *analysis.Pass, sup *suppressor, reported map[token.Pos]bool, body *ast.BlockStmt) {
+func flagSleeps(pass *Pass, sup *suppressor, reported map[token.Pos]bool, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false

@@ -211,18 +211,11 @@ func TestPromotionServesWrites(t *testing.T) {
 	}
 }
 
-// TestZombiePrimaryIsFenced: a follower that has seen term 2 and is
-// pointed back at the still-running term-1 primary must refuse
-// everything it says — reporting StatusFenced, regressing nothing,
-// never re-bootstrapping into the stale history — and must recover the
-// moment it is retargeted at the current-term primary.
-func TestZombiePrimaryIsFenced(t *testing.T) {
-	h := newPrimaryHarness(t) // will become the zombie
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 4; i++ {
-		h.applyRandom(t, rng, fmt.Sprintf("pre%d", i))
-	}
-	// Follower A catches up, promotes to term 2, serves writes.
+// promoteSuccessor deposes h: a durable follower catches up with it,
+// promotes to term 2 and takes one write (LSN h's durable end + 1) that h
+// never sees. It returns the new primary's server and a client on it.
+func promoteSuccessor(t *testing.T, h *primaryHarness) (*httptest.Server, *client.Client) {
+	t.Helper()
 	fa := newDurableFollower(t, h.ts.URL, h.ts.Client(), t.TempDir())
 	ctxA, cancelA := context.WithCancel(context.Background())
 	if err := fa.Bootstrap(ctxA); err != nil {
@@ -236,7 +229,7 @@ func TestZombiePrimaryIsFenced(t *testing.T) {
 	srvA := server.New(fa.Engine())
 	srvA.SetFollower(fa)
 	tsA := httptest.NewServer(srvA)
-	defer tsA.Close()
+	t.Cleanup(tsA.Close)
 	w, err := fa.Promote()
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +244,21 @@ func TestZombiePrimaryIsFenced(t *testing.T) {
 	if _, err := ca.Update(context.Background(), api.UpdateRequest{Nodes: []api.UpdateNode{{Type: "user", Name: "term2-write"}}}); err != nil {
 		t.Fatal(err)
 	}
+	return tsA, ca
+}
+
+// TestZombiePrimaryIsFenced: a follower that has seen term 2 and is
+// pointed back at the still-running term-1 primary must refuse
+// everything it says — reporting StatusFenced, regressing nothing,
+// never re-bootstrapping into the stale history — and must recover the
+// moment it is retargeted at the current-term primary.
+func TestZombiePrimaryIsFenced(t *testing.T) {
+	h := newPrimaryHarness(t) // will become the zombie
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 4; i++ {
+		h.applyRandom(t, rng, fmt.Sprintf("pre%d", i))
+	}
+	tsA, ca := promoteSuccessor(t, h)
 
 	// Follower B tracks the NEW primary (term 2), then gets pointed at
 	// the zombie — the old primary never learned it was deposed.
@@ -342,6 +350,48 @@ func TestZombiePrimaryIsFenced(t *testing.T) {
 	<-runB
 }
 
+// TestSnapshotFreshFollowerDoesNotConfirmZombie: a follower bootstrapped
+// from the term-2 primary's snapshot has seen term 2 but holds no record
+// of it, so its polls carry term=0. Pointed at the deposed term-1 primary
+// — synchronous, and about to write the very LSN the follower stands at —
+// that poll must not pass for a receipt: the zombie's write is on no
+// other log and never will be.
+func TestSnapshotFreshFollowerDoesNotConfirmZombie(t *testing.T) {
+	h := newPrimaryHarness(t) // will become the zombie
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 4; i++ {
+		h.applyRandom(t, rng, fmt.Sprintf("pre%d", i))
+	}
+	tsA, _ := promoteSuccessor(t, h)
+
+	fb := replica.NewFollower(tsA.URL, tsA.Client())
+	fb.PollWait = 50 * time.Millisecond
+	fb.Backoff = 10 * time.Millisecond
+	ctxB, cancelB := context.WithCancel(context.Background())
+	if err := fb.Bootstrap(ctxB); err != nil {
+		t.Fatal(err)
+	}
+	runB := make(chan error, 1)
+	go func() { runB <- fb.Run(ctxB) }()
+	defer func() { cancelB(); <-runB }()
+	waitCaughtUp(t, fb, 5) // one clean poll of the term-2 primary: term seen, nothing applied
+	if st := fb.Status(); st.Applied != 5 || st.Term != 2 {
+		t.Fatalf("follower fresh from the term-2 snapshot = %+v, want applied 5 at term 2", st)
+	}
+
+	h.srv.SetAckReplicas(1)
+	fb.Retarget(h.ts.URL) // the zombie, durable through LSN 4
+	zc := client.New(h.ts.URL, h.ts.Client())
+	zctx, zcancel := context.WithTimeout(context.Background(), 700*time.Millisecond)
+	defer zcancel()
+	if _, err := zc.Update(zctx, api.UpdateRequest{Nodes: []api.UpdateNode{{Type: "user", Name: "zombie-write"}}}); err == nil {
+		t.Fatal("the zombie acked LSN 5 on the poll of a follower that holds the term-2 LSN 5")
+	}
+	if st := fb.Status(); !st.Fenced || st.Applied != 5 {
+		t.Fatalf("follower polling the zombie = %+v, want fenced at 5", st)
+	}
+}
+
 // TestSinceTermMismatchForcesRebootstrap: a poller claiming a different
 // term for a record this log holds gets 409 term_mismatch through the
 // whole HTTP stack — the signal Follower.Run converts into a fresh
@@ -355,16 +405,16 @@ func TestSinceTermMismatchForcesRebootstrap(t *testing.T) {
 	c := client.New(h.ts.URL, h.ts.Client())
 	ctx := context.Background()
 	// The true term of LSN 2 is 1: claiming 5 is a diverged history.
-	_, err := c.ReplicateSince(ctx, 2, 5, 10, 0)
+	_, err := c.ReplicateSince(ctx, 2, 5, 0, 10, 0)
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeTermMismatch || apiErr.Status != http.StatusConflict {
 		t.Fatalf("diverged poll returned %v, want 409 %s", err, api.CodeTermMismatch)
 	}
 	// The matching term and the term-less (legacy) poll both stream.
-	if sr, err := c.ReplicateSince(ctx, 2, 1, 10, 0); err != nil || len(sr.Records) != 1 {
+	if sr, err := c.ReplicateSince(ctx, 2, 1, 0, 10, 0); err != nil || len(sr.Records) != 1 {
 		t.Fatalf("matching-term poll = %+v, %v", sr, err)
 	}
-	if sr, err := c.ReplicateSince(ctx, 2, 0, 10, 0); err != nil || len(sr.Records) != 1 {
+	if sr, err := c.ReplicateSince(ctx, 2, 0, 0, 10, 0); err != nil || len(sr.Records) != 1 {
 		t.Fatalf("term-less poll = %+v, %v", sr, err)
 	}
 }
@@ -437,7 +487,7 @@ func TestNewerHistoryPollDoesNotConfirm(t *testing.T) {
 				return
 			default:
 			}
-			c.ReplicateSince(context.Background(), after(), term, 10, 0) //nolint:errcheck
+			c.ReplicateSince(context.Background(), after(), term, 0, 10, 0) //nolint:errcheck
 			time.Sleep(10 * time.Millisecond)
 		}
 	}

@@ -404,7 +404,7 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 	if !f.polled.Load() {
 		wait = 0
 	}
-	sr, err := f.client().ReplicateSince(ctx, after, afterTerm, f.MaxBatch, wait)
+	sr, err := f.client().ReplicateSince(ctx, after, afterTerm, f.seenTerm.Load(), f.MaxBatch, wait)
 	if err != nil {
 		var apiErr *api.Error
 		if errors.As(err, &apiErr) && apiErr.Code == api.CodeTermMismatch {

@@ -13,6 +13,7 @@
 //	GET /v1/replicate/snapshot     an engine snapshot stream (semprox.Save)
 //	GET /v1/replicate/since?lsn=N  records with LSN > N as api.SinceResponse
 //	    [&max=M][&wait_ms=T]       long-polls up to T ms when none exist
+//	    [&term=X][&seen_term=S]    history check and fencing, see ServeSince
 //
 // The since response carries each delta in the same binary encoding the
 // WAL stores (base64 inside JSON), plus the primary's durable LSN so the
@@ -72,11 +73,11 @@ func NewPrimary(eng *semprox.Engine, log *wal.WAL) *Primary {
 }
 
 // ServeSince answers GET /v1/replicate/since?lsn=N[&max=M][&wait_ms=T]
-// [&term=X]: records with LSN > N in log order. With wait_ms and no
-// records ready it long-polls until one arrives or the wait elapses (an
-// empty response is not an error — it tells the follower it is caught up
-// at last_lsn). The caller (internal/server) renders the returned
-// status/body/error in its structured JSON shapes.
+// [&term=X][&seen_term=S]: records with LSN > N in log order. With
+// wait_ms and no records ready it long-polls until one arrives or the
+// wait elapses (an empty response is not an error — it tells the follower
+// it is caught up at last_lsn). The caller (internal/server) renders the
+// returned status/body/error in its structured JSON shapes.
 //
 // term=X is the term of the record the POLLER holds at LSN N. When this
 // log's record at N carries a different term, the two histories diverged
@@ -86,13 +87,23 @@ func NewPrimary(eng *semprox.Engine, log *wal.WAL) *Primary {
 // poll is refused with 409 and the poller must re-bootstrap from a
 // snapshot. term=0 (or absent) skips the check: the poller either
 // predates terms or holds no record at N.
+//
+// seen_term=S is the newest term the poller has observed anywhere. It
+// decides nothing about what is served; it keeps a deposed primary from
+// reading the poll as a durability receipt (below). Absent means 0.
 func (p *Primary) ServeSince(r *http.Request) (int, any, error) {
 	q := r.URL.Query()
 	after, err := strconv.ParseUint(q.Get("lsn"), 10, 64)
 	if err != nil {
 		return http.StatusBadRequest, nil, fmt.Errorf("bad lsn %q", q.Get("lsn"))
 	}
-	var pollerTerm uint64
+	var pollerTerm, seenTerm uint64
+	if ts := q.Get("seen_term"); ts != "" {
+		seenTerm, err = strconv.ParseUint(ts, 10, 64)
+		if err != nil {
+			return http.StatusBadRequest, nil, fmt.Errorf("bad seen_term %q", ts)
+		}
+	}
 	if ts := q.Get("term"); ts != "" {
 		pollerTerm, err = strconv.ParseUint(ts, 10, 64)
 		if err != nil {
@@ -110,15 +121,17 @@ func (p *Primary) ServeSince(r *http.Request) (int, any, error) {
 	// advances lsn= after the records are fsynced in its local log, so
 	// `after` is replicated-and-durable and synchronous writers waiting in
 	// WaitConfirmed can be released — but only when this log can vouch for
-	// the position. A poller past our durable end, or whose record at
-	// `after` carries a term NEWER than our current one, holds records this
-	// log never wrote: it is following a newer primary and we are the
-	// deposed one. Its position vouches for a different history, and a
-	// zombie releasing a synchronous ack on the strength of a fenced
-	// follower's poll would ack a write nobody will ever replicate. (The
-	// poll itself is still served: the response's stale term is what tells
-	// the poller to fence.)
-	if after <= p.log.DurableLSN() && pollerTerm <= p.log.Term() {
+	// the position. A poller past our durable end, or one that holds a
+	// record at `after` from — or has merely seen — a term NEWER than our
+	// current one, is following a newer primary and we are the deposed
+	// one. Its position vouches for a different history, and a zombie
+	// releasing a synchronous ack on the strength of a fenced follower's
+	// poll would ack a write nobody will ever replicate. The record term
+	// alone is not enough: a follower fresh from the new primary's
+	// snapshot holds no record yet and polls with term=0. (The poll itself
+	// is still served: the response's stale term is what tells the poller
+	// to fence.)
+	if term := p.log.Term(); after <= p.log.DurableLSN() && pollerTerm <= term && seenTerm <= term {
 		p.noteConfirmed(after)
 	}
 	max := p.MaxBatch

@@ -41,6 +41,10 @@ func scanSegment(path string, declaredFirst uint64, strict bool, fn func(lsn, te
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: %w", err)
+	}
 	br := bufio.NewReaderSize(f, 1<<16)
 
 	hdr := make([]byte, headerSize)
@@ -59,7 +63,7 @@ func scanSegment(path string, declaredFirst uint64, strict bool, fn func(lsn, te
 	var prevTerm uint64
 	var payload []byte
 	for {
-		lsn, term, body, n, err := readRecord(br, &payload)
+		lsn, term, body, n, err := readRecord(br, &payload, st.Size()-offset)
 		if err == io.EOF {
 			return offset, last, nil
 		}
@@ -90,9 +94,11 @@ func scanSegment(path string, declaredFirst uint64, strict bool, fn func(lsn, te
 
 // readRecord reads one framed record, reusing *payload as scratch. It
 // returns io.EOF at a clean record boundary and errTornTail for a
-// truncated or checksum-failing record. The returned body aliases the
-// scratch buffer and is only valid until the next call.
-func readRecord(br *bufio.Reader, payload *[]byte) (lsn, term uint64, body []byte, size int64, err error) {
+// truncated or checksum-failing record. remaining is what the file holds
+// from the frame on: a length that claims more is a short payload, and
+// is refused before the scratch buffer is sized by it. The returned body
+// aliases the scratch buffer and is only valid until the next call.
+func readRecord(br *bufio.Reader, payload *[]byte, remaining int64) (lsn, term uint64, body []byte, size int64, err error) {
 	var frame [frameSize]byte
 	if _, err := io.ReadFull(br, frame[:]); err != nil {
 		if err == io.EOF {
@@ -103,6 +109,9 @@ func readRecord(br *bufio.Reader, payload *[]byte) (lsn, term uint64, body []byt
 	length := binary.BigEndian.Uint32(frame[0:4])
 	if length == 0 || length > MaxRecordBytes {
 		return 0, 0, nil, 0, fmt.Errorf("%w: implausible record length %d", errTornTail, length)
+	}
+	if frameSize+int64(length) > remaining {
+		return 0, 0, nil, 0, fmt.Errorf("%w: short payload", errTornTail)
 	}
 	if cap(*payload) < int(length) {
 		*payload = make([]byte, length)

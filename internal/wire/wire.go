@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/api"
 )
@@ -127,6 +128,12 @@ func WriteErr(w http.ResponseWriter, err *api.Error) {
 func NotFound(w http.ResponseWriter, r *http.Request) {
 	WriteErr(w, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no endpoint at %s", r.URL.Path))
 }
+
+// ReadHeaderTimeout is how long both daemons give a connection to send a
+// request's headers, so a client that never finishes them cannot hold it
+// forever. Headers only: the long-polled replication feed and snapshot
+// streaming rule out a bound on the whole read or the write.
+const ReadHeaderTimeout = 10 * time.Second
 
 // MetricsPath serves the Prometheus exposition. Unversioned on purpose:
 // it is operational surface, not part of the /v1 wire contract.

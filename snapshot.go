@@ -182,9 +182,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if anchor == graph.InvalidType {
 		return nil, fmt.Errorf("semprox: snapshot anchor type %q not in graph", h.Anchor)
 	}
-	if !validEngine(h.Opts.Engine) {
-		return nil, fmt.Errorf("semprox: snapshot matching engine %q unknown", h.Opts.Engine)
-	}
 	e := &Engine{
 		anchor: anchor,
 		opts:   h.Opts,

@@ -182,6 +182,48 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// TestSnapshotWithRetiredEngineOptionLoads: headers written while
+// Options still had an Engine field ("symiso", the only value anything
+// ever wrote) carry it; the field is gone and such a snapshot still
+// loads and trains.
+func TestSnapshotWithRetiredEngineOptionLoads(t *testing.T) {
+	eng, g := toyEngine(t)
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := flat.NewReader(&buf, snapshotMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, graphText := fr.Bytes(), fr.Bytes() // an untrained engine's whole stream
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(hdr, []byte(`"Opts":{`), []byte(`"Opts":{"Engine":"symiso",`), 1)
+	if bytes.Equal(old, hdr) {
+		t.Fatalf("header has no Opts object to extend: %s", hdr)
+	}
+	var stream bytes.Buffer
+	fw := flat.NewWriter(&stream, snapshotMagic)
+	fw.Bytes(old)
+	fw.Bytes(graphText)
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(&stream)
+	if err != nil {
+		t.Fatalf("snapshot with an Engine option refused: %v", err)
+	}
+	if loaded.NumMetagraphs() != eng.NumMetagraphs() {
+		t.Fatalf("loaded %d metagraphs, saved %d", loaded.NumMetagraphs(), eng.NumMetagraphs())
+	}
+	loaded.Train("classmate", classmateExamples(g))
+	if _, err := loaded.Query("classmate", g.NodeByName("Kate"), 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fullSnapshot saves a trained, updated engine — the richest wire shape
 // (graph, epoch, LSN, matched parts, classes) — for the corruption tests.
 func fullSnapshot(t testing.TB) []byte {
