@@ -87,7 +87,8 @@ cover:
 
 # One iteration each of the benchmarks no other target runs, so they are
 # compiled and executed on every commit: the snapshot codec (Save and
-# LoadEngine at 5 000 users — the restart-to-serving path), one update
+# LoadEngine at 5 000 users — the restart-to-serving path) and the merge
+# of that engine's three matched parts into its one index, one update
 # on the highest-degree node of a LinkedIn-shaped graph, the ranked scan
 # (warm on a small index, and `uniform`: seeded random anchors on the
 # 5 000-user index, which is what a daemon pays), and one query and one
@@ -96,7 +97,7 @@ cover:
 # reported; TestServeAllocBudget is the gate, this keeps the benchmarks
 # themselves running).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$|BenchmarkIndexMerge$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server

@@ -278,7 +278,7 @@ func BenchmarkRankTop(b *testing.B) {
 		g := eng.Graph()
 		users := slices.Clone(g.NodesOfType(g.Types().ID("user")))
 		rand.New(rand.NewSource(1)).Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
-		ix := eng.cur.Load().classes["college"].ix
+		ix := eng.cur.Load().ix
 		partners := make([]int, len(users))
 		for i, q := range users {
 			partners[i] = len(ix.Partners(q))
@@ -548,6 +548,23 @@ func snapshotBench(b *testing.B) (*Engine, []byte) {
 		snapBenchEng, snapBenchBytes = eng, buf.Bytes()
 	})
 	return snapBenchEng, snapBenchBytes
+}
+
+// BenchmarkIndexMerge measures index.Merge at the read_direct size: the
+// three single-metagraph parts of the 5 000-user engine (≈ 650 k pair rows
+// between them) into one index — what every first Train pays after
+// matching, and the benchmark's index.build_s beyond the match itself.
+func BenchmarkIndexMerge(b *testing.B) {
+	eng, _ := snapshotBench(b)
+	g := eng.Graph()
+	parts, _ := index.MatchParts(eng.ms, func() match.Matcher { return match.NewSymISO(g) }, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ix := index.Merge(parts...); ix.NumMeta() != len(parts) {
+			b.Fatal("merge lost a metagraph")
+		}
+	}
 }
 
 // BenchmarkSnapshotSave measures Engine.Save into memory: the codec alone,

@@ -3,6 +3,7 @@ package semprox
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,26 +72,28 @@ type Engine struct {
 	cur atomic.Pointer[epoch]
 }
 
-// epoch is one immutable serving generation: the graph version, the lazy
-// matching cache, and the trained classes that go with it. Epochs are
-// never mutated after publish — writers copy what changes and share the
-// rest.
+// epoch is one immutable serving generation: the graph version, the one
+// index of every metagraph matched so far, and the trained classes that go
+// with it. Epochs are never mutated after publish — writers copy what
+// changes and share the rest.
 type epoch struct {
 	g *graph.Graph
 
-	// metaIx caches the single-metagraph index of each matched metagraph;
-	// dual-stage training matches lazily and never re-matches. Matchers
-	// are built per worker by matchMissing (SymISO carries per-Match
-	// scratch sized to the graph, and SymISO-R style engines may carry
-	// mutable state), so none is retained.
-	metaIx []*index.Index
+	// ix holds the metagraph vectors over all of M (Eq. 1–2): it spans
+	// len(Engine.ms) metagraphs and has rows for the matched ones only.
+	// matched[i] says metagraph i has been matched; dual-stage training
+	// matches lazily and never re-matches. Matchers are built per worker by
+	// matchMissing (SymISO carries per-Match scratch sized to the graph, and
+	// SymISO-R style engines may carry mutable state), so none is retained.
+	ix      *index.Index
+	matched []bool
 
 	classes map[string]*classModel
 
 	// version is the serving epoch counter: the graph's Apply generation,
-	// persisted across snapshots. pending counts the structures (graph +
-	// indices) still carrying copy-on-write overlays that Compact would
-	// fold into flat storage.
+	// persisted across snapshots. pending counts the structures (graph,
+	// index) still carrying copy-on-write overlays that Compact would fold
+	// into flat storage.
 	version uint64
 	pending int
 
@@ -102,16 +105,31 @@ type epoch struct {
 	lsn uint64
 }
 
-// classModel is the learned state of one semantic class.
+// classModel is the learned state of one semantic class: which metagraphs
+// it was trained on and their weights (Sect. III-B). It ranks on the
+// epoch's index through two derived slices.
 type classModel struct {
 	kept  []int // metagraph indices the model was trained on
-	ix    *index.Index
 	model *core.Model
-	// dots is ix.NodeDots(model.W): m_v·w by node id, the half of every
-	// candidate's denominator a query does not change. Derived like the
-	// adjacency — publish fills it in, patchClass carries it, no snapshot
-	// holds it.
+	// w is model.W dense over M: w[kept[k]] = model.W[k], zero elsewhere. A
+	// zero weight adds an exact +0 to a dot product, so scanning the rows of
+	// all of M under w scores what the kept coordinates alone would.
+	w []float64
+	// dots is ix.NodeDots(w) on the epoch's index: m_v·w by node id, the
+	// half of every candidate's denominator a query does not change. Derived
+	// like the adjacency — publish fills it in, an update carries it, no
+	// snapshot holds it.
 	dots []float64
+}
+
+// newClass derives the dense weights of a class over numMeta metagraphs;
+// publish adds the denominators.
+func newClass(numMeta int, kept []int, model *core.Model) *classModel {
+	w := make([]float64, numMeta)
+	for k, i := range kept {
+		w[i] = model.W[k]
+	}
+	return &classModel{kept: kept, model: model, w: w}
 }
 
 // NewEngine mines the metagraph set of g (filtered to symmetric
@@ -128,7 +146,8 @@ func NewEngine(g *graph.Graph, anchorType string, opts Options) (*Engine, error)
 	e.ms = mining.Metagraphs(patterns)
 	e.cur.Store(&epoch{
 		g:       g,
-		metaIx:  make([]*index.Index, len(e.ms)),
+		ix:      index.NewBuilder(len(e.ms)).Build(),
+		matched: make([]bool, len(e.ms)),
 		classes: make(map[string]*classModel),
 		version: g.Version(),
 	})
@@ -162,61 +181,52 @@ func (e *Engine) NumMetagraphs() int { return len(e.ms) }
 
 // matchMissing matches the still-unmatched metagraphs of the subset on
 // ep's graph, fanning them out over Options.Workers goroutines via
-// index.MatchParts (one private matcher per worker). It returns a metaIx
-// slice with every requested slot populated — ep.metaIx itself when
-// nothing was missing, a copy otherwise (epochs are immutable; the caller
-// publishes the copy). Callers hold e.mu.
+// index.MatchParts (one private matcher per worker), and merges them into
+// the index at their slots. It returns the index and matched set with every
+// requested slot populated — the ones passed in when nothing was missing,
+// copies otherwise (epochs are immutable; the caller publishes the copies).
+// Callers hold e.mu.
 //
 // index.MatchParts cannot fail: its only returns are the part indices
 // (one per input metagraph, always populated) and the per-metagraph
 // wall-clock durations — there is no error to propagate here, only
 // timing data this path has no use for.
-func (e *Engine) matchMissing(ep *epoch, metaIx []*index.Index, indices []int) []*index.Index {
-	pending := make([]int, 0, len(indices))
+func (e *Engine) matchMissing(g *graph.Graph, ix *index.Index, matched []bool, indices []int) (*index.Index, []bool) {
+	var missing []int
 	for _, i := range indices {
-		if metaIx[i] == nil {
-			pending = append(pending, i)
+		if !matched[i] {
+			missing = append(missing, i)
 		}
 	}
-	if len(pending) == 0 {
-		return metaIx
+	if len(missing) == 0 {
+		return ix, matched
 	}
-	ms := make([]*metagraph.Metagraph, len(pending))
-	for k, i := range pending {
+	ms := make([]*metagraph.Metagraph, len(missing))
+	for k, i := range missing {
 		ms[k] = e.ms[i]
 	}
 	parts, _ := index.MatchParts(ms, func() match.Matcher {
-		return match.NewSymISO(ep.g)
+		return match.NewSymISO(g)
 	}, e.opts.Workers)
-	out := append([]*index.Index(nil), metaIx...)
-	for k, i := range pending {
-		part := parts[k]
+	matched = slices.Clone(matched)
+	for k, i := range missing {
 		if e.opts.LogTransform {
-			part = part.Transform(log1p)
+			parts[k] = parts[k].Transform(log1p)
 		}
-		out[i] = part
+		matched[i] = true
 	}
-	return out
-}
-
-// mergeFor merges the cached vectors of a metagraph subset in the order
-// of indices, so the result is deterministic for every worker count.
-// Every requested slot must already be matched.
-func mergeFor(metaIx []*index.Index, indices []int) *index.Index {
-	parts := make([]*index.Index, len(indices))
-	for k, i := range indices {
-		parts[k] = metaIx[i]
-	}
-	return index.Merge(parts...)
+	return ix.AddParts(missing, parts), matched
 }
 
 // MatchedCount reports how many metagraphs have been matched so far —
 // after TrainDualStage this stays well below NumMetagraphs, which is the
 // whole point of Alg. 1. Safe for concurrent use (it reads one epoch).
-func (e *Engine) MatchedCount() int {
+func (e *Engine) MatchedCount() int { return e.cur.Load().matchedCount() }
+
+func (ep *epoch) matchedCount() int {
 	n := 0
-	for _, ix := range e.cur.Load().metaIx {
-		if ix != nil {
+	for _, ok := range ep.matched {
+		if ok {
 			n++
 		}
 	}
@@ -224,43 +234,47 @@ func (e *Engine) MatchedCount() int {
 }
 
 // publish installs the next epoch with its pending-compaction count
-// recomputed. It is the one door to readers, so it finishes every class
+// recomputed. It is the one door to readers, so it finishes the epoch
 // first: the partner adjacency a ranked read scans and the denominators it
-// adds up are derived here, on the writer (both already there for a class
-// patchClass carried over), and no reader of a published epoch ever builds
+// adds up are derived here, on the writer (both already there when an
+// update carried them over), and no reader of a published epoch ever builds
 // either. Callers hold e.mu.
 func (e *Engine) publish(ep *epoch) {
+	ep.ix.BuildAdjacency()
 	for _, cm := range ep.classes {
-		cm.ix.BuildAdjacency()
 		if cm.dots == nil {
-			cm.dots = cm.ix.NodeDots(cm.model.W)
+			cm.dots = ep.ix.NodeDots(cm.w)
 		}
 	}
 	ep.pending = 0
 	if ep.g.Overlaid() {
 		ep.pending++
 	}
-	for _, ix := range ep.metaIx {
-		if ix != nil && ix.Pending() {
-			ep.pending++
-		}
+	if ep.ix.Pending() {
+		ep.pending++
 	}
-	for _, cm := range ep.classes {
-		if cm.ix.Pending() {
-			ep.pending++
-		}
-	}
+	fp := ep.ix.Footprint()
+	engIndexTables.Set(fp.Tables)
+	engIndexAdjacency.Set(fp.Adjacency)
+	engIndexOverlay.Set(fp.Overlay)
+	engIndexOverlayRows.Set(int64(fp.OverlayRows))
 	e.cur.Store(ep)
 }
 
-// withClass copies the class table with one entry replaced.
-func withClass(classes map[string]*classModel, name string, cm *classModel) map[string]*classModel {
-	out := make(map[string]*classModel, len(classes)+1)
-	for k, v := range classes {
-		out[k] = v
+// trained is the epoch that follows ep when training has grown the index
+// to ix and produced the named class. The other classes carry over; when
+// the index grew their denominators are dropped for publish to derive
+// again, because newly matched rows can name nodes the old ones did not.
+func (ep *epoch) trained(ix *index.Index, matched []bool, name string, cm *classModel) *epoch {
+	classes := make(map[string]*classModel, len(ep.classes)+1)
+	for k, v := range ep.classes {
+		if ix != ep.ix {
+			v = &classModel{kept: v.kept, model: v.model, w: v.w}
+		}
+		classes[k] = v
 	}
-	out[name] = cm
-	return out
+	classes[name] = cm
+	return &epoch{g: ep.g, ix: ix, matched: matched, classes: classes, version: ep.version, lsn: ep.lsn}
 }
 
 // Train learns the weight vector of the named class over ALL metagraphs,
@@ -275,42 +289,29 @@ func (e *Engine) Train(class string, examples []Example) {
 	for i := range all {
 		all[i] = i
 	}
-	metaIx := e.matchMissing(ep, ep.metaIx, all)
-	ix := mergeFor(metaIx, all)
-	cm := &classModel{kept: all, ix: ix, model: core.Train(ix, examples, e.opts.Train)}
-	e.publish(&epoch{
-		g:       ep.g,
-		metaIx:  metaIx,
-		classes: withClass(ep.classes, class, cm),
-		version: ep.version,
-		lsn:     ep.lsn,
-	})
+	ix, matched := e.matchMissing(ep.g, ep.ix, ep.matched, all)
+	cm := newClass(len(e.ms), all, core.Train(ix, examples, e.opts.Train))
+	e.publish(ep.trained(ix, matched, class, cm))
 }
 
 // TrainDualStage learns the class with dual-stage training (Alg. 1):
 // only the metapath seeds plus numCandidates heuristically-selected
 // metagraphs are ever matched. Each stage's matching fans out over
-// Options.Workers.
+// Options.Workers, and each stage trains on the projection of the index
+// onto the metagraphs it selected.
 func (e *Engine) TrainDualStage(class string, examples []Example, numCandidates int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ep := e.cur.Load()
-	metaIx := ep.metaIx
+	ix, matched := ep.ix, ep.matched
 	matchFn := func(indices []int) *index.Index {
-		metaIx = e.matchMissing(ep, metaIx, indices)
-		return mergeFor(metaIx, indices)
+		ix, matched = e.matchMissing(ep.g, ix, matched, indices)
+		return ix.Project(indices)
 	}
 	opts := core.DefaultDualStage(numCandidates)
 	opts.Train = e.opts.Train
 	res := core.DualStage(e.ms, matchFn, examples, opts)
-	cm := &classModel{kept: res.Kept, ix: mergeFor(metaIx, res.Kept), model: res.Model}
-	e.publish(&epoch{
-		g:       ep.g,
-		metaIx:  metaIx,
-		classes: withClass(ep.classes, class, cm),
-		version: ep.version,
-		lsn:     ep.lsn,
-	})
+	e.publish(ep.trained(ix, matched, class, newClass(len(e.ms), res.Kept, res.Model)))
 }
 
 // Classes returns the trained class names, sorted.
@@ -332,11 +333,7 @@ func (e *Engine) Weights(class string) []float64 {
 	if cm == nil {
 		return nil
 	}
-	w := make([]float64, len(e.ms))
-	for k, idx := range cm.kept {
-		w[idx] = cm.model.W[k]
-	}
-	return w
+	return slices.Clone(cm.w)
 }
 
 // View pins the current serving epoch: every read through the returned
@@ -396,15 +393,15 @@ func (v View) Query(class string, q NodeID, k int) ([]Ranked, error) {
 	if cm == nil {
 		return nil, fmt.Errorf("semprox: class %q not trained", class)
 	}
-	return rank(cm, q, k), nil
+	return rank(v.ep.ix, cm, q, k), nil
 }
 
 // rank answers one ranked query on a class and records how long the scan
 // took and how many candidates it visited.
-func rank(cm *classModel, q NodeID, k int) []Ranked {
+func rank(ix *index.Index, cm *classModel, q NodeID, k int) []Ranked {
 	start := time.Now()
-	cands := cm.ix.Candidates(q)
-	top := core.RankCandidates(cands, cm.model.W, cm.dots, k)
+	cands := ix.Candidates(q)
+	top := core.RankCandidates(cands, cm.w, cm.dots, k)
 	engRank.Since(start)
 	engCandidates.Observe(int64(len(cands.Nodes)))
 	return top
@@ -426,7 +423,7 @@ func (v View) QueryBatch(class string, qs []NodeID, k int) ([][]Ranked, error) {
 	}
 	out := make([][]Ranked, len(qs))
 	for i, q := range qs {
-		out[i] = rank(cm, q, k)
+		out[i] = rank(v.ep.ix, cm, q, k)
 	}
 	return out, nil
 }
@@ -443,5 +440,5 @@ func (v View) Proximity(class string, x, y NodeID) (float64, error) {
 	if cm == nil {
 		return 0, fmt.Errorf("semprox: class %q not trained", class)
 	}
-	return core.Proximity(cm.ix, cm.model.W, x, y), nil
+	return core.Proximity(v.ep.ix, cm.w, x, y), nil
 }

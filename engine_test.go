@@ -2,10 +2,17 @@ package semprox
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fixtures"
+	"repro/internal/index"
+	"repro/internal/match"
 	"repro/internal/mining"
 )
 
@@ -309,5 +316,96 @@ func TestQueryObservesCandidatesScanned(t *testing.T) {
 	}
 	if got := engCandidates.Summary().Count - before; got != 4 {
 		t.Fatalf("4 ranked queries recorded %d scan lengths", got)
+	}
+}
+
+// TestOneIndexEqualsPerClassMerge is the property behind keeping one index
+// per epoch: a class is a weight vector over it, and for random kept sets —
+// ascending, and in an arbitrary selection order like dual-stage training
+// produces — and random non-negative weights (some exactly zero),
+// Engine.Query and Engine.Proximity return bit for bit what core.RankTop and
+// core.Proximity return on an index merged from the kept parts alone in
+// ascending order. Against the merge in selection order, which is what a
+// dual-stage class used to rank on, the candidates are the same and a score
+// may differ in its last bits (rows of three or more kept coordinates sum in
+// a different order).
+func TestOneIndexEqualsPerClassMerge(t *testing.T) {
+	toy, g := toyEngine(t)
+	toy.Train("classmate", classmateExamples(g))
+	hub, _ := hubEngine(t, 200, false)
+	for name, eng := range map[string]*Engine{"toy": toy, "hub": hub} {
+		g := eng.Graph()
+		users := g.NodesOfType(g.Types().ID("user"))
+		queries := append([]NodeID{-1, NodeID(g.NumNodes())}, users...)
+		parts, _ := index.MatchParts(eng.ms, func() match.Matcher { return match.NewSymISO(g) }, 1)
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		for trial := 0; trial < 12; trial++ {
+			tag := fmt.Sprintf("%s trial %d", name, trial)
+			kept := rng.Perm(len(parts))[:1+rng.Intn(len(parts))]
+			ascending := trial%2 == 0
+			if ascending {
+				slices.Sort(kept)
+			}
+			w := make([]float64, len(kept))
+			for i := range w {
+				if rng.Intn(5) > 0 {
+					w[i] = rng.Float64()
+				}
+			}
+			ep := eng.cur.Load()
+			eng.publish(ep.trained(ep.ix, ep.matched, "probe", newClass(len(eng.ms), kept, &core.Model{W: w})))
+
+			order := make([]int, len(kept)) // positions of kept, by ascending metagraph
+			for i := range order {
+				order[i] = i
+			}
+			slices.SortFunc(order, func(a, b int) int { return kept[a] - kept[b] })
+			var refParts, selParts []*index.Index
+			var refW []float64
+			for i, k := range order {
+				refParts = append(refParts, parts[kept[k]])
+				refW = append(refW, w[k])
+				selParts = append(selParts, parts[kept[i]])
+			}
+			ref, sel := index.Merge(refParts...), index.Merge(selParts...)
+
+			for _, q := range queries {
+				for _, k := range []int{0, 3} {
+					got, err := eng.Query("probe", q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := core.RankTop(ref, refW, q, k)
+					if len(got) != len(want) {
+						t.Fatalf("%s: query %d k=%d: %v, per-class merge gives %v", tag, q, k, got, want)
+					}
+					for i := range want {
+						if got[i].Node != want[i].Node || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+							t.Fatalf("%s: query %d k=%d rank %d: %+v, per-class merge gives %+v", tag, q, k, i, got[i], want[i])
+						}
+					}
+				}
+				all, _ := eng.Query("probe", q, 0)
+				nodes := func(rs []Ranked) []NodeID {
+					out := make([]NodeID, len(rs))
+					for i, r := range rs {
+						out[i] = r.Node
+					}
+					slices.Sort(out)
+					return out
+				}
+				if old := core.RankTop(sel, w, q, 0); !slices.Equal(nodes(all), nodes(old)) {
+					t.Fatalf("%s: query %d ranks nodes %v, the merge in selection order %v", tag, q, nodes(all), nodes(old))
+				}
+			}
+			for _, x := range users {
+				for _, y := range users[int(x)%3 : min(len(users), 40)] {
+					got, _ := eng.Proximity("probe", x, y)
+					if want := core.Proximity(ref, refW, x, y); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: proximity(%d,%d) = %v, per-class merge gives %v", tag, x, y, got, want)
+					}
+				}
+			}
+		}
 	}
 }

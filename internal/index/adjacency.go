@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -332,4 +333,41 @@ func (ix *Index) NodeDots(w []float64) []float64 {
 		dots[v] = s.of(ix.mx.ent, ix.ovlMx.ent).Dot(w)
 	}
 	return dots
+}
+
+// Footprint is what an index holds resident, in bytes of slice contents:
+// Tables the flat by-key node and pair tables, Adjacency the partner rows
+// and node-row positions derived from them (0 until built), Overlay the
+// patch overlay's tables and replacement partner rows — what Compact folds
+// away. OverlayRows counts the overlay's node and pair rows.
+type Footprint struct {
+	Tables, Adjacency, Overlay int64
+	OverlayRows                int
+}
+
+// Footprint sizes the index as it stands.
+func (ix *Index) Footprint() Footprint {
+	fp := Footprint{
+		Tables:      csrBytes(&ix.mx) + csrBytes(&ix.mxy),
+		Overlay:     csrBytes(&ix.ovlMx) + csrBytes(&ix.ovlMxy),
+		OverlayRows: len(ix.ovlMx.keys) + len(ix.ovlMxy.keys),
+	}
+	if a := ix.adj.p.Load(); a != nil {
+		fp.Adjacency = sliceBytes(a.nodeRow) + a.flat.bytes()
+		fp.Overlay += a.ovl.bytes() - sliceBytes(a.ovl.inl) // inl is off there
+	}
+	return fp
+}
+
+func sliceBytes[T any](s []T) int64 {
+	var z T
+	return int64(len(s)) * int64(unsafe.Sizeof(z))
+}
+
+func csrBytes[K cmp.Ordered](c *csr[K]) int64 {
+	return sliceBytes(c.keys) + sliceBytes(c.off) + sliceBytes(c.ent)
+}
+
+func (r *adjRows) bytes() int64 {
+	return sliceBytes(r.off) + sliceBytes(r.node) + sliceBytes(r.inl) + sliceBytes(r.eoff) + sliceBytes(r.ent)
 }

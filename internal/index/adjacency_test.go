@@ -58,8 +58,8 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 		for _, m := range patchMetagraphs() {
 			p1 := RematchDelta(g1, m, mk, touched1)
 			p2 := RematchDelta(g2, m, mk, touched2)
-			for _, k := range p1.PairKeys() {
-				if findKey(p2.PairKeys(), k) >= 0 {
+			for _, k := range p1.mxy.keys {
+				if findKey(p2.mxy.keys, k) >= 0 {
 					overlapped++
 					break
 				}
@@ -97,7 +97,7 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 	if got := empty.Candidates(3); len(got.Nodes) != 0 {
 		t.Fatalf("empty index has candidates %v", got.Nodes)
 	}
-	p := NewPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
+	p := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
 		map[PairKey][]Entry{MakePairKey(1, 3): {{Meta: 0, Count: 1}}, MakePairKey(3, 9): {{Meta: 0, Count: 4}}})
 	patched := empty.WithPatch(p)
 	c := patched.Candidates(3)

@@ -97,13 +97,6 @@ func (c *csr[K]) row(k K) SparseVec {
 	return c.ent[c.off[i]:c.off[i+1]]
 }
 
-// dedupeSorted copies the distinct values of a sorted slice into a
-// right-sized allocation, so long-lived key slices never pin the oversized
-// scratch array they were deduped from.
-func dedupeSorted[K cmp.Ordered](sorted []K) []K {
-	return slices.Clone(slices.Compact(sorted))
-}
-
 // findKey binary-searches a sorted key slice, returning the position of k
 // or -1. slices.BinarySearch is closure-free, so reads stay
 // allocation-free.
@@ -239,6 +232,18 @@ func (ix *Index) NumPairs() int {
 	return n
 }
 
+// MetaSupport reports, per metagraph, whether any row holds a coordinate
+// for it.
+func (ix *Index) MetaSupport() []bool {
+	used := make([]bool, ix.numMeta)
+	for _, ent := range [][]Entry{ix.mx.ent, ix.mxy.ent, ix.ovlMx.ent, ix.ovlMxy.ent} {
+		for _, e := range ent {
+			used[e.Meta] = true
+		}
+	}
+	return used
+}
+
 // Transform returns a copy of the index with f applied to every count; the
 // paper mentions log-style transforms of the raw counts (Sect. II-A). Keys
 // and offsets are shared with the receiver (they are immutable); the entry
@@ -324,88 +329,128 @@ func projectCSR[K cmp.Ordered](c csr[K], remap []int32, ascending bool) csr[K] {
 
 // Merge combines single-metagraph (or multi-metagraph) indices into one,
 // renumbering metagraphs by concatenation: part k's metagraph j becomes
-// offset(k)+j. The engine caches one single-metagraph index per matched
-// metagraph and merges subsets on demand, so dual-stage training never
-// re-matches anything.
-//
-// Parts are consumed by an offset-aware k-way concatenation: each part's
-// rows are already Meta-sorted and the per-part offsets grow monotonically,
-// so appending part rows in part order yields sorted rows directly — no
-// per-row sort is ever needed.
+// offset(k)+j. BuildParallel merges the parts its workers matched; an
+// engine adds parts to the index it already serves (AddParts), which is the
+// same routine with the index as one more input.
 func Merge(parts ...*Index) *Index {
-	out := &Index{adj: &lazyAdjacency{}}
-	offsets := make([]int32, len(parts))
-	var off int32
-	compacted := make([]*Index, len(parts))
+	slots := make([]int, len(parts))
+	n := 0
 	for i, p := range parts {
-		compacted[i] = p.Compact()
-		offsets[i] = off
-		off += int32(p.numMeta)
+		slots[i] = n
+		n += p.numMeta
 	}
-	parts = compacted
-	out.numMeta = int(off)
-	out.mx = mergeCSR(parts, offsets, func(p *Index) *csr[graph.NodeID] { return &p.mx })
-	out.mxy = mergeCSR(parts, offsets, func(p *Index) *csr[PairKey] { return &p.mxy })
-	return out
+	return (&Index{numMeta: n}).AddParts(slots, parts)
 }
 
-// mergeCSR concatenates one table across parts in two passes that stay
-// linear in the total part keys/entries (plus one binary search per part
-// key into the key union): pass one sizes every output row, pass two fills
-// the arena with per-row cursors. Iterating parts in ascending order keeps
-// each row's entries in ascending part — and therefore Meta — order, so no
-// row is ever sorted.
-func mergeCSR[K cmp.Ordered](parts []*Index, offsets []int32, table func(*Index) *csr[K]) csr[K] {
-	tables := make([]*csr[K], len(parts))
-	totalKeys, totalEnt := 0, 0
+// AddParts returns ix with the rows of parts added: part i's metagraph j
+// becomes metagraph slots[i]+j of the result, which spans as many
+// metagraphs as ix does. No two inputs may hold the same metagraph. The
+// receiver is unchanged (a patched one is compacted first) and the result's
+// adjacency starts unbuilt. Whatever the order parts arrive in, the result
+// is the index one Builder fed every metagraph at its slot would freeze.
+func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
+	ix = ix.Compact()
+	mx := []source[graph.NodeID]{{&ix.mx, 0}}
+	mxy := []source[PairKey]{{&ix.mxy, 0}}
 	for i, p := range parts {
-		tables[i] = table(p)
-		totalKeys += len(tables[i].keys)
-		totalEnt += len(tables[i].ent)
+		p = p.Compact()
+		mx = append(mx, source[graph.NodeID]{&p.mx, int32(slots[i])})
+		mxy = append(mxy, source[PairKey]{&p.mxy, int32(slots[i])})
+	}
+	return &Index{numMeta: ix.numMeta, mx: mergeCSR(mx), mxy: mergeCSR(mxy), adj: &lazyAdjacency{}}
+}
+
+// source is one input of mergeCSR: a table whose rows enter the merge with
+// every Meta raised by shift.
+type source[K cmp.Ordered] struct {
+	table *csr[K]
+	shift int32
+}
+
+// mergeCSR unions row tables in one k-way pass over their already sorted
+// keys: a heap of the inputs by next unread key yields the keys ascending,
+// and the row of a key is the rows its inputs hold for it, laid end to end
+// in input order. When the inputs' shifted Metas ascend in that order (parts
+// concatenated by Merge, gains lifted by MergeGains) the row is sorted as
+// laid; a row that is not (parts landing between the metagraphs of an
+// existing index) is sorted in place. Linear in the input keys and entries
+// times log(inputs) — no union to sort, no key searched.
+func mergeCSR[K cmp.Ordered](srcs []source[K]) csr[K] {
+	totalKeys, totalEnt := 0, 0
+	for _, s := range srcs {
+		totalKeys += len(s.table.keys)
+		totalEnt += len(s.table.ent)
 	}
 	if totalEnt == 0 {
 		return csr[K]{}
 	}
-	union := make([]K, 0, totalKeys)
-	for _, c := range tables {
-		union = append(union, c.keys...)
+	next := make([]int, len(srcs)) // next unread row of each input
+	// heap holds the inputs with rows left, the smallest (next key, input
+	// number) at the root.
+	heap := make([]int, 0, len(srcs))
+	less := func(a, b int) bool {
+		ka, kb := srcs[a].table.keys[next[a]], srcs[b].table.keys[next[b]]
+		return ka < kb || ka == kb && a < b
 	}
-	slices.Sort(union)
-	keys := dedupeSorted(union)
-
-	// Pass one: locate every part key in the union and accumulate row
-	// entry counts; prefix-summing them yields the offsets directly.
-	pos := make([][]int32, len(tables))
-	off := make([]int32, len(keys)+1)
-	for pi, c := range tables {
-		pp := make([]int32, len(c.keys))
-		for ki, k := range c.keys {
-			p := int32(findKey(keys, k))
-			pp[ki] = p
-			off[p+1] += c.off[ki+1] - c.off[ki]
-		}
-		pos[pi] = pp
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-
-	// Pass two: copy rows into place, shifting Metas by the part offset.
-	ent := make([]Entry, totalEnt)
-	cur := make([]int32, len(keys))
-	copy(cur, off[:len(keys)])
-	for pi, c := range tables {
-		shift := offsets[pi]
-		for ki := range c.keys {
-			at := cur[pos[pi][ki]]
-			for _, e := range c.ent[c.off[ki]:c.off[ki+1]] {
-				ent[at] = Entry{e.Meta + shift, e.Count}
-				at++
+	siftDown := func(i int) {
+		for {
+			min := i
+			for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
+				if less(heap[c], heap[min]) {
+					min = c
+				}
 			}
-			cur[pos[pi][ki]] = at
+			if min == i {
+				return
+			}
+			heap[i], heap[min] = heap[min], heap[i]
+			i = min
 		}
 	}
-	return csr[K]{keys: keys, off: off, ent: ent}
+	for i, s := range srcs {
+		if len(s.table.keys) > 0 {
+			heap = append(heap, i)
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+
+	out := csr[K]{
+		keys: make([]K, 0, totalKeys),
+		off:  make([]int32, 1, totalKeys+1),
+		ent:  make([]Entry, 0, totalEnt),
+	}
+	for len(heap) > 0 {
+		k := srcs[heap[0]].table.keys[next[heap[0]]]
+		start, sorted := len(out.ent), true
+		for len(heap) > 0 && srcs[heap[0]].table.keys[next[heap[0]]] == k {
+			i := heap[0]
+			t, shift := srcs[i].table, srcs[i].shift
+			for _, e := range t.ent[t.off[next[i]]:t.off[next[i]+1]] {
+				e.Meta += shift
+				if n := len(out.ent); n > start && out.ent[n-1].Meta > e.Meta {
+					sorted = false
+				}
+				out.ent = append(out.ent, e)
+			}
+			if next[i]++; next[i] == len(t.keys) {
+				heap[0] = heap[len(heap)-1]
+				heap = heap[:len(heap)-1]
+			}
+			siftDown(0)
+		}
+		if !sorted {
+			slices.SortFunc(out.ent[start:], compareEntryMeta)
+		}
+		out.keys = append(out.keys, k)
+		out.off = append(out.off, int32(len(out.ent)))
+	}
+	if len(out.keys) < totalKeys {
+		// Inputs shared keys: do not pin the oversized scratch.
+		out.keys, out.off = slices.Clone(out.keys), slices.Clone(out.off)
+	}
+	return out
 }
 
 // Builder accumulates instance counts metagraph by metagraph and freezes

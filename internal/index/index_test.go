@@ -558,7 +558,7 @@ func selfPatch(ix *Index, numNodes int) *Patch {
 		mx[last] = []Entry{{Meta: 0, Count: 3}}
 		mxy[MakePairKey(0, last)] = []Entry{{Meta: 0, Count: 1}}
 	}
-	return NewPatch(ix.NumMeta(), mx, mxy)
+	return handPatch(ix.NumMeta(), mx, mxy)
 }
 
 // FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse

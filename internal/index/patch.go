@@ -11,6 +11,7 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -18,7 +19,7 @@ import (
 )
 
 // Patch is a set of rows for one index, in one of two forms. Replacement
-// rows (NewPatch, Over) shadow the base row of every key listed. Gains
+// rows (Over) shadow the base row of every key listed. Gains
 // (RematchDelta) hold raw instance counts to ADD to the rows of the index
 // they land on; WithPatch resolves them, so callers apply either form the
 // same way. Rows are canonical (keys ascending, entries ascending by Meta)
@@ -32,27 +33,6 @@ type Patch struct {
 	enumerated int64
 }
 
-// NewPatch freezes replacement rows into a Patch for an index spanning
-// numMeta metagraphs. Empty rows are dropped (an additive delta can never
-// empty a row).
-func NewPatch(numMeta int, mx map[graph.NodeID][]Entry, mxy map[PairKey][]Entry) *Patch {
-	dropEmpty(mx)
-	dropEmpty(mxy)
-	return &Patch{numMeta: numMeta, mx: csrFromRows(mx), mxy: csrFromRows(mxy)}
-}
-
-// dropEmpty removes keys with empty rows.
-func dropEmpty[K comparable](rows map[K][]Entry) {
-	for k, row := range rows {
-		if len(row) == 0 {
-			delete(rows, k)
-		}
-	}
-}
-
-// NumMeta returns the metagraph span the patch applies to.
-func (p *Patch) NumMeta() int { return p.numMeta }
-
 // Empty reports whether the patch replaces no rows.
 func (p *Patch) Empty() bool { return len(p.mx.keys) == 0 && len(p.mxy.keys) == 0 }
 
@@ -60,13 +40,27 @@ func (p *Patch) Empty() bool { return len(p.mx.keys) == 0 && len(p.mxy.keys) == 
 // is shared; do not modify.
 func (p *Patch) NodeKeys() []graph.NodeID { return p.mx.keys }
 
-// PairKeys returns the pair keys the patch replaces, ascending. The slice
-// is shared; do not modify.
-func (p *Patch) PairKeys() []PairKey { return p.mxy.keys }
-
 // Enumerated returns the number of assignments the enumeration behind the
 // patch visited (match.Delta.Visited); 0 for a hand-built patch.
 func (p *Patch) Enumerated() int64 { return p.enumerated }
+
+// MergeGains lifts the gains of several re-matches onto one index spanning
+// numMeta metagraphs: patch i's metagraph j becomes metagraph slots[i]+j,
+// and a key's row is the coordinates that gained, wherever they came from.
+// One WithPatch of the result then lands every gain on the merged rows — a
+// row changes only in the coordinates that gained. The work counts add up.
+func MergeGains(numMeta int, slots []int, patches []*Patch) *Patch {
+	out := &Patch{numMeta: numMeta, gains: true}
+	mx := make([]source[graph.NodeID], len(patches))
+	mxy := make([]source[PairKey], len(patches))
+	for i, p := range patches {
+		mx[i] = source[graph.NodeID]{&p.mx, int32(slots[i])}
+		mxy[i] = source[PairKey]{&p.mxy, int32(slots[i])}
+		out.enumerated += p.enumerated
+	}
+	out.mx, out.mxy = mergeCSR(mx), mergeCSR(mxy)
+	return out
+}
 
 // Over resolves gains into replacement rows over ix, the index they are
 // about to land on: every row becomes ix's current row (read through any
@@ -178,7 +172,9 @@ func (ix *Index) Compact() *Index {
 }
 
 // shadowMerge merges two row tables into one fresh table; rows of over
-// replace rows of base on key collisions.
+// replace rows of base on key collisions. An overlay is a few rows against
+// a table of many, so the base rows between two overlay keys move as one
+// block: three copies and an offset shift, not a row at a time.
 func shadowMerge[K cmp.Ordered](base, over csr[K]) csr[K] {
 	if len(over.keys) == 0 {
 		return base
@@ -186,40 +182,32 @@ func shadowMerge[K cmp.Ordered](base, over csr[K]) csr[K] {
 	if len(base.keys) == 0 {
 		return over
 	}
-	keys := make([]K, 0, len(base.keys)+len(over.keys))
-	ent := make([]Entry, 0, len(base.ent)+len(over.ent))
-	off := make([]int32, 1, len(base.keys)+len(over.keys)+1)
-	i, j := 0, 0
-	appendRow := func(c *csr[K], k int) {
-		ent = append(ent, c.ent[c.off[k]:c.off[k+1]]...)
-		off = append(off, int32(len(ent)))
+	out := csr[K]{
+		keys: make([]K, 0, len(base.keys)+len(over.keys)),
+		off:  make([]int32, 1, len(base.keys)+len(over.keys)+1),
+		ent:  make([]Entry, 0, len(base.ent)+len(over.ent)),
 	}
-	for i < len(base.keys) && j < len(over.keys) {
-		switch {
-		case base.keys[i] < over.keys[j]:
-			keys = append(keys, base.keys[i])
-			appendRow(&base, i)
-			i++
-		case base.keys[i] > over.keys[j]:
-			keys = append(keys, over.keys[j])
-			appendRow(&over, j)
-			j++
-		default:
-			keys = append(keys, over.keys[j])
-			appendRow(&over, j)
-			i++
-			j++
+	// copyRows appends rows [i, j) of c.
+	copyRows := func(c *csr[K], i, j int) {
+		shift := int32(len(out.ent)) - c.off[i]
+		out.keys = append(out.keys, c.keys[i:j]...)
+		out.ent = append(out.ent, c.ent[c.off[i]:c.off[j]]...)
+		for _, end := range c.off[i+1 : j+1] {
+			out.off = append(out.off, end+shift)
 		}
 	}
-	for ; i < len(base.keys); i++ {
-		keys = append(keys, base.keys[i])
-		appendRow(&base, i)
+	i := 0
+	for j, k := range over.keys {
+		n, shadowed := slices.BinarySearch(base.keys[i:], k)
+		copyRows(&base, i, i+n)
+		copyRows(&over, j, j+1)
+		i += n
+		if shadowed {
+			i++
+		}
 	}
-	for ; j < len(over.keys); j++ {
-		keys = append(keys, over.keys[j])
-		appendRow(&over, j)
-	}
-	return csr[K]{keys: keys, off: off, ent: ent}
+	copyRows(&base, i, len(base.keys))
+	return out
 }
 
 // RematchDelta returns what one metagraph's part index gains from the

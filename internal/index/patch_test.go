@@ -10,6 +10,24 @@ import (
 	"repro/internal/metagraph"
 )
 
+// handPatch freezes hand-written replacement rows into a Patch for an index
+// spanning numMeta metagraphs, dropping empty rows (an additive delta can
+// never empty a row). The engine only ever applies what RematchDelta
+// enumerated; tests need rows of their own choosing.
+func handPatch(numMeta int, mx map[graph.NodeID][]Entry, mxy map[PairKey][]Entry) *Patch {
+	for k, row := range mx {
+		if len(row) == 0 {
+			delete(mx, k)
+		}
+	}
+	for k, row := range mxy {
+		if len(row) == 0 {
+			delete(mxy, k)
+		}
+	}
+	return &Patch{numMeta: numMeta, mx: csrFromRows(mx), mxy: csrFromRows(mxy)}
+}
+
 // randTyped builds a random user/attr graph plus a fresh delta against it.
 func randTyped(rng *rand.Rand) (*graph.Graph, graph.Delta) {
 	b := graph.NewBuilder()
@@ -119,7 +137,7 @@ func TestQuickPatchEqualsScratch(t *testing.T) {
 }
 
 func TestWithPatchBasics(t *testing.T) {
-	base := NewPatch(1, nil, nil)
+	base := handPatch(1, nil, nil)
 	if !base.Empty() {
 		t.Fatal("nil rows should be empty")
 	}
@@ -128,7 +146,7 @@ func TestWithPatchBasics(t *testing.T) {
 	if ix.WithPatch(base) != ix {
 		t.Fatal("empty patch must return the receiver")
 	}
-	p := NewPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
+	p := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
 		map[PairKey][]Entry{MakePairKey(1, 3): {{Meta: 0, Count: 1}}})
 	patched := ix.WithPatch(p)
 	if !patched.Pending() || ix.Pending() {
@@ -141,7 +159,7 @@ func TestWithPatchBasics(t *testing.T) {
 		t.Fatalf("overlay PairVec = %v", got)
 	}
 	// Second patch shadows the first on overlapping keys.
-	p2 := NewPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 5}}}, nil)
+	p2 := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 5}}}, nil)
 	patched2 := patched.WithPatch(p2)
 	if got := patched2.NodeVec(3).Get(0); got != 5 {
 		t.Fatalf("re-patched NodeVec = %v", got)
@@ -161,7 +179,7 @@ func TestWithPatchBasics(t *testing.T) {
 			t.Fatal("numMeta mismatch must panic")
 		}
 	}()
-	ix.WithPatch(NewPatch(2, map[graph.NodeID][]Entry{1: {{Meta: 0, Count: 1}}}, nil))
+	ix.WithPatch(handPatch(2, map[graph.NodeID][]Entry{1: {{Meta: 0, Count: 1}}}, nil))
 }
 
 // hubGraph builds users around one school every user attends and a few
@@ -287,7 +305,7 @@ func TestRematchWorkIsLocal(t *testing.T) {
 		if small.Enumerated() != big.Enumerated() {
 			t.Fatalf("metagraph %d: %d assignments visited on G, %d on G plus a disjoint copy", mi, small.Enumerated(), big.Enumerated())
 		}
-		if len(small.PairKeys()) != len(big.PairKeys()) || len(small.NodeKeys()) != len(big.NodeKeys()) {
+		if len(small.mxy.keys) != len(big.mxy.keys) || len(small.NodeKeys()) != len(big.NodeKeys()) {
 			t.Fatalf("metagraph %d: gains differ between G and its doubling", mi)
 		}
 	}

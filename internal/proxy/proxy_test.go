@@ -413,10 +413,15 @@ func TestCacheMatchesFreshUnderUpdates(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for {
+			// Read while the writer runs, and a minimum however fast it
+			// finishes: 25 updates of a toy graph can be over before the
+			// readers are scheduled.
+			for i := 0; ; i++ {
 				select {
 				case <-done:
-					return
+					if i >= 50 {
+						return
+					}
 				default:
 				}
 				a := anchors[rng.Intn(len(anchors))]

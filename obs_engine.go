@@ -21,4 +21,18 @@ var (
 		"Candidates one ranked query scored: the length of the query node's partner list, the work a slow query did.", obs.Units)
 	engCompactions = obs.Default().Counter("semprox_engine_compactions_total",
 		"Background compactions that folded update overlays into flat storage.")
+
+	// What the serving epoch's one index holds resident, set at every
+	// publish from its slice lengths.
+	engIndexTables      = indexResident("tables")
+	engIndexAdjacency   = indexResident("adjacency")
+	engIndexOverlay     = indexResident("overlay")
+	engIndexOverlayRows = obs.Default().Gauge("semprox_index_overlay_rows",
+		"Node and pair rows of the serving index that an update patched and compaction has not yet folded into flat storage.")
 )
+
+func indexResident(part string) *obs.Gauge {
+	return obs.Default().Gauge("semprox_index_resident_bytes",
+		"Bytes the serving epoch's metagraph-vector index holds resident: the flat by-key node and pair tables, the partner adjacency derived from them, and the update overlay (patched rows and their partner rows) awaiting compaction.",
+		obs.L("part", part))
+}

@@ -18,16 +18,16 @@ import (
 // Engine snapshots. Mining and matching dominate the offline phase
 // (Table III), and training adds gradient ascent on top — none of which a
 // serving process should repeat on restart. Save captures everything the
-// online phase needs (graph, epoch counter, options, metagraph set, every
-// matched single-metagraph index, every trained class with its merged
-// index and weights); LoadEngine restores an engine that answers
-// Query/Proximity identically to the one that wrote the snapshot, and can
-// still train new classes and apply updates because the matching cache and
-// epoch counter are restored slot by slot.
+// online phase needs (graph, epoch counter, options, metagraph set, which
+// metagraphs are matched, the one index holding their vectors, every
+// trained class's kept set and weights); LoadEngine restores an engine that
+// answers Query/Proximity identically to the one that wrote the snapshot,
+// and can still train new classes and apply updates because the matched set
+// and epoch counter are restored with the index.
 //
 // A live-updated engine round-trips too: the graph text format
-// materializes the copy-on-write overlay, update overlays on the indices
-// compact on the way out (index.Encode), and the epoch counter plus the
+// materializes the copy-on-write overlay, the update overlay on the index
+// compacts on the way out (index.Encode), and the epoch counter plus the
 // durable log position (LSN) ride in the snapshot header — so a loaded
 // engine resumes at the saved epoch with nothing pending, answering
 // exactly as the saved one did, and recovery knows which WAL records the
@@ -35,15 +35,15 @@ import (
 //
 // The bytes are one flat stream (internal/flat; layout in DESIGN.md
 // "Snapshot format"): magic, the header below as length-prefixed JSON, the
-// graph's text format length-prefixed, one index section per matched part,
-// then per class its log-likelihood and weights as IEEE-754 bits (JSON
-// has no NaN, and they must round-trip exactly) and its index section,
-// closed by a CRC-32C trailer. Both ends stream through their own buffer:
+// graph's text format length-prefixed, the index section, then per class
+// its log-likelihood and weights as IEEE-754 bits (JSON has no NaN, and
+// they must round-trip exactly), closed by a CRC-32C trailer. Every row is
+// stored once: a class costs its weights. Both ends stream through their own buffer:
 // Save writes straight from the serving epoch's arenas, LoadEngine reads
 // straight into fresh ones, and a follower decodes while its primary is
 // still encoding.
 
-const snapshotMagic = "SPXS\x04"
+const snapshotMagic = "SPXS\x05"
 
 // snapMetagraph rebuilds one metagraph via metagraph.New.
 type snapMetagraph struct {
@@ -65,12 +65,12 @@ type snapHeader struct {
 	Anchor  string
 	Opts    Options
 	Metas   []snapMetagraph
-	Parts   []int       // matched slots of the lazy matching cache, ascending
+	Matched []int       // matched metagraphs, ascending
 	Classes []snapClass // sorted by name
 }
 
 // Save serializes the engine so LoadEngine can restore it without mining,
-// matching or training. Classes are written in sorted name order and every
+// matching or training. Classes are written in sorted name order and the
 // index serializes its frozen CSR arenas (compacted first), so saving the
 // same engine twice yields identical bytes. Save reads one immutable
 // epoch, so it is safe to call concurrently with queries, training, and
@@ -108,9 +108,9 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 	for i, m := range e.ms {
 		h.Metas[i] = snapMetagraph{Types: m.Types(), Edges: m.Edges()}
 	}
-	for i, ix := range ep.metaIx {
-		if ix != nil {
-			h.Parts = append(h.Parts, i)
+	for i, ok := range ep.matched {
+		if ok {
+			h.Matched = append(h.Matched, i)
 		}
 	}
 	for name, cm := range ep.classes {
@@ -128,16 +128,13 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 	fw := flat.NewWriter(w, snapshotMagic)
 	fw.Bytes(hdr)
 	fw.Bytes(gbuf.Bytes())
-	for _, slot := range h.Parts {
-		index.Encode(fw, ep.metaIx[slot])
-	}
+	index.Encode(fw, ep.ix)
 	for _, sc := range h.Classes {
 		cm := ep.classes[sc.Name]
 		fw.Uint64(math.Float64bits(cm.model.LogLikelihood))
 		for _, wi := range cm.model.W {
 			fw.Uint64(math.Float64bits(wi))
 		}
-		index.Encode(fw, cm.ix)
 	}
 	if err := fw.Close(); err != nil {
 		return fmt.Errorf("semprox: snapshot write: %w", err)
@@ -148,13 +145,14 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 // LoadEngine restores an engine written by Save. The loaded engine answers
 // Query, Proximity, Weights and Classes identically to the saved one,
 // resumes at the saved epoch, and training new classes picks up the
-// restored matching cache (already matched metagraphs are never
-// re-matched). The bytes are untrusted — a follower takes them off the
-// network: every index is validated against the snapshot's own graph as it
-// is decoded, no allocation is sized by a count the stream merely claims,
-// and nothing is published before the checksum has passed. The class
-// indices' partner adjacencies — derived, never stored — are rebuilt
-// here, so the first query pays for nothing.
+// restored index (already matched metagraphs are never re-matched). The
+// bytes are untrusted — a follower takes them off the network: the index is
+// validated against the snapshot's own graph as it is decoded and against
+// the header's matched set after, a class may keep only matched metagraphs,
+// no allocation is sized by a count the stream merely claims, and nothing
+// is published before the checksum has passed. The partner adjacency and
+// the classes' denominators — derived, never stored — are rebuilt here, so
+// the first query pays for nothing.
 func LoadEngine(r io.Reader) (*Engine, error) {
 	fr, err := flat.NewReader(r, snapshotMagic)
 	if err != nil {
@@ -196,35 +194,40 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	}
 	ep := &epoch{
 		g:       g,
-		metaIx:  make([]*index.Index, len(e.ms)),
+		matched: make([]bool, len(e.ms)),
 		classes: make(map[string]*classModel, len(h.Classes)),
 		version: h.Epoch,
 		lsn:     h.LSN,
 	}
-	for _, slot := range h.Parts {
-		if slot < 0 || slot >= len(e.ms) {
-			return nil, fmt.Errorf("semprox: snapshot part slot %d out of range [0, %d)", slot, len(e.ms))
+	for k, slot := range h.Matched {
+		if slot < 0 || slot >= len(e.ms) || k > 0 && slot <= h.Matched[k-1] {
+			return nil, fmt.Errorf("semprox: snapshot matched metagraphs %v not ascending within [0, %d)", h.Matched, len(e.ms))
 		}
-		if ep.metaIx[slot] != nil {
-			return nil, fmt.Errorf("semprox: snapshot part slot %d duplicated", slot)
+		ep.matched[slot] = true
+	}
+	if ep.ix, err = index.Decode(fr, g.NumNodes()); err != nil {
+		return nil, fmt.Errorf("semprox: snapshot index: %w", err)
+	}
+	if ep.ix.NumMeta() != len(e.ms) {
+		return nil, fmt.Errorf("semprox: snapshot index spans %d metagraphs, want %d", ep.ix.NumMeta(), len(e.ms))
+	}
+	for i, used := range ep.ix.MetaSupport() {
+		if used && !ep.matched[i] {
+			return nil, fmt.Errorf("semprox: snapshot index has rows of metagraph %d, which is not matched", i)
 		}
-		ix, err := index.Decode(fr, g.NumNodes())
-		if err != nil {
-			return nil, fmt.Errorf("semprox: snapshot part %d: %w", slot, err)
-		}
-		if ix.NumMeta() != 1 {
-			return nil, fmt.Errorf("semprox: snapshot part %d spans %d metagraphs, want 1", slot, ix.NumMeta())
-		}
-		ep.metaIx[slot] = ix
 	}
 	for _, sc := range h.Classes {
 		if _, dup := ep.classes[sc.Name]; dup {
 			return nil, fmt.Errorf("semprox: snapshot class %q duplicated", sc.Name)
 		}
+		// An update re-matches the matched metagraphs only, and the weights
+		// below are laid out dense over M by Kept.
+		kept := make([]bool, len(e.ms))
 		for _, idx := range sc.Kept {
-			if idx < 0 || idx >= len(e.ms) {
-				return nil, fmt.Errorf("semprox: snapshot class %q keeps metagraph %d out of range [0, %d)", sc.Name, idx, len(e.ms))
+			if idx < 0 || idx >= len(e.ms) || !ep.matched[idx] || kept[idx] {
+				return nil, fmt.Errorf("semprox: snapshot class %q keeps metagraph %d: out of range, unmatched or repeated", sc.Name, idx)
 			}
+			kept[idx] = true
 		}
 		model := &core.Model{
 			LogLikelihood: math.Float64frombits(fr.Uint64()),
@@ -234,14 +237,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		for i := range model.W {
 			model.W[i] = math.Float64frombits(fr.Uint64())
 		}
-		ix, err := index.Decode(fr, g.NumNodes())
-		if err != nil {
-			return nil, fmt.Errorf("semprox: snapshot class %q: %w", sc.Name, err)
-		}
-		if ix.NumMeta() != len(sc.Kept) {
-			return nil, fmt.Errorf("semprox: snapshot class %q: index spans %d metagraphs, want %d", sc.Name, ix.NumMeta(), len(sc.Kept))
-		}
-		ep.classes[sc.Name] = &classModel{kept: sc.Kept, ix: ix, model: model}
+		ep.classes[sc.Name] = newClass(len(e.ms), sc.Kept, model)
 	}
 	if err := fr.Close(); err != nil {
 		return nil, fmt.Errorf("semprox: snapshot: %w", err)

@@ -2,12 +2,19 @@ package semprox
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fixtures"
 	"repro/internal/flat"
+	"repro/internal/graph"
+	"repro/internal/index"
 )
 
 // saveLoad round-trips an engine through the snapshot format.
@@ -143,6 +150,22 @@ func TestSnapshotDualStageResumesTraining(t *testing.T) {
 			t.Fatalf("post-train result[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
+
+	// The dual-stage class, whose kept set is in selection order and covers
+	// a strict subset of what is now matched, stays incremental == from
+	// scratch on the loaded engine: across updates, a compaction, and one
+	// more save → load.
+	rng := rand.New(rand.NewSource(17))
+	for step := 0; step < 3; step++ {
+		if _, err := loaded.ApplyUpdate(randomToyDelta(rng, loaded.Graph().NumNodes(), fmt.Sprintf("ds-%d", step))); err != nil {
+			t.Fatal(err)
+		}
+		assertEngineEquivalent(t, loaded, rebuildFromScratch(t, loaded), fmt.Sprintf("loaded dual-stage, update %d", step))
+	}
+	assertEngineEquivalent(t, saveLoad(t, loaded), loaded, "loaded dual-stage, saved again")
+	scratch := rebuildFromScratch(t, loaded)
+	loaded.Compact()
+	assertEngineEquivalent(t, loaded, scratch, "loaded dual-stage, compacted")
 }
 
 // TestSnapshotUntrainedEngine round-trips an engine with no trained
@@ -180,48 +203,104 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	if _, err := LoadEngine(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
-}
 
-// TestSnapshotWithRetiredEngineOptionLoads: headers written while
-// Options still had an Engine field ("symiso", the only value anything
-// ever wrote) carry it; the field is gone and such a snapshot still
-// loads and trains.
-func TestSnapshotWithRetiredEngineOptionLoads(t *testing.T) {
-	eng, g := toyEngine(t)
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
+	// Streams whose checksum holds and whose parts contradict each other. A
+	// dual-stage engine leaves metagraphs unmatched, so the header can name
+	// one that has no rows.
+	ds, g := toyEngine(t)
+	ds.TrainDualStage("classmate", classmateExamples(g), 2)
+	buf.Reset()
+	if err := ds.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := flat.NewReader(&buf, snapshotMagic)
+	ep := ds.cur.Load()
+	unmatched := slices.Index(ep.matched, false)
+	if unmatched < 0 {
+		t.Fatal("dual stage matched everything; need an unmatched metagraph")
+	}
+	if _, err := LoadEngine(bytes.NewReader(recraft(t, buf.Bytes(), func(*snapHeader) {}))); err != nil {
+		t.Fatalf("unedited re-encoding refused: %v", err)
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(h *snapHeader)
+	}{
+		// Before SPXS\x05 this one loaded, and the first ApplyUpdate
+		// dereferenced the part index it did not have.
+		{"class keeps an unmatched metagraph", "keeps metagraph", func(h *snapHeader) {
+			h.Classes[0].Kept = append(h.Classes[0].Kept, unmatched)
+		}},
+		{"class keeps a metagraph twice", "keeps metagraph", func(h *snapHeader) {
+			h.Classes[0].Kept = append(h.Classes[0].Kept, h.Classes[0].Kept[0])
+		}},
+		{"class keeps a metagraph out of range", "keeps metagraph", func(h *snapHeader) {
+			h.Classes[0].Kept = append(h.Classes[0].Kept, len(h.Metas))
+		}},
+		{"class keeps a negative metagraph", "keeps metagraph", func(h *snapHeader) {
+			h.Classes[0].Kept[0] = -1
+		}},
+		{"matched metagraphs descending", "not ascending", func(h *snapHeader) { slices.Reverse(h.Matched) }},
+		{"matched metagraph repeated", "not ascending", func(h *snapHeader) {
+			h.Matched = append(h.Matched, h.Matched[len(h.Matched)-1])
+		}},
+		{"matched metagraph out of range", "not ascending", func(h *snapHeader) { h.Matched = append(h.Matched, len(h.Metas)) }},
+		{"rows of an unmatched metagraph", "not matched", func(h *snapHeader) {
+			drop := h.Matched[0]
+			h.Matched = h.Matched[1:]
+			h.Classes[0].Kept = slices.DeleteFunc(h.Classes[0].Kept, func(i int) bool { return i == drop })
+		}},
+		{"index narrower than the metagraph set", "spans", func(h *snapHeader) { h.Metas = append(h.Metas, h.Metas[0]) }},
+		{"class listed twice", "duplicated", func(h *snapHeader) { h.Classes = append(h.Classes, h.Classes[0]) }},
+	} {
+		_, err := LoadEngine(bytes.NewReader(recraft(t, buf.Bytes(), c.edit)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: LoadEngine returned %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// recraft re-encodes a snapshot with its header edited and everything else
+// as it was — checksum valid — writing each class of the edited header a
+// weight per kept metagraph, so only the edit is wrong with the stream.
+func recraft(t *testing.T, data []byte, edit func(h *snapHeader)) []byte {
+	t.Helper()
+	fr, err := flat.NewReader(bytes.NewReader(data), snapshotMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, graphText := fr.Bytes(), fr.Bytes() // an untrained engine's whole stream
-	if err := fr.Close(); err != nil {
+	var h snapHeader
+	if err := json.Unmarshal(fr.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(hdr, []byte(`"Opts":{`), []byte(`"Opts":{"Engine":"symiso",`), 1)
-	if bytes.Equal(old, hdr) {
-		t.Fatalf("header has no Opts object to extend: %s", hdr)
+	graphText := bytes.Clone(fr.Bytes())
+	g, err := graph.Read(bytes.NewReader(graphText))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var stream bytes.Buffer
-	fw := flat.NewWriter(&stream, snapshotMagic)
-	fw.Bytes(old)
+	ix, err := index.Decode(fr, g.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(&h)
+	hdr, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	fw := flat.NewWriter(&out, snapshotMagic)
+	fw.Bytes(hdr)
 	fw.Bytes(graphText)
+	index.Encode(fw, ix)
+	for _, sc := range h.Classes {
+		fw.Uint64(math.Float64bits(-1)) // log-likelihood
+		for range sc.Kept {
+			fw.Uint64(math.Float64bits(0.5))
+		}
+	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadEngine(&stream)
-	if err != nil {
-		t.Fatalf("snapshot with an Engine option refused: %v", err)
-	}
-	if loaded.NumMetagraphs() != eng.NumMetagraphs() {
-		t.Fatalf("loaded %d metagraphs, saved %d", loaded.NumMetagraphs(), eng.NumMetagraphs())
-	}
-	loaded.Train("classmate", classmateExamples(g))
-	if _, err := loaded.Query("classmate", g.NodeByName("Kate"), 3); err != nil {
-		t.Fatal(err)
-	}
+	return out.Bytes()
 }
 
 // fullSnapshot saves a trained, updated engine — the richest wire shape
@@ -288,16 +367,59 @@ func TestSnapshotBitFlipsNeverPanic(t *testing.T) {
 	}
 }
 
-// gobFixtureBytes is what the last gob-encoded snapshot format (wire
-// version 3) produced for fullSnapshot's engine.
-const gobFixtureBytes = 5978
+// TestSnapshotStoresEachRowOnce pins the size side of one index per epoch:
+// a snapshot is its header, the graph text, ONE index section and, per
+// class, a log-likelihood and the weights — so a second class costs its
+// weights and its header entry, never a second copy of the rows.
+func TestSnapshotStoresEachRowOnce(t *testing.T) {
+	eng, g := toyEngine(t)
+	eng.TrainDualStage("classmate2", classmateExamples(g), 2)
+	eng.Train("classmate", classmateExamples(g))
+	var two bytes.Buffer
+	if err := eng.Save(&two); err != nil {
+		t.Fatal(err)
+	}
 
-// TestSnapshotNoLargerThanGob pins the size side of the flat codec:
-// delta-varint keys and row lengths must keep the fixture's snapshot at or
-// under what gob spent on it.
-func TestSnapshotNoLargerThanGob(t *testing.T) {
-	if n := len(fullSnapshot(t)); n > gobFixtureBytes {
-		t.Fatalf("snapshot is %d bytes; the gob format needed %d", n, gobFixtureBytes)
+	sections := func(data []byte) (hdr, graphText int) {
+		fr, err := flat.NewReader(bytes.NewReader(data), snapshotMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, graphText = len(fr.Bytes()), len(fr.Bytes())
+		if fr.Err() != nil {
+			t.Fatal(fr.Err())
+		}
+		return hdr, graphText
+	}
+	ep := eng.cur.Load()
+	var ixFile bytes.Buffer
+	if err := index.Write(&ixFile, ep.ix); err != nil {
+		t.Fatal(err)
+	}
+	floats := 0
+	for _, cm := range ep.classes {
+		floats += 1 + len(cm.model.W)
+	}
+	hdr, graphText := sections(two.Bytes())
+	// Framing: magic and checksum, and two length prefixes of at most 10
+	// bytes; the index file's own magic and checksum only loosen the bound.
+	const framing = len(snapshotMagic) + 4 + 2*10
+	if limit := hdr + graphText + ixFile.Len() + 8*floats + framing; two.Len() > limit {
+		t.Fatalf("snapshot with %d classes is %d bytes; header %d + graph %d + one index %d + %d floats + framing allow %d",
+			len(ep.classes), two.Len(), hdr, graphText, ixFile.Len(), floats, limit)
+	}
+
+	// The same epoch without the second class prices that class alone.
+	without := &epoch{g: ep.g, ix: ep.ix, matched: ep.matched, version: ep.version, lsn: ep.lsn,
+		classes: map[string]*classModel{"classmate2": ep.classes["classmate2"]}}
+	var base bytes.Buffer
+	if err := eng.saveEpoch(without, &base); err != nil {
+		t.Fatal(err)
+	}
+	hdrBase, _ := sections(base.Bytes())
+	cost := two.Len() - base.Len()
+	if want := (hdr - hdrBase) + 8*(1+len(ep.classes["classmate"].model.W)); cost > want+1 { // +1: the header's length prefix may grow a byte
+		t.Fatalf("the second class cost %d bytes; its header entry and weights are %d", cost, want)
 	}
 }
 

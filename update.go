@@ -14,8 +14,9 @@ import (
 // through every layer without repeating the offline pipeline: the graph
 // grows copy-on-write (graph.Apply), for each already-matched metagraph
 // ONLY the instances through the delta's new edges are enumerated
-// (index.RematchDelta), the rows they add to overlay the flat CSR indices
-// (index.WithPatch), and the trained weight vectors are kept verbatim —
+// (index.RematchDelta), the rows they add to overlay the flat CSR index
+// (index.MergeGains, index.WithPatch), and the trained weight vectors are
+// kept verbatim —
 // the paper's w* weighs metagraph features, not nodes, so a graph delta
 // changes the features, never the learned weights. The result is swapped
 // in as the next epoch through the engine's atomic pointer: queries in
@@ -46,8 +47,8 @@ type UpdateStats struct {
 	NodesAdded, EdgesAdded int
 	// Touched counts the pre-existing nodes whose adjacency changed.
 	Touched int
-	// Rematched counts the matched metagraphs whose part indices were
-	// incrementally re-matched and patched.
+	// Rematched counts the matched metagraphs that were incrementally
+	// re-matched; what they gained was patched into the index.
 	Rematched int
 	// Enumerated counts the assignments, partial and complete, the
 	// re-match visited over all those metagraphs. It depends on the degrees
@@ -60,8 +61,8 @@ type UpdateStats struct {
 
 // ApplyUpdate grows the graph by d and atomically swaps in the next
 // serving epoch. Matched metagraphs gain the instances through the
-// delta's new edges and nothing else is matched, trained classes keep
-// their weights and have their merged indices patched row-for-row, and
+// delta's new edges and nothing else is matched, the index is patched in
+// the coordinates that gained, trained classes keep their weights, and
 // queries are answered without interruption throughout (readers never
 // block on the writer lock). The updated engine answers every query exactly as an engine
 // whose index was rebuilt from scratch on the post-delta graph would.
@@ -136,7 +137,7 @@ func (e *Engine) AdvanceLSN(lsn uint64) {
 	if lsn <= ep.lsn {
 		return
 	}
-	e.publish(&epoch{g: ep.g, metaIx: ep.metaIx, classes: ep.classes, version: ep.version, lsn: lsn})
+	e.publish(&epoch{g: ep.g, ix: ep.ix, matched: ep.matched, classes: ep.classes, version: ep.version, lsn: lsn})
 }
 
 // applyUpdate builds and publishes the next epoch covering `records`
@@ -172,35 +173,32 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 		Touched:    len(touched),
 	}
 
-	metaIx := ep.metaIx
-	patches := make(map[int]*index.Patch)
+	ix, classes := ep.ix, ep.classes
 	if len(ng.DeltaEdges()) > 0 {
-		cloned := false
-		for i, part := range ep.metaIx {
-			if part == nil {
-				continue
+		var slots []int
+		var gains []*index.Patch
+		for i, ok := range ep.matched {
+			if ok {
+				slots = append(slots, i)
+				gains = append(gains, index.RematchDelta(ng, e.ms[i], nil, nil))
 			}
-			p := index.RematchDelta(ng, e.ms[i], nil, nil)
-			if e.opts.LogTransform {
-				p = p.Over(part, log1p, unlog1p)
+		}
+		p := index.MergeGains(len(e.ms), slots, gains)
+		if e.opts.LogTransform {
+			p = p.Over(ix, log1p, unlog1p)
+		}
+		st.Rematched = len(slots)
+		st.Enumerated = p.Enumerated()
+		if !p.Empty() {
+			ix = ix.WithPatch(p)
+			classes = make(map[string]*classModel, len(ep.classes))
+			for name, cm := range ep.classes {
+				classes[name] = cm.patched(ix, p.NodeKeys())
 			}
-			if !cloned {
-				metaIx = append([]*index.Index(nil), ep.metaIx...)
-				cloned = true
-			}
-			metaIx[i] = part.WithPatch(p)
-			patches[i] = p
-			st.Rematched++
-			st.Enumerated += p.Enumerated()
 		}
 	}
 
-	classes := make(map[string]*classModel, len(ep.classes))
-	for name, cm := range ep.classes {
-		classes[name] = patchClass(cm, metaIx, patches)
-	}
-
-	nep := &epoch{g: ng, metaIx: metaIx, classes: classes, version: ng.Version(), lsn: lsn}
+	nep := &epoch{g: ng, ix: ix, matched: ep.matched, classes: classes, version: ng.Version(), lsn: lsn}
 	e.publish(nep)
 	st.Pending = nep.pending
 	engApply.Since(start)
@@ -216,66 +214,21 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 // from-scratch log1p(total) produces.
 func unlog1p(v float64) float64 { return math.Round(math.Expm1(v)) }
 
-// patchClass rebuilds one trained class for the next epoch: the weight
-// vector and kept set carry over unchanged, the merged class index is
-// patched with the re-merged rows of every key some kept part gained on,
-// and the denominators are recomputed for exactly those node keys.
-// Row k of the merge is part kept[k] (each part spans one metagraph), so
-// a merged replacement row is the concatenation of the patched parts'
-// rows in kept order — exactly what a full index.Merge of the patched
-// parts would produce for that key, at the cost of the touched rows only.
-func patchClass(cm *classModel, metaIx []*index.Index, patches map[int]*index.Patch) *classModel {
-	nodeKeys := make(map[graph.NodeID]bool)
-	pairKeys := make(map[index.PairKey]bool)
-	for _, mi := range cm.kept {
-		p := patches[mi]
-		if p == nil {
-			continue
-		}
-		for _, k := range p.NodeKeys() {
-			nodeKeys[k] = true
-		}
-		for _, k := range p.PairKeys() {
-			pairKeys[k] = true
-		}
-	}
-	if len(nodeKeys) == 0 && len(pairKeys) == 0 {
-		return cm
-	}
-	mx := make(map[graph.NodeID][]index.Entry, len(nodeKeys))
-	for x := range nodeKeys {
-		var row []index.Entry
-		for k, mi := range cm.kept {
-			for _, en := range metaIx[mi].NodeVec(x) {
-				row = append(row, index.Entry{Meta: int32(k), Count: en.Count})
-			}
-		}
-		mx[x] = row
-	}
-	mxy := make(map[index.PairKey][]index.Entry, len(pairKeys))
-	for pk := range pairKeys {
-		x, y := pk.Nodes()
-		var row []index.Entry
-		for k, mi := range cm.kept {
-			for _, en := range metaIx[mi].PairVec(x, y) {
-				row = append(row, index.Entry{Meta: int32(k), Count: en.Count})
-			}
-		}
-		mxy[pk] = row
-	}
-	ix := cm.ix.WithPatch(index.NewPatch(len(cm.kept), mx, mxy))
-	// m_v·w moved for the patched node rows only; a node the delta added
-	// either is one of them or has no row.
+// patched carries a class onto ix, the epoch's index after a patch that
+// replaced the node rows of nodeKeys: kept set and weights stand, and the
+// denominators are recomputed for exactly those rows. A node the delta
+// added either is one of them or has no row.
+func (cm *classModel) patched(ix *index.Index, nodeKeys []graph.NodeID) *classModel {
 	dots := make([]float64, ix.NodeSpan())
 	copy(dots, cm.dots)
-	for x := range nodeKeys {
-		dots[x] = ix.NodeVec(x).Dot(cm.model.W)
+	for _, x := range nodeKeys {
+		dots[x] = ix.NodeVec(x).Dot(cm.w)
 	}
-	return &classModel{kept: cm.kept, ix: ix, model: cm.model, dots: dots}
+	return &classModel{kept: cm.kept, model: cm.model, w: cm.w, dots: dots}
 }
 
 // Compact folds every copy-on-write overlay of the current epoch — the
-// graph's touched rows and the patched indices — into fresh flat CSR
+// graph's touched rows and the index's patched ones — into fresh flat CSR
 // storage and swaps the compacted epoch in. It is a no-op when nothing is
 // pending. Queries keep serving throughout (results are identical before
 // and after; compaction only restores the flat-storage read path), so it
@@ -289,18 +242,8 @@ func (e *Engine) Compact() {
 		return
 	}
 	engCompactions.Inc()
-	metaIx := make([]*index.Index, len(ep.metaIx))
-	for i, ix := range ep.metaIx {
-		if ix != nil {
-			metaIx[i] = ix.Compact()
-		}
-	}
-	classes := make(map[string]*classModel, len(ep.classes))
-	for name, cm := range ep.classes {
-		// Compaction moves rows, not values: the denominators stand.
-		classes[name] = &classModel{kept: cm.kept, ix: cm.ix.Compact(), model: cm.model, dots: cm.dots}
-	}
-	e.publish(&epoch{g: ep.g.Compact(), metaIx: metaIx, classes: classes, version: ep.version, lsn: ep.lsn})
+	// Compaction moves rows, not values: the classes' denominators stand.
+	e.publish(&epoch{g: ep.g.Compact(), ix: ep.ix.Compact(), matched: ep.matched, classes: ep.classes, version: ep.version, lsn: ep.lsn})
 }
 
 // Stats is a consistent point-in-time snapshot of the serving state.
@@ -314,7 +257,7 @@ type Stats struct {
 	Nodes, Edges, Types int
 	// Metagraphs is |M|; Matched counts the metagraphs matched so far.
 	Metagraphs, Matched int
-	// PendingCompaction counts the structures (graph + indices) still
+	// PendingCompaction counts the structures (graph, index) still
 	// carrying update overlays that Compact would fold away.
 	PendingCompaction int
 	// Classes lists the trained class names, sorted.
@@ -325,12 +268,6 @@ type Stats struct {
 // use; all fields describe ONE epoch.
 func (e *Engine) Stats() Stats {
 	ep := e.cur.Load()
-	matched := 0
-	for _, ix := range ep.metaIx {
-		if ix != nil {
-			matched++
-		}
-	}
 	classes := make([]string, 0, len(ep.classes))
 	for c := range ep.classes {
 		classes = append(classes, c)
@@ -343,7 +280,7 @@ func (e *Engine) Stats() Stats {
 		Edges:             ep.g.NumEdges(),
 		Types:             ep.g.NumTypes(),
 		Metagraphs:        len(e.ms),
-		Matched:           matched,
+		Matched:           ep.matchedCount(),
 		PendingCompaction: ep.pending,
 		Classes:           classes,
 	}

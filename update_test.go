@@ -20,30 +20,26 @@ import (
 
 // rebuildFromScratch builds a reference engine on the final graph: same
 // metagraph set, same trained weights (the paper's w* weighs metagraph
-// features, so a graph delta does not retrain), but every matched part
-// re-matched from scratch on the compacted final graph and every class
-// index re-merged in full. ApplyUpdate must be indistinguishable from it.
+// features, so a graph delta does not retrain), but every matched
+// metagraph re-matched from scratch on the compacted final graph and the
+// index merged afresh. ApplyUpdate must be indistinguishable from it.
 func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
 	t.Helper()
 	ep := e.cur.Load()
 	e2 := &Engine{anchor: e.anchor, opts: e.opts, ms: e.ms}
-	nep := &epoch{
-		g:       ep.g.Compact(),
-		metaIx:  make([]*index.Index, len(e.ms)),
-		classes: make(map[string]*classModel, len(ep.classes)),
-		version: ep.version,
-	}
-	e2.cur.Store(nep)
-	matched := make([]int, 0, len(e.ms))
-	for i, ix := range ep.metaIx {
-		if ix != nil {
-			matched = append(matched, i)
+	g := ep.g.Compact()
+	var slots []int
+	for i, ok := range ep.matched {
+		if ok {
+			slots = append(slots, i)
 		}
 	}
-	nep.metaIx = e2.matchMissing(nep, nep.metaIx, matched)
+	ix, matched := e2.matchMissing(g, index.NewBuilder(len(e.ms)).Build(), make([]bool, len(e.ms)), slots)
+	nep := &epoch{g: g, ix: ix, matched: matched, classes: make(map[string]*classModel, len(ep.classes)), version: ep.version}
 	for name, cm := range ep.classes {
-		nep.classes[name] = &classModel{kept: cm.kept, ix: mergeFor(nep.metaIx, cm.kept), model: cm.model}
+		nep.classes[name] = newClass(len(e.ms), cm.kept, cm.model)
 	}
+	e2.publish(nep)
 	return e2
 }
 
@@ -239,7 +235,7 @@ func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
 
 // checkDenominators holds every class of the serving epoch to what the
 // denominators are defined as: bit for bit the m_v·w a recompute over the
-// class's own index gives, and the one an engine rebuilt from scratch on
+// epoch's index gives, and the one an engine rebuilt from scratch on
 // the same graph derives — and Engine.Query, which adds them up, to
 // core.RankTop, which evaluates every node row, on the same epoch.
 func checkDenominators(t *testing.T, e *Engine, tag string) {
@@ -261,10 +257,10 @@ func checkDenominators(t *testing.T, e *Engine, tag string) {
 			t.Fatalf("%s: class %q published without denominators", tag, name)
 		}
 		got := bits(cm.dots)
-		if want := bits(cm.ix.NodeDots(cm.model.W)); !slices.Equal(got, want) {
-			t.Fatalf("%s: class %q carries denominators %v, recomputed %v", tag, name, cm.dots, cm.ix.NodeDots(cm.model.W))
+		if want := bits(ep.ix.NodeDots(cm.w)); !slices.Equal(got, want) {
+			t.Fatalf("%s: class %q carries denominators %v, recomputed %v", tag, name, cm.dots, ep.ix.NodeDots(cm.w))
 		}
-		if want := bits(scratch.classes[name].ix.NodeDots(cm.model.W)); !slices.Equal(got, want) {
+		if want := bits(scratch.ix.NodeDots(cm.w)); !slices.Equal(got, want) {
 			t.Fatalf("%s: class %q carries denominators that differ from a from-scratch engine's", tag, name)
 		}
 		for q := NodeID(-1); int(q) <= ep.g.NumNodes(); q++ {
@@ -273,7 +269,7 @@ func checkDenominators(t *testing.T, e *Engine, tag string) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := core.RankTop(cm.ix, cm.model.W, q, k); !slices.Equal(got, want) {
+				if want := core.RankTop(ep.ix, cm.w, q, k); !slices.Equal(got, want) {
 					t.Fatalf("%s: class %q query %d k=%d: engine %v, RankTop %v", tag, name, q, k, got, want)
 				}
 			}
@@ -457,8 +453,8 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 				}
 				// Whatever epoch a reader can see is already finished:
 				// none of these reads may be the one that builds the
-				// class index's adjacency.
-				if !eng.cur.Load().classes["classmate"].ix.HasAdjacency() {
+				// index's adjacency.
+				if !eng.cur.Load().ix.HasAdjacency() {
 					t.Error("a published epoch left its adjacency for a reader to build")
 					return
 				}
@@ -520,7 +516,7 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 // TestPublishedEpochsNeedNoReaderBuild pins who builds the partner
 // adjacency: every path that publishes an epoch — full and dual-stage
 // training, updates (a first patch and a patch over a patch), compaction,
-// snapshot load — hands readers class indices whose adjacency exists
+// snapshot load — hands readers an index whose adjacency exists
 // BEFORE the first read, so no read path can trigger the O(pairs) build.
 // TestQueriesServeDuringUpdate asserts the same from concurrent readers.
 func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
@@ -530,10 +526,8 @@ func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
 		if len(ep.classes) != 2 {
 			t.Fatalf("%s: %d classes published, want 2", stage, len(ep.classes))
 		}
-		for name, cm := range ep.classes {
-			if !cm.ix.HasAdjacency() {
-				t.Fatalf("%s: class %q published without its adjacency", stage, name)
-			}
+		if !ep.ix.HasAdjacency() {
+			t.Fatalf("%s: the index was published without its adjacency", stage)
 		}
 	}
 	eng, g := toyEngine(t)
