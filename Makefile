@@ -1,26 +1,24 @@
 # Tier-1 verification plus the invariants this repo adds on top:
 #   make ci  — lint (gofmt + vet + the semproxlint analyzer suite),
-#              build, race-enabled tests, the per-package coverage
-#              floors, a bounded fuzz smoke, one iteration of the
-#              restart / hub-update / handler-chain benchmarks, the
-#              measurement spine's own check (benchmark/: vet, unit
-#              tests and the -quick smoke of all four workloads against
-#              out-of-process daemons, every answer checked against the
-#              oracle), and five process-level smokes on loopback:
-#              replication, routing (primary kill under routed reads),
-#              failover (kill -9 under a live write stream: promotion,
-#              no lost acked writes, zombie fencing), the edge proxy
-#              (epoch-keyed cache flush + zero failed reads across a
-#              primary kill) and observability (/metrics with moving
-#              counters, one trace ID across proxy and backend logs,
-#              pprof).
+#              build, race-enabled tests — internal/e2e among them: the
+#              real semproxd, semproxy and semproxctl binaries on
+#              loopback (replication, routing across a primary kill,
+#              failover under a live write stream with zombie fencing,
+#              the edge proxy's cache flush and zero failed reads,
+#              /metrics + trace IDs + pprof, the daemons' flag refusals)
+#              — the per-package coverage floors, a bounded fuzz smoke,
+#              one iteration of the restart / hub-update / handler-chain
+#              benchmarks, and the measurement spine's own check
+#              (benchmark/: vet, unit tests and the -quick smoke of all
+#              four workloads against out-of-process daemons, every
+#              answer checked against the oracle).
 #   Numbers come from one place: `go run -C benchmark .` (BENCHMARK.json).
 GO ?= go
 COVER_FLOOR ?= 80
 
-.PHONY: ci lint vet build test cover fuzz-smoke bench-smoke benchmark-check replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke
+.PHONY: ci lint vet build test cover fuzz-smoke bench-smoke benchmark-check
 
-ci: lint build test cover fuzz-smoke bench-smoke benchmark-check replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke
+ci: lint build test cover fuzz-smoke bench-smoke benchmark-check
 
 # gofmt must be a no-op, vet must be clean, and the repo's own analyzer
 # suite (cmd/semproxlint: rawpath, atomicwrite, metricname, envelope,
@@ -111,43 +109,3 @@ bench-smoke:
 # Needs GOMAXPROCS >= 2 (the smoke skips itself below that).
 benchmark-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
-
-# Two-process replication smoke: durable primary + follower on loopback,
-# live updates pushed through the typed client (semproxctl), follower
-# must reach lag 0 and serve byte-identical query output (see
-# scripts/replication_smoke.sh).
-replication-smoke:
-	bash scripts/replication_smoke.sh
-
-# Routed-serving smoke: primary + follower + the replica-aware routed
-# client on loopback; routed reads must stay byte-identical across
-# replicas and keep serving with zero failures after the primary is
-# killed (see scripts/routing_smoke.sh).
-routing-smoke:
-	bash scripts/routing_smoke.sh
-
-# Failover smoke: kill -9 a synchronous primary under a live routed
-# write stream; a follower must win the promotion election and resume
-# acking the same writer, every acked write must be on the promoted
-# primary, and the revived zombie must be fenced — its stream refused,
-# its synchronous acks never released (see scripts/failover_smoke.sh).
-failover-smoke:
-	bash scripts/failover_smoke.sh
-
-# Edge proxy smoke: a real semproxy over real semproxd processes
-# (primary + 2 followers on loopback). Repeat reads must go miss -> hit
-# byte-identically, an update through the proxy must flush the cache
-# under a bumped epoch, and a kill -9 of the primary under a live reader
-# must lose zero reads (see scripts/proxy_smoke.sh).
-proxy-smoke:
-	bash scripts/proxy_smoke.sh
-
-# Observability smoke: real semproxd + semproxy daemons on loopback;
-# /metrics must expose the WAL fsync latency, replication lag,
-# per-endpoint latency, and hedge/cache families with counters that MOVE
-# under traffic, one caller-supplied trace ID must appear in both the
-# proxy's and a backend's request logs, the -debug-addr pprof listener
-# must answer, and semproxctl -metrics must fetch a prefix-filtered
-# exposition (see scripts/obs_smoke.sh).
-obs-smoke:
-	bash scripts/obs_smoke.sh

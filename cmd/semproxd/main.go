@@ -48,8 +48,6 @@ import (
 	"io"
 	"log"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -63,7 +61,7 @@ import (
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/wal"
-	"repro/internal/wire"
+	"repro/internal/wire/daemon"
 )
 
 func main() {
@@ -103,15 +101,13 @@ func main() {
 	if *follow != "" {
 		handler, shutdown, err = buildFollower(ctx, *follow, *workers, *walDir, *save,
 			*stateDir, *peers, *advertise, *ackQuorum)
+	} else if *ackQuorum > 0 && *walDir == "" {
+		err = fmt.Errorf("-ack-replicas needs -wal (synchronous replication rides the log)")
 	} else {
 		handler, shutdown, err = buildPrimary(*snapshot, *save, *walDir, *dsName, *users,
 			*classes, *candidates, *nExamples, *maxNodes, *minSupport, *workers, *seed)
-		if err == nil && *ackQuorum > 0 {
-			if *walDir == "" {
-				err = fmt.Errorf("-ack-replicas needs -wal (synchronous replication rides the log)")
-			} else {
-				handler.SetAckReplicas(*ackQuorum)
-			}
+		if err == nil {
+			handler.SetAckReplicas(*ackQuorum)
 		}
 	}
 	if err != nil {
@@ -120,43 +116,16 @@ func main() {
 	if *requestLog {
 		handler.SetRequestLog(slog.New(slog.NewTextHandler(os.Stderr, nil)), *slowQuery)
 	}
-	startDebugServer(*debugAddr)
-
-	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: wire.ReadHeaderTimeout}
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx) //nolint:errcheck // best-effort drain
-	}()
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	if err := daemon.ServeDebug(ctx, *debugAddr); err != nil {
+		log.Fatal(err)
+	}
+	if err := daemon.Serve(ctx, *addr, handler); err != nil {
 		log.Fatal(err)
 	}
 	// Let in-flight background compactions from /update finish, then
 	// release the durability/replication resources.
 	handler.WaitCompactions()
 	shutdown()
-}
-
-// startDebugServer serves the pprof handlers on their own listener — an
-// explicit mux (never http.DefaultServeMux) on a separate address, so
-// profiling stays opt-in and off the public serving port.
-func startDebugServer(addr string) {
-	if addr == "" {
-		return
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("debug server on %s: %v", addr, err)
-		}
-	}()
-	log.Printf("pprof on http://%s/debug/pprof/", addr)
 }
 
 // buildFollower boots a read replica — from its local state directory
@@ -169,7 +138,7 @@ func startDebugServer(addr string) {
 func buildFollower(ctx context.Context, primaryURL string, workers int, walDir, save,
 	stateDir, peersCSV, advertise string, ackQuorum int) (*server.Server, func(), error) {
 	if err := replica.ValidPrimaryURL(primaryURL); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("-follow: %w", err)
 	}
 	if walDir != "" || save != "" {
 		return nil, nil, fmt.Errorf("-wal and -save apply to primaries; a follower's durable state lives in -state")
@@ -230,25 +199,14 @@ func buildFollower(ctx context.Context, primaryURL string, workers int, walDir, 
 			log.Printf("primary %s unreachable and this node won the election; promoting", f.PrimaryURL())
 			stopRun()
 			<-runDone
-			w, err := f.Promote()
+			w, err := handler.PromoteFollower()
 			if err != nil {
-				log.Printf("PROMOTION FAILED: %v (still serving reads from the last applied state)", err)
-				return
+				// Run and the Monitor are both gone, so nothing would retry
+				// and /v1/readyz would answer ready/follower from the last
+				// poll's flags forever. Exit: a restart resumes from -state.
+				log.Fatalf("PROMOTION FAILED: %v (exiting; a restart resumes from %s)", err, stateDir)
 			}
-			// The local log can end ahead of the engine (a batch fsynced
-			// but not yet applied when Run stopped); replay closes the gap
-			// before writes are accepted.
-			if _, _, err := semprox.ReplayWAL(f.Engine(), w); err != nil {
-				log.Printf("PROMOTION FAILED replaying the local log tail: %v", err)
-				return
-			}
-			if err := handler.Promote(w); err != nil {
-				log.Printf("PROMOTION FAILED: %v", err)
-				return
-			}
-			if ackQuorum > 0 {
-				handler.SetAckReplicas(ackQuorum)
-			}
+			handler.SetAckReplicas(ackQuorum)
 			log.Printf("promoted: accepting writes at term %d from LSN %d", w.Term(), w.NextLSN()-1)
 		}()
 	}
@@ -351,7 +309,7 @@ func buildEngine(snapshot, dsName string, users int, classes string, candidates,
 	case "facebook":
 		ds = dataset.Facebook(dataset.Config{Users: users, Seed: seed, NoiseRate: 0.05})
 	default:
-		return nil, fmt.Errorf("unknown dataset %q", dsName)
+		return nil, fmt.Errorf("-dataset: unknown dataset %q (have linkedin, facebook)", dsName)
 	}
 	opts := semprox.DefaultOptions()
 	opts.Mining = mining.Options{MaxNodes: maxNodes, MinSupport: minSupport}

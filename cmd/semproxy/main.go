@@ -28,12 +28,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -43,7 +40,7 @@ import (
 	"repro/client"
 	"repro/internal/proxy"
 	"repro/internal/replica"
-	"repro/internal/wire"
+	"repro/internal/wire/daemon"
 )
 
 func main() {
@@ -97,7 +94,9 @@ func main() {
 	if *requestLog {
 		p.SetRequestLog(slog.New(slog.NewTextHandler(os.Stderr, nil)), *slowQuery)
 	}
-	startDebugServer(*debugAddr)
+	if err := daemon.ServeDebug(ctx, *debugAddr); err != nil {
+		log.Fatal(err)
+	}
 
 	// The probe loop keeps the live set and the resolved primary fresh;
 	// the first sweep runs before serving so early requests have targets.
@@ -127,35 +126,7 @@ func main() {
 
 	log.Printf("edge tier on %s: primary %s, %d follower(s), cache %d entries, hedge %v (cap %d%%)",
 		*addr, *primary, len(followerURLs), *cacheEntries, *hedge, *hedgeCap)
-	srv := &http.Server{Addr: *addr, Handler: p, ReadHeaderTimeout: wire.ReadHeaderTimeout}
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx) //nolint:errcheck // best-effort drain
-	}()
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	if err := daemon.Serve(ctx, *addr, p); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// startDebugServer serves the pprof handlers on their own listener — an
-// explicit mux (never http.DefaultServeMux) on a separate address, so
-// profiling stays opt-in and off the public serving port.
-func startDebugServer(addr string) {
-	if addr == "" {
-		return
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("debug server on %s: %v", addr, err)
-		}
-	}()
-	log.Printf("pprof on http://%s/debug/pprof/", addr)
 }

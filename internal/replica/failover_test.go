@@ -169,22 +169,20 @@ func TestPromotionServesWrites(t *testing.T) {
 	h.ts.Close() // the primary is gone
 	cancel()
 	<-runDone
-	w, err := f.Promote()
+	w, err := fsrv.PromoteFollower()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Term(); got != 2 {
 		t.Fatalf("promoted term = %d, want 2", got)
 	}
-	if _, _, err := semprox.ReplayWAL(f.Engine(), w); err != nil {
-		t.Fatal(err)
-	}
-	if err := fsrv.Promote(w); err != nil {
-		t.Fatal(err)
-	}
-	// A second promotion of the same follower is refused.
+	// A second promotion is refused by the follower and by the server,
+	// whose role (checked below) stays the term-2 primary.
 	if _, err := f.Promote(); err == nil {
 		t.Fatal("double promotion accepted")
+	}
+	if _, err := fsrv.PromoteFollower(); err == nil {
+		t.Fatal("second PromoteFollower accepted")
 	}
 
 	rctx := context.Background()
@@ -230,14 +228,7 @@ func promoteSuccessor(t *testing.T, h *primaryHarness) (*httptest.Server, *clien
 	srvA.SetFollower(fa)
 	tsA := httptest.NewServer(srvA)
 	t.Cleanup(tsA.Close)
-	w, err := fa.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := semprox.ReplayWAL(fa.Engine(), w); err != nil {
-		t.Fatal(err)
-	}
-	if err := srvA.Promote(w); err != nil {
+	if _, err := srvA.PromoteFollower(); err != nil {
 		t.Fatal(err)
 	}
 	ca := client.New(tsA.URL, tsA.Client())
@@ -589,17 +580,10 @@ func TestMonitorElectsLongestLog(t *testing.T) {
 	default:
 	}
 
-	// Promote the winner, exactly as cmd/semproxd does.
+	// Promote the winner, as cmd/semproxd does.
 	cancel1()
 	<-run1
-	w, err := f1.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := semprox.ReplayWAL(f1.Engine(), w); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv1.Promote(w); err != nil {
+	if _, err := srv1.PromoteFollower(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -277,8 +277,9 @@ func (f *Follower) walRef() *wal.WAL {
 
 // Promote seals the follower's local log for writing: the current term
 // is raised past every term this follower has ever observed (durably,
-// sidecar-first) and the log is handed to the caller — Server.Promote
-// mounts it and starts accepting /v1/update. Call only after Run has
+// sidecar-first) and the log is handed to the caller —
+// Server.PromoteFollower, the one caller outside tests, replays its tail
+// and starts accepting /v1/update on it. Call only after Run has
 // stopped (cancel its context and wait); the returned log now belongs
 // to the server, and Close leaves it alone. Requires Dir (a memory-only
 // follower has no durable history to promote).

@@ -22,7 +22,7 @@ import (
 //     tuple wins, the URL being a deterministic tiebreak so two monitors
 //     looking at the same world elect the same node. If that is Self,
 //     Run returns nil and the caller performs the promotion
-//     (Follower.Promote + Server.Promote); if it is someone else, the
+//     (Server.PromoteFollower); if it is someone else, the
 //     monitor keeps watching until the winner shows up as a primary.
 //
 // The (term, LSN)-max rule is what makes promotion safe with

@@ -207,21 +207,38 @@ func (s *Server) SetFollower(f *replica.Follower) {
 // follower releases the ack). Safe to call while serving.
 func (s *Server) SetAckReplicas(n int) { s.ackReplicas.Store(int64(n)) }
 
-// Promote flips a follower server into a primary serving writes on w —
-// the follower's own promoted log (Follower.Promote). The follower's
-// current engine, the log, and a fresh Primary replace the old role in
-// one atomic store: requests already past their role load finish under
-// the old one (they were refusing updates — still correct), everything
-// after serves the new. Call only after the follower's Run has stopped.
-func (s *Server) Promote(w *wal.WAL) error {
-	cur := s.role.Load()
-	if cur.follower == nil {
-		return errors.New("server: promote: not a follower")
+// PromoteFollower is the whole promotion, in the only order that is safe:
+// the follower's local log is sealed under a raised term
+// (Follower.Promote), the tail of that log the engine has not applied yet
+// — a batch fsynced when Run stopped — is replayed, and the role flips to
+// a primary serving writes on it. It returns the log, now the server's.
+// Call only after the follower's Run has stopped. A server that is not a
+// follower (a second call included) is refused with its role unchanged;
+// after any other error the follower is sealed but not serving writes,
+// and the process should exit: a restart resumes from the state
+// directory.
+func (s *Server) PromoteFollower() (*wal.WAL, error) {
+	f := s.role.Load().follower
+	if f == nil {
+		return nil, errors.New("server: promote: not a follower")
 	}
-	eng := cur.follower.Engine()
-	if eng == nil {
-		return errors.New("server: promote: follower has no engine (never bootstrapped)")
+	// A follower that never bootstrapped has no log either: Promote
+	// refuses it before its missing engine is reached.
+	w, err := f.Promote()
+	if err != nil {
+		return nil, err
 	}
+	if _, _, err := semprox.ReplayWAL(f.Engine(), w); err != nil {
+		return nil, fmt.Errorf("server: promote: replaying the local log tail: %w", err)
+	}
+	return w, s.promote(f.Engine(), w)
+}
+
+// promote swaps the role: the engine, its log and a fresh Primary replace
+// the follower in one atomic store. Requests already past their role load
+// finish under the old one (they were refusing updates — still correct),
+// everything after serves the new.
+func (s *Server) promote(eng *semprox.Engine, w *wal.WAL) error {
 	if got, want := eng.LSN()+1, w.NextLSN(); got != want {
 		return fmt.Errorf("server: promote: engine expects LSN %d but the log would assign %d", got, want)
 	}
