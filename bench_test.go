@@ -257,7 +257,7 @@ func BenchmarkOnlineQuery(b *testing.B) {
 // reads is in cache — the scan's arithmetic and nothing else. uniform is
 // what a daemon under the benchmark's read mix pays: Engine.Query on the
 // 5 000-user read_direct engine with anchors in a seeded random order, so
-// consecutive queries share no rows and the ~35 MB index does not stay in
+// consecutive queries share no rows and the ~26 MB index does not stay in
 // cache.
 func BenchmarkRankTop(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
@@ -306,11 +306,11 @@ func BenchmarkSparseVecDot(b *testing.B) {
 	users := g.NodesOfType(g.Types().ID("user"))
 	var v index.SparseVec
 	for _, u := range users {
-		if nv := ix.NodeVec(u); len(nv) > len(v) {
+		if nv := ix.NodeVec(u); nv.Len() > v.Len() {
 			v = nv
 		}
 	}
-	if len(v) == 0 {
+	if v.Len() == 0 {
 		b.Fatal("no node vectors")
 	}
 	b.ReportAllocs()
@@ -331,7 +331,7 @@ func BenchmarkIndexNodeVec(b *testing.B) {
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		n += len(ix.NodeVec(users[i%len(users)]))
+		n += ix.NodeVec(users[i%len(users)]).Len()
 	}
 	_ = n
 }
@@ -348,7 +348,8 @@ func BenchmarkProximityEval(b *testing.B) {
 }
 
 // BenchmarkTrain measures one full training run (Table III's training
-// column at bench scale).
+// column at bench scale), on raw counts and through the log1p transform,
+// which the index applies to every value as it is read.
 func BenchmarkTrain(b *testing.B) {
 	ds := benchDataset()
 	g, ix := ds.G, (*index.Index)(nil)
@@ -368,9 +369,15 @@ func BenchmarkTrain(b *testing.B) {
 	opts := core.DefaultTrain()
 	opts.Restarts = 1
 	opts.MaxIters = 80
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Train(ix, examples, opts)
+	for _, bc := range []struct {
+		name string
+		ix   *index.Index
+	}{{"raw", ix}, {"log1p", ix.Transform(log1pCount)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.Train(bc.ix, examples, opts)
+			}
+		})
 	}
 }
 

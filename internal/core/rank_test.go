@@ -20,7 +20,7 @@ func naiveRankTop(g *graph.Graph, ix *index.Index, w []float64, q graph.NodeID, 
 	var out []Ranked
 	qDot := ix.NodeVec(q).Dot(w)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if v == q || ix.PairVec(q, v) == nil {
+		if v == q || ix.PairVec(q, v).Len() == 0 {
 			continue
 		}
 		den := qDot + ix.NodeVec(v).Dot(w)

@@ -217,14 +217,17 @@ func addPairGrad(ix *index.Index, w []float64, v, u graph.NodeID, c float64, gra
 	}
 	num := mvu.Dot(w)
 	inv2 := 1 / (den * den)
-	for _, e := range mvu {
-		grad[e.Meta] += c * 2 * den * e.Count * inv2
+	for i := range mvu.Len() {
+		m, x := mvu.At(i)
+		grad[m] += c * 2 * den * x * inv2
 	}
-	for _, e := range mv {
-		grad[e.Meta] -= c * 2 * num * e.Count * inv2
+	for i := range mv.Len() {
+		m, x := mv.At(i)
+		grad[m] -= c * 2 * num * x * inv2
 	}
-	for _, e := range mu {
-		grad[e.Meta] -= c * 2 * num * e.Count * inv2
+	for i := range mu.Len() {
+		m, x := mu.At(i)
+		grad[m] -= c * 2 * num * x * inv2
 	}
 }
 

@@ -173,3 +173,68 @@ func TestClaimsCostWhatTheStreamDelivers(t *testing.T) {
 		t.Fatalf("arena ends with len %d cap %d", len(s), cap(s))
 	}
 }
+
+// FuzzFlatReader reads arbitrary bytes (behind the magic) with an arbitrary
+// sequence of Uvarint, Uint64 and Bytes calls, one per byte of ops, then
+// Close: no read panics, no byte string is longer than the stream, every
+// read after the first error returns zero, and the whole run allocates no
+// more than the Reader's own buffer plus a constant factor of the bytes it
+// was given — whatever lengths the bytes claim.
+func FuzzFlatReader(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, magic)
+	for _, v := range words {
+		w.Uvarint(v)
+		w.Uint64(v)
+	}
+	w.Bytes([]byte("graph"))
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()[len(magic):]
+	f.Add(valid, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2})
+	f.Add(valid, []byte{2, 2, 2})
+	f.Add(valid[:len(valid)/2], []byte{0, 0, 1, 1, 2})
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, []byte{0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}, []byte{2})
+	f.Add([]byte{}, []byte{1, 2})
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := NewReader(bytes.NewReader(append([]byte(magic), data...)), magic)
+		if err != nil {
+			t.Fatalf("the magic was refused: %v", err)
+		}
+		for _, op := range ops {
+			failed := r.Err() != nil
+			var zero bool
+			switch op % 3 {
+			case 0:
+				zero = r.Uvarint() == 0
+			case 1:
+				zero = r.Uint64() == 0
+			case 2:
+				b := r.Bytes()
+				if len(b) > len(data) {
+					t.Fatalf("Bytes returned %d bytes out of a %d-byte stream", len(b), len(data))
+				}
+				zero = b == nil
+			}
+			if failed && !zero {
+				t.Fatalf("a read after the error %v returned data", r.Err())
+			}
+		}
+		if failed := r.Err(); failed != nil && r.Close() == nil {
+			t.Fatalf("Close hid the stream's error %v", failed)
+		} else if failed == nil {
+			_ = r.Close() // a checksum over bytes nobody wrote: may go either way
+		}
+		runtime.ReadMemStats(&after)
+		// The Reader's buffer, as much again for whatever else the process
+		// allocates meanwhile (the fuzz worker's bookkeeping shows up here),
+		// and a constant factor of the stream.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*bufSize+4*len(data)); got > limit {
+			t.Fatalf("%d bytes read with %d calls allocated %d bytes (limit %d)", len(data), len(ops), got, limit)
+		}
+	})
+}

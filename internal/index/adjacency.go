@@ -42,7 +42,7 @@ func spanAt[K cmp.Ordered](c *csr[K], r int, ovl bool) span {
 }
 
 // of resolves the span against a table's two arenas.
-func (s span) of(base, ovl []Entry) SparseVec {
+func (s span) of(base, ovl []Entry) []Entry {
 	if s.lo >= 0 {
 		return base[s.lo:s.hi]
 	}
@@ -238,7 +238,7 @@ func overlayAdjacency(flat adjRows, ix *Index) *adjacency {
 	ovl.eoff = []int32{0}
 	add := func(c Candidates, i int) {
 		ovl.node = append(ovl.node, c.Nodes[i])
-		ovl.ent = append(ovl.ent, c.PairVec(i)...)
+		ovl.ent = append(ovl.ent, c.pairRow(i)...)
 		ovl.eoff = append(ovl.eoff, int32(len(ovl.ent)))
 	}
 	for v := graph.NodeID(0); int(v)+1 < len(fresh.off); v++ {
@@ -297,20 +297,23 @@ func (ix *Index) Candidates(q graph.NodeID) Candidates {
 // Index.NodeVec(Query) finds by key.
 func (c *Candidates) QueryVec() SparseVec {
 	if c.Query < 0 || int(c.Query) >= len(c.nodeRow) {
-		return nil
+		return SparseVec{}
 	}
-	return c.nodeRow[c.Query].of(c.ix.mx.ent, c.ix.ovlMx.ent)
+	return SparseVec{c.nodeRow[c.Query].of(c.ix.mx.ent, c.ix.ovlMx.ent), c.ix.f}
 }
 
 // NodeVec returns m_v of candidate i (v = Nodes[i]): the entries
 // Index.NodeVec(v) finds by key.
 func (c *Candidates) NodeVec(i int) SparseVec {
-	return c.nodeRow[c.Nodes[i]].of(c.ix.mx.ent, c.ix.ovlMx.ent)
+	return SparseVec{c.nodeRow[c.Nodes[i]].of(c.ix.mx.ent, c.ix.ovlMx.ent), c.ix.f}
 }
 
 // PairVec returns m_qv of candidate i (v = Nodes[i]): the entries
 // Index.PairVec(q, v) finds by key.
-func (c *Candidates) PairVec(i int) SparseVec {
+func (c *Candidates) PairVec(i int) SparseVec { return SparseVec{c.pairRow(i), c.ix.f} }
+
+// pairRow returns the raw row behind slot i.
+func (c *Candidates) pairRow(i int) []Entry {
 	if inl := len(c.eoff) - 1; i >= inl {
 		i -= inl
 		return c.tailEnt[c.tailOff[i]:c.tailOff[i+1]]
@@ -330,7 +333,7 @@ func (ix *Index) NodeDots(w []float64) []float64 {
 	a := ix.adjacency()
 	dots := make([]float64, len(a.nodeRow))
 	for v, s := range a.nodeRow {
-		dots[v] = s.of(ix.mx.ent, ix.ovlMx.ent).Dot(w)
+		dots[v] = SparseVec{s.of(ix.mx.ent, ix.ovlMx.ent), ix.f}.Dot(w)
 	}
 	return dots
 }

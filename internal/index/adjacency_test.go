@@ -23,11 +23,11 @@ func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int) 
 			t.Fatalf("%s: partners of %d = %v, want %v", label, v, cg.Nodes, cw.Nodes)
 		}
 		for i, u := range cg.Nodes {
-			if !slices.Equal(cg.PairVec(i), cw.PairVec(i)) {
+			if !sameRow(cg.PairVec(i), cw.PairVec(i)) {
 				t.Fatalf("%s: slot %d of node %d (pair with %d) resolves to %v; from scratch %v",
 					label, i, v, u, cg.PairVec(i), cw.PairVec(i))
 			}
-			if !slices.Equal(cg.NodeVec(i), cw.NodeVec(i)) {
+			if !sameRow(cg.NodeVec(i), cw.NodeVec(i)) {
 				t.Fatalf("%s: slot %d of node %d: m_%d resolves to %v; from scratch %v",
 					label, i, v, u, cg.NodeVec(i), cw.NodeVec(i))
 			}
@@ -104,7 +104,7 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 	if !slices.Equal(c.Nodes, []graph.NodeID{1, 9}) {
 		t.Fatalf("partners of 3 = %v, want [1 9]", c.Nodes)
 	}
-	if len(c.NodeVec(0)) != 0 || c.PairVec(1).Get(0) != 4 {
+	if c.NodeVec(0).Len() != 0 || c.PairVec(1).Get(0) != 4 {
 		t.Fatalf("slots of 3 resolve to m_1 = %v, m_39 = %v", c.NodeVec(0), c.PairVec(1))
 	}
 	if c := patched.Candidates(9); !slices.Equal(c.Nodes, []graph.NodeID{3}) || c.NodeVec(0).Get(0) != 2 {

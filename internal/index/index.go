@@ -11,13 +11,16 @@
 // PairVec) are a binary search plus a slice header — no allocation, no
 // pointer chasing — the candidate scan of a ranked query follows the
 // derived partner adjacency (adjacency.go), which lays every query node's
-// pair rows out in scan order and searches nothing, and
-// Merge/Project/Transform operate on whole arenas instead of one small map
-// row at a time.
+// pair rows out in scan order and searches nothing, and Merge/Project
+// operate on whole arenas instead of one small map row at a time. Every
+// entry holds a raw instance count; a transform of the counts is a property
+// of the index, applied as a value is read (Transform, SparseVec).
 package index
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -41,40 +44,81 @@ func (k PairKey) Nodes() (graph.NodeID, graph.NodeID) {
 	return graph.NodeID(uint32(k >> 32)), graph.NodeID(uint32(k))
 }
 
-// Entry is one non-zero coordinate of a sparse metagraph vector.
-type Entry struct {
-	Meta  int32   // metagraph index within M
-	Count float64 // instance count (possibly transformed)
+// String formats the pair as (x,y), smaller node first.
+func (k PairKey) String() string {
+	x, y := k.Nodes()
+	return fmt.Sprintf("(%d,%d)", x, y)
 }
 
-// SparseVec is a sparse metagraph vector sorted by Meta.
-type SparseVec []Entry
+// Entry is one non-zero coordinate of a sparse metagraph vector: the raw
+// instance count of Eq. 1–2. Whatever transform the index applies is applied
+// when the value is read (SparseVec), never stored.
+type Entry struct {
+	Meta  int32  // metagraph index within M
+	Count uint32 // instance count, at least 1
+}
+
+// SparseVec is one row of the index, sorted by Meta: its raw counts and the
+// transform its index reads them through (nil: the count itself). Dot, Get
+// and At are the only readers of a value, so the choice between raw and
+// transformed is made once per row.
+type SparseVec struct {
+	ent []Entry
+	f   func(float64) float64
+}
 
 // compareEntryMeta orders entries by metagraph index.
 func compareEntryMeta(a, b Entry) int { return cmp.Compare(a.Meta, b.Meta) }
 
-// Dot returns v · w for a dense weight vector w indexed by metagraph.
+// Len returns the number of non-zero coordinates.
+func (v SparseVec) Len() int { return len(v.ent) }
+
+// At returns the metagraph and value of coordinate i, 0 <= i < Len.
+func (v SparseVec) At(i int) (meta int, val float64) {
+	e := v.ent[i]
+	if v.f == nil {
+		return int(e.Meta), float64(e.Count)
+	}
+	return int(e.Meta), v.f(float64(e.Count))
+}
+
+// Dot returns v · w for a dense weight vector w indexed by metagraph. The
+// raw loop is the scan every ranked read runs; Dot stays small enough for
+// the compiler to inline it there.
 func (v SparseVec) Dot(w []float64) float64 {
+	if v.f == nil {
+		var s float64
+		for _, e := range v.ent {
+			s += float64(e.Count) * w[e.Meta]
+		}
+		return s
+	}
+	return dotThrough(v.ent, v.f, w)
+}
+
+// dotThrough is Dot of a row read through transform f.
+func dotThrough(ent []Entry, f func(float64) float64, w []float64) float64 {
 	var s float64
-	for _, e := range v {
-		s += e.Count * w[e.Meta]
+	for _, e := range ent {
+		s += f(float64(e.Count)) * w[e.Meta]
 	}
 	return s
 }
 
-// Get returns the coordinate for metagraph i (0 when absent).
+// Get returns the value for metagraph i (0 when absent).
 func (v SparseVec) Get(i int) float64 {
-	lo, hi := 0, len(v)
+	lo, hi := 0, len(v.ent)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if v[mid].Meta < int32(i) {
+		if v.ent[mid].Meta < int32(i) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(v) && v[lo].Meta == int32(i) {
-		return v[lo].Count
+	if lo < len(v.ent) && v.ent[lo].Meta == int32(i) {
+		_, val := v.At(lo)
+		return val
 	}
 	return 0
 }
@@ -89,7 +133,7 @@ type csr[K cmp.Ordered] struct {
 }
 
 // row returns the row for key k, or nil when absent. Allocation-free.
-func (c *csr[K]) row(k K) SparseVec {
+func (c *csr[K]) row(k K) []Entry {
 	i := findKey(c.keys, k)
 	if i < 0 {
 		return nil
@@ -129,15 +173,15 @@ func csrFromRows[K cmp.Ordered](rows map[K][]Entry) csr[K] {
 		ent:  make([]Entry, 0, total),
 	}
 	for _, k := range keys {
-		c.ent = appendNormalized(c.ent, rows[k])
+		c.ent = appendNormalized(c.ent, k, rows[k])
 		c.off = append(c.off, int32(len(c.ent)))
 	}
 	return c
 }
 
-// appendNormalized appends row to arena sorted by Meta with duplicate Metas
-// coalesced by summing.
-func appendNormalized(arena []Entry, row []Entry) []Entry {
+// appendNormalized appends the row of key k to arena sorted by Meta with
+// duplicate Metas coalesced by summing.
+func appendNormalized[K any](arena []Entry, k K, row []Entry) []Entry {
 	sorted := true
 	for i := 1; i < len(row); i++ {
 		if row[i].Meta <= row[i-1].Meta {
@@ -155,12 +199,23 @@ func appendNormalized(arena []Entry, row []Entry) []Entry {
 		// Coalesce only within this row: never merge into the previous
 		// row's tail entry.
 		if n := len(arena); n > start && arena[n-1].Meta == e.Meta {
-			arena[n-1].Count += e.Count
+			arena[n-1].Count = count32(uint64(arena[n-1].Count)+uint64(e.Count), e.Meta, k)
 		} else {
 			arena = append(arena, e)
 		}
 	}
 	return arena
+}
+
+// count32 narrows the instance count of metagraph meta at key k to the width
+// an Entry stores. The offline build has no error path (MatchParts returns
+// parts, not errors), so a count that does not fit panics, naming where it
+// arose, instead of wrapping into a wrong answer.
+func count32[K any](c uint64, meta int32, k K) uint32 {
+	if c > math.MaxUint32 {
+		panic(fmt.Sprintf("index: metagraph %d, key %v: %d instances overflow the uint32 count", meta, k, c))
+	}
+	return uint32(c)
 }
 
 // Index holds the frozen metagraph vectors for one graph and one metagraph
@@ -173,8 +228,11 @@ func appendNormalized(arena []Entry, row []Entry) []Entry {
 // overlay per row lookup.
 type Index struct {
 	numMeta int
-	mx      csr[graph.NodeID]
-	mxy     csr[PairKey]
+	// f is the transform every value is read through (nil: the raw count).
+	// The arenas hold raw counts whatever it is (see Transform).
+	f   func(float64) float64
+	mx  csr[graph.NodeID]
+	mxy csr[PairKey]
 	// ovlMx/ovlMxy hold replacement rows from WithPatch. A key present
 	// here fully shadows the base row; overlay rows are never empty (a
 	// delta only adds instances, so no row ever vanishes).
@@ -194,9 +252,20 @@ type Index struct {
 // with.
 func (ix *Index) NumMeta() int { return ix.numMeta }
 
-// NodeVec returns m_x (nil when x never occurs symmetrically). The slice is
-// a view into the index arena; do not modify.
+// NodeVec returns m_x (empty when x never occurs symmetrically), a view into
+// the index arena read through the index's transform.
 func (ix *Index) NodeVec(x graph.NodeID) SparseVec {
+	return SparseVec{ix.nodeRow(x), ix.f}
+}
+
+// PairVec returns m_xy (empty when x and y never co-occur symmetrically), a
+// view into the index arena read through the index's transform.
+func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
+	return SparseVec{ix.pairRow(x, y), ix.f}
+}
+
+// nodeRow returns the raw row of node x, read through the overlay.
+func (ix *Index) nodeRow(x graph.NodeID) []Entry {
 	if len(ix.ovlMx.keys) != 0 {
 		if i := findKey(ix.ovlMx.keys, x); i >= 0 {
 			return ix.ovlMx.ent[ix.ovlMx.off[i]:ix.ovlMx.off[i+1]]
@@ -205,9 +274,8 @@ func (ix *Index) NodeVec(x graph.NodeID) SparseVec {
 	return ix.mx.row(x)
 }
 
-// PairVec returns m_xy (nil when x and y never co-occur symmetrically). The
-// slice is a view into the index arena; do not modify.
-func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
+// pairRow returns the raw row of pair {x, y}, read through the overlay.
+func (ix *Index) pairRow(x, y graph.NodeID) []Entry {
 	k := MakePairKey(x, y)
 	if len(ix.ovlMxy.keys) != 0 {
 		if i := findKey(ix.ovlMxy.keys, k); i >= 0 {
@@ -244,26 +312,13 @@ func (ix *Index) MetaSupport() []bool {
 	return used
 }
 
-// Transform returns a copy of the index with f applied to every count; the
-// paper mentions log-style transforms of the raw counts (Sect. II-A). Keys
-// and offsets are shared with the receiver (they are immutable); the entry
-// arenas are copied, and the adjacency — which holds pair rows inline — is
-// derived afresh. A patched receiver is compacted first.
+// Transform returns the index with every value read as f(count); the paper
+// mentions log-style transforms of the raw counts (Sect. II-A). A nil f reads
+// the raw counts. The result shares everything with the receiver — tables,
+// overlay and adjacency hold raw counts either way — so it costs O(1), and
+// WithPatch, Compact, AddParts and Project carry the transform forward.
 func (ix *Index) Transform(f func(float64) float64) *Index {
-	ix = ix.Compact()
-	out := *ix
-	out.mx.ent = transformArena(ix.mx.ent, f)
-	out.mxy.ent = transformArena(ix.mxy.ent, f)
-	out.adj = &lazyAdjacency{}
-	return &out
-}
-
-func transformArena(ent []Entry, f func(float64) float64) []Entry {
-	nv := make([]Entry, len(ent))
-	for i, e := range ent {
-		nv[i] = Entry{e.Meta, f(e.Count)}
-	}
-	return nv
+	return &Index{numMeta: ix.numMeta, f: f, mx: ix.mx, mxy: ix.mxy, ovlMx: ix.ovlMx, ovlMxy: ix.ovlMxy, adj: ix.adj}
 }
 
 // Project returns a view of the index restricted to the metagraph subset
@@ -287,6 +342,7 @@ func (ix *Index) Project(keep []int) *Index {
 	}
 	return &Index{
 		numMeta: len(keep),
+		f:       ix.f,
 		mx:      projectCSR(ix.mx, remap, ascending),
 		mxy:     projectCSR(ix.mxy, remap, ascending),
 		adj:     &lazyAdjacency{},
@@ -331,7 +387,8 @@ func projectCSR[K cmp.Ordered](c csr[K], remap []int32, ascending bool) csr[K] {
 // renumbering metagraphs by concatenation: part k's metagraph j becomes
 // offset(k)+j. BuildParallel merges the parts its workers matched; an
 // engine adds parts to the index it already serves (AddParts), which is the
-// same routine with the index as one more input.
+// same routine with the index as one more input. The result reads raw
+// counts.
 func Merge(parts ...*Index) *Index {
 	slots := make([]int, len(parts))
 	n := 0
@@ -347,7 +404,8 @@ func Merge(parts ...*Index) *Index {
 // metagraphs as ix does. No two inputs may hold the same metagraph. The
 // receiver is unchanged (a patched one is compacted first) and the result's
 // adjacency starts unbuilt. Whatever the order parts arrive in, the result
-// is the index one Builder fed every metagraph at its slot would freeze.
+// is the index one Builder fed every metagraph at its slot would freeze,
+// read through the receiver's transform (parts add counts, not values).
 func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	ix = ix.Compact()
 	mx := []source[graph.NodeID]{{&ix.mx, 0}}
@@ -357,7 +415,7 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 		mx = append(mx, source[graph.NodeID]{&p.mx, int32(slots[i])})
 		mxy = append(mxy, source[PairKey]{&p.mxy, int32(slots[i])})
 	}
-	return &Index{numMeta: ix.numMeta, mx: mergeCSR(mx), mxy: mergeCSR(mxy), adj: &lazyAdjacency{}}
+	return &Index{numMeta: ix.numMeta, f: ix.f, mx: mergeCSR(mx), mxy: mergeCSR(mxy), adj: &lazyAdjacency{}}
 }
 
 // source is one input of mergeCSR: a table whose rows enter the merge with
@@ -462,10 +520,11 @@ type Builder struct {
 	mx      map[graph.NodeID][]Entry
 	mxy     map[PairKey][]Entry
 	// Per-call scratch: counts for the metagraph currently being matched.
-	// One float per touched key replaces the per-key inner maps the builder
-	// used to allocate for every new key.
-	nodeScratch map[graph.NodeID]float64
-	pairScratch map[PairKey]float64
+	// One counter per touched key replaces the per-key inner maps the
+	// builder used to allocate for every new key. They are 64 bits wide so
+	// that a count too large for an Entry is refused (count32), not wrapped.
+	nodeScratch map[graph.NodeID]uint64
+	pairScratch map[PairKey]uint64
 }
 
 // NewBuilder returns a Builder for a metagraph set of the given size.
@@ -474,8 +533,8 @@ func NewBuilder(numMeta int) *Builder {
 		numMeta:     numMeta,
 		mx:          make(map[graph.NodeID][]Entry),
 		mxy:         make(map[PairKey][]Entry),
-		nodeScratch: make(map[graph.NodeID]float64),
-		pairScratch: make(map[PairKey]float64),
+		nodeScratch: make(map[graph.NodeID]uint64),
+		pairScratch: make(map[PairKey]uint64),
 	}
 }
 
@@ -514,10 +573,10 @@ func (b *Builder) AddMetagraph(i int, m *metagraph.Metagraph, matcher match.Matc
 	})
 	mi := int32(i)
 	for k, c := range b.pairScratch {
-		b.mxy[k] = append(b.mxy[k], Entry{mi, c})
+		b.mxy[k] = append(b.mxy[k], Entry{mi, count32(c, mi, k)})
 	}
 	for k, c := range b.nodeScratch {
-		b.mx[k] = append(b.mx[k], Entry{mi, c})
+		b.mx[k] = append(b.mx[k], Entry{mi, count32(c, mi, k)})
 	}
 }
 

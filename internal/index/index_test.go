@@ -2,10 +2,12 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/flat"
 	"repro/internal/graph"
@@ -128,8 +130,8 @@ func TestToyVectors(t *testing.T) {
 		t.Fatalf("m_{Bob,Tom} = %v", bt)
 	}
 	// Kate & Tom share nothing.
-	if v := ix.PairVec(kate, tom); v != nil {
-		t.Fatalf("m_{Kate,Tom} = %v, want nil", v)
+	if v := ix.PairVec(kate, tom); v.Len() != 0 {
+		t.Fatalf("m_{Kate,Tom} = %v, want empty", v)
 	}
 
 	// m_x: Alice occurs symmetrically in M2 (once), M3 (once), M4 (once).
@@ -168,7 +170,7 @@ func TestDot(t *testing.T) {
 	if ix.NumMeta() != 4 {
 		t.Fatalf("NumMeta = %d", ix.NumMeta())
 	}
-	v := SparseVec{{Meta: 0, Count: 2}, {Meta: 3, Count: 5}}
+	v := SparseVec{ent: []Entry{{Meta: 0, Count: 2}, {Meta: 3, Count: 5}}}
 	w := []float64{0.5, 1, 1, 0.1}
 	if got := v.Dot(w); math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("Dot = %f", got)
@@ -178,21 +180,42 @@ func TestDot(t *testing.T) {
 	}
 }
 
+// TestEntryIsEightBytes: an entry is a metagraph and a count, no padding.
+func TestEntryIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 8 {
+		t.Fatalf("Entry is %d bytes, want 8", got)
+	}
+}
+
+// TestTransform: a transform is how an index reads its counts, not a copy of
+// them. The transformed index shares the receiver's arenas and its built
+// adjacency (which holds raw counts inline too), reads every value as
+// f(count) bit for bit, and carries f through WithPatch, Compact, AddParts
+// and Project; the receiver still reads raw counts.
 func TestTransform(t *testing.T) {
 	g, ix := buildToyIndex(t)
 	kate := g.NodeByName("Kate")
 	jay := g.NodeByName("Jay")
-	// The adjacency holds pair rows inline, so a built one must not be
-	// handed to the transformed copy along with the keys.
 	ix.BuildAdjacency()
-	tr := ix.Transform(func(c float64) float64 { return math.Log1p(c) })
-	if got := tr.PairVec(kate, jay).Get(0); math.Abs(got-math.Log1p(1)) > 1e-12 {
-		t.Fatalf("transformed count = %f", got)
+	tr := ix.Transform(math.Log1p)
+	if !tr.HasAdjacency() || &tr.mxy.ent[0] != &ix.mxy.ent[0] {
+		t.Fatal("Transform copied what it can share")
+	}
+	if got := tr.PairVec(kate, jay).Get(0); got != math.Log1p(1) {
+		t.Fatalf("transformed count = %v", got)
 	}
 	scanEverything(t, tr, g.NumNodes())
-	// Original untouched.
-	if got := ix.PairVec(kate, jay).Get(0); got != 1 {
-		t.Fatalf("original mutated: %f", got)
+	readsThrough(t, tr, math.Log1p)
+	readsThrough(t, ix, nil)
+	readsThrough(t, tr.Transform(nil), nil)
+	patched := tr.WithPatch(selfPatch(ix, g.NumNodes()))
+	for label, carried := range map[string]*Index{
+		"patched":   patched,
+		"compacted": patched.Compact(),
+		"grown":     tr.AddParts(nil, nil),
+		"projected": patched.Project([]int{2, 0}),
+	} {
+		t.Run(label, func(t *testing.T) { readsThrough(t, carried, math.Log1p) })
 	}
 }
 
@@ -212,8 +235,8 @@ func TestProject(t *testing.T) {
 		t.Fatalf("projected m_{Kate,Jay} = %v", kj)
 	}
 	// Alice–Kate only shared M2, which is projected away.
-	if v := p.PairVec(alice, kate); v != nil {
-		t.Fatalf("projected m_{Alice,Kate} = %v, want nil", v)
+	if v := p.PairVec(alice, kate); v.Len() != 0 {
+		t.Fatalf("projected m_{Alice,Kate} = %v, want empty", v)
 	}
 	// Partners must reflect the projection: Kate's only partner is Jay now.
 	if got := p.Partners(kate); len(got) != 1 || got[0] != jay {
@@ -379,7 +402,7 @@ func TestZeroAllocReads(t *testing.T) {
 		w[i] = float64(i + 1)
 	}
 	v := ix.PairVec(kate, jay)
-	if len(v) == 0 {
+	if v.Len() == 0 {
 		t.Fatal("empty test vector")
 	}
 	checks := []struct {
@@ -431,6 +454,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"rows shorter than the arena", node(1, []graph.NodeID{1}, []int32{0, 1}, two)},
 		{"entries without keys", node(1, nil, nil, one)},
 		{"unsorted row", node(4, []graph.NodeID{1}, []int32{0, 2}, []Entry{{Meta: 3, Count: 1}, {Meta: 1, Count: 1}})},
+		{"count of 0", node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 0}})},
 		{"negative numMeta", node(-1, nil, nil, nil)},
 		// What the derived adjacency indexes by: node ids and pair
 		// endpoints, against a graph of 8 nodes.
@@ -450,15 +474,32 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 			t.Errorf("%s: Read accepted corrupt file", c.name)
 		}
 	}
+	// A count no Entry can hold, which Write cannot produce: the stream of
+	// the well-formed sibling below, written by hand with a wider count.
+	for count, legal := range map[uint64]bool{1: true, math.MaxUint32: true, math.MaxUint32 + 1: false, math.MaxUint64: false} {
+		var buf bytes.Buffer
+		fw := flat.NewWriter(&buf, fileMagic)
+		for _, v := range []uint64{1, 1, 1, 2, 1, 0, count, 0, 0} { // numMeta, node table, empty pair table
+			fw.Uvarint(v)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf, 8); (err == nil) != legal {
+			t.Errorf("count %d: Read returned %v", count, err)
+		}
+	}
 	good := writeBytes(t, node(1, []graph.NodeID{1}, []int32{0, 1}, one))
 	if _, err := Read(bytes.NewReader(good), 8); err != nil {
 		t.Fatalf("the cases' well-formed sibling is refused: %v", err)
 	}
 	for name, mutate := range map[string]func([]byte) []byte{
 		"bad version": func(b []byte) []byte { b[len(fileMagic)-1]--; return b },
-		// The tail is: 8 Count bytes, the empty pair table's two zero
-		// counts, the 4-byte trailer. Only the checksum can catch this.
-		"flipped count bit":        func(b []byte) []byte { b[len(b)-8] ^= 0x10; return b },
+		// The tail is: the count's one varint byte, the empty pair table's
+		// two zero sizes, the 4-byte trailer. Flipping 0x10 turns the count
+		// 1 into 17, still a one-byte varint of a legal count: only the
+		// checksum can catch this.
+		"flipped count bit":        func(b []byte) []byte { b[len(b)-7] ^= 0x10; return b },
 		"truncated before trailer": func(b []byte) []byte { return b[:len(b)-4] },
 		"bytes after the trailer":  func(b []byte) []byte { return append(b, 0) },
 	} {
@@ -515,7 +556,7 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 	}
 	for v := graph.NodeID(-1); int(v) <= numNodes; v++ {
 		c := ix.Candidates(v)
-		if !slices.Equal(c.QueryVec(), ix.NodeVec(v)) {
+		if !sameRow(c.QueryVec(), ix.NodeVec(v)) {
 			t.Fatalf("query row of %d is %v, by key %v", v, c.QueryVec(), ix.NodeVec(v))
 		}
 		if v >= 0 && int(v) < len(dots) && dots[v] != ix.NodeVec(v).Dot(w) {
@@ -525,24 +566,73 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 			if int(u) >= len(dots) || int(v) >= len(dots) {
 				t.Fatalf("pair (%d,%d) lies beyond the node span %d", v, u, len(dots))
 			}
-			if !slices.Equal(c.PairVec(i), ix.PairVec(v, u)) {
+			if !sameRow(c.PairVec(i), ix.PairVec(v, u)) {
 				t.Fatalf("slot %d of node %d holds %v, the pair with %d by key %v", i, v, c.PairVec(i), u, ix.PairVec(v, u))
 			}
-			if !slices.Equal(c.NodeVec(i), ix.NodeVec(u)) {
+			if !sameRow(c.NodeVec(i), ix.NodeVec(u)) {
 				t.Fatalf("slot %d of node %d: m_%d is %v, by key %v", i, v, u, c.NodeVec(i), ix.NodeVec(u))
 			}
 		}
 	}
 }
 
+// sameRow reports whether two rows hold the same raw entries.
+func sameRow(a, b SparseVec) bool { return slices.Equal(a.ent, b.ent) }
+
+// readsThrough holds every value ix hands out — At, Get and Dot, by key and
+// through the adjacency — bit for bit to f of the count stored (the count
+// itself for a nil f).
+func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
+	t.Helper()
+	w := make([]float64, ix.NumMeta())
+	for i := range w {
+		w[i] = 1 / float64(i+3)
+	}
+	check := func(what string, v SparseVec) {
+		t.Helper()
+		var dot float64
+		for i, e := range v.ent {
+			want := float64(e.Count)
+			if f != nil {
+				want = f(want)
+			}
+			dot += want * w[e.Meta]
+			m, got := v.At(i)
+			if m != int(e.Meta) || math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(v.Get(m)) != math.Float64bits(want) {
+				t.Fatalf("%s: coordinate %d of count %d reads (%d, %v), Get %v; want %v", what, e.Meta, e.Count, m, got, v.Get(m), want)
+			}
+		}
+		if got := v.Dot(w); math.Float64bits(got) != math.Float64bits(dot) {
+			t.Fatalf("%s: Dot = %v, want %v", what, got, dot)
+		}
+	}
+	for _, keys := range [][]graph.NodeID{ix.mx.keys, ix.ovlMx.keys} {
+		for _, x := range keys {
+			check(fmt.Sprintf("m_%d", x), ix.NodeVec(x))
+			c := ix.Candidates(x)
+			check(fmt.Sprintf("m_%d as a query", x), c.QueryVec())
+			for i, y := range c.Nodes {
+				check(fmt.Sprintf("slot of m_%d%d", x, y), c.PairVec(i))
+				check(fmt.Sprintf("m_%d as a candidate of %d", y, x), c.NodeVec(i))
+			}
+		}
+	}
+	for _, keys := range [][]PairKey{ix.mxy.keys, ix.ovlMxy.keys} {
+		for _, k := range keys {
+			check("m_"+k.String(), ix.PairVec(k.Nodes()))
+		}
+	}
+}
+
 // selfPatch builds a patch out of ix's own first rows with every count
-// doubled, plus (when the graph has room for one) a pair and a node row on
-// the highest node id, which ix may or may not hold.
+// doubled plus one (never 0, even where the doubling wraps), plus (when the
+// graph has room for one) a pair and a node row on the highest node id,
+// which ix may or may not hold.
 func selfPatch(ix *Index, numNodes int) *Patch {
-	double := func(row SparseVec) []Entry {
+	double := func(row []Entry) []Entry {
 		out := slices.Clone(row)
 		for i := range out {
-			out[i].Count *= 2
+			out[i].Count = out[i].Count<<1 | 1
 		}
 		return out
 	}
@@ -570,6 +660,12 @@ func FuzzIndexRead(f *testing.F) {
 	f.Add(writeBytes(f, ix), uint16(14))
 	f.Add(writeBytes(f, ix), uint16(3))
 	f.Add(writeBytes(f, NewBuilder(2).Build()), uint16(0))
+	// Counts of every varint width an Entry can hold, up to 2^32-1.
+	f.Add(writeBytes(f, &Index{
+		numMeta: 2,
+		mx:      csr[graph.NodeID]{keys: []graph.NodeID{1, 5}, off: []int32{0, 2, 3}, ent: []Entry{{0, 127}, {1, 128}, {1, math.MaxUint32}}},
+		mxy:     csr[PairKey]{keys: []PairKey{MakePairKey(1, 5)}, off: []int32{0, 2}, ent: []Entry{{0, 16383}, {1, 16384}}},
+	}), uint16(8))
 	f.Add([]byte("garbage"), uint16(8))
 	f.Fuzz(func(t *testing.T, data []byte, numNodes uint16) {
 		// Decode, not Read: Read's checksum turns away nearly every

@@ -23,18 +23,21 @@ import (
 //	  nKeys   × key delta  (keys ascend strictly, so every delta — the
 //	                        first one is key+1 — is at least 1)
 //	  nKeys   × row length
-//	  nEntries × (Meta, Count as its 8 IEEE-754 bytes)
+//	  nEntries × (Meta, Count)
 //
-// Everything but Count is an unsigned varint. Index internals are already
-// deterministic, so the bytes are stable without any extra sorting. Engine
-// snapshots embed one section per index; Write/Read frame a single section
-// as a file of its own.
+// Everything is an unsigned varint. A Count is the raw instance count — the
+// index stores no transformed value (see Index.Transform) — so it is a
+// small integer: one byte below 128, two below 16384. Index internals are
+// already deterministic, so the bytes are stable without any extra sorting.
+// Engine snapshots embed one section per index; Write/Read frame a single
+// section as a file of its own.
 
-const fileMagic = "SPXI\x03"
+const fileMagic = "SPXI\x04"
 
-// Write serializes ix. A patched index is compacted first, so the wire
-// format never carries an overlay and an incrementally updated index
-// serializes byte-identically to a from-scratch build of the same rows.
+// Write serializes ix's counts. A patched index is compacted first, so the
+// wire format never carries an overlay and an incrementally updated index
+// serializes byte-identically to a from-scratch build of the same rows. The
+// transform is not written: the reader applies its own.
 func Write(w io.Writer, ix *Index) error {
 	fw := flat.NewWriter(w, fileMagic)
 	Encode(fw, ix)
@@ -80,13 +83,14 @@ func encodeTable[K ~int32 | ~uint64](w *flat.Writer, c *csr[K]) {
 	}
 	for _, e := range c.ent {
 		w.Uvarint(uint64(e.Meta))
-		w.Uint64(math.Float64bits(e.Count))
+		w.Uvarint(uint64(e.Count))
 	}
 }
 
-// Decode reads one section for a graph of numNodes nodes. The bytes are
-// untrusted: everything reads rely on (strictly ascending keys and row
-// Metas, Metas within numMeta) and everything the derived adjacency later
+// Decode reads one section for a graph of numNodes nodes; the index reads raw
+// counts (see Transform). The bytes are untrusted: everything reads rely on
+// (strictly ascending keys and row Metas, Metas within numMeta, counts in
+// [1, 2^32-1]) and everything the derived adjacency later
 // indexes by node id or by row position (node keys and pair endpoints
 // within the graph, smaller endpoint first) is checked as it is decoded,
 // so a corrupt stream is refused with an error and can neither panic a
@@ -190,7 +194,11 @@ func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c c
 				return c, corrupt(r, "row entries", fmt.Sprintf("not strictly ascending by metagraph within [0, %d)", numMeta))
 			}
 			prev = int64(m)
-			c.ent = append(c.ent, Entry{Meta: int32(m), Count: math.Float64frombits(r.Uint64())})
+			cnt := r.Uvarint()
+			if cnt == 0 || cnt > math.MaxUint32 {
+				return c, corrupt(r, "row entries", "hold a count of 0 or above 2^32-1")
+			}
+			c.ent = append(c.ent, Entry{Meta: int32(m), Count: uint32(cnt)})
 		}
 	}
 	return c, r.Err()

@@ -177,10 +177,11 @@ func TestAddPartsEqualsOneBuild(t *testing.T) {
 // TestMergeGainsEqualsPerPartPatches is item 2(c): lifting every matched
 // metagraph's gains to its slot and patching the merged index ONCE gives the
 // bytes of patching every part and merging again — for raw counts and under
-// a transform — and the lifted patch names exactly the keys that gained.
+// a transform, which the gains pass by (they add to counts) and the result
+// still reads through — and the lifted patch names exactly the keys that
+// gained.
 func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 	double := func(c float64) float64 { return 2 * c }
-	halve := func(c float64) float64 { return c / 2 }
 	rng := rand.New(rand.NewSource(11))
 	ms := patchMetagraphs()
 	slots := []int{1, 3, 4}
@@ -191,22 +192,18 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, transformed := range []bool{false, true} {
+		for _, f := range []func(float64) float64{nil, double} {
+			transformed := f != nil
 			var parts, patchedParts []*Index
 			var gains []*Patch
 			var enumerated int64
 			for _, m := range ms {
-				part, p := matchOne(m, match.NewSymISO(g)), RematchDelta(ng, m, nil, nil)
-				if transformed {
-					part = part.Transform(double)
-					patchedParts = append(patchedParts, part.WithPatch(p.Over(part, double, halve)))
-				} else {
-					patchedParts = append(patchedParts, part.WithPatch(p))
-				}
+				part, p := matchOne(m, match.NewSymISO(g)).Transform(f), RematchDelta(ng, m, nil, nil)
+				patchedParts = append(patchedParts, part.WithPatch(p))
 				parts, gains = append(parts, part), append(gains, p)
 				enumerated += p.Enumerated()
 			}
-			empty := NewBuilder(span).Build()
+			empty := NewBuilder(span).Build().Transform(f)
 			lifted := MergeGains(span, slots, gains)
 			if lifted.numMeta != span || lifted.Enumerated() != enumerated {
 				t.Fatalf("trial %d: lifted patch spans %d, enumerated %d; want %d, %d", trial, lifted.numMeta, lifted.Enumerated(), span, enumerated)
@@ -221,15 +218,13 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 			}
 			merged := empty.AddParts(slots, parts)
 			merged.BuildAdjacency()
-			if transformed {
-				lifted = lifted.Over(merged, double, halve)
-			}
 			got := merged.WithPatch(lifted)
 			want := empty.AddParts(slots, patchedParts)
 			if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
 				t.Fatalf("trial %d (transformed %v): one lifted patch differs from per-part patches merged", trial, transformed)
 			}
 			checkAdjacency(t, "lifted patch", got, want, ng.NumNodes())
+			readsThrough(t, got, f)
 		}
 	}
 	if p := MergeGains(span, nil, nil); !p.Empty() || p.numMeta != span {

@@ -11,6 +11,7 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -64,35 +65,32 @@ func MergeGains(numMeta int, slots []int, patches []*Patch) *Patch {
 
 // Over resolves gains into replacement rows over ix, the index they are
 // about to land on: every row becomes ix's current row (read through any
-// overlay) plus the gained counts. For an index that stores transformed
-// counts pass the transform f and its inverse on stored values: a row
-// entry becomes f(inv(old) + gained), which equals the from-scratch
-// f(total) whenever inv recovers the raw count exactly. Nil functions mean
-// raw counts. A patch that already holds replacement rows is returned as is.
-func (p *Patch) Over(ix *Index, f, inv func(float64) float64) *Patch {
+// overlay) plus the gained counts, added as integers. The index stores raw
+// counts whatever its transform, so the sum is the count a from-scratch
+// match of the grown graph gives, and the transform reads it as it reads
+// every other. A sum beyond 2^32-1 is refused with an error naming the
+// metagraph and key, and nothing is resolved. A patch that already holds
+// replacement rows is returned as is.
+func (p *Patch) Over(ix *Index) (*Patch, error) {
 	if !p.gains {
-		return p
+		return p, nil
 	}
-	return &Patch{
-		numMeta:    p.numMeta,
-		mx:         addGains(p.mx, ix.NodeVec, f, inv),
-		mxy:        addGains(p.mxy, func(k PairKey) SparseVec { return ix.PairVec(k.Nodes()) }, f, inv),
-		enumerated: p.enumerated,
+	mx, err := addGains(p.mx, ix.nodeRow)
+	if err != nil {
+		return nil, err
 	}
+	mxy, err := addGains(p.mxy, func(k PairKey) []Entry { return ix.pairRow(k.Nodes()) })
+	if err != nil {
+		return nil, err
+	}
+	return &Patch{numMeta: p.numMeta, mx: mx, mxy: mxy, enumerated: p.enumerated}, nil
 }
 
 // addGains returns the table of old(k) + gains' row of k for every key of
 // gains, merging the two Meta-sorted rows coordinate by coordinate.
-func addGains[K cmp.Ordered](gains csr[K], old func(K) SparseVec, f, inv func(float64) float64) csr[K] {
+func addGains[K cmp.Ordered](gains csr[K], old func(K) []Entry) (csr[K], error) {
 	if len(gains.keys) == 0 {
-		return csr[K]{}
-	}
-	id := func(c float64) float64 { return c }
-	if f == nil {
-		f = id
-	}
-	if inv == nil {
-		inv = id
+		return csr[K]{}, nil
 	}
 	out := csr[K]{
 		keys: gains.keys,
@@ -107,21 +105,28 @@ func addGains[K cmp.Ordered](gains csr[K], old func(K) SparseVec, f, inv func(fl
 				out.ent = append(out.ent, was[0])
 				was = was[1:]
 			case len(was) == 0 || gain[0].Meta < was[0].Meta:
-				out.ent = append(out.ent, Entry{gain[0].Meta, f(gain[0].Count)})
+				out.ent = append(out.ent, gain[0])
 				gain = gain[1:]
 			default:
-				out.ent = append(out.ent, Entry{gain[0].Meta, f(inv(was[0].Count) + gain[0].Count)})
+				c := uint64(was[0].Count) + uint64(gain[0].Count)
+				if c > math.MaxUint32 {
+					return csr[K]{}, fmt.Errorf("index: metagraph %d, key %v: %d instances and %d more overflow the uint32 count",
+						gain[0].Meta, k, was[0].Count, gain[0].Count)
+				}
+				out.ent = append(out.ent, Entry{gain[0].Meta, uint32(c)})
 				was, gain = was[1:], gain[1:]
 			}
 		}
 		out.off = append(out.off, int32(len(out.ent)))
 	}
-	return out
+	return out, nil
 }
 
 // WithPatch returns a new index whose overlay replaces the patched rows;
-// the receiver is unchanged and all base arenas are shared. Gains are first
-// resolved against the receiver as raw counts (see Over). Patching an
+// the receiver is unchanged, all base arenas are shared and the transform
+// carries over. Gains are first resolved against the receiver (see Over);
+// a gain Over refuses panics here, so a caller that cannot rule overflow
+// out resolves the patch with Over first. Patching an
 // already-patched index merges the overlays (the newer patch wins on
 // overlapping keys). Reads through the result see the replacement rows
 // immediately; call Compact to fold the overlay into flat storage.
@@ -136,9 +141,13 @@ func (ix *Index) WithPatch(p *Patch) *Index {
 	if p.Empty() {
 		return ix
 	}
-	p = p.Over(ix, nil, nil)
+	p, err := p.Over(ix)
+	if err != nil {
+		panic(err)
+	}
 	out := &Index{
 		numMeta: ix.numMeta,
+		f:       ix.f,
 		mx:      ix.mx,
 		mxy:     ix.mxy,
 		ovlMx:   shadowMerge(ix.ovlMx, p.mx),
@@ -165,6 +174,7 @@ func (ix *Index) Compact() *Index {
 	}
 	return &Index{
 		numMeta: ix.numMeta,
+		f:       ix.f,
 		mx:      shadowMerge(ix.mx, ix.ovlMx),
 		mxy:     shadowMerge(ix.mxy, ix.ovlMxy),
 		adj:     &lazyAdjacency{},

@@ -2,7 +2,10 @@ package index
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -110,14 +113,8 @@ func TestQuickPatchEqualsScratch(t *testing.T) {
 			}
 			// Reads through the overlay agree with the scratch build too.
 			for v := graph.NodeID(0); int(v) < ng.NumNodes(); v++ {
-				a, b := patched.NodeVec(v), scratch.NodeVec(v)
-				if len(a) != len(b) {
-					t.Fatalf("trial %d: NodeVec(%d) mismatch", trial, v)
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("trial %d: NodeVec(%d)[%d] = %v, want %v", trial, v, i, a[i], b[i])
-					}
+				if a, b := patched.NodeVec(v), scratch.NodeVec(v); !sameRow(a, b) {
+					t.Fatalf("trial %d: NodeVec(%d) = %v, want %v", trial, v, a, b)
 				}
 				pa, pb := patched.Partners(v), scratch.Partners(v)
 				if len(pa) != len(pb) {
@@ -180,6 +177,50 @@ func TestWithPatchBasics(t *testing.T) {
 		}
 	}()
 	ix.WithPatch(handPatch(2, map[graph.NodeID][]Entry{1: {{Meta: 0, Count: 1}}}, nil))
+}
+
+// TestCountOverflowIsRefused: a count past 2^32-1 never wraps. Gains that
+// would carry a stored count past it are refused by Over with an error
+// naming the metagraph and key (and panic in WithPatch, which has no error
+// path), gains that reach it exactly land; an offline build whose rows sum
+// past it panics, naming the metagraph and key.
+func TestCountOverflowIsRefused(t *testing.T) {
+	base := NewBuilder(2).Build().WithPatch(handPatch(2,
+		map[graph.NodeID][]Entry{3: {{Meta: 1, Count: math.MaxUint32 - 5}}},
+		map[PairKey][]Entry{MakePairKey(3, 7): {{Meta: 1, Count: 9}}}))
+	gains := func(g uint32) *Patch {
+		p := handPatch(2, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 1}, {Meta: 1, Count: g}}},
+			map[PairKey][]Entry{MakePairKey(3, 7): {{Meta: 1, Count: g}}})
+		p.gains = true
+		return p
+	}
+	p, err := gains(5).Over(base)
+	if err != nil {
+		t.Fatalf("gains reaching 2^32-1 refused: %v", err)
+	}
+	if got := base.WithPatch(p).NodeVec(3); got.Get(1) != math.MaxUint32 || got.Get(0) != 1 {
+		t.Fatalf("m_3 = %v after gains reaching 2^32-1", got)
+	}
+	if _, err := gains(6).Over(base); err == nil || !strings.Contains(err.Error(), "metagraph 1, key 3:") {
+		t.Fatalf("gains past 2^32-1: Over returned %v, want an error naming metagraph 1 and key 3", err)
+	}
+	mustPanic(t, "WithPatch of gains past 2^32-1", "metagraph 1, key 3:", func() { base.WithPatch(gains(6)) })
+
+	b := NewBuilder(2)
+	b.mxy[MakePairKey(2, 4)] = []Entry{{Meta: 1, Count: math.MaxUint32}, {Meta: 1, Count: 1}}
+	mustPanic(t, "a build summing past 2^32-1", "metagraph 1, key (2,4):", func() { b.Build() })
+}
+
+// mustPanic runs fn and requires a panic whose message contains want.
+func mustPanic(t *testing.T, what, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("%s: recovered %v, want a panic naming %q", what, r, want)
+		}
+	}()
+	fn()
 }
 
 // hubGraph builds users around one school every user attends and a few

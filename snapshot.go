@@ -43,7 +43,7 @@ import (
 // straight into fresh ones, and a follower decodes while its primary is
 // still encoding.
 
-const snapshotMagic = "SPXS\x05"
+const snapshotMagic = "SPXS\x06"
 
 // snapMetagraph rebuilds one metagraph via metagraph.New.
 type snapMetagraph struct {
@@ -208,6 +208,8 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if ep.ix, err = index.Decode(fr, g.NumNodes()); err != nil {
 		return nil, fmt.Errorf("semprox: snapshot index: %w", err)
 	}
+	// The section holds raw counts; the header says how they are read.
+	ep.ix = ep.ix.Transform(h.Opts.countTransform())
 	if ep.ix.NumMeta() != len(e.ms) {
 		return nil, fmt.Errorf("semprox: snapshot index spans %d metagraphs, want %d", ep.ix.NumMeta(), len(e.ms))
 	}

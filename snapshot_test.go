@@ -33,82 +33,101 @@ func saveLoad(t *testing.T, eng *Engine) *Engine {
 
 // TestSnapshotRoundTrip is the acceptance property: a saved+loaded engine
 // answers queries identically (nodes AND bit-for-bit scores) to the
-// in-memory engine that wrote the snapshot.
+// in-memory engine that wrote the snapshot — on raw counts and with
+// LogTransform, which the snapshot stores as the header's option and
+// LoadEngine re-applies to the raw counts it decodes.
 func TestSnapshotRoundTrip(t *testing.T) {
-	eng, g := toyEngine(t)
-	eng.Train("classmate", classmateExamples(g))
-	loaded := saveLoad(t, eng)
+	for _, logTransform := range []bool{false, true} {
+		t.Run(fmt.Sprintf("log=%v", logTransform), func(t *testing.T) {
+			eng, g := toyEngine(t)
+			eng.opts.LogTransform = logTransform
+			eng.Train("classmate", classmateExamples(g))
+			loaded := saveLoad(t, eng)
 
-	if loaded.NumMetagraphs() != eng.NumMetagraphs() {
-		t.Fatalf("metagraphs: %d, want %d", loaded.NumMetagraphs(), eng.NumMetagraphs())
-	}
-	if loaded.MatchedCount() != eng.MatchedCount() {
-		t.Fatalf("matched: %d, want %d", loaded.MatchedCount(), eng.MatchedCount())
-	}
-	if got := loaded.Classes(); len(got) != 1 || got[0] != "classmate" {
-		t.Fatalf("classes = %v", got)
-	}
-	wantW, gotW := eng.Weights("classmate"), loaded.Weights("classmate")
-	if len(wantW) != len(gotW) {
-		t.Fatalf("weights: %d, want %d", len(gotW), len(wantW))
-	}
-	for i := range wantW {
-		if wantW[i] != gotW[i] {
-			t.Fatalf("weight[%d] = %v, want %v", i, gotW[i], wantW[i])
-		}
-	}
-	for _, name := range []string{"Kate", "Bob", "Alice", "Jay", "Tom"} {
-		q := g.NodeByName(name)
-		want, err := eng.Query("classmate", q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.Query("classmate", q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %s: %d results, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %s: result[%d] = %+v, want %+v", name, i, got[i], want[i])
+			if loaded.NumMetagraphs() != eng.NumMetagraphs() {
+				t.Fatalf("metagraphs: %d, want %d", loaded.NumMetagraphs(), eng.NumMetagraphs())
 			}
-		}
-		p1, err1 := eng.Proximity("classmate", q, g.NodeByName("Jay"))
-		p2, err2 := loaded.Proximity("classmate", q, g.NodeByName("Jay"))
-		if err1 != nil || err2 != nil || p1 != p2 {
-			t.Fatalf("proximity %s: %v/%v vs %v/%v", name, p1, err1, p2, err2)
-		}
+			if loaded.MatchedCount() != eng.MatchedCount() {
+				t.Fatalf("matched: %d, want %d", loaded.MatchedCount(), eng.MatchedCount())
+			}
+			if got := loaded.Classes(); len(got) != 1 || got[0] != "classmate" {
+				t.Fatalf("classes = %v", got)
+			}
+			wantW, gotW := eng.Weights("classmate"), loaded.Weights("classmate")
+			if len(wantW) != len(gotW) {
+				t.Fatalf("weights: %d, want %d", len(gotW), len(wantW))
+			}
+			for i := range wantW {
+				if wantW[i] != gotW[i] {
+					t.Fatalf("weight[%d] = %v, want %v", i, gotW[i], wantW[i])
+				}
+			}
+			for _, name := range []string{"Kate", "Bob", "Alice", "Jay", "Tom"} {
+				q := g.NodeByName(name)
+				want, err := eng.Query("classmate", q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := loaded.Query("classmate", q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("query %s: %d results, want %d", name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("query %s: result[%d] = %+v, want %+v", name, i, got[i], want[i])
+					}
+				}
+				p1, err1 := eng.Proximity("classmate", q, g.NodeByName("Jay"))
+				p2, err2 := loaded.Proximity("classmate", q, g.NodeByName("Jay"))
+				if err1 != nil || err2 != nil || p1 != p2 {
+					t.Fatalf("proximity %s: %v/%v vs %v/%v", name, p1, err1, p2, err2)
+				}
+			}
+			assertEngineEquivalent(t, loaded, eng, "round trip")
+			// Proximity is scale-invariant and the toy's counts are nearly
+			// all 1, so the answers barely tell log1p from raw counts; the
+			// denominators, m_v·w by node, do.
+			if got, want := loaded.cur.Load().classes["classmate"].dots, eng.cur.Load().classes["classmate"].dots; !slices.Equal(got, want) {
+				t.Fatalf("loaded denominators %v, want %v", got, want)
+			}
+		})
 	}
 }
 
 // TestSnapshotDeterministicBytes pins that saving the same engine twice —
 // and saving a loaded engine — produces identical bytes, so snapshots can
-// be content-addressed and diffed.
+// be content-addressed and diffed; with LogTransform too, whose index
+// section holds the same raw counts and whose header names the transform.
 func TestSnapshotDeterministicBytes(t *testing.T) {
-	eng, g := toyEngine(t)
-	eng.Train("classmate", classmateExamples(g))
-	var a, b bytes.Buffer
-	if err := eng.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two saves of the same engine differ")
-	}
-	loaded, err := LoadEngine(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c bytes.Buffer
-	if err := loaded.Save(&c); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
-		t.Fatal("save→load→save drifted")
+	for _, logTransform := range []bool{false, true} {
+		eng, g := toyEngine(t)
+		eng.opts.LogTransform = logTransform
+		eng.Train("classmate", classmateExamples(g))
+		var a, b bytes.Buffer
+		if err := eng.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("log %v: two saves of the same engine differ", logTransform)
+		}
+		loaded, err := LoadEngine(bytes.NewReader(a.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c bytes.Buffer
+		if err := loaded.Save(&c); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), c.Bytes()) {
+			t.Fatalf("log %v: save→load→save drifted", logTransform)
+		}
+		assertEngineEquivalent(t, loaded, eng, fmt.Sprintf("log %v: loaded", logTransform))
 	}
 }
 

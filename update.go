@@ -2,7 +2,6 @@ package semprox
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -183,9 +182,12 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 				gains = append(gains, index.RematchDelta(ng, e.ms[i], nil, nil))
 			}
 		}
-		p := index.MergeGains(len(e.ms), slots, gains)
-		if e.opts.LogTransform {
-			p = p.Over(ix, log1p, unlog1p)
+		// The gains are added to the stored counts here, before anything is
+		// published: a count they would carry past 2^32-1 refuses the update
+		// and leaves the engine as it was.
+		p, err := index.MergeGains(len(e.ms), slots, gains).Over(ix)
+		if err != nil {
+			return UpdateStats{}, fmt.Errorf("semprox: update refused: %w", err)
 		}
 		st.Rematched = len(slots)
 		st.Enumerated = p.Enumerated()
@@ -206,13 +208,6 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 	engEnumerated.Observe(st.Enumerated)
 	return st, nil
 }
-
-// unlog1p recovers the raw instance count from a stored log1p value.
-// Counts are integers far below 2^52, where Expm1(Log1p(c)) is within an
-// ulp or two of c, so rounding restores c exactly — which is what lets an
-// update add its gains to a transformed row and land on the very bits a
-// from-scratch log1p(total) produces.
-func unlog1p(v float64) float64 { return math.Round(math.Expm1(v)) }
 
 // patched carries a class onto ix, the epoch's index after a patch that
 // replaced the node rows of nodeKeys: kept set and weights stand, and the

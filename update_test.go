@@ -2,11 +2,13 @@ package semprox
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/fixtures"
+	"repro/internal/flat"
 	"repro/internal/index"
 	"repro/internal/mining"
 )
@@ -359,21 +362,153 @@ func TestDenominatorsCarriedEqualScratch(t *testing.T) {
 	}
 }
 
-// TestUnlog1pRecoversCounts pins the one numeric fact the log-transformed
-// update path rests on: rounding expm1 of a stored log1p(count) gives the
-// count back exactly.
-func TestUnlog1pRecoversCounts(t *testing.T) {
-	check := func(c float64) {
-		if got := unlog1p(log1p(c)); got != c {
-			t.Fatalf("unlog1p(log1p(%v)) = %v", c, got)
+// sharedSchool is a LogTransform engine over users A and B who share one
+// school (and C, who shares nothing), trained so that the user–school–user
+// metapath is matched, with its snapshot. Every count of its index is 1:
+// m_A, m_B and m_AB of that metapath.
+func sharedSchool(t *testing.T) (snap []byte, a, b NodeID) {
+	t.Helper()
+	gb := NewGraphBuilder()
+	for _, tn := range []string{"user", "school"} {
+		gb.Types().Register(tn)
+	}
+	a, b = gb.AddNode("user", "A"), gb.AddNode("user", "B")
+	c, school, other := gb.AddNode("user", "C"), gb.AddNode("school", "S"), gb.AddNode("school", "T")
+	gb.AddEdge(a, school)
+	gb.AddEdge(b, school)
+	gb.AddEdge(c, other)
+	opts := DefaultOptions()
+	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
+	opts.Train.Restarts, opts.Train.MaxIters = 1, 5
+	opts.LogTransform = true
+	eng, err := NewEngine(gb.MustBuild(), "user", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Train("peers", []Example{{Q: a, X: b, Y: c}})
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), a, b
+}
+
+// withEveryCount re-encodes a snapshot with every count of its index section
+// set to c, checksum valid: the on-disk form of an index whose instances
+// number c wherever it has a row.
+func withEveryCount(t *testing.T, snap []byte, c uint64) []byte {
+	t.Helper()
+	fr, err := flat.NewReader(bytes.NewReader(snap), snapshotMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	fw := flat.NewWriter(&out, snapshotMagic)
+	hdr := fr.Bytes()
+	var h snapHeader
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		t.Fatal(err)
+	}
+	fw.Bytes(hdr)
+	fw.Bytes(fr.Bytes()) // graph
+	uv := func() uint64 { v := fr.Uvarint(); fw.Uvarint(v); return v }
+	uv() // numMeta
+	for table := 0; table < 2; table++ {
+		nKeys, nEnt := uv(), uv()
+		for i := uint64(0); i < 2*nKeys; i++ { // key deltas, row lengths
+			uv()
+		}
+		for i := uint64(0); i < nEnt; i++ {
+			uv() // Meta
+			fr.Uvarint()
+			fw.Uvarint(c)
 		}
 	}
-	for c := 0.0; c <= 200000; c++ {
-		check(c)
+	for _, sc := range h.Classes { // log-likelihood and weights
+		for i := 0; i <= len(sc.Kept); i++ {
+			fw.Uint64(fr.Uint64())
+		}
 	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200000; i++ {
-		check(float64(rng.Int63n(1 << 40)))
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// newSchools enrols users a and b at n new schools: n new instances of the
+// user–school–user metapath for m_a, m_b and m_ab.
+func newSchools(g *Graph, n int, a, b NodeID) Delta {
+	var d Delta
+	for i := 0; i < n; i++ {
+		s := NodeID(g.NumNodes() + i)
+		d.Nodes = append(d.Nodes, DeltaNode{Type: "school", Value: fmt.Sprintf("new-%d", i)})
+		d.Edges = append(d.Edges, Edge{U: a, V: s}, Edge{U: b, V: s})
+	}
+	return d
+}
+
+// TestUnlog1pRecoversCounts keeps its name and pins the fact that replaced
+// recovering a count from a stored log1p value: the index stores counts, so
+// on a LogTransform engine gains that land on a count c
+// read back bit for bit as math.Log1p(float64(c+g)) — for c and g on both
+// sides of the varint byte boundaries (127/128, 16383/16384) and sums up to
+// 2^32-1, through a snapshot and an update.
+func TestUnlog1pRecoversCounts(t *testing.T) {
+	snap, a, b := sharedSchool(t)
+	for _, g := range []uint64{1, 127, 128, 16383, 16384} {
+		for _, c := range []uint64{1, 127, 128, 16383, 16384, math.MaxUint32 - g} {
+			eng, err := LoadEngine(bytes.NewReader(withEveryCount(t, snap, c)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.ApplyUpdate(newSchools(eng.Graph(), int(g), a, b)); err != nil {
+				t.Fatalf("c=%d g=%d: %v", c, g, err)
+			}
+			ix := eng.cur.Load().ix
+			want := math.Float64bits(math.Log1p(float64(c + g)))
+			if eng.MatchedCount() == 0 {
+				t.Fatal("no metagraph matched")
+			}
+			for i, used := range ix.MetaSupport() {
+				if !used {
+					continue
+				}
+				for name, v := range map[string]index.SparseVec{"m_A": ix.NodeVec(a), "m_B": ix.NodeVec(b), "m_AB": ix.PairVec(a, b)} {
+					if got := v.Get(i); math.Float64bits(got) != want {
+						t.Fatalf("c=%d g=%d: %s[%d] reads %v, want log1p(%d) = %v", c, g, name, i, got, c+g, math.Log1p(float64(c+g)))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestApplyUpdateRefusesCountOverflow: an update whose gains would carry a
+// stored count past 2^32-1 returns an error and leaves the engine as it was
+// — same epoch, LSN and snapshot bytes — instead of wrapping the count.
+func TestApplyUpdateRefusesCountOverflow(t *testing.T) {
+	snap, a, b := sharedSchool(t)
+	eng, err := LoadEngine(bytes.NewReader(withEveryCount(t, snap, math.MaxUint32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if err := eng.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	stats := eng.Stats()
+	if _, err := eng.ApplyUpdate(newSchools(eng.Graph(), 1, a, b)); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("ApplyUpdate past 2^32-1 returned %v, want an overflow error", err)
+	}
+	var after bytes.Buffer
+	if err := eng.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(eng.Stats(), stats) || !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("a refused update changed the engine: %+v, was %+v", eng.Stats(), stats)
 	}
 }
 
