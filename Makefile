@@ -86,7 +86,9 @@ cover:
 # One iteration each of the benchmarks no other target runs, so they are
 # compiled and executed on every commit: the snapshot codec (Save and
 # LoadEngine at 5 000 users — the restart-to-serving path) and the merge
-# of that engine's three matched parts into its one index, one update
+# of that engine's three matched parts into its one index, the offline
+# build of that engine's index on one worker (instances counted, bytes and
+# allocations reported), one update
 # on the highest-degree node of a LinkedIn-shaped graph, the ranked scan
 # (warm on a small index, and `uniform`: seeded random anchors on the
 # 5 000-user index, which is what a daemon pays), and one query and one
@@ -96,6 +98,7 @@ cover:
 # themselves running).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$|BenchmarkIndexMerge$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/read_direct$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server

@@ -152,61 +152,6 @@ func findKey[K cmp.Ordered](keys []K, k K) int {
 	return i
 }
 
-// csrFromRows freezes map rows into a csr in ascending key order. Each row
-// is normalized: sorted by Meta with duplicate coordinates summed (rows
-// built by ascending AddMetagraph calls are already sorted, making the
-// normalization a no-op scan).
-func csrFromRows[K cmp.Ordered](rows map[K][]Entry) csr[K] {
-	if len(rows) == 0 {
-		return csr[K]{}
-	}
-	keys := make([]K, 0, len(rows))
-	total := 0
-	for k, row := range rows {
-		keys = append(keys, k)
-		total += len(row)
-	}
-	slices.Sort(keys)
-	c := csr[K]{
-		keys: keys,
-		off:  make([]int32, 1, len(keys)+1),
-		ent:  make([]Entry, 0, total),
-	}
-	for _, k := range keys {
-		c.ent = appendNormalized(c.ent, k, rows[k])
-		c.off = append(c.off, int32(len(c.ent)))
-	}
-	return c
-}
-
-// appendNormalized appends the row of key k to arena sorted by Meta with
-// duplicate Metas coalesced by summing.
-func appendNormalized[K any](arena []Entry, k K, row []Entry) []Entry {
-	sorted := true
-	for i := 1; i < len(row); i++ {
-		if row[i].Meta <= row[i-1].Meta {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return append(arena, row...)
-	}
-	tmp := slices.Clone(row)
-	slices.SortFunc(tmp, compareEntryMeta)
-	start := len(arena)
-	for _, e := range tmp {
-		// Coalesce only within this row: never merge into the previous
-		// row's tail entry.
-		if n := len(arena); n > start && arena[n-1].Meta == e.Meta {
-			arena[n-1].Count = count32(uint64(arena[n-1].Count)+uint64(e.Count), e.Meta, k)
-		} else {
-			arena = append(arena, e)
-		}
-	}
-	return arena
-}
-
 // count32 narrows the instance count of metagraph meta at key k to the width
 // an Entry stores. The offline build has no error path (MatchParts returns
 // parts, not errors), so a count that does not fit panics, naming where it
@@ -432,15 +377,23 @@ type source[K cmp.Ordered] struct {
 // concatenated by Merge, gains lifted by MergeGains) the row is sorted as
 // laid; a row that is not (parts landing between the metagraphs of an
 // existing index) is sorted in place. Linear in the input keys and entries
-// times log(inputs) — no union to sort, no key searched.
+// times log(inputs) — no union to sort, no key searched. A lone non-empty
+// input with no shift is the union already and is returned as it is.
 func mergeCSR[K cmp.Ordered](srcs []source[K]) csr[K] {
 	totalKeys, totalEnt := 0, 0
+	var lone source[K]
 	for _, s := range srcs {
 		totalKeys += len(s.table.keys)
 		totalEnt += len(s.table.ent)
+		if len(s.table.keys) > 0 {
+			lone = s
+		}
 	}
 	if totalEnt == 0 {
 		return csr[K]{}
+	}
+	if len(lone.table.keys) == totalKeys && lone.shift == 0 {
+		return *lone.table
 	}
 	next := make([]int, len(srcs)) // next unread row of each input
 	// heap holds the inputs with rows left, the smallest (next key, input
@@ -512,80 +465,73 @@ func mergeCSR[K cmp.Ordered](srcs []source[K]) csr[K] {
 }
 
 // Builder accumulates instance counts metagraph by metagraph and freezes
-// them into an Index. It keeps one flat []Entry row per key and reuses two
-// scratch count maps across AddMetagraph calls, so matching a metagraph
-// allocates nothing per instance.
+// them into an Index. Each AddMetagraph counts one metagraph into a table of
+// its own by sorting its instance keys (count.go), with scratch the builder
+// reuses across calls; Build merges the tables, or returns a lone one as it
+// is.
 type Builder struct {
 	numMeta int
-	mx      map[graph.NodeID][]Entry
-	mxy     map[PairKey][]Entry
-	// Per-call scratch: counts for the metagraph currently being matched.
-	// One counter per touched key replaces the per-key inner maps the
-	// builder used to allocate for every new key. They are 64 bits wide so
-	// that a count too large for an Entry is refused (count32), not wrapped.
-	nodeScratch map[graph.NodeID]uint64
-	pairScratch map[PairKey]uint64
+	added   []bool
+	// mx[i] and mxy[i] hold the rows of metagraph i alone.
+	mx  []csr[graph.NodeID]
+	mxy []csr[PairKey]
+	sc  *counter
 }
 
 // NewBuilder returns a Builder for a metagraph set of the given size.
-func NewBuilder(numMeta int) *Builder {
+func NewBuilder(numMeta int) *Builder { return newBuilder(numMeta, &counter{}) }
+
+// newBuilder returns a Builder that counts with the scratch sc.
+func newBuilder(numMeta int, sc *counter) *Builder {
 	return &Builder{
-		numMeta:     numMeta,
-		mx:          make(map[graph.NodeID][]Entry),
-		mxy:         make(map[PairKey][]Entry),
-		nodeScratch: make(map[graph.NodeID]uint64),
-		pairScratch: make(map[PairKey]uint64),
+		numMeta: numMeta,
+		added:   make([]bool, numMeta),
+		mx:      make([]csr[graph.NodeID], numMeta),
+		mxy:     make([]csr[PairKey], numMeta),
+		sc:      sc,
 	}
 }
 
-// AddMetagraph matches metagraph number i with the given engine and
-// accumulates its contribution to every m_x and m_xy. Asymmetric
-// metagraphs contribute nothing (ContainsSym can never hold) and are
-// skipped without matching.
+// AddMetagraph matches metagraph number i with the given engine and counts
+// its contribution to every m_x and m_xy. Asymmetric metagraphs contribute
+// nothing (ContainsSym can never hold) and are skipped without matching. An
+// i outside [0, numMeta), or one already added, panics: its rows would
+// index past every weight vector, or count one metagraph twice.
 func (b *Builder) AddMetagraph(i int, m *metagraph.Metagraph, matcher match.Matcher) {
+	if i < 0 || i >= b.numMeta {
+		panic(fmt.Sprintf("index: AddMetagraph(%d) on a builder of %d metagraphs", i, b.numMeta))
+	}
+	if b.added[i] {
+		panic(fmt.Sprintf("index: AddMetagraph(%d): metagraph %d was already added", i, i))
+	}
+	b.added[i] = true
 	symPairs := m.SymmetricPairs()
 	if len(symPairs) == 0 {
 		return
 	}
 	// Unique positions that participate in any symmetric pair (for Eq. 2).
-	posSet := make([]int, 0, m.N())
-	seen := make(map[int]bool, m.N())
+	onPair := make([]bool, m.N())
 	for _, p := range symPairs {
-		if !seen[p.U] {
-			seen[p.U] = true
-			posSet = append(posSet, p.U)
-		}
-		if !seen[p.V] {
-			seen[p.V] = true
-			posSet = append(posSet, p.V)
+		onPair[p.U], onPair[p.V] = true, true
+	}
+	positions := make([]int, 0, m.N())
+	for p, on := range onPair {
+		if on {
+			positions = append(positions, p)
 		}
 	}
-	clear(b.nodeScratch)
-	clear(b.pairScratch)
-	match.Instances(matcher, m, func(a []graph.NodeID) bool {
-		for _, p := range symPairs {
-			b.pairScratch[MakePairKey(a[p.U], a[p.V])]++
-		}
-		for _, p := range posSet {
-			b.nodeScratch[a[p]]++
-		}
-		return true
-	})
-	mi := int32(i)
-	for k, c := range b.pairScratch {
-		b.mxy[k] = append(b.mxy[k], Entry{mi, count32(c, mi, k)})
-	}
-	for k, c := range b.nodeScratch {
-		b.mx[k] = append(b.mx[k], Entry{mi, count32(c, mi, k)})
-	}
+	b.mx[i], b.mxy[i] = b.sc.count(m, matcher, symPairs, positions, int32(i))
 }
 
-// Build freezes the accumulated counts into an immutable Index.
+// Build freezes the accumulated counts into an immutable Index. The tables
+// enter the merge in metagraph order, so every merged row is laid out
+// sorted.
 func (b *Builder) Build() *Index {
-	return &Index{
-		numMeta: b.numMeta,
-		mx:      csrFromRows(b.mx),
-		mxy:     csrFromRows(b.mxy),
-		adj:     &lazyAdjacency{},
+	mx := make([]source[graph.NodeID], b.numMeta)
+	mxy := make([]source[PairKey], b.numMeta)
+	for i := range b.numMeta {
+		mx[i] = source[graph.NodeID]{&b.mx[i], 0}
+		mxy[i] = source[PairKey]{&b.mxy[i], 0}
 	}
+	return &Index{numMeta: b.numMeta, mx: mergeCSR(mx), mxy: mergeCSR(mxy), adj: &lazyAdjacency{}}
 }

@@ -15,7 +15,8 @@ import (
 // parts merge deterministically by metagraph offset regardless of which
 // worker finished first. Matchers carry per-Match scratch plus
 // construction-time statistics, so every worker owns a private matcher
-// built by the newMatcher factory.
+// built by the newMatcher factory, and a private counter whose key scratch
+// it reuses across its metagraphs.
 
 // Workers normalizes a worker-count option: values < 1 mean "one worker
 // per available CPU" (runtime.GOMAXPROCS).
@@ -28,8 +29,9 @@ func Workers(n int) int {
 
 // MatchParts matches every metagraph of ms into its own single-metagraph
 // index using the given number of workers (Workers-normalized). newMatcher
-// is invoked once per worker. The returned parts and wall-clock durations
-// are aligned with ms; Merge(parts...) reproduces the serial build exactly.
+// is invoked once per worker, and each worker counts with one scratch. The
+// returned parts and wall-clock durations are aligned with ms;
+// Merge(parts...) reproduces the serial build exactly.
 func MatchParts(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, workers int) ([]*Index, []time.Duration) {
 	if len(ms) == 0 {
 		return nil, nil
@@ -41,10 +43,10 @@ func MatchParts(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, work
 		workers = len(ms)
 	}
 	if workers <= 1 {
-		matcher := newMatcher()
+		matcher, sc := newMatcher(), &counter{}
 		for i, m := range ms {
 			t0 := time.Now()
-			parts[i] = matchOne(m, matcher)
+			parts[i] = sc.part(m, matcher)
 			times[i] = time.Since(t0)
 		}
 		return parts, times
@@ -52,13 +54,13 @@ func MatchParts(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, work
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		matcher := newMatcher()
+		matcher, sc := newMatcher(), &counter{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
 				t0 := time.Now()
-				parts[i] = matchOne(ms[i], matcher)
+				parts[i] = sc.part(ms[i], matcher)
 				times[i] = time.Since(t0)
 			}
 		}()
@@ -71,11 +73,10 @@ func MatchParts(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, work
 	return parts, times
 }
 
-// matchOne builds the single-metagraph part index of m.
+// matchOne builds the single-metagraph part index of m with a fresh
+// scratch.
 func matchOne(m *metagraph.Metagraph, matcher match.Matcher) *Index {
-	b := NewBuilder(1)
-	b.AddMetagraph(0, m, matcher)
-	return b.Build()
+	return (&counter{}).part(m, matcher)
 }
 
 // BuildParallel is the parallel offline index build: MatchParts followed by

@@ -2,9 +2,12 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,7 +31,22 @@ func handPatch(numMeta int, mx map[graph.NodeID][]Entry, mxy map[PairKey][]Entry
 			delete(mxy, k)
 		}
 	}
-	return &Patch{numMeta: numMeta, mx: csrFromRows(mx), mxy: csrFromRows(mxy)}
+	return &Patch{numMeta: numMeta, mx: tableOf(mx), mxy: tableOf(mxy)}
+}
+
+// tableOf freezes map rows into a table: keys ascending, each row sorted by
+// Meta. Rows must not repeat a Meta.
+func tableOf[K cmp.Ordered](rows map[K][]Entry) csr[K] {
+	if len(rows) == 0 {
+		return csr[K]{}
+	}
+	c := csr[K]{keys: slices.Sorted(maps.Keys(rows)), off: []int32{0}}
+	for _, k := range c.keys {
+		c.ent = append(c.ent, rows[k]...)
+		slices.SortFunc(c.ent[c.off[len(c.off)-1]:], compareEntryMeta)
+		c.off = append(c.off, int32(len(c.ent)))
+	}
+	return c
 }
 
 // randTyped builds a random user/attr graph plus a fresh delta against it.
@@ -182,8 +200,8 @@ func TestWithPatchBasics(t *testing.T) {
 // TestCountOverflowIsRefused: a count past 2^32-1 never wraps. Gains that
 // would carry a stored count past it are refused by Over with an error
 // naming the metagraph and key (and panic in WithPatch, which has no error
-// path), gains that reach it exactly land; an offline build whose rows sum
-// past it panics, naming the metagraph and key.
+// path), gains that reach it exactly land; an offline build whose run of
+// one key is longer panics, naming the metagraph and key.
 func TestCountOverflowIsRefused(t *testing.T) {
 	base := NewBuilder(2).Build().WithPatch(handPatch(2,
 		map[graph.NodeID][]Entry{3: {{Meta: 1, Count: math.MaxUint32 - 5}}},
@@ -206,9 +224,9 @@ func TestCountOverflowIsRefused(t *testing.T) {
 	}
 	mustPanic(t, "WithPatch of gains past 2^32-1", "metagraph 1, key 3:", func() { base.WithPatch(gains(6)) })
 
-	b := NewBuilder(2)
-	b.mxy[MakePairKey(2, 4)] = []Entry{{Meta: 1, Count: math.MaxUint32}, {Meta: 1, Count: 1}}
-	mustPanic(t, "a build summing past 2^32-1", "metagraph 1, key (2,4):", func() { b.Build() })
+	mustPanic(t, "a run of 2^32 instances", "metagraph 1, key (2,4):", func() {
+		new(csr[PairKey]).appendRun(MakePairKey(2, 4), 1, math.MaxUint32+1)
+	})
 }
 
 // mustPanic runs fn and requires a panic whose message contains want.

@@ -5,6 +5,8 @@ package index_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/dataset"
@@ -65,5 +67,24 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// readDirectIndexSHA256 is the SHA-256 of the serialized index the
+// benchmark's read_direct workload builds (5 000 LinkedIn users, noise 0.05,
+// seed 1, MaxNodes 3, MinSupport 5), recorded when the Builder still counted
+// instances through hash maps.
+const readDirectIndexSHA256 = "eae81bee2851b672402af068371e501bd292e5bf27eb34458e84e2ecfccf3d90"
+
+// TestReadDirectIndexGolden pins the bytes of a full-size offline build:
+// however the Builder counts instances, the index it freezes is the same.
+func TestReadDirectIndexGolden(t *testing.T) {
+	ds := dataset.LinkedIn(dataset.Config{Users: 5000, Seed: 1, NoiseRate: 0.05})
+	ms := mining.Metagraphs(mining.ProximityFilter(
+		mining.Mine(ds.G, mining.Options{MaxNodes: 3, MinSupport: 5}), ds.Anchor))
+	ix := index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
+	sum := sha256.Sum256(serialize(t, ix))
+	if got := hex.EncodeToString(sum[:]); got != readDirectIndexSHA256 {
+		t.Fatalf("read_direct index (%d metagraphs, %d pairs) hashes to %s, want %s", len(ms), ix.NumPairs(), got, readDirectIndexSHA256)
 	}
 }
