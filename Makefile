@@ -1,11 +1,13 @@
 # Tier-1 verification plus the invariants this repo adds on top:
 #   make ci  — lint (gofmt + vet + the semproxlint analyzer suite),
 #              build, race-enabled tests — internal/e2e among them: the
-#              real semproxd, semproxy and semproxctl binaries on
-#              loopback (replication, routing across a primary kill,
-#              failover under a live write stream with zombie fencing,
-#              the edge proxy's cache flush and zero failed reads,
-#              /metrics + trace IDs + pprof, the daemons' flag refusals)
+#              real semprox, semproxd, semproxy and semproxctl binaries
+#              on loopback (the seed snapshot from semprox -save,
+#              replication, routing across a primary kill, failover
+#              under a live write stream with zombie fencing, checkpoint
+#              after replay, the edge proxy's cache flush and zero failed
+#              reads, /metrics + trace IDs + pprof, every binary's flag
+#              refusals, the go list -deps guard)
 #              — the per-package coverage floors, a bounded fuzz smoke,
 #              one iteration of the restart / hub-update / handler-chain
 #              benchmarks, and the measurement spine's own check

@@ -45,7 +45,7 @@ import (
 
 	"repro/api"
 	"repro/client"
-	"repro/internal/replica"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -80,17 +80,12 @@ func run(primary, followers, class, query, proxX, proxY, update, metPrefix strin
 	if primary == "" {
 		return fmt.Errorf("-primary is required")
 	}
-	if err := replica.ValidPrimaryURL(primary); err != nil {
-		return err
+	if err := wire.ValidBaseURL(primary); err != nil {
+		return fmt.Errorf("-primary: %w", err)
 	}
-	var followerURLs []string
-	for _, u := range strings.Split(followers, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			if err := replica.ValidPrimaryURL(u); err != nil {
-				return fmt.Errorf("follower %q: %w", u, err)
-			}
-			followerURLs = append(followerURLs, u)
-		}
+	followerURLs, err := wire.BaseURLs(followers)
+	if err != nil {
+		return fmt.Errorf("-followers: %w", err)
 	}
 	actions := 0
 	for _, on := range []bool{query != "", proxX != "" || proxY != "", update != "", stats, ready, metrics} {

@@ -1,20 +1,19 @@
-// Command semproxd serves semantic proximity queries over HTTP — the
+// Command semproxd serves semantic proximity queries over HTTP: the
 // online half of the paper's framework (Fig. 3) behind a deployable
-// binary. It either runs the offline pipeline itself (generate dataset →
-// mine → match → train) or starts instantly from an engine snapshot, can
-// write a snapshot after training so the next start skips the offline
-// phase entirely, and optionally runs durable (-wal) or as a read replica
-// of another semproxd (-follow).
+// binary. It trains nothing. A primary starts from an engine snapshot that
+// the offline half, `semprox -save`, wrote; a read replica (-follow)
+// bootstraps from its primary instead. A primary can run durable (-wal),
+// and -save then checkpoints it after the log replay so the next start
+// replays nothing.
 //
 // Examples:
 //
-//	# Offline build at startup, then serve on :8080 and persist the
-//	# trained engine for the next start.
-//	semproxd -dataset linkedin -users 400 -save engine.snap
+//	# Offline: mine, match and train once, and write the snapshot.
+//	semprox -dataset linkedin -users 400 -save engine.snap
 //
-//	# Durable primary: every /v1/update is fsynced to the write-ahead log
-//	# before it is applied; a crash (kill -9) replays the log tail on the
-//	# next boot, so no acknowledged update is ever lost.
+//	# Serve it on :8080. Durable: every /v1/update is fsynced to the
+//	# write-ahead log before it is applied; a crash (kill -9) replays the
+//	# log tail on the next boot, so no acknowledged update is ever lost.
 //	semproxd -snapshot engine.snap -wal /var/lib/semprox/wal
 //
 //	# Read replica: bootstrap from the primary's snapshot endpoint,
@@ -50,17 +49,16 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
+	"slices"
 	"syscall"
 	"time"
 
 	semprox "repro"
 	"repro/internal/atomicfile"
-	"repro/internal/dataset"
-	"repro/internal/mining"
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/wire"
 	"repro/internal/wire/daemon"
 )
 
@@ -69,23 +67,14 @@ func main() {
 	log.SetPrefix("semproxd: ")
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		snapshot   = flag.String("snapshot", "", "start from this engine snapshot instead of training")
-		save       = flag.String("save", "", "write the trained engine snapshot here before serving")
+		snapshot   = flag.String("snapshot", "", "serve the engine snapshot in this file (write one with semprox -save)")
+		save       = flag.String("save", "", "after the log replay, checkpoint the engine to this snapshot file (and truncate the log it covers) before serving")
 		walDir     = flag.String("wal", "", "write-ahead log directory: fsync every /update before applying it, replay the log tail on boot, serve /replicate to followers")
-		follow     = flag.String("follow", "", "run as a read replica of the primary at this base URL (e.g. http://host:8080); offline flags are ignored")
+		follow     = flag.String("follow", "", "run as a read replica of the primary at this base URL (e.g. http://host:8080) instead of serving a -snapshot")
 		stateDir   = flag.String("state", "", "follower-local state directory (snapshot + WAL): replicated records fsync here before applying, restarts resume from local state instead of re-bootstrapping, and promotion (-peers) serves writes from this log")
 		peers      = flag.String("peers", "", "comma-separated base URLs of the other replication nodes: the follower monitors its primary and runs a promotion election when it dies (requires -state and -advertise)")
 		advertise  = flag.String("advertise", "", "this node's own base URL as peers reach it (the identity used in promotion elections)")
 		ackQuorum  = flag.Int("ack-replicas", 0, "if >0, hold each /update ack until a follower confirms durably applying it (synchronous replication: acked writes survive losing the primary)")
-		dsName     = flag.String("dataset", "linkedin", "built-in dataset: linkedin or facebook (ignored with -snapshot)")
-		users      = flag.Int("users", 400, "user count for built-in datasets (ignored with -snapshot)")
-		classes    = flag.String("classes", "", "comma-separated classes to train (default: all dataset classes; ignored with -snapshot)")
-		candidates = flag.Int("candidates", 0, "if >0, use dual-stage training with this many candidates (ignored with -snapshot)")
-		nExamples  = flag.Int("examples", 200, "training triplets to sample per class (ignored with -snapshot)")
-		maxNodes   = flag.Int("max-nodes", 4, "metagraph size cap (ignored with -snapshot)")
-		minSupport = flag.Int("min-support", 5, "MNI support threshold for mining (ignored with -snapshot)")
-		workers    = flag.Int("workers", 0, "offline matching workers, used when training (<1 = all CPUs; overrides a snapshot's setting)")
-		seed       = flag.Int64("seed", 1, "random seed (ignored with -snapshot)")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling endpoints")
 		requestLog = flag.Bool("request-log", true, "emit one structured log line per request (endpoint, status, latency, trace ID, epoch)")
 		slowQuery  = flag.Duration("slow-query", 500*time.Millisecond, "escalate a request's log line to WARN when it takes at least this long (0 never escalates)")
@@ -99,16 +88,9 @@ func main() {
 	var shutdown func()
 	var err error
 	if *follow != "" {
-		handler, shutdown, err = buildFollower(ctx, *follow, *workers, *walDir, *save,
-			*stateDir, *peers, *advertise, *ackQuorum)
-	} else if *ackQuorum > 0 && *walDir == "" {
-		err = fmt.Errorf("-ack-replicas needs -wal (synchronous replication rides the log)")
+		handler, shutdown, err = buildFollower(ctx, *follow, *stateDir, *peers, *advertise, *ackQuorum)
 	} else {
-		handler, shutdown, err = buildPrimary(*snapshot, *save, *walDir, *dsName, *users,
-			*classes, *candidates, *nExamples, *maxNodes, *minSupport, *workers, *seed)
-		if err == nil {
-			handler.SetAckReplicas(*ackQuorum)
-		}
+		handler, shutdown, err = buildPrimary(*snapshot, *save, *walDir, *ackQuorum)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -128,6 +110,18 @@ func main() {
 	shutdown()
 }
 
+// refuseFlags names the first of the given flags set on the command line:
+// the role this process runs in would silently ignore it.
+func refuseFlags(why string, names ...string) error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(names, f.Name) {
+			err = fmt.Errorf("-%s %s", f.Name, why)
+		}
+	})
+	return err
+}
+
 // buildFollower boots a read replica — from its local state directory
 // when one exists (restart without re-downloading), else from the
 // primary's snapshot endpoint — and starts the streaming loop. With
@@ -135,30 +129,28 @@ func main() {
 // primary goes dark and this node wins the election, the follower's
 // local log is sealed under a raised term and the server flips to
 // serving writes on it.
-func buildFollower(ctx context.Context, primaryURL string, workers int, walDir, save,
-	stateDir, peersCSV, advertise string, ackQuorum int) (*server.Server, func(), error) {
-	if err := replica.ValidPrimaryURL(primaryURL); err != nil {
+func buildFollower(ctx context.Context, primaryURL, stateDir, peersCSV, advertise string,
+	ackQuorum int) (*server.Server, func(), error) {
+	if err := wire.ValidBaseURL(primaryURL); err != nil {
 		return nil, nil, fmt.Errorf("-follow: %w", err)
 	}
-	if walDir != "" || save != "" {
-		return nil, nil, fmt.Errorf("-wal and -save apply to primaries; a follower's durable state lives in -state")
+	if err := refuseFlags("applies to a primary; a follower bootstraps from -follow and keeps its durable state in -state",
+		"snapshot", "wal", "save"); err != nil {
+		return nil, nil, err
 	}
-	var peers []string
-	if peersCSV != "" {
+	peers, err := wire.BaseURLs(peersCSV)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-peers: %w", err)
+	}
+	if len(peers) > 0 {
 		if stateDir == "" || advertise == "" {
 			return nil, nil, fmt.Errorf("-peers needs -state (promotion serves writes from the local log) and -advertise (the election identity)")
 		}
-		if err := replica.ValidPrimaryURL(advertise); err != nil {
+		if err := wire.ValidBaseURL(advertise); err != nil {
 			return nil, nil, fmt.Errorf("-advertise: %w", err)
-		}
-		for _, p := range strings.Split(peersCSV, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
 		}
 	}
 	f := replica.NewFollower(primaryURL, nil)
-	f.Workers = workers
 	f.Dir = stateDir
 	start := time.Now()
 	restored, err := f.Restore()
@@ -218,16 +210,30 @@ func buildFollower(ctx context.Context, primaryURL string, workers int, walDir, 
 	}, nil
 }
 
-// buildPrimary loads or trains an engine, replays the WAL tail over it
-// (crash recovery), persists the requested snapshot, and wires the WAL
-// into the server.
-func buildPrimary(snapshot, save, walDir, dsName string, users int,
-	classes string, candidates, nExamples, maxNodes, minSupport, workers int, seed int64) (*server.Server, func(), error) {
-	eng, err := buildEngine(snapshot, dsName, users, classes, candidates,
-		nExamples, maxNodes, minSupport, workers, seed)
+// buildPrimary loads the snapshot, replays the WAL tail over it (crash
+// recovery), checkpoints it when asked, and wires the WAL into the server.
+func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server, func(), error) {
+	if snapshot == "" {
+		return nil, nil, errors.New("-snapshot or -follow is required: semproxd trains nothing, so write a snapshot with `semprox -save FILE` and serve it with -snapshot FILE")
+	}
+	if err := refuseFlags("applies to a follower: it needs -follow", "state", "peers", "advertise"); err != nil {
+		return nil, nil, err
+	}
+	if ackQuorum > 0 && walDir == "" {
+		return nil, nil, errors.New("-ack-replicas needs -wal (synchronous replication rides the log)")
+	}
+	f, err := os.Open(snapshot)
 	if err != nil {
 		return nil, nil, err
 	}
+	start := time.Now()
+	eng, err := semprox.LoadEngine(f)
+	f.Close()
+	if err != nil {
+		return nil, nil, err
+	}
+	log.Printf("loaded snapshot %s in %.2fs: %d metagraphs, classes %v, LSN %d",
+		snapshot, time.Since(start).Seconds(), eng.NumMetagraphs(), eng.Classes(), eng.LSN())
 
 	var w *wal.WAL
 	if walDir != "" {
@@ -255,7 +261,7 @@ func buildPrimary(snapshot, save, walDir, dsName string, users int,
 	// Snapshot after recovery, so it covers every replayed record; the
 	// log prefix it covers is then redundant and truncated away.
 	if save != "" {
-		if err := writeSnapshot(save, eng); err != nil {
+		if err := atomicfile.WriteWith(save, func(w io.Writer) error { return eng.Save(w) }); err != nil {
 			return nil, nil, err
 		}
 		log.Printf("wrote snapshot %s (LSN %d)", save, eng.LSN())
@@ -267,6 +273,7 @@ func buildPrimary(snapshot, save, walDir, dsName string, users int,
 	}
 
 	handler := server.New(eng)
+	handler.SetAckReplicas(ackQuorum)
 	shutdown := func() {}
 	if w != nil {
 		handler.AttachWAL(w)
@@ -278,78 +285,4 @@ func buildPrimary(snapshot, save, walDir, dsName string, users int,
 		log.Printf("write-ahead log %s at LSN %d (%d segments)", walDir, w.DurableLSN(), w.SegmentCount())
 	}
 	return handler, shutdown, nil
-}
-
-// buildEngine loads a snapshot or runs the offline pipeline.
-func buildEngine(snapshot, dsName string, users int, classes string, candidates,
-	nExamples, maxNodes, minSupport, workers int, seed int64) (*semprox.Engine, error) {
-	if snapshot != "" {
-		f, err := os.Open(snapshot)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		start := time.Now()
-		eng, err := semprox.LoadEngine(f)
-		if err != nil {
-			return nil, err
-		}
-		// The snapshot carries the saving host's worker count; match on
-		// THIS host's CPUs instead.
-		eng.SetWorkers(workers)
-		log.Printf("loaded snapshot %s in %.2fs: %d metagraphs, classes %v, LSN %d",
-			snapshot, time.Since(start).Seconds(), eng.NumMetagraphs(), eng.Classes(), eng.LSN())
-		return eng, nil
-	}
-
-	var ds *dataset.Dataset
-	switch dsName {
-	case "linkedin":
-		ds = dataset.LinkedIn(dataset.Config{Users: users, Seed: seed, NoiseRate: 0.05})
-	case "facebook":
-		ds = dataset.Facebook(dataset.Config{Users: users, Seed: seed, NoiseRate: 0.05})
-	default:
-		return nil, fmt.Errorf("-dataset: unknown dataset %q (have linkedin, facebook)", dsName)
-	}
-	opts := semprox.DefaultOptions()
-	opts.Mining = mining.Options{MaxNodes: maxNodes, MinSupport: minSupport}
-	opts.Workers = workers
-	opts.Train.Restarts = 3
-	opts.Train.MaxIters = 400
-
-	start := time.Now()
-	eng, err := semprox.NewEngine(ds.G, "user", opts)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("mined %d metagraphs from %s (%d nodes) in %.1fs",
-		eng.NumMetagraphs(), ds.Name, ds.G.NumNodes(), time.Since(start).Seconds())
-
-	names := ds.ClassNames()
-	if classes != "" {
-		names = strings.Split(classes, ",")
-	}
-	for _, class := range names {
-		class = strings.TrimSpace(class)
-		labels, ok := ds.Classes[class]
-		if !ok {
-			return nil, fmt.Errorf("dataset %s has no class %q (have %v)", ds.Name, class, ds.ClassNames())
-		}
-		examples := semprox.MakeExamples(labels, labels.Queries(), ds.Users(), nExamples, seed)
-		start := time.Now()
-		if candidates > 0 {
-			eng.TrainDualStage(class, examples, candidates)
-		} else {
-			eng.Train(class, examples)
-		}
-		log.Printf("trained %q on %d examples in %.1fs", class, len(examples), time.Since(start).Seconds())
-	}
-	return eng, nil
-}
-
-// writeSnapshot saves the engine atomically and durably — a crash at any
-// point leaves either the old snapshot or the new one, never a truncated
-// hybrid.
-func writeSnapshot(path string, eng *semprox.Engine) error {
-	return atomicfile.WriteWith(path, func(w io.Writer) error { return eng.Save(w) })
 }

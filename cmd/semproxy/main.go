@@ -33,13 +33,12 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/client"
 	"repro/internal/proxy"
-	"repro/internal/replica"
+	"repro/internal/wire"
 	"repro/internal/wire/daemon"
 )
 
@@ -63,17 +62,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := replica.ValidPrimaryURL(*primary); err != nil {
+	if err := wire.ValidBaseURL(*primary); err != nil {
 		log.Fatalf("-primary: %v", err)
 	}
-	var followerURLs []string
-	for _, u := range strings.Split(*followers, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			if err := replica.ValidPrimaryURL(u); err != nil {
-				log.Fatalf("-followers: %v", err)
-			}
-			followerURLs = append(followerURLs, u)
-		}
+	followerURLs, err := wire.BaseURLs(*followers)
+	if err != nil {
+		log.Fatalf("-followers: %v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

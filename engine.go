@@ -83,8 +83,7 @@ func log1pCount(c float64) float64 {
 // (graph, index, classes) snapshot, never a mix of two generations.
 // Writers — Train, TrainDualStage, ApplyUpdate, Compact — serialize among
 // themselves on an internal mutex, build the next epoch off the read
-// path, and swap it in atomically; they never block a reader. SetWorkers
-// is the one exception: call it before serving.
+// path, and swap it in atomically; they never block a reader.
 type Engine struct {
 	anchor graph.TypeID
 	opts   Options
@@ -190,12 +189,6 @@ func (e *Engine) Epoch() uint64 { return e.cur.Load().version }
 // Snapshots persist it, so recovery knows exactly which WAL records the
 // snapshot already covers. Safe for concurrent use.
 func (e *Engine) LSN() uint64 { return e.cur.Load().lsn }
-
-// SetWorkers overrides Options.Workers (values < 1 mean one worker per
-// CPU). A snapshot-loaded engine carries the worker count of the host
-// that saved it; the serving host retunes it here. Call before serving —
-// unlike everything else on the engine, it must not race with training.
-func (e *Engine) SetWorkers(n int) { e.opts.Workers = n }
 
 // Metagraphs returns the mined metagraph set M (do not modify).
 func (e *Engine) Metagraphs() []*Metagraph { return e.ms }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -420,7 +421,65 @@ func TestObservability(t *testing.T) {
 	}
 }
 
-// TestFlagRefusals: a flag combination a daemon cannot serve must end the
+// TestCheckpointAfterReplay: a durable primary stopped by SIGTERM exits 0.
+// Restarted with -save, it replays its log and checkpoints the result,
+// and a boot from that checkpoint on the same log replays nothing.
+func TestCheckpointAfterReplay(t *testing.T) {
+	e := newEnv(t)
+	p := e.primary()
+	for i := 1; i <= 3; i++ {
+		if _, err := update(client.New(p.url(), hc), waitTimeout, fmt.Sprintf("ckpt-%d", i), "user-1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.stop()
+	if code := p.cmd.ProcessState.ExitCode(); code != 0 {
+		t.Fatalf("primary exited %d on SIGTERM, want 0\n%s", code, p.logTail())
+	}
+
+	ckpt := e.path("new.snap")
+	replayed := e.start("replayed", semproxd, "", "-snapshot", seedSnap, "-wal", e.path("wal"), "-save", ckpt)
+	for _, line := range []string{"recovered 3 logged updates", "wrote snapshot " + ckpt + " (LSN 3)"} {
+		if !strings.Contains(replayed.logText(), line) {
+			t.Fatalf("no %q in the checkpointing boot's log\n%s", line, replayed.logTail())
+		}
+	}
+	replayed.stop()
+
+	resumed := e.start("resumed", semproxd, "", "-snapshot", ckpt, "-wal", e.path("wal"))
+	if r := ready(resumed); !r.Ready() || r.LSN != 3 || strings.Contains(resumed.logText(), "recovered") {
+		t.Fatalf("boot from the checkpoint: readyz %+v, want ready at LSN 3 with no replay\n%s", r, resumed.logTail())
+	}
+	if resp, err := update(client.New(resumed.url(), hc), waitTimeout, "ckpt-4", "user-1"); err != nil || resp.LSN != 4 {
+		t.Fatalf("the update after the checkpoint: %+v, %v; want LSN 4", resp, err)
+	}
+}
+
+// TestDependencyCut: the serving daemon links no dataset generator, and
+// the edge binaries link neither the engine nor the replication stack.
+func TestDependencyCut(t *testing.T) {
+	newEnv(t)
+	for bin, banned := range map[string][]string{
+		semproxd:   {"repro/internal/dataset"},
+		semproxy:   {"repro", "repro/internal/replica"},
+		semproxctl: {"repro", "repro/internal/replica"},
+	} {
+		list := exec.Command("go", "list", "-deps", "./cmd/"+bin)
+		list.Dir = filepath.Join("..", "..")
+		out, err := list.Output()
+		if err != nil {
+			t.Fatalf("go list -deps ./cmd/%s: %v", bin, err)
+		}
+		deps := strings.Fields(string(out))
+		for _, pkg := range banned {
+			if slices.Contains(deps, pkg) {
+				t.Errorf("%s links %s", bin, pkg)
+			}
+		}
+	}
+}
+
+// TestFlagRefusals: a flag combination a program cannot serve must end the
 // process non-zero with the flag named on stderr, before any listener.
 func TestFlagRefusals(t *testing.T) {
 	e := newEnv(t)
@@ -436,16 +495,27 @@ func TestFlagRefusals(t *testing.T) {
 		args      []string
 		want      []string
 	}{
+		{"neither snapshot nor follow", semproxd, nil, []string{"-snapshot", "-follow", "semprox -save"}},
+		{"snapshot with follow", semproxd, []string{"-follow", up, "-snapshot", seedSnap}, []string{"-snapshot"}},
+		{"state without follow", semproxd, []string{"-snapshot", seedSnap, "-state", e.path("s")}, []string{"-state", "-follow"}},
+		{"peers without follow", semproxd, []string{"-snapshot", seedSnap, "-peers", up}, []string{"-peers", "-follow"}},
+		{"advertise without follow", semproxd, []string{"-snapshot", seedSnap, "-advertise", up}, []string{"-advertise", "-follow"}},
 		{"ack-replicas without wal", semproxd, []string{"-snapshot", seedSnap, "-ack-replicas", "1"}, []string{"-ack-replicas", "-wal"}},
 		{"peers without state", semproxd, []string{"-follow", up, "-peers", up, "-advertise", up}, []string{"-peers", "-state"}},
 		{"peers without advertise", semproxd, []string{"-follow", up, "-peers", up, "-state", e.path("s")}, []string{"-peers", "-advertise"}},
+		{"malformed peers", semproxd, []string{"-follow", up, "-peers", up + ",peer:8080", "-state", e.path("s"), "-advertise", up}, []string{"-peers", "peer:8080"}},
 		{"wal with follow", semproxd, []string{"-follow", up, "-wal", e.path("w")}, []string{"-wal"}},
 		{"save with follow", semproxd, []string{"-follow", up, "-save", e.path("f.snap")}, []string{"-save"}},
-		{"unknown dataset", semproxd, []string{"-dataset", "orkut"}, []string{"-dataset", "orkut"}},
 		{"malformed follow", semproxd, []string{"-follow", "primary:8080"}, []string{"-follow"}},
 		{"malformed advertise", semproxd, []string{"-follow", up, "-peers", up, "-state", e.path("s"), "-advertise", "me"}, []string{"-advertise"}},
 		{"malformed primary", semproxy, []string{"-primary", "localhost"}, []string{"-primary"}},
 		{"malformed followers", semproxy, []string{"-primary", up, "-followers", up + ",ftp://x"}, []string{"-followers"}},
+		{"malformed primary, ctl", semproxctl, []string{"-primary", "localhost", "-stats"}, []string{"-primary"}},
+		{"malformed followers, ctl", semproxctl, []string{"-primary", up, "-followers", up + ",ftp://x", "-stats"}, []string{"-followers"}},
+		{"unknown dataset", semprox, []string{"-dataset", "orkut"}, []string{"-dataset", "orkut"}},
+		{"graph without labels", semprox, []string{"-graph", e.path("g")}, []string{"-graph", "-labels"}},
+		{"unknown class", semprox, []string{"-classes", "college,chess"}, []string{"-classes", "chess"}},
+		{"empty class", semprox, []string{"-classes", "college,"}, []string{"-classes"}},
 		{"debug-addr taken", semproxd, []string{"-snapshot", seedSnap, "-debug-addr", taken}, []string{"-debug-addr", "address already in use"}},
 		{"debug-addr taken, proxy", semproxy, []string{"-primary", up, "-debug-addr", taken}, []string{"-debug-addr", "address already in use"}},
 		{"addr taken", semproxd, []string{"-snapshot", seedSnap, "-addr", taken}, []string{"address already in use"}},
@@ -453,8 +523,12 @@ func TestFlagRefusals(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
 			defer cancel()
-			// A free -addr, so a daemon that wrongly boots is a timeout here, not a bind error.
-			cmd := exec.CommandContext(ctx, filepath.Join(binDir, tc.bin), append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)
+			args := tc.args
+			if tc.bin == semproxd || tc.bin == semproxy {
+				// A free -addr, so a daemon that wrongly boots is a timeout here, not a bind error.
+				args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+			}
+			cmd := exec.CommandContext(ctx, filepath.Join(binDir, tc.bin), args...)
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			err := cmd.Run()

@@ -1,8 +1,8 @@
-// Package e2e proves the daemons as processes: real semproxd, semproxy and
-// semproxctl binaries on kernel-assigned loopback ports, driven through
-// the client package and net/http. Everything a test needs is under its
-// own t.TempDir(), so any number of copies run at once. `go test -short`
-// builds nothing and skips every case.
+// Package e2e proves the programs as processes: real semprox, semproxd,
+// semproxy and semproxctl binaries, the daemons on kernel-assigned
+// loopback ports, driven through the client package and net/http.
+// Everything a test needs is under its own t.TempDir(), so any number of
+// copies run at once. `go test -short` builds nothing and skips every case.
 package e2e
 
 import (
@@ -27,6 +27,7 @@ import (
 )
 
 const (
+	semprox    = "semprox"
 	semproxd   = "semproxd"
 	semproxy   = "semproxy"
 	semproxctl = "semproxctl"
@@ -38,7 +39,7 @@ const (
 )
 
 var (
-	binDir   string // the three binaries; empty under -short
+	binDir   string // the four binaries; empty under -short
 	seedSnap string // the one trained engine every daemon boots from
 
 	hc = &http.Client{Timeout: 10 * time.Second}
@@ -49,9 +50,8 @@ func TestMain(m *testing.M) {
 	os.Exit(runMain(m))
 }
 
-// runMain builds the binaries and trains the one engine: a seed daemon
-// runs the offline phase (-dataset, -save, with a -wal so the save's log
-// truncation runs too) and must then shut down cleanly on SIGTERM.
+// runMain builds the binaries and trains the one engine with the offline
+// program, semprox -save.
 func runMain(m *testing.M) int {
 	if testing.Short() {
 		return m.Run()
@@ -63,24 +63,18 @@ func runMain(m *testing.M) int {
 	}
 	defer os.RemoveAll(dir)
 	build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"./cmd/"+semproxd, "./cmd/"+semproxy, "./cmd/"+semproxctl)
+		"./cmd/"+semprox, "./cmd/"+semproxd, "./cmd/"+semproxy, "./cmd/"+semproxctl)
 	build.Dir = filepath.Join("..", "..")
 	if out, err := build.CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build of the daemons failed: %v\n%s", err, out)
+		fmt.Fprintf(os.Stderr, "go build of the binaries failed: %v\n%s", err, out)
 		return 1
 	}
 	binDir = dir
 	seedSnap = filepath.Join(dir, "seed.snap")
-	seed, err := startDaemon(filepath.Join(logDir(dir), "seed.log"), semproxd, "",
-		"-dataset", "linkedin", "-users", "200", "-classes", class,
-		"-wal", filepath.Join(dir, "seed-wal"), "-save", seedSnap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	seed.stop()
-	if code := seed.cmd.ProcessState.ExitCode(); code != 0 {
-		fmt.Fprintf(os.Stderr, "seed daemon exited %d on SIGTERM, want 0\n%s\n", code, seed.logTail())
+	seed := exec.Command(filepath.Join(dir, semprox),
+		"-dataset", "linkedin", "-users", "200", "-classes", class, "-save", seedSnap)
+	if out, err := seed.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "%v: %v\n%s", seed.Args, err, out)
 		return 1
 	}
 	return m.Run()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -54,9 +53,6 @@ import (
 // apply and reports StatusFenced until it reaches a current-term
 // primary (Retarget points it at one).
 type Follower struct {
-	// Workers retunes the bootstrapped engine for this host (the snapshot
-	// carries the primary's setting); <= 0 keeps one worker per CPU.
-	Workers int
 	// PollWait is the long-poll duration requested per since call.
 	PollWait time.Duration
 	// MaxBatch bounds the records requested per since call.
@@ -160,7 +156,6 @@ func (f *Follower) Restore() (bool, error) {
 	if lerr != nil {
 		return false, fmt.Errorf("replica: restore: %w", lerr)
 	}
-	eng.SetWorkers(f.Workers)
 	log, err := wal.Open(f.walDir(), wal.Options{BaseLSN: eng.LSN()})
 	if err != nil {
 		return false, fmt.Errorf("replica: restore: %w", err)
@@ -232,7 +227,6 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: bootstrap: %w", err)
 	}
-	eng.SetWorkers(f.Workers)
 	if f.Dir != "" {
 		if err := os.RemoveAll(f.walDir()); err != nil {
 			return fmt.Errorf("replica: bootstrap: %w", err)
@@ -572,19 +566,3 @@ func (f *Follower) Lag() uint64 { return f.Status().Lag }
 
 // PrimaryURL returns the primary base URL the follower replicates from.
 func (f *Follower) PrimaryURL() string { return f.client().BaseURL() }
-
-// ValidPrimaryURL rejects -follow values that cannot name a primary;
-// cmd/semproxd validates the flag before bootstrapping.
-func ValidPrimaryURL(s string) error {
-	u, err := url.Parse(s)
-	if err != nil {
-		return err
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return fmt.Errorf("replica: primary URL %q must be http or https", s)
-	}
-	if u.Host == "" {
-		return fmt.Errorf("replica: primary URL %q has no host", s)
-	}
-	return nil
-}

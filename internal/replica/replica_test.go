@@ -294,19 +294,6 @@ func TestFollowerBootstrapPersistsOnlyWhatLoads(t *testing.T) {
 	}
 }
 
-func TestValidPrimaryURL(t *testing.T) {
-	for _, ok := range []string{"http://127.0.0.1:8080", "https://primary.internal"} {
-		if err := replica.ValidPrimaryURL(ok); err != nil {
-			t.Fatalf("%s rejected: %v", ok, err)
-		}
-	}
-	for _, bad := range []string{"", "127.0.0.1:8080", "ftp://x", "http://"} {
-		if err := replica.ValidPrimaryURL(bad); err == nil {
-			t.Fatalf("%q accepted", bad)
-		}
-	}
-}
-
 // TestServeSinceByteBound: the primary bounds a since batch by bytes as
 // well as record count, so a follower that fell far behind a stream of
 // large deltas never receives a response bigger than it will decode —

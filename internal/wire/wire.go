@@ -16,9 +16,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,6 +136,37 @@ func NotFound(w http.ResponseWriter, r *http.Request) {
 // forever. Headers only: the long-polled replication feed and snapshot
 // streaming rule out a bound on the whole read or the write.
 const ReadHeaderTimeout = 10 * time.Second
+
+// ValidBaseURL rejects a value that cannot name a daemon: every flag that
+// takes another tier's address validates it here before anything dials.
+func ValidBaseURL(s string) error {
+	u, err := url.Parse(s)
+	if err != nil {
+		return err
+	}
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return fmt.Errorf("base URL %q must be http or https", s)
+	}
+	if u.Host == "" {
+		return fmt.Errorf("base URL %q has no host", s)
+	}
+	return nil
+}
+
+// BaseURLs splits a comma-separated list of base URLs, trims each, skips
+// empty elements and validates the rest.
+func BaseURLs(csv string) ([]string, error) {
+	var urls []string
+	for _, u := range strings.Split(csv, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			if err := ValidBaseURL(u); err != nil {
+				return nil, err
+			}
+			urls = append(urls, u)
+		}
+	}
+	return urls, nil
+}
 
 // MetricsPath serves the Prometheus exposition. Unversioned on purpose:
 // it is operational surface, not part of the /v1 wire contract.

@@ -171,6 +171,30 @@ func TestReadAllAndPool(t *testing.T) {
 	PutBuf(&huge) // dropped, not pooled: must not panic
 }
 
+func TestValidBaseURL(t *testing.T) {
+	for _, ok := range []string{"http://127.0.0.1:8080", "https://primary.internal"} {
+		if err := ValidBaseURL(ok); err != nil {
+			t.Fatalf("%s rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{"", "127.0.0.1:8080", "ftp://x", "http://", "http://a b"} {
+		if err := ValidBaseURL(bad); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
+	}
+
+	got, err := BaseURLs(" http://a:1, ,https://b ,")
+	if err != nil || strings.Join(got, "|") != "http://a:1|https://b" {
+		t.Fatalf("BaseURLs = %q, %v", got, err)
+	}
+	if got, err := BaseURLs(""); err != nil || got != nil {
+		t.Fatalf("BaseURLs(\"\") = %q, %v", got, err)
+	}
+	if _, err := BaseURLs("http://a:1,ftp://x"); err == nil || !strings.Contains(err.Error(), "ftp://x") {
+		t.Fatalf("a bad element: %v", err)
+	}
+}
+
 // TestPathLabelIsBounded: every mounted path and /metrics label as
 // themselves; whatever else a client sends collapses into one series.
 func TestPathLabelIsBounded(t *testing.T) {
