@@ -103,6 +103,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/read_direct$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server
 
 # The measurement spine compiles against the product and checks it:

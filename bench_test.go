@@ -404,12 +404,24 @@ func BenchmarkTrain(b *testing.B) {
 }
 
 // BenchmarkMining measures metagraph enumeration (Table III's mining
-// column at bench scale).
+// column) at bench scale and at the lifecycle workload's shape (600 users,
+// MaxNodes 4, MinSupport 5), where mining is the largest bring-up stage.
+// Support evaluation fans out over GOMAXPROCS.
 func BenchmarkMining(b *testing.B) {
-	ds := benchDataset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5})
+	for _, bc := range []struct {
+		name  string
+		users int
+	}{{"bench", 200}, {"lifecycle", 600}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ds := dataset.LinkedIn(dataset.Config{Users: bc.users, Seed: 1, NoiseRate: 0.05})
+			var pats []mining.Pattern
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pats = mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5})
+			}
+			b.ReportMetric(float64(len(pats)), "patterns/op")
+		})
 	}
 }
 

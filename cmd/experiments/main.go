@@ -34,7 +34,7 @@ func main() {
 		maxNodes = flag.Int("max-nodes", 0, "metagraph size cap (0 = default; paper uses 5)")
 		minSup   = flag.Int("min-support", 0, "MNI support threshold (0 = default)")
 		seed     = flag.Int64("seed", 0, "base random seed (0 = default)")
-		workers  = flag.Int("workers", 0, "offline matching workers (0 = one per CPU; learned results are identical for every count, only timings change)")
+		workers  = flag.Int("workers", 0, "offline matching workers (0 = one per CPU; learned results are identical for every count, only timings change; mining always uses GOMAXPROCS)")
 	)
 	flag.Parse()
 

@@ -29,7 +29,9 @@ type Options struct {
 	// private matcher, and the per-metagraph vectors merge
 	// deterministically by metagraph offset, so the built index is
 	// identical for every worker count. Queries never fan out: a ranked
-	// read is one short serial scan on the caller's goroutine.
+	// read is one short serial scan on the caller's goroutine. Mining is
+	// not bounded by Workers: it fans out over runtime.GOMAXPROCS(0), and
+	// its output is the same at any CPU count.
 	Workers int
 	// LogTransform reads the metagraph vectors as log(1+count), the count
 	// transform suggested in Sect. II-A. The index stores raw counts either

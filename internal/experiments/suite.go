@@ -35,7 +35,8 @@ type Config struct {
 
 	// Workers bounds the goroutines used for offline metagraph matching
 	// when building pipelines; values < 1 mean one worker per CPU. The
-	// built index is identical for every worker count.
+	// built index is identical for every worker count. Mining is not
+	// bounded by Workers: it fans out over runtime.GOMAXPROCS(0).
 	Workers int
 
 	Train  core.TrainOptions

@@ -53,16 +53,27 @@ func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) {
 	order := s.groupOrder(m, groups)
 
 	st := &symState{
-		s:      s,
-		m:      m,
-		groups: groups,
-		order:  order,
-		assign: make([]graph.NodeID, m.N()),
-		used:   make([]bool, s.g.NumNodes()),
-		visit:  visit,
+		s:       s,
+		m:       m,
+		groups:  groups,
+		order:   order,
+		repPos:  make([]int, m.N()),
+		cur:     make([]graph.NodeID, m.N()),
+		cands:   make([][]graph.NodeID, len(order)),
+		assign:  make([]graph.NodeID, m.N()),
+		used:    make([]bool, s.g.NumNodes()),
+		visit:   visit,
+		repWalk: make([][]int, len(groups)),
 	}
 	for i := range st.assign {
 		st.assign[i] = graph.InvalidNode
+	}
+	for gi := range groups {
+		rep := groups[gi].Representative().Nodes
+		st.repWalk[gi] = connectedOrder(m, rep)
+		for i, v := range rep {
+			st.repPos[v] = i
+		}
 	}
 
 	// Precompute, per group and member, the member's neighbors *within the
@@ -190,6 +201,18 @@ type symState struct {
 	// groupNbrs[gi][member][i] lists the group-internal metagraph
 	// neighbors of member node i.
 	groupNbrs [][][][]int
+	// repWalk[gi] is the connected order in which componentMatchings
+	// assigns group gi's representative; repPos[v] is v's index within
+	// its representative's node list.
+	repWalk [][]int
+	repPos  []int
+
+	// cands[k] holds the candidate matchings of the group at recursion
+	// depth k, flat with stride len(rep.Nodes). A depth is never
+	// re-entered while its matchings are in use, so the buffer is reused
+	// by every call at that depth; cur is the one matching being built.
+	cands [][]graph.NodeID
+	cur   []graph.NodeID
 
 	assign  []graph.NodeID
 	used    []bool
@@ -233,13 +256,15 @@ func (st *symState) matchGroup(k int) {
 
 	// C(S|D): candidate matchings of the representative component, each
 	// aligned with rep.Nodes. Computed once for the whole group.
-	cands := st.componentMatchings(rep.Nodes)
-	if len(cands) == 0 {
+	st.cands[k] = st.componentMatchings(st.cands[k][:0], st.repWalk[gi], 0)
+	if len(st.cands[k]) == 0 {
 		return
 	}
 
 	if len(g.Members) == 1 {
-		for _, c := range cands {
+		w := len(rep.Nodes)
+		for off := 0; off < len(st.cands[k]); off += w {
+			c := st.cands[k][off : off+w]
 			st.apply(rep.Nodes, c)
 			st.matchGroup(k + 1)
 			st.unapply(rep.Nodes, c)
@@ -249,38 +274,42 @@ func (st *symState) matchGroup(k int) {
 		}
 		return
 	}
+	st.tuple(k, 0)
+}
 
-	// Choose an ordered tuple of node-disjoint matchings, one per member,
-	// reusing cands for all of them. Constraints against D hold for free
-	// (the group's automorphisms fix D); only the group-internal cross
-	// edges are verified as each member is placed.
-	var tuple func(j int)
-	tuple = func(j int) {
+// tuple chooses an ordered tuple of node-disjoint matchings, one per
+// member of the group at depth k, reusing that depth's candidate
+// matchings for all of them. Constraints against D hold for free (the
+// group's automorphisms fix D); only the group-internal cross edges are
+// verified as each member j is placed.
+func (st *symState) tuple(k, j int) {
+	if st.stopped {
+		return
+	}
+	gi := st.order[k]
+	g := &st.groups[gi]
+	if j == len(g.Members) {
+		st.matchGroup(k + 1)
+		return
+	}
+	nodes := g.Maps[j]
+	nbrs := st.groupNbrs[gi][j]
+	cands, w := st.cands[k], len(nodes)
+	for off := 0; off < len(cands); off += w {
+		c := cands[off : off+w]
+		if !st.free(c) {
+			continue
+		}
+		if j > 0 && !st.groupCrossConsistent(nodes, nbrs, c) {
+			continue
+		}
+		st.apply(nodes, c)
+		st.tuple(k, j+1)
+		st.unapply(nodes, c)
 		if st.stopped {
 			return
 		}
-		if j == len(g.Members) {
-			st.matchGroup(k + 1)
-			return
-		}
-		nodes := g.Maps[j]
-		nbrs := st.groupNbrs[gi][j]
-		for _, c := range cands {
-			if !st.free(c) {
-				continue
-			}
-			if j > 0 && !st.groupCrossConsistent(nodes, nbrs, c) {
-				continue
-			}
-			st.apply(nodes, c)
-			tuple(j + 1)
-			st.unapply(nodes, c)
-			if st.stopped {
-				return
-			}
-		}
 	}
-	tuple(0)
 }
 
 // candidatesFor returns the candidate list for a single metagraph node:
@@ -315,43 +344,28 @@ func (st *symState) consistent(u int, v graph.NodeID) bool {
 	return true
 }
 
-// componentMatchings computes all assignments of the given metagraph
-// nodes consistent with the current partial assignment: type-preserving,
+// componentMatchings appends to out every assignment of a representative's
+// nodes, walked in the connected order walk from position i, that is
+// consistent with the current partial assignment: type-preserving,
 // injective against used nodes, and preserving every metagraph edge whose
-// other endpoint is already assigned or earlier in the component.
-func (st *symState) componentMatchings(nodes []int) [][]graph.NodeID {
-	order := connectedOrder(st.m, nodes)
-	posInNodes := make(map[int]int, len(nodes))
-	for i, v := range nodes {
-		posInNodes[v] = i
+// other endpoint is already assigned or earlier in the walk. Each matching
+// is aligned with the representative's node list.
+func (st *symState) componentMatchings(out []graph.NodeID, walk []int, i int) []graph.NodeID {
+	if i == len(walk) {
+		return append(out, st.cur[:len(walk)]...)
 	}
-
-	var out [][]graph.NodeID
-	// Flat backing array: one allocation amortized over all matchings.
-	var backing []graph.NodeID
-	cur := make([]graph.NodeID, len(nodes))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(order) {
-			start := len(backing)
-			backing = append(backing, cur...)
-			out = append(out, backing[start:len(backing):len(backing)])
-			return
+	u := walk[i]
+	for _, v := range st.candidatesFor(u) {
+		if st.used[v] || !st.consistent(u, v) {
+			continue
 		}
-		u := order[i]
-		for _, v := range st.candidatesFor(u) {
-			if st.used[v] || !st.consistent(u, v) {
-				continue
-			}
-			st.assign[u] = v
-			st.used[v] = true
-			cur[posInNodes[u]] = v
-			rec(i + 1)
-			st.used[v] = false
-			st.assign[u] = graph.InvalidNode
-		}
+		st.assign[u] = v
+		st.used[v] = true
+		st.cur[st.repPos[u]] = v
+		out = st.componentMatchings(out, walk, i+1)
+		st.used[v] = false
+		st.assign[u] = graph.InvalidNode
 	}
-	rec(0)
 	return out
 }
 

@@ -33,6 +33,7 @@ type Metagraph struct {
 	types []graph.TypeID
 	adj   []uint16 // adj[i] bit j set iff edge {i,j}
 	edges []Edge   // sorted (U,V) with U<V
+	nbrs  [][]int  // nbrs[i] = neighbours of i, ascending; built once in New
 }
 
 // New builds a metagraph over the given node types with the given edges.
@@ -71,6 +72,19 @@ func New(types []graph.TypeID, edges []Edge) (*Metagraph, error) {
 	}
 	if !m.connected() {
 		return nil, fmt.Errorf("metagraph: pattern is disconnected")
+	}
+	// Every neighbour list lives in one backing array of 2|E| entries;
+	// each is capped so an append by a caller cannot spill into the next.
+	backing := make([]int, 0, 2*len(m.edges))
+	m.nbrs = make([][]int, n)
+	for u := 0; u < n; u++ {
+		start := len(backing)
+		for v := 0; v < n; v++ {
+			if m.adj[u]&(1<<uint(v)) != 0 {
+				backing = append(backing, v)
+			}
+		}
+		m.nbrs[u] = backing[start:len(backing):len(backing)]
 	}
 	return m, nil
 }
@@ -130,15 +144,10 @@ func (m *Metagraph) Degree(i int) int {
 }
 
 // Neighbors returns the neighbor indices of node i in ascending order.
-func (m *Metagraph) Neighbors(i int) []int {
-	var out []int
-	for j := 0; j < m.N(); j++ {
-		if m.HasEdge(i, j) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
+// The slice is computed once when the metagraph is built and aliases
+// internal storage: it must not be modified. Matchers call it in their
+// innermost loops, so it never allocates.
+func (m *Metagraph) Neighbors(i int) []int { return m.nbrs[i] }
 
 // Size returns |V_M| + |E_M|, the size measure used by the structural
 // similarity of Sect. III-C.

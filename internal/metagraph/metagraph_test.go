@@ -125,6 +125,43 @@ func TestBasicAccessors(t *testing.T) {
 	}
 }
 
+// TestNeighborsCachedAndAllocFree pins what matchers rely on in their
+// innermost loops: Neighbors is the ascending adjacency of every node, on
+// metagraphs from every constructor, and costs no allocation.
+func TestNeighborsCachedAndAllocFree(t *testing.T) {
+	ext, err := m1().ExtendNode(1, tHobby)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := m2().ExtendEdge(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm, err := m5().Permute([]int{5, 4, 3, 2, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Metagraph{m1(), m2(), m3(), m4(), m5(), ext, closed, perm} {
+		for i := 0; i < m.N(); i++ {
+			var want []int
+			for j := 0; j < m.N(); j++ {
+				if m.HasEdge(i, j) {
+					want = append(want, j)
+				}
+			}
+			if got := m.Neighbors(i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: Neighbors(%d) = %v, want %v", m, i, got, want)
+			}
+			if got := m.Neighbors(i); cap(got) != len(got) {
+				t.Fatalf("%v: Neighbors(%d) has spare capacity %d", m, i, cap(got)-len(got))
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() { _ = m.Neighbors(m.N() - 1) }); a != 0 {
+			t.Fatalf("%v: Neighbors allocates %v times", m, a)
+		}
+	}
+}
+
 func TestIsPath(t *testing.T) {
 	if !m3().IsPath() {
 		t.Fatal("M3 (user–address–user) should be a path")

@@ -13,7 +13,12 @@
 package mining
 
 import (
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -45,127 +50,191 @@ type Pattern struct {
 }
 
 // Mine enumerates the frequent metagraphs of g under opts, in canonical-key
-// order (deterministic across runs).
+// order (deterministic across runs). Support evaluation fans out over
+// runtime.GOMAXPROCS(0) workers; the result does not depend on their number.
 func Mine(g *graph.Graph, opts Options) []Pattern {
+	return mine(g, opts, runtime.GOMAXPROCS(0))
+}
+
+// candidate is a queued pattern with the canonical key it was deduplicated
+// under, carried so the final sort never recomputes it.
+type candidate struct {
+	m   *metagraph.Metagraph
+	key string
+	sup int
+}
+
+// mine is Mine on a fixed number of workers. The search is breadth-first:
+// the supports of one BFS level are computed in parallel, then the level is
+// consumed serially in queue order (prune, collect, MaxPatterns stop,
+// extend with dedupe), which is exactly the order a single FIFO queue
+// would visit it in. The frequent list, its supports and the MaxPatterns
+// cut are therefore the same at any worker count.
+func mine(g *graph.Graph, opts Options, workers int) []Pattern {
 	if opts.MaxNodes <= 0 {
 		opts.MaxNodes = 5
 	}
 	if opts.MinSupport <= 0 {
 		opts.MinSupport = 1
 	}
-	matcher := match.NewSymISO(g)
+	workers = max(workers, 1)
+	supporters := make([]*supporter, workers)
+	for w := range supporters {
+		supporters[w] = newSupporter(g, match.NewSymISO(g))
+	}
 	stats := match.NewGraphStats(g)
 
 	seen := make(map[string]bool)
-	var frequent []Pattern
+	var frequent []candidate
+	var level []candidate
+	push := func(m *metagraph.Metagraph) {
+		if key := m.Canonical(); !seen[key] {
+			seen[key] = true
+			level = append(level, candidate{m: m, key: key})
+		}
+	}
 
 	// Seeds: one 2-node pattern per type pair with at least one edge.
-	var queue []*metagraph.Metagraph
 	nt := g.NumTypes()
 	for t1 := 0; t1 < nt; t1++ {
 		for t2 := t1; t2 < nt; t2++ {
 			if stats.EdgeCount(graph.TypeID(t1), graph.TypeID(t2)) == 0 {
 				continue
 			}
-			m := metagraph.MustNew(
+			push(metagraph.MustNew(
 				[]graph.TypeID{graph.TypeID(t1), graph.TypeID(t2)},
-				[]metagraph.Edge{{U: 0, V: 1}})
-			key := m.Canonical()
-			if !seen[key] {
-				seen[key] = true
-				queue = append(queue, m)
-			}
+				[]metagraph.Edge{{U: 0, V: 1}}))
 		}
 	}
 
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
+levels:
+	for len(level) > 0 {
+		cur := level
+		level = nil
+		sups := levelSupports(supporters, cur, opts.MinSupport)
+		for i, c := range cur {
+			m := c.m
+			if sups[i] < opts.MinSupport {
+				continue // anti-monotone prune: no extension can be frequent
+			}
+			c.sup = sups[i]
+			frequent = append(frequent, c)
+			if opts.MaxPatterns > 0 && len(frequent) >= opts.MaxPatterns {
+				break levels
+			}
 
-		sup := mniSupport(g, matcher, m, opts.MinSupport)
-		if sup < opts.MinSupport {
-			continue // anti-monotone prune: no extension can be frequent
-		}
-		frequent = append(frequent, Pattern{M: m, Support: sup})
-		if opts.MaxPatterns > 0 && len(frequent) >= opts.MaxPatterns {
-			break
-		}
-
-		// Extensions: add a typed node, or close an edge.
-		if m.N() < opts.MaxNodes {
+			// Extensions: add a typed node, or close an edge.
+			if m.N() < opts.MaxNodes {
+				for u := 0; u < m.N(); u++ {
+					for t := 0; t < nt; t++ {
+						if stats.EdgeCount(m.Type(u), graph.TypeID(t)) == 0 {
+							continue
+						}
+						if ext, err := m.ExtendNode(u, graph.TypeID(t)); err == nil {
+							push(ext)
+						}
+					}
+				}
+			}
 			for u := 0; u < m.N(); u++ {
-				for t := 0; t < nt; t++ {
-					if stats.EdgeCount(m.Type(u), graph.TypeID(t)) == 0 {
+				for v := u + 1; v < m.N(); v++ {
+					if m.HasEdge(u, v) || stats.EdgeCount(m.Type(u), m.Type(v)) == 0 {
 						continue
 					}
-					ext, err := m.ExtendNode(u, graph.TypeID(t))
-					if err != nil {
-						continue
+					if ext, err := m.ExtendEdge(u, v); err == nil {
+						push(ext)
 					}
-					if key := ext.Canonical(); !seen[key] {
-						seen[key] = true
-						queue = append(queue, ext)
-					}
-				}
-			}
-		}
-		for u := 0; u < m.N(); u++ {
-			for v := u + 1; v < m.N(); v++ {
-				if m.HasEdge(u, v) || stats.EdgeCount(m.Type(u), m.Type(v)) == 0 {
-					continue
-				}
-				ext, err := m.ExtendEdge(u, v)
-				if err != nil {
-					continue
-				}
-				if key := ext.Canonical(); !seen[key] {
-					seen[key] = true
-					queue = append(queue, ext)
 				}
 			}
 		}
 	}
 
-	sort.Slice(frequent, func(i, j int) bool {
-		ci, cj := frequent[i].M.Canonical(), frequent[j].M.Canonical()
-		if len(ci) != len(cj) {
-			return len(ci) < len(cj) // smaller patterns first
+	// Smaller patterns first, then by key; keys are unique, so the order
+	// is total.
+	slices.SortFunc(frequent, func(a, b candidate) int {
+		if c := cmp.Compare(len(a.key), len(b.key)); c != 0 {
+			return c
 		}
-		return ci < cj
+		return strings.Compare(a.key, b.key)
 	})
-	return frequent
+	out := make([]Pattern, len(frequent))
+	for i, c := range frequent {
+		out[i] = Pattern{M: c.m, Support: c.sup}
+	}
+	return out
 }
 
-// mniSupport computes the MNI support of m on g: the minimum, over pattern
-// nodes u, of the number of distinct graph nodes that appear as the image
-// of u across all assignments. Enumeration stops as soon as every pattern
-// node has at least `enough` distinct images, so the returned value is
-// min(MNI, enough) — exact whenever it is below the threshold.
-func mniSupport(g *graph.Graph, matcher match.Matcher, m *metagraph.Metagraph, enough int) int {
-	images := make([]map[graph.NodeID]bool, m.N())
-	for i := range images {
-		images[i] = make(map[graph.NodeID]bool, enough)
+// levelSupports computes the MNI support of every pattern of one BFS level,
+// capped at enough, with one supporter per worker. Workers claim patterns
+// through a shared counter and write only their own slots of the result.
+func levelSupports(supporters []*supporter, level []candidate, enough int) []int {
+	sups := make([]int, len(level))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, s := range supporters[:min(len(supporters), len(level))] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(level); i = int(next.Add(1)) - 1 {
+				sups[i] = s.mni(level[i].m, enough)
+			}
+		}()
 	}
-	matcher.Match(m, func(a []graph.NodeID) bool {
-		done := true
+	wg.Wait()
+	return sups
+}
+
+// supporter computes MNI supports with one matcher and scratch that is
+// reused across patterns: image counters per pattern node and a seen
+// bitmap indexed by (pattern node, graph node). It is not safe for
+// concurrent use; Mine gives each worker its own.
+type supporter struct {
+	matcher  match.Matcher
+	numNodes int
+	seen     []uint64
+	count    []int
+}
+
+func newSupporter(g *graph.Graph, matcher match.Matcher) *supporter {
+	return &supporter{matcher: matcher, numNodes: g.NumNodes()}
+}
+
+// mni computes the MNI support of m with the supporter's matcher: the
+// minimum, over pattern nodes u, of the number of distinct graph nodes
+// that appear as the image of u across all assignments. A pattern node
+// stops collecting images once it has enough of them, and the enumeration
+// stops once no node is short, so the returned value is min(MNI, enough)
+// — exact whenever it is below the threshold.
+func (s *supporter) mni(m *metagraph.Metagraph, enough int) int {
+	n := m.N()
+	words := (n*s.numNodes + 63) / 64
+	if cap(s.seen) < words {
+		s.seen = make([]uint64, words)
+	}
+	seen := s.seen[:words]
+	clear(seen)
+	if cap(s.count) < n {
+		s.count = make([]int, n)
+	}
+	count := s.count[:n]
+	clear(count)
+	short := n
+	s.matcher.Match(m, func(a []graph.NodeID) bool {
 		for i, v := range a {
-			images[i][v] = true
-			if len(images[i]) < enough {
-				done = false
+			if count[i] >= enough {
+				continue
+			}
+			bit := i*s.numNodes + int(v)
+			if w, b := bit>>6, uint64(1)<<(bit&63); seen[w]&b == 0 {
+				seen[w] |= b
+				if count[i]++; count[i] == enough {
+					short--
+				}
 			}
 		}
-		return !done
+		return short > 0
 	})
-	mni := -1
-	for _, s := range images {
-		if mni == -1 || len(s) < mni {
-			mni = len(s)
-		}
-	}
-	if mni < 0 {
-		return 0
-	}
-	return mni
+	return slices.Min(count)
 }
 
 // ProximityFilter selects the mined metagraphs usable for semantic

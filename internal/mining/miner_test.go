@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/metagraph"
@@ -112,7 +113,7 @@ func TestMineAntiMonotonicity(t *testing.T) {
 	const threshold = 3
 	matcher := match.NewQuickSI(g)
 	for _, p := range Mine(g, Options{MaxNodes: 4, MinSupport: threshold}) {
-		if got := mniSupport(g, matcher, p.M, threshold); got < threshold {
+		if got := newSupporter(g, matcher).mni(p.M, threshold); got < threshold {
 			t.Fatalf("pattern %v reported frequent but MNI=%d", p.M, got)
 		}
 	}
@@ -175,14 +176,14 @@ func TestMniSupportExactOnToy(t *testing.T) {
 	m := metagraph.MustNew(
 		[]graph.TypeID{g.Types().ID("user"), g.Types().ID("school"), g.Types().ID("user")},
 		[]metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if got := mniSupport(g, match.NewQuickSI(g), m, 10); got != 1 {
+	if got := newSupporter(g, match.NewQuickSI(g)).mni(m, 10); got != 1 {
 		t.Fatalf("MNI = %d, want 1", got)
 	}
 	// A pattern with no matches at all.
 	m2 := metagraph.MustNew(
 		[]graph.TypeID{g.Types().ID("school"), g.Types().ID("school")},
 		[]metagraph.Edge{{U: 0, V: 1}})
-	if got := mniSupport(g, match.NewQuickSI(g), m2, 10); got != 0 {
+	if got := newSupporter(g, match.NewQuickSI(g)).mni(m2, 10); got != 0 {
 		t.Fatalf("MNI = %d, want 0", got)
 	}
 }
@@ -197,6 +198,109 @@ func TestMineDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].M.Canonical() != b[i].M.Canonical() {
 			t.Fatalf("non-deterministic order at %d", i)
+		}
+	}
+}
+
+// samePatterns fails unless a and b list the same canonical keys with the
+// same supports in the same order.
+func samePatterns(t *testing.T, label string, a, b []Pattern) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d patterns vs %d", label, len(a), len(b))
+	}
+	for i := range a {
+		if a[i].M.Canonical() != b[i].M.Canonical() || a[i].Support != b[i].Support {
+			t.Fatalf("%s: pattern %d is %v/%d vs %v/%d", label, i,
+				a[i].M, a[i].Support, b[i].M, b[i].Support)
+		}
+	}
+}
+
+// TestParallelMineEqualsSerial pins the level-parallel search to the
+// serial one: the frequent list, its order, the supports and the
+// MaxPatterns cut do not depend on the worker count.
+func TestParallelMineEqualsSerial(t *testing.T) {
+	check := func(label string, g *graph.Graph, o Options) {
+		t.Helper()
+		serial := mine(g, o, 1)
+		if len(serial) == 0 {
+			t.Fatalf("%s %+v: nothing mined", label, o)
+		}
+		for _, w := range []int{2, 8} {
+			samePatterns(t, fmt.Sprintf("%s %+v workers=%d", label, o, w), serial, mine(g, o, w))
+		}
+	}
+	// Below ~200 users a LinkedIn attribute type has fewer than five
+	// nodes, so MinSupport 5 would mine nothing.
+	for _, c := range []struct {
+		users int
+		seed  int64
+	}{{200, 1}, {200, 2}, {200, 3}, {400, 4}} {
+		g := dataset.LinkedIn(dataset.Config{Users: c.users, Seed: c.seed, NoiseRate: 0.05}).G
+		for _, o := range []Options{
+			{MaxNodes: 3, MinSupport: 5},
+			{MaxNodes: 4, MinSupport: 5},
+			{MaxNodes: 4, MinSupport: 5, MaxPatterns: 7},
+			{MaxNodes: 4, MinSupport: 5, MaxPatterns: 20},
+		} {
+			check(fmt.Sprintf("linkedin users=%d seed=%d", c.users, c.seed), g, o)
+		}
+	}
+	// LinkedIn's 5-node level takes seconds per run (minutes under -race),
+	// so MaxNodes 5 runs on the smaller attribute graphs.
+	for seed := int64(1); seed <= 4; seed++ {
+		g := buildAttributeGraph(t, 60, 4, 5, seed)
+		for _, o := range []Options{
+			{MaxNodes: 5, MinSupport: 3},
+			{MaxNodes: 5, MinSupport: 3, MaxPatterns: 8},
+		} {
+			check(fmt.Sprintf("attribute seed=%d", seed), g, o)
+		}
+	}
+}
+
+// mapMNI is the straightforward MNI reference the dense counters replace:
+// one set of images per pattern node, enumeration stopped once every set
+// has enough members.
+func mapMNI(matcher match.Matcher, m *metagraph.Metagraph, enough int) int {
+	images := make([]map[graph.NodeID]bool, m.N())
+	for i := range images {
+		images[i] = make(map[graph.NodeID]bool)
+	}
+	matcher.Match(m, func(a []graph.NodeID) bool {
+		done := true
+		for i, v := range a {
+			images[i][v] = true
+			if len(images[i]) < enough {
+				done = false
+			}
+		}
+		return !done
+	})
+	mni := len(images[0])
+	for _, s := range images[1:] {
+		mni = min(mni, len(s))
+	}
+	return mni
+}
+
+// TestDenseMNIEqualsMapReference checks the dense, saturating counters
+// against mapMNI on random small typed graphs, for thresholds below, at
+// and above the true support. One supporter is reused throughout, so stale
+// scratch from a previous pattern would show.
+func TestDenseMNIEqualsMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := buildAttributeGraph(t, 5+rng.Intn(25), 1+rng.Intn(4), 1+rng.Intn(4), seed)
+		sup := newSupporter(g, match.NewSymISO(g))
+		ref := match.NewQuickSI(g)
+		for _, p := range mine(g, Options{MaxNodes: 4, MinSupport: 1}, 1) {
+			for _, enough := range []int{1, 2, 3, 5, 8, 1000} {
+				if got, want := sup.mni(p.M, enough), mapMNI(ref, p.M, enough); got != want {
+					t.Fatalf("seed %d %v enough=%d: dense %d, map %d", seed, p.M, enough, got, want)
+				}
+			}
 		}
 	}
 }
