@@ -100,7 +100,7 @@ cover:
 # themselves running).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$|BenchmarkIndexMerge$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/read_direct$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .

@@ -198,29 +198,35 @@ func BenchmarkMatchQuickSI(b *testing.B) {
 // (the dominant cost of Table III) across worker counts. On multicore
 // hardware the build scales near-linearly: matching fans out one metagraph
 // per worker and the parts merge by offset. read_direct is the build the
-// benchmark's 5 000-user workloads pay at bring-up (MaxNodes 3), on one
-// worker so that the figure is the work, not the machine's core count; it
-// reports the instances counted per build next to the bytes and
+// benchmark's 5 000-user workloads pay at bring-up (MaxNodes 3), and
+// lifecycle the one its 600-user workload pays (MaxNodes 4, whose 3-leaf
+// stars have six automorphic assignments per instance). Both run on one
+// worker so that the figure is the work, not the machine's core count;
+// each reports the instances counted per build next to the bytes and
 // allocations counting them costs.
 func BenchmarkOfflineIndexBuild(b *testing.B) {
-	b.Run("read_direct", func(b *testing.B) {
-		ds := dataset.LinkedIn(dataset.Config{Users: 5000, Seed: 1, NoiseRate: 0.05})
-		ms := mining.Metagraphs(mining.ProximityFilter(
-			mining.Mine(ds.G, mining.Options{MaxNodes: 3, MinSupport: 5}), ds.Anchor))
-		matcher := match.NewSymISO(ds.G)
-		var instances int64
-		for _, m := range ms {
-			instances += match.CountInstances(matcher, m)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if ix := index.BuildParallel(ms, func() match.Matcher { return matcher }, 1); ix.NumPairs() == 0 {
-				b.Fatal("empty index")
+	offline := func(users, maxNodes int) func(*testing.B) {
+		return func(b *testing.B) {
+			ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 1, NoiseRate: 0.05})
+			ms := mining.Metagraphs(mining.ProximityFilter(
+				mining.Mine(ds.G, mining.Options{MaxNodes: maxNodes, MinSupport: 5}), ds.Anchor))
+			matcher := match.NewSymISO(ds.G)
+			var instances int64
+			for _, m := range ms {
+				instances += match.CountInstances(matcher, m)
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ix := index.BuildParallel(ms, func() match.Matcher { return matcher }, 1); ix.NumPairs() == 0 {
+					b.Fatal("empty index")
+				}
+			}
+			b.ReportMetric(float64(instances), "instances/op")
 		}
-		b.ReportMetric(float64(instances), "instances/op")
-	})
+	}
+	b.Run("read_direct", offline(5000, 3))
+	b.Run("lifecycle", offline(600, 4))
 	ds := benchDataset()
 	pats := mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor)

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -12,22 +11,26 @@ import (
 )
 
 // Counting instances. Eq. 1–2 count, per node and per node pair, the
-// instances of one metagraph in which they sit on symmetric positions. The
-// counter does not count while it enumerates: it writes one key per
-// (instance, symmetric pair) and one per (instance, symmetric position)
-// into flat slices, sorts each slice, and run-length counts it. A key's
-// count is the length of its run, and the runs come out in key order, the
-// order a table stores its rows in, so no row is ever looked up or
-// re-sorted. DESIGN.md "Counting instances" has the numbers.
+// instances of one metagraph in which they sit on symmetric positions.
+// Node counts go straight into a dense per-node counter: the first count of
+// a node lists it as touched, and the touched nodes, sorted, are the rows
+// of the node table, after which their counts are cleared again. Pairs are
+// too many for a dense counter, so the counter writes one key per
+// (instance, symmetric pair) into a flat slice, sorts it, and run-length
+// counts it: a key's count is the length of its run. Either way the rows
+// come out in key order, the order a table stores its rows in, so no row
+// is ever looked up or re-sorted. DESIGN.md "Counting instances" has the
+// numbers.
 
 // counter is the scratch one goroutine counts metagraphs with. Its slices
-// grow to the largest metagraph it has counted and are reused after that,
-// so a worker that matches many metagraphs stops allocating scratch after
-// its first.
+// grow to the largest metagraph it has counted (counts to the largest node
+// id) and are reused after that, so a worker that matches many metagraphs
+// stops allocating scratch after its first.
 type counter struct {
-	pairs []uint64 // one packed pair key per (instance, symmetric pair)
-	nodes []uint64 // one node id per (instance, symmetric position)
-	buf   []uint64 // radixSort's second buffer
+	pairs   []uint64       // one packed pair key per (instance, symmetric pair)
+	counts  []uint64       // per node id, its instances; zero but while counting
+	touched []graph.NodeID // the node ids counts holds a non-zero count for
+	buf     []uint64       // radixSort's second buffer
 }
 
 // part builds the single-metagraph part index of m.
@@ -41,26 +44,43 @@ func (c *counter) part(m *metagraph.Metagraph, matcher match.Matcher) *Index {
 // metagraph mi contributes: per node, the instances in which it sits on one
 // of positions; per pair, the instances in which it sits on one of pairs.
 func (c *counter) count(m *metagraph.Metagraph, matcher match.Matcher, pairs []metagraph.Edge, positions []int, mi int32) (csr[graph.NodeID], csr[PairKey]) {
-	pk, nk := c.pairs[:0], c.nodes[:0]
-	var used uint64 // the union of every node id's bits
+	pk, counts, touched := c.pairs[:0], c.counts, c.touched[:0]
 	match.Instances(matcher, m, func(a []graph.NodeID) bool {
-		pk, nk = grow(pk, len(pairs)), grow(nk, len(positions))
+		pk = grow(pk, len(pairs))
 		for _, p := range pairs {
 			pk = append(pk, uint64(MakePairKey(a[p.U], a[p.V])))
 		}
 		for _, p := range positions {
-			v := uint64(uint32(a[p]))
-			used |= v
-			nk = append(nk, v)
+			v := a[p]
+			if int(v) >= len(counts) {
+				counts = append(counts, make([]uint64, max(int(v)+1-len(counts), len(counts)))...)
+			}
+			if counts[v] == 0 {
+				touched = append(touched, v)
+			}
+			counts[v]++
 		}
 		return true
 	})
-	c.pairs, c.nodes = pk, nk
+	slices.Sort(touched)
+	c.pairs, c.counts, c.touched = pk, counts, touched
 
-	// Every node of a pair sits on a position, so w bits hold any node id,
-	// and a pair packs into 2w bits with its order kept.
-	w := bits.Len64(used)
-	mx := runs(c.sort(nk, w), mi, func(k uint64) graph.NodeID { return graph.NodeID(k) })
+	var mx csr[graph.NodeID]
+	var w int
+	if len(touched) > 0 {
+		mx = csr[graph.NodeID]{
+			keys: make([]graph.NodeID, 0, len(touched)),
+			off:  make([]int32, 1, len(touched)+1),
+			ent:  make([]Entry, 0, len(touched)),
+		}
+		// Every node of a pair sits on a position, so w bits hold any node
+		// id, and a pair packs into 2w bits with its order kept.
+		w = bits.Len32(uint32(touched[len(touched)-1]))
+	}
+	for _, v := range touched {
+		mx.appendRun(v, mi, counts[v])
+		counts[v] = 0
+	}
 	for i, k := range pk {
 		pk[i] = k>>32<<w | k&math.MaxUint32
 	}
@@ -88,11 +108,11 @@ func (c *counter) sort(keys []uint64, width int) []uint64 {
 	return radixSort(keys, c.buf[:len(keys)], width)
 }
 
-// runs run-length counts sorted keys into the rows of metagraph mi: one
-// one-coordinate row per distinct key, decoded by key.
-func runs[K cmp.Ordered](sorted []uint64, mi int32, key func(uint64) K) csr[K] {
+// runs run-length counts sorted packed pair keys into the rows of
+// metagraph mi: one one-coordinate row per distinct key, decoded by key.
+func runs(sorted []uint64, mi int32, key func(uint64) PairKey) csr[PairKey] {
 	if len(sorted) == 0 {
-		return csr[K]{}
+		return csr[PairKey]{}
 	}
 	n := 1
 	for i := 1; i < len(sorted); i++ {
@@ -100,26 +120,26 @@ func runs[K cmp.Ordered](sorted []uint64, mi int32, key func(uint64) K) csr[K] {
 			n++
 		}
 	}
-	c := csr[K]{
-		keys: make([]K, 0, n),
+	c := csr[PairKey]{
+		keys: make([]PairKey, 0, n),
 		off:  make([]int32, 1, n+1),
 		ent:  make([]Entry, 0, n),
 	}
 	start := 0
 	for i := 1; i <= len(sorted); i++ {
 		if i == len(sorted) || sorted[i] != sorted[start] {
-			c.appendRun(key(sorted[start]), mi, i-start)
+			c.appendRun(key(sorted[start]), mi, uint64(i-start))
 			start = i
 		}
 	}
 	return c
 }
 
-// appendRun is the run-length step: it appends the row of key k, a run of
-// n instances of metagraph mi, refusing a count an Entry cannot hold.
-func (c *csr[K]) appendRun(k K, mi int32, n int) {
+// appendRun appends the row of key k, n instances of metagraph mi,
+// refusing a count an Entry cannot hold.
+func (c *csr[K]) appendRun(k K, mi int32, n uint64) {
 	c.keys = append(c.keys, k)
-	c.ent = append(c.ent, Entry{mi, count32(uint64(n), mi, k)})
+	c.ent = append(c.ent, Entry{mi, count32(n, mi, k)})
 	c.off = append(c.off, int32(len(c.ent)))
 }
 

@@ -243,14 +243,21 @@ func TestCounterScratchStopsGrowing(t *testing.T) {
 	for _, m := range ms {
 		sc.part(m, matcher)
 	}
-	grown := []*uint64{unsafe.SliceData(sc.pairs), unsafe.SliceData(sc.nodes), unsafe.SliceData(sc.buf)}
-	if grown[0] == nil || grown[2] == nil {
-		t.Fatal("the metagraphs wrote no keys or never needed the radix buffer")
+	scratch := func() []unsafe.Pointer {
+		return []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(sc.pairs)), unsafe.Pointer(unsafe.SliceData(sc.counts)),
+			unsafe.Pointer(unsafe.SliceData(sc.touched)), unsafe.Pointer(unsafe.SliceData(sc.buf))}
+	}
+	grown := scratch()
+	if slices.Contains(grown, nil) {
+		t.Fatal("the metagraphs wrote no keys, counted no node or never needed the radix buffer")
+	}
+	if i := slices.IndexFunc(sc.counts, func(n uint64) bool { return n != 0 }); i >= 0 {
+		t.Fatalf("node %d's count survived its metagraph", i)
 	}
 	for _, m := range ms {
 		sc.part(m, matcher)
 	}
-	if again := []*uint64{unsafe.SliceData(sc.pairs), unsafe.SliceData(sc.nodes), unsafe.SliceData(sc.buf)}; !slices.Equal(again, grown) {
+	if !slices.Equal(scratch(), grown) {
 		t.Fatal("a second pass over the same metagraphs reallocated the scratch")
 	}
 }

@@ -466,7 +466,7 @@ func mergeCSR[K cmp.Ordered](srcs []source[K]) csr[K] {
 
 // Builder accumulates instance counts metagraph by metagraph and freezes
 // them into an Index. Each AddMetagraph counts one metagraph into a table of
-// its own by sorting its instance keys (count.go), with scratch the builder
+// its own (count.go), with scratch the builder
 // reuses across calls; Build merges the tables, or returns a lone one as it
 // is.
 type Builder struct {

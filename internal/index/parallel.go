@@ -73,10 +73,18 @@ func MatchParts(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, work
 	return parts, times
 }
 
-// matchOne builds the single-metagraph part index of m with a fresh
+// counters holds the scratch matchOne counts with. An update re-matches
+// every metagraph, and a counter's node counts are dense by node id: a
+// fresh one per call would allocate in proportion to the graph, not to
+// the update.
+var counters = sync.Pool{New: func() any { return new(counter) }}
+
+// matchOne builds the single-metagraph part index of m with pooled
 // scratch.
 func matchOne(m *metagraph.Metagraph, matcher match.Matcher) *Index {
-	return (&counter{}).part(m, matcher)
+	c := counters.Get().(*counter)
+	defer counters.Put(c)
+	return c.part(m, matcher)
 }
 
 // BuildParallel is the parallel offline index build: MatchParts followed by

@@ -88,3 +88,24 @@ func TestReadDirectIndexGolden(t *testing.T) {
 		t.Fatalf("read_direct index (%d metagraphs, %d pairs) hashes to %s, want %s", len(ms), ix.NumPairs(), got, readDirectIndexSHA256)
 	}
 }
+
+// lifecycleIndexSHA256 is the SHA-256 of the serialized index the
+// benchmark's lifecycle workload builds (600 LinkedIn users, noise 0.05,
+// seed 1, MaxNodes 4, MinSupport 5), recorded when SymISO still visited
+// every automorphic assignment and Instances kept the lex-min one.
+const lifecycleIndexSHA256 = "d1f156bf10570c1f98b37a5fda1dd5ed3ad2a51438fb0d7ef5bca4f8ba2c3d19"
+
+// TestLifecycleIndexGolden pins the bytes of a build whose metagraphs
+// include 3-leaf stars (|Aut| = 6) next to the |Aut| = 2 patterns
+// read_direct covers: however instances are de-duplicated and counted, the
+// index is the same.
+func TestLifecycleIndexGolden(t *testing.T) {
+	ds := dataset.LinkedIn(dataset.Config{Users: 600, Seed: 1, NoiseRate: 0.05})
+	ms := mining.Metagraphs(mining.ProximityFilter(
+		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor))
+	ix := index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
+	sum := sha256.Sum256(serialize(t, ix))
+	if got := hex.EncodeToString(sum[:]); got != lifecycleIndexSHA256 {
+		t.Fatalf("lifecycle index (%d metagraphs, %d pairs) hashes to %s, want %s", len(ms), ix.NumPairs(), got, lifecycleIndexSHA256)
+	}
+}

@@ -12,9 +12,12 @@
 // metagraph nodes to graph nodes under which every metagraph edge lands on
 // a graph edge (Def. 2; instances are subgraphs, not induced subgraphs).
 // Distinct assignments related by an automorphism of M describe the same
-// instance subgraph, so Instances wraps an engine with an
-// automorphism-canonical filter that reports each instance exactly once.
-// Engines are differential-tested to produce identical assignment sets.
+// instance subgraph. Instances reports each instance exactly once, through
+// the symmetry-breaking conditions of M (metagraph.SymmetryConditions):
+// SymISO enumerates only the assignments that satisfy them, pruning a
+// branch as soon as one fails, and any other engine's assignments are
+// filtered by them. Engines are differential-tested to produce identical
+// assignment sets.
 package match
 
 import (
@@ -47,39 +50,24 @@ func CountAssignments(matcher Matcher, m *metagraph.Metagraph) int64 {
 	return n
 }
 
-// Instances enumerates each instance subgraph of m exactly once by
-// filtering assignments to automorphism-canonical representatives: an
-// assignment a is reported iff it is lexicographically minimal among
-// {a∘σ : σ ∈ Aut(M)}. Two assignments describe the same instance iff they
-// differ by an automorphism, so this visits one witness per instance.
+// Instances enumerates each instance subgraph of m exactly once: it visits
+// the assignments a that are lexicographically minimal among {a∘σ : σ ∈
+// Aut(M)}, in the order matcher's Match would visit them. Two assignments
+// describe the same instance iff they differ by an automorphism, so this is
+// one witness per instance. The witnesses are the assignments that satisfy
+// m's symmetry-breaking conditions, a few comparisons each; SymISO checks
+// each condition as soon as both of its nodes are placed and never
+// enumerates the other |Aut(M)|-1 assignments of an instance.
 func Instances(matcher Matcher, m *metagraph.Metagraph, visit Visitor) {
-	auts := m.Automorphisms()
-	// Drop the identity; it never rejects.
-	nontrivial := auts[:0]
-	for _, s := range auts {
-		id := true
-		for i, v := range s {
-			if v != i {
-				id = false
-				break
-			}
-		}
-		if !id {
-			nontrivial = append(nontrivial, s)
-		}
+	conds := m.SymmetryConditions()
+	if s, ok := matcher.(*SymISO); ok {
+		s.run(m, conds, visit)
+		return
 	}
 	matcher.Match(m, func(a []graph.NodeID) bool {
-		for _, s := range nontrivial {
-			// Compare a∘s with a lexicographically; reject if smaller.
-			for i := range a {
-				x, y := a[s[i]], a[i]
-				if x == y {
-					continue
-				}
-				if x < y {
-					return true // a∘s is smaller: a is not canonical
-				}
-				break // a is smaller on this automorphism; check next
+		for _, c := range conds {
+			if a[c.U] >= a[c.V] {
+				return true
 			}
 		}
 		return visit(a)

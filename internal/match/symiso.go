@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/metagraph"
@@ -47,7 +48,14 @@ func (s *SymISO) Name() string {
 }
 
 // Match implements Matcher.
-func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) {
+func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) { s.run(m, nil, visit) }
+
+// run enumerates the assignments of m that satisfy conds, each a
+// symmetry-breaking condition a[U] < a[V] (nil: every assignment). A
+// condition is checked as soon as both of its nodes are placed, so a
+// branch no completion of which could satisfy it is never entered; the
+// surviving assignments are visited in Match's order.
+func (s *SymISO) run(m *metagraph.Metagraph, conds []metagraph.Edge, visit Visitor) {
 	d := metagraph.Decompose(m)
 	groups := d.Groups
 	order := s.groupOrder(m, groups)
@@ -103,7 +111,65 @@ func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) {
 			st.groupNbrs[gi][k] = nbrs
 		}
 	}
+	st.planSteps(conds)
 	st.matchGroup(0)
+}
+
+// planSteps numbers the placements of the search and files each condition
+// under the step that places the later of its two nodes. Depth k places a
+// singleton or single-member group in one step, and a tuple's member j at
+// step firstStep[k]+j. A condition a[previous member] < a[member] between
+// two one-node members becomes the step's after flag instead: both pick
+// from the same ascending candidate list, so the pick's scan starts past
+// the previous one.
+func (st *symState) planSteps(conds []metagraph.Edge) {
+	stepOf := make([]int, st.m.N())
+	st.firstStep = make([]int, len(st.order))
+	n := 0
+	for k, gi := range st.order {
+		st.firstStep[k] = n
+		for j, nodes := range st.groups[gi].Maps {
+			for _, u := range nodes {
+				stepOf[u] = n + j
+			}
+		}
+		n += len(st.groups[gi].Maps)
+	}
+	st.steps = make([]symStep, n)
+	for _, c := range conds {
+		s := &st.steps[max(stepOf[c.U], stepOf[c.V])]
+		s.conds = append(s.conds, c)
+	}
+	for k, gi := range st.order {
+		maps := st.groups[gi].Maps
+		for j := 1; j < len(maps); j++ {
+			if len(maps[j]) != 1 {
+				continue
+			}
+			s := &st.steps[st.firstStep[k]+j]
+			if i := slices.Index(s.conds, metagraph.Edge{U: maps[j-1][0], V: maps[j][0]}); i >= 0 {
+				s.conds = slices.Delete(s.conds, i, i+1)
+				s.after = true
+			}
+		}
+	}
+}
+
+// symStep is what one placement of the search checks.
+type symStep struct {
+	conds []metagraph.Edge // a[U] < a[V] for each, once the step's nodes are placed
+	after bool             // the member's pick must follow the previous member's
+}
+
+// holds reports whether the current assignment satisfies the step's
+// conditions.
+func (st *symState) holds(s *symStep) bool {
+	for _, c := range s.conds {
+		if st.assign[c.U] >= st.assign[c.V] {
+			return false
+		}
+	}
+	return true
 }
 
 // groupOrder orders groups by the first appearance of any of their nodes
@@ -207,6 +273,11 @@ type symState struct {
 	repWalk [][]int
 	repPos  []int
 
+	// steps are the placements in search order (see planSteps); depth k's
+	// first is steps[firstStep[k]].
+	steps     []symStep
+	firstStep []int
+
 	// cands[k] holds the candidate matchings of the group at recursion
 	// depth k, flat with stride len(rep.Nodes). A depth is never
 	// re-entered while its matchings are in use, so the buffer is reused
@@ -237,14 +308,16 @@ func (st *symState) matchGroup(k int) {
 	// Fast path: a singleton group with a single node behaves exactly like
 	// one step of plain backtracking — no materialization needed.
 	if len(g.Members) == 1 && len(rep.Nodes) == 1 {
-		u := rep.Nodes[0]
+		u, step := rep.Nodes[0], &st.steps[st.firstStep[k]]
 		for _, v := range st.candidatesFor(u) {
 			if st.used[v] || !st.consistent(u, v) {
 				continue
 			}
 			st.assign[u] = v
 			st.used[v] = true
-			st.matchGroup(k + 1)
+			if st.holds(step) {
+				st.matchGroup(k + 1)
+			}
 			st.used[v] = false
 			st.assign[u] = graph.InvalidNode
 			if st.stopped {
@@ -262,11 +335,13 @@ func (st *symState) matchGroup(k int) {
 	}
 
 	if len(g.Members) == 1 {
-		w := len(rep.Nodes)
+		w, step := len(rep.Nodes), &st.steps[st.firstStep[k]]
 		for off := 0; off < len(st.cands[k]); off += w {
 			c := st.cands[k][off : off+w]
 			st.apply(rep.Nodes, c)
-			st.matchGroup(k + 1)
+			if st.holds(step) {
+				st.matchGroup(k + 1)
+			}
 			st.unapply(rep.Nodes, c)
 			if st.stopped {
 				return
@@ -274,15 +349,17 @@ func (st *symState) matchGroup(k int) {
 		}
 		return
 	}
-	st.tuple(k, 0)
+	st.tuple(k, 0, 0)
 }
 
 // tuple chooses an ordered tuple of node-disjoint matchings, one per
 // member of the group at depth k, reusing that depth's candidate
 // matchings for all of them. Constraints against D hold for free (the
-// group's automorphisms fix D); only the group-internal cross edges are
-// verified as each member j is placed.
-func (st *symState) tuple(k, j int) {
+// group's automorphisms fix D); only the group-internal cross edges and
+// the step's conditions are verified as each member j is placed. prev is
+// the offset member j-1 picked; a member whose step has the after flag
+// scans from past it, since the candidates are one ascending node each.
+func (st *symState) tuple(k, j, prev int) {
 	if st.stopped {
 		return
 	}
@@ -295,7 +372,12 @@ func (st *symState) tuple(k, j int) {
 	nodes := g.Maps[j]
 	nbrs := st.groupNbrs[gi][j]
 	cands, w := st.cands[k], len(nodes)
-	for off := 0; off < len(cands); off += w {
+	step := &st.steps[st.firstStep[k]+j]
+	start := 0
+	if step.after {
+		start = prev + w
+	}
+	for off := start; off < len(cands); off += w {
 		c := cands[off : off+w]
 		if !st.free(c) {
 			continue
@@ -304,7 +386,9 @@ func (st *symState) tuple(k, j int) {
 			continue
 		}
 		st.apply(nodes, c)
-		st.tuple(k, j+1)
+		if st.holds(step) {
+			st.tuple(k, j+1, off)
+		}
 		st.unapply(nodes, c)
 		if st.stopped {
 			return

@@ -1,6 +1,7 @@
 package metagraph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -314,6 +315,133 @@ func TestAutomorphismsCount(t *testing.T) {
 	sq := MustNew([]graph.TypeID{0, 0, 0, 0}, []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
 	if got := len(sq.Automorphisms()); got != 8 {
 		t.Fatalf("square automorphisms = %d, want 8", got)
+	}
+}
+
+// conditionFixtures covers automorphism groups of order 1, 2, 4, 6, 8 and
+// 24: a chain of distinct types, the paper's M1–M5, a one-type path, 3- and
+// 4-leaf stars, a one-type triangle, and 4-cycles over one and two types.
+func conditionFixtures() map[string]*Metagraph {
+	return map[string]*Metagraph{
+		"chain":        MustNew([]graph.TypeID{tUser, tSchool, tMajor}, []Edge{{0, 1}, {1, 2}}),
+		"M1":           m1(),
+		"M2":           m2(),
+		"M3":           m3(),
+		"M4":           m4(),
+		"M5":           m5(),
+		"path4":        MustNew([]graph.TypeID{tUser, tUser, tUser, tUser}, []Edge{{0, 1}, {1, 2}, {2, 3}}),
+		"star3":        MustNew([]graph.TypeID{tUser, tUser, tSchool, tUser}, []Edge{{0, 2}, {1, 2}, {2, 3}}),
+		"star4":        MustNew([]graph.TypeID{tSchool, tUser, tUser, tUser, tUser}, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}),
+		"triangle":     MustNew([]graph.TypeID{tUser, tUser, tUser}, []Edge{{0, 1}, {1, 2}, {0, 2}}),
+		"square":       MustNew([]graph.TypeID{tUser, tUser, tUser, tUser}, []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}}),
+		"square2types": MustNew([]graph.TypeID{tUser, tUser, tSchool, tSchool}, []Edge{{0, 2}, {1, 2}, {0, 3}, {1, 3}}),
+		"chiral9":      chiralCycle(),
+	}
+}
+
+// chiralCycle is a 9-cycle typed user, school, major around: its
+// rotations by three are its only automorphisms (a reflection reverses the
+// type order), so no node is symmetric to another per Def. 1, yet every
+// node has an orbit of three.
+func chiralCycle() *Metagraph {
+	types := make([]graph.TypeID, 9)
+	var edges []Edge
+	for i := range types {
+		types[i] = []graph.TypeID{tUser, tSchool, tMajor}[i%3]
+		edges = append(edges, Edge{min(i, (i+1)%9), max(i, (i+1)%9)})
+	}
+	return MustNew(types, edges)
+}
+
+// checkConditions brute-forces m's conditions over every permutation a of
+// 0..n-1, an injective assignment: exactly one member of each Aut-orbit
+// {a∘σ} satisfies them, and it is the orbit's lexicographic minimum.
+func checkConditions(t *testing.T, name string, m *Metagraph) {
+	t.Helper()
+	auts, conds := m.Automorphisms(), m.SymmetryConditions()
+	if (len(conds) == 0) != (len(auts) == 1) {
+		t.Fatalf("%s: %d conditions for %d automorphisms", name, len(conds), len(auts))
+	}
+	n := m.N()
+	holds := func(a []int) bool {
+		for _, c := range conds {
+			if c.U >= c.V || a[c.U] >= a[c.V] {
+				return false
+			}
+		}
+		return true
+	}
+	less := func(a, b []int) bool {
+		for i := range a {
+			if a[i] != b[i] {
+				return a[i] < b[i]
+			}
+		}
+		return false
+	}
+	winners := map[string]int{}
+	var rec func(a []int, used int)
+	rec = func(a []int, used int) {
+		if len(a) == n {
+			least := a
+			for _, s := range auts {
+				b := make([]int, n)
+				for i := range b {
+					b[i] = a[s[i]]
+				}
+				if less(b, least) {
+					least = b
+				}
+			}
+			key := fmt.Sprint(least)
+			if _, ok := winners[key]; !ok {
+				winners[key] = 0
+			}
+			if holds(a) {
+				if !reflect.DeepEqual(a, least) {
+					t.Fatalf("%s: %v satisfies %v but its orbit's least is %v", name, a, conds, least)
+				}
+				winners[key]++
+			}
+			return
+		}
+		for v := 0; v < n; v++ {
+			if used&(1<<v) == 0 {
+				rec(append(a, v), used|1<<v)
+			}
+		}
+	}
+	rec(make([]int, 0, n), 0)
+	for key, c := range winners {
+		if c != 1 {
+			t.Fatalf("%s: %d assignments of orbit %s satisfy %v, want 1", name, c, key, conds)
+		}
+	}
+}
+
+// TestSymmetryConditions: over the fixtures and random metagraphs, the
+// conditions pick exactly the lex-min assignment of every orbit, and are
+// empty iff the automorphism group is trivial.
+func TestSymmetryConditions(t *testing.T) {
+	orders := map[int]bool{}
+	for name, m := range conditionFixtures() {
+		checkConditions(t, name, m)
+		orders[len(m.Automorphisms())] = true
+	}
+	for _, k := range []int{1, 2, 3, 4, 6, 8, 24} {
+		if !orders[k] {
+			t.Fatalf("no fixture with |Aut| = %d", k)
+		}
+	}
+	if got, want := conditionFixtures()["star3"].SymmetryConditions(), []Edge{{0, 1}, {0, 3}, {1, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("star3 conditions = %v, want %v", got, want)
+	}
+	if c := chiralCycle(); c.IsSymmetric() || !reflect.DeepEqual(c.SymmetryConditions(), []Edge{{0, 3}, {0, 6}}) {
+		t.Fatalf("chiral 9-cycle: symmetric %v, conditions %v", c.IsSymmetric(), c.SymmetryConditions())
+	}
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 200; i++ {
+		checkConditions(t, fmt.Sprint("random ", i), randomConnected(rng))
 	}
 }
 

@@ -57,6 +57,41 @@ func (m *Metagraph) Automorphisms() [][]int {
 	return out
 }
 
+// SymmetryConditions returns the symmetry-breaking conditions of m
+// (Grochow & Kellis, RECOMB 2007): pairs (U, V), U < V, read as "a[U] <
+// a[V]". An injective assignment a satisfies every one of them iff it is
+// the lexicographically least of {a∘σ : σ ∈ Aut(m)}, so exactly one
+// assignment per instance does. The list is empty iff Aut(m) is trivial.
+//
+// The conditions walk the stabilizer chain in ascending node order: with G
+// the automorphisms fixing nodes 0..u-1, every other node v of u's G-orbit
+// gives a[u] < a[v] (a σ ∈ G moving u to v leaves a∘σ equal to a before u
+// and a[v] at u), and G shrinks to the stabilizer of u before u+1. Every
+// node of the orbit is above u, since G fixes the nodes below it.
+func (m *Metagraph) SymmetryConditions() []Edge {
+	g := m.Automorphisms()
+	var out []Edge
+	for u := 0; u < m.N() && len(g) > 1; u++ {
+		var orbit uint16
+		for _, s := range g {
+			orbit |= 1 << uint(s[u])
+		}
+		for v := u + 1; v < m.N(); v++ {
+			if orbit&(1<<uint(v)) != 0 {
+				out = append(out, Edge{u, v})
+			}
+		}
+		stab := g[:0]
+		for _, s := range g {
+			if s[u] == u {
+				stab = append(stab, s)
+			}
+		}
+		g = stab
+	}
+	return out
+}
+
 // Involutions returns the non-identity automorphisms of m that are products
 // of disjoint transpositions (σ∘σ = id), i.e. every witness Ψ for Def. 1.
 func (m *Metagraph) Involutions() []Involution {
