@@ -87,8 +87,10 @@ cover:
 
 # One iteration each of the benchmarks no other target runs, so they are
 # compiled and executed on every commit: the snapshot codec (Save and
-# LoadEngine at 5 000 users — the restart-to-serving path) and the merge
-# of that engine's three matched parts into its one index, the offline
+# LoadEngine — the restart-to-serving path — at the 5 000-user
+# read_direct and the 600-user, MaxNodes-4 lifecycle shape, each with its
+# snapshot_bytes), the merge of the read_direct engine's three matched
+# parts into its one index, the offline
 # build of that engine's index on one worker (instances counted, bytes and
 # allocations reported), one update
 # on the highest-degree node of a LinkedIn-shaped graph, the ranked scan
@@ -99,7 +101,8 @@ cover:
 # reported; TestServeAllocBudget is the gate, this keeps the benchmarks
 # themselves running).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)$$|BenchmarkIndexMerge$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .

@@ -302,7 +302,7 @@ func BenchmarkRankTop(b *testing.B) {
 		}
 	})
 	b.Run("uniform", func(b *testing.B) {
-		eng, _ := snapshotBench(b)
+		eng, _ := snapshotBench(b, snapShapes[0])
 		g := eng.Graph()
 		users := slices.Clone(g.NodesOfType(g.Types().ID("user")))
 		rand.New(rand.NewSource(1)).Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
@@ -565,21 +565,33 @@ func BenchmarkApplyUpdate(b *testing.B) {
 
 // ---- snapshot codec ----
 
-var (
-	snapBenchOnce  sync.Once
-	snapBenchEng   *Engine
-	snapBenchBytes []byte
-)
+// snapShape is one engine shape of benchmark/'s workloads — read_direct
+// (5 000 LinkedIn users, MaxNodes 3: three metagraphs, counts nearly all 1)
+// and lifecycle (600 users, MaxNodes 4: twelve metagraphs, about half the
+// counts above 1) — with the engine and snapshot built for it once.
+type snapShape struct {
+	name            string
+	users, maxNodes int
 
-// snapshotBench builds (once) the engine benchmark/'s read_direct workload
-// boots — 5 000 LinkedIn users, MaxNodes 3, one trained class — and its
-// snapshot, so restart-to-serving is measured at the size the daemons pay.
-func snapshotBench(b *testing.B) (*Engine, []byte) {
+	once sync.Once
+	eng  *Engine
+	snap []byte
+}
+
+var snapShapes = []*snapShape{
+	{name: "read_direct", users: 5000, maxNodes: 3},
+	{name: "lifecycle", users: 600, maxNodes: 4},
+}
+
+// snapshotBench builds (once per shape) the engine a benchmark/ workload
+// boots — one trained class — and its snapshot, so restart-to-serving is
+// measured at the size the daemons pay.
+func snapshotBench(b *testing.B, sh *snapShape) (*Engine, []byte) {
 	b.Helper()
-	snapBenchOnce.Do(func() {
-		ds := dataset.LinkedIn(dataset.Config{Users: 5000, Seed: 1, NoiseRate: 0.05})
+	sh.once.Do(func() {
+		ds := dataset.LinkedIn(dataset.Config{Users: sh.users, Seed: 1, NoiseRate: 0.05})
 		opts := DefaultOptions()
-		opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 5}
+		opts.Mining = mining.Options{MaxNodes: sh.maxNodes, MinSupport: 5}
 		opts.Train.Restarts = 1
 		opts.Train.MaxIters = 60
 		eng, err := NewEngine(ds.G, "user", opts)
@@ -592,9 +604,9 @@ func snapshotBench(b *testing.B) (*Engine, []byte) {
 		if err := eng.Save(&buf); err != nil {
 			panic(err)
 		}
-		snapBenchEng, snapBenchBytes = eng, buf.Bytes()
+		sh.eng, sh.snap = eng, buf.Bytes()
 	})
-	return snapBenchEng, snapBenchBytes
+	return sh.eng, sh.snap
 }
 
 // BenchmarkIndexMerge measures index.Merge at the read_direct size: the
@@ -602,7 +614,7 @@ func snapshotBench(b *testing.B) (*Engine, []byte) {
 // between them) into one index — what every first Train pays after
 // matching, and the benchmark's index.build_s beyond the match itself.
 func BenchmarkIndexMerge(b *testing.B) {
-	eng, _ := snapshotBench(b)
+	eng, _ := snapshotBench(b, snapShapes[0])
 	g := eng.Graph()
 	parts, _ := index.MatchParts(eng.ms, func() match.Matcher { return match.NewSymISO(g) }, 0)
 	b.ReportAllocs()
@@ -614,33 +626,44 @@ func BenchmarkIndexMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotSave measures Engine.Save into memory: the codec alone,
-// no disk.
+// BenchmarkSnapshotSave measures Engine.Save into memory at both shapes:
+// the codec alone, no disk. snapshot_bytes is the size it writes.
 func BenchmarkSnapshotSave(b *testing.B) {
-	eng, snap := snapshotBench(b)
-	var buf bytes.Buffer
-	buf.Grow(len(snap))
-	b.SetBytes(int64(len(snap)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := eng.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range snapShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			eng, snap := snapshotBench(b, sh)
+			var buf bytes.Buffer
+			buf.Grow(len(snap))
+			b.SetBytes(int64(len(snap)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := eng.Save(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(snap)), "snapshot_bytes")
+		})
 	}
 }
 
-// BenchmarkSnapshotLoad measures LoadEngine from memory, including the
-// adjacency build that makes the loaded engine ready to serve.
+// BenchmarkSnapshotLoad measures LoadEngine from memory at both shapes,
+// including the adjacency build that makes the loaded engine ready to
+// serve.
 func BenchmarkSnapshotLoad(b *testing.B) {
-	_, snap := snapshotBench(b)
-	b.SetBytes(int64(len(snap)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadEngine(bytes.NewReader(snap)); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range snapShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			_, snap := snapshotBench(b, sh)
+			b.SetBytes(int64(len(snap)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := LoadEngine(bytes.NewReader(snap)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(snap)), "snapshot_bytes")
+		})
 	}
 }

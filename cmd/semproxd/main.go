@@ -168,8 +168,8 @@ func buildFollower(ctx context.Context, primaryURL, stateDir, peersCSV, advertis
 			return nil, nil, err
 		}
 		eng := f.Engine()
-		log.Printf("bootstrapped from %s in %.2fs: %d nodes, %d metagraphs, classes %v, LSN %d",
-			primaryURL, time.Since(start).Seconds(), eng.Graph().NumNodes(),
+		log.Printf("bootstrapped from %s (%d bytes) in %.2fs: %d nodes, %d metagraphs, classes %v, LSN %d",
+			primaryURL, f.SnapshotBytes(), time.Since(start).Seconds(), eng.Graph().NumNodes(),
 			eng.NumMetagraphs(), eng.Classes(), eng.LSN())
 	}
 	runCtx, stopRun := context.WithCancel(ctx)
@@ -226,14 +226,19 @@ func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server,
 	if err != nil {
 		return nil, nil, err
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
 	start := time.Now()
 	eng, err := semprox.LoadEngine(f)
 	f.Close()
 	if err != nil {
 		return nil, nil, err
 	}
-	log.Printf("loaded snapshot %s in %.2fs: %d metagraphs, classes %v, LSN %d",
-		snapshot, time.Since(start).Seconds(), eng.NumMetagraphs(), eng.Classes(), eng.LSN())
+	log.Printf("loaded snapshot %s (%d bytes) in %.2fs: %d metagraphs, classes %v, LSN %d",
+		snapshot, fi.Size(), time.Since(start).Seconds(), eng.NumMetagraphs(), eng.Classes(), eng.LSN())
 
 	var w *wal.WAL
 	if walDir != "" {

@@ -87,6 +87,21 @@ func (w *Writer) Bytes(b []byte) {
 	w.through(b)
 }
 
+// String writes s as Bytes writes []byte(s), copied through the buffer: the
+// form for many short strings, which Bytes would each hand to the
+// underlying writer on its own.
+func (w *Writer) String(s string) {
+	w.Uvarint(uint64(len(s)))
+	for len(s) > 0 {
+		k := min(len(s), bufSize-len(w.buf))
+		w.buf = append(w.buf, s[:k]...)
+		s = s[k:]
+		if len(w.buf) >= bufSize {
+			w.flush()
+		}
+	}
+}
+
 // Close writes the CRC-32C trailer and returns the first error of the
 // stream. It does not close the underlying writer.
 func (w *Writer) Close() error {
@@ -200,8 +215,23 @@ func (r *Reader) Uint64() uint64 {
 }
 
 // Bytes reads a length-prefixed byte string into a fresh slice.
-func (r *Reader) Bytes() []byte {
+func (r *Reader) Bytes() []byte { return r.rest(r.Uvarint()) }
+
+// String reads a length-prefixed byte string, written by Bytes or String,
+// as a string: one allocation when the buffer holds all of it.
+func (r *Reader) String() string {
 	n := r.Uvarint()
+	if n <= uint64(r.end-r.pos) {
+		s := string(r.buf[r.pos : r.pos+int(n)])
+		r.pos += int(n)
+		return s
+	}
+	return string(r.rest(n))
+}
+
+// rest reads the n bytes of a byte string into a fresh slice, growing it
+// with the bytes that arrive.
+func (r *Reader) rest(n uint64) []byte {
 	var out []byte
 	for uint64(len(out)) < n {
 		if !r.need(1) {

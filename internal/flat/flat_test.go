@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
@@ -30,6 +32,12 @@ func stream(t testing.TB) []byte {
 		w.Uvarint(uint64(i))
 		w.Uint64(uint64(i))
 	}
+	w.String("")
+	w.String(" a\nb\r\n\t#")
+	w.String(strings.Repeat("name ", 30_000))
+	for i := 0; i < 20_000; i++ {
+		w.String(strconv.Itoa(i))
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +60,12 @@ func consume(t testing.TB, in io.Reader) error {
 	same = same && bytes.Equal(r.Bytes(), bytes.Repeat([]byte("graph "), 50_000))
 	for i := 0; i < 40_000; i++ {
 		same = same && r.Uvarint() == uint64(i) && r.Uint64() == uint64(i)
+	}
+	same = same && r.String() == ""
+	same = same && r.String() == " a\nb\r\n\t#"
+	same = same && r.String() == strings.Repeat("name ", 30_000)
+	for i := 0; i < 20_000; i++ {
+		same = same && r.String() == strconv.Itoa(i)
 	}
 	if err := r.Close(); err != nil {
 		return err
@@ -175,7 +189,7 @@ func TestClaimsCostWhatTheStreamDelivers(t *testing.T) {
 }
 
 // FuzzFlatReader reads arbitrary bytes (behind the magic) with an arbitrary
-// sequence of Uvarint, Uint64 and Bytes calls, one per byte of ops, then
+// sequence of Uvarint, Uint64, Bytes and String calls, one per byte of ops, then
 // Close: no read panics, no byte string is longer than the stream, every
 // read after the first error returns zero, and the whole run allocates no
 // more than the Reader's own buffer plus a constant factor of the bytes it
@@ -188,12 +202,15 @@ func FuzzFlatReader(f *testing.F) {
 		w.Uint64(v)
 	}
 	w.Bytes([]byte("graph"))
+	w.String("name")
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()[len(magic):]
 	f.Add(valid, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2})
+	f.Add(valid, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 3})
 	f.Add(valid, []byte{2, 2, 2})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}, []byte{3})
 	f.Add(valid[:len(valid)/2], []byte{0, 0, 1, 1, 2})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, []byte{0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}, []byte{2})
@@ -208,7 +225,7 @@ func FuzzFlatReader(f *testing.F) {
 		for _, op := range ops {
 			failed := r.Err() != nil
 			var zero bool
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
 				zero = r.Uvarint() == 0
 			case 1:
@@ -219,6 +236,12 @@ func FuzzFlatReader(f *testing.F) {
 					t.Fatalf("Bytes returned %d bytes out of a %d-byte stream", len(b), len(data))
 				}
 				zero = b == nil
+			case 3:
+				s := r.String()
+				if len(s) > len(data) {
+					t.Fatalf("String returned %d bytes out of a %d-byte stream", len(s), len(data))
+				}
+				zero = s == ""
 			}
 			if failed && !zero {
 				t.Fatalf("a read after the error %v returned data", r.Err())

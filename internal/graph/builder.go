@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates nodes and edges and assembles an immutable Graph.
@@ -60,8 +60,11 @@ func (b *Builder) AddEdge(u, v NodeID) {
 }
 
 // Build assembles the Graph. It returns an error if any edge endpoint is out
-// of range.
+// of range or more than MaxTypes types are registered.
 func (b *Builder) Build() (*Graph, error) {
+	if b.types.Len() > MaxTypes {
+		return nil, fmt.Errorf("graph: %d types exceed the limit of %d", b.types.Len(), MaxTypes)
+	}
 	n := len(b.nodeType)
 	for _, e := range b.edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
@@ -69,15 +72,7 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 
-	g := &Graph{
-		types:    b.types.Clone(),
-		nodeType: append([]TypeID(nil), b.nodeType...),
-		nodeName: append([]string(nil), b.nodeName...),
-		names:    &nameIndex{n: n},
-	}
-
-	// Deduplicate edges, drop self loops, and count degrees.
-	deg := make([]int64, n)
+	// Deduplicate edges and drop self loops.
 	seen := make(map[[2]NodeID]struct{}, len(b.edges))
 	uniq := make([]Edge, 0, len(b.edges))
 	for _, e := range b.edges {
@@ -94,37 +89,66 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		seen[key] = struct{}{}
 		uniq = append(uniq, Edge{u, v})
-		deg[u]++
-		deg[v]++
 	}
-	g.numEdges = len(uniq)
+	g := &Graph{
+		types:    b.types.Clone(),
+		nodeType: append([]TypeID(nil), b.nodeType...),
+		nodeName: append([]string(nil), b.nodeName...),
+	}
+	g.assemble(uniq)
+	return g, nil
+}
 
-	// CSR offsets.
-	g.off = make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		g.off[v+1] = g.off[v] + deg[v]
+// assemble derives everything else of g from its types, nodes and uniq —
+// distinct edges, U < V, endpoints in range: the CSR adjacency with each
+// row sorted by (type, id) and its typed sub-ranges, the nodes of each type
+// and the name lookup. Rows need no sort: every node is placed into its
+// neighbours' rows in (type, id) order.
+func (g *Graph) assemble(uniq []Edge) {
+	n := len(g.nodeType)
+	nt := g.types.Len()
+	g.numEdges = len(uniq)
+	g.names = &nameIndex{n: n}
+
+	// Nodes by type.
+	g.byType = make([][]NodeID, nt)
+	for v, t := range g.nodeType {
+		g.byType[t] = append(g.byType[t], NodeID(v))
 	}
-	g.nbr = make([]NodeID, g.off[n])
-	fill := make([]int64, n)
+
+	// CSR offsets, then every row in edge order, then every row again with
+	// the nodes of each type, ascending, placed into their neighbours' rows.
+	g.off = make([]int64, n+1)
 	for _, e := range uniq {
-		g.nbr[g.off[e.U]+fill[e.U]] = e.V
+		g.off[e.U+1]++
+		g.off[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		g.off[v+1] += g.off[v]
+	}
+	unsorted := make([]NodeID, g.off[n])
+	fill := slices.Clone(g.off[:n])
+	for _, e := range uniq {
+		unsorted[fill[e.U]] = e.V
 		fill[e.U]++
-		g.nbr[g.off[e.V]+fill[e.V]] = e.U
+		unsorted[fill[e.V]] = e.U
 		fill[e.V]++
 	}
+	g.nbr = make([]NodeID, g.off[n])
+	copy(fill, g.off[:n])
+	for _, nodes := range g.byType {
+		for _, w := range nodes {
+			for _, x := range unsorted[g.off[w]:g.off[w+1]] {
+				g.nbr[fill[x]] = w
+				fill[x]++
+			}
+		}
+	}
 
-	// Sort each neighbor list by (type, id) and record typed sub-ranges.
-	nt := g.types.Len()
+	// Typed sub-ranges.
 	g.typeOff = make([]int32, int64(n)*int64(nt+1))
 	for v := 0; v < n; v++ {
 		lst := g.nbr[g.off[v]:g.off[v+1]]
-		sort.Slice(lst, func(i, j int) bool {
-			ti, tj := g.nodeType[lst[i]], g.nodeType[lst[j]]
-			if ti != tj {
-				return ti < tj
-			}
-			return lst[i] < lst[j]
-		})
 		base := int64(v) * int64(nt+1)
 		idx := 0
 		for t := 0; t < nt; t++ {
@@ -135,14 +159,6 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		g.typeOff[base+int64(nt)] = int32(idx)
 	}
-
-	// Nodes by type.
-	g.byType = make([][]NodeID, nt)
-	for v := 0; v < n; v++ {
-		t := g.nodeType[v]
-		g.byType[t] = append(g.byType[t], NodeID(v))
-	}
-	return g, nil
 }
 
 // MustBuild is Build but panics on error; convenient in tests and examples

@@ -1,0 +1,278 @@
+package graph
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/flat"
+)
+
+const sectionMagic = "GRAPH\x01"
+
+// sectionBytes is g's graph section framed as a stream of its own.
+func sectionBytes(t testing.TB, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := flat.NewWriter(&buf, sectionMagic)
+	Encode(w, g)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeSection reads a stream written by sectionBytes (or by hand).
+func decodeSection(data []byte) (*Graph, error) {
+	r, err := flat.NewReader(bytes.NewReader(data), sectionMagic)
+	if err != nil {
+		return nil, err
+	}
+	g, err := Decode(r)
+	if err != nil {
+		return nil, err
+	}
+	return g, r.Close()
+}
+
+// sameGraph holds got to want under every accessor: registry, types,
+// names, each row and typed sub-range, the nodes of each type, edge count
+// and the name lookup.
+func sameGraph(t testing.TB, got, want *Graph) {
+	t.Helper()
+	if !slices.Equal(got.Types().Names(), want.Types().Names()) {
+		t.Fatalf("types %v, want %v", got.Types().Names(), want.Types().Names())
+	}
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%v, want %v", got, want)
+	}
+	for v := NodeID(0); int(v) < want.NumNodes(); v++ {
+		if got.Type(v) != want.Type(v) || got.Name(v) != want.Name(v) {
+			t.Fatalf("node %d is (%d, %q), want (%d, %q)", v, got.Type(v), got.Name(v), want.Type(v), want.Name(v))
+		}
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+			t.Fatalf("node %d neighbours %v, want %v", v, got.Neighbors(v), want.Neighbors(v))
+		}
+		for ty := TypeID(0); int(ty) < want.NumTypes(); ty++ {
+			if !slices.Equal(got.NeighborsOfType(v, ty), want.NeighborsOfType(v, ty)) {
+				t.Fatalf("node %d neighbours of type %d differ", v, ty)
+			}
+		}
+		if name := want.Name(v); got.NodeByName(name) != want.NodeByName(name) {
+			t.Fatalf("name %q resolves to %d, want %d", name, got.NodeByName(name), want.NodeByName(name))
+		}
+	}
+	for ty := TypeID(0); int(ty) < want.NumTypes(); ty++ {
+		if !slices.Equal(got.NodesOfType(ty), want.NodesOfType(ty)) {
+			t.Fatalf("nodes of type %d differ", ty)
+		}
+	}
+}
+
+// oddNames are names the text format cannot carry and the section must.
+var oddNames = []string{
+	" lead", "trail ", " both ", "a\nb", "a\r\nb", "tab\there", "\t", "#hash", "# comment",
+	"E 1 2", "N user x", "", " ", "\n", "naïve", "\xff\xfe", strings.Repeat("long ", 20_000),
+}
+
+// TestSectionRoundTrip: random graphs — with names of every odd shape,
+// registered types no node has, and copy-on-write overlays from applied
+// deltas — decode to the graph Compact gives, and encode again to the same
+// bytes.
+func TestSectionRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 40; trial++ {
+		b := NewBuilder()
+		types := []string{"user", "school", "hobby", "ghost"}
+		for _, name := range types {
+			b.Types().Register(name)
+		}
+		n := rng.Intn(40)
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("v%d", i)
+			if rng.Intn(3) == 0 {
+				name = oddNames[rng.Intn(len(oddNames))]
+			}
+			b.AddNode(types[rng.Intn(3)], name)
+		}
+		for i := 0; n > 0 && i < 3*n; i++ {
+			b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		g := b.MustBuild()
+		for step := rng.Intn(3); step > 0; step-- {
+			d := Delta{Nodes: []DeltaNode{{Type: types[rng.Intn(3)], Value: oddNames[rng.Intn(len(oddNames))]}}}
+			m := g.NumNodes() + 1
+			for i := rng.Intn(4); i > 0; i-- {
+				d.Edges = append(d.Edges, Edge{NodeID(rng.Intn(m)), NodeID(m - 1)})
+			}
+			ng, _, err := g.Apply(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = ng
+		}
+		data := sectionBytes(t, g)
+		got, err := decodeSection(data)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sameGraph(t, got, g.Compact())
+		if !bytes.Equal(sectionBytes(t, got), data) {
+			t.Fatalf("trial %d: encode after decode drifted", trial)
+		}
+	}
+	empty, err := decodeSection(sectionBytes(t, NewBuilder().MustBuild()))
+	if err != nil || empty.NumNodes() != 0 || empty.NumTypes() != 0 {
+		t.Fatalf("empty graph: %v, %v", empty, err)
+	}
+	// As many types as a graph may have; one more and Build refuses.
+	b := NewBuilder()
+	for i := 0; i < MaxTypes; i++ {
+		b.AddNode(fmt.Sprintf("t%d", i), "")
+	}
+	widest := b.MustBuild()
+	got, err := decodeSection(sectionBytes(t, widest))
+	if err != nil {
+		t.Fatalf("a graph of MaxTypes types: %v", err)
+	}
+	sameGraph(t, got, widest)
+	b.Types().Register("one too many")
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "exceed the limit") {
+		t.Fatalf("Build of MaxTypes+1 types returned %v", err)
+	}
+}
+
+// TestSectionKeepsEveryName: each odd name resolves to the same node and
+// reads back byte for byte — the names Write/Read trims or splits.
+func TestSectionKeepsEveryName(t *testing.T) {
+	b := NewBuilder()
+	hub := b.AddNode("school", "hub")
+	for _, name := range oddNames {
+		b.AddEdge(b.AddNode("user", name), hub)
+	}
+	g := b.MustBuild()
+	got, err := decodeSection(sectionBytes(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range oddNames {
+		v := g.NodeByName(name)
+		if got.NodeByName(name) != v || v != InvalidNode && got.Name(v) != name {
+			t.Fatalf("name %q resolves to %d, want %d", name, got.NodeByName(name), v)
+		}
+	}
+	sameGraph(t, got, g)
+}
+
+// TestSectionRejectsCorruptInput: one stream per refusal, each otherwise a
+// well-formed section of two types and three nodes — 0 and 1 users, 2 a
+// school both attend.
+func TestSectionRejectsCorruptInput(t *testing.T) {
+	write := func(vals ...any) []byte {
+		var buf bytes.Buffer
+		w := flat.NewWriter(&buf, sectionMagic)
+		for _, v := range vals {
+			switch v := v.(type) {
+			case int:
+				w.Uvarint(uint64(v))
+			case uint64:
+				w.Uvarint(v)
+			case string:
+				w.String(v)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	registry := []any{2, "user", "school"}
+	nodes := []any{3, 0, "a", 0, "b", 1, "s"}
+	section := func(parts ...[]any) []byte {
+		var vals []any
+		for _, p := range parts {
+			vals = append(vals, p...)
+		}
+		return write(vals...)
+	}
+	good := section(registry, nodes, []any{1, 2, 1, 1, 0})
+	g, err := decodeSection(good)
+	if err != nil {
+		t.Fatalf("the well-formed section is refused: %v", err)
+	}
+	if !g.HasEdge(0, 2) || !g.HasEdge(1, 2) || g.HasEdge(0, 1) || g.NumEdges() != 2 {
+		t.Fatalf("the well-formed section decodes to %v", g)
+	}
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"type id out of range", "has type", section(registry, []any{3, 0, "a", 2, "b", 1, "s"}, []any{1, 2, 1, 1, 0})},
+		{"type id of 2^64-1", "has type", section(registry, []any{3, 0, "a", uint64(math.MaxUint64), "b", 1, "s"}, []any{0, 0, 0})},
+		{"type name registered twice", "repeats the name", section([]any{2, "user", "user"}, nodes, []any{1, 2, 1, 1, 0})},
+		{"more types than MaxTypes", "exceed the limit", section([]any{MaxTypes + 1})},
+		{"2^64-1 types", "exceed the limit", section([]any{uint64(math.MaxUint64)})},
+		{"node count past a NodeID", "overflow", section(registry, []any{uint64(math.MaxInt32) + 1})},
+		{"name longer than the stream", "unexpected EOF", section(registry, []any{3, 0, "a", 0, 1 << 40})},
+		{"endpoint = numNodes", "beyond", section(registry, nodes, []any{1, 3, 1, 1, 0})},
+		{"endpoint past numNodes", "beyond", section(registry, nodes, []any{1, uint64(math.MaxUint64), 1, 1, 0})},
+		{"self loop", "self loop", section(registry, nodes, []any{1, 0, 1, 1, 0})},
+		{"neighbours not ascending", "not strictly ascending", section(registry, nodes, []any{2, 1, 0, 1, 1, 0})},
+		{"more neighbours above a node than there are", "claims", section(registry, nodes, []any{1, 2, 1, 1, 1, 1})},
+	} {
+		if _, err := decodeSection(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Decode returned %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzGraphDecode feeds arbitrary bytes through Decode (no checksum, so
+// the structural checks stand alone): it may refuse them, but a graph it
+// returns must answer every accessor without a panic and encode to a
+// section that decodes to the same graph.
+func FuzzGraphDecode(f *testing.F) {
+	b := NewBuilder()
+	b.Types().Register("ghost")
+	hub := b.AddNode("school", "hub")
+	for _, name := range oddNames[:8] {
+		b.AddEdge(b.AddNode("user", name), hub)
+	}
+	f.Add(sectionBytes(f, b.MustBuild()))
+	f.Add(sectionBytes(f, buildToy(f)))
+	f.Add(sectionBytes(f, NewBuilder().MustBuild()))
+	f.Add([]byte(sectionMagic + "garbage"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := flat.NewReader(bytes.NewReader(data), sectionMagic)
+		if err != nil {
+			return
+		}
+		g, err := Decode(r)
+		if err != nil || g.NumNodes()*(g.NumTypes()+1) > 1<<20 {
+			return
+		}
+		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+			for _, u := range g.Neighbors(v) {
+				if !g.HasEdge(u, v) || u == v {
+					t.Fatalf("row %d holds %d, which is not an edge", v, u)
+				}
+			}
+			for ty := TypeID(0); int(ty) < g.NumTypes(); ty++ {
+				for _, u := range g.NeighborsOfType(v, ty) {
+					if g.Type(u) != ty {
+						t.Fatalf("typed row (%d,%d) holds %d of type %d", v, ty, u, g.Type(u))
+					}
+				}
+			}
+			g.NodeByName(g.Name(v))
+		}
+		again, err := decodeSection(sectionBytes(t, g))
+		if err != nil {
+			t.Fatalf("a decoded graph's own section is refused: %v", err)
+		}
+		sameGraph(t, again, g)
+	})
+}

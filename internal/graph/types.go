@@ -21,6 +21,12 @@ type TypeID int32
 // InvalidType is returned by lookups for unregistered type names.
 const InvalidType TypeID = -1
 
+// MaxTypes bounds the types a graph registers. Every node keeps one typed
+// sub-range offset per type, so the bound keeps a graph's memory linear in
+// its nodes — also for a snapshot whose registry a corrupt stream inflates.
+// The paper's datasets have a handful of types.
+const MaxTypes = 256
+
 // TypeRegistry maps between human-readable type names ("user", "school") and
 // dense TypeIDs. It implements the type mapping function τ of the paper at
 // the vocabulary level; the per-node mapping lives in Graph.

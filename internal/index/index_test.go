@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -384,6 +385,64 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// wideIndex is an index over 261 metagraphs — as many as the Facebook
+// dataset mines at MaxNodes 5, too many for any layout that assumes a row
+// fits a 64-bit mask — whose heads take one to three bytes: rows that start
+// at the last metagraph, that hold every metagraph, that hold only ones,
+// and that carry counts of every varint width up to 2^32-1.
+func wideIndex() *Index {
+	const numMeta = 261
+	every := make([]Entry, numMeta)
+	for i := range every {
+		every[i] = Entry{Meta: int32(i), Count: 1}
+	}
+	table := func(rows ...[]Entry) (off []int32, ent []Entry) {
+		off = []int32{0}
+		for _, r := range rows {
+			ent = append(ent, r...)
+			off = append(off, int32(len(ent)))
+		}
+		return off, ent
+	}
+	nodeOff, nodeEnt := table(
+		[]Entry{{0, 1}},
+		[]Entry{{1, 1}, {64, 1}, {65, 1}, {200, 1}, {260, 1}},
+		[]Entry{{5, 2}, {130, 70000}, {260, math.MaxUint32}},
+	)
+	pairOff, pairEnt := table(
+		[]Entry{{260, 1}},
+		every,
+		[]Entry{{63, 1}, {64, 128}},
+	)
+	return &Index{
+		numMeta: numMeta,
+		mx:      csr[graph.NodeID]{keys: []graph.NodeID{0, 3, 7}, off: nodeOff, ent: nodeEnt},
+		mxy:     csr[PairKey]{keys: []PairKey{MakePairKey(0, 3), MakePairKey(3, 7), MakePairKey(5, 7)}, off: pairOff, ent: pairEnt},
+		adj:     &lazyAdjacency{},
+	}
+}
+
+// TestIndexRoundTripAnyWidth: one row layout for any number of metagraphs.
+// The wide index comes back with the same arenas, and writes the same bytes
+// again.
+func TestIndexRoundTripAnyWidth(t *testing.T) {
+	ix := wideIndex()
+	raw := writeBytes(t, ix)
+	got, err := Read(bytes.NewReader(raw), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumMeta() != ix.NumMeta() ||
+		!slices.Equal(got.mx.keys, ix.mx.keys) || !slices.Equal(got.mx.off, ix.mx.off) || !slices.Equal(got.mx.ent, ix.mx.ent) ||
+		!slices.Equal(got.mxy.keys, ix.mxy.keys) || !slices.Equal(got.mxy.off, ix.mxy.off) || !slices.Equal(got.mxy.ent, ix.mxy.ent) {
+		t.Fatal("round trip changed the arenas")
+	}
+	if !bytes.Equal(writeBytes(t, got), raw) {
+		t.Fatal("write after read drifted")
+	}
+	scanEverything(t, got, 8)
+}
+
 var (
 	sinkVec      SparseVec
 	sinkPartners []graph.NodeID
@@ -430,9 +489,12 @@ func TestIndexReadErrors(t *testing.T) {
 
 // TestIndexReadRejectsCorruptTables feeds structurally plausible but
 // invariant-violating files through Read; each must fail loudly instead of
-// panicking later at query time. The encoder validates nothing — deltas and
-// counts of broken tables simply wrap — so Write turns each hand-built
-// Index into exactly the bytes a corrupt file would hold.
+// panicking later at query time. The encoder validates nothing — deltas,
+// gaps and counts of broken tables simply wrap, and a Meta too wide for its
+// head spills into the length — so Write turns each hand-built Index into
+// exactly the bytes a corrupt file would hold. Rows the encoder cannot
+// write (empty, or longer than the arena) are written by hand, as are
+// heads whose fields each break one rule.
 func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	one := []Entry{{Meta: 0, Count: 1}}
 	two := []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}}
@@ -450,10 +512,10 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"negative meta", node(2, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: -1, Count: 1}})},
 		{"unsorted keys", node(1, []graph.NodeID{4, 2}, []int32{0, 1, 2}, two)},
 		{"duplicate keys", node(1, []graph.NodeID{4, 4}, []int32{0, 1, 2}, two)},
-		{"rows longer than the arena", node(1, []graph.NodeID{1}, []int32{0, 2}, one)},
 		{"rows shorter than the arena", node(1, []graph.NodeID{1}, []int32{0, 1}, two)},
 		{"entries without keys", node(1, nil, nil, one)},
 		{"unsorted row", node(4, []graph.NodeID{1}, []int32{0, 2}, []Entry{{Meta: 3, Count: 1}, {Meta: 1, Count: 1}})},
+		{"repeated meta in a row", node(4, []graph.NodeID{1}, []int32{0, 2}, []Entry{{Meta: 2, Count: 1}, {Meta: 2, Count: 1}})},
 		{"count of 0", node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 0}})},
 		{"negative numMeta", node(-1, nil, nil, nil)},
 		// What the derived adjacency indexes by: node ids and pair
@@ -474,22 +536,48 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 			t.Errorf("%s: Read accepted corrupt file", c.name)
 		}
 	}
-	// A count no Entry can hold, which Write cannot produce: the stream of
-	// the well-formed sibling below, written by hand with a wider count.
-	for count, legal := range map[uint64]bool{1: true, math.MaxUint32: true, math.MaxUint32 + 1: false, math.MaxUint64: false} {
+
+	// One node row at key 1 in a 5-metagraph index (b = bits.Len(5) = 3,
+	// so a head is len<<4 | first<<1 | ones), then an empty pair table.
+	head := func(l, first, ones uint64) uint64 { return l<<4 | first<<1 | ones }
+	for _, c := range []struct {
+		name  string
+		legal bool
+		nEnt  uint64
+		row   []uint64 // head, gaps, counts
+	}{
+		{"a row of ones", true, 3, []uint64{head(3, 1, 1), 1, 2}},
+		{"a row with its counts", true, 3, []uint64{head(3, 1, 0), 1, 2, 1, 7, math.MaxUint32}},
+		{"a row of ones written with its counts", true, 2, []uint64{head(2, 0, 0), 4, 1, 1}},
+		{"a row of every metagraph", true, 5, []uint64{head(5, 0, 1), 1, 1, 1, 1}},
+		{"an empty row", false, 0, []uint64{head(0, 0, 1)}},
+		{"an empty row among entries", false, 1, []uint64{head(0, 0, 1)}},
+		{"length above numMeta", false, 6, []uint64{head(6, 0, 1), 1, 1, 1, 1, 1}},
+		{"length past the entry count", false, 1, []uint64{head(2, 0, 1), 1}},
+		{"first metagraph = numMeta", false, 1, []uint64{head(1, 5, 1)}},
+		{"first metagraph > numMeta", false, 1, []uint64{head(1, 7, 1)}},
+		{"a gap of 0", false, 2, []uint64{head(2, 1, 1), 0}},
+		{"a gap stepping past numMeta", false, 2, []uint64{head(2, 3, 1), 2}},
+		{"a gap of 2^64-1", false, 2, []uint64{head(2, 3, 1), math.MaxUint64}},
+		{"a count of 0 behind a clear all-ones bit", false, 2, []uint64{head(2, 1, 0), 1, 3, 0}},
+		{"a count of 2^32 behind a clear all-ones bit", false, 1, []uint64{head(1, 1, 0), math.MaxUint32 + 1}},
+		{"a count of 2^64-1 behind a clear all-ones bit", false, 1, []uint64{head(1, 1, 0), math.MaxUint64}},
+		{"a missing count", false, 2, []uint64{head(2, 1, 0), 1, 3}},
+	} {
 		var buf bytes.Buffer
 		fw := flat.NewWriter(&buf, fileMagic)
-		for _, v := range []uint64{1, 1, 1, 2, 1, 0, count, 0, 0} { // numMeta, node table, empty pair table
+		for _, v := range append(append([]uint64{5, 1, c.nEnt, 2}, c.row...), 0, 0) {
 			fw.Uvarint(v)
 		}
 		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Read(&buf, 8); (err == nil) != legal {
-			t.Errorf("count %d: Read returned %v", count, err)
+		if _, err := Read(&buf, 8); (err == nil) != c.legal {
+			t.Errorf("%s: Read returned %v", c.name, err)
 		}
 	}
-	good := writeBytes(t, node(1, []graph.NodeID{1}, []int32{0, 1}, one))
+
+	good := writeBytes(t, node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 2}}))
 	if _, err := Read(bytes.NewReader(good), 8); err != nil {
 		t.Fatalf("the cases' well-formed sibling is refused: %v", err)
 	}
@@ -497,7 +585,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		"bad version": func(b []byte) []byte { b[len(fileMagic)-1]--; return b },
 		// The tail is: the count's one varint byte, the empty pair table's
 		// two zero sizes, the 4-byte trailer. Flipping 0x10 turns the count
-		// 1 into 17, still a one-byte varint of a legal count: only the
+		// 2 into 18, still a one-byte varint of a legal count: only the
 		// checksum can catch this.
 		"flipped count bit":        func(b []byte) []byte { b[len(b)-7] ^= 0x10; return b },
 		"truncated before trailer": func(b []byte) []byte { return b[:len(b)-4] },
@@ -666,6 +754,20 @@ func FuzzIndexRead(f *testing.F) {
 		mx:      csr[graph.NodeID]{keys: []graph.NodeID{1, 5}, off: []int32{0, 2, 3}, ent: []Entry{{0, 127}, {1, 128}, {1, math.MaxUint32}}},
 		mxy:     csr[PairKey]{keys: []PairKey{MakePairKey(1, 5)}, off: []int32{0, 2}, ent: []Entry{{0, 16383}, {1, 16384}}},
 	}), uint16(8))
+	f.Add(writeBytes(f, wideIndex()), uint16(8))
+	// Rows that mix 4-node metagraphs with counts above 1, as MaxNodes 4
+	// builds them: heads with the all-ones bit both set and clear.
+	rng := rand.New(rand.NewSource(1))
+	g, ms := countGraph(rng), countMetagraphs(rng)
+	bld := NewBuilder(len(ms))
+	for i, m := range ms {
+		bld.AddMetagraph(i, m, match.NewSymISO(g))
+	}
+	counted := bld.Build()
+	if !slices.ContainsFunc(counted.mxy.ent, func(e Entry) bool { return e.Count > 1 }) {
+		f.Fatal("the counted seed has no count above 1")
+	}
+	f.Add(writeBytes(f, counted), uint16(g.NumNodes()))
 	f.Add([]byte("garbage"), uint16(8))
 	f.Fuzz(func(t *testing.T, data []byte, numNodes uint16) {
 		// Decode, not Read: Read's checksum turns away nearly every

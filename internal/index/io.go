@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"repro/internal/flat"
 	"repro/internal/graph"
@@ -20,19 +21,25 @@ import (
 //	numMeta
 //	node table, pair table, each:
 //	  nKeys nEntries
-//	  nKeys   × key delta  (keys ascend strictly, so every delta — the
-//	                        first one is key+1 — is at least 1)
-//	  nKeys   × row length
-//	  nEntries × (Meta, Count)
+//	  nKeys × row:
+//	    key delta   keys ascend strictly, so every delta — the first one
+//	                is key+1 — is at least 1
+//	    head        len<<(b+1) | first<<1 | ones, b = bits.Len(numMeta):
+//	                the row's length, its first Meta, and whether every
+//	                Count in it is 1
+//	    len-1 × Meta gap   each next Meta minus the one before, at least 1
+//	    len × Count        only when ones is clear
 //
 // Everything is an unsigned varint. A Count is the raw instance count — the
-// index stores no transformed value (see Index.Transform) — so it is a
-// small integer: one byte below 128, two below 16384. Index internals are
-// already deterministic, so the bytes are stable without any extra sorting.
-// Engine snapshots embed one section per index; Write/Read frame a single
-// section as a file of its own.
+// index stores no transformed value (see Index.Transform) — and most are 1,
+// so a row of ones costs its head and gaps alone: at MaxNodes 3 a pair row
+// is its key delta and a one-byte head. Rows are never empty (a delta only
+// adds instances, Project drops emptied rows), so a length of 0 is refused.
+// Index internals are already deterministic, so the bytes are stable without
+// any extra sorting. Engine snapshots embed one section per index;
+// Write/Read frame a single section as a file of its own.
 
-const fileMagic = "SPXI\x04"
+const fileMagic = "SPXI\x05"
 
 // Write serializes ix's counts. A patched index is compacted first, so the
 // wire format never carries an overlay and an incrementally updated index
@@ -65,25 +72,36 @@ func Read(r io.Reader, numNodes int) (*Index, error) {
 func Encode(w *flat.Writer, ix *Index) {
 	ix = ix.Compact()
 	w.Uvarint(uint64(ix.numMeta))
-	encodeTable(w, &ix.mx)
-	encodeTable(w, &ix.mxy)
+	encodeTable(w, &ix.mx, ix.numMeta)
+	encodeTable(w, &ix.mxy, ix.numMeta)
 }
 
-func encodeTable[K ~int32 | ~uint64](w *flat.Writer, c *csr[K]) {
+func encodeTable[K ~int32 | ~uint64](w *flat.Writer, c *csr[K], numMeta int) {
 	w.Uvarint(uint64(len(c.keys)))
 	w.Uvarint(uint64(len(c.ent)))
+	b := uint(bits.Len(uint(numMeta)))
 	prev := uint64(0)
-	for _, k := range c.keys {
+	for i, k := range c.keys {
 		next := uint64(k) + 1
 		w.Uvarint(next - prev)
 		prev = next
-	}
-	for i := range c.keys {
-		w.Uvarint(uint64(c.off[i+1] - c.off[i]))
-	}
-	for _, e := range c.ent {
-		w.Uvarint(uint64(e.Meta))
-		w.Uvarint(uint64(e.Count))
+		row := c.ent[c.off[i]:c.off[i+1]]
+		ones := uint64(1)
+		for _, e := range row {
+			if e.Count != 1 {
+				ones = 0
+				break
+			}
+		}
+		w.Uvarint(uint64(len(row))<<(b+1) | uint64(row[0].Meta)<<1 | ones)
+		for j := 1; j < len(row); j++ {
+			w.Uvarint(uint64(row[j].Meta - row[j-1].Meta))
+		}
+		if ones == 0 {
+			for _, e := range row {
+				w.Uvarint(uint64(e.Count))
+			}
+		}
 	}
 }
 
@@ -135,6 +153,12 @@ func corrupt(r *flat.Reader, what, how string) error {
 	return errors.New(what + " " + how)
 }
 
+// unorderedMetas refuses a row whose Metas do not ascend strictly within
+// [0, numMeta).
+func unorderedMetas(r *flat.Reader, numMeta uint64) error {
+	return corrupt(r, "row entries", fmt.Sprintf("not strictly ascending by metagraph within [0, %d)", numMeta))
+}
+
 // decodeTable reads one table whose keys must lie in [0, limit).
 func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c csr[K], err error) {
 	nKeys, nEnt := r.Uvarint(), r.Uvarint()
@@ -148,10 +172,22 @@ func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c c
 		return c, r.Err()
 	}
 	n := int(nKeys)
+	if c.off, err = flat.Grow(r, c.off, n+1); err != nil {
+		return c, err
+	}
+	c.off = append(c.off, 0) // then the running total after each row
+	b := uint(bits.Len64(numMeta))
+	mask := uint64(1)<<b - 1
 	next := uint64(0) // key+1 of the previous key
+	total := uint64(0)
 	for i := 0; i < n; i++ {
-		if i == cap(c.keys) {
+		if len(c.keys) == cap(c.keys) {
 			if c.keys, err = flat.Grow(r, c.keys, n); err != nil {
+				return c, err
+			}
+		}
+		if len(c.off) == cap(c.off) {
+			if c.off, err = flat.Grow(r, c.off, n+1); err != nil {
 				return c, err
 			}
 		}
@@ -161,45 +197,44 @@ func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c c
 		}
 		next += d
 		c.keys = append(c.keys, K(next-1))
-	}
-	total := uint64(0)
-	for i := 0; i <= n; i++ { // off[0] = 0, then the running total after each row
-		if i == cap(c.off) {
-			if c.off, err = flat.Grow(r, c.off, n+1); err != nil {
-				return c, err
-			}
+		head := r.Uvarint()
+		l, m := head>>(b+1), head>>1&mask
+		if l == 0 || l > numMeta || l > nEnt-total {
+			return c, corrupt(r, "row length", fmt.Sprintf("not within [1, %d] or runs past the entry count", numMeta))
 		}
-		if i > 0 {
-			l := r.Uvarint()
-			if l > nEnt-total {
-				return c, corrupt(r, "row lengths", "exceed the entry count")
-			}
-			total += l
+		if m >= numMeta {
+			return c, unorderedMetas(r, numMeta)
 		}
-		c.off = append(c.off, int32(total))
-	}
-	if total != nEnt {
-		return c, corrupt(r, "row lengths", "fall short of the entry count")
-	}
-	for i := 0; i < n; i++ {
-		prev := int64(-1)
-		for j := c.off[i]; j < c.off[i+1]; j++ {
-			if int(j) == cap(c.ent) {
+		start := len(c.ent)
+		for j := uint64(0); j < l; j++ {
+			if j > 0 {
+				g := r.Uvarint()
+				if g == 0 || g >= numMeta-m {
+					return c, unorderedMetas(r, numMeta)
+				}
+				m += g
+			}
+			if len(c.ent) == cap(c.ent) {
 				if c.ent, err = flat.Grow(r, c.ent, int(nEnt)); err != nil {
 					return c, err
 				}
 			}
-			m := r.Uvarint()
-			if m >= numMeta || int64(m) <= prev {
-				return c, corrupt(r, "row entries", fmt.Sprintf("not strictly ascending by metagraph within [0, %d)", numMeta))
-			}
-			prev = int64(m)
-			cnt := r.Uvarint()
-			if cnt == 0 || cnt > math.MaxUint32 {
-				return c, corrupt(r, "row entries", "hold a count of 0 or above 2^32-1")
-			}
-			c.ent = append(c.ent, Entry{Meta: int32(m), Count: uint32(cnt)})
+			c.ent = append(c.ent, Entry{Meta: int32(m), Count: 1})
 		}
+		if head&1 == 0 {
+			for j := start; j < len(c.ent); j++ {
+				cnt := r.Uvarint()
+				if cnt == 0 || cnt > math.MaxUint32 {
+					return c, corrupt(r, "row entries", "hold a count of 0 or above 2^32-1")
+				}
+				c.ent[j].Count = uint32(cnt)
+			}
+		}
+		total += l
+		c.off = append(c.off, int32(total))
+	}
+	if total != nEnt {
+		return c, corrupt(r, "row lengths", "fall short of the entry count")
 	}
 	return c, r.Err()
 }

@@ -5,8 +5,6 @@ package index_test
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"testing"
 
 	"repro/internal/dataset"
@@ -71,20 +69,15 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 }
 
 // The two goldens below pin the indexes the benchmark's read_direct and
-// lifecycle workloads build. Each is held twice: by its content
-// (index.ContentDigest: keys, then per row Meta and Count, fixed-width) and
-// by the SHA-256 of its index.Write bytes. The content digests were
-// recorded with the wire digests beside them, so a codec change re-points
-// only the wire digest and a change to any row fails the content digest.
+// lifecycle workloads build by their content (index.ContentDigest: keys,
+// then per row Meta and Count, fixed-width), not by their index.Write
+// bytes, so a codec change leaves them alone and a change to any row fails
+// them. Both were recorded beside the wire digests they replaced.
 
-// readDirectIndexSHA256 and readDirectIndexContent describe the read_direct
-// index (5 000 LinkedIn users, noise 0.05, seed 1, MaxNodes 3, MinSupport
-// 5); the wire digest was recorded when the Builder still counted instances
-// through hash maps.
-const (
-	readDirectIndexSHA256  = "eae81bee2851b672402af068371e501bd292e5bf27eb34458e84e2ecfccf3d90"
-	readDirectIndexContent = "e45a2fc8da79d540b683c354f04bd95a9421ce6bf8b5fb10cb52713a0f201d83"
-)
+// readDirectIndexContent describes the read_direct index (5 000 LinkedIn
+// users, noise 0.05, seed 1, MaxNodes 3, MinSupport 5), the one the Builder
+// froze when it still counted instances through hash maps.
+const readDirectIndexContent = "e45a2fc8da79d540b683c354f04bd95a9421ce6bf8b5fb10cb52713a0f201d83"
 
 // TestReadDirectIndexGolden pins a full-size offline build: however the
 // Builder counts instances, the index it freezes is the same.
@@ -93,17 +86,14 @@ func TestReadDirectIndexGolden(t *testing.T) {
 	ms := mining.Metagraphs(mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: 3, MinSupport: 5}), ds.Anchor))
 	ix := index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
-	checkGolden(t, "read_direct", ix, readDirectIndexContent, readDirectIndexSHA256)
+	checkGolden(t, "read_direct", ix, readDirectIndexContent)
 }
 
-// lifecycleIndexSHA256 and lifecycleIndexContent describe the lifecycle
-// index (600 LinkedIn users, noise 0.05, seed 1, MaxNodes 4, MinSupport 5);
-// the wire digest was recorded when SymISO still visited every automorphic
-// assignment and Instances kept the lex-min one.
-const (
-	lifecycleIndexSHA256  = "d1f156bf10570c1f98b37a5fda1dd5ed3ad2a51438fb0d7ef5bca4f8ba2c3d19"
-	lifecycleIndexContent = "2fa4d8e94967ddde820beb89c9dd0d5c24e0a202f1a22bbd091522614ee97d4a"
-)
+// lifecycleIndexContent describes the lifecycle index (600 LinkedIn users,
+// noise 0.05, seed 1, MaxNodes 4, MinSupport 5), the one built when SymISO
+// still visited every automorphic assignment and Instances kept the lex-min
+// one.
+const lifecycleIndexContent = "2fa4d8e94967ddde820beb89c9dd0d5c24e0a202f1a22bbd091522614ee97d4a"
 
 // TestLifecycleIndexGolden pins a build whose metagraphs include 3-leaf
 // stars (|Aut| = 6) next to the |Aut| = 2 patterns read_direct covers:
@@ -113,17 +103,13 @@ func TestLifecycleIndexGolden(t *testing.T) {
 	ms := mining.Metagraphs(mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor))
 	ix := index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
-	checkGolden(t, "lifecycle", ix, lifecycleIndexContent, lifecycleIndexSHA256)
+	checkGolden(t, "lifecycle", ix, lifecycleIndexContent)
 }
 
-// checkGolden holds ix to its content digest and its wire digest.
-func checkGolden(t *testing.T, name string, ix *index.Index, content, wire string) {
+// checkGolden holds ix to its content digest.
+func checkGolden(t *testing.T, name string, ix *index.Index, content string) {
 	t.Helper()
 	if got := index.ContentDigest(ix); got != content {
 		t.Errorf("%s index (%d metagraphs, %d pairs) content hashes to %s, want %s", name, ix.NumMeta(), ix.NumPairs(), got, content)
-	}
-	sum := sha256.Sum256(serialize(t, ix))
-	if got := hex.EncodeToString(sum[:]); got != wire {
-		t.Errorf("%s index (%d metagraphs, %d pairs) bytes hash to %s, want %s", name, ix.NumMeta(), ix.NumPairs(), got, wire)
 	}
 }

@@ -77,6 +77,7 @@ type Follower struct {
 	appTerm  atomic.Uint64 // term of the last record applied locally
 	seenTerm atomic.Uint64 // newest term observed anywhere (responses, records)
 	fenced   atomic.Bool   // last poll hit a zombie (stale-term) primary
+	snapLen  atomic.Int64  // bytes of the snapshot the last Bootstrap loaded
 
 	wmu      sync.Mutex // guards log and promoted
 	log      *wal.WAL   // follower-local durable log (nil when Dir == "")
@@ -208,6 +209,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		return fmt.Errorf("replica: bootstrap: %w", err)
 	}
 	defer body.Close()
+	counted := &countReader{r: body}
 	var eng *semprox.Engine
 	if f.Dir != "" {
 		if err := os.MkdirAll(f.Dir, 0o755); err != nil {
@@ -218,11 +220,11 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		// load — checksum included — has succeeded, so a stream that does
 		// not load never becomes a file Restore could boot from.
 		err = atomicfile.WriteWith(f.snapPath(), func(w io.Writer) (lerr error) {
-			eng, lerr = semprox.LoadEngine(io.TeeReader(body, w))
+			eng, lerr = semprox.LoadEngine(io.TeeReader(counted, w))
 			return lerr
 		})
 	} else {
-		eng, err = semprox.LoadEngine(body)
+		eng, err = semprox.LoadEngine(counted)
 	}
 	if err != nil {
 		return fmt.Errorf("replica: bootstrap: %w", err)
@@ -246,7 +248,24 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	f.eng.Store(eng)
 	f.applied.Store(eng.LSN())
 	f.appTerm.Store(0) // snapshots carry no term; the first poll skips the history check
+	f.snapLen.Store(counted.n)
 	return nil
+}
+
+// SnapshotBytes returns the size of the snapshot the last successful
+// Bootstrap loaded (0 before one).
+func (f *Follower) SnapshotBytes() int64 { return f.snapLen.Load() }
+
+// countReader counts the bytes read through it.
+type countReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // installLog swaps in a fresh local WAL, closing any previous one.

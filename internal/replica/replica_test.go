@@ -292,6 +292,9 @@ func TestFollowerBootstrapPersistsOnlyWhatLoads(t *testing.T) {
 	if got, err := os.ReadFile(filepath.Join(dir, "engine.snap")); err != nil || !bytes.Equal(got, snap.Bytes()) {
 		t.Fatalf("persisted snapshot differs from the primary's stream (err %v)", err)
 	}
+	if got := f.SnapshotBytes(); got != int64(snap.Len()) {
+		t.Fatalf("SnapshotBytes = %d, want the %d bytes the primary sent", got, snap.Len())
+	}
 }
 
 // TestServeSinceByteBound: the primary bounds a since batch by bytes as
@@ -339,5 +342,60 @@ func TestServeSinceByteBound(t *testing.T) {
 	}
 	if got != 3 || after != h.log.DurableLSN() {
 		t.Fatalf("drained %d records to LSN %d, want 3 to %d", got, after, h.log.DurableLSN())
+	}
+}
+
+// TestFollowerAnswersEveryNodeNameAsPrimary: a follower bootstrapped after
+// an update whose node names a line-oriented format would trim or split
+// answers a query for each of them with the primary's exact bytes.
+func TestFollowerAnswersEveryNodeNameAsPrimary(t *testing.T) {
+	h := newPrimaryHarness(t)
+	names := []string{" lead", "trail ", "a\nb", "a\r\nb", "tab\there", "#hash"}
+	g := h.eng.Graph()
+	var d graph.Delta
+	for i, name := range names {
+		d.Nodes = append(d.Nodes, graph.DeltaNode{Type: "user", Value: name})
+		d.Edges = append(d.Edges, graph.Edge{U: graph.NodeID(g.NumNodes() + i), V: g.NodeByName("College A")})
+	}
+	lsn, err := h.log.Append(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.eng.ApplyUpdateAt(d, lsn); err != nil {
+		t.Fatal(err)
+	}
+	f := replica.NewFollower(h.ts.URL, h.ts.Client())
+	if err := f.Bootstrap(context.Background()); err != nil {
+		t.Fatalf("bootstrap after the update: %v", err)
+	}
+	fsrv := server.New(f.Engine())
+	fsrv.SetFollower(f)
+	fts := httptest.NewServer(fsrv)
+	defer fts.Close()
+	query := func(base, name string) (int, []byte) {
+		body, err := json.Marshal(api.QueryRequest{Class: "classmate", Query: name, K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+api.PathQuery, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.Bytes()
+	}
+	for _, name := range names {
+		wantCode, want := query(h.ts.URL, name)
+		gotCode, got := query(fts.URL, name)
+		if wantCode != http.StatusOK {
+			t.Fatalf("%q: the primary answers %d %s", name, wantCode, want)
+		}
+		if gotCode != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("%q: follower answers %d %s, primary %d %s", name, gotCode, got, wantCode, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -208,4 +209,55 @@ func TestPathLabelIsBounded(t *testing.T) {
 			t.Errorf("PathLabel(%q) = %q, want other", p, got)
 		}
 	}
+}
+
+// FuzzUpdateRequestDecode feeds arbitrary bytes as a /v1/update body
+// through DecodeStrict: it may refuse them, never panics, and a body it
+// accepts re-marshals to one that decodes to the same request. Empty and
+// absent lists are the same request (omitempty drops both).
+func FuzzUpdateRequestDecode(f *testing.F) {
+	for _, body := range []string{
+		`{"nodes":[{"type":"user","name":"zoe"}],"edges":[{"u":"zoe","v":"College A"}]}`,
+		`{"nodes":[{"type":"user","name":" trail \n#x\r\n\t"}]}`,
+		`{"edges":[{"u":"a","v":"b"},{"u":"b","v":"c"}]}` + "\n",
+		`{"nodes":[],"edges":null}`,
+		`{ "Nodes": [ { "TYPE": "user", "name": "café" } ] }`,
+		`{"nodes":[{"type":"user","name":"\ud800"}]}`,
+		`{"nodes":[{"type":"user","bogus":1}]}`,
+		`{"nodes":{}}`,
+		`{}`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	normalize := func(v *api.UpdateRequest) {
+		if len(v.Nodes) == 0 {
+			v.Nodes = nil
+		}
+		if len(v.Edges) == 0 {
+			v.Edges = nil
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var first api.UpdateRequest
+		if herr := decode(bytes.NewReader(body), &first); herr != nil {
+			if herr.Status != http.StatusBadRequest || herr.Code != api.CodeBadRequest {
+				t.Fatalf("refusal %+v is not a 400 bad_request", herr)
+			}
+			return
+		}
+		again, err := json.Marshal(&first)
+		if err != nil {
+			t.Fatalf("an accepted request does not marshal: %v", err)
+		}
+		var second api.UpdateRequest
+		if herr := decode(bytes.NewReader(again), &second); herr != nil {
+			t.Fatalf("the re-marshalled body %s is refused: %+v", again, herr)
+		}
+		normalize(&first)
+		normalize(&second)
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("body %q decoded to %+v, its re-marshalled form to %+v", body, first, second)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package semprox
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,8 +24,8 @@ import (
 // and can still train new classes and apply updates because the matched set
 // and epoch counter are restored with the index.
 //
-// A live-updated engine round-trips too: the graph text format
-// materializes the copy-on-write overlay, the update overlay on the index
+// A live-updated engine round-trips too: the graph section materializes
+// the copy-on-write overlay, the update overlay on the index
 // compacts on the way out (index.Encode), and the epoch counter plus the
 // durable log position (LSN) ride in the snapshot header — so a loaded
 // engine resumes at the saved epoch with nothing pending, answering
@@ -35,7 +34,7 @@ import (
 //
 // The bytes are one flat stream (internal/flat; layout in DESIGN.md
 // "Snapshot format"): magic, the header below as length-prefixed JSON, the
-// graph's text format length-prefixed, the index section, then per class
+// graph section (graph.Encode), the index section, then per class
 // its log-likelihood and weights as IEEE-754 bits (JSON has no NaN, and
 // they must round-trip exactly), closed by a CRC-32C trailer. Every row is
 // stored once: a class costs its weights. Both ends stream through their own buffer:
@@ -43,7 +42,7 @@ import (
 // straight into fresh ones, and a follower decodes while its primary is
 // still encoding.
 
-const snapshotMagic = "SPXS\x06"
+const snapshotMagic = "SPXS\x07"
 
 // snapMetagraph rebuilds one metagraph via metagraph.New.
 type snapMetagraph struct {
@@ -121,13 +120,9 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("semprox: snapshot header: %w", err)
 	}
-	var gbuf bytes.Buffer
-	if err := graph.Write(&gbuf, ep.g); err != nil {
-		return fmt.Errorf("semprox: snapshot graph: %w", err)
-	}
 	fw := flat.NewWriter(w, snapshotMagic)
 	fw.Bytes(hdr)
-	fw.Bytes(gbuf.Bytes())
+	graph.Encode(fw, ep.g)
 	index.Encode(fw, ep.ix)
 	for _, sc := range h.Classes {
 		cm := ep.classes[sc.Name]
@@ -168,12 +163,9 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("semprox: snapshot header: %w", err)
 	}
-	g, err := graph.Read(bytes.NewReader(fr.Bytes()))
-	if fr.Err() != nil {
-		err = fr.Err()
-	}
+	g, err := graph.Decode(fr)
 	if err != nil {
-		return nil, fmt.Errorf("semprox: snapshot graph: %w", err)
+		return nil, fmt.Errorf("semprox: snapshot %w", err)
 	}
 	g = g.WithVersion(h.Epoch)
 	anchor := g.Types().ID(h.Anchor)

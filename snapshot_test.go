@@ -11,10 +11,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/eval"
 	"repro/internal/fixtures"
 	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/mining"
 )
 
 // saveLoad round-trips an engine through the snapshot format.
@@ -276,12 +279,68 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 			t.Fatalf("%s: LoadEngine returned %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
+
+	// Graph sections that break one rule each, behind an intact header and
+	// ahead of an intact index. Node 0 ("Alice") has neighbours above it,
+	// the first user with two of them shows the ascending rule.
+	h, g, ix := snapshotParts(t, buf.Bytes())
+	if _, err := LoadEngine(bytes.NewReader(craft(t, h, rawOf(g).write, ix))); err != nil {
+		t.Fatalf("a hand-written graph section is refused: %v", err)
+	}
+	two := slices.IndexFunc(rawOf(g).above, func(gaps []uint64) bool { return len(gaps) >= 2 })
+	if len(rawOf(g).above[0]) == 0 || two < 0 {
+		t.Fatal("the toy graph lost the neighbour lists the cases edit")
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(rg *rawGraph)
+	}{
+		{"type id out of range", "has type", func(rg *rawGraph) { rg.typ[3] = uint64(len(rg.types)) }},
+		{"type id far out of range", "has type", func(rg *rawGraph) { rg.typ[3] = math.MaxUint64 }},
+		{"type name registered twice", "repeats the name", func(rg *rawGraph) { rg.types[2] = rg.types[1] }},
+		{"endpoint beyond the graph", "beyond", func(rg *rawGraph) {
+			rg.above[0][0] = uint64(len(rg.typ))
+		}},
+		{"self loop", "self loop", func(rg *rawGraph) { rg.above[0][0] = 0 }},
+		{"neighbours not ascending", "not strictly ascending", func(rg *rawGraph) { rg.above[two][1] = 0 }},
+		{"more neighbours above than nodes", "claims", func(rg *rawGraph) {
+			rg.above[len(rg.above)-1] = []uint64{1}
+		}},
+	} {
+		rg := rawOf(g)
+		c.edit(&rg)
+		_, err := LoadEngine(bytes.NewReader(craft(t, h, rg.write, ix)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: LoadEngine returned %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+	// A name longer than the rest of the stream: its length prefix is the
+	// last thing before the checksum.
+	rg := rawOf(g)
+	longName := func(fw *flat.Writer) {
+		fw.Uvarint(uint64(len(rg.types)))
+		for _, name := range rg.types {
+			fw.String(name)
+		}
+		fw.Uvarint(uint64(len(rg.typ)))
+		fw.Uvarint(rg.typ[0])
+		fw.Uvarint(64)
+	}
+	var short bytes.Buffer
+	fw := flat.NewWriter(&short, snapshotMagic)
+	hdr, _ := json.Marshal(&h)
+	fw.Bytes(hdr)
+	longName(fw)
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEngine(&short); err == nil || !strings.Contains(err.Error(), "unexpected EOF") {
+		t.Fatalf("name longer than the stream: LoadEngine returned %v", err)
+	}
 }
 
-// recraft re-encodes a snapshot with its header edited and everything else
-// as it was — checksum valid — writing each class of the edited header a
-// weight per kept metagraph, so only the edit is wrong with the stream.
-func recraft(t *testing.T, data []byte, edit func(h *snapHeader)) []byte {
+// snapshotParts takes a snapshot apart: its header, graph and index.
+func snapshotParts(t testing.TB, data []byte) (snapHeader, *graph.Graph, *index.Index) {
 	t.Helper()
 	fr, err := flat.NewReader(bytes.NewReader(data), snapshotMagic)
 	if err != nil {
@@ -291,8 +350,7 @@ func recraft(t *testing.T, data []byte, edit func(h *snapHeader)) []byte {
 	if err := json.Unmarshal(fr.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
-	graphText := bytes.Clone(fr.Bytes())
-	g, err := graph.Read(bytes.NewReader(graphText))
+	g, err := graph.Decode(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +358,14 @@ func recraft(t *testing.T, data []byte, edit func(h *snapHeader)) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edit(&h)
+	return h, g, ix
+}
+
+// craft writes a snapshot of h, the graph section writeGraph writes and ix
+// — checksum valid — giving each class of h a weight per kept metagraph,
+// so only what the caller edited is wrong with the stream.
+func craft(t testing.TB, h snapHeader, writeGraph func(*flat.Writer), ix *index.Index) []byte {
+	t.Helper()
 	hdr, err := json.Marshal(&h)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +373,7 @@ func recraft(t *testing.T, data []byte, edit func(h *snapHeader)) []byte {
 	var out bytes.Buffer
 	fw := flat.NewWriter(&out, snapshotMagic)
 	fw.Bytes(hdr)
-	fw.Bytes(graphText)
+	writeGraph(fw)
 	index.Encode(fw, ix)
 	for _, sc := range h.Classes {
 		fw.Uint64(math.Float64bits(-1)) // log-likelihood
@@ -320,6 +385,60 @@ func recraft(t *testing.T, data []byte, edit func(h *snapHeader)) []byte {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// recraft re-encodes a snapshot with its header edited and everything else
+// as it was.
+func recraft(t *testing.T, data []byte, edit func(h *snapHeader)) []byte {
+	t.Helper()
+	h, g, ix := snapshotParts(t, data)
+	edit(&h)
+	return craft(t, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, ix)
+}
+
+// rawGraph is a graph section as its fields, for writing broken ones.
+type rawGraph struct {
+	types []string
+	typ   []uint64 // per node
+	names []string // per node
+	above [][]uint64
+}
+
+// rawOf takes g's section apart into fresh slices.
+func rawOf(g *graph.Graph) rawGraph {
+	rg := rawGraph{types: g.Types().Names()}
+	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+		rg.typ = append(rg.typ, uint64(g.Type(v)))
+		rg.names = append(rg.names, g.Name(v))
+		var gaps []uint64
+		prev := v
+		for _, u := range slices.Sorted(slices.Values(g.Neighbors(v))) {
+			if u > v {
+				gaps = append(gaps, uint64(u-prev))
+				prev = u
+			}
+		}
+		rg.above = append(rg.above, gaps)
+	}
+	return rg
+}
+
+func (rg rawGraph) write(fw *flat.Writer) {
+	fw.Uvarint(uint64(len(rg.types)))
+	for _, name := range rg.types {
+		fw.String(name)
+	}
+	fw.Uvarint(uint64(len(rg.typ)))
+	for v := range rg.typ {
+		fw.Uvarint(rg.typ[v])
+		fw.String(rg.names[v])
+	}
+	for _, gaps := range rg.above {
+		fw.Uvarint(uint64(len(gaps)))
+		for _, d := range gaps {
+			fw.Uvarint(d)
+		}
+	}
 }
 
 // fullSnapshot saves a trained, updated engine — the richest wire shape
@@ -387,7 +506,7 @@ func TestSnapshotBitFlipsNeverPanic(t *testing.T) {
 }
 
 // TestSnapshotStoresEachRowOnce pins the size side of one index per epoch:
-// a snapshot is its header, the graph text, ONE index section and, per
+// a snapshot is its header, the graph section, ONE index section and, per
 // class, a log-likelihood and the weights — so a second class costs its
 // weights and its header entry, never a second copy of the rows.
 func TestSnapshotStoresEachRowOnce(t *testing.T) {
@@ -399,33 +518,39 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sections := func(data []byte) (hdr, graphText int) {
+	header := func(data []byte) int {
 		fr, err := flat.NewReader(bytes.NewReader(data), snapshotMagic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hdr, graphText = len(fr.Bytes()), len(fr.Bytes())
+		hdr := len(fr.Bytes())
 		if fr.Err() != nil {
 			t.Fatal(fr.Err())
 		}
-		return hdr, graphText
+		return hdr
 	}
 	ep := eng.cur.Load()
-	var ixFile bytes.Buffer
+	var ixFile, graphSection bytes.Buffer
 	if err := index.Write(&ixFile, ep.ix); err != nil {
+		t.Fatal(err)
+	}
+	gw := flat.NewWriter(&graphSection, "")
+	graph.Encode(gw, ep.g)
+	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	floats := 0
 	for _, cm := range ep.classes {
 		floats += 1 + len(cm.model.W)
 	}
-	hdr, graphText := sections(two.Bytes())
-	// Framing: magic and checksum, and two length prefixes of at most 10
-	// bytes; the index file's own magic and checksum only loosen the bound.
-	const framing = len(snapshotMagic) + 4 + 2*10
-	if limit := hdr + graphText + ixFile.Len() + 8*floats + framing; two.Len() > limit {
+	hdr, graphBytes := header(two.Bytes()), graphSection.Len()-4
+	// Framing: magic and checksum, and the header's length prefix of at
+	// most 10 bytes; the index file's own magic and checksum only loosen
+	// the bound.
+	const framing = len(snapshotMagic) + 4 + 10
+	if limit := hdr + graphBytes + ixFile.Len() + 8*floats + framing; two.Len() > limit {
 		t.Fatalf("snapshot with %d classes is %d bytes; header %d + graph %d + one index %d + %d floats + framing allow %d",
-			len(ep.classes), two.Len(), hdr, graphText, ixFile.Len(), floats, limit)
+			len(ep.classes), two.Len(), hdr, graphBytes, ixFile.Len(), floats, limit)
 	}
 
 	// The same epoch without the second class prices that class alone.
@@ -435,7 +560,7 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	if err := eng.saveEpoch(without, &base); err != nil {
 		t.Fatal(err)
 	}
-	hdrBase, _ := sections(base.Bytes())
+	hdrBase := header(base.Bytes())
 	cost := two.Len() - base.Len()
 	if want := (hdr - hdrBase) + 8*(1+len(ep.classes["classmate"].model.W)); cost > want+1 { // +1: the header's length prefix may grow a byte
 		t.Fatalf("the second class cost %d bytes; its header entry and weights are %d", cost, want)
@@ -444,23 +569,44 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 
 // TestSnapshotClaimsCostWhatTheStreamDelivers: a follower loads its
 // snapshot off the network, so a short stream that announces a gigantic
-// header, graph or index must be refused for what it sent, not allocated
-// for what it claims.
+// header, type registry, node table, name or index must be refused for
+// what it sent, not allocated for what it claims.
 func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 	fr, err := flat.NewReader(bytes.NewReader(fullSnapshot(t)), snapshotMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, graphText := fr.Bytes(), fr.Bytes()
-	if fr.Err() != nil {
-		t.Fatal(fr.Err())
+	hdr := fr.Bytes()
+	g, err := graph.Decode(fr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for name, body := range map[string]func(w *flat.Writer){
 		"header of 2^40 bytes": func(w *flat.Writer) { w.Uvarint(1 << 40) },
-		"graph of 2^40 bytes":  func(w *flat.Writer) { w.Bytes(hdr); w.Uvarint(1 << 40) },
+		"graph of MaxTypes types": func(w *flat.Writer) {
+			w.Bytes(hdr)
+			w.Uvarint(graph.MaxTypes)
+			w.String("user") // the first name; nothing else follows
+		},
+		"graph of 2^31-1 nodes": func(w *flat.Writer) {
+			w.Bytes(hdr)
+			w.Uvarint(1)
+			w.String("user")
+			w.Uvarint(math.MaxInt32)
+			w.Uvarint(0) // the first node; nothing else follows
+			w.String("Alice")
+		},
+		"node name of 2^40 bytes": func(w *flat.Writer) {
+			w.Bytes(hdr)
+			w.Uvarint(1)
+			w.String("user")
+			w.Uvarint(1)
+			w.Uvarint(0)
+			w.Uvarint(1 << 40)
+		},
 		"index of 2^31-1 keys and entries": func(w *flat.Writer) {
 			w.Bytes(hdr)
-			w.Bytes(graphText)
+			graph.Encode(w, g)
 			w.Uvarint(1) // numMeta
 			w.Uvarint(math.MaxInt32)
 			w.Uvarint(math.MaxInt32)
@@ -468,7 +614,7 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 		},
 		"index of 2^40 keys and entries": func(w *flat.Writer) {
 			w.Bytes(hdr)
-			w.Bytes(graphText)
+			graph.Encode(w, g)
 			w.Uvarint(1)
 			w.Uvarint(1 << 40)
 			w.Uvarint(1 << 40)
@@ -493,6 +639,23 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 	}
 }
 
+// hasCountAbove1 reports whether some pair row of eng holds a count above 1.
+func hasCountAbove1(eng *Engine) bool {
+	ix := eng.cur.Load().ix
+	g := eng.Graph()
+	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+		for _, u := range ix.Partners(v) {
+			pv := ix.PairVec(v, u)
+			for i := 0; i < pv.Len(); i++ {
+				if _, c := pv.At(i); c > 1 {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // FuzzLoadEngine feeds arbitrary bytes through LoadEngine: it may refuse
 // them, but an engine it returns must answer from every node without a
 // panic.
@@ -503,6 +666,42 @@ func FuzzLoadEngine(f *testing.F) {
 	f.Add(data[:len(data)-4])
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("not a snapshot"))
+	// Lifecycle-shaped, small enough to fuzz: LinkedIn at MaxNodes 4,
+	// whose rows mix metagraphs and hold counts above 1.
+	ds := dataset.LinkedIn(dataset.Config{Users: 40, Seed: 1, NoiseRate: 0.05})
+	opts := DefaultOptions()
+	opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 2}
+	opts.Train.Restarts, opts.Train.MaxIters = 1, 20
+	life, err := NewEngine(ds.G, "user", opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	labels := ds.Classes["college"]
+	life.Train("college", eval.MakeExamples(labels, labels.Queries(), ds.Users(), 20, 1))
+	if above := hasCountAbove1(life); life.NumMetagraphs() < 4 || !above {
+		f.Fatalf("the lifecycle-shaped seed has %d metagraphs, counts above 1: %v", life.NumMetagraphs(), above)
+	}
+	var lb bytes.Buffer
+	if err := life.Save(&lb); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lb.Bytes())
+	// More metagraphs than a 64-bit mask holds: the snapshot's own index
+	// repeated until it spans over 64, every copy matched.
+	h, g, ix := snapshotParts(f, data)
+	parts, metas := []*index.Index{}, []snapMetagraph{}
+	for len(metas) <= 64 {
+		parts, metas = append(parts, ix), append(metas, h.Metas...)
+	}
+	h.Metas, h.Matched = metas, nil
+	for i := range metas {
+		h.Matched = append(h.Matched, i)
+	}
+	wide := craft(f, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, index.Merge(parts...))
+	if eng, err := LoadEngine(bytes.NewReader(wide)); err != nil || eng.NumMetagraphs() <= 64 {
+		f.Fatalf("the wide seed loads as %v, %v", eng, err)
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := LoadEngine(bytes.NewReader(data))
 		if err != nil {
@@ -516,4 +715,54 @@ func FuzzLoadEngine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSnapshotRoundTripsAnyNodeName: a node name an update may carry —
+// spaces at either end, line breaks, a tab, a leading '#' — resolves to the
+// same node and reads back byte for byte after Save → LoadEngine, so a
+// replica that boots from the snapshot answers for it as its primary does.
+func TestSnapshotRoundTripsAnyNodeName(t *testing.T) {
+	names := []string{" lead", "trail ", " both ", "a\nb", "a\r\nb", "line\n", "tab\there", "\tlead", "#hash", "# comment", "E 0 1"}
+	eng, g := toyEngine(t)
+	eng.Train("classmate", classmateExamples(g))
+	d := Delta{}
+	for i, name := range names {
+		d.Nodes = append(d.Nodes, DeltaNode{Type: "user", Value: name})
+		d.Edges = append(d.Edges, Edge{U: NodeID(g.NumNodes() + i), V: g.NodeByName("College A")})
+	}
+	if _, err := eng.ApplyUpdate(d); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("a snapshot of names an update accepted does not load: %v", err)
+	}
+	for _, name := range names {
+		v := eng.Graph().NodeByName(name)
+		if v == InvalidNode {
+			t.Fatalf("%q: the saving engine does not resolve it", name)
+		}
+		if got := loaded.Graph().NodeByName(name); got != v {
+			t.Errorf("%q: resolves to %d after the round trip, want %d", name, got, v)
+		}
+		if got := loaded.Graph().Name(v); got != name {
+			t.Errorf("node %d: named %q after the round trip, want %q", v, got, name)
+		}
+		want, err1 := eng.Query("classmate", v, 0)
+		got, err2 := loaded.Query("classmate", v, 0)
+		if err1 != nil || err2 != nil || !slices.Equal(got, want) {
+			t.Errorf("%q: query answers %v/%v, want %v/%v", name, got, err2, want, err1)
+		}
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("save → load → save drifted")
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/fixtures"
 	"repro/internal/flat"
+	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/mining"
 )
@@ -410,18 +412,35 @@ func withEveryCount(t *testing.T, snap []byte, c uint64) []byte {
 		t.Fatal(err)
 	}
 	fw.Bytes(hdr)
-	fw.Bytes(fr.Bytes()) // graph
+	g, err := graph.Decode(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph.Encode(fw, g)
 	uv := func() uint64 { v := fr.Uvarint(); fw.Uvarint(v); return v }
-	uv() // numMeta
+	b := uint(bits.Len64(uv())) // numMeta sizes each row head
+	ones := uint64(0)
+	if c == 1 {
+		ones = 1
+	}
 	for table := 0; table < 2; table++ {
-		nKeys, nEnt := uv(), uv()
-		for i := uint64(0); i < 2*nKeys; i++ { // key deltas, row lengths
-			uv()
-		}
-		for i := uint64(0); i < nEnt; i++ {
-			uv() // Meta
-			fr.Uvarint()
-			fw.Uvarint(c)
+		nKeys, _ := uv(), uv()
+		for i := uint64(0); i < nKeys; i++ {
+			uv() // key delta
+			head := fr.Uvarint()
+			fw.Uvarint(head&^1 | ones)
+			n := head >> (b + 1)
+			for j := uint64(1); j < n; j++ {
+				uv() // Meta gap
+			}
+			for j := uint64(0); j < n; j++ {
+				if head&1 == 0 {
+					fr.Uvarint()
+				}
+				if ones == 0 {
+					fw.Uvarint(c)
+				}
+			}
 		}
 	}
 	for _, sc := range h.Classes { // log-likelihood and weights
