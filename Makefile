@@ -91,7 +91,8 @@ cover:
 # read_direct and the 600-user, MaxNodes-4 lifecycle shape, each with its
 # snapshot_bytes), the merge of the read_direct engine's three matched
 # parts into its one index, the offline
-# build of that engine's index on one worker (instances counted, bytes and
+# build of that engine's index, of lifecycle's and of lifecycle's at 2 000
+# users on one worker (instances counted, pair keys sorted, bytes and
 # allocations reported), one update
 # on the highest-degree node of a LinkedIn-shaped graph, the ranked scan
 # (warm on a small index, and `uniform`: seeded random anchors on the
@@ -103,7 +104,7 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle)$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .

@@ -200,10 +200,12 @@ func BenchmarkMatchQuickSI(b *testing.B) {
 // per worker and the parts merge by offset. read_direct is the build the
 // benchmark's 5 000-user workloads pay at bring-up (MaxNodes 3), and
 // lifecycle the one its 600-user workload pays (MaxNodes 4, whose 3-leaf
-// stars have six automorphic assignments per instance). Both run on one
-// worker so that the figure is the work, not the machine's core count;
-// each reports the instances counted per build next to the bytes and
-// allocations counting them costs.
+// stars have six automorphic assignments per instance); lifecycle_2000 is
+// that shape at 2 000 users. All run on one worker so that the figure is
+// the work, not the machine's core count; each reports the instances
+// counted per build and the pair keys the counter sorted for them (one per
+// weight, not per instance, where SymISO hands it a set) next to the bytes
+// and allocations counting them costs.
 func BenchmarkOfflineIndexBuild(b *testing.B) {
 	offline := func(users, maxNodes int) func(*testing.B) {
 		return func(b *testing.B) {
@@ -215,6 +217,7 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 			for _, m := range ms {
 				instances += match.CountInstances(matcher, m)
 			}
+			keys := index.SortedPairKeys(ms, matcher)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -223,10 +226,12 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(instances), "instances/op")
+			b.ReportMetric(float64(keys), "keys/op")
 		}
 	}
 	b.Run("read_direct", offline(5000, 3))
 	b.Run("lifecycle", offline(600, 4))
+	b.Run("lifecycle_2000", offline(2000, 4))
 	ds := benchDataset()
 	pats := mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor)

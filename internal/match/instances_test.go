@@ -2,6 +2,8 @@ package match_test
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -186,5 +188,53 @@ func TestInstancesEqualLexMinFilter(t *testing.T) {
 	}
 	if five == 0 || symmetric == 0 {
 		t.Fatalf("%d patterns mined, %d of 5 nodes, %d with automorphisms", len(mined), five, symmetric)
+	}
+}
+
+// TestInstanceSetsCountAsInstances: on the equivalence graphs, CountInstances
+// (a binomial per set) equals the number of instances Instances visits, on
+// SymISO and on QuickSI; QuickSI reports plain instances only, and SymISO
+// reports some set with more candidates than positions.
+func TestInstanceSetsCountAsInstances(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var larger bool
+	for trial := 0; trial < 12; trial++ {
+		g := equivalenceGraph(rng)
+		for _, m := range equivalenceMetagraphs() {
+			for _, matcher := range []match.Matcher{match.NewSymISO(g), match.NewQuickSI(g)} {
+				visits := int64(len(collect(func(v match.Visitor) { match.Instances(matcher, m, v) }, -1)))
+				if n := match.CountInstances(matcher, m); n != visits {
+					t.Fatalf("trial %d, %s on %v: CountInstances %d, Instances visited %d", trial, matcher.Name(), m, n, visits)
+				}
+				match.InstanceSets(matcher, m, func(s match.Set) bool {
+					if _, sym := matcher.(*match.SymISO); !sym && len(s.P) > 0 {
+						t.Fatalf("%s reported a set over %v", matcher.Name(), s.P)
+					}
+					larger = larger || len(s.F) > len(s.P)
+					return true
+				})
+			}
+		}
+	}
+	if !larger {
+		t.Fatal("SymISO reported no set with more candidates than positions")
+	}
+}
+
+// TestBinomial: C(n, k) against math/big for every k of n up to 70, zero
+// for k outside [0, n], and false exactly when the value exceeds uint64.
+func TestBinomial(t *testing.T) {
+	limit := new(big.Int).SetUint64(math.MaxUint64)
+	for n := 0; n <= 70; n++ {
+		for k := -1; k <= n+1; k++ {
+			want := new(big.Int)
+			if k >= 0 && k <= n {
+				want.Binomial(int64(n), int64(k))
+			}
+			got, ok := match.Binomial(n, k)
+			if fits := want.Cmp(limit) <= 0; ok != fits || fits && got != want.Uint64() {
+				t.Fatalf("Binomial(%d, %d) = %d, %v; want %v (fits uint64: %v)", n, k, got, ok, want, fits)
+			}
+		}
 	}
 }

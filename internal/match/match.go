@@ -16,11 +16,17 @@
 // the symmetry-breaking conditions of M (metagraph.SymmetryConditions):
 // SymISO enumerates only the assignments that satisfy them, pruning a
 // branch as soon as one fails, and any other engine's assignments are
-// filtered by them. Engines are differential-tested to produce identical
-// assignment sets.
+// filtered by them. InstanceSets reports the same instances in sets: where
+// SymISO's last-placed group is interchangeable one-node members, every
+// choice of them from one candidate list is an instance, and the choices
+// are left to the caller to count or expand. Engines are
+// differential-tested to produce identical assignment sets.
 package match
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/metagraph"
 )
@@ -50,15 +56,31 @@ func CountAssignments(matcher Matcher, m *metagraph.Metagraph) int64 {
 	return n
 }
 
-// Instances enumerates each instance subgraph of m exactly once: it visits
-// the assignments a that are lexicographically minimal among {a∘σ : σ ∈
-// Aut(M)}, in the order matcher's Match would visit them. Two assignments
-// describe the same instance iff they differ by an automorphism, so this is
-// one witness per instance. The witnesses are the assignments that satisfy
-// m's symmetry-breaking conditions, a few comparisons each; SymISO checks
-// each condition as soon as both of its nodes are placed and never
-// enumerates the other |Aut(M)|-1 assignments of an instance.
-func Instances(matcher Matcher, m *metagraph.Metagraph, visit Visitor) {
+// Set is one or more instances of a metagraph that differ only in the nodes
+// on positions P: every choice of len(P) nodes of F, placed on P in
+// ascending order, completes A to one instance, so the set holds
+// C(len(F), len(P)) of them. A places every position outside P and holds
+// graph.InvalidNode on P. F is ascending. A plain instance is the set with
+// P and F empty. The slices are reused between calls; a visitor must copy
+// what it retains.
+type Set struct {
+	A []graph.NodeID
+	P []int
+	F []graph.NodeID
+}
+
+// SetVisitor receives one Set per call. Returning false stops the
+// enumeration.
+type SetVisitor func(s Set) bool
+
+// InstanceSets enumerates the instances of m exactly once, grouped into
+// sets. SymISO reports a set wherever its last-placed group of one-node
+// members is interchangeable (symState.setOf): it has at least two members,
+// no edge between them, and no condition but the ascending chain among
+// them, so that the members' free candidates are all it still has to
+// choose. Any other engine, Delta among them, and SymISO on any other
+// metagraph report plain instances.
+func InstanceSets(matcher Matcher, m *metagraph.Metagraph, visit SetVisitor) {
 	conds := m.SymmetryConditions()
 	if s, ok := matcher.(*SymISO); ok {
 		s.run(m, conds, visit)
@@ -70,16 +92,91 @@ func Instances(matcher Matcher, m *metagraph.Metagraph, visit Visitor) {
 				return true
 			}
 		}
-		return visit(a)
+		return visit(Set{A: a})
 	})
 }
 
-// CountInstances returns the number of distinct instances of m.
+// Instances enumerates each instance subgraph of m exactly once: it visits
+// the assignments a that are lexicographically minimal among {a∘σ : σ ∈
+// Aut(M)}, in the order matcher's Match would visit them. Two assignments
+// describe the same instance iff they differ by an automorphism, so this is
+// one witness per instance. The witnesses are the assignments that satisfy
+// m's symmetry-breaking conditions, a few comparisons each; SymISO checks
+// each condition as soon as both of its nodes are placed and never
+// enumerates the other |Aut(M)|-1 assignments of an instance. Instances is
+// InstanceSets with every set expanded in ascending lexicographic order of
+// the choices, the order SymISO's own search of the group would take.
+func Instances(matcher Matcher, m *metagraph.Metagraph, visit Visitor) {
+	InstanceSets(matcher, m, func(s Set) bool { return s.each(visit) })
+}
+
+// each visits the instances of s, reporting whether visit asked for more.
+// It places each choice on P in turn and leaves P as it found it.
+func (s Set) each(visit Visitor) bool {
+	if len(s.P) == 0 {
+		return visit(s.A)
+	}
+	var pick [metagraph.MaxNodes]int // ascending offsets into F
+	k, last := len(s.P), len(s.F)-len(s.P)
+	for j := range k {
+		pick[j] = j
+	}
+	var more bool
+	for {
+		for j, p := range s.P {
+			s.A[p] = s.F[pick[j]]
+		}
+		if more = visit(s.A); !more {
+			break
+		}
+		j := k - 1
+		for j >= 0 && pick[j] == last+j {
+			j--
+		}
+		if j < 0 {
+			break
+		}
+		pick[j]++
+		for i := j + 1; i < k; i++ {
+			pick[i] = pick[i-1] + 1
+		}
+	}
+	for _, p := range s.P {
+		s.A[p] = graph.InvalidNode
+	}
+	return more
+}
+
+// CountInstances returns the number of distinct instances of m, counting a
+// set by its binomial. A count past int64 panics.
 func CountInstances(matcher Matcher, m *metagraph.Metagraph) int64 {
-	var n int64
-	Instances(matcher, m, func([]graph.NodeID) bool {
-		n++
+	var n uint64
+	InstanceSets(matcher, m, func(s Set) bool {
+		c, ok := Binomial(len(s.F), len(s.P))
+		if n += c; !ok || n < c || n > math.MaxInt64 {
+			panic("match: the instance count of " + m.String() + " overflows int64")
+		}
 		return true
 	})
-	return n
+	return int64(n)
+}
+
+// Binomial returns C(n, k), 0 for k outside [0, n], and false when it
+// exceeds uint64. Every step's product is exact in 128 bits, and each
+// partial result C(n-k+i, i) is at most the final one, so a step that
+// overflows means the result does.
+func Binomial(n, k int) (uint64, bool) {
+	if k < 0 || k > n {
+		return 0, true
+	}
+	k = min(k, n-k)
+	r := uint64(1)
+	for i := 1; i <= k; i++ {
+		hi, lo := bits.Mul64(r, uint64(n-k+i))
+		if hi >= uint64(i) {
+			return 0, false
+		}
+		r, _ = bits.Div64(hi, lo, uint64(i))
+	}
+	return r, true
 }

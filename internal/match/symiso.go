@@ -17,7 +17,10 @@ import (
 // group fixes all already-matched nodes, so a sibling's constraints
 // against D coincide with the representative's and are never re-verified.
 // Only the cross-edges between the group's own components are checked when
-// a tuple of distinct matchings is selected.
+// a tuple of distinct matchings is selected. When the last group to place
+// is interchangeable one-node members that conditions keep ascending,
+// every choice of them from its candidate list is one instance, and
+// InstanceSets reports the list instead of choosing.
 type SymISO struct {
 	g     *graph.Graph
 	stats *GraphStats
@@ -48,14 +51,17 @@ func (s *SymISO) Name() string {
 }
 
 // Match implements Matcher.
-func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) { s.run(m, nil, visit) }
+func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) {
+	s.run(m, nil, func(set Set) bool { return visit(set.A) })
+}
 
 // run enumerates the assignments of m that satisfy conds, each a
 // symmetry-breaking condition a[U] < a[V] (nil: every assignment). A
 // condition is checked as soon as both of its nodes are placed, so a
 // branch no completion of which could satisfy it is never entered; the
-// surviving assignments are visited in Match's order.
-func (s *SymISO) run(m *metagraph.Metagraph, conds []metagraph.Edge, visit Visitor) {
+// surviving assignments are visited in Match's order, those of a last
+// group planSteps finds interchangeable as one Set per candidate list.
+func (s *SymISO) run(m *metagraph.Metagraph, conds []metagraph.Edge, visit SetVisitor) {
 	d := metagraph.Decompose(m)
 	groups := d.Groups
 	order := s.groupOrder(m, groups)
@@ -121,7 +127,8 @@ func (s *SymISO) run(m *metagraph.Metagraph, conds []metagraph.Edge, visit Visit
 // step firstStep[k]+j. A condition a[previous member] < a[member] between
 // two one-node members becomes the step's after flag instead: both pick
 // from the same ascending candidate list, so the pick's scan starts past
-// the previous one.
+// the previous one. Last, it decides whether the last group is a set (see
+// setOf).
 func (st *symState) planSteps(conds []metagraph.Edge) {
 	stepOf := make([]int, st.m.N())
 	st.firstStep = make([]int, len(st.order))
@@ -153,6 +160,41 @@ func (st *symState) planSteps(conds []metagraph.Edge) {
 			}
 		}
 	}
+	st.setPos = st.setOf(len(st.order) - 1)
+}
+
+// setOf returns the positions of the group at depth k, member by member,
+// when its choices are a set, and nil otherwise. They are when the group
+// has at least two members of one node each and no edge between them, and
+// its steps chain every member after the previous one and check nothing
+// else but conditions between two members the chain already implies. With
+// the rest of the metagraph placed, a member's candidates are then the
+// representative's — the group's automorphisms fix everything else — and
+// every ascending choice of distinct ones is an assignment the conditions
+// keep: exactly the tuples tuple would pick, in its order.
+func (st *symState) setOf(k int) []int {
+	gi := st.order[k]
+	maps := st.groups[gi].Maps
+	if len(maps) < 2 || len(maps[0]) != 1 {
+		return nil
+	}
+	pos := make([]int, len(maps))
+	for j, nodes := range maps {
+		pos[j] = nodes[0]
+	}
+	for j := range maps {
+		s := &st.steps[st.firstStep[k]+j]
+		if len(st.groupNbrs[gi][j][0]) != 0 || j > 0 && !s.after {
+			return nil
+		}
+		for _, c := range s.conds {
+			ju, jv := slices.Index(pos, c.U), slices.Index(pos, c.V)
+			if ju < 0 || jv < 0 || ju > jv {
+				return nil
+			}
+		}
+	}
+	return pos
 }
 
 // symStep is what one placement of the search checks.
@@ -277,6 +319,9 @@ type symState struct {
 	// first is steps[firstStep[k]].
 	steps     []symStep
 	firstStep []int
+	// setPos holds the positions of the last group when its choices are
+	// reported as one Set (see setOf), nil when they are searched.
+	setPos []int
 
 	// cands[k] holds the candidate matchings of the group at recursion
 	// depth k, flat with stride len(rep.Nodes). A depth is never
@@ -287,7 +332,7 @@ type symState struct {
 
 	assign  []graph.NodeID
 	used    []bool
-	visit   Visitor
+	visit   SetVisitor
 	stopped bool
 }
 
@@ -296,7 +341,7 @@ func (st *symState) matchGroup(k int) {
 		return
 	}
 	if k == len(st.order) {
-		if !st.visit(st.assign) {
+		if !st.visit(Set{A: st.assign}) {
 			st.stopped = true
 		}
 		return
@@ -346,6 +391,12 @@ func (st *symState) matchGroup(k int) {
 			if st.stopped {
 				return
 			}
+		}
+		return
+	}
+	if st.setPos != nil && k == len(st.order)-1 {
+		if len(st.cands[k]) >= len(st.setPos) && !st.visit(Set{A: st.assign, P: st.setPos, F: st.cands[k]}) {
+			st.stopped = true
 		}
 		return
 	}

@@ -305,11 +305,18 @@ func resolveClass(v semprox.View, class string) *api.Error {
 	return errNotFound(api.CodeClassNotFound, "class %q not trained (have %v)", class, v.Classes())
 }
 
-// resolveNode maps a node name to its id, 404ing unknown names.
+// resolveNode maps a node name to its id: an empty name is a 400 naming
+// field, an unknown one a 404.
 func resolveNode(g *semprox.Graph, field, name string) (semprox.NodeID, *api.Error) {
 	if name == "" {
 		return semprox.InvalidNode, errBadRequest("missing %s", field)
 	}
+	return lookupNode(g, name)
+}
+
+// lookupNode is resolveNode for a name already known to be non-empty, so a
+// batch formats the field of a query only when it is missing.
+func lookupNode(g *semprox.Graph, name string) (semprox.NodeID, *api.Error) {
 	id := g.NodeByName(name)
 	if id == semprox.InvalidNode {
 		return semprox.InvalidNode, errNotFound(api.CodeNodeNotFound, "node %q not in graph", name)
@@ -356,9 +363,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req api.QueryRequest
 	if r.Method == http.MethodGet {
-		req.Class = r.URL.Query().Get("class")
-		req.Query = r.URL.Query().Get("query")
-		if kStr := r.URL.Query().Get("k"); kStr != "" {
+		q := r.URL.Query()
+		req.Class, req.Query = q.Get("class"), q.Get("query")
+		if kStr := q.Get("k"); kStr != "" {
 			k, err := strconv.Atoi(kStr)
 			if err != nil {
 				wire.WriteErr(w, errBadRequest("bad k %q", kStr))
@@ -430,7 +437,11 @@ func queryBatch(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 	}
 	qs := make([]semprox.NodeID, len(req.Queries))
 	for i, name := range req.Queries {
-		q, herr := resolveNode(v.Graph(), fmt.Sprintf("queries[%d]", i), name)
+		if name == "" {
+			wire.WriteErr(w, errBadRequest("missing queries[%d]", i))
+			return
+		}
+		q, herr := lookupNode(v.Graph(), name)
 		if herr != nil {
 			wire.WriteErr(w, herr)
 			return

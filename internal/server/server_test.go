@@ -148,6 +148,26 @@ func TestQuerySingleMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestQueryGetEqualsPost: a GET query reads class, query and k from its one
+// parse of the URL and answers the very body the equivalent POST does, for
+// every k a client may send, the default included.
+func TestQueryGetEqualsPost(t *testing.T) {
+	s, _, _ := trainedServer(t)
+	for _, k := range []string{"", "1", "3", "10"} {
+		target, body := api.PathQuery+"?class=classmate&query=Kate", `{"class":"classmate","query":"Kate"}`
+		if k != "" {
+			target, body = target+"&k="+k, `{"class":"classmate","query":"Kate","k":`+k+`}`
+		}
+		get, post := do(t, s, http.MethodGet, target, ""), do(t, s, http.MethodPost, api.PathQuery, body)
+		if get.Code != http.StatusOK || post.Code != http.StatusOK {
+			t.Fatalf("k=%q: GET status %d (%s), POST status %d (%s)", k, get.Code, get.Body, post.Code, post.Body)
+		}
+		if !bytes.Equal(get.Body.Bytes(), post.Body.Bytes()) {
+			t.Fatalf("k=%q: GET answered %s, POST %s", k, get.Body, post.Body)
+		}
+	}
+}
+
 // TestQueryBatchMatchesEngine pins the batched form against QueryBatch.
 func TestQueryBatchMatchesEngine(t *testing.T) {
 	s, eng, g := trainedServer(t)
@@ -197,6 +217,7 @@ func TestQueryClientErrors(t *testing.T) {
 		{"bad class", http.MethodGet, api.PathQuery + "?class=nope&query=Kate", "", http.StatusNotFound, "class_not_found"},
 		{"bad node", http.MethodGet, api.PathQuery + "?class=classmate&query=Nobody", "", http.StatusNotFound, "node_not_found"},
 		{"bad node in batch", http.MethodPost, api.PathQuery, `{"class":"classmate","queries":["Kate","Nobody"]}`, http.StatusNotFound, "node_not_found"},
+		{"empty name in batch", http.MethodPost, api.PathQuery, `{"class":"classmate","queries":["Kate",""]}`, http.StatusBadRequest, "bad_request"},
 		{"malformed JSON", http.MethodPost, api.PathQuery, `{"class":"classmate",`, http.StatusBadRequest, "bad_request"},
 		{"unknown field", http.MethodPost, api.PathQuery, `{"class":"classmate","query":"Kate","frobnicate":1}`, http.StatusBadRequest, "bad_request"},
 		{"trailing garbage", http.MethodPost, api.PathQuery, `{"class":"classmate","query":"Kate"} extra`, http.StatusBadRequest, "bad_request"},
