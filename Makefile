@@ -67,11 +67,13 @@ test:
 # Per-package statement-coverage floors. Entries are pkg:floor pairs; a
 # bare pkg uses $(COVER_FLOOR). Floors are set to what each package
 # honestly sustains today (wal's fault-injection error paths and
-# replica's network-failure arms keep those two below the default), so
+# replica's network-failure arms keep those two below the default; index
+# and match, the packages under the output goldens, sit near 97 %), so
 # any drop is a regression, not noise.
 COVER_PKGS ?= internal/core internal/server api client \
 	internal/wal:80 internal/replica:75 internal/loadstats:90 internal/atomicfile:80 \
-	internal/proxy:85 internal/obs:85 internal/lint:90 internal/wire:90
+	internal/proxy:85 internal/obs:85 internal/lint:90 internal/wire:90 \
+	internal/index:95 internal/match:95
 cover:
 	@for entry in $(COVER_PKGS); do \
 		pkg=$${entry%%:*}; floor=$${entry#*:}; \
@@ -95,8 +97,11 @@ cover:
 # users on one worker (instances counted, pair keys sorted, bytes and
 # allocations reported), one update
 # on the highest-degree node of a LinkedIn-shaped graph, the ranked scan
-# (warm on a small index, and `uniform`: seeded random anchors on the
-# 5 000-user index, which is what a daemon pays), and one query and one
+# (warm on a small index; `uniform`: seeded random anchors on the 5 000-user
+# index under its learned w*, which is what a daemon pays; `dense`: the
+# same under uniform weights, where the scan skips no metagraph; and
+# `lifecycle`: the 600-user MaxNodes-4 engine, 10 of 12 weights non-zero —
+# each with candidates/op, the partners scored), and one query and one
 # batch of 8 through the whole server handler chain with the request log
 # on and off and `uniform` likewise (allocs/op and candidates/op
 # reported; TestServeAllocBudget is the gate, this keeps the benchmarks

@@ -285,13 +285,18 @@ func BenchmarkOnlineQuery(b *testing.B) {
 }
 
 // BenchmarkRankTop measures the online top-k scan behind /v1/query: one
-// serial pass over the query's adjacency row, one allocation (the result).
-// warm walks the users of a 200-user index in id order, so every row it
-// reads is in cache — the scan's arithmetic and nothing else. uniform is
-// what a daemon under the benchmark's read mix pays: Engine.Query on the
-// 5 000-user read_direct engine with anchors in a seeded random order, so
-// consecutive queries share no rows and the ~26 MB index does not stay in
-// cache.
+// term-at-a-time pass over the runs of the metagraphs the weights weigh,
+// one allocation (the result). warm walks the users of a 200-user index in
+// id order under uniform weights, so every run it reads is in cache — the
+// scan's arithmetic and nothing else. The others rank a benchmark/
+// workload's users in a seeded random order, so consecutive queries share
+// no runs and the index does not stay in cache: uniform is what a daemon
+// under the read mix pays (Engine.Query on the 5 000-user read_direct
+// engine, whose learned w* weighs one of three metagraphs); dense is the
+// same engine under UniformWeights, where the scan skips nothing; and
+// lifecycle is Engine.Query on the 600-user MaxNodes-4 engine, whose w*
+// weighs 10 of 12 metagraphs. Each reports candidates/op, the partners a
+// scan scored.
 func BenchmarkRankTop(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		g, ix := benchIndex(b)
@@ -306,27 +311,47 @@ func BenchmarkRankTop(b *testing.B) {
 			}
 		}
 	})
-	b.Run("uniform", func(b *testing.B) {
-		eng, _ := snapshotBench(b, snapShapes[0])
+	// scan ranks eng's users under the college class, or under w with its
+	// own denominators when w is non-nil.
+	scan := func(b *testing.B, eng *Engine, w []float64) {
 		g := eng.Graph()
 		users := slices.Clone(g.NodesOfType(g.Types().ID("user")))
 		rand.New(rand.NewSource(1)).Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
 		ix := eng.cur.Load().ix
-		partners := make([]int, len(users))
+		query := func(q NodeID) ([]Ranked, error) { return eng.Query("college", q, 10) }
+		if w != nil {
+			cm := &classModel{w: w, dots: ix.NodeDots(w)}
+			query = func(q NodeID) ([]Ranked, error) { return rank(ix, cm, q, 10), nil }
+		} else {
+			w = eng.Weights("college")
+		}
+		scanned := make([]int, len(users))
 		for i, q := range users {
-			partners[i] = len(ix.Partners(q))
+			_, scanned[i] = core.RankCandidates(ix, w, nil, q, 10)
 		}
 		candidates := 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r, err := eng.Query("college", users[i%len(users)], 10)
+			r, err := query(users[i%len(users)])
 			if err != nil || len(r) > 10 {
 				b.Fatal("bad ranking", err)
 			}
-			candidates += partners[i%len(users)]
+			candidates += scanned[i%len(users)]
 		}
 		b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+	}
+	b.Run("uniform", func(b *testing.B) {
+		eng, _ := snapshotBench(b, snapShapes[0])
+		scan(b, eng, nil)
+	})
+	b.Run("dense", func(b *testing.B) {
+		eng, _ := snapshotBench(b, snapShapes[0])
+		scan(b, eng, core.UniformWeights(eng.NumMetagraphs()))
+	})
+	b.Run("lifecycle", func(b *testing.B) {
+		eng, _ := snapshotBench(b, snapShapes[1])
+		scan(b, eng, nil)
 	})
 }
 

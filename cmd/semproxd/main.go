@@ -101,7 +101,9 @@ func main() {
 	if err := daemon.ServeDebug(ctx, *debugAddr); err != nil {
 		log.Fatal(err)
 	}
-	if err := daemon.Serve(ctx, *addr, handler); err != nil {
+	// Serve returns once the requests in flight have drained; the drain
+	// ends followers' long polls instead of waiting them out.
+	if err := daemon.Serve(ctx, *addr, handler, handler.Drain); err != nil {
 		log.Fatal(err)
 	}
 	// Let in-flight background compactions from /update finish, then

@@ -414,13 +414,12 @@ func (v View) Query(class string, q NodeID, k int) ([]Ranked, error) {
 }
 
 // rank answers one ranked query on a class and records how long the scan
-// took and how many candidates it visited.
+// took and how many partners it scored.
 func rank(ix *index.Index, cm *classModel, q NodeID, k int) []Ranked {
 	start := time.Now()
-	cands := ix.Candidates(q)
-	top := core.RankCandidates(cands, cm.w, cm.dots, k)
+	top, scanned := core.RankCandidates(ix, cm.w, cm.dots, q, k)
 	engRank.Since(start)
-	engCandidates.Observe(int64(len(cands.Nodes)))
+	engCandidates.Observe(int64(scanned))
 	return top
 }
 

@@ -196,7 +196,9 @@ func TestEngineDualStageParallelDeterministic(t *testing.T) {
 
 // TestEngineConcurrentOnline hammers Query and Proximity from many
 // goroutines after training; run under -race this pins the documented
-// thread-safety guarantee of the online phase.
+// thread-safety guarantee of the online phase. The scans share one index
+// and a pool of accumulators, so every concurrent ranking must equal the
+// one the same query got alone.
 func TestEngineConcurrentOnline(t *testing.T) {
 	eng, g := toyEngine(t)
 	eng.Train("classmate", classmateExamples(g))
@@ -204,15 +206,19 @@ func TestEngineConcurrentOnline(t *testing.T) {
 		g.NodeByName("Alice"), g.NodeByName("Bob"), g.NodeByName("Kate"),
 		g.NodeByName("Jay"), g.NodeByName("Tom"),
 	}
+	alone := make([][]Ranked, len(users))
+	for i, q := range users {
+		alone[i], _ = eng.Query("classmate", q, 10)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				q := users[(w+i)%len(users)]
-				if _, err := eng.Query("classmate", q, 10); err != nil {
-					t.Error(err)
+				u := (w + i) % len(users)
+				if r, err := eng.Query("classmate", users[u], 10); err != nil || !slices.Equal(r, alone[u]) {
+					t.Errorf("Query(%d) = %v, %v; alone %v", users[u], r, err, alone[u])
 					return
 				}
 				x, y := users[i%len(users)], users[(i+1)%len(users)]

@@ -65,47 +65,55 @@ func Rank(ix *index.Index, w []float64, q graph.NodeID) []Ranked {
 }
 
 // RankTop returns the top k of Rank (k <= 0 means all): RankCandidates
-// over q's adjacency row, every denominator computed from the node rows.
+// with every denominator computed from the node rows.
 func RankTop(ix *index.Index, w []float64, q graph.NodeID, k int) []Ranked {
-	return RankCandidates(ix.Candidates(q), w, nil, k)
+	top, _ := RankCandidates(ix, w, nil, q, k)
+	return top
 }
 
-// RankCandidates is the scan of the online phase: one pass over the
-// adjacency row of a query node q, scoring every candidate v by Def. 3 and
-// keeping only the k best (k <= 0 means all) in a bounded heap — the
-// returned slice is the call's one allocation. Every candidate's pair row
-// sits in scan order (no search per candidate). dots, when non-nil, is
-// ix.NodeDots(w) of the index the row came from — m_v·w is a constant of
-// (w, v), so a caller that ranks under one w many times computes it once —
-// and the scan then reads no node row at all; with nil dots it evaluates
-// the same SparseVec.Dot per candidate, so both give the same bits.
-func RankCandidates(cands index.Candidates, w, dots []float64, k int) []Ranked {
-	// No ranking is longer than the candidate list, so an oversized k (a
+// RankCandidates is the scan of the online phase, term at a time: the
+// accumulator adds m_qv·w for every partner v of q reached through a
+// metagraph w weighs (index.Accumulate), then each of those is scored by
+// Def. 3 and only the k best (k <= 0 means all) are kept in a bounded heap
+// — the returned slice is the call's one allocation. A partner that shares
+// only zero-weight metagraphs with q scores 0 and is never visited, and
+// the heap keeps the k best under a total order whatever order the
+// partners arrive in, so the ranking is the one a scan of every partner
+// gives, bit for bit. dots, when non-nil, is ix.NodeDots(w) — m_v·w is a
+// constant of (w, v), so a caller that ranks under one w many times
+// computes it once — and the scan then reads no node row at all; with nil
+// dots it evaluates the same SparseVec.Dot per partner, so both give the
+// same bits. scanned is the number of partners scored.
+func RankCandidates(ix *index.Index, w, dots []float64, q graph.NodeID, k int) ([]Ranked, int) {
+	acc := ix.Accumulate(q, w)
+	defer acc.Release()
+	scanned := len(acc.Touched)
+	// No ranking is longer than the partners scored, so an oversized k (a
 	// client asking for "everything") never sizes the allocation.
-	if k <= 0 || k > len(cands.Nodes) {
-		k = len(cands.Nodes)
+	if k <= 0 || k > scanned {
+		k = scanned
 	}
 	top := make(worstHeap, 0, k)
 	if k == 0 {
-		return top
+		return top, scanned
 	}
 	var qDot float64
 	if dots != nil {
-		qDot = dots[cands.Query]
+		qDot = dots[q]
 	} else {
-		qDot = cands.QueryVec().Dot(w)
+		qDot = acc.QueryVec().Dot(w)
 	}
-	for i, v := range cands.Nodes {
+	for _, v := range acc.Touched {
 		den := qDot
 		if dots != nil {
 			den += dots[v]
 		} else {
-			den += cands.NodeVec(i).Dot(w)
+			den += acc.NodeVec(v).Dot(w)
 		}
 		if den <= 0 {
 			continue
 		}
-		s := 2 * cands.PairVec(i).Dot(w) / den
+		s := 2 * acc.PairDot(v) / den
 		if s <= 0 {
 			continue
 		}
@@ -122,7 +130,7 @@ func RankCandidates(cands index.Candidates, w, dots []float64, k int) []Ranked {
 		}
 	}
 	slices.SortFunc(top, compareRanked)
-	return top
+	return top, scanned
 }
 
 // worstHeap is a bounded top-k heap with the WORST kept candidate at the

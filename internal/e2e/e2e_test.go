@@ -1,11 +1,14 @@
 package e2e
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -452,6 +456,63 @@ func TestCheckpointAfterReplay(t *testing.T) {
 	}
 	if resp, err := update(client.New(resumed.url(), hc), waitTimeout, "ckpt-4", "user-1"); err != nil || resp.LSN != 4 {
 		t.Fatalf("the update after the checkpoint: %+v, %v; want LSN 4", resp, err)
+	}
+}
+
+// TestSIGTERMDrains: SIGTERM lets the requests in flight finish — a query
+// whose body is still arriving when the signal lands gets its 200 — while
+// the follower's long poll ends at once, so the polled primary exits as soon
+// as the query is answered, well inside the 5 s drain bound, and exits 0.
+func TestSIGTERMDrains(t *testing.T) {
+	e := newEnv(t)
+	p := e.primary()
+	f := e.start("follower", semproxd, "", "-follow", p.url())
+	waitReady(t, 0, f)
+
+	conn, err := net.Dial("tcp", p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"class":"` + class + `","query":"user-17","k":5}`
+	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		api.PathQuery, p.addr, len(body), body[:10]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond) // the handler is reading the body
+
+	signaled := time.Now()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the primary's listener to close", func() bool {
+		c, err := net.Dial("tcp", p.addr)
+		if err == nil {
+			c.Close()
+		}
+		return err != nil
+	}, p)
+	if !p.alive() {
+		t.Fatalf("the primary exited with a query in flight\n%s", p.logTail())
+	}
+	if _, err := io.WriteString(conn, body[10:]); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("the query in flight at SIGTERM: %v, %v\n%s", resp, err, p.logTail())
+	}
+	resp.Body.Close()
+	select {
+	case <-p.exited:
+	case <-time.After(waitTimeout):
+		t.Fatalf("the primary did not exit after its last request\n%s", p.logTail())
+	}
+	if d := time.Since(signaled); d > 2500*time.Millisecond {
+		t.Errorf("a primary with a follower polling it took %v to exit after SIGTERM", d)
+	}
+	if code := p.cmd.ProcessState.ExitCode(); code != 0 {
+		t.Fatalf("primary exited %d on SIGTERM, want 0\n%s", code, p.logTail())
 	}
 }
 

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,29 +10,49 @@ import (
 	"repro/internal/match"
 )
 
-// checkAdjacency compares the adjacency of got with want's slot for slot —
-// same partners in the same order, and behind every slot the same pair row
-// and the same node row — and (scanEverything) each slot of got, its query
-// rows and its denominators with the by-key reads they replace. The two may
-// hold a row inline, in a table or in an overlay; what a slot resolves to is
-// what must agree.
+// checkAdjacency compares the runs of got with want's run for run — the
+// same metagraphs in the same order, each with the same postings — and the
+// node row behind every posting, then (scanEverything) each run of got, its
+// scans and its denominators with the by-key reads they replace. The two
+// may hold a run in the flat runs or in the overlay's; what a node's runs
+// resolve to is what must agree.
 func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int) {
 	t.Helper()
+	ag, aw := got.adjacency(), want.adjacency()
+	ones := make([]float64, want.NumMeta())
+	for i := range ones {
+		ones[i] = 1
+	}
+	endpoint := map[graph.NodeID]bool{}
+	for _, k := range got.ovlMxy.keys {
+		x, y := k.Nodes()
+		endpoint[x], endpoint[y] = true, true
+	}
 	for v := graph.NodeID(-1); int(v) < numNodes+2; v++ {
-		cg, cw := got.Candidates(v), want.Candidates(v)
-		if !slices.Equal(cg.Nodes, cw.Nodes) {
-			t.Fatalf("%s: partners of %d = %v, want %v", label, v, cg.Nodes, cw.Nodes)
+		if lo, hi := ag.ovl.runs(v); lo < hi && !endpoint[v] {
+			t.Fatalf("%s: node %d has replacement runs but no overlay pair", label, v)
 		}
-		for i, u := range cg.Nodes {
-			if !sameRow(cg.PairVec(i), cw.PairVec(i)) {
-				t.Fatalf("%s: slot %d of node %d (pair with %d) resolves to %v; from scratch %v",
-					label, i, v, u, cg.PairVec(i), cw.PairVec(i))
+		rg, glo, ghi := ag.runsOf(v)
+		rw, wlo, whi := aw.runsOf(v)
+		if ghi-glo != whi-wlo {
+			t.Fatalf("%s: node %d has %d runs, from scratch %d", label, v, ghi-glo, whi-wlo)
+		}
+		accG, accW := got.Accumulate(v, ones), want.Accumulate(v, ones)
+		for i := int32(0); i < ghi-glo; i++ {
+			mg, pg := rg.meta[glo+i], rg.postings(glo+i)
+			mw, pw := rw.meta[wlo+i], rw.postings(wlo+i)
+			if mg != mw || !slices.Equal(pg, pw) {
+				t.Fatalf("%s: run %d of node %d is metagraph %d %v; from scratch %d %v", label, i, v, mg, pg, mw, pw)
 			}
-			if !sameRow(cg.NodeVec(i), cw.NodeVec(i)) {
-				t.Fatalf("%s: slot %d of node %d: m_%d resolves to %v; from scratch %v",
-					label, i, v, u, cg.NodeVec(i), cw.NodeVec(i))
+			for _, p := range pg {
+				if !sameRow(accG.NodeVec(p.node), accW.NodeVec(p.node)) {
+					t.Fatalf("%s: partner %d of node %d: m_%d resolves to %v; from scratch %v",
+						label, p.node, v, p.node, accG.NodeVec(p.node), accW.NodeVec(p.node))
+				}
 			}
 		}
+		accG.Release()
+		accW.Release()
 	}
 	scanEverything(t, got, numNodes+1)
 }
@@ -90,25 +111,50 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 
 // TestAdjacencyOfHandBuiltPatch covers what re-matching never produces but
 // the types allow: a pair whose endpoints have no node row, a patch that
-// introduces node ids beyond the base, and an index with no pairs at all.
+// introduces node ids beyond the base — which the pooled accumulator must
+// grow to reach — and an index with no pairs at all.
 func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
+	w := []float64{1}
 	empty := NewBuilder(1).Build()
 	empty.BuildAdjacency()
-	if got := empty.Candidates(3); len(got.Nodes) != 0 {
-		t.Fatalf("empty index has candidates %v", got.Nodes)
+	if got := empty.Partners(3); len(got) != 0 {
+		t.Fatalf("empty index has partners %v", got)
 	}
+	acc := empty.Accumulate(3, w)
+	if len(acc.Touched) != 0 {
+		t.Fatalf("empty index: the scan reached %v", acc.Touched)
+	}
+	// Hand the pool an accumulator sized for the empty index, so that the
+	// next scan (of this goroutine, without -race) has to grow it.
+	acc.slot = acc.slot[:0]
+	acc.Release()
+
 	p := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
 		map[PairKey][]Entry{MakePairKey(1, 3): {{Meta: 0, Count: 1}}, MakePairKey(3, 9): {{Meta: 0, Count: 4}}})
 	patched := empty.WithPatch(p)
-	c := patched.Candidates(3)
-	if !slices.Equal(c.Nodes, []graph.NodeID{1, 9}) {
-		t.Fatalf("partners of 3 = %v, want [1 9]", c.Nodes)
+	if got := patched.Partners(3); !slices.Equal(got, []graph.NodeID{1, 9}) {
+		t.Fatalf("partners of 3 = %v, want [1 9]", got)
 	}
-	if c.NodeVec(0).Len() != 0 || c.PairVec(1).Get(0) != 4 {
-		t.Fatalf("slots of 3 resolve to m_1 = %v, m_39 = %v", c.NodeVec(0), c.PairVec(1))
+	acc = patched.Accumulate(3, w)
+	if len(acc.slot) < patched.NodeSpan() || !slices.Equal(acc.Touched, []graph.NodeID{1, 9}) {
+		t.Fatalf("scan of 3 over %d slots for a node span of %d reached %v, want [1 9]", len(acc.slot), patched.NodeSpan(), acc.Touched)
 	}
-	if c := patched.Candidates(9); !slices.Equal(c.Nodes, []graph.NodeID{3}) || c.NodeVec(0).Get(0) != 2 {
-		t.Fatalf("partners of 9 = %v", c.Nodes)
+	if acc.NodeVec(1).Len() != 0 || acc.PairDot(1) != 1 || acc.PairDot(9) != 4 {
+		t.Fatalf("scan of 3 resolves to m_1 = %v, m_31·w = %v, m_39·w = %v", acc.NodeVec(1), acc.PairDot(1), acc.PairDot(9))
 	}
+	// Wrap the stamps with a stale sum on node 1 that would look current
+	// after the wrap: the next scan must not add to it.
+	acc.gen, acc.slot[1] = math.MaxUint32, accSlot{sum: 5, gen: 1}
+	acc.Release()
+	acc = patched.Accumulate(3, w)
+	if !slices.Equal(acc.Touched, []graph.NodeID{1, 9}) || acc.PairDot(1) != 1 {
+		t.Fatalf("scan of 3 after the stamps wrapped reached %v with m_31·w = %v", acc.Touched, acc.PairDot(1))
+	}
+	acc.Release()
+	acc = patched.Accumulate(9, w)
+	if !slices.Equal(acc.Touched, []graph.NodeID{3}) || acc.NodeVec(3).Get(0) != 2 {
+		t.Fatalf("scan of 9 reached %v, m_3 = %v", acc.Touched, acc.NodeVec(3))
+	}
+	acc.Release()
 	checkAdjacency(t, "hand-built", patched, patched.Compact(), 10)
 }

@@ -10,8 +10,9 @@
 // addressed through sorted key and offset slices. Reads by key (NodeVec,
 // PairVec) are a binary search plus a slice header — no allocation, no
 // pointer chasing — the candidate scan of a ranked query follows the
-// derived partner adjacency (adjacency.go), which lays every query node's
-// pair rows out in scan order and searches nothing, and Merge/Project
+// derived partner adjacency (adjacency.go), which groups every query
+// node's partners into one run per metagraph, so a scan reads only the
+// metagraphs its weights weigh and searches nothing, and Merge/Project
 // operate on whole arenas instead of one small map row at a time. Every
 // entry holds a raw instance count; a transform of the counts is a property
 // of the index, applied as a value is read (Transform, SparseVec).
@@ -183,13 +184,13 @@ type Index struct {
 	// delta only adds instances, so no row ever vanishes).
 	ovlMx  csr[graph.NodeID]
 	ovlMxy csr[PairKey]
-	// adj lists, per node, every y that shares at least one instance with
-	// x symmetrically — the candidates the online phase ranks — with their
-	// pair rows in scan order (see adjacency.go). Never nil. It is derived
-	// from the tables when a writer finishes the index for readers, or on
-	// first use: the single-metagraph parts the parallel build produces are
-	// merged without their adjacency ever being read, so building it in
-	// every constructor would be pure waste.
+	// adj lists, per node x and metagraph m, every y that shares at least
+	// one instance of m with x symmetrically — the candidates the online
+	// phase ranks — with the count m_xy[m] (see adjacency.go). Never nil.
+	// It is derived from the tables when a writer finishes the index for
+	// readers, or on first use: the single-metagraph parts the parallel
+	// build produces are merged without their adjacency ever being read, so
+	// building it in every constructor would be pure waste.
 	adj *lazyAdjacency
 }
 
@@ -229,10 +230,6 @@ func (ix *Index) pairRow(x, y graph.NodeID) []Entry {
 	}
 	return ix.mxy.row(k)
 }
-
-// Partners returns the nodes that co-occur symmetrically with x in at least
-// one instance, in ascending order. The slice is shared; do not modify.
-func (ix *Index) Partners(x graph.NodeID) []graph.NodeID { return ix.Candidates(x).Nodes }
 
 // NumPairs returns the number of node pairs with a non-zero m_xy.
 func (ix *Index) NumPairs() int {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -444,14 +445,14 @@ func TestIndexRoundTripAnyWidth(t *testing.T) {
 }
 
 var (
-	sinkVec      SparseVec
-	sinkPartners []graph.NodeID
-	sinkFloat    float64
+	sinkVec   SparseVec
+	sinkFloat float64
 )
 
 // TestZeroAllocReads pins the online-phase contract: reading vectors out
-// of the frozen CSR index and dotting them against a weight vector must
-// not allocate.
+// of the frozen CSR index, dotting them against a weight vector and a
+// pooled term-at-a-time scan must not allocate (the scan only without the
+// race detector, which empties pools on purpose).
 func TestZeroAllocReads(t *testing.T) {
 	g, ix := buildToyIndex(t)
 	kate := g.NodeByName("Kate")
@@ -470,11 +471,14 @@ func TestZeroAllocReads(t *testing.T) {
 	}{
 		{"NodeVec", func() { sinkVec = ix.NodeVec(kate) }},
 		{"PairVec", func() { sinkVec = ix.PairVec(kate, jay) }},
-		{"Partners", func() { sinkPartners = ix.Partners(kate) }},
+		{"Accumulate", func() { ix.Accumulate(kate, w).Release() }},
 		{"SparseVec.Dot", func() { sinkFloat = v.Dot(w) }},
 		{"SparseVec.Get", func() { sinkFloat = v.Get(2) }},
 	}
 	for _, c := range checks {
+		if c.name == "Accumulate" && raceEnabled {
+			continue
+		}
 		if allocs := testing.AllocsPerRun(200, c.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f allocs/op, want 0", c.name, allocs)
 		}
@@ -627,40 +631,81 @@ func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 	}
 }
 
-// scanEverything reads every adjacency row of ix and every vector behind
-// it — whatever Read accepted must be safe to rank on — and holds each to
-// the by-key read it stands in for: the inline and the by-table pair rows,
-// the node rows, the query's own row and the denominators.
+// scanEverything reads every run of ix and every vector behind it —
+// whatever Read accepted must be safe to rank on — and holds each to the
+// by-key read it stands in for: every posting to its pair row's coordinate,
+// the postings all together to the pair table, the query's own row, the
+// denominators, and a scan under weights with zeros to each weighted pair
+// row's Dot, bit for bit.
 func scanEverything(t testing.TB, ix *Index, numNodes int) {
 	t.Helper()
 	ix.BuildAdjacency()
 	w := make([]float64, ix.NumMeta())
 	for i := range w {
-		w[i] = 1 / float64(i+3)
+		if i%3 != 1 { // every third metagraph weighs nothing
+			w[i] = 1 / float64(i+3)
+		}
 	}
 	dots := ix.NodeDots(w)
 	if len(dots) != ix.NodeSpan() {
 		t.Fatalf("%d denominators for a node span of %d", len(dots), ix.NodeSpan())
 	}
+	a := ix.adjacency()
+	postings := 0
 	for v := graph.NodeID(-1); int(v) <= numNodes; v++ {
-		c := ix.Candidates(v)
-		if !sameRow(c.QueryVec(), ix.NodeVec(v)) {
-			t.Fatalf("query row of %d is %v, by key %v", v, c.QueryVec(), ix.NodeVec(v))
-		}
 		if v >= 0 && int(v) < len(dots) && dots[v] != ix.NodeVec(v).Dot(w) {
 			t.Fatalf("denominator of %d is %v, by key %v", v, dots[v], ix.NodeVec(v).Dot(w))
 		}
-		for i, u := range c.Nodes {
-			if int(u) >= len(dots) || int(v) >= len(dots) {
-				t.Fatalf("pair (%d,%d) lies beyond the node span %d", v, u, len(dots))
+		rs, lo, hi := a.runsOf(v)
+		for r := lo; r < hi; r++ {
+			m, ps := rs.meta[r], rs.postings(r)
+			if len(ps) == 0 || (r > lo && m <= rs.meta[r-1]) {
+				t.Fatalf("run %d of node %d (metagraph %d, %d postings) is empty or out of order", r-lo, v, m, len(ps))
 			}
-			if !sameRow(c.PairVec(i), ix.PairVec(v, u)) {
-				t.Fatalf("slot %d of node %d holds %v, the pair with %d by key %v", i, v, c.PairVec(i), u, ix.PairVec(v, u))
+			for i, p := range ps {
+				if int(p.node) >= len(dots) || int(v) >= len(dots) {
+					t.Fatalf("pair (%d,%d) lies beyond the node span %d", v, p.node, len(dots))
+				}
+				if i > 0 && p.node <= ps[i-1].node {
+					t.Fatalf("run of metagraph %d of node %d does not ascend: %v", m, v, ps)
+				}
+				row := ix.PairVec(v, p.node).ent
+				j, ok := slices.BinarySearchFunc(row, m, func(e Entry, m int32) int { return cmp.Compare(e.Meta, m) })
+				if !ok || row[j].Count != p.count {
+					t.Fatalf("node %d holds %d in metagraph %d with count %d; by key %v", v, p.node, m, p.count, row)
+				}
 			}
-			if !sameRow(c.NodeVec(i), ix.NodeVec(u)) {
-				t.Fatalf("slot %d of node %d: m_%d is %v, by key %v", i, v, u, c.NodeVec(i), ix.NodeVec(u))
+			postings += len(ps)
+		}
+
+		acc := ix.Accumulate(v, w)
+		if !sameRow(acc.QueryVec(), ix.NodeVec(v)) {
+			t.Fatalf("query row of %d is %v, by key %v", v, acc.QueryVec(), ix.NodeVec(v))
+		}
+		weighed := 0
+		for _, u := range ix.Partners(v) {
+			row := ix.PairVec(v, u)
+			if row.Len() == 0 {
+				t.Fatalf("partner %d of %d has no pair row", u, v)
+			}
+			if !slices.ContainsFunc(row.ent, func(e Entry) bool { return w[e.Meta] != 0 }) {
+				continue
+			}
+			weighed++
+			if acc.slot[u].gen != acc.gen || math.Float64bits(acc.PairDot(u)) != math.Float64bits(row.Dot(w)) {
+				t.Fatalf("scan of %d: partner %d sums to %v (reached %v), by key %v", v, u, acc.PairDot(u), acc.slot[u].gen == acc.gen, row.Dot(w))
+			}
+			if !sameRow(acc.NodeVec(u), ix.NodeVec(u)) {
+				t.Fatalf("scan of %d: m_%d is %v, by key %v", v, u, acc.NodeVec(u), ix.NodeVec(u))
 			}
 		}
+		if len(acc.Touched) != weighed {
+			t.Fatalf("scan of %d reached %v, %d partners share a weighted metagraph with it", v, acc.Touched, weighed)
+		}
+		acc.Release()
+	}
+	if all := 2 * len(ix.Compact().mxy.ent); postings != all {
+		t.Fatalf("the runs hold %d postings; the pair rows, %d", postings, all)
 	}
 }
 
@@ -668,8 +713,8 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 func sameRow(a, b SparseVec) bool { return slices.Equal(a.ent, b.ent) }
 
 // readsThrough holds every value ix hands out — At, Get and Dot, by key and
-// through the adjacency — bit for bit to f of the count stored (the count
-// itself for a nil f).
+// through a scan — bit for bit to f of the count stored (the count itself
+// for a nil f).
 func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
 	t.Helper()
 	w := make([]float64, ix.NumMeta())
@@ -697,12 +742,23 @@ func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
 	for _, keys := range [][]graph.NodeID{ix.mx.keys, ix.ovlMx.keys} {
 		for _, x := range keys {
 			check(fmt.Sprintf("m_%d", x), ix.NodeVec(x))
-			c := ix.Candidates(x)
-			check(fmt.Sprintf("m_%d as a query", x), c.QueryVec())
-			for i, y := range c.Nodes {
-				check(fmt.Sprintf("slot of m_%d%d", x, y), c.PairVec(i))
-				check(fmt.Sprintf("m_%d as a candidate of %d", y, x), c.NodeVec(i))
+			acc := ix.Accumulate(x, w)
+			check(fmt.Sprintf("m_%d as a query", x), acc.QueryVec())
+			for _, y := range ix.Partners(x) {
+				var want float64
+				for _, e := range ix.PairVec(x, y).ent {
+					c := float64(e.Count)
+					if f != nil {
+						c = f(c)
+					}
+					want += c * w[e.Meta]
+				}
+				if got := acc.PairDot(y); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("scan of m_%d: m_%d%d · w = %v, want %v", x, x, y, got, want)
+				}
+				check(fmt.Sprintf("m_%d as a candidate of %d", y, x), acc.NodeVec(y))
 			}
+			acc.Release()
 		}
 	}
 	for _, keys := range [][]PairKey{ix.mxy.keys, ix.ovlMxy.keys} {

@@ -133,8 +133,8 @@ func Decode(r *flat.Reader, numNodes int) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: pair table: %w", err)
 	}
-	if len(mxy.keys) > math.MaxInt32/2 {
-		return nil, fmt.Errorf("index: pair table: %d pairs overflow the adjacency's slot positions", len(mxy.keys))
+	if len(mxy.ent) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("index: pair table: %d entries overflow the adjacency's posting positions", len(mxy.ent))
 	}
 	for _, k := range mxy.keys {
 		if x, y := k.Nodes(); x >= y || int(y) >= numNodes {

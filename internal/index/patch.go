@@ -132,7 +132,7 @@ func addGains[K cmp.Ordered](gains csr[K], old func(K) []Entry) (csr[K], error) 
 // immediately; call Compact to fold the overlay into flat storage.
 //
 // When the receiver's adjacency is built the result's is too: it shares
-// the receiver's flat rows and re-derives only the rows of the overlay's
+// the receiver's flat runs and re-derives only the runs of the overlay's
 // endpoints, so an update never costs its first reader an O(pairs) build.
 func (ix *Index) WithPatch(p *Patch) *Index {
 	if p.numMeta != ix.numMeta {

@@ -132,11 +132,14 @@ func TestServeAllocBudget(t *testing.T) {
 // benchServe serves body(names), a request for the first per names, through
 // the whole handler chain. The two warm modes repeat ONE request on a
 // 300-user engine, log on (the daemons' configuration) and off, so every
-// row the scan reads is in cache and what is left is the shell. uniform is
+// run the scan reads is in cache and what is left is the shell. uniform is
 // what a daemon under the benchmark's read mix pays: the 5 000-user
 // read_direct engine, log on, each request's anchors the next ones of a
-// seeded permutation, so consecutive requests share no rows and the index
-// does not stay in cache.
+// seeded permutation, so consecutive requests share no runs and the index
+// does not stay in cache. candidates/op is the engine's own work counter
+// per request: the partners the scans scored, those reached through a
+// metagraph the class weighs (≈ 88 per query; 258 partners before the
+// scan skipped the others).
 func benchServe(b *testing.B, per int, body func(names []string) string) {
 	serve := func(b *testing.B, s *Server, bodies []string) {
 		req, _ := postRequest("")

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	semprox "repro"
 	"repro/api"
@@ -129,6 +130,40 @@ func TestUpdateDurableAndReplicated(t *testing.T) {
 	}
 	if len(sr.Records) != 0 || sr.LastLSN != 1 {
 		t.Fatalf("caught-up since = %+v", sr)
+	}
+}
+
+// TestDrainEndsLongPolls: a since poll waiting for records answers an
+// empty batch at once when the server drains, and so does every poll that
+// arrives after — a shutdown waits for requests, never for a poll's wait.
+func TestDrainEndsLongPolls(t *testing.T) {
+	s, _, _, _ := walServer(t)
+	poll := func() <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, api.PathReplicateSince+"?lsn=0&wait_ms=20000", nil))
+			done <- rec
+		}()
+		return done
+	}
+	waiting := poll()
+	time.Sleep(100 * time.Millisecond) // let it reach the wait
+	start := time.Now()
+	s.Drain()
+	for _, done := range []<-chan *httptest.ResponseRecorder{waiting, poll()} {
+		select {
+		case rec := <-done:
+			var sr api.SinceResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &sr); rec.Code != http.StatusOK || err != nil || len(sr.Records) != 0 {
+				t.Fatalf("drained poll: %d %s (%v)", rec.Code, rec.Body, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a long poll outlived the drain")
+		}
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("the polls took %v to end after the drain", d)
 	}
 }
 

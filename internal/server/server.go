@@ -45,6 +45,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -129,12 +130,18 @@ type Server struct {
 	// the record — synchronous replication, the failover guarantee that
 	// an acked write survives losing the primary.
 	ackReplicas atomic.Int64
+	// draining ends when the process begins to shut down (Drain): the
+	// long polls of /v1/replicate/since answer then instead of holding
+	// the drain open.
+	draining context.Context
+	drain    context.CancelFunc
 }
 
 // New wraps an engine in an HTTP handler with background compaction after
 // updates enabled.
 func New(eng *semprox.Engine) *Server {
 	s := &Server{mux: http.NewServeMux(), reg: obs.NewRegistry(), autoCompact: true}
+	s.draining, s.drain = context.WithCancel(context.Background())
 	s.role.Store(&role{eng: eng})
 	for path, h := range map[string]http.HandlerFunc{
 		api.PathHealthz:           s.handleHealthz,
@@ -266,6 +273,13 @@ func (s *Server) engine() *semprox.Engine {
 // serving; with it off, stats keep reporting the pending overlays until
 // the operator compacts some other way.
 func (s *Server) SetAutoCompact(on bool) { s.autoCompact = on }
+
+// Drain ends every /v1/replicate/since long poll, in flight or to come, at
+// once: each answers with the records it has (an empty batch when nothing
+// is new). Registered as daemon.Serve's shutdown hook, it lets a primary
+// that a follower is polling drain as fast as its other requests.
+// Idempotent.
+func (s *Server) Drain() { s.drain() }
 
 // WaitCompactions blocks until every background compaction kicked off by
 // handled updates has finished.
@@ -713,7 +727,11 @@ func (s *Server) handleReplicateSince(w http.ResponseWriter, r *http.Request) {
 			"no write-ahead log attached (start with -wal to serve followers)"))
 		return
 	}
-	status, body, err := primary.ServeSince(r)
+	// A drain ends the long poll: the follower gets what there is now.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.draining, cancel)()
+	status, body, err := primary.ServeSince(r.WithContext(ctx))
 	if err != nil {
 		code := api.CodeBadRequest
 		switch {

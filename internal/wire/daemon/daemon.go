@@ -21,25 +21,35 @@ import (
 // drainTimeout bounds the shutdown Serve starts when its context ends.
 const drainTimeout = 5 * time.Second
 
-// Serve serves h on addr until ctx ends. It returns nil once the listener
-// has closed for that reason — in-flight requests (a follower's long poll
-// among them) are still draining then, for as long as the caller's own
-// teardown takes and at most drainTimeout — and the listener's error
-// otherwise, a failed bind included.
-func Serve(ctx context.Context, addr string, h http.Handler) error {
+// Serve serves h on addr until ctx ends, then drains: the listener closes,
+// every onShutdown hook runs (http.Server.RegisterOnShutdown — a handler
+// that holds requests open on purpose, like a follower's long poll, ends
+// them there), and Serve returns nil only once the requests in flight have
+// finished, or drainTimeout has passed. A caller that releases what its
+// handlers use after Serve returns (a WAL, say) therefore never pulls it
+// from under a request. The listener's error is returned otherwise, a
+// failed bind included.
+func Serve(ctx context.Context, addr string, h http.Handler, onShutdown ...func()) error {
 	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: wire.ReadHeaderTimeout}
-	failed := make(chan struct{})
+	for _, f := range onShutdown {
+		srv.RegisterOnShutdown(f)
+	}
+	failed, drained := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(drained)
 		select {
 		case <-failed:
 		case <-ctx.Done():
 			drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			defer cancel()
-			srv.Shutdown(drainCtx) //nolint:errcheck // best-effort drain
+			srv.Shutdown(drainCtx) //nolint:errcheck // a drain cut at drainTimeout leaves nothing to report
 		}
 	}()
+	// ListenAndServe returns ErrServerClosed as soon as Shutdown begins;
+	// the drain is over only when Shutdown returns.
 	err := srv.ListenAndServe()
 	if errors.Is(err, http.ErrServerClosed) {
+		<-drained
 		return nil
 	}
 	close(failed)

@@ -16,9 +16,9 @@ var (
 	engEnumerated = obs.Default().Histogram("semprox_update_instances_enumerated",
 		"Assignments, partial and complete, one update's delta-seeded re-match visited over all matched metagraphs: the work of an update, set by the degrees around its new edges and not by the size of the graph.", obs.Units)
 	engRank = obs.Default().Histogram("semprox_query_rank_seconds",
-		"One ranked query's candidate scan inside the engine (resolve the adjacency row, score every candidate, keep the top k), as the serving process pays it — caches cold between requests, which an in-process loop over the same index does not see.", obs.Seconds)
+		"One ranked query's candidate scan inside the engine (sum the query node's runs of the metagraphs the class weighs, score every partner reached, keep the top k), as the serving process pays it — caches cold between requests, which an in-process loop over the same index does not see.", obs.Seconds)
 	engCandidates = obs.Default().Histogram("semprox_query_candidates_scanned",
-		"Candidates one ranked query scored: the length of the query node's partner list, the work a slow query did.", obs.Units)
+		"Partners one ranked query scored: those the query node shares a metagraph of non-zero class weight with — the others score 0 and are never visited — the work a slow query did.", obs.Units)
 	engCompactions = obs.Default().Counter("semprox_engine_compactions_total",
 		"Background compactions that folded update overlays into flat storage.")
 
