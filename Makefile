@@ -103,9 +103,11 @@ cover:
 # `lifecycle`: the 600-user MaxNodes-4 engine, 10 of 12 weights non-zero —
 # each with candidates/op, the partners scored), and one query and one
 # batch of 8 through the whole server handler chain with the request log
-# on and off and `uniform` likewise (allocs/op and candidates/op
-# reported; TestServeAllocBudget is the gate, this keeps the benchmarks
-# themselves running).
+# on (the daemons' handler and buffered writer, over io.Discard) and off
+# and `uniform` likewise (allocs/op and candidates/op reported;
+# TestServeAllocBudget is the gate, this keeps the benchmarks themselves
+# running), and one request line formatted by the daemons' handler and by
+# slog.TextHandler, both to io.Discard (ns/op and allocs/op).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
@@ -114,6 +116,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server
+	$(GO) test -run '^$$' -bench 'BenchmarkRequestLine$$' -benchtime=1x ./internal/obs
 
 # The measurement spine compiles against the product and checks it:
 # benchmark/ is a module of its own, so `go build ./...` and `go test

@@ -351,10 +351,6 @@ func (c *Client) doWith(ctx context.Context, hc *http.Client, mkReq func() (*htt
 	return lastErr
 }
 
-// maxResponseBytes bounds a decoded response body (a replication batch
-// is the large case).
-const maxResponseBytes = 256 << 20
-
 // decodeBody reads one bounded response body into a pooled buffer and
 // decodes it: the two hot response types through the api codec's forward
 // pass, every other type through encoding/json. The body must be exactly
@@ -362,7 +358,7 @@ const maxResponseBytes = 256 << 20
 func decodeBody(body io.Reader, out any) error {
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
-	data, err := wire.ReadAll(*bp, body, maxResponseBytes)
+	data, err := wire.ReadAll(*bp, body, wire.MaxResponseBytes)
 	*bp = data
 	if err != nil {
 		return err

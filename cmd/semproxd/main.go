@@ -55,6 +55,7 @@ import (
 
 	semprox "repro"
 	"repro/internal/atomicfile"
+	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -65,6 +66,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("semproxd: ")
+	// One writer for stderr: the log package's lines and the request log
+	// share it, so they keep their order.
+	stderr := obs.NewLineWriter(os.Stderr)
+	log.SetOutput(stderr)
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		snapshot   = flag.String("snapshot", "", "serve the engine snapshot in this file (write one with semprox -save)")
@@ -96,7 +101,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *requestLog {
-		handler.SetRequestLog(slog.New(slog.NewTextHandler(os.Stderr, nil)), *slowQuery)
+		handler.SetRequestLog(slog.New(obs.NewLineHandler(stderr)), *slowQuery)
 	}
 	if err := daemon.ServeDebug(ctx, *debugAddr); err != nil {
 		log.Fatal(err)
@@ -106,6 +111,8 @@ func main() {
 	if err := daemon.Serve(ctx, *addr, handler, handler.Drain); err != nil {
 		log.Fatal(err)
 	}
+	// Flush the drained requests' lines; later lines are written at once.
+	stderr.Close() //nolint:errcheck // nowhere left to report a failed stderr write
 	// Let in-flight background compactions from /update finish, then
 	// release the durability/replication resources.
 	handler.WaitCompactions()

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/wire"
 	"repro/internal/wire/daemon"
@@ -45,6 +46,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("semproxy: ")
+	// One writer for stderr: the log package's lines and the request log
+	// share it, so they keep their order.
+	stderr := obs.NewLineWriter(os.Stderr)
+	log.SetOutput(stderr)
 	var (
 		addr         = flag.String("addr", ":8090", "listen address")
 		primary      = flag.String("primary", "http://localhost:8080", "base URL of the (initially) primary backend")
@@ -86,7 +91,7 @@ func main() {
 		HedgeBudgetMax: *hedgeMax,
 	})
 	if *requestLog {
-		p.SetRequestLog(slog.New(slog.NewTextHandler(os.Stderr, nil)), *slowQuery)
+		p.SetRequestLog(slog.New(obs.NewLineHandler(stderr)), *slowQuery)
 	}
 	if err := daemon.ServeDebug(ctx, *debugAddr); err != nil {
 		log.Fatal(err)
@@ -123,4 +128,6 @@ func main() {
 	if err := daemon.Serve(ctx, *addr, p); err != nil {
 		log.Fatal(err)
 	}
+	// The requests in flight have drained: flush their buffered lines.
+	stderr.Close() //nolint:errcheck // nowhere left to report a failed stderr write
 }

@@ -475,8 +475,8 @@ func TestSIGTERMDrains(t *testing.T) {
 	}
 	defer conn.Close()
 	body := `{"class":"` + class + `","query":"user-17","k":5}`
-	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
-		api.PathQuery, p.addr, len(body), body[:10]); err != nil {
+	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\n%s: sigterm-last\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		api.PathQuery, p.addr, api.HeaderTrace, len(body), body[:10]); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond) // the handler is reading the body
@@ -513,6 +513,38 @@ func TestSIGTERMDrains(t *testing.T) {
 	}
 	if code := p.cmd.ProcessState.ExitCode(); code != 0 {
 		t.Fatalf("primary exited %d on SIGTERM, want 0\n%s", code, p.logTail())
+	}
+	// Request lines wait in a buffer for up to 100 ms; the last request
+	// served before SIGTERM must still have its line once the process is
+	// gone.
+	if !strings.Contains(p.logText(), "trace=sigterm-last") {
+		t.Fatalf("no request line for the query served during the drain\n%s", p.logTail())
+	}
+}
+
+// TestRequestLinesSurviveSIGTERM: a request through the proxy, then SIGTERM
+// to both daemons at once, inside the 100 ms the request lines may wait in
+// their buffers: each daemon's log has the line once it has exited.
+func TestRequestLinesSurviveSIGTERM(t *testing.T) {
+	e := newEnv(t)
+	p := e.primary()
+	px := e.start("proxy", semproxy, "", "-primary", p.url())
+	waitFor(t, "the proxy ready", func() bool { return ready(px).Ready() }, px, p)
+
+	trace := fmt.Sprintf("last-%d", time.Now().UnixNano())
+	resp, _, err := get(queryURL(px, "user-17", 5), api.HeaderTrace, trace)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced read: %v, %v", resp, err)
+	}
+	px.stop()
+	p.stop()
+	for _, d := range []*proc{px, p} {
+		if code := d.cmd.ProcessState.ExitCode(); code != 0 {
+			t.Errorf("%s exited %d on SIGTERM, want 0\n%s", d.log, code, d.logTail())
+		}
+		if !strings.Contains(d.logText(), "trace="+trace) {
+			t.Errorf("%s has no line for the last request\n%s", d.log, d.logTail())
+		}
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // its sync.Cond broadcast wakes appenders and pollers on every
 // transition — and time.Ticker covers genuinely periodic work. A bare
 // time.Sleep inside a loop in internal/server, internal/proxy,
-// internal/replica, internal/wal, or client burns a scheduling quantum
+// internal/replica, internal/wal, internal/obs (its log writer flushes
+// on a time.AfterFunc), or client burns a scheduling quantum
 // per probe and adds up to half the sleep interval of avoidable latency
 // to every wakeup; at millions of users that is the tail.
 var SleepWait = &Analyzer{
@@ -21,7 +22,7 @@ var SleepWait = &Analyzer{
 }
 
 func runSleepWait(pass *Pass) {
-	if !pkgIn(pass, pkgServer, pkgProxy, pkgReplica, pkgWAL, pkgClient) {
+	if !pkgIn(pass, pkgServer, pkgProxy, pkgReplica, pkgWAL, pkgObs, pkgClient) {
 		return
 	}
 	sup := newSuppressor(pass)

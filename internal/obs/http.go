@@ -4,10 +4,12 @@
 // configurable header, and an optional structured per-request log line
 // (endpoint, status, latency, trace, epoch, cache disposition, plus
 // whatever attrs the handler added via AddAttrs) with a slow-query
-// threshold that escalates Info to Warn.
+// threshold that escalates Info to Warn. Everything one request needs is
+// one record (see request), carried as one context value.
 package obs
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -148,27 +150,32 @@ func WrapHTTP(next http.Handler, o HTTPOptions) http.Handler {
 	if o.Registry != nil {
 		metrics = &httpMetrics{reg: o.Registry, by: make(map[string]*endpointMetrics)}
 	}
+	// The request log's handler, with the component formatted once: a
+	// handler writes WithAttrs' attributes right after the message, which
+	// is where the line carries it.
+	var lines slog.Handler
+	if o.Logger != nil {
+		lines = o.Logger.Handler()
+		if o.Component != "" {
+			lines = lines.WithAttrs([]slog.Attr{slog.String("component", o.Component)})
+		}
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ctx := r.Context()
-		trace := ""
+		rec := &request{statusWriter: statusWriter{ResponseWriter: w}, log: lines != nil}
 		if o.TraceHeader != "" {
-			trace = r.Header.Get(o.TraceHeader)
-			if trace == "" {
-				trace = NewTraceID()
+			rec.trace = r.Header.Get(o.TraceHeader)
+			if !validTrace(rec.trace) {
+				rec.trace = NewTraceID()
 			}
-			w.Header().Set(o.TraceHeader, trace)
-			ctx = WithTrace(ctx, trace)
+			w.Header().Set(o.TraceHeader, rec.trace)
 		}
-		var bag *attrBag
-		if o.Logger != nil {
-			ctx, bag = withAttrBag(ctx)
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		ctx := context.WithValue(r.Context(), requestKey, rec)
+		next.ServeHTTP(&rec.statusWriter, r.WithContext(ctx))
 
-		dur := time.Since(start)
-		status := sw.status
+		end := time.Now()
+		dur := end.Sub(start)
+		status := rec.status
 		if status == 0 { // handler wrote nothing: net/http sends 200
 			status = http.StatusOK
 		}
@@ -179,38 +186,49 @@ func WrapHTTP(next http.Handler, o HTTPOptions) http.Handler {
 		if metrics != nil {
 			metrics.observe(path, status, dur)
 		}
-		if o.Logger == nil {
-			return
+		if lines != nil {
+			logRequest(ctx, lines, o, rec, r, status, end, dur)
 		}
-		attrs := make([]slog.Attr, 0, 12)
-		if o.Component != "" {
-			attrs = append(attrs, slog.String("component", o.Component))
-		}
-		attrs = append(attrs,
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", status),
-			slog.Float64("ms", float64(dur.Microseconds())/1e3),
-		)
-		if trace != "" {
-			attrs = append(attrs, slog.String("trace", trace))
-		}
-		if o.EpochHeader != "" {
-			if v := sw.Header().Get(o.EpochHeader); v != "" {
-				attrs = append(attrs, slog.String("epoch", v))
-			}
-		}
-		if o.CacheHeader != "" {
-			if v := sw.Header().Get(o.CacheHeader); v != "" {
-				attrs = append(attrs, slog.String("cache", v))
-			}
-		}
-		attrs = append(attrs, bag.take()...)
-		level := slog.LevelInfo
-		if o.SlowThreshold > 0 && dur >= o.SlowThreshold {
-			level = slog.LevelWarn
-			attrs = append(attrs, slog.Bool("slow", true))
-		}
-		o.Logger.LogAttrs(ctx, level, "request", attrs...)
 	})
+}
+
+// logRequest writes the request's line: straight to the handler h, in a
+// Record without a pc, so no request pays for runtime.Callers.
+func logRequest(ctx context.Context, h slog.Handler, o HTTPOptions, rec *request, r *http.Request,
+	status int, end time.Time, dur time.Duration) {
+	level := slog.LevelInfo
+	slow := o.SlowThreshold > 0 && dur >= o.SlowThreshold
+	if slow {
+		level = slog.LevelWarn
+	}
+	if !h.Enabled(ctx, level) {
+		return
+	}
+	attrs := make([]slog.Attr, 0, 12)
+	attrs = append(attrs,
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", status),
+		slog.Float64("ms", float64(dur.Microseconds())/1e3),
+	)
+	if rec.trace != "" {
+		attrs = append(attrs, slog.String("trace", rec.trace))
+	}
+	if o.EpochHeader != "" {
+		if v := rec.Header().Get(o.EpochHeader); v != "" {
+			attrs = append(attrs, slog.String("epoch", v))
+		}
+	}
+	if o.CacheHeader != "" {
+		if v := rec.Header().Get(o.CacheHeader); v != "" {
+			attrs = append(attrs, slog.String("cache", v))
+		}
+	}
+	attrs = append(attrs, rec.takeAttrs()...)
+	if slow {
+		attrs = append(attrs, slog.Bool("slow", true))
+	}
+	line := slog.NewRecord(end, level, "request", 0)
+	line.AddAttrs(attrs...)
+	h.Handle(ctx, line) //nolint:errcheck // a failed log write is not the request's failure
 }

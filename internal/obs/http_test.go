@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +60,55 @@ func TestMiddlewareAcceptsCallerTrace(t *testing.T) {
 	if got := rec.Header().Get(testTraceHeader); got != "caller-id-1" {
 		t.Fatalf("caller trace not propagated: %q", got)
 	}
+}
+
+// TestMiddlewareBoundsCallerTrace: a caller's trace ID is kept only when
+// it is 1–64 bytes of [A-Za-z0-9._:-]; anything else is replaced by a
+// minted one, on the response, in the context and on the log line.
+func TestMiddlewareBoundsCallerTrace(t *testing.T) {
+	for id, keep := range map[string]bool{
+		"trace-log-1": true, "debug-42": true, "a:b.c_d-E9": true,
+		strings.Repeat("x", 64): true,
+		strings.Repeat("x", 65): false,
+		"has space":             false,
+		"new\nline":             false,
+		`quo"te`:                false,
+		"a=b":                   false,
+		"ünïcode":               false,
+	} {
+		var buf bytes.Buffer
+		var seen string
+		h := wrapped(NewRegistry(), slog.New(slog.NewTextHandler(&buf, nil)), 0, func(w http.ResponseWriter, r *http.Request) {
+			seen = TraceID(r.Context())
+		})
+		req := httptest.NewRequest("GET", "/known", nil)
+		req.Header.Set(testTraceHeader, id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		got := rec.Header().Get(testTraceHeader)
+		if keep != (got == id) || seen != got || !validTrace(got) {
+			t.Errorf("caller trace %q: echoed %q, handler saw %q; want it kept = %v", id, got, seen, keep)
+		}
+		if !strings.HasSuffix(buf.String(), " trace="+got+"\n") {
+			t.Errorf("caller trace %q: log line lacks trace=%s: %s", id, got, buf.String())
+		}
+	}
+}
+
+// TestExplicitTraceWins: inside a request, TraceID reads the request's
+// record unless a WithTrace sits closer in the context.
+func TestExplicitTraceWins(t *testing.T) {
+	h := wrapped(NewRegistry(), nil, 0, func(w http.ResponseWriter, r *http.Request) {
+		if got := TraceID(WithTrace(r.Context(), "inner")); got != "inner" {
+			t.Errorf("TraceID under WithTrace = %q, want inner", got)
+		}
+		if got := TraceID(r.Context()); got != "outer" {
+			t.Errorf("TraceID = %q, want the request's", got)
+		}
+	})
+	req := httptest.NewRequest("GET", "/known", nil)
+	req.Header.Set(testTraceHeader, "outer")
+	h.ServeHTTP(httptest.NewRecorder(), req)
 }
 
 func TestMiddlewareTraceOnErrorResponse(t *testing.T) {
@@ -154,6 +204,30 @@ func TestMiddlewareLogLine(t *testing.T) {
 		if !strings.Contains(lines[0], want) {
 			t.Fatalf("log line missing %s:\n%s", want, lines[0])
 		}
+	}
+}
+
+// TestMiddlewareLineOrder pins the request line's fields and their order,
+// through the daemons' handler, which writes what slog.TextHandler does.
+func TestMiddlewareLineOrder(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewLineWriter(&buf)
+	h := wrapped(NewRegistry(), slog.New(NewLineHandler(w)), time.Hour, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Test-Epoch", "7")
+		w.Header().Set("X-Test-Cache", "hit")
+		AddAttrs(r.Context(), slog.String("backend", "http://b1"), slog.Bool("hedged", false))
+		w.WriteHeader(200)
+	})
+	req := httptest.NewRequest("POST", "/known", nil)
+	req.Header.Set(testTraceHeader, "trace-xyz")
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := regexp.MustCompile(`^time=\S+ level=INFO msg=request component=test method=POST path=/known status=200 ` +
+		`ms=[0-9.e-]+ trace=trace-xyz epoch=7 cache=hit backend=http://b1 hedged=false\n$`)
+	if !want.MatchString(buf.String()) {
+		t.Fatalf("request line %q does not match %s", buf.String(), want)
 	}
 }
 

@@ -1,19 +1,16 @@
 // Request tracing: an opaque ID minted at the first tier that sees a
 // request (the semproxy edge, or the server when hit directly), accepted
-// from the caller when already present, and carried via context through
-// client/Router hops so every tier's structured log line shares it. The
-// ID rides HTTP headers and log lines ONLY — never response bodies,
-// which must stay byte-identical across replicas.
+// from the caller when already present and well formed, and carried via
+// context through client/Router hops so every tier's structured log line
+// shares it. The ID rides HTTP headers and log lines ONLY — never response
+// bodies, which must stay byte-identical across replicas.
 package obs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"log/slog"
-	"strconv"
+	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 )
 
 type traceKeyType struct{}
@@ -28,58 +25,86 @@ func WithTrace(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, traceKey, id)
 }
 
-// TraceID returns the trace ID carried by ctx, or "".
+// TraceID returns the trace ID carried by ctx, or "": the one set by
+// WithTrace when there is one, else that of the request ctx belongs to.
 func TraceID(ctx context.Context) string {
-	id, _ := ctx.Value(traceKey).(string)
-	return id
-}
-
-var traceFallback atomic.Uint64
-
-// NewTraceID mints a 16-hex-char random ID. If the system randomness
-// source fails (it effectively cannot on the supported platforms), a
-// process-local counter keeps IDs unique rather than failing a request
-// over telemetry.
-func NewTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "t" + strconv.FormatUint(traceFallback.Add(1), 16)
+	if id, ok := ctx.Value(traceKey).(string); ok {
+		return id
 	}
-	return hex.EncodeToString(b[:])
+	if rec, _ := ctx.Value(requestKey).(*request); rec != nil {
+		return rec.trace
+	}
+	return ""
 }
 
-// attrBag collects extra slog attrs a handler wants on its request log
-// line (backend URL, hedge outcome) without the middleware knowing the
-// handler's vocabulary. Carried by context; guarded because hedged reads
-// race their attr writes.
-type attrBag struct {
+const hexDigits = "0123456789abcdef"
+
+// NewTraceID mints a 16-hex-char random ID. A trace ID identifies a
+// request; it is not a secret, so it is drawn from math/rand/v2.
+func NewTraceID() string {
+	var b [16]byte
+	x := rand.Uint64()
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = hexDigits[x&15]
+		x >>= 4
+	}
+	return string(b[:])
+}
+
+// maxTraceLen bounds a caller-supplied trace ID.
+const maxTraceLen = 64
+
+// validTrace reports whether a caller-supplied trace ID is accepted as is:
+// 1–64 bytes of [A-Za-z0-9._:-]. Anything else is replaced by a fresh ID,
+// so a header cannot put arbitrary bytes on every tier's log line.
+func validTrace(id string) bool {
+	if len(id) == 0 || len(id) > maxTraceLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// request is WrapHTTP's record of one request: the status writer handed to
+// the handler, the trace ID, and the attributes handlers add to its log
+// line. It is one allocation and one context value. It is not pooled: a
+// hedge loser may still hold the context after the handler has returned.
+type request struct {
+	statusWriter
+	trace string
+	log   bool // a request line will be written, so AddAttrs keeps attrs
+
+	// mu guards attrs: hedged reads race their attribute writes.
 	mu    sync.Mutex
 	attrs []slog.Attr
 }
 
-type attrBagKeyType struct{}
+type requestKeyType struct{}
 
-var attrBagKey attrBagKeyType
-
-func withAttrBag(ctx context.Context) (context.Context, *attrBag) {
-	b := &attrBag{}
-	return context.WithValue(ctx, attrBagKey, b), b
-}
+var requestKey requestKeyType
 
 // AddAttrs attaches attrs to the request log line for the request ctx
-// belongs to. A no-op when no logging middleware is installed.
+// belongs to. A no-op when no request log is written.
 func AddAttrs(ctx context.Context, attrs ...slog.Attr) {
-	b, _ := ctx.Value(attrBagKey).(*attrBag)
-	if b == nil {
+	rec, _ := ctx.Value(requestKey).(*request)
+	if rec == nil || !rec.log {
 		return
 	}
-	b.mu.Lock()
-	b.attrs = append(b.attrs, attrs...)
-	b.mu.Unlock()
+	rec.mu.Lock()
+	rec.attrs = append(rec.attrs, attrs...)
+	rec.mu.Unlock()
 }
 
-func (b *attrBag) take() []slog.Attr {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.attrs
+// takeAttrs returns the attributes added so far.
+func (rec *request) takeAttrs() []slog.Attr {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec.attrs
 }

@@ -143,6 +143,29 @@ func TestProxyTracePropagation(t *testing.T) {
 		t.Fatal("proxy minted no trace for a bare request")
 	}
 
+	// A caller's ID the proxy will not repeat — too long, or bytes outside
+	// [A-Za-z0-9._:-] — is replaced by a minted one, which is also what
+	// the backend sees; the IDs the docs and tests use pass through.
+	for id, keep := range map[string]bool{
+		"debug-42": true, "trace-log-1": true,
+		strings.Repeat("a", 65): false, "two words": false, "tab\there": false,
+	} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+api.PathQuery+"?q="+strconv.Itoa(len(id)), nil)
+		req.Header.Set(api.HeaderTrace, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		got := resp.Header.Get(api.HeaderTrace)
+		if keep != (got == id) || got == "" {
+			t.Errorf("caller trace %q: echoed %q, want it kept = %v", id, got, keep)
+		}
+		if seen, _ := follower.lastTrace.Load().(string); seen != got {
+			t.Errorf("caller trace %q: backend saw %q, the caller was told %q", id, seen, got)
+		}
+	}
+
 	// DELETE on /v1/update: a proxy-generated error envelope. The trace
 	// header must be present even though no backend was involved.
 	req, _ = http.NewRequest(http.MethodDelete, ts.URL+api.PathUpdate, nil)

@@ -102,6 +102,9 @@ type Proxy struct {
 	raw    *http.Client // replication passthrough (long-poll + snapshot streams)
 	mux    *http.ServeMux
 	cache  *cache
+	// maxResponse bounds a forwarded read's response body:
+	// wire.MaxResponseBytes, lowered by tests.
+	maxResponse int64
 
 	// reg is this proxy's own metric registry — the single source of
 	// truth for the edge counters: api.ProxyStats (the /v1/stats
@@ -161,6 +164,8 @@ func New(r *client.Router, opts Options) *Proxy {
 		cache:  newCache(opts.CacheEntries, reg),
 		reg:    reg,
 		ests:   make(map[string]*estimator),
+
+		maxResponse: wire.MaxResponseBytes,
 
 		reads: reg.Counter("semprox_proxy_reads_total",
 			"Reads forwarded to backends (cache hits excluded)."),
@@ -329,11 +334,31 @@ func (p *Proxy) attempt(ctx context.Context, c *client.Client, method, path, raw
 		return result{c: c, err: err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readResponse(resp, p.maxResponse)
 	if err != nil {
 		return result{c: c, err: fmt.Errorf("reading %s response: %w", u, err)}
 	}
 	return result{c: c, status: resp.StatusCode, header: resp.Header, body: b, latency: time.Since(start)}
+}
+
+// readResponse buffers a response body of at most limit bytes. A longer
+// one is an error, so the read fails over as from a dead backend.
+func readResponse(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", resp.ContentLength, limit)
+	}
+	size := int64(512)
+	if resp.ContentLength >= 0 {
+		size = resp.ContentLength + 1 // room for the read that sees EOF
+	}
+	b, err := wire.ReadAll(make([]byte, 0, size), resp.Body, limit+1)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("body exceeds the %d-byte limit", limit)
+	}
+	return b, nil
 }
 
 // forwardRead runs one read against the rotation with failover and (when

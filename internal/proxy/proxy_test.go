@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -609,6 +610,66 @@ func TestUpdateUpstreamFailureIs502(t *testing.T) {
 	var env api.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != api.CodeInternal {
 		t.Fatalf("502 envelope mismatch (%v): %s", err, body)
+	}
+}
+
+// oversized is a backend whose query answer runs to 64 KiB: streamed in
+// flushed chunks, or declared up front in Content-Length.
+func oversized(t *testing.T, role string, declare bool) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc(api.PathReadyz, func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(api.ReadyResponse{Status: api.StatusReady, Role: role, Term: 1})
+	})
+	mux.HandleFunc(api.PathQuery, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(api.HeaderEpoch, "1")
+		if declare {
+			w.Header().Set("Content-Length", strconv.Itoa(64<<10))
+		}
+		chunk := []byte(strings.Repeat("x", 4<<10))
+		for i := 0; i < 16; i++ {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
+		}
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestOversizedResponseFailsOver: a backend answer past the response
+// limit — streamed or declared — fails the attempt like a dead backend:
+// the read moves on to the next one, and with none left it is a 502.
+func TestOversizedResponseFailsOver(t *testing.T) {
+	const limit = 1 << 10
+	primary := newFake(t, api.RolePrimary, 0)
+	streamed, declared := oversized(t, api.RoleFollower, false), oversized(t, api.RoleFollower, true)
+	router := client.NewRouter(primary.ts.URL, []string{streamed.URL, declared.URL}, nil)
+	router.Probe(context.Background())
+	p := New(router, Options{})
+	p.maxResponse = limit
+	ts := httptest.NewServer(p)
+	t.Cleanup(ts.Close)
+	status, body, _ := get(t, ts.URL+api.PathQuery+"?class=c&query=q")
+	if status != http.StatusOK || !strings.Contains(string(body), primary.ts.URL) {
+		t.Fatalf("read past two oversized followers: %d %s; want the primary's answer", status, body)
+	}
+	if live := router.Live(); len(live) != 0 {
+		t.Fatalf("oversized followers still in rotation: %v", live)
+	}
+
+	alone := oversized(t, api.RolePrimary, false)
+	router = client.NewRouter(alone.URL, nil, nil)
+	router.Probe(context.Background())
+	p = New(router, Options{})
+	p.maxResponse = limit
+	ts2 := httptest.NewServer(p)
+	t.Cleanup(ts2.Close)
+	if status, body, _ := get(t, ts2.URL+api.PathQuery+"?class=c&query=q"); status != http.StatusBadGateway ||
+		!strings.Contains(string(body), "limit") {
+		t.Fatalf("read of an oversized answer with no other backend: %d %s; want a 502 naming the limit", status, body)
 	}
 }
 

@@ -22,13 +22,16 @@ import (
 // one POST /v1/query (k=10) through ServeHTTP into a fresh recorder with
 // the request log on — the whole server shell: middleware, trace ID,
 // strict decode, name resolution, the scan, render, encode, log line.
-// Measured 31 (58 before the wire codec); raise it only with a reason.
-const serveQueryAllocBudget = 32
+// Measured 24 (31 with a context value per piece of request state and
+// the log through slog.JSONHandler; 58 before the wire codec); raise it
+// only with a reason.
+const serveQueryAllocBudget = 24
 
 // serveBatchAllocBudget is the same ceiling for one POST /v1/query of a
-// batch of 8 (k=10). Measured 48 (56 while every query's field name was
-// formatted); raise it only with a reason.
-const serveBatchAllocBudget = 48
+// batch of 8 (k=10). Measured 41 (48 before the per-request record, 56
+// while every query's field name was formatted); raise it only with a
+// reason.
+const serveBatchAllocBudget = 41
 
 // newServeFixture returns a builder (run at most once) of an engine over a
 // LinkedIn-shaped graph of the given size — one class, MaxNodes 3, the
@@ -86,10 +89,13 @@ func postRequest(body string) (*http.Request, func()) {
 	return req, func() { rb.Reset(body) }
 }
 
+// loggedServer is a server configured as semproxd runs it: with the log
+// on, its request lines go through the daemons' handler and writer, here
+// over io.Discard.
 func loggedServer(eng *semprox.Engine, logOn bool) *Server {
 	s := New(eng)
 	if logOn {
-		s.SetRequestLog(slog.New(slog.NewJSONHandler(io.Discard, nil)), 0)
+		s.SetRequestLog(slog.New(obs.NewLineHandler(obs.NewLineWriter(io.Discard))), 0)
 	}
 	return s
 }

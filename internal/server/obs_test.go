@@ -67,6 +67,26 @@ func TestTraceEchoedOnError(t *testing.T) {
 	}
 }
 
+// TestCallerTraceIsBounded: a caller's trace ID longer than 64 bytes or
+// holding bytes outside [A-Za-z0-9._:-] is not echoed or logged; the
+// request gets a minted ID instead.
+func TestCallerTraceIsBounded(t *testing.T) {
+	s, _, _ := trainedServer(t)
+	var buf bytes.Buffer
+	s.SetRequestLog(slog.New(slog.NewTextHandler(&buf, nil)), 0)
+	for _, id := range []string{strings.Repeat("t", 4096), "a b", "x\x00y", "ünicode"} {
+		buf.Reset()
+		r := httptest.NewRequest(http.MethodGet, api.PathHealthz, nil)
+		r.Header.Set(api.HeaderTrace, id)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		got := w.Header().Get(api.HeaderTrace)
+		if len(got) != 16 || strings.Contains(buf.String(), id) || !strings.Contains(buf.String(), "trace="+got) {
+			t.Errorf("caller trace %q: echoed %q, logged %s; want a minted 16-char ID in both", id, got, buf.String())
+		}
+	}
+}
+
 // TestRequestLogLine: SetRequestLog emits one structured line per request
 // with the trace ID and canonical fields, escalating to Warn past the
 // slow threshold.

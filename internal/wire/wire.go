@@ -54,6 +54,10 @@ func PutBuf(bp *[]byte) {
 	}
 }
 
+// MaxResponseBytes bounds a response body read from a daemon, by the
+// client and by the proxy (a replication batch is the large case).
+const MaxResponseBytes = 256 << 20
+
 // ReadAll appends r to dst until EOF or until limit bytes were appended,
 // whichever comes first, and returns the extended slice.
 func ReadAll(dst []byte, r io.Reader, limit int64) ([]byte, error) {
