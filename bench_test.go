@@ -150,7 +150,8 @@ func BenchmarkFig11MatchingEngines(b *testing.B) {
 }
 
 // ---- micro-benchmarks: per-engine matching cost on one dataset ----
-// These isolate the Fig. 11 comparison per engine.
+// These isolate the Fig. 11 comparison per engine; the baselines'
+// benchmarks run the same recipe in internal/experiments.
 
 func benchDataset() *dataset.Dataset {
 	return dataset.LinkedIn(dataset.Config{Users: 200, Seed: 1, NoiseRate: 0.05})
@@ -180,18 +181,6 @@ func BenchmarkMatchSymISO(b *testing.B) {
 
 func BenchmarkMatchSymISOR(b *testing.B) {
 	benchMatcher(b, func(g *Graph) match.Matcher { return match.NewSymISOR(g, 1) })
-}
-
-func BenchmarkMatchBoostISO(b *testing.B) {
-	benchMatcher(b, func(g *Graph) match.Matcher { return match.NewBoostISO(g) })
-}
-
-func BenchmarkMatchTurboISO(b *testing.B) {
-	benchMatcher(b, func(g *Graph) match.Matcher { return match.NewTurboISO(g) })
-}
-
-func BenchmarkMatchQuickSI(b *testing.B) {
-	benchMatcher(b, func(g *Graph) match.Matcher { return match.NewQuickSI(g) })
 }
 
 // BenchmarkOfflineIndexBuild measures the offline matching+indexing phase

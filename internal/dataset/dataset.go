@@ -49,15 +49,6 @@ type Config struct {
 	NoiseRate float64
 }
 
-// DefaultLinkedInConfig is sized so the full pipeline (mining, matching,
-// training, all benches) runs on a single laptop core. Scale Users up to
-// approach the paper's 65,925-node graph.
-func DefaultLinkedInConfig() Config { return Config{Users: 600, Seed: 1, NoiseRate: 0.05} }
-
-// DefaultFacebookConfig mirrors the paper's smaller but type-richer
-// Facebook graph.
-func DefaultFacebookConfig() Config { return Config{Users: 400, Seed: 2, NoiseRate: 0.05} }
-
 // pool creates n attribute nodes of one type.
 func pool(b *graph.Builder, typeName string, n int) []graph.NodeID {
 	out := make([]graph.NodeID, n)

@@ -548,12 +548,15 @@ func TestRequestLinesSurviveSIGTERM(t *testing.T) {
 	}
 }
 
-// TestDependencyCut: the serving daemon links no dataset generator, and
-// the edge binaries link neither the engine nor the replication stack.
+// TestDependencyCut: the serving daemon links no dataset generator, the
+// engine binaries link neither the paper's experiments nor their ranking
+// baselines (the Fig. 11 matchers live there), and the edge binaries link
+// neither the engine nor the replication stack.
 func TestDependencyCut(t *testing.T) {
 	newEnv(t)
 	for bin, banned := range map[string][]string{
-		semproxd:   {"repro/internal/dataset"},
+		semproxd:   {"repro/internal/dataset", "repro/internal/experiments", "repro/internal/baselines"},
+		semprox:    {"repro/internal/experiments", "repro/internal/baselines"},
 		semproxy:   {"repro", "repro/internal/replica"},
 		semproxctl: {"repro", "repro/internal/replica"},
 	} {

@@ -1,7 +1,8 @@
-package match
+package experiments
 
 import (
 	"repro/internal/graph"
+	"repro/internal/match"
 	"repro/internal/metagraph"
 )
 
@@ -16,7 +17,7 @@ type backtracker struct {
 	assign []graph.NodeID // assign[metagraph node] = graph node or InvalidNode
 	used   []bool         // used[graph node]
 
-	visit   Visitor
+	visit   match.Visitor
 	stopped bool
 
 	// candidates returns the candidate graph nodes for metagraph node u at
@@ -25,7 +26,7 @@ type backtracker struct {
 	candidates func(u, pivot int) []graph.NodeID
 }
 
-func newBacktracker(g *graph.Graph, m *metagraph.Metagraph, order []int, visit Visitor) *backtracker {
+func newBacktracker(g *graph.Graph, m *metagraph.Metagraph, order []int, visit match.Visitor) *backtracker {
 	b := &backtracker{
 		g:      g,
 		m:      m,
@@ -117,19 +118,16 @@ func (b *backtracker) rec(k int) {
 // neighbor's typed adjacency list.
 type QuickSI struct {
 	g     *graph.Graph
-	stats *GraphStats
+	stats *match.GraphStats
 }
 
 // NewQuickSI builds a QuickSI engine for g.
 func NewQuickSI(g *graph.Graph) *QuickSI {
-	return &QuickSI{g: g, stats: NewGraphStats(g)}
+	return &QuickSI{g: g, stats: match.NewGraphStats(g)}
 }
 
-// Name implements Matcher.
-func (q *QuickSI) Name() string { return "QuickSI" }
-
-// Match implements Matcher.
-func (q *QuickSI) Match(m *metagraph.Metagraph, visit Visitor) {
-	b := newBacktracker(q.g, m, EstimateOrder(q.stats, m), visit)
+// Match implements match.Matcher.
+func (q *QuickSI) Match(m *metagraph.Metagraph, visit match.Visitor) {
+	b := newBacktracker(q.g, m, match.EstimateOrder(q.stats, m), visit)
 	b.run()
 }

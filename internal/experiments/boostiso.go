@@ -1,4 +1,4 @@
-package match
+package experiments
 
 import (
 	"sort"
@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/match"
 	"repro/internal/metagraph"
 )
 
@@ -19,7 +20,7 @@ import (
 // pattern-side symmetry.
 type BoostISO struct {
 	g     *graph.Graph
-	stats *GraphStats
+	stats *match.GraphStats
 
 	// class[v] = equivalence class id of vertex v; members[c] lists the
 	// vertices of class c in ascending order.
@@ -30,7 +31,7 @@ type BoostISO struct {
 // NewBoostISO builds a BoostISO engine for g, precomputing vertex
 // equivalence classes (one scan, hashing sorted adjacency).
 func NewBoostISO(g *graph.Graph) *BoostISO {
-	b := &BoostISO{g: g, stats: NewGraphStats(g)}
+	b := &BoostISO{g: g, stats: match.NewGraphStats(g)}
 	n := g.NumNodes()
 	b.class = make([]int32, n)
 	byKey := make(map[string]int32, n)
@@ -58,16 +59,9 @@ func NewBoostISO(g *graph.Graph) *BoostISO {
 	return b
 }
 
-// Name implements Matcher.
-func (b *BoostISO) Name() string { return "BoostISO" }
-
-// NumClasses returns the number of vertex equivalence classes (for tests
-// and reports).
-func (b *BoostISO) NumClasses() int { return len(b.members) }
-
-// Match implements Matcher.
-func (b *BoostISO) Match(m *metagraph.Metagraph, visit Visitor) {
-	bt := newBacktracker(b.g, m, EstimateOrder(b.stats, m), visit)
+// Match implements match.Matcher.
+func (b *BoostISO) Match(m *metagraph.Metagraph, visit match.Visitor) {
+	bt := newBacktracker(b.g, m, match.EstimateOrder(b.stats, m), visit)
 	// Override the recursion: group candidates by equivalence class, verify
 	// the class once, then emit each unused member.
 	var rec func(k int)

@@ -140,9 +140,12 @@ func TestFig11(t *testing.T) {
 	if len(rep.Rows) == 0 {
 		t.Fatal("Fig11 empty")
 	}
-	// Every row carries five engine timings.
+	// Every row carries five engines' Match timings and SymISO's sets.
+	if h := rep.Header; len(h) != 9 || h[3] != "SymISO" || h[8] != "SymISO sets" {
+		t.Fatalf("Fig11 header = %v", h)
+	}
 	for _, row := range rep.Rows {
-		if len(row) != 8 {
+		if len(row) != 9 {
 			t.Fatalf("Fig11 row = %v", row)
 		}
 	}

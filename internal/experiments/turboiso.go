@@ -1,7 +1,8 @@
-package match
+package experiments
 
 import (
 	"repro/internal/graph"
+	"repro/internal/match"
 	"repro/internal/metagraph"
 )
 
@@ -14,19 +15,16 @@ import (
 // symmetry and so repeats work that SymISO reuses.
 type TurboISO struct {
 	g     *graph.Graph
-	stats *GraphStats
+	stats *match.GraphStats
 }
 
 // NewTurboISO builds a TurboISO engine for g.
 func NewTurboISO(g *graph.Graph) *TurboISO {
-	return &TurboISO{g: g, stats: NewGraphStats(g)}
+	return &TurboISO{g: g, stats: match.NewGraphStats(g)}
 }
 
-// Name implements Matcher.
-func (t *TurboISO) Name() string { return "TurboISO" }
-
-// Match implements Matcher.
-func (t *TurboISO) Match(m *metagraph.Metagraph, visit Visitor) {
+// Match implements match.Matcher.
+func (t *TurboISO) Match(m *metagraph.Metagraph, visit match.Visitor) {
 	n := m.N()
 	nt := t.g.NumTypes()
 
@@ -69,7 +67,7 @@ func (t *TurboISO) Match(m *metagraph.Metagraph, visit Visitor) {
 		}
 	}
 
-	order := EstimateOrder(t.stats, m)
+	order := match.EstimateOrder(t.stats, m)
 	b := newBacktracker(t.g, m, order, visit)
 	// One scratch buffer per metagraph node: the recursion re-enters
 	// candidates at deeper levels while the caller is still ranging over

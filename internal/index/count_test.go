@@ -16,9 +16,9 @@ import (
 // refBuild is the map-based counter the sorting Builder replaced, kept as
 // the reference it is checked against: per metagraph, in the given order,
 // one hash-map counter per touched key, its counts appended to per-key rows.
-// It enumerates the instances of g one by one, through QuickSI's Match and
-// the lex-min filter, so it shares neither SymISO's pruned search nor the
-// instance sets with the Builder.
+// It enumerates the instances of g one by one, through the lex-min filter
+// over SymISO's unconditioned Match (every assignment), so it shares
+// neither the pruned search nor the instance sets with the Builder.
 func refBuild(ms []*metagraph.Metagraph, order []int, g *graph.Graph) *Index {
 	mx, mxy := map[graph.NodeID][]Entry{}, map[PairKey][]Entry{}
 	for _, i := range order {
@@ -36,7 +36,7 @@ func refBuild(ms []*metagraph.Metagraph, order []int, g *graph.Graph) *Index {
 		}
 		nodeCount, pairCount := map[graph.NodeID]uint64{}, map[PairKey]uint64{}
 		if len(symPairs) > 0 {
-			lexMin(match.NewQuickSI(g), m, func(a []graph.NodeID) {
+			lexMin(match.NewSymISO(g), m, func(a []graph.NodeID) {
 				for _, p := range symPairs {
 					pairCount[MakePairKey(a[p.U], a[p.V])]++
 				}

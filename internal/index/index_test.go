@@ -251,7 +251,7 @@ func TestAsymmetricMetagraphSkipped(t *testing.T) {
 	asym := metagraph.MustNew([]graph.TypeID{tUser, tSchool, tMajor},
 		[]metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	bld := NewBuilder(1)
-	bld.AddMetagraph(0, asym, match.NewQuickSI(g))
+	bld.AddMetagraph(0, asym, match.NewSymISO(g))
 	ix := bld.Build()
 	if ix.NumPairs() != 0 {
 		t.Fatalf("asymmetric metagraph produced %d pairs", ix.NumPairs())

@@ -21,7 +21,7 @@ import (
 // and not of the size of the graph (Visited is the measure). The reported
 // set is closed under the automorphisms of the metagraph — an automorphism
 // permutes which metagraph edge covers which graph edge, never the set of
-// graph edges covered — so Instances over a Delta reports each new
+// graph edges covered — so InstanceSets over a Delta reports each new
 // instance exactly once.
 type Delta struct {
 	g     *graph.Graph
@@ -45,9 +45,6 @@ func NewDelta(g *graph.Graph) *Delta {
 	}
 	return d
 }
-
-// Name implements Matcher.
-func (d *Delta) Name() string { return "Delta" }
 
 // Visited returns the number of assignments, partial and complete, the
 // Match calls so far have visited: the nodes of the search trees.

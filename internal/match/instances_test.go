@@ -119,14 +119,16 @@ func chiralCycle() *metagraph.Metagraph {
 
 // checkEquivalent requires Instances to visit, element by element, what
 // the lex-min filter over the full Match visits, for SymISO, SymISO-R and
-// QuickSI, in full and when the visitor stops after k. Each side gets a
+// the brute-force reference (whose witnesses InstanceSets filters by the
+// conditions, as it does Delta's), in full and when the visitor stops
+// after k. Each side gets a
 // fresh engine: SymISO-R draws its order from its seed once per Match.
 func checkEquivalent(t *testing.T, label string, g *graph.Graph, m *metagraph.Metagraph) int {
 	t.Helper()
 	engines := map[string]func() match.Matcher{
-		"SymISO":   func() match.Matcher { return match.NewSymISO(g) },
-		"SymISO-R": func() match.Matcher { return match.NewSymISOR(g, 11) },
-		"QuickSI":  func() match.Matcher { return match.NewQuickSI(g) },
+		"SymISO":      func() match.Matcher { return match.NewSymISO(g) },
+		"SymISO-R":    func() match.Matcher { return match.NewSymISOR(g, 11) },
+		"brute force": func() match.Matcher { return match.NewBruteForce(g) },
 	}
 	var n int
 	for name, newEngine := range engines {
@@ -193,22 +195,23 @@ func TestInstancesEqualLexMinFilter(t *testing.T) {
 
 // TestInstanceSetsCountAsInstances: on the equivalence graphs, CountInstances
 // (a binomial per set) equals the number of instances Instances visits, on
-// SymISO and on QuickSI; QuickSI reports plain instances only, and SymISO
-// reports some set with more candidates than positions.
+// SymISO and on the brute-force reference; the reference reports plain
+// instances only, and SymISO reports some set with more candidates than
+// positions.
 func TestInstanceSetsCountAsInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	var larger bool
 	for trial := 0; trial < 12; trial++ {
 		g := equivalenceGraph(rng)
 		for _, m := range equivalenceMetagraphs() {
-			for _, matcher := range []match.Matcher{match.NewSymISO(g), match.NewQuickSI(g)} {
+			for _, matcher := range []match.Matcher{match.NewSymISO(g), match.NewBruteForce(g)} {
 				visits := int64(len(collect(func(v match.Visitor) { match.Instances(matcher, m, v) }, -1)))
 				if n := match.CountInstances(matcher, m); n != visits {
-					t.Fatalf("trial %d, %s on %v: CountInstances %d, Instances visited %d", trial, matcher.Name(), m, n, visits)
+					t.Fatalf("trial %d, %T on %v: CountInstances %d, Instances visited %d", trial, matcher, m, n, visits)
 				}
 				match.InstanceSets(matcher, m, func(s match.Set) bool {
 					if _, sym := matcher.(*match.SymISO); !sym && len(s.P) > 0 {
-						t.Fatalf("%s reported a set over %v", matcher.Name(), s.P)
+						t.Fatalf("%T reported a set over %v", matcher, s.P)
 					}
 					larger = larger || len(s.F) > len(s.P)
 					return true

@@ -1,26 +1,26 @@
 // Package match implements metagraph matching (Sect. IV of the paper):
 // computing the instances I(M) of a metagraph M on a typed object graph G.
 //
-// Four engines are provided. QuickSI, TurboISO and BoostISO are
-// reimplementations of the backtracking baselines the paper compares
-// against (Sect. IV-A, Fig. 11), each preserving its distinguishing pruning
-// idea. SymISO is the paper's contribution (Sect. IV-C, Alg. 2–3): it
-// decomposes a symmetric metagraph into symmetric components and computes
-// candidate matchings once per component group.
+// Two engines are provided, the two the product runs. SymISO is the
+// paper's contribution (Sect. IV-C, Alg. 2–3): it decomposes a symmetric
+// metagraph into symmetric components and computes candidate matchings
+// once per component group; the offline index build and the miner's
+// support both run on it. Delta enumerates only what an update added, for
+// incremental maintenance. The backtracking baselines the paper compares
+// against (Fig. 11) live with that experiment, in internal/experiments.
 //
-// All engines enumerate assignments: injective, type-preserving maps from
-// metagraph nodes to graph nodes under which every metagraph edge lands on
-// a graph edge (Def. 2; instances are subgraphs, not induced subgraphs).
-// Distinct assignments related by an automorphism of M describe the same
-// instance subgraph. Instances reports each instance exactly once, through
-// the symmetry-breaking conditions of M (metagraph.SymmetryConditions):
-// SymISO enumerates only the assignments that satisfy them, pruning a
-// branch as soon as one fails, and any other engine's assignments are
-// filtered by them. InstanceSets reports the same instances in sets: where
-// SymISO's last-placed group is interchangeable one-node members, every
-// choice of them from one candidate list is an instance, and the choices
-// are left to the caller to count or expand. Engines are
-// differential-tested to produce identical assignment sets.
+// An engine's Match enumerates assignments: injective, type-preserving
+// maps from metagraph nodes to graph nodes under which every metagraph
+// edge lands on a graph edge (Def. 2; instances are subgraphs, not induced
+// subgraphs). Distinct assignments related by an automorphism of M
+// describe the same instance subgraph. InstanceSets reports each instance
+// exactly once, through the symmetry-breaking conditions of M
+// (metagraph.SymmetryConditions): SymISO enumerates only the assignments
+// that satisfy them, pruning a branch as soon as one fails, and Delta's
+// assignments are filtered by them. Where SymISO's last-placed group is
+// interchangeable one-node members, every choice of them from one
+// candidate list is an instance, and InstanceSets reports the list as one
+// set, leaving the choices to the caller to count or expand.
 package match
 
 import (
@@ -37,23 +37,11 @@ import (
 type Visitor func(a []graph.NodeID) bool
 
 // Matcher enumerates all assignments of a metagraph on the graph it was
-// constructed for.
+// constructed for. SymISO and Delta implement it; InstanceSets takes
+// either.
 type Matcher interface {
-	// Name identifies the engine in reports ("QuickSI", "SymISO", ...).
-	Name() string
 	// Match enumerates every assignment of m, in engine-specific order.
 	Match(m *metagraph.Metagraph, visit Visitor)
-}
-
-// CountAssignments runs matcher on m and returns the total number of
-// assignments.
-func CountAssignments(matcher Matcher, m *metagraph.Metagraph) int64 {
-	var n int64
-	matcher.Match(m, func([]graph.NodeID) bool {
-		n++
-		return true
-	})
-	return n
 }
 
 // Set is one or more instances of a metagraph that differ only in the nodes
@@ -78,8 +66,8 @@ type SetVisitor func(s Set) bool
 // members is interchangeable (symState.setOf): it has at least two members,
 // no edge between them, and no condition but the ascending chain among
 // them, so that the members' free candidates are all it still has to
-// choose. Any other engine, Delta among them, and SymISO on any other
-// metagraph report plain instances.
+// choose. Delta, and SymISO on any other metagraph, report plain
+// instances.
 func InstanceSets(matcher Matcher, m *metagraph.Metagraph, visit SetVisitor) {
 	conds := m.SymmetryConditions()
 	if s, ok := matcher.(*SymISO); ok {
@@ -96,59 +84,12 @@ func InstanceSets(matcher Matcher, m *metagraph.Metagraph, visit SetVisitor) {
 	})
 }
 
-// Instances enumerates each instance subgraph of m exactly once: it visits
-// the assignments a that are lexicographically minimal among {a∘σ : σ ∈
-// Aut(M)}, in the order matcher's Match would visit them. Two assignments
-// describe the same instance iff they differ by an automorphism, so this is
-// one witness per instance. The witnesses are the assignments that satisfy
-// m's symmetry-breaking conditions, a few comparisons each; SymISO checks
-// each condition as soon as both of its nodes are placed and never
-// enumerates the other |Aut(M)|-1 assignments of an instance. Instances is
-// InstanceSets with every set expanded in ascending lexicographic order of
-// the choices, the order SymISO's own search of the group would take.
-func Instances(matcher Matcher, m *metagraph.Metagraph, visit Visitor) {
-	InstanceSets(matcher, m, func(s Set) bool { return s.each(visit) })
-}
-
-// each visits the instances of s, reporting whether visit asked for more.
-// It places each choice on P in turn and leaves P as it found it.
-func (s Set) each(visit Visitor) bool {
-	if len(s.P) == 0 {
-		return visit(s.A)
-	}
-	var pick [metagraph.MaxNodes]int // ascending offsets into F
-	k, last := len(s.P), len(s.F)-len(s.P)
-	for j := range k {
-		pick[j] = j
-	}
-	var more bool
-	for {
-		for j, p := range s.P {
-			s.A[p] = s.F[pick[j]]
-		}
-		if more = visit(s.A); !more {
-			break
-		}
-		j := k - 1
-		for j >= 0 && pick[j] == last+j {
-			j--
-		}
-		if j < 0 {
-			break
-		}
-		pick[j]++
-		for i := j + 1; i < k; i++ {
-			pick[i] = pick[i-1] + 1
-		}
-	}
-	for _, p := range s.P {
-		s.A[p] = graph.InvalidNode
-	}
-	return more
-}
-
 // CountInstances returns the number of distinct instances of m, counting a
-// set by its binomial. A count past int64 panics.
+// set by its binomial. A count past int64 panics. No product code calls
+// it: it is the one instance count the tests of this package and of
+// internal/index and the root package's offline-build benchmark share, so
+// that summing sets by their binomials, and refusing an overflow, is
+// written once.
 func CountInstances(matcher Matcher, m *metagraph.Metagraph) int64 {
 	var n uint64
 	InstanceSets(matcher, m, func(s Set) bool {

@@ -84,13 +84,20 @@ func mgM4() *metagraph.Metagraph {
 		[]metagraph.Edge{{U: 0, V: 2}, {U: 1, V: 2}, {U: 0, V: 3}, {U: 1, V: 3}})
 }
 
-func allMatchers(g *graph.Graph) []Matcher {
-	return []Matcher{
-		NewQuickSI(g),
-		NewTurboISO(g),
-		NewBoostISO(g),
-		NewSymISO(g),
-		NewSymISOR(g, 7),
+// engine is a matcher under test with the name its failures report. Tests
+// pass the Matcher itself on: InstanceSets recognises SymISO by its type.
+type engine struct {
+	name string
+	Matcher
+}
+
+// allMatchers lists the engines every test runs: the two SymISO orders and
+// the brute-force reference.
+func allMatchers(g *graph.Graph) []engine {
+	return []engine{
+		{"brute force", NewBruteForce(g)},
+		{"SymISO", NewSymISO(g)},
+		{"SymISO-R", NewSymISOR(g, 7)},
 	}
 }
 
@@ -137,11 +144,11 @@ func TestToyM3Instances(t *testing.T) {
 	for _, matcher := range allMatchers(g) {
 		// Two instances (Alice–Green–Bob, Kate–White–Jay), each with two
 		// automorphic assignments.
-		if got := CountAssignments(matcher, mgM3()); got != 4 {
-			t.Errorf("%s: assignments(M3) = %d, want 4", matcher.Name(), got)
+		if got := CountAssignments(matcher.Matcher, mgM3()); got != 4 {
+			t.Errorf("%s: assignments(M3) = %d, want 4", matcher.name, got)
 		}
-		if got := CountInstances(matcher, mgM3()); got != 2 {
-			t.Errorf("%s: instances(M3) = %d, want 2", matcher.Name(), got)
+		if got := CountInstances(matcher.Matcher, mgM3()); got != 2 {
+			t.Errorf("%s: instances(M3) = %d, want 2", matcher.name, got)
 		}
 	}
 }
@@ -155,27 +162,28 @@ func TestToyM1M2M4Instances(t *testing.T) {
 	mgs := map[string]*metagraph.Metagraph{"M1": mgM1(), "M2": mgM2(), "M4": mgM4()}
 	for name, m := range mgs {
 		for _, matcher := range allMatchers(g) {
-			if got := CountInstances(matcher, m); got != wants[name] {
-				t.Errorf("%s: instances(%s) = %d, want %d", matcher.Name(), name, got, wants[name])
+			if got := CountInstances(matcher.Matcher, m); got != wants[name] {
+				t.Errorf("%s: instances(%s) = %d, want %d", matcher.name, name, got, wants[name])
 			}
 		}
 	}
 }
 
+// TestMatchersAgreeOnToy: both SymISO orders enumerate the brute-force
+// reference's assignment multiset on the toy network's metagraphs.
 func TestMatchersAgreeOnToy(t *testing.T) {
 	g := buildToy(t)
-	ref := NewQuickSI(g)
 	for _, m := range []*metagraph.Metagraph{mgM1(), mgM2(), mgM3(), mgM4()} {
-		want := assignmentSet(ref, m)
+		want := assignmentSet(NewBruteForce(g), m)
 		for _, matcher := range allMatchers(g)[1:] {
-			got := assignmentSet(matcher, m)
+			got := assignmentSet(matcher.Matcher, m)
 			if len(got) != len(want) {
-				t.Fatalf("%s on %v: %d assignments, want %d", matcher.Name(), m, len(got), len(want))
+				t.Fatalf("%s on %v: %d assignments, want %d", matcher.name, m, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%s on %v: assignment sets differ at %d: %s vs %s",
-						matcher.Name(), m, i, got[i], want[i])
+						matcher.name, m, i, got[i], want[i])
 				}
 			}
 		}
@@ -191,7 +199,7 @@ func TestEarlyStop(t *testing.T) {
 			return false
 		})
 		if n != 1 {
-			t.Errorf("%s: early stop visited %d assignments", matcher.Name(), n)
+			t.Errorf("%s: early stop visited %d assignments", matcher.name, n)
 		}
 	}
 }
@@ -200,7 +208,7 @@ func TestInstancesVisitUniqueSubgraphs(t *testing.T) {
 	g := buildToy(t)
 	m := mgM1()
 	seen := make(map[string]int)
-	Instances(NewQuickSI(g), m, func(a []graph.NodeID) bool {
+	Instances(NewSymISO(g), m, func(a []graph.NodeID) bool {
 		nodes := append([]graph.NodeID(nil), a...)
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 		seen[fmt.Sprint(nodes)]++
@@ -253,25 +261,26 @@ func randomMetagraph(rng *rand.Rand, types int) *metagraph.Metagraph {
 	return metagraph.MustNew(ts, edges)
 }
 
-// TestQuickMatchersAgree is the central differential test: every engine
-// must enumerate exactly the same assignment multiset on random inputs.
+// TestQuickMatchersAgree is the central differential test: both SymISO
+// orders must enumerate exactly the brute-force reference's assignment
+// multiset on random inputs.
 func TestQuickMatchersAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		types := 1 + rng.Intn(3)
 		g := randomTypedGraph(rng, 4+rng.Intn(20), rng.Intn(50), types)
 		m := randomMetagraph(rng, types)
-		want := assignmentSet(NewQuickSI(g), m)
+		want := assignmentSet(NewBruteForce(g), m)
 		for _, matcher := range allMatchers(g)[1:] {
-			got := assignmentSet(matcher, m)
+			got := assignmentSet(matcher.Matcher, m)
 			if len(got) != len(want) {
-				t.Logf("seed %d: %s found %d assignments, QuickSI %d (m=%v)",
-					seed, matcher.Name(), len(got), len(want), m)
+				t.Logf("seed %d: %s found %d assignments, brute force %d (m=%v)",
+					seed, matcher.name, len(got), len(want), m)
 				return false
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Logf("seed %d: %s assignment mismatch (m=%v)", seed, matcher.Name(), m)
+					t.Logf("seed %d: %s assignment mismatch (m=%v)", seed, matcher.name, m)
 					return false
 				}
 			}
@@ -283,17 +292,17 @@ func TestQuickMatchersAgree(t *testing.T) {
 	}
 }
 
-// TestQuickInstancesAgree verifies instance sets agree too (the Instances
-// dedup layer composed with any engine).
+// TestQuickInstancesAgree verifies instance sets agree too: SymISO's pruned
+// search against the conditions filtering the brute-force reference.
 func TestQuickInstancesAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		types := 1 + rng.Intn(3)
 		g := randomTypedGraph(rng, 4+rng.Intn(16), rng.Intn(40), types)
 		m := randomMetagraph(rng, types)
-		want := instanceSet(NewQuickSI(g), m)
+		want := instanceSet(NewBruteForce(g), m)
 		for _, matcher := range allMatchers(g)[1:] {
-			got := instanceSet(matcher, m)
+			got := instanceSet(matcher.Matcher, m)
 			if len(got) != len(want) {
 				return false
 			}
@@ -378,31 +387,6 @@ func TestGraphStats(t *testing.T) {
 	}
 }
 
-func TestBoostISOClasses(t *testing.T) {
-	// Two leaf users attached to the same school are equivalent; a third
-	// attached elsewhere is not.
-	b := graph.NewBuilder()
-	s1 := b.AddNode("school", "s1")
-	s2 := b.AddNode("school", "s2")
-	u1 := b.AddNode("user", "u1")
-	u2 := b.AddNode("user", "u2")
-	u3 := b.AddNode("user", "u3")
-	b.AddEdge(u1, s1)
-	b.AddEdge(u2, s1)
-	b.AddEdge(u3, s2)
-	g := b.MustBuild()
-	bi := NewBoostISO(g)
-	if bi.class[u1] != bi.class[u2] {
-		t.Fatal("duplicate leaves should share a class")
-	}
-	if bi.class[u1] == bi.class[u3] {
-		t.Fatal("leaves of different schools must not share a class")
-	}
-	if bi.NumClasses() >= g.NumNodes() {
-		t.Fatalf("NumClasses = %d, want < %d", bi.NumClasses(), g.NumNodes())
-	}
-}
-
 func TestConnectedOrder(t *testing.T) {
 	m := mgM1()
 	order := connectedOrder(m, []int{0, 1, 2})
@@ -413,15 +397,5 @@ func TestConnectedOrder(t *testing.T) {
 	// not adjacent, but both touch 2.
 	if order[0] == 0 && order[1] == 1 {
 		t.Fatalf("order %v breaks connectivity preference", order)
-	}
-}
-
-func TestSymISONameAndR(t *testing.T) {
-	g := buildToy(t)
-	if NewSymISO(g).Name() != "SymISO" {
-		t.Fatal("bad name")
-	}
-	if NewSymISOR(g, 1).Name() != "SymISO-R" {
-		t.Fatal("bad name")
 	}
 }

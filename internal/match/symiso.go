@@ -42,14 +42,6 @@ func NewSymISOR(g *graph.Graph, seed int64) *SymISO {
 	return &SymISO{g: g, stats: NewGraphStats(g), rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements Matcher.
-func (s *SymISO) Name() string {
-	if s.rng != nil {
-		return "SymISO-R"
-	}
-	return "SymISO"
-}
-
 // Match implements Matcher.
 func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) {
 	s.run(m, nil, func(set Set) bool { return visit(set.A) })

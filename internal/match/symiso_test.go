@@ -48,16 +48,16 @@ func m5For(g *graph.Graph) *metagraph.Metagraph {
 		[]metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 4, V: 5}, {U: 2, V: 5}})
 }
 
-func TestSymISOM5AgainstQuickSI(t *testing.T) {
+func TestSymISOM5AgainstBruteForce(t *testing.T) {
 	g := buildM5Graph(t)
 	m := m5For(g)
-	want := assignmentSet(NewQuickSI(g), m)
+	want := assignmentSet(NewBruteForce(g), m)
 	got := assignmentSet(NewSymISO(g), m)
 	if len(want) == 0 {
 		t.Fatal("fixture has no M5 assignments; test is vacuous")
 	}
 	if len(got) != len(want) {
-		t.Fatalf("SymISO found %d assignments, QuickSI %d", len(got), len(want))
+		t.Fatalf("SymISO found %d assignments, brute force %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -102,12 +102,12 @@ func TestSymISOStarGroup(t *testing.T) {
 		[]graph.TypeID{g.Types().ID("school"), g.Types().ID("user"), g.Types().ID("user"), g.Types().ID("user")},
 		[]metagraph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
 	// Assignments: 4·3·2 = 24 ordered leaf triples; instances: C(4,3) = 4.
-	for _, eng := range []Matcher{NewSymISO(g), NewQuickSI(g)} {
-		if got := CountAssignments(eng, star); got != 24 {
-			t.Fatalf("%s: assignments = %d, want 24", eng.Name(), got)
+	for _, eng := range allMatchers(g) {
+		if got := CountAssignments(eng.Matcher, star); got != 24 {
+			t.Fatalf("%s: assignments = %d, want 24", eng.name, got)
 		}
-		if got := CountInstances(eng, star); got != 4 {
-			t.Fatalf("%s: instances = %d, want 4", eng.Name(), got)
+		if got := CountInstances(eng.Matcher, star); got != 4 {
+			t.Fatalf("%s: instances = %d, want 4", eng.name, got)
 		}
 	}
 }
@@ -128,8 +128,9 @@ func TestSymISORDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestQuickSymISOLargerPatterns drives SymISO against QuickSI on random
-// 5–6 node patterns, where multi-node symmetric components appear.
+// TestQuickSymISOLargerPatterns drives SymISO against the brute-force
+// reference on random 5–6 node patterns, where multi-node symmetric
+// components appear.
 func TestQuickSymISOLargerPatterns(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,10 +155,10 @@ func TestQuickSymISOLargerPatterns(t *testing.T) {
 			}
 		}
 		m := metagraph.MustNew(ts, edges)
-		want := assignmentSet(NewQuickSI(g), m)
+		want := assignmentSet(NewBruteForce(g), m)
 		got := assignmentSet(NewSymISO(g), m)
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: SymISO %d vs QuickSI %d assignments (m=%v)",
+			t.Fatalf("seed %d: SymISO %d vs brute force %d assignments (m=%v)",
 				seed, len(got), len(want), m)
 		}
 		for i := range got {

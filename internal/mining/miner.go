@@ -185,14 +185,15 @@ func levelSupports(supporters []*supporter, level []candidate, enough int) []int
 }
 
 // supporter computes MNI supports with one matcher and scratch that is
-// reused across patterns: image counters per pattern node and a seen
-// bitmap indexed by (pattern node, graph node). It is not safe for
-// concurrent use; Mine gives each worker its own.
+// reused across patterns: an image counter per orbit of the pattern's
+// automorphism group and a seen bitmap indexed by (orbit, graph node). It
+// is not safe for concurrent use; Mine gives each worker its own.
 type supporter struct {
 	matcher  match.Matcher
 	numNodes int
 	seen     []uint64
 	count    []int
+	short    int // orbits still below enough images
 }
 
 func newSupporter(g *graph.Graph, matcher match.Matcher) *supporter {
@@ -201,40 +202,73 @@ func newSupporter(g *graph.Graph, matcher match.Matcher) *supporter {
 
 // mni computes the MNI support of m with the supporter's matcher: the
 // minimum, over pattern nodes u, of the number of distinct graph nodes
-// that appear as the image of u across all assignments. A pattern node
-// stops collecting images once it has enough of them, and the enumeration
-// stops once no node is short, so the returned value is min(MNI, enough)
-// — exact whenever it is below the threshold.
+// that appear as the image of u across all assignments. It visits one
+// witness a per instance (match.InstanceSets), not every assignment. The
+// assignments of a's instance are {a∘σ : σ ∈ Aut(m)}, so the images of u
+// across them are {a[v] : v ∈ orbit(u)}: every node of an orbit has the
+// same image set, and the MNI is the minimum over orbits of the union of
+// a[v] over the orbit's nodes v and over the witnesses. A set's positions
+// P are interchangeable members of one group, so they lie in one orbit,
+// and each of its candidates F is the image of P in some of its instances.
+// An orbit stops collecting images once it has enough of them, and the
+// enumeration stops once no orbit is short, so the returned value is
+// min(MNI, enough) — exact whenever it is below the threshold.
 func (s *supporter) mni(m *metagraph.Metagraph, enough int) int {
-	n := m.N()
+	var orbit [metagraph.MaxNodes]int
+	n := 0 // orbits numbered so far
+	for u := range m.N() {
+		orbit[u] = -1
+	}
+	auts := m.Automorphisms()
+	for u := range m.N() {
+		if orbit[u] < 0 {
+			for _, sigma := range auts {
+				orbit[sigma[u]] = n
+			}
+			n++
+		}
+	}
 	words := (n*s.numNodes + 63) / 64
 	if cap(s.seen) < words {
 		s.seen = make([]uint64, words)
 	}
-	seen := s.seen[:words]
-	clear(seen)
+	s.seen = s.seen[:words]
+	clear(s.seen)
 	if cap(s.count) < n {
 		s.count = make([]int, n)
 	}
-	count := s.count[:n]
-	clear(count)
-	short := n
-	s.matcher.Match(m, func(a []graph.NodeID) bool {
-		for i, v := range a {
-			if count[i] >= enough {
-				continue
-			}
-			bit := i*s.numNodes + int(v)
-			if w, b := bit>>6, uint64(1)<<(bit&63); seen[w]&b == 0 {
-				seen[w] |= b
-				if count[i]++; count[i] == enough {
-					short--
-				}
+	s.count = s.count[:n]
+	clear(s.count)
+	s.short = n
+	match.InstanceSets(s.matcher, m, func(set match.Set) bool {
+		for u, v := range set.A {
+			if v != graph.InvalidNode { // positions of P hold InvalidNode
+				s.see(orbit[u], v, enough)
 			}
 		}
-		return short > 0
+		if len(set.P) > 0 {
+			o := orbit[set.P[0]]
+			for _, v := range set.F {
+				s.see(o, v, enough)
+			}
+		}
+		return s.short > 0
 	})
-	return slices.Min(count)
+	return slices.Min(s.count)
+}
+
+// see records v as an image of orbit o, unless o already has enough.
+func (s *supporter) see(o int, v graph.NodeID, enough int) {
+	if s.count[o] >= enough {
+		return
+	}
+	bit := o*s.numNodes + int(v)
+	if w, b := bit>>6, uint64(1)<<(bit&63); s.seen[w]&b == 0 {
+		s.seen[w] |= b
+		if s.count[o]++; s.count[o] == enough {
+			s.short--
+		}
+	}
 }
 
 // ProximityFilter selects the mined metagraphs usable for semantic

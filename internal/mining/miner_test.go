@@ -108,12 +108,12 @@ func TestMineSupportThreshold(t *testing.T) {
 
 func TestMineAntiMonotonicity(t *testing.T) {
 	// Every frequent pattern's MNI support must be >= threshold by direct
-	// recomputation with a different engine.
+	// recomputation over every assignment, not one witness per instance.
 	g := buildAttributeGraph(t, 25, 3, 2, 5)
 	const threshold = 3
-	matcher := match.NewQuickSI(g)
+	matcher := match.NewSymISO(g)
 	for _, p := range Mine(g, Options{MaxNodes: 4, MinSupport: threshold}) {
-		if got := newSupporter(g, matcher).mni(p.M, threshold); got < threshold {
+		if got := mapMNI(matcher, p.M, threshold); got < threshold {
 			t.Fatalf("pattern %v reported frequent but MNI=%d", p.M, got)
 		}
 	}
@@ -176,14 +176,14 @@ func TestMniSupportExactOnToy(t *testing.T) {
 	m := metagraph.MustNew(
 		[]graph.TypeID{g.Types().ID("user"), g.Types().ID("school"), g.Types().ID("user")},
 		[]metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if got := newSupporter(g, match.NewQuickSI(g)).mni(m, 10); got != 1 {
+	if got := newSupporter(g, match.NewSymISO(g)).mni(m, 10); got != 1 {
 		t.Fatalf("MNI = %d, want 1", got)
 	}
 	// A pattern with no matches at all.
 	m2 := metagraph.MustNew(
 		[]graph.TypeID{g.Types().ID("school"), g.Types().ID("school")},
 		[]metagraph.Edge{{U: 0, V: 1}})
-	if got := newSupporter(g, match.NewQuickSI(g)).mni(m2, 10); got != 0 {
+	if got := newSupporter(g, match.NewSymISO(g)).mni(m2, 10); got != 0 {
 		t.Fatalf("MNI = %d, want 0", got)
 	}
 }
@@ -260,9 +260,9 @@ func TestParallelMineEqualsSerial(t *testing.T) {
 	}
 }
 
-// mapMNI is the straightforward MNI reference the dense counters replace:
-// one set of images per pattern node, enumeration stopped once every set
-// has enough members.
+// mapMNI is the straightforward MNI reference the orbit counters replace:
+// one set of images per pattern node, filled from every assignment of
+// matcher's Match, enumeration stopped once every set has enough members.
 func mapMNI(matcher match.Matcher, m *metagraph.Metagraph, enough int) int {
 	images := make([]map[graph.NodeID]bool, m.N())
 	for i := range images {
@@ -285,22 +285,116 @@ func mapMNI(matcher match.Matcher, m *metagraph.Metagraph, enough int) int {
 	return mni
 }
 
-// TestDenseMNIEqualsMapReference checks the dense, saturating counters
-// against mapMNI on random small typed graphs, for thresholds below, at
-// and above the true support. One supporter is reused throughout, so stale
+// denseGraph draws a graph over types a and b dense enough that stars,
+// cliques and cycles have many instances.
+func denseGraph(rng *rand.Rand) *graph.Graph {
+	b := graph.NewBuilder()
+	b.Types().Register("a")
+	b.Types().Register("b")
+	n := 12 + rng.Intn(10)
+	for i := 0; i < n; i++ {
+		b.AddNode([]string{"a", "b"}[rng.Intn(2)], "")
+	}
+	for i := 3 * n; i > 0; i-- {
+		b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+	}
+	return b.MustBuild()
+}
+
+// denseShapes are metagraphs over denseGraph's types a=0 and b=1 whose
+// orbits the mined attribute patterns do not reach: stars of two to four
+// leaves, whose leaves SymISO reports as a set; one-type cliques of three
+// and four nodes, one orbit each; a 4-cycle over two types; and an
+// asymmetric path, every orbit a single node.
+func denseShapes() []*metagraph.Metagraph {
+	type E = metagraph.Edge
+	return []*metagraph.Metagraph{
+		metagraph.MustNew([]graph.TypeID{0, 1, 1}, []E{{U: 0, V: 1}, {U: 0, V: 2}}),
+		metagraph.MustNew([]graph.TypeID{0, 1, 1, 1}, []E{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}}),
+		metagraph.MustNew([]graph.TypeID{1, 0, 0, 0, 0}, []E{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}}),
+		metagraph.MustNew([]graph.TypeID{0, 1, 1, 1}, []E{{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}}),
+		metagraph.MustNew([]graph.TypeID{0, 0, 0}, []E{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}}),
+		metagraph.MustNew([]graph.TypeID{1, 1, 1, 1}, []E{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3}}),
+		metagraph.MustNew([]graph.TypeID{0, 0, 1, 1}, []E{{U: 0, V: 2}, {U: 1, V: 2}, {U: 0, V: 3}, {U: 1, V: 3}}),
+		metagraph.MustNew([]graph.TypeID{0, 1, 1, 0}, []E{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 2}}),
+	}
+}
+
+// chiralGraph plants 9-cycles typed a, b, c around, sharing nodes, plus
+// random edges: the instances of chiralCycle.
+func chiralGraph(rng *rand.Rand) *graph.Graph {
+	b := graph.NewBuilder()
+	names := []string{"a", "b", "c"}
+	var byType [3][]graph.NodeID
+	for i := 0; i < 36; i++ {
+		byType[i%3] = append(byType[i%3], b.AddNode(names[i%3], ""))
+	}
+	for c := 0; c < 6; c++ {
+		var cycle [9]graph.NodeID
+		for i := range cycle {
+			cycle[i] = byType[i%3][rng.Intn(len(byType[i%3]))]
+		}
+		for i := range cycle {
+			b.AddEdge(cycle[i], cycle[(i+1)%9])
+		}
+	}
+	for i := 0; i < 30; i++ {
+		b.AddEdge(graph.NodeID(rng.Intn(36)), graph.NodeID(rng.Intn(36)))
+	}
+	return b.MustBuild()
+}
+
+// chiralCycle is the 9-cycle typed a, b, c around. Its automorphisms are
+// the rotations by three, none an involution: three orbits of three nodes
+// each, which SymISO places one node at a time under the conditions.
+func chiralCycle() *metagraph.Metagraph {
+	types := make([]graph.TypeID, 9)
+	var edges []metagraph.Edge
+	for i := range types {
+		types[i] = graph.TypeID(i % 3)
+		edges = append(edges, metagraph.Edge{U: min(i, (i+1)%9), V: max(i, (i+1)%9)})
+	}
+	return metagraph.MustNew(types, edges)
+}
+
+// TestDenseMNIEqualsMapReference checks the orbit counters, filled from
+// one witness or set per instance, against mapMNI over every assignment,
+// for thresholds below, at and above the true support: on random small
+// attribute graphs for every pattern mined there, on dense two-type graphs
+// for stars, cliques, a 4-cycle and an asymmetric path, and on planted
+// 9-cycles for the chiral one. One supporter is reused per graph, so stale
 // scratch from a previous pattern would show.
 func TestDenseMNIEqualsMapReference(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := buildAttributeGraph(t, 5+rng.Intn(25), 1+rng.Intn(4), 1+rng.Intn(4), seed)
+	check := func(label string, g *graph.Graph, ms []*metagraph.Metagraph) {
+		t.Helper()
 		sup := newSupporter(g, match.NewSymISO(g))
-		ref := match.NewQuickSI(g)
-		for _, p := range mine(g, Options{MaxNodes: 4, MinSupport: 1}, 1) {
+		ref := match.NewSymISO(g)
+		for _, m := range ms {
 			for _, enough := range []int{1, 2, 3, 5, 8, 1000} {
-				if got, want := sup.mni(p.M, enough), mapMNI(ref, p.M, enough); got != want {
-					t.Fatalf("seed %d %v enough=%d: dense %d, map %d", seed, p.M, enough, got, want)
+				if got, want := sup.mni(m, enough), mapMNI(ref, m, enough); got != want {
+					t.Fatalf("%s %v enough=%d: orbits %d, every assignment %d", label, m, enough, got, want)
 				}
 			}
 		}
+	}
+	var sets bool
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := buildAttributeGraph(t, 5+rng.Intn(25), 1+rng.Intn(4), 1+rng.Intn(4), seed)
+		check(fmt.Sprint("attribute seed ", seed), g, Metagraphs(mine(g, Options{MaxNodes: 4, MinSupport: 1}, 1)))
+		g = denseGraph(rng)
+		check(fmt.Sprint("dense seed ", seed), g, denseShapes())
+		for _, m := range denseShapes()[:3] {
+			match.InstanceSets(match.NewSymISO(g), m, func(s match.Set) bool {
+				sets = sets || len(s.F) > len(s.P) && len(s.P) > 0
+				return true
+			})
+		}
+		if seed%5 == 0 {
+			check(fmt.Sprint("chiral seed ", seed), chiralGraph(rng), []*metagraph.Metagraph{chiralCycle()})
+		}
+	}
+	if !sets {
+		t.Fatal("no star was reported as a set with more candidates than leaves")
 	}
 }

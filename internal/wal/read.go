@@ -284,23 +284,6 @@ func (w *WAL) SinceRaw(afterLSN uint64, max, maxBytes int) ([]RawRecord, uint64,
 	return out, durable, nil
 }
 
-// Since is SinceRaw with the deltas decoded and no byte bound.
-func (w *WAL) Since(afterLSN uint64, max int) ([]Record, uint64, error) {
-	raw, durable, err := w.SinceRaw(afterLSN, max, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]Record, len(raw))
-	for i, r := range raw {
-		d, err := graph.DecodeDelta(r.Delta)
-		if err != nil {
-			return nil, 0, fmt.Errorf("wal: record %d: %w", r.LSN, err)
-		}
-		out[i] = Record{LSN: r.LSN, Term: r.Term, Delta: d}
-	}
-	return out, durable, nil
-}
-
 // TermAt returns the term of the durable record at lsn, or ok=false
 // when the log does not hold it (never appended, not yet durable, or
 // truncated away). The fencing history check uses it to compare a

@@ -79,7 +79,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: durable position and records survive, and Since serves
+	// Reopen: durable position and records survive, and SinceRaw serves
 	// from disk (the in-memory tail dies with the process).
 	w2, err := Open(dir, Options{})
 	if err != nil {
@@ -89,19 +89,19 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := w2.DurableLSN(); got != 10 {
 		t.Fatalf("reopened durable = %d, want 10", got)
 	}
-	disk, durable, err := w2.Since(7, 0)
+	disk, durable, err := w2.SinceRaw(7, 0, 0)
 	if err != nil || durable != 10 || len(disk) != 3 || disk[0].LSN != 8 {
-		t.Fatalf("Since after reopen = %+v (durable %d, %v)", disk, durable, err)
+		t.Fatalf("SinceRaw after reopen = %+v (durable %d, %v)", disk, durable, err)
 	}
-	if !reflect.DeepEqual(disk[0].Delta, delta(7)) {
-		t.Fatalf("disk-served record drifted: %+v", disk[0].Delta)
+	if d, err := graph.DecodeDelta(disk[0].Delta); err != nil || !reflect.DeepEqual(d, delta(7)) {
+		t.Fatalf("disk-served record drifted: %+v, %v", d, err)
 	}
 	appendN(t, w2, 1, 11)
 	// The fresh append is tail-served; it must splice cleanly after the
 	// disk-recovered history.
-	both, _, err := w2.Since(9, 0)
+	both, _, err := w2.SinceRaw(9, 0, 0)
 	if err != nil || len(both) != 2 || both[0].LSN != 10 || both[1].LSN != 11 {
-		t.Fatalf("Since spanning reopen = %+v, %v", both, err)
+		t.Fatalf("SinceRaw spanning reopen = %+v, %v", both, err)
 	}
 }
 
@@ -113,16 +113,16 @@ func TestSinceAndWaitSince(t *testing.T) {
 	defer w.Close()
 	appendN(t, w, 5, 1)
 
-	recs, durable, err := w.Since(2, 2)
+	recs, durable, err := w.SinceRaw(2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if durable != 5 || len(recs) != 2 || recs[0].LSN != 3 || recs[1].LSN != 4 {
-		t.Fatalf("Since(2, 2) = %+v, durable %d", recs, durable)
+		t.Fatalf("SinceRaw(2, 2, 0) = %+v, durable %d", recs, durable)
 	}
-	recs, _, err = w.Since(5, 0)
+	recs, _, err = w.SinceRaw(5, 0, 0)
 	if err != nil || len(recs) != 0 {
-		t.Fatalf("Since(5) = %+v, %v", recs, err)
+		t.Fatalf("SinceRaw(5, 0, 0) = %+v, %v", recs, err)
 	}
 
 	// WaitSince returns immediately when records exist...
