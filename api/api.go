@@ -238,10 +238,12 @@ type ClassesResponse struct {
 	Classes []string `json:"classes"`
 }
 
-// StatsResponse is the PathStats body. Proxy is absent from engine
-// servers; the semproxy edge tier forwards the primary's stats and
-// appends its own hedge/cache counters there (an added omitempty field —
-// a compatible /v1 extension).
+// StatsResponse is the PathStats body. Matched counts the metagraphs the
+// serving epoch holds — matched, indexed and re-matched by every update —
+// which once a class is trained are the metagraphs some class weighs, not
+// all it has seen. Proxy is absent from engine servers; the semproxy edge
+// tier forwards the primary's stats and appends its own hedge/cache
+// counters there (an added omitempty field — a compatible /v1 extension).
 type StatsResponse struct {
 	Epoch             uint64      `json:"epoch"`
 	LSN               uint64      `json:"lsn"`

@@ -281,8 +281,9 @@ func BenchmarkOnlineQuery(b *testing.B) {
 // workload's users in a seeded random order, so consecutive queries share
 // no runs and the index does not stay in cache: uniform is what a daemon
 // under the read mix pays (Engine.Query on the 5 000-user read_direct
-// engine, whose learned w* weighs one of three metagraphs); dense is the
-// same engine under UniformWeights, where the scan skips nothing; and
+// engine, whose learned w* weighs one of three metagraphs, the one its
+// index holds); dense is the same engine with a class of UniformWeights
+// installed, so that it holds and scans all three, skipping nothing; and
 // lifecycle is Engine.Query on the 600-user MaxNodes-4 engine, whose w*
 // weighs 10 of 12 metagraphs. Each reports candidates/op, the partners a
 // scan scored.
@@ -336,7 +337,11 @@ func BenchmarkRankTop(b *testing.B) {
 	})
 	b.Run("dense", func(b *testing.B) {
 		eng, _ := snapshotBench(b, snapShapes[0])
-		scan(b, eng, core.UniformWeights(eng.NumMetagraphs()))
+		full := &Engine{anchor: eng.anchor, opts: eng.opts, ms: eng.ms}
+		full.cur.Store(eng.cur.Load())
+		w := core.UniformWeights(full.NumMetagraphs())
+		installPruned(full, "dense", every(full.NumMetagraphs()), w)
+		scan(b, full, w)
 	})
 	b.Run("lifecycle", func(b *testing.B) {
 		eng, _ := snapshotBench(b, snapShapes[1])
@@ -602,23 +607,31 @@ var snapShapes = []*snapShape{
 	{name: "lifecycle", users: 600, maxNodes: 4},
 }
 
+// build mines, matches and trains the shape's engine on the LinkedIn graph
+// of the given seed: one class, college, learned from 100 examples with
+// one restart of at most 60 iterations.
+func (sh *snapShape) build(seed int64) *Engine {
+	ds := dataset.LinkedIn(dataset.Config{Users: sh.users, Seed: seed, NoiseRate: 0.05})
+	opts := DefaultOptions()
+	opts.Mining = mining.Options{MaxNodes: sh.maxNodes, MinSupport: 5}
+	opts.Train.Restarts = 1
+	opts.Train.MaxIters = 60
+	eng, err := NewEngine(ds.G, "user", opts)
+	if err != nil {
+		panic(err)
+	}
+	labels := ds.Classes["college"]
+	eng.Train("college", MakeExamples(labels, labels.Queries(), ds.Users(), 100, seed))
+	return eng
+}
+
 // snapshotBench builds (once per shape) the engine a benchmark/ workload
 // boots — one trained class — and its snapshot, so restart-to-serving is
 // measured at the size the daemons pay.
 func snapshotBench(b *testing.B, sh *snapShape) (*Engine, []byte) {
 	b.Helper()
 	sh.once.Do(func() {
-		ds := dataset.LinkedIn(dataset.Config{Users: sh.users, Seed: 1, NoiseRate: 0.05})
-		opts := DefaultOptions()
-		opts.Mining = mining.Options{MaxNodes: sh.maxNodes, MinSupport: 5}
-		opts.Train.Restarts = 1
-		opts.Train.MaxIters = 60
-		eng, err := NewEngine(ds.G, "user", opts)
-		if err != nil {
-			panic(err)
-		}
-		labels := ds.Classes["college"]
-		eng.Train("college", MakeExamples(labels, labels.Queries(), ds.Users(), 100, 1))
+		eng := sh.build(1)
 		var buf bytes.Buffer
 		if err := eng.Save(&buf); err != nil {
 			panic(err)

@@ -143,11 +143,10 @@ func main() {
 		start = time.Now()
 		if *candidates > 0 {
 			eng.TrainDualStage(c.name, examples, *candidates)
-			fmt.Printf(" (dual-stage: matched %d of %d metagraphs)", eng.MatchedCount(), eng.NumMetagraphs())
 		} else {
 			eng.Train(c.name, examples)
 		}
-		fmt.Printf(" in %.1fs\n", time.Since(start).Seconds())
+		fmt.Printf(" in %.1fs (holds %d of %d metagraphs)\n", time.Since(start).Seconds(), eng.MatchedCount(), eng.NumMetagraphs())
 	}
 
 	if *save != "" {

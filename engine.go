@@ -98,18 +98,21 @@ type Engine struct {
 }
 
 // epoch is one immutable serving generation: the graph version, the one
-// index of every metagraph matched so far, and the trained classes that go
-// with it. Epochs are never mutated after publish — writers copy what
+// index of the metagraphs it holds, and the trained classes that go with
+// it. Epochs are never mutated after publish — writers copy what
 // changes and share the rest.
 type epoch struct {
 	g *graph.Graph
 
 	// ix holds the metagraph vectors over all of M (Eq. 1–2): it spans
-	// len(Engine.ms) metagraphs and has rows for the matched ones only.
-	// matched[i] says metagraph i has been matched; dual-stage training
-	// matches lazily and never re-matches. Matchers are built per worker by
-	// matchMissing (SymISO carries per-Match scratch sized to the graph, and
-	// SymISO-R style engines may carry mutable state), so none is retained.
+	// len(Engine.ms) metagraphs and has rows for the held ones only.
+	// matched[i] says the epoch holds metagraph i: matched, and kept up to
+	// date by every update. Once a class is installed the held set is the
+	// union of the classes' non-zero weights (see install); a metagraph
+	// training needs and the epoch does not hold is matched again on the
+	// current graph. Matchers are built per worker by matchMissing (SymISO
+	// carries per-Match scratch sized to the graph, and SymISO-R style
+	// engines may carry mutable state), so none is retained.
 	ix      *index.Index
 	matched []bool
 
@@ -131,10 +134,10 @@ type epoch struct {
 }
 
 // classModel is the learned state of one semantic class: which metagraphs
-// it was trained on and their weights (Sect. III-B). It ranks on the
+// it weighs and their weights (Sect. III-B). It ranks on the
 // epoch's index through two derived slices.
 type classModel struct {
-	kept  []int // metagraph indices the model was trained on
+	kept  []int // metagraph indices the class weighs, in training order (model.W aligns)
 	model *core.Model
 	// w is model.W dense over M: w[kept[k]] = model.W[k], zero elsewhere. A
 	// zero weight adds an exact +0 to a dot product, so scanning the rows of
@@ -235,9 +238,11 @@ func (e *Engine) matchMissing(g *graph.Graph, ix *index.Index, matched []bool, i
 	return ix.AddParts(missing, parts).Transform(e.opts.countTransform()), matched
 }
 
-// MatchedCount reports how many metagraphs have been matched so far —
-// after TrainDualStage this stays well below NumMetagraphs, which is the
-// whole point of Alg. 1. Safe for concurrent use (it reads one epoch).
+// MatchedCount reports how many metagraphs the serving epoch holds: matched,
+// indexed and kept up to date by updates. Once a class is trained that is
+// the metagraphs some class weighs, so it stays below NumMetagraphs whenever
+// w* is sparse (Fig. 4), and after TrainDualStage below the metagraphs Alg. 1
+// matched. Safe for concurrent use (it reads one epoch).
 func (e *Engine) MatchedCount() int { return e.cur.Load().matchedCount() }
 
 func (ep *epoch) matchedCount() int {
@@ -278,24 +283,66 @@ func (e *Engine) publish(ep *epoch) {
 	e.cur.Store(ep)
 }
 
-// trained is the epoch that follows ep when training has grown the index
-// to ix and produced the named class. The other classes carry over; when
-// the index grew their denominators are dropped for publish to derive
-// again, because newly matched rows can name nodes the old ones did not.
-func (ep *epoch) trained(ix *index.Index, matched []bool, name string, cm *classModel) *epoch {
+// install is the one way a class enters an epoch: it returns the epoch that
+// follows ep when training has grown the index to ix (matched) and produced
+// the named class. It matches what the class weighs that ix does not hold
+// yet — nothing after Train, which matched everything — cuts every class's
+// kept set to the coordinates it weighs, and drops the rows and matched bits
+// of every metagraph no class weighs, in the same step: a zero weight adds
+// an exact +0 to every score, so the epoch answers as if it held them. The
+// other classes carry over; when the index changed their denominators are
+// dropped for publish to derive again, because newly matched rows can name
+// nodes the old ones did not. Callers hold e.mu and publish the result.
+func (e *Engine) install(ep *epoch, ix *index.Index, matched []bool, name string, cm *classModel) *epoch {
+	cm = cm.weighed()
+	ix, matched = e.matchMissing(ep.g, ix, matched, cm.kept)
 	classes := make(map[string]*classModel, len(ep.classes)+1)
 	for k, v := range ep.classes {
-		if ix != ep.ix {
-			v = &classModel{kept: v.kept, model: v.model, w: v.w}
-		}
-		classes[k] = v
+		classes[k] = v.weighed()
 	}
 	classes[name] = cm
+	held := make([]bool, len(e.ms))
+	for _, c := range classes {
+		for _, i := range c.kept {
+			held[i] = true
+		}
+	}
+	if !slices.Equal(held, matched) {
+		ix, matched = ix.Restrict(held), held
+	}
+	if ix != ep.ix {
+		for k, v := range classes {
+			if k != name {
+				classes[k] = &classModel{kept: v.kept, model: v.model, w: v.w}
+			}
+		}
+	}
 	return &epoch{g: ep.g, ix: ix, matched: matched, classes: classes, version: ep.version, lsn: ep.lsn}
 }
 
+// weighed is the class with kept and its model's weights cut to the
+// coordinates it weighs (w ≠ 0), in their order: the class itself when it
+// weighs all it keeps.
+func (cm *classModel) weighed() *classModel {
+	var kept []int
+	var w []float64
+	for k, i := range cm.kept {
+		if cm.model.W[k] != 0 {
+			kept = append(kept, i)
+			w = append(w, cm.model.W[k])
+		}
+	}
+	if len(kept) == len(cm.kept) {
+		return cm
+	}
+	model := *cm.model
+	model.W = w
+	return &classModel{kept: kept, model: &model, w: cm.w, dots: cm.dots}
+}
+
 // Train learns the weight vector of the named class over ALL metagraphs,
-// matching unmatched ones in parallel (Options.Workers) on first use.
+// matching the ones the epoch does not hold in parallel (Options.Workers);
+// the trained class then keeps only the metagraphs it weighs (see install).
 // Queries keep serving the previous epoch until the trained class is
 // swapped in.
 func (e *Engine) Train(class string, examples []Example) {
@@ -308,7 +355,7 @@ func (e *Engine) Train(class string, examples []Example) {
 	}
 	ix, matched := e.matchMissing(ep.g, ep.ix, ep.matched, all)
 	cm := newClass(len(e.ms), all, core.Train(ix, examples, e.opts.Train))
-	e.publish(ep.trained(ix, matched, class, cm))
+	e.publish(e.install(ep, ix, matched, class, cm))
 }
 
 // TrainDualStage learns the class with dual-stage training (Alg. 1):
@@ -328,7 +375,7 @@ func (e *Engine) TrainDualStage(class string, examples []Example, numCandidates 
 	opts := core.DefaultDualStage(numCandidates)
 	opts.Train = e.opts.Train
 	res := core.DualStage(e.ms, matchFn, examples, opts)
-	e.publish(ep.trained(ix, matched, class, newClass(len(e.ms), res.Kept, res.Model)))
+	e.publish(e.install(ep, ix, matched, class, newClass(len(e.ms), res.Kept, res.Model)))
 }
 
 // Classes returns the trained class names, sorted.
@@ -342,9 +389,9 @@ func (e *Engine) Classes() []string {
 	return out
 }
 
-// Weights returns the learned weight per metagraph index for a class
-// (zero for metagraphs the class never matched), or nil if the class is
-// untrained.
+// Weights returns the learned weight per metagraph index for a class, dense
+// over M (zero for metagraphs the class does not weigh, which the epoch
+// need not hold), or nil if the class is untrained.
 func (e *Engine) Weights(class string) []float64 {
 	cm := e.cur.Load().classes[class]
 	if cm == nil {

@@ -62,9 +62,7 @@ func TestEngineMinesMetagraphs(t *testing.T) {
 func TestEngineTrainAndQuery(t *testing.T) {
 	eng, g := toyEngine(t)
 	eng.Train("classmate", classmateExamples(g))
-	if eng.MatchedCount() != eng.NumMetagraphs() {
-		t.Fatal("full training should match everything")
-	}
+	assertHoldsWeighed(t, eng)
 	if got := eng.Classes(); len(got) != 1 || got[0] != "classmate" {
 		t.Fatalf("Classes = %v", got)
 	}
@@ -82,6 +80,29 @@ func TestEngineTrainAndQuery(t *testing.T) {
 	w := eng.Weights("classmate")
 	if len(w) != eng.NumMetagraphs() {
 		t.Fatalf("Weights length %d", len(w))
+	}
+}
+
+// assertHoldsWeighed checks that eng holds exactly the metagraphs some class
+// weighs: MatchedCount is the size of the union of the classes' non-zero
+// weights, and the index has rows of those metagraphs and of no other.
+func assertHoldsWeighed(t *testing.T, eng *Engine) {
+	t.Helper()
+	weighed := make([]bool, eng.NumMetagraphs())
+	n := 0
+	for _, class := range eng.Classes() {
+		for i, w := range eng.Weights(class) {
+			if w != 0 && !weighed[i] {
+				weighed[i] = true
+				n++
+			}
+		}
+	}
+	if got := eng.MatchedCount(); got != n {
+		t.Fatalf("holds %d metagraphs; the classes weigh %d", got, n)
+	}
+	if support := eng.cur.Load().ix.MetaSupport(); !slices.Equal(support, weighed) {
+		t.Fatalf("index has rows of metagraphs %v; the classes weigh %v", support, weighed)
 	}
 }
 
@@ -359,7 +380,7 @@ func TestOneIndexEqualsPerClassMerge(t *testing.T) {
 				}
 			}
 			ep := eng.cur.Load()
-			eng.publish(ep.trained(ep.ix, ep.matched, "probe", newClass(len(eng.ms), kept, &core.Model{W: w})))
+			eng.publish(eng.install(ep, ep.ix, ep.matched, "probe", newClass(len(eng.ms), kept, &core.Model{W: w})))
 
 			order := make([]int, len(kept)) // positions of kept, by ascending metagraph
 			for i := range order {

@@ -38,10 +38,9 @@ func main() {
 	for _, circle := range ds.ClassNames() {
 		labels := ds.Classes[circle]
 		examples := semprox.MakeExamples(labels, labels.Queries(), users, 300, 7)
-		before := eng.MatchedCount()
 		eng.TrainDualStage(circle, examples, 25)
-		fmt.Printf("trained circle %-9s on %d examples (matched %d more metagraphs, %d/%d total)\n",
-			circle, len(examples), eng.MatchedCount()-before, eng.MatchedCount(), eng.NumMetagraphs())
+		fmt.Printf("trained circle %-9s on %d examples (holds %d of %d metagraphs)\n",
+			circle, len(examples), eng.MatchedCount(), eng.NumMetagraphs())
 	}
 
 	// Pick a user that has labeled partners in both circles so the contrast

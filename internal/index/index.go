@@ -270,7 +270,6 @@ func (ix *Index) Transform(f func(float64) float64) *Index {
 // common case) projected rows inherit the source order and no sorting
 // happens at all.
 func (ix *Index) Project(keep []int) *Index {
-	ix = ix.Compact()
 	remap := make([]int32, ix.numMeta)
 	for i := range remap {
 		remap[i] = -1
@@ -282,8 +281,32 @@ func (ix *Index) Project(keep []int) *Index {
 			ascending = false
 		}
 	}
+	return ix.remapped(len(keep), remap, ascending)
+}
+
+// Restrict returns the index without the rows of the metagraphs keep does
+// not hold: unlike Project it renumbers nothing, so the result still spans
+// NumMeta metagraphs and pairs with the same weight vectors. A row left
+// without a coordinate goes. An engine drops the metagraphs no class weighs
+// with it.
+func (ix *Index) Restrict(keep []bool) *Index {
+	remap := make([]int32, ix.numMeta)
+	for i := range remap {
+		remap[i] = -1
+		if keep[i] {
+			remap[i] = int32(i)
+		}
+	}
+	return ix.remapped(ix.numMeta, remap, true)
+}
+
+// remapped is the compacted index with metagraph i renumbered remap[i] (-1
+// drops it) in an index spanning numMeta metagraphs, read through the same
+// transform; ascending says the renumbering keeps the order.
+func (ix *Index) remapped(numMeta int, remap []int32, ascending bool) *Index {
+	ix = ix.Compact()
 	return &Index{
-		numMeta: len(keep),
+		numMeta: numMeta,
 		f:       ix.f,
 		mx:      projectCSR(ix.mx, remap, ascending),
 		mxy:     projectCSR(ix.mxy, remap, ascending),

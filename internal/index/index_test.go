@@ -192,8 +192,8 @@ func TestEntryIsEightBytes(t *testing.T) {
 // TestTransform: a transform is how an index reads its counts, not a copy of
 // them. The transformed index shares the receiver's arenas and its built
 // adjacency (which holds raw counts inline too), reads every value as
-// f(count) bit for bit, and carries f through WithPatch, Compact, AddParts
-// and Project; the receiver still reads raw counts.
+// f(count) bit for bit, and carries f through WithPatch, Compact, AddParts,
+// Project and Restrict; the receiver still reads raw counts.
 func TestTransform(t *testing.T) {
 	g, ix := buildToyIndex(t)
 	kate := g.NodeByName("Kate")
@@ -212,10 +212,11 @@ func TestTransform(t *testing.T) {
 	readsThrough(t, tr.Transform(nil), nil)
 	patched := tr.WithPatch(selfPatch(ix, g.NumNodes()))
 	for label, carried := range map[string]*Index{
-		"patched":   patched,
-		"compacted": patched.Compact(),
-		"grown":     tr.AddParts(nil, nil),
-		"projected": patched.Project([]int{2, 0}),
+		"patched":    patched,
+		"compacted":  patched.Compact(),
+		"grown":      tr.AddParts(nil, nil),
+		"projected":  patched.Project([]int{2, 0}),
+		"restricted": patched.Restrict([]bool{true, false, true, true}),
 	} {
 		t.Run(label, func(t *testing.T) { readsThrough(t, carried, math.Log1p) })
 	}

@@ -174,6 +174,64 @@ func TestAddPartsEqualsOneBuild(t *testing.T) {
 	}
 }
 
+// TestRestrictEqualsBuildOfKept: restricting an index to a metagraph subset
+// — every subset of the toy set, at slots that leave gaps — gives the bytes
+// of one Builder fed only the kept metagraphs at the same slots, and a
+// patched index restricts to its kept metagraphs' rows projected out one by
+// one and added back at their slots. Nothing is renumbered, so the span
+// stands and a weight vector over it reads the restricted index as it read
+// the whole one, minus the dropped coordinates.
+func TestRestrictEqualsBuildOfKept(t *testing.T) {
+	g := buildToy(t)
+	mgs := toyMetagraphs()
+	matcher := match.NewSymISO(g)
+	parts, _ := MatchParts(mgs, func() match.Matcher { return matcher }, 1)
+	const span = 9
+	slots := []int{7, 0, 4, 2}
+	empty := NewBuilder(span).Build()
+	full := empty.AddParts(slots, parts)
+	patched := full.WithPatch(selfPatch(full, g.NumNodes()))
+	for mask := 0; mask < 1<<len(mgs); mask++ {
+		keep := make([]bool, span)
+		var kept []int
+		bld := NewBuilder(span)
+		for i, m := range mgs {
+			if mask&(1<<i) != 0 {
+				keep[slots[i]] = true
+				kept = append(kept, slots[i])
+				bld.AddMetagraph(slots[i], m, matcher)
+			}
+		}
+		oneByOne := func(ix *Index) []byte {
+			var ps []*Index
+			for _, slot := range kept {
+				ps = append(ps, ix.Project([]int{slot}))
+			}
+			return writeBytes(t, empty.AddParts(kept, ps))
+		}
+		for name, c := range map[string]struct {
+			ix   *Index
+			want []byte
+		}{
+			"plain":   {full, writeBytes(t, bld.Build())},
+			"patched": {patched, oneByOne(patched)},
+		} {
+			got := c.ix.Restrict(keep)
+			if got.NumMeta() != span || got.Pending() {
+				t.Fatalf("mask %04b %s: spans %d, pending %v", mask, name, got.NumMeta(), got.Pending())
+			}
+			if !bytes.Equal(writeBytes(t, got), c.want) {
+				t.Fatalf("mask %04b %s: differs from the kept metagraphs alone", mask, name)
+			}
+			for i, used := range got.MetaSupport() {
+				if used && !keep[i] {
+					t.Fatalf("mask %04b %s: holds rows of dropped metagraph %d", mask, name, i)
+				}
+			}
+		}
+	}
+}
+
 // TestMergeGainsEqualsPerPartPatches is item 2(c): lifting every matched
 // metagraph's gains to its slot and patching the merged index ONCE gives the
 // bytes of patching every part and merging again — for raw counts and under

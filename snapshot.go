@@ -18,11 +18,15 @@ import (
 // (Table III), and training adds gradient ascent on top — none of which a
 // serving process should repeat on restart. Save captures everything the
 // online phase needs (graph, epoch counter, options, metagraph set, which
-// metagraphs are matched, the one index holding their vectors, every
+// metagraphs the epoch holds, the one index holding their vectors, every
 // trained class's kept set and weights); LoadEngine restores an engine that
 // answers Query/Proximity identically to the one that wrote the snapshot,
-// and can still train new classes and apply updates because the matched set
-// and epoch counter are restored with the index.
+// and can still train new classes and apply updates because the held set
+// and epoch counter are restored with the index. Since training holds only
+// the metagraphs some class weighs, a class's kept set is its weighed
+// coordinates; a snapshot whose classes keep zero weights, as every
+// snapshot did before, loads as it is — LoadEngine prunes nothing — and the
+// next Train prunes it.
 //
 // A live-updated engine round-trips too: the graph section materializes
 // the copy-on-write overlay, the update overlay on the index
@@ -140,7 +144,7 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 // LoadEngine restores an engine written by Save. The loaded engine answers
 // Query, Proximity, Weights and Classes identically to the saved one,
 // resumes at the saved epoch, and training new classes picks up the
-// restored index (already matched metagraphs are never re-matched). The
+// restored index (the metagraphs it holds are never re-matched). The
 // bytes are untrusted — a follower takes them off the network: the index is
 // validated against the snapshot's own graph as it is decoded and against
 // the header's matched set after, a class may keep only matched metagraphs,

@@ -152,9 +152,7 @@ func TestSnapshotDualStageResumesTraining(t *testing.T) {
 	loaded.Train("family", []Example{
 		{Q: g.NodeByName("Alice"), X: g.NodeByName("Bob"), Y: g.NodeByName("Tom")},
 	})
-	if loaded.MatchedCount() != loaded.NumMetagraphs() {
-		t.Fatal("full training on the loaded engine should match everything")
-	}
+	assertHoldsWeighed(t, loaded)
 	if _, err := loaded.Query("family", g.NodeByName("Alice"), 5); err != nil {
 		t.Fatal(err)
 	}
@@ -686,6 +684,22 @@ func FuzzLoadEngine(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(lb.Bytes())
+	// The snapshot shape written before training dropped the metagraphs no
+	// class weighs — every metagraph matched, zero weights in a kept set —
+	// and a class that weighs nothing, whose kept set is empty.
+	_, pre := preChangeSnapshot(f)
+	f.Add(pre)
+	empty, tg := toyEngine(f)
+	empty.Train("classmate", classmateExamples(tg))
+	installPruned(empty, "nothing", every(empty.NumMetagraphs()), make([]float64, empty.NumMetagraphs()))
+	var eb bytes.Buffer
+	if err := empty.Save(&eb); err != nil {
+		f.Fatal(err)
+	}
+	if h, _, _ := snapshotParts(f, eb.Bytes()); len(h.Classes) != 2 || len(h.Classes[1].Kept) != 0 {
+		f.Fatalf("the empty-class seed saves classes %+v", h.Classes)
+	}
+	f.Add(eb.Bytes())
 	// More metagraphs than a 64-bit mask holds: the snapshot's own index
 	// repeated until it spans over 64, every copy matched.
 	h, g, ix := snapshotParts(f, data)

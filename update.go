@@ -11,7 +11,7 @@ import (
 
 // Live graph mutations. ApplyUpdate threads a batch of node/edge additions
 // through every layer without repeating the offline pipeline: the graph
-// grows copy-on-write (graph.Apply), for each already-matched metagraph
+// grows copy-on-write (graph.Apply), for each metagraph the epoch holds
 // ONLY the instances through the delta's new edges are enumerated
 // (index.RematchDelta), the rows they add to overlay the flat CSR index
 // (index.MergeGains, index.WithPatch), and the trained weight vectors are
@@ -46,7 +46,7 @@ type UpdateStats struct {
 	NodesAdded, EdgesAdded int
 	// Touched counts the pre-existing nodes whose adjacency changed.
 	Touched int
-	// Rematched counts the matched metagraphs that were incrementally
+	// Rematched counts the held metagraphs that were incrementally
 	// re-matched; what they gained was patched into the index.
 	Rematched int
 	// Enumerated counts the assignments, partial and complete, the
@@ -59,7 +59,7 @@ type UpdateStats struct {
 }
 
 // ApplyUpdate grows the graph by d and atomically swaps in the next
-// serving epoch. Matched metagraphs gain the instances through the
+// serving epoch. Held metagraphs gain the instances through the
 // delta's new edges and nothing else is matched, the index is patched in
 // the coordinates that gained, trained classes keep their weights, and
 // queries are answered without interruption throughout (readers never
@@ -250,7 +250,9 @@ type Stats struct {
 	LSN uint64
 	// Nodes, Edges and Types describe the serving graph.
 	Nodes, Edges, Types int
-	// Metagraphs is |M|; Matched counts the metagraphs matched so far.
+	// Metagraphs is |M|; Matched counts the metagraphs the epoch holds (see
+	// Engine.MatchedCount): once a class is trained, those some class
+	// weighs.
 	Metagraphs, Matched int
 	// PendingCompaction counts the structures (graph, index) still
 	// carrying update overlays that Compact would fold away.
