@@ -256,19 +256,14 @@ func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server,
 			return nil, nil, err
 		}
 		start := time.Now()
-		replayed, skipped, err := semprox.ReplayWAL(eng, w)
+		replayed, _, err := semprox.ReplayWAL(eng, w)
 		if err != nil {
 			return nil, nil, err
 		}
-		if replayed > 0 || skipped > 0 {
+		if replayed > 0 {
 			eng.Compact()
 			log.Printf("recovered %d logged updates in %.2fs (engine now at LSN %d, epoch %d)",
 				replayed, time.Since(start).Seconds(), eng.LSN(), eng.Epoch())
-		}
-		if skipped > 0 {
-			log.Printf("WARNING: replay reproduced %d recorded skip(s): record(s) this primary logged, "+
-				"then rejected and alarmed about before a crash (a rejection NOT recorded in the "+
-				"log's skip list would have failed this boot instead)", skipped)
 		}
 	}
 

@@ -125,9 +125,10 @@ type epoch struct {
 	version uint64
 	pending int
 
-	// lsn is the log sequence number of the last durable update applied:
-	// a write-ahead-logged update carries its WAL-assigned LSN through
-	// ApplyUpdateAt, recovery replays records with LSN > lsn, and a
+	// lsn is the log sequence number of the last update applied: a
+	// write-ahead-logged update carries its WAL-assigned LSN through
+	// ApplyUpdateLogged on a primary and ApplyUpdateAt in recovery and on
+	// followers, recovery replays records with LSN > lsn, and a
 	// follower replica reports primaryLSN - lsn as its lag. Without a WAL
 	// it simply advances by one per update, mirroring version.
 	lsn uint64

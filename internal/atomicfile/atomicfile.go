@@ -7,8 +7,8 @@
 //
 // One implementation serves every writer that needs the pattern — engine
 // snapshots (cmd/semproxd), a follower's persisted bootstrap
-// (internal/replica), the WAL's term and skip-list sidecars
-// (internal/wal) — so a future durability fix lands in one place.
+// (internal/replica), the WAL's term sidecar (internal/wal) — so a
+// future durability fix lands in one place.
 package atomicfile
 
 import (

@@ -1,0 +1,92 @@
+package fixtures
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/bits"
+	"testing"
+
+	"repro/internal/flat"
+	"repro/internal/graph"
+)
+
+// SharedSchool builds users a and b who share one school, and a third
+// user c who shares nothing with them (c's school is another). Trained on
+// (q=a, x=b, y=c), an engine over it matches the user–school–user
+// metapath, and every count of its index is 1: m_a, m_b and m_ab.
+func SharedSchool() (g *graph.Graph, a, b, c graph.NodeID) {
+	gb := graph.NewBuilder()
+	for _, tn := range []string{"user", "school"} {
+		gb.Types().Register(tn)
+	}
+	a, b = gb.AddNode("user", "A"), gb.AddNode("user", "B")
+	c, school, other := gb.AddNode("user", "C"), gb.AddNode("school", "S"), gb.AddNode("school", "T")
+	gb.AddEdge(a, school)
+	gb.AddEdge(b, school)
+	gb.AddEdge(c, other)
+	return gb.MustBuild(), a, b, c
+}
+
+// WithEveryCount re-encodes an engine snapshot, whose stream starts with
+// magic, with every count of its index section set to cnt, checksum
+// valid: the on-disk form of an index whose instances number cnt wherever
+// it has a row. Of the snapshot's header it reads only classes[].kept,
+// which sizes each class's weight section.
+func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte {
+	tb.Helper()
+	fr, err := flat.NewReader(bytes.NewReader(snap), magic)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out bytes.Buffer
+	fw := flat.NewWriter(&out, magic)
+	hdr := fr.Bytes()
+	var h struct{ Classes []struct{ Kept []int } }
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		tb.Fatal(err)
+	}
+	fw.Bytes(hdr)
+	g, err := graph.Decode(fr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	graph.Encode(fw, g)
+	uv := func() uint64 { v := fr.Uvarint(); fw.Uvarint(v); return v }
+	b := uint(bits.Len64(uv())) // numMeta sizes each row head
+	ones := uint64(0)
+	if cnt == 1 {
+		ones = 1
+	}
+	for table := 0; table < 2; table++ {
+		nKeys, _ := uv(), uv()
+		for i := uint64(0); i < nKeys; i++ {
+			uv() // key delta
+			head := fr.Uvarint()
+			fw.Uvarint(head&^1 | ones)
+			n := head >> (b + 1)
+			for j := uint64(1); j < n; j++ {
+				uv() // Meta gap
+			}
+			for j := uint64(0); j < n; j++ {
+				if head&1 == 0 {
+					fr.Uvarint()
+				}
+				if ones == 0 {
+					fw.Uvarint(cnt)
+				}
+			}
+		}
+	}
+	for _, sc := range h.Classes { // log-likelihood and weights
+		for i := 0; i <= len(sc.Kept); i++ {
+			fw.Uint64(fr.Uint64())
+		}
+	}
+	if err := fr.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}

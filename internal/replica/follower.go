@@ -360,11 +360,10 @@ func (f *Follower) Run(ctx context.Context) error {
 			if errors.As(err, &app) {
 				// The local engine can never converge from here; only a
 				// fresh snapshot can. Stop reporting ready until a clean
-				// poll completes after re-bootstrap. This cannot loop on
-				// one record: a record the primary itself rejected after
-				// logging is recorded as a skip there (Engine.AdvanceLSN),
-				// so the primary's snapshot LSN is already beyond it and
-				// the fresh bootstrap resumes past the record.
+				// poll completes after re-bootstrap. A primary logs only
+				// records its engine accepted, so a record that fails
+				// here means this replica diverged, not that the primary
+				// logged a record it could not apply.
 				f.polled.Store(false)
 				select {
 				case <-ctx.Done():
@@ -462,9 +461,10 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 	// later would silently diverge. Each record is validated EXACTLY as
 	// a one-at-a-time apply would validate it (known types, edge
 	// endpoints within the node count as of ITS position in the stream):
-	// a record the primary logged but rejected-and-skipped must fail here
-	// too, not be absorbed by a merged delta whose later records happen
-	// to bring its out-of-range endpoints into range. Terms must never
+	// the stream comes from another process, and a record invalid at its
+	// own position must fail here, not be absorbed by a merged delta
+	// whose later records happen to bring its out-of-range endpoints into
+	// range. Terms must never
 	// decrease along the stream (the serving log enforces that on its own
 	// records, so a violation here means a broken or lying server).
 	// The contiguous valid prefix before a gap / undecodable / invalid
@@ -543,8 +543,8 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 // applicable reports whether d would be accepted by a graph currently
 // holding `nodes` nodes — graph.Apply's own acceptance predicate
 // (graph.ValidateApply), evaluated at the record's position in the
-// stream rather than against the merged batch, so a record the primary
-// rejected is never absorbed by coalescing.
+// stream rather than against the merged batch, so an invalid record is
+// never absorbed by coalescing.
 func applicable(eng *semprox.Engine, nodes int, d graph.Delta) error {
 	return graph.ValidateApply(eng.Graph().Types(), nodes, d)
 }

@@ -62,8 +62,8 @@ func newPrimaryHarness(t *testing.T) *primaryHarness {
 	return &primaryHarness{eng: eng, log: w, srv: srv, ts: ts}
 }
 
-// applyRandom pushes one random delta through the primary's durable write
-// path (log first, then apply — what POST /update does).
+// applyRandom logs one random delta durably on the primary and applies it
+// at the LSN the log assigned.
 func (h *primaryHarness) applyRandom(t *testing.T, rng *rand.Rand, tag string) {
 	t.Helper()
 	types := []string{"user", "school", "hobby"}

@@ -1,16 +1,23 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	semprox "repro"
 	"repro/api"
+	"repro/internal/fixtures"
 	"repro/internal/graph"
+	"repro/internal/mining"
 	"repro/internal/replica"
 	"repro/internal/wal"
 )
@@ -294,5 +301,88 @@ func TestFollowerServerIsReadOnly(t *testing.T) {
 	}
 	if rr.Status != "catching_up" || rr.Role != "follower" {
 		t.Fatalf("readyz = %+v", rr)
+	}
+}
+
+// snapshotMagic opens semprox's snapshot stream (fixtures.WithEveryCount
+// refuses any other, so a format change fails this test loudly).
+const snapshotMagic = "SPXS\x07"
+
+// TestRefusedUpdateAnswersAlikeOnEveryRole: an update the engine refuses
+// (here: every count it would add to is already 2^32-1) gets one answer
+// whether or not the server logs its updates — 400 bad_request with the
+// engine's reason — and on a WAL primary it never reaches the log: the
+// next LSN does not move and the directory holds only its segment.
+func TestRefusedUpdateAnswersAlikeOnEveryRole(t *testing.T) {
+	g, a, b, c := fixtures.SharedSchool()
+	opts := semprox.DefaultOptions()
+	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
+	opts.Train.Restarts, opts.Train.MaxIters = 1, 5
+	eng, err := semprox.NewEngine(g, "user", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Train("peers", []semprox.Example{{Q: a, X: b, Y: c}})
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := fixtures.WithEveryCount(t, buf.Bytes(), snapshotMagic, math.MaxUint32)
+	load := func() (*Server, *semprox.Engine) {
+		eng, err := semprox.LoadEngine(bytes.NewReader(full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(eng), eng
+	}
+	standalone, _ := load()
+	primary, peng := load()
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{BaseLSN: peng.LSN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	primary.AttachWAL(w)
+	var before bytes.Buffer
+	if err := peng.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	stats, next := peng.Stats(), w.NextLSN()
+
+	const enrol = `{"nodes":[{"type":"school","name":"new-0"}],"edges":[{"u":"A","v":"new-0"},{"u":"B","v":"new-0"}]}`
+	var answers []string
+	for _, s := range []*Server{standalone, primary} {
+		rec := do(t, s, http.MethodPost, api.PathUpdate, enrol)
+		wantErr(t, rec, http.StatusBadRequest, api.CodeBadRequest)
+		if !strings.Contains(rec.Body.String(), "overflow") {
+			t.Fatalf("refusal does not carry the engine's reason: %s", rec.Body.String())
+		}
+		answers = append(answers, rec.Body.String())
+	}
+	if answers[0] != answers[1] {
+		t.Fatalf("standalone and WAL primary answer differently:\n%s\n%s", answers[0], answers[1])
+	}
+
+	if got := w.NextLSN(); got != next {
+		t.Fatalf("refused update moved the log's next LSN %d → %d", next, got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), ".seg") {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("log directory holds %v, want only its segment", names)
+	}
+	var after bytes.Buffer
+	if err := peng.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(peng.Stats(), stats) || !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("refused update changed the primary's engine: %+v, was %+v", peng.Stats(), stats)
 	}
 }

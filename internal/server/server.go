@@ -48,7 +48,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -117,9 +116,10 @@ type Server struct {
 	// section — including the WAL append, which must START in apply
 	// order. Queries never touch this lock.
 	//
-	// The fsync does NOT happen under this lock: the handler enqueues
-	// the record (wal.AppendAsync) and applies it inside the critical
-	// section, then waits for durability (wal.WaitDurable) outside it —
+	// The fsync does NOT happen under this lock: the handler applies
+	// the update and enqueues its record (Engine.ApplyUpdateLogged around
+	// wal.AppendAsync) inside the critical section, then waits for
+	// durability (wal.WaitDurable) outside it —
 	// so while update N's fsync runs, update N+1 is already resolving
 	// and enqueueing, and the log's group commit folds both into one
 	// fsync. The ack still only leaves after the record is on disk;
@@ -554,7 +554,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyUpdate is the update critical section: resolve the request
-// against the current graph, enqueue the record, apply the delta. It
+// against the current graph, apply the delta, enqueue the record. It
 // returns with the record IN FLIGHT to disk — the caller must gate the
 // ack on WaitDurable.
 func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateStats, *api.Error) {
@@ -601,57 +601,34 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateSta
 		}
 		d.Edges[i] = semprox.Edge{U: u, V: v}
 	}
-	// Log order equals apply order: the delta is enqueued to the log and
-	// applied to the engine inside updateMu. The enqueue assigns the LSN
-	// and starts the record toward disk but does NOT wait for the fsync —
-	// that's the caller's WaitDurable, outside the lock, which is what
-	// lets consecutive updates share one group commit. A crash can
-	// therefore lose an applied-but-unsynced suffix; no ack ever covered
-	// it (WaitDurable gates every ack), and recovery replays exactly the
-	// durable prefix.
-	var st semprox.UpdateStats
-	var err error
-	if rl.log != nil {
-		lsn, aerr := rl.log.AppendAsync(d)
-		if aerr != nil {
-			return zero, errInternal("wal append: %v", aerr)
-		}
-		st, err = eng.ApplyUpdateAt(d, lsn)
+	// Log order equals apply order, and the log holds only what the
+	// engine accepted: the engine builds the next epoch, appends the
+	// accepted delta (AppendAsync assigns the LSN and starts the record
+	// toward disk), and publishes the epoch at that LSN, all inside
+	// updateMu. The fsync is the caller's WaitDurable, outside the lock,
+	// which is what lets consecutive updates share one group commit. A
+	// crash can therefore lose an applied-but-unsynced suffix; no ack ever
+	// covered it (WaitDurable gates every ack), and recovery replays
+	// exactly the durable prefix.
+	if rl.log == nil {
+		st, err := eng.ApplyUpdate(d)
 		if err != nil {
-			// The record is logged but the engine rejected it — the
-			// validation above is meant to make this unreachable. Leaving
-			// the log and engine disagreeing would brick the next boot
-			// (replay hits the same record) and wedge followers, so first
-			// make the record itself durable, then record the skip durably
-			// in the log's skip list, then advance the LSN past the dead
-			// record: ApplyUpdateAt is deterministic, so replay reproduces
-			// the recorded skip and re-bootstrapping replicas land beyond
-			// it — every copy stays aligned. (The skip sidecar must never
-			// name a record that isn't on disk, hence the wait first.)
-			log.Printf("server: update logged at LSN %d but rejected by the engine (recording the skip): %v", lsn, err)
-			if derr := rl.log.WaitDurable(lsn); derr != nil {
-				// The record never became durable and the log is poisoned
-				// (readyz now wal_failed); with no durable record there is
-				// no gap to annotate, and the engine never applied it.
-				return zero, errInternal("update rejected at LSN %d and the log failed syncing it: %v (rejection: %v)", lsn, derr, err)
-			}
-			if serr := rl.log.RecordSkip(lsn); serr != nil {
-				// RecordSkip poisons the log on failure: Append now refuses
-				// and readyz reports wal_failed, so the operator learns
-				// immediately that the next boot would refuse to replay past
-				// this record, instead of at that boot.
-				log.Printf("server: recording skip of LSN %d failed, WAL poisoned (readyz now wal_failed): %v", lsn, serr)
-			}
-			eng.AdvanceLSN(lsn)
-			return zero, errInternal("update logged at LSN %d but rejected by the engine: %v", lsn, err)
-		}
-	} else {
-		st, err = eng.ApplyUpdate(d)
-		if err != nil {
-			// Everything client-controlled was validated above; a residual
-			// failure still maps to a 400 with the engine's reason.
 			return zero, errBadRequest("%v", err)
 		}
+		return st, nil
+	}
+	logged := false
+	st, err := eng.ApplyUpdateLogged(d, func() (uint64, error) {
+		logged = true
+		return rl.log.AppendAsync(d)
+	})
+	switch {
+	case logged && err != nil:
+		return zero, errInternal("wal append: %v", err)
+	case err != nil:
+		// The engine refused the update before it reached the log: the
+		// same 400 a standalone server answers.
+		return zero, errBadRequest("%v", err)
 	}
 	return st, nil
 }

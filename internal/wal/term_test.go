@@ -14,7 +14,9 @@ import (
 
 // TestTermStampsAndSurvivesRestart: records carry the term current at
 // their append, SetTerm raises it durably (sidecar first), and a reopen
-// restores both the current term and every record's stamped term.
+// restores both the current term and every record's stamped term. A
+// staging file a crash left mid-rewrite of the sidecar is ignored at
+// Open: it neither replaces the committed term nor reads as a segment.
 func TestTermStampsAndSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{})
@@ -44,6 +46,10 @@ func TestTermStampsAndSurvivesRestart(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The ".atomic-*" name is the one atomicfile.Write stages under.
+	if err := os.WriteFile(filepath.Join(dir, ".atomic-stale"), []byte("99\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	w2, err := Open(dir, Options{})
 	if err != nil {
@@ -54,7 +60,12 @@ func TestTermStampsAndSurvivesRestart(t *testing.T) {
 		t.Fatalf("reopened term = %d, want 3", got)
 	}
 	wantTerms := []uint64{1, 1, 3, 3}
-	for i, r := range collect(t, w2, 0) {
+	recs := collect(t, w2, 0)
+	if len(recs) != len(wantTerms) || w2.NextLSN() != 5 || w2.SegmentCount() != 1 {
+		t.Fatalf("reopened log: %d records, next LSN %d, %d segments; want 4, 5, 1",
+			len(recs), w2.NextLSN(), w2.SegmentCount())
+	}
+	for i, r := range recs {
 		if r.Term != wantTerms[i] {
 			t.Fatalf("record %d: term %d, want %d", r.LSN, r.Term, wantTerms[i])
 		}
@@ -88,6 +99,35 @@ func TestSetTermRefusesRegression(t *testing.T) {
 	}
 	if err := w.SetTerm(4); err != nil {
 		t.Fatalf("re-setting the current term must be a no-op, got %v", err)
+	}
+}
+
+// TestSetTermFailurePoisonsLog: a term that cannot be durably persisted
+// must stop the log, since records stamped with it would read back as
+// "from the future" after a restart. The log refuses appends and reports
+// the state through Err (which a primary's /readyz shows as wal_failed).
+func TestSetTermFailurePoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// Destroying the directory makes the sidecar write fail.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SetTerm(w.Term() + 1); err == nil {
+		t.Fatal("SetTerm succeeded with the log directory gone")
+	}
+	if w.Err() == nil {
+		t.Fatal("failed SetTerm did not poison the log")
+	}
+	if got := w.Term(); got != 1 {
+		t.Fatalf("term after a failed SetTerm = %d, want 1", got)
+	}
+	if _, err := w.Append(delta(0)); err == nil {
+		t.Fatal("Append accepted a record on a poisoned log")
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package wal is the durability substrate of the live-update path: a
-// write-ahead log of graph.Delta records. Every update a primary accepts
-// is appended — and fsynced — here before it is applied to the serving
-// engine, so a crash loses nothing: recovery loads the newest snapshot and
-// replays the log tail (semprox.ReplayWAL), and a follower replica streams
-// the same records over HTTP (internal/replica) to stay byte-identical
-// with the primary.
+// write-ahead log of graph.Delta records. A primary appends every update
+// its engine has accepted, and only those (semprox.Engine.ApplyUpdateLogged),
+// and acks it only once it is fsynced here, so a crash loses nothing acked:
+// recovery loads the newest snapshot and replays the log tail
+// (semprox.ReplayWAL), and a follower replica streams the same records
+// over HTTP (internal/replica) to stay byte-identical with the primary.
 //
 // On-disk layout: a directory of segment files named
 // wal-<firstLSN:016x>.seg. Each segment starts with an 16-byte header
@@ -27,9 +27,7 @@
 // term regression on read is corruption (or a zombie's writes) and fails
 // the scan. The current term survives restarts in a sidecar file
 // ("term"), written and fsynced atomically BEFORE any record carries the
-// new term. A second sidecar ("skipped", one decimal LSN per line)
-// durably records the rare record that was appended but then rejected by
-// the engine and intentionally skipped — see RecordSkip.
+// new term.
 //
 // Durability: appends batch fsyncs through a two-stage pipeline — a
 // writer goroutine drains encoded records and issues the write() while a
@@ -162,11 +160,6 @@ type WAL struct {
 	tail      []tailRec
 	tailBytes int
 
-	// skips holds the LSNs of records that were appended but then
-	// rejected by the engine and intentionally skipped (RecordSkip) —
-	// loaded from the sidecar skip-list file at Open.
-	skips map[uint64]bool
-
 	// writing marks an active commit leader: the one goroutine currently
 	// allowed to drain pending and issue the write(). Leadership is
 	// transient — an appender that finds no leader becomes one for a
@@ -178,10 +171,6 @@ type WAL struct {
 	flusherDone chan struct{}
 	syncerDone  chan struct{}
 }
-
-// skipsFile names the sidecar in the log directory that durably records
-// skipped LSNs, one decimal number per line.
-const skipsFile = "skipped"
 
 // termFile names the sidecar that persists the current term as one
 // decimal number. Written atomically (and fsynced) BEFORE any record is
@@ -227,33 +216,10 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if err := w.loadTerm(); err != nil {
 		return nil, err
 	}
-	if err := w.loadSkips(); err != nil {
-		return nil, err
-	}
 	w.registerGauges()
 	go w.flusherLoop()
 	go w.syncerLoop()
 	return w, nil
-}
-
-// loadSkips reads the sidecar skip list (missing file = no skips).
-func (w *WAL) loadSkips() error {
-	data, err := os.ReadFile(filepath.Join(w.dir, skipsFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	w.skips = make(map[uint64]bool)
-	for _, field := range strings.Fields(string(data)) {
-		n, err := strconv.ParseUint(field, 10, 64)
-		if err != nil {
-			return fmt.Errorf("wal: skip list: bad entry %q", field)
-		}
-		w.skips[n] = true
-	}
-	return nil
 }
 
 // loadTerm restores the current term from its sidecar. A missing file —
@@ -338,71 +304,6 @@ func (w *WAL) setTermLocked(t uint64) error {
 	}
 	w.term = t
 	return nil
-}
-
-// RecordSkip durably notes that the record at lsn was appended but then
-// rejected by the engine and intentionally skipped — the "record the
-// gap" half of the skip protocol. Replay (semprox.ReplayWAL) reproduces
-// a rejection of a RECORDED LSN as the primary's own skip; a rejection
-// of an unrecorded LSN stays a hard error, the guard against replaying
-// a log directory that does not belong to the booted snapshot. The note
-// is fsynced before RecordSkip returns.
-//
-// The whole list is rewritten atomically (atomicfile: temp + fsync +
-// rename) rather than appended in place: a crash mid-append could leave
-// a torn entry with no delimiter, and the next append would concatenate
-// onto it ("1" + "20\n" parses as LSN 120) — a wrong LSN recorded as
-// skippable while the real one stays a boot-wedging hard error. Skips
-// are rare enough that rewriting the tiny file costs nothing.
-//
-// A RecordSkip failure poisons the log (Err turns non-nil, Append
-// refuses, a primary's /readyz flips to wal_failed): the log now holds a
-// durable record whose skip is NOT durably recorded, so continuing to
-// serve would re-arm the boot-wedging state the skip protocol exists to
-// remove — the operator must see it now, not at the next boot.
-func (w *WAL) RecordSkip(lsn uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.skips[lsn] {
-		return nil
-	}
-	if w.err != nil {
-		// Never rewrite the sidecar from a map that may be behind the disk
-		// state a partially-failed rewrite left (rename committed, dir
-		// sync failed): that could erase a durably recorded skip.
-		return w.err
-	}
-	lsns := make([]uint64, 0, len(w.skips)+1)
-	for s := range w.skips {
-		lsns = append(lsns, s)
-	}
-	lsns = append(lsns, lsn)
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
-	var sb strings.Builder
-	for _, s := range lsns {
-		fmt.Fprintf(&sb, "%d\n", s)
-	}
-	if err := atomicfile.Write(filepath.Join(w.dir, skipsFile), []byte(sb.String())); err != nil {
-		w.err = fmt.Errorf("wal: skip list write failed, log poisoned (a durable record's skip is not durably recorded): %w", err)
-		// Blocked appenders and WaitSince pollers must observe the sticky
-		// error now: an appender whose batch the writer has not yet picked
-		// up would otherwise wait forever, because the loops' error-exit
-		// paths return without another broadcast.
-		w.wakeAll()
-		return w.err
-	}
-	if w.skips == nil {
-		w.skips = make(map[uint64]bool)
-	}
-	w.skips[lsn] = true
-	return nil
-}
-
-// Skipped reports whether lsn is in the durable skip list.
-func (w *WAL) Skipped(lsn uint64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.skips[lsn]
 }
 
 // segmentPath names the segment whose first record is lsn.

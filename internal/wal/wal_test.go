@@ -461,85 +461,6 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestRecordSkipAccumulatesAndIgnoresStaleTemp: the skip list is
-// rewritten atomically (temp + rename), so entries accumulate across
-// RecordSkip calls and process restarts, and a temp file left by a crash
-// mid-rewrite is ignored at Open — the sidecar is always either the old
-// complete list or the new one, never a torn hybrid.
-func TestRecordSkipAccumulatesAndIgnoresStaleTemp(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RecordSkip(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RecordSkip(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RecordSkip(7); err != nil {
-		t.Fatal("re-recording a skip must be a no-op, got", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A crash between writing the temp file and renaming it leaves an
-	// ".atomic-*" staging file behind (the name atomicfile.Write uses);
-	// it must not corrupt or replace the committed list, nor confuse
-	// segment discovery.
-	if err := os.WriteFile(filepath.Join(dir, ".atomic-stale"), []byte("99"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err = Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if !w.Skipped(3) || !w.Skipped(7) {
-		t.Fatalf("skips lost across reopen: skipped(3)=%v skipped(7)=%v", w.Skipped(3), w.Skipped(7))
-	}
-	if w.Skipped(99) {
-		t.Fatal("stale temp file leaked into the skip list")
-	}
-	if err := w.RecordSkip(11); err != nil {
-		t.Fatal(err)
-	}
-	if !w.Skipped(3) || !w.Skipped(7) || !w.Skipped(11) {
-		t.Fatal("recording a new skip dropped earlier entries")
-	}
-}
-
-// TestRecordSkipFailurePoisonsLog: a skip that cannot be durably
-// recorded leaves the log holding a record replay will refuse — the log
-// must stop accepting writes and surface the state through Err (which a
-// primary's /readyz reports as wal_failed), not discover it at the next
-// boot.
-func TestRecordSkipFailurePoisonsLog(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	// Destroying the directory makes the sidecar rewrite fail.
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RecordSkip(1); err == nil {
-		t.Fatal("RecordSkip succeeded with the log directory gone")
-	}
-	if w.Err() == nil {
-		t.Fatal("failed RecordSkip did not poison the log")
-	}
-	if _, err := w.Append(delta(0)); err == nil {
-		t.Fatal("Append accepted a record on a poisoned log")
-	}
-	if err := w.RecordSkip(2); err == nil {
-		t.Fatal("RecordSkip accepted a new skip on a poisoned log")
-	}
-}
-
 // BenchmarkWALAppend measures the group-commit append path. The parallel
 // variant is where batching pays: many goroutines share each fsync.
 func BenchmarkWALAppend(b *testing.B) {

@@ -2,47 +2,42 @@ package semprox
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/wal"
 )
 
-// Crash recovery. A write-ahead-logged deployment (semproxd -wal) makes
-// every applied update durable before serving it: the delta is appended
-// and fsynced to the log, then applied at the LSN the log assigned. On a
-// crash — no clean shutdown, overlays uncompacted, snapshot arbitrarily
-// stale — recovery is: load the newest snapshot (LSN L), open the WAL
-// (which heals any torn tail), and ReplayWAL the records with LSN > L.
-// The recovered engine is byte-identical to one that never crashed
-// (property-tested in recovery_test.go), because ApplyUpdateAt is
-// deterministic and replay re-applies exactly the suffix the snapshot
-// misses.
+// Crash recovery. A write-ahead-logged deployment (semproxd -wal) logs
+// every update the engine accepts and acks it only once the record is
+// durable: the engine builds the next epoch, the accepted delta is
+// appended to the log at the next LSN, and the epoch is published at
+// that LSN (Engine.ApplyUpdateLogged). The log therefore holds only
+// records the engine accepted. On a crash — no clean shutdown, overlays
+// uncompacted, snapshot arbitrarily stale — recovery is: load the newest
+// snapshot (LSN L), open the WAL (which heals any torn tail), and
+// ReplayWAL the records with LSN > L. The recovered engine is
+// byte-identical to one that never crashed (property-tested in
+// recovery_test.go), because ApplyUpdateAt is deterministic and replay
+// re-applies exactly the suffix the snapshot misses.
 
 // ReplayWAL applies every logged record beyond the engine's current LSN,
-// in order, and returns how many it applied and how many it skipped.
-// Records at or below the engine's LSN are already part of its state
-// (the snapshot covered them) and count toward neither.
+// in order, and returns how many it applied. Records at or below the
+// engine's LSN are already part of its state (the snapshot covered them)
+// and are not counted. skipped is always 0: the log holds only records
+// the engine accepted, so there is nothing to skip; the result stays for
+// the callers that read it.
 //
-// A record the engine rejects is handled by the log's durable skip
-// list (wal.RecordSkip): a primary that ever had an append rejected
-// post-durability recorded the LSN before advancing past it, so replay
-// distinguishes the two possible causes of a rejection. A rejected
-// record that IS in the skip list reproduces the primary's own skip —
-// ApplyUpdateAt is deterministic, so advancing past it
-// (Engine.AdvanceLSN) lands on exactly the state the primary served —
-// and counts toward skipped. A rejected record that is NOT in the skip
-// list means the log and the snapshot disagree about the graph (most
-// plausibly a -wal directory paired with the wrong snapshot, since
-// byte-level corruption is already caught by the WAL's CRC framing) and
-// aborts the replay: that is corruption, not something to paper over.
+// A record the engine rejects means the log and the snapshot disagree
+// about the graph (most plausibly a -wal directory paired with the wrong
+// snapshot, since byte-level corruption is already caught by the WAL's
+// CRC framing) and aborts the replay: that is corruption, not something
+// to paper over. The records before it stay applied.
 //
 // ReplayWAL fails up front on either misalignment between log and
 // engine: a log missing records the engine needs (its first retained LSN
 // is beyond engine LSN + 1 — the snapshot predates the log's truncation
 // horizon), or a log that ends BEHIND the engine (a stale WAL directory
-// paired with a newer snapshot) — serving in that state would assign
-// future appends LSNs the engine rejects, durably logging records that
-// never apply.
+// paired with a newer snapshot) — serving in that state would hand
+// future appends LSNs the engine has already passed.
 func ReplayWAL(e *Engine, w *wal.WAL) (applied, skipped int, err error) {
 	at := e.LSN()
 	if first := w.FirstLSN(); first > at+1 {
@@ -53,16 +48,10 @@ func ReplayWAL(e *Engine, w *wal.WAL) (applied, skipped int, err error) {
 	}
 	err = w.Replay(at, func(r wal.Record) error {
 		if _, aerr := e.ApplyUpdateAt(r.Delta, r.LSN); aerr != nil {
-			if !w.Skipped(r.LSN) {
-				return fmt.Errorf("semprox: replay LSN %d: record rejected and not in the log's skip list — the log and the snapshot disagree about the graph (mispaired -wal directory?): %w", r.LSN, aerr)
-			}
-			log.Printf("semprox: replay LSN %d: reproducing the primary's recorded skip (record was rejected: %v)", r.LSN, aerr)
-			e.AdvanceLSN(r.LSN)
-			skipped++
-			return nil
+			return fmt.Errorf("semprox: replay LSN %d: record rejected — the log and the snapshot disagree about the graph (mispaired -wal directory?): %w", r.LSN, aerr)
 		}
 		applied++
 		return nil
 	})
-	return applied, skipped, err
+	return applied, 0, err
 }

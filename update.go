@@ -39,7 +39,8 @@ type UpdateStats struct {
 	// Epoch is the serving epoch after the swap.
 	Epoch uint64
 	// LSN is the log sequence number the update was applied at (see
-	// ApplyUpdateAt); without a WAL it advances by one per update.
+	// ApplyUpdateLogged and ApplyUpdateAt); without a WAL it advances by
+	// one per update.
 	LSN uint64
 	// NodesAdded and EdgesAdded count the delta's genuinely new nodes and
 	// edges (self loops, duplicates and already-present edges excluded).
@@ -75,22 +76,21 @@ type UpdateStats struct {
 // (typically from a background goroutine, as cmd/semproxd does) to fold
 // them into flat storage.
 func (e *Engine) ApplyUpdate(d Delta) (UpdateStats, error) {
-	return e.applyUpdate(d, 0, 1)
+	return e.applyUpdate(d, 1, func(cur uint64) (uint64, error) { return cur + 1, nil })
 }
 
 // ApplyUpdateAt is ApplyUpdate with an explicit log sequence number: the
-// next epoch records lsn as its durable position. This is how the WAL
-// threads through the engine — a primary appends the delta to its log
-// first and applies it at the LSN the log assigned; recovery and follower
-// replicas re-apply logged records at their original LSNs, so the
-// recovered (or replicated) engine ends at exactly the primary's
-// position. lsn must exceed the engine's current LSN (records at or
-// below it are already part of this engine's state; callers skip them).
+// next epoch records lsn as its durable position. Recovery and follower
+// replicas re-apply logged records at their original LSNs this way, so
+// the recovered (or replicated) engine ends at exactly the primary's
+// position; a primary that logs its own updates uses ApplyUpdateLogged.
+// lsn must exceed the engine's current LSN (records at or below it are
+// already part of this engine's state; callers skip them).
 func (e *Engine) ApplyUpdateAt(d Delta, lsn uint64) (UpdateStats, error) {
 	if lsn == 0 {
 		return UpdateStats{}, fmt.Errorf("semprox: ApplyUpdateAt: LSN must be positive")
 	}
-	return e.applyUpdate(d, lsn, 1)
+	return e.ApplyUpdateBatchAt(d, lsn, 1)
 }
 
 // ApplyUpdateBatchAt applies d as the coalescing of `records` contiguous
@@ -116,44 +116,54 @@ func (e *Engine) ApplyUpdateBatchAt(d Delta, lsn uint64, records int) (UpdateSta
 	if lsn < uint64(records) {
 		return UpdateStats{}, fmt.Errorf("semprox: ApplyUpdateBatchAt: %d records cannot end at LSN %d", records, lsn)
 	}
-	return e.applyUpdate(d, lsn, records)
-}
-
-// AdvanceLSN records that the durable log positions through lsn are
-// accounted for without changing any serving state. It exists for one
-// case: a logged record the engine rejected AFTER it became durable
-// (wal.Append succeeded, ApplyUpdateAt failed). ApplyUpdateAt is
-// deterministic, so crash replay and followers reject that record
-// identically; advancing the LSN past it keeps the engine, its log, and
-// its replicas aligned on the same skipped position — the primary's
-// next snapshot covers the dead record, ReplayWAL does not wedge on it,
-// and a re-bootstrapping follower lands beyond it. No-op when lsn is at
-// or below the engine's current LSN. Safe for concurrent use.
-func (e *Engine) AdvanceLSN(lsn uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ep := e.cur.Load()
-	if lsn <= ep.lsn {
-		return
+	// The engine's LSN only grows, so a range stale now stays stale:
+	// refuse it before any graph work. applyUpdate checks again under
+	// the lock.
+	if err := beyond(lsn, records, e.LSN()); err != nil {
+		return UpdateStats{}, err
 	}
-	e.publish(&epoch{g: ep.g, ix: ep.ix, matched: ep.matched, classes: ep.classes, version: ep.version, lsn: lsn})
+	return e.applyUpdate(d, records, func(uint64) (uint64, error) { return lsn, nil })
 }
 
-// applyUpdate builds and publishes the next epoch covering `records`
-// coalesced log records (1 for a plain update); lsn == 0 means "no
-// WAL": advance the epoch's LSN by one so the counter still tracks update
-// count.
-func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, error) {
+// ApplyUpdateLogged is ApplyUpdate for a primary that logs its updates:
+// appendLog appends d to the log and returns the LSN the log assigned
+// it. Under the engine's writer lock it, in order, builds the next epoch
+// (graph apply, re-match, the count-overflow refusal, class patch);
+// calls appendLog exactly once, and only for a delta the engine accepted;
+// checks that the assigned LSN is beyond the engine's; and publishes the
+// epoch at that LSN. The log therefore holds only records the engine has
+// accepted, and a refused update leaves both the log and the engine as
+// they were. If appendLog fails, nothing is published and its error is
+// returned.
+//
+// appendLog need not wait for the record to be durable (wal.AppendAsync):
+// the epoch is published before its record is on disk, and the caller
+// gates its ack on the log's durability barrier (wal.WaitDurable)
+// outside any lock. The lock order is the engine's writer lock, then
+// the log's; nothing in internal/wal calls into the engine.
+func (e *Engine) ApplyUpdateLogged(d Delta, appendLog func() (uint64, error)) (UpdateStats, error) {
+	return e.applyUpdate(d, 1, func(uint64) (uint64, error) { return appendLog() })
+}
+
+// beyond refuses a range of `records` log records ending at lsn unless
+// it lies wholly past the engine's LSN cur.
+func beyond(lsn uint64, records int, cur uint64) error {
+	if lsn-uint64(records)+1 <= cur {
+		return fmt.Errorf("semprox: records %d..%d not beyond engine LSN %d", lsn-uint64(records)+1, lsn, cur)
+	}
+	return nil
+}
+
+// applyUpdate builds the next epoch covering `records` coalesced log
+// records (1 for a plain update) and publishes it at the LSN that
+// assign returns for the engine's current LSN. assign runs under e.mu,
+// once, and only after the delta is accepted: everything that can
+// refuse an update refuses it first.
+func (e *Engine) applyUpdate(d Delta, records int, assign func(cur uint64) (uint64, error)) (UpdateStats, error) {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ep := e.cur.Load()
-	if lsn == 0 {
-		lsn = ep.lsn + 1
-	} else if lsn-uint64(records)+1 <= ep.lsn {
-		return UpdateStats{}, fmt.Errorf("semprox: records %d..%d not beyond engine LSN %d",
-			lsn-uint64(records)+1, lsn, ep.lsn)
-	}
 	ng, touched, err := ep.g.Apply(d)
 	if err != nil {
 		return UpdateStats{}, err
@@ -166,7 +176,6 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 	}
 	st := UpdateStats{
 		Epoch:      ng.Version(),
-		LSN:        lsn,
 		NodesAdded: len(d.Nodes),
 		EdgesAdded: ng.NumEdges() - ep.g.NumEdges(),
 		Touched:    len(touched),
@@ -200,9 +209,16 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 		}
 	}
 
+	lsn, err := assign(ep.lsn)
+	if err != nil {
+		return UpdateStats{}, err
+	}
+	if err := beyond(lsn, records, ep.lsn); err != nil {
+		return UpdateStats{}, err
+	}
 	nep := &epoch{g: ng, ix: ix, matched: ep.matched, classes: classes, version: ng.Version(), lsn: lsn}
 	e.publish(nep)
-	st.Pending = nep.pending
+	st.LSN, st.Pending = lsn, nep.pending
 	engApply.Since(start)
 	engRematched.Observe(int64(st.Rematched))
 	engEnumerated.Observe(st.Enumerated)

@@ -2,10 +2,8 @@ package semprox
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -17,8 +15,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/fixtures"
-	"repro/internal/flat"
-	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/mining"
 )
@@ -364,26 +360,18 @@ func TestDenominatorsCarriedEqualScratch(t *testing.T) {
 	}
 }
 
-// sharedSchool is a LogTransform engine over users A and B who share one
-// school (and C, who shares nothing), trained so that the user–school–user
-// metapath is matched, with its snapshot. Every count of its index is 1:
-// m_A, m_B and m_AB of that metapath.
+// sharedSchool is a LogTransform engine over fixtures.SharedSchool,
+// trained so that the user–school–user metapath is matched, with its
+// snapshot. Every count of its index is 1: m_A, m_B and m_AB of that
+// metapath.
 func sharedSchool(t *testing.T) (snap []byte, a, b NodeID) {
 	t.Helper()
-	gb := NewGraphBuilder()
-	for _, tn := range []string{"user", "school"} {
-		gb.Types().Register(tn)
-	}
-	a, b = gb.AddNode("user", "A"), gb.AddNode("user", "B")
-	c, school, other := gb.AddNode("user", "C"), gb.AddNode("school", "S"), gb.AddNode("school", "T")
-	gb.AddEdge(a, school)
-	gb.AddEdge(b, school)
-	gb.AddEdge(c, other)
+	g, a, b, c := fixtures.SharedSchool()
 	opts := DefaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 5
 	opts.LogTransform = true
-	eng, err := NewEngine(gb.MustBuild(), "user", opts)
+	eng, err := NewEngine(g, "user", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,68 +381,6 @@ func sharedSchool(t *testing.T) (snap []byte, a, b NodeID) {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), a, b
-}
-
-// withEveryCount re-encodes a snapshot with every count of its index section
-// set to c, checksum valid: the on-disk form of an index whose instances
-// number c wherever it has a row.
-func withEveryCount(t *testing.T, snap []byte, c uint64) []byte {
-	t.Helper()
-	fr, err := flat.NewReader(bytes.NewReader(snap), snapshotMagic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	fw := flat.NewWriter(&out, snapshotMagic)
-	hdr := fr.Bytes()
-	var h snapHeader
-	if err := json.Unmarshal(hdr, &h); err != nil {
-		t.Fatal(err)
-	}
-	fw.Bytes(hdr)
-	g, err := graph.Decode(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graph.Encode(fw, g)
-	uv := func() uint64 { v := fr.Uvarint(); fw.Uvarint(v); return v }
-	b := uint(bits.Len64(uv())) // numMeta sizes each row head
-	ones := uint64(0)
-	if c == 1 {
-		ones = 1
-	}
-	for table := 0; table < 2; table++ {
-		nKeys, _ := uv(), uv()
-		for i := uint64(0); i < nKeys; i++ {
-			uv() // key delta
-			head := fr.Uvarint()
-			fw.Uvarint(head&^1 | ones)
-			n := head >> (b + 1)
-			for j := uint64(1); j < n; j++ {
-				uv() // Meta gap
-			}
-			for j := uint64(0); j < n; j++ {
-				if head&1 == 0 {
-					fr.Uvarint()
-				}
-				if ones == 0 {
-					fw.Uvarint(c)
-				}
-			}
-		}
-	}
-	for _, sc := range h.Classes { // log-likelihood and weights
-		for i := 0; i <= len(sc.Kept); i++ {
-			fw.Uint64(fr.Uint64())
-		}
-	}
-	if err := fr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
 }
 
 // newSchools enrols users a and b at n new schools: n new instances of the
@@ -479,7 +405,7 @@ func TestUnlog1pRecoversCounts(t *testing.T) {
 	snap, a, b := sharedSchool(t)
 	for _, g := range []uint64{1, 127, 128, 16383, 16384} {
 		for _, c := range []uint64{1, 127, 128, 16383, 16384, math.MaxUint32 - g} {
-			eng, err := LoadEngine(bytes.NewReader(withEveryCount(t, snap, c)))
+			eng, err := LoadEngine(bytes.NewReader(fixtures.WithEveryCount(t, snap, snapshotMagic, c)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -510,7 +436,7 @@ func TestUnlog1pRecoversCounts(t *testing.T) {
 // — same epoch, LSN and snapshot bytes — instead of wrapping the count.
 func TestApplyUpdateRefusesCountOverflow(t *testing.T) {
 	snap, a, b := sharedSchool(t)
-	eng, err := LoadEngine(bytes.NewReader(withEveryCount(t, snap, math.MaxUint32)))
+	eng, err := LoadEngine(bytes.NewReader(fixtures.WithEveryCount(t, snap, snapshotMagic, math.MaxUint32)))
 	if err != nil {
 		t.Fatal(err)
 	}
