@@ -69,14 +69,16 @@ test:
 # honestly sustains today (wal's fault-injection error paths and
 # replica's network-failure arms keep those two below the default; index
 # and match, the packages under the output goldens, and mining, whose
-# orbit counters decide which metagraphs exist at all, sit near 97 %; the
-# root package — the engine, the door every trained class enters an epoch
+# orbit counters decide which metagraphs exist at all, sit near 97 %; graph
+# and flat, whose decoders read every snapshot off disk and off the wire,
+# sit at 96 and 98 %; the root package — the engine, the door every trained class enters an epoch
 # by, the snapshot codec and LoadEngine's checks — sits at 94 %), so any
 # drop is a regression, not noise. "." is the root package (./.).
 COVER_PKGS ?= .:94 internal/core internal/server api client \
 	internal/wal:80 internal/replica:75 internal/loadstats:90 internal/atomicfile:80 \
 	internal/proxy:85 internal/obs:85 internal/lint:90 internal/wire:90 \
-	internal/index:95 internal/match:95 internal/mining:95
+	internal/index:95 internal/match:95 internal/mining:95 \
+	internal/graph:95 internal/flat:95
 cover:
 	@for entry in $(COVER_PKGS); do \
 		pkg=$${entry%%:*}; floor=$${entry#*:}; \

@@ -30,8 +30,10 @@ func SharedSchool() (g *graph.Graph, a, b, c graph.NodeID) {
 // WithEveryCount re-encodes an engine snapshot, whose stream starts with
 // magic, with every count of its index section set to cnt, checksum
 // valid: the on-disk form of an index whose instances number cnt wherever
-// it has a row. Of the snapshot's header it reads only classes[].kept,
-// which sizes each class's weight section.
+// it has a row. Every row is written with a head of its own (reuse bit
+// clear), which a reader accepts as it does the shared ones. Of the
+// snapshot's header it reads only classes[].kept, which sizes each class's
+// weight section.
 func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte {
 	tb.Helper()
 	fr, err := flat.NewReader(bytes.NewReader(snap), magic)
@@ -59,9 +61,13 @@ func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte
 	}
 	for table := 0; table < 2; table++ {
 		nKeys, _ := uv(), uv()
+		head := uint64(0)
 		for i := uint64(0); i < nKeys; i++ {
-			uv() // key delta
-			head := fr.Uvarint()
+			d := fr.Uvarint() // key delta<<1 | reuse
+			fw.Uvarint(d &^ 1)
+			if d&1 == 0 {
+				head = fr.Uvarint()
+			}
 			fw.Uvarint(head&^1 | ones)
 			n := head >> (b + 1)
 			for j := uint64(1); j < n; j++ {

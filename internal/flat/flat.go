@@ -60,11 +60,14 @@ func (w *Writer) flush() {
 	w.buf = w.buf[:0]
 }
 
-// Uvarint writes v as an unsigned varint.
+// Uvarint writes v as an unsigned varint, one- and two-byte ones inline.
 func (w *Writer) Uvarint(v uint64) {
-	if v < 0x80 {
+	switch {
+	case v < 1<<7:
 		w.buf = append(w.buf, byte(v))
-	} else {
+	case v < 1<<14:
+		w.buf = append(w.buf, byte(v)|0x80, byte(v>>7))
+	default:
 		w.buf = binary.AppendUvarint(w.buf, v)
 	}
 	if len(w.buf) >= bufSize {
@@ -171,12 +174,21 @@ func (r *Reader) fail(err error) {
 // Err returns the first error of the stream.
 func (r *Reader) Err() error { return r.err }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint: inline when it is one or two bytes
+// long and buffered — nearly all of an index section's key deltas, heads,
+// gaps and counts — and byte by byte otherwise.
 func (r *Reader) Uvarint() uint64 {
 	if p := r.pos; p < r.end {
-		if b := r.buf[p]; b < 0x80 {
+		b := r.buf[p]
+		if b < 0x80 {
 			r.pos = p + 1
 			return uint64(b)
+		}
+		if p+1 < r.end {
+			if c := r.buf[p+1]; c < 0x80 {
+				r.pos = p + 2
+				return uint64(b&0x7f) | uint64(c)<<7
+			}
 		}
 	}
 	return r.uvarintSlow()
@@ -215,7 +227,18 @@ func (r *Reader) Uint64() uint64 {
 }
 
 // Bytes reads a length-prefixed byte string into a fresh slice.
-func (r *Reader) Bytes() []byte { return r.rest(r.Uvarint()) }
+func (r *Reader) Bytes() []byte { return r.rest(nil, r.Uvarint()) }
+
+// AppendBytes reads a length-prefixed byte string, written by Bytes or
+// String, onto the end of dst: the form for a caller that builds many
+// values in one scratch buffer. It returns nil once the stream has failed.
+func (r *Reader) AppendBytes(dst []byte) []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	return r.rest(dst, n)
+}
 
 // String reads a length-prefixed byte string, written by Bytes or String,
 // as a string: one allocation when the buffer holds all of it.
@@ -226,23 +249,23 @@ func (r *Reader) String() string {
 		r.pos += int(n)
 		return s
 	}
-	return string(r.rest(n))
+	return string(r.rest(nil, n))
 }
 
-// rest reads the n bytes of a byte string into a fresh slice, growing it
-// with the bytes that arrive.
-func (r *Reader) rest(n uint64) []byte {
-	var out []byte
-	for uint64(len(out)) < n {
+// rest appends the n bytes of a byte string to out, growing it with the
+// bytes that arrive.
+func (r *Reader) rest(out []byte, n uint64) []byte {
+	for n > 0 {
 		if !r.need(1) {
 			return nil
 		}
 		take := r.end - r.pos
-		if rest := n - uint64(len(out)); rest < uint64(take) {
-			take = int(rest)
+		if n < uint64(take) {
+			take = int(n)
 		}
 		out = append(out, r.buf[r.pos:r.pos+take]...)
 		r.pos += take
+		n -= uint64(take)
 	}
 	return out
 }

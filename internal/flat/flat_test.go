@@ -2,6 +2,7 @@ package flat
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -38,6 +39,8 @@ func stream(t testing.TB) []byte {
 	for i := 0; i < 20_000; i++ {
 		w.String(strconv.Itoa(i))
 	}
+	w.String("")
+	w.String(strings.Repeat("tail ", 20_000))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +70,10 @@ func consume(t testing.TB, in io.Reader) error {
 	for i := 0; i < 20_000; i++ {
 		same = same && r.String() == strconv.Itoa(i)
 	}
+	scratch := r.AppendBytes([]byte("head "))
+	same = same && string(scratch) == "head "
+	scratch = r.AppendBytes(append(scratch[:0], "head"...))
+	same = same && string(scratch) == "head"+strings.Repeat("tail ", 20_000)
 	if err := r.Close(); err != nil {
 		return err
 	}
@@ -139,6 +146,62 @@ func TestWriterKeepsTheFirstError(t *testing.T) {
 	}
 }
 
+// TestUvarintFastPathEqualsSlow: for every value up to the first
+// three-byte ones, the inline one- and two-byte writes give the bytes
+// encoding/binary gives, and the inline reads return exactly what the
+// byte-by-byte read returns and consume as many bytes; and a two-byte
+// varint whose second byte is not yet buffered is read whole.
+func TestUvarintFastPathEqualsSlow(t *testing.T) {
+	const top = 1<<14 + 1
+	var buf bytes.Buffer
+	w := NewWriter(&buf, magic)
+	want := []byte(magic)
+	for v := uint64(0); v <= top; v++ {
+		w.Uvarint(v)
+		want = binary.AppendUvarint(want, v)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes()[:buf.Len()-4]; !bytes.Equal(got, want) {
+		t.Fatal("Writer.Uvarint wrote other bytes than binary.AppendUvarint")
+	}
+	fast, _ := NewReader(bytes.NewReader(buf.Bytes()), magic)
+	slow, _ := NewReader(bytes.NewReader(buf.Bytes()), magic)
+	for v := uint64(0); v <= top; v++ {
+		if f, s := fast.Uvarint(), slow.uvarintSlow(); f != v || s != v || fast.pos != slow.pos {
+			t.Fatalf("value %d: Uvarint read %d to byte %d, uvarintSlow %d to byte %d", v, f, fast.pos, s, slow.pos)
+		}
+	}
+	if err := fast.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := slow.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	buf.Reset()
+	w = NewWriter(&buf, magic)
+	w.Uvarint(300) // 0xac 0x02
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut := len(magic) + 1 // the first delivery ends after the varint's first byte
+	r, err := NewReader(io.MultiReader(bytes.NewReader(buf.Bytes()[:cut]), bytes.NewReader(buf.Bytes()[cut:])), magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.end-r.pos != 1 {
+		t.Fatalf("%d bytes buffered behind the magic, want the varint's first alone", r.end-r.pos)
+	}
+	if v := r.Uvarint(); v != 300 {
+		t.Fatalf("a varint split across deliveries read as %d", v)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 type errWriter struct{ err error }
 
 func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
@@ -189,7 +252,8 @@ func TestClaimsCostWhatTheStreamDelivers(t *testing.T) {
 }
 
 // FuzzFlatReader reads arbitrary bytes (behind the magic) with an arbitrary
-// sequence of Uvarint, Uint64, Bytes and String calls, one per byte of ops, then
+// sequence of Uvarint, Uint64, Bytes, String and AppendBytes calls, one per
+// byte of ops, then
 // Close: no read panics, no byte string is longer than the stream, every
 // read after the first error returns zero, and the whole run allocates no
 // more than the Reader's own buffer plus a constant factor of the bytes it
@@ -215,6 +279,9 @@ func FuzzFlatReader(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, []byte{0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}, []byte{2})
 	f.Add([]byte{}, []byte{1, 2})
+	f.Add(valid, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 4})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}, []byte{4})
+	f.Add([]byte{0x30}, []byte{3, 4}) // a failed String, then AppendBytes
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -225,7 +292,7 @@ func FuzzFlatReader(f *testing.F) {
 		for _, op := range ops {
 			failed := r.Err() != nil
 			var zero bool
-			switch op % 4 {
+			switch op % 5 {
 			case 0:
 				zero = r.Uvarint() == 0
 			case 1:
@@ -242,6 +309,12 @@ func FuzzFlatReader(f *testing.F) {
 					t.Fatalf("String returned %d bytes out of a %d-byte stream", len(s), len(data))
 				}
 				zero = s == ""
+			case 4:
+				b := r.AppendBytes([]byte("pre"))
+				if b != nil && (len(b) > 3+len(data) || string(b[:3]) != "pre") {
+					t.Fatalf("AppendBytes returned %q out of a %d-byte stream", b, len(data))
+				}
+				zero = b == nil
 			}
 			if failed && !zero {
 				t.Fatalf("a read after the error %v returned data", r.Err())

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -170,7 +173,8 @@ func TestSectionKeepsEveryName(t *testing.T) {
 
 // TestSectionRejectsCorruptInput: one stream per refusal, each otherwise a
 // well-formed section of two types and three nodes — 0 and 1 users, 2 a
-// school both attend.
+// school both attend. A node is its type, the bytes its name shares with
+// the previous one, then the rest of its name.
 func TestSectionRejectsCorruptInput(t *testing.T) {
 	write := func(vals ...any) []byte {
 		var buf bytes.Buffer
@@ -191,7 +195,7 @@ func TestSectionRejectsCorruptInput(t *testing.T) {
 		return buf.Bytes()
 	}
 	registry := []any{2, "user", "school"}
-	nodes := []any{3, 0, "a", 0, "b", 1, "s"}
+	nodes := []any{3, 0, 0, "a", 0, 0, "b", 1, 0, "s"}
 	section := func(parts ...[]any) []byte {
 		var vals []any
 		for _, p := range parts {
@@ -207,17 +211,31 @@ func TestSectionRejectsCorruptInput(t *testing.T) {
 	if !g.HasEdge(0, 2) || !g.HasEdge(1, 2) || g.HasEdge(0, 1) || g.NumEdges() != 2 {
 		t.Fatalf("the well-formed section decodes to %v", g)
 	}
+	// The most a name may share: all of a short previous name, and the
+	// first maxShared bytes of a long one.
+	long := strings.Repeat("a", 40)
+	g, err = decodeSection(section(registry, []any{3, 0, 0, long, 0, maxShared, "b", 1, 2, "s"}, []any{1, 2, 1, 1, 0}))
+	if err != nil {
+		t.Fatalf("names sharing as much as they may are refused: %v", err)
+	}
+	if g.Name(0) != long || g.Name(1) != long[:maxShared]+"b" || g.Name(2) != "aas" {
+		t.Fatalf("shared prefixes decode to %q, %q, %q", g.Name(0), g.Name(1), g.Name(2))
+	}
 	for _, c := range []struct {
 		name, want string
 		data       []byte
 	}{
-		{"type id out of range", "has type", section(registry, []any{3, 0, "a", 2, "b", 1, "s"}, []any{1, 2, 1, 1, 0})},
-		{"type id of 2^64-1", "has type", section(registry, []any{3, 0, "a", uint64(math.MaxUint64), "b", 1, "s"}, []any{0, 0, 0})},
+		{"type id out of range", "has type", section(registry, []any{3, 0, 0, "a", 2, 0, "b", 1, 0, "s"}, []any{1, 2, 1, 1, 0})},
+		{"type id of 2^64-1", "has type", section(registry, []any{3, 0, 0, "a", uint64(math.MaxUint64), 0, "b", 1, 0, "s"}, []any{0, 0, 0})},
+		{"node 0 sharing a byte", "previous name, which has 0", section(registry, []any{3, 0, 1, "a", 0, 0, "b", 1, 0, "s"}, []any{1, 2, 1, 1, 0})},
+		{"a name sharing more than the previous one has", "previous name, which has 1", section(registry, []any{3, 0, 0, "a", 0, 2, "b", 1, 0, "s"}, []any{1, 2, 1, 1, 0})},
+		{"a name sharing 2^64-1 bytes", "previous name, which has 1", section(registry, []any{3, 0, 0, "a", 0, uint64(math.MaxUint64), "b", 1, 0, "s"}, []any{1, 2, 1, 1, 0})},
+		{"a name sharing more than the cap", "above the cap of 32", section(registry, []any{3, 0, 0, long, 0, maxShared + 1, "b", 1, 0, "s"}, []any{1, 2, 1, 1, 0})},
 		{"type name registered twice", "repeats the name", section([]any{2, "user", "user"}, nodes, []any{1, 2, 1, 1, 0})},
 		{"more types than MaxTypes", "exceed the limit", section([]any{MaxTypes + 1})},
 		{"2^64-1 types", "exceed the limit", section([]any{uint64(math.MaxUint64)})},
 		{"node count past a NodeID", "overflow", section(registry, []any{uint64(math.MaxInt32) + 1})},
-		{"name longer than the stream", "unexpected EOF", section(registry, []any{3, 0, "a", 0, 1 << 40})},
+		{"name longer than the stream", "unexpected EOF", section(registry, []any{3, 0, 0, "a", 0, 0, 1 << 40})},
 		{"endpoint = numNodes", "beyond", section(registry, nodes, []any{1, 3, 1, 1, 0})},
 		{"endpoint past numNodes", "beyond", section(registry, nodes, []any{1, uint64(math.MaxUint64), 1, 1, 0})},
 		{"self loop", "self loop", section(registry, nodes, []any{1, 0, 1, 1, 0})},
@@ -226,6 +244,88 @@ func TestSectionRejectsCorruptInput(t *testing.T) {
 	} {
 		if _, err := decodeSection(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Decode returned %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// allocMeter is a stream that refuses to go on once the process has
+// allocated more than budget bytes since it was made: a decoder that
+// breaks its bound then fails the test instead of exhausting the host.
+type allocMeter struct {
+	r            io.Reader
+	base, budget uint64
+	tripped      bool
+}
+
+func newAllocMeter(data []byte, budget uint64) *allocMeter {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return &allocMeter{r: bytes.NewReader(data), base: ms.TotalAlloc, budget: budget}
+}
+
+func (m *allocMeter) spent() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - m.base
+}
+
+func (m *allocMeter) Read(p []byte) (int, error) {
+	if m.spent() > m.budget {
+		m.tripped = true
+		return 0, errors.New("allocation over budget")
+	}
+	return m.r.Read(p)
+}
+
+// TestNameChainCostsWhatItSent: a follower decodes graph sections off the
+// network, so a chain of 100 000 names, each sharing as much of the one
+// before as it may and adding one byte, must either be refused or cost
+// allocation in proportion to the bytes that carried it — here at most
+// 40 times the stream's length. Sharing up to maxShared bytes is legal and
+// decodes; sharing all of the previous name is refused at the first name
+// past the cap, and would otherwise cost n²/2 = 5·10⁹ bytes.
+func TestNameChainCostsWhatItSent(t *testing.T) {
+	const n, multiple = 100_000, 40
+	for _, limit := range []int{maxShared, math.MaxInt} {
+		var buf bytes.Buffer
+		w := flat.NewWriter(&buf, sectionMagic)
+		w.Uvarint(1)
+		w.String("user")
+		w.Uvarint(n)
+		last := 0
+		for v := 0; v < n; v++ {
+			shared := min(last, limit)
+			w.Uvarint(0)
+			w.Uvarint(uint64(shared))
+			w.String(string(rune('a' + v%26)))
+			last = shared + 1
+		}
+		for v := 0; v < n; v++ {
+			w.Uvarint(0) // no neighbours
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		budget := uint64(multiple * buf.Len())
+		m := newAllocMeter(buf.Bytes(), budget)
+		r, err := flat.NewReader(m, sectionMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Decode(r)
+		if err == nil {
+			err = r.Close()
+		}
+		got := m.spent()
+		switch {
+		case m.tripped || err == nil && got > budget:
+			t.Fatalf("sharing up to %d bytes: a %d-byte stream cost %d bytes of allocation, over %d", limit, buf.Len(), got, budget)
+		case limit == maxShared && err != nil:
+			t.Fatalf("a chain sharing up to maxShared bytes is refused: %v", err)
+		case limit == maxShared && g.Name(n-1) != g.Name(maxShared-1)+string(rune('a'+(n-1)%26)):
+			t.Fatalf("the chain's last name decodes to %q", g.Name(n-1))
+		case limit != maxShared && (err == nil || !strings.Contains(err.Error(), "above the cap")):
+			t.Fatalf("a chain sharing past maxShared: Decode returned %v", err)
 		}
 	}
 }
@@ -244,6 +344,15 @@ func FuzzGraphDecode(f *testing.F) {
 	f.Add(sectionBytes(f, b.MustBuild()))
 	f.Add(sectionBytes(f, buildToy(f)))
 	f.Add(sectionBytes(f, NewBuilder().MustBuild()))
+	// Names that share prefixes with the one before — past maxShared too —
+	// and, at "school-1" and "", none.
+	long := strings.Repeat("x", maxShared+8)
+	b = NewBuilder()
+	hub = b.AddNode("school", "school-1")
+	for _, name := range []string{"user-1", "user-10", "user-11", "user-2", long + "a", long + "b", "", "u"} {
+		b.AddEdge(b.AddNode("user", name), hub)
+	}
+	f.Add(sectionBytes(f, b.MustBuild()))
 	f.Add([]byte(sectionMagic + "garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := flat.NewReader(bytes.NewReader(data), sectionMagic)

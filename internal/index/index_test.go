@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -542,44 +543,75 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		}
 	}
 
-	// One node row at key 1 in a 5-metagraph index (b = bits.Len(5) = 3,
-	// so a head is len<<4 | first<<1 | ones), then an empty pair table.
+	// Node rows in a 5-metagraph index (b = bits.Len(5) = 3, so a head is
+	// len<<4 | first<<1 | ones), then an empty pair table. A row opens with
+	// its key delta shifted past the reuse bit: key(d) brings a head of its
+	// own, reuse(d) takes the previous row's. Each refusal names its rule.
 	head := func(l, first, ones uint64) uint64 { return l<<4 | first<<1 | ones }
+	key := func(delta uint64) uint64 { return delta << 1 }
+	reuse := func(delta uint64) uint64 { return delta<<1 | 1 }
+	const (
+		length  = "row length"
+		byMeta  = "not strictly ascending by metagraph"
+		badCnt  = "count of 0 or above 2^32-1"
+		badKeys = "keys not strictly ascending"
+	)
 	for _, c := range []struct {
-		name  string
-		legal bool
-		nEnt  uint64
-		row   []uint64 // head, gaps, counts
+		name, want  string // want is "" for a legal table
+		nKeys, nEnt uint64
+		rows        []uint64 // per row: key, head unless reused, gaps, counts
 	}{
-		{"a row of ones", true, 3, []uint64{head(3, 1, 1), 1, 2}},
-		{"a row with its counts", true, 3, []uint64{head(3, 1, 0), 1, 2, 1, 7, math.MaxUint32}},
-		{"a row of ones written with its counts", true, 2, []uint64{head(2, 0, 0), 4, 1, 1}},
-		{"a row of every metagraph", true, 5, []uint64{head(5, 0, 1), 1, 1, 1, 1}},
-		{"an empty row", false, 0, []uint64{head(0, 0, 1)}},
-		{"an empty row among entries", false, 1, []uint64{head(0, 0, 1)}},
-		{"length above numMeta", false, 6, []uint64{head(6, 0, 1), 1, 1, 1, 1, 1}},
-		{"length past the entry count", false, 1, []uint64{head(2, 0, 1), 1}},
-		{"first metagraph = numMeta", false, 1, []uint64{head(1, 5, 1)}},
-		{"first metagraph > numMeta", false, 1, []uint64{head(1, 7, 1)}},
-		{"a gap of 0", false, 2, []uint64{head(2, 1, 1), 0}},
-		{"a gap stepping past numMeta", false, 2, []uint64{head(2, 3, 1), 2}},
-		{"a gap of 2^64-1", false, 2, []uint64{head(2, 3, 1), math.MaxUint64}},
-		{"a count of 0 behind a clear all-ones bit", false, 2, []uint64{head(2, 1, 0), 1, 3, 0}},
-		{"a count of 2^32 behind a clear all-ones bit", false, 1, []uint64{head(1, 1, 0), math.MaxUint32 + 1}},
-		{"a count of 2^64-1 behind a clear all-ones bit", false, 1, []uint64{head(1, 1, 0), math.MaxUint64}},
-		{"a missing count", false, 2, []uint64{head(2, 1, 0), 1, 3}},
+		{"a row of ones", "", 1, 3, []uint64{key(2), head(3, 1, 1), 1, 2}},
+		{"a row with its counts", "", 1, 3, []uint64{key(2), head(3, 1, 0), 1, 2, 1, 7, math.MaxUint32}},
+		{"a row of ones written with its counts", "", 1, 2, []uint64{key(2), head(2, 0, 0), 4, 1, 1}},
+		{"a row of every metagraph", "", 1, 5, []uint64{key(2), head(5, 0, 1), 1, 1, 1, 1}},
+		{"rows sharing a head, gaps their own", "", 3, 6, []uint64{key(1), head(2, 1, 1), 1, reuse(1), 3, reuse(2), 2}},
+		{"rows sharing a head, counts their own", "", 2, 2, []uint64{key(1), head(1, 4, 0), 9, reuse(6), math.MaxUint32}},
+		{"a head, a new one, then the new one again", "", 3, 4, []uint64{key(1), head(2, 0, 1), 1, key(1), head(1, 4, 1), reuse(1)}},
+		{"an empty row", length, 1, 0, []uint64{key(2), head(0, 0, 1)}},
+		{"an empty row among entries", length, 1, 1, []uint64{key(2), head(0, 0, 1)}},
+		{"length above numMeta", length, 1, 6, []uint64{key(2), head(6, 0, 1), 1, 1, 1, 1, 1}},
+		{"length past the entry count", length, 1, 1, []uint64{key(2), head(2, 0, 1), 1}},
+		{"a reused head's length past the entry count", length, 2, 4, []uint64{key(1), head(3, 1, 1), 1, 1, reuse(1), 1, 1}},
+		{"a reuse bit on the first row", "first row reuses a head", 1, 1, []uint64{reuse(2)}},
+		{"a reuse bit on the first row, a head behind it", "first row reuses a head", 1, 1, []uint64{reuse(2), head(1, 0, 1)}},
+		{"a reused head of a zero key delta", badKeys, 2, 2, []uint64{key(1), head(1, 0, 1), reuse(0)}},
+		{"first metagraph = numMeta", byMeta, 1, 1, []uint64{key(2), head(1, 5, 1)}},
+		{"first metagraph > numMeta", byMeta, 1, 1, []uint64{key(2), head(1, 7, 1)}},
+		{"a gap of 0", byMeta, 1, 2, []uint64{key(2), head(2, 1, 1), 0}},
+		{"a gap stepping past numMeta", byMeta, 1, 2, []uint64{key(2), head(2, 3, 1), 2}},
+		{"a gap of 2^64-1", byMeta, 1, 2, []uint64{key(2), head(2, 3, 1), math.MaxUint64}},
+		{"a reused head's gap stepping past numMeta", byMeta, 2, 4, []uint64{key(1), head(2, 3, 1), 1, reuse(1), 2}},
+		{"a count of 0 behind a clear all-ones bit", badCnt, 1, 2, []uint64{key(2), head(2, 1, 0), 1, 3, 0}},
+		{"a count of 2^32 behind a clear all-ones bit", badCnt, 1, 1, []uint64{key(2), head(1, 1, 0), math.MaxUint32 + 1}},
+		{"a count of 2^64-1 behind a clear all-ones bit", badCnt, 1, 1, []uint64{key(2), head(1, 1, 0), math.MaxUint64}},
+		{"a count of 0 behind a reused head", badCnt, 2, 2, []uint64{key(1), head(1, 1, 0), 3, reuse(1), 0}},
+		{"a missing count", badCnt, 1, 2, []uint64{key(2), head(2, 1, 0), 1, 3}},
 	} {
 		var buf bytes.Buffer
 		fw := flat.NewWriter(&buf, fileMagic)
-		for _, v := range append(append([]uint64{5, 1, c.nEnt, 2}, c.row...), 0, 0) {
+		for _, v := range append(append([]uint64{5, c.nKeys, c.nEnt}, c.rows...), 0, 0) {
 			fw.Uvarint(v)
 		}
 		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Read(&buf, 8); (err == nil) != c.legal {
-			t.Errorf("%s: Read returned %v", c.name, err)
+		_, err := Read(&buf, 8)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
 		}
+	}
+	// The pair table's first row has no head before it either.
+	var buf bytes.Buffer
+	fw := flat.NewWriter(&buf, fileMagic)
+	for _, v := range []uint64{1, 0, 0, 1, 1, reuse(uint64(MakePairKey(1, 3)) + 1), 1} {
+		fw.Uvarint(v)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf, 8); err == nil || !strings.Contains(err.Error(), "pair table: first row reuses a head") {
+		t.Errorf("a reuse bit on the pair table's first row: Read returned %v", err)
 	}
 
 	good := writeBytes(t, node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 2}}))
@@ -605,29 +637,42 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 // TestIndexReadBoundsAllocationByBytesReceived: a follower decodes index
 // sections off the network, so a short stream claiming 2^31-1 keys and
 // entries (the most the int32 offsets admit; 2^40 is refused outright)
-// must cost what it sent, not what it claims — ~40 GB here.
+// must cost what it sent, not what it claims — ~40 GB here. The stream's
+// rows are well formed — consecutive node keys, each a one-entry row of
+// metagraph 0, the first with its head and the rest reusing it — until it
+// just stops: after 80 rows, inside the first flat.Grow step of each
+// arena, and after 30 000, past its second.
 func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
+	const head = 1<<2 | 0<<1 | 1 // len 1, first 0, all ones; b = bits.Len(1) = 1
 	for _, claim := range []uint64{math.MaxInt32, 1 << 40} {
-		var buf bytes.Buffer
-		fw := flat.NewWriter(&buf, fileMagic)
-		fw.Uvarint(1) // numMeta
-		fw.Uvarint(claim)
-		fw.Uvarint(claim)
-		for i := 0; i < 80; i++ {
-			fw.Uvarint(1) // consecutive keys, then the stream just stops
-		}
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Read(bytes.NewReader(buf.Bytes()), math.MaxInt32)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("claim %d: a %d-byte stream was accepted", claim, buf.Len())
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Fatalf("claim %d: a %d-byte stream cost %d bytes of allocation", claim, buf.Len(), got)
+		for _, rows := range []int{80, 30_000} {
+			var buf bytes.Buffer
+			fw := flat.NewWriter(&buf, fileMagic)
+			fw.Uvarint(1) // numMeta
+			fw.Uvarint(claim)
+			fw.Uvarint(claim)
+			fw.Uvarint(1 << 1) // key 0 and its head
+			fw.Uvarint(head)
+			for i := 1; i < rows; i++ {
+				fw.Uvarint(1<<1 | 1) // the next key, the same head
+			}
+			if err := fw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cut := buf.Bytes()[:buf.Len()-4] // the checksum too
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Read(bytes.NewReader(cut), math.MaxInt32)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("claim %d: a %d-byte stream was accepted", claim, len(cut))
+			}
+			if claim == math.MaxInt32 && !strings.Contains(err.Error(), "unexpected EOF") {
+				t.Fatalf("claim %d: %d rows were refused before the cut: %v", claim, rows, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("claim %d: a %d-byte stream cost %d bytes of allocation", claim, len(cut), got)
+			}
 		}
 	}
 }
@@ -812,6 +857,15 @@ func FuzzIndexRead(f *testing.F) {
 		mxy:     csr[PairKey]{keys: []PairKey{MakePairKey(1, 5)}, off: []int32{0, 2}, ent: []Entry{{0, 16383}, {1, 16384}}},
 	}), uint16(8))
 	f.Add(writeBytes(f, wideIndex()), uint16(8))
+	// Heads that run and then change, in both tables: three rows of one
+	// head, a new count, a new length, then the first head again.
+	f.Add(writeBytes(f, &Index{
+		numMeta: 3,
+		mx: csr[graph.NodeID]{keys: []graph.NodeID{0, 1, 2, 3, 5, 6}, off: []int32{0, 1, 2, 3, 4, 6, 7},
+			ent: []Entry{{1, 1}, {1, 1}, {1, 1}, {1, 4}, {0, 1}, {2, 1}, {1, 1}}},
+		mxy: csr[PairKey]{keys: []PairKey{MakePairKey(0, 1), MakePairKey(0, 2), MakePairKey(1, 2), MakePairKey(1, 5), MakePairKey(3, 6)},
+			off: []int32{0, 1, 2, 3, 5, 6}, ent: []Entry{{2, 1}, {2, 1}, {2, 1}, {0, 2}, {2, 1}, {2, 1}}},
+	}), uint16(8))
 	// Rows that mix 4-node metagraphs with counts above 1, as MaxNodes 4
 	// builds them: heads with the all-ones bit both set and clear.
 	rng := rand.New(rand.NewSource(1))

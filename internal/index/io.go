@@ -22,24 +22,29 @@ import (
 //	node table, pair table, each:
 //	  nKeys nEntries
 //	  nKeys × row:
-//	    key delta   keys ascend strictly, so every delta — the first one
-//	                is key+1 — is at least 1
-//	    head        len<<(b+1) | first<<1 | ones, b = bits.Len(numMeta):
-//	                the row's length, its first Meta, and whether every
-//	                Count in it is 1
+//	    delta<<1 | reuse   keys ascend strictly, so every delta — the first
+//	                       one is key+1 — is at least 1; reuse is set when
+//	                       the row's head is the previous row's, which the
+//	                       first row has none of
+//	    head        only when reuse is clear: len<<(b+1) | first<<1 | ones,
+//	                b = bits.Len(numMeta): the row's length, its first
+//	                Meta, and whether every Count in it is 1
 //	    len-1 × Meta gap   each next Meta minus the one before, at least 1
 //	    len × Count        only when ones is clear
 //
 // Everything is an unsigned varint. A Count is the raw instance count — the
 // index stores no transformed value (see Index.Transform) — and most are 1,
-// so a row of ones costs its head and gaps alone: at MaxNodes 3 a pair row
-// is its key delta and a one-byte head. Rows are never empty (a delta only
+// so a row of ones costs its head and gaps alone. Runs of rows share a
+// head: at MaxNodes 3 nearly every pair row holds the one metagraph a class
+// weighs, once, so such a row is its key delta alone. Every key is below
+// 2^63 (a PairKey's high word is a non-negative int32), so shifting its
+// delta left by one never overflows. Rows are never empty (a delta only
 // adds instances, Project drops emptied rows), so a length of 0 is refused.
 // Index internals are already deterministic, so the bytes are stable without
 // any extra sorting. Engine snapshots embed one section per index;
 // Write/Read frame a single section as a file of its own.
 
-const fileMagic = "SPXI\x05"
+const fileMagic = "SPXI\x06"
 
 // Write serializes ix's counts. A patched index is compacted first, so the
 // wire format never carries an overlay and an incrementally updated index
@@ -80,11 +85,9 @@ func encodeTable[K ~int32 | ~uint64](w *flat.Writer, c *csr[K], numMeta int) {
 	w.Uvarint(uint64(len(c.keys)))
 	w.Uvarint(uint64(len(c.ent)))
 	b := uint(bits.Len(uint(numMeta)))
-	prev := uint64(0)
+	prev, prevHead := uint64(0), uint64(0) // no head is 0: rows are never empty
 	for i, k := range c.keys {
 		next := uint64(k) + 1
-		w.Uvarint(next - prev)
-		prev = next
 		row := c.ent[c.off[i]:c.off[i+1]]
 		ones := uint64(1)
 		for _, e := range row {
@@ -93,7 +96,14 @@ func encodeTable[K ~int32 | ~uint64](w *flat.Writer, c *csr[K], numMeta int) {
 				break
 			}
 		}
-		w.Uvarint(uint64(len(row))<<(b+1) | uint64(row[0].Meta)<<1 | ones)
+		head := uint64(len(row))<<(b+1) | uint64(row[0].Meta)<<1 | ones
+		if head == prevHead {
+			w.Uvarint((next-prev)<<1 | 1)
+		} else {
+			w.Uvarint((next - prev) << 1)
+			w.Uvarint(head)
+		}
+		prev, prevHead = next, head
 		for j := 1; j < len(row); j++ {
 			w.Uvarint(uint64(row[j].Meta - row[j-1].Meta))
 		}
@@ -179,6 +189,7 @@ func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c c
 	b := uint(bits.Len64(numMeta))
 	mask := uint64(1)<<b - 1
 	next := uint64(0) // key+1 of the previous key
+	head := uint64(0) // the previous row's, until a row brings its own
 	total := uint64(0)
 	for i := 0; i < n; i++ {
 		if len(c.keys) == cap(c.keys) {
@@ -192,12 +203,18 @@ func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c c
 			}
 		}
 		d := r.Uvarint()
-		if d == 0 || d > limit-next {
+		reuse := d&1 == 1
+		if d >>= 1; d == 0 || d > limit-next {
 			return c, corrupt(r, "keys", fmt.Sprintf("not strictly ascending within [0, %d)", limit))
 		}
 		next += d
 		c.keys = append(c.keys, K(next-1))
-		head := r.Uvarint()
+		switch {
+		case !reuse:
+			head = r.Uvarint()
+		case i == 0:
+			return c, corrupt(r, "first row", "reuses a head, but no row comes before it")
+		}
 		l, m := head>>(b+1), head>>1&mask
 		if l == 0 || l > numMeta || l > nEnt-total {
 			return c, corrupt(r, "row length", fmt.Sprintf("not within [1, %d] or runs past the entry count", numMeta))

@@ -322,6 +322,7 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 		}
 		fw.Uvarint(uint64(len(rg.typ)))
 		fw.Uvarint(rg.typ[0])
+		fw.Uvarint(0) // shares nothing
 		fw.Uvarint(64)
 	}
 	var short bytes.Buffer
@@ -429,6 +430,7 @@ func (rg rawGraph) write(fw *flat.Writer) {
 	fw.Uvarint(uint64(len(rg.typ)))
 	for v := range rg.typ {
 		fw.Uvarint(rg.typ[v])
+		fw.Uvarint(0) // shares nothing with the previous name: legal, if long
 		fw.String(rg.names[v])
 	}
 	for _, gaps := range rg.above {
@@ -684,6 +686,24 @@ func FuzzLoadEngine(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(lb.Bytes())
+	// read_direct-shaped: MaxNodes 3, one class holding one metagraph, so
+	// the pair rows' heads run and change only where a count is above 1;
+	// and names that share prefixes (user-1, user-10, …), but none between
+	// the last attribute and user-0.
+	opts.Mining.MaxNodes = 3
+	direct, err := NewEngine(ds.G, "user", opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	direct.Train("college", eval.MakeExamples(labels, labels.Queries(), ds.Users(), 20, 1))
+	lb.Reset()
+	if err := direct.Save(&lb); err != nil {
+		f.Fatal(err)
+	}
+	if h, _, _ := snapshotParts(f, lb.Bytes()); len(h.Matched) != 1 || !hasCountAbove1(direct) {
+		f.Fatalf("the read_direct-shaped seed holds metagraphs %v, counts above 1: %v", h.Matched, hasCountAbove1(direct))
+	}
+	f.Add(lb.Bytes())
 	// The snapshot shape written before training dropped the metagraphs no
 	// class weighs — every metagraph matched, zero weights in a kept set —
 	// and a class that weighs nothing, whose kept set is empty.
@@ -729,6 +749,26 @@ func FuzzLoadEngine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSnapshotBytesBudget is the snapshot's size ratchet: at each shape
+// benchmark/ boots, on the graphs of seeds 1–3, Save writes no more than
+// the KiB recorded here, today's sizes rounded up. A codec change that
+// grows a snapshot fails here, not in a benchmark run; one that shrinks it
+// lowers these.
+func TestSnapshotBytesBudget(t *testing.T) {
+	budgetKiB := map[string][3]int{"read_direct": {367, 371, 369}, "lifecycle": {244, 250, 241}}
+	for _, sh := range snapShapes {
+		for seed := int64(1); seed <= 3; seed++ {
+			var buf bytes.Buffer
+			if err := sh.build(seed).Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if budget := budgetKiB[sh.name][seed-1] << 10; buf.Len() > budget {
+				t.Errorf("%s, seed %d: Save wrote %d bytes, over its budget of %d", sh.name, seed, buf.Len(), budget)
+			}
+		}
+	}
 }
 
 // TestSnapshotRoundTripsAnyNodeName: a node name an update may carry —
