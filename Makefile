@@ -111,8 +111,11 @@ cover:
 # on (the daemons' handler and buffered writer, over io.Discard) and off
 # and `uniform` likewise (allocs/op and candidates/op reported;
 # TestServeAllocBudget is the gate, this keeps the benchmarks themselves
-# running), and one request line formatted by the daemons' handler and by
-# slog.TextHandler, both to io.Discard (ns/op and allocs/op).
+# running), one request line formatted by the daemons' handler and by
+# slog.TextHandler, both to io.Discard (ns/op and allocs/op), and one
+# durable WAL append from one goroutine and from GOMAXPROCS goroutines
+# (serial: one fsync per append; parallel: waiters share each group
+# commit's fsync).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
@@ -122,6 +125,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkRequestLine$$' -benchtime=1x ./internal/obs
+	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend/(serial|parallel)$$' -benchtime=1x ./internal/wal
 
 # The measurement spine compiles against the product and checks it:
 # benchmark/ is a module of its own, so `go build ./...` and `go test

@@ -245,9 +245,10 @@ func (p *Primary) WaitConfirmed(ctx context.Context, lsn uint64) bool {
 // ServeSnapshot answers GET /v1/replicate/snapshot with an engine snapshot
 // stream — the follower bootstrap source. The save pins one immutable
 // epoch, then gates on the WAL until that epoch's LSN is durable before
-// streaming a byte: under pipelined commit an epoch can be visible while
-// its record is still in flight to disk, and a snapshot of such an epoch
-// would hand the follower state a crash could make the primary forget.
+// streaming a byte: an epoch is visible once its record is sequenced,
+// before that record is committed to disk, and a snapshot of such an
+// epoch would hand the follower state a crash could make the primary
+// forget. The wait commits the record itself if nobody else has.
 func (p *Primary) ServeSnapshot(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	return p.eng.SaveWait(w, p.log.WaitDurable)

@@ -117,13 +117,14 @@ type Server struct {
 	// order. Queries never touch this lock.
 	//
 	// The fsync does NOT happen under this lock: the handler applies
-	// the update and enqueues its record (Engine.ApplyUpdateLogged around
-	// wal.AppendAsync) inside the critical section, then waits for
-	// durability (wal.WaitDurable) outside it —
-	// so while update N's fsync runs, update N+1 is already resolving
-	// and enqueueing, and the log's group commit folds both into one
-	// fsync. The ack still only leaves after the record is on disk;
-	// what's pipelined is ack N vs fsync N+1, not durability itself.
+	// the update and sequences its record (Engine.ApplyUpdateLogged
+	// around wal.AppendAsync) inside the critical section, then waits
+	// for durability (wal.WaitDurable) outside it, and that wait leads
+	// the group commit when none is on the disk. So while update N's
+	// fsync runs, update N+1 is already resolving and sequencing, and
+	// its record rides the next commit together with every other one
+	// sequenced meanwhile. The ack still only leaves after the record
+	// is on disk.
 	updateMu sync.Mutex
 	// ackReplicas > 0 additionally holds each update's ack until some
 	// follower has confirmed (via its poll position) durably applying
@@ -512,12 +513,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		wire.WriteErr(w, herr)
 		return
 	}
-	// Durability gate, OUTSIDE the lock: the record was enqueued and the
-	// engine updated in the critical section; the ack leaves only after
-	// the log reports the record fsynced. Meanwhile the next update is
-	// already inside the critical section enqueueing — its record rides
-	// the same or the next group commit. A failed wait means the log is
-	// sticky-poisoned (readyz flips wal_failed); the epoch already
+	// Durability gate, OUTSIDE the lock: the record was sequenced and
+	// the engine updated in the critical section; this wait commits it
+	// (or joins the commit already on the disk) and the ack leaves only
+	// after the log reports the record fsynced. Meanwhile the next update
+	// is already inside the critical section sequencing — its record
+	// rides the same or the next group commit. A failed wait means the
+	// log is sticky-poisoned (readyz flips wal_failed); the epoch already
 	// applied stays visible locally but was never acked.
 	if rl.log != nil {
 		if err := rl.log.WaitDurable(st.LSN); err != nil {
@@ -554,9 +556,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyUpdate is the update critical section: resolve the request
-// against the current graph, apply the delta, enqueue the record. It
-// returns with the record IN FLIGHT to disk — the caller must gate the
-// ack on WaitDurable.
+// against the current graph, apply the delta, sequence the record. It
+// returns with the record NOT YET on disk — the caller must gate the
+// ack on WaitDurable, which commits it.
 func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateStats, *api.Error) {
 	var zero semprox.UpdateStats
 	s.updateMu.Lock()
@@ -603,13 +605,13 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateSta
 	}
 	// Log order equals apply order, and the log holds only what the
 	// engine accepted: the engine builds the next epoch, appends the
-	// accepted delta (AppendAsync assigns the LSN and starts the record
-	// toward disk), and publishes the epoch at that LSN, all inside
-	// updateMu. The fsync is the caller's WaitDurable, outside the lock,
-	// which is what lets consecutive updates share one group commit. A
-	// crash can therefore lose an applied-but-unsynced suffix; no ack ever
-	// covered it (WaitDurable gates every ack), and recovery replays
-	// exactly the durable prefix.
+	// accepted delta (AppendAsync assigns the LSN and queues the record
+	// for the next group commit), and publishes the epoch at that LSN,
+	// all inside updateMu. The write and fsync are the caller's
+	// WaitDurable, outside the lock, which is what lets consecutive
+	// updates share one group commit. A crash can therefore lose an
+	// applied-but-unsynced suffix; no ack ever covered it (WaitDurable
+	// gates every ack), and recovery replays exactly the durable prefix.
 	if rl.log == nil {
 		st, err := eng.ApplyUpdate(d)
 		if err != nil {

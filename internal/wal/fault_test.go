@@ -15,7 +15,7 @@ func TestInjectedFsyncFailureNeverAcks(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New()
 	// Serial appends sync once per record: skip the first three, fail the
-	// fourth — and every later one, in case the pipeline retries.
+	// fourth — and every later one, in case a later commit retries.
 	inj.Arm(faultfs.Rule{Op: faultfs.OpSync, After: 3, Times: 1 << 30})
 	w, err := Open(dir, Options{Inject: inj})
 	if err != nil {
@@ -88,10 +88,11 @@ func TestInjectedTornWriteLosesOnlyUnacked(t *testing.T) {
 	appendN(t, w2, 1, 3)
 }
 
-// TestWaitDurableSurfacesInjectedFailure pins the pipelined ack barrier:
+// TestWaitDurableSurfacesInjectedFailure pins the ack barrier:
 // AppendAsync hands out the LSN before the fsync, so WaitDurable — the
-// gate the server holds every client ack behind — must report the
-// injected fsync failure instead of returning success or hanging.
+// gate the server holds every client ack behind, and the commit it
+// leads — must report the injected fsync failure instead of returning
+// success or hanging.
 func TestWaitDurableSurfacesInjectedFailure(t *testing.T) {
 	inj := faultfs.New()
 	inj.Arm(faultfs.Rule{Op: faultfs.OpSync, Times: 1 << 30})

@@ -11,11 +11,11 @@ import "repro/internal/obs"
 
 var (
 	walAppends = obs.Default().Counter("semprox_wal_appends_total",
-		"Records handed to the WAL commit pipeline (async and raw-batch appends).")
+		"Records sequenced into the WAL for the next group commit (async and raw-batch appends).")
 	walFsync = obs.Default().Histogram("semprox_wal_fsync_seconds",
-		"Latency of each coalesced group-commit fsync.", obs.Seconds)
+		"Latency of each group-commit fsync, one per commit a waiter leads.", obs.Seconds)
 	walBatch = obs.Default().Histogram("semprox_wal_commit_batch_records",
-		"Records written per group-commit batch — the fsync-sharing convoy size.", obs.Units)
+		"Records written per group commit — how many appends share one fsync.", obs.Units)
 )
 
 // registerGauges wires w's instance-state gauges; called once from Open.

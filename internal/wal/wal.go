@@ -29,20 +29,22 @@
 // ("term"), written and fsynced atomically BEFORE any record carries the
 // new term.
 //
-// Durability: appends batch fsyncs through a two-stage pipeline — a
-// writer goroutine drains encoded records and issues the write() while a
-// syncer goroutine fsyncs the previous batch, so batch N+1 is being
-// written (and N+2 accumulating) while batch N's fsync is in flight.
-// AppendAsync returns as soon as the record is sequenced and WaitDurable
-// supplies the durability barrier separately (Append is the two in
-// sequence), which lets a server apply an update to its in-memory state
-// while the fsync is still in flight and only delay the client's ack —
-// never visibility ordering — on the disk. A torn tail write (crash
-// mid-record) is detected by length/CRC at Open and truncated away;
-// corruption in any sealed (non-final) segment is an error, never
-// silently skipped. Options.Inject mounts a fault-injection schedule
-// (internal/faultfs) on every write/fsync/create path so tests prove
-// those claims with real injected failures.
+// Durability: group commit in the waiter. AppendAsync only sequences a
+// record; it reaches the disk when a caller waits on it (WaitDurable,
+// AppendRawBatch, Append) or at Close. The first waiter that finds no
+// commit in flight leads one: it takes every pending record, writes them
+// and fsyncs once, and everyone whose record was in the batch wakes
+// durable. Records sequenced while that commit is on the disk wait for
+// it to finish, then the next waiter commits them all with one more
+// fsync (DeWitt et al., SIGMOD 1984). Splitting sequencing from the
+// barrier lets a server apply an update to its in-memory state before
+// the fsync and only delay the client's ack — never visibility
+// ordering — on the disk. A torn tail write (crash mid-record) is
+// detected by length/CRC at Open and truncated away; corruption in any
+// sealed (non-final) segment is an error, never silently skipped.
+// Options.Inject mounts a fault-injection schedule (internal/faultfs) on
+// every write/fsync/create path so tests prove those claims with real
+// injected failures.
 package wal
 
 import (
@@ -112,16 +114,6 @@ type segment struct {
 	last  uint64 // last LSN written, 0 while empty
 }
 
-// syncReq asks the syncer goroutine for one fsync of f. last, when
-// non-zero, is the LSN the durable watermark advances to once the fsync
-// succeeds. done, when non-nil, is closed after the request is handled —
-// the writer's rotation barrier.
-type syncReq struct {
-	f    *os.File
-	last uint64
-	done chan struct{}
-}
-
 // WAL is an append-only log of deltas. All methods are safe for
 // concurrent use.
 type WAL struct {
@@ -129,9 +121,9 @@ type WAL struct {
 	opts Options
 
 	mu   sync.Mutex
-	cond *sync.Cond // guards + signals pending/durable/err transitions
+	cond *sync.Cond // signals committing/durable/err/closed transitions
 
-	// pending holds encoded frames not yet handed to the writer;
+	// pending holds encoded frames no commit has taken yet;
 	// pendingFirst/pendingLast are the LSN range inside it.
 	pending      []byte
 	pendingFirst uint64
@@ -160,16 +152,11 @@ type WAL struct {
 	tail      []tailRec
 	tailBytes int
 
-	// writing marks an active commit leader: the one goroutine currently
-	// allowed to drain pending and issue the write(). Leadership is
-	// transient — an appender that finds no leader becomes one for a
-	// single batch — with the flusher goroutine as the fallback for
-	// records nobody is waiting on (AppendAsync stragglers).
-	writing bool
-
-	syncCh      chan syncReq
-	flusherDone chan struct{}
-	syncerDone  chan struct{}
+	// committing marks a commit on the disk: one waiter has taken pending
+	// and is writing and fsyncing it with w.mu released. Only that
+	// goroutine writes, fsyncs or rotates the active segment until it
+	// clears the flag, so its I/O needs no lock and rotation no barrier.
+	committing bool
 }
 
 // termFile names the sidecar that persists the current term as one
@@ -202,13 +189,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	w := &WAL{
-		dir: dir, opts: opts,
-		watch:       make(chan struct{}),
-		syncCh:      make(chan syncReq, 4),
-		flusherDone: make(chan struct{}),
-		syncerDone:  make(chan struct{}),
-	}
+	w := &WAL{dir: dir, opts: opts, watch: make(chan struct{})}
 	w.cond = sync.NewCond(&w.mu)
 	if err := w.recover(); err != nil {
 		return nil, err
@@ -217,17 +198,15 @@ func Open(dir string, opts Options) (*WAL, error) {
 		return nil, err
 	}
 	w.registerGauges()
-	go w.flusherLoop()
-	go w.syncerLoop()
 	return w, nil
 }
 
 // loadTerm restores the current term from its sidecar. A missing file —
-// a fresh log, or one written before terms existed — starts at the term
-// of the newest record (1 when the log is empty, matching how legacy
-// records read back). A sidecar BEHIND the newest record's term breaks
-// the write-sidecar-first invariant and can only mean mispaired files,
-// so it is an error, not something to repair silently.
+// a fresh log, or one whose term was never raised — starts at the term
+// of the newest record (1 when the log is empty). A sidecar BEHIND the
+// newest record's term breaks the write-sidecar-first invariant and can
+// only mean mispaired files, so it is an error, not something to repair
+// silently.
 func (w *WAL) loadTerm() error {
 	w.term = w.lastTerm
 	if w.term == 0 {
@@ -328,10 +307,8 @@ func parseSegmentName(name string) (uint64, bool) {
 }
 
 // recover scans the directory, validates every segment, truncates a torn
-// tail, and positions the log for appending. A legacy-format final
-// segment is sealed (its torn tail still truncated) and a fresh
-// current-format segment opened after it, so new records never extend a
-// legacy file.
+// tail, and positions the log for appending. A segment with any magic
+// but segMagic fails the scan, so Open refuses it by name.
 func (w *WAL) recover() error {
 	entries, err := os.ReadDir(w.dir)
 	if err != nil {
@@ -503,8 +480,8 @@ func syncDir(dir string) error {
 
 // Append is AppendAsync followed by WaitDurable: it returns the record's
 // LSN once the record is written and fsynced. Concurrent appenders
-// share fsyncs: all records that accumulate while one sync is in flight
-// commit with the next single sync.
+// share fsyncs: all records that accumulate while one commit is on the
+// disk commit together with the next single fsync.
 func (w *WAL) Append(d graph.Delta) (uint64, error) {
 	lsn, err := w.AppendAsync(d)
 	if err == nil {
@@ -534,12 +511,13 @@ func encodeRecord(d graph.Delta) ([]byte, error) {
 }
 
 // AppendAsync sequences d as the next record — assigning its LSN,
-// stamping the current term, and handing it to the commit pipeline —
-// without waiting for the fsync. The record WILL become durable (or the
-// log fail sticky) without further calls; WaitDurable(lsn) is the
-// barrier to pass before acknowledging anything that depends on it.
-// Decoupling the two lets a caller overlap its own work (applying the
-// update in memory) with the disk flush.
+// stamping the current term, and framing it into the pending batch —
+// without touching the disk. The record becomes durable only when some
+// caller waits on it or a later LSN (WaitDurable, AppendRawBatch,
+// Append) or at Close; WaitDurable(lsn) is the barrier to pass before
+// acknowledging anything that depends on it. Decoupling the two lets a
+// caller do its own work (applying the update in memory) between
+// sequencing and the disk flush.
 func (w *WAL) AppendAsync(d graph.Delta) (uint64, error) {
 	body, err := encodeRecord(d)
 	if err != nil {
@@ -556,11 +534,6 @@ func (w *WAL) AppendAsync(d graph.Delta) (uint64, error) {
 	lsn := w.next
 	w.enqueueLocked(lsn, w.term, body)
 	walAppends.Inc()
-	// Hand the batch to the flusher rather than leading inline: an async
-	// appender is a stream, and the records it enqueues while the
-	// flusher is writing the previous batch become the next convoy — one
-	// fsync for all of them.
-	w.cond.Broadcast()
 	return lsn, nil
 }
 
@@ -608,22 +581,12 @@ func (w *WAL) AppendRawBatch(recs []RawRecord) error {
 		w.enqueueLocked(r.LSN, r.Term, r.Delta)
 	}
 	walAppends.Add(uint64(len(recs)))
-	if !w.writing {
-		w.leadOnceLocked()
-	}
-	last := recs[len(recs)-1].LSN
-	for w.err == nil && w.durable < last {
-		w.cond.Wait()
-	}
-	if w.durable >= last {
-		return nil
-	}
-	return w.err
+	return w.waitLocked(recs[len(recs)-1].LSN)
 }
 
 // enqueueLocked frames one record into the pending buffer and the
-// in-memory tail, advances the LSN counter, and wakes the writer.
-// Caller holds w.mu and has validated lsn == w.next and term ordering.
+// in-memory tail and advances the LSN counter. Caller holds w.mu and
+// has validated lsn == w.next and term ordering.
 func (w *WAL) enqueueLocked(lsn, term uint64, body []byte) {
 	payload := binary.AppendUvarint(make([]byte, 0, 2*binary.MaxVarintLen64+len(body)), lsn)
 	payload = binary.AppendUvarint(payload, term)
@@ -647,18 +610,33 @@ func (w *WAL) enqueueLocked(lsn, term uint64, body []byte) {
 }
 
 // WaitDurable blocks until the record at lsn is written and fsynced,
-// returning nil, or the log fails sticky first, returning why. lsn must
-// have been assigned (returned by AppendAsync/Append) — waiting on an
-// LSN the log never sequenced is refused rather than left to block
-// forever.
+// returning nil, or the log fails sticky first, returning why. If no
+// commit is on the disk, the caller leads one for every pending record
+// (waitLocked). lsn must have been assigned (returned by
+// AppendAsync/Append) — waiting on an LSN the log never sequenced is
+// refused rather than left to block forever.
 func (w *WAL) WaitDurable(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if lsn >= w.next {
 		return fmt.Errorf("wal: WaitDurable(%d): LSN not assigned (next is %d)", lsn, w.next)
 	}
+	return w.waitLocked(lsn)
+}
+
+// waitLocked is group commit in the waiter: until lsn is durable or the
+// log fails, the caller either leads a commit (none is on the disk) or
+// waits for the one that is. Every assigned LSN above durable is in
+// pending or in the commit on the disk, so a caller that finds no
+// commit running always has records to commit. Caller holds w.mu and
+// lsn < w.next; returns with w.mu held.
+func (w *WAL) waitLocked(lsn uint64) error {
 	for w.err == nil && w.durable < lsn {
-		w.cond.Wait()
+		if w.committing {
+			w.cond.Wait()
+			continue
+		}
+		w.commitLocked()
 	}
 	if w.durable >= lsn {
 		return nil
@@ -666,20 +644,15 @@ func (w *WAL) WaitDurable(lsn uint64) error {
 	return w.err
 }
 
-// leadOnceLocked is the first pipeline stage: the calling goroutine
-// becomes the commit leader for exactly one batch — drains pending,
-// rotates segments at the size threshold, issues the write(), and hands
-// the batch to the syncer. It does NOT wait for the fsync: while the
-// syncer flushes batch N, the next leader is already writing batch N+1
-// and appenders are accumulating N+2, which is what lets one fsync
-// commit a whole convoy instead of collapsing to one record per sync
-// under lock-step wakeups. AppendRawBatch runs it in the appender
-// itself — the follower's single writer is about to park anyway, and
-// self-leading saves a handoff; the flusher runs it for everyone else.
-// Caller holds w.mu with w.writing false, pending non-empty and
-// err nil; returns with w.mu held.
-func (w *WAL) leadOnceLocked() {
-	w.writing = true
+// commitLocked takes every pending record and, with w.mu released,
+// rotates at the size threshold, writes the batch and fsyncs it once;
+// then it advances durable, or sets the sticky error, and wakes
+// everyone. Records sequenced while it is on the disk stay in pending
+// for the next waiter, so one fsync covers each convoy. Caller holds
+// w.mu with committing false, pending non-empty and err nil; returns
+// with w.mu held.
+func (w *WAL) commitLocked() {
+	w.committing = true
 	batch := w.pending
 	first, last := w.pendingFirst, w.pendingLast
 	w.pending = nil
@@ -705,134 +678,39 @@ func (w *WAL) leadOnceLocked() {
 			failure = fmt.Errorf("wal: write: %w", werr)
 		}
 	}
-	if failure != nil {
-		w.mu.Lock()
-		w.writing = false
-		if w.err == nil {
-			w.err = failure
-		}
-		w.wakeAll()
-		return
-	}
-	walBatch.Observe(int64(last - first + 1))
-	w.mu.Lock()
-	w.activeSize += int64(len(batch))
-	w.segments[len(w.segments)-1].last = last
-	f := w.active
-	w.mu.Unlock()
-	// Leadership is held across the send: it guarantees sync requests
-	// are queued in write order and that no request for a sealed file
-	// can land behind a rotation barrier.
-	w.syncCh <- syncReq{f: f, last: last}
-	w.mu.Lock()
-	w.writing = false
-	// Wake the flusher (and Close) to pick up records that arrived
-	// while this batch was being written.
-	w.cond.Broadcast()
-}
-
-// flusherLoop is the commit leader for everything AppendAsync (and so
-// Append) enqueues, picks up records that arrived while an
-// AppendRawBatch caller was leading mid-write, and performs the final
-// drain at Close. It parks unless there is pending work and no leader.
-func (w *WAL) flusherLoop() {
-	defer close(w.flusherDone)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		if w.err != nil || (w.closed && len(w.pending) == 0) {
-			return
-		}
-		if len(w.pending) > 0 && !w.writing {
-			w.leadOnceLocked()
-			continue
-		}
-		w.cond.Wait()
-	}
-}
-
-// syncerLoop is the second pipeline stage: it coalesces every queued
-// request into one fsync, advances the durable watermark to the group's
-// maximum, and wakes all waiters. Once the log fails sticky it keeps
-// draining the queue (closing barriers) but touches the disk no
-// further.
-func (w *WAL) syncerLoop() {
-	defer close(w.syncerDone)
-	for {
-		req, ok := <-w.syncCh
-		if !ok {
-			return
-		}
-		reqs := []syncReq{req}
-		chClosed := false
-	drain:
-		for {
-			select {
-			case r, ok := <-w.syncCh:
-				if !ok {
-					chClosed = true
-					break drain
-				}
-				reqs = append(reqs, r)
-			default:
-				break drain
-			}
-		}
-		w.syncReqs(reqs)
-		if chClosed {
-			return
-		}
-	}
-}
-
-// syncReqs performs one coalesced fsync. Every request in the group
-// references the same file: rotation waits on a barrier request before
-// sealing, and leadership is exclusive, so requests for two different
-// files can never be queued at once.
-func (w *WAL) syncReqs(reqs []syncReq) {
-	w.mu.Lock()
-	bad := w.err != nil
-	w.mu.Unlock()
-	if !bad {
+	if failure == nil {
 		err := w.opts.Inject.Check(faultfs.OpSync)
 		if err == nil {
 			start := time.Now()
-			err = reqs[0].f.Sync()
+			err = w.active.Sync()
 			walFsync.Since(start)
 		}
-		w.mu.Lock()
 		if err != nil {
-			if w.err == nil {
-				w.err = fmt.Errorf("wal: fsync: %w", err)
-			}
-			w.wakeAll()
-		} else {
-			advanced := false
-			for _, r := range reqs {
-				if r.last > w.durable {
-					w.durable = r.last
-					advanced = true
-				}
-			}
-			if advanced {
-				w.wakeAll()
-			}
-		}
-		w.mu.Unlock()
-	}
-	for _, r := range reqs {
-		if r.done != nil {
-			close(r.done)
+			failure = fmt.Errorf("wal: fsync: %w", err)
 		}
 	}
+
+	w.mu.Lock()
+	w.committing = false
+	if failure != nil {
+		if w.err == nil {
+			w.err = failure
+		}
+	} else {
+		walBatch.Observe(int64(last - first + 1))
+		w.activeSize += int64(len(batch))
+		w.segments[len(w.segments)-1].last = last
+		w.durable = last
+	}
+	w.wakeAll()
 }
 
-// wakeAll wakes everything blocked on the log — appenders in cond.Wait
+// wakeAll wakes everything blocked on the log — waiters in cond.Wait
 // and WaitSince pollers parked on the watch channel — so they re-examine
-// durable/err/closed state. Every state change those waiters observe
-// (durability advancing, a sticky failure, close) must go through here:
-// a path that mutates state without waking can strand a waiter forever.
-// Callers hold w.mu.
+// durable/err/closed/committing state. Every state change those waiters
+// observe (a commit ending, a sticky failure, close) must go through
+// here: a path that mutates state without waking can strand a waiter
+// forever. Callers hold w.mu.
 func (w *WAL) wakeAll() {
 	w.cond.Broadcast()
 	close(w.watch)
@@ -840,20 +718,10 @@ func (w *WAL) wakeAll() {
 }
 
 // rotate seals the active segment and opens a fresh one whose first
-// record will be firstLSN. Called only from writerLoop. The sync
-// barrier — an empty request the syncer acknowledges — drains every
-// in-flight fsync of the old file before it is closed: the pipeline
-// must not leave the syncer holding a handle the writer is sealing.
+// record will be firstLSN. Called only from commitLocked, by the
+// goroutine leading the commit, so no other goroutine holds the sealed
+// file.
 func (w *WAL) rotate(firstLSN uint64) error {
-	done := make(chan struct{})
-	w.syncCh <- syncReq{f: w.active, done: done}
-	<-done
-	w.mu.Lock()
-	err := w.err
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	if err := w.active.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync before rotate: %w", err)
 	}
@@ -963,8 +831,9 @@ func (w *WAL) TruncateThrough(lsn uint64) error {
 	return nil
 }
 
-// Close flushes every pending append, stops the commit pipeline, and
-// closes the active segment. Appends issued after Close fail.
+// Close commits every record still pending — durable even if nobody
+// waited on it — then closes the active segment. Appends issued after
+// Close fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -972,18 +841,13 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	w.cond.Broadcast()
-	// Wait out the active leader (it may be mid-send on syncCh) and let
-	// the flusher drain what is still pending; on a sticky error the
-	// pending records are lost anyway and only the leader matters.
-	for w.writing || (w.err == nil && len(w.pending) > 0) {
+	w.waitLocked(w.next - 1)
+	// A sticky error set outside a commit (SetTerm) ends the wait while
+	// another waiter's commit may still be on the disk: let it finish
+	// before its file is closed.
+	for w.committing {
 		w.cond.Wait()
 	}
-	w.mu.Unlock()
-	<-w.flusherDone
-	close(w.syncCh)
-	<-w.syncerDone
-	w.mu.Lock()
 	err := w.err
 	w.wakeAll() // WaitSince pollers observe closed
 	w.mu.Unlock()

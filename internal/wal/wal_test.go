@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/graph"
 )
 
@@ -152,45 +153,123 @@ func TestSinceAndWaitSince(t *testing.T) {
 
 // TestGroupCommitConcurrent hammers Append from many goroutines; run with
 // -race this pins the group-commit path. Every LSN must come back unique
-// and the replayed log must hold exactly the appended set.
+// and the replayed log must hold exactly the appended set. At 64-byte
+// segments the waiter leading a commit rotates mid-convoy, guarded by
+// leadership alone.
 func TestGroupCommitConcurrent(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{})
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"rotate", Options{SegmentBytes: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := Open(t.TempDir(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const writers, perWriter = 8, 25
+			lsns := make([][]uint64, writers)
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						lsn, err := w.Append(delta(g*1000 + i))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						lsns[g] = append(lsns[g], lsn)
+					}
+				}(g)
+			}
+			wg.Wait()
+			var all []uint64
+			for _, ls := range lsns {
+				all = append(all, ls...)
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			for i, lsn := range all {
+				if lsn != uint64(i+1) {
+					t.Fatalf("lsn set not contiguous at %d: %d", i, lsn)
+				}
+			}
+			if recs := collect(t, w, 0); len(recs) != writers*perWriter {
+				t.Fatalf("replayed %d records, want %d", len(recs), writers*perWriter)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestWaitDurableCommitsPendingWithOneFsync pins group commit in the
+// waiter: AppendAsync touches no disk, and one WaitDurable on the newest
+// LSN commits everything pending with a single fsync.
+func TestWaitDurableCommitsPendingWithOneFsync(t *testing.T) {
+	inj := faultfs.New()
+	w, err := Open(t.TempDir(), Options{Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers, perWriter = 8, 25
-	lsns := make([][]uint64, writers)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				lsn, err := w.Append(delta(g*1000 + i))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				lsns[g] = append(lsns[g], lsn)
-			}
-		}(g)
-	}
-	wg.Wait()
-	var all []uint64
-	for _, ls := range lsns {
-		all = append(all, ls...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	for i, lsn := range all {
-		if lsn != uint64(i+1) {
-			t.Fatalf("lsn set not contiguous at %d: %d", i, lsn)
+	defer w.Close()
+	before := inj.Calls(faultfs.OpSync)
+	var last uint64
+	for i := 0; i < 16; i++ {
+		if last, err = w.AppendAsync(delta(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if recs := collect(t, w, 0); len(recs) != writers*perWriter {
-		t.Fatalf("replayed %d records, want %d", len(recs), writers*perWriter)
+	if got := inj.Calls(faultfs.OpSync); got != before {
+		t.Fatalf("AppendAsync fsynced: %d syncs, want %d", got, before)
+	}
+	if err := w.WaitDurable(last); err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.Calls(faultfs.OpSync); got != before+1 {
+		t.Fatalf("16 pending records took %d fsyncs, want 1", got-before)
+	}
+	if got := w.DurableLSN(); got != 16 {
+		t.Fatalf("durable = %d, want 16", got)
+	}
+}
+
+// TestCloseCommitsUnwaitedAppends: a record nobody waited on becomes
+// durable at Close, so a reopened log replays it.
+func TestCloseCommitsUnwaitedAppends(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := w.AppendAsync(delta(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got := w2.DurableLSN(); got != 3 {
+		t.Fatalf("reopened durable = %d, want 3", got)
+	}
+	recs := collect(t, w2, 0)
+	if len(recs) != 3 {
+		t.Fatalf("replayed %d records, want 3", len(recs))
+	}
+	for i, r := range recs {
+		if r.LSN != uint64(i+1) || !reflect.DeepEqual(r.Delta, delta(i)) {
+			t.Fatalf("record %d = LSN %d %+v, want LSN %d %+v", i, r.LSN, r.Delta, i+1, delta(i))
+		}
 	}
 }
 

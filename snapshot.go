@@ -86,10 +86,11 @@ func (e *Engine) Save(w io.Writer) error {
 // engines: the epoch to stream is pinned FIRST, wait is called with
 // that epoch's LSN, and only after it returns is anything written.
 // With wait = the WAL's WaitDurable this guarantees the snapshot never
-// gets ahead of the durable log — without the gate, a pipelined commit
-// (apply visible before fsync completes) could hand a bootstrapping
-// follower state the primary loses in a crash, and the LSNs would be
-// silently reassigned to different records under it.
+// gets ahead of the durable log — without the gate, an epoch published
+// before its record's group commit (apply visible before the fsync)
+// could hand a bootstrapping follower state the primary loses in a
+// crash, and the LSNs would be silently reassigned to different records
+// under it.
 func (e *Engine) SaveWait(w io.Writer, wait func(lsn uint64) error) error {
 	ep := e.cur.Load()
 	if wait != nil {

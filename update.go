@@ -136,10 +136,10 @@ func (e *Engine) ApplyUpdateBatchAt(d Delta, lsn uint64, records int) (UpdateSta
 // they were. If appendLog fails, nothing is published and its error is
 // returned.
 //
-// appendLog need not wait for the record to be durable (wal.AppendAsync):
-// the epoch is published before its record is on disk, and the caller
-// gates its ack on the log's durability barrier (wal.WaitDurable)
-// outside any lock. The lock order is the engine's writer lock, then
+// appendLog need not wait for the record to be durable (wal.AppendAsync
+// only sequences it): the epoch is published before its record is on
+// disk, and the caller gates its ack on the log's durability barrier
+// (wal.WaitDurable, which commits the record) outside any lock. The lock order is the engine's writer lock, then
 // the log's; nothing in internal/wal calls into the engine.
 func (e *Engine) ApplyUpdateLogged(d Delta, appendLog func() (uint64, error)) (UpdateStats, error) {
 	return e.applyUpdate(d, 1, func(uint64) (uint64, error) { return appendLog() })
