@@ -190,7 +190,9 @@ func BenchmarkMatchSymISOR(b *testing.B) {
 // benchmark's 5 000-user workloads pay at bring-up (MaxNodes 3), and
 // lifecycle the one its 600-user workload pays (MaxNodes 4, whose 3-leaf
 // stars have six automorphic assignments per instance); lifecycle_2000 is
-// that shape at 2 000 users. All run on one worker so that the figure is
+// that shape at 2 000 users, and paper_2000 the paper's MaxNodes 5 at
+// 2 000 users (tens of seconds, so -short skips it). All run on one worker
+// so that the figure is
 // the work, not the machine's core count; each reports the instances
 // counted per build and the pair keys the counter sorted for them (one per
 // weight, not per instance, where SymISO hands it a set) next to the bytes
@@ -198,6 +200,9 @@ func BenchmarkMatchSymISOR(b *testing.B) {
 func BenchmarkOfflineIndexBuild(b *testing.B) {
 	offline := func(users, maxNodes int) func(*testing.B) {
 		return func(b *testing.B) {
+			if maxNodes > 4 && testing.Short() {
+				b.Skip("the MaxNodes 5 build takes tens of seconds")
+			}
 			ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 1, NoiseRate: 0.05})
 			ms := mining.Metagraphs(mining.ProximityFilter(
 				mining.Mine(ds.G, mining.Options{MaxNodes: maxNodes, MinSupport: 5}), ds.Anchor))
@@ -221,6 +226,7 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 	b.Run("read_direct", offline(5000, 3))
 	b.Run("lifecycle", offline(600, 4))
 	b.Run("lifecycle_2000", offline(2000, 4))
+	b.Run("paper_2000", offline(2000, 5))
 	ds := benchDataset()
 	pats := mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor)
@@ -429,6 +435,47 @@ func BenchmarkTrain(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.Train(bc.ix, examples, opts)
 			}
+		})
+	}
+}
+
+// BenchmarkEngineTrain measures Engine.Train on a fresh engine, mining
+// excluded: every iteration trains college from the same untrained epoch,
+// with the options benchmark/ boots its engines with (100 examples, one
+// restart of at most 60 iterations, one matching worker per CPU).
+// read_direct and lifecycle are the shapes of benchmark/'s workloads
+// (5 000 users at MaxNodes 3, 600 at MaxNodes 4); paper is 2 000 users at
+// the paper's MaxNodes 5, where the metagraph set grows to dozens, and
+// -short skips it. Each reports the metagraphs the trained epoch holds.
+func BenchmarkEngineTrain(b *testing.B) {
+	for _, bc := range []struct {
+		name            string
+		users, maxNodes int
+	}{{"read_direct", 5000, 3}, {"lifecycle", 600, 4}, {"paper", 2000, 5}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if bc.maxNodes > 4 && testing.Short() {
+				b.Skip("training at MaxNodes 5 takes seconds")
+			}
+			ds := dataset.LinkedIn(dataset.Config{Users: bc.users, Seed: 1, NoiseRate: 0.05})
+			opts := DefaultOptions()
+			opts.Mining = mining.Options{MaxNodes: bc.maxNodes, MinSupport: 5}
+			opts.Train.Restarts = 1
+			opts.Train.MaxIters = 60
+			eng, err := NewEngine(ds.G, "user", opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			labels := ds.Classes["college"]
+			examples := MakeExamples(labels, labels.Queries(), ds.Users(), 100, 1)
+			base := eng.cur.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.cur.Store(base)
+				eng.Train("college", examples)
+			}
+			b.ReportMetric(float64(eng.MatchedCount()), "held/op")
+			b.ReportMetric(float64(eng.NumMetagraphs()), "metagraphs/op")
 		})
 	}
 }

@@ -5,12 +5,18 @@ package index_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
+	semprox "repro"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/match"
+	"repro/internal/metagraph"
 	"repro/internal/mining"
 )
 
@@ -104,6 +110,51 @@ func TestLifecycleIndexGolden(t *testing.T) {
 		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor))
 	ix := index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
 	checkGolden(t, "lifecycle", ix, lifecycleIndexContent)
+}
+
+// paperShapeIndexContent describes the index a paper-shape engine serves:
+// 600 LinkedIn users (noise 0.05, seed 1) mined at the paper's MaxNodes 5
+// with MinSupport 5, trained on college from 100 examples with one restart
+// of at most 60 iterations, so that it holds the rows of the metagraphs its
+// w* weighs. paperShapeWeights is the SHA-256 of that w*, dense over M, as
+// little-endian float64 bits. Both were recorded while Engine.Train still
+// matched every mined metagraph on the whole graph before it learned.
+const (
+	paperShapeIndexContent = "5a689b9ae34def3dc522e960ca04d5b88d51e0aac22f79c7ce3f990e7ca200ad"
+	paperShapeWeights      = "0f87c2c02da0d8e032849bd1b88c7cbfc329e24e407daaaf7d308a5bca26a685"
+)
+
+// TestPaperShapeIndexGolden pins the paper-size metagraph set: the w* an
+// engine learns at MaxNodes 5, and the index that w* makes it hold, built
+// here from a full match of the metagraphs it weighs.
+func TestPaperShapeIndexGolden(t *testing.T) {
+	ds := dataset.LinkedIn(dataset.Config{Users: 600, Seed: 1, NoiseRate: 0.05})
+	opts := semprox.DefaultOptions()
+	opts.Mining = mining.Options{MaxNodes: 5, MinSupport: 5}
+	opts.Train.Restarts, opts.Train.MaxIters = 1, 60
+	eng, err := semprox.NewEngine(ds.G, "user", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := ds.Classes["college"]
+	eng.Train("college", semprox.MakeExamples(labels, labels.Queries(), ds.Users(), 100, 1))
+	w := eng.Weights("college")
+	h := sha256.New()
+	var weighed []int
+	var ms []*metagraph.Metagraph
+	for i, wi := range w {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(wi)))
+		if wi != 0 {
+			weighed = append(weighed, i)
+			ms = append(ms, eng.Metagraphs()[i])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != paperShapeWeights {
+		t.Errorf("paper-shape weights %v hash to %s, want %s", w, got, paperShapeWeights)
+	}
+	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
+	ix := index.NewBuilder(len(w)).Build().AddParts(weighed, parts)
+	checkGolden(t, "paper-shape", ix, paperShapeIndexContent)
 }
 
 // checkGolden holds ix to its content digest.
