@@ -97,10 +97,14 @@ cover:
 # LoadEngine — the restart-to-serving path — at the 5 000-user
 # read_direct and the 600-user, MaxNodes-4 lifecycle shape, each with its
 # snapshot_bytes), the merge of the read_direct engine's three matched
-# parts into its one index, the offline
+# parts into its one index (what adding all three costs; Train adds only
+# the one its w* weighs), one Engine.Train on a fresh read_direct and
+# lifecycle engine (the rooted count of every metagraph at the example
+# nodes, learning, the full match of what w* weighs and the adjacency
+# build; the MaxNodes-5 paper shape stays out), the offline
 # build of that engine's index, of lifecycle's and of lifecycle's at 2 000
 # users on one worker (instances counted, pair keys sorted, bytes and
-# allocations reported), one update
+# allocations reported; paper_2000 stays out), one update
 # on the highest-degree node of a LinkedIn-shaped graph, the ranked scan
 # (warm on a small index; `uniform`: seeded random anchors on the 5 000-user
 # index under its learned w*, which is what a daemon pays; `dense`: the
@@ -119,6 +123,7 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .

@@ -286,14 +286,15 @@ func (e *Engine) publish(ep *epoch) {
 
 // install is the one way a class enters an epoch: it returns the epoch that
 // follows ep when training has grown the index to ix (matched) and produced
-// the named class. It matches what the class weighs that ix does not hold
-// yet — nothing after Train, which matched everything — cuts every class's
-// kept set to the coordinates it weighs, and drops the rows and matched bits
-// of every metagraph no class weighs, in the same step: a zero weight adds
-// an exact +0 to every score, so the epoch answers as if it held them. The
-// other classes carry over; when the index changed their denominators are
-// dropped for publish to derive again, because newly matched rows can name
-// nodes the old ones did not. Callers hold e.mu and publish the result.
+// the named class. It matches in full what the class weighs that ix does not
+// hold yet — after Train, which matched nothing, all of that; after
+// TrainDualStage, whatever its stages left out — cuts every class's kept set
+// to the coordinates it weighs, and drops the rows and matched bits of every
+// metagraph no class weighs, in the same step: a zero weight adds an exact
+// +0 to every score, so the epoch answers as if it held them. The other
+// classes carry over; when the index changed their denominators are dropped
+// for publish to derive again, because newly matched rows can name nodes the
+// old ones did not. Callers hold e.mu and publish the result.
 func (e *Engine) install(ep *epoch, ix *index.Index, matched []bool, name string, cm *classModel) *epoch {
 	cm = cm.weighed()
 	ix, matched = e.matchMissing(ep.g, ix, matched, cm.kept)
@@ -341,22 +342,34 @@ func (cm *classModel) weighed() *classModel {
 	return &classModel{kept: kept, model: &model, w: cm.w, dots: cm.dots}
 }
 
-// Train learns the weight vector of the named class over ALL metagraphs,
-// matching the ones the epoch does not hold in parallel (Options.Workers);
-// the trained class then keeps only the metagraphs it weighs (see install).
-// Queries keep serving the previous epoch until the trained class is
-// swapped in.
+// Train learns the weight vector of the named class over all of M from the
+// rows its examples name (core.TrainKeys): the epoch's own rows for the
+// metagraphs it holds, and for every other metagraph a rooted count at the
+// example nodes alone (index.RootedParts, fanned out over
+// Options.Workers). install then matches in full only what the class
+// weighs. Queries keep serving the previous epoch until the trained class
+// is swapped in.
 func (e *Engine) Train(class string, examples []Example) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ep := e.cur.Load()
+	keys := core.TrainKeys(examples)
+	var missing []int
+	var ms []*metagraph.Metagraph
+	for i, ok := range ep.matched {
+		if !ok {
+			missing = append(missing, i)
+			ms = append(ms, e.ms[i])
+		}
+	}
+	parts := index.RootedParts(ms, func() *match.SymISO { return match.NewSymISO(ep.g) }, e.opts.Workers, keys)
+	rows := ep.ix.Select(keys).AddParts(missing, parts).Transform(e.opts.countTransform())
 	all := make([]int, len(e.ms))
 	for i := range all {
 		all[i] = i
 	}
-	ix, matched := e.matchMissing(ep.g, ep.ix, ep.matched, all)
-	cm := newClass(len(e.ms), all, core.Train(ix, examples, e.opts.Train))
-	e.publish(e.install(ep, ix, matched, class, cm))
+	cm := newClass(len(e.ms), all, core.Train(rows, examples, e.opts.Train))
+	e.publish(e.install(ep, ep.ix, ep.matched, class, cm))
 }
 
 // TrainDualStage learns the class with dual-stage training (Alg. 1):

@@ -151,7 +151,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 			w[i] = 0.2 + rng.Float64()
 		}
 		grad := make([]float64, len(w))
-		gradient(ix, w, examples, mu, grad)
+		gradient(gather(ix, examples), w, mu, grad)
 		const h = 1e-6
 		for i := range w {
 			wp := append([]float64(nil), w...)

@@ -120,7 +120,7 @@ func TestQuickGradientRandomGraphs(t *testing.T) {
 			w[i] = 0.2 + rng.Float64()
 		}
 		grad := make([]float64, len(w))
-		gradient(ix, w, ex, 5, grad)
+		gradient(gather(ix, ex), w, 5, grad)
 		const h = 1e-6
 		for i := range w {
 			wp := append([]float64(nil), w...)
@@ -161,7 +161,7 @@ func TestQuickAscentMonotoneEndToEnd(t *testing.T) {
 			w[i] = 0.1 + 0.9*rng.Float64()
 		}
 		start := LogLikelihood(ix, w, ex, opts.Mu)
-		end, iters := ascend(ix, ex, w, opts)
+		end, iters := ascend(gather(ix, ex), w, opts)
 		if iters < 0 {
 			return false
 		}

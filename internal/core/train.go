@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/index"
@@ -53,14 +54,69 @@ type Model struct {
 	Iterations    int // total iterations across restarts
 }
 
+// TrainKeys names every row Train reads of its index: m_q, m_x and m_y of
+// each example, and m_qx and m_qy where the two nodes differ (π(q, q) is 1
+// and reads nothing). An index holding only these rows, over the same
+// metagraphs, trains to the same model bit for bit.
+func TrainKeys(examples []Example) index.Keys {
+	nodes := make([]graph.NodeID, 0, 3*len(examples))
+	pairs := make([]index.PairKey, 0, 2*len(examples))
+	for _, ex := range examples {
+		nodes = append(nodes, ex.Q, ex.X, ex.Y)
+		for _, o := range []graph.NodeID{ex.X, ex.Y} {
+			if o != ex.Q {
+				pairs = append(pairs, index.MakePairKey(ex.Q, o))
+			}
+		}
+	}
+	slices.Sort(nodes)
+	slices.Sort(pairs)
+	return index.Keys{Nodes: slices.Compact(nodes), Pairs: slices.Compact(pairs)}
+}
+
+// exampleRows are the rows of one example's triplet (q, x, y), read once
+// before the ascent: m_q, m_x, m_y, m_qx and m_qy, and whether x or y is q.
+type exampleRows struct {
+	q, x, y, qx, qy index.SparseVec
+	selfX, selfY    bool
+}
+
+// gather reads every example's rows out of ix.
+func gather(ix *index.Index, examples []Example) []exampleRows {
+	rows := make([]exampleRows, len(examples))
+	for i, ex := range examples {
+		rows[i] = exampleRows{
+			q: ix.NodeVec(ex.Q), x: ix.NodeVec(ex.X), y: ix.NodeVec(ex.Y),
+			qx: ix.PairVec(ex.Q, ex.X), qy: ix.PairVec(ex.Q, ex.Y),
+			selfX: ex.Q == ex.X, selfY: ex.Q == ex.Y,
+		}
+	}
+	return rows
+}
+
+// proximity is Proximity of q and another node o from their rows m_q,
+// m_o and m_qo, same arithmetic, same bits.
+func proximity(w []float64, self bool, mq, mo, mqo index.SparseVec) float64 {
+	if self {
+		return 1
+	}
+	den := mq.Dot(w) + mo.Dot(w)
+	if den <= 0 {
+		return 0
+	}
+	return 2 * mqo.Dot(w) / den
+}
+
 // Train learns w* = argmax_w L(w; Ω) by gradient ascent (Eq. 5–6) with
-// multiple random restarts, then normalizes the weights into [0, 1].
-// Examples whose nodes never occur in the index contribute a constant to L
-// and zero gradient; they are harmless.
+// multiple random restarts, then normalizes the weights into [0, 1]. It
+// reads the rows TrainKeys names and no others, each once. Examples whose
+// nodes never occur in the index contribute a constant to L and zero
+// gradient; they are harmless.
 func Train(ix *index.Index, examples []Example, opts TrainOptions) *Model {
 	if opts.Mu == 0 {
 		opts = DefaultTrain()
 	}
+	rows := gather(ix, examples)
 	n := ix.NumMeta()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
@@ -74,7 +130,7 @@ func Train(ix *index.Index, examples []Example, opts TrainOptions) *Model {
 		for i := range w {
 			w[i] = 0.1 + 0.9*rng.Float64()
 		}
-		ll, iters := ascend(ix, examples, w, opts)
+		ll, iters := ascend(rows, w, opts)
 		if ll > best.LogLikelihood {
 			best.W = w
 			best.LogLikelihood = ll
@@ -84,7 +140,7 @@ func Train(ix *index.Index, examples []Example, opts TrainOptions) *Model {
 	NormalizeWeights(best.W)
 	// Recompute L at the normalized weights (identical by scale-invariance,
 	// but report the exact value the model carries).
-	best.LogLikelihood = LogLikelihood(ix, best.W, examples, opts.Mu)
+	best.LogLikelihood = logLikelihood(rows, best.W, opts.Mu)
 	return best
 }
 
@@ -93,14 +149,14 @@ func Train(ix *index.Index, examples []Example, opts TrainOptions) *Model {
 // step whenever it would decrease L: with the non-negativity clamp a fixed
 // step can overshoot a ridge into an all-zero dead corner, and monotone
 // ascent rules that out.
-func ascend(ix *index.Index, examples []Example, w []float64, opts TrainOptions) (float64, int) {
+func ascend(rows []exampleRows, w []float64, opts TrainOptions) (float64, int) {
 	gamma := opts.LearningRate
-	prevLL := LogLikelihood(ix, w, examples, opts.Mu)
+	prevLL := logLikelihood(rows, w, opts.Mu)
 	grad := make([]float64, len(w))
 	cand := make([]float64, len(w))
 	it := 0
 	for ; it < opts.MaxIters; it++ {
-		gradient(ix, w, examples, opts.Mu, grad)
+		gradient(rows, w, opts.Mu, grad)
 
 		step := gamma
 		ll := math.Inf(-1)
@@ -111,7 +167,7 @@ func ascend(ix *index.Index, examples []Example, w []float64, opts TrainOptions)
 					cand[i] = 0 // non-negativity constraint of Def. 3
 				}
 			}
-			ll = LogLikelihood(ix, cand, examples, opts.Mu)
+			ll = logLikelihood(rows, cand, opts.Mu)
 			if ll >= prevLL {
 				break
 			}
@@ -152,9 +208,15 @@ func ascend(ix *index.Index, examples []Example, w []float64, opts TrainOptions)
 // Eq. 4. The mean normalization matches gradient (the maximizer is the
 // same; step sizes become |Ω|-independent).
 func LogLikelihood(ix *index.Index, w []float64, examples []Example, mu float64) float64 {
+	return logLikelihood(gather(ix, examples), w, mu)
+}
+
+// logLikelihood is LogLikelihood over gathered rows.
+func logLikelihood(rows []exampleRows, w []float64, mu float64) float64 {
 	var ll float64
-	for _, ex := range examples {
-		d := Proximity(ix, w, ex.Q, ex.X) - Proximity(ix, w, ex.Q, ex.Y)
+	for i := range rows {
+		r := &rows[i]
+		d := proximity(w, r.selfX, r.q, r.x, r.qx) - proximity(w, r.selfY, r.q, r.y, r.qy)
 		// log sigmoid(µd) computed stably.
 		z := mu * d
 		if z > 0 {
@@ -163,8 +225,8 @@ func LogLikelihood(ix *index.Index, w []float64, examples []Example, mu float64)
 			ll += z - math.Log1p(math.Exp(z))
 		}
 	}
-	if len(examples) > 0 {
-		ll /= float64(len(examples))
+	if len(rows) > 0 {
+		ll /= float64(len(rows))
 	}
 	return ll
 }
@@ -179,38 +241,37 @@ func LogLikelihood(ix *index.Index, w []float64, examples []Example, mu float64)
 // independent of |Ω|, so the paper's γ=10 behaves identically at 10 and at
 // 1000 examples (scale-invariance of π makes the two parameterizations
 // equivalent up to the learning-rate schedule).
-func gradient(ix *index.Index, w []float64, examples []Example, mu float64, grad []float64) {
+func gradient(rows []exampleRows, w []float64, mu float64, grad []float64) {
 	for i := range grad {
 		grad[i] = 0
 	}
-	for _, ex := range examples {
-		px := Proximity(ix, w, ex.Q, ex.X)
-		py := Proximity(ix, w, ex.Q, ex.Y)
+	for i := range rows {
+		r := &rows[i]
+		px := proximity(w, r.selfX, r.q, r.x, r.qx)
+		py := proximity(w, r.selfY, r.q, r.y, r.qy)
 		// µ(1 − P(q,x,y;w))
 		p := sigmoid(mu * (px - py))
 		c := mu * (1 - p)
 		if c == 0 {
 			continue
 		}
-		addPairGrad(ix, w, ex.Q, ex.X, c, grad)
-		addPairGrad(ix, w, ex.Q, ex.Y, -c, grad)
+		addPairGrad(w, r.selfX, r.q, r.x, r.qx, c, grad)
+		addPairGrad(w, r.selfY, r.q, r.y, r.qy, -c, grad)
 	}
-	if n := float64(len(examples)); n > 0 {
+	if n := float64(len(rows)); n > 0 {
 		for i := range grad {
 			grad[i] /= n
 		}
 	}
 }
 
-// addPairGrad accumulates c · ∂π(v,u)/∂w into grad, exploiting sparsity:
-// only coordinates present in m_vu, m_v or m_u are touched.
-func addPairGrad(ix *index.Index, w []float64, v, u graph.NodeID, c float64, grad []float64) {
-	if v == u {
+// addPairGrad accumulates c · ∂π(v,u)/∂w into grad from the rows m_v, m_u
+// and m_vu, exploiting sparsity: only coordinates present in m_vu, m_v or
+// m_u are touched. self says v == u.
+func addPairGrad(w []float64, self bool, mv, mu, mvu index.SparseVec, c float64, grad []float64) {
+	if self {
 		return // π(x,x) is constant 1
 	}
-	mv := ix.NodeVec(v)
-	mu := ix.NodeVec(u)
-	mvu := ix.PairVec(v, u)
 	den := mv.Dot(w) + mu.Dot(w)
 	if den <= 0 {
 		return

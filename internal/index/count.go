@@ -275,6 +275,9 @@ func runs(plain []uint64, weighed []weighted, mi int32, key func(uint64) PairKey
 // appendRun appends the row of key k, n instances of metagraph mi,
 // refusing a count an Entry cannot hold.
 func (c *csr[K]) appendRun(k K, mi int32, n uint64) {
+	if len(c.off) == 0 {
+		c.off = append(c.off, 0)
+	}
 	c.keys = append(c.keys, k)
 	c.ent = append(c.ent, Entry{mi, count32(n, mi, k)})
 	c.off = append(c.off, int32(len(c.ent)))

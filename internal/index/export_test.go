@@ -46,3 +46,8 @@ func ContentDigest(ix *Index) string {
 	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// RaceEnabled tells the external tests that the race detector is on: it
+// slows matching about tenfold, and the MaxNodes-5 shapes skip themselves
+// under it.
+const RaceEnabled = raceEnabled

@@ -38,39 +38,49 @@ func MatchParts(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, work
 	}
 	parts := make([]*Index, len(ms))
 	times := make([]time.Duration, len(ms))
-	workers = Workers(workers)
-	if workers > len(ms) {
-		workers = len(ms)
-	}
-	if workers <= 1 {
+	fanOut(len(ms), workers, func() func(int) {
 		matcher, sc := newMatcher(), &counter{}
-		for i, m := range ms {
+		return func(i int) {
 			t0 := time.Now()
-			parts[i] = sc.part(m, matcher)
+			parts[i] = sc.part(ms[i], matcher)
 			times[i] = time.Since(t0)
 		}
-		return parts, times
+	})
+	return parts, times
+}
+
+// fanOut calls job(i) for every i < n on min(n, Workers(workers))
+// goroutines, each job the one newWorker returned for its goroutine, so
+// that a worker's state is its own. One worker runs on the caller's
+// goroutine.
+func fanOut(n, workers int, newWorker func() func(int)) {
+	workers = min(Workers(workers), n)
+	if workers <= 1 {
+		if n > 0 {
+			job := newWorker()
+			for i := range n {
+				job(i)
+			}
+		}
+		return
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		matcher, sc := newMatcher(), &counter{}
+		job := newWorker()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				t0 := time.Now()
-				parts[i] = sc.part(ms[i], matcher)
-				times[i] = time.Since(t0)
+				job(i)
 			}
 		}()
 	}
-	for i := range ms {
+	for i := range n {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return parts, times
 }
 
 // counters holds the scratch matchOne counts with. An update re-matches

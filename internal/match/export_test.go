@@ -104,3 +104,9 @@ func (b bruteForce) Match(m *metagraph.Metagraph, visit Visitor) {
 	}
 	place(0)
 }
+
+// RootedInstances is Rooted.Sets with every set expanded, as Instances
+// expands InstanceSets.
+func RootedInstances(r *Rooted, v graph.NodeID, visit Visitor) {
+	r.Sets(v, func(s Set) bool { return s.each(visit) })
+}

@@ -71,14 +71,22 @@ func (s *GraphStats) extensionFactor(tFrom, tNew graph.TypeID) float64 {
 // considered last with their full type count as the factor, which only
 // matters for patterns whose prefix disconnects, and keeps the order total).
 func EstimateOrder(s *GraphStats, m *metagraph.Metagraph) []int {
+	return estimateOrder(s, m, -1)
+}
+
+// estimateOrder is EstimateOrder starting at node first, or at the rarest
+// type's node when first is -1.
+func estimateOrder(s *GraphStats, m *metagraph.Metagraph, first int) []int {
 	n := m.N()
 	order := make([]int, 0, n)
 	placed := make([]bool, n)
 
-	first, bestCount := 0, math.Inf(1)
-	for i := 0; i < n; i++ {
-		if c := s.NodeCount(m.Type(i)); c < bestCount {
-			first, bestCount = i, c
+	if first < 0 {
+		bestCount := math.Inf(1)
+		for i := 0; i < n; i++ {
+			if c := s.NodeCount(m.Type(i)); c < bestCount {
+				first, bestCount = i, c
+			}
 		}
 	}
 	order = append(order, first)

@@ -54,9 +54,50 @@ func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) {
 // surviving assignments are visited in Match's order, those of a last
 // group planSteps finds interchangeable as one Set per candidate list.
 func (s *SymISO) run(m *metagraph.Metagraph, conds []metagraph.Edge, visit SetVisitor) {
-	d := metagraph.Decompose(m)
+	st := s.plan(m, metagraph.Decompose(m), conds, -1)
+	st.visit = visit
+	st.matchGroup(0)
+}
+
+// Rooted is the rooted form of InstanceSets over SymISO for one metagraph
+// and one position r of it: Sets(v) reports the instances that hold node v
+// on r, each once. Root plans the search once, and every Sets call reuses
+// the plan and its scratch, so a Rooted serves one goroutine.
+type Rooted struct {
+	st *symState
+}
+
+// Root prepares the rooted enumerations of m at position r. The search
+// places r first, pinned to the node Sets is given, and decomposes the rest
+// under the involutions that fix r (metagraph.DecomposeFixing), so that the
+// groups the full match reports as sets stay sets wherever r is not among
+// them. It checks the conditions of r's stabilizer
+// (metagraph.StabilizerConditions): of the assignments of one instance that
+// place v on r, exactly one satisfies them.
+func (s *SymISO) Root(m *metagraph.Metagraph, r int) *Rooted {
+	return &Rooted{st: s.plan(m, metagraph.DecomposeFixing(m, r), m.StabilizerConditions(r), r)}
+}
+
+// Sets reports, through visit, every instance of the metagraph that holds
+// v on the root position, once, grouped into sets as InstanceSets groups
+// them; the root is never one of a set's positions. A node the graph does
+// not hold, or not of the root's type, has none.
+func (p *Rooted) Sets(v graph.NodeID, visit SetVisitor) {
+	st := p.st
+	if v < 0 || int(v) >= st.s.g.NumNodes() || st.s.g.Type(v) != st.m.Type(st.pin) {
+		return
+	}
+	st.pinned[0] = v
+	st.visit, st.stopped = visit, false
+	st.matchGroup(0)
+}
+
+// plan builds the search state of m under decomposition d and conditions
+// conds. pin is the position every candidate list of which is the one node
+// in pinned, placed first; -1 pins nothing.
+func (s *SymISO) plan(m *metagraph.Metagraph, d *metagraph.Decomposition, conds []metagraph.Edge, pin int) *symState {
 	groups := d.Groups
-	order := s.groupOrder(m, groups)
+	order := s.groupOrder(m, groups, pin)
 
 	st := &symState{
 		s:       s,
@@ -68,8 +109,8 @@ func (s *SymISO) run(m *metagraph.Metagraph, conds []metagraph.Edge, visit SetVi
 		cands:   make([][]graph.NodeID, len(order)),
 		assign:  make([]graph.NodeID, m.N()),
 		used:    make([]bool, s.g.NumNodes()),
-		visit:   visit,
 		repWalk: make([][]int, len(groups)),
+		pin:     pin,
 	}
 	for i := range st.assign {
 		st.assign[i] = graph.InvalidNode
@@ -110,7 +151,7 @@ func (s *SymISO) run(m *metagraph.Metagraph, conds []metagraph.Edge, visit SetVi
 		}
 	}
 	st.planSteps(conds)
-	st.matchGroup(0)
+	return st
 }
 
 // planSteps numbers the placements of the search and files each condition
@@ -209,8 +250,9 @@ func (st *symState) holds(s *symStep) bool {
 // groupOrder orders groups by the first appearance of any of their nodes
 // in the node-level estimate order ("when a node of a component S is
 // chosen, we select S as the next component"), or randomly (but
-// connectivity-respecting) for SymISO-R.
-func (s *SymISO) groupOrder(m *metagraph.Metagraph, groups []metagraph.Group) []int {
+// connectivity-respecting) for SymISO-R. The estimate order starts at node
+// start when it is not -1.
+func (s *SymISO) groupOrder(m *metagraph.Metagraph, groups []metagraph.Group, start int) []int {
 	idx := make([]int, len(groups))
 	for i := range idx {
 		idx[i] = i
@@ -219,7 +261,7 @@ func (s *SymISO) groupOrder(m *metagraph.Metagraph, groups []metagraph.Group) []
 		s.rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		return connectGroups(m, groups, idx)
 	}
-	nodeOrder := EstimateOrder(s.stats, m)
+	nodeOrder := estimateOrder(s.stats, m, start)
 	pos := make([]int, m.N())
 	for p, v := range nodeOrder {
 		pos[v] = p
@@ -326,6 +368,11 @@ type symState struct {
 	used    []bool
 	visit   SetVisitor
 	stopped bool
+
+	// pin is the position whose one candidate is pinned[0] (see Root), -1
+	// when nothing is pinned.
+	pin    int
+	pinned [1]graph.NodeID
 }
 
 func (st *symState) matchGroup(k int) {
@@ -440,9 +487,13 @@ func (st *symState) tuple(k, j, prev int) {
 }
 
 // candidatesFor returns the candidate list for a single metagraph node:
-// the typed adjacency of the cheapest assigned neighbor, or the full type
-// list if none is assigned yet.
+// the pinned node on the pinned position, else the typed adjacency of the
+// cheapest assigned neighbor, or the full type list if none is assigned
+// yet.
 func (st *symState) candidatesFor(u int) []graph.NodeID {
+	if u == st.pin {
+		return st.pinned[:]
+	}
 	pivot := graph.InvalidNode
 	bestDeg := 0
 	for _, w := range st.m.Neighbors(u) {

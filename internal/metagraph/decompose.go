@@ -66,11 +66,34 @@ func (d *Decomposition) NumComponents() int {
 // node set become representatives, and their images the sibling components.
 // Additional siblings are attached when another involution maps an existing
 // representative onto a disjoint set of still-unassigned nodes.
-func Decompose(m *Metagraph) *Decomposition {
+func Decompose(m *Metagraph) *Decomposition { return decompose(m, m.Involutions()) }
+
+// DecomposeFixing is Decompose under the involutions of m that fix node r
+// alone, so that r is a singleton component: every group's maps still come
+// from automorphisms of m that fix the nodes outside the group, r among
+// them. A rooted match, which places r first, decomposes the rest with it.
+func DecomposeFixing(m *Metagraph, r int) *Decomposition {
+	var invs []Involution
+	for _, inv := range m.Involutions() {
+		if inv.Perm[r] == r {
+			invs = append(invs, inv)
+		}
+	}
+	return decompose(m, invs)
+}
+
+// decompose partitions m's nodes into groups symmetric under invs, a set
+// of involutive automorphisms of m.
+func decompose(m *Metagraph, invs []Involution) *Decomposition {
 	n := m.N()
 	d := &Decomposition{M: m}
-	partners := m.SymmetricPartners()
-	invs := m.Involutions()
+	partners := make([]uint16, n)
+	for _, inv := range invs {
+		for _, p := range inv.Pairs {
+			partners[p.U] |= 1 << uint(p.V)
+			partners[p.V] |= 1 << uint(p.U)
+		}
+	}
 
 	assigned := make([]bool, n)
 

@@ -62,21 +62,40 @@ func (m *Metagraph) Automorphisms() [][]int {
 // a[V]". An injective assignment a satisfies every one of them iff it is
 // the lexicographically least of {a∘σ : σ ∈ Aut(m)}, so exactly one
 // assignment per instance does. The list is empty iff Aut(m) is trivial.
-//
-// The conditions walk the stabilizer chain in ascending node order: with G
-// the automorphisms fixing nodes 0..u-1, every other node v of u's G-orbit
-// gives a[u] < a[v] (a σ ∈ G moving u to v leaves a∘σ equal to a before u
-// and a[v] at u), and G shrinks to the stabilizer of u before u+1. Every
-// node of the orbit is above u, since G fixes the nodes below it.
 func (m *Metagraph) SymmetryConditions() []Edge {
-	g := m.Automorphisms()
+	return chainConditions(m.Automorphisms(), m.N())
+}
+
+// StabilizerConditions returns the symmetry-breaking conditions of the
+// automorphisms of m that fix node r: an injective assignment a satisfies
+// them iff it is the least of {a∘σ : σ ∈ Aut(m), σ(r) = r}. The
+// assignments of one instance that place a given node on r are one such
+// set, so exactly one of them satisfies the conditions. None names r.
+func (m *Metagraph) StabilizerConditions(r int) []Edge {
+	var stab [][]int
+	for _, s := range m.Automorphisms() {
+		if s[r] == r {
+			stab = append(stab, s)
+		}
+	}
+	return chainConditions(stab, m.N())
+}
+
+// chainConditions returns the conditions of the permutation group g on n
+// nodes, read as SymmetryConditions reads them. They walk the stabilizer
+// chain in ascending node order: with G the elements fixing nodes 0..u-1,
+// every other node v of u's G-orbit gives a[u] < a[v] (a σ ∈ G moving u to
+// v leaves a∘σ equal to a before u and a[v] at u), and G shrinks to the
+// stabilizer of u before u+1. Every node of the orbit is above u, since G
+// fixes the nodes below it.
+func chainConditions(g [][]int, n int) []Edge {
 	var out []Edge
-	for u := 0; u < m.N() && len(g) > 1; u++ {
+	for u := 0; u < n && len(g) > 1; u++ {
 		var orbit uint16
 		for _, s := range g {
 			orbit |= 1 << uint(s[u])
 		}
-		for v := u + 1; v < m.N(); v++ {
+		for v := u + 1; v < n; v++ {
 			if orbit&(1<<uint(v)) != 0 {
 				out = append(out, Edge{u, v})
 			}
