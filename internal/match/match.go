@@ -20,7 +20,10 @@
 // assignments are filtered by them. Where SymISO's last-placed group is
 // interchangeable one-node members, every choice of them from one
 // candidate list is an instance, and InstanceSets reports the list as one
-// set, leaving the choices to the caller to count or expand.
+// set, leaving the choices to the caller to count or expand. SymISO.Root
+// roots the same enumeration at one node: it reports the instances that
+// hold that node on a given position, each once, under the conditions of
+// the position's stabilizer.
 package match
 
 import (

@@ -93,8 +93,8 @@ func (p *Rooted) Sets(v graph.NodeID, visit SetVisitor) {
 }
 
 // plan builds the search state of m under decomposition d and conditions
-// conds. pin is the position every candidate list of which is the one node
-// in pinned, placed first; -1 pins nothing.
+// conds. pin is the position placed first, whose one candidate is
+// pinned[0]; -1 pins nothing.
 func (s *SymISO) plan(m *metagraph.Metagraph, d *metagraph.Decomposition, conds []metagraph.Edge, pin int) *symState {
 	groups := d.Groups
 	order := s.groupOrder(m, groups, pin)
