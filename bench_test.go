@@ -691,9 +691,8 @@ func snapshotBench(b *testing.B, sh *snapShape) (*Engine, []byte) {
 // BenchmarkIndexMerge measures index.Merge at the read_direct size: the
 // three single-metagraph parts of the 5 000-user engine (≈ 650 k pair rows
 // between them) into one index — the benchmark's index.build_s beyond the
-// match itself, and what an engine that holds all three pays to add them.
-// Train no longer does: it adds only the parts its w* weighs, one at
-// read_direct, which the merge returns as it is.
+// match itself. Train pays none of it: it adds only the parts its w*
+// weighs, one at read_direct, which the merge returns as it is.
 func BenchmarkIndexMerge(b *testing.B) {
 	eng, _ := snapshotBench(b, snapShapes[0])
 	g := eng.Graph()

@@ -358,11 +358,16 @@ func chiralCycle() *Metagraph {
 // {a∘σ} satisfies them, and it is the orbit's lexicographic minimum.
 func checkConditions(t *testing.T, name string, m *Metagraph) {
 	t.Helper()
-	auts, conds := m.Automorphisms(), m.SymmetryConditions()
+	checkGroupConditions(t, name, m.N(), m.Automorphisms(), m.SymmetryConditions())
+}
+
+// checkGroupConditions is checkConditions for the conditions conds of a
+// permutation group auts on n nodes and its orbits {a∘σ : σ ∈ auts}.
+func checkGroupConditions(t *testing.T, name string, n int, auts [][]int, conds []Edge) {
+	t.Helper()
 	if (len(conds) == 0) != (len(auts) == 1) {
 		t.Fatalf("%s: %d conditions for %d automorphisms", name, len(conds), len(auts))
 	}
-	n := m.N()
 	holds := func(a []int) bool {
 		for _, c := range conds {
 			if c.U >= c.V || a[c.U] >= a[c.V] {
@@ -549,6 +554,65 @@ func TestDecomposeM5(t *testing.T) {
 	// Map must send u1→u5 and u2→u6.
 	if !reflect.DeepEqual(sym.Maps[1], []int{4, 5}) {
 		t.Fatalf("map = %v", sym.Maps[1])
+	}
+}
+
+// TestStabilizerConditions: for every fixture and random metagraph of at
+// most 5 nodes (the brute force is factorial) and node r, the conditions
+// of r's stabilizer pick exactly the lex-min assignment of every orbit
+// under the automorphisms that fix r, and none of them names r.
+// DecomposeFixing makes r a singleton and still partitions the nodes: on
+// the 3-leaf star rooted at a leaf, the other two leaves form the one
+// group of two.
+func TestStabilizerConditions(t *testing.T) {
+	ms := conditionFixtures()
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 100; i++ {
+		ms[fmt.Sprint("random ", i)] = randomConnected(rng)
+	}
+	for name, m := range ms {
+		if m.N() > 5 {
+			continue
+		}
+		for r := range m.N() {
+			var stab [][]int
+			for _, s := range m.Automorphisms() {
+				if s[r] == r {
+					stab = append(stab, s)
+				}
+			}
+			conds := m.StabilizerConditions(r)
+			checkGroupConditions(t, fmt.Sprint(name, " fixing ", r), m.N(), stab, conds)
+			for _, c := range conds {
+				if c.U == r || c.V == r {
+					t.Fatalf("%s fixing %d: condition %v names it", name, r, c)
+				}
+			}
+			seen := 0
+			for _, g := range DecomposeFixing(m, r).Groups {
+				for _, c := range g.Members {
+					for _, v := range c.Nodes {
+						if v == r && len(g.Members) != 1 {
+							t.Fatalf("%s fixing %d: it sits in a group of %d", name, r, len(g.Members))
+						}
+						seen |= 1 << v
+					}
+				}
+			}
+			if seen != 1<<m.N()-1 {
+				t.Fatalf("%s fixing %d: the groups cover %b", name, r, seen)
+			}
+		}
+	}
+	star := MustNew([]graph.TypeID{tSchool, tUser, tUser, tUser}, []Edge{{0, 1}, {0, 2}, {0, 3}})
+	var pairs int
+	for _, g := range DecomposeFixing(star, 1).Groups {
+		if len(g.Members) == 2 && g.Members[0].Nodes[0] == 2 && g.Members[1].Nodes[0] == 3 {
+			pairs++
+		}
+	}
+	if pairs != 1 {
+		t.Fatalf("star rooted at a leaf: groups %+v", DecomposeFixing(star, 1).Groups)
 	}
 }
 
