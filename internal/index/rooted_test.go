@@ -15,8 +15,8 @@ import (
 	"repro/internal/mining"
 )
 
-// TestRootedRowsEqualFullMatch holds the rooted count to the full match
-// whose rows training used to read: for every metagraph mined at the
+// TestRootedRowsEqualFullMatch holds the rooted count to the full match:
+// for every metagraph mined at the
 // read_direct, lifecycle and paper (600 users, MaxNodes 5) shapes, seeds
 // 1–3, the rows RootedParts counts at an example set's keys are the rows
 // MatchParts' part of that metagraph holds there. The examples are

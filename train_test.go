@@ -12,11 +12,10 @@ import (
 	"repro/internal/mining"
 )
 
-// fullMatchTrain is Engine.Train as it was before training read only its
-// examples' rows, kept as the reference: match every metagraph the epoch
-// does not hold on the whole graph, merge the parts into the epoch's index,
-// learn on that, then install the class, which drops the rows of every
-// metagraph no class weighs.
+// fullMatchTrain is the reference Engine.Train is held to: match every
+// metagraph the epoch does not hold on the whole graph, merge the parts
+// into the epoch's index, learn on that, then install the class, which
+// drops the rows of every metagraph no class weighs.
 func fullMatchTrain(e *Engine, class string, examples []Example) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
