@@ -706,6 +706,40 @@ func BenchmarkIndexMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexCompact measures what makes a patched index servable
+// again, at both shapes: one update as the benchmark's update stream sends
+// it (a new user joining college-0) is applied to a freshly loaded engine,
+// and each iteration folds that epoch's patch overlay into flat storage
+// and readies the result for ranked reads.
+func BenchmarkIndexCompact(b *testing.B) {
+	for _, sh := range snapShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			_, snap := snapshotBench(b, sh)
+			eng, err := LoadEngine(bytes.NewReader(snap))
+			if err != nil {
+				b.Fatal(err)
+			}
+			fresh := NodeID(eng.Graph().NumNodes())
+			if _, err := eng.ApplyUpdate(Delta{
+				Nodes: []DeltaNode{{Type: "user", Value: "bench-user"}},
+				Edges: []Edge{{U: fresh, V: eng.Graph().NodeByName("college-0")}},
+			}); err != nil {
+				b.Fatal(err)
+			}
+			patched := eng.cur.Load().ix
+			if !patched.Pending() {
+				b.Fatal("the update left no patch to compact")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix := patched.Compact()
+				ix.BuildAdjacency()
+			}
+		})
+	}
+}
+
 // BenchmarkSnapshotSave measures Engine.Save into memory at both shapes:
 // the codec alone, no disk. snapshot_bytes is the size it writes.
 func BenchmarkSnapshotSave(b *testing.B) {

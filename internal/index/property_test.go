@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"sync"
 	"testing"
 
 	semprox "repro"
@@ -88,11 +89,19 @@ const readDirectIndexContent = "e45a2fc8da79d540b683c354f04bd95a9421ce6bf8b5fb10
 // TestReadDirectIndexGolden pins a full-size offline build: however the
 // Builder counts instances, the index it freezes is the same.
 func TestReadDirectIndexGolden(t *testing.T) {
-	ds := dataset.LinkedIn(dataset.Config{Users: 5000, Seed: 1, NoiseRate: 0.05})
+	checkGolden(t, "read_direct", readDirectIndex(), readDirectIndexContent)
+}
+
+// readDirectIndex builds the read_direct index once per test binary.
+var readDirectIndex = sync.OnceValue(func() *index.Index { return minedIndex(5000, 3) })
+
+// minedIndex is the full offline build over the LinkedIn graph of the
+// given size (noise 0.05, seed 1) mined at maxNodes with MinSupport 5.
+func minedIndex(users, maxNodes int) *index.Index {
+	ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 1, NoiseRate: 0.05})
 	ms := mining.Metagraphs(mining.ProximityFilter(
-		mining.Mine(ds.G, mining.Options{MaxNodes: 3, MinSupport: 5}), ds.Anchor))
-	ix := index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
-	checkGolden(t, "read_direct", ix, readDirectIndexContent)
+		mining.Mine(ds.G, mining.Options{MaxNodes: maxNodes, MinSupport: 5}), ds.Anchor))
+	return index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
 }
 
 // lifecycleIndexContent describes the lifecycle index (600 LinkedIn users,
@@ -105,12 +114,11 @@ const lifecycleIndexContent = "2fa4d8e94967ddde820beb89c9dd0d5c24e0a202f1a22bbd0
 // stars (|Aut| = 6) next to the |Aut| = 2 patterns read_direct covers:
 // however instances are de-duplicated and counted, the index is the same.
 func TestLifecycleIndexGolden(t *testing.T) {
-	ds := dataset.LinkedIn(dataset.Config{Users: 600, Seed: 1, NoiseRate: 0.05})
-	ms := mining.Metagraphs(mining.ProximityFilter(
-		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor))
-	ix := index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
-	checkGolden(t, "lifecycle", ix, lifecycleIndexContent)
+	checkGolden(t, "lifecycle", lifecycleIndex(), lifecycleIndexContent)
 }
+
+// lifecycleIndex builds the lifecycle index once per test binary.
+var lifecycleIndex = sync.OnceValue(func() *index.Index { return minedIndex(600, 4) })
 
 // paperShapeIndexContent describes the index a paper-shape engine serves:
 // 600 LinkedIn users (noise 0.05, seed 1) mined at the paper's MaxNodes 5
@@ -128,33 +136,71 @@ const (
 // engine learns at MaxNodes 5, and the index that w* makes it hold, built
 // here from a full match of the metagraphs it weighs.
 func TestPaperShapeIndexGolden(t *testing.T) {
+	w, ix := paperShapeIndex()
+	h := sha256.New()
+	for _, wi := range w {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(wi)))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != paperShapeWeights {
+		t.Errorf("paper-shape weights %v hash to %s, want %s", w, got, paperShapeWeights)
+	}
+	checkGolden(t, "paper-shape", ix, paperShapeIndexContent)
+}
+
+// paperShapeIndex trains the paper-shape engine once per test binary and
+// returns its w* and the index of a full match of what w* weighs.
+var paperShapeIndex = sync.OnceValues(func() ([]float64, *index.Index) {
 	ds := dataset.LinkedIn(dataset.Config{Users: 600, Seed: 1, NoiseRate: 0.05})
 	opts := semprox.DefaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 5, MinSupport: 5}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 60
 	eng, err := semprox.NewEngine(ds.G, "user", opts)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	labels := ds.Classes["college"]
 	eng.Train("college", semprox.MakeExamples(labels, labels.Queries(), ds.Users(), 100, 1))
 	w := eng.Weights("college")
-	h := sha256.New()
 	var weighed []int
 	var ms []*metagraph.Metagraph
 	for i, wi := range w {
-		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(wi)))
 		if wi != 0 {
 			weighed = append(weighed, i)
 			ms = append(ms, eng.Metagraphs()[i])
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != paperShapeWeights {
-		t.Errorf("paper-shape weights %v hash to %s, want %s", w, got, paperShapeWeights)
-	}
 	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
-	ix := index.NewBuilder(len(w)).Build().AddParts(weighed, parts)
-	checkGolden(t, "paper-shape", ix, paperShapeIndexContent)
+	return w, index.NewBuilder(len(w)).Build().AddParts(weighed, parts)
+})
+
+// The wire digests below are the SHA-256 of index.Write of the three
+// indexes above. The content goldens pin the rows; these pin the stream
+// the codec writes from them, so a change to how the index is laid out in
+// memory that shifts a byte of a snapshot fails here.
+const (
+	readDirectIndexWire = "9625ced00c81f3062f038d5b18e512633f953f7411fe9c42704b2736fa1d3953"
+	lifecycleIndexWire  = "a76de9adfa389fffb7b1ca3b5b47451441cf36d134131db659bf6577029abe50"
+	paperShapeIndexWire = "894cb59620f0bbbf89e0bb7330e0279da5aea5603fe0065cb2d0e511d883d108"
+)
+
+// TestIndexWireGolden pins the index.Write bytes of the read_direct,
+// lifecycle and paper-shape indexes.
+func TestIndexWireGolden(t *testing.T) {
+	_, paper := paperShapeIndex()
+	for _, c := range []struct {
+		name string
+		ix   *index.Index
+		want string
+	}{
+		{"read_direct", readDirectIndex(), readDirectIndexWire},
+		{"lifecycle", lifecycleIndex(), lifecycleIndexWire},
+		{"paper-shape", paper, paperShapeIndexWire},
+	} {
+		sum := sha256.Sum256(serialize(t, c.ix))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s index writes bytes hashing to %s, want %s", c.name, got, c.want)
+		}
+	}
 }
 
 // checkGolden holds ix to its content digest.

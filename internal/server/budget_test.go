@@ -33,6 +33,11 @@ const serveQueryAllocBudget = 24
 // reason.
 const serveBatchAllocBudget = 41
 
+// serveProximityAllocBudget is the same ceiling for one POST
+// /v1/proximity of a pair that shares instances. Measured 20; raise it only
+// with a reason.
+const serveProximityAllocBudget = 20
+
 // newServeFixture returns a builder (run at most once) of an engine over a
 // LinkedIn-shaped graph of the given size — one class, MaxNodes 3, the
 // benchmark's read_direct set-up at 5 000 — and the names of the users
@@ -81,9 +86,12 @@ func (*replayBody) Close() error { return nil }
 
 // postRequest returns a POST /v1/query and the rewind to call before
 // each serve.
-func postRequest(body string) (*http.Request, func()) {
+func postRequest(body string) (*http.Request, func()) { return postTo(api.PathQuery, body) }
+
+// postTo is postRequest to the given path.
+func postTo(path, body string) (*http.Request, func()) {
 	rb := &replayBody{*strings.NewReader(body)}
-	req := httptest.NewRequest(http.MethodPost, api.PathQuery, nil)
+	req := httptest.NewRequest(http.MethodPost, path, nil)
 	req.Body = rb
 	req.Header.Set("Content-Type", "application/json")
 	return req, func() { rb.Reset(body) }
@@ -101,31 +109,41 @@ func loggedServer(eng *semprox.Engine, logOn bool) *Server {
 }
 
 // TestServeAllocBudget extends TestRankAllocBudget's discipline to the
-// server shell around the scan: one query, and one batch of 8, which must
-// not pay for the error path of a query that resolves.
+// server shell around the scan: one query, one batch of 8, which must not
+// pay for the error path of a query that resolves, and one proximity of a
+// query user and its best-ranked partner, whose m_xy the engine reads by
+// key.
 func TestServeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the detector's, not the server's")
 	}
 	eng, names := serveFixture(t)
 	s := loggedServer(eng, true)
+	best, err := eng.Query("college", eng.Graph().NodeByName(names[0]), 1)
+	if err != nil || len(best) != 1 {
+		t.Fatalf("best partner of %s: %v, %v", names[0], best, err)
+	}
+	partner := eng.Graph().Name(best[0].Node)
 	for _, tc := range []struct {
 		name    string
+		path    string
 		body    string
+		marker  string
 		results int
 		budget  int
 	}{
-		{"k=10 query", `{"class":"college","query":"` + names[0] + `","k":10}`, 10, serveQueryAllocBudget},
-		{"batch of 8", `{"class":"college","queries":["` + strings.Join(names[:8], `","`) + `"],"k":10}`, 80, serveBatchAllocBudget},
+		{"k=10 query", api.PathQuery, `{"class":"college","query":"` + names[0] + `","k":10}`, `{"node":`, 10, serveQueryAllocBudget},
+		{"batch of 8", api.PathQuery, `{"class":"college","queries":["` + strings.Join(names[:8], `","`) + `"],"k":10}`, `{"node":`, 80, serveBatchAllocBudget},
+		{"proximity", api.PathProximity, `{"class":"college","x":"` + names[0] + `","y":"` + partner + `"}`, `"proximity":0.`, 1, serveProximityAllocBudget},
 	} {
-		req, rewind := postRequest(tc.body)
+		req, rewind := postTo(tc.path, tc.body)
 		var rec *httptest.ResponseRecorder
 		allocs := testing.AllocsPerRun(200, func() {
 			rewind()
 			rec = httptest.NewRecorder()
 			s.ServeHTTP(rec, req)
 		})
-		if rec.Code != http.StatusOK || strings.Count(rec.Body.String(), `{"node":`) != tc.results {
+		if rec.Code != http.StatusOK || strings.Count(rec.Body.String(), tc.marker) != tc.results {
 			t.Fatalf("%s: status %d, body %s", tc.name, rec.Code, rec.Body)
 		}
 		t.Logf("ServeHTTP(%s, request log on): %.0f allocs", tc.name, allocs)
