@@ -98,7 +98,8 @@ cover:
 # read_direct and the 600-user, MaxNodes-4 lifecycle shape, each with its
 # snapshot_bytes), the merge of the read_direct engine's three matched
 # parts into its one index (what adding all three costs; Train adds only
-# the one its w* weighs), one Engine.Train on a fresh read_direct and
+# the one its w* weighs), the fold of one update's patch into the
+# read_direct engine's index (what makes it servable again), one Engine.Train on a fresh read_direct and
 # lifecycle engine (the rooted count of every metagraph at the example
 # nodes, learning, the full match of what w* weighs and the adjacency
 # build; the MaxNodes-5 paper shape stays out), the offline
@@ -123,6 +124,7 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIndexCompact/read_direct$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
