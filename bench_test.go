@@ -296,7 +296,6 @@ func BenchmarkOnlineQuery(b *testing.B) {
 func BenchmarkRankTop(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		g, ix := benchIndex(b)
-		ix.BuildAdjacency()
 		w := core.UniformWeights(ix.NumMeta())
 		users := g.NodesOfType(g.Types().ID("user"))
 		b.ReportAllocs()
@@ -709,8 +708,9 @@ func BenchmarkIndexMerge(b *testing.B) {
 // BenchmarkIndexCompact measures what makes a patched index servable
 // again, at both shapes: one update as the benchmark's update stream sends
 // it (a new user joining college-0) is applied to a freshly loaded engine,
-// and each iteration folds that epoch's patch overlay into flat storage
-// and readies the result for ranked reads.
+// and each iteration folds that epoch's patch overlay into flat storage —
+// the node rows merged, the replacement runs spliced into the flat ones —
+// which leaves the result ready for ranked reads.
 func BenchmarkIndexCompact(b *testing.B) {
 	for _, sh := range snapShapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -733,8 +733,7 @@ func BenchmarkIndexCompact(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix := patched.Compact()
-				ix.BuildAdjacency()
+				patched.Compact()
 			}
 		})
 	}

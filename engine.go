@@ -146,8 +146,8 @@ type classModel struct {
 	w []float64
 	// dots is ix.NodeDots(w) on the epoch's index: m_v·w by node id, the
 	// half of every candidate's denominator a query does not change. Derived
-	// like the adjacency — publish fills it in, an update carries it, no
-	// snapshot holds it.
+	// on the writer — publish fills it in, an update carries it, no snapshot
+	// holds it.
 	dots []float64
 }
 
@@ -258,12 +258,10 @@ func (ep *epoch) matchedCount() int {
 
 // publish installs the next epoch with its pending-compaction count
 // recomputed. It is the one door to readers, so it finishes the epoch
-// first: the partner adjacency a ranked read scans and the denominators it
-// adds up are derived here, on the writer (both already there when an
-// update carried them over), and no reader of a published epoch ever builds
-// either. Callers hold e.mu.
+// first: the denominators a ranked read adds up are derived here, on the
+// writer (already there when an update carried them over), and no reader
+// of a published epoch ever derives them. Callers hold e.mu.
 func (e *Engine) publish(ep *epoch) {
-	ep.ix.BuildAdjacency()
 	for _, cm := range ep.classes {
 		if cm.dots == nil {
 			cm.dots = ep.ix.NodeDots(cm.w)

@@ -26,7 +26,7 @@ func Proximity(ix *index.Index, w []float64, x, y graph.NodeID) float64 {
 	if den <= 0 {
 		return 0
 	}
-	return 2 * ix.PairVec(x, y).Dot(w) / den
+	return 2 * ix.PairDot(x, y, w) / den
 }
 
 // Ranked is one entry of a proximity ranking.

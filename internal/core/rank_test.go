@@ -199,10 +199,10 @@ func TestRankTopDegenerate(t *testing.T) {
 }
 
 // TestRankTopOnPatchedIndex runs the identity property through a patch
-// overlay: after a graph delta, the patched index (adjacency carried by
-// WithPatch, and built from nothing), its compaction and a from-scratch
-// index of the final graph all rank exactly as the naive reference does,
-// under the same weights and readings as TestRankTopMatchesNaive.
+// overlay: after a graph delta, the patched index, its compaction and a
+// from-scratch index of the final graph all rank exactly as the naive
+// reference does, under the same weights and readings as
+// TestRankTopMatchesNaive.
 func TestRankTopOnPatchedIndex(t *testing.T) {
 	mk := func(g *graph.Graph) match.Matcher { return match.NewSymISO(g) }
 	for seed := int64(1); seed <= 6; seed++ {
@@ -226,18 +226,12 @@ func TestRankTopOnPatchedIndex(t *testing.T) {
 			t.Fatalf("seed %d: delta patched nothing", seed)
 		}
 
-		carried := buildIndex(g, ms)
-		carried.BuildAdjacency()
-		carried = carried.WithPatch(patch)
-		if !carried.HasAdjacency() {
-			t.Fatalf("seed %d: WithPatch dropped a built adjacency", seed)
-		}
-		lazy := buildIndex(g, ms).WithPatch(patch)
+		patched := buildIndex(g, ms).WithPatch(patch)
 		for _, c := range []struct {
 			label string
 			ix    *index.Index
 		}{
-			{"carried", carried}, {"lazy", lazy}, {"compacted", carried.Compact()},
+			{"patched", patched}, {"compacted", patched.Compact()},
 			{"scratch", buildIndex(ng, ms)},
 		} {
 			for _, in := range scanInputs(rng, c.ix) {
@@ -263,7 +257,6 @@ func TestRankAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := denseRandomGraph(rng)
 	ix := buildIndex(g, denseMetagraphs())
-	ix.BuildAdjacency()
 	w := UniformWeights(ix.NumMeta())
 	users := g.NodesOfType(0)
 	q, v := users[0], users[1]

@@ -4,35 +4,34 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/graph"
 )
 
-// The metagraph-major partner adjacency. The online phase (Fig. 3) scores
-// every node v of Partners(q) by Def. 3, and what it reads per candidate is
-// m_qv · w. A learned w is sparse (Fig. 4), so most coordinates of m_qv add
-// an exact +0, and a partner reached through zero-weight metagraphs alone
-// scores 0 and is dropped. The adjacency therefore stores, per node q, one
-// run per metagraph m that q takes part in, in ascending metagraph order:
-// the ascending postings {v, raw count m_qv[m]} of every v with
-// m_qv[m] > 0. A ranked read walks only the runs whose weight is non-zero
-// and adds count·w[m] into an accumulator by node id (Accumulate) — the
-// term-at-a-time evaluation an inverted index uses to read only the terms a
-// query weighs, the terms being metagraphs. A dense per-node position of
-// every m_v row serves the scans that have no precomputed denominators
-// (NodeDots, Accumulator.NodeVec).
+// The partner runs: the index's one store of m_xy. The online phase
+// (Fig. 3) scores every node v of Partners(q) by Def. 3, and what it reads
+// per candidate is m_qv · w. A learned w is sparse (Fig. 4), so most
+// coordinates of m_qv add an exact +0, and a partner reached through
+// zero-weight metagraphs alone scores 0 and is dropped. The index therefore
+// stores, per node q, one run per metagraph m that q takes part in, in
+// ascending metagraph order: the ascending postings {v, raw count m_qv[m]}
+// of every v with m_qv[m] > 0. A ranked read walks only the runs whose
+// weight is non-zero and adds count·w[m] into an accumulator by node id
+// (Accumulate) — the term-at-a-time evaluation an inverted index uses to
+// read only the terms a query weighs, the terms being metagraphs. A dense
+// per-node position of every m_v row serves the scans that have no
+// precomputed denominators (NodeDots, Accumulator.NodeVec).
 //
 // The sums are bit-identical to SparseVec.Dot of each pair row: a skipped
 // term would add +0, which leaves every sum the scan can reach unchanged;
 // the others are added in ascending metagraph order, the order Dot uses;
 // and a partner with no weighted term is exactly the one Dot scores 0.
 //
-// It is derived from the tables and never persisted. Whoever publishes an
-// index to readers builds it first (BuildAdjacency); WithPatch then carries
-// it from epoch to epoch, so no reader of a published index ever pays the
-// O(pairs) build. An index nobody finished builds it on first use.
+// Each m_xy[m] is held twice, once in a run of x and once in a run of y, so
+// the runs of either endpoint answer a read of the pair (PairVec). Pair
+// rows become runs in one place (buildRuns) and runs become pair rows in
+// one place (eachPair); every other constructor lays out runs from runs.
 
 // span is the position of one m_v row in the node table: ent[lo:hi] of the
 // base arena or, when lo is negative, ent[^lo:hi] of the patch overlay's.
@@ -64,8 +63,9 @@ type posting struct {
 // adjRuns is a partner CSR dense by node id and grouped by metagraph. The
 // runs of node q are those numbered first[q] to first[q+1]-1, ascending by
 // metagraph; run r is metagraph meta[r] with the postings
-// post[off[r]:off[r+1]], ascending by node. Nodes at or beyond
-// len(first)-1 have no runs.
+// post[off[r]:off[r+1]], ascending by node, never empty. Nodes at or beyond
+// len(first)-1 have no runs, and the last node below it has some, so equal
+// runs are laid out identically however they were built.
 type adjRuns struct {
 	first []int32
 	meta  []int32
@@ -84,62 +84,30 @@ func (r *adjRuns) runs(q graph.NodeID) (lo, hi int32) {
 // postings returns the postings of run i.
 func (r *adjRuns) postings(i int32) []posting { return r.post[r.off[i]:r.off[i+1]] }
 
-// adjacency is the derived read structure of one Index.
-type adjacency struct {
-	// nodeRow[v] is the position of m_v (the empty span when v has none).
-	// It covers every node key and every pair endpoint of the index.
-	nodeRow []span
-	// flat holds the runs derived from the base pair table. Every
-	// WithPatch descendant shares it (and the base table) until Compact.
-	flat adjRuns
-	// ovl holds the complete replacement runs of the endpoints of the
-	// overlay's pair keys (all other nodes have none): the base postings of
-	// every partner the overlay does not re-pair, merged with the overlay's.
-	// A node that is no such endpoint has no shadowed pair row, so its flat
-	// runs are still exact.
-	ovl adjRuns
+// count returns the count of partner v in run i, if the run holds v.
+func (r *adjRuns) count(i int32, v graph.NodeID) (uint32, bool) {
+	post := r.postings(i)
+	j, ok := slices.BinarySearchFunc(post, v, comparePosting)
+	if !ok {
+		return 0, false
+	}
+	return post[j].count, true
 }
+
+// comparePosting orders a posting against a node id.
+func comparePosting(p posting, v graph.NodeID) int { return cmp.Compare(p.node, v) }
 
 // runsOf returns the runs that hold q's partners now: q's replacement runs
 // when it has any, its flat runs otherwise.
-func (a *adjacency) runsOf(q graph.NodeID) (rs *adjRuns, lo, hi int32) {
-	if lo, hi := a.ovl.runs(q); lo < hi {
-		return &a.ovl, lo, hi
+func (ix *Index) runsOf(q graph.NodeID) (rs *adjRuns, lo, hi int32) {
+	if lo, hi := ix.ovl.runs(q); lo < hi {
+		return &ix.ovl, lo, hi
 	}
-	lo, hi = a.flat.runs(q)
-	return &a.flat, lo, hi
+	lo, hi = ix.flat.runs(q)
+	return &ix.flat, lo, hi
 }
 
-// lazyAdjacency holds an index's adjacency once someone built it.
-type lazyAdjacency struct {
-	mu sync.Mutex // serializes builders
-	p  atomic.Pointer[adjacency]
-}
-
-// BuildAdjacency derives the partner adjacency now, so that no later read
-// has to. Writers call it on an index before handing it to readers; it is
-// idempotent and safe for concurrent use.
-func (ix *Index) BuildAdjacency() { ix.adjacency() }
-
-// HasAdjacency reports whether the adjacency is already built, that is,
-// whether ranked reads on ix are free of any set-up work.
-func (ix *Index) HasAdjacency() bool { return ix.adj.p.Load() != nil }
-
-func (ix *Index) adjacency() *adjacency {
-	if a := ix.adj.p.Load(); a != nil {
-		return a
-	}
-	ix.adj.mu.Lock()
-	defer ix.adj.mu.Unlock()
-	if a := ix.adj.p.Load(); a != nil {
-		return a
-	}
-	a := overlayAdjacency(buildRuns(&ix.mxy, ix.numMeta), ix)
-	ix.adj.p.Store(a)
-	return a
-}
-
-// buildRuns derives the runs of a pair table over numMeta metagraphs in
+// buildRuns lays out the runs of a pair table over numMeta metagraphs in
 // linear passes: a radix sort of the table's entries by metagraph, then by
 // endpoint.
 //
@@ -256,107 +224,183 @@ func buildRuns(table *csr[PairKey], numMeta int) adjRuns {
 	return rs
 }
 
-// overlayAdjacency completes the adjacency of ix from the runs of its base
-// pair table: the node rows, and the replacement runs its overlay (if any)
-// calls for. The cost is linear in the node id range (once per metagraph
-// the overlay holds) plus the runs of the overlay's endpoints — never in
-// the number of base pairs.
-func overlayAdjacency(flat adjRuns, ix *Index) *adjacency {
-	a := &adjacency{flat: flat}
-	fresh := buildRuns(&ix.ovlMxy, ix.numMeta)
+// runRef is one run to lay out: its metagraph and its postings.
+type runRef struct {
+	meta int32
+	post []posting
+}
 
-	n := max(len(flat.first), len(fresh.first)) - 1
-	for _, keys := range [][]graph.NodeID{ix.mx.keys, ix.ovlMx.keys} {
-		if len(keys) > 0 {
-			n = max(n, int(keys[len(keys)-1])+1)
+// layRuns lays out, node after node below n, the runs of(q, refs) appends
+// to refs for node q, ascending by metagraph whatever order they are listed
+// in. A first pass over the lists sizes the result exactly; the postings
+// of a list need only live until the next call of of.
+func layRuns(n int, of func(q graph.NodeID, refs []runRef) []runRef) adjRuns {
+	var refs []runRef
+	runs, posts, top := 0, 0, -1
+	for q := range graph.NodeID(max(n, 0)) {
+		if refs = of(q, refs[:0]); len(refs) > 0 {
+			top = int(q)
+		}
+		runs += len(refs)
+		for _, r := range refs {
+			posts += len(r.post)
 		}
 	}
-	if n <= 0 {
-		return a
+	if runs == 0 {
+		return adjRuns{}
 	}
-	a.nodeRow = make([]span, n)
-	for r, v := range ix.mx.keys {
-		a.nodeRow[v] = spanAt(&ix.mx, r, false)
+	out := adjRuns{
+		first: make([]int32, top+2),
+		meta:  make([]int32, 0, runs),
+		off:   make([]int32, 1, runs+1),
+		post:  make([]posting, 0, posts),
 	}
-	for r, v := range ix.ovlMx.keys {
-		a.nodeRow[v] = spanAt(&ix.ovlMx, r, true)
+	for q := range graph.NodeID(top + 1) {
+		refs = of(q, refs[:0])
+		if !slices.IsSortedFunc(refs, compareRunMeta) {
+			slices.SortFunc(refs, compareRunMeta)
+		}
+		for _, r := range refs {
+			out.meta = append(out.meta, r.meta)
+			out.post = append(out.post, r.post...)
+			out.off = append(out.off, int32(len(out.post)))
+		}
+		out.first[q+1] = int32(len(out.meta))
 	}
-	if len(fresh.first) == 0 {
-		return a
-	}
+	return out
+}
 
-	// Merge each endpoint's flat runs with its fresh ones, metagraph by
-	// metagraph: the overlay's pair row of (v, u) replaces the base's in
-	// every metagraph, so the base postings of an overlay partner u go.
-	ovl := &a.ovl
-	ovl.first = make([]int32, len(fresh.first))
-	ovl.off = []int32{0}
-	repaired := make([]bool, n)
-	mark := func(v graph.NodeID, on bool) {
-		lo, hi := fresh.runs(v)
+// compareRunMeta orders runs by metagraph.
+func compareRunMeta(a, b runRef) int { return cmp.Compare(a.meta, b.meta) }
+
+// relaid lays out the runs ix reads now, through its overlay, with every
+// metagraph m renumbered meta(m) or dropped where that is negative.
+func (ix *Index) relaid(meta func(int32) int32) adjRuns {
+	return layRuns(max(len(ix.flat.first), len(ix.ovl.first))-1, func(q graph.NodeID, refs []runRef) []runRef {
+		rs, lo, hi := ix.runsOf(q)
 		for r := lo; r < hi; r++ {
-			for _, p := range fresh.postings(r) {
-				repaired[p.node] = on
+			if m := meta(rs.meta[r]); m >= 0 {
+				refs = append(refs, runRef{m, rs.postings(r)})
 			}
 		}
+		return refs
+	})
+}
+
+// overlay returns the replacement runs of ix patched with the pair rows
+// whose runs are fresh. An endpoint v of a fresh row gets its current runs
+// (read through ix's overlay) without the postings of the partners a fresh
+// row re-pairs it with — a fresh row of (v, u) replaces the current one in
+// every metagraph — plus its fresh postings, sorted by metagraph and
+// partner. Every other node keeps the replacement runs ix gives it, if any:
+// none of its pair rows changed. The cost is linear in the node id range
+// plus the runs of the endpoints — never in the number of pairs.
+func (ix *Index) overlay(fresh adjRuns) adjRuns {
+	if len(fresh.meta) == 0 {
+		return ix.ovl
 	}
-	emit := func(m int32) {
-		if end := int32(len(ovl.post)); end > ovl.off[len(ovl.off)-1] {
-			ovl.meta = append(ovl.meta, m)
-			ovl.off = append(ovl.off, end)
-		}
+	type metaPosting struct {
+		meta int32
+		posting
 	}
-	for v := graph.NodeID(0); int(v)+1 < len(fresh.first); v++ {
+	var buf []metaPosting
+	var post []posting
+	repaired := map[graph.NodeID]bool{}
+	return layRuns(max(len(ix.ovl.first), len(fresh.first))-1, func(v graph.NodeID, refs []runRef) []runRef {
 		flo, fhi := fresh.runs(v)
-		if flo == fhi { // not an endpoint: the flat runs stand
-			ovl.first[v+1] = int32(len(ovl.meta))
-			continue
+		if flo == fhi { // not an endpoint: its runs stand
+			lo, hi := ix.ovl.runs(v)
+			for r := lo; r < hi; r++ {
+				refs = append(refs, runRef{ix.ovl.meta[r], ix.ovl.postings(r)})
+			}
+			return refs
 		}
-		mark(v, true)
-		blo, bhi := flat.runs(v)
-		for blo < bhi || flo < fhi {
-			switch {
-			case flo == fhi || (blo < bhi && flat.meta[blo] < fresh.meta[flo]):
-				for _, p := range flat.postings(blo) {
-					if !repaired[p.node] {
-						ovl.post = append(ovl.post, p)
-					}
-				}
-				emit(flat.meta[blo])
-				blo++
-			case blo == bhi || fresh.meta[flo] < flat.meta[blo]:
-				ovl.post = append(ovl.post, fresh.postings(flo)...)
-				emit(fresh.meta[flo])
-				flo++
-			default:
-				base, over := flat.postings(blo), fresh.postings(flo)
-				for len(base) > 0 || len(over) > 0 {
-					switch {
-					case len(base) > 0 && repaired[base[0].node]:
-						base = base[1:]
-					case len(over) == 0 || (len(base) > 0 && base[0].node < over[0].node):
-						ovl.post = append(ovl.post, base[0])
-						base = base[1:]
-					default:
-						ovl.post = append(ovl.post, over[0])
-						over = over[1:]
-					}
-				}
-				emit(fresh.meta[flo])
-				blo, flo = blo+1, flo+1
+		clear(repaired)
+		buf = buf[:0]
+		for r := flo; r < fhi; r++ {
+			for _, p := range fresh.postings(r) {
+				repaired[p.node] = true
+				buf = append(buf, metaPosting{fresh.meta[r], p})
 			}
 		}
-		mark(v, false)
-		ovl.first[v+1] = int32(len(ovl.meta))
+		rs, lo, hi := ix.runsOf(v)
+		for r := lo; r < hi; r++ {
+			for _, p := range rs.postings(r) {
+				if !repaired[p.node] {
+					buf = append(buf, metaPosting{rs.meta[r], p})
+				}
+			}
+		}
+		slices.SortFunc(buf, func(a, b metaPosting) int {
+			return cmp.Or(cmp.Compare(a.meta, b.meta), cmp.Compare(a.node, b.node))
+		})
+		post = slices.Grow(post[:0], len(buf))[:len(buf)]
+		start := 0
+		for i, p := range buf {
+			post[i] = p.posting
+			if i+1 == len(buf) || buf[i+1].meta != p.meta {
+				refs = append(refs, runRef{p.meta, post[start : i+1]})
+				start = i + 1
+			}
+		}
+		return refs
+	})
+}
+
+// eachPair walks the runs back out into pair rows, in key order: for each
+// node q ascending, the row of each partner v > q ascending, gathered from
+// q's runs in ascending metagraph order. A first pass over q's runs lists
+// its partners above it and counts their coordinates, a second lays the
+// coordinates out by partner, so the cost is linear in the postings plus a
+// sort of the partners of a node with several runs. The row passed to
+// yield is reused by the next call.
+func (ix *Index) eachPair(yield func(k PairKey, row []Entry)) {
+	end := make([]int32, len(ix.spans)) // per partner of q, where its row ends
+	var partners []graph.NodeID
+	var rows []Entry
+	for q := range graph.NodeID(len(ix.spans)) {
+		rs, lo, hi := ix.runsOf(q)
+		above := func(r int32) []posting {
+			post := rs.postings(r)
+			i, _ := slices.BinarySearchFunc(post, q+1, comparePosting)
+			return post[i:]
+		}
+		partners = partners[:0]
+		for r := lo; r < hi; r++ {
+			for _, p := range above(r) {
+				if end[p.node] == 0 {
+					partners = append(partners, p.node)
+				}
+				end[p.node]++
+			}
+		}
+		if hi-lo > 1 {
+			slices.Sort(partners)
+		}
+		n := int32(0)
+		for _, v := range partners {
+			n, end[v] = n+end[v], n // end[v] is now where v's row starts
+		}
+		rows = slices.Grow(rows[:0], int(n))[:n]
+		for r := lo; r < hi; r++ {
+			for _, p := range above(r) {
+				rows[end[p.node]] = Entry{rs.meta[r], p.count}
+				end[p.node]++
+			}
+		}
+		start := int32(0)
+		for _, v := range partners {
+			yield(MakePairKey(q, v), rows[start:end[v]])
+			start, end[v] = end[v], 0
+		}
 	}
-	return a
 }
 
 // Partners returns the nodes that co-occur symmetrically with x in at least
 // one instance, in ascending order: the union of x's runs. The ranked read
 // does not call it (see Accumulate); it allocates the union.
 func (ix *Index) Partners(x graph.NodeID) []graph.NodeID {
-	rs, lo, hi := ix.adjacency().runsOf(x)
+	rs, lo, hi := ix.runsOf(x)
 	if lo == hi {
 		return nil
 	}
@@ -386,10 +430,10 @@ type Accumulator struct {
 	// its stamp is gen, so a scan starts without clearing anything, and a
 	// sum that stays 0 (a negative weight, a transform reading 0) still
 	// marks its partner reached.
-	slot    []accSlot
-	gen     uint32
-	nodeRow []span
-	ix      *Index
+	slot  []accSlot
+	gen   uint32
+	spans []span
+	ix    *Index
 }
 
 // accSlot is one node's partial sum and the scan it belongs to.
@@ -405,21 +449,20 @@ var accumulators = sync.Pool{New: func() any { return new(Accumulator) }}
 // the partial sum of each posting's partner, runs in ascending metagraph
 // order. Each sum then equals the pair row's SparseVec.Dot(w) bit for bit
 // (see the note at the top of this file). The result comes from a pool and
-// is valid until Release; once the adjacency is built and the pooled
-// accumulator has grown to the index's node span, a scan allocates nothing.
+// is valid until Release; once the pooled accumulator has grown to the
+// index's node span, a scan allocates nothing.
 func (ix *Index) Accumulate(q graph.NodeID, w []float64) *Accumulator {
-	a := ix.adjacency()
 	acc := accumulators.Get().(*Accumulator)
-	if len(acc.slot) < len(a.nodeRow) {
-		acc.slot = make([]accSlot, len(a.nodeRow))
+	if len(acc.slot) < len(ix.spans) {
+		acc.slot = make([]accSlot, len(ix.spans))
 	}
 	if acc.gen++; acc.gen == 0 { // the stamps wrapped: no slot may look current
 		clear(acc.slot)
 		acc.gen = 1
 	}
-	acc.Query, acc.nodeRow, acc.ix = q, a.nodeRow, ix
+	acc.Query, acc.spans, acc.ix = q, ix.spans, ix
 	slot, touched, gen, f := acc.slot, acc.Touched[:0], acc.gen, ix.f
-	rs, lo, hi := a.runsOf(q)
+	rs, lo, hi := ix.runsOf(q)
 	for r := lo; r < hi; r++ {
 		wm := w[rs.meta[r]]
 		if wm == 0 {
@@ -448,7 +491,7 @@ func (acc *Accumulator) PairDot(v graph.NodeID) float64 { return acc.slot[v].sum
 // QueryVec returns m_q of the query node itself: the entries
 // Index.NodeVec(Query) finds by key.
 func (acc *Accumulator) QueryVec() SparseVec {
-	if acc.Query < 0 || int(acc.Query) >= len(acc.nodeRow) {
+	if acc.Query < 0 || int(acc.Query) >= len(acc.spans) {
 		return SparseVec{}
 	}
 	return acc.NodeVec(acc.Query)
@@ -457,38 +500,37 @@ func (acc *Accumulator) QueryVec() SparseVec {
 // NodeVec returns m_v of a node v below the index's NodeSpan — every
 // touched partner is: the entries Index.NodeVec(v) finds by key.
 func (acc *Accumulator) NodeVec(v graph.NodeID) SparseVec {
-	return SparseVec{acc.nodeRow[v].of(acc.ix.mx.ent, acc.ix.ovlMx.ent), acc.ix.f}
+	return SparseVec{acc.spans[v].of(acc.ix.mx.ent, acc.ix.ovlMx.ent), acc.ix.f}
 }
 
 // Release returns the accumulator to the pool. It must not be used
 // afterwards.
 func (acc *Accumulator) Release() {
-	acc.nodeRow, acc.ix = nil, nil
+	acc.spans, acc.ix = nil, nil
 	accumulators.Put(acc)
 }
 
 // NodeSpan returns the length of the node id range the index names: one
-// past the largest node key or pair endpoint.
-func (ix *Index) NodeSpan() int { return len(ix.adjacency().nodeRow) }
+// past the largest node key or partner.
+func (ix *Index) NodeSpan() int { return len(ix.spans) }
 
 // NodeDots returns m_v · w for every node id below NodeSpan, dense by id
 // (0 for a node without a row): the half of every candidate's denominator
 // that does not depend on the query. Every partner and every query node
 // with partners indexes it in range.
 func (ix *Index) NodeDots(w []float64) []float64 {
-	a := ix.adjacency()
-	dots := make([]float64, len(a.nodeRow))
-	for v, s := range a.nodeRow {
+	dots := make([]float64, len(ix.spans))
+	for v, s := range ix.spans {
 		dots[v] = SparseVec{s.of(ix.mx.ent, ix.ovlMx.ent), ix.f}.Dot(w)
 	}
 	return dots
 }
 
 // Footprint is what an index holds resident, in bytes of slice contents:
-// Tables the flat by-key node and pair tables, Adjacency the runs and
-// node-row positions derived from them (0 until built), Overlay the patch
-// overlay's tables and replacement runs — what Compact folds away.
-// OverlayRows counts the overlay's node and pair rows.
+// Tables the flat node table, Adjacency the flat runs — every m_xy — and
+// the node-row positions, Overlay the patch overlay's node rows and
+// replacement runs — what Compact folds away. OverlayRows counts the
+// overlay's node rows.
 type Footprint struct {
 	Tables, Adjacency, Overlay int64
 	OverlayRows                int
@@ -496,16 +538,12 @@ type Footprint struct {
 
 // Footprint sizes the index as it stands.
 func (ix *Index) Footprint() Footprint {
-	fp := Footprint{
-		Tables:      csrBytes(&ix.mx) + csrBytes(&ix.mxy),
-		Overlay:     csrBytes(&ix.ovlMx) + csrBytes(&ix.ovlMxy),
-		OverlayRows: len(ix.ovlMx.keys) + len(ix.ovlMxy.keys),
+	return Footprint{
+		Tables:      csrBytes(&ix.mx),
+		Adjacency:   sliceBytes(ix.spans) + ix.flat.bytes(),
+		Overlay:     csrBytes(&ix.ovlMx) + ix.ovl.bytes(),
+		OverlayRows: len(ix.ovlMx.keys),
 	}
-	if a := ix.adj.p.Load(); a != nil {
-		fp.Adjacency = sliceBytes(a.nodeRow) + a.flat.bytes()
-		fp.Overlay += a.ovl.bytes()
-	}
-	return fp
 }
 
 func sliceBytes[T any](s []T) int64 {

@@ -15,25 +15,20 @@ import (
 // node row behind every posting, then (scanEverything) each run of got, its
 // scans and its denominators with the by-key reads they replace. The two
 // may hold a run in the flat runs or in the overlay's; what a node's runs
-// resolve to is what must agree.
-func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int) {
+// resolve to is what must agree. Only a node of endpoints, the nodes the
+// patches behind got re-paired, may have replacement runs.
+func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int, endpoints map[graph.NodeID]bool) {
 	t.Helper()
-	ag, aw := got.adjacency(), want.adjacency()
 	ones := make([]float64, want.NumMeta())
 	for i := range ones {
 		ones[i] = 1
 	}
-	endpoint := map[graph.NodeID]bool{}
-	for _, k := range got.ovlMxy.keys {
-		x, y := k.Nodes()
-		endpoint[x], endpoint[y] = true, true
-	}
 	for v := graph.NodeID(-1); int(v) < numNodes+2; v++ {
-		if lo, hi := ag.ovl.runs(v); lo < hi && !endpoint[v] {
-			t.Fatalf("%s: node %d has replacement runs but no overlay pair", label, v)
+		if lo, hi := got.ovl.runs(v); lo < hi && !endpoints[v] {
+			t.Fatalf("%s: node %d has replacement runs but no patched pair", label, v)
 		}
-		rg, glo, ghi := ag.runsOf(v)
-		rw, wlo, whi := aw.runsOf(v)
+		rg, glo, ghi := got.runsOf(v)
+		rw, wlo, whi := want.runsOf(v)
 		if ghi-glo != whi-wlo {
 			t.Fatalf("%s: node %d has %d runs, from scratch %d", label, v, ghi-glo, whi-wlo)
 		}
@@ -57,11 +52,23 @@ func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int) 
 	scanEverything(t, got, numNodes+1)
 }
 
-// TestQuickAdjacencyCarriedEqualsScratch is the property behind "no reader
-// ever builds": the adjacency WithPatch carries across two successive
-// (and, on graphs this small, overlapping) patches, the one an unfinished
-// index builds on first use, and the one of the compaction all equal the
-// adjacency of an index matched from scratch on the final graph.
+// endpointsOf returns the nodes of the pair keys the patches name.
+func endpointsOf(ps ...*Patch) map[graph.NodeID]bool {
+	endpoints := map[graph.NodeID]bool{}
+	for _, p := range ps {
+		for _, k := range p.mxy.keys {
+			x, y := k.Nodes()
+			endpoints[x], endpoints[y] = true, true
+		}
+	}
+	return endpoints
+}
+
+// TestQuickAdjacencyCarriedEqualsScratch is the property behind keeping
+// m_xy in the runs alone: the runs WithPatch carries across two successive
+// (and, on graphs this small, overlapping) patches, and the runs Compact
+// splices from them, equal the runs of an index matched from scratch on
+// the final graph.
 func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mk := func(g *graph.Graph) match.Matcher { return match.NewSymISO(g) }
@@ -85,23 +92,11 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 					break
 				}
 			}
-			scratch := matchOne(m, mk(g2.Compact()))
+			scratch := matchPart(m, mk(g2.Compact()))
 
-			base := matchOne(m, mk(g0))
-			base.BuildAdjacency()
-			carried := base.WithPatch(p1).WithPatch(p2)
-			if !carried.HasAdjacency() {
-				t.Fatalf("trial %d: WithPatch dropped a built adjacency", trial)
-			}
-			checkAdjacency(t, "carried", carried, scratch, g2.NumNodes())
-
-			lazy := matchOne(m, mk(g0)).WithPatch(p1).WithPatch(p2)
-			if lazy.HasAdjacency() {
-				t.Fatalf("trial %d: patching an unfinished index built an adjacency", trial)
-			}
-			checkAdjacency(t, "built on first use", lazy, scratch, g2.NumNodes())
-
-			checkAdjacency(t, "compacted", carried.Compact(), scratch, g2.NumNodes())
+			carried := matchPart(m, mk(g0)).WithPatch(p1).WithPatch(p2)
+			checkAdjacency(t, "carried", carried, scratch, g2.NumNodes(), endpointsOf(p1, p2))
+			checkAdjacency(t, "compacted", carried.Compact(), scratch, g2.NumNodes(), nil)
 		}
 	}
 	if overlapped == 0 {
@@ -116,7 +111,6 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 	w := []float64{1}
 	empty := NewBuilder(1).Build()
-	empty.BuildAdjacency()
 	if got := empty.Partners(3); len(got) != 0 {
 		t.Fatalf("empty index has partners %v", got)
 	}
@@ -156,5 +150,5 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 		t.Fatalf("scan of 9 reached %v, m_3 = %v", acc.Touched, acc.NodeVec(3))
 	}
 	acc.Release()
-	checkAdjacency(t, "hand-built", patched, patched.Compact(), 10)
+	checkAdjacency(t, "hand-built", patched, patched.Compact(), 10, endpointsOf(p))
 }

@@ -55,9 +55,8 @@ type weighted struct{ k, n uint64 }
 
 // part builds the single-metagraph part index of m.
 func (c *counter) part(m *metagraph.Metagraph, matcher match.Matcher) *Index {
-	b := newBuilder(1, c)
-	b.AddMetagraph(0, m, matcher)
-	return b.Build()
+	mx, mxy := c.match(m, matcher, 0)
+	return fromRows(1, mx, &mxy)
 }
 
 // SortedPairKeys returns the number of pair keys counting ms with matcher
@@ -65,16 +64,27 @@ func (c *counter) part(m *metagraph.Metagraph, matcher match.Matcher) *Index {
 func SortedPairKeys(ms []*metagraph.Metagraph, matcher match.Matcher) int64 {
 	c := &counter{}
 	for _, m := range ms {
-		c.part(m, matcher)
+		c.match(m, matcher, 0)
 	}
 	return c.sorted
 }
 
-// count enumerates the instance sets of m through matcher and returns the
-// rows metagraph mi contributes: per node, the instances in which it sits
-// on one of positions; per pair, the instances in which it sits on one of
-// pairs.
-func (c *counter) count(m *metagraph.Metagraph, matcher match.Matcher, pairs []metagraph.Edge, positions []int, mi int32) (csr[graph.NodeID], csr[PairKey]) {
+// match enumerates the instance sets of m through matcher and returns the
+// rows it contributes as metagraph number mi: per node, the instances in
+// which it sits on a position of a symmetric pair (Eq. 2); per pair, the
+// instances in which it sits on a symmetric pair. An asymmetric metagraph
+// contributes nothing (ContainsSym can never hold) and is not matched.
+func (c *counter) match(m *metagraph.Metagraph, matcher match.Matcher, mi int32) (csr[graph.NodeID], csr[PairKey]) {
+	pairs := m.SymmetricPairs()
+	if len(pairs) == 0 {
+		return csr[graph.NodeID]{}, csr[PairKey]{}
+	}
+	var positions []int
+	for p := range m.N() {
+		if slices.ContainsFunc(pairs, func(e metagraph.Edge) bool { return e.U == p || e.V == p }) {
+			positions = append(positions, p)
+		}
+	}
 	c.pairs, c.weighed, c.touched = c.pairs[:0], c.weighed[:0], c.touched[:0]
 	match.InstanceSets(matcher, m, func(s match.Set) bool {
 		c.add(s, pairs, positions, mi)
@@ -275,12 +285,7 @@ func runs(plain []uint64, weighed []weighted, mi int32, key func(uint64) PairKey
 // appendRun appends the row of key k, n instances of metagraph mi,
 // refusing a count an Entry cannot hold.
 func (c *csr[K]) appendRun(k K, mi int32, n uint64) {
-	if len(c.off) == 0 {
-		c.off = append(c.off, 0)
-	}
-	c.keys = append(c.keys, k)
-	c.ent = append(c.ent, Entry{mi, count32(n, mi, k)})
-	c.off = append(c.off, int32(len(c.ent)))
+	c.appendRow(k, []Entry{{mi, count32(n, mi, k)}})
 }
 
 // distinct returns the number of runs in a sorted slice of length n, where

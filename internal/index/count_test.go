@@ -52,7 +52,8 @@ func refBuild(ms []*metagraph.Metagraph, order []int, g *graph.Graph) *Index {
 			mx[k] = append(mx[k], Entry{int32(i), uint32(c)})
 		}
 	}
-	return &Index{numMeta: len(ms), mx: tableOf(mx), mxy: tableOf(mxy), adj: &lazyAdjacency{}}
+	pairs := tableOf(mxy)
+	return fromRows(len(ms), tableOf(mx), &pairs)
 }
 
 // lexMin visits each instance of m once: the assignments of matcher's Match
@@ -246,7 +247,8 @@ func TestQuickBuilderEqualsMapCounter(t *testing.T) {
 			n := int(match.CountInstances(matcher, m)) * len(m.SymmetricPairs())
 			small, large = small || n > 0 && n < smallSort, large || n >= smallSort
 			empty = empty || n == 0
-			for _, e := range matchOne(m, matcher).mxy.ent {
+			_, pairs := matchOne(m, matcher)
+			for _, e := range pairs.ent {
 				longestRun = max(longestRun, e.Count)
 			}
 			circle := m.String() == friendCircle().String()
@@ -340,8 +342,8 @@ func TestSetCountsAsItsInstances(t *testing.T) {
 		}
 		gotX, gotXY := sets.rows(0)
 		wantX, wantXY := one.rows(0)
-		got := writeBytes(t, &Index{numMeta: 1, mx: gotX, mxy: gotXY, adj: &lazyAdjacency{}})
-		if want := writeBytes(t, &Index{numMeta: 1, mx: wantX, mxy: wantXY, adj: &lazyAdjacency{}}); !bytes.Equal(got, want) {
+		got := writeBytes(t, fromRows(1, gotX, &gotXY))
+		if want := writeBytes(t, fromRows(1, wantX, &wantXY)); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: the sets count differently from their instances", trial)
 		}
 		if len(one.weighed) != 0 {

@@ -9,7 +9,8 @@ import (
 // ContentDigest is the SHA-256 of what ix holds, in no wire format: numMeta,
 // then per table (nodes, then pairs) its key count, every key, and per row
 // its length and each entry's Meta and Count, all fixed-width little-endian.
-// A codec change leaves it alone; a change to any row does not.
+// The pair rows are those the runs hold, walked out in key order. A codec
+// change leaves it alone; a change to any row does not.
 func ContentDigest(ix *Index) string {
 	ix = ix.Compact()
 	h := sha256.New()
@@ -38,13 +39,21 @@ func ContentDigest(ix *Index) string {
 		keys[i] = uint64(k)
 	}
 	table(keys, ix.mx.off, ix.mx.ent)
+	pairs := ix.pairTable()
 	keys = keys[:0]
-	for _, k := range ix.mxy.keys {
+	for _, k := range pairs.keys {
 		keys = append(keys, uint64(k))
 	}
-	table(keys, ix.mxy.off, ix.mxy.ent)
+	table(keys, pairs.off, pairs.ent)
 	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// pairTable is the table of the pair rows eachPair walks out.
+func (ix *Index) pairTable() csr[PairKey] {
+	var c csr[PairKey]
+	ix.eachPair(func(k PairKey, row []Entry) { c.appendRow(k, row) })
+	return c
 }
 
 // RaceEnabled tells the external tests that the race detector is on: it

@@ -5,17 +5,19 @@
 // position symmetric to some other position. The vectors are the features
 // of the MGP proximity measure and are precomputed offline (Fig. 3).
 //
-// The frozen Index uses a flat CSR-style layout mirroring the graph
-// substrate: all rows of a table live in one contiguous []Entry arena,
-// addressed through sorted key and offset slices. Reads by key (NodeVec,
-// PairVec) are a binary search plus a slice header — no allocation, no
-// pointer chasing — the candidate scan of a ranked query follows the
-// derived partner adjacency (adjacency.go), which groups every query
-// node's partners into one run per metagraph, so a scan reads only the
-// metagraphs its weights weigh and searches nothing, and Merge/Project
-// operate on whole arenas instead of one small map row at a time. Every
-// entry holds a raw instance count; a transform of the counts is a property
-// of the index, applied as a value is read (Transform, SparseVec).
+// An Index stores each count once. The m_x rows live in a flat CSR-style
+// node table mirroring the graph substrate: all rows in one contiguous
+// []Entry arena, addressed through sorted keys and offsets, so NodeVec is a
+// binary search plus a slice header. Every m_xy lives in the partner runs
+// (adjacency.go): per node q and metagraph m, the ascending partners v with
+// their count m_qv[m]. The candidate scan of a ranked query reads only the
+// runs its weights weigh and searches nothing; a read of one pair (PairVec,
+// PairDot) searches the other endpoint in each run of one. Pair rows keyed
+// by PairKey exist only in flight: what the counter emits, what a patch
+// carries, and what the wire format holds; the index turns them into runs
+// (buildRuns) and walks runs back out into them (eachPair). Every entry
+// holds a raw instance count; a transform of the counts is a property of
+// the index, applied as a value is read (Transform, SparseVec).
 package index
 
 import (
@@ -142,6 +144,24 @@ func (c *csr[K]) row(k K) []Entry {
 	return c.ent[c.off[i]:c.off[i+1]]
 }
 
+// appendRow appends the row of key k, which must be above every key c
+// holds.
+func (c *csr[K]) appendRow(k K, row []Entry) {
+	if len(c.off) == 0 {
+		c.off = append(c.off, 0)
+	}
+	c.keys = append(c.keys, k)
+	c.ent = append(c.ent, row...)
+	c.off = append(c.off, int32(len(c.ent)))
+}
+
+// each calls yield with every row of c, in key order.
+func (c *csr[K]) each(yield func(K, []Entry)) {
+	for i, k := range c.keys {
+		yield(k, c.ent[c.off[i]:c.off[i+1]])
+	}
+}
+
 // findKey binary-searches a sorted key slice, returning the position of k
 // or -1. slices.BinarySearch is closure-free, so reads stay
 // allocation-free.
@@ -165,33 +185,63 @@ func count32[K any](c uint64, meta int32, k K) uint32 {
 }
 
 // Index holds the frozen metagraph vectors for one graph and one metagraph
-// set M. It is immutable after Build and safe for concurrent reads.
+// set M. It is immutable once a constructor returns it and safe for
+// concurrent reads: every constructor lays out the runs, so no read ever
+// builds anything.
 //
 // A live-updated index additionally carries a patch overlay (see patch.go):
-// rows recomputed after a graph delta shadow their flat-CSR originals until
-// Compact folds them into fresh arenas. Reads stay allocation-free either
-// way; an overlaid index pays one extra binary search into the (small)
-// overlay per row lookup.
+// node rows and partner runs recomputed after a graph delta shadow their
+// flat originals until Compact folds them in. Reads stay allocation-free
+// either way; an overlaid index pays one extra look into the (small)
+// overlay per lookup.
 type Index struct {
 	numMeta int
 	// f is the transform every value is read through (nil: the raw count).
-	// The arenas hold raw counts whatever it is (see Transform).
-	f   func(float64) float64
-	mx  csr[graph.NodeID]
-	mxy csr[PairKey]
-	// ovlMx/ovlMxy hold replacement rows from WithPatch. A key present
-	// here fully shadows the base row; overlay rows are never empty (a
-	// delta only adds instances, so no row ever vanishes).
-	ovlMx  csr[graph.NodeID]
-	ovlMxy csr[PairKey]
-	// adj lists, per node x and metagraph m, every y that shares at least
-	// one instance of m with x symmetrically — the candidates the online
-	// phase ranks — with the count m_xy[m] (see adjacency.go). Never nil.
-	// It is derived from the tables when a writer finishes the index for
-	// readers, or on first use: the single-metagraph parts the parallel
-	// build produces are merged without their adjacency ever being read, so
-	// building it in every constructor would be pure waste.
-	adj *lazyAdjacency
+	// The node table and the runs hold raw counts whatever it is (see
+	// Transform).
+	f  func(float64) float64
+	mx csr[graph.NodeID]
+	// flat holds every m_xy as partner runs (see adjacency.go).
+	flat adjRuns
+	// ovlMx holds the node rows WithPatch replaced, and ovl the complete
+	// replacement runs of every node a patched pair row has as an endpoint
+	// (all other nodes have none). A node row or a node's runs here fully
+	// shadow the flat ones; neither is ever empty, since a delta only adds
+	// instances.
+	ovlMx csr[graph.NodeID]
+	ovl   adjRuns
+	// spans[v] is the position of m_v (the empty span when v has none). It
+	// covers every node key and every partner of the index.
+	spans []span
+}
+
+// fromRows is the index of node rows mx and pair rows mxy over numMeta
+// metagraphs, reading raw counts: the pair rows are laid out as runs and
+// not kept.
+func fromRows(numMeta int, mx csr[graph.NodeID], mxy *csr[PairKey]) *Index {
+	return (&Index{numMeta: numMeta, mx: mx, flat: buildRuns(mxy, numMeta)}).finish()
+}
+
+// finish sets the node-row positions of the index's node tables and runs,
+// and returns the index. Every constructor ends with it.
+func (ix *Index) finish() *Index {
+	n := max(len(ix.flat.first), len(ix.ovl.first)) - 1
+	for _, keys := range [][]graph.NodeID{ix.mx.keys, ix.ovlMx.keys} {
+		if len(keys) > 0 {
+			n = max(n, int(keys[len(keys)-1])+1)
+		}
+	}
+	if n <= 0 {
+		return ix
+	}
+	ix.spans = make([]span, n)
+	for r, v := range ix.mx.keys {
+		ix.spans[v] = spanAt(&ix.mx, r, false)
+	}
+	for r, v := range ix.ovlMx.keys {
+		ix.spans[v] = spanAt(&ix.ovlMx, r, true)
+	}
+	return ix
 }
 
 // NumMeta returns |M|, the length of the weight vectors this index pairs
@@ -204,12 +254,6 @@ func (ix *Index) NodeVec(x graph.NodeID) SparseVec {
 	return SparseVec{ix.nodeRow(x), ix.f}
 }
 
-// PairVec returns m_xy (empty when x and y never co-occur symmetrically), a
-// view into the index arena read through the index's transform.
-func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
-	return SparseVec{ix.pairRow(x, y), ix.f}
-}
-
 // nodeRow returns the raw row of node x, read through the overlay.
 func (ix *Index) nodeRow(x graph.NodeID) []Entry {
 	if len(ix.ovlMx.keys) != 0 {
@@ -220,25 +264,48 @@ func (ix *Index) nodeRow(x graph.NodeID) []Entry {
 	return ix.mx.row(x)
 }
 
-// pairRow returns the raw row of pair {x, y}, read through the overlay.
-func (ix *Index) pairRow(x, y graph.NodeID) []Entry {
-	k := MakePairKey(x, y)
-	if len(ix.ovlMxy.keys) != 0 {
-		if i := findKey(ix.ovlMxy.keys, k); i >= 0 {
-			return ix.ovlMxy.ent[ix.ovlMxy.off[i]:ix.ovlMxy.off[i+1]]
+// PairVec returns m_xy (empty when x and y never co-occur symmetrically),
+// read through the index's transform. The row is gathered from x's runs
+// into a slice of its own, the one allocation; PairDot reads the same
+// coordinates without it.
+func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
+	return SparseVec{ix.pairRow(nil, x, y), ix.f}
+}
+
+// pairRow appends the raw row of pair {x, y} to dst: the count of y in
+// each of x's runs that holds it, ascending by metagraph.
+func (ix *Index) pairRow(dst []Entry, x, y graph.NodeID) []Entry {
+	rs, lo, hi := ix.runsOf(x)
+	for r := lo; r < hi; r++ {
+		if c, ok := rs.count(r, y); ok {
+			dst = append(dst, Entry{rs.meta[r], c})
 		}
 	}
-	return ix.mxy.row(k)
+	return dst
+}
+
+// PairDot returns PairVec(x, y).Dot(w), the same sum in the same order,
+// bit for bit, without gathering the row: the by-key read of Proximity,
+// free of allocation.
+func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
+	var s float64
+	rs, lo, hi := ix.runsOf(x)
+	for r := lo; r < hi; r++ {
+		if c, ok := rs.count(r, y); ok {
+			v := float64(c)
+			if ix.f != nil {
+				v = ix.f(v)
+			}
+			s += v * w[rs.meta[r]]
+		}
+	}
+	return s
 }
 
 // NumPairs returns the number of node pairs with a non-zero m_xy.
 func (ix *Index) NumPairs() int {
-	n := len(ix.mxy.keys)
-	for _, k := range ix.ovlMxy.keys {
-		if findKey(ix.mxy.keys, k) < 0 {
-			n++
-		}
-	}
+	n := 0
+	ix.eachPair(func(PairKey, []Entry) { n++ })
 	return n
 }
 
@@ -246,9 +313,14 @@ func (ix *Index) NumPairs() int {
 // for it.
 func (ix *Index) MetaSupport() []bool {
 	used := make([]bool, ix.numMeta)
-	for _, ent := range [][]Entry{ix.mx.ent, ix.mxy.ent, ix.ovlMx.ent, ix.ovlMxy.ent} {
+	for _, ent := range [][]Entry{ix.mx.ent, ix.ovlMx.ent} {
 		for _, e := range ent {
 			used[e.Meta] = true
+		}
+	}
+	for _, meta := range [][]int32{ix.flat.meta, ix.ovl.meta} {
+		for _, m := range meta {
+			used[m] = true
 		}
 	}
 	return used
@@ -256,32 +328,29 @@ func (ix *Index) MetaSupport() []bool {
 
 // Transform returns the index with every value read as f(count); the paper
 // mentions log-style transforms of the raw counts (Sect. II-A). A nil f reads
-// the raw counts. The result shares everything with the receiver — tables,
-// overlay and adjacency hold raw counts either way — so it costs O(1), and
-// WithPatch, Compact, AddParts and Project carry the transform forward.
+// the raw counts. The result shares everything with the receiver — the node
+// table, the runs and the overlay hold raw counts either way — so it costs
+// O(1), and WithPatch, Compact, AddParts and Project carry the transform
+// forward.
 func (ix *Index) Transform(f func(float64) float64) *Index {
-	return &Index{numMeta: ix.numMeta, f: f, mx: ix.mx, mxy: ix.mxy, ovlMx: ix.ovlMx, ovlMxy: ix.ovlMxy, adj: ix.adj}
+	out := *ix
+	out.f = f
+	return &out
 }
 
 // Project returns a view of the index restricted to the metagraph subset
 // given by keep (indices into the original M), renumbered 0..len(keep)-1 in
 // the given order. Dual-stage training uses it to train on seeds and
-// candidates without re-matching anything. When keep is ascending (the
-// common case) projected rows inherit the source order and no sorting
-// happens at all.
+// candidates without re-matching anything.
 func (ix *Index) Project(keep []int) *Index {
 	remap := make([]int32, ix.numMeta)
 	for i := range remap {
 		remap[i] = -1
 	}
-	ascending := true
 	for newI, oldI := range keep {
 		remap[oldI] = int32(newI)
-		if newI > 0 && oldI <= keep[newI-1] {
-			ascending = false
-		}
 	}
-	return ix.remapped(len(keep), remap, ascending)
+	return ix.remapped(len(keep), remap)
 }
 
 // Restrict returns the index without the rows of the metagraphs keep does
@@ -297,55 +366,21 @@ func (ix *Index) Restrict(keep []bool) *Index {
 			remap[i] = int32(i)
 		}
 	}
-	return ix.remapped(ix.numMeta, remap, true)
+	return ix.remapped(ix.numMeta, remap)
 }
 
 // remapped is the compacted index with metagraph i renumbered remap[i] (-1
 // drops it) in an index spanning numMeta metagraphs, read through the same
-// transform; ascending says the renumbering keeps the order.
-func (ix *Index) remapped(numMeta int, remap []int32, ascending bool) *Index {
+// transform.
+func (ix *Index) remapped(numMeta int, remap []int32) *Index {
 	ix = ix.Compact()
-	return &Index{
+	meta := func(m int32) int32 { return remap[m] }
+	return (&Index{
 		numMeta: numMeta,
 		f:       ix.f,
-		mx:      projectCSR(ix.mx, remap, ascending),
-		mxy:     projectCSR(ix.mxy, remap, ascending),
-		adj:     &lazyAdjacency{},
-	}
-}
-
-// projectCSR rewrites one table under the metagraph renumbering, dropping
-// rows that lose all coordinates. When the renumbering is not monotone the
-// surviving rows are re-sorted in place in the new arena.
-func projectCSR[K cmp.Ordered](c csr[K], remap []int32, ascending bool) csr[K] {
-	if len(c.keys) == 0 {
-		return csr[K]{}
-	}
-	out := csr[K]{
-		keys: make([]K, 0, len(c.keys)),
-		off:  make([]int32, 1, len(c.keys)+1),
-		ent:  make([]Entry, 0, len(c.ent)),
-	}
-	for i, k := range c.keys {
-		start := len(out.ent)
-		for _, e := range c.ent[c.off[i]:c.off[i+1]] {
-			if ni := remap[e.Meta]; ni >= 0 {
-				out.ent = append(out.ent, Entry{ni, e.Count})
-			}
-		}
-		if len(out.ent) == start {
-			continue
-		}
-		if !ascending {
-			slices.SortFunc(out.ent[start:], compareEntryMeta)
-		}
-		out.keys = append(out.keys, k)
-		out.off = append(out.off, int32(len(out.ent)))
-	}
-	if len(out.keys) == 0 {
-		return csr[K]{}
-	}
-	return out
+		mx:      mergeCSR([]source[graph.NodeID]{{&ix.mx, meta}}),
+		flat:    ix.relaid(meta),
+	}).finish()
 }
 
 // Merge combines single-metagraph (or multi-metagraph) indices into one,
@@ -367,149 +402,95 @@ func Merge(parts ...*Index) *Index {
 // AddParts returns ix with the rows of parts added: part i's metagraph j
 // becomes metagraph slots[i]+j of the result, which spans as many
 // metagraphs as ix does. No two inputs may hold the same metagraph. The
-// receiver is unchanged (a patched one is compacted first) and the result's
-// adjacency starts unbuilt. Whatever the order parts arrive in, the result
-// is the index one Builder fed every metagraph at its slot would freeze,
-// read through the receiver's transform (parts add counts, not values).
+// receiver is unchanged (a patched one is compacted first). Whatever the
+// order parts arrive in, the result is the index one Builder fed every
+// metagraph at its slot would freeze, read through the receiver's transform
+// (parts add counts, not values).
 func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	ix = ix.Compact()
-	mx := []source[graph.NodeID]{{&ix.mx, 0}}
-	mxy := []source[PairKey]{{&ix.mxy, 0}}
-	for i, p := range parts {
-		p = p.Compact()
-		mx = append(mx, source[graph.NodeID]{&p.mx, int32(slots[i])})
-		mxy = append(mxy, source[PairKey]{&p.mxy, int32(slots[i])})
+	if len(parts) == 0 {
+		return ix
 	}
-	return &Index{numMeta: ix.numMeta, f: ix.f, mx: mergeCSR(mx), mxy: mergeCSR(mxy), adj: &lazyAdjacency{}}
+	srcs, shifts := []*Index{ix}, []int32{0}
+	for i, p := range parts {
+		srcs, shifts = append(srcs, p.Compact()), append(shifts, int32(slots[i]))
+	}
+	mx := make([]source[graph.NodeID], len(srcs))
+	n := 0
+	for i, s := range srcs {
+		mx[i] = source[graph.NodeID]{&s.mx, shifted(shifts[i])}
+		n = max(n, len(s.flat.first)-1)
+	}
+	// Each node's runs are the runs its inputs hold for it, which layRuns
+	// orders by shifted metagraph.
+	flat := layRuns(n, func(q graph.NodeID, refs []runRef) []runRef {
+		for i, s := range srcs {
+			lo, hi := s.flat.runs(q)
+			for r := lo; r < hi; r++ {
+				refs = append(refs, runRef{s.flat.meta[r] + shifts[i], s.flat.postings(r)})
+			}
+		}
+		return refs
+	})
+	return (&Index{numMeta: ix.numMeta, f: ix.f, mx: mergeCSR(mx), flat: flat}).finish()
 }
 
 // source is one input of mergeCSR: a table whose rows enter the merge with
-// every Meta raised by shift.
+// every Meta m renumbered meta(m), or dropped where that is negative.
 type source[K cmp.Ordered] struct {
 	table *csr[K]
-	shift int32
+	meta  func(int32) int32
 }
 
-// mergeCSR unions row tables in one k-way pass over their already sorted
-// keys: a heap of the inputs by next unread key yields the keys ascending,
-// and the row of a key is the rows its inputs hold for it, laid end to end
-// in input order. When the inputs' shifted Metas ascend in that order (parts
-// concatenated by Merge, gains lifted by MergeGains) the row is sorted as
-// laid; a row that is not (parts landing between the metagraphs of an
-// existing index) is sorted in place. Linear in the input keys and entries
-// times log(inputs) — no union to sort, no key searched. A lone non-empty
-// input with no shift is the union already and is returned as it is.
-func mergeCSR[K cmp.Ordered](srcs []source[K]) csr[K] {
-	totalKeys, totalEnt := 0, 0
-	var lone source[K]
-	for _, s := range srcs {
-		totalKeys += len(s.table.keys)
-		totalEnt += len(s.table.ent)
-		if len(s.table.keys) > 0 {
-			lone = s
-		}
-	}
-	if totalEnt == 0 {
-		return csr[K]{}
-	}
-	if len(lone.table.keys) == totalKeys && lone.shift == 0 {
-		return *lone.table
-	}
-	next := make([]int, len(srcs)) // next unread row of each input
-	// heap holds the inputs with rows left, the smallest (next key, input
-	// number) at the root.
-	heap := make([]int, 0, len(srcs))
-	less := func(a, b int) bool {
-		ka, kb := srcs[a].table.keys[next[a]], srcs[b].table.keys[next[b]]
-		return ka < kb || ka == kb && a < b
-	}
-	siftDown := func(i int) {
-		for {
-			min := i
-			for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
-				if less(heap[c], heap[min]) {
-					min = c
-				}
-			}
-			if min == i {
-				return
-			}
-			heap[i], heap[min] = heap[min], heap[i]
-			i = min
-		}
-	}
-	for i, s := range srcs {
-		if len(s.table.keys) > 0 {
-			heap = append(heap, i)
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
+// shifted is the renumbering that adds shift.
+func shifted(shift int32) func(int32) int32 { return func(m int32) int32 { return m + shift } }
 
-	out := csr[K]{
-		keys: make([]K, 0, totalKeys),
-		off:  make([]int32, 1, totalKeys+1),
-		ent:  make([]Entry, 0, totalEnt),
+// mergeCSR unions row tables: the row of a key is every entry its inputs
+// hold for it, renumbered, ascending by metagraph, and a key left without
+// an entry goes. No two inputs may give one key the same metagraph. The
+// tables it merges are node tables and the few rows of a patch, never the
+// pair rows of a whole index, so it sorts them all at once.
+func mergeCSR[K cmp.Ordered](srcs []source[K]) csr[K] {
+	type keyed struct {
+		k K
+		e Entry
 	}
-	for len(heap) > 0 {
-		k := srcs[heap[0]].table.keys[next[heap[0]]]
-		start, sorted := len(out.ent), true
-		for len(heap) > 0 && srcs[heap[0]].table.keys[next[heap[0]]] == k {
-			i := heap[0]
-			t, shift := srcs[i].table, srcs[i].shift
-			for _, e := range t.ent[t.off[next[i]]:t.off[next[i]+1]] {
-				e.Meta += shift
-				if n := len(out.ent); n > start && out.ent[n-1].Meta > e.Meta {
-					sorted = false
+	var all []keyed
+	for _, s := range srcs {
+		c := s.table
+		for r, k := range c.keys {
+			for _, e := range c.ent[c.off[r]:c.off[r+1]] {
+				if m := s.meta(e.Meta); m >= 0 {
+					all = append(all, keyed{k, Entry{m, e.Count}})
 				}
-				out.ent = append(out.ent, e)
 			}
-			if next[i]++; next[i] == len(t.keys) {
-				heap[0] = heap[len(heap)-1]
-				heap = heap[:len(heap)-1]
-			}
-			siftDown(0)
 		}
-		if !sorted {
-			slices.SortFunc(out.ent[start:], compareEntryMeta)
-		}
-		out.keys = append(out.keys, k)
-		out.off = append(out.off, int32(len(out.ent)))
 	}
-	if len(out.keys) < totalKeys {
-		// Inputs shared keys: do not pin the oversized scratch.
-		out.keys, out.off = slices.Clone(out.keys), slices.Clone(out.off)
+	slices.SortFunc(all, func(a, b keyed) int { return cmp.Or(cmp.Compare(a.k, b.k), compareEntryMeta(a.e, b.e)) })
+	var out csr[K]
+	for i, x := range all {
+		if i == 0 || x.k != all[i-1].k {
+			out.appendRow(x.k, nil)
+		}
+		out.ent = append(out.ent, x.e)
+		out.off[len(out.off)-1]++
 	}
 	return out
 }
 
 // Builder accumulates instance counts metagraph by metagraph and freezes
-// them into an Index. Each AddMetagraph counts one metagraph into a table of
-// its own (count.go), with scratch the builder
-// reuses across calls; Build merges the tables, or returns a lone one as it
-// is.
+// them into an Index. Each AddMetagraph counts one metagraph into a part
+// index of its own (count.go), with scratch the builder reuses across
+// calls; Build adds the parts to an empty index at their slots.
 type Builder struct {
 	numMeta int
-	added   []bool
-	// mx[i] and mxy[i] hold the rows of metagraph i alone.
-	mx  []csr[graph.NodeID]
-	mxy []csr[PairKey]
-	sc  *counter
+	parts   []*Index // parts[i] holds metagraph i alone, nil until added
+	sc      *counter
 }
 
 // NewBuilder returns a Builder for a metagraph set of the given size.
-func NewBuilder(numMeta int) *Builder { return newBuilder(numMeta, &counter{}) }
-
-// newBuilder returns a Builder that counts with the scratch sc.
-func newBuilder(numMeta int, sc *counter) *Builder {
-	return &Builder{
-		numMeta: numMeta,
-		added:   make([]bool, numMeta),
-		mx:      make([]csr[graph.NodeID], numMeta),
-		mxy:     make([]csr[PairKey], numMeta),
-		sc:      sc,
-	}
+func NewBuilder(numMeta int) *Builder {
+	return &Builder{numMeta: numMeta, parts: make([]*Index, numMeta), sc: &counter{}}
 }
 
 // AddMetagraph matches metagraph number i with the given engine and counts
@@ -521,37 +502,20 @@ func (b *Builder) AddMetagraph(i int, m *metagraph.Metagraph, matcher match.Matc
 	if i < 0 || i >= b.numMeta {
 		panic(fmt.Sprintf("index: AddMetagraph(%d) on a builder of %d metagraphs", i, b.numMeta))
 	}
-	if b.added[i] {
+	if b.parts[i] != nil {
 		panic(fmt.Sprintf("index: AddMetagraph(%d): metagraph %d was already added", i, i))
 	}
-	b.added[i] = true
-	symPairs := m.SymmetricPairs()
-	if len(symPairs) == 0 {
-		return
-	}
-	// Unique positions that participate in any symmetric pair (for Eq. 2).
-	onPair := make([]bool, m.N())
-	for _, p := range symPairs {
-		onPair[p.U], onPair[p.V] = true, true
-	}
-	positions := make([]int, 0, m.N())
-	for p, on := range onPair {
-		if on {
-			positions = append(positions, p)
-		}
-	}
-	b.mx[i], b.mxy[i] = b.sc.count(m, matcher, symPairs, positions, int32(i))
+	b.parts[i] = b.sc.part(m, matcher)
 }
 
-// Build freezes the accumulated counts into an immutable Index. The tables
-// enter the merge in metagraph order, so every merged row is laid out
-// sorted.
+// Build freezes the accumulated counts into an immutable Index.
 func (b *Builder) Build() *Index {
-	mx := make([]source[graph.NodeID], b.numMeta)
-	mxy := make([]source[PairKey], b.numMeta)
-	for i := range b.numMeta {
-		mx[i] = source[graph.NodeID]{&b.mx[i], 0}
-		mxy[i] = source[PairKey]{&b.mxy[i], 0}
+	var slots []int
+	var parts []*Index
+	for i, p := range b.parts {
+		if p != nil {
+			slots, parts = append(slots, i), append(parts, p)
+		}
 	}
-	return &Index{numMeta: b.numMeta, mx: mergeCSR(mx), mxy: mergeCSR(mxy), adj: &lazyAdjacency{}}
+	return (&Index{numMeta: b.numMeta}).AddParts(slots, parts)
 }

@@ -191,17 +191,16 @@ func TestEntryIsEightBytes(t *testing.T) {
 }
 
 // TestTransform: a transform is how an index reads its counts, not a copy of
-// them. The transformed index shares the receiver's arenas and its built
-// adjacency (which holds raw counts inline too), reads every value as
-// f(count) bit for bit, and carries f through WithPatch, Compact, AddParts,
-// Project and Restrict; the receiver still reads raw counts.
+// them. The transformed index shares the receiver's node table and runs
+// (which hold raw counts too), reads every value as f(count) bit for bit,
+// and carries f through WithPatch, Compact, AddParts, Project and Restrict;
+// the receiver still reads raw counts.
 func TestTransform(t *testing.T) {
 	g, ix := buildToyIndex(t)
 	kate := g.NodeByName("Kate")
 	jay := g.NodeByName("Jay")
-	ix.BuildAdjacency()
 	tr := ix.Transform(math.Log1p)
-	if !tr.HasAdjacency() || &tr.mxy.ent[0] != &ix.mxy.ent[0] {
+	if &tr.mx.ent[0] != &ix.mx.ent[0] || &tr.flat.post[0] != &ix.flat.post[0] || &tr.spans[0] != &ix.spans[0] {
 		t.Fatal("Transform copied what it can share")
 	}
 	if got := tr.PairVec(kate, jay).Get(0); got != math.Log1p(1) {
@@ -417,17 +416,13 @@ func wideIndex() *Index {
 		every,
 		[]Entry{{63, 1}, {64, 128}},
 	)
-	return &Index{
-		numMeta: numMeta,
-		mx:      csr[graph.NodeID]{keys: []graph.NodeID{0, 3, 7}, off: nodeOff, ent: nodeEnt},
-		mxy:     csr[PairKey]{keys: []PairKey{MakePairKey(0, 3), MakePairKey(3, 7), MakePairKey(5, 7)}, off: pairOff, ent: pairEnt},
-		adj:     &lazyAdjacency{},
-	}
+	pairs := csr[PairKey]{keys: []PairKey{MakePairKey(0, 3), MakePairKey(3, 7), MakePairKey(5, 7)}, off: pairOff, ent: pairEnt}
+	return fromRows(numMeta, csr[graph.NodeID]{keys: []graph.NodeID{0, 3, 7}, off: nodeOff, ent: nodeEnt}, &pairs)
 }
 
 // TestIndexRoundTripAnyWidth: one row layout for any number of metagraphs.
-// The wide index comes back with the same arenas, and writes the same bytes
-// again.
+// The wide index comes back with the same node arena and the same runs,
+// and writes the same bytes again.
 func TestIndexRoundTripAnyWidth(t *testing.T) {
 	ix := wideIndex()
 	raw := writeBytes(t, ix)
@@ -437,7 +432,7 @@ func TestIndexRoundTripAnyWidth(t *testing.T) {
 	}
 	if got.NumMeta() != ix.NumMeta() ||
 		!slices.Equal(got.mx.keys, ix.mx.keys) || !slices.Equal(got.mx.off, ix.mx.off) || !slices.Equal(got.mx.ent, ix.mx.ent) ||
-		!slices.Equal(got.mxy.keys, ix.mxy.keys) || !slices.Equal(got.mxy.off, ix.mxy.off) || !slices.Equal(got.mxy.ent, ix.mxy.ent) {
+		!sameRuns(&got.flat, &ix.flat) {
 		t.Fatal("round trip changed the arenas")
 	}
 	if !bytes.Equal(writeBytes(t, got), raw) {
@@ -451,10 +446,11 @@ var (
 	sinkFloat float64
 )
 
-// TestZeroAllocReads pins the online-phase contract: reading vectors out
-// of the frozen CSR index, dotting them against a weight vector and a
-// pooled term-at-a-time scan must not allocate (the scan only without the
-// race detector, which empties pools on purpose).
+// TestZeroAllocReads pins the online-phase contract: reading node vectors
+// out of the frozen index, dotting them against a weight vector, the by-key
+// pair read Proximity makes (PairDot) and a pooled term-at-a-time scan must
+// not allocate (the scan only without the race detector, which empties
+// pools on purpose). PairVec gathers a row and may.
 func TestZeroAllocReads(t *testing.T) {
 	g, ix := buildToyIndex(t)
 	kate := g.NodeByName("Kate")
@@ -472,7 +468,7 @@ func TestZeroAllocReads(t *testing.T) {
 		fn   func()
 	}{
 		{"NodeVec", func() { sinkVec = ix.NodeVec(kate) }},
-		{"PairVec", func() { sinkVec = ix.PairVec(kate, jay) }},
+		{"PairDot", func() { sinkFloat = ix.PairDot(kate, jay, w) }},
 		{"Accumulate", func() { ix.Accumulate(kate, w).Release() }},
 		{"SparseVec.Dot", func() { sinkFloat = v.Dot(w) }},
 		{"SparseVec.Get", func() { sinkFloat = v.Get(2) }},
@@ -504,15 +500,15 @@ func TestIndexReadErrors(t *testing.T) {
 func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	one := []Entry{{Meta: 0, Count: 1}}
 	two := []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}}
-	node := func(numMeta int, keys []graph.NodeID, off []int32, ent []Entry) *Index {
-		return &Index{numMeta: numMeta, mx: csr[graph.NodeID]{keys: keys, off: off, ent: ent}}
+	node := func(numMeta int, keys []graph.NodeID, off []int32, ent []Entry) []byte {
+		return rowBytes(t, numMeta, csr[graph.NodeID]{keys: keys, off: off, ent: ent}, csr[PairKey]{})
 	}
-	pair := func(keys []PairKey, off []int32, ent []Entry) *Index {
-		return &Index{numMeta: 1, mxy: csr[PairKey]{keys: keys, off: off, ent: ent}}
+	pair := func(keys []PairKey, off []int32, ent []Entry) []byte {
+		return rowBytes(t, 1, csr[graph.NodeID]{}, csr[PairKey]{keys: keys, off: off, ent: ent})
 	}
 	cases := []struct {
 		name string
-		ix   *Index
+		raw  []byte
 	}{
 		{"meta out of range", node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 5, Count: 1}})},
 		{"negative meta", node(2, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: -1, Count: 1}})},
@@ -524,8 +520,8 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"repeated meta in a row", node(4, []graph.NodeID{1}, []int32{0, 2}, []Entry{{Meta: 2, Count: 1}, {Meta: 2, Count: 1}})},
 		{"count of 0", node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 0}})},
 		{"negative numMeta", node(-1, nil, nil, nil)},
-		// What the derived adjacency indexes by: node ids and pair
-		// endpoints, against a graph of 8 nodes.
+		// What the runs index by: node ids and pair endpoints, against a
+		// graph of 8 nodes.
 		{"negative node key", node(1, []graph.NodeID{-1}, []int32{0, 1}, one)},
 		{"node key beyond the graph", node(1, []graph.NodeID{8}, []int32{0, 1}, one)},
 		{"id-sized node key", node(1, []graph.NodeID{math.MaxInt32}, []int32{0, 1}, one)},
@@ -538,7 +534,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"duplicate pair keys", pair([]PairKey{MakePairKey(1, 3), MakePairKey(1, 3)}, []int32{0, 1, 2}, two)},
 	}
 	for _, c := range cases {
-		if _, err := Read(bytes.NewReader(writeBytes(t, c.ix)), 8); err == nil {
+		if _, err := Read(bytes.NewReader(c.raw), 8); err == nil {
 			t.Errorf("%s: Read accepted corrupt file", c.name)
 		}
 	}
@@ -614,7 +610,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		t.Errorf("a reuse bit on the pair table's first row: Read returned %v", err)
 	}
 
-	good := writeBytes(t, node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 2}}))
+	good := node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 2}})
 	if _, err := Read(bytes.NewReader(good), 8); err != nil {
 		t.Fatalf("the cases' well-formed sibling is refused: %v", err)
 	}
@@ -679,13 +675,13 @@ func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 
 // scanEverything reads every run of ix and every vector behind it —
 // whatever Read accepted must be safe to rank on — and holds each to the
-// by-key read it stands in for: every posting to its pair row's coordinate,
-// the postings all together to the pair table, the query's own row, the
-// denominators, and a scan under weights with zeros to each weighted pair
-// row's Dot, bit for bit.
+// by-key read it stands in for: every posting to the same coordinate as
+// its partner's runs hold it, the postings all together to the pair rows
+// walked out of them, the query's own row, the denominators, and a scan
+// under weights with zeros to each weighted pair row's Dot and PairDot,
+// bit for bit.
 func scanEverything(t testing.TB, ix *Index, numNodes int) {
 	t.Helper()
-	ix.BuildAdjacency()
 	w := make([]float64, ix.NumMeta())
 	for i := range w {
 		if i%3 != 1 { // every third metagraph weighs nothing
@@ -696,13 +692,12 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 	if len(dots) != ix.NodeSpan() {
 		t.Fatalf("%d denominators for a node span of %d", len(dots), ix.NodeSpan())
 	}
-	a := ix.adjacency()
 	postings := 0
 	for v := graph.NodeID(-1); int(v) <= numNodes; v++ {
 		if v >= 0 && int(v) < len(dots) && dots[v] != ix.NodeVec(v).Dot(w) {
 			t.Fatalf("denominator of %d is %v, by key %v", v, dots[v], ix.NodeVec(v).Dot(w))
 		}
-		rs, lo, hi := a.runsOf(v)
+		rs, lo, hi := ix.runsOf(v)
 		for r := lo; r < hi; r++ {
 			m, ps := rs.meta[r], rs.postings(r)
 			if len(ps) == 0 || (r > lo && m <= rs.meta[r-1]) {
@@ -715,10 +710,10 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 				if i > 0 && p.node <= ps[i-1].node {
 					t.Fatalf("run of metagraph %d of node %d does not ascend: %v", m, v, ps)
 				}
-				row := ix.PairVec(v, p.node).ent
+				row := ix.PairVec(p.node, v).ent
 				j, ok := slices.BinarySearchFunc(row, m, func(e Entry, m int32) int { return cmp.Compare(e.Meta, m) })
 				if !ok || row[j].Count != p.count {
-					t.Fatalf("node %d holds %d in metagraph %d with count %d; by key %v", v, p.node, m, p.count, row)
+					t.Fatalf("node %d holds %d in metagraph %d with count %d; the runs of %d, %v", v, p.node, m, p.count, p.node, row)
 				}
 			}
 			postings += len(ps)
@@ -738,8 +733,9 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 				continue
 			}
 			weighed++
-			if acc.slot[u].gen != acc.gen || math.Float64bits(acc.PairDot(u)) != math.Float64bits(row.Dot(w)) {
-				t.Fatalf("scan of %d: partner %d sums to %v (reached %v), by key %v", v, u, acc.PairDot(u), acc.slot[u].gen == acc.gen, row.Dot(w))
+			if acc.slot[u].gen != acc.gen || math.Float64bits(acc.PairDot(u)) != math.Float64bits(row.Dot(w)) ||
+				math.Float64bits(ix.PairDot(u, v, w)) != math.Float64bits(row.Dot(w)) {
+				t.Fatalf("scan of %d: partner %d sums to %v (reached %v), by key %v, %v", v, u, acc.PairDot(u), acc.slot[u].gen == acc.gen, row.Dot(w), ix.PairDot(u, v, w))
 			}
 			if !sameRow(acc.NodeVec(u), ix.NodeVec(u)) {
 				t.Fatalf("scan of %d: m_%d is %v, by key %v", v, u, acc.NodeVec(u), ix.NodeVec(u))
@@ -750,7 +746,7 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 		}
 		acc.Release()
 	}
-	if all := 2 * len(ix.Compact().mxy.ent); postings != all {
+	if all := 2 * len(ix.pairTable().ent); postings != all {
 		t.Fatalf("the runs hold %d postings; the pair rows, %d", postings, all)
 	}
 }
@@ -807,10 +803,11 @@ func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
 			acc.Release()
 		}
 	}
-	for _, keys := range [][]PairKey{ix.mxy.keys, ix.ovlMxy.keys} {
-		for _, k := range keys {
-			check("m_"+k.String(), ix.PairVec(k.Nodes()))
-		}
+	pairs := ix.pairTable()
+	for _, k := range pairs.keys {
+		x, y := k.Nodes()
+		check("m_"+k.String(), ix.PairVec(x, y))
+		check("m_"+k.String()+" from its larger node", ix.PairVec(y, x))
 	}
 }
 
@@ -830,8 +827,9 @@ func selfPatch(ix *Index, numNodes int) *Patch {
 	for r, k := range ix.mx.keys[:min(3, len(ix.mx.keys))] {
 		mx[k] = double(ix.mx.ent[ix.mx.off[r]:ix.mx.off[r+1]])
 	}
-	for r, k := range ix.mxy.keys[:min(3, len(ix.mxy.keys))] {
-		mxy[k] = double(ix.mxy.ent[ix.mxy.off[r]:ix.mxy.off[r+1]])
+	pairs := ix.pairTable()
+	for r, k := range pairs.keys[:min(3, len(pairs.keys))] {
+		mxy[k] = double(pairs.ent[pairs.off[r]:pairs.off[r+1]])
 	}
 	if numNodes >= 2 && ix.NumMeta() > 0 {
 		last := graph.NodeID(numNodes - 1)
@@ -842,30 +840,31 @@ func selfPatch(ix *Index, numNodes int) *Patch {
 }
 
 // FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse
-// them, but an index it returns must build its adjacency and serve every
-// row — patched and compacted too — without a panic and equal to the by-key
-// read, inside allocations bounded by the stated graph size.
+// them, but an index it returns must serve every row without a panic —
+// patched and compacted too — inside allocations bounded by the stated
+// graph size. What it serves is held to what the stream declares: the pair
+// rows decodeTable reads off the same bytes, the patch's rows shadowing
+// them once patched. And what Read accepted, Write writes back as a fixed
+// point: written, read and written again, the bytes stay the same.
 func FuzzIndexRead(f *testing.F) {
 	_, ix := buildToyIndex(f)
 	f.Add(writeBytes(f, ix), uint16(14))
 	f.Add(writeBytes(f, ix), uint16(3))
 	f.Add(writeBytes(f, NewBuilder(2).Build()), uint16(0))
 	// Counts of every varint width an Entry can hold, up to 2^32-1.
-	f.Add(writeBytes(f, &Index{
-		numMeta: 2,
-		mx:      csr[graph.NodeID]{keys: []graph.NodeID{1, 5}, off: []int32{0, 2, 3}, ent: []Entry{{0, 127}, {1, 128}, {1, math.MaxUint32}}},
-		mxy:     csr[PairKey]{keys: []PairKey{MakePairKey(1, 5)}, off: []int32{0, 2}, ent: []Entry{{0, 16383}, {1, 16384}}},
-	}), uint16(8))
+	f.Add(rowBytes(f, 2,
+		csr[graph.NodeID]{keys: []graph.NodeID{1, 5}, off: []int32{0, 2, 3}, ent: []Entry{{0, 127}, {1, 128}, {1, math.MaxUint32}}},
+		csr[PairKey]{keys: []PairKey{MakePairKey(1, 5)}, off: []int32{0, 2}, ent: []Entry{{0, 16383}, {1, 16384}}},
+	), uint16(8))
 	f.Add(writeBytes(f, wideIndex()), uint16(8))
 	// Heads that run and then change, in both tables: three rows of one
 	// head, a new count, a new length, then the first head again.
-	f.Add(writeBytes(f, &Index{
-		numMeta: 3,
-		mx: csr[graph.NodeID]{keys: []graph.NodeID{0, 1, 2, 3, 5, 6}, off: []int32{0, 1, 2, 3, 4, 6, 7},
+	f.Add(rowBytes(f, 3,
+		csr[graph.NodeID]{keys: []graph.NodeID{0, 1, 2, 3, 5, 6}, off: []int32{0, 1, 2, 3, 4, 6, 7},
 			ent: []Entry{{1, 1}, {1, 1}, {1, 1}, {1, 4}, {0, 1}, {2, 1}, {1, 1}}},
-		mxy: csr[PairKey]{keys: []PairKey{MakePairKey(0, 1), MakePairKey(0, 2), MakePairKey(1, 2), MakePairKey(1, 5), MakePairKey(3, 6)},
+		csr[PairKey]{keys: []PairKey{MakePairKey(0, 1), MakePairKey(0, 2), MakePairKey(1, 2), MakePairKey(1, 5), MakePairKey(3, 6)},
 			off: []int32{0, 1, 2, 3, 5, 6}, ent: []Entry{{2, 1}, {2, 1}, {2, 1}, {0, 2}, {2, 1}, {2, 1}}},
-	}), uint16(8))
+	), uint16(8))
 	// Rows that mix 4-node metagraphs with counts above 1, as MaxNodes 4
 	// builds them: heads with the all-ones bit both set and clear.
 	rng := rand.New(rand.NewSource(1))
@@ -875,7 +874,7 @@ func FuzzIndexRead(f *testing.F) {
 		bld.AddMetagraph(i, m, match.NewSymISO(g))
 	}
 	counted := bld.Build()
-	if !slices.ContainsFunc(counted.mxy.ent, func(e Entry) bool { return e.Count > 1 }) {
+	if !slices.ContainsFunc(counted.pairTable().ent, func(e Entry) bool { return e.Count > 1 }) {
 		f.Fatal("the counted seed has no count above 1")
 	}
 	f.Add(writeBytes(f, counted), uint16(g.NumNodes()))
@@ -891,15 +890,71 @@ func FuzzIndexRead(f *testing.F) {
 		if err != nil || ix.NumMeta() > 1<<16 { // scanEverything allocates a weight vector
 			return
 		}
-		scanEverything(t, ix, int(numNodes))
-		// The same through the overlay: rows carried by WithPatch, built
-		// from nothing on a patched index, and after compaction.
-		patch := selfPatch(ix, int(numNodes))
-		carried := ix.WithPatch(patch)
-		scanEverything(t, carried, int(numNodes))
 		fr, _ = flat.NewReader(bytes.NewReader(data), fileMagic)
-		lazy, _ := Decode(fr, int(numNodes))
-		scanEverything(t, lazy.WithPatch(patch), int(numNodes))
-		scanEverything(t, carried.Compact(), int(numNodes))
+		numMeta := fr.Uvarint()
+		if _, err := decodeTable[graph.NodeID](fr, numMeta, uint64(numNodes)); err != nil {
+			t.Fatalf("Decode accepted a node table decodeTable refuses: %v", err)
+		}
+		declared, err := decodeTable[PairKey](fr, numMeta, math.MaxUint64)
+		if err != nil {
+			t.Fatalf("Decode accepted a pair table decodeTable refuses: %v", err)
+		}
+		holdsRows(t, "decoded", ix, declared)
+		scanEverything(t, ix, int(numNodes))
+		// The same through the overlay, and after compaction.
+		patch := selfPatch(ix, int(numNodes))
+		patched := ix.WithPatch(patch)
+		holdsRows(t, "patched", patched, shadowMerge(declared, patch.mxy))
+		scanEverything(t, patched, int(numNodes))
+		compacted := patched.Compact()
+		holdsRows(t, "compacted", compacted, shadowMerge(declared, patch.mxy))
+		scanEverything(t, compacted, int(numNodes))
+
+		once := writeBytes(t, ix)
+		back, err := Read(bytes.NewReader(once), int(numNodes))
+		if err != nil {
+			t.Fatalf("Read refuses what Write wrote of a decoded index: %v", err)
+		}
+		if !bytes.Equal(writeBytes(t, back), once) {
+			t.Fatal("Write(Read(Write(ix))) differs from Write(ix)")
+		}
 	})
+}
+
+// holdsRows holds the pair rows ix's runs walk out, and each read by key
+// from either endpoint, to the table want.
+func holdsRows(t *testing.T, label string, ix *Index, want csr[PairKey]) {
+	t.Helper()
+	got := ix.pairTable()
+	if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.ent, want.ent) || (len(want.keys) > 0 && !slices.Equal(got.off, want.off)) {
+		t.Fatalf("%s: the runs hold pair rows %v %v %v; the stream declares %v %v %v", label, got.keys, got.off, got.ent, want.keys, want.off, want.ent)
+	}
+	for r, k := range want.keys {
+		x, y := k.Nodes()
+		row := want.ent[want.off[r]:want.off[r+1]]
+		if !slices.Equal(ix.PairVec(x, y).ent, row) || !slices.Equal(ix.PairVec(y, x).ent, row) {
+			t.Fatalf("%s: m_%v reads %v and %v by key; the stream declares %v", label, k, ix.PairVec(x, y).ent, ix.PairVec(y, x).ent, row)
+		}
+	}
+}
+
+// rowBytes is the stream Write writes for an index of node rows mx and pair
+// rows mxy, laid down as given: the encoder checks nothing, so a corrupt
+// table turns into exactly the bytes a corrupt file would hold.
+func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey]) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw := flat.NewWriter(&buf, fileMagic)
+	fw.Uvarint(uint64(numMeta))
+	encodeTable(fw, numMeta, len(mx.keys), len(mx.ent), mx.each)
+	encodeTable(fw, numMeta, len(mxy.keys), len(mxy.ent), mxy.each)
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameRuns reports whether two run layouts are identical.
+func sameRuns(a, b *adjRuns) bool {
+	return slices.Equal(a.first, b.first) && slices.Equal(a.meta, b.meta) && slices.Equal(a.off, b.off) && slices.Equal(a.post, b.post)
 }

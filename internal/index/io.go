@@ -15,8 +15,9 @@ import (
 // offline phase (Table III), so persisting its output lets deployments
 // mine+match once and train/query many times.
 //
-// An index travels as one section of a flat stream (internal/flat), written
-// straight from the CSR arenas and read straight back into them:
+// An index travels as one section of a flat stream (internal/flat): its
+// node table as it is held, and its runs walked back out into the pair
+// rows they hold (eachPair), which the reader lays out as runs again:
 //
 //	numMeta
 //	node table, pair table, each:
@@ -77,18 +78,20 @@ func Read(r io.Reader, numNodes int) (*Index, error) {
 func Encode(w *flat.Writer, ix *Index) {
 	ix = ix.Compact()
 	w.Uvarint(uint64(ix.numMeta))
-	encodeTable(w, &ix.mx, ix.numMeta)
-	encodeTable(w, &ix.mxy, ix.numMeta)
+	encodeTable(w, ix.numMeta, len(ix.mx.keys), len(ix.mx.ent), ix.mx.each)
+	// Every pair coordinate is two postings, one in each endpoint's runs.
+	encodeTable(w, ix.numMeta, ix.NumPairs(), len(ix.flat.post)/2, ix.eachPair)
 }
 
-func encodeTable[K ~int32 | ~uint64](w *flat.Writer, c *csr[K], numMeta int) {
-	w.Uvarint(uint64(len(c.keys)))
-	w.Uvarint(uint64(len(c.ent)))
+// encodeTable writes a table of nKeys rows holding nEnt entries, which
+// each yields in key order.
+func encodeTable[K ~int32 | ~uint64](w *flat.Writer, numMeta, nKeys, nEnt int, each func(yield func(K, []Entry))) {
+	w.Uvarint(uint64(nKeys))
+	w.Uvarint(uint64(nEnt))
 	b := uint(bits.Len(uint(numMeta)))
 	prev, prevHead := uint64(0), uint64(0) // no head is 0: rows are never empty
-	for i, k := range c.keys {
+	each(func(k K, row []Entry) {
 		next := uint64(k) + 1
-		row := c.ent[c.off[i]:c.off[i+1]]
 		ones := uint64(1)
 		for _, e := range row {
 			if e.Count != 1 {
@@ -112,18 +115,18 @@ func encodeTable[K ~int32 | ~uint64](w *flat.Writer, c *csr[K], numMeta int) {
 				w.Uvarint(uint64(e.Count))
 			}
 		}
-	}
+	})
 }
 
 // Decode reads one section for a graph of numNodes nodes; the index reads raw
 // counts (see Transform). The bytes are untrusted: everything reads rely on
 // (strictly ascending keys and row Metas, Metas within numMeta, counts in
-// [1, 2^32-1]) and everything the derived adjacency later
-// indexes by node id or by row position (node keys and pair endpoints
-// within the graph, smaller endpoint first) is checked as it is decoded,
-// so a corrupt stream is refused with an error and can neither panic a
-// reader nor size an allocation by a number it made up (see flat.Grow).
-// The adjacency itself is not built (see BuildAdjacency).
+// [1, 2^32-1]) and everything the runs index by node id or by posting
+// position (node keys and pair endpoints within the graph, smaller endpoint
+// first) is checked as it is decoded, so a corrupt stream is refused with
+// an error and can neither panic a reader nor size an allocation by a
+// number it made up (see flat.Grow). The pair rows are laid out as runs
+// and dropped.
 func Decode(r *flat.Reader, numNodes int) (*Index, error) {
 	numMeta := r.Uvarint()
 	if numMeta > math.MaxInt32 {
@@ -144,14 +147,14 @@ func Decode(r *flat.Reader, numNodes int) (*Index, error) {
 		return nil, fmt.Errorf("index: pair table: %w", err)
 	}
 	if len(mxy.ent) > math.MaxInt32/2 {
-		return nil, fmt.Errorf("index: pair table: %d entries overflow the adjacency's posting positions", len(mxy.ent))
+		return nil, fmt.Errorf("index: pair table: %d entries overflow the runs' posting positions", len(mxy.ent))
 	}
 	for _, k := range mxy.keys {
 		if x, y := k.Nodes(); x >= y || int(y) >= numNodes {
 			return nil, fmt.Errorf("index: pair table: key (%d,%d) is not a pair of nodes in [0, %d)", x, y, numNodes)
 		}
 	}
-	return &Index{numMeta: int(numMeta), mx: mx, mxy: mxy, adj: &lazyAdjacency{}}, nil
+	return fromRows(int(numMeta), mx, &mxy), nil
 }
 
 // corrupt names an invariant the stream broke — unless the stream itself

@@ -12,27 +12,31 @@ import (
 	"repro/internal/metagraph"
 )
 
-// sortMerge is Merge as it was before the k-way pass: sort the union of the
-// part keys, binary-search every part key in it, fill rows by cursor. Kept
-// as the reference the k-way merge must reproduce byte for byte.
+// sortMerge is Merge as it was before the k-way pass, over the parts' node
+// tables and the pair tables their runs hold: sort the union of the part
+// keys, binary-search every part key in it, fill rows by cursor. Kept as
+// the reference the merge of runs must reproduce byte for byte.
 func sortMerge(parts ...*Index) *Index {
-	out := &Index{adj: &lazyAdjacency{}}
+	numMeta := 0
 	offsets := make([]int32, len(parts))
+	mx := make([]*csr[graph.NodeID], len(parts))
+	mxy := make([]*csr[PairKey], len(parts))
 	for i, p := range parts {
-		offsets[i] = int32(out.numMeta)
-		out.numMeta += p.numMeta
+		offsets[i] = int32(numMeta)
+		numMeta += p.numMeta
+		pairs := p.pairTable()
+		mx[i], mxy[i] = &p.mx, &pairs
 	}
-	out.mx = sortMergeCSR(parts, offsets, func(p *Index) *csr[graph.NodeID] { return &p.mx })
-	out.mxy = sortMergeCSR(parts, offsets, func(p *Index) *csr[PairKey] { return &p.mxy })
-	return out
+	pairs := sortMergeCSR(mxy, offsets)
+	return fromRows(numMeta, sortMergeCSR(mx, offsets), &pairs)
 }
 
-func sortMergeCSR[K cmp.Ordered](parts []*Index, offsets []int32, table func(*Index) *csr[K]) csr[K] {
+func sortMergeCSR[K cmp.Ordered](tables []*csr[K], offsets []int32) csr[K] {
 	var union []K
 	totalEnt := 0
-	for _, p := range parts {
-		union = append(union, table(p).keys...)
-		totalEnt += len(table(p).ent)
+	for _, c := range tables {
+		union = append(union, c.keys...)
+		totalEnt += len(c.ent)
 	}
 	if totalEnt == 0 {
 		return csr[K]{}
@@ -40,8 +44,7 @@ func sortMergeCSR[K cmp.Ordered](parts []*Index, offsets []int32, table func(*In
 	slices.Sort(union)
 	keys := slices.Clone(slices.Compact(union))
 	off := make([]int32, len(keys)+1)
-	for _, p := range parts {
-		c := table(p)
+	for _, c := range tables {
 		for ki, k := range c.keys {
 			off[findKey(keys, k)+1] += c.off[ki+1] - c.off[ki]
 		}
@@ -51,8 +54,7 @@ func sortMergeCSR[K cmp.Ordered](parts []*Index, offsets []int32, table func(*In
 	}
 	ent := make([]Entry, totalEnt)
 	cur := slices.Clone(off[:len(keys)])
-	for pi, p := range parts {
-		c := table(p)
+	for pi, c := range tables {
 		for ki, k := range c.keys {
 			at := findKey(keys, k)
 			for _, e := range c.ent[c.off[ki]:c.off[ki+1]] {
@@ -71,7 +73,7 @@ func mergeFixtures(t *testing.T) map[string][]*Index {
 	t.Helper()
 	g := buildToy(t)
 	toy, _ := MatchParts(toyMetagraphs(), func() match.Matcher { return match.NewSymISO(g) }, 1)
-	asym := matchOne(metagraph.MustNew([]graph.TypeID{tUser, tSchool, tMajor},
+	asym := matchPart(metagraph.MustNew([]graph.TypeID{tUser, tSchool, tMajor},
 		[]metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}), match.NewSymISO(g))
 	fixtures := map[string][]*Index{
 		"toy M1-M4":      toy,
@@ -93,7 +95,7 @@ func mergeFixtures(t *testing.T) map[string][]*Index {
 	}
 	var random, patched []*Index
 	for _, m := range patchMetagraphs() {
-		part := matchOne(m, match.NewSymISO(rg))
+		part := matchPart(m, match.NewSymISO(rg))
 		random = append(random, part)
 		patched = append(patched, part.WithPatch(RematchDelta(ng, m, nil, nil)))
 	}
@@ -102,8 +104,8 @@ func mergeFixtures(t *testing.T) map[string][]*Index {
 	return fixtures
 }
 
-// TestMergeKWayEqualsConcatenation: the k-way merge writes the bytes the
-// sort-and-search merge wrote, on every fixture.
+// TestMergeKWayEqualsConcatenation: the merge of the parts' runs writes the
+// bytes the sort-and-search merge of their rows wrote, on every fixture.
 func TestMergeKWayEqualsConcatenation(t *testing.T) {
 	for name, parts := range mergeFixtures(t) {
 		compacted := make([]*Index, len(parts))
@@ -117,9 +119,10 @@ func TestMergeKWayEqualsConcatenation(t *testing.T) {
 		if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
 			t.Fatalf("%s: k-way merge differs from the sort-based merge", name)
 		}
-		if got.HasAdjacency() || got.Pending() {
-			t.Fatalf("%s: a merge starts flat, its adjacency unbuilt", name)
+		if got.Pending() {
+			t.Fatalf("%s: a merge carries an overlay", name)
 		}
+		checkAdjacency(t, name, got, want, 16, nil)
 	}
 }
 
@@ -256,7 +259,7 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 			var gains []*Patch
 			var enumerated int64
 			for _, m := range ms {
-				part, p := matchOne(m, match.NewSymISO(g)).Transform(f), RematchDelta(ng, m, nil, nil)
+				part, p := matchPart(m, match.NewSymISO(g)).Transform(f), RematchDelta(ng, m, nil, nil)
 				patchedParts = append(patchedParts, part.WithPatch(p))
 				parts, gains = append(parts, part), append(gains, p)
 				enumerated += p.Enumerated()
@@ -274,14 +277,12 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 			if !slices.Equal(lifted.NodeKeys(), slices.Compact(nodeKeys)) {
 				t.Fatalf("trial %d: lifted patch names nodes %v, the parts gained on %v", trial, lifted.NodeKeys(), nodeKeys)
 			}
-			merged := empty.AddParts(slots, parts)
-			merged.BuildAdjacency()
-			got := merged.WithPatch(lifted)
+			got := empty.AddParts(slots, parts).WithPatch(lifted)
 			want := empty.AddParts(slots, patchedParts)
 			if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
 				t.Fatalf("trial %d (transformed %v): one lifted patch differs from per-part patches merged", trial, transformed)
 			}
-			checkAdjacency(t, "lifted patch", got, want, ng.NumNodes())
+			checkAdjacency(t, "lifted patch", got, want, ng.NumNodes(), endpointsOf(lifted))
 			readsThrough(t, got, f)
 		}
 	}
@@ -290,25 +291,27 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 	}
 }
 
-// TestFootprint: the sizes follow the slices — an adjacency counts once it is
-// built, an overlay until it is compacted.
+// TestFootprint: the sizes follow the slices — the node table and the runs
+// from the start, an overlay until it is compacted — and the runs are the
+// only store of the pair counts: each m_xy[m] is two postings, and no
+// table holds it.
 func TestFootprint(t *testing.T) {
 	_, ix := buildToyIndex(t)
 	fp := ix.Footprint()
-	if fp.Tables <= 0 || fp.Adjacency != 0 || fp.Overlay != 0 || fp.OverlayRows != 0 {
+	if fp.Tables != csrBytes(&ix.mx) || fp.Adjacency <= 0 || fp.Overlay != 0 || fp.OverlayRows != 0 {
 		t.Fatalf("fresh index: %+v", fp)
 	}
-	ix.BuildAdjacency()
-	built := ix.Footprint()
-	if built.Tables != fp.Tables || built.Adjacency <= 0 || built.Overlay != 0 {
-		t.Fatalf("after BuildAdjacency: %+v (was %+v)", built, fp)
+	if pairs := ix.pairTable(); len(ix.flat.post) != 2*len(pairs.ent) {
+		t.Fatalf("the runs hold %d postings for %d pair coordinates", len(ix.flat.post), len(pairs.ent))
 	}
+	// The patch names a node beyond the index, which widens the node-row
+	// positions; the flat runs are shared.
 	patched := ix.WithPatch(selfPatch(ix, 14))
 	pp := patched.Footprint()
-	if pp.Tables != fp.Tables || pp.Overlay <= 0 || pp.OverlayRows == 0 || pp.Adjacency <= 0 {
-		t.Fatalf("patched: %+v", pp)
+	if pp.Tables != fp.Tables || pp.Adjacency != sliceBytes(patched.spans)+ix.flat.bytes() || pp.Overlay <= 0 || pp.OverlayRows == 0 {
+		t.Fatalf("patched: %+v (was %+v)", pp, fp)
 	}
-	if cp := patched.Compact().Footprint(); cp.Overlay != 0 || cp.OverlayRows != 0 || cp.Adjacency != 0 {
+	if cp := patched.Compact().Footprint(); cp.Tables <= 0 || cp.Adjacency <= 0 || cp.Overlay != 0 || cp.OverlayRows != 0 {
 		t.Fatalf("compacted: %+v", cp)
 	}
 }

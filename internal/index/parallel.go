@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/metagraph"
 )
@@ -89,12 +90,11 @@ func fanOut(n, workers int, newWorker func() func(int)) {
 // the update.
 var counters = sync.Pool{New: func() any { return new(counter) }}
 
-// matchOne builds the single-metagraph part index of m with pooled
-// scratch.
-func matchOne(m *metagraph.Metagraph, matcher match.Matcher) *Index {
+// matchOne counts the rows of the single metagraph m with pooled scratch.
+func matchOne(m *metagraph.Metagraph, matcher match.Matcher) (csr[graph.NodeID], csr[PairKey]) {
 	c := counters.Get().(*counter)
 	defer counters.Put(c)
-	return c.part(m, matcher)
+	return c.match(m, matcher, 0)
 }
 
 // BuildParallel is the parallel offline index build: MatchParts followed by

@@ -3,9 +3,10 @@
 // metagraph edge onto an added graph edge (Def. 2). RematchDelta enumerates
 // those — seeded at the added edges, see match.Delta — and counts, per key,
 // the instances GAINED; a row after the delta is the row before it plus its
-// gains. WithPatch overlays the resulting rows over the flat CSR without
-// rebuilding it; Compact folds the overlay into fresh arenas identical to a
-// from-scratch build of the final graph.
+// gains. WithPatch overlays the resulting node rows and the partner runs
+// they change over the flat index without rebuilding it; Compact splices
+// the overlay in, giving the index a from-scratch build of the final graph
+// gives.
 package index
 
 import (
@@ -55,8 +56,8 @@ func MergeGains(numMeta int, slots []int, patches []*Patch) *Patch {
 	mx := make([]source[graph.NodeID], len(patches))
 	mxy := make([]source[PairKey], len(patches))
 	for i, p := range patches {
-		mx[i] = source[graph.NodeID]{&p.mx, int32(slots[i])}
-		mxy[i] = source[PairKey]{&p.mxy, int32(slots[i])}
+		mx[i] = source[graph.NodeID]{&p.mx, shifted(int32(slots[i]))}
+		mxy[i] = source[PairKey]{&p.mxy, shifted(int32(slots[i]))}
 		out.enumerated += p.enumerated
 	}
 	out.mx, out.mxy = mergeCSR(mx), mergeCSR(mxy)
@@ -79,7 +80,12 @@ func (p *Patch) Over(ix *Index) (*Patch, error) {
 	if err != nil {
 		return nil, err
 	}
-	mxy, err := addGains(p.mxy, func(k PairKey) []Entry { return ix.pairRow(k.Nodes()) })
+	var buf []Entry
+	mxy, err := addGains(p.mxy, func(k PairKey) []Entry {
+		x, y := k.Nodes()
+		buf = ix.pairRow(buf[:0], x, y)
+		return buf
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -123,17 +129,15 @@ func addGains[K cmp.Ordered](gains csr[K], old func(K) []Entry) (csr[K], error) 
 }
 
 // WithPatch returns a new index whose overlay replaces the patched rows;
-// the receiver is unchanged, all base arenas are shared and the transform
-// carries over. Gains are first resolved against the receiver (see Over);
-// a gain Over refuses panics here, so a caller that cannot rule overflow
-// out resolves the patch with Over first. Patching an
+// the receiver is unchanged, the flat node table and runs are shared and
+// the transform carries over. Gains are first resolved against the
+// receiver (see Over); a gain Over refuses panics here, so a caller that
+// cannot rule overflow out resolves the patch with Over first. Patching an
 // already-patched index merges the overlays (the newer patch wins on
 // overlapping keys). Reads through the result see the replacement rows
-// immediately; call Compact to fold the overlay into flat storage.
-//
-// When the receiver's adjacency is built the result's is too: it shares
-// the receiver's flat runs and re-derives only the runs of the overlay's
-// endpoints, so an update never costs its first reader an O(pairs) build.
+// immediately; call Compact to fold the overlay into flat storage. The
+// cost is the runs of the patched pairs' endpoints plus one pass over the
+// node id range — never the number of pairs the index holds.
 func (ix *Index) WithPatch(p *Patch) *Index {
 	if p.numMeta != ix.numMeta {
 		panic(fmt.Sprintf("index: patch spans %d metagraphs, index %d", p.numMeta, ix.numMeta))
@@ -145,40 +149,35 @@ func (ix *Index) WithPatch(p *Patch) *Index {
 	if err != nil {
 		panic(err)
 	}
-	out := &Index{
+	return (&Index{
 		numMeta: ix.numMeta,
 		f:       ix.f,
 		mx:      ix.mx,
-		mxy:     ix.mxy,
+		flat:    ix.flat,
 		ovlMx:   shadowMerge(ix.ovlMx, p.mx),
-		ovlMxy:  shadowMerge(ix.ovlMxy, p.mxy),
-		adj:     &lazyAdjacency{},
-	}
-	if a := ix.adj.p.Load(); a != nil {
-		out.adj.p.Store(overlayAdjacency(a.flat, out))
-	}
-	return out
+		ovl:     ix.overlay(buildRuns(&p.mxy, ix.numMeta)),
+	}).finish()
 }
 
 // Pending reports whether the index carries an uncompacted patch overlay.
-func (ix *Index) Pending() bool { return len(ix.ovlMx.keys) != 0 || len(ix.ovlMxy.keys) != 0 }
+func (ix *Index) Pending() bool { return len(ix.ovlMx.keys) != 0 || len(ix.ovl.meta) != 0 }
 
-// Compact folds the patch overlay into fresh flat CSR arenas, returning
-// the receiver unchanged when there is nothing pending. The result is
-// byte-identical (under Write) to an index built from scratch on the
-// post-delta graph. Every row moves, so the result's adjacency starts
-// unbuilt: whoever hands it to readers calls BuildAdjacency first.
+// Compact folds the patch overlay into the flat node table and runs,
+// returning the receiver unchanged when there is nothing pending: each
+// node's runs, its replacement runs where it has them, are copied as they
+// are, none rebuilt. The result holds what an index built from scratch on
+// the post-delta graph holds, laid out the same way, so it writes the same
+// bytes.
 func (ix *Index) Compact() *Index {
 	if !ix.Pending() {
 		return ix
 	}
-	return &Index{
+	return (&Index{
 		numMeta: ix.numMeta,
 		f:       ix.f,
 		mx:      shadowMerge(ix.mx, ix.ovlMx),
-		mxy:     shadowMerge(ix.mxy, ix.ovlMxy),
-		adj:     &lazyAdjacency{},
-	}
+		flat:    ix.relaid(shifted(0)),
+	}).finish()
 }
 
 // shadowMerge merges two row tables into one fresh table; rows of over
@@ -232,6 +231,6 @@ func shadowMerge[K cmp.Ordered](base, over csr[K]) csr[K] {
 // not change in the same PR, is ported.
 func RematchDelta(g *graph.Graph, m *metagraph.Metagraph, _ func(*graph.Graph) match.Matcher, _ []graph.NodeID) *Patch {
 	d := match.NewDelta(g)
-	gained := matchOne(m, d)
-	return &Patch{numMeta: 1, mx: gained.mx, mxy: gained.mxy, gains: true, enumerated: d.Visited()}
+	mx, mxy := matchOne(m, d)
+	return &Patch{numMeta: 1, mx: mx, mxy: mxy, gains: true, enumerated: d.Visited()}
 }

@@ -34,6 +34,12 @@ func handPatch(numMeta int, mx map[graph.NodeID][]Entry, mxy map[PairKey][]Entry
 	return &Patch{numMeta: numMeta, mx: tableOf(mx), mxy: tableOf(mxy)}
 }
 
+// matchPart is the single-metagraph part index of m, counted with a
+// scratch of its own.
+func matchPart(m *metagraph.Metagraph, matcher match.Matcher) *Index {
+	return (&counter{}).part(m, matcher)
+}
+
 // tableOf freezes map rows into a table: keys ascending, each row sorted by
 // Meta. Rows must not repeat a Meta.
 func tableOf[K cmp.Ordered](rows map[K][]Entry) csr[K] {
@@ -114,10 +120,10 @@ func TestQuickPatchEqualsScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for mi, m := range patchMetagraphs() {
-			before := matchOne(m, mk(g))
+			before := matchPart(m, mk(g))
 			patch := RematchDelta(ng, m, mk, touched)
 			patched := before.WithPatch(patch)
-			scratch := matchOne(m, mk(ng.Compact()))
+			scratch := matchPart(m, mk(ng.Compact()))
 
 			var got, want bytes.Buffer
 			if err := Write(&got, patched); err != nil {
@@ -292,9 +298,9 @@ func TestPatchOnHubEqualsScratch(t *testing.T) {
 		if p1.Empty() || p2.Empty() {
 			t.Fatalf("metagraph %d: a hub delta gained nothing", mi)
 		}
-		patched := matchOne(m, mk(g0)).WithPatch(p1).WithPatch(p2)
+		patched := matchPart(m, mk(g0)).WithPatch(p1).WithPatch(p2)
 		var want bytes.Buffer
-		if err := Write(&want, matchOne(m, mk(g2.Compact()))); err != nil {
+		if err := Write(&want, matchPart(m, mk(g2.Compact()))); err != nil {
 			t.Fatal(err)
 		}
 		for label, ix := range map[string]*Index{"overlaid": patched, "compacted": patched.Compact()} {

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -35,31 +34,21 @@ type Keys struct {
 // read through its overlay: it spans the same metagraphs and reads through
 // the same transform.
 func (ix *Index) Select(keys Keys) *Index {
-	return &Index{
-		numMeta: ix.numMeta,
-		f:       ix.f,
-		mx:      selectRows(keys.Nodes, ix.nodeRow),
-		mxy:     selectRows(keys.Pairs, func(k PairKey) []Entry { return ix.pairRow(k.Nodes()) }),
-		adj:     &lazyAdjacency{},
-	}
-}
-
-// selectRows is the table of the non-empty rows of keys.
-func selectRows[K cmp.Ordered](keys []K, row func(K) []Entry) csr[K] {
-	var c csr[K]
-	for _, k := range keys {
-		r := row(k)
-		if len(r) == 0 {
-			continue
+	var mx csr[graph.NodeID]
+	for _, v := range keys.Nodes {
+		if row := ix.nodeRow(v); len(row) > 0 {
+			mx.appendRow(v, row)
 		}
-		if len(c.off) == 0 {
-			c.off = append(c.off, 0)
-		}
-		c.keys = append(c.keys, k)
-		c.ent = append(c.ent, r...)
-		c.off = append(c.off, int32(len(c.ent)))
 	}
-	return c
+	var mxy csr[PairKey]
+	var row []Entry
+	for _, k := range keys.Pairs {
+		x, y := k.Nodes()
+		if row = ix.pairRow(row[:0], x, y); len(row) > 0 {
+			mxy.appendRow(k, row)
+		}
+	}
+	return fromRows(ix.numMeta, mx, &mxy).Transform(ix.f)
 }
 
 // RootedParts counts the rows keys names of every metagraph of ms into its
@@ -125,7 +114,7 @@ func (c *counter) rooted(m *metagraph.Metagraph, matcher *match.SymISO, keys Key
 			c.counts[u] = 0
 		}
 	}
-	return &Index{numMeta: 1, mx: mx, mxy: mxy, adj: &lazyAdjacency{}}
+	return fromRows(1, mx, &mxy)
 }
 
 // addRooted counts one set of a run that pins v to a position whose

@@ -28,11 +28,11 @@ var (
 	engIndexAdjacency   = indexResident("adjacency")
 	engIndexOverlay     = indexResident("overlay")
 	engIndexOverlayRows = obs.Default().Gauge("semprox_index_overlay_rows",
-		"Node and pair rows of the serving index that an update patched and compaction has not yet folded into flat storage.")
+		"Node rows of the serving index that an update patched and compaction has not yet folded into flat storage.")
 )
 
 func indexResident(part string) *obs.Gauge {
 	return obs.Default().Gauge("semprox_index_resident_bytes",
-		"Bytes the serving epoch's metagraph-vector index holds resident: the flat by-key node and pair tables, the partner adjacency derived from them, and the update overlay (patched rows and their partner rows) awaiting compaction.",
+		"Bytes the serving epoch's metagraph-vector index holds resident: the flat node table (tables), the partner runs that are its one store of pair counts with the node-row positions (adjacency), and the update overlay (patched node rows and replacement runs) awaiting compaction.",
 		obs.L("part", part))
 }

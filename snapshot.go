@@ -150,9 +150,9 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 // validated against the snapshot's own graph as it is decoded and against
 // the header's matched set after, a class may keep only matched metagraphs,
 // no allocation is sized by a count the stream merely claims, and nothing
-// is published before the checksum has passed. The partner adjacency and
-// the classes' denominators — derived, never stored — are rebuilt here, so
-// the first query pays for nothing.
+// is published before the checksum has passed. The partner runs are laid
+// out as the index is decoded and the classes' denominators — derived,
+// never stored — are rebuilt here, so the first query pays for nothing.
 func LoadEngine(r io.Reader) (*Engine, error) {
 	fr, err := flat.NewReader(r, snapshotMagic)
 	if err != nil {

@@ -532,10 +532,10 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 				default:
 				}
 				// Whatever epoch a reader can see is already finished:
-				// none of these reads may be the one that builds the
-				// index's adjacency.
-				if !eng.cur.Load().ix.HasAdjacency() {
-					t.Error("a published epoch left its adjacency for a reader to build")
+				// none of these reads may be the one that derives a
+				// class's denominators.
+				if ep := eng.cur.Load(); !ep.finished() {
+					t.Error("a published epoch left a class's denominators for a reader to derive")
 					return
 				}
 				q := probes[i%len(probes)]
@@ -593,11 +593,12 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 	}
 }
 
-// TestPublishedEpochsNeedNoReaderBuild pins who builds the partner
-// adjacency: every path that publishes an epoch — full and dual-stage
+// TestPublishedEpochsNeedNoReaderBuild pins who derives the classes'
+// denominators: every path that publishes an epoch — full and dual-stage
 // training, updates (a first patch and a patch over a patch), compaction,
-// snapshot load — hands readers an index whose adjacency exists
-// BEFORE the first read, so no read path can trigger the O(pairs) build.
+// snapshot load — hands readers every class's NodeDots over the whole node
+// span BEFORE the first read, so no read path derives them. The index
+// itself has nothing to build: every constructor lays out its runs.
 // TestQueriesServeDuringUpdate asserts the same from concurrent readers.
 func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
 	finished := func(stage string, e *Engine) {
@@ -606,8 +607,8 @@ func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
 		if len(ep.classes) != 2 {
 			t.Fatalf("%s: %d classes published, want 2", stage, len(ep.classes))
 		}
-		if !ep.ix.HasAdjacency() {
-			t.Fatalf("%s: the index was published without its adjacency", stage)
+		if !ep.finished() {
+			t.Fatalf("%s: a class was published without its denominators", stage)
 		}
 	}
 	eng, g := toyEngine(t)
@@ -818,4 +819,15 @@ func TestApplyUpdateBatchValidation(t *testing.T) {
 	if eng.LSN() != 2 || eng.Epoch() != 2 {
 		t.Fatalf("failed batch mutated the engine: LSN %d epoch %d", eng.LSN(), eng.Epoch())
 	}
+}
+
+// finished reports whether every class of the epoch carries its
+// denominators over the index's whole node span.
+func (ep *epoch) finished() bool {
+	for _, cm := range ep.classes {
+		if len(cm.dots) != ep.ix.NodeSpan() {
+			return false
+		}
+	}
+	return true
 }
