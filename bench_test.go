@@ -215,7 +215,7 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ix := index.BuildParallel(ms, func() match.Matcher { return matcher }, 1); ix.NumPairs() == 0 {
+				if ix := index.BuildParallel(ms, func() match.Matcher { return matcher }, 1); ix.NodeSpan() == 0 {
 					b.Fatal("empty index")
 				}
 			}
@@ -243,7 +243,7 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ix := index.BuildParallel(ms,
 					func() match.Matcher { return match.NewSymISO(ds.G) }, workers)
-				if ix.NumPairs() == 0 {
+				if ix.NodeSpan() == 0 {
 					b.Fatal("empty index")
 				}
 			}

@@ -31,7 +31,7 @@ import (
 // Each m_xy[m] is held twice, once in a run of x and once in a run of y, so
 // the runs of either endpoint answer a read of the pair (PairVec). Pair
 // rows become runs in one place (buildRuns) and runs become pair rows in
-// one place (eachPair); every other constructor lays out runs from runs.
+// one place (pairRows); every other constructor lays out runs from runs.
 
 // span is the position of one m_v row in the node table: ent[lo:hi] of the
 // base arena or, when lo is negative, ent[^lo:hi] of the patch overlay's.
@@ -347,51 +347,62 @@ func (ix *Index) overlay(fresh adjRuns) adjRuns {
 	})
 }
 
-// eachPair walks the runs back out into pair rows, in key order: for each
-// node q ascending, the row of each partner v > q ascending, gathered from
-// q's runs in ascending metagraph order. A first pass over q's runs lists
-// its partners above it and counts their coordinates, a second lays the
-// coordinates out by partner, so the cost is linear in the postings plus a
-// sort of the partners of a node with several runs. The row passed to
-// yield is reused by the next call.
-func (ix *Index) eachPair(yield func(k PairKey, row []Entry)) {
-	end := make([]int32, len(ix.spans)) // per partner of q, where its row ends
-	var partners []graph.NodeID
-	var rows []Entry
-	for q := range graph.NodeID(len(ix.spans)) {
-		rs, lo, hi := ix.runsOf(q)
-		above := func(r int32) []posting {
-			post := rs.postings(r)
-			i, _ := slices.BinarySearchFunc(post, q+1, comparePosting)
-			return post[i:]
-		}
-		partners = partners[:0]
+// pairRows walks the runs back out into pair rows, in key order, and
+// returns how many rows there are and a walk over them. The coordinate
+// m_qv[m], q < v, is the posting of q in v's run of m, so a pass over the
+// postings below each node v, v ascending and its runs in metagraph order,
+// deals the coordinates out to their smaller nodes in exactly key order:
+// each q's share is its rows, by partner and within a row by metagraph. No
+// list is merged or sorted; a first pass sizes the shares. The row each
+// passes to yield is reused by the next call.
+func (ix *Index) pairRows() (rows int, each func(yield func(k PairKey, row []Entry))) {
+	type coord struct {
+		v graph.NodeID
+		e Entry
+	}
+	n := len(ix.spans)
+	below := func(rs *adjRuns, r int32, v graph.NodeID) []posting {
+		post := rs.postings(r)
+		i, _ := slices.BinarySearchFunc(post, v, comparePosting)
+		return post[:i]
+	}
+	at := make([]int32, n+1) // q's share is coords[at[q]:at[q+1]]
+	for v := range graph.NodeID(n) {
+		rs, lo, hi := ix.runsOf(v)
 		for r := lo; r < hi; r++ {
-			for _, p := range above(r) {
-				if end[p.node] == 0 {
-					partners = append(partners, p.node)
+			for _, p := range below(rs, r, v) {
+				at[p.node+1]++
+			}
+		}
+	}
+	for q := range n {
+		at[q+1] += at[q]
+	}
+	coords := make([]coord, at[n])
+	next := slices.Clone(at)
+	for v := range graph.NodeID(n) {
+		rs, lo, hi := ix.runsOf(v)
+		for r := lo; r < hi; r++ {
+			for _, p := range below(rs, r, v) {
+				if i := next[p.node]; i == at[p.node] || coords[i-1].v != v {
+					rows++
 				}
-				end[p.node]++
+				coords[next[p.node]] = coord{v, Entry{rs.meta[r], p.count}}
+				next[p.node]++
 			}
 		}
-		if hi-lo > 1 {
-			slices.Sort(partners)
-		}
-		n := int32(0)
-		for _, v := range partners {
-			n, end[v] = n+end[v], n // end[v] is now where v's row starts
-		}
-		rows = slices.Grow(rows[:0], int(n))[:n]
-		for r := lo; r < hi; r++ {
-			for _, p := range above(r) {
-				rows[end[p.node]] = Entry{rs.meta[r], p.count}
-				end[p.node]++
+	}
+	return rows, func(yield func(PairKey, []Entry)) {
+		var row []Entry
+		for q := range graph.NodeID(n) {
+			share := coords[at[q]:at[q+1]]
+			for i := 0; i < len(share); {
+				row = row[:0]
+				for v := share[i].v; i < len(share) && share[i].v == v; i++ {
+					row = append(row, share[i].e)
+				}
+				yield(MakePairKey(q, share[i-1].v), row)
 			}
-		}
-		start := int32(0)
-		for _, v := range partners {
-			yield(MakePairKey(q, v), rows[start:end[v]])
-			start, end[v] = end[v], 0
 		}
 	}
 }

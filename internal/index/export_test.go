@@ -49,10 +49,11 @@ func ContentDigest(ix *Index) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// pairTable is the table of the pair rows eachPair walks out.
+// pairTable is the table of the pair rows pairRows walks out.
 func (ix *Index) pairTable() csr[PairKey] {
 	var c csr[PairKey]
-	ix.eachPair(func(k PairKey, row []Entry) { c.appendRow(k, row) })
+	_, each := ix.pairRows()
+	each(func(k PairKey, row []Entry) { c.appendRow(k, row) })
 	return c
 }
 

@@ -15,7 +15,7 @@
 // PairDot) searches the other endpoint in each run of one. Pair rows keyed
 // by PairKey exist only in flight: what the counter emits, what a patch
 // carries, and what the wire format holds; the index turns them into runs
-// (buildRuns) and walks runs back out into them (eachPair). Every entry
+// (buildRuns) and walks runs back out into them (pairRows). Every entry
 // holds a raw instance count; a transform of the counts is a property of
 // the index, applied as a value is read (Transform, SparseVec).
 package index
@@ -304,8 +304,7 @@ func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
 
 // NumPairs returns the number of node pairs with a non-zero m_xy.
 func (ix *Index) NumPairs() int {
-	n := 0
-	ix.eachPair(func(PairKey, []Entry) { n++ })
+	n, _ := ix.pairRows()
 	return n
 }
 

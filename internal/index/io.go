@@ -17,7 +17,7 @@ import (
 //
 // An index travels as one section of a flat stream (internal/flat): its
 // node table as it is held, and its runs walked back out into the pair
-// rows they hold (eachPair), which the reader lays out as runs again:
+// rows they hold (pairRows), which the reader lays out as runs again:
 //
 //	numMeta
 //	node table, pair table, each:
@@ -80,7 +80,8 @@ func Encode(w *flat.Writer, ix *Index) {
 	w.Uvarint(uint64(ix.numMeta))
 	encodeTable(w, ix.numMeta, len(ix.mx.keys), len(ix.mx.ent), ix.mx.each)
 	// Every pair coordinate is two postings, one in each endpoint's runs.
-	encodeTable(w, ix.numMeta, ix.NumPairs(), len(ix.flat.post)/2, ix.eachPair)
+	rows, each := ix.pairRows()
+	encodeTable(w, ix.numMeta, rows, len(ix.flat.post)/2, each)
 }
 
 // encodeTable writes a table of nKeys rows holding nEnt entries, which
