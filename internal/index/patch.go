@@ -4,9 +4,9 @@
 // those — seeded at the added edges, see match.Delta — and counts, per key,
 // the instances GAINED; a row after the delta is the row before it plus its
 // gains. WithPatch overlays the resulting node rows and the partner runs
-// they change over the flat index without rebuilding it; Compact splices
-// the overlay in, giving the index a from-scratch build of the final graph
-// gives.
+// they change over the flat index without rebuilding it; Compact folds the
+// overlay in, giving the index a from-scratch build of the final graph
+// would give.
 package index
 
 import (
@@ -154,9 +154,36 @@ func (ix *Index) WithPatch(p *Patch) *Index {
 		f:       ix.f,
 		mx:      ix.mx,
 		flat:    ix.flat,
-		ovlMx:   shadowMerge(ix.ovlMx, p.mx),
+		ovlMx:   ix.overlayRows(p.mx),
 		ovl:     ix.overlay(buildRuns(&p.mxy, ix.numMeta)),
 	}).finish()
+}
+
+// overlayRows is ix's overlay node table with the rows of fresh replacing
+// any it holds for the same keys.
+func (ix *Index) overlayRows(fresh csr[graph.NodeID]) csr[graph.NodeID] {
+	keys := append(slices.Clone(ix.ovlMx.keys), fresh.keys...)
+	slices.Sort(keys)
+	var out csr[graph.NodeID]
+	for _, k := range slices.Compact(keys) {
+		row := fresh.row(k)
+		if row == nil {
+			row = ix.ovlMx.row(k)
+		}
+		out.appendRow(k, row)
+	}
+	return out
+}
+
+// nodeTable is the node table ix reads now, through its overlay.
+func (ix *Index) nodeTable() csr[graph.NodeID] {
+	var c csr[graph.NodeID]
+	for v, s := range ix.spans {
+		if row := s.of(ix.mx.ent, ix.ovlMx.ent); len(row) > 0 {
+			c.appendRow(graph.NodeID(v), row)
+		}
+	}
+	return c
 }
 
 // Pending reports whether the index carries an uncompacted patch overlay.
@@ -175,48 +202,9 @@ func (ix *Index) Compact() *Index {
 	return (&Index{
 		numMeta: ix.numMeta,
 		f:       ix.f,
-		mx:      shadowMerge(ix.mx, ix.ovlMx),
+		mx:      ix.nodeTable(),
 		flat:    ix.relaid(shifted(0)),
 	}).finish()
-}
-
-// shadowMerge merges two row tables into one fresh table; rows of over
-// replace rows of base on key collisions. An overlay is a few rows against
-// a table of many, so the base rows between two overlay keys move as one
-// block: three copies and an offset shift, not a row at a time.
-func shadowMerge[K cmp.Ordered](base, over csr[K]) csr[K] {
-	if len(over.keys) == 0 {
-		return base
-	}
-	if len(base.keys) == 0 {
-		return over
-	}
-	out := csr[K]{
-		keys: make([]K, 0, len(base.keys)+len(over.keys)),
-		off:  make([]int32, 1, len(base.keys)+len(over.keys)+1),
-		ent:  make([]Entry, 0, len(base.ent)+len(over.ent)),
-	}
-	// copyRows appends rows [i, j) of c.
-	copyRows := func(c *csr[K], i, j int) {
-		shift := int32(len(out.ent)) - c.off[i]
-		out.keys = append(out.keys, c.keys[i:j]...)
-		out.ent = append(out.ent, c.ent[c.off[i]:c.off[j]]...)
-		for _, end := range c.off[i+1 : j+1] {
-			out.off = append(out.off, end+shift)
-		}
-	}
-	i := 0
-	for j, k := range over.keys {
-		n, shadowed := slices.BinarySearch(base.keys[i:], k)
-		copyRows(&base, i, i+n)
-		copyRows(&over, j, j+1)
-		i += n
-		if shadowed {
-			i++
-		}
-	}
-	copyRows(&base, i, len(base.keys))
-	return out
 }
 
 // RematchDelta returns what one metagraph's part index gains from the
