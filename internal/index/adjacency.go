@@ -28,10 +28,8 @@ import (
 // the others are added in ascending metagraph order, the order Dot uses;
 // and a partner with no weighted term is exactly the one Dot scores 0.
 //
-// Each m_xy[m] is held twice, once in a run of x and once in a run of y, so
-// the runs of either endpoint answer a read of the pair (PairVec). Pair
-// rows become runs in one place (buildRuns) and runs become pair rows in
-// one place (pairRows); every other constructor lays out runs from runs.
+// Each m_xy[m] is a posting in a run of x and one in a run of y. Pair rows
+// become runs only in buildRuns and runs become pair rows only in pairRows.
 
 // span is the position of one m_v row in the node table: ent[lo:hi] of the
 // base arena or, when lo is negative, ent[^lo:hi] of the patch overlay's.
@@ -83,16 +81,6 @@ func (r *adjRuns) runs(q graph.NodeID) (lo, hi int32) {
 
 // postings returns the postings of run i.
 func (r *adjRuns) postings(i int32) []posting { return r.post[r.off[i]:r.off[i+1]] }
-
-// count returns the count of partner v in run i, if the run holds v.
-func (r *adjRuns) count(i int32, v graph.NodeID) (uint32, bool) {
-	post := r.postings(i)
-	j, ok := slices.BinarySearchFunc(post, v, comparePosting)
-	if !ok {
-		return 0, false
-	}
-	return post[j].count, true
-}
 
 // comparePosting orders a posting against a node id.
 func comparePosting(p posting, v graph.NodeID) int { return cmp.Compare(p.node, v) }
@@ -289,62 +277,74 @@ func (ix *Index) relaid(meta func(int32) int32) adjRuns {
 
 // overlay returns the replacement runs of ix patched with the pair rows
 // whose runs are fresh. An endpoint v of a fresh row gets its current runs
-// (read through ix's overlay) without the postings of the partners a fresh
-// row re-pairs it with — a fresh row of (v, u) replaces the current one in
-// every metagraph — plus its fresh postings, sorted by metagraph and
-// partner. Every other node keeps the replacement runs ix gives it, if any:
-// none of its pair rows changed. The cost is linear in the node id range
-// plus the runs of the endpoints — never in the number of pairs.
+// (read through ix's overlay) merged with its fresh ones, metagraph by
+// metagraph: a fresh row of (v, u) replaces the current one in every
+// metagraph, so the current postings of a re-paired partner u go. Every
+// other node keeps the replacement runs ix gives it, if any: none of its
+// pair rows changed. The cost is linear in the node id range plus the runs
+// of the endpoints — never in the number of pairs.
 func (ix *Index) overlay(fresh adjRuns) adjRuns {
 	if len(fresh.meta) == 0 {
 		return ix.ovl
 	}
-	type metaPosting struct {
-		meta int32
-		posting
+	n := max(len(ix.ovl.first), len(fresh.first)) - 1
+	out := adjRuns{first: make([]int32, n+1), off: []int32{0}}
+	// end closes a run of metagraph m at the postings appended since the
+	// last one, if any.
+	end := func(m int32) {
+		if at := int32(len(out.post)); at > out.off[len(out.off)-1] {
+			out.meta, out.off = append(out.meta, m), append(out.off, at)
+		}
 	}
-	var buf []metaPosting
-	var post []posting
-	repaired := map[graph.NodeID]bool{}
-	return layRuns(max(len(ix.ovl.first), len(fresh.first))-1, func(v graph.NodeID, refs []runRef) []runRef {
+	repaired := make([]bool, max(n, len(ix.flat.first)-1))
+	mark := func(v graph.NodeID, on bool) {
+		lo, hi := fresh.runs(v)
+		for _, p := range fresh.post[fresh.off[lo]:fresh.off[hi]] {
+			repaired[p.node] = on
+		}
+	}
+	for v := range graph.NodeID(n) {
+		base, blo, bhi := ix.runsOf(v)
 		flo, fhi := fresh.runs(v)
-		if flo == fhi { // not an endpoint: its runs stand
-			lo, hi := ix.ovl.runs(v)
-			for r := lo; r < hi; r++ {
-				refs = append(refs, runRef{ix.ovl.meta[r], ix.ovl.postings(r)})
-			}
-			return refs
+		if flo == fhi { // not an endpoint: only its replacement runs stand
+			base = &ix.ovl
+			blo, bhi = ix.ovl.runs(v)
 		}
-		clear(repaired)
-		buf = buf[:0]
-		for r := flo; r < fhi; r++ {
-			for _, p := range fresh.postings(r) {
-				repaired[p.node] = true
-				buf = append(buf, metaPosting{fresh.meta[r], p})
-			}
-		}
-		rs, lo, hi := ix.runsOf(v)
-		for r := lo; r < hi; r++ {
-			for _, p := range rs.postings(r) {
-				if !repaired[p.node] {
-					buf = append(buf, metaPosting{rs.meta[r], p})
+		mark(v, true)
+		for blo < bhi || flo < fhi {
+			switch {
+			case flo == fhi || (blo < bhi && base.meta[blo] < fresh.meta[flo]):
+				for _, p := range base.postings(blo) {
+					if !repaired[p.node] {
+						out.post = append(out.post, p)
+					}
 				}
+				end(base.meta[blo])
+				blo++
+			case blo == bhi || fresh.meta[flo] < base.meta[blo]:
+				out.post = append(out.post, fresh.postings(flo)...)
+				end(fresh.meta[flo])
+				flo++
+			default:
+				was, now := base.postings(blo), fresh.postings(flo)
+				for len(was) > 0 || len(now) > 0 {
+					switch {
+					case len(was) > 0 && repaired[was[0].node]:
+						was = was[1:]
+					case len(now) == 0 || (len(was) > 0 && was[0].node < now[0].node):
+						out.post, was = append(out.post, was[0]), was[1:]
+					default:
+						out.post, now = append(out.post, now[0]), now[1:]
+					}
+				}
+				end(fresh.meta[flo])
+				blo, flo = blo+1, flo+1
 			}
 		}
-		slices.SortFunc(buf, func(a, b metaPosting) int {
-			return cmp.Or(cmp.Compare(a.meta, b.meta), cmp.Compare(a.node, b.node))
-		})
-		post = slices.Grow(post[:0], len(buf))[:len(buf)]
-		start := 0
-		for i, p := range buf {
-			post[i] = p.posting
-			if i+1 == len(buf) || buf[i+1].meta != p.meta {
-				refs = append(refs, runRef{p.meta, post[start : i+1]})
-				start = i + 1
-			}
-		}
-		return refs
-	})
+		mark(v, false)
+		out.first[v+1] = int32(len(out.meta))
+	}
+	return out
 }
 
 // pairRows walks the runs back out into pair rows, in key order, and

@@ -277,8 +277,9 @@ func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
 func (ix *Index) pairRow(dst []Entry, x, y graph.NodeID) []Entry {
 	rs, lo, hi := ix.runsOf(x)
 	for r := lo; r < hi; r++ {
-		if c, ok := rs.count(r, y); ok {
-			dst = append(dst, Entry{rs.meta[r], c})
+		post := rs.postings(r)
+		if i, ok := slices.BinarySearchFunc(post, y, comparePosting); ok {
+			dst = append(dst, Entry{rs.meta[r], post[i].count})
 		}
 	}
 	return dst
@@ -291,8 +292,9 @@ func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
 	var s float64
 	rs, lo, hi := ix.runsOf(x)
 	for r := lo; r < hi; r++ {
-		if c, ok := rs.count(r, y); ok {
-			v := float64(c)
+		post := rs.postings(r)
+		if i, ok := slices.BinarySearchFunc(post, y, comparePosting); ok {
+			v := float64(post[i].count)
 			if ix.f != nil {
 				v = ix.f(v)
 			}
@@ -312,15 +314,11 @@ func (ix *Index) NumPairs() int {
 // for it.
 func (ix *Index) MetaSupport() []bool {
 	used := make([]bool, ix.numMeta)
-	for _, ent := range [][]Entry{ix.mx.ent, ix.ovlMx.ent} {
-		for _, e := range ent {
-			used[e.Meta] = true
-		}
+	for _, e := range slices.Concat(ix.mx.ent, ix.ovlMx.ent) {
+		used[e.Meta] = true
 	}
-	for _, meta := range [][]int32{ix.flat.meta, ix.ovl.meta} {
-		for _, m := range meta {
-			used[m] = true
-		}
+	for _, m := range slices.Concat(ix.flat.meta, ix.ovl.meta) {
+		used[m] = true
 	}
 	return used
 }
@@ -420,8 +418,6 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 		mx[i] = source[graph.NodeID]{&s.mx, shifted(shifts[i])}
 		n = max(n, len(s.flat.first)-1)
 	}
-	// Each node's runs are the runs its inputs hold for it, which layRuns
-	// orders by shifted metagraph.
 	flat := layRuns(n, func(q graph.NodeID, refs []runRef) []runRef {
 		for i, s := range srcs {
 			lo, hi := s.flat.runs(q)
