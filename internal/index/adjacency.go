@@ -220,8 +220,7 @@ type runRef struct {
 
 // layRuns lays out, node after node below n, the runs of(q, refs) appends
 // to refs for node q, ascending by metagraph whatever order they are listed
-// in. A first pass over the lists sizes the result exactly; the postings
-// of a list need only live until the next call of of.
+// in. A first pass over the lists sizes the result exactly.
 func layRuns(n int, of func(q graph.NodeID, refs []runRef) []runRef) adjRuns {
 	var refs []runRef
 	runs, posts, top := 0, 0, -1
