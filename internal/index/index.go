@@ -314,11 +314,15 @@ func (ix *Index) NumPairs() int {
 // for it.
 func (ix *Index) MetaSupport() []bool {
 	used := make([]bool, ix.numMeta)
-	for _, e := range slices.Concat(ix.mx.ent, ix.ovlMx.ent) {
-		used[e.Meta] = true
+	for _, ent := range [][]Entry{ix.mx.ent, ix.ovlMx.ent} {
+		for _, e := range ent {
+			used[e.Meta] = true
+		}
 	}
-	for _, m := range slices.Concat(ix.flat.meta, ix.ovl.meta) {
-		used[m] = true
+	for _, meta := range [][]int32{ix.flat.meta, ix.ovl.meta} {
+		for _, m := range meta {
+			used[m] = true
+		}
 	}
 	return used
 }
