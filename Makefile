@@ -101,8 +101,8 @@ cover:
 # the one its w* weighs), the fold of one update's patch into the
 # read_direct engine's index (what makes it servable again), one Engine.Train on a fresh read_direct and
 # lifecycle engine (the rooted count of every metagraph at the example
-# nodes, learning, the full match of what w* weighs and the adjacency
-# build; the MaxNodes-5 paper shape stays out), the offline
+# nodes, learning, the full match of what w* weighs laid out as runs;
+# the MaxNodes-5 paper shape stays out), the offline
 # build of that engine's index, of lifecycle's and of lifecycle's at 2 000
 # users on one worker (instances counted, pair keys sorted, bytes and
 # allocations reported; paper_2000 stays out), one update

@@ -762,8 +762,8 @@ func BenchmarkSnapshotSave(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoad measures LoadEngine from memory at both shapes,
-// including the adjacency build that makes the loaded engine ready to
-// serve.
+// including laying out the decoded pair rows as the runs a loaded engine
+// serves from.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, sh := range snapShapes {
 		b.Run(sh.name, func(b *testing.B) {
