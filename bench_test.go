@@ -690,8 +690,10 @@ func snapshotBench(b *testing.B, sh *snapShape) (*Engine, []byte) {
 // BenchmarkIndexMerge measures index.Merge at the read_direct size: the
 // three single-metagraph parts of the 5 000-user engine (≈ 650 k pair rows
 // between them) into one index — the benchmark's index.build_s beyond the
-// match itself. Train pays none of it: it adds only the parts its w*
-// weighs, one at read_direct, which the merge returns as it is.
+// match itself. The parts come out of MatchParts with their runs laid out,
+// outside the timer, so this is the merge alone; BenchmarkOfflineIndexBuild
+// times the whole build. Train adds only the parts its w* weighs, one at
+// read_direct, whose runs the merge copies like any part's.
 func BenchmarkIndexMerge(b *testing.B) {
 	eng, _ := snapshotBench(b, snapShapes[0])
 	g := eng.Graph()

@@ -95,12 +95,13 @@ func (ix *Index) runsOf(q graph.NodeID) (rs *adjRuns, lo, hi int32) {
 	return &ix.flat, lo, hi
 }
 
-// buildRuns lays out the runs of a pair table over numMeta metagraphs in
-// linear passes: a radix sort of the table's entries by metagraph, then by
-// endpoint.
+// buildRuns lays out the runs of a pair table in linear passes: a radix
+// sort of the table's entries by metagraph, then by endpoint.
 //
 //   - Counting gives each node's first posting and each metagraph's first
-//     entry.
+//     entry, counted in slot m, or in its rank among the Metas present
+//     when there are fewer entries than m: nothing is sized by a Meta
+//     alone, which a decoded stream could claim.
 //   - The entries are partitioned by metagraph, each part in key order.
 //   - Metagraph after metagraph, every entry is appended to both of its
 //     endpoints' postings. A node's cursor thus runs through its postings
@@ -108,15 +109,14 @@ func (ix *Index) runsOf(q graph.NodeID) (rs *adjRuns, lo, hi int32) {
 //     metagraph, and within one ascending by partner: the sorted (min, max)
 //     key order lists a node's partners below it first (ascending, while it
 //     is the max endpoint) and those above it after.
-//   - After each metagraph, a node whose cursor moved has a run of it,
-//     starting where its previous run ended. The starts, found
-//     metagraph-major, are then sorted by node.
+//   - After each metagraph, a node whose cursor moved (checked over all
+//     nodes, or a small part's endpoints) has a run of it, starting where
+//     its previous run ended. The starts are then sorted by node.
 //
 // Each node's postings are contiguous and so are its runs, so a run ends
 // where the next one starts. The scatter writes one node stream per node,
-// not one per (node, metagraph), and nothing dense in both is allocated;
-// the cursor check costs one pass over the nodes per metagraph present.
-func buildRuns(table *csr[PairKey], numMeta int) adjRuns {
+// not one per (node, metagraph), and nothing dense in both is allocated.
+func buildRuns(table *csr[PairKey]) adjRuns {
 	pairs := table.keys
 	if len(pairs) == 0 {
 		return adjRuns{}
@@ -137,30 +137,46 @@ func buildRuns(table *csr[PairKey], numMeta int) adjRuns {
 	for i := 1; i <= n; i++ {
 		cur[i] += cur[i-1]
 	}
-	byMeta := make([]int32, numMeta+1) // each metagraph's first entry, then its cursor
-	for _, e := range table.ent {
-		byMeta[e.Meta+1]++
+	ent, metas := table.ent, []int32(nil) // slot s counts metagraph metas[s], or s if nil
+	slots := int(slices.MaxFunc(ent, compareEntryMeta).Meta) + 1
+	if slots > len(ent) {
+		metas = make([]int32, len(ent))
+		for i, e := range ent {
+			metas[i] = e.Meta
+		}
+		slices.Sort(metas)
+		metas = slices.Compact(metas)
+		ent = slices.Clone(ent)
+		for i, e := range ent {
+			s, _ := slices.BinarySearch(metas, e.Meta)
+			ent[i].Meta = int32(s)
+		}
+		slots = len(metas)
 	}
-	for i := 1; i <= numMeta; i++ {
-		byMeta[i] += byMeta[i-1]
+	bySlot := make([]int32, slots+1) // each slot's first entry, then its cursor
+	for _, e := range ent {
+		bySlot[e.Meta+1]++
+	}
+	for i := 1; i <= slots; i++ {
+		bySlot[i] += bySlot[i-1]
 	}
 
 	type pairEntry struct {
 		x, y  graph.NodeID
 		count uint32
 	}
-	part := make([]pairEntry, len(table.ent))
+	part := make([]pairEntry, len(ent))
 	r, next := 0, table.off[1]
 	x, y := pairs[0].Nodes()
-	for i, e := range table.ent {
+	for i, e := range ent {
 		if int32(i) == next { // rows are never empty
 			r++
 			next = table.off[r+1]
 			x, y = pairs[r].Nodes()
 		}
-		at := byMeta[e.Meta]
+		at := bySlot[e.Meta]
 		part[at] = pairEntry{x, y, e.Count}
-		byMeta[e.Meta] = at + 1
+		bySlot[e.Meta] = at + 1
 	}
 
 	type runStart struct {
@@ -171,10 +187,17 @@ func buildRuns(table *csr[PairKey], numMeta int) adjRuns {
 	var starts []runStart
 	post := make([]posting, cur[n])
 	end := slices.Clone(cur[:n]) // where each node's latest run ends
+	closeRun := func(q graph.NodeID, m int32) {
+		if c := cur[q]; c != end[q] {
+			starts = append(starts, runStart{q, m, end[q]})
+			end[q] = c
+		}
+	}
 	lo := int32(0)
-	for m, hi := range byMeta[:numMeta] { // byMeta[m] is now where part m ends
-		if lo == hi {
-			continue
+	for s, hi := range bySlot[:slots] { // bySlot[s] is now where part s ends
+		m := int32(s)
+		if metas != nil {
+			m = metas[s]
 		}
 		for _, p := range part[lo:hi] {
 			cx, cy := cur[p.x], cur[p.y]
@@ -182,10 +205,14 @@ func buildRuns(table *csr[PairKey], numMeta int) adjRuns {
 			post[cy] = posting{p.x, p.count}
 			cur[p.x], cur[p.y] = cx+1, cy+1
 		}
-		for q, c := range cur[:n] {
-			if c != end[q] {
-				starts = append(starts, runStart{graph.NodeID(q), int32(m), end[q]})
-				end[q] = c
+		if 2*int(hi-lo) >= n {
+			for q := range graph.NodeID(n) {
+				closeRun(q, m)
+			}
+		} else {
+			for _, p := range part[lo:hi] {
+				closeRun(p.x, m)
+				closeRun(p.y, m)
 			}
 		}
 		lo = hi
@@ -276,12 +303,10 @@ func (ix *Index) relaid(meta func(int32) int32) adjRuns {
 
 // overlay returns the replacement runs of ix patched with the pair rows
 // whose runs are fresh. An endpoint v of a fresh row gets its current runs
-// (read through ix's overlay) merged with its fresh ones, metagraph by
-// metagraph: a fresh row of (v, u) replaces the current one in every
-// metagraph, so the current postings of a re-paired partner u go. Every
-// other node keeps the replacement runs ix gives it, if any: none of its
-// pair rows changed. The cost is linear in the node id range plus the runs
-// of the endpoints — never in the number of pairs.
+// merged with its fresh ones, metagraph by metagraph, less the current
+// postings of every re-paired partner; every other node keeps its
+// replacement runs, if any. The cost is linear in the node id range plus
+// the runs of the endpoints — never in the number of pairs.
 func (ix *Index) overlay(fresh adjRuns) adjRuns {
 	if len(fresh.meta) == 0 {
 		return ix.ovl
@@ -346,62 +371,43 @@ func (ix *Index) overlay(fresh adjRuns) adjRuns {
 	return out
 }
 
-// pairRows walks the runs back out into pair rows, in key order, and
-// returns how many rows there are and a walk over them. The coordinate
-// m_qv[m], q < v, is the posting of q in v's run of m, so a pass over the
-// postings below each node v, v ascending and its runs in metagraph order,
-// deals the coordinates out to their smaller nodes in exactly key order:
-// each q's share is its rows, by partner and within a row by metagraph. No
-// list is merged or sorted; a first pass sizes the shares. The row each
-// passes to yield is reused by the next call.
-func (ix *Index) pairRows() (rows int, each func(yield func(k PairKey, row []Entry))) {
-	type coord struct {
-		v graph.NodeID
-		e Entry
+// pairRows walks the runs back out into pair rows, in key order. The rows
+// of q are the postings above q in its runs, merged by partner; each comes
+// out ascending by metagraph, as q's runs are. The row passed to yield is
+// reused by the next call.
+func (ix *Index) pairRows(yield func(k PairKey, row []Entry)) {
+	type head struct {
+		meta int32
+		post []posting // never empty
 	}
-	n := len(ix.spans)
-	below := func(rs *adjRuns, r int32, v graph.NodeID) []posting {
-		post := rs.postings(r)
-		i, _ := slices.BinarySearchFunc(post, v, comparePosting)
-		return post[:i]
-	}
-	at := make([]int32, n+1) // q's share is coords[at[q]:at[q+1]]
-	for v := range graph.NodeID(n) {
-		rs, lo, hi := ix.runsOf(v)
+	var heads []head
+	var row []Entry
+	for q := range graph.NodeID(len(ix.spans)) {
+		rs, lo, hi := ix.runsOf(q)
 		for r := lo; r < hi; r++ {
-			for _, p := range below(rs, r, v) {
-				at[p.node+1]++
+			post := rs.postings(r)
+			if i, _ := slices.BinarySearchFunc(post, q, comparePosting); i < len(post) {
+				heads = append(heads, head{rs.meta[r], post[i:]})
 			}
 		}
-	}
-	for q := range n {
-		at[q+1] += at[q]
-	}
-	coords := make([]coord, at[n])
-	next := slices.Clone(at)
-	for v := range graph.NodeID(n) {
-		rs, lo, hi := ix.runsOf(v)
-		for r := lo; r < hi; r++ {
-			for _, p := range below(rs, r, v) {
-				if i := next[p.node]; i == at[p.node] || coords[i-1].v != v {
-					rows++
-				}
-				coords[next[p.node]] = coord{v, Entry{rs.meta[r], p.count}}
-				next[p.node]++
+		for len(heads) > 0 {
+			v := heads[0].post[0].node // the smallest partner left
+			for _, h := range heads[1:] {
+				v = min(v, h.post[0].node)
 			}
-		}
-	}
-	return rows, func(yield func(PairKey, []Entry)) {
-		var row []Entry
-		for q := range graph.NodeID(n) {
-			share := coords[at[q]:at[q+1]]
-			for i := 0; i < len(share); {
-				row = row[:0]
-				for v := share[i].v; i < len(share) && share[i].v == v; i++ {
-					row = append(row, share[i].e)
+			row = row[:0]
+			spent := false
+			for i := range heads {
+				if h := &heads[i]; h.post[0].node == v {
+					row = append(row, Entry{h.meta, h.post[0].count})
+					h.post = h.post[1:]
+					spent = spent || len(h.post) == 0
 				}
-				yield(MakePairKey(q, share[i-1].v), row)
 			}
+			if spent {
+				heads = slices.DeleteFunc(heads, func(h head) bool { return len(h.post) == 0 })
+			}
+			yield(MakePairKey(q, v), row)
 		}
 	}
 }

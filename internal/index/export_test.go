@@ -52,8 +52,7 @@ func ContentDigest(ix *Index) string {
 // pairTable is the table of the pair rows pairRows walks out.
 func (ix *Index) pairTable() csr[PairKey] {
 	var c csr[PairKey]
-	_, each := ix.pairRows()
-	each(func(k PairKey, row []Entry) { c.appendRow(k, row) })
+	ix.pairRows(func(k PairKey, row []Entry) { c.appendRow(k, row) })
 	return c
 }
 

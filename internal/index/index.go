@@ -5,17 +5,11 @@
 // position symmetric to some other position. The vectors are the features
 // of the MGP proximity measure and are precomputed offline (Fig. 3).
 //
-// An Index stores each count once. The m_x rows live in a flat CSR-style
-// node table mirroring the graph substrate: all rows in one contiguous
-// []Entry arena, addressed through sorted keys and offsets, so NodeVec is a
-// binary search plus a slice header. Every m_xy lives in the partner runs
-// (adjacency.go): per node q and metagraph m, the ascending partners v with
-// their count m_qv[m]. The candidate scan of a ranked query reads only the
-// runs its weights weigh and searches nothing; a read of one pair (PairVec,
-// PairDot) searches the other endpoint in each run of one. Pair rows keyed
-// by PairKey exist only in flight: what the counter emits, what a patch
-// carries, and what the wire format holds; the index turns them into runs
-// (buildRuns) and walks runs back out into them (pairRows). Every entry
+// An Index stores each count once: the m_x rows in a CSR-style node table
+// (one []Entry arena behind sorted keys and offsets, so NodeVec is a
+// binary search), every m_xy in the partner runs (adjacency.go). Pair rows
+// keyed by PairKey exist only in flight — counted, patched, on the wire —
+// and become runs in buildRuns and rows again in pairRows. Every entry
 // holds a raw instance count; a transform of the counts is a property of
 // the index, applied as a value is read (Transform, SparseVec).
 package index
@@ -110,17 +104,8 @@ func dotThrough(ent []Entry, f func(float64) float64, w []float64) float64 {
 
 // Get returns the value for metagraph i (0 when absent).
 func (v SparseVec) Get(i int) float64 {
-	lo, hi := 0, len(v.ent)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v.ent[mid].Meta < int32(i) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(v.ent) && v.ent[lo].Meta == int32(i) {
-		_, val := v.At(lo)
+	if j, ok := slices.BinarySearchFunc(v.ent, Entry{Meta: int32(i)}, compareEntryMeta); ok {
+		_, val := v.At(j)
 		return val
 	}
 	return 0
@@ -189,11 +174,8 @@ func count32[K any](c uint64, meta int32, k K) uint32 {
 // concurrent reads: every constructor lays out the runs, so no read ever
 // builds anything.
 //
-// A live-updated index additionally carries a patch overlay (see patch.go):
-// node rows and partner runs recomputed after a graph delta shadow their
-// flat originals until Compact folds them in. Reads stay allocation-free
-// either way; an overlaid index pays one extra look into the (small)
-// overlay per lookup.
+// A live-updated index also carries a patch overlay (see patch.go) until
+// Compact folds it in; reads stay allocation-free either way.
 type Index struct {
 	numMeta int
 	// f is the transform every value is read through (nil: the raw count).
@@ -204,10 +186,8 @@ type Index struct {
 	// flat holds every m_xy as partner runs (see adjacency.go).
 	flat adjRuns
 	// ovlMx holds the node rows WithPatch replaced, and ovl the complete
-	// replacement runs of every node a patched pair row has as an endpoint
-	// (all other nodes have none). A node row or a node's runs here fully
-	// shadow the flat ones; neither is ever empty, since a delta only adds
-	// instances.
+	// replacement runs of every endpoint of a patched pair row. They shadow
+	// the flat ones and are never empty: a delta only adds instances.
 	ovlMx csr[graph.NodeID]
 	ovl   adjRuns
 	// spans[v] is the position of m_v (the empty span when v has none). It
@@ -219,7 +199,7 @@ type Index struct {
 // metagraphs, reading raw counts: the pair rows are laid out as runs and
 // not kept.
 func fromRows(numMeta int, mx csr[graph.NodeID], mxy *csr[PairKey]) *Index {
-	return (&Index{numMeta: numMeta, mx: mx, flat: buildRuns(mxy, numMeta)}).finish()
+	return (&Index{numMeta: numMeta, mx: mx, flat: buildRuns(mxy)}).finish()
 }
 
 // finish sets the node-row positions of the index's node tables and runs,
@@ -265,48 +245,65 @@ func (ix *Index) nodeRow(x graph.NodeID) []Entry {
 }
 
 // PairVec returns m_xy (empty when x and y never co-occur symmetrically),
-// read through the index's transform. The row is gathered from x's runs
-// into a slice of its own, the one allocation; PairDot reads the same
-// coordinates without it.
+// read through the index's transform. The row is gathered into a slice of
+// its own, the one allocation; PairDot reads the same coordinates without.
 func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
 	return SparseVec{ix.pairRow(nil, x, y), ix.f}
 }
 
-// pairRow appends the raw row of pair {x, y} to dst: the count of y in
-// each of x's runs that holds it, ascending by metagraph.
+// pairRow appends the raw row of pair {x, y} to dst.
 func (ix *Index) pairRow(dst []Entry, x, y graph.NodeID) []Entry {
+	ix.pairCoords(x, y, nil, func(m int32, c uint32) { dst = append(dst, Entry{m, c}) })
+	return dst
+}
+
+// pairCoords yields the raw coordinates of m_xy but those w weighs 0 (nil:
+// none), ascending by metagraph, searching the endpoint with more runs in
+// each run of the other: the same coordinates from either side.
+func (ix *Index) pairCoords(x, y graph.NodeID, w []float64, yield func(meta int32, count uint32)) {
 	rs, lo, hi := ix.runsOf(x)
+	if ys, ylo, yhi := ix.runsOf(y); yhi-ylo < hi-lo {
+		rs, lo, hi, y = ys, ylo, yhi, x
+	}
 	for r := lo; r < hi; r++ {
-		post := rs.postings(r)
-		if i, ok := slices.BinarySearchFunc(post, y, comparePosting); ok {
-			dst = append(dst, Entry{rs.meta[r], post[i].count})
+		if m := rs.meta[r]; w == nil || w[m] != 0 {
+			post := rs.postings(r)
+			if i, ok := slices.BinarySearchFunc(post, y, comparePosting); ok {
+				yield(m, post[i].count)
+			}
 		}
 	}
-	return dst
 }
 
 // PairDot returns PairVec(x, y).Dot(w), the same sum in the same order,
 // bit for bit, without gathering the row: the by-key read of Proximity,
-// free of allocation.
+// free of allocation. A skipped term of weight 0 would add a zero.
 func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
 	var s float64
-	rs, lo, hi := ix.runsOf(x)
-	for r := lo; r < hi; r++ {
-		post := rs.postings(r)
-		if i, ok := slices.BinarySearchFunc(post, y, comparePosting); ok {
-			v := float64(post[i].count)
-			if ix.f != nil {
-				v = ix.f(v)
-			}
-			s += v * w[rs.meta[r]]
+	ix.pairCoords(x, y, w, func(m int32, c uint32) {
+		v := float64(c)
+		if ix.f != nil {
+			v = ix.f(v)
 		}
-	}
+		s += v * w[m]
+	})
 	return s
 }
 
-// NumPairs returns the number of node pairs with a non-zero m_xy.
-func (ix *Index) NumPairs() int {
-	n, _ := ix.pairRows()
+// NumPairs returns the number of node pairs with a non-zero m_xy: per node
+// q, the distinct partners above q in its runs.
+func (ix *Index) NumPairs() (n int) {
+	last := make([]graph.NodeID, len(ix.spans)) // the q+1 that last counted a partner
+	for q := range graph.NodeID(len(ix.spans)) {
+		rs, lo, hi := ix.runsOf(q)
+		for r := lo; r < hi; r++ {
+			for _, p := range rs.postings(r) {
+				if p.node > q && last[p.node] != q+1 {
+					last[p.node], n = q+1, n+1
+				}
+			}
+		}
+	}
 	return n
 }
 

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -669,6 +670,42 @@ func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 				t.Fatalf("claim %d: a %d-byte stream cost %d bytes of allocation", claim, len(cut), got)
 			}
+		}
+	}
+}
+
+// TestIndexReadBoundsAllocationByMetagraphCount: the metagraph count is a
+// number the stream states, not one it pays for. A section claiming 2^31-1
+// metagraphs with a single pair row — of the first metagraph or the last —
+// is read at the cost of that row, well inside the bar above.
+func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
+	const numMeta = math.MaxInt32
+	b := uint(bits.Len(numMeta))
+	for _, meta := range []uint64{0, numMeta - 1} {
+		var buf bytes.Buffer
+		fw := flat.NewWriter(&buf, fileMagic)
+		fw.Uvarint(numMeta)
+		fw.Uvarint(0) // an empty node table
+		fw.Uvarint(0)
+		fw.Uvarint(1) // one pair row of one entry
+		fw.Uvarint(1)
+		fw.Uvarint(uint64(MakePairKey(0, 1)+1) << 1)
+		fw.Uvarint(1<<(b+1) | meta<<1 | 1)
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := Read(bytes.NewReader(buf.Bytes()), 2)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("metagraph %d: %v", meta, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("metagraph %d: a %d-byte stream cost %d bytes of allocation", meta, buf.Len(), got)
+		}
+		if row := ix.PairVec(1, 0); row.Len() != 1 || row.Get(int(meta)) != 1 {
+			t.Fatalf("metagraph %d: the pair reads %v", meta, row.ent)
 		}
 	}
 }

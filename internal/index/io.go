@@ -80,8 +80,7 @@ func Encode(w *flat.Writer, ix *Index) {
 	w.Uvarint(uint64(ix.numMeta))
 	encodeTable(w, ix.numMeta, len(ix.mx.keys), len(ix.mx.ent), ix.mx.each)
 	// Every pair coordinate is two postings, one in each endpoint's runs.
-	rows, each := ix.pairRows()
-	encodeTable(w, ix.numMeta, rows, len(ix.flat.post)/2, each)
+	encodeTable(w, ix.numMeta, ix.NumPairs(), len(ix.flat.post)/2, ix.pairRows)
 }
 
 // encodeTable writes a table of nKeys rows holding nEnt entries, which
@@ -126,8 +125,8 @@ func encodeTable[K ~int32 | ~uint64](w *flat.Writer, numMeta, nKeys, nEnt int, e
 // position (node keys and pair endpoints within the graph, smaller endpoint
 // first) is checked as it is decoded, so a corrupt stream is refused with
 // an error and can neither panic a reader nor size an allocation by a
-// number it made up (see flat.Grow). The pair rows are laid out as runs
-// and dropped.
+// number it made up (see flat.Grow; buildRuns). The pair rows are laid out
+// as runs and dropped.
 func Decode(r *flat.Reader, numNodes int) (*Index, error) {
 	numMeta := r.Uvarint()
 	if numMeta > math.MaxInt32 {

@@ -155,7 +155,7 @@ func (ix *Index) WithPatch(p *Patch) *Index {
 		mx:      ix.mx,
 		flat:    ix.flat,
 		ovlMx:   ix.overlayRows(p.mx),
-		ovl:     ix.overlay(buildRuns(&p.mxy, ix.numMeta)),
+		ovl:     ix.overlay(buildRuns(&p.mxy)),
 	}).finish()
 }
 
