@@ -693,7 +693,7 @@ func snapshotBench(b *testing.B, sh *snapShape) (*Engine, []byte) {
 // match itself. The parts come out of MatchParts with their runs laid out,
 // outside the timer, so this is the merge alone; BenchmarkOfflineIndexBuild
 // times the whole build. Train adds only the parts its w* weighs, one at
-// read_direct, whose runs the merge copies like any part's.
+// read_direct, at slot 0, whose runs AddParts shares instead of copying.
 func BenchmarkIndexMerge(b *testing.B) {
 	eng, _ := snapshotBench(b, snapShapes[0])
 	g := eng.Graph()

@@ -178,9 +178,8 @@ func count32[K any](c uint64, meta int32, k K) uint32 {
 // Compact folds it in; reads stay allocation-free either way.
 type Index struct {
 	numMeta int
-	// f is the transform every value is read through (nil: the raw count).
-	// The node table and the runs hold raw counts whatever it is (see
-	// Transform).
+	// f is the transform every value is read through (nil: the raw count);
+	// the node table and the runs hold raw counts whatever it is.
 	f  func(float64) float64
 	mx csr[graph.NodeID]
 	// flat holds every m_xy as partner runs (see adjacency.go).
@@ -196,8 +195,7 @@ type Index struct {
 }
 
 // fromRows is the index of node rows mx and pair rows mxy over numMeta
-// metagraphs, reading raw counts: the pair rows are laid out as runs and
-// not kept.
+// metagraphs, reading raw counts; the pair rows are laid out as runs.
 func fromRows(numMeta int, mx csr[graph.NodeID], mxy *csr[PairKey]) *Index {
 	return (&Index{numMeta: numMeta, mx: mx, flat: buildRuns(mxy)}).finish()
 }
@@ -326,10 +324,9 @@ func (ix *Index) MetaSupport() []bool {
 
 // Transform returns the index with every value read as f(count); the paper
 // mentions log-style transforms of the raw counts (Sect. II-A). A nil f reads
-// the raw counts. The result shares everything with the receiver — the node
-// table, the runs and the overlay hold raw counts either way — so it costs
-// O(1), and WithPatch, Compact, AddParts and Project carry the transform
-// forward.
+// the raw counts. The result shares everything with the receiver, which
+// holds raw counts either way, so it costs O(1); WithPatch, Compact,
+// AddParts and Project carry the transform forward.
 func (ix *Index) Transform(f func(float64) float64) *Index {
 	out := *ix
 	out.f = f
@@ -400,10 +397,9 @@ func Merge(parts ...*Index) *Index {
 // AddParts returns ix with the rows of parts added: part i's metagraph j
 // becomes metagraph slots[i]+j of the result, which spans as many
 // metagraphs as ix does. No two inputs may hold the same metagraph. The
-// receiver is unchanged (a patched one is compacted first). Whatever the
-// order parts arrive in, the result is the index one Builder fed every
-// metagraph at its slot would freeze, read through the receiver's transform
-// (parts add counts, not values).
+// receiver is unchanged (a patched one is compacted first), and the result
+// is the index one Builder fed every metagraph at its slot would freeze,
+// read through the receiver's transform (parts add counts, not values).
 func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	ix = ix.Compact()
 	if len(parts) == 0 {
@@ -414,20 +410,26 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 		srcs, shifts = append(srcs, p.Compact()), append(shifts, int32(slots[i]))
 	}
 	mx := make([]source[graph.NodeID], len(srcs))
-	n := 0
+	n, lone, with := 0, 0, 0
 	for i, s := range srcs {
 		mx[i] = source[graph.NodeID]{&s.mx, shifted(shifts[i])}
 		n = max(n, len(s.flat.first)-1)
-	}
-	flat := layRuns(n, func(q graph.NodeID, refs []runRef) []runRef {
-		for i, s := range srcs {
-			lo, hi := s.flat.runs(q)
-			for r := lo; r < hi; r++ {
-				refs = append(refs, runRef{s.flat.meta[r] + shifts[i], s.flat.postings(r)})
-			}
+		if len(s.flat.meta) > 0 {
+			lone, with = i, with+1
 		}
-		return refs
-	})
+	}
+	flat := srcs[lone].flat // the only input with runs, unshifted, lays out the result's
+	if with > 1 || shifts[lone] != 0 {
+		flat = layRuns(n, func(q graph.NodeID, refs []runRef) []runRef {
+			for i, s := range srcs {
+				lo, hi := s.flat.runs(q)
+				for r := lo; r < hi; r++ {
+					refs = append(refs, runRef{s.flat.meta[r] + shifts[i], s.flat.postings(r)})
+				}
+			}
+			return refs
+		})
+	}
 	return (&Index{numMeta: ix.numMeta, f: ix.f, mx: mergeCSR(mx), flat: flat}).finish()
 }
 

@@ -134,10 +134,9 @@ func addGains[K cmp.Ordered](gains csr[K], old func(K) []Entry) (csr[K], error) 
 // receiver (see Over); a gain Over refuses panics here, so a caller that
 // cannot rule overflow out resolves the patch with Over first. Patching an
 // already-patched index merges the overlays (the newer patch wins on
-// overlapping keys). Reads through the result see the replacement rows
-// immediately; call Compact to fold the overlay into flat storage. The
-// cost is the runs of the patched pairs' endpoints plus one pass over the
-// node id range — never the number of pairs the index holds.
+// overlapping keys); Compact folds them in. The cost is the runs of the
+// patched pairs' endpoints plus one pass over the node id range — never
+// the number of pairs the index holds.
 func (ix *Index) WithPatch(p *Patch) *Index {
 	if p.numMeta != ix.numMeta {
 		panic(fmt.Sprintf("index: patch spans %d metagraphs, index %d", p.numMeta, ix.numMeta))
