@@ -100,8 +100,8 @@ func (ix *Index) runsOf(q graph.NodeID) (rs *adjRuns, lo, hi int32) {
 //
 //   - Counting gives each node's first posting and each metagraph's first
 //     entry, counted in slot m, or in its rank among the Metas present
-//     when there are fewer entries than m: nothing is sized by a Meta
-//     alone, which a decoded stream could claim.
+//     when there are no more entries than the largest Meta: nothing is
+//     sized by a Meta alone, which a decoded stream could claim.
 //   - The entries are partitioned by metagraph, each part in key order.
 //   - Metagraph after metagraph, every entry is appended to both of its
 //     endpoints' postings. A node's cursor thus runs through its postings

@@ -275,7 +275,8 @@ func (ix *Index) pairCoords(x, y graph.NodeID, w []float64, yield func(meta int3
 
 // PairDot returns PairVec(x, y).Dot(w), the same sum in the same order,
 // bit for bit, without gathering the row: the by-key read of Proximity,
-// free of allocation. A skipped term of weight 0 would add a zero.
+// free of allocation. A term of weight 0 is skipped: a finite value adds
+// a zero there.
 func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
 	var s float64
 	ix.pairCoords(x, y, w, func(m int32, c uint32) {
