@@ -102,11 +102,14 @@ cover:
 # read_direct engine's index (what makes it servable again), one Engine.Train on a fresh read_direct and
 # lifecycle engine (the rooted count of every metagraph at the example
 # nodes, learning, the full match of what w* weighs laid out as runs;
-# the MaxNodes-5 paper shape stays out), the offline
+# the MaxNodes-5 paper shape stays out) and one Engine.TrainDualStage at
+# K = 2 on the same two engines (the `_dual` cases), the offline
 # build of that engine's index, of lifecycle's and of lifecycle's at 2 000
 # users on one worker (instances counted, pair keys sorted, bytes and
 # allocations reported; paper_2000 stays out), one update
-# on the highest-degree node of a LinkedIn-shaped graph, the ranked scan
+# on the highest-degree node of a LinkedIn-shaped graph and one small
+# update followed by Compact on a community graph (`incremental`: the
+# patch-then-fold cycle mixed_rw runs), the ranked scan
 # (warm on a small index; `uniform`: seeded random anchors on the 5 000-user
 # index under its learned w*, which is what a daemon pays; `dense`: the
 # same under uniform weights, where the scan skips no metagraph; and
@@ -125,9 +128,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexCompact/read_direct$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)(_dual)?$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/hub$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/(hub|incremental)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server

@@ -445,12 +445,18 @@ func BenchmarkTrain(b *testing.B) {
 // read_direct and lifecycle are the shapes of benchmark/'s workloads
 // (5 000 users at MaxNodes 3, 600 at MaxNodes 4); paper is 2 000 users at
 // the paper's MaxNodes 5, where the metagraph set grows to dozens, and
-// -short skips it. Each reports the metagraphs the trained epoch holds.
+// -short skips it. The _dual cases train the same class with
+// TrainDualStage (Alg. 1) at K = 2 candidates instead. Each reports the
+// metagraphs the trained epoch holds.
 func BenchmarkEngineTrain(b *testing.B) {
 	for _, bc := range []struct {
 		name            string
 		users, maxNodes int
-	}{{"read_direct", 5000, 3}, {"lifecycle", 600, 4}, {"paper", 2000, 5}} {
+		dualK           int // 0: Train
+	}{
+		{"read_direct", 5000, 3, 0}, {"lifecycle", 600, 4, 0}, {"paper", 2000, 5, 0},
+		{"read_direct_dual", 5000, 3, 2}, {"lifecycle_dual", 600, 4, 2},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			if bc.maxNodes > 4 && testing.Short() {
 				b.Skip("training at MaxNodes 5 takes seconds")
@@ -471,7 +477,11 @@ func BenchmarkEngineTrain(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.cur.Store(base)
-				eng.Train("college", examples)
+				if bc.dualK > 0 {
+					eng.TrainDualStage("college", examples, bc.dualK)
+				} else {
+					eng.Train("college", examples)
+				}
 			}
 			b.ReportMetric(float64(eng.MatchedCount()), "held/op")
 			b.ReportMetric(float64(eng.NumMetagraphs()), "metagraphs/op")

@@ -374,52 +374,37 @@ func (r *Router) Stats(ctx context.Context) (api.StatsResponse, error) {
 	return r.Primary().Stats(ctx)
 }
 
-// read runs one read against the rotation: each live follower once,
-// starting at the round-robin cursor, then the resolved primary as the
-// final fallback. A follower failing with a 5xx or a transport error is
-// ejected from rotation immediately (the next probe re-admits it once
-// caught up); a 4xx — the request itself is wrong — returns straight to
-// the caller, because every replica would refuse it identically.
+// read runs one read against the rotation: each backend ReadTargets lists,
+// in its order, each outcome reported through ReportRead. A follower
+// failing with a 5xx or a transport error is ejected from rotation
+// immediately (the next probe re-admits it once caught up) and the next
+// backend is tried; a 4xx — the request itself is wrong — returns straight
+// to the caller, because every replica would refuse it identically.
 func (r *Router) read(ctx context.Context, call func(*Client) error) error {
-	idx := r.Live()
+	targets := r.ReadTargets(len(r.clients))
 	var lastErr error
-	if len(idx) > 0 {
-		// Reduce the cursor modulo the live-set size while still uint64:
-		// a plain int() of a wrapped counter would go negative and a
-		// negative % in Go stays negative — a panic-grade index.
-		start := int((r.rr.Add(1) - 1) % uint64(len(idx)))
-		for a := 0; a < len(idx); a++ {
-			i := idx[(start+a)%len(idx)]
-			err := call(r.clients[1+i])
-			if err == nil {
-				r.served[1+i].Add(1)
-				return nil
-			}
-			if !failedOver(err) || ctx.Err() != nil {
-				return err
-			}
-			lastErr = err
-			r.eject(i, err)
+	for i, c := range targets {
+		err := call(c)
+		if err != nil && ctx.Err() != nil {
+			return err // cancelled: says nothing about the backend
 		}
-	}
-	r.mu.RLock()
-	cur := r.cur
-	r.mu.RUnlock()
-	if err := call(r.clients[cur]); err != nil {
-		if lastErr != nil && failedOver(err) {
+		r.ReportRead(c, err)
+		if err == nil || !failedOver(err) {
+			return err
+		}
+		if i == len(targets)-1 && lastErr != nil {
 			return fmt.Errorf("%w (followers also failed: %v)", err, lastErr)
 		}
-		return err
+		lastErr = err
 	}
-	r.served[cur].Add(1)
-	return nil
+	return lastErr
 }
 
 // ReadTargets returns up to max distinct backends for one read, in the
 // order the rotation would try them: the live followers starting at the
 // round-robin cursor (advanced once per call, so successive calls
-// spread), then the resolved primary as the final fallback — the same
-// candidate order read uses, exposed for callers that drive the HTTP
+// spread), then the resolved primary as the final fallback — the
+// candidate order read walks, exposed for callers that drive the HTTP
 // exchange themselves (the semproxy edge tier forwards raw bodies and
 // hedges stragglers, which the closure-based read path can't express).
 // With no live followers the result is just the primary. Callers report

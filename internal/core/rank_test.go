@@ -226,7 +226,10 @@ func TestRankTopOnPatchedIndex(t *testing.T) {
 			t.Fatalf("seed %d: delta patched nothing", seed)
 		}
 
-		patched := buildIndex(g, ms).WithPatch(patch)
+		patched, err := buildIndex(g, ms).WithPatch(patch)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, c := range []struct {
 			label string
 			ix    *index.Index

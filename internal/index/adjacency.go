@@ -301,74 +301,63 @@ func (ix *Index) relaid(meta func(int32) int32) adjRuns {
 	})
 }
 
-// overlay returns the replacement runs of ix patched with the pair rows
-// whose runs are fresh. An endpoint v of a fresh row gets its current runs
-// merged with its fresh ones, metagraph by metagraph, less the current
-// postings of every re-paired partner; every other node keeps its
-// replacement runs, if any. The cost is linear in the node id range plus
-// the runs of the endpoints — never in the number of pairs.
-func (ix *Index) overlay(fresh adjRuns) adjRuns {
-	if len(fresh.meta) == 0 {
-		return ix.ovl
+// overlay returns the replacement runs of ix with the gain runs added. An
+// endpoint v of a gain gets its current runs merged with its gain runs,
+// metagraph by metagraph and partner by partner, the counts of a partner
+// both hold summed (see addCount); every other node keeps its replacement
+// runs, if any. The cost is linear in the node id range plus the runs of
+// the endpoints — never in the number of pairs.
+func (ix *Index) overlay(gain adjRuns) (adjRuns, error) {
+	if len(gain.meta) == 0 {
+		return ix.ovl, nil
 	}
-	n := max(len(ix.ovl.first), len(fresh.first)) - 1
+	n := max(len(ix.ovl.first), len(gain.first)) - 1
 	out := adjRuns{first: make([]int32, n+1), off: []int32{0}}
 	// end closes a run of metagraph m at the postings appended since the
-	// last one, if any.
+	// last one.
 	end := func(m int32) {
-		if at := int32(len(out.post)); at > out.off[len(out.off)-1] {
-			out.meta, out.off = append(out.meta, m), append(out.off, at)
-		}
-	}
-	repaired := make([]bool, max(n, len(ix.flat.first)-1))
-	mark := func(v graph.NodeID, on bool) {
-		lo, hi := fresh.runs(v)
-		for _, p := range fresh.post[fresh.off[lo]:fresh.off[hi]] {
-			repaired[p.node] = on
-		}
+		out.meta, out.off = append(out.meta, m), append(out.off, int32(len(out.post)))
 	}
 	for v := range graph.NodeID(n) {
 		base, blo, bhi := ix.runsOf(v)
-		flo, fhi := fresh.runs(v)
-		if flo == fhi { // not an endpoint: only its replacement runs stand
+		glo, ghi := gain.runs(v)
+		if glo == ghi { // not an endpoint: only its replacement runs stand
 			base = &ix.ovl
 			blo, bhi = ix.ovl.runs(v)
 		}
-		mark(v, true)
-		for blo < bhi || flo < fhi {
+		for blo < bhi || glo < ghi {
 			switch {
-			case flo == fhi || (blo < bhi && base.meta[blo] < fresh.meta[flo]):
-				for _, p := range base.postings(blo) {
-					if !repaired[p.node] {
-						out.post = append(out.post, p)
-					}
-				}
+			case glo == ghi || (blo < bhi && base.meta[blo] < gain.meta[glo]):
+				out.post = append(out.post, base.postings(blo)...)
 				end(base.meta[blo])
 				blo++
-			case blo == bhi || fresh.meta[flo] < base.meta[blo]:
-				out.post = append(out.post, fresh.postings(flo)...)
-				end(fresh.meta[flo])
-				flo++
+			case blo == bhi || gain.meta[glo] < base.meta[blo]:
+				out.post = append(out.post, gain.postings(glo)...)
+				end(gain.meta[glo])
+				glo++
 			default:
-				was, now := base.postings(blo), fresh.postings(flo)
+				m, was, now := gain.meta[glo], base.postings(blo), gain.postings(glo)
 				for len(was) > 0 || len(now) > 0 {
 					switch {
-					case len(was) > 0 && repaired[was[0].node]:
-						was = was[1:]
 					case len(now) == 0 || (len(was) > 0 && was[0].node < now[0].node):
 						out.post, was = append(out.post, was[0]), was[1:]
-					default:
+					case len(was) == 0 || now[0].node < was[0].node:
 						out.post, now = append(out.post, now[0]), now[1:]
+					default:
+						c, err := addCount(was[0].count, now[0].count, m, MakePairKey(v, now[0].node))
+						if err != nil {
+							return adjRuns{}, err
+						}
+						out.post, was, now = append(out.post, posting{now[0].node, c}), was[1:], now[1:]
 					}
 				}
-				end(fresh.meta[flo])
-				blo, flo = blo+1, flo+1
+				end(m)
+				blo, glo = blo+1, glo+1
 			}
 		}
-		mark(v, false)
 		out.first[v+1] = int32(len(out.meta))
 	}
-	return out
+	return out, nil
 }
 
 // pairRows walks the runs back out into pair rows, in key order. The rows

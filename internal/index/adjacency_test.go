@@ -94,7 +94,7 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 			}
 			scratch := matchPart(m, mk(g2.Compact()))
 
-			carried := matchPart(m, mk(g0)).WithPatch(p1).WithPatch(p2)
+			carried := mustPatch(t, mustPatch(t, matchPart(m, mk(g0)), p1), p2)
 			checkAdjacency(t, "carried", carried, scratch, g2.NumNodes(), endpointsOf(p1, p2))
 			checkAdjacency(t, "compacted", carried.Compact(), scratch, g2.NumNodes(), nil)
 		}
@@ -125,7 +125,7 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 
 	p := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
 		map[PairKey][]Entry{MakePairKey(1, 3): {{Meta: 0, Count: 1}}, MakePairKey(3, 9): {{Meta: 0, Count: 4}}})
-	patched := empty.WithPatch(p)
+	patched := mustPatch(t, empty, p)
 	if got := patched.Partners(3); !slices.Equal(got, []graph.NodeID{1, 9}) {
 		t.Fatalf("partners of 3 = %v, want [1 9]", got)
 	}

@@ -8,7 +8,7 @@
 // An Index stores each count once: the m_x rows in a CSR-style node table
 // (one []Entry arena behind sorted keys and offsets, so NodeVec is a
 // binary search), every m_xy in the partner runs (adjacency.go). Pair rows
-// keyed by PairKey exist only in flight — counted, patched, on the wire —
+// keyed by PairKey exist only in flight — counted, gained, on the wire —
 // and become runs in buildRuns and rows again in pairRows. Every entry
 // holds a raw instance count; a transform of the counts is a property of
 // the index, applied as a value is read (Transform, SparseVec).
@@ -184,9 +184,10 @@ type Index struct {
 	mx csr[graph.NodeID]
 	// flat holds every m_xy as partner runs (see adjacency.go).
 	flat adjRuns
-	// ovlMx holds the node rows WithPatch replaced, and ovl the complete
-	// replacement runs of every endpoint of a patched pair row. They shadow
-	// the flat ones and are never empty: a delta only adds instances.
+	// ovlMx holds the rows of every node a patch gained on, and ovl the
+	// complete replacement runs of every endpoint of a gained pair: stored
+	// counts plus gains. They shadow the flat ones and are never empty: a
+	// delta only adds instances.
 	ovlMx csr[graph.NodeID]
 	ovl   adjRuns
 	// spans[v] is the position of m_v (the empty span when v has none). It

@@ -211,7 +211,7 @@ func TestTransform(t *testing.T) {
 	readsThrough(t, tr, math.Log1p)
 	readsThrough(t, ix, nil)
 	readsThrough(t, tr.Transform(nil), nil)
-	patched := tr.WithPatch(selfPatch(ix, g.NumNodes()))
+	patched := mustPatch(t, tr, selfPatch(ix, g.NumNodes()))
 	for label, carried := range map[string]*Index{
 		"patched":    patched,
 		"compacted":  patched.Compact(),
@@ -848,9 +848,9 @@ func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
 	}
 }
 
-// selfPatch builds a patch out of ix's own first rows with every count
+// selfPatch builds gains out of ix's own first rows with every count
 // doubled plus one (never 0, even where the doubling wraps), plus (when the
-// graph has room for one) a pair and a node row on the highest node id,
+// graph has room for one) a pair and a node gain on the highest node id,
 // which ix may or may not hold.
 func selfPatch(ix *Index, numNodes int) *Patch {
 	double := func(row []Entry) []Entry {
@@ -879,9 +879,10 @@ func selfPatch(ix *Index, numNodes int) *Patch {
 // FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse
 // them, but an index it returns must serve every row without a panic —
 // patched and compacted too — inside allocations bounded by the stated
-// graph size. What it serves is held to what the stream declares: the pair
-// rows decodeTable reads off the same bytes, the patch's rows shadowing
-// them once patched. And what Read accepted, Write writes back as a fixed
+// graph size. What it serves is held to what the stream declares: the rows
+// decodeTable reads off the same bytes, plus the patch's gains once
+// patched — or, where a sum does not fit a uint32, a refusal that leaves
+// the receiver as it was. And what Read accepted, Write writes back as a fixed
 // point: written, read and written again, the bytes stay the same.
 func FuzzIndexRead(f *testing.F) {
 	_, ix := buildToyIndex(f)
@@ -929,7 +930,8 @@ func FuzzIndexRead(f *testing.F) {
 		}
 		fr, _ = flat.NewReader(bytes.NewReader(data), fileMagic)
 		numMeta := fr.Uvarint()
-		if _, err := decodeTable[graph.NodeID](fr, numMeta, uint64(numNodes)); err != nil {
+		declaredMx, err := decodeTable[graph.NodeID](fr, numMeta, uint64(numNodes))
+		if err != nil {
 			t.Fatalf("Decode accepted a node table decodeTable refuses: %v", err)
 		}
 		declared, err := decodeTable[PairKey](fr, numMeta, math.MaxUint64)
@@ -939,15 +941,25 @@ func FuzzIndexRead(f *testing.F) {
 		holdsRows(t, "decoded", ix, declared)
 		scanEverything(t, ix, int(numNodes))
 		// The same through the overlay, and after compaction.
-		patch := selfPatch(ix, int(numNodes))
-		patched := ix.WithPatch(patch)
-		holdsRows(t, "patched", patched, shadowRows(declared, patch.mxy))
-		scanEverything(t, patched, int(numNodes))
-		compacted := patched.Compact()
-		holdsRows(t, "compacted", compacted, shadowRows(declared, patch.mxy))
-		scanEverything(t, compacted, int(numNodes))
-
 		once := writeBytes(t, ix)
+		patch := selfPatch(ix, int(numNodes))
+		wantMx, mxFits := addRows(declaredMx, patch.mx)
+		wantMxy, mxyFits := addRows(declared, patch.mxy)
+		patched, err := ix.WithPatch(patch)
+		if fits := mxFits && mxyFits; err != nil || !fits {
+			if fits || err == nil || !strings.Contains(err.Error(), "overflow") || !bytes.Equal(writeBytes(t, ix), once) {
+				t.Fatalf("gains that fit a uint32: %v; WithPatch returned %v, the receiver unchanged: %v", fits, err, bytes.Equal(writeBytes(t, ix), once))
+			}
+		} else {
+			for label, got := range map[string]*Index{"patched": patched, "compacted": patched.Compact()} {
+				if nodes := got.nodeTable(); !slices.Equal(nodes.keys, wantMx.keys) || !slices.Equal(nodes.ent, wantMx.ent) {
+					t.Fatalf("%s: node rows %v %v; the stream plus the gains hold %v %v", label, nodes.keys, nodes.ent, wantMx.keys, wantMx.ent)
+				}
+				holdsRows(t, label, got, wantMxy)
+				scanEverything(t, got, int(numNodes))
+			}
+		}
+
 		back, err := Read(bytes.NewReader(once), int(numNodes))
 		if err != nil {
 			t.Fatalf("Read refuses what Write wrote of a decoded index: %v", err)
@@ -996,11 +1008,26 @@ func sameRuns(a, b *adjRuns) bool {
 	return slices.Equal(a.first, b.first) && slices.Equal(a.meta, b.meta) && slices.Equal(a.off, b.off) && slices.Equal(a.post, b.post)
 }
 
-// shadowRows is base with the rows of over in place of base's at the same
-// keys.
-func shadowRows(base, over csr[PairKey]) csr[PairKey] {
-	rows := map[PairKey][]Entry{}
-	base.each(func(k PairKey, row []Entry) { rows[k] = row })
-	over.each(func(k PairKey, row []Entry) { rows[k] = row })
-	return tableOf(rows)
+// addRows is base with the rows of gains added, key by key and metagraph
+// by metagraph; fits is false when a sum does not fit a uint32.
+func addRows[K cmp.Ordered](base, gains csr[K]) (sum csr[K], fits bool) {
+	counts := map[K]map[int32]uint64{}
+	add := func(k K, row []Entry) {
+		if counts[k] == nil {
+			counts[k] = map[int32]uint64{}
+		}
+		for _, e := range row {
+			counts[k][e.Meta] += uint64(e.Count)
+		}
+	}
+	base.each(add)
+	gains.each(add)
+	rows, fits := map[K][]Entry{}, true
+	for k, row := range counts {
+		for m, c := range row {
+			rows[k] = append(rows[k], Entry{m, uint32(c)})
+			fits = fits && c <= math.MaxUint32
+		}
+	}
+	return tableOf(rows), fits
 }

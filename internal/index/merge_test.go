@@ -97,7 +97,7 @@ func mergeFixtures(t *testing.T) map[string][]*Index {
 	for _, m := range patchMetagraphs() {
 		part := matchPart(m, match.NewSymISO(rg))
 		random = append(random, part)
-		patched = append(patched, part.WithPatch(RematchDelta(ng, m, nil, nil)))
+		patched = append(patched, mustPatch(t, part, RematchDelta(ng, m, nil, nil)))
 	}
 	fixtures["random graphs "] = random
 	fixtures["patched part"] = patched
@@ -167,13 +167,13 @@ func TestAddPartsEqualsOneBuild(t *testing.T) {
 		}
 	}
 
-	// Adding to a patched index compacts it first: the rows an update patched
-	// in are there, and nothing is pending.
+	// Adding to a patched index compacts it first: the counts an update
+	// added are there, and nothing is pending.
 	base := empty.AddParts(slots[:1], parts[:1])
-	patched := base.WithPatch(handPatch(span, map[graph.NodeID][]Entry{0: {{Meta: int32(slots[0]), Count: 42}}}, nil))
+	patched := mustPatch(t, base, handPatch(span, map[graph.NodeID][]Entry{0: {{Meta: int32(slots[0]), Count: 42}}}, nil))
 	grown := patched.AddParts(slots[1:2], parts[1:2])
-	if grown.Pending() || grown.NodeVec(0).Get(slots[0]) != 42 {
-		t.Fatalf("adding to a patched index: pending %v, patched coordinate %v", grown.Pending(), grown.NodeVec(0).Get(slots[0]))
+	if want := base.NodeVec(0).Get(slots[0]) + 42; grown.Pending() || grown.NodeVec(0).Get(slots[0]) != want {
+		t.Fatalf("adding to a patched index: pending %v, patched coordinate %v, want %v", grown.Pending(), grown.NodeVec(0).Get(slots[0]), want)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestRestrictEqualsBuildOfKept(t *testing.T) {
 	slots := []int{7, 0, 4, 2}
 	empty := NewBuilder(span).Build()
 	full := empty.AddParts(slots, parts)
-	patched := full.WithPatch(selfPatch(full, g.NumNodes()))
+	patched := mustPatch(t, full, selfPatch(full, g.NumNodes()))
 	for mask := 0; mask < 1<<len(mgs); mask++ {
 		keep := make([]bool, span)
 		var kept []int
@@ -260,7 +260,7 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 			var enumerated int64
 			for _, m := range ms {
 				part, p := matchPart(m, match.NewSymISO(g)).Transform(f), RematchDelta(ng, m, nil, nil)
-				patchedParts = append(patchedParts, part.WithPatch(p))
+				patchedParts = append(patchedParts, mustPatch(t, part, p))
 				parts, gains = append(parts, part), append(gains, p)
 				enumerated += p.Enumerated()
 			}
@@ -277,7 +277,7 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 			if !slices.Equal(lifted.NodeKeys(), slices.Compact(nodeKeys)) {
 				t.Fatalf("trial %d: lifted patch names nodes %v, the parts gained on %v", trial, lifted.NodeKeys(), nodeKeys)
 			}
-			got := empty.AddParts(slots, parts).WithPatch(lifted)
+			got := mustPatch(t, empty.AddParts(slots, parts), lifted)
 			want := empty.AddParts(slots, patchedParts)
 			if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
 				t.Fatalf("trial %d (transformed %v): one lifted patch differs from per-part patches merged", trial, transformed)
@@ -306,7 +306,7 @@ func TestFootprint(t *testing.T) {
 	}
 	// The patch names a node beyond the index, which widens the node-row
 	// positions; the flat runs are shared.
-	patched := ix.WithPatch(selfPatch(ix, 14))
+	patched := mustPatch(t, ix, selfPatch(ix, 14))
 	pp := patched.Footprint()
 	if pp.Tables != fp.Tables || pp.Adjacency != sliceBytes(patched.spans)+ix.flat.bytes() || pp.Overlay <= 0 || pp.OverlayRows == 0 {
 		t.Fatalf("patched: %+v (was %+v)", pp, fp)

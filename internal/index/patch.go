@@ -3,14 +3,13 @@
 // metagraph edge onto an added graph edge (Def. 2). RematchDelta enumerates
 // those — seeded at the added edges, see match.Delta — and counts, per key,
 // the instances GAINED; a row after the delta is the row before it plus its
-// gains. WithPatch overlays the resulting node rows and the partner runs
-// they change over the flat index without rebuilding it; Compact folds the
-// overlay in, giving the index a from-scratch build of the final graph
-// would give.
+// gains. WithPatch adds the gains into the node rows and partner runs they
+// change, as an overlay over the flat index, without rebuilding it; Compact
+// folds the overlay in, giving the index a from-scratch build of the final
+// graph would give.
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -20,26 +19,23 @@ import (
 	"repro/internal/metagraph"
 )
 
-// Patch is a set of rows for one index, in one of two forms. Replacement
-// rows (Over) shadow the base row of every key listed. Gains
-// (RematchDelta) hold raw instance counts to ADD to the rows of the index
-// they land on; WithPatch resolves them, so callers apply either form the
-// same way. Rows are canonical (keys ascending, entries ascending by Meta)
-// and never empty.
+// Patch is what one update gained: per key, the raw instance counts to ADD
+// to the rows of the index it lands on (Eq. 1–2 count instances, and a
+// delta only adds them). Rows are canonical (keys ascending, entries
+// ascending by Meta) and never empty.
 type Patch struct {
 	numMeta int
 	mx      csr[graph.NodeID]
 	mxy     csr[PairKey]
-	gains   bool
-	// enumerated is the work the re-match behind a gains patch did.
+	// enumerated is the work the re-match behind the patch did.
 	enumerated int64
 }
 
-// Empty reports whether the patch replaces no rows.
+// Empty reports whether the patch gains nothing.
 func (p *Patch) Empty() bool { return len(p.mx.keys) == 0 && len(p.mxy.keys) == 0 }
 
-// NodeKeys returns the node keys the patch replaces, ascending. The slice
-// is shared; do not modify.
+// NodeKeys returns the node keys that gain, ascending. The slice is shared;
+// do not modify.
 func (p *Patch) NodeKeys() []graph.NodeID { return p.mx.keys }
 
 // Enumerated returns the number of assignments the enumeration behind the
@@ -49,10 +45,10 @@ func (p *Patch) Enumerated() int64 { return p.enumerated }
 // MergeGains lifts the gains of several re-matches onto one index spanning
 // numMeta metagraphs: patch i's metagraph j becomes metagraph slots[i]+j,
 // and a key's row is the coordinates that gained, wherever they came from.
-// One WithPatch of the result then lands every gain on the merged rows — a
+// One WithPatch of the result then adds every gain to the merged index — a
 // row changes only in the coordinates that gained. The work counts add up.
 func MergeGains(numMeta int, slots []int, patches []*Patch) *Patch {
-	out := &Patch{numMeta: numMeta, gains: true}
+	out := &Patch{numMeta: numMeta}
 	mx := make([]source[graph.NodeID], len(patches))
 	mxy := make([]source[PairKey], len(patches))
 	for i, p := range patches {
@@ -64,41 +60,50 @@ func MergeGains(numMeta int, slots []int, patches []*Patch) *Patch {
 	return out
 }
 
-// Over resolves gains into replacement rows over ix, the index they are
-// about to land on: every row becomes ix's current row (read through any
-// overlay) plus the gained counts, added as integers. The index stores raw
-// counts whatever its transform, so the sum is the count a from-scratch
-// match of the grown graph gives, and the transform reads it as it reads
-// every other. A sum beyond 2^32-1 is refused with an error naming the
-// metagraph and key, and nothing is resolved. A patch that already holds
-// replacement rows is returned as is.
-func (p *Patch) Over(ix *Index) (*Patch, error) {
-	if !p.gains {
-		return p, nil
+// WithPatch returns a new index holding the receiver's counts plus the
+// patch's gains; the receiver is unchanged, the flat node table and runs
+// are shared and the transform carries over. It is the one place gains
+// meet stored counts, added as integers: the index stores raw counts
+// whatever its transform, so each sum is the count a from-scratch match of
+// the grown graph gives. Three steps: the node gains are added to the
+// current node rows; the pair gains are laid out as runs; and every gained
+// endpoint's current runs are merged with its gain runs (see overlay). A
+// sum beyond 2^32-1 is refused with an error naming the metagraph and key.
+// Patching an already-patched index adds to its overlay; Compact folds it
+// in. The cost is the runs of the gained pairs' endpoints plus one pass
+// over the node id range — never the number of pairs the index holds.
+func (ix *Index) WithPatch(p *Patch) (*Index, error) {
+	if p.numMeta != ix.numMeta {
+		panic(fmt.Sprintf("index: patch spans %d metagraphs, index %d", p.numMeta, ix.numMeta))
+	}
+	if p.Empty() {
+		return ix, nil
 	}
 	mx, err := addGains(p.mx, ix.nodeRow)
 	if err != nil {
 		return nil, err
 	}
-	var buf []Entry
-	mxy, err := addGains(p.mxy, func(k PairKey) []Entry {
-		x, y := k.Nodes()
-		buf = ix.pairRow(buf[:0], x, y)
-		return buf
-	})
+	ovl, err := ix.overlay(buildRuns(&p.mxy))
 	if err != nil {
 		return nil, err
 	}
-	return &Patch{numMeta: p.numMeta, mx: mx, mxy: mxy, enumerated: p.enumerated}, nil
+	return (&Index{
+		numMeta: ix.numMeta,
+		f:       ix.f,
+		mx:      ix.mx,
+		flat:    ix.flat,
+		ovlMx:   ix.overlayRows(mx),
+		ovl:     ovl,
+	}).finish(), nil
 }
 
 // addGains returns the table of old(k) + gains' row of k for every key of
 // gains, merging the two Meta-sorted rows coordinate by coordinate.
-func addGains[K cmp.Ordered](gains csr[K], old func(K) []Entry) (csr[K], error) {
+func addGains(gains csr[graph.NodeID], old func(graph.NodeID) []Entry) (csr[graph.NodeID], error) {
 	if len(gains.keys) == 0 {
-		return csr[K]{}, nil
+		return csr[graph.NodeID]{}, nil
 	}
-	out := csr[K]{
+	out := csr[graph.NodeID]{
 		keys: gains.keys,
 		off:  make([]int32, 1, len(gains.off)),
 		ent:  make([]Entry, 0, len(gains.ent)),
@@ -114,12 +119,11 @@ func addGains[K cmp.Ordered](gains csr[K], old func(K) []Entry) (csr[K], error) 
 				out.ent = append(out.ent, gain[0])
 				gain = gain[1:]
 			default:
-				c := uint64(was[0].Count) + uint64(gain[0].Count)
-				if c > math.MaxUint32 {
-					return csr[K]{}, fmt.Errorf("index: metagraph %d, key %v: %d instances and %d more overflow the uint32 count",
-						gain[0].Meta, k, was[0].Count, gain[0].Count)
+				c, err := addCount(was[0].Count, gain[0].Count, gain[0].Meta, k)
+				if err != nil {
+					return csr[graph.NodeID]{}, err
 				}
-				out.ent = append(out.ent, Entry{gain[0].Meta, uint32(c)})
+				out.ent = append(out.ent, Entry{gain[0].Meta, c})
 				was, gain = was[1:], gain[1:]
 			}
 		}
@@ -128,38 +132,17 @@ func addGains[K cmp.Ordered](gains csr[K], old func(K) []Entry) (csr[K], error) 
 	return out, nil
 }
 
-// WithPatch returns a new index whose overlay replaces the patched rows;
-// the receiver is unchanged, the flat node table and runs are shared and
-// the transform carries over. Gains are first resolved against the
-// receiver (see Over); a gain Over refuses panics here, so a caller that
-// cannot rule overflow out resolves the patch with Over first. Patching an
-// already-patched index merges the overlays (the newer patch wins on
-// overlapping keys); Compact folds them in. The cost is the runs of the
-// patched pairs' endpoints plus one pass over the node id range — never
-// the number of pairs the index holds.
-func (ix *Index) WithPatch(p *Patch) *Index {
-	if p.numMeta != ix.numMeta {
-		panic(fmt.Sprintf("index: patch spans %d metagraphs, index %d", p.numMeta, ix.numMeta))
+// addCount returns the stored count c of metagraph meta at key k plus the
+// gain g, refusing a sum that does not fit the uint32 an Entry stores.
+func addCount[K any](c, g uint32, meta int32, k K) (uint32, error) {
+	if s := uint64(c) + uint64(g); s <= math.MaxUint32 {
+		return uint32(s), nil
 	}
-	if p.Empty() {
-		return ix
-	}
-	p, err := p.Over(ix)
-	if err != nil {
-		panic(err)
-	}
-	return (&Index{
-		numMeta: ix.numMeta,
-		f:       ix.f,
-		mx:      ix.mx,
-		flat:    ix.flat,
-		ovlMx:   ix.overlayRows(p.mx),
-		ovl:     ix.overlay(buildRuns(&p.mxy)),
-	}).finish()
+	return 0, fmt.Errorf("index: metagraph %d, key %v: %d instances and %d more overflow the uint32 count", meta, k, c, g)
 }
 
-// overlayRows is ix's overlay node table with the rows of fresh replacing
-// any it holds for the same keys.
+// overlayRows is ix's overlay node table with the rows of fresh, the
+// gained nodes' new rows, replacing any it holds for the same keys.
 func (ix *Index) overlayRows(fresh csr[graph.NodeID]) csr[graph.NodeID] {
 	keys := append(slices.Clone(ix.ovlMx.keys), fresh.keys...)
 	slices.Sort(keys)
@@ -209,8 +192,8 @@ func (ix *Index) Compact() *Index {
 // RematchDelta returns what one metagraph's part index gains from the
 // delta behind g, the graph a graph.Apply returned: per key, the number of
 // new instances counted exactly as Builder.AddMetagraph counts all of them.
-// The result is a gains patch (see Patch); the part's WithPatch turns it
-// into the rows a from-scratch match of g would produce.
+// The part's WithPatch adds the gains to its counts, giving the rows a
+// from-scratch match of g would produce.
 //
 // The two trailing parameters are unused: the enumeration is seeded from
 // g.DeltaEdges and needs neither a matcher for a subgraph nor the touched
@@ -219,5 +202,5 @@ func (ix *Index) Compact() *Index {
 func RematchDelta(g *graph.Graph, m *metagraph.Metagraph, _ func(*graph.Graph) match.Matcher, _ []graph.NodeID) *Patch {
 	d := match.NewDelta(g)
 	mx, mxy := matchOne(m, d)
-	return &Patch{numMeta: 1, mx: mx, mxy: mxy, gains: true, enumerated: d.Visited()}
+	return &Patch{numMeta: 1, mx: mx, mxy: mxy, enumerated: d.Visited()}
 }

@@ -16,10 +16,10 @@ import (
 	"repro/internal/metagraph"
 )
 
-// handPatch freezes hand-written replacement rows into a Patch for an index
-// spanning numMeta metagraphs, dropping empty rows (an additive delta can
-// never empty a row). The engine only ever applies what RematchDelta
-// enumerated; tests need rows of their own choosing.
+// handPatch freezes hand-written gains into a Patch for an index spanning
+// numMeta metagraphs, dropping empty rows (a key that gains nothing is not
+// in a patch). The engine only ever applies what RematchDelta enumerated;
+// tests need gains of their own choosing.
 func handPatch(numMeta int, mx map[graph.NodeID][]Entry, mxy map[PairKey][]Entry) *Patch {
 	for k, row := range mx {
 		if len(row) == 0 {
@@ -32,6 +32,16 @@ func handPatch(numMeta int, mx map[graph.NodeID][]Entry, mxy map[PairKey][]Entry
 		}
 	}
 	return &Patch{numMeta: numMeta, mx: tableOf(mx), mxy: tableOf(mxy)}
+}
+
+// mustPatch is ix.WithPatch(p) for gains that cannot overflow.
+func mustPatch(t testing.TB, ix *Index, p *Patch) *Index {
+	t.Helper()
+	out, err := ix.WithPatch(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // matchPart is the single-metagraph part index of m, counted with a
@@ -122,7 +132,7 @@ func TestQuickPatchEqualsScratch(t *testing.T) {
 		for mi, m := range patchMetagraphs() {
 			before := matchPart(m, mk(g))
 			patch := RematchDelta(ng, m, mk, touched)
-			patched := before.WithPatch(patch)
+			patched := mustPatch(t, before, patch)
 			scratch := matchPart(m, mk(ng.Compact()))
 
 			var got, want bytes.Buffer
@@ -164,12 +174,12 @@ func TestWithPatchBasics(t *testing.T) {
 	}
 	b := NewBuilder(1)
 	ix := b.Build()
-	if ix.WithPatch(base) != ix {
+	if mustPatch(t, ix, base) != ix {
 		t.Fatal("empty patch must return the receiver")
 	}
 	p := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
 		map[PairKey][]Entry{MakePairKey(1, 3): {{Meta: 0, Count: 1}}})
-	patched := ix.WithPatch(p)
+	patched := mustPatch(t, ix, p)
 	if !patched.Pending() || ix.Pending() {
 		t.Fatal("pending state wrong")
 	}
@@ -179,11 +189,11 @@ func TestWithPatchBasics(t *testing.T) {
 	if got := patched.PairVec(1, 3).Get(0); got != 1 {
 		t.Fatalf("overlay PairVec = %v", got)
 	}
-	// Second patch shadows the first on overlapping keys.
+	// A second patch adds to the first on overlapping keys: 2 + 5.
 	p2 := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 5}}}, nil)
-	patched2 := patched.WithPatch(p2)
-	if got := patched2.NodeVec(3).Get(0); got != 5 {
-		t.Fatalf("re-patched NodeVec = %v", got)
+	patched2 := mustPatch(t, patched, p2)
+	if got := patched2.NodeVec(3).Get(0); got != 7 {
+		t.Fatalf("re-patched NodeVec = %v, want 2 + 5", got)
 	}
 	if got := patched2.PairVec(1, 3).Get(0); got != 1 {
 		t.Fatalf("re-patched PairVec lost earlier overlay row: %v", got)
@@ -192,7 +202,7 @@ func TestWithPatchBasics(t *testing.T) {
 	if c.Pending() {
 		t.Fatal("compacted index still pending")
 	}
-	if got := c.NodeVec(3).Get(0); got != 5 {
+	if got := c.NodeVec(3).Get(0); got != 7 {
 		t.Fatalf("compacted NodeVec = %v", got)
 	}
 	defer func() {
@@ -204,31 +214,41 @@ func TestWithPatchBasics(t *testing.T) {
 }
 
 // TestCountOverflowIsRefused: a count past 2^32-1 never wraps. Gains that
-// would carry a stored count past it are refused by Over with an error
-// naming the metagraph and key (and panic in WithPatch, which has no error
-// path), gains that reach it exactly land; an offline build whose run of
-// one key is longer panics, naming the metagraph and key.
+// would carry a stored count past it — of a node row or of a pair, the two
+// halves WithPatch adds — are refused with an error naming the metagraph
+// and key, and the receiver is unchanged; gains that reach it exactly land.
+// An offline build whose run of one key is longer panics, naming the
+// metagraph and key.
 func TestCountOverflowIsRefused(t *testing.T) {
-	base := NewBuilder(2).Build().WithPatch(handPatch(2,
+	base := mustPatch(t, NewBuilder(2).Build(), handPatch(2,
 		map[graph.NodeID][]Entry{3: {{Meta: 1, Count: math.MaxUint32 - 5}}},
 		map[PairKey][]Entry{MakePairKey(3, 7): {{Meta: 1, Count: 9}}}))
-	gains := func(g uint32) *Patch {
-		p := handPatch(2, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 1}, {Meta: 1, Count: g}}},
-			map[PairKey][]Entry{MakePairKey(3, 7): {{Meta: 1, Count: g}}})
-		p.gains = true
-		return p
+	was := writeBytes(t, base)
+	gains := func(node, pair uint32) *Patch {
+		return handPatch(2, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 1}, {Meta: 1, Count: node}}},
+			map[PairKey][]Entry{MakePairKey(3, 7): {{Meta: 1, Count: pair}}})
 	}
-	p, err := gains(5).Over(base)
-	if err != nil {
-		t.Fatalf("gains reaching 2^32-1 refused: %v", err)
+	got := mustPatch(t, base, gains(5, math.MaxUint32-9))
+	if m := got.NodeVec(3); m.Get(1) != math.MaxUint32 || m.Get(0) != 1 {
+		t.Fatalf("m_3 = %v after gains reaching 2^32-1", m)
 	}
-	if got := base.WithPatch(p).NodeVec(3); got.Get(1) != math.MaxUint32 || got.Get(0) != 1 {
-		t.Fatalf("m_3 = %v after gains reaching 2^32-1", got)
+	if m := got.PairVec(7, 3); m.Get(1) != math.MaxUint32 {
+		t.Fatalf("m_37 = %v after gains reaching 2^32-1", m)
 	}
-	if _, err := gains(6).Over(base); err == nil || !strings.Contains(err.Error(), "metagraph 1, key 3:") {
-		t.Fatalf("gains past 2^32-1: Over returned %v, want an error naming metagraph 1 and key 3", err)
+	for _, c := range []struct {
+		what, want string
+		gains      *Patch
+	}{
+		{"a node gain past 2^32-1", "metagraph 1, key 3:", gains(6, 1)},
+		{"a pair gain past 2^32-1", "metagraph 1, key (3,7):", gains(1, math.MaxUint32-8)},
+	} {
+		if ix, err := base.WithPatch(c.gains); ix != nil || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: WithPatch returned %v, %v; want an error naming %q", c.what, ix, err, c.want)
+		}
+		if !bytes.Equal(writeBytes(t, base), was) || base.PairVec(3, 7).Get(1) != 9 {
+			t.Fatalf("%s: the refusal changed the receiver", c.what)
+		}
 	}
-	mustPanic(t, "WithPatch of gains past 2^32-1", "metagraph 1, key 3:", func() { base.WithPatch(gains(6)) })
 
 	mustPanic(t, "a run of 2^32 instances", "metagraph 1, key (2,4):", func() {
 		new(csr[PairKey]).appendRun(MakePairKey(2, 4), 1, math.MaxUint32+1)
@@ -298,7 +318,7 @@ func TestPatchOnHubEqualsScratch(t *testing.T) {
 		if p1.Empty() || p2.Empty() {
 			t.Fatalf("metagraph %d: a hub delta gained nothing", mi)
 		}
-		patched := matchPart(m, mk(g0)).WithPatch(p1).WithPatch(p2)
+		patched := mustPatch(t, mustPatch(t, matchPart(m, mk(g0)), p1), p2)
 		var want bytes.Buffer
 		if err := Write(&want, matchPart(m, mk(g2.Compact()))); err != nil {
 			t.Fatal(err)

@@ -191,17 +191,16 @@ func (e *Engine) applyUpdate(d Delta, records int, assign func(cur uint64) (uint
 				gains = append(gains, index.RematchDelta(ng, e.ms[i], nil, nil))
 			}
 		}
-		// The gains are added to the stored counts here, before anything is
-		// published: a count they would carry past 2^32-1 refuses the update
-		// and leaves the engine as it was.
-		p, err := index.MergeGains(len(e.ms), slots, gains).Over(ix)
-		if err != nil {
-			return UpdateStats{}, fmt.Errorf("semprox: update refused: %w", err)
-		}
+		p := index.MergeGains(len(e.ms), slots, gains)
 		st.Rematched = len(slots)
 		st.Enumerated = p.Enumerated()
 		if !p.Empty() {
-			ix = ix.WithPatch(p)
+			// The gains are added to the stored counts here, before anything
+			// is published: a count they would carry past 2^32-1 refuses the
+			// update and leaves the engine as it was.
+			if ix, err = ix.WithPatch(p); err != nil {
+				return UpdateStats{}, fmt.Errorf("semprox: update refused: %w", err)
+			}
 			classes = make(map[string]*classModel, len(ep.classes))
 			for name, cm := range ep.classes {
 				classes[name] = cm.patched(ix, p.NodeKeys())
