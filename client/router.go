@@ -384,6 +384,13 @@ func (r *Router) read(ctx context.Context, call func(*Client) error) error {
 	targets := r.ReadTargets(len(r.clients))
 	var lastErr error
 	for i, c := range targets {
+		if i > 0 && i == len(targets)-1 {
+			// The fallback is the primary resolved now, not when the list
+			// was made: a promotion while the followers were tried moves it.
+			if p := r.Primary(); !slices.Contains(targets[:i], p) {
+				c = p
+			}
+		}
 		err := call(c)
 		if err != nil && ctx.Err() != nil {
 			return err // cancelled: says nothing about the backend
@@ -434,8 +441,9 @@ func (r *Router) ReadTargets(max int) []*Client {
 // against a backend obtained from ReadTargets: success bumps the
 // backend's serve count (Counts), and a failover-grade failure (5xx or
 // transport) ejects a follower from rotation exactly as the built-in
-// read path would — the primary is never ejected (it is the fallback,
-// and probes own the primary's fate), and 4xx outcomes are the request's
+// read path would — the resolved primary is never ejected, even when it
+// is a promoted follower (it is the fallback, and probes own the
+// primary's fate), and 4xx outcomes are the request's
 // fault, not the replica's. Do NOT report attempts the caller cancelled
 // itself (a hedge loser): its context error is indistinguishable from a
 // dead backend and would eject a healthy replica.
@@ -446,7 +454,7 @@ func (r *Router) ReportRead(c *Client, err error) {
 		}
 		if err == nil {
 			r.served[i].Add(1)
-		} else if i > 0 && failedOver(err) {
+		} else if i > 0 && failedOver(err) && c != r.Primary() {
 			r.eject(i-1, err)
 		}
 		return

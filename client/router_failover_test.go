@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -177,5 +178,43 @@ func TestRouterUpdateRetriesOnlyProvenFailures(t *testing.T) {
 	}
 	if got := p.updates.Load(); got != 1 {
 		t.Fatalf("ambiguous failure retried on another backend: %d", got)
+	}
+}
+
+// TestRouterNeverEjectsThePrimary: a failed read of the resolved primary
+// — here a promoted follower, which left the read rotation on promotion —
+// emits no eject, through the built-in read path and through ReportRead
+// alike: probes own the primary's fate.
+func TestRouterNeverEjectsThePrimary(t *testing.T) {
+	p := newFakeNode(t, api.RolePrimary, 1)
+	f := newFakeNode(t, api.RoleFollower, 1)
+	r := client.NewRouter(p.ts.URL, []string{f.ts.URL}, nil)
+	ctx := context.Background()
+	if live := r.Probe(ctx); live != 1 {
+		t.Fatalf("live = %d, want 1", live)
+	}
+	p.ts.Close()
+	f.role.Store(api.RolePrimary)
+	f.term.Store(2)
+	if live := r.Probe(ctx); live != 0 {
+		t.Fatalf("live after promotion = %d, want 0", live)
+	}
+	if got := r.Primary().BaseURL(); got != f.ts.URL {
+		t.Fatalf("resolved primary = %s, want %s", got, f.ts.URL)
+	}
+
+	log := &eventLog{}
+	r.OnEvent = log.record
+	f.ts.Close()
+	if _, err := r.Query(ctx, "c", "q", 1); err == nil {
+		t.Fatal("read of a closed primary succeeded")
+	}
+	targets := r.ReadTargets(2)
+	if len(targets) != 1 || targets[0] != r.Primary() {
+		t.Fatalf("targets = %v, want just the primary", targets)
+	}
+	r.ReportRead(targets[0], errors.New("connection refused"))
+	if ev, ok := log.find(client.EventEject, f.ts.URL); ok {
+		t.Fatalf("primary ejected by a failed read: %+v", ev)
 	}
 }

@@ -876,13 +876,33 @@ func selfPatch(ix *Index, numNodes int) *Patch {
 	return handPatch(ix.NumMeta(), mx, mxy)
 }
 
+// unitPatch gains 1 on each coordinate selfPatch gains on whose count ix
+// holds below 2^32−1, so its sums always fit: where selfPatch's sums overflow,
+// it still takes the overlay through the checks.
+func unitPatch(ix *Index, numNodes int) *Patch {
+	self := selfPatch(ix, numNodes)
+	ones := func(held SparseVec, row []Entry) (out []Entry) {
+		for _, e := range row {
+			if held.Get(int(e.Meta)) < math.MaxUint32 {
+				out = append(out, Entry{e.Meta, 1})
+			}
+		}
+		return out
+	}
+	mx, mxy := map[graph.NodeID][]Entry{}, map[PairKey][]Entry{}
+	self.mx.each(func(x graph.NodeID, row []Entry) { mx[x] = ones(ix.NodeVec(x), row) })
+	self.mxy.each(func(k PairKey, row []Entry) { mxy[k] = ones(ix.PairVec(k.Nodes()), row) })
+	return handPatch(ix.NumMeta(), mx, mxy)
+}
+
 // FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse
 // them, but an index it returns must serve every row without a panic —
 // patched and compacted too — inside allocations bounded by the stated
 // graph size. What it serves is held to what the stream declares: the rows
-// decodeTable reads off the same bytes, plus the patch's gains once
-// patched — or, where a sum does not fit a uint32, a refusal that leaves
-// the receiver as it was. And what Read accepted, Write writes back as a fixed
+// decodeTable reads off the same bytes, plus the gains once patched — or,
+// where a sum does not fit a uint32, a refusal that leaves the receiver as
+// it was. Each input is patched twice: with selfPatch's large gains, and
+// with unitPatch's, which always fit, so every input reaches the overlay. And what Read accepted, Write writes back as a fixed
 // point: written, read and written again, the bytes stay the same.
 func FuzzIndexRead(f *testing.F) {
 	_, ix := buildToyIndex(f)
@@ -942,16 +962,21 @@ func FuzzIndexRead(f *testing.F) {
 		scanEverything(t, ix, int(numNodes))
 		// The same through the overlay, and after compaction.
 		once := writeBytes(t, ix)
-		patch := selfPatch(ix, int(numNodes))
-		wantMx, mxFits := addRows(declaredMx, patch.mx)
-		wantMxy, mxyFits := addRows(declared, patch.mxy)
-		patched, err := ix.WithPatch(patch)
-		if fits := mxFits && mxyFits; err != nil || !fits {
-			if fits || err == nil || !strings.Contains(err.Error(), "overflow") || !bytes.Equal(writeBytes(t, ix), once) {
-				t.Fatalf("gains that fit a uint32: %v; WithPatch returned %v, the receiver unchanged: %v", fits, err, bytes.Equal(writeBytes(t, ix), once))
+		for name, patch := range map[string]*Patch{"self": selfPatch(ix, int(numNodes)), "unit": unitPatch(ix, int(numNodes))} {
+			wantMx, mxFits := addRows(declaredMx, patch.mx)
+			wantMxy, mxyFits := addRows(declared, patch.mxy)
+			fits := mxFits && mxyFits
+			if name == "unit" && !fits {
+				t.Fatal("unitPatch's gains overflow a uint32")
 			}
-		} else {
-			for label, got := range map[string]*Index{"patched": patched, "compacted": patched.Compact()} {
+			patched, err := ix.WithPatch(patch)
+			if err != nil || !fits {
+				if fits || err == nil || !strings.Contains(err.Error(), "overflow") || !bytes.Equal(writeBytes(t, ix), once) {
+					t.Fatalf("%s: gains that fit a uint32: %v; WithPatch returned %v, the receiver unchanged: %v", name, fits, err, bytes.Equal(writeBytes(t, ix), once))
+				}
+				continue
+			}
+			for label, got := range map[string]*Index{name + " patched": patched, name + " compacted": patched.Compact()} {
 				if nodes := got.nodeTable(); !slices.Equal(nodes.keys, wantMx.keys) || !slices.Equal(nodes.ent, wantMx.ent) {
 					t.Fatalf("%s: node rows %v %v; the stream plus the gains hold %v %v", label, nodes.keys, nodes.ent, wantMx.keys, wantMx.ent)
 				}
