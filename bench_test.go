@@ -774,8 +774,8 @@ func BenchmarkSnapshotSave(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoad measures LoadEngine from memory at both shapes,
-// including laying out the decoded pair rows as the runs a loaded engine
-// serves from.
+// including laying out the decoded runs above each node, with the partners
+// below it, as the runs a loaded engine serves from.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, sh := range snapShapes {
 		b.Run(sh.name, func(b *testing.B) {

@@ -170,15 +170,15 @@ func buildFollower(ctx context.Context, primaryURL, stateDir, peersCSV, advertis
 	}
 	if restored {
 		eng := f.Engine()
-		log.Printf("restored from %s in %.2fs: %d nodes, LSN %d, term %d",
-			stateDir, time.Since(start).Seconds(), eng.Graph().NumNodes(), eng.LSN(), f.Status().Term)
+		log.Printf("restored from %s in %.1fms: %d nodes, LSN %d, term %d",
+			stateDir, msSince(start), eng.Graph().NumNodes(), eng.LSN(), f.Status().Term)
 	} else {
 		if err := f.Bootstrap(ctx); err != nil {
 			return nil, nil, err
 		}
 		eng := f.Engine()
-		log.Printf("bootstrapped from %s (%d bytes) in %.2fs: %d nodes, %d metagraphs, classes %v, LSN %d",
-			primaryURL, f.SnapshotBytes(), time.Since(start).Seconds(), eng.Graph().NumNodes(),
+		log.Printf("bootstrapped from %s (%d bytes) in %.1fms: %d nodes, %d metagraphs, classes %v, LSN %d",
+			primaryURL, f.SnapshotBytes(), msSince(start), eng.Graph().NumNodes(),
 			eng.NumMetagraphs(), eng.Classes(), eng.LSN())
 	}
 	runCtx, stopRun := context.WithCancel(ctx)
@@ -246,8 +246,8 @@ func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server,
 	if err != nil {
 		return nil, nil, err
 	}
-	log.Printf("loaded snapshot %s (%d bytes) in %.2fs: %d metagraphs, classes %v, LSN %d",
-		snapshot, fi.Size(), time.Since(start).Seconds(), eng.NumMetagraphs(), eng.Classes(), eng.LSN())
+	log.Printf("loaded snapshot %s (%d bytes) in %.1fms: %d metagraphs, classes %v, LSN %d",
+		snapshot, fi.Size(), msSince(start), eng.NumMetagraphs(), eng.Classes(), eng.LSN())
 
 	var w *wal.WAL
 	if walDir != "" {
@@ -262,8 +262,8 @@ func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server,
 		}
 		if replayed > 0 {
 			eng.Compact()
-			log.Printf("recovered %d logged updates in %.2fs (engine now at LSN %d, epoch %d)",
-				replayed, time.Since(start).Seconds(), eng.LSN(), eng.Epoch())
+			log.Printf("recovered %d logged updates in %.1fms (engine now at LSN %d, epoch %d)",
+				replayed, msSince(start), eng.LSN(), eng.Epoch())
 		}
 	}
 
@@ -295,3 +295,7 @@ func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server,
 	}
 	return handler, shutdown, nil
 }
+
+// msSince is the time since start in milliseconds, the unit a snapshot
+// load or a replay takes.
+func msSince(start time.Time) float64 { return float64(time.Since(start).Microseconds()) / 1000 }

@@ -30,10 +30,10 @@ func SharedSchool() (g *graph.Graph, a, b, c graph.NodeID) {
 // WithEveryCount re-encodes an engine snapshot, whose stream starts with
 // magic, with every count of its index section set to cnt, checksum
 // valid: the on-disk form of an index whose instances number cnt wherever
-// it has a row. Every row is written with a head of its own (reuse bit
-// clear), which a reader accepts as it does the shared ones. Of the
-// snapshot's header it reads only classes[].kept, which sizes each class's
-// weight section.
+// it has a row. Every node row is written with a head of its own (reuse
+// bit clear), which a reader accepts as it does the shared ones; the runs
+// keep their references. Of the snapshot's header it reads only
+// classes[].kept, which sizes each class's weight section.
 func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte {
 	tb.Helper()
 	fr, err := flat.NewReader(bytes.NewReader(snap), magic)
@@ -54,27 +54,56 @@ func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte
 	}
 	graph.Encode(fw, g)
 	uv := func() uint64 { v := fr.Uvarint(); fw.Uvarint(v); return v }
-	b := uint(bits.Len64(uv())) // numMeta sizes each row head
+	b := uint(bits.Len64(uv())) // numMeta sizes each row and run head
 	ones := uint64(0)
 	if cnt == 1 {
 		ones = 1
 	}
-	for table := 0; table < 2; table++ {
-		nKeys, _ := uv(), uv()
-		head := uint64(0)
-		for i := uint64(0); i < nKeys; i++ {
-			d := fr.Uvarint() // key delta<<1 | reuse
-			fw.Uvarint(d &^ 1)
-			if d&1 == 0 {
-				head = fr.Uvarint()
+	// The node table: rows of counts.
+	nKeys, _ := uv(), uv()
+	head := uint64(0)
+	for i := uint64(0); i < nKeys; i++ {
+		d := fr.Uvarint() // key delta<<1 | reuse
+		fw.Uvarint(d &^ 1)
+		if d&1 == 0 {
+			head = fr.Uvarint()
+		}
+		fw.Uvarint(head&^1 | ones)
+		n := head >> (b + 1)
+		for j := uint64(1); j < n; j++ {
+			uv() // Meta gap
+		}
+		for j := uint64(0); j < n; j++ {
+			if head&1 == 0 {
+				fr.Uvarint()
 			}
-			fw.Uvarint(head&^1 | ones)
-			n := head >> (b + 1)
-			for j := uint64(1); j < n; j++ {
-				uv() // Meta gap
+			if ones == 0 {
+				fw.Uvarint(cnt)
 			}
-			for j := uint64(0); j < n; j++ {
-				if head&1 == 0 {
+		}
+	}
+	// The runs above each node: a copy takes its count from the run it
+	// copies, which holds cnt too, so only the residuals carry counts.
+	nRuns, _ := uv(), uv()
+	for runs := uint64(0); runs < nRuns; {
+		uv()           // node gap
+		n := uv() >> b // runs<<b | first metagraph
+		for j := uint64(1); j < n; j++ {
+			uv() // Meta gap
+		}
+		for j := uint64(0); j < n; j++ {
+			if uv() != 0 { // a reference, then its copy blocks
+				for k := uv(); k > 0; k-- {
+					uv()
+				}
+			}
+			h := fr.Uvarint() // residuals<<1 | ones
+			fw.Uvarint(h&^1 | ones)
+			for k := h >> 1; k > 0; k-- {
+				uv() // gap
+			}
+			for k := h >> 1; k > 0; k-- {
+				if h&1 == 0 {
 					fr.Uvarint()
 				}
 				if ones == 0 {
@@ -82,6 +111,7 @@ func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte
 				}
 			}
 		}
+		runs += n
 	}
 	for _, sc := range h.Classes { // log-likelihood and weights
 		for i := 0; i <= len(sc.Kept); i++ {

@@ -35,6 +35,7 @@ var (
 type Writer struct {
 	w   io.Writer
 	buf []byte
+	n   int64 // bytes handed to w
 	crc uint32
 	err error
 }
@@ -52,8 +53,13 @@ func (w *Writer) through(p []byte) {
 		return
 	}
 	w.crc = crc32.Update(w.crc, castagnoli, p)
+	w.n += int64(len(p))
 	_, w.err = w.w.Write(p)
 }
+
+// Offset returns the number of stream bytes written so far, the magic
+// included: a Reader's Offset after it has read the same values.
+func (w *Writer) Offset() int64 { return w.n + int64(len(w.buf)) }
 
 func (w *Writer) flush() {
 	w.through(w.buf)
@@ -121,8 +127,9 @@ func (w *Writer) Close() error {
 type Reader struct {
 	r        io.Reader
 	buf      []byte
-	pos, end int // buf[pos:end] is buffered and unread
-	hashed   int // buf[hashed:pos] is consumed but not yet in crc
+	pos, end int   // buf[pos:end] is buffered and unread
+	hashed   int   // buf[hashed:pos] is consumed but not yet in crc
+	read     int64 // bytes taken from r
 	crc      uint32
 	err      error
 }
@@ -155,6 +162,7 @@ func (r *Reader) fill(n int) bool {
 	r.pos, r.hashed = 0, 0
 	m, err := io.ReadAtLeast(r.r, r.buf[r.end:], n-r.end)
 	r.end += m
+	r.read += int64(m)
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
@@ -170,6 +178,11 @@ func (r *Reader) fail(err error) {
 	r.err = err
 	r.pos, r.end, r.hashed = 0, 0, 0
 }
+
+// Offset returns the number of stream bytes consumed so far, the magic
+// included: what a decoder has been sent, whatever it claims. Once the
+// stream has failed it stops moving.
+func (r *Reader) Offset() int64 { return r.read - int64(r.end-r.pos) }
 
 // Err returns the first error of the stream.
 func (r *Reader) Err() error { return r.err }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -131,6 +132,72 @@ func TestEveryCorruptionIsAnError(t *testing.T) {
 	}
 	if r.Uvarint(); r.Err() == nil {
 		t.Error("an 11-byte varint was accepted")
+	}
+}
+
+// TestOffsetsAgree: after each value, the writer's Offset is the number of
+// bytes written so far and the reader's, having read the same values, is
+// the same number — however the bytes arrive, across buffer refills and
+// byte strings larger than a buffer — and once the stream fails the
+// reader's Offset stops where the bytes ran out.
+func TestOffsetsAgree(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, magic)
+	offsets := []int64{w.Offset()}
+	note := func() { offsets = append(offsets, w.Offset()) }
+	for i := 0; i < 30_000; i++ {
+		w.Uvarint(uint64(i) * 997)
+		note()
+		w.Uint64(uint64(i))
+		note()
+	}
+	w.Bytes(bytes.Repeat([]byte("x"), 100_000))
+	note()
+	w.String("tail")
+	note()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := offsets[len(offsets)-1] + 4; got != int64(buf.Len()) {
+		t.Fatalf("the writer's last Offset is %d, the trailer after it; the stream is %d bytes", got-4, buf.Len())
+	}
+	for name, in := range map[string]io.Reader{
+		"whole":            bytes.NewReader(buf.Bytes()),
+		"a byte at a time": iotest.OneByteReader(bytes.NewReader(buf.Bytes())),
+	} {
+		r, err := NewReader(in, magic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []int64{r.Offset()}
+		for i := 0; i < 30_000; i++ {
+			r.Uvarint()
+			got = append(got, r.Offset())
+			r.Uint64()
+			got = append(got, r.Offset())
+		}
+		r.Bytes()
+		got = append(got, r.Offset())
+		if r.String() != "tail" {
+			t.Fatalf("%s: the last string reads back otherwise", name)
+		}
+		got = append(got, r.Offset())
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, offsets) {
+			t.Fatalf("%s: the reader's offsets differ from the writer's", name)
+		}
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()[:1000]), magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.Err() == nil {
+		r.Uint64()
+	}
+	if at := r.Offset(); at != 1000 {
+		t.Fatalf("a failed stream of 1000 bytes reports an Offset of %d", at)
 	}
 }
 

@@ -29,7 +29,9 @@ import (
 // and a partner with no weighted term is exactly the one Dot scores 0.
 //
 // Each m_xy[m] is a posting in a run of x and one in a run of y. Pair rows
-// become runs only in buildRuns and runs become pair rows only in pairRows.
+// become runs only in buildRuns; a section read off the wire holds each
+// node's runs above it, and upperRuns.layout (io.go) adds the postings
+// below. Nothing but the tests walks runs back out into pair rows.
 
 // span is the position of one m_v row in the node table: ent[lo:hi] of the
 // base arena or, when lo is negative, ent[^lo:hi] of the patch overlay's.
@@ -179,20 +181,7 @@ func buildRuns(table *csr[PairKey]) adjRuns {
 		bySlot[e.Meta] = at + 1
 	}
 
-	type runStart struct {
-		node graph.NodeID
-		meta int32
-		at   int32
-	}
-	var starts []runStart
-	post := make([]posting, cur[n])
-	end := slices.Clone(cur[:n]) // where each node's latest run ends
-	closeRun := func(q graph.NodeID, m int32) {
-		if c := cur[q]; c != end[q] {
-			starts = append(starts, runStart{q, m, end[q]})
-			end[q] = c
-		}
-	}
+	l := newRunLayout(cur, make([]posting, cur[n]))
 	lo := int32(0)
 	for s, hi := range bySlot[:slots] { // bySlot[s] is now where part s ends
 		m := int32(s)
@@ -200,42 +189,87 @@ func buildRuns(table *csr[PairKey]) adjRuns {
 			m = metas[s]
 		}
 		for _, p := range part[lo:hi] {
-			cx, cy := cur[p.x], cur[p.y]
-			post[cx] = posting{p.y, p.count}
-			post[cy] = posting{p.x, p.count}
-			cur[p.x], cur[p.y] = cx+1, cy+1
+			cx, cy := l.cur[p.x], l.cur[p.y]
+			l.post[cx] = posting{p.y, p.count}
+			l.post[cy] = posting{p.x, p.count}
+			l.cur[p.x], l.cur[p.y] = cx+1, cy+1
 		}
 		if 2*int(hi-lo) >= n {
-			for q := range graph.NodeID(n) {
-				closeRun(q, m)
-			}
+			l.closeAll(m)
 		} else {
 			for _, p := range part[lo:hi] {
-				closeRun(p.x, m)
-				closeRun(p.y, m)
+				l.close(p.x, m)
+				l.close(p.y, m)
 			}
 		}
 		lo = hi
 	}
+	return l.runs()
+}
 
+// runLayout places postings node by node, each node's through a cursor
+// that runs through its postings one metagraph after the other, and
+// records a run wherever a node's cursor moved during a metagraph.
+type runLayout struct {
+	cur    []int32 // each node's cursor, then the end of its postings
+	end    []int32 // where each node's latest run ends
+	starts []runStart
+	post   []posting
+}
+
+// runStart is one run: its node, metagraph and first posting.
+type runStart struct {
+	node graph.NodeID
+	meta int32
+	at   int32
+}
+
+// newRunLayout lays out post, node v's postings starting at cur[v] (and
+// the last node's ending at cur[len(cur)-1]).
+func newRunLayout(cur []int32, post []posting) *runLayout {
+	return &runLayout{cur: cur, end: slices.Clone(cur[:len(cur)-1]), post: post}
+}
+
+// close records q's run of metagraph m if its cursor moved since its last
+// run.
+func (l *runLayout) close(q graph.NodeID, m int32) {
+	if c := l.cur[q]; c != l.end[q] {
+		l.starts = append(l.starts, runStart{q, m, l.end[q]})
+		l.end[q] = c
+	}
+}
+
+// closeAll closes metagraph m for every node.
+func (l *runLayout) closeAll(m int32) {
+	for q := range graph.NodeID(len(l.end)) {
+		l.close(q, m)
+	}
+}
+
+// runs returns the runs recorded, sorted by node: each node's are
+// ascending by metagraph, as its metagraphs were closed. Each node's
+// postings are contiguous and so are its runs, so a run ends where the
+// next one starts.
+func (l *runLayout) runs() adjRuns {
+	n := len(l.end)
 	rs := adjRuns{
 		first: make([]int32, n+1),
-		meta:  make([]int32, len(starts)),
-		off:   make([]int32, len(starts)+1),
-		post:  post,
+		meta:  make([]int32, len(l.starts)),
+		off:   make([]int32, len(l.starts)+1),
+		post:  l.post,
 	}
-	for _, s := range starts {
+	for _, s := range l.starts {
 		rs.first[s.node+1]++
 	}
 	for i := 1; i <= n; i++ {
 		rs.first[i] += rs.first[i-1]
 	}
 	at := slices.Clone(rs.first[:n])
-	for _, s := range starts {
+	for _, s := range l.starts {
 		rs.meta[at[s.node]], rs.off[at[s.node]] = s.meta, s.at
 		at[s.node]++
 	}
-	rs.off[len(starts)] = int32(len(post))
+	rs.off[len(l.starts)] = int32(len(l.post))
 	return rs
 }
 
@@ -358,47 +392,6 @@ func (ix *Index) overlay(gain adjRuns) (adjRuns, error) {
 		out.first[v+1] = int32(len(out.meta))
 	}
 	return out, nil
-}
-
-// pairRows walks the runs back out into pair rows, in key order. The rows
-// of q are the postings above q in its runs, merged by partner; each comes
-// out ascending by metagraph, as q's runs are. The row passed to yield is
-// reused by the next call.
-func (ix *Index) pairRows(yield func(k PairKey, row []Entry)) {
-	type head struct {
-		meta int32
-		post []posting // never empty
-	}
-	var heads []head
-	var row []Entry
-	for q := range graph.NodeID(len(ix.spans)) {
-		rs, lo, hi := ix.runsOf(q)
-		for r := lo; r < hi; r++ {
-			post := rs.postings(r)
-			if i, _ := slices.BinarySearchFunc(post, q, comparePosting); i < len(post) {
-				heads = append(heads, head{rs.meta[r], post[i:]})
-			}
-		}
-		for len(heads) > 0 {
-			v := heads[0].post[0].node // the smallest partner left
-			for _, h := range heads[1:] {
-				v = min(v, h.post[0].node)
-			}
-			row = row[:0]
-			spent := false
-			for i := range heads {
-				if h := &heads[i]; h.post[0].node == v {
-					row = append(row, Entry{h.meta, h.post[0].count})
-					h.post = h.post[1:]
-					spent = spent || len(h.post) == 0
-				}
-			}
-			if spent {
-				heads = slices.DeleteFunc(heads, func(h head) bool { return len(h.post) == 0 })
-			}
-			yield(MakePairKey(q, v), row)
-		}
-	}
 }
 
 // Partners returns the nodes that co-occur symmetrically with x in at least

@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
+
+	"repro/internal/graph"
 )
 
 // ContentDigest is the SHA-256 of what ix holds, in no wire format: numMeta,
@@ -54,6 +57,47 @@ func (ix *Index) pairTable() csr[PairKey] {
 	var c csr[PairKey]
 	ix.pairRows(func(k PairKey, row []Entry) { c.appendRow(k, row) })
 	return c
+}
+
+// pairRows walks the runs back out into pair rows, in key order. The rows
+// of q are the postings above q in its runs, merged by partner; each comes
+// out ascending by metagraph, as q's runs are. The row passed to yield is
+// reused by the next call.
+func (ix *Index) pairRows(yield func(k PairKey, row []Entry)) {
+	type head struct {
+		meta int32
+		post []posting // never empty
+	}
+	var heads []head
+	var row []Entry
+	for q := range graph.NodeID(len(ix.spans)) {
+		rs, lo, hi := ix.runsOf(q)
+		for r := lo; r < hi; r++ {
+			post := rs.postings(r)
+			if i, _ := slices.BinarySearchFunc(post, q, comparePosting); i < len(post) {
+				heads = append(heads, head{rs.meta[r], post[i:]})
+			}
+		}
+		for len(heads) > 0 {
+			v := heads[0].post[0].node // the smallest partner left
+			for _, h := range heads[1:] {
+				v = min(v, h.post[0].node)
+			}
+			row = row[:0]
+			spent := false
+			for i := range heads {
+				if h := &heads[i]; h.post[0].node == v {
+					row = append(row, Entry{h.meta, h.post[0].count})
+					h.post = h.post[1:]
+					spent = spent || len(h.post) == 0
+				}
+			}
+			if spent {
+				heads = slices.DeleteFunc(heads, func(h head) bool { return len(h.post) == 0 })
+			}
+			yield(MakePairKey(q, v), row)
+		}
+	}
 }
 
 // RaceEnabled tells the external tests that the race detector is on: it

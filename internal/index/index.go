@@ -8,8 +8,9 @@
 // An Index stores each count once: the m_x rows in a CSR-style node table
 // (one []Entry arena behind sorted keys and offsets, so NodeVec is a
 // binary search), every m_xy in the partner runs (adjacency.go). Pair rows
-// keyed by PairKey exist only in flight — counted, gained, on the wire —
-// and become runs in buildRuns and rows again in pairRows. Every entry
+// keyed by PairKey exist only in flight — counted and gained — and become
+// runs in buildRuns; on the wire each node's runs above it stand for them
+// (io.go). Every entry
 // holds a raw instance count; a transform of the counts is a property of
 // the index, applied as a value is read (Transform, SparseVec).
 package index

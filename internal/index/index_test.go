@@ -492,12 +492,13 @@ func TestIndexReadErrors(t *testing.T) {
 
 // TestIndexReadRejectsCorruptTables feeds structurally plausible but
 // invariant-violating files through Read; each must fail loudly instead of
-// panicking later at query time. The encoder validates nothing — deltas,
+// panicking later at query time. rowBytes validates nothing — deltas,
 // gaps and counts of broken tables simply wrap, and a Meta too wide for its
-// head spills into the length — so Write turns each hand-built Index into
-// exactly the bytes a corrupt file would hold. Rows the encoder cannot
-// write (empty, or longer than the arena) are written by hand, as are
-// heads whose fields each break one rule.
+// head spills into the length — so it turns each hand-built table into
+// exactly the bytes a corrupt file would hold. Rows it cannot write (empty,
+// or longer than the arena) are written by hand, as are heads whose fields
+// each break one rule. TestIndexReadRejectsCorruptRuns covers the runs
+// section's own rules.
 func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	one := []Entry{{Meta: 0, Count: 1}}
 	two := []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}}
@@ -526,6 +527,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"negative node key", node(1, []graph.NodeID{-1}, []int32{0, 1}, one)},
 		{"node key beyond the graph", node(1, []graph.NodeID{8}, []int32{0, 1}, one)},
 		{"id-sized node key", node(1, []graph.NodeID{math.MaxInt32}, []int32{0, 1}, one)},
+		// The pair rows, written as the runs above their smaller node.
 		{"pair endpoint beyond the graph", pair([]PairKey{MakePairKey(1, 8)}, []int32{0, 1}, one)},
 		{"id-sized pair endpoint", pair([]PairKey{MakePairKey(1, math.MaxInt32)}, []int32{0, 1}, one)},
 		{"negative pair endpoint", pair([]PairKey{PairKey(1)<<32 | 0xFFFFFFFF}, []int32{0, 1}, one)},
@@ -541,7 +543,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	}
 
 	// Node rows in a 5-metagraph index (b = bits.Len(5) = 3, so a head is
-	// len<<4 | first<<1 | ones), then an empty pair table. A row opens with
+	// len<<4 | first<<1 | ones), then no runs. A row opens with
 	// its key delta shifted past the reuse bit: key(d) brings a head of its
 	// own, reuse(d) takes the previous row's. Each refusal names its rule.
 	head := func(l, first, ones uint64) uint64 { return l<<4 | first<<1 | ones }
@@ -598,19 +600,6 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 			t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
-	// The pair table's first row has no head before it either.
-	var buf bytes.Buffer
-	fw := flat.NewWriter(&buf, fileMagic)
-	for _, v := range []uint64{1, 0, 0, 1, 1, reuse(uint64(MakePairKey(1, 3)) + 1), 1} {
-		fw.Uvarint(v)
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf, 8); err == nil || !strings.Contains(err.Error(), "pair table: first row reuses a head") {
-		t.Errorf("a reuse bit on the pair table's first row: Read returned %v", err)
-	}
-
 	good := node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 2}})
 	if _, err := Read(bytes.NewReader(good), 8); err != nil {
 		t.Fatalf("the cases' well-formed sibling is refused: %v", err)
@@ -631,21 +620,134 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	}
 }
 
+// TestIndexReadRejectsCorruptRuns writes the runs section by hand, after
+// an empty node table, in a 5-metagraph index (b = bits.Len(5) = 3, so a
+// run head is runs<<3 | first) for a graph of 8 nodes: each legal run
+// shape reads back, and each broken invariant is refused by name. A node
+// opens with its gap from the node before; a run is its reference
+// distance, its copy blocks when that is not 0, the residuals' head
+// n<<1 | ones, their gaps from the node, and their counts unless ones.
+func TestIndexReadRejectsCorruptRuns(t *testing.T) {
+	head := func(runs, first uint64) uint64 { return runs<<3 | first }
+	res := func(n, ones uint64) uint64 { return n<<1 | ones }
+	// Node 0's run of metagraph 2 holds 1, 2, 3 and 4, all ones: the run
+	// every copy below reads from.
+	base := []uint64{1, head(1, 2), 0, res(4, 1), 1, 1, 1, 1}
+	with := func(more ...uint64) []uint64 { return append(slices.Clone(base), more...) }
+	const (
+		byMeta   = "not strictly ascending by metagraph"
+		badCnt   = "count of 0 or above 2^32-1"
+		nodes    = "nodes not strictly ascending"
+		runCount = "run count"
+		refBelow = "lies below node 0"
+		noRun    = "has no run of metagraph"
+		blocks   = "copy blocks"
+		resAsc   = "residual partners"
+		copied   = "is copied too"
+		empty    = "holds no postings"
+		past     = "run past the count claimed"
+		short    = "fall short of the count claimed"
+	)
+	for _, c := range []struct {
+		name, want   string // want is "" for a legal section
+		nRuns, nPost uint64
+		body         []uint64
+		rows         map[PairKey][]Entry // what a legal section holds
+	}{
+		{"residuals of ones", "", 1, 4, base, map[PairKey][]Entry{
+			MakePairKey(0, 1): {{2, 1}}, MakePairKey(0, 2): {{2, 1}}, MakePairKey(0, 3): {{2, 1}}, MakePairKey(0, 4): {{2, 1}}}},
+		{"residuals with counts", "", 1, 2, []uint64{2, head(1, 4), 0, res(2, 0), 3, 2, 7, math.MaxUint32}, map[PairKey][]Entry{
+			MakePairKey(1, 4): {{4, 7}}, MakePairKey(1, 6): {{4, math.MaxUint32}}}},
+		{"two runs of one node", "", 2, 2, []uint64{1, head(2, 0), 4, 0, res(1, 1), 1, 0, res(1, 1), 2}, map[PairKey][]Entry{
+			MakePairKey(0, 1): {{0, 1}}, MakePairKey(0, 2): {{4, 1}}}},
+		{"a whole copy", "", 2, 7, with(1, head(1, 2), 1, 0, res(0, 1)), map[PairKey][]Entry{
+			MakePairKey(0, 1): {{2, 1}}, MakePairKey(0, 2): {{2, 1}}, MakePairKey(0, 3): {{2, 1}}, MakePairKey(0, 4): {{2, 1}},
+			MakePairKey(1, 2): {{2, 1}}, MakePairKey(1, 3): {{2, 1}}, MakePairKey(1, 4): {{2, 1}}}},
+		// Node 1 takes 2, skips 3, takes 4 (two blocks, the rest taken),
+		// and adds 6.
+		{"copy blocks and a residual", "", 2, 7, with(1, head(1, 2), 1, 2, 1, 1, res(1, 1), 5), map[PairKey][]Entry{
+			MakePairKey(0, 1): {{2, 1}}, MakePairKey(0, 2): {{2, 1}}, MakePairKey(0, 3): {{2, 1}}, MakePairKey(0, 4): {{2, 1}},
+			MakePairKey(1, 2): {{2, 1}}, MakePairKey(1, 4): {{2, 1}}, MakePairKey(1, 6): {{2, 1}}}},
+		// Node 2 copies node 0's 3 and skips the rest, from two back.
+		{"a reference two back, the rest skipped", "", 2, 5, with(2, head(1, 2), 2, 1, 1, res(0, 1)), map[PairKey][]Entry{
+			MakePairKey(0, 1): {{2, 1}}, MakePairKey(0, 2): {{2, 1}}, MakePairKey(0, 3): {{2, 1}}, MakePairKey(0, 4): {{2, 1}},
+			MakePairKey(2, 3): {{2, 1}}}},
+		{"a copy keeps its count", "", 2, 3, []uint64{1, head(1, 1), 0, res(2, 0), 1, 1, 5, 9, 1, head(1, 1), 1, 0, res(0, 1)}, map[PairKey][]Entry{
+			MakePairKey(0, 1): {{1, 5}}, MakePairKey(0, 2): {{1, 9}}, MakePairKey(1, 2): {{1, 9}}}},
+
+		{"a first node gap of 0", nodes, 1, 1, []uint64{0, head(1, 0), 0, res(1, 1), 1}, nil},
+		{"a node gap of 0", nodes, 2, 5, with(0, head(1, 2), 0, res(1, 1), 2), nil},
+		{"a node with nothing above it", nodes, 1, 1, []uint64{8, head(1, 0), 0, res(1, 1), 1}, nil},
+		{"a node gap of 2^64-1", nodes, 1, 1, []uint64{math.MaxUint64, head(1, 0), 0, res(1, 1), 1}, nil},
+		{"no runs in a head", runCount, 1, 1, []uint64{1, head(0, 0)}, nil},
+		{"more runs than the metagraphs", runCount, 6, 6, []uint64{1, head(6, 0)}, nil},
+		{"more runs than claimed", runCount, 1, 2, []uint64{1, head(2, 0), 1}, nil},
+		{"a first metagraph of numMeta", byMeta, 1, 1, []uint64{1, head(1, 5)}, nil},
+		{"a metagraph gap of 0", byMeta, 2, 2, []uint64{1, head(2, 1), 0}, nil},
+		{"a metagraph gap past numMeta", byMeta, 2, 2, []uint64{1, head(2, 3), 2}, nil},
+		{"a reference past node 0", refBelow, 1, 1, []uint64{1, head(1, 0), 1}, nil},
+		{"a reference to a node without runs", noRun, 2, 5, with(2, head(1, 2), 1, 0, res(0, 1)), nil},
+		{"a reference to a node without a run of m", noRun, 2, 5, with(1, head(1, 3), 1, 0, res(0, 1)), nil},
+		{"more copy blocks than postings", blocks, 2, 7, with(1, head(1, 2), 1, 5), nil},
+		{"copy blocks past the reference's postings above the node", blocks, 2, 7, with(1, head(1, 2), 1, 1, 4), nil},
+		{"an empty copy block after the first", blocks, 2, 7, with(1, head(1, 2), 1, 2, 1, 0), nil},
+		{"a residual equal to a copied partner", copied, 2, 8, with(1, head(1, 2), 1, 0, res(1, 1), 2), nil},
+		{"a residual gap of 0", resAsc, 1, 2, []uint64{1, head(1, 0), 0, res(2, 1), 1, 0}, nil},
+		{"a residual at numNodes", resAsc, 1, 1, []uint64{1, head(1, 0), 0, res(1, 1), 8}, nil},
+		{"a residual gap of 2^64-1", resAsc, 1, 1, []uint64{1, head(1, 0), 0, res(1, 1), math.MaxUint64}, nil},
+		{"a residual count of 0", badCnt, 1, 1, []uint64{1, head(1, 0), 0, res(1, 0), 1, 0}, nil},
+		{"a residual count of 2^32", badCnt, 1, 1, []uint64{1, head(1, 0), 0, res(1, 0), 1, math.MaxUint32 + 1}, nil},
+		{"an empty run", empty, 1, 1, []uint64{1, head(1, 0), 0, res(0, 1)}, nil},
+		{"a copy of nothing", empty, 2, 5, with(1, head(1, 2), 1, 1, 0, res(0, 1)), nil},
+		{"more residuals than claimed", past, 1, 1, []uint64{1, head(1, 0), 0, res(2, 1), 1, 1}, nil},
+		{"more copies than claimed", past, 2, 5, with(1, head(1, 2), 1, 0, res(0, 1)), nil},
+		{"fewer postings than claimed", short, 1, 5, base, nil},
+		{"postings without runs", "no runs hold postings", 0, 1, nil, nil},
+		{"2^31 runs", "overflow the runs' posting positions", 1 << 31, 1, nil, nil},
+		{"2^30 postings", "overflow the runs' posting positions", 1, 1 << 30, nil, nil},
+	} {
+		var buf bytes.Buffer
+		fw := flat.NewWriter(&buf, fileMagic)
+		for _, v := range append([]uint64{5, 0, 0, c.nRuns, c.nPost}, c.body...) {
+			fw.Uvarint(v)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Read(&buf, 8)
+		if c.want != "" {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: Read refused a legal section: %v", c.name, err)
+			continue
+		}
+		rows := tableOf(c.rows)
+		holdsRows(t, c.name, ix, rows)
+		if want := buildRuns(&rows); !sameRuns(&ix.flat, &want) {
+			t.Errorf("%s: the runs %+v are not the ones the pair rows lay out, %+v", c.name, ix.flat, want)
+		}
+	}
+}
+
 // TestIndexReadBoundsAllocationByBytesReceived: a follower decodes index
 // sections off the network, so a short stream claiming 2^31-1 keys and
 // entries (the most the int32 offsets admit; 2^40 is refused outright)
-// must cost what it sent, not what it claims — ~40 GB here. The stream's
+// must cost what it sent, not what it claims — ~40 GB here. The same holds
+// for the runs section, claiming 2^31-1 runs and (2^31-1)/2 postings (the
+// most the runs' posting positions admit), or 2^40 of both. The stream's
 // rows are well formed — consecutive node keys, each a one-entry row of
-// metagraph 0, the first with its head and the rest reusing it — until it
-// just stops: after 80 rows, inside the first flat.Grow step of each
-// arena, and after 30 000, past its second.
+// metagraph 0, the first with its head and the rest reusing it; or
+// consecutive nodes, each one run of metagraph 0 holding the node after it
+// — until it just stops: after 80 rows, inside the first flat.Grow step of
+// each arena, and after 30 000, past its second.
 func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 	const head = 1<<2 | 0<<1 | 1 // len 1, first 0, all ones; b = bits.Len(1) = 1
-	for _, claim := range []uint64{math.MaxInt32, 1 << 40} {
-		for _, rows := range []int{80, 30_000} {
-			var buf bytes.Buffer
-			fw := flat.NewWriter(&buf, fileMagic)
-			fw.Uvarint(1) // numMeta
+	sections := map[string]func(fw *flat.Writer, claim uint64, rows int){
+		"node table": func(fw *flat.Writer, claim uint64, rows int) {
 			fw.Uvarint(claim)
 			fw.Uvarint(claim)
 			fw.Uvarint(1 << 1) // key 0 and its head
@@ -653,22 +755,45 @@ func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 			for i := 1; i < rows; i++ {
 				fw.Uvarint(1<<1 | 1) // the next key, the same head
 			}
-			if err := fw.Close(); err != nil {
-				t.Fatal(err)
+		},
+		"runs": func(fw *flat.Writer, claim uint64, rows int) {
+			fw.Uvarint(0) // an empty node table
+			fw.Uvarint(0)
+			fw.Uvarint(claim)
+			fw.Uvarint(min(claim, math.MaxInt32/2))
+			for i := 0; i < rows; i++ {
+				fw.Uvarint(1)      // the next node
+				fw.Uvarint(1 << 1) // one run, of metagraph 0
+				fw.Uvarint(0)      // no reference
+				fw.Uvarint(1<<1 | 1)
+				fw.Uvarint(1) // the node after it
 			}
-			cut := buf.Bytes()[:buf.Len()-4] // the checksum too
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := Read(bytes.NewReader(cut), math.MaxInt32)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatalf("claim %d: a %d-byte stream was accepted", claim, len(cut))
-			}
-			if claim == math.MaxInt32 && !strings.Contains(err.Error(), "unexpected EOF") {
-				t.Fatalf("claim %d: %d rows were refused before the cut: %v", claim, rows, err)
-			}
-			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-				t.Fatalf("claim %d: a %d-byte stream cost %d bytes of allocation", claim, len(cut), got)
+		},
+	}
+	for name, section := range sections {
+		for _, claim := range []uint64{math.MaxInt32, 1 << 40} {
+			for _, rows := range []int{80, 30_000} {
+				var buf bytes.Buffer
+				fw := flat.NewWriter(&buf, fileMagic)
+				fw.Uvarint(1) // numMeta
+				section(fw, claim, rows)
+				if err := fw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				cut := buf.Bytes()[:buf.Len()-4] // the checksum too
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := Read(bytes.NewReader(cut), math.MaxInt32)
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Fatalf("%s, claim %d: a %d-byte stream was accepted", name, claim, len(cut))
+				}
+				if claim == math.MaxInt32 && !strings.Contains(err.Error(), "unexpected EOF") {
+					t.Fatalf("%s, claim %d: %d rows were refused before the cut: %v", name, claim, rows, err)
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+					t.Fatalf("%s, claim %d: a %d-byte stream cost %d bytes of allocation", name, claim, len(cut), got)
+				}
 			}
 		}
 	}
@@ -676,8 +801,8 @@ func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 
 // TestIndexReadBoundsAllocationByMetagraphCount: the metagraph count is a
 // number the stream states, not one it pays for. A section claiming 2^31-1
-// metagraphs with a single pair row — of the first metagraph or the last —
-// is read at the cost of that row, well inside the bar above.
+// metagraphs with a single run of one posting — of the first metagraph or
+// the last — is read at the cost of that run, well inside the bar above.
 func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 	const numMeta = math.MaxInt32
 	b := uint(bits.Len(numMeta))
@@ -687,10 +812,13 @@ func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 		fw.Uvarint(numMeta)
 		fw.Uvarint(0) // an empty node table
 		fw.Uvarint(0)
-		fw.Uvarint(1) // one pair row of one entry
+		fw.Uvarint(1) // one run of one posting
 		fw.Uvarint(1)
-		fw.Uvarint(uint64(MakePairKey(0, 1)+1) << 1)
-		fw.Uvarint(1<<(b+1) | meta<<1 | 1)
+		fw.Uvarint(1) // node 0
+		fw.Uvarint(1<<b | meta)
+		fw.Uvarint(0)        // no reference
+		fw.Uvarint(1<<1 | 1) // one residual, a count of 1
+		fw.Uvarint(1)        // node 1
 		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -707,6 +835,87 @@ func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 		if row := ix.PairVec(1, 0); row.Len() != 1 || row.Get(int(meta)) != 1 {
 			t.Fatalf("metagraph %d: the pair reads %v", meta, row.ent)
 		}
+	}
+}
+
+// TestIndexReadCopyChainCostsWhatItSent: a copy is the one way a few
+// bytes of a section make many postings. In a chain over the nodes below
+// n/2 of a graph of n, each run copying everything its predecessor holds
+// above it and adding the node n-1-q below them all, node q holds q+1
+// postings in ~5 bytes: n²/8 postings out of 5n/2 bytes, 2·10⁶ out of
+// ~10 KB at n = 4 000 (and 1.25·10⁹ at n = 100 000). Whether the stream
+// is refused (past maxPostingsPerByte) or accepted (a chain short enough
+// to stay within it), it allocates at most
+// maxPostingsPerByte·postingAlloc bytes per byte sent.
+func TestIndexReadCopyChainCostsWhatItSent(t *testing.T) {
+	for _, n := range []int{4000, 60} {
+		var buf bytes.Buffer
+		fw := flat.NewWriter(&buf, fileMagic)
+		fw.Uvarint(1) // numMeta
+		fw.Uvarint(0) // an empty node table
+		fw.Uvarint(0)
+		fw.Uvarint(uint64(n / 2))
+		fw.Uvarint(min(uint64(n/2*(n/2+1)/2), math.MaxInt32/2)) // all it holds, or the most a claim may
+		for q := 0; q < n/2; q++ {
+			fw.Uvarint(1)      // the next node
+			fw.Uvarint(1 << 1) // one run, of metagraph 0
+			if q == 0 {
+				fw.Uvarint(0) // no reference
+			} else {
+				fw.Uvarint(1) // the node before, whatever it holds
+				fw.Uvarint(0) // taken whole
+			}
+			fw.Uvarint(1<<1 | 1)
+			fw.Uvarint(uint64(n - 1 - 2*q)) // n-1-q, below every copy
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		budget := uint64(maxPostingsPerByte * postingAlloc * buf.Len())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := Read(bytes.NewReader(buf.Bytes()), n)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		switch {
+		case got > budget:
+			t.Fatalf("a chain of %d nodes: a %d-byte stream cost %d bytes of allocation, over %d (%v)", n, buf.Len(), got, budget, err)
+		case n > 1000 && (err == nil || !strings.Contains(err.Error(), "postings per byte")):
+			t.Fatalf("a chain of %d nodes: Read returned %v", n, err)
+		case n <= 1000 && err != nil:
+			t.Fatalf("a chain of %d nodes is refused: %v", n, err)
+		case n <= 1000 && len(ix.Partners(graph.NodeID(n/2-1))) != n/2:
+			t.Fatalf("a chain of %d nodes: the last node's partners are %v", n, ix.Partners(graph.NodeID(n/2-1)))
+		}
+	}
+}
+
+// TestWriteKeepsCopiesWithinTheCap: a clique is the shape copies write
+// most compactly — each node's partners above it are its predecessor's but
+// itself — and so the one maxPostingsPerByte binds: 1 000 nodes hold
+// 499 500 pairs, which whole copies would write in ~6 bytes a node. Write
+// writes residuals where a copy would pass the cap, so what it wrote reads
+// back, the same rows laid out the same way, inside the cap's allocation
+// bar.
+func TestWriteKeepsCopiesWithinTheCap(t *testing.T) {
+	const n = 1000
+	ix := cliqueIndex(n)
+	raw := writeBytes(t, ix)
+	if pairs := n * (n - 1) / 2; len(raw) < pairs/maxPostingsPerByte {
+		t.Fatalf("%d pairs written in %d bytes: past the cap", pairs, len(raw))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Read(bytes.NewReader(raw), n)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Read refuses what Write wrote: %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(maxPostingsPerByte*postingAlloc*len(raw)) {
+		t.Fatalf("a %d-byte stream cost %d bytes of allocation", len(raw), alloc)
+	}
+	if !sameRuns(&got.flat, &ix.flat) {
+		t.Fatal("the clique reads back laid out differently")
 	}
 }
 
@@ -898,8 +1107,9 @@ func unitPatch(ix *Index, numNodes int) *Patch {
 // FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse
 // them, but an index it returns must serve every row without a panic —
 // patched and compacted too — inside allocations bounded by the stated
-// graph size. What it serves is held to what the stream declares: the rows
-// decodeTable reads off the same bytes, plus the gains once patched — or,
+// graph size. What it serves is held to what the stream declares: the node
+// rows decodeTable and the pair rows declaredRuns read off the same bytes,
+// laid out as buildRuns lays them out, plus the gains once patched — or,
 // where a sum does not fit a uint32, a refusal that leaves the receiver as
 // it was. Each input is patched twice: with selfPatch's large gains, and
 // with unitPatch's, which always fit, so every input reaches the overlay. And what Read accepted, Write writes back as a fixed
@@ -937,6 +1147,23 @@ func FuzzIndexRead(f *testing.F) {
 	}
 	f.Add(writeBytes(f, counted), uint16(g.NumNodes()))
 	f.Add([]byte("garbage"), uint16(8))
+	// Runs that copy: a clique, whose nodes copy their predecessor's
+	// partners above them whole, and the counted index patched, whose
+	// gains make some copies skip and some residuals carry counts.
+	clique := writeBytes(f, cliqueIndex(12))
+	if !copies(f, clique) {
+		f.Fatal("the clique seed copies nothing")
+	}
+	f.Add(clique, uint16(12))
+	patched, err := counted.WithPatch(unitPatch(counted, g.NumNodes()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if raw := writeBytes(f, patched); copies(f, raw) {
+		f.Add(raw, uint16(g.NumNodes()))
+	} else {
+		f.Fatal("the patched seed copies nothing")
+	}
 	f.Fuzz(func(t *testing.T, data []byte, numNodes uint16) {
 		// Decode, not Read: Read's checksum turns away nearly every
 		// mutation, and the structural checks must hold without it.
@@ -950,15 +1177,15 @@ func FuzzIndexRead(f *testing.F) {
 		}
 		fr, _ = flat.NewReader(bytes.NewReader(data), fileMagic)
 		numMeta := fr.Uvarint()
-		declaredMx, err := decodeTable[graph.NodeID](fr, numMeta, uint64(numNodes))
+		declaredMx, err := decodeTable(fr, numMeta, uint64(numNodes))
 		if err != nil {
 			t.Fatalf("Decode accepted a node table decodeTable refuses: %v", err)
 		}
-		declared, err := decodeTable[PairKey](fr, numMeta, math.MaxUint64)
-		if err != nil {
-			t.Fatalf("Decode accepted a pair table decodeTable refuses: %v", err)
-		}
+		declared, _ := declaredRuns(fr, numMeta)
 		holdsRows(t, "decoded", ix, declared)
+		if want := buildRuns(&declared); !sameRuns(&ix.flat, &want) {
+			t.Fatal("the decoded runs are not the ones buildRuns lays out of the same pair rows")
+		}
 		scanEverything(t, ix, int(numNodes))
 		// The same through the overlay, and after compaction.
 		once := writeBytes(t, ix)
@@ -1012,16 +1239,165 @@ func holdsRows(t *testing.T, label string, ix *Index, want csr[PairKey]) {
 	}
 }
 
-// rowBytes is the stream Write writes for an index of node rows mx and pair
-// rows mxy, laid down as given: the encoder checks nothing, so a corrupt
+// declaredRuns reads the runs section of a stream Decode accepted the
+// plain way — every run above its node in a map by node and metagraph, a
+// copy merged with its residuals by sorting — and returns the pair rows
+// it declares and how many of its runs copy.
+func declaredRuns(r *flat.Reader, numMeta uint64) (rows csr[PairKey], copying int) {
+	type at struct {
+		q graph.NodeID
+		m int32
+	}
+	above := map[at][]posting{}
+	declared := map[PairKey][]Entry{}
+	b := uint(bits.Len64(numMeta))
+	nRuns, _ := r.Uvarint(), r.Uvarint()
+	q := graph.NodeID(-1)
+	for runs := uint64(0); runs < nRuns; {
+		q += graph.NodeID(r.Uvarint())
+		head := r.Uvarint()
+		metas := []int32{int32(head & (1<<b - 1))}
+		for j := uint64(1); j < head>>b; j++ {
+			metas = append(metas, metas[j-1]+int32(r.Uvarint()))
+		}
+		for _, m := range metas {
+			var run []posting
+			if d := r.Uvarint(); d != 0 {
+				copying++
+				var ref []posting
+				for _, p := range above[at{q - graph.NodeID(d), m}] {
+					if p.node > q {
+						ref = append(ref, p)
+					}
+				}
+				k := r.Uvarint()
+				take := true
+				for j := uint64(0); j < k; j++ {
+					n := r.Uvarint()
+					if take {
+						run = append(run, ref[:n]...)
+					}
+					ref, take = ref[n:], !take
+				}
+				if take {
+					run = append(run, ref...)
+				}
+			}
+			h := r.Uvarint()
+			res, last := []posting{}, q
+			for j := uint64(0); j < h>>1; j++ {
+				last += graph.NodeID(r.Uvarint())
+				res = append(res, posting{last, 1})
+			}
+			for j := range res {
+				if h&1 == 0 {
+					res[j].count = uint32(r.Uvarint())
+				}
+			}
+			run = append(run, res...)
+			slices.SortFunc(run, func(a, b posting) int { return cmp.Compare(a.node, b.node) })
+			above[at{q, m}] = run
+			for _, p := range run {
+				declared[MakePairKey(q, p.node)] = append(declared[MakePairKey(q, p.node)], Entry{m, p.count})
+			}
+		}
+		runs += head >> b
+	}
+	return tableOf(declared), copying
+}
+
+// cliqueIndex is the index of one metagraph over a clique of n nodes:
+// every pair holds a count of 1.
+func cliqueIndex(n int) *Index {
+	var rows csr[PairKey]
+	for x := range graph.NodeID(n) {
+		for y := x + 1; int(y) < n; y++ {
+			rows.appendRow(MakePairKey(x, y), []Entry{{0, 1}})
+		}
+	}
+	return fromRows(1, csr[graph.NodeID]{}, &rows)
+}
+
+// copies reports whether some run of the index stream raw copies from a
+// reference.
+func copies(t testing.TB, raw []byte) bool {
+	t.Helper()
+	fr, err := flat.NewReader(bytes.NewReader(raw), fileMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	numMeta := fr.Uvarint()
+	if _, err := decodeTable(fr, numMeta, math.MaxInt32); err != nil {
+		t.Fatal(err)
+	}
+	_, copying := declaredRuns(fr, numMeta)
+	return copying > 0
+}
+
+// rowBytes is the stream of an index of node rows mx and pair rows mxy,
+// laid down as given: the node table as Write writes it, and each pair row
+// (x, y) as postings above x — each run of x its residuals alone, x's runs
+// ascending by metagraph and x starting a new node wherever it differs
+// from the row before. Nothing is checked, and gaps wrap, so a corrupt
 // table turns into exactly the bytes a corrupt file would hold.
 func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey]) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fw := flat.NewWriter(&buf, fileMagic)
 	fw.Uvarint(uint64(numMeta))
-	encodeTable(fw, numMeta, len(mx.keys), len(mx.ent), mx.each)
-	encodeTable(fw, numMeta, len(mxy.keys), len(mxy.ent), mxy.each)
+	encodeTable(fw, numMeta, &mx)
+	type run struct {
+		meta int32
+		post []posting
+	}
+	type node struct {
+		q    graph.NodeID
+		runs []run
+	}
+	var nodes []node
+	nRuns := 0
+	mxy.each(func(k PairKey, row []Entry) {
+		x, y := k.Nodes()
+		if len(nodes) == 0 || nodes[len(nodes)-1].q != x {
+			nodes = append(nodes, node{q: x})
+		}
+		n := &nodes[len(nodes)-1]
+		for _, e := range row {
+			i := slices.IndexFunc(n.runs, func(r run) bool { return r.meta == e.Meta })
+			if i < 0 {
+				n.runs, i, nRuns = append(n.runs, run{meta: e.Meta}), len(n.runs), nRuns+1
+			}
+			n.runs[i].post = append(n.runs[i].post, posting{y, e.Count})
+		}
+	})
+	fw.Uvarint(uint64(nRuns))
+	fw.Uvarint(uint64(len(mxy.ent)))
+	b := uint(bits.Len(uint(numMeta)))
+	prev := graph.NodeID(-1)
+	for _, n := range nodes {
+		slices.SortStableFunc(n.runs, func(a, b run) int { return cmp.Compare(a.meta, b.meta) })
+		fw.Uvarint(uint64(n.q - prev))
+		fw.Uvarint(uint64(len(n.runs))<<b | uint64(n.runs[0].meta))
+		for i := 1; i < len(n.runs); i++ {
+			fw.Uvarint(uint64(n.runs[i].meta - n.runs[i-1].meta))
+		}
+		for _, r := range n.runs {
+			ones := !slices.ContainsFunc(r.post, func(p posting) bool { return p.count != 1 })
+			fw.Uvarint(0) // no reference
+			fw.Uvarint(uint64(len(r.post))<<1 | uint64(b2i(ones)))
+			last := n.q
+			for _, p := range r.post {
+				fw.Uvarint(uint64(p.node - last))
+				last = p.node
+			}
+			for _, p := range r.post {
+				if !ones {
+					fw.Uvarint(uint64(p.count))
+				}
+			}
+		}
+		prev = n.q
+	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}

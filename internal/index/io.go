@@ -1,11 +1,13 @@
 package index
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/flat"
 	"repro/internal/graph"
@@ -16,11 +18,13 @@ import (
 // mine+match once and train/query many times.
 //
 // An index travels as one section of a flat stream (internal/flat): its
-// node table as it is held, and its runs walked back out into the pair
-// rows they hold (pairRows), which the reader lays out as runs again:
+// node table as it is held, then node after node the runs above it — the
+// postings of each run (q, m) whose partner is above q, which hold every
+// m_xy once. The reader lays out the rest: a node's partners below it in
+// a run are the nodes whose runs above them hold it.
 //
 //	numMeta
-//	node table, pair table, each:
+//	node table:
 //	  nKeys nEntries
 //	  nKeys × row:
 //	    delta<<1 | reuse   keys ascend strictly, so every delta — the first
@@ -32,20 +36,63 @@ import (
 //	                Meta, and whether every Count in it is 1
 //	    len-1 × Meta gap   each next Meta minus the one before, at least 1
 //	    len × Count        only when ones is clear
+//	runs above each node:
+//	  nRuns nPostings      what follows, in all
+//	  per node q with a partner above it, ascending:
+//	    q-prev             prev the node before it (-1 for the first): at
+//	                       least 1
+//	    runs<<b | first    how many of q's runs hold a partner above q, and
+//	                       the first one's metagraph
+//	    runs-1 × Meta gap  each next metagraph minus the one before, at
+//	                       least 1
+//	    per such run (q, m), its postings above q:
+//	      d                0: no reference; else the run copies from
+//	                       p = q-d's run of m above p, decoded before it
+//	      k, k × block     only when d > 0: copy blocks over p's postings
+//	                       above q, take, skip, take, …, the first at least
+//	                       0 and the others at least 1; what they leave is
+//	                       taken when k is even, skipped when it is odd. A
+//	                       taken posting is copied with its count.
+//	      res<<1 | ones    the residuals: the postings not copied
+//	      res × gap        each partner minus the one before (q for the
+//	                       first): at least 1
+//	      res × Count      only when ones is clear
 //
 // Everything is an unsigned varint. A Count is the raw instance count — the
 // index stores no transformed value (see Index.Transform) — and most are 1,
-// so a row of ones costs its head and gaps alone. Runs of rows share a
-// head: at MaxNodes 3 nearly every pair row holds the one metagraph a class
-// weighs, once, so such a row is its key delta alone. Every key is below
-// 2^63 (a PairKey's high word is a non-negative int32), so shifting its
-// delta left by one never overflows. Rows are never empty (a delta only
-// adds instances, Project drops emptied rows), so a length of 0 is refused.
-// Index internals are already deterministic, so the bytes are stable without
-// any extra sorting. Engine snapshots embed one section per index;
-// Write/Read frame a single section as a file of its own.
+// so a row or run of ones costs no counts. A held metagraph such as
+// user–college–user pairs everyone who shares a hub, so a node's partners
+// above it are mostly those of a partner just below it: Encode tries the
+// refCandidates nearest partners below q in the run as references, the way
+// WebGraph codes an adjacency list against an earlier one, and keeps the
+// cheapest. Index internals are deterministic and so are the choices, so
+// the bytes are stable without any extra sorting. Engine snapshots embed
+// one section per index; Write/Read frame a single section as a file of
+// its own.
 
-const fileMagic = "SPXI\x06"
+const fileMagic = "SPXI\x07"
+
+const (
+	// refCandidates is how many of q's nearest partners below it in a run
+	// Encode prices as the run's reference. The decoder takes any.
+	refCandidates = 4
+	// maxPostingsPerByte caps the postings a section may decode per byte
+	// of it received: a copy is the one way a few bytes make many
+	// postings (a chain of runs each copying the one before and adding
+	// one would make n²/2 of them out of ~5n bytes). The decoder refuses a
+	// copy that would take the section past it, and Encode writes
+	// residuals wherever a copy would, so whatever Write writes, Read
+	// reads. A decoded posting costs at most postingAlloc bytes, so a
+	// section costs at most maxPostingsPerByte·postingAlloc bytes of
+	// allocation per byte received.
+	maxPostingsPerByte = 8
+	// postingAlloc bounds what one posting above its node costs the
+	// decoder: its 8 bytes in an arena grown through flat.Grow, which can
+	// run 8× ahead of what was decoded (a lying claim), plus its two
+	// 8-byte places in the laid-out runs, plus the run and node tables'
+	// share, rounded up.
+	postingAlloc = 96
+)
 
 // Write serializes ix's counts. A patched index is compacted first, so the
 // wire format never carries an overlay and an incrementally updated index
@@ -74,23 +121,23 @@ func Read(r io.Reader, numNodes int) (*Index, error) {
 	return ix, nil
 }
 
-// Encode appends ix (compacted, like Write) to w as one section.
+// Encode appends ix (compacted, like Write) to w as one section: the node
+// table, then each node's runs above it, walked straight out of the runs.
 func Encode(w *flat.Writer, ix *Index) {
 	ix = ix.Compact()
+	e := runEncoder{w: w, start: w.Offset(), rs: &ix.flat}
 	w.Uvarint(uint64(ix.numMeta))
-	encodeTable(w, ix.numMeta, len(ix.mx.keys), len(ix.mx.ent), ix.mx.each)
-	// Every pair coordinate is two postings, one in each endpoint's runs.
-	encodeTable(w, ix.numMeta, ix.NumPairs(), len(ix.flat.post)/2, ix.pairRows)
+	encodeTable(w, ix.numMeta, &ix.mx)
+	e.encode(ix.numMeta)
 }
 
-// encodeTable writes a table of nKeys rows holding nEnt entries, which
-// each yields in key order.
-func encodeTable[K ~int32 | ~uint64](w *flat.Writer, numMeta, nKeys, nEnt int, each func(yield func(K, []Entry))) {
-	w.Uvarint(uint64(nKeys))
-	w.Uvarint(uint64(nEnt))
+// encodeTable writes the node table c.
+func encodeTable(w *flat.Writer, numMeta int, c *csr[graph.NodeID]) {
+	w.Uvarint(uint64(len(c.keys)))
+	w.Uvarint(uint64(len(c.ent)))
 	b := uint(bits.Len(uint(numMeta)))
 	prev, prevHead := uint64(0), uint64(0) // no head is 0: rows are never empty
-	each(func(k K, row []Entry) {
+	c.each(func(k graph.NodeID, row []Entry) {
 		next := uint64(k) + 1
 		ones := uint64(1)
 		for _, e := range row {
@@ -118,43 +165,343 @@ func encodeTable[K ~int32 | ~uint64](w *flat.Writer, numMeta, nKeys, nEnt int, e
 	})
 }
 
+// runEncoder writes the runs above each node of rs, each against the
+// cheapest reference it is allowed.
+type runEncoder struct {
+	w     *flat.Writer
+	start int64 // the section's first byte
+	rs    *adjRuns
+	above []int32 // per run, its first posting above its node
+	// next[r] is run r's first posting above the node last written with
+	// it as a candidate: the nodes are written ascending, so it only moves
+	// on.
+	next  []int32
+	posts int // postings written so far
+	// marks[v] is partner v of the run being written above its node, if
+	// its key is current (see upMark).
+	marks  []upMark
+	at     []int32 // each partner's place among the run's postings
+	serial uint32
+	all    resCost
+	cands  [refCandidates + 1]runPlan // [0] has no reference
+}
+
+// upMark is a partner v of the run being written above its node: key is
+// the run's serial<<32 and v's count, and res what v takes as a residual
+// after the posting before it (after the node for the first), packed 21
+// bits apart: its gap's bytes, its count's bytes<<21, and 1<<42 if its
+// count is not 1. A field is at most 5, so the fields of a run of fewer
+// than 2^18 postings sum without carrying into the next.
+type upMark struct {
+	key, res uint64
+}
+
+// packLimit is the number of postings a run must stay below for upMark.res
+// sums to hold; longer runs are priced without the bound.
+const packLimit = 1 << 18
+
+// resCost is what residuals take: their gaps, and their counts if
+// notOne, the number of counts not 1, is above 0.
+type resCost struct{ gaps, cnts, notOne int }
+
+// minus is c without what the postings whose upMark.res values sum to sum
+// take.
+func (c resCost) minus(sum uint64) resCost {
+	const field = 1<<21 - 1
+	return resCost{c.gaps - int(sum&field), c.cnts - int(sum>>21&field), c.notOne - int(sum>>42)}
+}
+
+// bytes is what n such residuals take with their head.
+func (c resCost) bytes(n int) int {
+	b := uvLen(uint64(n)<<1) + c.gaps
+	if c.notOne > 0 {
+		b += c.cnts
+	}
+	return b
+}
+
+// runPlan is one way to write the postings above q of a run: against the
+// reference ref at distance d (0: none), copying the taken postings of the
+// run, those i with took[i] the run's serial, and writing the others as
+// residuals. The reference's take/skip sequence switches at the positions
+// switches lists, so the copy blocks but the last are their differences.
+// low bounds its bytes from below, and cost and bytes are its bytes
+// through the blocks and in all.
+type runPlan struct {
+	d        uint64
+	ref      []posting
+	took     []uint32 // one slot past the run's postings, for what is skipped
+	switches []int32
+	res      []posting
+	ones     bool // every residual's count is 1
+	taken    int
+	low      int
+	cost     int
+	bytes    int
+}
+
+// uvLen is the length of x as a varint.
+func uvLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (e *runEncoder) encode(numMeta int) {
+	rs := e.rs
+	n := max(len(rs.first)-1, 0)
+	e.above = make([]int32, len(rs.meta))
+	e.marks, e.at = make([]upMark, n), make([]int32, n)
+	nRuns, nPost := 0, 0
+	for q := range graph.NodeID(n) {
+		lo, hi := rs.runs(q)
+		for r := lo; r < hi; r++ {
+			ps := rs.postings(r)
+			i, _ := slices.BinarySearchFunc(ps, q, comparePosting) // q is not its own partner
+			e.above[r] = rs.off[r] + int32(i)
+			if len(ps) > i {
+				nRuns, nPost = nRuns+1, nPost+len(ps)-i
+			}
+		}
+	}
+	e.next = slices.Clone(e.above)
+	w := e.w
+	w.Uvarint(uint64(nRuns))
+	w.Uvarint(uint64(nPost))
+	b := uint(bits.Len(uint(numMeta)))
+	prev := graph.NodeID(-1)
+	for q := range graph.NodeID(n) {
+		lo, hi := rs.runs(q)
+		runs, first := uint64(0), int32(-1)
+		for r := lo; r < hi; r++ {
+			if e.above[r] < rs.off[r+1] {
+				if runs++; first < 0 {
+					first = rs.meta[r]
+				}
+			}
+		}
+		if runs == 0 {
+			continue
+		}
+		w.Uvarint(uint64(q - prev))
+		w.Uvarint(runs<<b | uint64(first))
+		prev = q
+		last := first
+		for r := lo; r < hi; r++ {
+			if m := rs.meta[r]; e.above[r] < rs.off[r+1] && m != first {
+				w.Uvarint(uint64(m - last))
+				last = m
+			}
+		}
+		for r := lo; r < hi; r++ {
+			if e.above[r] < rs.off[r+1] {
+				e.run(q, r)
+			}
+		}
+	}
+}
+
+// run writes the postings above q of q's run r: with no reference, or
+// copying from one of the refCandidates partners nearest below q —
+// whichever takes the fewest bytes, the nearest (no reference before any)
+// on a tie — among those that keep the section within maxPostingsPerByte.
+// The candidates come nearest first, each bounded from below before it is
+// priced: by its list's length, then by a walk of its list against the
+// run's postings keyed by node that stores nothing and branches on nothing
+// it finds — its bytes but for the few that long blocks and long gaps
+// add. Only a candidate whose bound beats the best so far is planned and
+// priced to the byte.
+func (e *runEncoder) run(q graph.NodeID, r int32) {
+	rs := e.rs
+	m, up, below := rs.meta[r], rs.post[e.above[r]:rs.off[r+1]], rs.post[rs.off[r]:e.above[r]]
+	e.serial++ // one per run: fewer than 2^31, so it never wraps
+	e.all = resCost{}
+	last := q
+	for i, u := range up {
+		g, c, one := uvLen(uint64(u.node-last)), uvLen(uint64(u.count)), b2i(u.count != 1)
+		e.marks[u.node], e.at[u.node] = upMark{uint64(e.serial)<<32 | uint64(u.count), uint64(g | c<<21 | one<<42)}, int32(i)
+		e.all.gaps, e.all.cnts, e.all.notOne = e.all.gaps+g, e.all.cnts+c, e.all.notOne+one
+		last = u.node
+	}
+	// No reference: a byte for d, then every posting a residual.
+	best := &e.cands[0]
+	best.taken, best.cost, best.res, best.ones = 0, 1, up, e.all.notOne == 0
+	best.bytes = best.cost + e.all.bytes(len(up))
+	at := e.w.Offset() - e.start
+	for c := 1; c <= min(refCandidates, len(below)); c++ {
+		// p's run of m holds q, its partner; what follows q in it is the
+		// list a copy reads, just past p's postings below q.
+		p := below[len(below)-c].node
+		plo, phi := rs.runs(p)
+		i, _ := slices.BinarySearch(rs.meta[plo:phi], m)
+		pr := plo + int32(i)
+		pl := &e.cands[c]
+		end := rs.off[pr+1]
+		k := e.next[pr]
+		for k < end && rs.post[k].node <= q {
+			k++
+		}
+		e.next[pr] = k
+		pl.d, pl.ref = uint64(q-p), rs.post[k:end]
+		// d, a byte for k and one for the residuals' head at least, and
+		// one for each posting of up beyond the reference's. The
+		// candidates come nearest first, so a tie goes to the best so far.
+		if uvLen(pl.d)+2+max(len(up)-len(pl.ref), 0) >= best.bytes {
+			continue
+		}
+		// The nearest is walked once: it is the likeliest to win.
+		if c > 1 {
+			if e.walk(pl, len(up), false); pl.low >= best.bytes {
+				continue
+			}
+		}
+		if e.walk(pl, len(up), true); pl.low >= best.bytes || int64(e.posts+pl.taken) > maxPostingsPerByte*(at+int64(pl.cost)) {
+			continue
+		}
+		if pl.bytes = pl.cost + e.residuals(pl, q, up); pl.bytes < best.bytes {
+			best = pl
+		}
+	}
+	best.write(e.w, q)
+	e.posts += len(up)
+}
+
+// walk bounds the bytes of the run's nUp postings written against pl's
+// reference from below, setting taken and low: a posting of the reference
+// is taken when the run holds its partner with the same count, a block
+// ends where taking switches to skipping or back, and a residual's gap is
+// at least the one from the posting before it. The bound is the exact size
+// unless a block is longer than 127 or a residual's gap from the residual
+// before it needs a byte more than the gap from the posting before it.
+// With plan set it also marks in took what it takes, lists where the
+// blocks switch and sets cost; without, it stores nothing else.
+func (e *runEncoder) walk(pl *runPlan, nUp int, plan bool) {
+	marks, serial := e.marks, uint64(e.serial)<<32
+	n, taken, prev, sum := 0, 0, 1, uint64(0)
+	if !plan {
+		for _, v := range pl.ref {
+			mk := &marks[v.node]
+			take := b2i(mk.key == serial|uint64(v.count))
+			sum += uint64(take) * mk.res
+			n += take ^ prev
+			taken, prev = taken+take, take
+		}
+	} else {
+		if len(pl.took) <= nUp {
+			pl.took = make([]uint32, 2*nUp+1)
+		}
+		if cap(pl.switches) < len(pl.ref) {
+			pl.switches = make([]int32, len(pl.ref))
+		}
+		sw, took := pl.switches[:len(pl.ref)], pl.took
+		for i, v := range pl.ref {
+			mk := &marks[v.node]
+			take := b2i(mk.key == serial|uint64(v.count))
+			sum += uint64(take) * mk.res
+			// What is skipped lands in the slot past the run.
+			took[take*int(e.at[v.node])+(1-take)*nUp] = e.serial
+			sw[n] = int32(i)
+			n += take ^ prev
+			taken, prev = taken+take, take
+		}
+		pl.switches = sw[:n]
+		blocks, last := 0, int32(0)
+		for _, s := range pl.switches {
+			blocks += uvLen(uint64(s - last))
+			last = s
+		}
+		pl.cost = uvLen(pl.d) + uvLen(uint64(n)) + blocks
+	}
+	pl.taken = taken
+	pl.low = uvLen(pl.d) + uvLen(uint64(n)) + n + uvLen(uint64(nUp-taken)<<1) + nUp - taken
+	if nUp < packLimit {
+		res := e.all.minus(sum)
+		pl.low += res.bytes(nUp-taken) - uvLen(uint64(nUp-taken)<<1) - (nUp - taken)
+	}
+}
+
+// residuals lists in pl the postings of up that it does not copy, and
+// returns what they take as residuals: their head, gaps, and counts unless
+// every one is 1.
+func (e *runEncoder) residuals(pl *runPlan, q graph.NodeID, up []posting) int {
+	if cap(pl.res) < len(up) {
+		pl.res = make([]posting, 2*len(up))
+	}
+	res, serial, took := pl.res[:len(up)], e.serial, pl.took
+	n, last, gaps, cnts, notOne := 0, q, 0, 0, 0
+	for i, u := range up {
+		r := 1
+		if pl.d != 0 {
+			r = b2i(took[i] != serial)
+		}
+		res[n] = u
+		n += r
+		gaps += r * uvLen(uint64(u.node-last))
+		cnts += r * uvLen(uint64(u.count))
+		notOne |= r & b2i(u.count != 1)
+		last += graph.NodeID(r) * (u.node - last)
+	}
+	pl.res, pl.ones = res[:n], notOne == 0
+	return uvLen(uint64(n)<<1) + gaps + notOne*cnts
+}
+
+// write writes the run of node q as pl plans it.
+func (pl *runPlan) write(w *flat.Writer, q graph.NodeID) {
+	w.Uvarint(pl.d)
+	if pl.d != 0 {
+		w.Uvarint(uint64(len(pl.switches)))
+		last := int32(0)
+		for _, s := range pl.switches {
+			w.Uvarint(uint64(s - last))
+			last = s
+		}
+	}
+	ones := uint64(0)
+	if pl.ones {
+		ones = 1
+	}
+	w.Uvarint(uint64(len(pl.res))<<1 | ones)
+	last := q
+	for _, u := range pl.res {
+		w.Uvarint(uint64(u.node - last))
+		last = u.node
+	}
+	if !pl.ones {
+		for _, u := range pl.res {
+			w.Uvarint(uint64(u.count))
+		}
+	}
+}
+
 // Decode reads one section for a graph of numNodes nodes; the index reads raw
 // counts (see Transform). The bytes are untrusted: everything reads rely on
-// (strictly ascending keys and row Metas, Metas within numMeta, counts in
-// [1, 2^32-1]) and everything the runs index by node id or by posting
-// position (node keys and pair endpoints within the graph, smaller endpoint
-// first) is checked as it is decoded, so a corrupt stream is refused with
-// an error and can neither panic a reader nor size an allocation by a
-// number it made up (see flat.Grow; buildRuns). The pair rows are laid out
-// as runs and dropped.
+// (strictly ascending keys, nodes, partners and Metas, Metas within
+// numMeta, counts in [1, 2^32-1], runs never empty) and everything the runs
+// index by node id or by posting position (node keys and partners within
+// the graph, references to runs decoded before) is checked as it is
+// decoded, so a corrupt stream is refused with an error and can neither
+// panic a reader nor size an allocation by a number it made up (see
+// flat.Grow; maxPostingsPerByte). The runs above each node are laid out
+// with the partners below it into the index's runs.
 func Decode(r *flat.Reader, numNodes int) (*Index, error) {
+	start := r.Offset()
 	numMeta := r.Uvarint()
 	if numMeta > math.MaxInt32 {
 		return nil, fmt.Errorf("index: %w", corrupt(r, "metagraph count", "overflows int32"))
 	}
-	mx, err := decodeTable[graph.NodeID](r, numMeta, uint64(numNodes))
+	mx, err := decodeTable(r, numMeta, uint64(numNodes))
 	if err != nil {
 		return nil, fmt.Errorf("index: node table: %w", err)
 	}
-	// Pair keys carry the smaller endpoint in the high word, so the
-	// largest legal one bounds them all; each is then checked by itself.
-	var limit uint64
-	if numNodes >= 2 {
-		limit = uint64(MakePairKey(graph.NodeID(numNodes-2), graph.NodeID(numNodes-1))) + 1
+	d := runDecoder{r: r, start: start, numMeta: numMeta, numNodes: uint64(max(numNodes, 0))}
+	if err := d.decode(); err != nil {
+		return nil, fmt.Errorf("index: runs: %w", err)
 	}
-	mxy, err := decodeTable[PairKey](r, numMeta, limit)
-	if err != nil {
-		return nil, fmt.Errorf("index: pair table: %w", err)
-	}
-	if len(mxy.ent) > math.MaxInt32/2 {
-		return nil, fmt.Errorf("index: pair table: %d entries overflow the runs' posting positions", len(mxy.ent))
-	}
-	for _, k := range mxy.keys {
-		if x, y := k.Nodes(); x >= y || int(y) >= numNodes {
-			return nil, fmt.Errorf("index: pair table: key (%d,%d) is not a pair of nodes in [0, %d)", x, y, numNodes)
-		}
-	}
-	return fromRows(int(numMeta), mx, &mxy), nil
+	return (&Index{numMeta: int(numMeta), mx: mx, flat: d.up.layout(int(numMeta))}).finish(), nil
 }
 
 // corrupt names an invariant the stream broke — unless the stream itself
@@ -166,14 +513,19 @@ func corrupt(r *flat.Reader, what, how string) error {
 	return errors.New(what + " " + how)
 }
 
-// unorderedMetas refuses a row whose Metas do not ascend strictly within
-// [0, numMeta).
+// unorderedMetas refuses a row or run head whose Metas do not ascend
+// strictly within [0, numMeta).
 func unorderedMetas(r *flat.Reader, numMeta uint64) error {
 	return corrupt(r, "row entries", fmt.Sprintf("not strictly ascending by metagraph within [0, %d)", numMeta))
 }
 
-// decodeTable reads one table whose keys must lie in [0, limit).
-func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c csr[K], err error) {
+// badCount refuses a count an Entry or a posting cannot hold.
+func badCount(r *flat.Reader) error {
+	return corrupt(r, "counts", "hold a count of 0 or above 2^32-1")
+}
+
+// decodeTable reads a node table whose keys must lie in [0, limit).
+func decodeTable(r *flat.Reader, numMeta, limit uint64) (c csr[graph.NodeID], err error) {
 	nKeys, nEnt := r.Uvarint(), r.Uvarint()
 	if nKeys > math.MaxInt32 || nEnt > math.MaxInt32 {
 		return c, corrupt(r, "table size", "overflows the int32 row offsets")
@@ -211,7 +563,7 @@ func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c c
 			return c, corrupt(r, "keys", fmt.Sprintf("not strictly ascending within [0, %d)", limit))
 		}
 		next += d
-		c.keys = append(c.keys, K(next-1))
+		c.keys = append(c.keys, graph.NodeID(next-1))
 		switch {
 		case !reuse:
 			head = r.Uvarint()
@@ -245,7 +597,7 @@ func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c c
 			for j := start; j < len(c.ent); j++ {
 				cnt := r.Uvarint()
 				if cnt == 0 || cnt > math.MaxUint32 {
-					return c, corrupt(r, "row entries", "hold a count of 0 or above 2^32-1")
+					return c, badCount(r)
 				}
 				c.ent[j].Count = uint32(cnt)
 			}
@@ -257,4 +609,306 @@ func decodeTable[K ~int32 | ~uint64](r *flat.Reader, numMeta, limit uint64) (c c
 		return c, corrupt(r, "row lengths", "fall short of the entry count")
 	}
 	return c, r.Err()
+}
+
+// upperRuns are the runs above each node, as a section holds them: node
+// nodes[i] has the runs first[i] to first[i+1]-1 (while decoding, the
+// last node's end at len(meta)), ascending by metagraph; run j is
+// metagraph meta[j] with the postings post[off[j]:off[j+1]], ascending by
+// node, all above the node.
+type upperRuns struct {
+	nodes []graph.NodeID
+	first []int32
+	meta  []int32
+	off   []int32
+	post  []posting
+	top   graph.NodeID // the largest partner
+}
+
+// runDecoder reads the runs above each node of one section.
+type runDecoder struct {
+	r                 *flat.Reader
+	start             int64 // the section's first byte
+	numMeta, numNodes uint64
+	nPost             uint64 // postings the section claims
+	up                upperRuns
+	blocks            []int // the current run's copy blocks, the last implied one too
+}
+
+func (d *runDecoder) decode() (err error) {
+	r, u := d.r, &d.up
+	nRuns, nPost := r.Uvarint(), r.Uvarint()
+	if nRuns > math.MaxInt32 || nPost > math.MaxInt32/2 {
+		return corrupt(r, "run sizes", "overflow the runs' posting positions")
+	}
+	if nRuns == 0 {
+		if nPost != 0 {
+			return corrupt(r, "no runs", "hold postings")
+		}
+		return r.Err()
+	}
+	d.nPost = nPost
+	if u.off, err = flat.Grow(r, u.off, int(nRuns)+1); err != nil {
+		return err
+	}
+	u.off = append(u.off, 0)
+	b := uint(bits.Len64(d.numMeta))
+	mask := uint64(1)<<b - 1
+	q := int64(-1)
+	for uint64(len(u.meta)) < nRuns {
+		if len(u.nodes) == cap(u.nodes) {
+			if u.nodes, err = flat.Grow(r, u.nodes, int(nRuns)); err != nil {
+				return err
+			}
+			if u.first, err = flat.Grow(r, u.first, int(nRuns)+1); err != nil {
+				return err
+			}
+		}
+		// q needs a partner above it, so it lies below numNodes-1.
+		g := r.Uvarint()
+		if g == 0 || g >= d.numNodes-uint64(q+1) {
+			return corrupt(r, "nodes", fmt.Sprintf("not strictly ascending below %d", int64(d.numNodes)-1))
+		}
+		q += int64(g)
+		u.nodes, u.first = append(u.nodes, graph.NodeID(q)), append(u.first, int32(len(u.meta)))
+		head := r.Uvarint()
+		l, m := head>>b, head&mask
+		if l == 0 || l > d.numMeta || l > nRuns-uint64(len(u.meta)) {
+			return corrupt(r, "run count", fmt.Sprintf("of node %d not within [1, %d] or past the runs claimed", q, d.numMeta))
+		}
+		if m >= d.numMeta {
+			return unorderedMetas(r, d.numMeta)
+		}
+		// The heads first, then the runs: a run's metagraph is known
+		// before its postings are read.
+		lo := len(u.meta)
+		for j := uint64(0); j < l; j++ {
+			if j > 0 {
+				g := r.Uvarint()
+				if g == 0 || g >= d.numMeta-m {
+					return unorderedMetas(r, d.numMeta)
+				}
+				m += g
+			}
+			if len(u.meta) == cap(u.meta) {
+				if u.meta, err = flat.Grow(r, u.meta, int(nRuns)); err != nil {
+					return err
+				}
+			}
+			u.meta = append(u.meta, int32(m))
+		}
+		for j := lo; j < len(u.meta); j++ {
+			if len(u.off) == cap(u.off) {
+				if u.off, err = flat.Grow(r, u.off, int(nRuns)+1); err != nil {
+					return err
+				}
+			}
+			if err := d.run(graph.NodeID(q), u.meta[j]); err != nil {
+				return err
+			}
+		}
+	}
+	if uint64(len(u.post)) != nPost {
+		return corrupt(r, "postings", "fall short of the count claimed")
+	}
+	u.first = append(u.first, int32(len(u.meta)))
+	return r.Err()
+}
+
+// run reads the postings above q of q's run of metagraph m and appends
+// them: the copies and the residuals, merged.
+func (d *runDecoder) run(q graph.NodeID, m int32) (err error) {
+	r, u := d.r, &d.up
+	base := len(u.post)
+	ref, taken := 0, 0 // the copies read u.post[ref:]
+	d.blocks = d.blocks[:0]
+	if dist := r.Uvarint(); dist != 0 {
+		if dist > uint64(q) {
+			return corrupt(r, "reference", fmt.Sprintf("of node %d lies below node 0", q))
+		}
+		p := q - graph.NodeID(dist)
+		pr, ok := u.find(p, m)
+		if !ok {
+			return corrupt(r, "reference", fmt.Sprintf("of node %d: node %d has no run of metagraph %d above it", q, p, m))
+		}
+		ps := u.post[u.off[pr]:u.off[pr+1]]
+		i, _ := slices.BinarySearchFunc(ps, q+1, comparePosting)
+		ref = int(u.off[pr]) + i
+		left := uint64(len(ps) - i)
+		k := r.Uvarint()
+		if k > left+1 {
+			return corrupt(r, "copy blocks", "outnumber the reference's postings above the node")
+		}
+		for j := uint64(0); j < k; j++ {
+			bl := r.Uvarint()
+			if bl > left || (j > 0 && bl == 0) {
+				return corrupt(r, "copy blocks", "run past the reference's postings above the node, or one after the first is empty")
+			}
+			left -= bl
+			d.blocks = append(d.blocks, int(bl))
+			if j%2 == 0 {
+				taken += int(bl)
+			}
+		}
+		d.blocks = append(d.blocks, int(left))
+		if k%2 == 0 {
+			taken += int(left)
+		}
+		if int64(base+taken) > maxPostingsPerByte*(r.Offset()-d.start) {
+			return corrupt(r, "copies", fmt.Sprintf("take the section above %d postings per byte", maxPostingsPerByte))
+		}
+	}
+	h := r.Uvarint()
+	nRes, ones := h>>1, h&1 == 1
+	if nRes+uint64(taken) == 0 {
+		return corrupt(r, "run", fmt.Sprintf("of node %d, metagraph %d holds no postings", q, m))
+	}
+	if nRes > d.nPost || uint64(base+taken) > d.nPost-nRes {
+		return corrupt(r, "postings", "run past the count claimed")
+	}
+	// The copies' room first, where the merge below fills it: at most
+	// doubling what has been decoded, so one Grow makes it.
+	if cap(u.post) < base+taken {
+		if u.post, err = flat.Grow(r, u.post, int(d.nPost)); err != nil {
+			return err
+		}
+	}
+	u.post = u.post[:base+taken]
+	v := uint64(q)
+	for j := uint64(0); j < nRes; j++ {
+		g := r.Uvarint()
+		if g == 0 || g >= d.numNodes-v {
+			return corrupt(r, "residual partners", fmt.Sprintf("of node %d not strictly ascending within (%d, %d)", q, q, d.numNodes))
+		}
+		v += g
+		if len(u.post) == cap(u.post) {
+			if u.post, err = flat.Grow(r, u.post, int(d.nPost)); err != nil {
+				return err
+			}
+		}
+		u.post = append(u.post, posting{graph.NodeID(v), 1})
+	}
+	res := base + taken // the next residual
+	if !ones {
+		for j := res; j < len(u.post); j++ {
+			c := r.Uvarint()
+			if c == 0 || c > math.MaxUint32 {
+				return badCount(r)
+			}
+			u.post[j].count = uint32(c)
+		}
+	}
+	// Merge the copies in ahead of the residuals, which have not moved:
+	// the write position never passes the next residual, and the
+	// reference lies below base.
+	out, end, take := base, len(u.post), true
+	for _, bl := range d.blocks {
+		if take {
+			for _, c := range u.post[ref : ref+bl] {
+				for res < end && u.post[res].node < c.node {
+					u.post[out] = u.post[res]
+					out, res = out+1, res+1
+				}
+				if res < end && u.post[res].node == c.node {
+					return corrupt(r, "residual partner", fmt.Sprintf("%d of node %d is copied too", c.node, q))
+				}
+				u.post[out] = c
+				out++
+			}
+		}
+		ref, take = ref+bl, !take
+	}
+	u.off = append(u.off, int32(len(u.post)))
+	u.top = max(u.top, u.post[len(u.post)-1].node)
+	return r.Err()
+}
+
+// find returns the run of metagraph m above node p, if p has one.
+func (u *upperRuns) find(p graph.NodeID, m int32) (int32, bool) {
+	i, ok := slices.BinarySearch(u.nodes, p)
+	if !ok {
+		return 0, false
+	}
+	lo, hi := u.first[i], u.first[i+1] // p lies below the node decoding
+	j, ok := slices.BinarySearch(u.meta[lo:hi], m)
+	return lo + int32(j), ok
+}
+
+// layout lays out the index's runs from the runs above each node: node
+// v's run of m is its partners below it in ascending order — every u
+// whose run of m above it holds v — then its own run of m above it. One
+// pass over the runs, metagraph after metagraph and node after node within
+// one, places each posting in its node's run and the mirror posting in
+// its partner's; the runs come out identical to what buildRuns lays out
+// from the same pair rows.
+func (u *upperRuns) layout(numMeta int) adjRuns {
+	if len(u.meta) == 0 {
+		return adjRuns{}
+	}
+	n := int(u.top) + 1
+	node := make([]graph.NodeID, len(u.meta)) // each run's node
+	for i, q := range u.nodes {
+		for j := u.first[i]; j < u.first[i+1]; j++ {
+			node[j] = q
+		}
+	}
+	cur := make([]int32, n+1) // each node's first posting, then its cursor
+	for j, q := range node {
+		ps := u.post[u.off[j]:u.off[j+1]]
+		cur[q+1] += int32(len(ps))
+		for _, p := range ps {
+			cur[p.node+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		cur[i] += cur[i-1]
+	}
+	// The runs by metagraph, each metagraph's in node order: counted when
+	// there are no more metagraphs than runs, sorted otherwise.
+	order := make([]int32, len(u.meta))
+	if numMeta <= len(u.meta) {
+		at := make([]int32, numMeta+1)
+		for _, m := range u.meta {
+			at[m+1]++
+		}
+		for i := 1; i <= numMeta; i++ {
+			at[i] += at[i-1]
+		}
+		for j, m := range u.meta {
+			order[at[m]] = int32(j)
+			at[m]++
+		}
+	} else {
+		for j := range order {
+			order[j] = int32(j)
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(u.meta[a], u.meta[b]) })
+	}
+	l := newRunLayout(cur, make([]posting, 2*len(u.post)))
+	for lo := 0; lo < len(order); {
+		m, hi, placed := u.meta[order[lo]], lo, 0
+		for ; hi < len(order) && u.meta[order[hi]] == m; hi++ {
+			j := order[hi]
+			q, ps := node[j], u.post[u.off[j]:u.off[j+1]]
+			l.cur[q] += int32(copy(l.post[l.cur[q]:], ps))
+			for _, p := range ps {
+				c := l.cur[p.node]
+				l.post[c] = posting{q, p.count}
+				l.cur[p.node] = c + 1
+			}
+			placed += len(ps)
+		}
+		if 2*placed >= n {
+			l.closeAll(m)
+		} else {
+			for _, j := range order[lo:hi] {
+				l.close(node[j], m)
+				for _, p := range u.post[u.off[j]:u.off[j+1]] {
+					l.close(p.node, m)
+				}
+			}
+		}
+		lo = hi
+	}
+	return l.runs()
 }

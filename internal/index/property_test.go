@@ -178,9 +178,9 @@ var paperShapeIndex = sync.OnceValues(func() ([]float64, *index.Index) {
 // the codec writes from them, so a change to how the index is laid out in
 // memory that shifts a byte of a snapshot fails here.
 const (
-	readDirectIndexWire = "9625ced00c81f3062f038d5b18e512633f953f7411fe9c42704b2736fa1d3953"
-	lifecycleIndexWire  = "a76de9adfa389fffb7b1ca3b5b47451441cf36d134131db659bf6577029abe50"
-	paperShapeIndexWire = "894cb59620f0bbbf89e0bb7330e0279da5aea5603fe0065cb2d0e511d883d108"
+	readDirectIndexWire = "49c597d809acdc4595e0958ea7f8bf399f67cc8753fb42fdc986fe75ba93a8f3"
+	lifecycleIndexWire  = "252ecba5b482492384890dd0f82f65015b5abda08dd8439c3ff8e6f116bd6239"
+	paperShapeIndexWire = "045508e7aa74e42aca3c826eb15043208667abb46865a718617a2c0578008ae7"
 )
 
 // TestIndexWireGolden pins the index.Write bytes of the read_direct,

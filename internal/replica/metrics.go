@@ -1,9 +1,9 @@
 // Replication observability, mirroring the WAL's split: rates (polls,
 // applied records, bootstraps, promotions) are process-wide counters on
-// the obs default registry; position gauges (lag, applied LSN, fenced)
-// are per-instance callbacks with replace-on-register semantics — in a
-// real follower daemon there is exactly one Follower, so the series is
-// unambiguous.
+// the obs default registry; position gauges (lag, applied LSN, fenced) and
+// the size of the last bootstrap's snapshot are per-instance callbacks
+// with replace-on-register semantics — in a real follower daemon there is
+// exactly one Follower, so the series is unambiguous.
 package replica
 
 import "repro/internal/obs"
@@ -28,6 +28,9 @@ func (f *Follower) registerGauges() {
 	r.RegisterGaugeFunc("semprox_replica_applied_lsn",
 		"Highest LSN applied to the local engine.",
 		func() float64 { return float64(f.applied.Load()) })
+	r.RegisterGaugeFunc("semprox_replica_bootstrap_bytes",
+		"Bytes of the snapshot the last successful bootstrap loaded (0 before one).",
+		func() float64 { return float64(f.SnapshotBytes()) })
 	r.RegisterGaugeFunc("semprox_replica_fenced",
 		"1 while the last poll hit a deposed (stale-term) primary, else 0.",
 		func() float64 {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/graph"
 	"repro/internal/mining"
+	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -294,6 +296,14 @@ func TestFollowerBootstrapPersistsOnlyWhatLoads(t *testing.T) {
 	}
 	if got := f.SnapshotBytes(); got != int64(snap.Len()) {
 		t.Fatalf("SnapshotBytes = %d, want the %d bytes the primary sent", got, snap.Len())
+	}
+	// The running follower exports what it downloaded.
+	var expo bytes.Buffer
+	if err := obs.WriteText(&expo, obs.Default()); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("semprox_replica_bootstrap_bytes %d\n", snap.Len()); !strings.Contains(expo.String(), want) {
+		t.Fatalf("/metrics lacks %q", want)
 	}
 }
 

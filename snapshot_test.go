@@ -569,8 +569,8 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 
 // TestSnapshotClaimsCostWhatTheStreamDelivers: a follower loads its
 // snapshot off the network, so a short stream that announces a gigantic
-// header, type registry, node table, name or index must be refused for
-// what it sent, not allocated for what it claims.
+// header, type registry, node table, name, index node table or index runs
+// must be refused for what it sent, not allocated for what it claims.
 func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 	fr, err := flat.NewReader(bytes.NewReader(fullSnapshot(t)), snapshotMagic)
 	if err != nil {
@@ -616,6 +616,25 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 			w.Bytes(hdr)
 			graph.Encode(w, g)
 			w.Uvarint(1)
+			w.Uvarint(1 << 40)
+			w.Uvarint(1 << 40)
+		},
+		"index of 2^31-1 runs": func(w *flat.Writer) {
+			w.Bytes(hdr)
+			graph.Encode(w, g)
+			w.Uvarint(1) // numMeta
+			w.Uvarint(0) // an empty node table
+			w.Uvarint(0)
+			w.Uvarint(math.MaxInt32)
+			w.Uvarint(math.MaxInt32 / 2) // the most postings a claim may
+			w.Uvarint(1)                 // the first node; nothing else follows
+		},
+		"index of 2^40 runs and postings": func(w *flat.Writer) {
+			w.Bytes(hdr)
+			graph.Encode(w, g)
+			w.Uvarint(1)
+			w.Uvarint(0)
+			w.Uvarint(0)
 			w.Uvarint(1 << 40)
 			w.Uvarint(1 << 40)
 		},
@@ -736,6 +755,23 @@ func FuzzLoadEngine(f *testing.F) {
 		f.Fatalf("the wide seed loads as %v, %v", eng, err)
 	}
 	f.Add(wide)
+	// The toy engine after an update that puts four users into College A,
+	// whose runs copy each other's partners.
+	upd, ug := toyEngine(f)
+	upd.Train("classmate", classmateExamples(ug))
+	d := Delta{}
+	for i := range 4 {
+		d.Nodes = append(d.Nodes, DeltaNode{Type: "user", Value: fmt.Sprintf("new-%d", i)})
+		d.Edges = append(d.Edges, Edge{U: NodeID(ug.NumNodes() + i), V: ug.NodeByName("College A")})
+	}
+	if _, err := upd.ApplyUpdate(d); err != nil {
+		f.Fatal(err)
+	}
+	var ub bytes.Buffer
+	if err := upd.Save(&ub); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ub.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := LoadEngine(bytes.NewReader(data))
 		if err != nil {
@@ -757,7 +793,7 @@ func FuzzLoadEngine(f *testing.F) {
 // grows a snapshot fails here, not in a benchmark run; one that shrinks it
 // lowers these.
 func TestSnapshotBytesBudget(t *testing.T) {
-	budgetKiB := map[string][3]int{"read_direct": {367, 371, 369}, "lifecycle": {244, 250, 241}}
+	budgetKiB := map[string][3]int{"read_direct": {219, 226, 223}, "lifecycle": {129, 131, 123}}
 	for _, sh := range snapShapes {
 		for seed := int64(1); seed <= 3; seed++ {
 			var buf bytes.Buffer
