@@ -96,9 +96,10 @@ cover:
 # compiled and executed on every commit: the snapshot codec (Save and
 # LoadEngine — the restart-to-serving path — at the 5 000-user
 # read_direct and the 600-user, MaxNodes-4 lifecycle shape, each with its
-# snapshot_bytes), the merge of the read_direct engine's three matched
-# parts into its one index (what adding all three costs; Train adds only
-# the one its w* weighs), the fold of one update's patch into the
+# snapshot_bytes; the 2 000-user MaxNodes-5 paper shape stays out), the
+# merge of the read_direct engine's three matched parts into its one
+# index (what adding all three costs; Train adds only the one its w*
+# weighs), the fold of one update's patch into the
 # read_direct engine's index (what makes it servable again), one Engine.Train on a fresh read_direct and
 # lifecycle engine (the rooted count of every metagraph at the example
 # nodes, learning, the full match of what w* weighs laid out as runs;
@@ -109,7 +110,8 @@ cover:
 # allocations reported; paper_2000 stays out), one update
 # on the highest-degree node of a LinkedIn-shaped graph and one small
 # update followed by Compact on a community graph (`incremental`: the
-# patch-then-fold cycle mixed_rw runs), the ranked scan
+# patch-then-fold cycle mixed_rw runs; the paper shape's `paper` and
+# `paper_hub` updates stay out, as paper_2000 does), the ranked scan
 # (warm on a small index; `uniform`: seeded random anchors on the 5 000-user
 # index under its learned w*, which is what a daemon pays; `dense`: the
 # same under uniform weights, where the scan skips no metagraph; and

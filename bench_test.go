@@ -564,16 +564,20 @@ func communityGraph(communities, usersPer int) *Graph {
 }
 
 // BenchmarkApplyUpdate compares serving a graph mutation incrementally
-// (ApplyUpdate: copy-on-write graph, delta-seeded re-match, index row
+// (ApplyUpdate: copy-on-write graph, SymISO pinned at the new edges, index row
 // patching) against the only alternative the pre-update engine had:
 // rebuilding the offline pipeline (mine → match → train) from scratch.
 // Each delta adds one user to one community of a 60-community graph. The
 // hub case is the shape that graph hides: a LinkedIn-like graph at
 // MaxNodes 4 (the benchmark's lifecycle sizing) with every new user joining
 // the highest-degree node, where a hop-bounded re-match covered the whole
-// graph; it reports the assignments the re-match visited per update and
-// applies every update to the same base epoch, so an iteration costs the
-// same whatever b.N is.
+// graph. paper and paper_hub are the paper shape (snapShapes' paper
+// engine: 2 000 users, MaxNodes 5, dozens of held metagraphs): a new user
+// joining college-0, as benchmark/'s update stream sends it, and a new
+// user joining the highest-degree node; -short skips them. Those three
+// report the search nodes the re-match visited per update and apply every
+// update to the same base epoch, so an iteration costs the same whatever
+// b.N is.
 func BenchmarkApplyUpdate(b *testing.B) {
 	const communities, usersPer = 60, 10
 	g := communityGraph(communities, usersPer)
@@ -621,12 +625,12 @@ func BenchmarkApplyUpdate(b *testing.B) {
 			build()
 		}
 	})
-	b.Run("hub", func(b *testing.B) {
-		eng, hub := hubEngine(b, 600, false)
+	// joins applies one new user joining node v of eng's serving epoch.
+	joins := func(b *testing.B, eng *Engine, v NodeID) {
 		base := eng.cur.Load()
 		d := Delta{
 			Nodes: []DeltaNode{{Type: "user", Value: "bench-user"}},
-			Edges: []Edge{{U: NodeID(base.g.NumNodes()), V: hub}},
+			Edges: []Edge{{U: NodeID(base.g.NumNodes()), V: v}},
 		}
 		var enumerated int64
 		b.ReportAllocs()
@@ -639,16 +643,41 @@ func BenchmarkApplyUpdate(b *testing.B) {
 			}
 			enumerated = st.Enumerated
 		}
+		b.StopTimer()
+		eng.cur.Store(base)
 		b.ReportMetric(float64(enumerated), "enumerated/op")
+	}
+	b.Run("hub", func(b *testing.B) {
+		eng, hub := hubEngine(b, 600, false)
+		joins(b, eng, hub)
+	})
+	paper := snapShapes[2]
+	b.Run("paper", func(b *testing.B) {
+		eng, _ := snapshotBench(b, paper)
+		joins(b, eng, eng.Graph().NodeByName("college-0"))
+	})
+	b.Run("paper_hub", func(b *testing.B) {
+		eng, _ := snapshotBench(b, paper)
+		g := eng.Graph()
+		hub := NodeID(0)
+		for v := NodeID(1); int(v) < g.NumNodes(); v++ {
+			if g.Degree(v) > g.Degree(hub) {
+				hub = v
+			}
+		}
+		joins(b, eng, hub)
 	})
 }
 
 // ---- snapshot codec ----
 
-// snapShape is one engine shape of benchmark/'s workloads — read_direct
-// (5 000 LinkedIn users, MaxNodes 3: three metagraphs, counts nearly all 1)
-// and lifecycle (600 users, MaxNodes 4: twelve metagraphs, about half the
-// counts above 1) — with the engine and snapshot built for it once.
+// snapShape is one engine shape — read_direct (5 000 LinkedIn users,
+// MaxNodes 3: three metagraphs, counts nearly all 1) and lifecycle (600
+// users, MaxNodes 4: twelve metagraphs, about half the counts above 1),
+// the shapes of benchmark/'s workloads, and paper (2 000 users at the
+// paper's MaxNodes 5, the engine BenchmarkEngineTrain/paper trains, which
+// holds dozens of metagraphs; -short skips it) — with the engine and
+// snapshot built for it once.
 type snapShape struct {
 	name            string
 	users, maxNodes int
@@ -661,7 +690,12 @@ type snapShape struct {
 var snapShapes = []*snapShape{
 	{name: "read_direct", users: 5000, maxNodes: 3},
 	{name: "lifecycle", users: 600, maxNodes: 4},
+	{name: "paper", users: 2000, maxNodes: 5},
 }
+
+// workloadShapes are the shapes of snapShapes that benchmark/'s workloads
+// boot: read_direct and lifecycle.
+func workloadShapes() []*snapShape { return snapShapes[:2] }
 
 // build mines, matches and trains the shape's engine on the LinkedIn graph
 // of the given seed: one class, college, learned from 100 examples with
@@ -686,6 +720,9 @@ func (sh *snapShape) build(seed int64) *Engine {
 // measured at the size the daemons pay.
 func snapshotBench(b *testing.B, sh *snapShape) (*Engine, []byte) {
 	b.Helper()
+	if sh.maxNodes > 4 && testing.Short() {
+		b.Skip("building the engine at MaxNodes 5 takes seconds")
+	}
 	sh.once.Do(func() {
 		eng := sh.build(1)
 		var buf bytes.Buffer

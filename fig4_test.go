@@ -11,7 +11,7 @@ import "testing"
 func TestFig4WeightsAreSparse(t *testing.T) {
 	// weighed, of metagraphs mined
 	weighs := map[string][2]int{"read_direct": {1, 3}, "lifecycle": {10, 12}}
-	for _, sh := range snapShapes {
+	for _, sh := range workloadShapes() {
 		for seed := int64(1); seed <= 3; seed++ {
 			eng := sh.build(seed)
 			n := 0

@@ -75,6 +75,11 @@ func SortedPairKeys(ms []*metagraph.Metagraph, matcher match.Matcher) int64 {
 // instances in which it sits on a symmetric pair. An asymmetric metagraph
 // contributes nothing (ContainsSym can never hold) and is not matched.
 func (c *counter) match(m *metagraph.Metagraph, matcher match.Matcher, mi int32) (csr[graph.NodeID], csr[PairKey]) {
+	return c.count(m, mi, func(add match.SetVisitor) { match.InstanceSets(matcher, m, add) })
+}
+
+// count is match over the instance sets enumerate hands its visitor.
+func (c *counter) count(m *metagraph.Metagraph, mi int32, enumerate func(match.SetVisitor)) (csr[graph.NodeID], csr[PairKey]) {
 	pairs := m.SymmetricPairs()
 	if len(pairs) == 0 {
 		return csr[graph.NodeID]{}, csr[PairKey]{}
@@ -86,7 +91,7 @@ func (c *counter) match(m *metagraph.Metagraph, matcher match.Matcher, mi int32)
 		}
 	}
 	c.pairs, c.weighed, c.touched = c.pairs[:0], c.weighed[:0], c.touched[:0]
-	match.InstanceSets(matcher, m, func(s match.Set) bool {
+	enumerate(func(s match.Set) bool {
 		c.add(s, pairs, positions, mi)
 		return true
 	})

@@ -247,7 +247,7 @@ func TestQuickBuilderEqualsMapCounter(t *testing.T) {
 			n := int(match.CountInstances(matcher, m)) * len(m.SymmetricPairs())
 			small, large = small || n > 0 && n < smallSort, large || n >= smallSort
 			empty = empty || n == 0
-			_, pairs := matchOne(m, matcher)
+			_, pairs := new(counter).match(m, matcher, 0)
 			for _, e := range pairs.ent {
 				longestRun = max(longestRun, e.Count)
 			}
@@ -291,7 +291,7 @@ func TestCountOverflowIsRefusedForSets(t *testing.T) {
 		t.Fatalf("%d instances, want C(2960, 4)", n)
 	}
 	mustPanic(t, "a leaf in 4.31e9 instances", fmt.Sprintf("metagraph 0, key %d: 4313633159 instances overflow", first), func() {
-		matchOne(m, match.NewSymISO(g))
+		new(counter).match(m, match.NewSymISO(g), 0)
 	})
 	mustPanic(t, "a binomial past uint64", "metagraph 3, key (2,4): C(200, 100) instances overflow", func() {
 		gain(200, 100, 3, MakePairKey(4, 2))

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/metagraph"
 )
@@ -82,19 +81,6 @@ func fanOut(n, workers int, newWorker func() func(int)) {
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// counters holds the scratch matchOne counts with. An update re-matches
-// every metagraph, and a counter's node counts are dense by node id: a
-// fresh one per call would allocate in proportion to the graph, not to
-// the update.
-var counters = sync.Pool{New: func() any { return new(counter) }}
-
-// matchOne counts the rows of the single metagraph m with pooled scratch.
-func matchOne(m *metagraph.Metagraph, matcher match.Matcher) (csr[graph.NodeID], csr[PairKey]) {
-	c := counters.Get().(*counter)
-	defer counters.Put(c)
-	return c.match(m, matcher, 0)
 }
 
 // BuildParallel is the parallel offline index build: MatchParts followed by

@@ -1,18 +1,19 @@
 // Incremental index maintenance. Deltas are additive, so a graph mutation
 // never destroys an instance and creates exactly the instances that map a
 // metagraph edge onto an added graph edge (Def. 2). RematchDelta enumerates
-// those — seeded at the added edges, see match.Delta — and counts, per key,
-// the instances GAINED; a row after the delta is the row before it plus its
-// gains. WithPatch adds the gains into the node rows and partner runs they
-// change, as an overlay over the flat index, without rebuilding it; Compact
-// folds the overlay in, giving the index a from-scratch build of the final
-// graph would give.
+// those — SymISO pinned at each added edge, see match.GainedInstanceSets —
+// and counts, per key, the instances GAINED; a row after the delta is the
+// row before it plus its gains. WithPatch adds the gains into the node rows
+// and partner runs they change, as an overlay over the flat index, without
+// rebuilding it; Compact folds the overlay in, giving the index a
+// from-scratch build of the final graph would give.
 package index
 
 import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -38,8 +39,8 @@ func (p *Patch) Empty() bool { return len(p.mx.keys) == 0 && len(p.mxy.keys) == 
 // do not modify.
 func (p *Patch) NodeKeys() []graph.NodeID { return p.mx.keys }
 
-// Enumerated returns the number of assignments the enumeration behind the
-// patch visited (match.Delta.Visited); 0 for a hand-built patch.
+// Enumerated returns the number of search nodes the enumeration behind
+// the patch visited (match.SymISO.Visited); 0 for a hand-built patch.
 func (p *Patch) Enumerated() int64 { return p.enumerated }
 
 // MergeGains lifts the gains of several re-matches onto one index spanning
@@ -195,12 +196,20 @@ func (ix *Index) Compact() *Index {
 // The part's WithPatch adds the gains to its counts, giving the rows a
 // from-scratch match of g would produce.
 //
-// The two trailing parameters are unused: the enumeration is seeded from
+// The two trailing parameters are unused: the enumeration is pinned at
 // g.DeltaEdges and needs neither a matcher for a subgraph nor the touched
 // nodes. They stay until benchmark/, which calls this signature and may
 // not change in the same PR, is ported.
 func RematchDelta(g *graph.Graph, m *metagraph.Metagraph, _ func(*graph.Graph) match.Matcher, _ []graph.NodeID) *Patch {
-	d := match.NewDelta(g)
-	mx, mxy := matchOne(m, d)
-	return &Patch{numMeta: 1, mx: mx, mxy: mxy, enumerated: d.Visited()}
+	matcher := match.NewSymISO(g)
+	c := counters.Get().(*counter)
+	defer counters.Put(c)
+	mx, mxy := c.count(m, 0, func(add match.SetVisitor) { match.GainedInstanceSets(matcher, m, add) })
+	return &Patch{numMeta: 1, mx: mx, mxy: mxy, enumerated: matcher.Visited()}
 }
+
+// counters holds the scratch RematchDelta counts with. An update
+// re-matches every held metagraph, and a counter's node counts are dense
+// by node id: a fresh one per call would allocate in proportion to the
+// graph, not to the update.
+var counters = sync.Pool{New: func() any { return new(counter) }}

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -335,11 +336,13 @@ func TestPatchOnHubEqualsScratch(t *testing.T) {
 	}
 }
 
-// TestRematchWorkIsLocal asserts what the seeded enumeration is for: the
+// TestRematchWorkIsLocal asserts what the pinned enumeration is for: the
 // assignments one delta makes it visit are the same on G and on G next to
 // a disjoint second copy of G — the work follows the degrees around the new
 // edges, not the size of the graph. (The hop-bounded re-match this replaced
-// visited the whole hub graph for the same delta.)
+// visited the whole hub graph for the same delta.) So are its allocations,
+// objects and bytes, on G and on G next to 63 disjoint copies of it: a
+// scratch sized to the graph would differ by kilobytes there.
 func TestRematchWorkIsLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g, users, school, hobbies := hubGraph(rng, 60)
@@ -394,4 +397,60 @@ func TestRematchWorkIsLocal(t *testing.T) {
 			t.Fatalf("metagraph %d: gains differ between G and its doubling", mi)
 		}
 	}
+
+	if raceEnabled {
+		return // sync.Pool drops the pooled counter at random under -race
+	}
+	many := disjointCopies(g, 64)
+	nmany, _, err := many.Apply(delta(many))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mi, m := range patchMetagraphs() {
+		objects, bytes := rematchAllocs(ng, m)
+		manyObjects, manyBytes := rematchAllocs(nmany, m)
+		if objects != manyObjects || max(bytes-manyBytes, manyBytes-bytes) > 1024 {
+			t.Fatalf("metagraph %d: RematchDelta allocates %v objects, %d bytes on G and %v, %d on G plus 63 disjoint copies",
+				mi, objects, bytes, manyObjects, manyBytes)
+		}
+	}
+}
+
+// disjointCopies returns the graph of n disjoint copies of g, copy k's
+// node ids shifted by k·|V|.
+func disjointCopies(g *graph.Graph, n int) *graph.Graph {
+	b := graph.NewBuilder()
+	for _, name := range g.Types().Names() {
+		b.Types().Register(name)
+	}
+	for range n {
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			b.AddNode(g.Types().Name(g.Type(v)), "")
+		}
+	}
+	g.Edges(func(u, v graph.NodeID) bool {
+		for k := range graph.NodeID(n) {
+			shift := k * graph.NodeID(g.NumNodes())
+			b.AddEdge(u+shift, v+shift)
+		}
+		return true
+	})
+	return b.MustBuild()
+}
+
+// rematchAllocs returns the objects and the bytes one RematchDelta of m on
+// g allocates, each averaged over runs after a warm-up one, on one P so
+// that the pooled counter is the one reused.
+func rematchAllocs(g *graph.Graph, m *metagraph.Metagraph) (objects float64, bytes int64) {
+	const runs = 20
+	rematch := func() { RematchDelta(g, m, nil, nil) }
+	objects = testing.AllocsPerRun(runs, rematch)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		rematch()
+	}
+	runtime.ReadMemStats(&after)
+	return objects, int64(after.TotalAlloc-before.TotalAlloc) / runs
 }

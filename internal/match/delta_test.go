@@ -3,6 +3,7 @@ package match
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -34,21 +35,53 @@ func canonicalCounts(matcher Matcher, m *metagraph.Metagraph) map[string]int {
 	return out
 }
 
-// checkDeltaInstances is the enumerator's oracle: on the graph g grown by
-// d, the delta-seeded enumeration of every metagraph must report exactly
-// Instances(post) − Instances(pre) as canonical assignments, each once. It
-// returns the number of new instances over all metagraphs.
+// newInstances runs GainedInstanceSets on g with every set expanded, as
+// Instances expands InstanceSets, and counts how often each instance is
+// reported under its canonical assignment: the lexicographically least of
+// {a∘σ : σ ∈ Aut(m)}, the one Instances reports. It returns the matcher
+// it ran with the counts.
+func newInstances(g *graph.Graph, m *metagraph.Metagraph) (map[string]int, *SymISO) {
+	auts := m.Automorphisms()
+	out := make(map[string]int)
+	canon := make([]graph.NodeID, m.N())
+	best := make([]graph.NodeID, m.N())
+	s := NewSymISO(g)
+	GainedInstanceSets(s, m, func(set Set) bool {
+		return set.each(func(a []graph.NodeID) bool {
+			for k, sigma := range auts {
+				for i := range canon {
+					canon[i] = a[sigma[i]]
+				}
+				if k == 0 || slices.Compare(canon, best) < 0 {
+					copy(best, canon)
+				}
+			}
+			out[fmt.Sprint(best)]++
+			return true
+		})
+	})
+	return out, s
+}
+
+// checkDeltaInstances is the enumerator's oracle, from the definitions: on
+// the graph g grown by d, GainedInstanceSets of every metagraph must report
+// exactly the instances the brute-force reference finds on the grown graph
+// and not on g, each once. It returns the number of new instances over all
+// metagraphs.
 func checkDeltaInstances(t testing.TB, label string, g *graph.Graph, d graph.Delta, ms []*metagraph.Metagraph) int {
 	t.Helper()
 	ng, _, err := g.Apply(d)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	pre, post := NewSymISO(g), NewSymISO(ng.Compact())
+	pre, post := NewBruteForce(g), NewBruteForce(ng.Compact())
 	gained := 0
 	for mi, m := range ms {
 		was, now := canonicalCounts(pre, m), canonicalCounts(post, m)
-		got := canonicalCounts(NewDelta(ng), m)
+		got, s := newInstances(ng, m)
+		if s.stats != nil {
+			t.Fatalf("%s metagraph %d: the search built the graph's statistics", label, mi)
+		}
 		for a, n := range got {
 			if n != 1 {
 				t.Fatalf("%s metagraph %d: new instance %s reported %d times", label, mi, a, n)
@@ -160,13 +193,14 @@ func TestQuickDeltaInstances(t *testing.T) {
 }
 
 // TestDeltaEarlyStopAndPlainGraph: a visitor returning false stops the
-// enumeration, and a graph that did not come out of Apply matches nothing.
+// enumeration, and a graph that did not come out of Apply has no new
+// instance and costs no search.
 func TestDeltaEarlyStopAndPlainGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomTypedGraph(rng, 12, 30, 2)
 	m := metagraph.MustNew([]graph.TypeID{0, 1}, []metagraph.Edge{{U: 0, V: 1}})
-	if n := CountAssignments(NewDelta(g), m); n != 0 {
-		t.Fatalf("built graph: %d delta assignments", n)
+	if got, s := newInstances(g, m); len(got) != 0 || s.Visited() != 0 {
+		t.Fatalf("built graph: %d new instances, %d search nodes", len(got), s.Visited())
 	}
 	var d graph.Delta
 	for _, u := range g.NodesOfType(0) {
@@ -182,7 +216,7 @@ func TestDeltaEarlyStopAndPlainGraph(t *testing.T) {
 		t.Fatalf("delta added %d edges", len(ng.DeltaEdges()))
 	}
 	calls := 0
-	NewDelta(ng).Match(m, func([]graph.NodeID) bool {
+	GainedInstanceSets(NewSymISO(ng), m, func(Set) bool {
 		calls++
 		return false
 	})

@@ -1,13 +1,15 @@
 // Package match implements metagraph matching (Sect. IV of the paper):
 // computing the instances I(M) of a metagraph M on a typed object graph G.
 //
-// Two engines are provided, the two the product runs. SymISO is the
-// paper's contribution (Sect. IV-C, Alg. 2–3): it decomposes a symmetric
-// metagraph into symmetric components and computes candidate matchings
-// once per component group; the offline index build and the miner's
-// support both run on it. Delta enumerates only what an update added, for
-// incremental maintenance. The backtracking baselines the paper compares
-// against (Fig. 11) live with that experiment, in internal/experiments.
+// The product runs one engine, SymISO, the paper's contribution (Sect.
+// IV-C, Alg. 2–3): it decomposes a symmetric metagraph into symmetric
+// components and computes candidate matchings once per component group.
+// It has one search, planned with nothing, one position or the two ends of
+// a metagraph edge pinned: the offline index build and the miner's support
+// run it unpinned, Train's rooted counts at one position
+// (SymISO.Root), and an update at each edge it added (GainedInstanceSets).
+// The backtracking baselines the paper compares against (Fig. 11) live
+// with that experiment, in internal/experiments.
 //
 // An engine's Match enumerates assignments: injective, type-preserving
 // maps from metagraph nodes to graph nodes under which every metagraph
@@ -16,14 +18,17 @@
 // describe the same instance subgraph. InstanceSets reports each instance
 // exactly once, through the symmetry-breaking conditions of M
 // (metagraph.SymmetryConditions): SymISO enumerates only the assignments
-// that satisfy them, pruning a branch as soon as one fails, and Delta's
-// assignments are filtered by them. Where SymISO's last-placed group is
-// interchangeable one-node members, every choice of them from one
+// that satisfy them, pruning a branch as soon as one fails, and any other
+// engine's assignments are filtered by them. Where SymISO's last-placed
+// group is interchangeable one-node members, every choice of them from one
 // candidate list is an instance, and InstanceSets reports the list as one
 // set, leaving the choices to the caller to count or expand. SymISO.Root
 // roots the same enumeration at one node: it reports the instances that
 // hold that node on a given position, each once, under the conditions of
-// the position's stabilizer.
+// the position's stabilizer. GainedInstanceSets pins it at both ends of
+// each edge an update added, under the conditions of the pointwise
+// stabilizer of the metagraph edge's ends, and reports each new instance
+// once.
 package match
 
 import (
@@ -40,8 +45,8 @@ import (
 type Visitor func(a []graph.NodeID) bool
 
 // Matcher enumerates all assignments of a metagraph on the graph it was
-// constructed for. SymISO and Delta implement it; InstanceSets takes
-// either.
+// constructed for. SymISO implements it, and so do the baselines of
+// internal/experiments; InstanceSets takes any.
 type Matcher interface {
 	// Match enumerates every assignment of m, in engine-specific order.
 	Match(m *metagraph.Metagraph, visit Visitor)
@@ -69,8 +74,8 @@ type SetVisitor func(s Set) bool
 // members is interchangeable (symState.setOf): it has at least two members,
 // no edge between them, and no condition but the ascending chain among
 // them, so that the members' free candidates are all it still has to
-// choose. Delta, and SymISO on any other metagraph, report plain
-// instances.
+// choose. Any other engine, and SymISO on any other metagraph, report
+// plain instances.
 func InstanceSets(matcher Matcher, m *metagraph.Metagraph, visit SetVisitor) {
 	conds := m.SymmetryConditions()
 	if s, ok := matcher.(*SymISO); ok {

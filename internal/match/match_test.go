@@ -389,7 +389,7 @@ func TestGraphStats(t *testing.T) {
 
 func TestConnectedOrder(t *testing.T) {
 	m := mgM1()
-	order := connectedOrder(m, []int{0, 1, 2})
+	order := connectedOrder(m, []int{0, 1, 2}, 0)
 	if len(order) != 3 {
 		t.Fatalf("order = %v", order)
 	}
@@ -397,5 +397,10 @@ func TestConnectedOrder(t *testing.T) {
 	// not adjacent, but both touch 2.
 	if order[0] == 0 && order[1] == 1 {
 		t.Fatalf("order %v breaks connectivity preference", order)
+	}
+	// With 1 placed before the subset, the walk starts next to it: 0 does
+	// not touch 1, 2 does.
+	if order := connectedOrder(m, []int{0, 2}, 1<<1); order[0] != 2 {
+		t.Fatalf("order %v after node 1 starts away from it", order)
 	}
 }

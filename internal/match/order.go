@@ -71,17 +71,20 @@ func (s *GraphStats) extensionFactor(tFrom, tNew graph.TypeID) float64 {
 // considered last with their full type count as the factor, which only
 // matters for patterns whose prefix disconnects, and keeps the order total).
 func EstimateOrder(s *GraphStats, m *metagraph.Metagraph) []int {
-	return estimateOrder(s, m, -1)
+	return estimateOrder(s, m, nil)
 }
 
-// estimateOrder is EstimateOrder starting at node first, or at the rarest
-// type's node when first is -1.
-func estimateOrder(s *GraphStats, m *metagraph.Metagraph, first int) []int {
+// estimateOrder is EstimateOrder starting at the one position of pins, or
+// at the rarest type's node when pins is empty.
+func estimateOrder(s *GraphStats, m *metagraph.Metagraph, pins []int) []int {
 	n := m.N()
 	order := make([]int, 0, n)
 	placed := make([]bool, n)
 
-	if first < 0 {
+	first := -1
+	if len(pins) > 0 {
+		first = pins[0]
+	} else {
 		bestCount := math.Inf(1)
 		for i := 0; i < n; i++ {
 			if c := s.NodeCount(m.Type(i)); c < bestCount {
@@ -123,43 +126,28 @@ func estimateOrder(s *GraphStats, m *metagraph.Metagraph, first int) []int {
 
 // connectedOrder returns an order over the node subset such that every node
 // after the first is adjacent in m to an earlier node of the subset when
-// possible. Used to order nodes inside a SymISO component.
-func connectedOrder(m *metagraph.Metagraph, nodes []int) []int {
-	if len(nodes) <= 1 {
-		return append([]int(nil), nodes...)
-	}
-	in := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		in[v] = true
-	}
-	order := []int{nodes[0]}
-	placed := map[int]bool{nodes[0]: true}
+// possible, and otherwise to a node of placed (a bitmask of positions the
+// search has placed before the subset) when possible. Used to order nodes
+// inside a SymISO component: a node next to neither is matched by a scan
+// of its whole type.
+func connectedOrder(m *metagraph.Metagraph, nodes []int, placed uint16) []int {
+	order := make([]int, 0, len(nodes))
+	var walked uint16
 	for len(order) < len(nodes) {
-		found := -1
-		for _, v := range nodes {
-			if placed[v] {
-				continue
-			}
-			for _, w := range order {
-				if m.HasEdge(v, w) {
-					found = v
+		next := -1
+		for _, near := range [3]uint16{walked, placed, ^uint16(0)} {
+			for _, v := range nodes {
+				if walked>>v&1 == 0 && (near == ^uint16(0) || m.AdjMask(v)&near != 0) {
+					next = v
 					break
 				}
 			}
-			if found != -1 {
+			if next >= 0 {
 				break
 			}
 		}
-		if found == -1 {
-			for _, v := range nodes {
-				if !placed[v] {
-					found = v
-					break
-				}
-			}
-		}
-		order = append(order, found)
-		placed[found] = true
+		order = append(order, next)
+		walked |= 1 << next
 	}
 	return order
 }

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 
@@ -20,17 +21,20 @@ import (
 // a tuple of distinct matchings is selected. When the last group to place
 // is interchangeable one-node members that conditions keep ascending,
 // every choice of them from its candidate list is one instance, and
-// InstanceSets reports the list instead of choosing.
+// InstanceSets reports the list instead of choosing. A SymISO serves one
+// goroutine; it builds its GraphStats on the first plan that orders by
+// them, which a search pinned at an edge never is.
 type SymISO struct {
-	g     *graph.Graph
-	stats *GraphStats
-	rng   *rand.Rand // non-nil for SymISO-R: random component order
+	g       *graph.Graph
+	stats   *GraphStats
+	rng     *rand.Rand // non-nil for SymISO-R: random component order
+	visited int64
 }
 
 // NewSymISO builds a SymISO engine for g with the estimated-instances
 // component order of Sect. IV-C.
 func NewSymISO(g *graph.Graph) *SymISO {
-	return &SymISO{g: g, stats: NewGraphStats(g)}
+	return &SymISO{g: g}
 }
 
 // NewSymISOR builds SymISO-R, the ablation with a random matching order
@@ -39,8 +43,12 @@ func NewSymISO(g *graph.Graph) *SymISO {
 // order can degenerate to full type scans, which no implementation would
 // ship.
 func NewSymISOR(g *graph.Graph, seed int64) *SymISO {
-	return &SymISO{g: g, stats: NewGraphStats(g), rng: rand.New(rand.NewSource(seed))}
+	return &SymISO{g: g, rng: rand.New(rand.NewSource(seed))}
 }
+
+// Visited returns the search nodes the enumerations of s have visited so
+// far, each node placed alone or member matching picked: their work.
+func (s *SymISO) Visited() int64 { return s.visited }
 
 // Match implements Matcher.
 func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) {
@@ -54,15 +62,16 @@ func (s *SymISO) Match(m *metagraph.Metagraph, visit Visitor) {
 // surviving assignments are visited in Match's order, those of a last
 // group planSteps finds interchangeable as one Set per candidate list.
 func (s *SymISO) run(m *metagraph.Metagraph, conds []metagraph.Edge, visit SetVisitor) {
-	st := s.plan(m, metagraph.Decompose(m), conds, -1)
+	st := s.plan(m, metagraph.Decompose(m), conds)
 	st.visit = visit
 	st.matchGroup(0)
+	s.visited += st.visited
 }
 
 // Rooted is the rooted form of InstanceSets over SymISO for one metagraph
-// and one position r of it: Sets(v) reports the instances that hold node v
-// on r, each once. Root plans the search once, and every Sets call reuses
-// the plan and its scratch, so a Rooted serves one goroutine.
+// and one position r of it (or two): Sets(v) reports the instances that
+// hold node v on r, each once. Root plans the search once, and every Sets
+// call reuses the plan and its scratch, so a Rooted serves one goroutine.
 type Rooted struct {
 	st *symState
 }
@@ -75,50 +84,141 @@ type Rooted struct {
 // (metagraph.StabilizerConditions): of the assignments of one instance that
 // place v on r, exactly one satisfies them.
 func (s *SymISO) Root(m *metagraph.Metagraph, r int) *Rooted {
-	return &Rooted{st: s.plan(m, metagraph.DecomposeFixing(m, r), m.StabilizerConditions(r), r)}
+	return s.root(m, r)
+}
+
+// root plans the rooted enumerations of m at the positions pins, one or
+// the two ends of a metagraph edge, under the involutions and the
+// pointwise stabilizer that fix them all.
+func (s *SymISO) root(m *metagraph.Metagraph, pins ...int) *Rooted {
+	return &Rooted{st: s.plan(m, metagraph.DecomposeFixing(m, pins...), m.StabilizerConditions(pins...), pins...)}
 }
 
 // Sets reports, through visit, every instance of the metagraph that holds
 // v on the root position, once, grouped into sets as InstanceSets groups
 // them; the root is never one of a set's positions. A node the graph does
 // not hold, or not of the root's type, has none.
-func (p *Rooted) Sets(v graph.NodeID, visit SetVisitor) {
-	st := p.st
-	if v < 0 || int(v) >= st.s.g.NumNodes() || st.s.g.Type(v) != st.m.Type(st.pin) {
-		return
+func (p *Rooted) Sets(v graph.NodeID, visit SetVisitor) { p.sets(visit, v) }
+
+// sets reports, through visit, every instance that holds pinned[k] on the
+// plan's k-th pin, once, grouped into sets as Sets groups them, and
+// whether visit asked for more. A search pinned at two positions orders
+// its groups from the pinned nodes' rows first (pinnedOrder).
+func (p *Rooted) sets(visit SetVisitor, pinned ...graph.NodeID) bool {
+	st, g := p.st, p.st.s.g
+	for k, v := range pinned {
+		if v < 0 || int(v) >= g.NumNodes() || g.Type(v) != st.m.Type(st.pins[k]) {
+			return true
+		}
+		st.pinned[k] = v
 	}
-	st.pinned[0] = v
-	st.visit, st.stopped = visit, false
+	if len(pinned) == 2 {
+		if order := st.pinnedOrder(); !slices.Equal(order, st.order) {
+			st.order = order
+			st.planSteps()
+		}
+	}
+	st.visit, st.stopped, st.visited = visit, false, 0
 	st.matchGroup(0)
+	st.s.visited += st.visited
+	return !st.stopped
+}
+
+// GainedInstanceSets reports, through visit, every instance of m through an
+// edge the delta behind s's graph added (g.DeltaEdges), once, grouped into
+// sets as InstanceSets groups them. Per added edge {u, v} and per orbit of
+// oriented metagraph edges, one search pins u and v at a representative
+// (i, j), under the conditions of the pointwise stabilizer of i and j. An
+// instance through several added edges is reported at the first: a set
+// whose placed part uses an earlier one is dropped, and its free nodes are
+// kept only where they reach none. The search reads the rows around the
+// added edges and builds no GraphStats and no scratch sized to the graph
+// (DESIGN.md "Incremental updates").
+func GainedInstanceSets(s *SymISO, m *metagraph.Metagraph, visit SetVisitor) {
+	edges := s.g.DeltaEdges()
+	var rank map[graph.Edge]int // nil for one added edge: nothing comes first
+	if len(edges) > 1 {
+		rank = make(map[graph.Edge]int, len(edges))
+		for i, e := range edges {
+			rank[e] = i
+		}
+	}
+	var at int // the rank of the added edge searched
+	earlier := func(x, y graph.NodeID) bool {
+		i, ok := rank[graph.Edge{U: min(x, y), V: max(x, y)}]
+		return ok && i < at
+	}
+	var keep []graph.NodeID
+	first := func(set Set) bool {
+		for _, e := range m.Edges() {
+			if earlier(set.A[e.U], set.A[e.V]) {
+				return true
+			}
+		}
+		if rank != nil && len(set.P) > 0 {
+			keep = keep[:0]
+			for _, f := range set.F {
+				if !slices.ContainsFunc(m.Neighbors(set.P[0]), func(q int) bool { return earlier(f, set.A[q]) }) {
+					keep = append(keep, f)
+				}
+			}
+			if len(keep) < len(set.P) {
+				return true
+			}
+			set.F = keep
+		}
+		return visit(set)
+	}
+	// One oriented edge (i, j) per orbit of Aut(m) on the edges read both
+	// ways: the least (i, j) of its orbit.
+	var reps []metagraph.Edge
+	auts := m.Automorphisms()
+	for _, e := range m.Edges() {
+		for _, o := range [2]metagraph.Edge{e, {U: e.V, V: e.U}} {
+			if !slices.ContainsFunc(auts, func(a []int) bool { return a[o.U] < o.U || a[o.U] == o.U && a[o.V] < o.V }) {
+				reps = append(reps, o)
+			}
+		}
+	}
+	runs := make([]*Rooted, len(reps)) // planned on first use
+	for i, e := range edges {
+		at = i
+		for k, r := range reps {
+			if m.Type(r.U) != s.g.Type(e.U) || m.Type(r.V) != s.g.Type(e.V) {
+				continue
+			}
+			if runs[k] == nil {
+				runs[k] = s.root(m, r.U, r.V)
+			}
+			if !runs[k].sets(first, e.U, e.V) {
+				return
+			}
+		}
+	}
 }
 
 // plan builds the search state of m under decomposition d and conditions
-// conds. pin is the position placed first, whose one candidate is
-// pinned[0]; -1 pins nothing.
-func (s *SymISO) plan(m *metagraph.Metagraph, d *metagraph.Decomposition, conds []metagraph.Edge, pin int) *symState {
+// conds. pins are the positions placed first, whose one candidate each is
+// pinned[k]; a plan pinned at two positions is ordered by each search
+// (pinnedOrder).
+func (s *SymISO) plan(m *metagraph.Metagraph, d *metagraph.Decomposition, conds []metagraph.Edge, pins ...int) *symState {
 	groups := d.Groups
-	order := s.groupOrder(m, groups, pin)
-
 	st := &symState{
-		s:       s,
-		m:       m,
-		groups:  groups,
-		order:   order,
-		repPos:  make([]int, m.N()),
-		cur:     make([]graph.NodeID, m.N()),
-		cands:   make([][]graph.NodeID, len(order)),
-		assign:  make([]graph.NodeID, m.N()),
-		used:    make([]bool, s.g.NumNodes()),
-		repWalk: make([][]int, len(groups)),
-		pin:     pin,
+		s:      s,
+		m:      m,
+		groups: groups,
+		conds:  conds,
+		repPos: make([]int, m.N()),
+		cur:    make([]graph.NodeID, m.N()),
+		cands:  make([][]graph.NodeID, len(groups)),
+		assign: make([]graph.NodeID, m.N()),
+		pins:   pins,
 	}
 	for i := range st.assign {
 		st.assign[i] = graph.InvalidNode
 	}
 	for gi := range groups {
-		rep := groups[gi].Representative().Nodes
-		st.repWalk[gi] = connectedOrder(m, rep)
-		for i, v := range rep {
+		for i, v := range groups[gi].Representative().Nodes {
 			st.repPos[v] = i
 		}
 	}
@@ -150,33 +250,89 @@ func (s *SymISO) plan(m *metagraph.Metagraph, d *metagraph.Decomposition, conds 
 			st.groupNbrs[gi][k] = nbrs
 		}
 	}
-	st.planSteps(conds)
+	if len(pins) < 2 {
+		st.order = s.groupOrder(m, groups, pins)
+		st.planSteps()
+	}
 	return st
 }
 
-// planSteps numbers the placements of the search and files each condition
-// under the step that places the later of its two nodes. Depth k places a
-// singleton or single-member group in one step, and a tuple's member j at
-// step firstStep[k]+j. A condition a[previous member] < a[member] between
-// two one-node members becomes the step's after flag instead: both pick
-// from the same ascending candidate list, so the pick's scan starts past
-// the previous one. Last, it decides whether the last group is a set (see
-// setOf).
-func (st *symState) planSteps(conds []metagraph.Edge) {
+// pinnedOrder returns the group order of a search pinned at two positions:
+// the pins' singleton groups first, then, one at a time, the group with
+// the fewest estimated candidates among those next to what is placed. A
+// position next to a pin is estimated at the pinned node's typed degree,
+// its exact candidate count; one next only to other placed positions at
+// their estimate.
+func (st *symState) pinnedOrder() []int {
+	g, m := st.s.g, st.m
+	var est [metagraph.MaxNodes]int
+	placed := uint16(1)<<st.pins[0] | 1<<st.pins[1]
+	order := make([]int, 0, len(st.groups))
+	for _, p := range st.pins {
+		order = append(order, slices.IndexFunc(st.groups, func(grp metagraph.Group) bool { return grp.Members[0].Nodes[0] == p }))
+	}
+	for len(order) < len(st.groups) {
+		best, bestEst := -1, math.MaxInt
+		for gi := range st.groups {
+			if slices.Contains(order, gi) {
+				continue
+			}
+			e := math.MaxInt
+			for _, u := range st.groups[gi].Representative().Nodes {
+				for _, q := range m.Neighbors(u) {
+					if placed>>q&1 == 0 {
+						continue
+					}
+					c := est[q]
+					if k := slices.Index(st.pins, q); k >= 0 {
+						c = g.DegreeOfType(st.pinned[k], m.Type(u))
+					}
+					e = min(e, c)
+				}
+			}
+			if best < 0 || e < bestEst {
+				best, bestEst = gi, e
+			}
+		}
+		order = append(order, best)
+		for _, c := range st.groups[best].Members {
+			for _, u := range c.Nodes {
+				placed |= 1 << u
+				est[u] = bestEst
+			}
+		}
+	}
+	return order
+}
+
+// planSteps numbers the placements of the search in st.order and files
+// each condition under the step that places the later of its two nodes.
+// Depth k places a singleton or single-member group in one step, and a
+// tuple's member j at step firstStep[k]+j. A condition a[previous member]
+// < a[member] between two one-node members becomes the step's after flag
+// instead: both pick from the same ascending candidate list, so the pick's
+// scan starts past the previous one. It walks each representative from
+// what the groups before it place (connectedOrder) and, last, decides
+// whether the last group is a set (see setOf).
+func (st *symState) planSteps() {
 	stepOf := make([]int, st.m.N())
 	st.firstStep = make([]int, len(st.order))
+	st.repWalk = make([][]int, len(st.groups))
 	n := 0
+	var placed uint16
 	for k, gi := range st.order {
 		st.firstStep[k] = n
+		st.repWalk[gi] = connectedOrder(st.m, st.groups[gi].Representative().Nodes, placed)
 		for j, nodes := range st.groups[gi].Maps {
 			for _, u := range nodes {
 				stepOf[u] = n + j
+				placed |= 1 << u
 			}
 		}
 		n += len(st.groups[gi].Maps)
 	}
 	st.steps = make([]symStep, n)
-	for _, c := range conds {
+	for _, c := range st.conds {
 		s := &st.steps[max(stepOf[c.U], stepOf[c.V])]
 		s.conds = append(s.conds, c)
 	}
@@ -250,9 +406,9 @@ func (st *symState) holds(s *symStep) bool {
 // groupOrder orders groups by the first appearance of any of their nodes
 // in the node-level estimate order ("when a node of a component S is
 // chosen, we select S as the next component"), or randomly (but
-// connectivity-respecting) for SymISO-R. The estimate order starts at node
-// start when it is not -1.
-func (s *SymISO) groupOrder(m *metagraph.Metagraph, groups []metagraph.Group, start int) []int {
+// connectivity-respecting) for SymISO-R. The estimate order starts at the
+// pinned position, if there is one.
+func (s *SymISO) groupOrder(m *metagraph.Metagraph, groups []metagraph.Group, pins []int) []int {
 	idx := make([]int, len(groups))
 	for i := range idx {
 		idx[i] = i
@@ -261,7 +417,10 @@ func (s *SymISO) groupOrder(m *metagraph.Metagraph, groups []metagraph.Group, st
 		s.rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		return connectGroups(m, groups, idx)
 	}
-	nodeOrder := estimateOrder(s.stats, m, start)
+	if s.stats == nil {
+		s.stats = NewGraphStats(s.g)
+	}
+	nodeOrder := estimateOrder(s.stats, m, pins)
 	pos := make([]int, m.N())
 	for p, v := range nodeOrder {
 		pos[v] = p
@@ -339,6 +498,7 @@ type symState struct {
 	m      *metagraph.Metagraph
 	groups []metagraph.Group
 	order  []int
+	conds  []metagraph.Edge // filed under steps by planSteps
 
 	// groupNbrs[gi][member][i] lists the group-internal metagraph
 	// neighbors of member node i.
@@ -364,15 +524,20 @@ type symState struct {
 	cands [][]graph.NodeID
 	cur   []graph.NodeID
 
+	// assign holds the node on each position (graph.InvalidNode: none),
+	// placed counts them by low byte; the search is injective (taken).
 	assign  []graph.NodeID
-	used    []bool
+	placed  [256]uint8
 	visit   SetVisitor
 	stopped bool
+	// visited counts this search's nodes until it returns: workers'
+	// SymISOs may share a cache line, so counting there slows mining.
+	visited int64
 
-	// pin is the position whose one candidate is pinned[0] (see Root), -1
-	// when nothing is pinned.
-	pin    int
-	pinned [1]graph.NodeID
+	// pins are the positions whose one candidate each is pinned[k] (see
+	// Root and GainedInstanceSets), none when nothing is pinned.
+	pins   []int
+	pinned [2]graph.NodeID
 }
 
 func (st *symState) matchGroup(k int) {
@@ -394,16 +559,15 @@ func (st *symState) matchGroup(k int) {
 	if len(g.Members) == 1 && len(rep.Nodes) == 1 {
 		u, step := rep.Nodes[0], &st.steps[st.firstStep[k]]
 		for _, v := range st.candidatesFor(u) {
-			if st.used[v] || !st.consistent(u, v) {
+			if st.taken(v) || !st.consistent(u, v) {
 				continue
 			}
-			st.assign[u] = v
-			st.used[v] = true
+			st.visited++
+			st.place(u, v)
 			if st.holds(step) {
 				st.matchGroup(k + 1)
 			}
-			st.used[v] = false
-			st.assign[u] = graph.InvalidNode
+			st.unplace(u)
 			if st.stopped {
 				return
 			}
@@ -426,7 +590,7 @@ func (st *symState) matchGroup(k int) {
 			if st.holds(step) {
 				st.matchGroup(k + 1)
 			}
-			st.unapply(rep.Nodes, c)
+			st.unapply(rep.Nodes)
 			if st.stopped {
 				return
 			}
@@ -475,11 +639,12 @@ func (st *symState) tuple(k, j, prev int) {
 		if j > 0 && !st.groupCrossConsistent(nodes, nbrs, c) {
 			continue
 		}
+		st.visited++
 		st.apply(nodes, c)
 		if st.holds(step) {
 			st.tuple(k, j+1, off)
 		}
-		st.unapply(nodes, c)
+		st.unapply(nodes)
 		if st.stopped {
 			return
 		}
@@ -487,12 +652,14 @@ func (st *symState) tuple(k, j, prev int) {
 }
 
 // candidatesFor returns the candidate list for a single metagraph node:
-// the pinned node on the pinned position, else the typed adjacency of the
+// the pinned node on a pinned position, else the typed adjacency of the
 // cheapest assigned neighbor, or the full type list if none is assigned
 // yet.
 func (st *symState) candidatesFor(u int) []graph.NodeID {
-	if u == st.pin {
-		return st.pinned[:]
+	for k, p := range st.pins {
+		if u == p {
+			return st.pinned[k : k+1]
+		}
 	}
 	pivot := graph.InvalidNode
 	bestDeg := 0
@@ -525,7 +692,7 @@ func (st *symState) consistent(u int, v graph.NodeID) bool {
 // componentMatchings appends to out every assignment of a representative's
 // nodes, walked in the connected order walk from position i, that is
 // consistent with the current partial assignment: type-preserving,
-// injective against used nodes, and preserving every metagraph edge whose
+// injective against placed nodes, and preserving every metagraph edge whose
 // other endpoint is already assigned or earlier in the walk. Each matching
 // is aligned with the representative's node list.
 func (st *symState) componentMatchings(out []graph.NodeID, walk []int, i int) []graph.NodeID {
@@ -534,23 +701,40 @@ func (st *symState) componentMatchings(out []graph.NodeID, walk []int, i int) []
 	}
 	u := walk[i]
 	for _, v := range st.candidatesFor(u) {
-		if st.used[v] || !st.consistent(u, v) {
+		if st.taken(v) || !st.consistent(u, v) {
 			continue
 		}
-		st.assign[u] = v
-		st.used[v] = true
+		st.visited++
+		st.place(u, v)
 		st.cur[st.repPos[u]] = v
 		out = st.componentMatchings(out, walk, i+1)
-		st.used[v] = false
-		st.assign[u] = graph.InvalidNode
+		st.unplace(u)
 	}
 	return out
 }
 
-// free reports whether none of the matching's graph nodes is already used.
+// taken reports whether v is placed on some position, looking among the
+// ≤ MaxNodes placed ones only when one of them shares v's low byte.
+func (st *symState) taken(v graph.NodeID) bool {
+	return st.placed[uint8(v)] != 0 && slices.Contains(st.assign, v)
+}
+
+// place puts v on position u, and unplace takes it off again.
+func (st *symState) place(u int, v graph.NodeID) {
+	st.assign[u] = v
+	st.placed[uint8(v)]++
+}
+
+func (st *symState) unplace(u int) {
+	st.placed[uint8(st.assign[u])]--
+	st.assign[u] = graph.InvalidNode
+}
+
+// free reports whether none of the matching's graph nodes is already
+// placed.
 func (st *symState) free(c []graph.NodeID) bool {
 	for _, v := range c {
-		if st.used[v] {
+		if st.taken(v) {
 			return false
 		}
 	}
@@ -576,15 +760,13 @@ func (st *symState) groupCrossConsistent(nodes []int, nbrs [][]int, c []graph.No
 // apply installs a matching of the given metagraph nodes.
 func (st *symState) apply(nodes []int, c []graph.NodeID) {
 	for i, u := range nodes {
-		st.assign[u] = c[i]
-		st.used[c[i]] = true
+		st.place(u, c[i])
 	}
 }
 
 // unapply reverts apply.
-func (st *symState) unapply(nodes []int, c []graph.NodeID) {
-	for i, u := range nodes {
-		st.assign[u] = graph.InvalidNode
-		st.used[c[i]] = false
+func (st *symState) unapply(nodes []int) {
+	for _, u := range nodes {
+		st.unplace(u)
 	}
 }

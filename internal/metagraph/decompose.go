@@ -68,18 +68,29 @@ func (d *Decomposition) NumComponents() int {
 // representative onto a disjoint set of still-unassigned nodes.
 func Decompose(m *Metagraph) *Decomposition { return decompose(m, m.Involutions()) }
 
-// DecomposeFixing is Decompose under the involutions of m that fix node r
-// alone, so that r is a singleton component: every group's maps still come
-// from automorphisms of m that fix the nodes outside the group, r among
-// them. A rooted match, which places r first, decomposes the rest with it.
-func DecomposeFixing(m *Metagraph, r int) *Decomposition {
+// DecomposeFixing is Decompose under the involutions of m that fix every
+// node of fixed, so that each of them is a singleton component: every
+// group's maps still come from automorphisms of m that fix the nodes
+// outside the group, the fixed ones among them. A rooted match, which
+// places the fixed nodes first, decomposes the rest with it.
+func DecomposeFixing(m *Metagraph, fixed ...int) *Decomposition {
 	var invs []Involution
 	for _, inv := range m.Involutions() {
-		if inv.Perm[r] == r {
+		if fixes(inv.Perm, fixed) {
 			invs = append(invs, inv)
 		}
 	}
 	return decompose(m, invs)
+}
+
+// fixes reports whether the permutation fixes every node of fixed.
+func fixes(perm, fixed []int) bool {
+	for _, r := range fixed {
+		if perm[r] != r {
+			return false
+		}
+	}
+	return true
 }
 
 // decompose partitions m's nodes into groups symmetric under invs, a set
@@ -377,41 +388,4 @@ func identityPerm(n int) []int {
 		p[i] = i
 	}
 	return p
-}
-
-// Simplified returns the simplified metagraph M+ of Sect. IV-C as a
-// component-level view: the list of retained components (singletons plus one
-// representative per group, in group order) and a component-level adjacency
-// matrix over the retained components of the *original* metagraph (an edge
-// exists between retained components if any cross edge exists in M between
-// their node sets). SymISO uses it only to order components, so a
-// component-level view suffices.
-func (d *Decomposition) Simplified() (comps []Component, adj [][]bool) {
-	for _, g := range d.Groups {
-		comps = append(comps, g.Representative())
-	}
-	adj = make([][]bool, len(comps))
-	for i := range adj {
-		adj[i] = make([]bool, len(comps))
-	}
-	for i := range comps {
-		for j := i + 1; j < len(comps); j++ {
-			if crossEdge(d.M, comps[i], comps[j]) {
-				adj[i][j], adj[j][i] = true, true
-			}
-		}
-	}
-	return comps, adj
-}
-
-// crossEdge reports whether any edge of m joins a node of a to a node of b.
-func crossEdge(m *Metagraph, a, b Component) bool {
-	for _, u := range a.Nodes {
-		for _, v := range b.Nodes {
-			if m.HasEdge(u, v) {
-				return true
-			}
-		}
-	}
-	return false
 }

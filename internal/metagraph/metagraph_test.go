@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -616,6 +617,64 @@ func TestStabilizerConditions(t *testing.T) {
 	}
 }
 
+// TestStabilizerConditionsOfAnEdge is TestStabilizerConditions for the
+// two ends of every edge, read both ways: the conditions of the pointwise
+// stabilizer pick the lex-min assignment of every orbit under the
+// automorphisms fixing both, name neither, and DecomposeFixing makes each a
+// singleton. On the 3-leaf star pinned at the center and a leaf, the other
+// two leaves stay one group of two.
+func TestStabilizerConditionsOfAnEdge(t *testing.T) {
+	ms := conditionFixtures()
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 100; i++ {
+		ms[fmt.Sprint("random ", i)] = randomConnected(rng)
+	}
+	for name, m := range ms {
+		if m.N() > 5 {
+			continue
+		}
+		for _, e := range m.Edges() {
+			for _, o := range [2]Edge{{e.U, e.V}, {e.V, e.U}} {
+				label := fmt.Sprint(name, " fixing ", o)
+				var stab [][]int
+				for _, s := range m.Automorphisms() {
+					if s[o.U] == o.U && s[o.V] == o.V {
+						stab = append(stab, s)
+					}
+				}
+				conds := m.StabilizerConditions(o.U, o.V)
+				checkGroupConditions(t, label, m.N(), stab, conds)
+				for _, c := range conds {
+					if c.U == o.U || c.V == o.U || c.U == o.V || c.V == o.V {
+						t.Fatalf("%s: condition %v names a fixed node", label, c)
+					}
+				}
+				seen := 0
+				for _, g := range DecomposeFixing(m, o.U, o.V).Groups {
+					for _, c := range g.Members {
+						for _, v := range c.Nodes {
+							if (v == o.U || v == o.V) && len(g.Members) != 1 {
+								t.Fatalf("%s: %d sits in a group of %d", label, v, len(g.Members))
+							}
+							seen |= 1 << v
+						}
+					}
+				}
+				if seen != 1<<m.N()-1 {
+					t.Fatalf("%s: the groups cover %b", label, seen)
+				}
+			}
+		}
+	}
+	star := MustNew([]graph.TypeID{tSchool, tUser, tUser, tUser}, []Edge{{0, 1}, {0, 2}, {0, 3}})
+	groups := DecomposeFixing(star, 0, 1).Groups
+	if !slices.ContainsFunc(groups, func(g Group) bool {
+		return len(g.Members) == 2 && g.Members[0].Nodes[0] == 2 && g.Members[1].Nodes[0] == 3
+	}) {
+		t.Fatalf("star pinned at the center and a leaf: groups %+v", groups)
+	}
+}
+
 func TestDecomposeStar(t *testing.T) {
 	// A school with three user leaves: one singleton plus one group of three
 	// mutually symmetric components.
@@ -712,38 +771,6 @@ func TestQuickDecomposeInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSimplified(t *testing.T) {
-	d := Decompose(m5())
-	comps, adj := d.Simplified()
-	// M5 simplifies to 3 components (paper Fig. 5(b)).
-	if len(comps) != 3 {
-		t.Fatalf("simplified components = %d, want 3", len(comps))
-	}
-	if len(adj) != 3 {
-		t.Fatalf("adjacency size = %d", len(adj))
-	}
-	// The school singleton {2} must connect to both other retained
-	// components ({0,1} and {3}).
-	schoolIdx := -1
-	for i, c := range comps {
-		if len(c.Nodes) == 1 && c.Nodes[0] == 2 {
-			schoolIdx = i
-		}
-	}
-	if schoolIdx == -1 {
-		t.Fatalf("school singleton missing from %v", comps)
-	}
-	links := 0
-	for j := range comps {
-		if adj[schoolIdx][j] {
-			links++
-		}
-	}
-	if links != 2 {
-		t.Fatalf("school component links = %d, want 2", links)
 	}
 }
 

@@ -67,14 +67,15 @@ func (m *Metagraph) SymmetryConditions() []Edge {
 }
 
 // StabilizerConditions returns the symmetry-breaking conditions of the
-// automorphisms of m that fix node r: an injective assignment a satisfies
-// them iff it is the least of {a∘σ : σ ∈ Aut(m), σ(r) = r}. The
-// assignments of one instance that place a given node on r are one such
-// set, so exactly one of them satisfies the conditions. None names r.
-func (m *Metagraph) StabilizerConditions(r int) []Edge {
+// automorphisms of m that fix every node of fixed: an injective assignment
+// a satisfies them iff it is the least of {a∘σ : σ ∈ Aut(m), σ(r) = r for
+// each r of fixed}. The assignments of one instance that place given nodes
+// on the fixed positions are one such set, so exactly one of them
+// satisfies the conditions. None names a fixed node.
+func (m *Metagraph) StabilizerConditions(fixed ...int) []Edge {
 	var stab [][]int
 	for _, s := range m.Automorphisms() {
-		if s[r] == r {
+		if fixes(s, fixed) {
 			stab = append(stab, s)
 		}
 	}

@@ -14,7 +14,7 @@ var (
 	engRematched = obs.Default().Histogram("semprox_engine_rematched_metagraphs",
 		"Held metagraphs (those some class weighs) incrementally re-matched per update — the delta-bounded work the paper's offline rebuild would redo in full.", obs.Units)
 	engEnumerated = obs.Default().Histogram("semprox_update_instances_enumerated",
-		"Assignments, partial and complete, one update's delta-seeded re-match visited over all matched metagraphs: the work of an update, set by the degrees around its new edges and not by the size of the graph.", obs.Units)
+		"Search nodes one update's re-match visited over all held metagraphs, SymISO pinned at each new edge: the work of an update, set by the degrees around its new edges and not by the size of the graph.", obs.Units)
 	engRank = obs.Default().Histogram("semprox_query_rank_seconds",
 		"One ranked query's candidate scan inside the engine (sum the query node's runs of the metagraphs the class weighs, score every partner reached, keep the top k), as the serving process pays it — caches cold between requests, which an in-process loop over the same index does not see.", obs.Seconds)
 	engCandidates = obs.Default().Histogram("semprox_query_candidates_scanned",
@@ -29,7 +29,17 @@ var (
 	engIndexOverlay     = indexResident("overlay")
 	engIndexOverlayRows = obs.Default().Gauge("semprox_index_overlay_rows",
 		"Node rows of the serving index that an update patched and compaction has not yet folded into flat storage.")
+
+	// The write path of one update, stage by stage.
+	engStageRematch = updateStage("rematch")
+	engStagePatch   = updateStage("patch")
 )
+
+func updateStage(stage string) *obs.Histogram {
+	return obs.Default().Histogram("semprox_update_stage_seconds",
+		"One update's write path by stage: rematch is the search for the instances through the new edges of every held metagraph and their counting into one patch; patch adds the patch to the index and recomputes the class denominators of the rows it changed.",
+		obs.Seconds, obs.L("stage", stage))
+}
 
 func indexResident(part string) *obs.Gauge {
 	return obs.Default().Gauge("semprox_index_resident_bytes",

@@ -794,7 +794,7 @@ func FuzzLoadEngine(f *testing.F) {
 // lowers these.
 func TestSnapshotBytesBudget(t *testing.T) {
 	budgetKiB := map[string][3]int{"read_direct": {219, 226, 223}, "lifecycle": {129, 131, 123}}
-	for _, sh := range snapShapes {
+	for _, sh := range workloadShapes() {
 		for seed := int64(1); seed <= 3; seed++ {
 			var buf bytes.Buffer
 			if err := sh.build(seed).Save(&buf); err != nil {

@@ -12,12 +12,13 @@ import (
 // Live graph mutations. ApplyUpdate threads a batch of node/edge additions
 // through every layer without repeating the offline pipeline: the graph
 // grows copy-on-write (graph.Apply), for each metagraph the epoch holds
-// ONLY the instances through the delta's new edges are enumerated
-// (index.RematchDelta), the rows they add to overlay the flat CSR index
-// (index.MergeGains, index.WithPatch), and the trained weight vectors are
-// kept verbatim —
-// the paper's w* weighs metagraph features, not nodes, so a graph delta
-// changes the features, never the learned weights. The result is swapped
+// ONLY the instances through the delta's new edges are enumerated, by
+// SymISO pinned at each of them (index.RematchDelta,
+// match.GainedInstanceSets), the rows they add to overlay the flat CSR
+// index (index.MergeGains, index.WithPatch), and the trained weight
+// vectors are kept verbatim — the paper's w* weighs metagraph features,
+// not nodes, so a graph delta changes the features, never the learned
+// weights. The result is swapped
 // in as the next epoch through the engine's atomic pointer: queries in
 // flight finish on the old epoch, new queries see the new one, and no
 // query ever observes a mix.
@@ -50,8 +51,8 @@ type UpdateStats struct {
 	// Rematched counts the held metagraphs that were incrementally
 	// re-matched; what they gained was patched into the index.
 	Rematched int
-	// Enumerated counts the assignments, partial and complete, the
-	// re-match visited over all those metagraphs. It depends on the degrees
+	// Enumerated counts the search nodes the re-match visited over all
+	// those metagraphs (match.SymISO.Visited). It depends on the degrees
 	// around the new edges, not on the size of the graph.
 	Enumerated int64
 	// Pending counts the structures awaiting background compaction after
@@ -183,6 +184,7 @@ func (e *Engine) applyUpdate(d Delta, records int, assign func(cur uint64) (uint
 
 	ix, classes := ep.ix, ep.classes
 	if len(ng.DeltaEdges()) > 0 {
+		rematch := time.Now()
 		var slots []int
 		var gains []*index.Patch
 		for i, ok := range ep.matched {
@@ -192,9 +194,11 @@ func (e *Engine) applyUpdate(d Delta, records int, assign func(cur uint64) (uint
 			}
 		}
 		p := index.MergeGains(len(e.ms), slots, gains)
+		engStageRematch.Since(rematch)
 		st.Rematched = len(slots)
 		st.Enumerated = p.Enumerated()
 		if !p.Empty() {
+			patch := time.Now()
 			// The gains are added to the stored counts here, before anything
 			// is published: a count they would carry past 2^32-1 refuses the
 			// update and leaves the engine as it was.
@@ -205,6 +209,7 @@ func (e *Engine) applyUpdate(d Delta, records int, assign func(cur uint64) (uint
 			for name, cm := range ep.classes {
 				classes[name] = cm.patched(ix, p.NodeKeys())
 			}
+			engStagePatch.Since(patch)
 		}
 	}
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/index"
 	"repro/internal/mining"
+	"repro/internal/obs"
 )
 
 // rebuildFromScratch builds a reference engine on the final graph: same
@@ -231,6 +232,33 @@ func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
 		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (patched)", logTransform))
 		eng.Compact()
 		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (compacted)", logTransform))
+	}
+}
+
+// TestUpdateStagesAreObserved: a new user joining the highest-degree node
+// records its write path in both stages of semprox_update_stage_seconds,
+// once each, and the default registry exposes the two series.
+func TestUpdateStagesAreObserved(t *testing.T) {
+	eng, hub := hubEngine(t, 200, false)
+	rematch, patch := engStageRematch.Summary().Count, engStagePatch.Summary().Count
+	n := NodeID(eng.Graph().NumNodes())
+	if _, err := eng.ApplyUpdate(Delta{Nodes: []DeltaNode{{Type: "user"}}, Edges: []Edge{{U: n, V: hub}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := engStageRematch.Summary().Count - rematch; got != 1 {
+		t.Fatalf("a hub update observed the rematch stage %d times", got)
+	}
+	if got := engStagePatch.Summary().Count - patch; got != 1 {
+		t.Fatalf("a hub update observed the patch stage %d times", got)
+	}
+	var text bytes.Buffer
+	if err := obs.WriteText(&text, obs.Default()); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"rematch", "patch"} {
+		if series := `semprox_update_stage_seconds_count{stage="` + stage + `"}`; !strings.Contains(text.String(), series) {
+			t.Fatalf("the exposition lacks %s", series)
+		}
 	}
 }
 
