@@ -602,23 +602,49 @@ func BenchmarkApplyUpdate(b *testing.B) {
 		return eng
 	}
 
+	// join is update i: a new user joins a school and its first user, the
+	// community i picks.
+	join := func(eng *Engine, i int) Delta {
+		fresh := NodeID(eng.Graph().NumNodes())
+		return Delta{
+			Nodes: []DeltaNode{{Type: "user", Value: fmt.Sprintf("bench-user-%d", i)}},
+			Edges: []Edge{
+				{U: fresh, V: g.NodeByName(fmt.Sprintf("school-%d", i%communities))},
+				{U: fresh, V: g.NodeByName(fmt.Sprintf("user-%d-0", i%communities))},
+			},
+		}
+	}
+	// Each update applies to the same base epoch, so an op costs the same
+	// whatever b.N is; compacting one update is its own case.
 	b.Run("incremental", func(b *testing.B) {
 		eng := build()
+		base := eng.cur.Load()
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fresh := NodeID(eng.Graph().NumNodes())
-			_, err := eng.ApplyUpdate(Delta{
-				Nodes: []DeltaNode{{Type: "user", Value: fmt.Sprintf("bench-user-%d", i)}},
-				Edges: []Edge{
-					{U: fresh, V: g.NodeByName(fmt.Sprintf("school-%d", i%communities))},
-					{U: fresh, V: g.NodeByName(fmt.Sprintf("user-%d-0", i%communities))},
-				},
-			})
-			if err != nil {
+			eng.cur.Store(base)
+			if _, err := eng.ApplyUpdate(join(eng, i)); err != nil {
 				b.Fatal(err)
 			}
+		}
+		b.StopTimer()
+		eng.cur.Store(base)
+	})
+	b.Run("compact", func(b *testing.B) {
+		eng := build()
+		base := eng.cur.Load()
+		if _, err := eng.ApplyUpdate(join(eng, 0)); err != nil {
+			b.Fatal(err)
+		}
+		updated := eng.cur.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.cur.Store(updated)
 			eng.Compact()
 		}
+		b.StopTimer()
+		eng.cur.Store(base)
 	})
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -27,6 +27,25 @@ func SharedSchool() (g *graph.Graph, a, b, c graph.NodeID) {
 	return gb.MustBuild(), a, b, c
 }
 
+// The exp-Golomb orders of the index section's fields, as
+// internal/index writes them (its io.go format comment). A drift fails
+// every test that loads what WithEveryCount writes.
+const (
+	ordSize     = 0
+	ordKey      = 1
+	ordNodeHead = 7
+	ordMetaGap  = 1
+	ordNodeCnt  = 6
+	ordNode     = 1
+	ordRunHead  = 3
+	ordRef      = 4
+	ordBlocks   = 0
+	ordBlock    = 1
+	ordResHead  = 2
+	ordResGap   = 4
+	ordResCnt   = 1
+)
+
 // WithEveryCount re-encodes an engine snapshot, whose stream starts with
 // magic, with every count of its index section set to cnt, checksum
 // valid: the on-disk form of an index whose instances number cnt wherever
@@ -53,66 +72,68 @@ func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte
 		tb.Fatal(err)
 	}
 	graph.Encode(fw, g)
-	uv := func() uint64 { v := fr.Uvarint(); fw.Uvarint(v); return v }
-	b := uint(bits.Len64(uv())) // numMeta sizes each row and run head
+	eg := func(k uint) uint64 { v := fr.ExpGolomb(k); fw.ExpGolomb(v, k); return v }
+	b := uint(bits.Len64(eg(ordSize))) // numMeta sizes each row and run head
 	ones := uint64(0)
 	if cnt == 1 {
 		ones = 1
 	}
 	// The node table: rows of counts.
-	nKeys, _ := uv(), uv()
+	nKeys, _ := eg(ordSize), eg(ordSize)
 	head := uint64(0)
 	for i := uint64(0); i < nKeys; i++ {
-		d := fr.Uvarint() // key delta<<1 | reuse
-		fw.Uvarint(d &^ 1)
+		d := fr.ExpGolomb(ordKey) // key delta<<1 | reuse
+		fw.ExpGolomb(d&^1, ordKey)
 		if d&1 == 0 {
-			head = fr.Uvarint()
+			head = fr.ExpGolomb(ordNodeHead)
 		}
-		fw.Uvarint(head&^1 | ones)
+		fw.ExpGolomb(head&^1|ones, ordNodeHead)
 		n := head >> (b + 1)
 		for j := uint64(1); j < n; j++ {
-			uv() // Meta gap
+			eg(ordMetaGap)
 		}
 		for j := uint64(0); j < n; j++ {
 			if head&1 == 0 {
-				fr.Uvarint()
+				fr.ExpGolomb(ordNodeCnt)
 			}
 			if ones == 0 {
-				fw.Uvarint(cnt)
+				fw.ExpGolomb(cnt, ordNodeCnt)
 			}
 		}
 	}
 	// The runs above each node: a copy takes its count from the run it
 	// copies, which holds cnt too, so only the residuals carry counts.
-	nRuns, _ := uv(), uv()
+	nRuns, _ := eg(ordSize), eg(ordSize)
 	for runs := uint64(0); runs < nRuns; {
-		uv()           // node gap
-		n := uv() >> b // runs<<b | first metagraph
+		eg(ordNode)
+		n := eg(ordRunHead) >> b // runs<<b | first metagraph
 		for j := uint64(1); j < n; j++ {
-			uv() // Meta gap
+			eg(ordMetaGap)
 		}
 		for j := uint64(0); j < n; j++ {
-			if uv() != 0 { // a reference, then its copy blocks
-				for k := uv(); k > 0; k-- {
-					uv()
+			if eg(ordRef) != 0 { // a reference, then its copy blocks
+				for k := eg(ordBlocks); k > 0; k-- {
+					eg(ordBlock)
 				}
 			}
-			h := fr.Uvarint() // residuals<<1 | ones
-			fw.Uvarint(h&^1 | ones)
+			h := fr.ExpGolomb(ordResHead) // residuals<<1 | ones
+			fw.ExpGolomb(h&^1|ones, ordResHead)
 			for k := h >> 1; k > 0; k-- {
-				uv() // gap
+				eg(ordResGap)
 			}
 			for k := h >> 1; k > 0; k-- {
 				if h&1 == 0 {
-					fr.Uvarint()
+					fr.ExpGolomb(ordResCnt)
 				}
 				if ones == 0 {
-					fw.Uvarint(cnt)
+					fw.ExpGolomb(cnt, ordResCnt)
 				}
 			}
 		}
 		runs += n
 	}
+	fr.Align()
+	fw.Align()
 	for _, sc := range h.Classes { // log-likelihood and weights
 		for i := 0; i <= len(sc.Kept); i++ {
 			fw.Uint64(fr.Uint64())

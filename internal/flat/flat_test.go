@@ -136,7 +136,7 @@ func TestEveryCorruptionIsAnError(t *testing.T) {
 }
 
 // TestOffsetsAgree: after each value, the writer's Offset is the number of
-// bytes written so far and the reader's, having read the same values, is
+// bytes written so far, its BitOffset eight times that, and the reader's, having read the same values, is
 // the same number — however the bytes arrive, across buffer refills and
 // byte strings larger than a buffer — and once the stream fails the
 // reader's Offset stops where the bytes ran out.
@@ -144,7 +144,12 @@ func TestOffsetsAgree(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, magic)
 	offsets := []int64{w.Offset()}
-	note := func() { offsets = append(offsets, w.Offset()) }
+	note := func() {
+		if w.BitOffset() != 8*w.Offset() {
+			t.Fatalf("the writer is at bit %d, byte %d", w.BitOffset(), w.Offset())
+		}
+		offsets = append(offsets, w.Offset())
+	}
 	for i := 0; i < 30_000; i++ {
 		w.Uvarint(uint64(i) * 997)
 		note()
@@ -169,19 +174,19 @@ func TestOffsetsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := []int64{r.Offset()}
+		got := []int64{r.BitOffset() / 8}
 		for i := 0; i < 30_000; i++ {
 			r.Uvarint()
-			got = append(got, r.Offset())
+			got = append(got, r.BitOffset()/8)
 			r.Uint64()
-			got = append(got, r.Offset())
+			got = append(got, r.BitOffset()/8)
 		}
 		r.Bytes()
-		got = append(got, r.Offset())
+		got = append(got, r.BitOffset()/8)
 		if r.String() != "tail" {
 			t.Fatalf("%s: the last string reads back otherwise", name)
 		}
-		got = append(got, r.Offset())
+		got = append(got, r.BitOffset()/8)
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +201,8 @@ func TestOffsetsAgree(t *testing.T) {
 	for r.Err() == nil {
 		r.Uint64()
 	}
-	if at := r.Offset(); at != 1000 {
-		t.Fatalf("a failed stream of 1000 bytes reports an Offset of %d", at)
+	if at := r.BitOffset(); at != 8*1000 {
+		t.Fatalf("a failed stream of 1000 bytes reports a BitOffset of %d", at)
 	}
 }
 
@@ -319,8 +324,8 @@ func TestClaimsCostWhatTheStreamDelivers(t *testing.T) {
 }
 
 // FuzzFlatReader reads arbitrary bytes (behind the magic) with an arbitrary
-// sequence of Uvarint, Uint64, Bytes, String and AppendBytes calls, one per
-// byte of ops, then
+// sequence of Uvarint, Uint64, Bytes, String, AppendBytes, ExpGolomb (of
+// order op/7 mod 8) and Align calls, one per byte of ops, then
 // Close: no read panics, no byte string is longer than the stream, every
 // read after the first error returns zero, and the whole run allocates no
 // more than the Reader's own buffer plus a constant factor of the bytes it
@@ -349,6 +354,10 @@ func FuzzFlatReader(f *testing.F) {
 	f.Add(valid, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 4})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}, []byte{4})
 	f.Add([]byte{0x30}, []byte{3, 4}) // a failed String, then AppendBytes
+	// Codes between byte-level reads, padding set and clear, and a code
+	// past the stream.
+	f.Add([]byte{0x80, 0x05, 0xa0, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0x40}, []byte{5, 0, 5, 6, 5, 0, 12, 5})
+	f.Add(valid, []byte{5, 19, 6, 0, 1, 5})
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -359,7 +368,7 @@ func FuzzFlatReader(f *testing.F) {
 		for _, op := range ops {
 			failed := r.Err() != nil
 			var zero bool
-			switch op % 5 {
+			switch op % 7 {
 			case 0:
 				zero = r.Uvarint() == 0
 			case 1:
@@ -382,6 +391,11 @@ func FuzzFlatReader(f *testing.F) {
 					t.Fatalf("AppendBytes returned %q out of a %d-byte stream", b, len(data))
 				}
 				zero = b == nil
+			case 5:
+				zero = r.ExpGolomb(uint(op/7)%8) == 0
+			case 6:
+				r.Align()
+				zero = true
 			}
 			if failed && !zero {
 				t.Fatalf("a read after the error %v returned data", r.Err())

@@ -110,8 +110,15 @@ func (g *Graph) assemble(uniq []Edge) {
 	g.numEdges = len(uniq)
 	g.names = &nameIndex{n: n}
 
-	// Nodes by type.
+	// Nodes by type, each list sized by a count first.
 	g.byType = make([][]NodeID, nt)
+	count := make([]int, nt)
+	for _, t := range g.nodeType {
+		count[t]++
+	}
+	for t, c := range count {
+		g.byType[t] = make([]NodeID, 0, c)
+	}
 	for v, t := range g.nodeType {
 		g.byType[t] = append(g.byType[t], NodeID(v))
 	}

@@ -171,29 +171,74 @@ func TestSectionKeepsEveryName(t *testing.T) {
 	sameGraph(t, got, g)
 }
 
+// fieldSection is the stream of the graph section whose fields are vals,
+// in the order a node-by-node reading gives them: numTypes, the type
+// names, numNodes, per node its type, shared length and suffix, then the
+// neighbour lists. Each integer is written as the code of the order
+// Decode reads it with and each string as its length's code, with its
+// bytes after the codes as the format lays them out; an integer where a
+// suffix goes is a length whose bytes never come. Once the values run out
+// the stream ends. A value past the largest its order codes (2^64-1, say)
+// is written as that largest value.
+func fieldSection(t testing.TB, vals ...any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := flat.NewWriter(&buf, sectionMagic)
+	var raw []string // the bytes that follow the codes
+	more := func() bool { return len(vals) > 0 }
+	next := func(k uint) uint64 {
+		var v uint64
+		switch x := vals[0].(type) {
+		case int:
+			v = uint64(x)
+		case uint64:
+			v = x
+		case string:
+			v = uint64(len(x))
+			raw = append(raw, x)
+		}
+		vals = vals[1:]
+		v = min(v, math.MaxUint64-1<<k)
+		w.ExpGolomb(v, k)
+		return v
+	}
+	nt := next(ordSize)
+	for i := uint64(0); i < nt && more(); i++ {
+		next(ordSize)
+	}
+	n := uint64(0)
+	if more() {
+		n = next(ordSize)
+	}
+	for v := uint64(0); v < n && more(); v++ {
+		next(ordType)
+		if more() {
+			next(ordShared)
+		}
+		if more() {
+			next(ordSuffix)
+		}
+	}
+	for _, s := range raw {
+		w.Raw(s)
+	}
+	for more() {
+		for k := next(ordDegree); k > 0 && more(); k-- {
+			next(ordGap)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestSectionRejectsCorruptInput: one stream per refusal, each otherwise a
 // well-formed section of two types and three nodes — 0 and 1 users, 2 a
 // school both attend. A node is its type, the bytes its name shares with
 // the previous one, then the rest of its name.
 func TestSectionRejectsCorruptInput(t *testing.T) {
-	write := func(vals ...any) []byte {
-		var buf bytes.Buffer
-		w := flat.NewWriter(&buf, sectionMagic)
-		for _, v := range vals {
-			switch v := v.(type) {
-			case int:
-				w.Uvarint(uint64(v))
-			case uint64:
-				w.Uvarint(v)
-			case string:
-				w.String(v)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	write := func(vals ...any) []byte { return fieldSection(t, vals...) }
 	registry := []any{2, "user", "school"}
 	nodes := []any{3, 0, 0, "a", 0, 0, "b", 1, 0, "s"}
 	section := func(parts ...[]any) []byte {
@@ -235,7 +280,7 @@ func TestSectionRejectsCorruptInput(t *testing.T) {
 		{"more types than MaxTypes", "exceed the limit", section([]any{MaxTypes + 1})},
 		{"2^64-1 types", "exceed the limit", section([]any{uint64(math.MaxUint64)})},
 		{"node count past a NodeID", "overflow", section(registry, []any{uint64(math.MaxInt32) + 1})},
-		{"name longer than the stream", "unexpected EOF", section(registry, []any{3, 0, 0, "a", 0, 0, 1 << 40})},
+		{"name longer than the stream", "unexpected EOF", section(registry, []any{2, 0, 0, "a", 0, 0, 1 << 40})},
 		{"endpoint = numNodes", "beyond", section(registry, nodes, []any{1, 3, 1, 1, 0})},
 		{"endpoint past numNodes", "beyond", section(registry, nodes, []any{1, uint64(math.MaxUint64), 1, 1, 0})},
 		{"self loop", "self loop", section(registry, nodes, []any{1, 0, 1, 1, 0})},
@@ -287,27 +332,19 @@ func (m *allocMeter) Read(p []byte) (int, error) {
 func TestNameChainCostsWhatItSent(t *testing.T) {
 	const n, multiple = 100_000, 40
 	for _, limit := range []int{maxShared, math.MaxInt} {
-		var buf bytes.Buffer
-		w := flat.NewWriter(&buf, sectionMagic)
-		w.Uvarint(1)
-		w.String("user")
-		w.Uvarint(n)
+		vals := []any{1, "user", n}
 		last := 0
 		for v := 0; v < n; v++ {
 			shared := min(last, limit)
-			w.Uvarint(0)
-			w.Uvarint(uint64(shared))
-			w.String(string(rune('a' + v%26)))
+			vals = append(vals, 0, shared, string(rune('a'+v%26)))
 			last = shared + 1
 		}
 		for v := 0; v < n; v++ {
-			w.Uvarint(0) // no neighbours
+			vals = append(vals, 0) // no neighbours
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		budget := uint64(multiple * buf.Len())
-		m := newAllocMeter(buf.Bytes(), budget)
+		raw := fieldSection(t, vals...)
+		budget := uint64(multiple * len(raw))
+		m := newAllocMeter(raw, budget)
 		r, err := flat.NewReader(m, sectionMagic)
 		if err != nil {
 			t.Fatal(err)
@@ -319,7 +356,7 @@ func TestNameChainCostsWhatItSent(t *testing.T) {
 		got := m.spent()
 		switch {
 		case m.tripped || err == nil && got > budget:
-			t.Fatalf("sharing up to %d bytes: a %d-byte stream cost %d bytes of allocation, over %d", limit, buf.Len(), got, budget)
+			t.Fatalf("sharing up to %d bytes: a %d-byte stream cost %d bytes of allocation, over %d", limit, len(raw), got, budget)
 		case limit == maxShared && err != nil:
 			t.Fatalf("a chain sharing up to maxShared bytes is refused: %v", err)
 		case limit == maxShared && g.Name(n-1) != g.Name(maxShared-1)+string(rune('a'+(n-1)%26)):
@@ -354,6 +391,20 @@ func FuzzGraphDecode(f *testing.F) {
 	}
 	f.Add(sectionBytes(f, b.MustBuild()))
 	f.Add([]byte(sectionMagic + "garbage"))
+	// The toy graph with a bit of padding set: the first, from the end of
+	// the section back, that Decode refuses as padding.
+	toy, padded := sectionBytes(f, buildToy(f)), false
+	for i := len(toy) - 5; i >= 0 && !padded; i-- {
+		bad := slices.Clone(toy)
+		bad[i] ^= 1
+		if _, err := decodeSection(bad); err != nil && strings.Contains(err.Error(), "padding") {
+			f.Add(bad)
+			padded = true
+		}
+	}
+	if !padded {
+		f.Fatal("no last bit of a byte of the toy section is padding")
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := flat.NewReader(bytes.NewReader(data), sectionMagic)
 		if err != nil {

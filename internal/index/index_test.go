@@ -587,15 +587,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"a count of 0 behind a reused head", badCnt, 2, 2, []uint64{key(1), head(1, 1, 0), 3, reuse(1), 0}},
 		{"a missing count", badCnt, 1, 2, []uint64{key(2), head(2, 1, 0), 1, 3}},
 	} {
-		var buf bytes.Buffer
-		fw := flat.NewWriter(&buf, fileMagic)
-		for _, v := range append(append([]uint64{5, c.nKeys, c.nEnt}, c.rows...), 0, 0) {
-			fw.Uvarint(v)
-		}
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Read(&buf, 8)
+		_, err := Read(bytes.NewReader(fieldBytes(t, append(append([]uint64{5, c.nKeys, c.nEnt}, c.rows...), 0, 0)...)), 8)
 		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
 			t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
 		}
@@ -606,11 +598,12 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	}
 	for name, mutate := range map[string]func([]byte) []byte{
 		"bad version": func(b []byte) []byte { b[len(fileMagic)-1]--; return b },
-		// The tail is: the count's one varint byte, the empty pair table's
-		// two zero sizes, the 4-byte trailer. Flipping 0x10 turns the count
-		// 2 into 18, still a one-byte varint of a legal count: only the
-		// checksum can catch this.
-		"flipped count bit":        func(b []byte) []byte { b[len(b)-7] ^= 0x10; return b },
+		// The section is 30 bits: numMeta, nKeys and nEntries (3 bits
+		// each), the key (4), the head (8), the count 2 (7 bits, 1000010,
+		// bits 21-27), the empty runs' two sizes (1 each), then padding and
+		// the 4-byte trailer. Flipping bit 25 turns the count 2 into 6, still
+		// a code of a legal count: only the checksum can catch this.
+		"flipped count bit":        func(b []byte) []byte { b[len(b)-5] ^= 0x40; return b },
 		"truncated before trailer": func(b []byte) []byte { return b[:len(b)-4] },
 		"bytes after the trailer":  func(b []byte) []byte { return append(b, 0) },
 	} {
@@ -706,15 +699,7 @@ func TestIndexReadRejectsCorruptRuns(t *testing.T) {
 		{"2^31 runs", "overflow the runs' posting positions", 1 << 31, 1, nil, nil},
 		{"2^30 postings", "overflow the runs' posting positions", 1, 1 << 30, nil, nil},
 	} {
-		var buf bytes.Buffer
-		fw := flat.NewWriter(&buf, fileMagic)
-		for _, v := range append([]uint64{5, 0, 0, c.nRuns, c.nPost}, c.body...) {
-			fw.Uvarint(v)
-		}
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ix, err := Read(&buf, 8)
+		ix, err := Read(bytes.NewReader(fieldBytes(t, append([]uint64{5, 0, 0, c.nRuns, c.nPost}, c.body...)...)), 8)
 		if c.want != "" {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
@@ -746,41 +731,40 @@ func TestIndexReadRejectsCorruptRuns(t *testing.T) {
 // each arena, and after 30 000, past its second.
 func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 	const head = 1<<2 | 0<<1 | 1 // len 1, first 0, all ones; b = bits.Len(1) = 1
-	sections := map[string]func(fw *flat.Writer, claim uint64, rows int){
-		"node table": func(fw *flat.Writer, claim uint64, rows int) {
-			fw.Uvarint(claim)
-			fw.Uvarint(claim)
-			fw.Uvarint(1 << 1) // key 0 and its head
-			fw.Uvarint(head)
+	sections := map[string]func(claim uint64, rows int) []uint64{
+		"node table": func(claim uint64, rows int) []uint64 {
+			vals := []uint64{
+				claim, claim,
+				1 << 1, // key 0 and its head
+				head,
+			}
 			for i := 1; i < rows; i++ {
-				fw.Uvarint(1<<1 | 1) // the next key, the same head
+				vals = append(vals, 1<<1|1) // the next key, the same head
 			}
+			return vals
 		},
-		"runs": func(fw *flat.Writer, claim uint64, rows int) {
-			fw.Uvarint(0) // an empty node table
-			fw.Uvarint(0)
-			fw.Uvarint(claim)
-			fw.Uvarint(min(claim, math.MaxInt32/2))
-			for i := 0; i < rows; i++ {
-				fw.Uvarint(1)      // the next node
-				fw.Uvarint(1 << 1) // one run, of metagraph 0
-				fw.Uvarint(0)      // no reference
-				fw.Uvarint(1<<1 | 1)
-				fw.Uvarint(1) // the node after it
+		"runs": func(claim uint64, rows int) []uint64 {
+			vals := []uint64{
+				0, 0, // an empty node table
+				claim, min(claim, math.MaxInt32/2),
 			}
+			for i := 0; i < rows; i++ {
+				vals = append(vals,
+					1,      // the next node
+					1<<1,   // one run, of metagraph 0
+					0,      // no reference
+					1<<1|1, // one residual, a count of 1
+					1,      // the node after it
+				)
+			}
+			return vals
 		},
 	}
 	for name, section := range sections {
 		for _, claim := range []uint64{math.MaxInt32, 1 << 40} {
 			for _, rows := range []int{80, 30_000} {
-				var buf bytes.Buffer
-				fw := flat.NewWriter(&buf, fileMagic)
-				fw.Uvarint(1) // numMeta
-				section(fw, claim, rows)
-				if err := fw.Close(); err != nil {
-					t.Fatal(err)
-				}
-				cut := buf.Bytes()[:buf.Len()-4] // the checksum too
+				raw := fieldBytes(t, append([]uint64{1}, section(claim, rows)...)...) // numMeta 1
+				cut := raw[:len(raw)-4]                                               // the checksum too
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				_, err := Read(bytes.NewReader(cut), math.MaxInt32)
@@ -807,30 +791,25 @@ func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 	const numMeta = math.MaxInt32
 	b := uint(bits.Len(numMeta))
 	for _, meta := range []uint64{0, numMeta - 1} {
-		var buf bytes.Buffer
-		fw := flat.NewWriter(&buf, fileMagic)
-		fw.Uvarint(numMeta)
-		fw.Uvarint(0) // an empty node table
-		fw.Uvarint(0)
-		fw.Uvarint(1) // one run of one posting
-		fw.Uvarint(1)
-		fw.Uvarint(1) // node 0
-		fw.Uvarint(1<<b | meta)
-		fw.Uvarint(0)        // no reference
-		fw.Uvarint(1<<1 | 1) // one residual, a count of 1
-		fw.Uvarint(1)        // node 1
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
+		raw := fieldBytes(t,
+			numMeta,
+			0, 0, // an empty node table
+			1, 1, // one run of one posting
+			1, // node 0
+			1<<b|meta,
+			0,      // no reference
+			1<<1|1, // one residual, a count of 1
+			1,      // node 1
+		)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ix, err := Read(bytes.NewReader(buf.Bytes()), 2)
+		ix, err := Read(bytes.NewReader(raw), 2)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("metagraph %d: %v", meta, err)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Fatalf("metagraph %d: a %d-byte stream cost %d bytes of allocation", meta, buf.Len(), got)
+			t.Fatalf("metagraph %d: a %d-byte stream cost %d bytes of allocation", meta, len(raw), got)
 		}
 		if row := ix.PairVec(1, 0); row.Len() != 1 || row.Get(int(meta)) != 1 {
 			t.Fatalf("metagraph %d: the pair reads %v", meta, row.ent)
@@ -849,37 +828,37 @@ func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 // maxPostingsPerByte·postingAlloc bytes per byte sent.
 func TestIndexReadCopyChainCostsWhatItSent(t *testing.T) {
 	for _, n := range []int{4000, 60} {
-		var buf bytes.Buffer
-		fw := flat.NewWriter(&buf, fileMagic)
-		fw.Uvarint(1) // numMeta
-		fw.Uvarint(0) // an empty node table
-		fw.Uvarint(0)
-		fw.Uvarint(uint64(n / 2))
-		fw.Uvarint(min(uint64(n/2*(n/2+1)/2), math.MaxInt32/2)) // all it holds, or the most a claim may
+		vals := []uint64{
+			1,    // numMeta
+			0, 0, // an empty node table
+			uint64(n / 2),
+			min(uint64(n/2*(n/2+1)/2), math.MaxInt32/2), // all it holds, or the most a claim may
+		}
 		for q := 0; q < n/2; q++ {
-			fw.Uvarint(1)      // the next node
-			fw.Uvarint(1 << 1) // one run, of metagraph 0
+			vals = append(vals,
+				1,    // the next node
+				1<<1, // one run, of metagraph 0
+			)
 			if q == 0 {
-				fw.Uvarint(0) // no reference
+				vals = append(vals, 0) // no reference
 			} else {
-				fw.Uvarint(1) // the node before, whatever it holds
-				fw.Uvarint(0) // taken whole
+				vals = append(vals,
+					1, // the node before, whatever it holds
+					0, // taken whole
+				)
 			}
-			fw.Uvarint(1<<1 | 1)
-			fw.Uvarint(uint64(n - 1 - 2*q)) // n-1-q, below every copy
+			vals = append(vals, 1<<1|1, uint64(n-1-2*q)) // n-1-q, below every copy
 		}
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		budget := uint64(maxPostingsPerByte * postingAlloc * buf.Len())
+		raw := fieldBytes(t, vals...)
+		budget := uint64(maxPostingsPerByte * postingAlloc * len(raw))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ix, err := Read(bytes.NewReader(buf.Bytes()), n)
+		ix, err := Read(bytes.NewReader(raw), n)
 		runtime.ReadMemStats(&after)
 		got := after.TotalAlloc - before.TotalAlloc
 		switch {
 		case got > budget:
-			t.Fatalf("a chain of %d nodes: a %d-byte stream cost %d bytes of allocation, over %d (%v)", n, buf.Len(), got, budget, err)
+			t.Fatalf("a chain of %d nodes: a %d-byte stream cost %d bytes of allocation, over %d (%v)", n, len(raw), got, budget, err)
 		case n > 1000 && (err == nil || !strings.Contains(err.Error(), "postings per byte")):
 			t.Fatalf("a chain of %d nodes: Read returned %v", n, err)
 		case n <= 1000 && err != nil:
@@ -1164,6 +1143,15 @@ func FuzzIndexRead(f *testing.F) {
 	} else {
 		f.Fatal("the patched seed copies nothing")
 	}
+	// The counted index with a bit of its last byte's padding set.
+	f.Add(paddingSet(f, writeBytes(f, counted), func(raw []byte) error {
+		fr, err := flat.NewReader(bytes.NewReader(raw), fileMagic)
+		if err != nil {
+			return err
+		}
+		_, err = Decode(fr, g.NumNodes())
+		return err
+	}), uint16(g.NumNodes()))
 	f.Fuzz(func(t *testing.T, data []byte, numNodes uint16) {
 		// Decode, not Read: Read's checksum turns away nearly every
 		// mutation, and the structural checks must hold without it.
@@ -1176,7 +1164,7 @@ func FuzzIndexRead(f *testing.F) {
 			return
 		}
 		fr, _ = flat.NewReader(bytes.NewReader(data), fileMagic)
-		numMeta := fr.Uvarint()
+		numMeta := fr.ExpGolomb(ordSize)
 		declaredMx, err := decodeTable(fr, numMeta, uint64(numNodes))
 		if err != nil {
 			t.Fatalf("Decode accepted a node table decodeTable refuses: %v", err)
@@ -1251,18 +1239,18 @@ func declaredRuns(r *flat.Reader, numMeta uint64) (rows csr[PairKey], copying in
 	above := map[at][]posting{}
 	declared := map[PairKey][]Entry{}
 	b := uint(bits.Len64(numMeta))
-	nRuns, _ := r.Uvarint(), r.Uvarint()
+	nRuns, _ := r.ExpGolomb(ordSize), r.ExpGolomb(ordSize)
 	q := graph.NodeID(-1)
 	for runs := uint64(0); runs < nRuns; {
-		q += graph.NodeID(r.Uvarint())
-		head := r.Uvarint()
+		q += graph.NodeID(r.ExpGolomb(ordNode))
+		head := r.ExpGolomb(ordRunHead)
 		metas := []int32{int32(head & (1<<b - 1))}
 		for j := uint64(1); j < head>>b; j++ {
-			metas = append(metas, metas[j-1]+int32(r.Uvarint()))
+			metas = append(metas, metas[j-1]+int32(r.ExpGolomb(ordMetaGap)))
 		}
 		for _, m := range metas {
 			var run []posting
-			if d := r.Uvarint(); d != 0 {
+			if d := r.ExpGolomb(ordRef); d != 0 {
 				copying++
 				var ref []posting
 				for _, p := range above[at{q - graph.NodeID(d), m}] {
@@ -1270,10 +1258,10 @@ func declaredRuns(r *flat.Reader, numMeta uint64) (rows csr[PairKey], copying in
 						ref = append(ref, p)
 					}
 				}
-				k := r.Uvarint()
+				k := r.ExpGolomb(ordBlocks)
 				take := true
 				for j := uint64(0); j < k; j++ {
-					n := r.Uvarint()
+					n := r.ExpGolomb(ordBlock)
 					if take {
 						run = append(run, ref[:n]...)
 					}
@@ -1283,15 +1271,15 @@ func declaredRuns(r *flat.Reader, numMeta uint64) (rows csr[PairKey], copying in
 					run = append(run, ref...)
 				}
 			}
-			h := r.Uvarint()
+			h := r.ExpGolomb(ordResHead)
 			res, last := []posting{}, q
 			for j := uint64(0); j < h>>1; j++ {
-				last += graph.NodeID(r.Uvarint())
+				last += graph.NodeID(r.ExpGolomb(ordResGap))
 				res = append(res, posting{last, 1})
 			}
 			for j := range res {
 				if h&1 == 0 {
-					res[j].count = uint32(r.Uvarint())
+					res[j].count = uint32(r.ExpGolomb(ordResCnt))
 				}
 			}
 			run = append(run, res...)
@@ -1326,7 +1314,7 @@ func copies(t testing.TB, raw []byte) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numMeta := fr.Uvarint()
+	numMeta := fr.ExpGolomb(ordSize)
 	if _, err := decodeTable(fr, numMeta, math.MaxInt32); err != nil {
 		t.Fatal(err)
 	}
@@ -1344,7 +1332,7 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 	t.Helper()
 	var buf bytes.Buffer
 	fw := flat.NewWriter(&buf, fileMagic)
-	fw.Uvarint(uint64(numMeta))
+	fw.ExpGolomb(uint64(uint32(numMeta)), ordSize)
 	encodeTable(fw, numMeta, &mx)
 	type run struct {
 		meta int32
@@ -1370,29 +1358,29 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 			n.runs[i].post = append(n.runs[i].post, posting{y, e.Count})
 		}
 	})
-	fw.Uvarint(uint64(nRuns))
-	fw.Uvarint(uint64(len(mxy.ent)))
+	fw.ExpGolomb(uint64(nRuns), ordSize)
+	fw.ExpGolomb(uint64(len(mxy.ent)), ordSize)
 	b := uint(bits.Len(uint(numMeta)))
 	prev := graph.NodeID(-1)
 	for _, n := range nodes {
 		slices.SortStableFunc(n.runs, func(a, b run) int { return cmp.Compare(a.meta, b.meta) })
-		fw.Uvarint(uint64(n.q - prev))
-		fw.Uvarint(uint64(len(n.runs))<<b | uint64(n.runs[0].meta))
+		fw.ExpGolomb(uint64(uint32(n.q-prev)), ordNode)
+		fw.ExpGolomb(uint64(len(n.runs))<<b|uint64(uint32(n.runs[0].meta)), ordRunHead)
 		for i := 1; i < len(n.runs); i++ {
-			fw.Uvarint(uint64(n.runs[i].meta - n.runs[i-1].meta))
+			fw.ExpGolomb(uint64(uint32(n.runs[i].meta-n.runs[i-1].meta)), ordMetaGap)
 		}
 		for _, r := range n.runs {
 			ones := !slices.ContainsFunc(r.post, func(p posting) bool { return p.count != 1 })
-			fw.Uvarint(0) // no reference
-			fw.Uvarint(uint64(len(r.post))<<1 | uint64(b2i(ones)))
+			fw.ExpGolomb(0, ordRef) // no reference
+			fw.ExpGolomb(uint64(len(r.post))<<1|uint64(b2i(ones)), ordResHead)
 			last := n.q
 			for _, p := range r.post {
-				fw.Uvarint(uint64(p.node - last))
+				fw.ExpGolomb(uint64(uint32(p.node-last)), ordResGap)
 				last = p.node
 			}
 			for _, p := range r.post {
 				if !ones {
-					fw.Uvarint(uint64(p.count))
+					fw.ExpGolomb(uint64(p.count), ordResCnt)
 				}
 			}
 		}
@@ -1402,6 +1390,94 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// fieldBytes is the index file of the section whose fields, in stream
+// order, are vals: each written as the code of the order Decode reads it
+// with, the format's grammar followed as the values steer it (row and run
+// lengths, all-ones bits, references, block counts) until they run out.
+// Decode reads the same values in the same order up to wherever it
+// refuses them, so a hand-written table of values is exactly the bytes a
+// corrupt file would hold. A value past the largest its order codes
+// (2^64-1 at order 0, say) is written as that largest value.
+func fieldBytes(t testing.TB, vals ...uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw := flat.NewWriter(&buf, fileMagic)
+	next := func(k uint) uint64 {
+		if len(vals) == 0 {
+			return 0
+		}
+		v := min(vals[0], math.MaxUint64-1<<k)
+		fw.ExpGolomb(v, k)
+		vals = vals[1:]
+		return v
+	}
+	more := func() bool { return len(vals) > 0 }
+	numMeta := next(ordSize)
+	b := uint(bits.Len64(numMeta))
+	nKeys, _ := next(ordSize), next(ordSize)
+	head := uint64(0)
+	for i := uint64(0); i < nKeys && more(); i++ {
+		if next(ordKey)&1 == 0 {
+			head = next(ordNodeHead)
+		}
+		l := head >> (b + 1)
+		for j := uint64(1); j < l && more(); j++ {
+			next(ordMetaGap)
+		}
+		for j := uint64(0); head&1 == 0 && j < l && more(); j++ {
+			next(ordNodeCnt)
+		}
+	}
+	nRuns, _ := next(ordSize), next(ordSize)
+	for runs := uint64(0); runs < nRuns && more(); {
+		next(ordNode)
+		l := next(ordRunHead) >> b
+		for j := uint64(1); j < l && more(); j++ {
+			next(ordMetaGap)
+		}
+		for j := uint64(0); j < l && more(); j++ {
+			if next(ordRef) != 0 {
+				for k := next(ordBlocks); k > 0 && more(); k-- {
+					next(ordBlock)
+				}
+			}
+			h := next(ordResHead)
+			for k := h >> 1; k > 0 && more(); k-- {
+				next(ordResGap)
+			}
+			for k := h >> 1; h&1 == 0 && k > 0 && more(); k-- {
+				next(ordResCnt)
+			}
+		}
+		runs += l
+	}
+	for more() {
+		next(ordSize)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// paddingSet returns raw with one bit flipped — the first, from the end of
+// the body back, that decode refuses as set padding — and its checksum
+// left as it was.
+func paddingSet(t testing.TB, raw []byte, decode func([]byte) error) []byte {
+	t.Helper()
+	for i := len(raw) - 5; i >= 0; i-- {
+		for bit := range 8 {
+			bad := bytes.Clone(raw)
+			bad[i] ^= 1 << bit
+			if err := decode(bad); err != nil && strings.Contains(err.Error(), "padding") {
+				return bad
+			}
+		}
+	}
+	t.Fatal("no bit of the stream is padding")
+	return nil
 }
 
 // sameRuns reports whether two run layouts are identical.

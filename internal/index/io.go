@@ -23,68 +23,95 @@ import (
 // m_xy once. The reader lays out the rest: a node's partners below it in
 // a run are the nodes whose runs above them hold it.
 //
-//	numMeta
+//	                       order
+//	numMeta                  0
 //	node table:
-//	  nKeys nEntries
+//	  nKeys nEntries         0
 //	  nKeys × row:
-//	    delta<<1 | reuse   keys ascend strictly, so every delta — the first
-//	                       one is key+1 — is at least 1; reuse is set when
-//	                       the row's head is the previous row's, which the
-//	                       first row has none of
-//	    head        only when reuse is clear: len<<(b+1) | first<<1 | ones,
-//	                b = bits.Len(numMeta): the row's length, its first
-//	                Meta, and whether every Count in it is 1
-//	    len-1 × Meta gap   each next Meta minus the one before, at least 1
-//	    len × Count        only when ones is clear
+//	    delta<<1 | reuse     1   keys ascend strictly, so every delta — the
+//	                             first one is key+1 — is at least 1; reuse
+//	                             is set when the row's head is the previous
+//	                             row's, which the first row has none of
+//	    head                 7   only when reuse is clear: len<<(b+1) |
+//	                             first<<1 | ones, b = bits.Len(numMeta): the
+//	                             row's length, its first Meta, and whether
+//	                             every Count in it is 1
+//	    len-1 × Meta gap     1   each next Meta minus the one before, ≥ 1
+//	    len × Count          6   only when ones is clear
 //	runs above each node:
-//	  nRuns nPostings      what follows, in all
+//	  nRuns nPostings        0   what follows, in all
 //	  per node q with a partner above it, ascending:
-//	    q-prev             prev the node before it (-1 for the first): at
-//	                       least 1
-//	    runs<<b | first    how many of q's runs hold a partner above q, and
-//	                       the first one's metagraph
-//	    runs-1 × Meta gap  each next metagraph minus the one before, at
-//	                       least 1
+//	    q-prev               1   prev the node before it (-1 for the
+//	                             first): at least 1
+//	    runs<<b | first      3   how many of q's runs hold a partner above
+//	                             q, and the first one's metagraph
+//	    runs-1 × Meta gap    1   each next metagraph minus the one before,
+//	                             at least 1
 //	    per such run (q, m), its postings above q:
-//	      d                0: no reference; else the run copies from
-//	                       p = q-d's run of m above p, decoded before it
-//	      k, k × block     only when d > 0: copy blocks over p's postings
-//	                       above q, take, skip, take, …, the first at least
-//	                       0 and the others at least 1; what they leave is
-//	                       taken when k is even, skipped when it is odd. A
-//	                       taken posting is copied with its count.
-//	      res<<1 | ones    the residuals: the postings not copied
-//	      res × gap        each partner minus the one before (q for the
-//	                       first): at least 1
-//	      res × Count      only when ones is clear
+//	      d                  4   0: no reference; else the run copies from
+//	                             p = q-d's run of m above p, decoded before
+//	      k, k × block     0, 1  only when d > 0: copy blocks over p's
+//	                             postings above q, take, skip, take, …, the
+//	                             first at least 0 and the others at least
+//	                             1; what they leave is taken when k is
+//	                             even, skipped when it is odd. A taken
+//	                             posting is copied with its count.
+//	      res<<1 | ones      2   the residuals: the postings not copied
+//	      res × gap          4   each partner minus the one before (q for
+//	                             the first): at least 1
+//	      res × Count        1   only when ones is clear
+//	zero bits to the next byte boundary
 //
-// Everything is an unsigned varint. A Count is the raw instance count — the
-// index stores no transformed value (see Index.Transform) — and most are 1,
-// so a row or run of ones costs no counts. A held metagraph such as
-// user–college–user pairs everyone who shares a hub, so a node's partners
-// above it are mostly those of a partner just below it: Encode tries the
-// refCandidates nearest partners below q in the run as references, the way
-// WebGraph codes an adjacency list against an earlier one, and keeps the
-// cheapest. Index internals are deterministic and so are the choices, so
-// the bytes are stable without any extra sorting. Engine snapshots embed
-// one section per index; Write/Read frame a single section as a file of
-// its own.
+// Every field is an exp-Golomb code of the order beside it (flat.Writer.
+// ExpGolomb): a fixed constant of the format per field, chosen by a tally
+// of the field's bits in the LinkedIn read_direct, lifecycle and
+// paper-shape sections, so small gaps cost a few bits and no field pays a
+// whole byte. A
+// Count is the raw instance count — the index stores no transformed value
+// (see Index.Transform) — and most are 1, so a row or run of ones costs no
+// counts. A held metagraph such as user–college–user pairs everyone who
+// shares a hub, so a node's partners above it are mostly those of a
+// partner just below it: Encode tries the refCandidates nearest partners
+// below q in the run as references, the way WebGraph codes an adjacency
+// list against an earlier one, and keeps the cheapest in bits. Index
+// internals are deterministic and so are the choices, so the bytes are
+// stable without any extra sorting. Engine snapshots embed one section per
+// index; Write/Read frame a single section as a file of its own.
 
-const fileMagic = "SPXI\x07"
+const fileMagic = "SPXI\x08"
+
+// The exp-Golomb order of each field of the section (see above).
+const (
+	ordSize     = 0 // numMeta, nKeys, nEntries, nRuns, nPostings
+	ordKey      = 1 // a node-table row's delta<<1 | reuse
+	ordNodeHead = 7 // a node-table row's head
+	ordMetaGap  = 1 // a Meta gap, in a row or a node's run heads
+	ordNodeCnt  = 6 // a node-table Count
+	ordNode     = 1 // a node's gap from the node before it
+	ordRunHead  = 3 // a node's runs<<b | first
+	ordRef      = 4 // a run's reference distance
+	ordBlocks   = 0 // a run's number of copy blocks
+	ordBlock    = 1 // a copy block
+	ordResHead  = 2 // a run's res<<1 | ones
+	ordResGap   = 4 // a residual's gap
+	ordResCnt   = 1 // a residual's Count
+)
 
 const (
 	// refCandidates is how many of q's nearest partners below it in a run
 	// Encode prices as the run's reference. The decoder takes any.
 	refCandidates = 4
 	// maxPostingsPerByte caps the postings a section may decode per byte
-	// of it received: a copy is the one way a few bytes make many
-	// postings (a chain of runs each copying the one before and adding
-	// one would make n²/2 of them out of ~5n bytes). The decoder refuses a
-	// copy that would take the section past it, and Encode writes
-	// residuals wherever a copy would, so whatever Write writes, Read
-	// reads. A decoded posting costs at most postingAlloc bytes, so a
-	// section costs at most maxPostingsPerByte·postingAlloc bytes of
-	// allocation per byte received.
+	// of it received — one per bit: a copy is the one way a few bits make
+	// many postings (a chain of n runs each copying the one before and
+	// adding one would make n²/2 of them out of a few bytes a run). The decoder
+	// refuses a copy that would take the section's postings past the bits
+	// received so far, and Encode writes residuals wherever a copy would,
+	// so whatever Write writes, Read reads. A residual needs no check: its
+	// gap alone costs ordResGap+1 = 5 bits or more, so residuals come at
+	// most 1.6 to the byte. A decoded posting costs at most postingAlloc
+	// bytes, so a section costs at most maxPostingsPerByte·postingAlloc
+	// bytes of allocation per byte received.
 	maxPostingsPerByte = 8
 	// postingAlloc bounds what one posting above its node costs the
 	// decoder: its 8 bytes in an arena grown through flat.Grow, which can
@@ -125,16 +152,17 @@ func Read(r io.Reader, numNodes int) (*Index, error) {
 // table, then each node's runs above it, walked straight out of the runs.
 func Encode(w *flat.Writer, ix *Index) {
 	ix = ix.Compact()
-	e := runEncoder{w: w, start: w.Offset(), rs: &ix.flat}
-	w.Uvarint(uint64(ix.numMeta))
+	e := runEncoder{w: w, start: w.BitOffset(), rs: &ix.flat}
+	w.ExpGolomb(uint64(ix.numMeta), ordSize)
 	encodeTable(w, ix.numMeta, &ix.mx)
 	e.encode(ix.numMeta)
+	w.Align()
 }
 
 // encodeTable writes the node table c.
 func encodeTable(w *flat.Writer, numMeta int, c *csr[graph.NodeID]) {
-	w.Uvarint(uint64(len(c.keys)))
-	w.Uvarint(uint64(len(c.ent)))
+	w.ExpGolomb(uint64(len(c.keys)), ordSize)
+	w.ExpGolomb(uint64(len(c.ent)), ordSize)
 	b := uint(bits.Len(uint(numMeta)))
 	prev, prevHead := uint64(0), uint64(0) // no head is 0: rows are never empty
 	c.each(func(k graph.NodeID, row []Entry) {
@@ -146,20 +174,20 @@ func encodeTable(w *flat.Writer, numMeta int, c *csr[graph.NodeID]) {
 				break
 			}
 		}
-		head := uint64(len(row))<<(b+1) | uint64(row[0].Meta)<<1 | ones
+		head := uint64(len(row))<<(b+1) | uint64(uint32(row[0].Meta))<<1 | ones
 		if head == prevHead {
-			w.Uvarint((next-prev)<<1 | 1)
+			w.ExpGolomb((next-prev)<<1|1, ordKey)
 		} else {
-			w.Uvarint((next - prev) << 1)
-			w.Uvarint(head)
+			w.ExpGolomb((next-prev)<<1, ordKey)
+			w.ExpGolomb(head, ordNodeHead)
 		}
 		prev, prevHead = next, head
 		for j := 1; j < len(row); j++ {
-			w.Uvarint(uint64(row[j].Meta - row[j-1].Meta))
+			w.ExpGolomb(uint64(uint32(row[j].Meta-row[j-1].Meta)), ordMetaGap)
 		}
 		if ones == 0 {
 			for _, e := range row {
-				w.Uvarint(uint64(e.Count))
+				w.ExpGolomb(uint64(e.Count), ordNodeCnt)
 			}
 		}
 	})
@@ -169,7 +197,7 @@ func encodeTable(w *flat.Writer, numMeta int, c *csr[graph.NodeID]) {
 // cheapest reference it is allowed.
 type runEncoder struct {
 	w     *flat.Writer
-	start int64 // the section's first byte
+	start int64 // the section's first bit
 	rs    *adjRuns
 	above []int32 // per run, its first posting above its node
 	// next[r] is run r's first posting above the node last written with
@@ -188,17 +216,18 @@ type runEncoder struct {
 
 // upMark is a partner v of the run being written above its node: key is
 // the run's serial<<32 and v's count, and res what v takes as a residual
-// after the posting before it (after the node for the first), packed 21
-// bits apart: its gap's bytes, its count's bytes<<21, and 1<<42 if its
-// count is not 1. A field is at most 5, so the fields of a run of fewer
-// than 2^18 postings sum without carrying into the next.
+// after the posting before it (after the node for the first), packed in
+// fields of 24, 24 and 16 bits: its gap's bits, its count's bits<<24, and
+// 1<<48 if its count is not 1. A code of a gap below 2^31 or a count below
+// 2^32 is at most 65 bits long, so the fields of a run of fewer than 2^16
+// postings sum without carrying into the next.
 type upMark struct {
 	key, res uint64
 }
 
 // packLimit is the number of postings a run must stay below for upMark.res
 // sums to hold; longer runs are priced without the bound.
-const packLimit = 1 << 18
+const packLimit = 1 << 16
 
 // resCost is what residuals take: their gaps, and their counts if
 // notOne, the number of counts not 1, is above 0.
@@ -207,13 +236,13 @@ type resCost struct{ gaps, cnts, notOne int }
 // minus is c without what the postings whose upMark.res values sum to sum
 // take.
 func (c resCost) minus(sum uint64) resCost {
-	const field = 1<<21 - 1
-	return resCost{c.gaps - int(sum&field), c.cnts - int(sum>>21&field), c.notOne - int(sum>>42)}
+	const field = 1<<24 - 1
+	return resCost{c.gaps - int(sum&field), c.cnts - int(sum>>24&field), c.notOne - int(sum>>48)}
 }
 
-// bytes is what n such residuals take with their head.
-func (c resCost) bytes(n int) int {
-	b := uvLen(uint64(n)<<1) + c.gaps
+// size is the bits n such residuals take with their head.
+func (c resCost) size(n int) int {
+	b := egLen(uint64(n)<<1, ordResHead) + c.gaps
 	if c.notOne > 0 {
 		b += c.cnts
 	}
@@ -225,8 +254,8 @@ func (c resCost) bytes(n int) int {
 // run, those i with took[i] the run's serial, and writing the others as
 // residuals. The reference's take/skip sequence switches at the positions
 // switches lists, so the copy blocks but the last are their differences.
-// low bounds its bytes from below, and cost and bytes are its bytes
-// through the blocks and in all.
+// low bounds its bits from below, and cost and size are its bits through
+// the blocks and in all.
 type runPlan struct {
 	d        uint64
 	ref      []posting
@@ -237,11 +266,21 @@ type runPlan struct {
 	taken    int
 	low      int
 	cost     int
-	bytes    int
+	size     int
 }
 
-// uvLen is the length of x as a varint.
-func uvLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+// egLen is the length in bits of x's exp-Golomb code of order k. For k ≥ 1
+// it is the same for 2x and 2x+1, so a head's flag bit never changes its
+// price.
+func egLen(x uint64, k uint) int { return 2*bits.Len64(x+1<<k) - int(k) - 1 }
+
+// gap is v's gap from u as a residual codes it: node ids are below 2^31,
+// so it fits 32 bits, and in a run that does not ascend (an index built of
+// rows no matcher reports) it wraps there, so Encode still writes it.
+func gap(u, v graph.NodeID) uint64 { return uint64(uint32(v - u)) }
+
+// minResidual is the fewest bits a residual takes: a gap of at least 1.
+const minResidual = ordResGap + 1
 
 // b2i is 1 for true and 0 for false, without a branch.
 func b2i(b bool) int {
@@ -270,8 +309,8 @@ func (e *runEncoder) encode(numMeta int) {
 	}
 	e.next = slices.Clone(e.above)
 	w := e.w
-	w.Uvarint(uint64(nRuns))
-	w.Uvarint(uint64(nPost))
+	w.ExpGolomb(uint64(nRuns), ordSize)
+	w.ExpGolomb(uint64(nPost), ordSize)
 	b := uint(bits.Len(uint(numMeta)))
 	prev := graph.NodeID(-1)
 	for q := range graph.NodeID(n) {
@@ -287,13 +326,13 @@ func (e *runEncoder) encode(numMeta int) {
 		if runs == 0 {
 			continue
 		}
-		w.Uvarint(uint64(q - prev))
-		w.Uvarint(runs<<b | uint64(first))
+		w.ExpGolomb(uint64(q-prev), ordNode)
+		w.ExpGolomb(runs<<b|uint64(first), ordRunHead)
 		prev = q
 		last := first
 		for r := lo; r < hi; r++ {
 			if m := rs.meta[r]; e.above[r] < rs.off[r+1] && m != first {
-				w.Uvarint(uint64(m - last))
+				w.ExpGolomb(uint64(m-last), ordMetaGap)
 				last = m
 			}
 		}
@@ -307,14 +346,15 @@ func (e *runEncoder) encode(numMeta int) {
 
 // run writes the postings above q of q's run r: with no reference, or
 // copying from one of the refCandidates partners nearest below q —
-// whichever takes the fewest bytes, the nearest (no reference before any)
+// whichever takes the fewest bits, the nearest (no reference before any)
 // on a tie — among those that keep the section within maxPostingsPerByte.
 // The candidates come nearest first, each bounded from below before it is
 // priced: by its list's length, then by a walk of its list against the
 // run's postings keyed by node that stores nothing and branches on nothing
-// it finds — its bytes but for the few that long blocks and long gaps
-// add. Only a candidate whose bound beats the best so far is planned and
-// priced to the byte.
+// it finds — its bits but for what a residual's gap from the residual
+// before it adds over its gap from the posting before it. Only a
+// candidate whose bound beats the best so far is planned and priced to the
+// bit.
 func (e *runEncoder) run(q graph.NodeID, r int32) {
 	rs := e.rs
 	m, up, below := rs.meta[r], rs.post[e.above[r]:rs.off[r+1]], rs.post[rs.off[r]:e.above[r]]
@@ -322,16 +362,16 @@ func (e *runEncoder) run(q graph.NodeID, r int32) {
 	e.all = resCost{}
 	last := q
 	for i, u := range up {
-		g, c, one := uvLen(uint64(u.node-last)), uvLen(uint64(u.count)), b2i(u.count != 1)
-		e.marks[u.node], e.at[u.node] = upMark{uint64(e.serial)<<32 | uint64(u.count), uint64(g | c<<21 | one<<42)}, int32(i)
+		g, c, one := egLen(gap(last, u.node), ordResGap), egLen(uint64(u.count), ordResCnt), b2i(u.count != 1)
+		e.marks[u.node], e.at[u.node] = upMark{uint64(e.serial)<<32 | uint64(u.count), uint64(g | c<<24 | one<<48)}, int32(i)
 		e.all.gaps, e.all.cnts, e.all.notOne = e.all.gaps+g, e.all.cnts+c, e.all.notOne+one
 		last = u.node
 	}
-	// No reference: a byte for d, then every posting a residual.
+	// No reference: d = 0, then every posting a residual.
 	best := &e.cands[0]
-	best.taken, best.cost, best.res, best.ones = 0, 1, up, e.all.notOne == 0
-	best.bytes = best.cost + e.all.bytes(len(up))
-	at := e.w.Offset() - e.start
+	best.taken, best.cost, best.res, best.ones = 0, egLen(0, ordRef), up, e.all.notOne == 0
+	best.size = best.cost + e.all.size(len(up))
+	at := e.w.BitOffset() - e.start
 	for c := 1; c <= min(refCandidates, len(below)); c++ {
 		// p's run of m holds q, its partner; what follows q in it is the
 		// list a copy reads, just past p's postings below q.
@@ -347,22 +387,24 @@ func (e *runEncoder) run(q graph.NodeID, r int32) {
 		}
 		e.next[pr] = k
 		pl.d, pl.ref = uint64(q-p), rs.post[k:end]
-		// d, a byte for k and one for the residuals' head at least, and
-		// one for each posting of up beyond the reference's. The
-		// candidates come nearest first, so a tie goes to the best so far.
-		if uvLen(pl.d)+2+max(len(up)-len(pl.ref), 0) >= best.bytes {
+		// d, the shortest k and residuals' head, and a residual for each
+		// posting of up beyond the reference's. The candidates come
+		// nearest first, so a tie goes to the best so far.
+		if egLen(pl.d, ordRef)+ordBlocks+1+ordResHead+1+minResidual*max(len(up)-len(pl.ref), 0) >= best.size {
 			continue
 		}
 		// The nearest is walked once: it is the likeliest to win.
 		if c > 1 {
-			if e.walk(pl, len(up), false); pl.low >= best.bytes {
+			if e.walk(pl, len(up), false); pl.low >= best.size {
 				continue
 			}
 		}
-		if e.walk(pl, len(up), true); pl.low >= best.bytes || int64(e.posts+pl.taken) > maxPostingsPerByte*(at+int64(pl.cost)) {
+		// The cap as the decoder checks it, after the blocks: postings
+		// per byte, so eight times the postings against the bits.
+		if e.walk(pl, len(up), true); pl.low >= best.size || 8*int64(e.posts+pl.taken) > maxPostingsPerByte*(at+int64(pl.cost)) {
 			continue
 		}
-		if pl.bytes = pl.cost + e.residuals(pl, q, up); pl.bytes < best.bytes {
+		if pl.size = pl.cost + e.residuals(pl, q, up); pl.size < best.size {
 			best = pl
 		}
 	}
@@ -370,18 +412,20 @@ func (e *runEncoder) run(q graph.NodeID, r int32) {
 	e.posts += len(up)
 }
 
-// walk bounds the bytes of the run's nUp postings written against pl's
+// walk bounds the bits of the run's nUp postings written against pl's
 // reference from below, setting taken and low: a posting of the reference
 // is taken when the run holds its partner with the same count, a block
 // ends where taking switches to skipping or back, and a residual's gap is
-// at least the one from the posting before it. The bound is the exact size
-// unless a block is longer than 127 or a residual's gap from the residual
-// before it needs a byte more than the gap from the posting before it.
-// With plan set it also marks in took what it takes, lists where the
-// blocks switch and sets cost; without, it stores nothing else.
+// at least the one from the posting before it. With plan set it also marks
+// in took what it takes, lists where the blocks switch and sets cost, the
+// exact bits through the blocks; the bound is then the exact size unless
+// a residual's gap from the residual before it needs more bits than the gap
+// from the posting before it. Without, it stores nothing else, and bounds
+// each block by the shortest code.
 func (e *runEncoder) walk(pl *runPlan, nUp int, plan bool) {
 	marks, serial := e.marks, uint64(e.serial)<<32
 	n, taken, prev, sum := 0, 0, 1, uint64(0)
+	blocks := 0 // the blocks' bits, or a bound on them
 	if !plan {
 		for _, v := range pl.ref {
 			mk := &marks[v.node]
@@ -390,6 +434,7 @@ func (e *runEncoder) walk(pl *runPlan, nUp int, plan bool) {
 			n += take ^ prev
 			taken, prev = taken+take, take
 		}
+		blocks = n * (ordBlock + 1)
 	} else {
 		if len(pl.took) <= nUp {
 			pl.took = make([]uint32, 2*nUp+1)
@@ -409,18 +454,21 @@ func (e *runEncoder) walk(pl *runPlan, nUp int, plan bool) {
 			taken, prev = taken+take, take
 		}
 		pl.switches = sw[:n]
-		blocks, last := 0, int32(0)
+		last := int32(0)
 		for _, s := range pl.switches {
-			blocks += uvLen(uint64(s - last))
+			blocks += egLen(uint64(s-last), ordBlock)
 			last = s
 		}
-		pl.cost = uvLen(pl.d) + uvLen(uint64(n)) + blocks
 	}
 	pl.taken = taken
-	pl.low = uvLen(pl.d) + uvLen(uint64(n)) + n + uvLen(uint64(nUp-taken)<<1) + nUp - taken
+	low := egLen(pl.d, ordRef) + egLen(uint64(n), ordBlocks) + blocks
+	if plan {
+		pl.cost = low
+	}
 	if nUp < packLimit {
-		res := e.all.minus(sum)
-		pl.low += res.bytes(nUp-taken) - uvLen(uint64(nUp-taken)<<1) - (nUp - taken)
+		pl.low = low + e.all.minus(sum).size(nUp-taken)
+	} else {
+		pl.low = low + egLen(uint64(nUp-taken)<<1, ordResHead) + minResidual*(nUp-taken)
 	}
 }
 
@@ -440,39 +488,35 @@ func (e *runEncoder) residuals(pl *runPlan, q graph.NodeID, up []posting) int {
 		}
 		res[n] = u
 		n += r
-		gaps += r * uvLen(uint64(u.node-last))
-		cnts += r * uvLen(uint64(u.count))
+		gaps += r * egLen(gap(last, u.node), ordResGap)
+		cnts += r * egLen(uint64(u.count), ordResCnt)
 		notOne |= r & b2i(u.count != 1)
 		last += graph.NodeID(r) * (u.node - last)
 	}
 	pl.res, pl.ones = res[:n], notOne == 0
-	return uvLen(uint64(n)<<1) + gaps + notOne*cnts
+	return egLen(uint64(n)<<1, ordResHead) + gaps + notOne*cnts
 }
 
 // write writes the run of node q as pl plans it.
 func (pl *runPlan) write(w *flat.Writer, q graph.NodeID) {
-	w.Uvarint(pl.d)
+	w.ExpGolomb(pl.d, ordRef)
 	if pl.d != 0 {
-		w.Uvarint(uint64(len(pl.switches)))
+		w.ExpGolomb(uint64(len(pl.switches)), ordBlocks)
 		last := int32(0)
 		for _, s := range pl.switches {
-			w.Uvarint(uint64(s - last))
+			w.ExpGolomb(uint64(s-last), ordBlock)
 			last = s
 		}
 	}
-	ones := uint64(0)
-	if pl.ones {
-		ones = 1
-	}
-	w.Uvarint(uint64(len(pl.res))<<1 | ones)
+	w.ExpGolomb(uint64(len(pl.res))<<1|uint64(b2i(pl.ones)), ordResHead)
 	last := q
 	for _, u := range pl.res {
-		w.Uvarint(uint64(u.node - last))
+		w.ExpGolomb(gap(last, u.node), ordResGap)
 		last = u.node
 	}
 	if !pl.ones {
 		for _, u := range pl.res {
-			w.Uvarint(uint64(u.count))
+			w.ExpGolomb(uint64(u.count), ordResCnt)
 		}
 	}
 }
@@ -488,8 +532,8 @@ func (pl *runPlan) write(w *flat.Writer, q graph.NodeID) {
 // flat.Grow; maxPostingsPerByte). The runs above each node are laid out
 // with the partners below it into the index's runs.
 func Decode(r *flat.Reader, numNodes int) (*Index, error) {
-	start := r.Offset()
-	numMeta := r.Uvarint()
+	start := r.BitOffset()
+	numMeta := r.ExpGolomb(ordSize)
 	if numMeta > math.MaxInt32 {
 		return nil, fmt.Errorf("index: %w", corrupt(r, "metagraph count", "overflows int32"))
 	}
@@ -500,6 +544,9 @@ func Decode(r *flat.Reader, numNodes int) (*Index, error) {
 	d := runDecoder{r: r, start: start, numMeta: numMeta, numNodes: uint64(max(numNodes, 0))}
 	if err := d.decode(); err != nil {
 		return nil, fmt.Errorf("index: runs: %w", err)
+	}
+	if r.Align(); r.Err() != nil {
+		return nil, fmt.Errorf("index: %w", r.Err())
 	}
 	return (&Index{numMeta: int(numMeta), mx: mx, flat: d.up.layout(int(numMeta))}).finish(), nil
 }
@@ -526,7 +573,7 @@ func badCount(r *flat.Reader) error {
 
 // decodeTable reads a node table whose keys must lie in [0, limit).
 func decodeTable(r *flat.Reader, numMeta, limit uint64) (c csr[graph.NodeID], err error) {
-	nKeys, nEnt := r.Uvarint(), r.Uvarint()
+	nKeys, nEnt := r.ExpGolomb(ordSize), r.ExpGolomb(ordSize)
 	if nKeys > math.MaxInt32 || nEnt > math.MaxInt32 {
 		return c, corrupt(r, "table size", "overflows the int32 row offsets")
 	}
@@ -557,7 +604,7 @@ func decodeTable(r *flat.Reader, numMeta, limit uint64) (c csr[graph.NodeID], er
 				return c, err
 			}
 		}
-		d := r.Uvarint()
+		d := r.ExpGolomb(ordKey)
 		reuse := d&1 == 1
 		if d >>= 1; d == 0 || d > limit-next {
 			return c, corrupt(r, "keys", fmt.Sprintf("not strictly ascending within [0, %d)", limit))
@@ -566,7 +613,7 @@ func decodeTable(r *flat.Reader, numMeta, limit uint64) (c csr[graph.NodeID], er
 		c.keys = append(c.keys, graph.NodeID(next-1))
 		switch {
 		case !reuse:
-			head = r.Uvarint()
+			head = r.ExpGolomb(ordNodeHead)
 		case i == 0:
 			return c, corrupt(r, "first row", "reuses a head, but no row comes before it")
 		}
@@ -580,7 +627,7 @@ func decodeTable(r *flat.Reader, numMeta, limit uint64) (c csr[graph.NodeID], er
 		start := len(c.ent)
 		for j := uint64(0); j < l; j++ {
 			if j > 0 {
-				g := r.Uvarint()
+				g := r.ExpGolomb(ordMetaGap)
 				if g == 0 || g >= numMeta-m {
 					return c, unorderedMetas(r, numMeta)
 				}
@@ -595,7 +642,7 @@ func decodeTable(r *flat.Reader, numMeta, limit uint64) (c csr[graph.NodeID], er
 		}
 		if head&1 == 0 {
 			for j := start; j < len(c.ent); j++ {
-				cnt := r.Uvarint()
+				cnt := r.ExpGolomb(ordNodeCnt)
 				if cnt == 0 || cnt > math.MaxUint32 {
 					return c, badCount(r)
 				}
@@ -628,7 +675,7 @@ type upperRuns struct {
 // runDecoder reads the runs above each node of one section.
 type runDecoder struct {
 	r                 *flat.Reader
-	start             int64 // the section's first byte
+	start             int64 // the section's first bit
 	numMeta, numNodes uint64
 	nPost             uint64 // postings the section claims
 	up                upperRuns
@@ -637,7 +684,7 @@ type runDecoder struct {
 
 func (d *runDecoder) decode() (err error) {
 	r, u := d.r, &d.up
-	nRuns, nPost := r.Uvarint(), r.Uvarint()
+	nRuns, nPost := r.ExpGolomb(ordSize), r.ExpGolomb(ordSize)
 	if nRuns > math.MaxInt32 || nPost > math.MaxInt32/2 {
 		return corrupt(r, "run sizes", "overflow the runs' posting positions")
 	}
@@ -665,13 +712,13 @@ func (d *runDecoder) decode() (err error) {
 			}
 		}
 		// q needs a partner above it, so it lies below numNodes-1.
-		g := r.Uvarint()
+		g := r.ExpGolomb(ordNode)
 		if g == 0 || g >= d.numNodes-uint64(q+1) {
 			return corrupt(r, "nodes", fmt.Sprintf("not strictly ascending below %d", int64(d.numNodes)-1))
 		}
 		q += int64(g)
 		u.nodes, u.first = append(u.nodes, graph.NodeID(q)), append(u.first, int32(len(u.meta)))
-		head := r.Uvarint()
+		head := r.ExpGolomb(ordRunHead)
 		l, m := head>>b, head&mask
 		if l == 0 || l > d.numMeta || l > nRuns-uint64(len(u.meta)) {
 			return corrupt(r, "run count", fmt.Sprintf("of node %d not within [1, %d] or past the runs claimed", q, d.numMeta))
@@ -684,7 +731,7 @@ func (d *runDecoder) decode() (err error) {
 		lo := len(u.meta)
 		for j := uint64(0); j < l; j++ {
 			if j > 0 {
-				g := r.Uvarint()
+				g := r.ExpGolomb(ordMetaGap)
 				if g == 0 || g >= d.numMeta-m {
 					return unorderedMetas(r, d.numMeta)
 				}
@@ -722,7 +769,7 @@ func (d *runDecoder) run(q graph.NodeID, m int32) (err error) {
 	base := len(u.post)
 	ref, taken := 0, 0 // the copies read u.post[ref:]
 	d.blocks = d.blocks[:0]
-	if dist := r.Uvarint(); dist != 0 {
+	if dist := r.ExpGolomb(ordRef); dist != 0 {
 		if dist > uint64(q) {
 			return corrupt(r, "reference", fmt.Sprintf("of node %d lies below node 0", q))
 		}
@@ -735,12 +782,12 @@ func (d *runDecoder) run(q graph.NodeID, m int32) (err error) {
 		i, _ := slices.BinarySearchFunc(ps, q+1, comparePosting)
 		ref = int(u.off[pr]) + i
 		left := uint64(len(ps) - i)
-		k := r.Uvarint()
+		k := r.ExpGolomb(ordBlocks)
 		if k > left+1 {
 			return corrupt(r, "copy blocks", "outnumber the reference's postings above the node")
 		}
 		for j := uint64(0); j < k; j++ {
-			bl := r.Uvarint()
+			bl := r.ExpGolomb(ordBlock)
 			if bl > left || (j > 0 && bl == 0) {
 				return corrupt(r, "copy blocks", "run past the reference's postings above the node, or one after the first is empty")
 			}
@@ -754,11 +801,11 @@ func (d *runDecoder) run(q graph.NodeID, m int32) (err error) {
 		if k%2 == 0 {
 			taken += int(left)
 		}
-		if int64(base+taken) > maxPostingsPerByte*(r.Offset()-d.start) {
+		if 8*int64(base+taken) > maxPostingsPerByte*(r.BitOffset()-d.start) {
 			return corrupt(r, "copies", fmt.Sprintf("take the section above %d postings per byte", maxPostingsPerByte))
 		}
 	}
-	h := r.Uvarint()
+	h := r.ExpGolomb(ordResHead)
 	nRes, ones := h>>1, h&1 == 1
 	if nRes+uint64(taken) == 0 {
 		return corrupt(r, "run", fmt.Sprintf("of node %d, metagraph %d holds no postings", q, m))
@@ -776,7 +823,7 @@ func (d *runDecoder) run(q graph.NodeID, m int32) (err error) {
 	u.post = u.post[:base+taken]
 	v := uint64(q)
 	for j := uint64(0); j < nRes; j++ {
-		g := r.Uvarint()
+		g := r.ExpGolomb(ordResGap)
 		if g == 0 || g >= d.numNodes-v {
 			return corrupt(r, "residual partners", fmt.Sprintf("of node %d not strictly ascending within (%d, %d)", q, q, d.numNodes))
 		}
@@ -791,7 +838,7 @@ func (d *runDecoder) run(q graph.NodeID, m int32) (err error) {
 	res := base + taken // the next residual
 	if !ones {
 		for j := res; j < len(u.post); j++ {
-			c := r.Uvarint()
+			c := r.ExpGolomb(ordResCnt)
 			if c == 0 || c > math.MaxUint32 {
 				return badCount(r)
 			}
@@ -825,8 +872,16 @@ func (d *runDecoder) run(q graph.NodeID, m int32) (err error) {
 
 // find returns the run of metagraph m above node p, if p has one.
 func (u *upperRuns) find(p graph.NodeID, m int32) (int32, bool) {
-	i, ok := slices.BinarySearch(u.nodes, p)
-	if !ok {
+	// A reference is a partner just below the node decoding, so p is
+	// among the last nodes decoded: gallop back from the end, then search
+	// the span that holds it.
+	n, bound := len(u.nodes), 1
+	for bound < n && u.nodes[n-bound] > p {
+		bound *= 2
+	}
+	from := max(n-bound, 0)
+	i, ok := slices.BinarySearch(u.nodes[from:n-bound/2], p)
+	if i += from; !ok {
 		return 0, false
 	}
 	lo, hi := u.first[i], u.first[i+1] // p lies below the node decoding

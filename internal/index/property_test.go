@@ -178,9 +178,9 @@ var paperShapeIndex = sync.OnceValues(func() ([]float64, *index.Index) {
 // the codec writes from them, so a change to how the index is laid out in
 // memory that shifts a byte of a snapshot fails here.
 const (
-	readDirectIndexWire = "49c597d809acdc4595e0958ea7f8bf399f67cc8753fb42fdc986fe75ba93a8f3"
-	lifecycleIndexWire  = "252ecba5b482492384890dd0f82f65015b5abda08dd8439c3ff8e6f116bd6239"
-	paperShapeIndexWire = "045508e7aa74e42aca3c826eb15043208667abb46865a718617a2c0578008ae7"
+	readDirectIndexWire = "abd28024fd54957b01e31549916de1c2309637eea7c2d9b7c7ebd14f2804cc99"
+	lifecycleIndexWire  = "1413b6181f171a950e4e9515ed1474c5b4b2f153957c9ad028182c7b0eaf01fb"
+	paperShapeIndexWire = "b1eb143022944c65c6ee751b5d9d974db563bd0baf57ff8603a1722d9a8eafdd"
 )
 
 // TestIndexWireGolden pins the index.Write bytes of the read_direct,

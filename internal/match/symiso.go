@@ -84,14 +84,7 @@ type Rooted struct {
 // (metagraph.StabilizerConditions): of the assignments of one instance that
 // place v on r, exactly one satisfies them.
 func (s *SymISO) Root(m *metagraph.Metagraph, r int) *Rooted {
-	return s.root(m, r)
-}
-
-// root plans the rooted enumerations of m at the positions pins, one or
-// the two ends of a metagraph edge, under the involutions and the
-// pointwise stabilizer that fix them all.
-func (s *SymISO) root(m *metagraph.Metagraph, pins ...int) *Rooted {
-	return &Rooted{st: s.plan(m, metagraph.DecomposeFixing(m, pins...), m.StabilizerConditions(pins...), pins...)}
+	return &Rooted{st: s.plan(m, metagraph.DecomposeFixing(m, r), m.StabilizerConditions(r), r)}
 }
 
 // Sets reports, through visit, every instance of the metagraph that holds
@@ -170,16 +163,8 @@ func GainedInstanceSets(s *SymISO, m *metagraph.Metagraph, visit SetVisitor) {
 		return visit(set)
 	}
 	// One oriented edge (i, j) per orbit of Aut(m) on the edges read both
-	// ways: the least (i, j) of its orbit.
-	var reps []metagraph.Edge
-	auts := m.Automorphisms()
-	for _, e := range m.Edges() {
-		for _, o := range [2]metagraph.Edge{e, {U: e.V, V: e.U}} {
-			if !slices.ContainsFunc(auts, func(a []int) bool { return a[o.U] < o.U || a[o.U] == o.U && a[o.V] < o.V }) {
-				reps = append(reps, o)
-			}
-		}
-	}
+	// ways, its decomposition and conditions kept with m.
+	reps := m.PinnedEdges()
 	runs := make([]*Rooted, len(reps)) // planned on first use
 	for i, e := range edges {
 		at = i
@@ -188,7 +173,8 @@ func GainedInstanceSets(s *SymISO, m *metagraph.Metagraph, visit SetVisitor) {
 				continue
 			}
 			if runs[k] == nil {
-				runs[k] = s.root(m, r.U, r.V)
+				d, conds := r.Plan()
+				runs[k] = &Rooted{st: s.plan(m, d, conds, r.U, r.V)}
 			}
 			if !runs[k].sets(first, e.U, e.V) {
 				return

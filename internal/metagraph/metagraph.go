@@ -34,6 +34,7 @@ type Metagraph struct {
 	adj   []uint16 // adj[i] bit j set iff edge {i,j}
 	edges []Edge   // sorted (U,V) with U<V
 	nbrs  [][]int  // nbrs[i] = neighbours of i, ascending; built once in New
+	sym   *symmetry
 }
 
 // New builds a metagraph over the given node types with the given edges.
@@ -51,6 +52,7 @@ func New(types []graph.TypeID, edges []Edge) (*Metagraph, error) {
 	m := &Metagraph{
 		types: append([]graph.TypeID(nil), types...),
 		adj:   make([]uint16, n),
+		sym:   new(symmetry),
 	}
 	for _, e := range edges {
 		u, v := e.U, e.V

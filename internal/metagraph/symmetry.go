@@ -1,6 +1,11 @@
 package metagraph
 
-import "repro/internal/graph"
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/graph"
+)
 
 // Symmetry machinery for Def. 1 of the paper: a metagraph M is symmetric if
 // there is a non-empty set Ψ of disjoint pairs of distinct nodes such that
@@ -17,11 +22,26 @@ type Involution struct {
 	Pairs []Edge
 }
 
+// symmetry is what Automorphisms, Involutions and PinnedEdges compute
+// from a metagraph, which never changes: each once, on the first call.
+type symmetry struct {
+	autsOnce, invsOnce, pinsOnce sync.Once
+	auts                         [][]int
+	invs                         []Involution
+	pins                         []*PinnedEdge
+}
+
 // Automorphisms returns every type-preserving automorphism of m as a
 // permutation slice (perm[i] = image of node i). The identity is included.
 // Metagraphs are at most MaxNodes nodes, so exhaustive backtracking is
-// exact and fast.
+// exact and fast. The result is computed once and shared: callers must not
+// modify it.
 func (m *Metagraph) Automorphisms() [][]int {
+	m.sym.autsOnce.Do(func() { m.sym.auts = m.automorphisms() })
+	return m.sym.auts
+}
+
+func (m *Metagraph) automorphisms() [][]int {
 	n := m.N()
 	perm := make([]int, n)
 	used := make([]bool, n)
@@ -115,6 +135,11 @@ func chainConditions(g [][]int, n int) []Edge {
 // Involutions returns the non-identity automorphisms of m that are products
 // of disjoint transpositions (σ∘σ = id), i.e. every witness Ψ for Def. 1.
 func (m *Metagraph) Involutions() []Involution {
+	m.sym.invsOnce.Do(func() { m.sym.invs = m.involutions() })
+	return m.sym.invs
+}
+
+func (m *Metagraph) involutions() []Involution {
 	var out []Involution
 	for _, p := range m.Automorphisms() {
 		ok := false
@@ -188,4 +213,41 @@ func (m *Metagraph) AnchorPairs(t graph.TypeID) []Edge {
 		}
 	}
 	return out
+}
+
+// PinnedEdge is an oriented edge (U, V) of a metagraph, the least (U, V)
+// of its orbit under Aut(M) on the edges read both ways, and what a search
+// that pins its two ends needs of the metagraph (Plan).
+type PinnedEdge struct {
+	Edge
+	m     *Metagraph
+	once  sync.Once
+	d     *Decomposition
+	conds []Edge
+}
+
+// PinnedEdges returns one PinnedEdge per orbit of m's oriented edges, in
+// edge order. The result is computed once and shared: callers must not
+// modify it.
+func (m *Metagraph) PinnedEdges() []*PinnedEdge {
+	m.sym.pinsOnce.Do(func() {
+		auts := m.Automorphisms()
+		for _, e := range m.edges {
+			for _, o := range [2]Edge{e, {U: e.V, V: e.U}} {
+				if !slices.ContainsFunc(auts, func(a []int) bool { return a[o.U] < o.U || a[o.U] == o.U && a[o.V] < o.V }) {
+					m.sym.pins = append(m.sym.pins, &PinnedEdge{Edge: o, m: m})
+				}
+			}
+		}
+	})
+	return m.sym.pins
+}
+
+// Plan returns the decomposition of the metagraph under the involutions
+// that fix both ends of p (DecomposeFixing) and the conditions of their
+// pointwise stabilizer (StabilizerConditions), computed on the first call
+// and shared.
+func (p *PinnedEdge) Plan() (*Decomposition, []Edge) {
+	p.once.Do(func() { p.d, p.conds = DecomposeFixing(p.m, p.U, p.V), p.m.StabilizerConditions(p.U, p.V) })
+	return p.d, p.conds
 }

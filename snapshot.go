@@ -46,7 +46,7 @@ import (
 // straight into fresh ones, and a follower decodes while its primary is
 // still encoding.
 
-const snapshotMagic = "SPXS\x09"
+const snapshotMagic = "SPXS\x0a"
 
 // snapMetagraph rebuilds one metagraph via metagraph.New.
 type snapMetagraph struct {

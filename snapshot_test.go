@@ -2,8 +2,10 @@ package semprox
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"runtime"
@@ -312,18 +314,22 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 			t.Fatalf("%s: LoadEngine returned %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
-	// A name longer than the rest of the stream: its length prefix is the
-	// last thing before the checksum.
+	// A name longer than the rest of the stream: the section's one node
+	// claims 64 bytes of name, and the type names are the last thing before
+	// the checksum.
 	rg := rawOf(g)
 	longName := func(fw *flat.Writer) {
-		fw.Uvarint(uint64(len(rg.types)))
+		fw.ExpGolomb(uint64(len(rg.types)), gOrdSize)
 		for _, name := range rg.types {
-			fw.String(name)
+			fw.ExpGolomb(uint64(len(name)), gOrdSize)
 		}
-		fw.Uvarint(uint64(len(rg.typ)))
-		fw.Uvarint(rg.typ[0])
-		fw.Uvarint(0) // shares nothing
-		fw.Uvarint(64)
+		fw.ExpGolomb(1, gOrdSize)
+		fw.ExpGolomb(rg.typ[0], gOrdType)
+		fw.ExpGolomb(0, gOrdShared) // shares nothing
+		fw.ExpGolomb(64, gOrdSuffix)
+		for _, name := range rg.types {
+			fw.Raw(name)
+		}
 	}
 	var short bytes.Buffer
 	fw := flat.NewWriter(&short, snapshotMagic)
@@ -422,23 +428,44 @@ func rawOf(g *graph.Graph) rawGraph {
 	return rg
 }
 
+// The exp-Golomb orders of the graph section's fields, as
+// internal/graph/section.go writes them.
+const (
+	gOrdSize   = 0
+	gOrdType   = 0
+	gOrdShared = 2
+	gOrdSuffix = 1
+	gOrdDegree = 0
+	gOrdGap    = 5
+)
+
+// write writes rg as a graph section; a value past the largest its
+// field's code holds (2^64-1) is written as that largest value.
 func (rg rawGraph) write(fw *flat.Writer) {
-	fw.Uvarint(uint64(len(rg.types)))
+	eg := func(v uint64, k uint) { fw.ExpGolomb(min(v, math.MaxUint64-1<<k), k) }
+	eg(uint64(len(rg.types)), gOrdSize)
 	for _, name := range rg.types {
-		fw.String(name)
+		eg(uint64(len(name)), gOrdSize)
 	}
-	fw.Uvarint(uint64(len(rg.typ)))
+	eg(uint64(len(rg.typ)), gOrdSize)
 	for v := range rg.typ {
-		fw.Uvarint(rg.typ[v])
-		fw.Uvarint(0) // shares nothing with the previous name: legal, if long
-		fw.String(rg.names[v])
+		eg(rg.typ[v], gOrdType)
+		eg(0, gOrdShared) // shares nothing with the previous name: legal, if long
+		eg(uint64(len(rg.names[v])), gOrdSuffix)
+	}
+	for _, name := range rg.types {
+		fw.Raw(name)
+	}
+	for _, name := range rg.names {
+		fw.Raw(name)
 	}
 	for _, gaps := range rg.above {
-		fw.Uvarint(uint64(len(gaps)))
+		eg(uint64(len(gaps)), gOrdDegree)
 		for _, d := range gaps {
-			fw.Uvarint(d)
+			eg(d, gOrdGap)
 		}
 	}
+	fw.Align()
 }
 
 // fullSnapshot saves a trained, updated engine — the richest wire shape
@@ -585,58 +612,63 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 		"header of 2^40 bytes": func(w *flat.Writer) { w.Uvarint(1 << 40) },
 		"graph of MaxTypes types": func(w *flat.Writer) {
 			w.Bytes(hdr)
-			w.Uvarint(graph.MaxTypes)
-			w.String("user") // the first name; nothing else follows
+			w.ExpGolomb(graph.MaxTypes, gOrdSize)
+			w.ExpGolomb(4, gOrdSize) // the first name's length; nothing else follows
 		},
 		"graph of 2^31-1 nodes": func(w *flat.Writer) {
 			w.Bytes(hdr)
-			w.Uvarint(1)
-			w.String("user")
-			w.Uvarint(math.MaxInt32)
-			w.Uvarint(0) // the first node; nothing else follows
-			w.String("Alice")
+			w.ExpGolomb(1, gOrdSize)
+			w.ExpGolomb(4, gOrdSize)
+			w.ExpGolomb(math.MaxInt32, gOrdSize)
+			w.ExpGolomb(0, gOrdType) // the first node; nothing else follows
+			w.ExpGolomb(0, gOrdShared)
+			w.ExpGolomb(5, gOrdSuffix)
 		},
 		"node name of 2^40 bytes": func(w *flat.Writer) {
 			w.Bytes(hdr)
-			w.Uvarint(1)
-			w.String("user")
-			w.Uvarint(1)
-			w.Uvarint(0)
-			w.Uvarint(1 << 40)
+			w.ExpGolomb(1, gOrdSize)
+			w.ExpGolomb(4, gOrdSize)
+			w.ExpGolomb(1, gOrdSize)
+			w.ExpGolomb(0, gOrdType)
+			w.ExpGolomb(0, gOrdShared)
+			w.ExpGolomb(1<<40, gOrdSuffix)
+			w.Raw("user")
 		},
+		// The index section's orders: 0 for the sizes, 1 for a node-table
+		// key and for a node's gap (internal/index/io.go).
 		"index of 2^31-1 keys and entries": func(w *flat.Writer) {
 			w.Bytes(hdr)
 			graph.Encode(w, g)
-			w.Uvarint(1) // numMeta
-			w.Uvarint(math.MaxInt32)
-			w.Uvarint(math.MaxInt32)
-			w.Uvarint(1) // the first key; nothing else follows
+			w.ExpGolomb(1, 0) // numMeta
+			w.ExpGolomb(math.MaxInt32, 0)
+			w.ExpGolomb(math.MaxInt32, 0)
+			w.ExpGolomb(1, 1) // the first key; nothing else follows
 		},
 		"index of 2^40 keys and entries": func(w *flat.Writer) {
 			w.Bytes(hdr)
 			graph.Encode(w, g)
-			w.Uvarint(1)
-			w.Uvarint(1 << 40)
-			w.Uvarint(1 << 40)
+			w.ExpGolomb(1, 0)
+			w.ExpGolomb(1<<40, 0)
+			w.ExpGolomb(1<<40, 0)
 		},
 		"index of 2^31-1 runs": func(w *flat.Writer) {
 			w.Bytes(hdr)
 			graph.Encode(w, g)
-			w.Uvarint(1) // numMeta
-			w.Uvarint(0) // an empty node table
-			w.Uvarint(0)
-			w.Uvarint(math.MaxInt32)
-			w.Uvarint(math.MaxInt32 / 2) // the most postings a claim may
-			w.Uvarint(1)                 // the first node; nothing else follows
+			w.ExpGolomb(1, 0) // numMeta
+			w.ExpGolomb(0, 0) // an empty node table
+			w.ExpGolomb(0, 0)
+			w.ExpGolomb(math.MaxInt32, 0)
+			w.ExpGolomb(math.MaxInt32/2, 0) // the most postings a claim may
+			w.ExpGolomb(1, 1)               // the first node; nothing else follows
 		},
 		"index of 2^40 runs and postings": func(w *flat.Writer) {
 			w.Bytes(hdr)
 			graph.Encode(w, g)
-			w.Uvarint(1)
-			w.Uvarint(0)
-			w.Uvarint(0)
-			w.Uvarint(1 << 40)
-			w.Uvarint(1 << 40)
+			w.ExpGolomb(1, 0)
+			w.ExpGolomb(0, 0)
+			w.ExpGolomb(0, 0)
+			w.ExpGolomb(1<<40, 0)
+			w.ExpGolomb(1<<40, 0)
 		},
 	} {
 		var buf bytes.Buffer
@@ -772,6 +804,24 @@ func FuzzLoadEngine(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(ub.Bytes())
+	// The toy snapshot with a bit of padding set — the first, from the
+	// graph section on, that LoadEngine refuses as padding — and its
+	// checksum made right again, so only the padding is wrong.
+	padded := false
+	for i := len(snapshotMagic); i < len(data)-4 && !padded; i++ {
+		for bit := 0; bit < 8 && !padded; bit++ {
+			bad := bytes.Clone(data)
+			bad[i] ^= 1 << bit
+			binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], crc32.MakeTable(crc32.Castagnoli)))
+			if _, err := LoadEngine(bytes.NewReader(bad)); err != nil && strings.Contains(err.Error(), "padding") {
+				f.Add(bad)
+				padded = true
+			}
+		}
+	}
+	if !padded {
+		f.Fatal("no bit of the snapshot is padding")
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := LoadEngine(bytes.NewReader(data))
 		if err != nil {
@@ -793,7 +843,7 @@ func FuzzLoadEngine(f *testing.F) {
 // grows a snapshot fails here, not in a benchmark run; one that shrinks it
 // lowers these.
 func TestSnapshotBytesBudget(t *testing.T) {
-	budgetKiB := map[string][3]int{"read_direct": {219, 226, 223}, "lifecycle": {129, 131, 123}}
+	budgetKiB := map[string][3]int{"read_direct": {150, 154, 151}, "lifecycle": {76, 79, 74}}
 	for _, sh := range workloadShapes() {
 		for seed := int64(1); seed <= 3; seed++ {
 			var buf bytes.Buffer
@@ -803,6 +853,65 @@ func TestSnapshotBytesBudget(t *testing.T) {
 			if budget := budgetKiB[sh.name][seed-1] << 10; buf.Len() > budget {
 				t.Errorf("%s, seed %d: Save wrote %d bytes, over its budget of %d", sh.name, seed, buf.Len(), budget)
 			}
+		}
+	}
+}
+
+// TestSnapshotSectionBytes pins how many bytes each section of the
+// read_direct and lifecycle snapshots (seed 1) takes — the numbers DESIGN.md
+// "Snapshot format" quotes: it writes the magic, the header, the graph
+// section, the index section and the classes' weights the way Save does,
+// reading flat.Writer.Offset between them, and holds the whole to Save's
+// own bytes. Run it with -v to see the sizes:
+//
+//	go test -run TestSnapshotSectionBytes -v .
+func TestSnapshotSectionBytes(t *testing.T) {
+	want := map[string][5]int64{ // magic, header, graph, index, classes
+		"read_direct": {5, 502, 39527, 112776, 16},
+		"lifecycle":   {5, 1274, 3901, 72543, 88},
+	}
+	for _, sh := range workloadShapes() {
+		eng := sh.build(1)
+		var saved bytes.Buffer
+		if err := eng.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		h, _, _ := snapshotParts(t, saved.Bytes())
+		hdr, err := json.Marshal(&h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := eng.cur.Load()
+		var buf bytes.Buffer
+		fw := flat.NewWriter(&buf, snapshotMagic)
+		offs := []int64{0, fw.Offset()}
+		fw.Bytes(hdr)
+		offs = append(offs, fw.Offset())
+		graph.Encode(fw, ep.g)
+		offs = append(offs, fw.Offset())
+		index.Encode(fw, ep.ix)
+		offs = append(offs, fw.Offset())
+		for _, sc := range h.Classes {
+			cm := ep.classes[sc.Name]
+			fw.Uint64(math.Float64bits(cm.model.LogLikelihood))
+			for _, wi := range cm.model.W {
+				fw.Uint64(math.Float64bits(wi))
+			}
+		}
+		offs = append(offs, fw.Offset())
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), saved.Bytes()) {
+			t.Fatalf("%s: the sections written apart are not the %d bytes Save writes", sh.name, saved.Len())
+		}
+		var got [5]int64
+		for i := range got {
+			got[i] = offs[i+1] - offs[i]
+		}
+		t.Logf("%s: magic %d, header %d, graph %d, index %d, classes %d, checksum 4: %d bytes", sh.name, got[0], got[1], got[2], got[3], got[4], saved.Len())
+		if got != want[sh.name] {
+			t.Errorf("%s: sections of %v bytes, want %v", sh.name, got, want[sh.name])
 		}
 	}
 }
