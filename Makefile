@@ -111,7 +111,9 @@ cover:
 # on the highest-degree node of a LinkedIn-shaped graph and one small
 # update followed by Compact on a community graph (`incremental`: the
 # patch-then-fold cycle mixed_rw runs; the paper shape's `paper` and
-# `paper_hub` updates stay out, as paper_2000 does), the ranked scan
+# `paper_hub` updates stay out, as paper_2000 does), the replay of 512
+# logged single-user joins into the read_direct and lifecycle engines
+# (ns/record), the ranked scan
 # (warm on a small index; `uniform`: seeded random anchors on the 5 000-user
 # index under its learned w*, which is what a daemon pays; `dense`: the
 # same under uniform weights, where the scan skips no metagraph; and
@@ -133,6 +135,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)(_dual)?$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/(hub|incremental)$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayWAL/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server

@@ -17,6 +17,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/mining"
+	"repro/internal/wal"
 )
 
 // One benchmark per table and figure of the paper's evaluation (Sect. V),
@@ -693,6 +694,51 @@ func BenchmarkApplyUpdate(b *testing.B) {
 		}
 		joins(b, eng, hub)
 	})
+}
+
+// BenchmarkReplayWAL times crash recovery's log replay at the shapes of
+// benchmark/'s read_direct and lifecycle workloads: replayRecords logged
+// single-user joins, each a new user joining one of five colleges,
+// replayed by ReplayWAL into the engine of the pre-update snapshot (its
+// epoch restored outside the timer, so an op costs the same whatever b.N
+// is). It reports ns per replayed record. An op is sized at tens of ms:
+// a smaller one does not resolve on a shared host.
+func BenchmarkReplayWAL(b *testing.B) {
+	const replayRecords = 512
+	for _, sh := range workloadShapes() {
+		b.Run(sh.name, func(b *testing.B) {
+			eng, _ := snapshotBench(b, sh)
+			g := eng.Graph()
+			w, err := wal.Open(b.TempDir(), wal.Options{BaseLSN: eng.LSN()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			next := NodeID(g.NumNodes())
+			for i := 0; i < replayRecords; i++ {
+				d := Delta{
+					Nodes: []DeltaNode{{Type: "user", Value: fmt.Sprintf("replay-user-%d", i)}},
+					Edges: []Edge{{U: next + NodeID(i), V: g.NodeByName(fmt.Sprintf("college-%d", i%5))}},
+				}
+				if _, err := w.Append(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			base := eng.cur.Load()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				applied, _, err := ReplayWAL(eng, w)
+				if err != nil || applied != replayRecords {
+					b.Fatalf("replayed %d of %d records: %v", applied, replayRecords, err)
+				}
+				b.StopTimer()
+				eng.cur.Store(base)
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*replayRecords), "ns/record")
+		})
+	}
 }
 
 // ---- snapshot codec ----

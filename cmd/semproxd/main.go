@@ -4,7 +4,8 @@
 // the offline half, `semprox -save`, wrote; a read replica (-follow)
 // bootstraps from its primary instead. A primary can run durable (-wal),
 // and -save then checkpoints it after the log replay so the next start
-// replays nothing.
+// applies nothing again. -save deletes only the sealed log segments the
+// checkpoint covers: the active segment stays until the log rotates.
 //
 // Examples:
 //
@@ -12,7 +13,7 @@
 //	semprox -dataset linkedin -users 400 -save engine.snap
 //
 //	# Serve it on :8080. Durable: every /v1/update is fsynced to the
-//	# write-ahead log before it is applied; a crash (kill -9) replays the
+//	# write-ahead log before it is acknowledged; a crash (kill -9) replays the
 //	# log tail on the next boot, so no acknowledged update is ever lost.
 //	semproxd -snapshot engine.snap -wal /var/lib/semprox/wal
 //
@@ -73,8 +74,8 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		snapshot   = flag.String("snapshot", "", "serve the engine snapshot in this file (write one with semprox -save)")
-		save       = flag.String("save", "", "after the log replay, checkpoint the engine to this snapshot file (and truncate the log it covers) before serving")
-		walDir     = flag.String("wal", "", "write-ahead log directory: fsync every /update before applying it, replay the log tail on boot, serve /replicate to followers")
+		save       = flag.String("save", "", "after the log replay, checkpoint the engine to this snapshot file before serving, and delete the sealed log segments it covers (the active segment stays until the log rotates past it)")
+		walDir     = flag.String("wal", "", "write-ahead log directory: fsync every /update before acknowledging it, replay the log tail on boot, serve /replicate to followers")
 		follow     = flag.String("follow", "", "run as a read replica of the primary at this base URL (e.g. http://host:8080) instead of serving a -snapshot")
 		stateDir   = flag.String("state", "", "follower-local state directory (snapshot + WAL): replicated records fsync here before applying, restarts resume from local state instead of re-bootstrapping, and promotion (-peers) serves writes from this log")
 		peers      = flag.String("peers", "", "comma-separated base URLs of the other replication nodes: the follower monitors its primary and runs a promotion election when it dies (requires -state and -advertise)")
@@ -261,14 +262,14 @@ func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server,
 			return nil, nil, err
 		}
 		if replayed > 0 {
-			eng.Compact()
 			log.Printf("recovered %d logged updates in %.1fms (engine now at LSN %d, epoch %d)",
 				replayed, msSince(start), eng.LSN(), eng.Epoch())
 		}
 	}
 
 	// Snapshot after recovery, so it covers every replayed record; the
-	// log prefix it covers is then redundant and truncated away.
+	// log prefix it covers is then redundant, and the sealed segments
+	// holding it are deleted (TruncateThrough keeps the active one).
 	if save != "" {
 		if err := atomicfile.WriteWith(save, func(w io.Writer) error { return eng.Save(w) }); err != nil {
 			return nil, nil, err

@@ -55,10 +55,7 @@ func main() {
 		primary      = flag.String("primary", "http://localhost:8080", "base URL of the (initially) primary backend")
 		followers    = flag.String("followers", "", "comma-separated base URLs of follower backends")
 		cacheEntries = flag.Int("cache-entries", 4096, "response cache capacity in entries (0 disables caching)")
-		hedge        = flag.Bool("hedge", true, "hedge straggling reads to a second live replica")
-		hedgeCap     = flag.Int("hedge-cap", proxy.DefaultHedgeCapPct, "max hedges as a percentage of forwarded reads")
-		hedgeBudget  = flag.Duration("hedge-budget", proxy.DefaultHedgeBudget, "hedge latency budget before a backend's own p95 estimate exists")
-		hedgeMax     = flag.Duration("hedge-budget-max", proxy.DefaultHedgeBudgetMax, "upper clamp on the per-backend p95 hedge budget")
+		hedge        = flag.Bool("hedge", true, "hedge straggling reads to a second live replica (at most 10% of reads, after the backend's p95 clamped to [1ms, 100ms])")
 		probe        = flag.Duration("probe", client.DefaultProbeInterval, "backend readiness probe interval")
 		statsPoll    = flag.Duration("stats-poll", 500*time.Millisecond, "primary stats poll interval (epoch tracking for cache flushes; 0 disables)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (e.g. localhost:6061); empty disables profiling endpoints")
@@ -83,13 +80,7 @@ func main() {
 	router.OnEvent = func(ev client.Event) {
 		log.Printf("routing: %s %s (%s)", ev.Type, ev.URL, ev.Reason)
 	}
-	p := proxy.New(router, proxy.Options{
-		CacheEntries:   *cacheEntries,
-		Hedge:          *hedge,
-		HedgeCapPct:    *hedgeCap,
-		HedgeBudget:    *hedgeBudget,
-		HedgeBudgetMax: *hedgeMax,
-	})
+	p := proxy.New(router, proxy.Options{CacheEntries: *cacheEntries, Hedge: *hedge})
 	if *requestLog {
 		p.SetRequestLog(slog.New(obs.NewLineHandler(stderr)), *slowQuery)
 	}
@@ -123,8 +114,8 @@ func main() {
 		}()
 	}
 
-	log.Printf("edge tier on %s: primary %s, %d follower(s), cache %d entries, hedge %v (cap %d%%)",
-		*addr, *primary, len(followerURLs), *cacheEntries, *hedge, *hedgeCap)
+	log.Printf("edge tier on %s: primary %s, %d follower(s), cache %d entries, hedge %v",
+		*addr, *primary, len(followerURLs), *cacheEntries, *hedge)
 	if err := daemon.Serve(ctx, *addr, p); err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// randomDelta builds an arbitrary (not necessarily applicable) delta; the
+// randomDelta builds an arbitrary (not necessarily valid on any graph) delta; the
 // codec must round-trip any Delta value, validity is Apply's job.
 func randomDelta(rng *rand.Rand) Delta {
 	var d Delta

@@ -40,6 +40,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -59,35 +60,34 @@ const HeaderCache = "X-Semprox-Cache"
 // (first attempt + failovers + at most one hedge).
 const maxReadTargets = 8
 
-// Option defaults, applied by New when the corresponding field is zero.
-const (
-	DefaultHedgeCapPct    = 10
-	DefaultHedgeBudget    = 10 * time.Millisecond
-	DefaultHedgeBudgetMin = time.Millisecond
-	DefaultHedgeBudgetMax = 100 * time.Millisecond
-)
+// hedging is the hedge tuning. Every proxy runs defaultHedging; tests in
+// this package set other values on the Proxy before serving.
+type hedging struct {
+	// capPct caps hedges at this percentage of forwarded reads: the
+	// hedger may only ever have issued fewer duplicate requests than
+	// capPct% of the reads it forwarded, so hedging bounds its own added
+	// load even when every backend is slow.
+	capPct int
+	// budget is the latency budget before a backend's own p95 estimate
+	// exists.
+	budget time.Duration
+	// min and max clamp the per-backend p95 estimate: min keeps a fast
+	// backend from hedging micro-jitter, max bounds the wait before a
+	// hedge fires however slow the estimate got.
+	min, max time.Duration
+}
+
+var defaultHedging = hedging{capPct: 10, budget: 10 * time.Millisecond, min: time.Millisecond, max: 100 * time.Millisecond}
 
 // Options configures a Proxy.
 type Options struct {
 	// CacheEntries bounds the response cache (entries); <= 0 disables
 	// caching entirely.
 	CacheEntries int
-	// Hedge enables hedged reads.
+	// Hedge enables hedged reads: at most 10% of forwarded reads, each
+	// after its backend's trailing p95 clamped to [1ms, 100ms] (10ms
+	// before the backend has answered).
 	Hedge bool
-	// HedgeCapPct caps hedges at this percentage of forwarded reads
-	// (default 10): the hedger may only ever have issued fewer duplicate
-	// requests than cap% of the reads it forwarded, so hedging bounds its
-	// own added load even when every backend is slow.
-	HedgeCapPct int
-	// HedgeBudget is the latency budget before a backend's own p95
-	// estimate exists (default 10ms).
-	HedgeBudget time.Duration
-	// HedgeBudgetMin/Max clamp the per-backend p95 estimate: Min keeps a
-	// fast backend from hedging micro-jitter (default 1ms), Max bounds
-	// the wait before a hedge fires however slow the estimate got
-	// (default 100ms).
-	HedgeBudgetMin time.Duration
-	HedgeBudgetMax time.Duration
 	// HTTPClient is the per-attempt client for forwarded reads (nil: one
 	// with client.DefaultTimeout).
 	HTTPClient *http.Client
@@ -98,6 +98,7 @@ type Options struct {
 type Proxy struct {
 	router *client.Router
 	opts   Options
+	hedge  hedging
 	hc     *http.Client // forwarded reads (bounded timeout)
 	raw    *http.Client // replication passthrough (long-poll + snapshot streams)
 	mux    *http.ServeMux
@@ -129,18 +130,6 @@ type Proxy struct {
 // New builds the proxy over a router. The router's probe loop (Run) is
 // the caller's to start — the proxy only consumes its live set.
 func New(r *client.Router, opts Options) *Proxy {
-	if opts.HedgeCapPct <= 0 {
-		opts.HedgeCapPct = DefaultHedgeCapPct
-	}
-	if opts.HedgeBudget <= 0 {
-		opts.HedgeBudget = DefaultHedgeBudget
-	}
-	if opts.HedgeBudgetMin <= 0 {
-		opts.HedgeBudgetMin = DefaultHedgeBudgetMin
-	}
-	if opts.HedgeBudgetMax <= 0 {
-		opts.HedgeBudgetMax = DefaultHedgeBudgetMax
-	}
 	hc := opts.HTTPClient
 	if hc == nil {
 		// Not http.DefaultTransport: its 2 idle conns per host would make
@@ -158,6 +147,7 @@ func New(r *client.Router, opts Options) *Proxy {
 	p := &Proxy{
 		router: r,
 		opts:   opts,
+		hedge:  defaultHedging,
 		hc:     hc,
 		raw:    &http.Client{Transport: hc.Transport},
 		mux:    http.NewServeMux(),
@@ -277,26 +267,20 @@ func (p *Proxy) estimatorFor(c *client.Client) *estimator {
 }
 
 // budgetFor returns the hedge budget against one backend: its trailing
-// p95 clamped to [HedgeBudgetMin, HedgeBudgetMax], or HedgeBudget before
-// any sample exists.
+// p95 clamped to [hedge.min, hedge.max], or hedge.budget before any
+// sample exists.
 func (p *Proxy) budgetFor(c *client.Client) time.Duration {
 	b := p.estimatorFor(c).value()
 	if b == 0 {
-		b = p.opts.HedgeBudget
+		b = p.hedge.budget
 	}
-	if b < p.opts.HedgeBudgetMin {
-		b = p.opts.HedgeBudgetMin
-	}
-	if b > p.opts.HedgeBudgetMax {
-		b = p.opts.HedgeBudgetMax
-	}
-	return b
+	return min(max(b, p.hedge.min), p.hedge.max)
 }
 
 // hedgeAllowed enforces the cap: a hedge may launch only while the
-// issued count stays under HedgeCapPct% of forwarded reads.
+// issued count stays under hedge.capPct% of forwarded reads.
 func (p *Proxy) hedgeAllowed() bool {
-	return (p.hedgesIssued.Value()+1)*100 <= uint64(p.opts.HedgeCapPct)*p.reads.Value()
+	return (p.hedgesIssued.Value()+1)*100 <= uint64(p.hedge.capPct)*p.reads.Value()
 }
 
 // result is one backend attempt's outcome.
@@ -382,6 +366,14 @@ func (p *Proxy) forwardRead(ctx context.Context, method, path, rawQuery string, 
 	next := 0
 	launch := func(hedged bool) {
 		c := targets[next]
+		if next > 0 && next == len(targets)-1 {
+			// The fallback is the primary resolved now, not when the list
+			// was made: a promotion while the followers were tried moves
+			// it (as Router.read does).
+			if pc := p.router.Primary(); !slices.Contains(targets[:next], pc) {
+				c = pc
+			}
+		}
 		next++
 		go func() {
 			res := p.attempt(actx, c, method, path, rawQuery, body)

@@ -81,6 +81,13 @@ func newFake(t *testing.T, role string, delay time.Duration) *fake {
 // fakeStack wires a fake primary + followers behind a proxy.
 func fakeStack(t *testing.T, opts Options, primary *fake, followers ...*fake) (*Proxy, *httptest.Server) {
 	t.Helper()
+	return tunedStack(t, opts, defaultHedging, primary, followers...)
+}
+
+// tunedStack is fakeStack with the hedge tuning h, set before the proxy
+// serves.
+func tunedStack(t *testing.T, opts Options, h hedging, primary *fake, followers ...*fake) (*Proxy, *httptest.Server) {
+	t.Helper()
 	urls := make([]string, len(followers))
 	for i, f := range followers {
 		urls[i] = f.ts.URL
@@ -88,6 +95,7 @@ func fakeStack(t *testing.T, opts Options, primary *fake, followers ...*fake) (*
 	router := client.NewRouter(primary.ts.URL, urls, nil)
 	router.Probe(context.Background())
 	p := New(router, opts)
+	p.hedge = h
 	ts := httptest.NewServer(p)
 	t.Cleanup(ts.Close)
 	return p, ts
@@ -114,11 +122,8 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	primary := newFake(t, api.RolePrimary, 0)
 	slow := newFake(t, api.RoleFollower, 300*time.Millisecond)
 	fast := newFake(t, api.RoleFollower, 0)
-	_, ts := fakeStack(t, Options{
-		Hedge:       true,
-		HedgeCapPct: 100, // the cap is not under test here
-		HedgeBudget: 20 * time.Millisecond,
-	}, primary, slow, fast)
+	// The cap is not under test here.
+	_, ts := tunedStack(t, Options{Hedge: true}, hedging{capPct: 100, budget: 20 * time.Millisecond, min: defaultHedging.min, max: defaultHedging.max}, primary, slow, fast)
 
 	p := tsProxy(t, ts)
 	sawHedgeWin := false
@@ -169,20 +174,13 @@ func TestNoHedgeUnderBudget(t *testing.T) {
 	primary := newFake(t, api.RolePrimary, 0)
 	a := newFake(t, api.RoleFollower, 0)
 	b := newFake(t, api.RoleFollower, 0)
-	p, ts := fakeStack(t, Options{
-		Hedge:       true,
-		HedgeCapPct: 100,
-		// Far beyond any loopback latency even on a loaded -race runner.
-		// HedgeBudgetMax must rise with it or the default 100ms clamp
-		// would silently lower the budget back down — and HedgeBudgetMin
-		// must too, or the per-backend p95 estimate (sub-millisecond over
-		// loopback, clamped UP to the 1ms default min) replaces the
-		// configured budget after the first read and one slow scheduling
-		// hiccup fires a hedge.
-		HedgeBudget:    5 * time.Second,
-		HedgeBudgetMin: 5 * time.Second,
-		HedgeBudgetMax: 5 * time.Second,
-	}, primary, a, b)
+	// Far beyond any loopback latency even on a loaded -race runner. max
+	// must rise with it or the default 100ms clamp would silently lower
+	// the budget back down — and min must too, or the per-backend p95
+	// estimate (sub-millisecond over loopback, clamped UP to the 1ms
+	// default min) replaces the budget after the first read and one slow
+	// scheduling hiccup fires a hedge.
+	p, ts := tunedStack(t, Options{Hedge: true}, hedging{capPct: 100, budget: 5 * time.Second, min: 5 * time.Second, max: 5 * time.Second}, primary, a, b)
 	for i := 0; i < 20; i++ {
 		if status, body, _ := get(t, ts.URL+api.PathQuery+"?class=c&query=q"); status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, body)
@@ -195,17 +193,13 @@ func TestNoHedgeUnderBudget(t *testing.T) {
 
 // TestHedgeCapEnforced: with every backend slow and a tiny budget, every
 // read WANTS a hedge — the cap must keep issued hedges at or under
-// HedgeCapPct% of forwarded reads.
+// capPct% of forwarded reads.
 func TestHedgeCapEnforced(t *testing.T) {
 	primary := newFake(t, api.RolePrimary, 20*time.Millisecond)
 	a := newFake(t, api.RoleFollower, 20*time.Millisecond)
 	b := newFake(t, api.RoleFollower, 20*time.Millisecond)
-	p, ts := fakeStack(t, Options{
-		Hedge:          true,
-		HedgeCapPct:    10,
-		HedgeBudget:    time.Millisecond,
-		HedgeBudgetMax: 2 * time.Millisecond, // keep the estimator from raising the budget past the delay
-	}, primary, a, b)
+	// max keeps the estimator from raising the budget past the delay.
+	p, ts := tunedStack(t, Options{Hedge: true}, hedging{capPct: 10, budget: time.Millisecond, min: time.Millisecond, max: 2 * time.Millisecond}, primary, a, b)
 	const reads = 40
 	for i := 0; i < reads; i++ {
 		if status, body, _ := get(t, ts.URL+api.PathQuery+"?class=c&query=q"); status != http.StatusOK {
@@ -231,11 +225,7 @@ func TestWritesNeverHedged(t *testing.T) {
 	primary := newFake(t, api.RolePrimary, 0)
 	a := newFake(t, api.RoleFollower, 0)
 	b := newFake(t, api.RoleFollower, 0)
-	p, ts := fakeStack(t, Options{
-		Hedge:       true,
-		HedgeCapPct: 100,
-		HedgeBudget: time.Millisecond,
-	}, primary, a, b)
+	p, ts := tunedStack(t, Options{Hedge: true}, hedging{capPct: 100, budget: time.Millisecond, min: defaultHedging.min, max: defaultHedging.max}, primary, a, b)
 	resp, err := http.Post(ts.URL+api.PathUpdate, "application/json",
 		strings.NewReader(`{"nodes":[{"type":"user","name":"n"}]}`))
 	if err != nil {
@@ -324,8 +314,9 @@ type liveStack struct {
 	edge    *httptest.Server
 }
 
-func newLiveStack(t *testing.T, cacheEntries int) *liveStack {
-	t.Helper()
+// toyEngine is the toy graph's engine with its "classmate" class trained.
+func toyEngine(tb testing.TB) (*semprox.Engine, *semprox.Graph) {
+	tb.Helper()
 	g := fixtures.Toy()
 	opts := semprox.DefaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
@@ -333,12 +324,18 @@ func newLiveStack(t *testing.T, cacheEntries int) *liveStack {
 	opts.Train.MaxIters = 200
 	eng, err := semprox.NewEngine(g, "user", opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng.Train("classmate", []semprox.Example{
 		{Q: g.NodeByName("Kate"), X: g.NodeByName("Jay"), Y: g.NodeByName("Alice")},
 		{Q: g.NodeByName("Bob"), X: g.NodeByName("Tom"), Y: g.NodeByName("Alice")},
 	})
+	return eng, g
+}
+
+func newLiveStack(t *testing.T, cacheEntries int) *liveStack {
+	t.Helper()
+	eng, g := toyEngine(t)
 	backend := httptest.NewServer(server.New(eng))
 	t.Cleanup(backend.Close)
 	router := client.NewRouter(backend.URL, nil, backend.Client())
@@ -610,6 +607,62 @@ func TestUpdateUpstreamFailureIs502(t *testing.T) {
 	var env api.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != api.CodeInternal {
 		t.Fatalf("502 envelope mismatch (%v): %s", err, body)
+	}
+}
+
+// TestFallbackReresolvesPrimary: a read's final fallback is the primary
+// resolved when the fallback launches, as Router.read resolves it, not
+// the one ReadTargets listed. The follower fails after a delay during
+// which the listed primary dies and a promotion is probed in; the read
+// must reach the promoted node.
+func TestFallbackReresolvesPrimary(t *testing.T) {
+	old := newFake(t, api.RolePrimary, 0)
+	var promoted atomic.Bool
+	smux := http.NewServeMux()
+	smux.HandleFunc(api.PathReadyz, func(w http.ResponseWriter, r *http.Request) {
+		if !promoted.Load() { // catching up: out of the read rotation
+			w.WriteHeader(http.StatusServiceUnavailable)
+			json.NewEncoder(w).Encode(api.ReadyResponse{Status: api.StatusCatchingUp, Role: api.RoleFollower, Term: 1})
+			return
+		}
+		json.NewEncoder(w).Encode(api.ReadyResponse{Status: api.StatusReady, Role: api.RolePrimary, Term: 2})
+	})
+	smux.HandleFunc(api.PathQuery, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(api.HeaderEpoch, "1")
+		fmt.Fprint(w, `{"from":"successor"}`)
+	})
+	successor := httptest.NewServer(smux)
+	t.Cleanup(successor.Close)
+
+	started, fail := make(chan struct{}, 1), make(chan struct{})
+	fmux := http.NewServeMux()
+	fmux.HandleFunc(api.PathReadyz, func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(api.ReadyResponse{Status: api.StatusReady, Role: api.RoleFollower, Term: 1})
+	})
+	fmux.HandleFunc(api.PathQuery, func(w http.ResponseWriter, r *http.Request) {
+		started <- struct{}{}
+		<-fail
+		w.WriteHeader(http.StatusInternalServerError)
+	})
+	follower := httptest.NewServer(fmux)
+	t.Cleanup(follower.Close)
+
+	router := client.NewRouter(old.ts.URL, []string{follower.URL, successor.URL}, nil)
+	if live := router.Probe(context.Background()); live != 1 {
+		t.Fatalf("live = %d, want the follower only", live)
+	}
+	ts := httptest.NewServer(New(router, Options{}))
+	t.Cleanup(ts.Close)
+	go func() {
+		<-started
+		old.ts.Close()
+		promoted.Store(true)
+		router.Probe(context.Background())
+		close(fail)
+	}()
+	status, body, _ := get(t, ts.URL+api.PathQuery+"?class=c&query=q")
+	if status != http.StatusOK || !strings.Contains(string(body), "successor") {
+		t.Fatalf("read across the promotion: status %d: %s", status, body)
 	}
 }
 

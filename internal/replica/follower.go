@@ -23,19 +23,19 @@ import (
 // Follower keeps a local engine converged with a primary: Bootstrap
 // fetches a full snapshot (arriving at the primary's engine state at some
 // LSN), then Run streams /v1/replicate/since records and applies them
-// through Engine.ApplyUpdateBatchAt — the same epoch-swap machinery the
+// through Engine.ApplyRecords — the same epoch-swap machinery the
 // primary used, so local reads are lock-free during catch-up and the
 // follower at LSN N answers queries byte-identically to the primary at
 // LSN N. All primary traffic goes through the typed client package — the
 // wire protocol exists in exactly one place (api).
 //
-// A drained since batch is coalesced into ONE apply: contiguous logged
-// deltas concatenate (new-node ids are assigned deterministically, so
-// the merged delta is id-for-id the sequence it replaces) and the epoch
-// counter advances once per covered record, cutting the epoch churn —
-// graph clones, index patches, class re-merges — of catch-up from one
-// per record to one per poll while keeping the engine byte-identical to
-// a record-at-a-time replica.
+// A drained since batch is ONE apply: ApplyRecords coalesces contiguous
+// records into one epoch whose counter advances once per record,
+// cutting the epoch churn — graph clones, index patches, class
+// re-merges — of catch-up from one per record to one per poll while
+// keeping the engine byte-identical to a record-at-a-time replica.
+// Crash recovery and promotion replay the local log the same way
+// (semprox.ReplayWAL).
 //
 // With Dir set the follower is also durable and promotable: every batch
 // is fsynced into a follower-local WAL BEFORE it is applied, the
@@ -140,7 +140,8 @@ func (f *Follower) walDir() string   { return filepath.Join(f.Dir, "wal") }
 // holds no snapshot (call Bootstrap), and (true, nil) when the follower
 // is ready to Run from exactly where it crashed: the replayed engine is
 // byte-identical to one that had applied the same records live, because
-// replay drives the same ApplyUpdateAt path the live stream does.
+// replay feeds the log through the same Engine.ApplyRecords the live
+// stream does, in runs as a poll's batch is.
 func (f *Follower) Restore() (bool, error) {
 	if f.Dir == "" {
 		return false, nil
@@ -165,7 +166,6 @@ func (f *Follower) Restore() (bool, error) {
 		log.Close()
 		return false, fmt.Errorf("replica: restore: %w", err)
 	}
-	eng.Compact()
 	f.installLog(log)
 	f.eng.Store(eng)
 	f.applied.Store(eng.LSN())
@@ -291,8 +291,8 @@ func (f *Follower) walRef() *wal.WAL {
 // Promote seals the follower's local log for writing: the current term
 // is raised past every term this follower has ever observed (durably,
 // sidecar-first) and the log is handed to the caller —
-// Server.PromoteFollower, the one caller outside tests, replays its tail
-// and starts accepting /v1/update on it. Call only after Run has
+// Server.PromoteFollower, the one caller outside tests, starts accepting
+// /v1/update on it. Call only after Run has
 // stopped (cancel its context and wait); the returned log now belongs
 // to the server, and Close leaves it alone. Requires Dir (a memory-only
 // follower has no durable history to promote).
@@ -395,13 +395,13 @@ type applyError struct{ err error }
 func (e *applyError) Error() string { return e.err.Error() }
 func (e *applyError) Unwrap() error { return e.err }
 
-// pollOnce issues one since request through the typed client, coalesces
-// the contiguous records it returned into one delta, fsyncs them into
-// the local WAL (durable BEFORE visible — an LSN this follower reports
-// in its next poll, and so may release a synchronously-replicated ack
-// on the primary, must survive this follower crashing), and applies
-// them in a single epoch swap (see Engine.ApplyUpdateBatchAt),
-// returning how many records were applied.
+// pollOnce issues one since request through the typed client, checks
+// the records it returned against the stream protocol, and hands them to
+// Engine.ApplyRecords, which fsyncs the valid prefix into the local WAL
+// (durable BEFORE visible — an LSN this follower reports in its next
+// poll, and so may release a synchronously-replicated ack on the
+// primary, must survive this follower crashing) and publishes it in a
+// single epoch swap. It returns how many records were applied.
 func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 	repPolls.Inc()
 	after := f.applied.Load()
@@ -436,10 +436,7 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 	// fenced until a current-term primary answers — the monitor's
 	// Retarget, or the zombie rejoining as a follower of the new primary,
 	// clears it.
-	srvTerm := sr.Term
-	if srvTerm == 0 {
-		srvTerm = 1 // a pre-term primary is term 1, same as its records
-	}
+	srvTerm := max(sr.Term, 1) // a pre-term primary is term 1, same as its records
 	if seen := f.seenTerm.Load(); srvTerm < seen {
 		f.fenced.Store(true)
 		return 0, fmt.Errorf("replica: poll: fenced: primary %s answers at term %d but term %d exists — polling a zombie", f.client().BaseURL(), srvTerm, seen)
@@ -454,27 +451,18 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 		// of history. Discard local state and re-bootstrap.
 		return 0, &applyError{fmt.Errorf("replica: primary at term %d ends at LSN %d but we applied %d: our suffix lost the promotion", srvTerm, sr.LastLSN, after)}
 	}
-	// Coalesce the batch. Records at or below the applied position are
-	// duplicate deliveries after a retry; past that the LSNs must be
-	// contiguous — a gap means the primary truncated its log past this
-	// follower and records in between are gone, so applying anything
-	// later would silently diverge. Each record is validated EXACTLY as
-	// a one-at-a-time apply would validate it (known types, edge
-	// endpoints within the node count as of ITS position in the stream):
-	// the stream comes from another process, and a record invalid at its
-	// own position must fail here, not be absorbed by a merged delta
-	// whose later records happen to bring its out-of-range endpoints into
-	// range. Terms must never
-	// decrease along the stream (the serving log enforces that on its own
-	// records, so a violation here means a broken or lying server).
-	// The contiguous valid prefix before a gap / undecodable / invalid
-	// record still applies; the divergence error surfaces after.
-	eng := f.Engine()
-	var d graph.Delta
+	// The stream protocol, record by record. Records at or below the
+	// applied position are duplicate deliveries after a retry; past that
+	// the LSNs must be contiguous — a gap means the primary truncated its
+	// log past this follower and records in between are gone, so applying
+	// anything later would silently diverge. Terms must never decrease
+	// along the stream (the serving log enforces that on its own records,
+	// so a violation here means a broken or lying server). The records
+	// before a gap, a term violation or an undecodable record still
+	// apply; the divergence error surfaces after.
+	var recs []wal.Record
 	var raws []wal.RawRecord
-	nodes := eng.Graph().NumNodes()
-	last, count := after, 0
-	lastTerm, prevTerm := f.appTerm.Load(), f.appTerm.Load()
+	last, prevTerm := after, f.appTerm.Load()
 	var diverged error
 	for _, rec := range sr.Records {
 		if rec.LSN <= last {
@@ -484,69 +472,53 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 			diverged = &applyError{fmt.Errorf("replica: stream gap: record %d after %d (primary log truncated past us)", rec.LSN, last)}
 			break
 		}
-		recTerm := rec.Term
-		if recTerm == 0 {
-			recTerm = 1
-		}
+		recTerm := max(rec.Term, 1)
 		if recTerm < prevTerm || recTerm > srvTerm {
 			diverged = &applyError{fmt.Errorf("replica: record %d term %d outside [%d, %d]: stream breaks term order", rec.LSN, recTerm, prevTerm, srvTerm)}
 			break
 		}
-		rd, err := graph.DecodeDelta(rec.Delta)
+		d, err := graph.DecodeDelta(rec.Delta)
 		if err != nil {
 			diverged = &applyError{fmt.Errorf("replica: record %d: %w", rec.LSN, err)}
 			break
 		}
-		if err := applicable(eng, nodes, rd); err != nil {
-			diverged = &applyError{fmt.Errorf("replica: apply record %d: %w", rec.LSN, err)}
-			break
-		}
-		d.Nodes = append(d.Nodes, rd.Nodes...)
-		d.Edges = append(d.Edges, rd.Edges...)
+		recs = append(recs, wal.Record{LSN: rec.LSN, Term: recTerm, Delta: d})
 		raws = append(raws, wal.RawRecord{LSN: rec.LSN, Term: recTerm, Delta: rec.Delta})
-		nodes += len(rd.Nodes)
-		last, prevTerm, lastTerm = rec.LSN, recTerm, recTerm
-		count++
+		last, prevTerm = rec.LSN, recTerm
 	}
-	applied := 0
-	if count > 0 {
-		if log := f.walRef(); log != nil {
-			// Durable before visible: the batch fsyncs into the local log
-			// before the engine applies it. A crash between the two replays
-			// the batch from the local log (Restore); the reverse order
-			// could advance our reported position past records a crash
-			// erases — and the primary may have released an acked write on
-			// that report.
-			if err := log.AppendRawBatch(raws); err != nil {
-				return 0, fmt.Errorf("replica: local log: %w", err)
-			}
+	// Durable before visible: the engine calls the hook with the valid
+	// prefix before publishing it, so no record is visible before the
+	// local log holds it (our next poll reports it, and may release an
+	// acked write on the primary) and none invalid at its position is
+	// logged.
+	log := f.walRef()
+	var logErr error
+	st, err := f.Engine().ApplyRecords(recs, func(valid int) error {
+		if log != nil {
+			logErr = log.AppendRawBatch(raws[:valid])
 		}
-		if _, err := eng.ApplyUpdateBatchAt(d, last, count); err != nil {
-			return 0, &applyError{fmt.Errorf("replica: apply records %d..%d: %w", after+1, last, err)}
-		}
-		f.applied.Store(last)
-		f.appTerm.Store(lastTerm)
-		repApplied.Add(uint64(count))
-		applied = count
+		return logErr
+	})
+	if logErr != nil {
+		return 0, fmt.Errorf("replica: local log: %w", logErr)
+	}
+	if st.Records > 0 {
+		f.applied.Store(st.LSN)
+		f.appTerm.Store(recs[st.Records-1].Term)
+		repApplied.Add(uint64(st.Records))
+	}
+	if err != nil {
+		return st.Records, &applyError{fmt.Errorf("replica: %w", err)}
 	}
 	if diverged != nil {
-		return applied, diverged
+		return st.Records, diverged
 	}
 	if sr.LastLSN > f.target.Load() {
 		f.target.Store(sr.LastLSN)
 	}
 	f.polled.Store(true)
 	f.fenced.Store(false)
-	return applied, nil
-}
-
-// applicable reports whether d would be accepted by a graph currently
-// holding `nodes` nodes — graph.Apply's own acceptance predicate
-// (graph.ValidateApply), evaluated at the record's position in the
-// stream rather than against the merged batch, so an invalid record is
-// never absorbed by coalescing.
-func applicable(eng *semprox.Engine, nodes int, d graph.Delta) error {
-	return graph.ValidateApply(eng.Graph().Types(), nodes, d)
+	return st.Records, nil
 }
 
 // FollowerStatus is one consistent read of a follower's replication

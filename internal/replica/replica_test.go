@@ -86,7 +86,7 @@ func (h *primaryHarness) applyRandom(t *testing.T, rng *rand.Rand, tag string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.eng.ApplyUpdateAt(d, lsn); err != nil {
+	if _, err := h.eng.ApplyRecords([]wal.Record{{LSN: lsn, Delta: d}}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -244,6 +244,48 @@ func TestFollowerConvergesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFollowerAppliesValidPrefixOfStream: a polled batch whose record 2
+// is invalid at its own position — its edge reaches the node record 3
+// adds, so the concatenated batch would be valid — applies and logs
+// record 1 only, and the divergence drops readiness.
+func TestFollowerAppliesValidPrefixOfStream(t *testing.T) {
+	h := newPrimaryHarness(t)
+	n := graph.NodeID(h.eng.Graph().NumNodes())
+	for _, d := range []graph.Delta{
+		{Nodes: []graph.DeltaNode{{Type: "user", Value: "prefix-1"}}},
+		{Edges: []graph.Edge{{U: 0, V: n + 1}}},
+		{Nodes: []graph.DeltaNode{{Type: "user", Value: "prefix-3"}}},
+	} {
+		if _, err := h.log.Append(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := newDurableFollower(t, h.ts.URL, h.ts.Client(), t.TempDir())
+	f.Backoff = time.Minute // hold the diverged follower instead of re-bootstrapping
+	ctx, cancel := context.WithCancel(context.Background())
+	run := make(chan error, 1)
+	go func() { run <- f.Run(ctx) }()
+	waitApplied(t, f, 1)
+	cancel()
+	<-run
+
+	if st := f.Status(); st.Applied != 1 || st.Ready {
+		t.Fatalf("follower after the invalid record = %+v, want applied 1, not ready", st)
+	}
+	g := f.Engine().Graph()
+	if f.Engine().LSN() != 1 || g.NodeByName("prefix-1") == graph.InvalidNode || g.NodeByName("prefix-3") != graph.InvalidNode {
+		t.Fatalf("follower engine at LSN %d; want record 1 applied and nothing after it", f.Engine().LSN())
+	}
+	log, err := f.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if log.NextLSN() != 2 {
+		t.Fatalf("local log would assign LSN %d next, want 2: the invalid record was logged", log.NextLSN())
+	}
+}
+
 // TestFollowerBootstrapRejectsBadPrimary: a primary that serves garbage
 // snapshots fails Bootstrap with an error, not a panic.
 func TestFollowerBootstrapRejectsBadPrimary(t *testing.T) {
@@ -371,7 +413,7 @@ func TestFollowerAnswersEveryNodeNameAsPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.eng.ApplyUpdateAt(d, lsn); err != nil {
+	if _, err := h.eng.ApplyRecords([]wal.Record{{LSN: lsn, Delta: d}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	f := replica.NewFollower(h.ts.URL, h.ts.Client())

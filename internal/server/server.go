@@ -217,14 +217,16 @@ func (s *Server) SetAckReplicas(n int) { s.ackReplicas.Store(int64(n)) }
 
 // PromoteFollower is the whole promotion, in the only order that is safe:
 // the follower's local log is sealed under a raised term
-// (Follower.Promote), the tail of that log the engine has not applied yet
-// — a batch fsynced when Run stopped — is replayed, and the role flips to
-// a primary serving writes on it. It returns the log, now the server's.
-// Call only after the follower's Run has stopped. A server that is not a
-// follower (a second call included) is refused with its role unchanged;
-// after any other error the follower is sealed but not serving writes,
-// and the process should exit: a restart resumes from the state
-// directory.
+// (Follower.Promote) and the role flips to a primary serving writes on
+// it. It returns the log, now the server's. Nothing is replayed: a
+// follower logs a batch and publishes it in one step under its engine's
+// writer lock (Engine.ApplyRecords), and Restore replayed the log at
+// boot, so the engine already holds every record the log does —
+// promote's LSN check refuses the promotion if not. Call only after the
+// follower's Run has stopped. A server that is not a follower (a second
+// call included) is refused with its role unchanged; after any other
+// error the follower is sealed but not serving writes, and the process
+// should exit: a restart resumes from the state directory.
 func (s *Server) PromoteFollower() (*wal.WAL, error) {
 	f := s.role.Load().follower
 	if f == nil {
@@ -235,9 +237,6 @@ func (s *Server) PromoteFollower() (*wal.WAL, error) {
 	w, err := f.Promote()
 	if err != nil {
 		return nil, err
-	}
-	if _, _, err := semprox.ReplayWAL(f.Engine(), w); err != nil {
-		return nil, fmt.Errorf("server: promote: replaying the local log tail: %w", err)
 	}
 	return w, s.promote(f.Engine(), w)
 }

@@ -1,6 +1,7 @@
 package semprox
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/wal"
@@ -16,21 +17,24 @@ import (
 // snapshot (LSN L), open the WAL (which heals any torn tail), and
 // ReplayWAL the records with LSN > L. The recovered engine is
 // byte-identical to one that never crashed (property-tested in
-// recovery_test.go), because ApplyUpdateAt is deterministic and replay
+// recovery_test.go), because ApplyRecords is deterministic and replay
 // re-applies exactly the suffix the snapshot misses.
 
+// replayRun bounds the records ReplayWAL decodes and applies as one epoch.
+const replayRun = 256
+
 // ReplayWAL applies every logged record beyond the engine's current LSN,
-// in order, and returns how many it applied. Records at or below the
-// engine's LSN are already part of its state (the snapshot covered them)
-// and are not counted. skipped is always 0: the log holds only records
-// the engine accepted, so there is nothing to skip; the result stays for
-// the callers that read it.
+// in order, and returns how many it applied: runs of up to replayRun
+// records go through Engine.ApplyRecords, as a follower's polled batch
+// does, and the engine is compacted after each. skipped is always 0 (the
+// log holds only records the engine accepted); it stays for its callers.
 //
 // A record the engine rejects means the log and the snapshot disagree
 // about the graph (most plausibly a -wal directory paired with the wrong
 // snapshot, since byte-level corruption is already caught by the WAL's
-// CRC framing) and aborts the replay: that is corruption, not something
-// to paper over. The records before it stay applied.
+// CRC framing) and aborts the replay with an error naming its LSN: that
+// is corruption, not something to paper over. The records before it
+// stay applied.
 //
 // ReplayWAL fails up front on either misalignment between log and
 // engine: a log missing records the engine needs (its first retained LSN
@@ -46,12 +50,24 @@ func ReplayWAL(e *Engine, w *wal.WAL) (applied, skipped int, err error) {
 	if next := w.NextLSN(); next <= at {
 		return 0, 0, fmt.Errorf("semprox: wal ends at LSN %d but engine is at %d: stale log directory for this snapshot", next-1, at)
 	}
-	err = w.Replay(at, func(r wal.Record) error {
-		if _, aerr := e.ApplyUpdateAt(r.Delta, r.LSN); aerr != nil {
-			return fmt.Errorf("semprox: replay LSN %d: record rejected — the log and the snapshot disagree about the graph (mispaired -wal directory?): %w", r.LSN, aerr)
+	run := make([]wal.Record, 0, replayRun)
+	flush := func() error {
+		st, aerr := e.ApplyRecords(run, nil)
+		applied += st.Records
+		run = run[:0]
+		e.Compact()
+		if aerr != nil {
+			return fmt.Errorf("semprox: replay: record rejected — the log and the snapshot disagree about the graph (mispaired -wal directory?): %w", aerr)
 		}
-		applied++
 		return nil
+	}
+	err = w.Replay(at, func(r wal.Record) error {
+		if run = append(run, r); len(run) < replayRun {
+			return nil
+		}
+		return flush()
 	})
+	// The records read before an undecodable one still apply.
+	err = cmp.Or(err, flush())
 	return applied, 0, err
 }

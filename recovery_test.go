@@ -42,7 +42,7 @@ var writePaths = []struct {
 		if err != nil {
 			return UpdateStats{}, err
 		}
-		return eng.ApplyUpdateAt(d, lsn)
+		return eng.ApplyRecords([]wal.Record{{LSN: lsn, Delta: d}}, nil)
 	}},
 	{"primary", func(eng *Engine, w *wal.WAL, d Delta) (UpdateStats, error) {
 		st, err := eng.ApplyUpdateLogged(d, func() (uint64, error) { return w.AppendAsync(d) })
@@ -182,7 +182,7 @@ func crashRecovery(t *testing.T, trial int, write func(*Engine, *wal.WAL, Delta)
 	if lsn != uint64(N+1) {
 		t.Fatalf("post-recovery append at LSN %d, want %d", lsn, N+1)
 	}
-	if _, err := rec.ApplyUpdateAt(d, lsn); err != nil {
+	if _, err := rec.ApplyRecords([]wal.Record{{LSN: lsn, Delta: d}}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -211,7 +211,7 @@ func TestReplayWALRejectsTruncatedLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.ApplyUpdateAt(d, lsn); err != nil {
+		if _, err := eng.ApplyRecords([]wal.Record{{LSN: lsn, Delta: d}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,62 +233,95 @@ func TestReplayWALRejectsTruncatedLog(t *testing.T) {
 
 // TestReplayWALRejectsUnrecordedRejection: a primary logs only records
 // its engine accepted, so a logged record the engine rejects means the
-// log does not belong to the snapshot — replay must abort instead of
-// silently diverging.
+// log does not belong to the snapshot — replay must abort, naming the
+// record, instead of silently diverging. Record 3 is invalid at its own
+// position (its edge reaches the node record 4 adds), though the run
+// concatenated would be valid.
 func TestReplayWALRejectsUnrecordedRejection(t *testing.T) {
-	eng, g := toyEngine(t)
-	eng.Train("classmate", classmateExamples(g))
+	for _, bad := range []Delta{
+		{Nodes: []DeltaNode{{Type: "nosuchtype", Value: "ghost"}}},
+		{Edges: []Edge{{U: 0, V: NodeID(fixtures.Toy().NumNodes() + 2)}}},
+	} {
+		eng, g := toyEngine(t)
+		eng.Train("classmate", classmateExamples(g))
+		w, err := wal.Open(t.TempDir(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		for _, d := range []Delta{
+			{Nodes: []DeltaNode{{Type: "user", Value: "Zoe"}}},
+			{Nodes: []DeltaNode{{Type: "user", Value: "Max"}}},
+			bad,
+			{Nodes: []DeltaNode{{Type: "user", Value: "Ada"}}},
+		} {
+			if _, err := w.Append(d); err != nil {
+				t.Fatal(err)
+			}
+		}
 
+		applied, _, err := ReplayWAL(eng, w)
+		if err == nil || !strings.Contains(err.Error(), "LSN 3") {
+			t.Fatalf("replaying a log with a rejected record 3: %v", err)
+		}
+		// The valid prefix applied before the abort; nothing from the
+		// rejected record or after it leaked in.
+		if applied != 2 || eng.LSN() != 2 || eng.Epoch() != 2 || eng.Graph().NodeByName("ghost") != InvalidNode || eng.Graph().NodeByName("Ada") != InvalidNode {
+			t.Fatalf("after aborted replay: applied %d, LSN %d, epoch %d (want 2, 2, 2); ghost or Ada present", applied, eng.LSN(), eng.Epoch())
+		}
+	}
+}
+
+// TestReplayWALAppliesRuns: replaying N records publishes one epoch per
+// run of replayRun records, ⌈N/replayRun⌉ in all, while the epoch counter
+// advances by N, and leaves the engine compacted and byte-identical to
+// the primary that applied them one at a time.
+func TestReplayWALAppliesRuns(t *testing.T) {
+	primary, g := toyEngine(t)
+	primary.Train("classmate", classmateExamples(g))
+	var snap bytes.Buffer
+	if err := primary.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
 	w, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.Append(Delta{Nodes: []DeltaNode{{Type: "user", Value: "Zoe"}}}); err != nil {
-		t.Fatal(err)
+	const N = 2*replayRun + 1
+	college := g.NodeByName("College A")
+	for i := 0; i < N; i++ {
+		n := NodeID(primary.Graph().NumNodes())
+		d := Delta{Nodes: []DeltaNode{{Type: "user", Value: fmt.Sprintf("run-%d", i)}}, Edges: []Edge{{U: n, V: college}}}
+		if _, err := primary.ApplyUpdateLogged(d, func() (uint64, error) { return w.Append(d) }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := w.Append(Delta{Nodes: []DeltaNode{{Type: "nosuchtype", Value: "ghost"}}}); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, err := ReplayWAL(eng, w); err == nil {
-		t.Fatal("replaying an unrecorded rejected record succeeded")
-	}
-	// The valid prefix applied before the abort; nothing from the
-	// rejected record leaked in.
-	if eng.LSN() != 1 || eng.Graph().NodeByName("ghost") != InvalidNode {
-		t.Fatalf("after aborted replay: LSN %d (want 1), ghost present %v",
-			eng.LSN(), eng.Graph().NodeByName("ghost") != InvalidNode)
-	}
-}
-
-// TestApplyUpdateAtValidation pins the LSN contract: zero and
-// non-advancing LSNs are rejected without touching the engine.
-func TestApplyUpdateAtValidation(t *testing.T) {
-	eng, _ := toyEngine(t)
-	d := Delta{Nodes: []DeltaNode{{Type: "user", Value: "Zoe"}}}
-	if _, err := eng.ApplyUpdateAt(d, 0); err == nil {
-		t.Fatal("LSN 0 accepted")
-	}
-	if _, err := eng.ApplyUpdateAt(d, 5); err != nil {
-		t.Fatal(err)
-	}
-	if eng.LSN() != 5 {
-		t.Fatalf("LSN = %d, want 5", eng.LSN())
-	}
-	if _, err := eng.ApplyUpdateAt(d, 5); err == nil {
-		t.Fatal("stale LSN accepted")
-	}
-	if _, err := eng.ApplyUpdateAt(d, 3); err == nil {
-		t.Fatal("regressing LSN accepted")
-	}
-	// Plain ApplyUpdate keeps advancing from wherever the LSN is.
-	st, err := eng.ApplyUpdate(Delta{Nodes: []DeltaNode{{Type: "user", Value: "Max"}}})
+	rec, err := LoadEngine(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LSN != 6 {
-		t.Fatalf("ApplyUpdate LSN = %d, want 6", st.LSN)
+	epochs := engApply.Summary().Count
+	applied, _, err := ReplayWAL(rec, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if published := engApply.Summary().Count - epochs; applied != N || published != (N+replayRun-1)/replayRun {
+		t.Fatalf("replayed %d records in %d epochs, want %d in %d", applied, published, N, (N+replayRun-1)/replayRun)
+	}
+	if rec.Epoch() != primary.Epoch() || rec.LSN() != N || rec.Stats().PendingCompaction != 0 {
+		t.Fatalf("replayed to epoch %d LSN %d with %d pending, primary at epoch %d LSN %d", rec.Epoch(), rec.LSN(), rec.Stats().PendingCompaction, primary.Epoch(), N)
+	}
+	primary.Compact()
+	var a, b bytes.Buffer
+	if err := primary.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("replayed engine snapshot differs from the primary's")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/wal"
 )
 
 // Live graph mutations. ApplyUpdate threads a batch of node/edge additions
@@ -40,9 +41,12 @@ type UpdateStats struct {
 	// Epoch is the serving epoch after the swap.
 	Epoch uint64
 	// LSN is the log sequence number the update was applied at (see
-	// ApplyUpdateLogged and ApplyUpdateAt); without a WAL it advances by
+	// ApplyUpdateLogged and ApplyRecords); without a WAL it advances by
 	// one per update.
 	LSN uint64
+	// Records counts the log records the epoch covers: 1 for an update,
+	// the valid prefix of the run for ApplyRecords.
+	Records int
 	// NodesAdded and EdgesAdded count the delta's genuinely new nodes and
 	// edges (self loops, duplicates and already-present edges excluded).
 	NodesAdded, EdgesAdded int
@@ -77,53 +81,62 @@ type UpdateStats struct {
 // (typically from a background goroutine, as cmd/semproxd does) to fold
 // them into flat storage.
 func (e *Engine) ApplyUpdate(d Delta) (UpdateStats, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.applyUpdate(d, 1, func(cur uint64) (uint64, error) { return cur + 1, nil })
 }
 
-// ApplyUpdateAt is ApplyUpdate with an explicit log sequence number: the
-// next epoch records lsn as its durable position. Recovery and follower
-// replicas re-apply logged records at their original LSNs this way, so
-// the recovered (or replicated) engine ends at exactly the primary's
-// position; a primary that logs its own updates uses ApplyUpdateLogged.
-// lsn must exceed the engine's current LSN (records at or below it are
-// already part of this engine's state; callers skip them).
-func (e *Engine) ApplyUpdateAt(d Delta, lsn uint64) (UpdateStats, error) {
-	if lsn == 0 {
-		return UpdateStats{}, fmt.Errorf("semprox: ApplyUpdateAt: LSN must be positive")
-	}
-	return e.ApplyUpdateBatchAt(d, lsn, 1)
-}
-
-// ApplyUpdateBatchAt applies d as the coalescing of `records` contiguous
-// log records ending at lsn (i.e. records lsn-records+1 .. lsn), in one
-// epoch swap. Because deltas are additive and new-node ids are assigned
-// deterministically (n, n+1, ... off the graph the delta lands on),
-// contiguous logged deltas coalesce by plain concatenation: the merged
-// delta assigns every node the same id and adds the same edge set as
-// applying the records one at a time would. The epoch counter advances
-// by `records` — one per coalesced record — so the resulting engine is
-// byte-identical (graph, indices, classes, epoch, LSN, snapshot bytes)
-// to the one-at-a-time engine after compaction; this is what lets a
-// catching-up follower drain a replication batch through a single apply
-// without its serving state diverging from the primary's
-// (property-tested by TestApplyUpdateBatchMatchesOneAtATime).
+// ApplyRecords applies a run of logged records at their own LSNs: the
+// one way a record that carries an LSN reaches an engine, for replay
+// (ReplayWAL) and a follower's stream alike. The run lies wholly beyond
+// the engine's LSN and ascends by one. Each record is validated at its
+// own position (graph.ValidateApply against the node count as of that
+// record), so a later record never absorbs an invalid one. The valid
+// prefix is published as ONE epoch whose counter advances once per
+// record: deltas are additive and new-node ids are assigned in order, so
+// contiguous records coalesce by concatenation, and the engine is
+// byte-identical to one that applied them one at a time
+// (TestApplyRecordsMatchesOneAtATime).
 //
-// The whole range must lie beyond the engine's current LSN; on error the
-// engine is unchanged.
-func (e *Engine) ApplyUpdateBatchAt(d Delta, lsn uint64, records int) (UpdateStats, error) {
-	if records < 1 {
-		return UpdateStats{}, fmt.Errorf("semprox: ApplyUpdateBatchAt: records must be >= 1, got %d", records)
+// logged, when non-nil, is called once under the writer lock with the
+// length of the valid prefix, before its epoch is published; if it fails
+// nothing is published and its error is returned. UpdateStats describes
+// the published epoch (Records 0 when none was); the error names the
+// first invalid record, if any.
+func (e *Engine) ApplyRecords(recs []wal.Record, logged func(valid int) error) (UpdateStats, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ep := e.cur.Load()
+	g, lsn, nodes, valid := ep.g, ep.lsn, ep.g.NumNodes(), 0
+	var d Delta
+	var invalid error
+	for _, r := range recs {
+		if r.LSN <= lsn || valid > 0 && r.LSN != lsn+1 {
+			invalid = fmt.Errorf("semprox: record LSN %d after LSN %d: a run lies beyond the engine's LSN and ascends by one", r.LSN, lsn)
+			break
+		}
+		if err := graph.ValidateApply(g.Types(), nodes, r.Delta); err != nil {
+			invalid = fmt.Errorf("semprox: record LSN %d: %w", r.LSN, err)
+			break
+		}
+		d.Nodes = append(d.Nodes, r.Delta.Nodes...)
+		d.Edges = append(d.Edges, r.Delta.Edges...)
+		nodes, lsn = nodes+len(r.Delta.Nodes), r.LSN
+		valid++
 	}
-	if lsn < uint64(records) {
-		return UpdateStats{}, fmt.Errorf("semprox: ApplyUpdateBatchAt: %d records cannot end at LSN %d", records, lsn)
+	if valid == 0 {
+		return UpdateStats{}, invalid
 	}
-	// The engine's LSN only grows, so a range stale now stays stale:
-	// refuse it before any graph work. applyUpdate checks again under
-	// the lock.
-	if err := beyond(lsn, records, e.LSN()); err != nil {
+	st, err := e.applyUpdate(d, valid, func(uint64) (uint64, error) {
+		if logged == nil {
+			return lsn, nil
+		}
+		return lsn, logged(valid)
+	})
+	if err != nil {
 		return UpdateStats{}, err
 	}
-	return e.applyUpdate(d, records, func(uint64) (uint64, error) { return lsn, nil })
+	return st, invalid
 }
 
 // ApplyUpdateLogged is ApplyUpdate for a primary that logs its updates:
@@ -143,40 +156,32 @@ func (e *Engine) ApplyUpdateBatchAt(d Delta, lsn uint64, records int) (UpdateSta
 // (wal.WaitDurable, which commits the record) outside any lock. The lock order is the engine's writer lock, then
 // the log's; nothing in internal/wal calls into the engine.
 func (e *Engine) ApplyUpdateLogged(d Delta, appendLog func() (uint64, error)) (UpdateStats, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.applyUpdate(d, 1, func(uint64) (uint64, error) { return appendLog() })
-}
-
-// beyond refuses a range of `records` log records ending at lsn unless
-// it lies wholly past the engine's LSN cur.
-func beyond(lsn uint64, records int, cur uint64) error {
-	if lsn-uint64(records)+1 <= cur {
-		return fmt.Errorf("semprox: records %d..%d not beyond engine LSN %d", lsn-uint64(records)+1, lsn, cur)
-	}
-	return nil
 }
 
 // applyUpdate builds the next epoch covering `records` coalesced log
 // records (1 for a plain update) and publishes it at the LSN that
-// assign returns for the engine's current LSN. assign runs under e.mu,
-// once, and only after the delta is accepted: everything that can
-// refuse an update refuses it first.
+// assign returns for the engine's current LSN. The caller holds e.mu.
+// assign runs once, and only after the delta is accepted: everything
+// that can refuse an update refuses it first.
 func (e *Engine) applyUpdate(d Delta, records int, assign func(cur uint64) (uint64, error)) (UpdateStats, error) {
 	start := time.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	ep := e.cur.Load()
 	ng, touched, err := ep.g.Apply(d)
 	if err != nil {
 		return UpdateStats{}, err
 	}
 	if records > 1 {
-		// One Apply bumped the graph version once; a coalesced batch must
+		// One Apply bumped the graph version once; a coalesced run must
 		// advance it once per record it covers, so the epoch counter stays
 		// in lockstep with a replica that applied them one at a time.
 		ng = ng.WithVersion(ep.g.Version() + uint64(records))
 	}
 	st := UpdateStats{
 		Epoch:      ng.Version(),
+		Records:    records,
 		NodesAdded: len(d.Nodes),
 		EdgesAdded: ng.NumEdges() - ep.g.NumEdges(),
 		Touched:    len(touched),
@@ -217,8 +222,8 @@ func (e *Engine) applyUpdate(d Delta, records int, assign func(cur uint64) (uint
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	if err := beyond(lsn, records, ep.lsn); err != nil {
-		return UpdateStats{}, err
+	if lsn <= ep.lsn {
+		return UpdateStats{}, fmt.Errorf("semprox: LSN %d not beyond engine LSN %d", lsn, ep.lsn)
 	}
 	nep := &epoch{g: ng, ix: ix, matched: ep.matched, classes: classes, version: ng.Version(), lsn: lsn}
 	e.publish(nep)

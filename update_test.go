@@ -2,6 +2,7 @@ package semprox
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/mining"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // rebuildFromScratch builds a reference engine on the final graph: same
@@ -346,12 +348,11 @@ func TestDenominatorsCarriedEqualScratch(t *testing.T) {
 			}
 			checkDenominators(t, eng, fmt.Sprintf("%s (update %d)", tag, step))
 		}
-		n := NodeID(eng.Graph().NumNodes())
-		batch := Delta{
-			Nodes: []DeltaNode{{Type: "user", Value: "den-a"}, {Type: "user", Value: "den-b"}},
-			Edges: []Edge{{U: n, V: g.NodeByName("College A")}, {U: n + 1, V: g.NodeByName("College A")}},
-		}
-		if _, err := eng.ApplyUpdateBatchAt(batch, eng.LSN()+2, 2); err != nil {
+		n, lsn, college := NodeID(eng.Graph().NumNodes()), eng.LSN(), g.NodeByName("College A")
+		if _, err := eng.ApplyRecords([]wal.Record{
+			{LSN: lsn + 1, Delta: Delta{Nodes: []DeltaNode{{Type: "user", Value: "den-a"}}, Edges: []Edge{{U: n, V: college}}}},
+			{LSN: lsn + 2, Delta: Delta{Nodes: []DeltaNode{{Type: "user", Value: "den-b"}}, Edges: []Edge{{U: n + 1, V: college}}}},
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		checkDenominators(t, eng, tag+" (coalesced batch)")
@@ -752,13 +753,13 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestApplyUpdateBatchMatchesOneAtATime is the coalesced-apply property
-// behind the follower's batched catch-up: a contiguous run of logged
-// deltas applied as ONE ApplyUpdateBatchAt call (concatenated delta,
+// TestApplyRecordsMatchesOneAtATime is the coalesced-apply property
+// behind replay and the follower's batched catch-up: a contiguous run of
+// logged deltas applied as ONE ApplyRecords call (concatenated delta,
 // epoch advanced once per covered record) must leave the engine
 // byte-identical — snapshot bytes, epoch, LSN, every query — to applying
-// the records one ApplyUpdateAt at a time.
-func TestApplyUpdateBatchMatchesOneAtATime(t *testing.T) {
+// the records one ApplyRecords call at a time.
+func TestApplyRecordsMatchesOneAtATime(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		base, g := toyEngine(t)
@@ -777,25 +778,28 @@ func TestApplyUpdateBatchMatchesOneAtATime(t *testing.T) {
 		}
 
 		// A random record stream, chunked at random points: each chunk is
-		// applied record-by-record on one engine and as a single coalesced
-		// batch on the other.
+		// applied record-by-record on one engine and as a single run on
+		// the other.
 		lsn := uint64(0)
 		for chunk := 0; chunk < 3; chunk++ {
-			records := 1 + rng.Intn(4)
-			var merged Delta
+			var run []wal.Record
 			nodes := oneAtATime.Graph().NumNodes()
-			for r := 0; r < records; r++ {
-				d := randomToyDelta(rng, nodes, fmt.Sprintf("b%d-c%d-r%d", trial, chunk, r))
+			for r := 1 + rng.Intn(4); r > 0; r-- {
 				lsn++
-				if _, err := oneAtATime.ApplyUpdateAt(d, lsn); err != nil {
+				rec := wal.Record{LSN: lsn, Delta: randomToyDelta(rng, nodes, fmt.Sprintf("b%d-c%d-r%d", trial, chunk, r))}
+				if _, err := oneAtATime.ApplyRecords([]wal.Record{rec}, nil); err != nil {
 					t.Fatal(err)
 				}
-				merged.Nodes = append(merged.Nodes, d.Nodes...)
-				merged.Edges = append(merged.Edges, d.Edges...)
-				nodes += len(d.Nodes)
+				run = append(run, rec)
+				nodes += len(rec.Delta.Nodes)
 			}
-			if _, err := coalesced.ApplyUpdateBatchAt(merged, lsn, records); err != nil {
+			epoch := coalesced.Epoch()
+			st, err := coalesced.ApplyRecords(run, nil)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if st.Records != len(run) || st.LSN != lsn || st.Epoch != epoch+uint64(len(run)) {
+				t.Fatalf("run of %d ending at LSN %d: stats %+v from epoch %d", len(run), lsn, st, epoch)
 			}
 		}
 
@@ -819,33 +823,85 @@ func TestApplyUpdateBatchMatchesOneAtATime(t *testing.T) {
 	}
 }
 
-// TestApplyUpdateBatchValidation pins the argument contract: a batch
-// must cover at least one record, the whole covered range must lie
-// beyond the engine's LSN, and a failed batch leaves the engine
-// unchanged.
-func TestApplyUpdateBatchValidation(t *testing.T) {
+// TestApplyRecordsValidation pins the run contract: the run lies wholly
+// beyond the engine's LSN (so LSN 0 never applies) and ascends by one; a
+// record that breaks it, or that is invalid at its own position, leaves
+// the valid prefix applied and its error names that record's LSN; a run
+// with no valid prefix leaves the engine unchanged; and plain ApplyUpdate
+// keeps advancing from wherever the LSN is.
+func TestApplyRecordsValidation(t *testing.T) {
 	eng, g := toyEngine(t)
 	eng.Train("classmate", classmateExamples(g))
-	d := Delta{Nodes: []DeltaNode{{Type: "user", Value: "bv-1"}}}
-	if _, err := eng.ApplyUpdateBatchAt(d, 1, 0); err == nil {
-		t.Fatal("records=0 accepted")
+	user := func(name string) Delta { return Delta{Nodes: []DeltaNode{{Type: "user", Value: name}}} }
+	n := NodeID(g.NumNodes())
+	at := func(tag string, lsn, epoch uint64, nodes int) {
+		t.Helper()
+		if eng.LSN() != lsn || eng.Epoch() != epoch || eng.Graph().NumNodes() != nodes {
+			t.Fatalf("%s: LSN %d epoch %d nodes %d, want %d/%d/%d", tag, eng.LSN(), eng.Epoch(), eng.Graph().NumNodes(), lsn, epoch, nodes)
+		}
 	}
-	if _, err := eng.ApplyUpdateBatchAt(d, 1, 2); err == nil {
-		t.Fatal("2 records ending at LSN 1 accepted")
+	for _, tc := range []struct {
+		name string
+		recs []wal.Record
+	}{
+		{"LSN 0", []wal.Record{{LSN: 0, Delta: user("z0")}}},
+		{"unknown type", []wal.Record{{LSN: 1, Delta: Delta{Nodes: []DeltaNode{{Type: "ghost", Value: "g"}}}}}},
+	} {
+		if st, err := eng.ApplyRecords(tc.recs, nil); err == nil || st.Records != 0 {
+			t.Fatalf("%s: stats %+v, err %v; want a refusal", tc.name, st, err)
+		}
+		at(tc.name, 0, 0, int(n))
 	}
-	if _, err := eng.ApplyUpdateBatchAt(d, 2, 2); err != nil {
-		t.Fatalf("records 1..2: %v", err)
+	// A run may start anywhere beyond the engine's LSN.
+	if st, err := eng.ApplyRecords([]wal.Record{{LSN: 5, Delta: user("z5")}, {LSN: 6, Delta: user("z6")}}, nil); err != nil || st.Records != 2 {
+		t.Fatalf("records 5..6: stats %+v, err %v", st, err)
 	}
-	if eng.LSN() != 2 || eng.Epoch() != 2 {
-		t.Fatalf("LSN %d epoch %d, want 2/2", eng.LSN(), eng.Epoch())
+	at("records 5..6", 6, 2, int(n)+2)
+	for _, lsn := range []uint64{6, 3} {
+		if _, err := eng.ApplyRecords([]wal.Record{{LSN: lsn, Delta: user("stale")}}, nil); err == nil {
+			t.Fatalf("LSN %d at engine LSN 6 accepted", lsn)
+		}
+		at("stale run", 6, 2, int(n)+2)
 	}
-	// Range overlapping the applied prefix: records 2..3 collide with the
-	// engine's LSN 2.
-	if _, err := eng.ApplyUpdateBatchAt(d, 3, 2); err == nil {
-		t.Fatal("overlapping batch accepted")
+
+	// Record 8 is invalid at its own position — its edge reaches node
+	// n+3, which only record 9 adds — though the concatenated run would
+	// be valid; record 11 skips LSN 10. Each stops the run after the
+	// valid prefix, and nothing past it is logged.
+	for _, tc := range []struct {
+		recs    []wal.Record
+		bad     uint64
+		applied int
+	}{
+		{[]wal.Record{{LSN: 7, Delta: user("z7")}, {LSN: 8, Delta: Delta{Edges: []Edge{{U: 0, V: n + 3}}}}, {LSN: 9, Delta: user("z9")}}, 8, 1},
+		{[]wal.Record{{LSN: 8, Delta: user("z8")}, {LSN: 9, Delta: user("z9")}, {LSN: 11, Delta: user("z11")}}, 11, 2},
+	} {
+		lsn, epoch, nodes := eng.LSN(), eng.Epoch(), eng.Graph().NumNodes()
+		logged := -1
+		st, err := eng.ApplyRecords(tc.recs, func(valid int) error { logged = valid; return nil })
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("LSN %d", tc.bad)) {
+			t.Fatalf("run %d..: error %v, want one naming LSN %d", tc.recs[0].LSN, err, tc.bad)
+		}
+		if st.Records != tc.applied || logged != tc.applied {
+			t.Fatalf("run %d..: applied %d, logged %d, want %d", tc.recs[0].LSN, st.Records, logged, tc.applied)
+		}
+		at(fmt.Sprintf("run %d..", tc.recs[0].LSN), lsn+uint64(tc.applied), epoch+uint64(tc.applied), nodes+tc.applied)
 	}
-	if eng.LSN() != 2 || eng.Epoch() != 2 {
-		t.Fatalf("failed batch mutated the engine: LSN %d epoch %d", eng.LSN(), eng.Epoch())
+
+	// A failing hook publishes nothing and returns its error.
+	lsn, epoch, nodes := eng.LSN(), eng.Epoch(), eng.Graph().NumNodes()
+	full := errors.New("disk full")
+	if _, err := eng.ApplyRecords([]wal.Record{{LSN: lsn + 1, Delta: user("z10")}}, func(int) error { return full }); !errors.Is(err, full) {
+		t.Fatalf("hook failure: %v", err)
+	}
+	at("failed hook", lsn, epoch, nodes)
+
+	st, err := eng.ApplyUpdate(user("Max"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LSN != lsn+1 || st.Records != 1 {
+		t.Fatalf("ApplyUpdate: stats %+v, want LSN %d covering 1 record", st, lsn+1)
 	}
 }
 
