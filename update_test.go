@@ -823,6 +823,33 @@ func TestApplyRecordsMatchesOneAtATime(t *testing.T) {
 	}
 }
 
+// TestApplyUpdateBatchValidation pins the range contract of a coalesced
+// run: an empty run publishes nothing, the whole run must lie beyond the
+// engine's LSN, and a refused run leaves the engine unchanged.
+func TestApplyUpdateBatchValidation(t *testing.T) {
+	eng, g := toyEngine(t)
+	eng.Train("classmate", classmateExamples(g))
+	user := func(name string) Delta { return Delta{Nodes: []DeltaNode{{Type: "user", Value: name}}} }
+	nodes := g.NumNodes()
+	if st, err := eng.ApplyRecords(nil, nil); err != nil || st.Records != 0 || eng.Epoch() != 0 {
+		t.Fatalf("empty run: stats %+v, err %v, epoch %d", st, err, eng.Epoch())
+	}
+	if st, err := eng.ApplyRecords([]wal.Record{{LSN: 1, Delta: user("bv-1")}, {LSN: 2, Delta: user("bv-2")}}, nil); err != nil || st.Records != 2 {
+		t.Fatalf("records 1..2: stats %+v, err %v", st, err)
+	}
+	if eng.LSN() != 2 || eng.Epoch() != 2 || eng.Graph().NumNodes() != nodes+2 {
+		t.Fatalf("LSN %d epoch %d nodes %d, want 2/2/%d", eng.LSN(), eng.Epoch(), eng.Graph().NumNodes(), nodes+2)
+	}
+	// Range overlapping the applied prefix: records 2..3 collide with the
+	// engine's LSN 2.
+	if st, err := eng.ApplyRecords([]wal.Record{{LSN: 2, Delta: user("bv-2b")}, {LSN: 3, Delta: user("bv-3")}}, nil); err == nil || st.Records != 0 {
+		t.Fatalf("overlapping run: stats %+v, err %v; want a refusal", st, err)
+	}
+	if eng.LSN() != 2 || eng.Epoch() != 2 || eng.Graph().NumNodes() != nodes+2 {
+		t.Fatalf("refused run mutated the engine: LSN %d epoch %d nodes %d", eng.LSN(), eng.Epoch(), eng.Graph().NumNodes())
+	}
+}
+
 // TestApplyRecordsValidation pins the run contract: the run lies wholly
 // beyond the engine's LSN (so LSN 0 never applies) and ascends by one; a
 // record that breaks it, or that is invalid at its own position, leaves
