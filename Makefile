@@ -71,10 +71,14 @@ test:
 # and match, the packages under the output goldens, and mining, whose
 # orbit counters decide which metagraphs exist at all, sit near 97 %; graph
 # and flat, whose decoders read every snapshot off disk and off the wire,
-# sit at 96 and 98 %; the root package — the engine, the door every trained class enters an epoch
-# by, the snapshot codec and LoadEngine's checks — sits at 94 %), so any
-# drop is a regression, not noise. "." is the root package (./.).
-COVER_PKGS ?= .:94 internal/core internal/server api client \
+# sit at 96 and 98 %; internal/engine — the engine, the door every trained
+# class enters an epoch by, the snapshot codec and LoadEngine's checks —
+# keeps the 94 % it held in the root package, measured as then under the
+# root's tests, which drive it through the facade: pkg+tests names a second
+# package whose tests count toward pkg; the root facade itself sits at 91 %
+# and Alg. 1 at 95 %), so any drop is a regression, not noise. "." is the
+# root package (./.).
+COVER_PKGS ?= .:91 internal/engine+.:94 internal/dualstage:95 internal/core internal/server api client \
 	internal/wal:80 internal/replica:75 internal/loadstats:90 internal/atomicfile:80 \
 	internal/proxy:85 internal/obs:85 internal/lint:90 internal/wire:90 \
 	internal/index:95 internal/match:95 internal/mining:95 \
@@ -83,8 +87,10 @@ cover:
 	@for entry in $(COVER_PKGS); do \
 		pkg=$${entry%%:*}; floor=$${entry#*:}; \
 		[ "$$floor" = "$$entry" ] && floor=$(COVER_FLOOR); \
+		tests=$${pkg#*+}; pkg=$${pkg%%+*}; \
+		[ "$$tests" = "$$pkg" ] && tests=; \
 		out=$$(mktemp); \
-		$(GO) test -coverprofile=$$out ./$$pkg || exit 1; \
+		$(GO) test -coverpkg=./$$pkg -coverprofile=$$out ./$$pkg $${tests:+./$$tests} || exit 1; \
 		pct=$$($(GO) tool cover -func=$$out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 		rm -f $$out; \
 		echo "$$pkg coverage: $$pct% (floor $$floor%)"; \
@@ -93,7 +99,8 @@ cover:
 	done
 
 # One iteration each of the benchmarks no other target runs, so they are
-# compiled and executed on every commit: the snapshot codec (Save and
+# compiled and executed on every commit (those that restore an engine's
+# epoch between iterations live in internal/engine): the snapshot codec (Save and
 # LoadEngine — the restart-to-serving path — at the 5 000-user
 # read_direct and the 600-user, MaxNodes-4 lifecycle shape, each with its
 # snapshot_bytes; the 2 000-user MaxNodes-5 paper shape stays out), the
@@ -103,7 +110,7 @@ cover:
 # read_direct engine's index (what makes it servable again), one Engine.Train on a fresh read_direct and
 # lifecycle engine (the rooted count of every metagraph at the example
 # nodes, learning, the full match of what w* weighs laid out as runs;
-# the MaxNodes-5 paper shape stays out) and one Engine.TrainDualStage at
+# the MaxNodes-5 paper shape stays out) and one TrainDualStage at
 # K = 2 on the same two engines (the `_dual` cases), the offline
 # build of that engine's index, of lifecycle's and of lifecycle's at 2 000
 # users on one worker (instances counted, pair keys sorted, bytes and
@@ -131,12 +138,12 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkIndexCompact/read_direct$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)(_dual)?$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIndexCompact/read_direct$$' -benchtime=1x ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)(_dual)?$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/(hub|incremental)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkReplayWAL/(read_direct|lifecycle)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/(hub|incremental)$$' -benchtime=1x ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayWAL/(read_direct|lifecycle)$$' -benchtime=1x ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Batch)$$' -benchtime=1x ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkRequestLine$$' -benchtime=1x ./internal/obs

@@ -142,7 +142,7 @@ func main() {
 		fmt.Printf("training class %q on %d examples", c.name, len(examples))
 		start = time.Now()
 		if *candidates > 0 {
-			eng.TrainDualStage(c.name, examples, *candidates)
+			semprox.TrainDualStage(eng, c.name, examples, *candidates)
 		} else {
 			eng.Train(c.name, examples)
 		}

@@ -54,8 +54,8 @@ import (
 	"syscall"
 	"time"
 
-	semprox "repro"
 	"repro/internal/atomicfile"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/server"
@@ -242,7 +242,7 @@ func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server,
 		return nil, nil, err
 	}
 	start := time.Now()
-	eng, err := semprox.LoadEngine(f)
+	eng, err := engine.LoadEngine(f)
 	f.Close()
 	if err != nil {
 		return nil, nil, err
@@ -257,7 +257,7 @@ func buildPrimary(snapshot, save, walDir string, ackQuorum int) (*server.Server,
 			return nil, nil, err
 		}
 		start := time.Now()
-		replayed, _, err := semprox.ReplayWAL(eng, w)
+		replayed, _, err := engine.ReplayWAL(eng, w)
 		if err != nil {
 			return nil, nil, err
 		}

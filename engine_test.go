@@ -14,17 +14,25 @@ import (
 	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/mining"
+	"repro/internal/obs"
 )
 
 // toyEngine builds an engine over the paper's toy graph with mining
 // parameters loose enough to find M1–M4-style patterns.
 func toyEngine(t testing.TB) (*Engine, *Graph) {
 	t.Helper()
+	return toyEngineWith(t, func(*Options) {})
+}
+
+// toyEngineWith is toyEngine with its options edited before mining.
+func toyEngineWith(t testing.TB, edit func(*Options)) (*Engine, *Graph) {
+	t.Helper()
 	g := fixtures.Toy()
 	opts := DefaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
 	opts.Train.Restarts = 2
 	opts.Train.MaxIters = 200
+	edit(&opts)
 	eng, err := NewEngine(g, "user", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +93,8 @@ func TestEngineTrainAndQuery(t *testing.T) {
 
 // assertHoldsWeighed checks that eng holds exactly the metagraphs some class
 // weighs: MatchedCount is the size of the union of the classes' non-zero
-// weights, and the index has rows of those metagraphs and of no other.
+// weights, and the index it saves has rows of those metagraphs and of no
+// other.
 func assertHoldsWeighed(t *testing.T, eng *Engine) {
 	t.Helper()
 	weighed := make([]bool, eng.NumMetagraphs())
@@ -101,7 +110,8 @@ func assertHoldsWeighed(t *testing.T, eng *Engine) {
 	if got := eng.MatchedCount(); got != n {
 		t.Fatalf("holds %d metagraphs; the classes weigh %d", got, n)
 	}
-	if support := eng.cur.Load().ix.MetaSupport(); !slices.Equal(support, weighed) {
+	_, _, ix, _ := snapshotParts(t, snapshotOf(t, eng))
+	if support := ix.MetaSupport(); !slices.Equal(support, weighed) {
 		t.Fatalf("index has rows of metagraphs %v; the classes weigh %v", support, weighed)
 	}
 }
@@ -121,7 +131,7 @@ func TestEngineUntrainedClassErrors(t *testing.T) {
 
 func TestEngineDualStageMatchesLazily(t *testing.T) {
 	eng, g := toyEngine(t)
-	eng.TrainDualStage("classmate", classmateExamples(g), 2)
+	TrainDualStage(eng, "classmate", classmateExamples(g), 2)
 	matched := eng.MatchedCount()
 	if matched == 0 {
 		t.Fatal("dual stage matched nothing")
@@ -198,7 +208,7 @@ func TestEngineDualStageParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.TrainDualStage("classmate", classmateExamples(g), 2)
+		TrainDualStage(eng, "classmate", classmateExamples(g), 2)
 		return eng.Weights("classmate"), eng.MatchedCount()
 	}
 	wantW, wantMatched := run(1)
@@ -328,7 +338,8 @@ func TestQueryObservesCandidatesScanned(t *testing.T) {
 	eng.Train("classmate", classmateExamples(g))
 	kate, jay := g.NodeByName("Kate"), g.NodeByName("Jay")
 
-	before := engCandidates.Summary().Count
+	candidates := obs.Default().Histogram("semprox_query_candidates_scanned", "", obs.Units)
+	before := candidates.Summary().Count
 	if _, err := eng.Query("classmate", kate, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +352,7 @@ func TestQueryObservesCandidatesScanned(t *testing.T) {
 	if _, err := eng.Query("untrained", kate, 3); err == nil {
 		t.Fatal("untrained class answered")
 	}
-	if got := engCandidates.Summary().Count - before; got != 4 {
+	if got := candidates.Summary().Count - before; got != 4 {
 		t.Fatalf("4 ranked queries recorded %d scan lengths", got)
 	}
 }
@@ -364,7 +375,7 @@ func TestOneIndexEqualsPerClassMerge(t *testing.T) {
 		g := eng.Graph()
 		users := g.NodesOfType(g.Types().ID("user"))
 		queries := append([]NodeID{-1, NodeID(g.NumNodes())}, users...)
-		parts, _ := index.MatchParts(eng.ms, func() match.Matcher { return match.NewSymISO(g) }, 1)
+		parts, _ := index.MatchParts(eng.Metagraphs(), func() match.Matcher { return match.NewSymISO(g) }, 1)
 		rng := rand.New(rand.NewSource(int64(len(name))))
 		for trial := 0; trial < 12; trial++ {
 			tag := fmt.Sprintf("%s trial %d", name, trial)
@@ -379,8 +390,7 @@ func TestOneIndexEqualsPerClassMerge(t *testing.T) {
 					w[i] = rng.Float64()
 				}
 			}
-			ep := eng.cur.Load()
-			eng.publish(eng.install(ep, ep.ix, ep.matched, "probe", newClass(len(eng.ms), kept, &core.Model{W: w})))
+			installPruned(eng, "probe", kept, w)
 
 			order := make([]int, len(kept)) // positions of kept, by ascending metagraph
 			for i := range order {

@@ -38,7 +38,7 @@ func main() {
 	for _, circle := range ds.ClassNames() {
 		labels := ds.Classes[circle]
 		examples := semprox.MakeExamples(labels, labels.Queries(), users, 300, 7)
-		eng.TrainDualStage(circle, examples, 25)
+		semprox.TrainDualStage(eng, circle, examples, 25)
 		fmt.Printf("trained circle %-9s on %d examples (holds %d of %d metagraphs)\n",
 			circle, len(examples), eng.MatchedCount(), eng.NumMetagraphs())
 	}

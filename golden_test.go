@@ -83,7 +83,7 @@ func TestScoreBitsGolden(t *testing.T) {
 		labels := ds.Classes["college"]
 		examples := eval.MakeExamples(labels, labels.Queries(), ds.Users(), 60, 26)
 		eng.Train("college", examples)
-		eng.TrainDualStage("college-dual", examples, 3)
+		TrainDualStage(eng, "college-dual", examples, 3)
 
 		g := eng.Graph()
 		hub := NodeID(0)

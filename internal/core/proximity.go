@@ -1,6 +1,7 @@
 // Package core implements the paper's primary contribution: the
 // metagraph-based proximity (MGP) family (Sect. III-A), its supervised
-// learning (Sect. III-B), and dual-stage training (Sect. III-C, Alg. 1).
+// learning (Sect. III-B). Dual-stage training (Sect. III-C, Alg. 1) builds
+// on it in internal/dualstage.
 package core
 
 import (

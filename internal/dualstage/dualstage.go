@@ -1,16 +1,5 @@
-package core
-
-import (
-	"math"
-	"sort"
-
-	"repro/internal/index"
-	"repro/internal/mcs"
-	"repro/internal/metagraph"
-)
-
-// Dual-stage training (Sect. III-C, Alg. 1). Matching every metagraph
-// dominates the offline cost, so the seed stage matches only the metapaths
+// Package dualstage is dual-stage training (Sect. III-C, Alg. 1). Matching
+// every metagraph dominates the offline cost, so the seed stage matches only the metapaths
 // (cheap to identify, cheap to match), trains seed weights w0, and the
 // candidate stage matches just the |K| non-seed metagraphs most promising
 // under the candidate heuristic H (Eq. 7):
@@ -20,23 +9,22 @@ import (
 // The caller supplies matching through a MatchFunc so the expensive work
 // stays where the caller controls it (real matching offline, index
 // projection in experiments that pre-matched everything).
+package dualstage
+
+import (
+	"math"
+	"sort"
+
+	"repro/internal/core"
+	"repro/internal/index"
+	"repro/internal/mcs"
+	"repro/internal/metagraph"
+)
 
 // MatchFunc builds a metagraph-vector index over the subset of M given by
 // indices; the returned index must be numbered 0..len(indices)-1 in the
 // given order.
 type MatchFunc func(indices []int) *index.Index
-
-// Seeds returns the indices of the metapaths in ms — the seed set K0 of
-// Alg. 1 (easy to identify, fast to match).
-func Seeds(ms []*metagraph.Metagraph) []int {
-	var out []int
-	for i, m := range ms {
-		if m.IsPath() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // ScoredCandidate is a non-seed metagraph with its heuristic score.
 type ScoredCandidate struct {
@@ -81,8 +69,8 @@ func CandidateScores(ms []*metagraph.Metagraph, seedIdx []int, w0 []float64, rev
 	return out
 }
 
-// DualStageOptions configures Alg. 1.
-type DualStageOptions struct {
+// Options configures Alg. 1.
+type Options struct {
 	// NumCandidates is |K|, the number of non-seed metagraphs to match.
 	NumCandidates int
 	// Stages splits candidate selection into this many progressive batches
@@ -93,47 +81,34 @@ type DualStageOptions struct {
 	// Reverse selects candidates by ascending H (the RCH control).
 	Reverse bool
 	// Train configures both training runs.
-	Train TrainOptions
+	Train core.TrainOptions
 }
 
-// DefaultDualStage returns Alg. 1 with the paper's training setup.
-func DefaultDualStage(numCandidates int) DualStageOptions {
-	return DualStageOptions{NumCandidates: numCandidates, Stages: 1, Train: DefaultTrain()}
+// Default returns Alg. 1 with the paper's training setup.
+func Default(numCandidates int) Options {
+	return Options{NumCandidates: numCandidates, Stages: 1, Train: core.DefaultTrain()}
 }
 
-// DualStageResult reports the trained model and which metagraphs were
+// Result reports the trained model and which metagraphs were
 // matched.
-type DualStageResult struct {
-	SeedIdx []int     // K0 (indices into M)
-	CandIdx []int     // K in selection order
-	Kept    []int     // K0 ∪ K in the order the final index numbers them
-	Model   *Model    // weights aligned with Kept
-	SeedW   []float64 // seed-stage weights w0, aligned with SeedIdx
+type Result struct {
+	SeedIdx []int       // K0 (indices into M)
+	CandIdx []int       // K in selection order
+	Kept    []int       // K0 ∪ K in the order the final index numbers them
+	Model   *core.Model // weights aligned with Kept
+	SeedW   []float64   // seed-stage weights w0, aligned with SeedIdx
 }
 
-// WeightFor returns the final weight of metagraph i (index into M), or 0
-// if i was never matched.
-func (r *DualStageResult) WeightFor(i int) float64 {
-	for k, idx := range r.Kept {
-		if idx == i {
-			return r.Model.W[k]
-		}
-	}
-	return 0
-}
-
-// DualStage runs Alg. 1 (or its multi-stage extension) over the metagraph
+// Run runs Alg. 1 (or its multi-stage extension) over the metagraph
 // set ms: seed stage on the metapaths, candidate selection by H, final
 // training on K0 ∪ K.
-func DualStage(ms []*metagraph.Metagraph, matchFn MatchFunc, examples []Example, opts DualStageOptions) *DualStageResult {
-	if opts.Stages < 1 {
-		opts.Stages = 1
-	}
-	res := &DualStageResult{SeedIdx: Seeds(ms)}
+func Run(ms []*metagraph.Metagraph, matchFn MatchFunc, examples []core.Example, opts Options) *Result {
+	opts.Stages = max(opts.Stages, 1)
+	res := &Result{SeedIdx: core.Seeds(ms)}
 
 	// Seed stage: match K0, train w0.
 	seedIx := matchFn(res.SeedIdx)
-	seedModel := Train(seedIx, examples, opts.Train)
+	seedModel := core.Train(seedIx, examples, opts.Train)
 	res.SeedW = seedModel.W
 
 	// Candidate stage(s): progressively grow K, rescoring with the weights
@@ -141,8 +116,7 @@ func DualStage(ms []*metagraph.Metagraph, matchFn MatchFunc, examples []Example,
 	kept := append([]int(nil), res.SeedIdx...)
 	keptW := append([]float64(nil), seedModel.W...)
 	remainingBudget := opts.NumCandidates
-	var finalIx *index.Index = seedIx
-	var finalModel = seedModel
+	finalModel := seedModel
 	for s := 0; s < opts.Stages && remainingBudget > 0; s++ {
 		batch := remainingBudget / (opts.Stages - s)
 		if batch == 0 {
@@ -152,22 +126,18 @@ func DualStage(ms []*metagraph.Metagraph, matchFn MatchFunc, examples []Example,
 		if len(scores) == 0 {
 			break
 		}
-		if batch > len(scores) {
-			batch = len(scores)
-		}
+		batch = min(batch, len(scores))
 		for _, sc := range scores[:batch] {
 			res.CandIdx = append(res.CandIdx, sc.Index)
 			kept = append(kept, sc.Index)
 		}
 		remainingBudget -= batch
 
-		finalIx = matchFn(kept)
-		finalModel = Train(finalIx, examples, opts.Train)
+		finalModel = core.Train(matchFn(kept), examples, opts.Train)
 		keptW = finalModel.W
 	}
 	res.Kept = kept
 	res.Model = finalModel
-	_ = finalIx
 	return res
 }
 

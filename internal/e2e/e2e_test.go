@@ -548,28 +548,32 @@ func TestRequestLinesSurviveSIGTERM(t *testing.T) {
 	}
 }
 
-// TestDependencyCut: the serving daemon links no dataset generator, the
+// TestDependencyCut: the serving daemon links the engine alone — no root
+// facade, miner, Alg. 1 similarity, evaluation or dataset generator — the
 // engine binaries link neither the paper's experiments nor their ranking
-// baselines (the Fig. 11 matchers live there), and the edge binaries link
-// neither the engine nor the replication stack.
+// baselines (the Fig. 11 matchers live there), the edge binaries link
+// neither the engine nor the replication stack, and the ranking core does
+// not reach Alg. 1's structural similarity.
 func TestDependencyCut(t *testing.T) {
 	newEnv(t)
-	for bin, banned := range map[string][]string{
-		semproxd:   {"repro/internal/dataset", "repro/internal/experiments", "repro/internal/baselines"},
-		semprox:    {"repro/internal/experiments", "repro/internal/baselines"},
-		semproxy:   {"repro", "repro/internal/replica"},
-		semproxctl: {"repro", "repro/internal/replica"},
+	for pkg, banned := range map[string][]string{
+		"./cmd/" + semproxd: {"repro", "repro/internal/mining", "repro/internal/mcs", "repro/internal/eval",
+			"repro/internal/dataset", "repro/internal/experiments", "repro/internal/baselines"},
+		"./cmd/" + semprox:    {"repro/internal/experiments", "repro/internal/baselines"},
+		"./cmd/" + semproxy:   {"repro", "repro/internal/replica"},
+		"./cmd/" + semproxctl: {"repro", "repro/internal/replica"},
+		"./internal/core":     {"repro/internal/mcs"},
 	} {
-		list := exec.Command("go", "list", "-deps", "./cmd/"+bin)
+		list := exec.Command("go", "list", "-deps", pkg)
 		list.Dir = filepath.Join("..", "..")
 		out, err := list.Output()
 		if err != nil {
-			t.Fatalf("go list -deps ./cmd/%s: %v", bin, err)
+			t.Fatalf("go list -deps %s: %v", pkg, err)
 		}
 		deps := strings.Fields(string(out))
-		for _, pkg := range banned {
-			if slices.Contains(deps, pkg) {
-				t.Errorf("%s links %s", bin, pkg)
+		for _, dep := range banned {
+			if slices.Contains(deps, dep) {
+				t.Errorf("%s links %s", pkg, dep)
 			}
 		}
 	}

@@ -1,10 +1,15 @@
-package semprox
+// Package engine is the online half of semprox (the paper's Fig. 3): the
+// epoch engine that ranks, applies live updates, compacts, snapshots and
+// replays its write-ahead log. It links no miner and no Alg. 1: New takes
+// the metagraphs the root package's NewEngine mined, LoadEngine a snapshot,
+// and Fit a caller's training. The serving daemon links it alone.
+package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,13 +19,12 @@ import (
 	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/metagraph"
-	"repro/internal/mining"
 )
 
 // Options configures an Engine.
 type Options struct {
 	// Mining bounds metagraph enumeration (size cap, MNI support).
-	Mining mining.Options
+	Mining metagraph.MiningOptions
 	// Train configures gradient ascent (µ, γ, restarts, ...).
 	Train core.TrainOptions
 	// Workers bounds the goroutines used for offline metagraph matching
@@ -37,16 +41,6 @@ type Options struct {
 	// transform suggested in Sect. II-A. The index stores raw counts either
 	// way and applies it as each value is read. Off by default.
 	LogTransform bool
-}
-
-// DefaultOptions mirrors the paper's setup (metagraphs of ≤5 nodes,
-// µ=5, γ=10 with decay, 5 restarts, SymISO matching) with matching
-// parallelized over all available CPUs.
-func DefaultOptions() Options {
-	return Options{
-		Mining: mining.DefaultOptions(),
-		Train:  core.DefaultTrain(),
-	}
 }
 
 // countTransform is what the engine's index reads its counts through: log1p
@@ -79,11 +73,10 @@ func log1pCount(c float64) float64 {
 //
 // Thread safety: the engine serves every read — Query, QueryBatch,
 // Proximity, Weights, Classes, Graph, Epoch, View, MatchedCount, Stats,
-// Save —
-// from an immutable epoch published through an atomic pointer, so reads
-// are always safe, always lock-free, and always see one consistent
+// Save — from an immutable epoch published through an atomic pointer, so
+// reads are always safe, always lock-free, and always see one consistent
 // (graph, index, classes) snapshot, never a mix of two generations.
-// Writers — Train, TrainDualStage, ApplyUpdate, Compact — serialize among
+// Writers — Train, Fit, ApplyUpdate, Compact — serialize among
 // themselves on an internal mutex, build the next epoch off the read
 // path, and swap it in atomically; they never block a reader.
 type Engine struct {
@@ -161,30 +154,23 @@ func newClass(numMeta int, kept []int, model *core.Model) *classModel {
 	return &classModel{kept: kept, model: model, w: w}
 }
 
-// NewEngine mines the metagraph set of g (filtered to symmetric
-// metagraphs with a symmetric pair of anchor-typed nodes, per Sect. V-A)
-// and prepares lazy matching. anchorType is the object type proximity is
-// measured between (e.g. "user").
-func NewEngine(g *graph.Graph, anchorType string, opts Options) (*Engine, error) {
-	anchor := g.Types().ID(anchorType)
-	if anchor == graph.InvalidType {
-		return nil, fmt.Errorf("semprox: unknown anchor type %q", anchorType)
-	}
-	e := &Engine{anchor: anchor, opts: opts}
-	patterns := mining.ProximityFilter(mining.Mine(g, opts.Mining), anchor)
-	e.ms = mining.Metagraphs(patterns)
+// New prepares lazy matching of the metagraph set ms on g, proximity being
+// measured between nodes of the anchor type; nothing is matched until a
+// class is trained.
+func New(g *graph.Graph, anchor graph.TypeID, ms []*metagraph.Metagraph, opts Options) *Engine {
+	e := &Engine{anchor: anchor, opts: opts, ms: ms}
 	e.cur.Store(&epoch{
 		g:       g,
-		ix:      index.NewBuilder(len(e.ms)).Build(),
-		matched: make([]bool, len(e.ms)),
+		ix:      index.NewBuilder(len(ms)).Build(),
+		matched: make([]bool, len(ms)),
 		classes: make(map[string]*classModel),
 		version: g.Version(),
 	})
-	return e, nil
+	return e
 }
 
 // Graph returns the graph of the current serving epoch.
-func (e *Engine) Graph() *Graph { return e.cur.Load().g }
+func (e *Engine) Graph() *graph.Graph { return e.cur.Load().g }
 
 // Epoch returns the serving epoch counter: 0 for a freshly built engine,
 // +1 per ApplyUpdate, preserved across Save/LoadEngine.
@@ -197,7 +183,7 @@ func (e *Engine) Epoch() uint64 { return e.cur.Load().version }
 func (e *Engine) LSN() uint64 { return e.cur.Load().lsn }
 
 // Metagraphs returns the mined metagraph set M (do not modify).
-func (e *Engine) Metagraphs() []*Metagraph { return e.ms }
+func (e *Engine) Metagraphs() []*metagraph.Metagraph { return e.ms }
 
 // NumMetagraphs returns |M|.
 func (e *Engine) NumMetagraphs() int { return len(e.ms) }
@@ -242,7 +228,7 @@ func (e *Engine) matchMissing(g *graph.Graph, ix *index.Index, matched []bool, i
 // MatchedCount reports how many metagraphs the serving epoch holds: matched,
 // indexed and kept up to date by updates. Once a class is trained that is
 // the metagraphs some class weighs, so it stays below NumMetagraphs whenever
-// w* is sparse (Fig. 4), and after TrainDualStage below the metagraphs Alg. 1
+// w* is sparse (Fig. 4), and after a dual-stage Fit below the metagraphs Alg. 1
 // matched. Safe for concurrent use (it reads one epoch).
 func (e *Engine) MatchedCount() int { return e.cur.Load().matchedCount() }
 
@@ -285,9 +271,9 @@ func (e *Engine) publish(ep *epoch) {
 // install is the one way a class enters an epoch: it returns the epoch that
 // follows ep when training has grown the index to ix (matched) and produced
 // the named class. It matches in full what the class weighs that ix does not
-// hold yet — after Train, which matched nothing, all of that; after
-// TrainDualStage, whatever its stages left out — cuts every class's kept set
-// to the coordinates it weighs, and drops the rows and matched bits of every
+// hold yet — after Train, which matched nothing, all of that; after Fit,
+// whatever its matcher left out — cuts every class's kept set to the
+// coordinates it weighs, and drops the rows and matched bits of every
 // metagraph no class weighs, in the same step: a zero weight adds an exact
 // +0 to every score, so the epoch answers as if it held them. The other
 // classes carry over; when the index changed their denominators are dropped
@@ -347,7 +333,7 @@ func (cm *classModel) weighed() *classModel {
 // Options.Workers). install then matches in full only what the class
 // weighs. Queries keep serving the previous epoch until the trained class
 // is swapped in.
-func (e *Engine) Train(class string, examples []Example) {
+func (e *Engine) Train(class string, examples []core.Example) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ep := e.cur.Load()
@@ -370,36 +356,26 @@ func (e *Engine) Train(class string, examples []Example) {
 	e.publish(e.install(ep, ep.ix, ep.matched, class, cm))
 }
 
-// TrainDualStage learns the class with dual-stage training (Alg. 1):
-// only the metapath seeds plus numCandidates heuristically-selected
-// metagraphs are ever matched. Each stage's matching fans out over
-// Options.Workers, and each stage trains on the projection of the index
-// onto the metagraphs it selected.
-func (e *Engine) TrainDualStage(class string, examples []Example, numCandidates int) {
+// Fit learns the named class with the caller's training (the root
+// package's TrainDualStage runs Alg. 1 through it). Under the writer lock,
+// fit gets M, the training options and a matcher that matches the requested
+// metagraphs the epoch does not hold yet (over Options.Workers) and returns
+// the index projected onto them, in the order given; it returns the
+// metagraphs its model weighs, aligned with its weights, for install.
+func (e *Engine) Fit(class string, fit func(ms []*metagraph.Metagraph, train core.TrainOptions, match func(indices []int) *index.Index) (kept []int, model *core.Model)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ep := e.cur.Load()
 	ix, matched := ep.ix, ep.matched
-	matchFn := func(indices []int) *index.Index {
+	kept, model := fit(e.ms, e.opts.Train, func(indices []int) *index.Index {
 		ix, matched = e.matchMissing(ep.g, ix, matched, indices)
 		return ix.Project(indices)
-	}
-	opts := core.DefaultDualStage(numCandidates)
-	opts.Train = e.opts.Train
-	res := core.DualStage(e.ms, matchFn, examples, opts)
-	e.publish(e.install(ep, ix, matched, class, newClass(len(e.ms), res.Kept, res.Model)))
+	})
+	e.publish(e.install(ep, ix, matched, class, newClass(len(e.ms), kept, model)))
 }
 
 // Classes returns the trained class names, sorted.
-func (e *Engine) Classes() []string {
-	classes := e.cur.Load().classes
-	out := make([]string, 0, len(classes))
-	for c := range classes {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
+func (e *Engine) Classes() []string { return e.View().Classes() }
 
 // Weights returns the learned weight per metagraph index for a class, dense
 // over M (zero for metagraphs the class does not weigh, which the epoch
@@ -435,7 +411,7 @@ type View struct {
 func (v View) Epoch() uint64 { return v.ep.version }
 
 // Graph returns the graph of the pinned generation.
-func (v View) Graph() *Graph { return v.ep.g }
+func (v View) Graph() *graph.Graph { return v.ep.g }
 
 // HasClass reports whether the pinned generation has trained class name.
 func (v View) HasClass(name string) bool {
@@ -445,26 +421,19 @@ func (v View) HasClass(name string) bool {
 
 // Classes returns the trained class names of the pinned generation,
 // sorted.
-func (v View) Classes() []string {
-	out := make([]string, 0, len(v.ep.classes))
-	for c := range v.ep.classes {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
+func (v View) Classes() []string { return slices.Sorted(maps.Keys(v.ep.classes)) }
 
 // Query ranks the nodes closest to q under the named class and returns
 // the top k (k <= 0 returns all candidates). The class must be trained.
 // The scan runs on the caller's goroutine (core.RankCandidates). Safe for
 // concurrent use at any time, including while the engine trains, applies
 // updates, or compacts.
-func (e *Engine) Query(class string, q NodeID, k int) ([]Ranked, error) {
+func (e *Engine) Query(class string, q graph.NodeID, k int) ([]core.Ranked, error) {
 	return e.View().Query(class, q, k)
 }
 
 // Query is Engine.Query against the pinned epoch.
-func (v View) Query(class string, q NodeID, k int) ([]Ranked, error) {
+func (v View) Query(class string, q graph.NodeID, k int) ([]core.Ranked, error) {
 	cm := v.ep.classes[class]
 	if cm == nil {
 		return nil, fmt.Errorf("semprox: class %q not trained", class)
@@ -474,7 +443,7 @@ func (v View) Query(class string, q NodeID, k int) ([]Ranked, error) {
 
 // rank answers one ranked query on a class and records how long the scan
 // took and how many partners it scored.
-func rank(ix *index.Index, cm *classModel, q NodeID, k int) []Ranked {
+func rank(ix *index.Index, cm *classModel, q graph.NodeID, k int) []core.Ranked {
 	start := time.Now()
 	top, scanned := core.RankCandidates(ix, cm.w, cm.dots, q, k)
 	engRank.Since(start)
@@ -486,17 +455,17 @@ func rank(ix *index.Index, cm *classModel, q NodeID, k int) []Ranked {
 // after the other. Results align with qs, and the whole batch is answered
 // from ONE epoch: a concurrent ApplyUpdate never splits a batch across
 // generations. Safe for concurrent use.
-func (e *Engine) QueryBatch(class string, qs []NodeID, k int) ([][]Ranked, error) {
+func (e *Engine) QueryBatch(class string, qs []graph.NodeID, k int) ([][]core.Ranked, error) {
 	return e.View().QueryBatch(class, qs, k)
 }
 
 // QueryBatch is Engine.QueryBatch against the pinned epoch.
-func (v View) QueryBatch(class string, qs []NodeID, k int) ([][]Ranked, error) {
+func (v View) QueryBatch(class string, qs []graph.NodeID, k int) ([][]core.Ranked, error) {
 	cm := v.ep.classes[class]
 	if cm == nil {
 		return nil, fmt.Errorf("semprox: class %q not trained", class)
 	}
-	out := make([][]Ranked, len(qs))
+	out := make([][]core.Ranked, len(qs))
 	for i, q := range qs {
 		out[i] = rank(v.ep.ix, cm, q, k)
 	}
@@ -505,12 +474,12 @@ func (v View) QueryBatch(class string, qs []NodeID, k int) ([][]Ranked, error) {
 
 // Proximity evaluates π(x, y) under the named class's learned weights.
 // Safe for concurrent use.
-func (e *Engine) Proximity(class string, x, y NodeID) (float64, error) {
+func (e *Engine) Proximity(class string, x, y graph.NodeID) (float64, error) {
 	return e.View().Proximity(class, x, y)
 }
 
 // Proximity is Engine.Proximity against the pinned epoch.
-func (v View) Proximity(class string, x, y NodeID) (float64, error) {
+func (v View) Proximity(class string, x, y graph.NodeID) (float64, error) {
 	cm := v.ep.classes[class]
 	if cm == nil {
 		return 0, fmt.Errorf("semprox: class %q not trained", class)

@@ -4,7 +4,8 @@
 // family, which only fattens the histograms). Per-instance gauges (the
 // serving epoch) are registered by the tier that owns the instance —
 // internal/server wires a GaugeFunc over its engine's Stats.
-package semprox
+
+package engine
 
 import "repro/internal/obs"
 

@@ -1,4 +1,4 @@
-package semprox
+package engine
 
 import (
 	"cmp"
@@ -16,9 +16,9 @@ import (
 // uncompacted, snapshot arbitrarily stale — recovery is: load the newest
 // snapshot (LSN L), open the WAL (which heals any torn tail), and
 // ReplayWAL the records with LSN > L. The recovered engine is
-// byte-identical to one that never crashed (property-tested in
-// recovery_test.go), because ApplyRecords is deterministic and replay
-// re-applies exactly the suffix the snapshot misses.
+// byte-identical to one that never crashed (property-tested in the root
+// package's recovery_test.go), because ApplyRecords is deterministic and
+// replay re-applies exactly the suffix the snapshot misses.
 
 // replayRun bounds the records ReplayWAL decodes and applies as one epoch.
 const replayRun = 256

@@ -1,11 +1,10 @@
-package semprox
+package engine
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/flat"
@@ -46,30 +45,33 @@ import (
 // straight into fresh ones, and a follower decodes while its primary is
 // still encoding.
 
-const snapshotMagic = "SPXS\x0a"
+// SnapshotMagic opens every snapshot stream; it and the header types are
+// exported for the tests that take snapshots apart.
+const SnapshotMagic = "SPXS\x0a"
 
-// snapMetagraph rebuilds one metagraph via metagraph.New.
-type snapMetagraph struct {
+// SnapshotMetagraph rebuilds one metagraph via metagraph.New.
+type SnapshotMetagraph struct {
 	Types []graph.TypeID
 	Edges []metagraph.Edge
 }
 
-// snapClass describes one trained class model.
-type snapClass struct {
+// SnapshotClass describes one trained class model.
+type SnapshotClass struct {
 	Name       string
 	Kept       []int
 	Iterations int
 }
 
-// snapHeader says what follows it in the stream.
-type snapHeader struct {
+// SnapshotHeader says what follows it in the stream: the graph section,
+// the index section, then per class its log-likelihood and weights.
+type SnapshotHeader struct {
 	Epoch   uint64 // serving epoch counter
 	LSN     uint64 // durable log position
 	Anchor  string
 	Opts    Options
-	Metas   []snapMetagraph
-	Matched []int       // matched metagraphs, ascending
-	Classes []snapClass // sorted by name
+	Metas   []SnapshotMetagraph
+	Matched []int           // matched metagraphs, ascending
+	Classes []SnapshotClass // sorted by name
 }
 
 // Save serializes the engine so LoadEngine can restore it without mining,
@@ -102,30 +104,30 @@ func (e *Engine) SaveWait(w io.Writer, wait func(lsn uint64) error) error {
 }
 
 func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
-	h := snapHeader{
+	h := SnapshotHeader{
 		Epoch:  ep.version,
 		LSN:    ep.lsn,
 		Anchor: ep.g.Types().Name(e.anchor),
 		Opts:   e.opts,
-		Metas:  make([]snapMetagraph, len(e.ms)),
+		Metas:  make([]SnapshotMetagraph, len(e.ms)),
 	}
 	for i, m := range e.ms {
-		h.Metas[i] = snapMetagraph{Types: m.Types(), Edges: m.Edges()}
+		h.Metas[i] = SnapshotMetagraph{Types: m.Types(), Edges: m.Edges()}
 	}
 	for i, ok := range ep.matched {
 		if ok {
 			h.Matched = append(h.Matched, i)
 		}
 	}
-	for name, cm := range ep.classes {
-		h.Classes = append(h.Classes, snapClass{Name: name, Kept: cm.kept, Iterations: cm.model.Iterations})
+	for _, name := range (View{ep}).Classes() {
+		cm := ep.classes[name]
+		h.Classes = append(h.Classes, SnapshotClass{Name: name, Kept: cm.kept, Iterations: cm.model.Iterations})
 	}
-	sort.Slice(h.Classes, func(i, j int) bool { return h.Classes[i].Name < h.Classes[j].Name })
 	hdr, err := json.Marshal(&h)
 	if err != nil {
 		return fmt.Errorf("semprox: snapshot header: %w", err)
 	}
-	fw := flat.NewWriter(w, snapshotMagic)
+	fw := flat.NewWriter(w, SnapshotMagic)
 	fw.Bytes(hdr)
 	graph.Encode(fw, ep.g)
 	index.Encode(fw, ep.ix)
@@ -154,13 +156,13 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 // out as the index is decoded and the classes' denominators — derived,
 // never stored — are rebuilt here, so the first query pays for nothing.
 func LoadEngine(r io.Reader) (*Engine, error) {
-	fr, err := flat.NewReader(r, snapshotMagic)
+	fr, err := flat.NewReader(r, SnapshotMagic)
 	if err != nil {
 		return nil, fmt.Errorf("semprox: snapshot: %w", err)
 	}
 	// A failed stream hands out empty byte strings: its own error, not
 	// the parse error of what it did not deliver, is the one to report.
-	var h snapHeader
+	var h SnapshotHeader
 	err = json.Unmarshal(fr.Bytes(), &h)
 	if fr.Err() != nil {
 		err = fr.Err()

@@ -1,8 +1,7 @@
-package semprox
+package engine
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -23,18 +22,6 @@ import (
 // in as the next epoch through the engine's atomic pointer: queries in
 // flight finish on the old epoch, new queries see the new one, and no
 // query ever observes a mix.
-
-// Delta is a batch of node and edge additions (see graph.Delta): new nodes
-// carry an already-registered type name and a value, and edges may
-// reference both existing node ids and the ids of nodes added by the same
-// delta.
-type Delta = graph.Delta
-
-// DeltaNode declares one node addition of a Delta.
-type DeltaNode = graph.DeltaNode
-
-// Edge is an undirected edge between two node ids.
-type Edge = graph.Edge
 
 // UpdateStats describes what one ApplyUpdate did.
 type UpdateStats struct {
@@ -80,7 +67,7 @@ type UpdateStats struct {
 // ApplyUpdate leaves the new epoch's overlays uncompacted; call Compact
 // (typically from a background goroutine, as cmd/semproxd does) to fold
 // them into flat storage.
-func (e *Engine) ApplyUpdate(d Delta) (UpdateStats, error) {
+func (e *Engine) ApplyUpdate(d graph.Delta) (UpdateStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.applyUpdate(d, 1, func(cur uint64) (uint64, error) { return cur + 1, nil })
@@ -108,7 +95,7 @@ func (e *Engine) ApplyRecords(recs []wal.Record, logged func(valid int) error) (
 	defer e.mu.Unlock()
 	ep := e.cur.Load()
 	g, lsn, nodes, valid := ep.g, ep.lsn, ep.g.NumNodes(), 0
-	var d Delta
+	var d graph.Delta
 	var invalid error
 	for _, r := range recs {
 		if r.LSN <= lsn || valid > 0 && r.LSN != lsn+1 {
@@ -155,7 +142,7 @@ func (e *Engine) ApplyRecords(recs []wal.Record, logged func(valid int) error) (
 // disk, and the caller gates its ack on the log's durability barrier
 // (wal.WaitDurable, which commits the record) outside any lock. The lock order is the engine's writer lock, then
 // the log's; nothing in internal/wal calls into the engine.
-func (e *Engine) ApplyUpdateLogged(d Delta, appendLog func() (uint64, error)) (UpdateStats, error) {
+func (e *Engine) ApplyUpdateLogged(d graph.Delta, appendLog func() (uint64, error)) (UpdateStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.applyUpdate(d, 1, func(uint64) (uint64, error) { return appendLog() })
@@ -166,7 +153,7 @@ func (e *Engine) ApplyUpdateLogged(d Delta, appendLog func() (uint64, error)) (U
 // assign returns for the engine's current LSN. The caller holds e.mu.
 // assign runs once, and only after the delta is accepted: everything
 // that can refuse an update refuses it first.
-func (e *Engine) applyUpdate(d Delta, records int, assign func(cur uint64) (uint64, error)) (UpdateStats, error) {
+func (e *Engine) applyUpdate(d graph.Delta, records int, assign func(cur uint64) (uint64, error)) (UpdateStats, error) {
 	start := time.Now()
 	ep := e.cur.Load()
 	ng, touched, err := ep.g.Apply(d)
@@ -290,11 +277,6 @@ type Stats struct {
 // use; all fields describe ONE epoch.
 func (e *Engine) Stats() Stats {
 	ep := e.cur.Load()
-	classes := make([]string, 0, len(ep.classes))
-	for c := range ep.classes {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
 	return Stats{
 		Epoch:             ep.version,
 		LSN:               ep.lsn,
@@ -304,6 +286,6 @@ func (e *Engine) Stats() Stats {
 		Metagraphs:        len(e.ms),
 		Matched:           ep.matchedCount(),
 		PendingCompaction: ep.pending,
-		Classes:           classes,
+		Classes:           View{ep}.Classes(),
 	}
 }

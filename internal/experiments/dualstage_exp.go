@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/dualstage"
 	"repro/internal/eval"
 )
 
@@ -76,13 +77,13 @@ func (s *Suite) dualStageSweepUncached(name, class string, reverse bool) []dualS
 				model := core.Train(p.Index, examples, s.Cfg.Train)
 				kept, w = allIdx, model.W
 			} else {
-				opts := core.DualStageOptions{
+				opts := dualstage.Options{
 					NumCandidates: k,
 					Stages:        1,
 					Reverse:       reverse,
 					Train:         s.Cfg.Train,
 				}
-				res := core.DualStage(p.Ms, matchFnFor(p), examples, opts)
+				res := dualstage.Run(p.Ms, matchFnFor(p), examples, opts)
 				kept, w = res.Kept, res.Model.W
 			}
 			ranker := &baselines.MGPRanker{Label: "MGP", Ix: p.Index.Project(kept), W: w}

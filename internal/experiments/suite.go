@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/dualstage"
 	"repro/internal/eval"
 	"repro/internal/index"
 	"repro/internal/match"
@@ -206,6 +207,6 @@ func classesOf(p *Pipeline) []string { return p.DS.ClassNames() }
 // matchFnFor adapts index projection as the dual-stage MatchFunc: the
 // suite has pre-matched everything, so "matching a subset" is a projection
 // whose *cost* is accounted separately via SubsetMatchTime.
-func matchFnFor(p *Pipeline) core.MatchFunc {
+func matchFnFor(p *Pipeline) dualstage.MatchFunc {
 	return func(indices []int) *index.Index { return p.Index.Project(indices) }
 }

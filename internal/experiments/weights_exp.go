@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/dualstage"
 	"repro/internal/mcs"
 )
 
@@ -86,7 +86,7 @@ func (s *Suite) Fig9() Report {
 			counts := make([]int, len(bins))
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					fs := core.FunctionalSimilarity(w[i], w[j])
+					fs := dualstage.FunctionalSimilarity(w[i], w[j])
 					for bi, b := range bins {
 						if ss[i][j] >= b.lo && ss[i][j] < b.hi {
 							sums[bi] += fs

@@ -17,6 +17,18 @@ import (
 	"repro/internal/graph"
 )
 
+// MiningOptions configures a mining run (internal/mining.Options), declared
+// here so that an engine's options carry it without linking the miner.
+type MiningOptions struct {
+	// MaxNodes caps |V_M|; the paper uses 5 (Sect. V-A).
+	MaxNodes int
+	// MinSupport is the MNI support threshold for a pattern to be frequent.
+	MinSupport int
+	// MaxPatterns stops mining after this many frequent patterns have been
+	// collected (0 = unlimited); a safety valve for dense graphs.
+	MaxPatterns int
+}
+
 // MaxNodes bounds the size of a metagraph. Sixteen lets adjacency fit in a
 // uint16 bitmask per node while far exceeding the paper's cap of five.
 const MaxNodes = 16

@@ -25,16 +25,8 @@ import (
 	"repro/internal/metagraph"
 )
 
-// Options configures a mining run.
-type Options struct {
-	// MaxNodes caps |V_M|; the paper uses 5 (Sect. V-A).
-	MaxNodes int
-	// MinSupport is the MNI support threshold for a pattern to be frequent.
-	MinSupport int
-	// MaxPatterns stops mining after this many frequent patterns have been
-	// collected (0 = unlimited); a safety valve for dense graphs.
-	MaxPatterns int
-}
+// Options configures a mining run; an engine's options carry it unlinked.
+type Options = metagraph.MiningOptions
 
 // DefaultOptions mirrors the paper's setup: metagraphs of at most 5 nodes.
 func DefaultOptions() Options {

@@ -12,10 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	semprox "repro"
 	"repro/api"
 	"repro/client"
 	"repro/internal/atomicfile"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/wal"
 )
@@ -35,7 +35,7 @@ import (
 // re-merges — of catch-up from one per record to one per poll while
 // keeping the engine byte-identical to a record-at-a-time replica.
 // Crash recovery and promotion replay the local log the same way
-// (semprox.ReplayWAL).
+// (engine.ReplayWAL).
 //
 // With Dir set the follower is also durable and promotable: every batch
 // is fsynced into a follower-local WAL BEFORE it is applied, the
@@ -70,7 +70,7 @@ type Follower struct {
 	cmu sync.Mutex // guards c (Retarget swaps it mid-Run)
 	c   *client.Client
 
-	eng      atomic.Pointer[semprox.Engine]
+	eng      atomic.Pointer[engine.Engine]
 	applied  atomic.Uint64 // LSN of the last record applied locally
 	target   atomic.Uint64 // primary durable LSN as of the last poll
 	polled   atomic.Bool   // at least one successful poll completed
@@ -128,7 +128,7 @@ func (f *Follower) client() *client.Client {
 func (f *Follower) Retarget(baseURL string) { f.setClient(baseURL) }
 
 // Engine returns the local serving engine (nil before Bootstrap).
-func (f *Follower) Engine() *semprox.Engine { return f.eng.Load() }
+func (f *Follower) Engine() *engine.Engine { return f.eng.Load() }
 
 // snapPath and walDir name the two halves of the local state directory.
 func (f *Follower) snapPath() string { return filepath.Join(f.Dir, "engine.snap") }
@@ -153,7 +153,7 @@ func (f *Follower) Restore() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("replica: restore: %w", err)
 	}
-	eng, lerr := semprox.LoadEngine(snap)
+	eng, lerr := engine.LoadEngine(snap)
 	snap.Close()
 	if lerr != nil {
 		return false, fmt.Errorf("replica: restore: %w", lerr)
@@ -162,7 +162,7 @@ func (f *Follower) Restore() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("replica: restore: %w", err)
 	}
-	if _, _, err := semprox.ReplayWAL(eng, log); err != nil {
+	if _, _, err := engine.ReplayWAL(eng, log); err != nil {
 		log.Close()
 		return false, fmt.Errorf("replica: restore: %w", err)
 	}
@@ -210,7 +210,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	}
 	defer body.Close()
 	counted := &countReader{r: body}
-	var eng *semprox.Engine
+	var eng *engine.Engine
 	if f.Dir != "" {
 		if err := os.MkdirAll(f.Dir, 0o755); err != nil {
 			return fmt.Errorf("replica: bootstrap: %w", err)
@@ -220,11 +220,11 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		// load — checksum included — has succeeded, so a stream that does
 		// not load never becomes a file Restore could boot from.
 		err = atomicfile.WriteWith(f.snapPath(), func(w io.Writer) (lerr error) {
-			eng, lerr = semprox.LoadEngine(io.TeeReader(counted, w))
+			eng, lerr = engine.LoadEngine(io.TeeReader(counted, w))
 			return lerr
 		})
 	} else {
-		eng, err = semprox.LoadEngine(counted)
+		eng, err = engine.LoadEngine(counted)
 	}
 	if err != nil {
 		return fmt.Errorf("replica: bootstrap: %w", err)

@@ -10,7 +10,7 @@
 // Wire protocol (declared in the public api package, mounted by
 // internal/server, spoken by the client package):
 //
-//	GET /v1/replicate/snapshot     an engine snapshot stream (semprox.Save)
+//	GET /v1/replicate/snapshot     an engine snapshot stream (engine.Save)
 //	GET /v1/replicate/since?lsn=N  records with LSN > N as api.SinceResponse
 //	    [&max=M][&wait_ms=T]       long-polls up to T ms when none exist
 //	    [&term=X][&seen_term=S]    history check and fencing, see ServeSince
@@ -28,8 +28,8 @@ import (
 	"sync"
 	"time"
 
-	semprox "repro"
 	"repro/api"
+	"repro/internal/engine"
 	"repro/internal/wal"
 )
 
@@ -50,7 +50,7 @@ const DefaultMaxBytes = 32 << 20
 
 // Primary serves one engine's WAL to followers.
 type Primary struct {
-	eng *semprox.Engine
+	eng *engine.Engine
 	log *wal.WAL
 	// MaxBatch, MaxBytes and MaxWait override the defaults when > 0;
 	// mostly for tests.
@@ -68,7 +68,7 @@ type Primary struct {
 }
 
 // NewPrimary wraps an engine and the WAL its updates are logged to.
-func NewPrimary(eng *semprox.Engine, log *wal.WAL) *Primary {
+func NewPrimary(eng *engine.Engine, log *wal.WAL) *Primary {
 	return &Primary{eng: eng, log: log}
 }
 

@@ -1,4 +1,4 @@
-// Package server exposes a semprox.Engine over HTTP/JSON — the online
+// Package server exposes an engine.Engine over HTTP/JSON — the online
 // serving layer of the ROADMAP's "heavy traffic" north star. The wire
 // contract — every request/response type, the error envelope, the path
 // constants, the request limits — lives in the public api package; this
@@ -55,8 +55,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	semprox "repro"
 	"repro/api"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/wal"
@@ -79,7 +81,7 @@ const (
 // loads it exactly once per request, so no request ever sees a primary
 // log paired with a follower engine.
 type role struct {
-	eng *semprox.Engine
+	eng *engine.Engine
 	// log, when attached, makes every update durable before its ack;
 	// primary then serves it to followers over /v1/replicate.
 	log     *wal.WAL
@@ -103,11 +105,9 @@ type Server struct {
 	// wrap is mux behind the obs middleware (tracing, metrics, request
 	// log). Rebuilt by SetRequestLog — call that before serving.
 	wrap http.Handler
-	// autoCompact folds update overlays into flat storage from a
-	// background goroutine after each update; compacting wakes track the
-	// in-flight goroutines so tests (and graceful shutdown) can wait.
-	autoCompact bool
-	compacting  sync.WaitGroup
+	// compacting tracks the background goroutines that fold each update's
+	// overlays into flat storage, so tests (and graceful shutdown) can wait.
+	compacting sync.WaitGroup
 	// updateMu serializes update handlers. The handler predicts the ids
 	// of the nodes it adds (n, n+1, ... off the current graph) before
 	// calling ApplyUpdate; two concurrent handlers predicting off the
@@ -138,10 +138,10 @@ type Server struct {
 	drain    context.CancelFunc
 }
 
-// New wraps an engine in an HTTP handler with background compaction after
-// updates enabled.
-func New(eng *semprox.Engine) *Server {
-	s := &Server{mux: http.NewServeMux(), reg: obs.NewRegistry(), autoCompact: true}
+// New wraps an engine in an HTTP handler that folds each update's overlays
+// into flat storage in the background.
+func New(eng *engine.Engine) *Server {
+	s := &Server{mux: http.NewServeMux(), reg: obs.NewRegistry()}
 	s.draining, s.drain = context.WithCancel(context.Background())
 	s.role.Store(&role{eng: eng})
 	for path, h := range map[string]http.HandlerFunc{
@@ -245,7 +245,7 @@ func (s *Server) PromoteFollower() (*wal.WAL, error) {
 // the follower in one atomic store. Requests already past their role load
 // finish under the old one (they were refusing updates — still correct),
 // everything after serves the new.
-func (s *Server) promote(eng *semprox.Engine, w *wal.WAL) error {
+func (s *Server) promote(eng *engine.Engine, w *wal.WAL) error {
 	if got, want := eng.LSN()+1, w.NextLSN(); got != want {
 		return fmt.Errorf("server: promote: engine expects LSN %d but the log would assign %d", got, want)
 	}
@@ -259,7 +259,7 @@ func (s *Server) promote(eng *semprox.Engine, w *wal.WAL) error {
 // handlers that held on to the old pointer would keep serving frozen
 // data forever. Each handler calls this once and uses the result
 // throughout, so a single request never mixes two engines.
-func (s *Server) engine() *semprox.Engine {
+func (s *Server) engine() *engine.Engine {
 	rl := s.role.Load()
 	if rl.follower != nil {
 		if eng := rl.follower.Engine(); eng != nil {
@@ -268,11 +268,6 @@ func (s *Server) engine() *semprox.Engine {
 	}
 	return rl.eng
 }
-
-// SetAutoCompact toggles background compaction after updates. Call before
-// serving; with it off, stats keep reporting the pending overlays until
-// the operator compacts some other way.
-func (s *Server) SetAutoCompact(on bool) { s.autoCompact = on }
 
 // Drain ends every /v1/replicate/since long poll, in flight or to come, at
 // once: each answers with the records it has (an empty batch when nothing
@@ -309,7 +304,7 @@ func errInternal(format string, args ...any) *api.Error {
 }
 
 // resolveClass 404s for classes the serving epoch has not trained.
-func resolveClass(v semprox.View, class string) *api.Error {
+func resolveClass(v engine.View, class string) *api.Error {
 	if class == "" {
 		return errBadRequest("missing class")
 	}
@@ -321,19 +316,19 @@ func resolveClass(v semprox.View, class string) *api.Error {
 
 // resolveNode maps a node name to its id: an empty name is a 400 naming
 // field, an unknown one a 404.
-func resolveNode(g *semprox.Graph, field, name string) (semprox.NodeID, *api.Error) {
+func resolveNode(g *graph.Graph, field, name string) (graph.NodeID, *api.Error) {
 	if name == "" {
-		return semprox.InvalidNode, errBadRequest("missing %s", field)
+		return graph.InvalidNode, errBadRequest("missing %s", field)
 	}
 	return lookupNode(g, name)
 }
 
 // lookupNode is resolveNode for a name already known to be non-empty, so a
 // batch formats the field of a query only when it is missing.
-func lookupNode(g *semprox.Graph, name string) (semprox.NodeID, *api.Error) {
+func lookupNode(g *graph.Graph, name string) (graph.NodeID, *api.Error) {
 	id := g.NodeByName(name)
-	if id == semprox.InvalidNode {
-		return semprox.InvalidNode, errNotFound(api.CodeNodeNotFound, "node %q not in graph", name)
+	if id == graph.InvalidNode {
+		return graph.InvalidNode, errNotFound(api.CodeNodeNotFound, "node %q not in graph", name)
 	}
 	return id, nil
 }
@@ -344,7 +339,7 @@ func lookupNode(g *semprox.Graph, name string) (semprox.NodeID, *api.Error) {
 // here could pair an old epoch's results with a new epoch's counter
 // across a concurrent update, exactly the torn pairing an epoch-keyed
 // edge cache cannot tolerate.
-func setEpochHeader(w http.ResponseWriter, v semprox.View) {
+func setEpochHeader(w http.ResponseWriter, v engine.View) {
 	w.Header().Set(api.HeaderEpoch, strconv.FormatUint(v.Epoch(), 10))
 }
 
@@ -423,7 +418,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // querySingle answers one ranked query.
-func querySingle(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
+func querySingle(w http.ResponseWriter, v engine.View, req api.QueryRequest) {
 	q, herr := resolveNode(v.Graph(), "query", req.Query)
 	if herr != nil {
 		wire.WriteErr(w, herr)
@@ -444,12 +439,12 @@ func querySingle(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 
 // queryBatch resolves every query name, then answers them in one
 // QueryBatch call — one epoch for the whole batch.
-func queryBatch(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
+func queryBatch(w http.ResponseWriter, v engine.View, req api.QueryRequest) {
 	if len(req.Queries) > MaxBatch {
 		wire.WriteErr(w, errBadRequest("batch of %d queries exceeds limit %d", len(req.Queries), MaxBatch))
 		return
 	}
-	qs := make([]semprox.NodeID, len(req.Queries))
+	qs := make([]graph.NodeID, len(req.Queries))
 	for i, name := range req.Queries {
 		if name == "" {
 			wire.WriteErr(w, errBadRequest("missing queries[%d]", i))
@@ -476,7 +471,7 @@ func queryBatch(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 }
 
 // render converts one engine ranking to its wire shape.
-func render(g *semprox.Graph, query string, ranked []semprox.Ranked) api.QueryResult {
+func render(g *graph.Graph, query string, ranked []core.Ranked) api.QueryResult {
 	out := api.QueryResult{Query: query, Results: make([]api.RankedResult, len(ranked))}
 	for i, r := range ranked {
 		out.Results[i] = api.RankedResult{Node: int32(r.Node), Name: g.Name(r.Node), Score: r.Score}
@@ -537,7 +532,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if s.autoCompact && st.Pending > 0 {
+	if st.Pending > 0 {
 		s.compacting.Add(1)
 		go func() {
 			defer s.compacting.Done()
@@ -558,39 +553,39 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // against the current graph, apply the delta, sequence the record. It
 // returns with the record NOT YET on disk — the caller must gate the
 // ack on WaitDurable, which commits it.
-func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateStats, *api.Error) {
-	var zero semprox.UpdateStats
+func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (engine.UpdateStats, *api.Error) {
+	var zero engine.UpdateStats
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 	eng := rl.eng // never a follower here: the update was refused by the caller
 	g := eng.Graph()
-	d := semprox.Delta{Nodes: make([]semprox.DeltaNode, len(req.Nodes))}
-	fresh := make(map[string]semprox.NodeID, len(req.Nodes))
+	d := graph.Delta{Nodes: make([]graph.DeltaNode, len(req.Nodes))}
+	fresh := make(map[string]graph.NodeID, len(req.Nodes))
 	for i, n := range req.Nodes {
 		if n.Type == "" || n.Name == "" {
 			return zero, errBadRequest("nodes[%d]: type and name are required", i)
 		}
-		if g.Types().ID(n.Type) == semprox.InvalidType {
+		if g.Types().ID(n.Type) == graph.InvalidType {
 			return zero, errBadRequest("nodes[%d]: unknown type %q (a delta cannot introduce types)", i, n.Type)
 		}
-		d.Nodes[i] = semprox.DeltaNode{Type: n.Type, Value: n.Name}
+		d.Nodes[i] = graph.DeltaNode{Type: n.Type, Value: n.Name}
 		if _, dup := fresh[n.Name]; !dup {
-			fresh[n.Name] = semprox.NodeID(g.NumNodes() + i)
+			fresh[n.Name] = graph.NodeID(g.NumNodes() + i)
 		}
 	}
-	resolve := func(field, name string) (semprox.NodeID, *api.Error) {
+	resolve := func(field, name string) (graph.NodeID, *api.Error) {
 		if name == "" {
-			return semprox.InvalidNode, errBadRequest("missing %s", field)
+			return graph.InvalidNode, errBadRequest("missing %s", field)
 		}
 		if id, ok := fresh[name]; ok {
 			return id, nil
 		}
-		if id := g.NodeByName(name); id != semprox.InvalidNode {
+		if id := g.NodeByName(name); id != graph.InvalidNode {
 			return id, nil
 		}
-		return semprox.InvalidNode, errNotFound(api.CodeNodeNotFound, "node %q neither in graph nor added by this update", name)
+		return graph.InvalidNode, errNotFound(api.CodeNodeNotFound, "node %q neither in graph nor added by this update", name)
 	}
-	d.Edges = make([]semprox.Edge, len(req.Edges))
+	d.Edges = make([]graph.Edge, len(req.Edges))
 	for i, e := range req.Edges {
 		u, herr := resolve(fmt.Sprintf("edges[%d].u", i), e.U)
 		if herr != nil {
@@ -600,7 +595,7 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateSta
 		if herr != nil {
 			return zero, herr
 		}
-		d.Edges[i] = semprox.Edge{U: u, V: v}
+		d.Edges[i] = graph.Edge{U: u, V: v}
 	}
 	// Log order equals apply order, and the log holds only what the
 	// engine accepted: the engine builds the next epoch, appends the

@@ -376,7 +376,6 @@ func decodeUpdate(t *testing.T, rec *httptest.ResponseRecorder) api.UpdateRespon
 
 func TestUpdateAddsAndServes(t *testing.T) {
 	s, eng, g := trainedServer(t)
-	s.SetAutoCompact(false)
 	body := `{"nodes":[{"type":"user","name":"Zoe"},{"type":"school","name":"College Z"}],
 	          "edges":[{"u":"Zoe","v":"College Z"},{"u":"Kate","v":"College Z"},{"u":"Zoe","v":"College A"}]}`
 	out := decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate, body))
@@ -409,7 +408,6 @@ func TestUpdateAddsAndServes(t *testing.T) {
 
 func TestUpdateValidation(t *testing.T) {
 	s, _, _ := trainedServer(t)
-	s.SetAutoCompact(false)
 	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate, `{}`), http.StatusBadRequest, "bad_request")
 	wantErr(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"starship","name":"x"}]}`), http.StatusBadRequest, "bad_request")
@@ -443,7 +441,6 @@ func TestUpdateValidation(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s, eng, g := trainedServer(t)
-	s.SetAutoCompact(false)
 	rec := do(t, s, http.MethodGet, api.PathStats, "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d", rec.Code)
@@ -457,8 +454,15 @@ func TestStats(t *testing.T) {
 		st.PendingCompaction != 0 || len(st.Classes) != 1 || st.Classes[0] != "classmate" {
 		t.Fatalf("stats = %+v", st)
 	}
-	decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate,
-		`{"nodes":[{"type":"hobby","name":"chess"}],"edges":[{"u":"Kate","v":"chess"}]}`))
+	// Applied on the engine directly, the update schedules no background
+	// compaction, so /v1/stats must still report the pending overlays.
+	n := semprox.NodeID(g.NumNodes())
+	if _, err := eng.ApplyUpdate(semprox.Delta{
+		Nodes: []semprox.DeltaNode{{Type: "hobby", Value: "chess"}},
+		Edges: []semprox.Edge{{U: g.NodeByName("Kate"), V: n}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := json.Unmarshal(do(t, s, http.MethodGet, api.PathStats, "").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fixtures"
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -77,7 +79,7 @@ func crashRecovery(t *testing.T, trial int, write func(*Engine, *wal.WAL, Delta)
 	eng, g := toyEngine(t)
 	eng.Train("classmate", classmateExamples(g))
 	if trial%2 == 1 {
-		eng.TrainDualStage("classmate2", classmateExamples(g), 2)
+		TrainDualStage(eng, "classmate2", classmateExamples(g), 2)
 	}
 
 	dir := t.TempDir()
@@ -277,6 +279,8 @@ func TestReplayWALRejectsUnrecordedRejection(t *testing.T) {
 // advances by N, and leaves the engine compacted and byte-identical to
 // the primary that applied them one at a time.
 func TestReplayWALAppliesRuns(t *testing.T) {
+	const replayRun = 256 // the records ReplayWAL applies as one epoch
+	applies := obs.Default().Histogram("semprox_engine_apply_seconds", "", obs.Seconds)
 	primary, g := toyEngine(t)
 	primary.Train("classmate", classmateExamples(g))
 	var snap bytes.Buffer
@@ -301,12 +305,12 @@ func TestReplayWALAppliesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochs := engApply.Summary().Count
+	epochs := applies.Summary().Count
 	applied, _, err := ReplayWAL(rec, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if published := engApply.Summary().Count - epochs; applied != N || published != (N+replayRun-1)/replayRun {
+	if published := applies.Summary().Count - epochs; applied != N || published != (N+replayRun-1)/replayRun {
 		t.Fatalf("replayed %d records in %d epochs, want %d in %d", applied, published, N, (N+replayRun-1)/replayRun)
 	}
 	if rec.Epoch() != primary.Epoch() || rec.LSN() != N || rec.Stats().PendingCompaction != 0 {
@@ -335,7 +339,7 @@ func TestReplayWALAppliesRuns(t *testing.T) {
 // for byte.
 func TestRefusedUpdateNeverLogged(t *testing.T) {
 	snap, a, b := sharedSchool(t)
-	full := fixtures.WithEveryCount(t, snap, snapshotMagic, math.MaxUint32)
+	full := fixtures.WithEveryCount(t, snap, engine.SnapshotMagic, math.MaxUint32)
 	eng, err := LoadEngine(bytes.NewReader(full))
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/fixtures"
 	"repro/internal/flat"
@@ -44,8 +46,7 @@ func saveLoad(t *testing.T, eng *Engine) *Engine {
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, logTransform := range []bool{false, true} {
 		t.Run(fmt.Sprintf("log=%v", logTransform), func(t *testing.T) {
-			eng, g := toyEngine(t)
-			eng.opts.LogTransform = logTransform
+			eng, g := toyEngineWith(t, func(opts *Options) { opts.LogTransform = logTransform })
 			eng.Train("classmate", classmateExamples(g))
 			loaded := saveLoad(t, eng)
 
@@ -92,12 +93,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 			assertEngineEquivalent(t, loaded, eng, "round trip")
-			// Proximity is scale-invariant and the toy's counts are nearly
-			// all 1, so the answers barely tell log1p from raw counts; the
-			// denominators, m_v·w by node, do.
-			if got, want := loaded.cur.Load().classes["classmate"].dots, eng.cur.Load().classes["classmate"].dots; !slices.Equal(got, want) {
-				t.Fatalf("loaded denominators %v, want %v", got, want)
-			}
 		})
 	}
 }
@@ -108,8 +103,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // section holds the same raw counts and whose header names the transform.
 func TestSnapshotDeterministicBytes(t *testing.T) {
 	for _, logTransform := range []bool{false, true} {
-		eng, g := toyEngine(t)
-		eng.opts.LogTransform = logTransform
+		eng, g := toyEngineWith(t, func(opts *Options) { opts.LogTransform = logTransform })
 		eng.Train("classmate", classmateExamples(g))
 		var a, b bytes.Buffer
 		if err := eng.Save(&a); err != nil {
@@ -142,7 +136,7 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 // re-matched, and the new class must answer queries.
 func TestSnapshotDualStageResumesTraining(t *testing.T) {
 	eng, g := toyEngine(t)
-	eng.TrainDualStage("classmate", classmateExamples(g), 2)
+	TrainDualStage(eng, "classmate", classmateExamples(g), 2)
 	matched := eng.MatchedCount()
 	if matched == 0 || matched >= eng.NumMetagraphs() {
 		t.Fatalf("dual stage matched %d of %d; need a strict subset", matched, eng.NumMetagraphs())
@@ -230,49 +224,54 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	// dual-stage engine leaves metagraphs unmatched, so the header can name
 	// one that has no rows.
 	ds, g := toyEngine(t)
-	ds.TrainDualStage("classmate", classmateExamples(g), 2)
+	TrainDualStage(ds, "classmate", classmateExamples(g), 2)
 	buf.Reset()
 	if err := ds.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ep := ds.cur.Load()
-	unmatched := slices.Index(ep.matched, false)
-	if unmatched < 0 {
+	h, _, _, _ := snapshotParts(t, buf.Bytes())
+	unmatched := 0
+	for _, i := range h.Matched {
+		if i == unmatched {
+			unmatched++
+		}
+	}
+	if unmatched == len(h.Metas) {
 		t.Fatal("dual stage matched everything; need an unmatched metagraph")
 	}
-	if _, err := LoadEngine(bytes.NewReader(recraft(t, buf.Bytes(), func(*snapHeader) {}))); err != nil {
+	if _, err := LoadEngine(bytes.NewReader(recraft(t, buf.Bytes(), func(*engine.SnapshotHeader) {}))); err != nil {
 		t.Fatalf("unedited re-encoding refused: %v", err)
 	}
 	for _, c := range []struct {
 		name, want string
-		edit       func(h *snapHeader)
+		edit       func(h *engine.SnapshotHeader)
 	}{
 		// Before SPXS\x05 this one loaded, and the first ApplyUpdate
 		// dereferenced the part index it did not have.
-		{"class keeps an unmatched metagraph", "keeps metagraph", func(h *snapHeader) {
+		{"class keeps an unmatched metagraph", "keeps metagraph", func(h *engine.SnapshotHeader) {
 			h.Classes[0].Kept = append(h.Classes[0].Kept, unmatched)
 		}},
-		{"class keeps a metagraph twice", "keeps metagraph", func(h *snapHeader) {
+		{"class keeps a metagraph twice", "keeps metagraph", func(h *engine.SnapshotHeader) {
 			h.Classes[0].Kept = append(h.Classes[0].Kept, h.Classes[0].Kept[0])
 		}},
-		{"class keeps a metagraph out of range", "keeps metagraph", func(h *snapHeader) {
+		{"class keeps a metagraph out of range", "keeps metagraph", func(h *engine.SnapshotHeader) {
 			h.Classes[0].Kept = append(h.Classes[0].Kept, len(h.Metas))
 		}},
-		{"class keeps a negative metagraph", "keeps metagraph", func(h *snapHeader) {
+		{"class keeps a negative metagraph", "keeps metagraph", func(h *engine.SnapshotHeader) {
 			h.Classes[0].Kept[0] = -1
 		}},
-		{"matched metagraphs descending", "not ascending", func(h *snapHeader) { slices.Reverse(h.Matched) }},
-		{"matched metagraph repeated", "not ascending", func(h *snapHeader) {
+		{"matched metagraphs descending", "not ascending", func(h *engine.SnapshotHeader) { slices.Reverse(h.Matched) }},
+		{"matched metagraph repeated", "not ascending", func(h *engine.SnapshotHeader) {
 			h.Matched = append(h.Matched, h.Matched[len(h.Matched)-1])
 		}},
-		{"matched metagraph out of range", "not ascending", func(h *snapHeader) { h.Matched = append(h.Matched, len(h.Metas)) }},
-		{"rows of an unmatched metagraph", "not matched", func(h *snapHeader) {
+		{"matched metagraph out of range", "not ascending", func(h *engine.SnapshotHeader) { h.Matched = append(h.Matched, len(h.Metas)) }},
+		{"rows of an unmatched metagraph", "not matched", func(h *engine.SnapshotHeader) {
 			drop := h.Matched[0]
 			h.Matched = h.Matched[1:]
 			h.Classes[0].Kept = slices.DeleteFunc(h.Classes[0].Kept, func(i int) bool { return i == drop })
 		}},
-		{"index narrower than the metagraph set", "spans", func(h *snapHeader) { h.Metas = append(h.Metas, h.Metas[0]) }},
-		{"class listed twice", "duplicated", func(h *snapHeader) { h.Classes = append(h.Classes, h.Classes[0]) }},
+		{"index narrower than the metagraph set", "spans", func(h *engine.SnapshotHeader) { h.Metas = append(h.Metas, h.Metas[0]) }},
+		{"class listed twice", "duplicated", func(h *engine.SnapshotHeader) { h.Classes = append(h.Classes, h.Classes[0]) }},
 	} {
 		_, err := LoadEngine(bytes.NewReader(recraft(t, buf.Bytes(), c.edit)))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -283,8 +282,8 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	// Graph sections that break one rule each, behind an intact header and
 	// ahead of an intact index. Node 0 ("Alice") has neighbours above it,
 	// the first user with two of them shows the ascending rule.
-	h, g, ix := snapshotParts(t, buf.Bytes())
-	if _, err := LoadEngine(bytes.NewReader(craft(t, h, rawOf(g).write, ix))); err != nil {
+	h, g, ix, _ := snapshotParts(t, buf.Bytes())
+	if _, err := LoadEngine(bytes.NewReader(craft(t, h, rawOf(g).write, ix, nil))); err != nil {
 		t.Fatalf("a hand-written graph section is refused: %v", err)
 	}
 	two := slices.IndexFunc(rawOf(g).above, func(gaps []uint64) bool { return len(gaps) >= 2 })
@@ -309,7 +308,7 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	} {
 		rg := rawOf(g)
 		c.edit(&rg)
-		_, err := LoadEngine(bytes.NewReader(craft(t, h, rg.write, ix)))
+		_, err := LoadEngine(bytes.NewReader(craft(t, h, rg.write, ix, nil)))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: LoadEngine returned %v, want an error naming %q", c.name, err, c.want)
 		}
@@ -332,7 +331,7 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 		}
 	}
 	var short bytes.Buffer
-	fw := flat.NewWriter(&short, snapshotMagic)
+	fw := flat.NewWriter(&short, engine.SnapshotMagic)
 	hdr, _ := json.Marshal(&h)
 	fw.Bytes(hdr)
 	longName(fw)
@@ -344,14 +343,15 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// snapshotParts takes a snapshot apart: its header, graph and index.
-func snapshotParts(t testing.TB, data []byte) (snapHeader, *graph.Graph, *index.Index) {
+// snapshotParts takes a snapshot apart: its header, graph, index, and each
+// class's log-likelihood and weights in the header's order.
+func snapshotParts(t testing.TB, data []byte) (engine.SnapshotHeader, *graph.Graph, *index.Index, []core.Model) {
 	t.Helper()
-	fr, err := flat.NewReader(bytes.NewReader(data), snapshotMagic)
+	fr, err := flat.NewReader(bytes.NewReader(data), engine.SnapshotMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h snapHeader
+	var h engine.SnapshotHeader
 	if err := json.Unmarshal(fr.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
@@ -363,27 +363,42 @@ func snapshotParts(t testing.TB, data []byte) (snapHeader, *graph.Graph, *index.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, g, ix
+	models := make([]core.Model, len(h.Classes))
+	for i, sc := range h.Classes {
+		models[i] = core.Model{LogLikelihood: math.Float64frombits(fr.Uint64()), W: make([]float64, len(sc.Kept)), Iterations: sc.Iterations}
+		for k := range models[i].W {
+			models[i].W[k] = math.Float64frombits(fr.Uint64())
+		}
+	}
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return h, g, ix, models
 }
 
-// craft writes a snapshot of h, the graph section writeGraph writes and ix
-// — checksum valid — giving each class of h a weight per kept metagraph,
-// so only what the caller edited is wrong with the stream.
-func craft(t testing.TB, h snapHeader, writeGraph func(*flat.Writer), ix *index.Index) []byte {
+// craft writes a snapshot of h, the graph section writeGraph writes, ix and
+// the classes' models — checksum valid. With models nil, each class of h
+// gets a weight per kept metagraph, so only what the caller edited is wrong
+// with the stream.
+func craft(t testing.TB, h engine.SnapshotHeader, writeGraph func(*flat.Writer), ix *index.Index, models []core.Model) []byte {
 	t.Helper()
 	hdr, err := json.Marshal(&h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	fw := flat.NewWriter(&out, snapshotMagic)
+	fw := flat.NewWriter(&out, engine.SnapshotMagic)
 	fw.Bytes(hdr)
 	writeGraph(fw)
 	index.Encode(fw, ix)
-	for _, sc := range h.Classes {
-		fw.Uint64(math.Float64bits(-1)) // log-likelihood
-		for range sc.Kept {
-			fw.Uint64(math.Float64bits(0.5))
+	for i, sc := range h.Classes {
+		m := core.Model{LogLikelihood: -1, W: slices.Repeat([]float64{0.5}, len(sc.Kept))}
+		if models != nil {
+			m = models[i]
+		}
+		fw.Uint64(math.Float64bits(m.LogLikelihood))
+		for _, w := range m.W {
+			fw.Uint64(math.Float64bits(w))
 		}
 	}
 	if err := fw.Close(); err != nil {
@@ -392,13 +407,33 @@ func craft(t testing.TB, h snapHeader, writeGraph func(*flat.Writer), ix *index.
 	return out.Bytes()
 }
 
+// loadCrafted loads what craft wrote from the parts of a snapshot.
+func loadCrafted(t testing.TB, h engine.SnapshotHeader, g *graph.Graph, ix *index.Index, models []core.Model) *Engine {
+	t.Helper()
+	eng, err := LoadEngine(bytes.NewReader(craft(t, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, ix, models)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// snapshotOf is eng's snapshot.
+func snapshotOf(t testing.TB, eng *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // recraft re-encodes a snapshot with its header edited and everything else
 // as it was.
-func recraft(t *testing.T, data []byte, edit func(h *snapHeader)) []byte {
+func recraft(t *testing.T, data []byte, edit func(h *engine.SnapshotHeader)) []byte {
 	t.Helper()
-	h, g, ix := snapshotParts(t, data)
+	h, g, ix, _ := snapshotParts(t, data)
 	edit(&h)
-	return craft(t, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, ix)
+	return craft(t, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, ix, nil)
 }
 
 // rawGraph is a graph section as its fields, for writing broken ones.
@@ -538,7 +573,7 @@ func TestSnapshotBitFlipsNeverPanic(t *testing.T) {
 // weights and its header entry, never a second copy of the rows.
 func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	eng, g := toyEngine(t)
-	eng.TrainDualStage("classmate2", classmateExamples(g), 2)
+	TrainDualStage(eng, "classmate2", classmateExamples(g), 2)
 	eng.Train("classmate", classmateExamples(g))
 	var two bytes.Buffer
 	if err := eng.Save(&two); err != nil {
@@ -546,7 +581,7 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	}
 
 	header := func(data []byte) int {
-		fr, err := flat.NewReader(bytes.NewReader(data), snapshotMagic)
+		fr, err := flat.NewReader(bytes.NewReader(data), engine.SnapshotMagic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,40 +591,38 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 		}
 		return hdr
 	}
-	ep := eng.cur.Load()
+	h, g, ix, models := snapshotParts(t, two.Bytes())
 	var ixFile, graphSection bytes.Buffer
-	if err := index.Write(&ixFile, ep.ix); err != nil {
+	if err := index.Write(&ixFile, ix); err != nil {
 		t.Fatal(err)
 	}
 	gw := flat.NewWriter(&graphSection, "")
-	graph.Encode(gw, ep.g)
+	graph.Encode(gw, g)
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	floats := 0
-	for _, cm := range ep.classes {
-		floats += 1 + len(cm.model.W)
+	for _, m := range models {
+		floats += 1 + len(m.W)
 	}
 	hdr, graphBytes := header(two.Bytes()), graphSection.Len()-4
 	// Framing: magic and checksum, and the header's length prefix of at
 	// most 10 bytes; the index file's own magic and checksum only loosen
 	// the bound.
-	const framing = len(snapshotMagic) + 4 + 10
+	const framing = len(engine.SnapshotMagic) + 4 + 10
 	if limit := hdr + graphBytes + ixFile.Len() + 8*floats + framing; two.Len() > limit {
 		t.Fatalf("snapshot with %d classes is %d bytes; header %d + graph %d + one index %d + %d floats + framing allow %d",
-			len(ep.classes), two.Len(), hdr, graphBytes, ixFile.Len(), floats, limit)
+			len(models), two.Len(), hdr, graphBytes, ixFile.Len(), floats, limit)
 	}
 
 	// The same epoch without the second class prices that class alone.
-	without := &epoch{g: ep.g, ix: ep.ix, matched: ep.matched, version: ep.version, lsn: ep.lsn,
-		classes: map[string]*classModel{"classmate2": ep.classes["classmate2"]}}
-	var base bytes.Buffer
-	if err := eng.saveEpoch(without, &base); err != nil {
-		t.Fatal(err)
-	}
-	hdrBase := header(base.Bytes())
-	cost := two.Len() - base.Len()
-	if want := (hdr - hdrBase) + 8*(1+len(ep.classes["classmate"].model.W)); cost > want+1 { // +1: the header's length prefix may grow a byte
+	second := slices.IndexFunc(h.Classes, func(sc engine.SnapshotClass) bool { return sc.Name == "classmate" })
+	secondW := len(models[second].W)
+	h.Classes, models = slices.Delete(h.Classes, second, second+1), slices.Delete(models, second, second+1)
+	base := craft(t, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, ix, models)
+	hdrBase := header(base)
+	cost := two.Len() - len(base)
+	if want := (hdr - hdrBase) + 8*(1+secondW); cost > want+1 { // +1: the header's length prefix may grow a byte
 		t.Fatalf("the second class cost %d bytes; its header entry and weights are %d", cost, want)
 	}
 }
@@ -599,7 +632,7 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 // header, type registry, node table, name, index node table or index runs
 // must be refused for what it sent, not allocated for what it claims.
 func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
-	fr, err := flat.NewReader(bytes.NewReader(fullSnapshot(t)), snapshotMagic)
+	fr, err := flat.NewReader(bytes.NewReader(fullSnapshot(t)), engine.SnapshotMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +705,7 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 		},
 	} {
 		var buf bytes.Buffer
-		w := flat.NewWriter(&buf, snapshotMagic)
+		w := flat.NewWriter(&buf, engine.SnapshotMagic)
 		body(w)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -691,9 +724,8 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 }
 
 // hasCountAbove1 reports whether some pair row of eng holds a count above 1.
-func hasCountAbove1(eng *Engine) bool {
-	ix := eng.cur.Load().ix
-	g := eng.Graph()
+func hasCountAbove1(t testing.TB, eng *Engine) bool {
+	_, g, ix, _ := snapshotParts(t, snapshotOf(t, eng))
 	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
 		for _, u := range ix.Partners(v) {
 			pv := ix.PairVec(v, u)
@@ -715,7 +747,7 @@ func FuzzLoadEngine(f *testing.F) {
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add(data[:len(data)-4])
-	f.Add([]byte(snapshotMagic))
+	f.Add([]byte(engine.SnapshotMagic))
 	f.Add([]byte("not a snapshot"))
 	// Lifecycle-shaped, small enough to fuzz: LinkedIn at MaxNodes 4,
 	// whose rows mix metagraphs and hold counts above 1.
@@ -729,7 +761,7 @@ func FuzzLoadEngine(f *testing.F) {
 	}
 	labels := ds.Classes["college"]
 	life.Train("college", eval.MakeExamples(labels, labels.Queries(), ds.Users(), 20, 1))
-	if above := hasCountAbove1(life); life.NumMetagraphs() < 4 || !above {
+	if above := hasCountAbove1(f, life); life.NumMetagraphs() < 4 || !above {
 		f.Fatalf("the lifecycle-shaped seed has %d metagraphs, counts above 1: %v", life.NumMetagraphs(), above)
 	}
 	var lb bytes.Buffer
@@ -751,8 +783,8 @@ func FuzzLoadEngine(f *testing.F) {
 	if err := direct.Save(&lb); err != nil {
 		f.Fatal(err)
 	}
-	if h, _, _ := snapshotParts(f, lb.Bytes()); len(h.Matched) != 1 || !hasCountAbove1(direct) {
-		f.Fatalf("the read_direct-shaped seed holds metagraphs %v, counts above 1: %v", h.Matched, hasCountAbove1(direct))
+	if h, _, _, _ := snapshotParts(f, lb.Bytes()); len(h.Matched) != 1 || !hasCountAbove1(f, direct) {
+		f.Fatalf("the read_direct-shaped seed holds metagraphs %v, counts above 1: %v", h.Matched, hasCountAbove1(f, direct))
 	}
 	f.Add(lb.Bytes())
 	// The snapshot shape written before training dropped the metagraphs no
@@ -767,14 +799,14 @@ func FuzzLoadEngine(f *testing.F) {
 	if err := empty.Save(&eb); err != nil {
 		f.Fatal(err)
 	}
-	if h, _, _ := snapshotParts(f, eb.Bytes()); len(h.Classes) != 2 || len(h.Classes[1].Kept) != 0 {
+	if h, _, _, _ := snapshotParts(f, eb.Bytes()); len(h.Classes) != 2 || len(h.Classes[1].Kept) != 0 {
 		f.Fatalf("the empty-class seed saves classes %+v", h.Classes)
 	}
 	f.Add(eb.Bytes())
 	// More metagraphs than a 64-bit mask holds: the snapshot's own index
 	// repeated until it spans over 64, every copy matched.
-	h, g, ix := snapshotParts(f, data)
-	parts, metas := []*index.Index{}, []snapMetagraph{}
+	h, g, ix, _ := snapshotParts(f, data)
+	parts, metas := []*index.Index{}, []engine.SnapshotMetagraph{}
 	for len(metas) <= 64 {
 		parts, metas = append(parts, ix), append(metas, h.Metas...)
 	}
@@ -782,7 +814,7 @@ func FuzzLoadEngine(f *testing.F) {
 	for i := range metas {
 		h.Matched = append(h.Matched, i)
 	}
-	wide := craft(f, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, index.Merge(parts...))
+	wide := craft(f, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, index.Merge(parts...), nil)
 	if eng, err := LoadEngine(bytes.NewReader(wide)); err != nil || eng.NumMetagraphs() <= 64 {
 		f.Fatalf("the wide seed loads as %v, %v", eng, err)
 	}
@@ -808,7 +840,7 @@ func FuzzLoadEngine(f *testing.F) {
 	// graph section on, that LoadEngine refuses as padding — and its
 	// checksum made right again, so only the padding is wrong.
 	padded := false
-	for i := len(snapshotMagic); i < len(data)-4 && !padded; i++ {
+	for i := len(engine.SnapshotMagic); i < len(data)-4 && !padded; i++ {
 		for bit := 0; bit < 8 && !padded; bit++ {
 			bad := bytes.Clone(data)
 			bad[i] ^= 1 << bit
@@ -859,10 +891,10 @@ func TestSnapshotBytesBudget(t *testing.T) {
 
 // TestSnapshotSectionBytes pins how many bytes each section of the
 // read_direct and lifecycle snapshots (seed 1) takes — the numbers DESIGN.md
-// "Snapshot format" quotes: it writes the magic, the header, the graph
-// section, the index section and the classes' weights the way Save does,
-// reading flat.Writer.Offset between them, and holds the whole to Save's
-// own bytes. Run it with -v to see the sizes:
+// "Snapshot format" quotes: it takes Save's snapshot apart and writes the
+// magic, the header, the graph section, the index section and the classes'
+// weights again the way Save does, reading flat.Writer.Offset between them,
+// and holds the whole to Save's own bytes. Run it with -v to see the sizes:
 //
 //	go test -run TestSnapshotSectionBytes -v .
 func TestSnapshotSectionBytes(t *testing.T) {
@@ -876,25 +908,23 @@ func TestSnapshotSectionBytes(t *testing.T) {
 		if err := eng.Save(&saved); err != nil {
 			t.Fatal(err)
 		}
-		h, _, _ := snapshotParts(t, saved.Bytes())
+		h, g, ix, models := snapshotParts(t, saved.Bytes())
 		hdr, err := json.Marshal(&h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep := eng.cur.Load()
 		var buf bytes.Buffer
-		fw := flat.NewWriter(&buf, snapshotMagic)
+		fw := flat.NewWriter(&buf, engine.SnapshotMagic)
 		offs := []int64{0, fw.Offset()}
 		fw.Bytes(hdr)
 		offs = append(offs, fw.Offset())
-		graph.Encode(fw, ep.g)
+		graph.Encode(fw, g)
 		offs = append(offs, fw.Offset())
-		index.Encode(fw, ep.ix)
+		index.Encode(fw, ix)
 		offs = append(offs, fw.Offset())
-		for _, sc := range h.Classes {
-			cm := ep.classes[sc.Name]
-			fw.Uint64(math.Float64bits(cm.model.LogLikelihood))
-			for _, wi := range cm.model.W {
+		for _, m := range models {
+			fw.Uint64(math.Float64bits(m.LogLikelihood))
+			for _, wi := range m.W {
 				fw.Uint64(math.Float64bits(wi))
 			}
 		}

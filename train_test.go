@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/index"
 	"repro/internal/mining"
 )
 
@@ -17,13 +19,10 @@ import (
 // into the epoch's index, learn on that, then install the class, which
 // drops the rows of every metagraph no class weighs.
 func fullMatchTrain(e *Engine, class string, examples []Example) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ep := e.cur.Load()
-	all := every(len(e.ms))
-	ix, matched := e.matchMissing(ep.g, ep.ix, ep.matched, all)
-	cm := newClass(len(e.ms), all, core.Train(ix, examples, e.opts.Train))
-	e.publish(e.install(ep, ix, matched, class, cm))
+	e.Fit(class, func(ms []*Metagraph, train core.TrainOptions, match func([]int) *index.Index) ([]int, *core.Model) {
+		all := every(len(ms))
+		return all, core.Train(match(all), examples, train)
+	})
 }
 
 // TestTrainEqualsFullMatchTrain holds Engine.Train, which learns from the
@@ -110,7 +109,11 @@ func joinLike(g *Graph, x NodeID, name string) Delta {
 // same bits and serve the same epoch.
 func assertTrainedAlike(t *testing.T, stage string, got, want *Engine, class string) {
 	t.Helper()
-	gm, wm := got.cur.Load().classes[class].model, want.cur.Load().classes[class].model
+	model := func(e *Engine) core.Model {
+		h, _, _, models := snapshotParts(t, snapshotOf(t, e))
+		return models[slices.IndexFunc(h.Classes, func(sc engine.SnapshotClass) bool { return sc.Name == class })]
+	}
+	gm, wm := model(got), model(want)
 	bitsOf := func(w []float64) []uint64 {
 		out := make([]uint64, len(w))
 		for i, v := range w {

@@ -7,16 +7,16 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/fixtures"
 	"repro/internal/index"
+	"repro/internal/match"
 	"repro/internal/mining"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -24,27 +24,19 @@ import (
 
 // rebuildFromScratch builds a reference engine on the final graph: same
 // metagraph set, same trained weights (the paper's w* weighs metagraph
-// features, so a graph delta does not retrain), but every matched
-// metagraph re-matched from scratch on the compacted final graph and the
-// index merged afresh. ApplyUpdate must be indistinguishable from it.
+// features, so a graph delta does not retrain), but every held metagraph
+// re-matched from scratch on the compacted final graph and the index merged
+// afresh — e's snapshot with that index in place of its own, loaded.
+// ApplyUpdate must be indistinguishable from it.
 func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
 	t.Helper()
-	ep := e.cur.Load()
-	e2 := &Engine{anchor: e.anchor, opts: e.opts, ms: e.ms}
-	g := ep.g.Compact()
-	var slots []int
-	for i, ok := range ep.matched {
-		if ok {
-			slots = append(slots, i)
-		}
+	h, g, _, models := snapshotParts(t, snapshotOf(t, e))
+	ms := make([]*Metagraph, len(h.Matched))
+	for k, i := range h.Matched {
+		ms[k] = e.Metagraphs()[i]
 	}
-	ix, matched := e2.matchMissing(g, index.NewBuilder(len(e.ms)).Build(), make([]bool, len(e.ms)), slots)
-	nep := &epoch{g: g, ix: ix, matched: matched, classes: make(map[string]*classModel, len(ep.classes)), version: ep.version}
-	for name, cm := range ep.classes {
-		nep.classes[name] = newClass(len(e.ms), cm.kept, cm.model)
-	}
-	e2.publish(nep)
-	return e2
+	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, h.Opts.Workers)
+	return loadCrafted(t, h, g, index.NewBuilder(len(h.Metas)).Build().AddParts(h.Matched, parts), models)
 }
 
 // randomToyDelta grows the toy graph with users, attributes and edges.
@@ -115,7 +107,7 @@ func TestApplyUpdateEqualsScratch(t *testing.T) {
 		eng, g := toyEngine(t)
 		eng.Train("classmate", classmateExamples(g))
 		if trial%2 == 0 {
-			eng.TrainDualStage("classmate2", classmateExamples(g), 2)
+			TrainDualStage(eng, "classmate2", classmateExamples(g), 2)
 		}
 		for step := 0; step < 3; step++ {
 			d := randomToyDelta(rng, eng.Graph().NumNodes(), fmt.Sprintf("t%d-s%d", trial, step))
@@ -213,7 +205,8 @@ func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
 			}
 		}
 		user := DeltaNode{Type: "user"}
-		observed := engEnumerated.Summary().Count
+		enumerated := obs.Default().Histogram("semprox_update_instances_enumerated", "", obs.Units)
+		observed := enumerated.Summary().Count
 		for i, d := range []Delta{
 			{Nodes: []DeltaNode{user}, Edges: []Edge{{U: n, V: hub}}},
 			{Nodes: []DeltaNode{user, user}, Edges: []Edge{{U: n + 1, V: hub}, {U: n + 2, V: hub}, {U: employer, V: n + 1}, {U: n + 2, V: employer}}},
@@ -227,7 +220,7 @@ func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
 				t.Fatalf("log %v delta %d: stats %+v", logTransform, i, st)
 			}
 		}
-		if got := engEnumerated.Summary().Count - observed; got != 3 {
+		if got := enumerated.Summary().Count - observed; got != 3 {
 			t.Fatalf("3 updates recorded %d enumeration counts", got)
 		}
 		scratch := rebuildFromScratch(t, eng)
@@ -242,15 +235,18 @@ func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
 // once each, and the default registry exposes the two series.
 func TestUpdateStagesAreObserved(t *testing.T) {
 	eng, hub := hubEngine(t, 200, false)
-	rematch, patch := engStageRematch.Summary().Count, engStagePatch.Summary().Count
+	stage := func(name string) *obs.Histogram {
+		return obs.Default().Histogram("semprox_update_stage_seconds", "", obs.Seconds, obs.L("stage", name))
+	}
+	rematch, patch := stage("rematch").Summary().Count, stage("patch").Summary().Count
 	n := NodeID(eng.Graph().NumNodes())
 	if _, err := eng.ApplyUpdate(Delta{Nodes: []DeltaNode{{Type: "user"}}, Edges: []Edge{{U: n, V: hub}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := engStageRematch.Summary().Count - rematch; got != 1 {
+	if got := stage("rematch").Summary().Count - rematch; got != 1 {
 		t.Fatalf("a hub update observed the rematch stage %d times", got)
 	}
-	if got := engStagePatch.Summary().Count - patch; got != 1 {
+	if got := stage("patch").Summary().Count - patch; got != 1 {
 		t.Fatalf("a hub update observed the patch stage %d times", got)
 	}
 	var text bytes.Buffer
@@ -261,131 +257,6 @@ func TestUpdateStagesAreObserved(t *testing.T) {
 		if series := `semprox_update_stage_seconds_count{stage="` + stage + `"}`; !strings.Contains(text.String(), series) {
 			t.Fatalf("the exposition lacks %s", series)
 		}
-	}
-}
-
-// checkDenominators holds every class of the serving epoch to what the
-// denominators are defined as: bit for bit the m_v·w a recompute over the
-// epoch's index gives, and the one an engine rebuilt from scratch on
-// the same graph derives — and Engine.Query, which adds them up, to
-// core.RankTop, which evaluates every node row, on the same epoch.
-func checkDenominators(t *testing.T, e *Engine, tag string) {
-	t.Helper()
-	ep := e.cur.Load()
-	scratch := rebuildFromScratch(t, e).cur.Load()
-	bits := func(dots []float64) []uint64 {
-		out := make([]uint64, len(dots))
-		for i, d := range dots {
-			out[i] = math.Float64bits(d)
-		}
-		return out
-	}
-	if len(ep.classes) == 0 {
-		t.Fatalf("%s: no trained class", tag)
-	}
-	for name, cm := range ep.classes {
-		if cm.dots == nil {
-			t.Fatalf("%s: class %q published without denominators", tag, name)
-		}
-		got := bits(cm.dots)
-		if want := bits(ep.ix.NodeDots(cm.w)); !slices.Equal(got, want) {
-			t.Fatalf("%s: class %q carries denominators %v, recomputed %v", tag, name, cm.dots, ep.ix.NodeDots(cm.w))
-		}
-		if want := bits(scratch.ix.NodeDots(cm.w)); !slices.Equal(got, want) {
-			t.Fatalf("%s: class %q carries denominators that differ from a from-scratch engine's", tag, name)
-		}
-		for q := NodeID(-1); int(q) <= ep.g.NumNodes(); q++ {
-			for _, k := range []int{0, 3} {
-				got, err := e.Query(name, q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := core.RankTop(ep.ix, cm.w, q, k); !slices.Equal(got, want) {
-					t.Fatalf("%s: class %q query %d k=%d: engine %v, RankTop %v", tag, name, q, k, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestDenominatorsCarriedEqualScratch is the property behind scanning with
-// precomputed denominators: whatever path published the epoch — training,
-// an update that patches node rows and adds nodes, a patch over a patch, a
-// coalesced batch, a hub update, compaction, a snapshot load; raw and
-// log-transformed counts — the vector the class carries is the vector a
-// recompute gives, so no score moves a bit.
-func TestDenominatorsCarriedEqualScratch(t *testing.T) {
-	for _, logTransform := range []bool{false, true} {
-		tag := fmt.Sprintf("toy, log %v", logTransform)
-		g := fixtures.Toy()
-		opts := DefaultOptions()
-		opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
-		opts.Train.Restarts, opts.Train.MaxIters = 1, 50
-		opts.LogTransform = logTransform
-		eng, err := NewEngine(g, "user", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Train("classmate", classmateExamples(g))
-		eng.TrainDualStage("classmate2", classmateExamples(g), 2)
-		checkDenominators(t, eng, tag+" (trained)")
-
-		// Each delta enrols new users at a school of the toy graph, so each
-		// adds nodes and moves the node rows of that school's students: a
-		// carry over a compacted base, then two over earlier patches.
-		rng := rand.New(rand.NewSource(21))
-		for step, school := range []string{"College A", "College B", "College A"} {
-			before := eng.cur.Load().classes["classmate"].dots
-			n := NodeID(eng.Graph().NumNodes())
-			d := randomToyDelta(rng, int(n)+1, fmt.Sprintf("den-%d", step))
-			d.Nodes = append([]DeltaNode{{Type: "user", Value: fmt.Sprintf("den-user-%d", step)}}, d.Nodes...)
-			d.Edges = append(d.Edges, Edge{U: n, V: g.NodeByName(school)}, Edge{U: n, V: g.NodeByName("Economics")})
-			if _, err := eng.ApplyUpdate(d); err != nil {
-				t.Fatal(err)
-			}
-			if slices.Equal(before, eng.cur.Load().classes["classmate"].dots[:len(before)]) {
-				t.Fatalf("%s: update %d moved no denominator; the carry was not exercised", tag, step)
-			}
-			checkDenominators(t, eng, fmt.Sprintf("%s (update %d)", tag, step))
-		}
-		n, lsn, college := NodeID(eng.Graph().NumNodes()), eng.LSN(), g.NodeByName("College A")
-		if _, err := eng.ApplyRecords([]wal.Record{
-			{LSN: lsn + 1, Delta: Delta{Nodes: []DeltaNode{{Type: "user", Value: "den-a"}}, Edges: []Edge{{U: n, V: college}}}},
-			{LSN: lsn + 2, Delta: Delta{Nodes: []DeltaNode{{Type: "user", Value: "den-b"}}, Edges: []Edge{{U: n + 1, V: college}}}},
-		}, nil); err != nil {
-			t.Fatal(err)
-		}
-		checkDenominators(t, eng, tag+" (coalesced batch)")
-		eng.Compact()
-		checkDenominators(t, eng, tag+" (compacted)")
-
-		var buf bytes.Buffer
-		if err := eng.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadEngine(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkDenominators(t, loaded, tag+" (loaded)")
-		if _, err := loaded.ApplyUpdate(randomToyDelta(rng, loaded.Graph().NumNodes(), "den-loaded")); err != nil {
-			t.Fatal(err)
-		}
-		checkDenominators(t, loaded, tag+" (loaded, updated)")
-
-		hubEng, hub := hubEngine(t, 200, logTransform)
-		m := NodeID(hubEng.Graph().NumNodes())
-		for i, d := range []Delta{
-			{Nodes: []DeltaNode{{Type: "user"}}, Edges: []Edge{{U: m, V: hub}}},
-			{Edges: []Edge{{U: hubEng.Graph().NodesOfType(hubEng.Graph().Types().ID("user"))[0], V: hub}, {U: m, V: hub}}},
-		} {
-			if _, err := hubEng.ApplyUpdate(d); err != nil {
-				t.Fatal(err)
-			}
-			checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (update %d)", logTransform, i))
-		}
-		hubEng.Compact()
-		checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (compacted)", logTransform))
 	}
 }
 
@@ -424,48 +295,12 @@ func newSchools(g *Graph, n int, a, b NodeID) Delta {
 	return d
 }
 
-// TestUnlog1pRecoversCounts keeps its name and pins the fact that replaced
-// recovering a count from a stored log1p value: the index stores counts, so
-// on a LogTransform engine gains that land on a count c
-// read back bit for bit as math.Log1p(float64(c+g)) — for c and g on both
-// sides of the varint byte boundaries (127/128, 16383/16384) and sums up to
-// 2^32-1, through a snapshot and an update.
-func TestUnlog1pRecoversCounts(t *testing.T) {
-	snap, a, b := sharedSchool(t)
-	for _, g := range []uint64{1, 127, 128, 16383, 16384} {
-		for _, c := range []uint64{1, 127, 128, 16383, 16384, math.MaxUint32 - g} {
-			eng, err := LoadEngine(bytes.NewReader(fixtures.WithEveryCount(t, snap, snapshotMagic, c)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.ApplyUpdate(newSchools(eng.Graph(), int(g), a, b)); err != nil {
-				t.Fatalf("c=%d g=%d: %v", c, g, err)
-			}
-			ix := eng.cur.Load().ix
-			want := math.Float64bits(math.Log1p(float64(c + g)))
-			if eng.MatchedCount() == 0 {
-				t.Fatal("no metagraph matched")
-			}
-			for i, used := range ix.MetaSupport() {
-				if !used {
-					continue
-				}
-				for name, v := range map[string]index.SparseVec{"m_A": ix.NodeVec(a), "m_B": ix.NodeVec(b), "m_AB": ix.PairVec(a, b)} {
-					if got := v.Get(i); math.Float64bits(got) != want {
-						t.Fatalf("c=%d g=%d: %s[%d] reads %v, want log1p(%d) = %v", c, g, name, i, got, c+g, math.Log1p(float64(c+g)))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestApplyUpdateRefusesCountOverflow: an update whose gains would carry a
 // stored count past 2^32-1 returns an error and leaves the engine as it was
 // — same epoch, LSN and snapshot bytes — instead of wrapping the count.
 func TestApplyUpdateRefusesCountOverflow(t *testing.T) {
 	snap, a, b := sharedSchool(t)
-	eng, err := LoadEngine(bytes.NewReader(fixtures.WithEveryCount(t, snap, snapshotMagic, math.MaxUint32)))
+	eng, err := LoadEngine(bytes.NewReader(fixtures.WithEveryCount(t, snap, engine.SnapshotMagic, math.MaxUint32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,13 +395,6 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 					return
 				default:
 				}
-				// Whatever epoch a reader can see is already finished:
-				// none of these reads may be the one that derives a
-				// class's denominators.
-				if ep := eng.cur.Load(); !ep.finished() {
-					t.Error("a published epoch left a class's denominators for a reader to derive")
-					return
-				}
 				q := probes[i%len(probes)]
 				r, err := eng.Query("classmate", q, 5)
 				if err != nil {
@@ -620,57 +448,6 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPublishedEpochsNeedNoReaderBuild pins who derives the classes'
-// denominators: every path that publishes an epoch — full and dual-stage
-// training, updates (a first patch and a patch over a patch), compaction,
-// snapshot load — hands readers every class's NodeDots over the whole node
-// span BEFORE the first read, so no read path derives them. The index
-// itself has nothing to build: every constructor lays out its runs.
-// TestQueriesServeDuringUpdate asserts the same from concurrent readers.
-func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
-	finished := func(stage string, e *Engine) {
-		t.Helper()
-		ep := e.cur.Load()
-		if len(ep.classes) != 2 {
-			t.Fatalf("%s: %d classes published, want 2", stage, len(ep.classes))
-		}
-		if !ep.finished() {
-			t.Fatalf("%s: a class was published without its denominators", stage)
-		}
-	}
-	eng, g := toyEngine(t)
-	eng.Train("classmate", classmateExamples(g))
-	eng.TrainDualStage("classmate2", classmateExamples(g), 2)
-	finished("training", eng)
-
-	rng := rand.New(rand.NewSource(3))
-	for step := 0; step < 2; step++ {
-		st, err := eng.ApplyUpdate(randomToyDelta(rng, eng.Graph().NumNodes(), fmt.Sprintf("adj-%d", step)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Rematched == 0 || st.Pending == 0 {
-			t.Fatalf("update %d patched nothing (%+v): the overlay path was not exercised", step, st)
-		}
-		finished(fmt.Sprintf("update %d", step), eng)
-	}
-	eng.Compact()
-	if p := eng.Stats().PendingCompaction; p != 0 {
-		t.Fatalf("compaction left %d structures pending", p)
-	}
-	finished("compaction", eng)
-
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	finished("snapshot load", loaded)
 }
 
 // TestSnapshotRoundTripAfterUpdates: a mutated engine must round-trip
@@ -930,15 +707,4 @@ func TestApplyRecordsValidation(t *testing.T) {
 	if st.LSN != lsn+1 || st.Records != 1 {
 		t.Fatalf("ApplyUpdate: stats %+v, want LSN %d covering 1 record", st, lsn+1)
 	}
-}
-
-// finished reports whether every class of the epoch carries its
-// denominators over the index's whole node span.
-func (ep *epoch) finished() bool {
-	for _, cm := range ep.classes {
-		if len(cm.dots) != ep.ix.NodeSpan() {
-			return false
-		}
-	}
-	return true
 }
