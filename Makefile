@@ -106,8 +106,7 @@ cover:
 # snapshot_bytes; the 2 000-user MaxNodes-5 paper shape stays out), the
 # merge of the read_direct engine's three matched parts into its one
 # index (what adding all three costs; Train adds only the one its w*
-# weighs), the fold of one update's patch into the
-# read_direct engine's index (what makes it servable again), one Engine.Train on a fresh read_direct and
+# weighs), one Engine.Train on a fresh read_direct and
 # lifecycle engine (the rooted count of every metagraph at the example
 # nodes, learning, the full match of what w* weighs laid out as runs;
 # the MaxNodes-5 paper shape stays out) and one TrainDualStage at
@@ -115,10 +114,12 @@ cover:
 # build of that engine's index, of lifecycle's and of lifecycle's at 2 000
 # users on one worker (instances counted, pair keys sorted, bytes and
 # allocations reported; paper_2000 stays out), one update
-# on the highest-degree node of a LinkedIn-shaped graph and one small
-# update followed by Compact on a community graph (`incremental`: the
-# patch-then-fold cycle mixed_rw runs; the paper shape's `paper` and
-# `paper_hub` updates stay out, as paper_2000 does), the replay of 512
+# on the highest-degree node of a LinkedIn-shaped graph, one small update
+# on a community graph (`incremental`) and one new user joining college-0
+# on the read_direct and lifecycle engines (the update mixed_rw's stream
+# sends, folded into flat storage; the pattern is anchored, so the paper
+# shape's `paper` and `paper_hub` updates stay out, as paper_2000 does),
+# the replay of 512
 # logged single-user joins into the read_direct and lifecycle engines
 # (ns/record), the ranked scan
 # (warm on a small index; `uniform`: seeded random anchors on the 5 000-user
@@ -138,10 +139,9 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkIndexCompact/read_direct$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)(_dual)?$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/(hub|incremental)$$' -benchtime=1x ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/^(hub|incremental|read_direct|lifecycle)$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayWAL/(read_direct|lifecycle)$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkRankTop$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkMining/lifecycle$$' -benchtime=1x .

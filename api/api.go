@@ -213,7 +213,10 @@ type UpdateRequest struct {
 	Edges []UpdateEdge `json:"edges,omitempty"`
 }
 
-// UpdateResponse reports what one accepted update did.
+// UpdateResponse reports what one accepted update did. PendingCompaction
+// always reads 0: an update publishes its epoch in flat storage, so nothing
+// awaits compaction after it. The field stays because the /v1 contract only
+// ever adds fields.
 type UpdateResponse struct {
 	Epoch             uint64 `json:"epoch"`
 	LSN               uint64 `json:"lsn"`
@@ -244,6 +247,7 @@ type ClassesResponse struct {
 // all it has seen. Proxy is absent from engine servers; the semproxy edge
 // tier forwards the primary's stats and appends its own hedge/cache
 // counters there (an added omitempty field — a compatible /v1 extension).
+// PendingCompaction always reads 0, as in UpdateResponse.
 type StatsResponse struct {
 	Epoch             uint64      `json:"epoch"`
 	LSN               uint64      `json:"lsn"`

@@ -114,9 +114,7 @@ func main() {
 	}
 	// Flush the drained requests' lines; later lines are written at once.
 	stderr.Close() //nolint:errcheck // nowhere left to report a failed stderr write
-	// Let in-flight background compactions from /update finish, then
-	// release the durability/replication resources.
-	handler.WaitCompactions()
+	// Release the durability/replication resources.
 	shutdown()
 }
 

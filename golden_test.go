@@ -116,9 +116,8 @@ func TestScoreBitsGolden(t *testing.T) {
 				t.Errorf("%s: answer bits hash to %s, golden %s", key, got, scoreGolden[key])
 			}
 		}
-		eng.Compact()
 		if got := scoreDigest(t, eng); got != scoreGolden[mode+"/updated"] {
-			t.Errorf("%s/compacted: answer bits hash to %s, golden %s", mode, got, scoreGolden[mode+"/updated"])
+			t.Errorf("%s/updated, read again: answer bits hash to %s, golden %s", mode, got, scoreGolden[mode+"/updated"])
 		}
 	}
 }

@@ -193,20 +193,21 @@ func communityGraph(communities, usersPer int) *graph.Graph {
 }
 
 // BenchmarkApplyUpdate compares serving a graph mutation incrementally
-// (ApplyUpdate: copy-on-write graph, SymISO pinned at the new edges, index row
-// patching) against the only alternative the pre-update engine had:
-// rebuilding the offline pipeline (mine → match → train) from scratch.
-// Each delta adds one user to one community of a 60-community graph. The
-// hub case is the shape that graph hides: a LinkedIn-like graph at
-// MaxNodes 4 (the benchmark's lifecycle sizing) with every new user joining
-// the highest-degree node, where a hop-bounded re-match covered the whole
-// graph. paper and paper_hub are the paper shape (snapShapes' paper
-// engine: 2 000 users, MaxNodes 5, dozens of held metagraphs): a new user
-// joining college-0, as benchmark/'s update stream sends it, and a new
-// user joining the highest-degree node; -short skips them. Those three
-// report the search nodes the re-match visited per update and apply every
-// update to the same base epoch, so an iteration costs the same whatever
-// b.N is.
+// (ApplyUpdate: the graph grown flat, SymISO pinned at the new edges, the
+// gains added into a flat index) against the only alternative the
+// pre-update engine had: rebuilding the offline pipeline (mine → match →
+// train) from scratch. Each delta adds one user to one community of a
+// 60-community graph. The hub case is the shape that graph hides: a
+// LinkedIn-like graph at MaxNodes 4 (the benchmark's lifecycle sizing)
+// with every new user joining the highest-degree node, where a hop-bounded
+// re-match covered the whole graph. read_direct, lifecycle and paper are
+// snapShapes' engines with a new user joining college-0, as benchmark/'s
+// update stream sends it; paper_hub is the paper shape (2 000 users,
+// MaxNodes 5, dozens of held metagraphs) with a new user joining the
+// highest-degree node; -short skips the paper cases. The cases on one
+// engine report the search nodes the re-match visited per update and apply
+// every update to the same base epoch, so an iteration costs the same
+// whatever b.N is.
 func BenchmarkApplyUpdate(b *testing.B) {
 	const communities, usersPer = 60, 10
 	g := communityGraph(communities, usersPer)
@@ -244,7 +245,7 @@ func BenchmarkApplyUpdate(b *testing.B) {
 		}
 	}
 	// Each update applies to the same base epoch, so an op costs the same
-	// whatever b.N is; compacting one update is its own case.
+	// whatever b.N is.
 	b.Run("incremental", func(b *testing.B) {
 		eng := build()
 		base := eng.cur.Load()
@@ -255,22 +256,6 @@ func BenchmarkApplyUpdate(b *testing.B) {
 			if _, err := eng.ApplyUpdate(join(eng, i)); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StopTimer()
-		eng.cur.Store(base)
-	})
-	b.Run("compact", func(b *testing.B) {
-		eng := build()
-		base := eng.cur.Load()
-		if _, err := eng.ApplyUpdate(join(eng, 0)); err != nil {
-			b.Fatal(err)
-		}
-		updated := eng.cur.Load()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.cur.Store(updated)
-			eng.Compact()
 		}
 		b.StopTimer()
 		eng.cur.Store(base)
@@ -306,13 +291,14 @@ func BenchmarkApplyUpdate(b *testing.B) {
 		eng, hub := hubEngine(b, 600, false)
 		joins(b, eng, hub)
 	})
-	paper := snapShapes[2]
-	b.Run("paper", func(b *testing.B) {
-		eng, _ := snapshotBench(b, paper)
-		joins(b, eng, eng.Graph().NodeByName("college-0"))
-	})
+	for _, sh := range snapShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			eng, _ := snapshotBench(b, sh)
+			joins(b, eng, eng.Graph().NodeByName("college-0"))
+		})
+	}
 	b.Run("paper_hub", func(b *testing.B) {
-		eng, _ := snapshotBench(b, paper)
+		eng, _ := snapshotBench(b, snapShapes[2])
 		g := eng.Graph()
 		hub := graph.NodeID(0)
 		for v := graph.NodeID(1); int(v) < g.NumNodes(); v++ {
@@ -430,38 +416,4 @@ func snapshotBench(b *testing.B, sh *snapShape) (*Engine, []byte) {
 		sh.eng, sh.snap = eng, buf.Bytes()
 	})
 	return sh.eng, sh.snap
-}
-
-// BenchmarkIndexCompact measures what makes a patched index servable
-// again, at both shapes: one update as the benchmark's update stream sends
-// it (a new user joining college-0) is applied to a freshly loaded engine,
-// and each iteration folds that epoch's patch overlay into flat storage —
-// the node rows merged, the replacement runs spliced into the flat ones —
-// which leaves the result ready for ranked reads.
-func BenchmarkIndexCompact(b *testing.B) {
-	for _, sh := range snapShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			_, snap := snapshotBench(b, sh)
-			eng, err := LoadEngine(bytes.NewReader(snap))
-			if err != nil {
-				b.Fatal(err)
-			}
-			fresh := graph.NodeID(eng.Graph().NumNodes())
-			if _, err := eng.ApplyUpdate(graph.Delta{
-				Nodes: []graph.DeltaNode{{Type: "user", Value: "bench-user"}},
-				Edges: []graph.Edge{{U: fresh, V: eng.Graph().NodeByName("college-0")}},
-			}); err != nil {
-				b.Fatal(err)
-			}
-			patched := eng.cur.Load().ix
-			if !patched.Pending() {
-				b.Fatal("the update left no patch to compact")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				patched.Compact()
-			}
-		})
-	}
 }

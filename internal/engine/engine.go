@@ -1,6 +1,6 @@
 // Package engine is the online half of semprox (the paper's Fig. 3): the
-// epoch engine that ranks, applies live updates, compacts, snapshots and
-// replays its write-ahead log. It links no miner and no Alg. 1: New takes
+// epoch engine that ranks, applies live updates, snapshots and replays its
+// write-ahead log. It links no miner and no Alg. 1: New takes
 // the metagraphs the root package's NewEngine mined, LoadEngine a snapshot,
 // and Fit a caller's training. The serving daemon links it alone.
 package engine
@@ -76,7 +76,7 @@ func log1pCount(c float64) float64 {
 // Save — from an immutable epoch published through an atomic pointer, so
 // reads are always safe, always lock-free, and always see one consistent
 // (graph, index, classes) snapshot, never a mix of two generations.
-// Writers — Train, Fit, ApplyUpdate, Compact — serialize among
+// Writers — Train, Fit, ApplyUpdate, ApplyRecords — serialize among
 // themselves on an internal mutex, build the next epoch off the read
 // path, and swap it in atomically; they never block a reader.
 type Engine struct {
@@ -112,11 +112,8 @@ type epoch struct {
 	classes map[string]*classModel
 
 	// version is the serving epoch counter: the graph's Apply generation,
-	// persisted across snapshots. pending counts the structures (graph,
-	// index) still carrying copy-on-write overlays that Compact would fold
-	// into flat storage.
+	// persisted across snapshots.
 	version uint64
-	pending int
 
 	// lsn is the log sequence number of the last update applied: a
 	// write-ahead-logged update carries its WAL-assigned LSN through
@@ -242,9 +239,8 @@ func (ep *epoch) matchedCount() int {
 	return n
 }
 
-// publish installs the next epoch with its pending-compaction count
-// recomputed. It is the one door to readers, so it finishes the epoch
-// first: the denominators a ranked read adds up are derived here, on the
+// publish installs the next epoch. It is the one door to readers, so it
+// finishes the epoch first: the denominators a ranked read adds up are derived here, on the
 // writer (already there when an update carried them over), and no reader
 // of a published epoch ever derives them. Callers hold e.mu.
 func (e *Engine) publish(ep *epoch) {
@@ -253,18 +249,9 @@ func (e *Engine) publish(ep *epoch) {
 			cm.dots = ep.ix.NodeDots(cm.w)
 		}
 	}
-	ep.pending = 0
-	if ep.g.Overlaid() {
-		ep.pending++
-	}
-	if ep.ix.Pending() {
-		ep.pending++
-	}
 	fp := ep.ix.Footprint()
 	engIndexTables.Set(fp.Tables)
 	engIndexAdjacency.Set(fp.Adjacency)
-	engIndexOverlay.Set(fp.Overlay)
-	engIndexOverlayRows.Set(int64(fp.OverlayRows))
 	e.cur.Store(ep)
 }
 
@@ -426,8 +413,8 @@ func (v View) Classes() []string { return slices.Sorted(maps.Keys(v.ep.classes))
 // Query ranks the nodes closest to q under the named class and returns
 // the top k (k <= 0 returns all candidates). The class must be trained.
 // The scan runs on the caller's goroutine (core.RankCandidates). Safe for
-// concurrent use at any time, including while the engine trains, applies
-// updates, or compacts.
+// concurrent use at any time, including while the engine trains or applies
+// updates.
 func (e *Engine) Query(class string, q graph.NodeID, k int) ([]core.Ranked, error) {
 	return e.View().Query(class, q, k)
 }

@@ -19,7 +19,7 @@ import (
 // TestDenominatorsCarriedEqualScratch is the property behind scanning with
 // precomputed denominators: whatever path published the epoch — training,
 // an update that patches node rows and adds nodes, a patch over a patch, a
-// coalesced batch, a hub update, compaction, a snapshot load; raw and
+// coalesced batch, a hub update, a snapshot load; raw and
 // log-transformed counts — the vector the class carries is the vector a
 // recompute gives, so no score moves a bit.
 func TestDenominatorsCarriedEqualScratch(t *testing.T) {
@@ -40,7 +40,7 @@ func TestDenominatorsCarriedEqualScratch(t *testing.T) {
 
 		// Each delta enrols new users at a school of the toy graph, so each
 		// adds nodes and moves the node rows of that school's students: a
-		// carry over a compacted base, then two over earlier patches.
+		// carry over a trained base, then two over earlier patches.
 		rng := rand.New(rand.NewSource(21))
 		for step, school := range []string{"College A", "College B", "College A"} {
 			before := eng.cur.Load().classes["classmate"].dots
@@ -64,8 +64,7 @@ func TestDenominatorsCarriedEqualScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkDenominators(t, eng, tag+" (coalesced batch)")
-		eng.Compact()
-		checkDenominators(t, eng, tag+" (compacted)")
+		checkDenominators(t, eng, tag+" (coalesced batch, again)")
 
 		var buf bytes.Buffer
 		if err := eng.Save(&buf); err != nil {
@@ -98,18 +97,17 @@ func TestDenominatorsCarriedEqualScratch(t *testing.T) {
 			}
 			checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (update %d)", logTransform, i))
 		}
-		hubEng.Compact()
-		checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (compacted)", logTransform))
+		checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (updated)", logTransform))
 	}
 }
 
 // TestPublishedEpochsNeedNoReaderBuild pins who derives the classes'
 // denominators: every path that publishes an epoch — full and dual-stage
-// training, updates (a first patch and a patch over a patch), compaction,
-// snapshot load — hands readers every class's NodeDots over the whole node
-// span BEFORE the first read, so no read path derives them. The index
-// itself has nothing to build: every constructor lays out its runs.
-// Concurrent readers load every epoch the updates and the compaction publish.
+// training, updates (a first patch and a patch over a patch), snapshot
+// load — hands readers every class's NodeDots over the whole node span
+// BEFORE the first read, so no read path derives them. The index itself
+// has nothing to build: every constructor lays out its runs. Concurrent
+// readers load every epoch the updates publish.
 func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
 	finished := func(stage string, e *Engine) {
 		t.Helper()
@@ -127,7 +125,7 @@ func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
 	finished("training", eng)
 
 	// Readers see the same from outside: whatever epoch one can load while
-	// the updates and the compaction below publish is already finished.
+	// the updates below publish is already finished.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for range 4 {
@@ -154,18 +152,13 @@ func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Rematched == 0 || st.Pending == 0 {
-			t.Fatalf("update %d patched nothing (%+v): the overlay path was not exercised", step, st)
+		if st.Rematched == 0 {
+			t.Fatalf("update %d patched nothing (%+v): the patch path was not exercised", step, st)
 		}
 		finished(fmt.Sprintf("update %d", step), eng)
 	}
-	eng.Compact()
-	if p := eng.Stats().PendingCompaction; p != 0 {
-		t.Fatalf("compaction left %d structures pending", p)
-	}
 	close(stop)
 	readers.Wait()
-	finished("compaction", eng)
 
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
@@ -186,7 +179,7 @@ func TestPublishedEpochsNeedNoReaderBuild(t *testing.T) {
 // class (the latter keeping its weighed coordinates in selection order),
 // classes whose weighed sets overlap, and a class trained after updates,
 // which re-matches dropped metagraphs on the updated graph; and it goes on
-// doing so across updates, a compaction, and save → load. Each class's
+// doing so across updates and save → load. Each class's
 // denominators stay what its weights give on the pruned index.
 func TestPrunedEqualsUnpruned(t *testing.T) {
 	pruned, g := toyEngine(t)
@@ -300,10 +293,6 @@ func TestPrunedEqualsUnpruned(t *testing.T) {
 		t.Fatalf("training after the updates held no metagraph the epoch had dropped (held %v)", before)
 	}
 	check("trained after updates")
-
-	pruned.Compact()
-	ref.Compact()
-	check("compacted")
 
 	loaded := saveLoad(t, pruned)
 	assertEngineEquivalent(t, loaded, ref, "saved and loaded")

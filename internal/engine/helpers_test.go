@@ -184,13 +184,13 @@ func saveLoad(t *testing.T, eng *Engine) *Engine {
 // rebuildFromScratch builds a reference engine on the final graph: same
 // metagraph set, same trained weights (the paper's w* weighs metagraph
 // features, so a graph delta does not retrain), but every matched
-// metagraph re-matched from scratch on the compacted final graph and the
+// metagraph re-matched from scratch on the final graph and the
 // index merged afresh. ApplyUpdate must be indistinguishable from it.
 func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
 	t.Helper()
 	ep := e.cur.Load()
 	e2 := &Engine{anchor: e.anchor, opts: e.opts, ms: e.ms}
-	g := ep.g.Compact()
+	g := ep.g
 	var slots []int
 	for i, ok := range ep.matched {
 		if ok {

@@ -20,30 +20,26 @@ var (
 		"One ranked query's candidate scan inside the engine (sum the query node's runs of the metagraphs the class weighs, score every partner reached, keep the top k), as the serving process pays it — caches cold between requests, which an in-process loop over the same index does not see.", obs.Seconds)
 	engCandidates = obs.Default().Histogram("semprox_query_candidates_scanned",
 		"Partners one ranked query scored: those the query node shares a metagraph of non-zero class weight with — the others score 0 and are never visited — the work a slow query did.", obs.Units)
-	engCompactions = obs.Default().Counter("semprox_engine_compactions_total",
-		"Background compactions that folded update overlays into flat storage.")
 
 	// What the serving epoch's one index holds resident, set at every
 	// publish from its slice lengths.
-	engIndexTables      = indexResident("tables")
-	engIndexAdjacency   = indexResident("adjacency")
-	engIndexOverlay     = indexResident("overlay")
-	engIndexOverlayRows = obs.Default().Gauge("semprox_index_overlay_rows",
-		"Node rows of the serving index that an update patched and compaction has not yet folded into flat storage.")
+	engIndexTables    = indexResident("tables")
+	engIndexAdjacency = indexResident("adjacency")
 
 	// The write path of one update, stage by stage.
+	engStageGraph   = updateStage("graph")
 	engStageRematch = updateStage("rematch")
 	engStagePatch   = updateStage("patch")
 )
 
 func updateStage(stage string) *obs.Histogram {
 	return obs.Default().Histogram("semprox_update_stage_seconds",
-		"One update's write path by stage: rematch is the search for the instances through the new edges of every held metagraph and their counting into one patch; patch adds the patch to the index and recomputes the class denominators of the rows it changed.",
+		"One update's write path by stage: graph grows the graph by the delta into fresh flat arrays; rematch is the search for the instances through the new edges of every held metagraph and their counting into one patch; patch adds the patch to the index, laid out anew, and recomputes the class denominators of the rows it changed.",
 		obs.Seconds, obs.L("stage", stage))
 }
 
 func indexResident(part string) *obs.Gauge {
 	return obs.Default().Gauge("semprox_index_resident_bytes",
-		"Bytes the serving epoch's metagraph-vector index holds resident: the flat node table (tables), the partner runs that are its one store of pair counts with the node-row positions (adjacency), and the update overlay (patched node rows and replacement runs) awaiting compaction.",
+		"Bytes the serving epoch's metagraph-vector index holds resident: the node table (tables) and the partner runs that are its one store of pair counts with the node-row positions (adjacency).",
 		obs.L("part", part))
 }

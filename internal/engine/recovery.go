@@ -12,8 +12,8 @@ import (
 // durable: the engine builds the next epoch, the accepted delta is
 // appended to the log at the next LSN, and the epoch is published at
 // that LSN (Engine.ApplyUpdateLogged). The log therefore holds only
-// records the engine accepted. On a crash — no clean shutdown, overlays
-// uncompacted, snapshot arbitrarily stale — recovery is: load the newest
+// records the engine accepted. On a crash — no clean shutdown, snapshot
+// arbitrarily stale — recovery is: load the newest
 // snapshot (LSN L), open the WAL (which heals any torn tail), and
 // ReplayWAL the records with LSN > L. The recovered engine is
 // byte-identical to one that never crashed (property-tested in the root
@@ -26,7 +26,7 @@ const replayRun = 256
 // ReplayWAL applies every logged record beyond the engine's current LSN,
 // in order, and returns how many it applied: runs of up to replayRun
 // records go through Engine.ApplyRecords, as a follower's polled batch
-// does, and the engine is compacted after each. skipped is always 0 (the
+// does. skipped is always 0 (the
 // log holds only records the engine accepted); it stays for its callers.
 //
 // A record the engine rejects means the log and the snapshot disagree
@@ -55,7 +55,6 @@ func ReplayWAL(e *Engine, w *wal.WAL) (applied, skipped int, err error) {
 		st, aerr := e.ApplyRecords(run, nil)
 		applied += st.Records
 		run = run[:0]
-		e.Compact()
 		if aerr != nil {
 			return fmt.Errorf("semprox: replay: record rejected — the log and the snapshot disagree about the graph (mispaired -wal directory?): %w", aerr)
 		}

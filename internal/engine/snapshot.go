@@ -27,11 +27,10 @@ import (
 // snapshot did before, loads as it is — LoadEngine prunes nothing — and the
 // next Train prunes it.
 //
-// A live-updated engine round-trips too: the graph section materializes
-// the copy-on-write overlay, the update overlay on the index
-// compacts on the way out (index.Encode), and the epoch counter plus the
+// A live-updated engine round-trips too: an update leaves the graph and
+// the index in the flat form a build gives, and the epoch counter plus the
 // durable log position (LSN) ride in the snapshot header — so a loaded
-// engine resumes at the saved epoch with nothing pending, answering
+// engine resumes at the saved epoch, answering
 // exactly as the saved one did, and recovery knows which WAL records the
 // snapshot already covers (see ReplayWAL).
 //
@@ -76,7 +75,7 @@ type SnapshotHeader struct {
 
 // Save serializes the engine so LoadEngine can restore it without mining,
 // matching or training. Classes are written in sorted name order and the
-// index serializes its frozen CSR arenas (compacted first), so saving the
+// index serializes its frozen CSR arenas, so saving the
 // same engine twice yields identical bytes. Save reads one immutable
 // epoch, so it is safe to call concurrently with queries, training, and
 // updates — it simply snapshots whichever epoch is serving.

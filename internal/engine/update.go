@@ -11,11 +11,11 @@ import (
 
 // Live graph mutations. ApplyUpdate threads a batch of node/edge additions
 // through every layer without repeating the offline pipeline: the graph
-// grows copy-on-write (graph.Apply), for each metagraph the epoch holds
-// ONLY the instances through the delta's new edges are enumerated, by
+// grows into fresh flat arrays (graph.Apply), for each metagraph the epoch
+// holds ONLY the instances through the delta's new edges are enumerated, by
 // SymISO pinned at each of them (index.RematchDelta,
-// match.GainedInstanceSets), the rows they add to overlay the flat CSR
-// index (index.MergeGains, index.WithPatch), and the trained weight
+// match.GainedInstanceSets), their gains are added into the flat index
+// (index.MergeGains, index.WithPatch), and the trained weight
 // vectors are kept verbatim — the paper's w* weighs metagraph features,
 // not nodes, so a graph delta changes the features, never the learned
 // weights. The result is swapped
@@ -46,9 +46,6 @@ type UpdateStats struct {
 	// those metagraphs (match.SymISO.Visited). It depends on the degrees
 	// around the new edges, not on the size of the graph.
 	Enumerated int64
-	// Pending counts the structures awaiting background compaction after
-	// the swap (see Engine.Compact).
-	Pending int
 }
 
 // ApplyUpdate grows the graph by d and atomically swaps in the next
@@ -63,10 +60,6 @@ type UpdateStats struct {
 // (Fig. 3) refreshes mining offline, and a delta cannot introduce new
 // node types, so the mined patterns remain well-formed. On error (unknown
 // type, out-of-range endpoint) the engine is unchanged.
-//
-// ApplyUpdate leaves the new epoch's overlays uncompacted; call Compact
-// (typically from a background goroutine, as cmd/semproxd does) to fold
-// them into flat storage.
 func (e *Engine) ApplyUpdate(d graph.Delta) (UpdateStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -160,6 +153,7 @@ func (e *Engine) applyUpdate(d graph.Delta, records int, assign func(cur uint64)
 	if err != nil {
 		return UpdateStats{}, err
 	}
+	engStageGraph.Since(start)
 	if records > 1 {
 		// One Apply bumped the graph version once; a coalesced run must
 		// advance it once per record it covers, so the epoch counter stays
@@ -212,9 +206,8 @@ func (e *Engine) applyUpdate(d graph.Delta, records int, assign func(cur uint64)
 	if lsn <= ep.lsn {
 		return UpdateStats{}, fmt.Errorf("semprox: LSN %d not beyond engine LSN %d", lsn, ep.lsn)
 	}
-	nep := &epoch{g: ng, ix: ix, matched: ep.matched, classes: classes, version: ng.Version(), lsn: lsn}
-	e.publish(nep)
-	st.LSN, st.Pending = lsn, nep.pending
+	e.publish(&epoch{g: ng, ix: ix, matched: ep.matched, classes: classes, version: ng.Version(), lsn: lsn})
+	st.LSN = lsn
 	engApply.Since(start)
 	engRematched.Observe(int64(st.Rematched))
 	engEnumerated.Observe(st.Enumerated)
@@ -234,24 +227,10 @@ func (cm *classModel) patched(ix *index.Index, nodeKeys []graph.NodeID) *classMo
 	return &classModel{kept: cm.kept, model: cm.model, w: cm.w, dots: dots}
 }
 
-// Compact folds every copy-on-write overlay of the current epoch — the
-// graph's touched rows and the index's patched ones — into fresh flat CSR
-// storage and swaps the compacted epoch in. It is a no-op when nothing is
-// pending. Queries keep serving throughout (results are identical before
-// and after; compaction only restores the flat-storage read path), so it
-// is safe — and intended — to run from a background goroutine after
-// ApplyUpdate.
-func (e *Engine) Compact() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ep := e.cur.Load()
-	if ep.pending == 0 {
-		return
-	}
-	engCompactions.Inc()
-	// Compaction moves rows, not values: the classes' denominators stand.
-	e.publish(&epoch{g: ep.g.Compact(), ix: ep.ix.Compact(), matched: ep.matched, classes: ep.classes, version: ep.version, lsn: ep.lsn})
-}
+// Compact does nothing: every epoch an update publishes is already in
+// flat storage. It stays for benchmark/layers.go, which calls it (ROADMAP
+// 10(a) drops both).
+func (e *Engine) Compact() {}
 
 // Stats is a consistent point-in-time snapshot of the serving state.
 type Stats struct {
@@ -266,9 +245,6 @@ type Stats struct {
 	// Engine.MatchedCount): once a class is trained, those some class
 	// weighs.
 	Metagraphs, Matched int
-	// PendingCompaction counts the structures (graph, index) still
-	// carrying update overlays that Compact would fold away.
-	PendingCompaction int
 	// Classes lists the trained class names, sorted.
 	Classes []string
 }
@@ -278,14 +254,13 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	ep := e.cur.Load()
 	return Stats{
-		Epoch:             ep.version,
-		LSN:               ep.lsn,
-		Nodes:             ep.g.NumNodes(),
-		Edges:             ep.g.NumEdges(),
-		Types:             ep.g.NumTypes(),
-		Metagraphs:        len(e.ms),
-		Matched:           ep.matchedCount(),
-		PendingCompaction: ep.pending,
-		Classes:           View{ep}.Classes(),
+		Epoch:      ep.version,
+		LSN:        ep.lsn,
+		Nodes:      ep.g.NumNodes(),
+		Edges:      ep.g.NumEdges(),
+		Types:      ep.g.NumTypes(),
+		Metagraphs: len(e.ms),
+		Matched:    ep.matchedCount(),
+		Classes:    View{ep}.Classes(),
 	}
 }

@@ -108,7 +108,7 @@ func (g *Graph) assemble(uniq []Edge) {
 	n := len(g.nodeType)
 	nt := g.types.Len()
 	g.numEdges = len(uniq)
-	g.names = &nameIndex{n: n}
+	g.names = &nameIndex{}
 
 	// Nodes by type, each list sized by a count first.
 	g.byType = make([][]NodeID, nt)

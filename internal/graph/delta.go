@@ -1,17 +1,16 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Live mutations. A Graph stays immutable — applying a Delta never touches
-// the receiver; it produces a NEW graph value one version later that shares
-// every untouched adjacency row with its parent (copy-on-write). Rows whose
-// neighbor list changed, plus all freshly added nodes, live in a small
-// per-version overlay consulted before the flat CSR arrays; Compact folds
-// the overlay back into fresh flat arrays identical to what Builder.Build
-// would have produced on the final node/edge set.
+// the receiver; it produces a NEW graph value one version later, in fresh
+// flat CSR arrays identical to what Builder.Build would have produced on the
+// final node/edge set: the untouched rows are copied in blocks, the touched
+// ones merged with their new neighbours.
 //
 // Deltas are additive: nodes and edges can be added, never removed. That
 // matches the serving scenario (the object graph only grows while queries
@@ -41,14 +40,6 @@ type Delta struct {
 // Empty reports whether the delta adds nothing.
 func (d *Delta) Empty() bool { return len(d.Nodes) == 0 && len(d.Edges) == 0 }
 
-// ovlRow is the copy-on-write adjacency row of one touched or new node:
-// the same (type, id)-sorted neighbor list and typed sub-range table the
-// flat CSR keeps, just owned by a single version.
-type ovlRow struct {
-	nbr     []NodeID
-	typeOff []int32 // len numTypes+1; nbr[typeOff[t]:typeOff[t+1]] has type t
-}
-
 // Version returns the graph's version counter: 0 for a freshly built
 // graph, parent+1 for every Apply. Snapshots restore it via WithVersion.
 func (g *Graph) Version() uint64 { return g.version }
@@ -64,15 +55,11 @@ func (g *Graph) WithVersion(v uint64) *Graph {
 
 // DeltaEdges returns the edges the Apply that produced g genuinely added —
 // normalized U < V, in delta order, without self loops, duplicates or edges
-// the parent already had. It is empty for a built, loaded or compacted graph
-// and for the result of a no-op delta. Every instance g has and its parent
+// the parent already had. It is empty for a built or loaded graph and for
+// the result of a no-op delta. Every instance g has and its parent
 // lacked maps a metagraph edge onto one of these, which is all incremental
 // re-matching enumerates. The slice is shared; do not modify.
 func (g *Graph) DeltaEdges() []Edge { return g.deltaEdges }
-
-// Overlaid reports whether g carries copy-on-write rows that Compact would
-// fold into flat CSR storage.
-func (g *Graph) Overlaid() bool { return g.ovl != nil }
 
 // ValidateApply reports whether d would be accepted by Apply on a graph
 // holding numNodes nodes under the given type registry — exactly Apply's
@@ -102,8 +89,8 @@ func ValidateApply(types *TypeRegistry, numNodes int, d Delta) error {
 // Apply returns a new graph one version later with the delta's nodes and
 // edges added, plus the sorted set of existing-row nodes whose adjacency
 // actually changed (the old endpoints of genuinely new edges). The
-// receiver is not modified and all untouched adjacency storage is shared;
-// the result carries the genuinely new edges as DeltaEdges.
+// receiver is not modified; the result is laid out flat, and carries the
+// genuinely new edges as DeltaEdges.
 //
 // Apply fails if a node names an unregistered type or an edge endpoint is
 // out of range (see ValidateApply); on failure the receiver is unchanged
@@ -121,8 +108,8 @@ func (g *Graph) Apply(d Delta) (*Graph, []NodeID, error) {
 
 	// Keep only genuinely new edges: no self loops, no duplicates within
 	// the delta, nothing already present — the same normalization
-	// Builder.Build applies, so an incrementally grown graph compacts to
-	// exactly the graph a from-scratch build of the final edge set yields.
+	// Builder.Build applies, so an incrementally grown graph is exactly
+	// the graph a from-scratch build of the final edge set yields.
 	seen := make(map[[2]NodeID]struct{}, len(d.Edges))
 	added := make([]Edge, 0, len(d.Edges))
 	for _, e := range d.Edges {
@@ -154,9 +141,7 @@ func (g *Graph) Apply(d Delta) (*Graph, []NodeID, error) {
 		byType:   g.byType,
 		numEdges: g.numEdges + len(added),
 		version:  g.version + 1,
-		ovl:      g.ovl, // replaced below unless the delta is a no-op
 		names:    g.names,
-		added:    g.added,
 
 		deltaEdges: added,
 	}
@@ -167,17 +152,7 @@ func (g *Graph) Apply(d Delta) (*Graph, []NodeID, error) {
 			names = append(names, n.Value)
 		}
 		ng.nodeName = names
-		// Extend the name lookup by this delta's nodes; the parent's map is
-		// shared with its readers, so the (small) added set is copied.
-		ng.added = make(map[string]NodeID, len(g.added)+len(d.Nodes))
-		for name, v := range g.added {
-			ng.added[name] = v
-		}
-		for i, n := range d.Nodes {
-			if _, dup := ng.added[n.Value]; !dup && n.Value != "" {
-				ng.added[n.Value] = NodeID(oldN + i)
-			}
-		}
+		ng.names = g.names.extended(names, oldN)
 		// byType rows gaining nodes are copied ONCE, pre-sized for every
 		// addition; the rest stay shared. New ids exceed all old ids, so
 		// appending keeps rows ascending.
@@ -195,120 +170,83 @@ func (g *Graph) Apply(d Delta) (*Graph, []NodeID, error) {
 			ng.byType[t] = append(ng.byType[t], NodeID(oldN+i))
 		}
 	}
+	if len(added) == 0 && len(d.Nodes) == 0 {
+		return ng, nil, nil // a no-op: the adjacency is the receiver's
+	}
 
-	// Collect the new neighbors of every touched row. A delta that turned
-	// out to be a complete no-op (every edge already present) keeps the
-	// parent's overlay as is — no fresh copy-on-write state, nothing new
-	// to compact.
-	extra := make(map[NodeID][]NodeID, 2*len(added))
+	// Every node's new neighbours, grouped by node, ascending.
+	more := make([]Edge, 0, 2*len(added))
 	for _, e := range added {
-		extra[e.U] = append(extra[e.U], e.V)
-		extra[e.V] = append(extra[e.V], e.U)
+		more = append(more, e, Edge{e.V, e.U})
 	}
-	if len(extra) == 0 && len(d.Nodes) == 0 {
-		return ng, nil, nil
-	}
-	touched := make([]NodeID, 0, len(extra))
-	ng.ovl = make(map[NodeID]*ovlRow, len(extra)+len(d.Nodes))
-	// Share untouched overlay rows of an already-overlaid parent.
-	for v, r := range g.ovl {
-		ng.ovl[v] = r
-	}
-	for i := 0; i < len(d.Nodes); i++ {
-		v := NodeID(oldN + i)
-		if _, ok := extra[v]; !ok {
-			ng.ovl[v] = ng.newRow(nil)
+	slices.SortFunc(more, func(a, b Edge) int { return cmp.Compare(a.U, b.U) })
+	var touched []NodeID
+	for i, e := range more {
+		if int(e.U) < oldN && (i == 0 || more[i-1].U != e.U) {
+			touched = append(touched, e.U)
 		}
 	}
-	for v, more := range extra {
-		row := append(append([]NodeID(nil), g.rowNeighbors(v)...), more...)
-		ng.ovl[v] = ng.newRow(row)
-		if int(v) < oldN {
-			touched = append(touched, v)
-		}
-	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	ng.fold(g, more)
 	return ng, touched, nil
 }
 
-// rowNeighbors returns v's current neighbor list, tolerating ids beyond
-// the flat arrays (new nodes of a parent overlay) — unlike Neighbors it
-// must not index off for them.
-func (g *Graph) rowNeighbors(v NodeID) []NodeID {
-	if g.ovl != nil {
-		if r := g.ovl[v]; r != nil {
-			return r.nbr
-		}
-	}
-	if int(v) >= len(g.off)-1 {
-		return nil
-	}
-	return g.nbr[g.off[v]:g.off[v+1]]
-}
-
-// newRow freezes one overlay row: neighbors sorted by (type, id) with the
-// typed sub-range table rebuilt, mirroring Builder.Build's row layout.
-func (g *Graph) newRow(nbrs []NodeID) *ovlRow {
-	nt := g.types.Len()
-	sort.Slice(nbrs, func(i, j int) bool {
-		ti, tj := g.nodeType[nbrs[i]], g.nodeType[nbrs[j]]
-		if ti != tj {
-			return ti < tj
-		}
-		return nbrs[i] < nbrs[j]
-	})
-	to := make([]int32, nt+1)
-	idx := 0
-	for t := 0; t < nt; t++ {
-		to[t] = int32(idx)
-		for idx < len(nbrs) && g.nodeType[nbrs[idx]] == TypeID(t) {
-			idx++
-		}
-	}
-	to[nt] = int32(idx)
-	return &ovlRow{nbr: nbrs, typeOff: to}
-}
-
-// Compact folds the copy-on-write overlay into fresh flat CSR arrays and
-// returns the result (the receiver itself when it has no overlay). The
-// compacted graph is structurally identical to a from-scratch Build of the
-// same node and edge set, and keeps the receiver's version.
-func (g *Graph) Compact() *Graph {
-	if g.ovl == nil {
-		return g
-	}
-	n := g.NumNodes()
-	nt := g.types.Len()
-	ng := &Graph{
-		types:    g.types,
-		nodeType: g.nodeType,
-		nodeName: g.nodeName,
-		byType:   g.byType,
-		numEdges: g.numEdges,
-		version:  g.version,
-		names:    g.names,
-	}
-	if len(g.added) > 0 {
-		// Fold the names added since the last flat build, here on the
-		// compacting writer, so added never outgrows one overlay's worth.
-		ng.names = &nameIndex{n: n}
-		ng.names.get(ng.nodeName)
-	}
+// fold lays out ng's flat CSR arrays: the rows of parent g plus the new
+// neighbours more lists (edge U gains neighbour V, grouped by U ascending),
+// and an empty row for every appended node that gains none. The rows of
+// the nodes between two that gain are copied as one block — their typed
+// sub-range tables are relative to the row, so they copy as they are —
+// and a row that gains is g's with the new neighbours merged in, re-sorted
+// by (type, id) as Builder.Build sorts rows.
+func (ng *Graph) fold(g *Graph, more []Edge) {
+	n, oldN := ng.NumNodes(), g.NumNodes()
+	nt1 := g.types.Len() + 1
 	ng.off = make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		ng.off[v+1] = ng.off[v] + int64(g.Degree(NodeID(v)))
-	}
-	ng.nbr = make([]NodeID, ng.off[n])
-	ng.typeOff = make([]int32, int64(n)*int64(nt+1))
-	for v := 0; v < n; v++ {
-		copy(ng.nbr[ng.off[v]:ng.off[v+1]], g.Neighbors(NodeID(v)))
-		base := int64(v) * int64(nt+1)
-		if r := g.ovl[NodeID(v)]; r != nil {
-			copy(ng.typeOff[base:base+int64(nt)+1], r.typeOff)
-		} else {
-			k := int64(v) * int64(nt+1)
-			copy(ng.typeOff[base:base+int64(nt)+1], g.typeOff[k:k+int64(nt)+1])
+	ng.nbr = make([]NodeID, len(g.nbr)+len(more))
+	ng.typeOff = make([]int32, n*nt1)
+	at := int64(0) // where the next row starts
+	// keep lays out the rows of v, lo <= v < hi, that gain nothing.
+	keep := func(lo, hi int) {
+		if top := min(hi, oldN); lo < top {
+			shift := at - g.off[lo]
+			for v := lo; v < top; v++ {
+				ng.off[v] = g.off[v] + shift
+			}
+			at += int64(copy(ng.nbr[at:], g.nbr[g.off[lo]:g.off[top]]))
+			copy(ng.typeOff[lo*nt1:top*nt1], g.typeOff[lo*nt1:top*nt1])
+		}
+		for v := max(lo, oldN); v < hi; v++ {
+			ng.off[v] = at // a new node's empty row; its typeOff stays 0
 		}
 	}
-	return ng
+	next := 0 // the first node not yet laid out
+	for len(more) > 0 {
+		v := int(more[0].U)
+		k := 1
+		for k < len(more) && int(more[k].U) == v {
+			k++
+		}
+		keep(next, v)
+		ng.off[v] = at
+		row := ng.nbr[at:at]
+		if v < oldN {
+			row = append(row, g.nbr[g.off[v]:g.off[v+1]]...)
+		}
+		for _, e := range more[:k] {
+			row = append(row, e.V)
+		}
+		slices.SortFunc(row, func(a, b NodeID) int {
+			return cmp.Or(cmp.Compare(ng.nodeType[a], ng.nodeType[b]), cmp.Compare(a, b))
+		})
+		to := ng.typeOff[v*nt1 : (v+1)*nt1]
+		for i, t := 0, 0; t < nt1; t++ {
+			for i < len(row) && int(ng.nodeType[row[i]]) < t {
+				i++
+			}
+			to[t] = int32(i)
+		}
+		at += int64(len(row))
+		next, more = v+1, more[k:]
+	}
+	keep(next, n)
+	ng.off[n] = at
 }

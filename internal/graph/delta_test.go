@@ -56,10 +56,6 @@ func TestApplyAddsNodesAndEdges(t *testing.T) {
 	if got := ng.NumNodesOfType(ng.Types().ID("user")); got != 4 {
 		t.Fatalf("users after apply = %d, want 4", got)
 	}
-	// Untouched rows share the base arena.
-	if ng.Overlaid() && len(ng.Neighbors(1)) == 1 && &ng.Neighbors(1)[0] != &g.Neighbors(1)[0] {
-		t.Fatal("untouched row was copied instead of shared")
-	}
 }
 
 func TestApplyValidation(t *testing.T) {
@@ -100,10 +96,10 @@ func graphBytes(t *testing.T, g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// TestApplyEqualsRebuild is the core copy-on-write property: a chain of
-// random deltas applied to a random base graph yields — both before and
-// after Compact — exactly the graph a from-scratch Build of the final
-// node/edge set produces, under every accessor.
+// TestApplyEqualsRebuild is the core property of Apply: a chain of random
+// deltas applied to a random base graph yields exactly the graph a
+// from-scratch Build of the final node/edge set produces, under every
+// accessor.
 func TestApplyEqualsRebuild(t *testing.T) {
 	typeNames := []string{"user", "school", "hobby"}
 	rng := rand.New(rand.NewSource(7))
@@ -161,7 +157,7 @@ func TestApplyEqualsRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string]*Graph{"overlaid": g, "compacted": g.Compact()} {
+		for name, got := range map[string]*Graph{"applied": g} {
 			if !bytes.Equal(graphBytes(t, got), graphBytes(t, want)) {
 				t.Fatalf("trial %d: %s graph differs from rebuild", trial, name)
 			}
@@ -185,15 +181,12 @@ func TestApplyEqualsRebuild(t *testing.T) {
 				}
 			}
 		}
-		if g.Compact().Version() != g.Version() {
-			t.Fatal("compact changed the version")
-		}
 	}
 }
 
 // TestDeltaEdges pins what the post-delta graph remembers of its delta:
 // the genuinely new edges, normalized, in delta order — and nothing of any
-// earlier delta or after a compaction.
+// earlier delta.
 func TestDeltaEdges(t *testing.T) {
 	g := applyToy(t) // u0-s0, u1-s0, u2-s1
 	if len(g.DeltaEdges()) != 0 {
@@ -212,9 +205,6 @@ func TestDeltaEdges(t *testing.T) {
 	}
 	if got := ng.WithVersion(7).DeltaEdges(); !slices.Equal(got, want) {
 		t.Fatalf("WithVersion dropped the delta edges: %v", got)
-	}
-	if got := ng.Compact().DeltaEdges(); len(got) != 0 {
-		t.Fatalf("compacted graph has delta edges %v", got)
 	}
 	noop, _, err := ng.Apply(Delta{Edges: []Edge{{5, 3}}})
 	if err != nil {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 )
@@ -29,9 +30,7 @@ type Graph struct {
 	nodeName []string // intrinsic values; may be empty strings
 
 	// CSR adjacency. nbr[off[v]:off[v+1]] lists v's neighbors sorted by
-	// (type, id). The flat arrays cover the nodes that existed when they
-	// were last (re)built; rows touched by Apply since then — and all
-	// nodes added since then — live in ovl instead.
+	// (type, id).
 	off []int64
 	nbr []NodeID
 
@@ -44,47 +43,49 @@ type Graph struct {
 
 	numEdges int
 
-	// version counts Apply generations (see delta.go); ovl holds the
-	// copy-on-write rows of nodes whose adjacency is newer than the flat
-	// arrays. nil for freshly built or compacted graphs, so the hot
-	// accessors pay one nil check on the common path.
+	// version counts Apply generations (see delta.go).
 	version uint64
-	ovl     map[NodeID]*ovlRow
 
-	// names and added answer NodeByName: names covers the nodes the graph
-	// had when it was last built flat (shared by every Apply descendant),
-	// added the named nodes Apply appended since. A name in both belongs
-	// to names, whose ids are the smaller.
+	// names answers NodeByName.
 	names *nameIndex
-	added map[string]NodeID
 
 	// deltaEdges are the edges the Apply that produced this graph added
 	// (see DeltaEdges); nil unless the graph came out of Apply.
 	deltaEdges []Edge
 }
 
-// nameIndex maps each non-empty intrinsic value among the first n nodes of
-// a graph to the first node carrying it. It is built on first use — most
-// graphs (every test and offline build) never resolve a name — and
-// immutable afterwards.
+// nameIndex maps each non-empty intrinsic value of a graph's nodes to the
+// first node carrying it. A built or decoded graph builds it on first use —
+// most graphs (every test and offline build) never resolve a name — and
+// Apply builds its result's at once (extended); it is immutable afterwards.
 type nameIndex struct {
 	once  sync.Once
-	n     int
 	first map[string]NodeID
 }
 
-// get returns the lookup, building it from names on first use. Apply only
-// appends nodes, so every graph sharing x sees the same names[:x.n].
+// get returns the lookup of names, building it on first use.
 func (x *nameIndex) get(names []string) map[string]NodeID {
-	x.once.Do(func() {
-		x.first = make(map[string]NodeID, x.n)
-		for v, name := range names[:x.n] {
-			if _, dup := x.first[name]; !dup && name != "" {
-				x.first[name] = NodeID(v)
-			}
-		}
-	})
+	x.once.Do(func() { x.first = addNames(make(map[string]NodeID, len(names)), names, 0) })
 	return x.first
+}
+
+// extended returns the lookup of names, the names x covers (names[:from])
+// followed by those of appended nodes, built at once on a copy of x's map.
+func (x *nameIndex) extended(names []string, from int) *nameIndex {
+	y := &nameIndex{}
+	y.once.Do(func() { y.first = addNames(maps.Clone(x.get(names[:from])), names[from:], from) })
+	return y
+}
+
+// addNames maps every non-empty name the map lacks to its node id, the
+// position in names plus base, and returns the map.
+func addNames(first map[string]NodeID, names []string, base int) map[string]NodeID {
+	for i, name := range names {
+		if _, dup := first[name]; !dup && name != "" {
+			first[name] = NodeID(base + i)
+		}
+	}
+	return first
 }
 
 // Types returns the graph's type registry.
@@ -107,22 +108,12 @@ func (g *Graph) Name(v NodeID) string { return g.nodeName[v] }
 
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v NodeID) int {
-	if g.ovl != nil {
-		if r := g.ovl[v]; r != nil {
-			return len(r.nbr)
-		}
-	}
 	return int(g.off[v+1] - g.off[v])
 }
 
 // Neighbors returns v's neighbor list sorted by (type, id). The returned
 // slice aliases internal storage and must not be modified.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
-	if g.ovl != nil {
-		if r := g.ovl[v]; r != nil {
-			return r.nbr
-		}
-	}
 	return g.nbr[g.off[v]:g.off[v+1]]
 }
 
@@ -130,11 +121,6 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 // ascending. The returned slice aliases internal storage and must not be
 // modified.
 func (g *Graph) NeighborsOfType(v NodeID, t TypeID) []NodeID {
-	if g.ovl != nil {
-		if r := g.ovl[v]; r != nil {
-			return r.nbr[r.typeOff[t]:r.typeOff[t+1]]
-		}
-	}
 	base := g.off[v]
 	k := int64(v) * int64(g.types.Len()+1)
 	lo := base + int64(g.typeOff[k+int64(t)])
@@ -144,11 +130,6 @@ func (g *Graph) NeighborsOfType(v NodeID, t TypeID) []NodeID {
 
 // DegreeOfType returns the number of neighbors of v having type t.
 func (g *Graph) DegreeOfType(v NodeID, t TypeID) int {
-	if g.ovl != nil {
-		if r := g.ovl[v]; r != nil {
-			return int(r.typeOff[t+1] - r.typeOff[t])
-		}
-	}
 	k := int64(v) * int64(g.types.Len()+1)
 	return int(g.typeOff[k+int64(t)+1] - g.typeOff[k+int64(t)])
 }
@@ -166,6 +147,28 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	rng := g.NeighborsOfType(v, g.Type(u))
 	i := sort.Search(len(rng), func(i int) bool { return rng[i] >= u })
 	return i < len(rng) && rng[i] == u
+}
+
+// CommonNeighborsOfType returns the nodes of type t adjacent to both u and
+// v, exploiting that typed neighbor lists are sorted.
+func CommonNeighborsOfType(g *Graph, u, v NodeID, t TypeID) []NodeID {
+	a := g.NeighborsOfType(u, t)
+	b := g.NeighborsOfType(v, t)
+	var out []NodeID
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
 }
 
 // NodesOfType returns all nodes of type t in ascending order. The returned
@@ -196,13 +199,9 @@ func (g *Graph) Edges(fn func(u, v NodeID) bool) {
 
 // NodeByName returns the first node whose intrinsic value equals name, or
 // InvalidNode when there is none; the empty name is no value and resolves
-// to InvalidNode. One map lookup (two on a graph grown by Apply), so it is
-// fit for the request path.
+// to InvalidNode. One map lookup, so it is fit for the request path.
 func (g *Graph) NodeByName(name string) NodeID {
 	if v, ok := g.names.get(g.nodeName)[name]; ok {
-		return v
-	}
-	if v, ok := g.added[name]; ok {
 		return v
 	}
 	return InvalidNode

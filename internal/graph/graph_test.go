@@ -261,49 +261,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g := buildToy(t)
-	count, comp := ConnectedComponents(g)
-	if count != 1 {
-		t.Fatalf("toy graph components = %d, want 1", count)
-	}
-	b := NewBuilder()
-	b.AddNode("user", "lonely")
-	u := b.AddNode("user", "a")
-	v := b.AddNode("user", "b")
-	b.AddEdge(u, v)
-	g2 := b.MustBuild()
-	count2, comp2 := ConnectedComponents(g2)
-	if count2 != 2 {
-		t.Fatalf("components = %d, want 2", count2)
-	}
-	if comp2[u] != comp2[v] || comp2[0] == comp2[u] {
-		t.Fatalf("bad component assignment %v", comp2)
-	}
-	_ = comp
-}
-
-func TestInducedEdges(t *testing.T) {
-	g := buildToy(t)
-	alice := g.NodeByName("Alice")
-	bob := g.NodeByName("Bob")
-	clinton := g.NodeByName("Clinton")
-	edges := InducedEdges(g, []NodeID{alice, bob, clinton})
-	if len(edges) != 2 {
-		t.Fatalf("induced edges = %v, want 2 edges", edges)
-	}
-	for _, e := range edges {
-		if e.V != clinton && e.U != clinton {
-			t.Fatalf("unexpected induced edge %v", e)
-		}
-	}
-	// Duplicated input nodes must not duplicate edges.
-	edges2 := InducedEdges(g, []NodeID{alice, alice, bob, clinton})
-	if len(edges2) != 2 {
-		t.Fatalf("duplicate nodes changed induced edges: %v", edges2)
-	}
-}
-
 func TestCommonNeighborsOfType(t *testing.T) {
 	g := buildToy(t)
 	alice := g.NodeByName("Alice")
@@ -455,8 +412,8 @@ func TestGraphValidNode(t *testing.T) {
 
 // TestNodeByNameLookup pins the name lookup's contract through a graph's
 // whole life: the first node wins a duplicated name, "" and unknown names
-// resolve to InvalidNode, Apply extends the lookup without disturbing the
-// parent's, and Compact keeps every answer.
+// resolve to InvalidNode, and Apply extends the lookup without disturbing
+// the parent's.
 func TestNodeByNameLookup(t *testing.T) {
 	b := NewBuilder()
 	b.Types().Register("user")
@@ -488,7 +445,7 @@ func TestNodeByNameLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*Graph{g2, g2.Compact(), g2.WithVersion(9)} {
+	for _, g := range []*Graph{g2, g2.WithVersion(9)} {
 		check(g, "dup", first)
 		check(g, "solo", solo)
 		check(g, "new", n)
@@ -510,7 +467,7 @@ func TestNodeByNameLookup(t *testing.T) {
 	check(sib, "new", InvalidNode)
 
 	// Every answer agrees with the definition: a scan for the first match.
-	for _, g := range []*Graph{g, g1, g2, g2.Compact(), sib} {
+	for _, g := range []*Graph{g, g1, g2, sib} {
 		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
 			want := InvalidNode
 			for u := NodeID(0); u <= v && g.Name(v) != ""; u++ {

@@ -63,8 +63,7 @@ const nameChunk = 4 << 10
 // shared length (see Decode); no stream can deliver one that long.
 const maxSuffix = 1<<57 - 1
 
-// Encode appends g to w as one graph section. An overlaid graph is written
-// as the graph Compact would give: the section has no overlay.
+// Encode appends g to w as one graph section.
 func Encode(w *flat.Writer, g *Graph) {
 	w.ExpGolomb(uint64(g.types.Len()), ordSize)
 	for _, name := range g.types.names {

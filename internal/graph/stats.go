@@ -53,33 +53,3 @@ func (s Stats) String() string {
 	}
 	return b.String()
 }
-
-// ConnectedComponents returns the number of connected components and a
-// component id per node. Isolated nodes each form their own component.
-func ConnectedComponents(g *Graph) (count int, comp []int) {
-	n := g.NumNodes()
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var queue []NodeID
-	for s := NodeID(0); int(s) < n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = count
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, u := range g.Neighbors(v) {
-				if comp[u] == -1 {
-					comp[u] = count
-					queue = append(queue, u)
-				}
-			}
-		}
-		count++
-	}
-	return count, comp
-}

@@ -33,26 +33,12 @@ import (
 // node's runs above it, and upperRuns.layout (io.go) adds the postings
 // below. Nothing but the tests walks runs back out into pair rows.
 
-// span is the position of one m_v row in the node table: ent[lo:hi] of the
-// base arena or, when lo is negative, ent[^lo:hi] of the patch overlay's.
-// The zero span is the empty row.
+// span is the position of one m_v row in the node table: ent[lo:hi] of its
+// arena. The zero span is the empty row.
 type span struct{ lo, hi int32 }
 
-// spanAt returns the span of row r of c, marked as an overlay row if ovl.
-func spanAt[K cmp.Ordered](c *csr[K], r int, ovl bool) span {
-	if ovl {
-		return span{^c.off[r], c.off[r+1]}
-	}
-	return span{c.off[r], c.off[r+1]}
-}
-
-// of resolves the span against a table's two arenas.
-func (s span) of(base, ovl []Entry) []Entry {
-	if s.lo >= 0 {
-		return base[s.lo:s.hi]
-	}
-	return ovl[^s.lo:s.hi]
-}
+// of resolves the span against the node table's arena.
+func (s span) of(ent []Entry) []Entry { return ent[s.lo:s.hi] }
 
 // posting is one partner v of a run (q, m) and the raw count m_qv[m].
 type posting struct {
@@ -87,14 +73,16 @@ func (r *adjRuns) postings(i int32) []posting { return r.post[r.off[i]:r.off[i+1
 // comparePosting orders a posting against a node id.
 func comparePosting(p posting, v graph.NodeID) int { return cmp.Compare(p.node, v) }
 
-// runsOf returns the runs that hold q's partners now: q's replacement runs
-// when it has any, its flat runs otherwise.
-func (ix *Index) runsOf(q graph.NodeID) (rs *adjRuns, lo, hi int32) {
-	if lo, hi := ix.ovl.runs(q); lo < hi {
-		return &ix.ovl, lo, hi
+// appendRuns appends q's runs to refs, every metagraph m renumbered
+// meta(m) or dropped where that is negative.
+func (r *adjRuns) appendRuns(refs []runRef, q graph.NodeID, meta func(int32) int32) []runRef {
+	lo, hi := r.runs(q)
+	for i := lo; i < hi; i++ {
+		if m := meta(r.meta[i]); m >= 0 {
+			refs = append(refs, runRef{m, r.postings(i)})
+		}
 	}
-	lo, hi = ix.flat.runs(q)
-	return &ix.flat, lo, hi
+	return refs
 }
 
 // buildRuns lays out the runs of a pair table in linear passes: a radix
@@ -321,56 +309,57 @@ func layRuns(n int, of func(q graph.NodeID, refs []runRef) []runRef) adjRuns {
 // compareRunMeta orders runs by metagraph.
 func compareRunMeta(a, b runRef) int { return cmp.Compare(a.meta, b.meta) }
 
-// relaid lays out the runs ix reads now, through its overlay, with every
-// metagraph m renumbered meta(m) or dropped where that is negative.
+// relaid lays out the runs of ix with every metagraph m renumbered meta(m)
+// or dropped where that is negative.
 func (ix *Index) relaid(meta func(int32) int32) adjRuns {
-	return layRuns(max(len(ix.flat.first), len(ix.ovl.first))-1, func(q graph.NodeID, refs []runRef) []runRef {
-		rs, lo, hi := ix.runsOf(q)
-		for r := lo; r < hi; r++ {
-			if m := meta(rs.meta[r]); m >= 0 {
-				refs = append(refs, runRef{m, rs.postings(r)})
-			}
-		}
-		return refs
+	return layRuns(len(ix.flat.first)-1, func(q graph.NodeID, refs []runRef) []runRef {
+		return ix.flat.appendRuns(refs, q, meta)
 	})
 }
 
-// overlay returns the replacement runs of ix with the gain runs added. An
-// endpoint v of a gain gets its current runs merged with its gain runs,
-// metagraph by metagraph and partner by partner, the counts of a partner
-// both hold summed (see addCount); every other node keeps its replacement
-// runs, if any. The cost is linear in the node id range plus the runs of
-// the endpoints — never in the number of pairs.
-func (ix *Index) overlay(gain adjRuns) (adjRuns, error) {
+// plus returns r with the runs of gain added: each endpoint v of gain gets
+// its runs in r merged with its gain runs, metagraph by metagraph and
+// partner by partner, the counts of a partner both hold summed (see
+// addCount), and the runs of the nodes between two endpoints are copied as
+// they are, as one block. The cost is one copy of r plus the merges — never
+// a pass over the pairs.
+func (r *adjRuns) plus(gain adjRuns) (adjRuns, error) {
 	if len(gain.meta) == 0 {
-		return ix.ovl, nil
+		return *r, nil
 	}
-	n := max(len(ix.ovl.first), len(gain.first)) - 1
-	out := adjRuns{first: make([]int32, n+1), off: []int32{0}}
+	n := max(len(r.first), len(gain.first)) - 1
+	runs := len(r.meta) + len(gain.meta)
+	out := adjRuns{
+		first: make([]int32, n+1),
+		meta:  make([]int32, 0, runs),
+		off:   make([]int32, 1, runs+1),
+		post:  make([]posting, 0, len(r.post)+len(gain.post)),
+	}
 	// end closes a run of metagraph m at the postings appended since the
 	// last one.
 	end := func(m int32) {
 		out.meta, out.off = append(out.meta, m), append(out.off, int32(len(out.post)))
 	}
-	for v := range graph.NodeID(n) {
-		base, blo, bhi := ix.runsOf(v)
+	next := 0 // the first node not yet laid out
+	for v := range graph.NodeID(len(gain.first) - 1) {
 		glo, ghi := gain.runs(v)
-		if glo == ghi { // not an endpoint: only its replacement runs stand
-			base = &ix.ovl
-			blo, bhi = ix.ovl.runs(v)
+		if glo == ghi {
+			continue
 		}
+		out.keep(r, next, int(v))
+		blo, bhi := r.runs(v)
 		for blo < bhi || glo < ghi {
 			switch {
-			case glo == ghi || (blo < bhi && base.meta[blo] < gain.meta[glo]):
-				out.post = append(out.post, base.postings(blo)...)
-				end(base.meta[blo])
+			case glo == ghi || (blo < bhi && r.meta[blo] < gain.meta[glo]):
+				out.post = append(out.post, r.postings(blo)...)
+				end(r.meta[blo])
 				blo++
-			case blo == bhi || gain.meta[glo] < base.meta[blo]:
+			case blo == bhi || gain.meta[glo] < r.meta[blo]:
 				out.post = append(out.post, gain.postings(glo)...)
 				end(gain.meta[glo])
 				glo++
 			default:
-				m, was, now := gain.meta[glo], base.postings(blo), gain.postings(glo)
+				m, was, now := gain.meta[glo], r.postings(blo), gain.postings(glo)
 				for len(was) > 0 || len(now) > 0 {
 					switch {
 					case len(now) == 0 || (len(was) > 0 && was[0].node < now[0].node):
@@ -390,15 +379,43 @@ func (ix *Index) overlay(gain adjRuns) (adjRuns, error) {
 			}
 		}
 		out.first[v+1] = int32(len(out.meta))
+		next = int(v) + 1
 	}
+	out.keep(r, next, n)
 	return out, nil
+}
+
+// keep appends the runs of the nodes lo to hi-1 in src, as they are.
+func (r *adjRuns) keep(src *adjRuns, lo, hi int) {
+	a, b := src.below(lo), src.below(hi)
+	for v := lo; v < hi; v++ {
+		r.first[v+1] = int32(len(r.meta)) + src.below(v+1) - a
+	}
+	if a == b {
+		return
+	}
+	shift := int32(len(r.post)) - src.off[a]
+	r.meta = append(r.meta, src.meta[a:b]...)
+	for _, o := range src.off[a+1 : b+1] {
+		r.off = append(r.off, o+shift)
+	}
+	r.post = append(r.post, src.post[src.off[a]:src.off[b]]...)
+}
+
+// below returns the number of runs of the nodes below v.
+func (r *adjRuns) below(v int) int32 {
+	if len(r.first) == 0 {
+		return 0
+	}
+	return r.first[min(v, len(r.first)-1)]
 }
 
 // Partners returns the nodes that co-occur symmetrically with x in at least
 // one instance, in ascending order: the union of x's runs. The ranked read
 // does not call it (see Accumulate); it allocates the union.
 func (ix *Index) Partners(x graph.NodeID) []graph.NodeID {
-	rs, lo, hi := ix.runsOf(x)
+	rs := &ix.flat
+	lo, hi := rs.runs(x)
 	if lo == hi {
 		return nil
 	}
@@ -460,7 +477,8 @@ func (ix *Index) Accumulate(q graph.NodeID, w []float64) *Accumulator {
 	}
 	acc.Query, acc.spans, acc.ix = q, ix.spans, ix
 	slot, touched, gen, f := acc.slot, acc.Touched[:0], acc.gen, ix.f
-	rs, lo, hi := ix.runsOf(q)
+	rs := &ix.flat
+	lo, hi := rs.runs(q)
 	for r := lo; r < hi; r++ {
 		wm := w[rs.meta[r]]
 		if wm == 0 {
@@ -498,7 +516,7 @@ func (acc *Accumulator) QueryVec() SparseVec {
 // NodeVec returns m_v of a node v below the index's NodeSpan — every
 // touched partner is: the entries Index.NodeVec(v) finds by key.
 func (acc *Accumulator) NodeVec(v graph.NodeID) SparseVec {
-	return SparseVec{acc.spans[v].of(acc.ix.mx.ent, acc.ix.ovlMx.ent), acc.ix.f}
+	return SparseVec{acc.spans[v].of(acc.ix.mx.ent), acc.ix.f}
 }
 
 // Release returns the accumulator to the pool. It must not be used
@@ -519,28 +537,23 @@ func (ix *Index) NodeSpan() int { return len(ix.spans) }
 func (ix *Index) NodeDots(w []float64) []float64 {
 	dots := make([]float64, len(ix.spans))
 	for v, s := range ix.spans {
-		dots[v] = SparseVec{s.of(ix.mx.ent, ix.ovlMx.ent), ix.f}.Dot(w)
+		dots[v] = SparseVec{s.of(ix.mx.ent), ix.f}.Dot(w)
 	}
 	return dots
 }
 
 // Footprint is what an index holds resident, in bytes of slice contents:
-// Tables the flat node table, Adjacency the flat runs — every m_xy — and
-// the node-row positions, Overlay the patch overlay's node rows and
-// replacement runs — what Compact folds away. OverlayRows counts the
-// overlay's node rows.
+// Tables the node table, Adjacency the runs — every m_xy — and the node-row
+// positions.
 type Footprint struct {
-	Tables, Adjacency, Overlay int64
-	OverlayRows                int
+	Tables, Adjacency int64
 }
 
 // Footprint sizes the index as it stands.
 func (ix *Index) Footprint() Footprint {
 	return Footprint{
-		Tables:      csrBytes(&ix.mx),
-		Adjacency:   sliceBytes(ix.spans) + ix.flat.bytes(),
-		Overlay:     csrBytes(&ix.ovlMx) + ix.ovl.bytes(),
-		OverlayRows: len(ix.ovlMx.keys),
+		Tables:    csrBytes(&ix.mx),
+		Adjacency: sliceBytes(ix.spans) + ix.flat.bytes(),
 	}
 }
 

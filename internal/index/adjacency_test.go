@@ -13,22 +13,17 @@ import (
 // checkAdjacency compares the runs of got with want's run for run — the
 // same metagraphs in the same order, each with the same postings — and the
 // node row behind every posting, then (scanEverything) each run of got, its
-// scans and its denominators with the by-key reads they replace. The two
-// may hold a run in the flat runs or in the overlay's; what a node's runs
-// resolve to is what must agree. Only a node of endpoints, the nodes the
-// patches behind got re-paired, may have replacement runs.
-func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int, endpoints map[graph.NodeID]bool) {
+// scans and its denominators with the by-key reads they replace.
+func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int) {
 	t.Helper()
 	ones := make([]float64, want.NumMeta())
 	for i := range ones {
 		ones[i] = 1
 	}
 	for v := graph.NodeID(-1); int(v) < numNodes+2; v++ {
-		if lo, hi := got.ovl.runs(v); lo < hi && !endpoints[v] {
-			t.Fatalf("%s: node %d has replacement runs but no patched pair", label, v)
-		}
-		rg, glo, ghi := got.runsOf(v)
-		rw, wlo, whi := want.runsOf(v)
+		rg, rw := &got.flat, &want.flat
+		glo, ghi := rg.runs(v)
+		wlo, whi := rw.runs(v)
 		if ghi-glo != whi-wlo {
 			t.Fatalf("%s: node %d has %d runs, from scratch %d", label, v, ghi-glo, whi-wlo)
 		}
@@ -52,23 +47,10 @@ func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int, 
 	scanEverything(t, got, numNodes+1)
 }
 
-// endpointsOf returns the nodes of the pair keys the patches name.
-func endpointsOf(ps ...*Patch) map[graph.NodeID]bool {
-	endpoints := map[graph.NodeID]bool{}
-	for _, p := range ps {
-		for _, k := range p.mxy.keys {
-			x, y := k.Nodes()
-			endpoints[x], endpoints[y] = true, true
-		}
-	}
-	return endpoints
-}
-
 // TestQuickAdjacencyCarriedEqualsScratch is the property behind keeping
 // m_xy in the runs alone: the runs WithPatch carries across two successive
-// (and, on graphs this small, overlapping) patches, and the runs Compact
-// splices from them, equal the runs of an index matched from scratch on
-// the final graph.
+// (and, on graphs this small, overlapping) patches equal the runs of an
+// index matched from scratch on the final graph.
 func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mk := func(g *graph.Graph) match.Matcher { return match.NewSymISO(g) }
@@ -92,11 +74,10 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 					break
 				}
 			}
-			scratch := matchPart(m, mk(g2.Compact()))
+			scratch := matchPart(m, mk(g2))
 
 			carried := mustPatch(t, mustPatch(t, matchPart(m, mk(g0)), p1), p2)
-			checkAdjacency(t, "carried", carried, scratch, g2.NumNodes(), endpointsOf(p1, p2))
-			checkAdjacency(t, "compacted", carried.Compact(), scratch, g2.NumNodes(), nil)
+			checkAdjacency(t, "carried", carried, scratch, g2.NumNodes())
 		}
 	}
 	if overlapped == 0 {
@@ -150,5 +131,5 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 		t.Fatalf("scan of 9 reached %v, m_3 = %v", acc.Touched, acc.NodeVec(3))
 	}
 	acc.Release()
-	checkAdjacency(t, "hand-built", patched, patched.Compact(), 10, endpointsOf(p))
+	checkAdjacency(t, "hand-built", patched, fromRows(1, p.mx, &p.mxy), 10)
 }

@@ -15,7 +15,6 @@ import (
 // The pair rows are those the runs hold, walked out in key order. A codec
 // change leaves it alone; a change to any row does not.
 func ContentDigest(ix *Index) string {
-	ix = ix.Compact()
 	h := sha256.New()
 	var b []byte
 	put := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
@@ -71,7 +70,8 @@ func (ix *Index) pairRows(yield func(k PairKey, row []Entry)) {
 	var heads []head
 	var row []Entry
 	for q := range graph.NodeID(len(ix.spans)) {
-		rs, lo, hi := ix.runsOf(q)
+		rs := &ix.flat
+		lo, hi := rs.runs(q)
 		for r := lo; r < hi; r++ {
 			post := rs.postings(r)
 			if i, _ := slices.BinarySearchFunc(post, q, comparePosting); i < len(post) {

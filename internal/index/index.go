@@ -7,7 +7,8 @@
 //
 // An Index stores each count once: the m_x rows in a CSR-style node table
 // (one []Entry arena behind sorted keys and offsets, so NodeVec is a
-// binary search), every m_xy in the partner runs (adjacency.go). Pair rows
+// binary search), every m_xy in the partner runs (adjacency.go). An update
+// adds its gains into new flat storage (patch.go). Pair rows
 // keyed by PairKey exist only in flight — counted and gained — and become
 // runs in buildRuns; on the wire each node's runs above it stand for them
 // (io.go). Every entry
@@ -172,11 +173,8 @@ func count32[K any](c uint64, meta int32, k K) uint32 {
 
 // Index holds the frozen metagraph vectors for one graph and one metagraph
 // set M. It is immutable once a constructor returns it and safe for
-// concurrent reads: every constructor lays out the runs, so no read ever
-// builds anything.
-//
-// A live-updated index also carries a patch overlay (see patch.go) until
-// Compact folds it in; reads stay allocation-free either way.
+// concurrent reads: every constructor — WithPatch (patch.go) among them —
+// lays out the runs, so no read ever builds anything.
 type Index struct {
 	numMeta int
 	// f is the transform every value is read through (nil: the raw count);
@@ -185,12 +183,6 @@ type Index struct {
 	mx csr[graph.NodeID]
 	// flat holds every m_xy as partner runs (see adjacency.go).
 	flat adjRuns
-	// ovlMx holds the rows of every node a patch gained on, and ovl the
-	// complete replacement runs of every endpoint of a gained pair: stored
-	// counts plus gains. They shadow the flat ones and are never empty: a
-	// delta only adds instances.
-	ovlMx csr[graph.NodeID]
-	ovl   adjRuns
 	// spans[v] is the position of m_v (the empty span when v has none). It
 	// covers every node key and every partner of the index.
 	spans []span
@@ -202,24 +194,19 @@ func fromRows(numMeta int, mx csr[graph.NodeID], mxy *csr[PairKey]) *Index {
 	return (&Index{numMeta: numMeta, mx: mx, flat: buildRuns(mxy)}).finish()
 }
 
-// finish sets the node-row positions of the index's node tables and runs,
+// finish sets the node-row positions of the index's node table and runs,
 // and returns the index. Every constructor ends with it.
 func (ix *Index) finish() *Index {
-	n := max(len(ix.flat.first), len(ix.ovl.first)) - 1
-	for _, keys := range [][]graph.NodeID{ix.mx.keys, ix.ovlMx.keys} {
-		if len(keys) > 0 {
-			n = max(n, int(keys[len(keys)-1])+1)
-		}
+	n := len(ix.flat.first) - 1
+	if keys := ix.mx.keys; len(keys) > 0 {
+		n = max(n, int(keys[len(keys)-1])+1)
 	}
 	if n <= 0 {
 		return ix
 	}
 	ix.spans = make([]span, n)
 	for r, v := range ix.mx.keys {
-		ix.spans[v] = spanAt(&ix.mx, r, false)
-	}
-	for r, v := range ix.ovlMx.keys {
-		ix.spans[v] = spanAt(&ix.ovlMx, r, true)
+		ix.spans[v] = span{ix.mx.off[r], ix.mx.off[r+1]}
 	}
 	return ix
 }
@@ -231,17 +218,7 @@ func (ix *Index) NumMeta() int { return ix.numMeta }
 // NodeVec returns m_x (empty when x never occurs symmetrically), a view into
 // the index arena read through the index's transform.
 func (ix *Index) NodeVec(x graph.NodeID) SparseVec {
-	return SparseVec{ix.nodeRow(x), ix.f}
-}
-
-// nodeRow returns the raw row of node x, read through the overlay.
-func (ix *Index) nodeRow(x graph.NodeID) []Entry {
-	if len(ix.ovlMx.keys) != 0 {
-		if i := findKey(ix.ovlMx.keys, x); i >= 0 {
-			return ix.ovlMx.ent[ix.ovlMx.off[i]:ix.ovlMx.off[i+1]]
-		}
-	}
-	return ix.mx.row(x)
+	return SparseVec{ix.mx.row(x), ix.f}
 }
 
 // PairVec returns m_xy (empty when x and y never co-occur symmetrically),
@@ -261,9 +238,10 @@ func (ix *Index) pairRow(dst []Entry, x, y graph.NodeID) []Entry {
 // none), ascending by metagraph, searching the endpoint with more runs in
 // each run of the other: the same coordinates from either side.
 func (ix *Index) pairCoords(x, y graph.NodeID, w []float64, yield func(meta int32, count uint32)) {
-	rs, lo, hi := ix.runsOf(x)
-	if ys, ylo, yhi := ix.runsOf(y); yhi-ylo < hi-lo {
-		rs, lo, hi, y = ys, ylo, yhi, x
+	rs := &ix.flat
+	lo, hi := rs.runs(x)
+	if ylo, yhi := rs.runs(y); yhi-ylo < hi-lo {
+		lo, hi, y = ylo, yhi, x
 	}
 	for r := lo; r < hi; r++ {
 		if m := rs.meta[r]; w == nil || w[m] != 0 {
@@ -296,9 +274,9 @@ func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
 func (ix *Index) NumPairs() (n int) {
 	last := make([]graph.NodeID, len(ix.spans)) // the q+1 that last counted a partner
 	for q := range graph.NodeID(len(ix.spans)) {
-		rs, lo, hi := ix.runsOf(q)
+		lo, hi := ix.flat.runs(q)
 		for r := lo; r < hi; r++ {
-			for _, p := range rs.postings(r) {
+			for _, p := range ix.flat.postings(r) {
 				if p.node > q && last[p.node] != q+1 {
 					last[p.node], n = q+1, n+1
 				}
@@ -312,15 +290,11 @@ func (ix *Index) NumPairs() (n int) {
 // for it.
 func (ix *Index) MetaSupport() []bool {
 	used := make([]bool, ix.numMeta)
-	for _, ent := range [][]Entry{ix.mx.ent, ix.ovlMx.ent} {
-		for _, e := range ent {
-			used[e.Meta] = true
-		}
+	for _, e := range ix.mx.ent {
+		used[e.Meta] = true
 	}
-	for _, meta := range [][]int32{ix.flat.meta, ix.ovl.meta} {
-		for _, m := range meta {
-			used[m] = true
-		}
+	for _, m := range ix.flat.meta {
+		used[m] = true
 	}
 	return used
 }
@@ -328,8 +302,8 @@ func (ix *Index) MetaSupport() []bool {
 // Transform returns the index with every value read as f(count); the paper
 // mentions log-style transforms of the raw counts (Sect. II-A). A nil f reads
 // the raw counts. The result shares everything with the receiver, which
-// holds raw counts either way, so it costs O(1); WithPatch, Compact,
-// AddParts and Project carry the transform forward.
+// holds raw counts either way, so it costs O(1); WithPatch, AddParts and
+// Project carry the transform forward.
 func (ix *Index) Transform(f func(float64) float64) *Index {
 	out := *ix
 	out.f = f
@@ -367,11 +341,9 @@ func (ix *Index) Restrict(keep []bool) *Index {
 	return ix.remapped(ix.numMeta, remap)
 }
 
-// remapped is the compacted index with metagraph i renumbered remap[i] (-1
-// drops it) in an index spanning numMeta metagraphs, read through the same
-// transform.
+// remapped is the index with metagraph i renumbered remap[i] (-1 drops it)
+// in an index spanning numMeta metagraphs, read through the same transform.
 func (ix *Index) remapped(numMeta int, remap []int32) *Index {
-	ix = ix.Compact()
 	meta := func(m int32) int32 { return remap[m] }
 	return (&Index{
 		numMeta: numMeta,
@@ -400,17 +372,16 @@ func Merge(parts ...*Index) *Index {
 // AddParts returns ix with the rows of parts added: part i's metagraph j
 // becomes metagraph slots[i]+j of the result, which spans as many
 // metagraphs as ix does. No two inputs may hold the same metagraph. The
-// receiver is unchanged (a patched one is compacted first), and the result
+// receiver is unchanged, and the result
 // is the index one Builder fed every metagraph at its slot would freeze,
 // read through the receiver's transform (parts add counts, not values).
 func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
-	ix = ix.Compact()
 	if len(parts) == 0 {
 		return ix
 	}
 	srcs, shifts := []*Index{ix}, []int32{0}
 	for i, p := range parts {
-		srcs, shifts = append(srcs, p.Compact()), append(shifts, int32(slots[i]))
+		srcs, shifts = append(srcs, p), append(shifts, int32(slots[i]))
 	}
 	mx := make([]source[graph.NodeID], len(srcs))
 	n, lone, with := 0, 0, 0
@@ -425,10 +396,7 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	if with > 1 || shifts[lone] != 0 {
 		flat = layRuns(n, func(q graph.NodeID, refs []runRef) []runRef {
 			for i, s := range srcs {
-				lo, hi := s.flat.runs(q)
-				for r := lo; r < hi; r++ {
-					refs = append(refs, runRef{s.flat.meta[r] + shifts[i], s.flat.postings(r)})
-				}
+				refs = s.flat.appendRuns(refs, q, shifted(shifts[i]))
 			}
 			return refs
 		})

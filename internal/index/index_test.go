@@ -194,7 +194,7 @@ func TestEntryIsEightBytes(t *testing.T) {
 // TestTransform: a transform is how an index reads its counts, not a copy of
 // them. The transformed index shares the receiver's node table and runs
 // (which hold raw counts too), reads every value as f(count) bit for bit,
-// and carries f through WithPatch, Compact, AddParts, Project and Restrict;
+// and carries f through WithPatch, AddParts, Project and Restrict;
 // the receiver still reads raw counts.
 func TestTransform(t *testing.T) {
 	g, ix := buildToyIndex(t)
@@ -214,7 +214,6 @@ func TestTransform(t *testing.T) {
 	patched := mustPatch(t, tr, selfPatch(ix, g.NumNodes()))
 	for label, carried := range map[string]*Index{
 		"patched":    patched,
-		"compacted":  patched.Compact(),
 		"grown":      tr.AddParts(nil, nil),
 		"projected":  patched.Project([]int{2, 0}),
 		"restricted": patched.Restrict([]bool{true, false, true, true}),
@@ -922,7 +921,8 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 		if v >= 0 && int(v) < len(dots) && dots[v] != ix.NodeVec(v).Dot(w) {
 			t.Fatalf("denominator of %d is %v, by key %v", v, dots[v], ix.NodeVec(v).Dot(w))
 		}
-		rs, lo, hi := ix.runsOf(v)
+		rs := &ix.flat
+		lo, hi := rs.runs(v)
 		for r := lo; r < hi; r++ {
 			m, ps := rs.meta[r], rs.postings(r)
 			if len(ps) == 0 || (r > lo && m <= rs.meta[r-1]) {
@@ -1006,7 +1006,7 @@ func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
 			t.Fatalf("%s: Dot = %v, want %v", what, got, dot)
 		}
 	}
-	for _, keys := range [][]graph.NodeID{ix.mx.keys, ix.ovlMx.keys} {
+	for _, keys := range [][]graph.NodeID{ix.mx.keys} {
 		for _, x := range keys {
 			check(fmt.Sprintf("m_%d", x), ix.NodeVec(x))
 			acc := ix.Accumulate(x, w)
@@ -1066,7 +1066,7 @@ func selfPatch(ix *Index, numNodes int) *Patch {
 
 // unitPatch gains 1 on each coordinate selfPatch gains on whose count ix
 // holds below 2^32−1, so its sums always fit: where selfPatch's sums overflow,
-// it still takes the overlay through the checks.
+// it still takes the patched index through the checks.
 func unitPatch(ix *Index, numNodes int) *Patch {
 	self := selfPatch(ix, numNodes)
 	ones := func(held SparseVec, row []Entry) (out []Entry) {
@@ -1085,13 +1085,14 @@ func unitPatch(ix *Index, numNodes int) *Patch {
 
 // FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse
 // them, but an index it returns must serve every row without a panic —
-// patched and compacted too — inside allocations bounded by the stated
+// patched too — inside allocations bounded by the stated
 // graph size. What it serves is held to what the stream declares: the node
 // rows decodeTable and the pair rows declaredRuns read off the same bytes,
 // laid out as buildRuns lays them out, plus the gains once patched — or,
 // where a sum does not fit a uint32, a refusal that leaves the receiver as
 // it was. Each input is patched twice: with selfPatch's large gains, and
-// with unitPatch's, which always fit, so every input reaches the overlay. And what Read accepted, Write writes back as a fixed
+// with unitPatch's, which always fit, so every input reaches a patched
+// index. And what Read accepted, Write writes back as a fixed
 // point: written, read and written again, the bytes stay the same.
 func FuzzIndexRead(f *testing.F) {
 	_, ix := buildToyIndex(f)
@@ -1175,7 +1176,7 @@ func FuzzIndexRead(f *testing.F) {
 			t.Fatal("the decoded runs are not the ones buildRuns lays out of the same pair rows")
 		}
 		scanEverything(t, ix, int(numNodes))
-		// The same through the overlay, and after compaction.
+		// The same after a patch.
 		once := writeBytes(t, ix)
 		for name, patch := range map[string]*Patch{"self": selfPatch(ix, int(numNodes)), "unit": unitPatch(ix, int(numNodes))} {
 			wantMx, mxFits := addRows(declaredMx, patch.mx)
@@ -1191,8 +1192,8 @@ func FuzzIndexRead(f *testing.F) {
 				}
 				continue
 			}
-			for label, got := range map[string]*Index{name + " patched": patched, name + " compacted": patched.Compact()} {
-				if nodes := got.nodeTable(); !slices.Equal(nodes.keys, wantMx.keys) || !slices.Equal(nodes.ent, wantMx.ent) {
+			for label, got := range map[string]*Index{name + " patched": patched} {
+				if nodes := got.mx; !slices.Equal(nodes.keys, wantMx.keys) || !slices.Equal(nodes.ent, wantMx.ent) {
 					t.Fatalf("%s: node rows %v %v; the stream plus the gains hold %v %v", label, nodes.keys, nodes.ent, wantMx.keys, wantMx.ent)
 				}
 				holdsRows(t, label, got, wantMxy)

@@ -121,10 +121,9 @@ const (
 	postingAlloc = 96
 )
 
-// Write serializes ix's counts. A patched index is compacted first, so the
-// wire format never carries an overlay and an incrementally updated index
-// serializes byte-identically to a from-scratch build of the same rows. The
-// transform is not written: the reader applies its own.
+// Write serializes ix's counts. An incrementally updated index serializes
+// byte-identically to a from-scratch build of the same rows. The transform
+// is not written: the reader applies its own.
 func Write(w io.Writer, ix *Index) error {
 	fw := flat.NewWriter(w, fileMagic)
 	Encode(fw, ix)
@@ -148,10 +147,9 @@ func Read(r io.Reader, numNodes int) (*Index, error) {
 	return ix, nil
 }
 
-// Encode appends ix (compacted, like Write) to w as one section: the node
-// table, then each node's runs above it, walked straight out of the runs.
+// Encode appends ix to w as one section: the node table, then each node's
+// runs above it, walked straight out of the runs.
 func Encode(w *flat.Writer, ix *Index) {
-	ix = ix.Compact()
 	e := runEncoder{w: w, start: w.BitOffset(), rs: &ix.flat}
 	w.ExpGolomb(uint64(ix.numMeta), ordSize)
 	encodeTable(w, ix.numMeta, &ix.mx)

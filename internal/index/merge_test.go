@@ -108,21 +108,14 @@ func mergeFixtures(t *testing.T) map[string][]*Index {
 // bytes the sort-and-search merge of their rows wrote, on every fixture.
 func TestMergeKWayEqualsConcatenation(t *testing.T) {
 	for name, parts := range mergeFixtures(t) {
-		compacted := make([]*Index, len(parts))
-		for i, p := range parts {
-			compacted[i] = p.Compact()
-		}
-		got, want := Merge(parts...), sortMerge(compacted...)
+		got, want := Merge(parts...), sortMerge(parts...)
 		if got.NumMeta() != want.NumMeta() {
 			t.Fatalf("%s: merge spans %d metagraphs, want %d", name, got.NumMeta(), want.NumMeta())
 		}
 		if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
 			t.Fatalf("%s: k-way merge differs from the sort-based merge", name)
 		}
-		if got.Pending() {
-			t.Fatalf("%s: a merge carries an overlay", name)
-		}
-		checkAdjacency(t, name, got, want, 16, nil)
+		checkAdjacency(t, name, got, want, 16)
 	}
 }
 
@@ -167,13 +160,12 @@ func TestAddPartsEqualsOneBuild(t *testing.T) {
 		}
 	}
 
-	// Adding to a patched index compacts it first: the counts an update
-	// added are there, and nothing is pending.
+	// Adding to a patched index keeps the counts an update added.
 	base := empty.AddParts(slots[:1], parts[:1])
 	patched := mustPatch(t, base, handPatch(span, map[graph.NodeID][]Entry{0: {{Meta: int32(slots[0]), Count: 42}}}, nil))
 	grown := patched.AddParts(slots[1:2], parts[1:2])
-	if want := base.NodeVec(0).Get(slots[0]) + 42; grown.Pending() || grown.NodeVec(0).Get(slots[0]) != want {
-		t.Fatalf("adding to a patched index: pending %v, patched coordinate %v, want %v", grown.Pending(), grown.NodeVec(0).Get(slots[0]), want)
+	if want := base.NodeVec(0).Get(slots[0]) + 42; grown.NodeVec(0).Get(slots[0]) != want {
+		t.Fatalf("adding to a patched index: patched coordinate %v, want %v", grown.NodeVec(0).Get(slots[0]), want)
 	}
 }
 
@@ -220,8 +212,8 @@ func TestRestrictEqualsBuildOfKept(t *testing.T) {
 			"patched": {patched, oneByOne(patched)},
 		} {
 			got := c.ix.Restrict(keep)
-			if got.NumMeta() != span || got.Pending() {
-				t.Fatalf("mask %04b %s: spans %d, pending %v", mask, name, got.NumMeta(), got.Pending())
+			if got.NumMeta() != span {
+				t.Fatalf("mask %04b %s: spans %d", mask, name, got.NumMeta())
 			}
 			if !bytes.Equal(writeBytes(t, got), c.want) {
 				t.Fatalf("mask %04b %s: differs from the kept metagraphs alone", mask, name)
@@ -282,7 +274,7 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 			if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
 				t.Fatalf("trial %d (transformed %v): one lifted patch differs from per-part patches merged", trial, transformed)
 			}
-			checkAdjacency(t, "lifted patch", got, want, ng.NumNodes(), endpointsOf(lifted))
+			checkAdjacency(t, "lifted patch", got, want, ng.NumNodes())
 			readsThrough(t, got, f)
 		}
 	}
@@ -291,27 +283,25 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 	}
 }
 
-// TestFootprint: the sizes follow the slices — the node table and the runs
-// from the start, an overlay until it is compacted — and the runs are the
-// only store of the pair counts: each m_xy[m] is two postings, and no
-// table holds it.
+// TestFootprint: the sizes follow the slices of the node table and the runs,
+// fresh and patched, and the runs are the only store of the pair counts:
+// each m_xy[m] is two postings, and no table holds it.
 func TestFootprint(t *testing.T) {
 	_, ix := buildToyIndex(t)
-	fp := ix.Footprint()
-	if fp.Tables != csrBytes(&ix.mx) || fp.Adjacency <= 0 || fp.Overlay != 0 || fp.OverlayRows != 0 {
-		t.Fatalf("fresh index: %+v", fp)
-	}
-	if pairs := ix.pairTable(); len(ix.flat.post) != 2*len(pairs.ent) {
-		t.Fatalf("the runs hold %d postings for %d pair coordinates", len(ix.flat.post), len(pairs.ent))
-	}
 	// The patch names a node beyond the index, which widens the node-row
-	// positions; the flat runs are shared.
+	// positions.
 	patched := mustPatch(t, ix, selfPatch(ix, 14))
-	pp := patched.Footprint()
-	if pp.Tables != fp.Tables || pp.Adjacency != sliceBytes(patched.spans)+ix.flat.bytes() || pp.Overlay <= 0 || pp.OverlayRows == 0 {
-		t.Fatalf("patched: %+v (was %+v)", pp, fp)
+	fp := ix.Footprint()
+	for label, c := range map[string]*Index{"fresh": ix, "patched": patched} {
+		got := c.Footprint()
+		if got.Tables != csrBytes(&c.mx) || got.Adjacency != sliceBytes(c.spans)+c.flat.bytes() || got.Adjacency <= 0 {
+			t.Fatalf("%s index: %+v", label, got)
+		}
+		if pairs := c.pairTable(); len(c.flat.post) != 2*len(pairs.ent) {
+			t.Fatalf("%s index: the runs hold %d postings for %d pair coordinates", label, len(c.flat.post), len(pairs.ent))
+		}
 	}
-	if cp := patched.Compact().Footprint(); cp.Tables <= 0 || cp.Adjacency <= 0 || cp.Overlay != 0 || cp.OverlayRows != 0 {
-		t.Fatalf("compacted: %+v", cp)
+	if pp := patched.Footprint(); pp.Adjacency <= fp.Adjacency {
+		t.Fatalf("patched: %+v (was %+v)", pp, fp)
 	}
 }

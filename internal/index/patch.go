@@ -4,9 +4,9 @@
 // those — SymISO pinned at each added edge, see match.GainedInstanceSets —
 // and counts, per key, the instances GAINED; a row after the delta is the
 // row before it plus its gains. WithPatch adds the gains into the node rows
-// and partner runs they change, as an overlay over the flat index, without
-// rebuilding it; Compact folds the overlay in, giving the index a
-// from-scratch build of the final graph would give.
+// and partner runs they change and lays the index out anew, without
+// matching anything again: the result is the index a from-scratch build of
+// the final graph would give.
 package index
 
 import (
@@ -62,17 +62,17 @@ func MergeGains(numMeta int, slots []int, patches []*Patch) *Patch {
 }
 
 // WithPatch returns a new index holding the receiver's counts plus the
-// patch's gains; the receiver is unchanged, the flat node table and runs
-// are shared and the transform carries over. It is the one place gains
-// meet stored counts, added as integers: the index stores raw counts
-// whatever its transform, so each sum is the count a from-scratch match of
-// the grown graph gives. Three steps: the node gains are added to the
-// current node rows; the pair gains are laid out as runs; and every gained
-// endpoint's current runs are merged with its gain runs (see overlay). A
-// sum beyond 2^32-1 is refused with an error naming the metagraph and key.
-// Patching an already-patched index adds to its overlay; Compact folds it
-// in. The cost is the runs of the gained pairs' endpoints plus one pass
-// over the node id range — never the number of pairs the index holds.
+// patch's gains; the receiver is unchanged and the transform carries over.
+// It is the one place gains meet stored counts, added as integers: the
+// index stores raw counts whatever its transform, so each sum is the count
+// a from-scratch match of the grown graph gives. The node gains are merged
+// into the node table; the pair gains are laid out as runs, and one pass
+// over the runs merges every gained endpoint's runs with its gain runs and
+// copies everyone else's as they are (adjRuns.plus). A sum beyond 2^32-1 is
+// refused with an error naming the metagraph and key. The result is laid
+// out as a from-scratch build of the grown graph lays it out, so it writes
+// the same bytes. The cost is one copy of the node table and of the runs,
+// plus the gained endpoints' runs.
 func (ix *Index) WithPatch(p *Patch) (*Index, error) {
 	if p.numMeta != ix.numMeta {
 		panic(fmt.Sprintf("index: patch spans %d metagraphs, index %d", p.numMeta, ix.numMeta))
@@ -80,37 +80,50 @@ func (ix *Index) WithPatch(p *Patch) (*Index, error) {
 	if p.Empty() {
 		return ix, nil
 	}
-	mx, err := addGains(p.mx, ix.nodeRow)
+	mx, err := addGains(&ix.mx, &p.mx)
 	if err != nil {
 		return nil, err
 	}
-	ovl, err := ix.overlay(buildRuns(&p.mxy))
+	flat, err := ix.flat.plus(buildRuns(&p.mxy))
 	if err != nil {
 		return nil, err
 	}
-	return (&Index{
-		numMeta: ix.numMeta,
-		f:       ix.f,
-		mx:      ix.mx,
-		flat:    ix.flat,
-		ovlMx:   ix.overlayRows(mx),
-		ovl:     ovl,
-	}).finish(), nil
+	return (&Index{numMeta: ix.numMeta, f: ix.f, mx: mx, flat: flat}).finish(), nil
 }
 
-// addGains returns the table of old(k) + gains' row of k for every key of
-// gains, merging the two Meta-sorted rows coordinate by coordinate.
-func addGains(gains csr[graph.NodeID], old func(graph.NodeID) []Entry) (csr[graph.NodeID], error) {
-	if len(gains.keys) == 0 {
-		return csr[graph.NodeID]{}, nil
-	}
+// addGains returns the node table base with gains added: a key of both gets
+// the two Meta-sorted rows merged coordinate by coordinate, counts summed; a
+// key of one gets its row. The rows between two gained keys are copied as
+// one block.
+func addGains(base, gains *csr[graph.NodeID]) (csr[graph.NodeID], error) {
 	out := csr[graph.NodeID]{
-		keys: gains.keys,
-		off:  make([]int32, 1, len(gains.off)),
-		ent:  make([]Entry, 0, len(gains.ent)),
+		keys: make([]graph.NodeID, 0, len(base.keys)+len(gains.keys)),
+		off:  make([]int32, 1, len(base.keys)+len(gains.keys)+1),
+		ent:  make([]Entry, 0, len(base.ent)+len(gains.ent)),
 	}
+	// keep copies the rows r, lo <= r < hi, of base.
+	keep := func(lo, hi int) {
+		if lo == hi {
+			return
+		}
+		out.keys = append(out.keys, base.keys[lo:hi]...)
+		shift := int32(len(out.ent)) - base.off[lo]
+		for _, o := range base.off[lo+1 : hi+1] {
+			out.off = append(out.off, o+shift)
+		}
+		out.ent = append(out.ent, base.ent[base.off[lo]:base.off[hi]]...)
+	}
+	r := 0 // the first row of base not yet taken
 	for i, k := range gains.keys {
-		was, gain := old(k), gains.ent[gains.off[i]:gains.off[i+1]]
+		at, found := slices.BinarySearch(base.keys[r:], k)
+		keep(r, r+at)
+		r += at
+		var was []Entry
+		if found {
+			was = base.ent[base.off[r]:base.off[r+1]]
+			r++
+		}
+		gain := gains.ent[gains.off[i]:gains.off[i+1]]
 		for len(was) > 0 || len(gain) > 0 {
 			switch {
 			case len(gain) == 0 || len(was) > 0 && was[0].Meta < gain[0].Meta:
@@ -128,8 +141,10 @@ func addGains(gains csr[graph.NodeID], old func(graph.NodeID) []Entry) (csr[grap
 				was, gain = was[1:], gain[1:]
 			}
 		}
+		out.keys = append(out.keys, k)
 		out.off = append(out.off, int32(len(out.ent)))
 	}
+	keep(r, len(base.keys))
 	return out, nil
 }
 
@@ -140,54 +155,6 @@ func addCount[K any](c, g uint32, meta int32, k K) (uint32, error) {
 		return uint32(s), nil
 	}
 	return 0, fmt.Errorf("index: metagraph %d, key %v: %d instances and %d more overflow the uint32 count", meta, k, c, g)
-}
-
-// overlayRows is ix's overlay node table with the rows of fresh, the
-// gained nodes' new rows, replacing any it holds for the same keys.
-func (ix *Index) overlayRows(fresh csr[graph.NodeID]) csr[graph.NodeID] {
-	keys := append(slices.Clone(ix.ovlMx.keys), fresh.keys...)
-	slices.Sort(keys)
-	var out csr[graph.NodeID]
-	for _, k := range slices.Compact(keys) {
-		row := fresh.row(k)
-		if row == nil {
-			row = ix.ovlMx.row(k)
-		}
-		out.appendRow(k, row)
-	}
-	return out
-}
-
-// nodeTable is the node table ix reads now, through its overlay.
-func (ix *Index) nodeTable() csr[graph.NodeID] {
-	var c csr[graph.NodeID]
-	for v, s := range ix.spans {
-		if row := s.of(ix.mx.ent, ix.ovlMx.ent); len(row) > 0 {
-			c.appendRow(graph.NodeID(v), row)
-		}
-	}
-	return c
-}
-
-// Pending reports whether the index carries an uncompacted patch overlay.
-func (ix *Index) Pending() bool { return len(ix.ovlMx.keys) != 0 || len(ix.ovl.meta) != 0 }
-
-// Compact folds the patch overlay into the flat node table and runs,
-// returning the receiver unchanged when there is nothing pending: each
-// node's runs, its replacement runs where it has them, are copied as they
-// are, none rebuilt. The result holds what an index built from scratch on
-// the post-delta graph holds, laid out the same way, so it writes the same
-// bytes.
-func (ix *Index) Compact() *Index {
-	if !ix.Pending() {
-		return ix
-	}
-	return (&Index{
-		numMeta: ix.numMeta,
-		f:       ix.f,
-		mx:      ix.nodeTable(),
-		flat:    ix.relaid(shifted(0)),
-	}).finish()
 }
 
 // RematchDelta returns what one metagraph's part index gains from the

@@ -119,8 +119,8 @@ func patchMetagraphs() []*metagraph.Metagraph {
 
 // TestQuickPatchEqualsScratch is the incremental-indexing property: for
 // random graphs and deltas, patching the pre-delta part index with
-// RematchDelta and compacting yields byte-identical serialization to a
-// from-scratch match of the post-delta graph — for every metagraph.
+// RematchDelta yields byte-identical serialization to a from-scratch match
+// of the post-delta graph — for every metagraph.
 func TestQuickPatchEqualsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	mk := func(g *graph.Graph) match.Matcher { return match.NewSymISO(g) }
@@ -134,7 +134,7 @@ func TestQuickPatchEqualsScratch(t *testing.T) {
 			before := matchPart(m, mk(g))
 			patch := RematchDelta(ng, m, mk, touched)
 			patched := mustPatch(t, before, patch)
-			scratch := matchPart(m, mk(ng.Compact()))
+			scratch := matchPart(m, mk(ng))
 
 			var got, want bytes.Buffer
 			if err := Write(&got, patched); err != nil {
@@ -146,7 +146,7 @@ func TestQuickPatchEqualsScratch(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("trial %d metagraph %d: patched index differs from scratch build (touched %v)", trial, mi, touched)
 			}
-			// Reads through the overlay agree with the scratch build too.
+			// Reads agree with the scratch build too.
 			for v := graph.NodeID(0); int(v) < ng.NumNodes(); v++ {
 				if a, b := patched.NodeVec(v), scratch.NodeVec(v); !sameRow(a, b) {
 					t.Fatalf("trial %d: NodeVec(%d) = %v, want %v", trial, v, a, b)
@@ -181,14 +181,14 @@ func TestWithPatchBasics(t *testing.T) {
 	p := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
 		map[PairKey][]Entry{MakePairKey(1, 3): {{Meta: 0, Count: 1}}})
 	patched := mustPatch(t, ix, p)
-	if !patched.Pending() || ix.Pending() {
-		t.Fatal("pending state wrong")
+	if ix.NodeVec(3).Len() != 0 || ix.PairVec(1, 3).Len() != 0 {
+		t.Fatal("WithPatch changed the receiver")
 	}
 	if got := patched.NodeVec(3).Get(0); got != 2 {
-		t.Fatalf("overlay NodeVec = %v", got)
+		t.Fatalf("patched NodeVec = %v", got)
 	}
 	if got := patched.PairVec(1, 3).Get(0); got != 1 {
-		t.Fatalf("overlay PairVec = %v", got)
+		t.Fatalf("patched PairVec = %v", got)
 	}
 	// A second patch adds to the first on overlapping keys: 2 + 5.
 	p2 := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 5}}}, nil)
@@ -197,14 +197,7 @@ func TestWithPatchBasics(t *testing.T) {
 		t.Fatalf("re-patched NodeVec = %v, want 2 + 5", got)
 	}
 	if got := patched2.PairVec(1, 3).Get(0); got != 1 {
-		t.Fatalf("re-patched PairVec lost earlier overlay row: %v", got)
-	}
-	c := patched2.Compact()
-	if c.Pending() {
-		t.Fatal("compacted index still pending")
-	}
-	if got := c.NodeVec(3).Get(0); got != 7 {
-		t.Fatalf("compacted NodeVec = %v", got)
+		t.Fatalf("re-patched PairVec lost the earlier patch's row: %v", got)
 	}
 	defer func() {
 		if recover() == nil {
@@ -294,7 +287,7 @@ func hubGraph(rng *rand.Rand, users int) (g *graph.Graph, userIDs []graph.NodeID
 // the two shapes the random trials rarely draw: a delta edge on the
 // highest-degree node, and instances that contain two delta edges (a new
 // user joining the hub and a hobby in one delta; two new users meeting at
-// a hobby) — through two successive patches, compacted or not.
+// a hobby) — through two successive patches.
 func TestPatchOnHubEqualsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mk := func(g *graph.Graph) match.Matcher { return match.NewSymISO(g) }
@@ -321,10 +314,10 @@ func TestPatchOnHubEqualsScratch(t *testing.T) {
 		}
 		patched := mustPatch(t, mustPatch(t, matchPart(m, mk(g0)), p1), p2)
 		var want bytes.Buffer
-		if err := Write(&want, matchPart(m, mk(g2.Compact()))); err != nil {
+		if err := Write(&want, matchPart(m, mk(g2))); err != nil {
 			t.Fatal(err)
 		}
-		for label, ix := range map[string]*Index{"overlaid": patched, "compacted": patched.Compact()} {
+		for label, ix := range map[string]*Index{"patched": patched} {
 			var got bytes.Buffer
 			if err := Write(&got, ix); err != nil {
 				t.Fatal(err)

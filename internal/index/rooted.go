@@ -30,13 +30,12 @@ type Keys struct {
 	Pairs []PairKey
 }
 
-// Select returns the index holding only the rows keys names that ix holds,
-// read through its overlay: it spans the same metagraphs and reads through
-// the same transform.
+// Select returns the index holding only the rows keys names that ix holds:
+// it spans the same metagraphs and reads through the same transform.
 func (ix *Index) Select(keys Keys) *Index {
 	var mx csr[graph.NodeID]
 	for _, v := range keys.Nodes {
-		if row := ix.nodeRow(v); len(row) > 0 {
+		if row := ix.mx.row(v); len(row) > 0 {
 			mx.appendRow(v, row)
 		}
 	}

@@ -74,7 +74,7 @@ func checkDeltaInstances(t testing.TB, label string, g *graph.Graph, d graph.Del
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	pre, post := NewBruteForce(g), NewBruteForce(ng.Compact())
+	pre, post := NewBruteForce(g), NewBruteForce(ng)
 	gained := 0
 	for mi, m := range ms {
 		was, now := canonicalCounts(pre, m), canonicalCounts(post, m)

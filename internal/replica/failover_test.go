@@ -43,10 +43,9 @@ func waitApplied(t *testing.T, f *replica.Follower, target uint64) {
 	t.Fatalf("follower stuck at applied %d, want >= %d", f.Status().Applied, target)
 }
 
-// snapshotOf compacts and saves one engine's state for byte comparison.
+// snapshotOf saves one engine's state for byte comparison.
 func snapshotOf(t *testing.T, eng *semprox.Engine) []byte {
 	t.Helper()
-	eng.Compact()
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)

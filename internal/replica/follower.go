@@ -334,7 +334,7 @@ func (f *Follower) Close() error {
 
 // Run bootstraps (if Restore or Bootstrap was not already called) and
 // then streams records until ctx ends, coalescing each drained batch
-// into one apply and compacting the accumulated overlays afterwards.
+// into one apply.
 // Transient primary failures (and fencing — polling a deposed primary)
 // back off and retry. Divergence — a 409 term mismatch, a stream gap, an
 // undecodable record, or a record the local engine rejects — drops
@@ -351,8 +351,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		applied, err := f.pollOnce(ctx)
-		if err != nil {
+		if err := f.pollOnce(ctx); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -382,9 +381,6 @@ func (f *Follower) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		if applied > 0 {
-			f.Engine().Compact()
-		}
 	}
 }
 
@@ -401,8 +397,8 @@ func (e *applyError) Unwrap() error { return e.err }
 // (durable BEFORE visible — an LSN this follower reports in its next
 // poll, and so may release a synchronously-replicated ack on the
 // primary, must survive this follower crashing) and publishes it in a
-// single epoch swap. It returns how many records were applied.
-func (f *Follower) pollOnce(ctx context.Context) (int, error) {
+// single epoch swap.
+func (f *Follower) pollOnce(ctx context.Context) error {
 	repPolls.Inc()
 	after := f.applied.Load()
 	afterTerm := uint64(0)
@@ -424,9 +420,9 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 			// The primary holds a DIFFERENT record at our applied LSN:
 			// our suffix came from a deposed primary and was overwritten
 			// by a promotion. Only a fresh snapshot reconverges.
-			return 0, &applyError{fmt.Errorf("replica: poll: %w", err)}
+			return &applyError{fmt.Errorf("replica: poll: %w", err)}
 		}
-		return 0, fmt.Errorf("replica: poll: %w", err)
+		return fmt.Errorf("replica: poll: %w", err)
 	}
 	// Fencing comes FIRST, before any divergence check: a response from a
 	// term older than one we have seen is a zombie primary — still
@@ -439,7 +435,7 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 	srvTerm := max(sr.Term, 1) // a pre-term primary is term 1, same as its records
 	if seen := f.seenTerm.Load(); srvTerm < seen {
 		f.fenced.Store(true)
-		return 0, fmt.Errorf("replica: poll: fenced: primary %s answers at term %d but term %d exists — polling a zombie", f.client().BaseURL(), srvTerm, seen)
+		return fmt.Errorf("replica: poll: fenced: primary %s answers at term %d but term %d exists — polling a zombie", f.client().BaseURL(), srvTerm, seen)
 	}
 	if srvTerm > f.seenTerm.Load() {
 		f.seenTerm.Store(srvTerm)
@@ -449,7 +445,7 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 		// applied: our suffix never reached it (we replicated it from a
 		// log that died with the old primary) — that suffix is not part
 		// of history. Discard local state and re-bootstrap.
-		return 0, &applyError{fmt.Errorf("replica: primary at term %d ends at LSN %d but we applied %d: our suffix lost the promotion", srvTerm, sr.LastLSN, after)}
+		return &applyError{fmt.Errorf("replica: primary at term %d ends at LSN %d but we applied %d: our suffix lost the promotion", srvTerm, sr.LastLSN, after)}
 	}
 	// The stream protocol, record by record. Records at or below the
 	// applied position are duplicate deliveries after a retry; past that
@@ -500,7 +496,7 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 		return logErr
 	})
 	if logErr != nil {
-		return 0, fmt.Errorf("replica: local log: %w", logErr)
+		return fmt.Errorf("replica: local log: %w", logErr)
 	}
 	if st.Records > 0 {
 		f.applied.Store(st.LSN)
@@ -508,17 +504,17 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 		repApplied.Add(uint64(st.Records))
 	}
 	if err != nil {
-		return st.Records, &applyError{fmt.Errorf("replica: %w", err)}
+		return &applyError{fmt.Errorf("replica: %w", err)}
 	}
 	if diverged != nil {
-		return st.Records, diverged
+		return diverged
 	}
 	if sr.LastLSN > f.target.Load() {
 		f.target.Store(sr.LastLSN)
 	}
 	f.polled.Store(true)
 	f.fenced.Store(false)
-	return st.Records, nil
+	return nil
 }
 
 // FollowerStatus is one consistent read of a follower's replication

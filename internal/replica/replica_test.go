@@ -200,7 +200,6 @@ func TestFollowerConvergesByteIdentical(t *testing.T) {
 	wg.Wait()
 
 	// Byte-identical state: same snapshot bytes, same answers everywhere.
-	h.eng.Compact()
 	var want, got bytes.Buffer
 	if err := h.eng.Save(&want); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@
 //	POST /v1/update     batched live node/edge additions
 //	                    {"nodes":[{"type","name"}],"edges":[{"u","v"}]}
 //	GET  /v1/stats      serving epoch + LSN, graph counts, matched
-//	                    metagraphs, pending-compaction state
+//	                    metagraphs
 //	GET  /v1/readyz     readiness: primaries are ready once serving;
 //	                    followers report replication lag and stay 503
 //	                    until caught up
@@ -33,9 +33,9 @@
 // (unknown class, node or type, malformed JSON, oversized batch), so
 // callers never parse free-text failures. Handlers only use the engine
 // operations documented as safe for concurrent use, so the server keeps
-// answering while classes train, updates apply, and overlays compact in
-// the background: an update swaps the serving epoch atomically, and a
-// query sees the old epoch or the new one, never a mix.
+// answering while classes train and updates apply: an update swaps the
+// serving epoch atomically, and a query sees the old epoch or the new one,
+// never a mix.
 //
 // Durability and roles: AttachWAL makes the server a primary — every
 // update is appended and fsynced to the write-ahead log before it is
@@ -105,9 +105,6 @@ type Server struct {
 	// wrap is mux behind the obs middleware (tracing, metrics, request
 	// log). Rebuilt by SetRequestLog — call that before serving.
 	wrap http.Handler
-	// compacting tracks the background goroutines that fold each update's
-	// overlays into flat storage, so tests (and graceful shutdown) can wait.
-	compacting sync.WaitGroup
 	// updateMu serializes update handlers. The handler predicts the ids
 	// of the nodes it adds (n, n+1, ... off the current graph) before
 	// calling ApplyUpdate; two concurrent handlers predicting off the
@@ -138,8 +135,7 @@ type Server struct {
 	drain    context.CancelFunc
 }
 
-// New wraps an engine in an HTTP handler that folds each update's overlays
-// into flat storage in the background.
+// New wraps an engine in an HTTP handler.
 func New(eng *engine.Engine) *Server {
 	s := &Server{mux: http.NewServeMux(), reg: obs.NewRegistry()}
 	s.draining, s.drain = context.WithCancel(context.Background())
@@ -276,9 +272,10 @@ func (s *Server) engine() *engine.Engine {
 // Idempotent.
 func (s *Server) Drain() { s.drain() }
 
-// WaitCompactions blocks until every background compaction kicked off by
-// handled updates has finished.
-func (s *Server) WaitCompactions() { s.compacting.Wait() }
+// WaitCompactions does nothing: an update's epoch is published complete,
+// and no work follows it. It stays for benchmark/layers.go, which calls it
+// (ROADMAP 10(a) drops both it and Engine.Compact).
+func (s *Server) WaitCompactions() {}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.wrap.ServeHTTP(w, r) }
@@ -532,20 +529,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if st.Pending > 0 {
-		s.compacting.Add(1)
-		go func() {
-			defer s.compacting.Done()
-			rl.eng.Compact()
-		}()
-	}
 	wire.WriteJSON(w, http.StatusOK, api.UpdateResponse{
-		Epoch:             st.Epoch,
-		LSN:               st.LSN,
-		NodesAdded:        st.NodesAdded,
-		EdgesAdded:        st.EdgesAdded,
-		Rematched:         st.Rematched,
-		PendingCompaction: st.Pending,
+		Epoch:      st.Epoch,
+		LSN:        st.LSN,
+		NodesAdded: st.NodesAdded,
+		EdgesAdded: st.EdgesAdded,
+		Rematched:  st.Rematched,
 	})
 }
 
@@ -635,15 +624,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.engine().Stats()
 	wire.WriteJSON(w, http.StatusOK, api.StatsResponse{
-		Epoch:             st.Epoch,
-		LSN:               st.LSN,
-		Nodes:             st.Nodes,
-		Edges:             st.Edges,
-		Types:             st.Types,
-		Metagraphs:        st.Metagraphs,
-		Matched:           st.Matched,
-		PendingCompaction: st.PendingCompaction,
-		Classes:           st.Classes,
+		Epoch:      st.Epoch,
+		LSN:        st.LSN,
+		Nodes:      st.Nodes,
+		Edges:      st.Edges,
+		Types:      st.Types,
+		Metagraphs: st.Metagraphs,
+		Matched:    st.Matched,
+		Classes:    st.Classes,
 	})
 }
 

@@ -382,8 +382,8 @@ func TestUpdateAddsAndServes(t *testing.T) {
 	if out.Epoch != 1 || out.NodesAdded != 2 || out.EdgesAdded != 3 {
 		t.Fatalf("update response = %+v", out)
 	}
-	if out.Rematched == 0 || out.PendingCompaction == 0 {
-		t.Fatalf("expected re-matching and pending compaction, got %+v", out)
+	if out.Rematched == 0 {
+		t.Fatalf("expected re-matching, got %+v", out)
 	}
 	if g.NodeByName("Zoe") != semprox.InvalidNode {
 		t.Fatal("pre-update graph snapshot mutated")
@@ -454,32 +454,24 @@ func TestStats(t *testing.T) {
 		st.PendingCompaction != 0 || len(st.Classes) != 1 || st.Classes[0] != "classmate" {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Applied on the engine directly, the update schedules no background
-	// compaction, so /v1/stats must still report the pending overlays.
-	n := semprox.NodeID(g.NumNodes())
-	if _, err := eng.ApplyUpdate(semprox.Delta{
-		Nodes: []semprox.DeltaNode{{Type: "hobby", Value: "chess"}},
-		Edges: []semprox.Edge{{U: g.NodeByName("Kate"), V: n}},
-	}); err != nil {
-		t.Fatal(err)
+	// An update is published complete: its response and the next
+	// /v1/stats read 0 pending compactions, and the very next reads, with
+	// no wait, see it.
+	out := decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate,
+		`{"nodes":[{"type":"hobby","name":"chess"}],"edges":[{"u":"Kate","v":"chess"}]}`))
+	if out.Epoch != 1 || out.PendingCompaction != 0 {
+		t.Fatalf("update response = %+v", out)
 	}
 	if err := json.Unmarshal(do(t, s, http.MethodGet, api.PathStats, "").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch != 1 || st.Nodes != g.NumNodes()+1 || st.Edges != g.NumEdges()+1 || st.PendingCompaction == 0 {
+	if st.Epoch != 1 || st.Nodes != g.NumNodes()+1 || st.Edges != g.NumEdges()+1 || st.PendingCompaction != 0 {
 		t.Fatalf("stats after update = %+v", st)
 	}
-	wantErr(t, do(t, s, http.MethodPost, api.PathStats, "{}"), http.StatusMethodNotAllowed, "method_not_allowed")
-}
-
-func TestUpdateAutoCompacts(t *testing.T) {
-	s, eng, _ := trainedServer(t)
-	decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate,
-		`{"nodes":[{"type":"hobby","name":"chess"}],"edges":[{"u":"Kate","v":"chess"}]}`))
-	s.WaitCompactions()
-	if p := eng.Stats().PendingCompaction; p != 0 {
-		t.Fatalf("pending after auto-compaction = %d", p)
+	if rec := do(t, s, http.MethodGet, api.PathQuery+"?class=classmate&query=Kate&k=5", ""); rec.Code != http.StatusOK || rec.Header().Get(api.HeaderEpoch) != "1" {
+		t.Fatalf("query after update: %d at epoch %q", rec.Code, rec.Header().Get(api.HeaderEpoch))
 	}
+	wantErr(t, do(t, s, http.MethodPost, api.PathStats, "{}"), http.StatusMethodNotAllowed, "method_not_allowed")
 }
 
 // TestUpdateWhileQuerying floods queries while updates stream in; every
@@ -518,7 +510,6 @@ func TestUpdateWhileQuerying(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	s.WaitCompactions()
 	if got := eng.Epoch(); got != updates {
 		t.Fatalf("epoch = %d, want %d", got, updates)
 	}
@@ -546,7 +537,6 @@ func TestConcurrentUpdatesDoNotCrossWire(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	s.WaitCompactions()
 	ng := eng.Graph()
 	if got := ng.NumNodes(); got != g.NumNodes()+n {
 		t.Fatalf("nodes = %d, want %d", got, g.NumNodes()+n)

@@ -156,10 +156,7 @@ func crashRecovery(t *testing.T, trial int, write func(*Engine, *wal.WAL, Delta)
 	// Byte-identical serving state, across worker counts.
 	assertEngineEquivalent(t, rec, eng, fmt.Sprintf("crash trial %d", trial))
 
-	// Identical stats and identical snapshot bytes once both sides
-	// fold their overlays.
-	eng.Compact()
-	rec.Compact()
+	// Identical stats and identical snapshot bytes.
 	if got, want := rec.Stats(), eng.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -276,8 +273,8 @@ func TestReplayWALRejectsUnrecordedRejection(t *testing.T) {
 
 // TestReplayWALAppliesRuns: replaying N records publishes one epoch per
 // run of replayRun records, ⌈N/replayRun⌉ in all, while the epoch counter
-// advances by N, and leaves the engine compacted and byte-identical to
-// the primary that applied them one at a time.
+// advances by N, and leaves the engine byte-identical to the primary that
+// applied them one at a time.
 func TestReplayWALAppliesRuns(t *testing.T) {
 	const replayRun = 256 // the records ReplayWAL applies as one epoch
 	applies := obs.Default().Histogram("semprox_engine_apply_seconds", "", obs.Seconds)
@@ -313,10 +310,9 @@ func TestReplayWALAppliesRuns(t *testing.T) {
 	if published := applies.Summary().Count - epochs; applied != N || published != (N+replayRun-1)/replayRun {
 		t.Fatalf("replayed %d records in %d epochs, want %d in %d", applied, published, N, (N+replayRun-1)/replayRun)
 	}
-	if rec.Epoch() != primary.Epoch() || rec.LSN() != N || rec.Stats().PendingCompaction != 0 {
-		t.Fatalf("replayed to epoch %d LSN %d with %d pending, primary at epoch %d LSN %d", rec.Epoch(), rec.LSN(), rec.Stats().PendingCompaction, primary.Epoch(), N)
+	if rec.Epoch() != primary.Epoch() || rec.LSN() != N {
+		t.Fatalf("replayed to epoch %d LSN %d, primary at epoch %d LSN %d", rec.Epoch(), rec.LSN(), primary.Epoch(), N)
 	}
-	primary.Compact()
 	var a, b bytes.Buffer
 	if err := primary.Save(&a); err != nil {
 		t.Fatal(err)
@@ -451,8 +447,6 @@ func TestRefusedUpdateNeverLogged(t *testing.T) {
 	if applied, skipped, err := ReplayWAL(rec, w2); err != nil || applied != 2 || skipped != 0 {
 		t.Fatalf("replay: applied %d, skipped %d, err %v; want 2, 0, nil", applied, skipped, err)
 	}
-	eng.Compact()
-	rec.Compact()
 	var b1, b2 bytes.Buffer
 	if err := eng.Save(&b1); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ import (
 // rebuildFromScratch builds a reference engine on the final graph: same
 // metagraph set, same trained weights (the paper's w* weighs metagraph
 // features, so a graph delta does not retrain), but every held metagraph
-// re-matched from scratch on the compacted final graph and the index merged
+// re-matched from scratch on the final graph and the index merged
 // afresh — e's snapshot with that index in place of its own, loaded.
 // ApplyUpdate must be indistinguishable from it.
 func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
@@ -99,8 +99,9 @@ func assertEngineEquivalent(t *testing.T, got, want *Engine, tag string) {
 
 // TestApplyUpdateEqualsScratch is the tentpole property: for random delta
 // sequences, the incrementally updated engine is byte-identical — every
-// query, every proximity, every weight vector — to an engine rebuilt from scratch on the final graph, both before and after
-// compaction, for full and dual-stage trained classes alike.
+// query, every proximity, every weight vector — to an engine rebuilt from
+// scratch on the final graph, for full and dual-stage trained classes
+// alike.
 func TestApplyUpdateEqualsScratch(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -124,14 +125,7 @@ func TestApplyUpdateEqualsScratch(t *testing.T) {
 		}
 		scratch := rebuildFromScratch(t, eng)
 		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("trial %d (patched)", trial))
-		if eng.Stats().PendingCompaction == 0 {
-			t.Fatal("expected pending compaction after updates")
-		}
-		eng.Compact()
-		if p := eng.Stats().PendingCompaction; p != 0 {
-			t.Fatalf("pending after Compact = %d", p)
-		}
-		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("trial %d (compacted)", trial))
+		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("trial %d (patched, again)", trial))
 	}
 }
 
@@ -189,8 +183,7 @@ func hubEngine(t testing.TB, users int, logTransform bool) (*Engine, NodeID) {
 // hop-bounded re-match was slowest and the random toy deltas never go: an
 // edge on the highest-degree node, instances made of two to four delta
 // edges, and an old user joining the hub — on raw and log-transformed
-// counts, before and after compaction. Every update reports the work it
-// did and records it.
+// counts. Every update reports the work it did and records it.
 func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
 	for _, logTransform := range []bool{false, true} {
 		eng, hub := hubEngine(t, 200, logTransform)
@@ -225,8 +218,7 @@ func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
 		}
 		scratch := rebuildFromScratch(t, eng)
 		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (patched)", logTransform))
-		eng.Compact()
-		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (compacted)", logTransform))
+		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (patched, again)", logTransform))
 	}
 }
 
@@ -362,7 +354,7 @@ func TestApplyUpdateErrors(t *testing.T) {
 }
 
 // TestQueriesServeDuringUpdate hammers Query/QueryBatch/Proximity from
-// many goroutines while updates and compactions swap epochs underneath.
+// many goroutines while updates swap epochs underneath.
 // Every observed ranking must equal the pre-update or the post-update
 // reference — an epoch is atomic, a mix of the two is a bug. Run with
 // -race (make test) this also proves the swap is data-race free.
@@ -426,7 +418,6 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 	if _, err := eng.ApplyUpdate(d); err != nil {
 		t.Fatal(err)
 	}
-	eng.Compact()
 	close(stop)
 	wg.Wait()
 
@@ -451,7 +442,7 @@ func TestQueriesServeDuringUpdate(t *testing.T) {
 }
 
 // TestSnapshotRoundTripAfterUpdates: a mutated engine must round-trip
-// through Save/LoadEngine — same epoch, same answers, nothing pending.
+// through Save/LoadEngine — same epoch, same answers.
 func TestSnapshotRoundTripAfterUpdates(t *testing.T) {
 	eng, g := toyEngine(t)
 	eng.Train("classmate", classmateExamples(g))
@@ -471,9 +462,6 @@ func TestSnapshotRoundTripAfterUpdates(t *testing.T) {
 	}
 	if loaded.Epoch() != eng.Epoch() {
 		t.Fatalf("loaded epoch %d, want %d", loaded.Epoch(), eng.Epoch())
-	}
-	if p := loaded.Stats().PendingCompaction; p != 0 {
-		t.Fatalf("loaded engine pending = %d", p)
 	}
 
 	// Saving twice yields identical bytes (epoch included).
@@ -585,8 +573,6 @@ func TestApplyRecordsMatchesOneAtATime(t *testing.T) {
 				coalesced.Epoch(), coalesced.LSN(), oneAtATime.Epoch(), oneAtATime.LSN())
 		}
 		assertEngineEquivalent(t, coalesced, oneAtATime, fmt.Sprintf("trial %d (patched)", trial))
-		oneAtATime.Compact()
-		coalesced.Compact()
 		var a, b bytes.Buffer
 		if err := oneAtATime.Save(&a); err != nil {
 			t.Fatal(err)
