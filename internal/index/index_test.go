@@ -212,8 +212,15 @@ func TestTransform(t *testing.T) {
 	readsThrough(t, ix, nil)
 	readsThrough(t, tr.Transform(nil), nil)
 	patched := mustPatch(t, tr, selfPatch(ix, g.NumNodes()))
+	// A patch lays its result out flat, so transforming the patched raw
+	// index after the fact must give the very storage patched carries f in.
+	compacted := mustPatch(t, ix, selfPatch(ix, g.NumNodes())).Transform(math.Log1p)
+	if !slices.Equal(compacted.mx.ent, patched.mx.ent) || !slices.Equal(compacted.flat.post, patched.flat.post) {
+		t.Fatal("patching then transforming lays out other counts than transforming then patching")
+	}
 	for label, carried := range map[string]*Index{
 		"patched":    patched,
+		"compacted":  compacted,
 		"grown":      tr.AddParts(nil, nil),
 		"projected":  patched.Project([]int{2, 0}),
 		"restricted": patched.Restrict([]bool{true, false, true, true}),

@@ -454,14 +454,35 @@ func TestStats(t *testing.T) {
 		st.PendingCompaction != 0 || len(st.Classes) != 1 || st.Classes[0] != "classmate" {
 		t.Fatalf("stats = %+v", st)
 	}
-	// An update is published complete: its response and the next
-	// /v1/stats read 0 pending compactions, and the very next reads, with
-	// no wait, see it.
+	// Applied on the engine directly, the update is published complete:
+	// /v1/stats sees it at once, with 0 pending compactions.
+	n := semprox.NodeID(g.NumNodes())
+	if _, err := eng.ApplyUpdate(semprox.Delta{
+		Nodes: []semprox.DeltaNode{{Type: "hobby", Value: "chess"}},
+		Edges: []semprox.Edge{{U: g.NodeByName("Kate"), V: n}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(do(t, s, http.MethodGet, api.PathStats, "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch != 1 || st.Nodes != g.NumNodes()+1 || st.Edges != g.NumEdges()+1 || st.PendingCompaction != 0 {
+		t.Fatalf("stats after update = %+v", st)
+	}
+	wantErr(t, do(t, s, http.MethodPost, api.PathStats, "{}"), http.StatusMethodNotAllowed, "method_not_allowed")
+}
+
+// TestUpdateAutoCompacts: an update through the server leaves nothing to
+// fold. Its response and the next /v1/stats read 0 pending compactions, and
+// the very next query, with no wait, is served at the new epoch.
+func TestUpdateAutoCompacts(t *testing.T) {
+	s, _, g := trainedServer(t)
 	out := decodeUpdate(t, do(t, s, http.MethodPost, api.PathUpdate,
 		`{"nodes":[{"type":"hobby","name":"chess"}],"edges":[{"u":"Kate","v":"chess"}]}`))
 	if out.Epoch != 1 || out.PendingCompaction != 0 {
 		t.Fatalf("update response = %+v", out)
 	}
+	var st api.StatsResponse
 	if err := json.Unmarshal(do(t, s, http.MethodGet, api.PathStats, "").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +492,6 @@ func TestStats(t *testing.T) {
 	if rec := do(t, s, http.MethodGet, api.PathQuery+"?class=classmate&query=Kate&k=5", ""); rec.Code != http.StatusOK || rec.Header().Get(api.HeaderEpoch) != "1" {
 		t.Fatalf("query after update: %d at epoch %q", rec.Code, rec.Header().Get(api.HeaderEpoch))
 	}
-	wantErr(t, do(t, s, http.MethodPost, api.PathStats, "{}"), http.StatusMethodNotAllowed, "method_not_allowed")
 }
 
 // TestUpdateWhileQuerying floods queries while updates stream in; every
