@@ -6,6 +6,9 @@
 // and -save then checkpoints it after the log replay so the next start
 // applies nothing again. -save deletes only the sealed log segments the
 // checkpoint covers: the active segment stays until the log rotates.
+// Every request is logged to stderr, one line each (endpoint, status,
+// latency, trace ID, epoch); a request that takes 500 ms or more logs at
+// WARN. Neither is a flag.
 //
 // Examples:
 //
@@ -72,18 +75,16 @@ func main() {
 	stderr := obs.NewLineWriter(os.Stderr)
 	log.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		snapshot   = flag.String("snapshot", "", "serve the engine snapshot in this file (write one with semprox -save)")
-		save       = flag.String("save", "", "after the log replay, checkpoint the engine to this snapshot file before serving, and delete the sealed log segments it covers (the active segment stays until the log rotates past it)")
-		walDir     = flag.String("wal", "", "write-ahead log directory: fsync every /update before acknowledging it, replay the log tail on boot, serve /replicate to followers")
-		follow     = flag.String("follow", "", "run as a read replica of the primary at this base URL (e.g. http://host:8080) instead of serving a -snapshot")
-		stateDir   = flag.String("state", "", "follower-local state directory (snapshot + WAL): replicated records fsync here before applying, restarts resume from local state instead of re-bootstrapping, and promotion (-peers) serves writes from this log")
-		peers      = flag.String("peers", "", "comma-separated base URLs of the other replication nodes: the follower monitors its primary and runs a promotion election when it dies (requires -state and -advertise)")
-		advertise  = flag.String("advertise", "", "this node's own base URL as peers reach it (the identity used in promotion elections)")
-		ackQuorum  = flag.Int("ack-replicas", 0, "if >0, hold each /update ack until a follower confirms durably applying it (synchronous replication: acked writes survive losing the primary)")
-		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling endpoints")
-		requestLog = flag.Bool("request-log", true, "emit one structured log line per request (endpoint, status, latency, trace ID, epoch)")
-		slowQuery  = flag.Duration("slow-query", 500*time.Millisecond, "escalate a request's log line to WARN when it takes at least this long (0 never escalates)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		snapshot  = flag.String("snapshot", "", "serve the engine snapshot in this file (write one with semprox -save)")
+		save      = flag.String("save", "", "after the log replay, checkpoint the engine to this snapshot file before serving, and delete the sealed log segments it covers (the active segment stays until the log rotates past it)")
+		walDir    = flag.String("wal", "", "write-ahead log directory: fsync every /update before acknowledging it, replay the log tail on boot, serve /replicate to followers")
+		follow    = flag.String("follow", "", "run as a read replica of the primary at this base URL (e.g. http://host:8080) instead of serving a -snapshot")
+		stateDir  = flag.String("state", "", "follower-local state directory (snapshot + WAL): replicated records fsync here before applying, restarts resume from local state instead of re-bootstrapping, and promotion (-peers) serves writes from this log")
+		peers     = flag.String("peers", "", "comma-separated base URLs of the other replication nodes: the follower monitors its primary and runs a promotion election when it dies (requires -state and -advertise)")
+		advertise = flag.String("advertise", "", "this node's own base URL as peers reach it (the identity used in promotion elections)")
+		ackQuorum = flag.Int("ack-replicas", 0, "if >0, hold each /update ack until a follower confirms durably applying it (synchronous replication: acked writes survive losing the primary)")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling endpoints")
 	)
 	flag.Parse()
 
@@ -101,9 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *requestLog {
-		handler.SetRequestLog(slog.New(obs.NewLineHandler(stderr)), *slowQuery)
-	}
+	handler.SetRequestLog(slog.New(obs.NewLineHandler(stderr)), obs.SlowRequest)
 	if err := daemon.ServeDebug(ctx, *debugAddr); err != nil {
 		log.Fatal(err)
 	}

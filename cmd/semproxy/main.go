@@ -10,11 +10,15 @@
 // cancelled, writes never hedged, hedges capped) and an epoch-keyed
 // response cache (query/proximity responses cached under the engine
 // epoch that computed them; any epoch bump flushes — no TTLs needed).
+// Both are always on: the cache holds 4 096 entries, and the backends'
+// readiness is probed every client.DefaultProbeInterval. Every request
+// is logged to stderr, one line each (endpoint, status, latency, trace
+// ID, epoch, cache and hedge outcome); a request that takes 500 ms or
+// more logs at WARN.
 //
 // Examples:
 //
-//	# Front a primary and two followers; hedging and a 4096-entry cache
-//	# are on by default.
+//	# Front a primary and two followers.
 //	semproxy -addr :8090 -primary http://localhost:8080 \
 //	         -followers http://localhost:8081,http://localhost:8082
 //
@@ -43,6 +47,9 @@ import (
 	"repro/internal/wire/daemon"
 )
 
+// cacheEntries bounds the response cache.
+const cacheEntries = 4096
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("semproxy: ")
@@ -51,16 +58,11 @@ func main() {
 	stderr := obs.NewLineWriter(os.Stderr)
 	log.SetOutput(stderr)
 	var (
-		addr         = flag.String("addr", ":8090", "listen address")
-		primary      = flag.String("primary", "http://localhost:8080", "base URL of the (initially) primary backend")
-		followers    = flag.String("followers", "", "comma-separated base URLs of follower backends")
-		cacheEntries = flag.Int("cache-entries", 4096, "response cache capacity in entries (0 disables caching)")
-		hedge        = flag.Bool("hedge", true, "hedge straggling reads to a second live replica (at most 10% of reads, after the backend's p95 clamped to [1ms, 100ms])")
-		probe        = flag.Duration("probe", client.DefaultProbeInterval, "backend readiness probe interval")
-		statsPoll    = flag.Duration("stats-poll", 500*time.Millisecond, "primary stats poll interval (epoch tracking for cache flushes; 0 disables)")
-		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (e.g. localhost:6061); empty disables profiling endpoints")
-		requestLog   = flag.Bool("request-log", true, "emit one structured log line per request (endpoint, status, latency, trace ID, epoch, cache/hedge outcome)")
-		slowQuery    = flag.Duration("slow-query", 500*time.Millisecond, "escalate a request's log line to WARN when it takes at least this long (0 never escalates)")
+		addr      = flag.String("addr", ":8090", "listen address")
+		primary   = flag.String("primary", "http://localhost:8080", "base URL of the (initially) primary backend")
+		followers = flag.String("followers", "", "comma-separated base URLs of follower backends")
+		statsPoll = flag.Duration("stats-poll", 500*time.Millisecond, "primary stats poll interval (epoch tracking for cache flushes; 0 disables)")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (e.g. localhost:6061); empty disables profiling endpoints")
 	)
 	flag.Parse()
 
@@ -76,14 +78,11 @@ func main() {
 	defer stop()
 
 	router := client.NewRouter(*primary, followerURLs, nil)
-	router.ProbeInterval = *probe
 	router.OnEvent = func(ev client.Event) {
 		log.Printf("routing: %s %s (%s)", ev.Type, ev.URL, ev.Reason)
 	}
-	p := proxy.New(router, proxy.Options{CacheEntries: *cacheEntries, Hedge: *hedge})
-	if *requestLog {
-		p.SetRequestLog(slog.New(obs.NewLineHandler(stderr)), *slowQuery)
-	}
+	p := proxy.New(router, proxy.Options{CacheEntries: cacheEntries, Hedge: true})
+	p.SetRequestLog(slog.New(obs.NewLineHandler(stderr)), obs.SlowRequest)
 	if err := daemon.ServeDebug(ctx, *debugAddr); err != nil {
 		log.Fatal(err)
 	}
@@ -114,8 +113,8 @@ func main() {
 		}()
 	}
 
-	log.Printf("edge tier on %s: primary %s, %d follower(s), cache %d entries, hedge %v",
-		*addr, *primary, len(followerURLs), *cacheEntries, *hedge)
+	log.Printf("edge tier on %s: primary %s, %d follower(s), cache %d entries, hedging on",
+		*addr, *primary, len(followerURLs), cacheEntries)
 	if err := daemon.Serve(ctx, *addr, p); err != nil {
 		log.Fatal(err)
 	}

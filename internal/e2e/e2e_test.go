@@ -580,7 +580,8 @@ func TestDependencyCut(t *testing.T) {
 }
 
 // TestFlagRefusals: a flag combination a program cannot serve must end the
-// process non-zero with the flag named on stderr, before any listener.
+// process with exit 1 and the flag named on stderr, before any listener;
+// a flag the program does not define ends it with the flag package's 2.
 func TestFlagRefusals(t *testing.T) {
 	e := newEnv(t)
 	held, err := net.Listen("tcp", "127.0.0.1:0")
@@ -593,32 +594,42 @@ func TestFlagRefusals(t *testing.T) {
 	for _, tc := range []struct {
 		name, bin string
 		args      []string
+		code      int
 		want      []string
 	}{
-		{"neither snapshot nor follow", semproxd, nil, []string{"-snapshot", "-follow", "semprox -save"}},
-		{"snapshot with follow", semproxd, []string{"-follow", up, "-snapshot", seedSnap}, []string{"-snapshot"}},
-		{"state without follow", semproxd, []string{"-snapshot", seedSnap, "-state", e.path("s")}, []string{"-state", "-follow"}},
-		{"peers without follow", semproxd, []string{"-snapshot", seedSnap, "-peers", up}, []string{"-peers", "-follow"}},
-		{"advertise without follow", semproxd, []string{"-snapshot", seedSnap, "-advertise", up}, []string{"-advertise", "-follow"}},
-		{"ack-replicas without wal", semproxd, []string{"-snapshot", seedSnap, "-ack-replicas", "1"}, []string{"-ack-replicas", "-wal"}},
-		{"peers without state", semproxd, []string{"-follow", up, "-peers", up, "-advertise", up}, []string{"-peers", "-state"}},
-		{"peers without advertise", semproxd, []string{"-follow", up, "-peers", up, "-state", e.path("s")}, []string{"-peers", "-advertise"}},
-		{"malformed peers", semproxd, []string{"-follow", up, "-peers", up + ",peer:8080", "-state", e.path("s"), "-advertise", up}, []string{"-peers", "peer:8080"}},
-		{"wal with follow", semproxd, []string{"-follow", up, "-wal", e.path("w")}, []string{"-wal"}},
-		{"save with follow", semproxd, []string{"-follow", up, "-save", e.path("f.snap")}, []string{"-save"}},
-		{"malformed follow", semproxd, []string{"-follow", "primary:8080"}, []string{"-follow"}},
-		{"malformed advertise", semproxd, []string{"-follow", up, "-peers", up, "-state", e.path("s"), "-advertise", "me"}, []string{"-advertise"}},
-		{"malformed primary", semproxy, []string{"-primary", "localhost"}, []string{"-primary"}},
-		{"malformed followers", semproxy, []string{"-primary", up, "-followers", up + ",ftp://x"}, []string{"-followers"}},
-		{"malformed primary, ctl", semproxctl, []string{"-primary", "localhost", "-stats"}, []string{"-primary"}},
-		{"malformed followers, ctl", semproxctl, []string{"-primary", up, "-followers", up + ",ftp://x", "-stats"}, []string{"-followers"}},
-		{"unknown dataset", semprox, []string{"-dataset", "orkut"}, []string{"-dataset", "orkut"}},
-		{"graph without labels", semprox, []string{"-graph", e.path("g")}, []string{"-graph", "-labels"}},
-		{"unknown class", semprox, []string{"-classes", "college,chess"}, []string{"-classes", "chess"}},
-		{"empty class", semprox, []string{"-classes", "college,"}, []string{"-classes"}},
-		{"debug-addr taken", semproxd, []string{"-snapshot", seedSnap, "-debug-addr", taken}, []string{"-debug-addr", "address already in use"}},
-		{"debug-addr taken, proxy", semproxy, []string{"-primary", up, "-debug-addr", taken}, []string{"-debug-addr", "address already in use"}},
-		{"addr taken", semproxd, []string{"-snapshot", seedSnap, "-addr", taken}, []string{"address already in use"}},
+		{"neither snapshot nor follow", semproxd, nil, 1, []string{"-snapshot", "-follow", "semprox -save"}},
+		{"snapshot with follow", semproxd, []string{"-follow", up, "-snapshot", seedSnap}, 1, []string{"-snapshot"}},
+		{"state without follow", semproxd, []string{"-snapshot", seedSnap, "-state", e.path("s")}, 1, []string{"-state", "-follow"}},
+		{"peers without follow", semproxd, []string{"-snapshot", seedSnap, "-peers", up}, 1, []string{"-peers", "-follow"}},
+		{"advertise without follow", semproxd, []string{"-snapshot", seedSnap, "-advertise", up}, 1, []string{"-advertise", "-follow"}},
+		{"ack-replicas without wal", semproxd, []string{"-snapshot", seedSnap, "-ack-replicas", "1"}, 1, []string{"-ack-replicas", "-wal"}},
+		{"peers without state", semproxd, []string{"-follow", up, "-peers", up, "-advertise", up}, 1, []string{"-peers", "-state"}},
+		{"peers without advertise", semproxd, []string{"-follow", up, "-peers", up, "-state", e.path("s")}, 1, []string{"-peers", "-advertise"}},
+		{"malformed peers", semproxd, []string{"-follow", up, "-peers", up + ",peer:8080", "-state", e.path("s"), "-advertise", up}, 1, []string{"-peers", "peer:8080"}},
+		{"wal with follow", semproxd, []string{"-follow", up, "-wal", e.path("w")}, 1, []string{"-wal"}},
+		{"save with follow", semproxd, []string{"-follow", up, "-save", e.path("f.snap")}, 1, []string{"-save"}},
+		{"malformed follow", semproxd, []string{"-follow", "primary:8080"}, 1, []string{"-follow"}},
+		{"malformed advertise", semproxd, []string{"-follow", up, "-peers", up, "-state", e.path("s"), "-advertise", "me"}, 1, []string{"-advertise"}},
+		{"malformed primary", semproxy, []string{"-primary", "localhost"}, 1, []string{"-primary"}},
+		{"malformed followers", semproxy, []string{"-primary", up, "-followers", up + ",ftp://x"}, 1, []string{"-followers"}},
+		{"malformed primary, ctl", semproxctl, []string{"-primary", "localhost", "-stats"}, 1, []string{"-primary"}},
+		{"malformed followers, ctl", semproxctl, []string{"-primary", up, "-followers", up + ",ftp://x", "-stats"}, 1, []string{"-followers"}},
+		{"unknown dataset", semprox, []string{"-dataset", "orkut"}, 1, []string{"-dataset", "orkut"}},
+		{"graph without labels", semprox, []string{"-graph", e.path("g")}, 1, []string{"-graph", "-labels"}},
+		{"unknown class", semprox, []string{"-classes", "college,chess"}, 1, []string{"-classes", "chess"}},
+		{"empty class", semprox, []string{"-classes", "college,"}, 1, []string{"-classes"}},
+		{"debug-addr taken", semproxd, []string{"-snapshot", seedSnap, "-debug-addr", taken}, 1, []string{"-debug-addr", "address already in use"}},
+		{"debug-addr taken, proxy", semproxy, []string{"-primary", up, "-debug-addr", taken}, 1, []string{"-debug-addr", "address already in use"}},
+		{"addr taken", semproxd, []string{"-snapshot", seedSnap, "-addr", taken}, 1, []string{"address already in use"}},
+		// Settings that had one value in use are constants now: the flag
+		// package refuses them by name, with its usage exit code.
+		{"request-log removed", semproxd, []string{"-snapshot", seedSnap, "-request-log=false"}, 2, []string{"flag provided but not defined: -request-log"}},
+		{"slow-query removed", semproxd, []string{"-snapshot", seedSnap, "-slow-query", "1s"}, 2, []string{"flag provided but not defined: -slow-query"}},
+		{"request-log removed, proxy", semproxy, []string{"-primary", up, "-request-log=false"}, 2, []string{"flag provided but not defined: -request-log"}},
+		{"slow-query removed, proxy", semproxy, []string{"-primary", up, "-slow-query", "1s"}, 2, []string{"flag provided but not defined: -slow-query"}},
+		{"hedge removed", semproxy, []string{"-primary", up, "-hedge=false"}, 2, []string{"flag provided but not defined: -hedge"}},
+		{"cache-entries removed", semproxy, []string{"-primary", up, "-cache-entries", "0"}, 2, []string{"flag provided but not defined: -cache-entries"}},
+		{"probe removed", semproxy, []string{"-primary", up, "-probe", "1s"}, 2, []string{"flag provided but not defined: -probe"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
@@ -632,8 +643,8 @@ func TestFlagRefusals(t *testing.T) {
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			err := cmd.Run()
-			if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
-				t.Fatalf("%s %v: exit %d (%v), want 1\n%s", tc.bin, tc.args, code, err, stderr.String())
+			if code := cmd.ProcessState.ExitCode(); err == nil || code != tc.code {
+				t.Fatalf("%s %v: exit %d (%v), want %d\n%s", tc.bin, tc.args, code, err, tc.code, stderr.String())
 			}
 			for _, w := range tc.want {
 				if !strings.Contains(stderr.String(), w) {

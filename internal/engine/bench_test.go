@@ -334,9 +334,7 @@ func BenchmarkReplayWAL(b *testing.B) {
 					Nodes: []graph.DeltaNode{{Type: "user", Value: fmt.Sprintf("replay-user-%d", i)}},
 					Edges: []graph.Edge{{U: next + graph.NodeID(i), V: g.NodeByName(fmt.Sprintf("college-%d", i%5))}},
 				}
-				if _, err := w.Append(d); err != nil {
-					b.Fatal(err)
-				}
+				appendDurable(b, w, d)
 			}
 			base := eng.cur.Load()
 			b.ResetTimer()

@@ -116,9 +116,9 @@ type epoch struct {
 	version uint64
 
 	// lsn is the log sequence number of the last update applied: a
-	// write-ahead-logged update carries its WAL-assigned LSN through
-	// ApplyUpdateLogged on a primary and ApplyRecords in recovery and on
-	// followers, recovery replays records with LSN > lsn, and a
+	// write-ahead-logged update carries its LSN through ApplyRecords on a
+	// primary, in recovery and on followers alike, recovery replays
+	// records with LSN > lsn, and a
 	// follower replica reports primaryLSN - lsn as its lag. Without a WAL
 	// it simply advances by one per update, mirroring version.
 	lsn uint64

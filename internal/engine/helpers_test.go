@@ -18,6 +18,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/metagraph"
 	"repro/internal/mining"
+	"repro/internal/wal"
 )
 
 // The tests of this package build engines the way the root package's
@@ -371,4 +372,18 @@ func (ep *epoch) finished() bool {
 		}
 	}
 	return true
+}
+
+// appendDurable appends d to w the way a primary does, AppendAsync then
+// WaitDurable, and returns its LSN.
+func appendDurable(tb testing.TB, w *wal.WAL, d graph.Delta) uint64 {
+	tb.Helper()
+	lsn, err := w.AppendAsync(d)
+	if err == nil {
+		err = w.WaitDurable(lsn)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lsn
 }

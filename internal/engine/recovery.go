@@ -11,10 +11,10 @@ import (
 // every update the engine accepts and acks it only once the record is
 // durable: the engine builds the next epoch, the accepted delta is
 // appended to the log at the next LSN, and the epoch is published at
-// that LSN (Engine.ApplyUpdateLogged). The log therefore holds only
-// records the engine accepted. On a crash — no clean shutdown, snapshot
-// arbitrarily stale — recovery is: load the newest
-// snapshot (LSN L), open the WAL (which heals any torn tail), and
+// that LSN (Engine.ApplyRecords with an append hook). The log therefore
+// holds only records the engine accepted. On a crash — no clean shutdown,
+// snapshot arbitrarily stale — recovery is: load the newest snapshot
+// (LSN L), open the WAL (which heals any torn tail), and
 // ReplayWAL the records with LSN > L. The recovered engine is
 // byte-identical to one that never crashed (property-tested in the root
 // package's recovery_test.go), because ApplyRecords is deterministic and

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -28,8 +29,7 @@ type UpdateStats struct {
 	// Epoch is the serving epoch after the swap.
 	Epoch uint64
 	// LSN is the log sequence number the update was applied at (see
-	// ApplyUpdateLogged and ApplyRecords); without a WAL it advances by
-	// one per update.
+	// ApplyRecords); without a WAL it advances by one per update.
 	LSN uint64
 	// Records counts the log records the epoch covers: 1 for an update,
 	// the valid prefix of the run for ApplyRecords.
@@ -60,16 +60,20 @@ type UpdateStats struct {
 // (Fig. 3) refreshes mining offline, and a delta cannot introduce new
 // node types, so the mined patterns remain well-formed. On error (unknown
 // type, out-of-range endpoint) the engine is unchanged.
+//
+// ApplyUpdate is the unlogged form of ApplyRecords: one record at the
+// engine's LSN + 1, read under the same writer lock.
 func (e *Engine) ApplyUpdate(d graph.Delta) (UpdateStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.applyUpdate(d, 1, func(cur uint64) (uint64, error) { return cur + 1, nil })
+	return e.applyRecords([]wal.Record{{LSN: e.cur.Load().lsn + 1, Delta: d}}, nil)
 }
 
 // ApplyRecords applies a run of logged records at their own LSNs: the
-// one way a record that carries an LSN reaches an engine, for replay
+// one way an update reaches an engine, for a primary's own update, replay
 // (ReplayWAL) and a follower's stream alike. The run lies wholly beyond
-// the engine's LSN and ascends by one. Each record is validated at its
+// the engine's LSN and ascends by one; a run that does not is refused
+// before anything is built or logged. Each record is validated at its
 // own position (graph.ValidateApply against the node count as of that
 // record), so a later record never absorbs an invalid one. The valid
 // prefix is published as ONE epoch whose counter advances once per
@@ -79,20 +83,31 @@ func (e *Engine) ApplyUpdate(d graph.Delta) (UpdateStats, error) {
 // (TestApplyRecordsMatchesOneAtATime).
 //
 // logged, when non-nil, is called once under the writer lock with the
-// length of the valid prefix, before its epoch is published; if it fails
-// nothing is published and its error is returned. UpdateStats describes
+// length of the valid prefix, after its epoch is built — so only for
+// records the engine accepted — and before it is published; if it fails
+// nothing is published and its error is returned. This is how the log
+// order equals the apply order: a primary passes a hook that appends the
+// record (wal.AppendAsync, which only sequences it; the caller gates its
+// ack on wal.WaitDurable outside any lock), a follower one that fsyncs
+// the batch. The lock order is the engine's writer lock, then the log's;
+// nothing in internal/wal calls into the engine. UpdateStats describes
 // the published epoch (Records 0 when none was); the error names the
 // first invalid record, if any.
 func (e *Engine) ApplyRecords(recs []wal.Record, logged func(valid int) error) (UpdateStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.applyRecords(recs, logged)
+}
+
+// applyRecords is ApplyRecords for a caller that holds e.mu.
+func (e *Engine) applyRecords(recs []wal.Record, logged func(valid int) error) (UpdateStats, error) {
 	ep := e.cur.Load()
 	g, lsn, nodes, valid := ep.g, ep.lsn, ep.g.NumNodes(), 0
 	var d graph.Delta
 	var invalid error
 	for _, r := range recs {
 		if r.LSN <= lsn || valid > 0 && r.LSN != lsn+1 {
-			invalid = fmt.Errorf("semprox: record LSN %d after LSN %d: a run lies beyond the engine's LSN and ascends by one", r.LSN, lsn)
+			invalid = fmt.Errorf("semprox: record LSN %d after LSN %d: %w", r.LSN, lsn, ErrRecordOrder)
 			break
 		}
 		if err := graph.ValidateApply(g.Types(), nodes, r.Delta); err != nil {
@@ -107,46 +122,25 @@ func (e *Engine) ApplyRecords(recs []wal.Record, logged func(valid int) error) (
 	if valid == 0 {
 		return UpdateStats{}, invalid
 	}
-	st, err := e.applyUpdate(d, valid, func(uint64) (uint64, error) {
-		if logged == nil {
-			return lsn, nil
-		}
-		return lsn, logged(valid)
-	})
+	st, err := e.applyUpdate(d, valid, lsn, logged)
 	if err != nil {
 		return UpdateStats{}, err
 	}
 	return st, invalid
 }
 
-// ApplyUpdateLogged is ApplyUpdate for a primary that logs its updates:
-// appendLog appends d to the log and returns the LSN the log assigned
-// it. Under the engine's writer lock it, in order, builds the next epoch
-// (graph apply, re-match, the count-overflow refusal, class patch);
-// calls appendLog exactly once, and only for a delta the engine accepted;
-// checks that the assigned LSN is beyond the engine's; and publishes the
-// epoch at that LSN. The log therefore holds only records the engine has
-// accepted, and a refused update leaves both the log and the engine as
-// they were. If appendLog fails, nothing is published and its error is
-// returned.
-//
-// appendLog need not wait for the record to be durable (wal.AppendAsync
-// only sequences it): the epoch is published before its record is on
-// disk, and the caller gates its ack on the log's durability barrier
-// (wal.WaitDurable, which commits the record) outside any lock. The lock order is the engine's writer lock, then
-// the log's; nothing in internal/wal calls into the engine.
-func (e *Engine) ApplyUpdateLogged(d graph.Delta, appendLog func() (uint64, error)) (UpdateStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.applyUpdate(d, 1, func(uint64) (uint64, error) { return appendLog() })
-}
+// ErrRecordOrder marks a record ApplyRecords refused for its LSN: not
+// beyond the engine's, or not the next in its run. On a primary it means
+// the log and the engine disagree about their position, which no request
+// can cause.
+var ErrRecordOrder = errors.New("a run lies beyond the engine's LSN and ascends by one")
 
 // applyUpdate builds the next epoch covering `records` coalesced log
-// records (1 for a plain update) and publishes it at the LSN that
-// assign returns for the engine's current LSN. The caller holds e.mu.
-// assign runs once, and only after the delta is accepted: everything
-// that can refuse an update refuses it first.
-func (e *Engine) applyUpdate(d graph.Delta, records int, assign func(cur uint64) (uint64, error)) (UpdateStats, error) {
+// records, validated by the caller, and publishes it at lsn. The caller
+// holds e.mu. logged, when non-nil, runs once with records, and only
+// after the delta is accepted: everything that can refuse an update
+// refuses it first.
+func (e *Engine) applyUpdate(d graph.Delta, records int, lsn uint64, logged func(valid int) error) (UpdateStats, error) {
 	start := time.Now()
 	ep := e.cur.Load()
 	ng, touched, err := ep.g.Apply(d)
@@ -199,12 +193,10 @@ func (e *Engine) applyUpdate(d graph.Delta, records int, assign func(cur uint64)
 		}
 	}
 
-	lsn, err := assign(ep.lsn)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	if lsn <= ep.lsn {
-		return UpdateStats{}, fmt.Errorf("semprox: LSN %d not beyond engine LSN %d", lsn, ep.lsn)
+	if logged != nil {
+		if err := logged(records); err != nil {
+			return UpdateStats{}, err
+		}
 	}
 	e.publish(&epoch{g: ng, ix: ix, matched: ep.matched, classes: classes, version: ng.Version(), lsn: lsn})
 	st.LSN = lsn
@@ -229,7 +221,7 @@ func (cm *classModel) patched(ix *index.Index, nodeKeys []graph.NodeID) *classMo
 
 // Compact does nothing: every epoch an update publishes is already in
 // flat storage. It stays for benchmark/layers.go, which calls it (ROADMAP
-// 10(a) drops both).
+// 8(a) drops both).
 func (e *Engine) Compact() {}
 
 // Stats is a consistent point-in-time snapshot of the serving state.

@@ -1,7 +1,7 @@
 // HTTP instrumentation middleware, shared by internal/server and
 // internal/proxy: per-endpoint latency histograms and status-class
-// counters on the wrapped registry, trace minting/propagation via a
-// configurable header, and an optional structured per-request log line
+// counters on the wrapped registry, trace minting/propagation in
+// api.HeaderTrace, and an optional structured per-request log line
 // (endpoint, status, latency, trace, epoch, cache disposition, plus
 // whatever attrs the handler added via AddAttrs) with a slow-query
 // threshold that escalates Info to Warn. Everything one request needs is
@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/api"
 )
 
 // Metric family names the middleware records. One name across server and
@@ -25,15 +27,15 @@ const (
 	MetricHTTPLatency  = "semprox_http_request_seconds"
 )
 
+// SlowRequest is both daemons' SlowThreshold: a request that takes at
+// least this long logs at WARN.
+const SlowRequest = 500 * time.Millisecond
+
 // HTTPOptions configures WrapHTTP. Zero-value fields disable the
 // corresponding feature.
 type HTTPOptions struct {
 	// Registry receives per-endpoint metrics; nil skips metrics.
 	Registry *Registry
-	// TraceHeader names the request/response trace header
-	// (api.HeaderTrace); "" disables tracing. The response header is set
-	// before the handler runs, so error envelopes carry it too.
-	TraceHeader string
 	// Component tags log lines ("server", "proxy").
 	Component string
 	// Logger emits one line per request; nil disables request logging
@@ -45,10 +47,11 @@ type HTTPOptions struct {
 	// PathLabel bounds metric label cardinality by canonicalizing the
 	// request path; nil uses the raw path.
 	PathLabel func(string) string
-	// EpochHeader and CacheHeader name response headers whose values,
-	// when set by the handler, are echoed into the log line (the epoch a
-	// read served at; the edge cache hit/miss disposition).
-	EpochHeader, CacheHeader string
+	// CacheHeader names a response header whose value, when the handler
+	// sets it, is echoed into the log line as the edge cache's hit/miss
+	// disposition; "" echoes none. The epoch a read served at
+	// (api.HeaderEpoch) is always echoed.
+	CacheHeader string
 }
 
 // statusWriter captures the status code without disturbing the wrapped
@@ -145,6 +148,9 @@ func (m *httpMetrics) observe(path string, status int, dur time.Duration) {
 }
 
 // WrapHTTP wraps next with tracing, metrics, and request logging per o.
+// Every request carries a trace ID in api.HeaderTrace: the caller's when
+// it is valid, else a fresh one. The response header is set before the
+// handler runs, so error envelopes carry it too.
 func WrapHTTP(next http.Handler, o HTTPOptions) http.Handler {
 	var metrics *httpMetrics
 	if o.Registry != nil {
@@ -163,13 +169,11 @@ func WrapHTTP(next http.Handler, o HTTPOptions) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &request{statusWriter: statusWriter{ResponseWriter: w}, log: lines != nil}
-		if o.TraceHeader != "" {
-			rec.trace = r.Header.Get(o.TraceHeader)
-			if !validTrace(rec.trace) {
-				rec.trace = NewTraceID()
-			}
-			w.Header().Set(o.TraceHeader, rec.trace)
+		rec.trace = r.Header.Get(api.HeaderTrace)
+		if !validTrace(rec.trace) {
+			rec.trace = NewTraceID()
 		}
+		w.Header().Set(api.HeaderTrace, rec.trace)
 		ctx := context.WithValue(r.Context(), requestKey, rec)
 		next.ServeHTTP(&rec.statusWriter, r.WithContext(ctx))
 
@@ -211,13 +215,9 @@ func logRequest(ctx context.Context, h slog.Handler, o HTTPOptions, rec *request
 		slog.Int("status", status),
 		slog.Float64("ms", float64(dur.Microseconds())/1e3),
 	)
-	if rec.trace != "" {
-		attrs = append(attrs, slog.String("trace", rec.trace))
-	}
-	if o.EpochHeader != "" {
-		if v := rec.Header().Get(o.EpochHeader); v != "" {
-			attrs = append(attrs, slog.String("epoch", v))
-		}
+	attrs = append(attrs, slog.String("trace", rec.trace))
+	if v := rec.Header().Get(api.HeaderEpoch); v != "" {
+		attrs = append(attrs, slog.String("epoch", v))
 	}
 	if o.CacheHeader != "" {
 		if v := rec.Header().Get(o.CacheHeader); v != "" {

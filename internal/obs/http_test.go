@@ -10,14 +10,13 @@ import (
 	"strings"
 	"testing"
 	"time"
-)
 
-const testTraceHeader = "X-Test-Trace"
+	"repro/api"
+)
 
 func wrapped(reg *Registry, logger *slog.Logger, slow time.Duration, inner http.HandlerFunc) http.Handler {
 	return WrapHTTP(inner, HTTPOptions{
 		Registry:      reg,
-		TraceHeader:   testTraceHeader,
 		Component:     "test",
 		Logger:        logger,
 		SlowThreshold: slow,
@@ -27,7 +26,6 @@ func wrapped(reg *Registry, logger *slog.Logger, slow time.Duration, inner http.
 			}
 			return "other"
 		},
-		EpochHeader: "X-Test-Epoch",
 		CacheHeader: "X-Test-Cache",
 	})
 }
@@ -44,7 +42,7 @@ func TestMiddlewareMintsTrace(t *testing.T) {
 	if seen == "" {
 		t.Fatal("handler saw no trace ID in context")
 	}
-	if got := rec.Header().Get(testTraceHeader); got != seen {
+	if got := rec.Header().Get(api.HeaderTrace); got != seen {
 		t.Fatalf("response trace header %q != context trace %q", got, seen)
 	}
 }
@@ -54,10 +52,10 @@ func TestMiddlewareAcceptsCallerTrace(t *testing.T) {
 		w.WriteHeader(204)
 	})
 	req := httptest.NewRequest("GET", "/known", nil)
-	req.Header.Set(testTraceHeader, "caller-id-1")
+	req.Header.Set(api.HeaderTrace, "caller-id-1")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if got := rec.Header().Get(testTraceHeader); got != "caller-id-1" {
+	if got := rec.Header().Get(api.HeaderTrace); got != "caller-id-1" {
 		t.Fatalf("caller trace not propagated: %q", got)
 	}
 }
@@ -82,10 +80,10 @@ func TestMiddlewareBoundsCallerTrace(t *testing.T) {
 			seen = TraceID(r.Context())
 		})
 		req := httptest.NewRequest("GET", "/known", nil)
-		req.Header.Set(testTraceHeader, id)
+		req.Header.Set(api.HeaderTrace, id)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		got := rec.Header().Get(testTraceHeader)
+		got := rec.Header().Get(api.HeaderTrace)
 		if keep != (got == id) || seen != got || !validTrace(got) {
 			t.Errorf("caller trace %q: echoed %q, handler saw %q; want it kept = %v", id, got, seen, keep)
 		}
@@ -107,7 +105,7 @@ func TestExplicitTraceWins(t *testing.T) {
 		}
 	})
 	req := httptest.NewRequest("GET", "/known", nil)
-	req.Header.Set(testTraceHeader, "outer")
+	req.Header.Set(api.HeaderTrace, "outer")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 }
 
@@ -120,7 +118,7 @@ func TestMiddlewareTraceOnErrorResponse(t *testing.T) {
 	if rec.Code != 400 {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if rec.Header().Get(testTraceHeader) == "" {
+	if rec.Header().Get(api.HeaderTrace) == "" {
 		t.Fatal("error response missing trace header")
 	}
 }
@@ -183,13 +181,13 @@ func TestMiddlewareLogLine(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	h := wrapped(NewRegistry(), logger, 0, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Test-Epoch", "7")
+		w.Header().Set(api.HeaderEpoch, "7")
 		w.Header().Set("X-Test-Cache", "hit")
 		AddAttrs(r.Context(), slog.String("backend", "http://b1"))
 		w.WriteHeader(200)
 	})
 	req := httptest.NewRequest("GET", "/known", nil)
-	req.Header.Set(testTraceHeader, "trace-xyz")
+	req.Header.Set(api.HeaderTrace, "trace-xyz")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 
 	lines := logLines(&buf)
@@ -213,13 +211,13 @@ func TestMiddlewareLineOrder(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewLineWriter(&buf)
 	h := wrapped(NewRegistry(), slog.New(NewLineHandler(w)), time.Hour, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Test-Epoch", "7")
+		w.Header().Set(api.HeaderEpoch, "7")
 		w.Header().Set("X-Test-Cache", "hit")
 		AddAttrs(r.Context(), slog.String("backend", "http://b1"), slog.Bool("hedged", false))
 		w.WriteHeader(200)
 	})
 	req := httptest.NewRequest("POST", "/known", nil)
-	req.Header.Set(testTraceHeader, "trace-xyz")
+	req.Header.Set(api.HeaderTrace, "trace-xyz")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -88,9 +88,6 @@ type Options struct {
 	// after its backend's trailing p95 clamped to [1ms, 100ms] (10ms
 	// before the backend has answered).
 	Hedge bool
-	// HTTPClient is the per-attempt client for forwarded reads (nil: one
-	// with client.DefaultTimeout).
-	HTTPClient *http.Client
 }
 
 // Proxy is the edge-tier handler. Create with New; safe for concurrent
@@ -130,18 +127,15 @@ type Proxy struct {
 // New builds the proxy over a router. The router's probe loop (Run) is
 // the caller's to start — the proxy only consumes its live set.
 func New(r *client.Router, opts Options) *Proxy {
-	hc := opts.HTTPClient
-	if hc == nil {
-		// Not http.DefaultTransport: its 2 idle conns per host would make
-		// an edge tier under load re-handshake almost every forwarded read.
-		hc = &http.Client{
-			Timeout: client.DefaultTimeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        1024,
-				MaxIdleConnsPerHost: 512,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
+	// Not http.DefaultTransport: its 2 idle conns per host would make an
+	// edge tier under load re-handshake almost every forwarded read.
+	hc := &http.Client{
+		Timeout: client.DefaultTimeout,
+		Transport: &http.Transport{
+			MaxIdleConns:        1024,
+			MaxIdleConnsPerHost: 512,
+			IdleConnTimeout:     90 * time.Second,
+		},
 	}
 	reg := obs.NewRegistry()
 	p := &Proxy{
@@ -209,12 +203,10 @@ const (
 func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
 	p.wrap = obs.WrapHTTP(p.mux, obs.HTTPOptions{
 		Registry:      p.reg,
-		TraceHeader:   api.HeaderTrace,
 		Component:     "proxy",
 		Logger:        logger,
 		SlowThreshold: slow,
 		PathLabel:     wire.PathLabel,
-		EpochHeader:   api.HeaderEpoch,
 		CacheHeader:   HeaderCache,
 	})
 }

@@ -55,8 +55,6 @@ import (
 type Follower struct {
 	// PollWait is the long-poll duration requested per since call.
 	PollWait time.Duration
-	// MaxBatch bounds the records requested per since call.
-	MaxBatch int
 	// Backoff is the pause after a failed poll before retrying.
 	Backoff time.Duration
 	// Dir, when non-empty, is the follower's local state directory: the
@@ -98,7 +96,6 @@ func NewFollower(baseURL string, hc *http.Client) *Follower {
 	f := &Follower{
 		hc:       hc,
 		PollWait: 10 * time.Second,
-		MaxBatch: DefaultMaxBatch,
 		Backoff:  500 * time.Millisecond,
 	}
 	f.setClient(baseURL)
@@ -413,7 +410,7 @@ func (f *Follower) pollOnce(ctx context.Context) error {
 	if !f.polled.Load() {
 		wait = 0
 	}
-	sr, err := f.client().ReplicateSince(ctx, after, afterTerm, f.seenTerm.Load(), f.MaxBatch, wait)
+	sr, err := f.client().ReplicateSince(ctx, after, afterTerm, f.seenTerm.Load(), maxBatch, wait)
 	if err != nil {
 		var apiErr *api.Error
 		if errors.As(err, &apiErr) && apiErr.Code == api.CodeTermMismatch {

@@ -45,9 +45,6 @@ type Monitor struct {
 	// primary dead (default 3) — one lost packet must not trigger a
 	// promotion storm.
 	Threshold int
-	// HTTP issues the probes; nil gets a client with Interval-scale
-	// timeouts.
-	HTTP *http.Client
 }
 
 // Run watches until the primary dies AND this node wins the election
@@ -61,10 +58,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 	if threshold <= 0 {
 		threshold = 3
 	}
-	hc := m.HTTP
-	if hc == nil {
-		hc = &http.Client{Timeout: 2 * interval}
-	}
+	hc := &http.Client{Timeout: 2 * interval}
 	probe := func(url string) (api.ReadyResponse, error) {
 		pctx, cancel := context.WithTimeout(ctx, 2*interval)
 		defer cancel()

@@ -33,11 +33,11 @@ import (
 	"repro/internal/wal"
 )
 
-// DefaultMaxBatch bounds the records returned by one since request.
-const DefaultMaxBatch = 1024
+// maxBatch bounds the records one since request asks for and gets.
+const maxBatch = 1024
 
-// DefaultMaxWait caps a long poll; clients re-poll after a drained wait.
-const DefaultMaxWait = 25 * time.Second
+// maxWait caps a long poll; clients re-poll after a drained wait.
+const maxWait = 25 * time.Second
 
 // DefaultMaxBytes bounds the cumulative delta payload of one since
 // response. The follower hard-caps its JSON decode at 256MB and treats a
@@ -52,11 +52,8 @@ const DefaultMaxBytes = 32 << 20
 type Primary struct {
 	eng *engine.Engine
 	log *wal.WAL
-	// MaxBatch, MaxBytes and MaxWait override the defaults when > 0;
-	// mostly for tests.
-	MaxBatch int
+	// MaxBytes overrides DefaultMaxBytes when > 0; tests set it.
 	MaxBytes int
-	MaxWait  time.Duration
 
 	// confirmed is the highest LSN any follower has reported durably
 	// applied (the lsn= parameter of its since polls — a follower only
@@ -134,10 +131,7 @@ func (p *Primary) ServeSince(r *http.Request) (int, any, error) {
 	if term := p.log.Term(); after <= p.log.DurableLSN() && pollerTerm <= term && seenTerm <= term {
 		p.noteConfirmed(after)
 	}
-	max := p.MaxBatch
-	if max <= 0 {
-		max = DefaultMaxBatch
-	}
+	max := maxBatch
 	if ms := q.Get("max"); ms != "" {
 		n, err := strconv.Atoi(ms)
 		if err != nil || n < 1 {
@@ -152,14 +146,7 @@ func (p *Primary) ServeSince(r *http.Request) (int, any, error) {
 		if err != nil || n < 0 {
 			return http.StatusBadRequest, nil, fmt.Errorf("bad wait_ms %q", ws)
 		}
-		maxWait := p.MaxWait
-		if maxWait <= 0 {
-			maxWait = DefaultMaxWait
-		}
-		wait := time.Duration(n) * time.Millisecond
-		if wait > maxWait {
-			wait = maxWait
-		}
+		wait := min(time.Duration(n)*time.Millisecond, maxWait)
 		if wait > 0 && p.log.DurableLSN() <= after {
 			ctx, cancel := context.WithTimeout(r.Context(), wait)
 			p.log.WaitSince(ctx, after)

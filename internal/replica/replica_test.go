@@ -28,6 +28,20 @@ import (
 	"repro/internal/wal"
 )
 
+// appendDurable appends d to w the way a primary does, AppendAsync then
+// WaitDurable, and returns its LSN.
+func appendDurable(t testing.TB, w *wal.WAL, d graph.Delta) uint64 {
+	t.Helper()
+	lsn, err := w.AppendAsync(d)
+	if err == nil {
+		err = w.WaitDurable(lsn)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lsn
+}
+
 // primaryHarness is a trained engine with an attached WAL behind a real
 // HTTP server — the exact stack semproxd -wal runs.
 type primaryHarness struct {
@@ -82,10 +96,7 @@ func (h *primaryHarness) applyRandom(t *testing.T, rng *rand.Rand, tag string) {
 			U: graph.NodeID(rng.Intn(n)), V: graph.NodeID(rng.Intn(n)),
 		})
 	}
-	lsn, err := h.log.Append(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lsn := appendDurable(t, h.log, d)
 	if _, err := h.eng.ApplyRecords([]wal.Record{{LSN: lsn, Delta: d}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +266,7 @@ func TestFollowerAppliesValidPrefixOfStream(t *testing.T) {
 		{Edges: []graph.Edge{{U: 0, V: n + 1}}},
 		{Nodes: []graph.DeltaNode{{Type: "user", Value: "prefix-3"}}},
 	} {
-		if _, err := h.log.Append(d); err != nil {
-			t.Fatal(err)
-		}
+		appendDurable(t, h.log, d)
 	}
 	f := newDurableFollower(t, h.ts.URL, h.ts.Client(), t.TempDir())
 	f.Backoff = time.Minute // hold the diverged follower instead of re-bootstrapping
@@ -408,10 +417,7 @@ func TestFollowerAnswersEveryNodeNameAsPrimary(t *testing.T) {
 		d.Nodes = append(d.Nodes, graph.DeltaNode{Type: "user", Value: name})
 		d.Edges = append(d.Edges, graph.Edge{U: graph.NodeID(g.NumNodes() + i), V: g.NodeByName("College A")})
 	}
-	lsn, err := h.log.Append(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lsn := appendDurable(t, h.log, d)
 	if _, err := h.eng.ApplyRecords([]wal.Record{{LSN: lsn, Delta: d}}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -386,3 +386,41 @@ func TestRefusedUpdateAnswersAlikeOnEveryRole(t *testing.T) {
 		t.Fatalf("refused update changed the primary's engine: %+v, was %+v", peng.Stats(), stats)
 	}
 }
+
+// TestPrimaryUpdateFailuresAre500: on a WAL primary an update the engine
+// accepted but the log could not take, and a log whose next LSN is not
+// beyond the engine's, are the server's fault, not the request's: both
+// answer 500 and publish nothing, and the out-of-step log is refused
+// before anything is appended to it.
+func TestPrimaryUpdateFailuresAre500(t *testing.T) {
+	const join = `{"nodes":[{"type":"user","name":"Zed"}],"edges":[{"u":"Zed","v":"Kate"}]}`
+	t.Run("append fails", func(t *testing.T) {
+		s, w, eng, _ := walServer(t)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec := do(t, s, http.MethodPost, api.PathUpdate, join)
+		wantErr(t, rec, http.StatusInternalServerError, api.CodeInternal)
+		if !strings.Contains(rec.Body.String(), "wal append") || eng.LSN() != 0 || eng.Epoch() != 0 {
+			t.Fatalf("failed append answered %s and left the engine at LSN %d epoch %d, want LSN 0 epoch 0", rec.Body.String(), eng.LSN(), eng.Epoch())
+		}
+	})
+	t.Run("log behind engine", func(t *testing.T) {
+		s, eng, g := trainedServer(t)
+		if _, err := eng.ApplyUpdate(semprox.Delta{Edges: []graph.Edge{{U: g.NodeByName("Kate"), V: g.NodeByName("Tom")}}}); err != nil {
+			t.Fatal(err)
+		}
+		w, err := wal.Open(t.TempDir(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		s.AttachWAL(w)
+		rec := do(t, s, http.MethodPost, api.PathUpdate, join)
+		wantErr(t, rec, http.StatusInternalServerError, api.CodeInternal)
+		if w.NextLSN() != 1 || eng.LSN() != 1 || eng.Graph().NodeByName("Zed") != graph.InvalidNode {
+			t.Fatalf("out-of-step log: next LSN %d, engine LSN %d, Zed present %v; want 1, 1, false",
+				w.NextLSN(), eng.LSN(), eng.Graph().NodeByName("Zed") != graph.InvalidNode)
+		}
+	})
+}

@@ -1,5 +1,6 @@
-// Package server exposes an engine.Engine over HTTP/JSON — the online
-// serving layer of the ROADMAP's "heavy traffic" north star. The wire
+// Package server exposes an engine.Engine over HTTP/JSON: the online
+// phase of the paper's framework (Fig. 3), one ranked scan per query and
+// one additive patch per update. The wire
 // contract — every request/response type, the error envelope, the path
 // constants, the request limits — lives in the public api package; this
 // package only binds those shapes to an engine. Endpoints (all under
@@ -37,9 +38,10 @@
 // serving epoch atomically, and a query sees the old epoch or the new one,
 // never a mix.
 //
-// Durability and roles: AttachWAL makes the server a primary — every
-// update is appended and fsynced to the write-ahead log before it is
-// applied, and the /v1/replicate endpoints feed followers. SetFollower
+// Durability and roles: AttachWAL makes the server a primary — the
+// engine appends every update it accepts to the write-ahead log before
+// publishing it, the ack waits for the fsync, and the /v1/replicate
+// endpoints feed followers. SetFollower
 // makes it a read replica — updates return 503 (the primary owns writes)
 // and /v1/readyz reports catch-up progress.
 package server
@@ -114,8 +116,8 @@ type Server struct {
 	// order. Queries never touch this lock.
 	//
 	// The fsync does NOT happen under this lock: the handler applies
-	// the update and sequences its record (Engine.ApplyUpdateLogged
-	// around wal.AppendAsync) inside the critical section, then waits
+	// the update and sequences its record (Engine.ApplyRecords with a
+	// wal.AppendAsync hook) inside the critical section, then waits
 	// for durability (wal.WaitDurable) outside it, and that wait leads
 	// the group commit when none is on the disk. So while update N's
 	// fsync runs, update N+1 is already resolving and sequencing, and
@@ -172,12 +174,10 @@ func New(eng *engine.Engine) *Server {
 func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
 	s.wrap = obs.WrapHTTP(s.mux, obs.HTTPOptions{
 		Registry:      s.reg,
-		TraceHeader:   api.HeaderTrace,
 		Component:     "server",
 		Logger:        logger,
 		SlowThreshold: slow,
 		PathLabel:     wire.PathLabel,
-		EpochHeader:   api.HeaderEpoch,
 	})
 }
 
@@ -274,7 +274,7 @@ func (s *Server) Drain() { s.drain() }
 
 // WaitCompactions does nothing: an update's epoch is published complete,
 // and no work follows it. It stays for benchmark/layers.go, which calls it
-// (ROADMAP 10(a) drops both it and Engine.Compact).
+// (ROADMAP 8(a) drops both it and Engine.Compact).
 func (s *Server) WaitCompactions() {}
 
 // ServeHTTP implements http.Handler.
@@ -587,32 +587,38 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (engine.UpdateStat
 		d.Edges[i] = graph.Edge{U: u, V: v}
 	}
 	// Log order equals apply order, and the log holds only what the
-	// engine accepted: the engine builds the next epoch, appends the
-	// accepted delta (AppendAsync assigns the LSN and queues the record
-	// for the next group commit), and publishes the epoch at that LSN,
-	// all inside updateMu. The write and fsync are the caller's
+	// engine accepted: the engine validates the record at its LSN, builds
+	// the next epoch, calls the hook, which appends the accepted delta
+	// (AppendAsync queues it for the next group commit), and publishes the
+	// epoch, all inside updateMu. The write and fsync are the caller's
 	// WaitDurable, outside the lock, which is what lets consecutive
 	// updates share one group commit. A crash can therefore lose an
 	// applied-but-unsynced suffix; no ack ever covered it (WaitDurable
 	// gates every ack), and recovery replays exactly the durable prefix.
-	if rl.log == nil {
-		st, err := eng.ApplyUpdate(d)
-		if err != nil {
-			return zero, errBadRequest("%v", err)
+	next, appended := eng.LSN()+1, false
+	var logged func(int) error
+	if rl.log != nil {
+		next = rl.log.NextLSN()
+		logged = func(int) error {
+			appended = true
+			lsn, err := rl.log.AppendAsync(d)
+			if err == nil && lsn != next {
+				err = fmt.Errorf("log assigned LSN %d to the record the engine publishes at %d", lsn, next)
+			}
+			return err
 		}
-		return st, nil
 	}
-	logged := false
-	st, err := eng.ApplyUpdateLogged(d, func() (uint64, error) {
-		logged = true
-		return rl.log.AppendAsync(d)
-	})
+	st, err := eng.ApplyRecords([]wal.Record{{LSN: next, Delta: d}}, logged)
 	switch {
-	case logged && err != nil:
+	case appended && err != nil:
 		return zero, errInternal("wal append: %v", err)
+	case errors.Is(err, engine.ErrRecordOrder):
+		// The log and the engine disagree about their position: refused
+		// before anything was appended, and no request can cause it.
+		return zero, errInternal("%v", err)
 	case err != nil:
 		// The engine refused the update before it reached the log: the
-		// same 400 a standalone server answers.
+		// same 400 on every role.
 		return zero, errBadRequest("%v", err)
 	}
 	return st, nil

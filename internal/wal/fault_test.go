@@ -22,13 +22,13 @@ func TestInjectedFsyncFailureNeverAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 3, 1)
-	if _, err := w.Append(delta(3)); err == nil {
+	if _, err := appendDurable(w, delta(3)); err == nil {
 		t.Fatal("append acked with its fsync failed")
 	}
 	if w.Err() == nil {
 		t.Fatal("failed fsync did not poison the log")
 	}
-	if _, err := w.Append(delta(4)); err == nil {
+	if _, err := appendDurable(w, delta(4)); err == nil {
 		t.Fatal("append accepted on a poisoned log")
 	}
 	w.Close()
@@ -64,7 +64,7 @@ func TestInjectedTornWriteLosesOnlyUnacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 2, 1)
-	if _, err := w.Append(delta(2)); err == nil {
+	if _, err := appendDurable(w, delta(2)); err == nil {
 		t.Fatal("append acked with only 5 of its bytes written")
 	}
 	if w.Err() == nil {
@@ -128,7 +128,7 @@ func TestInjectedCreateFailurePoisonsRotation(t *testing.T) {
 	defer w.Close()
 	var lastErr error
 	for i := 0; i < 20 && lastErr == nil; i++ {
-		_, lastErr = w.Append(delta(i))
+		_, lastErr = appendDurable(w, delta(i))
 	}
 	if lastErr == nil {
 		t.Fatal("20 appends at 64-byte rotation never hit the injected create failure")

@@ -23,7 +23,7 @@ func FuzzWALRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := w.Append(delta(i)); err != nil {
+		if _, err := appendDurable(w, delta(i)); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -126,8 +126,8 @@ func TestSetTermFailurePoisonsLog(t *testing.T) {
 	if got := w.Term(); got != 1 {
 		t.Fatalf("term after a failed SetTerm = %d, want 1", got)
 	}
-	if _, err := w.Append(delta(0)); err == nil {
-		t.Fatal("Append accepted a record on a poisoned log")
+	if _, err := appendDurable(w, delta(0)); err == nil {
+		t.Fatal("a record was appended to a poisoned log")
 	}
 }
 

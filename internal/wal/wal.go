@@ -1,10 +1,11 @@
 // Package wal is the durability substrate of the live-update path: a
 // write-ahead log of graph.Delta records. A primary appends every update
-// its engine has accepted, and only those (semprox.Engine.ApplyUpdateLogged),
-// and acks it only once it is fsynced here, so a crash loses nothing acked:
-// recovery loads the newest snapshot and replays the log tail
-// (semprox.ReplayWAL), and a follower replica streams the same records
-// over HTTP (internal/replica) to stay byte-identical with the primary.
+// its engine has accepted, and only those (engine.Engine.ApplyRecords
+// calls the append hook after the epoch is built), and acks it only once
+// it is fsynced here, so a crash loses nothing acked: recovery loads the
+// newest snapshot and replays the log tail (engine.ReplayWAL), and a
+// follower replica streams the same records over HTTP (internal/replica)
+// to stay byte-identical with the primary.
 //
 // On-disk layout: a directory of segment files named
 // wal-<firstLSN:016x>.seg. Each segment starts with an 16-byte header
@@ -31,7 +32,7 @@
 //
 // Durability: group commit in the waiter. AppendAsync only sequences a
 // record; it reaches the disk when a caller waits on it (WaitDurable,
-// AppendRawBatch, Append) or at Close. The first waiter that finds no
+// AppendRawBatch) or at Close. The first waiter that finds no
 // commit in flight leads one: it takes every pending record, writes them
 // and fsyncs once, and everyone whose record was in the batch wakes
 // durable. Records sequenced while that commit is on the disk wait for
@@ -478,21 +479,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Append is AppendAsync followed by WaitDurable: it returns the record's
-// LSN once the record is written and fsynced. Concurrent appenders
-// share fsyncs: all records that accumulate while one commit is on the
-// disk commit together with the next single fsync.
-func (w *WAL) Append(d graph.Delta) (uint64, error) {
-	lsn, err := w.AppendAsync(d)
-	if err == nil {
-		err = w.WaitDurable(lsn)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return lsn, nil
-}
-
 // encodeRecord validates and encodes one delta for appending. A record
 // is only durable if it is also replayable: the decoder enforces bounds
 // the encoder does not (per-string size caps), and an acknowledged
@@ -512,12 +498,15 @@ func encodeRecord(d graph.Delta) ([]byte, error) {
 
 // AppendAsync sequences d as the next record — assigning its LSN,
 // stamping the current term, and framing it into the pending batch —
-// without touching the disk. The record becomes durable only when some
-// caller waits on it or a later LSN (WaitDurable, AppendRawBatch,
-// Append) or at Close; WaitDurable(lsn) is the barrier to pass before
-// acknowledging anything that depends on it. Decoupling the two lets a
+// without touching the disk. It is the first half of the one way a
+// delta is appended; WaitDurable(lsn) is the second, the barrier to pass
+// before acknowledging anything that depends on the record. The record
+// becomes durable only when some caller waits on it or a later LSN
+// (WaitDurable, AppendRawBatch) or at Close. Decoupling the two lets a
 // caller do its own work (applying the update in memory) between
-// sequencing and the disk flush.
+// sequencing and the disk flush, and lets concurrent appenders share
+// fsyncs: every record sequenced while one commit is on the disk commits
+// with the next single fsync.
 func (w *WAL) AppendAsync(d graph.Delta) (uint64, error) {
 	body, err := encodeRecord(d)
 	if err != nil {
@@ -612,9 +601,9 @@ func (w *WAL) enqueueLocked(lsn, term uint64, body []byte) {
 // WaitDurable blocks until the record at lsn is written and fsynced,
 // returning nil, or the log fails sticky first, returning why. If no
 // commit is on the disk, the caller leads one for every pending record
-// (waitLocked). lsn must have been assigned (returned by
-// AppendAsync/Append) — waiting on an LSN the log never sequenced is
-// refused rather than left to block forever.
+// (waitLocked). lsn must have been assigned (returned by AppendAsync) —
+// waiting on an LSN the log never sequenced is refused rather than left
+// to block forever.
 func (w *WAL) WaitDurable(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

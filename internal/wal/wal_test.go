@@ -23,11 +23,21 @@ func delta(i int) graph.Delta {
 	}
 }
 
+// appendDurable appends d the way every caller does: AppendAsync
+// sequences it, WaitDurable commits it.
+func appendDurable(w *WAL, d graph.Delta) (uint64, error) {
+	lsn, err := w.AppendAsync(d)
+	if err == nil {
+		err = w.WaitDurable(lsn)
+	}
+	return lsn, err
+}
+
 // appendN appends n deltas and asserts contiguous LSNs from firstWant.
 func appendN(t *testing.T, w *WAL, n int, firstWant uint64) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		lsn, err := w.Append(delta(i))
+		lsn, err := appendDurable(w, delta(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +187,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < perWriter; i++ {
-						lsn, err := w.Append(delta(g*1000 + i))
+						lsn, err := appendDurable(w, delta(g*1000+i))
 						if err != nil {
 							t.Error(err)
 							return
@@ -532,7 +542,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(delta(0)); err == nil {
+	if _, err := appendDurable(w, delta(0)); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 	if err := w.Close(); err != nil {
@@ -552,7 +562,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		defer w.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Append(d); err != nil {
+			if _, err := appendDurable(w, d); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -566,7 +576,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := w.Append(d); err != nil {
+				if _, err := appendDurable(w, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -585,14 +595,14 @@ func TestAppendRejectsUndecodableDelta(t *testing.T) {
 	}
 	defer w.Close()
 	huge := graph.Delta{Nodes: []graph.DeltaNode{{Type: "user", Value: string(make([]byte, 2<<20))}}}
-	if _, err := w.Append(huge); err == nil {
-		t.Fatal("Append acknowledged a delta DecodeDelta rejects")
+	if _, err := appendDurable(w, huge); err == nil {
+		t.Fatal("a delta DecodeDelta rejects was acknowledged")
 	}
 	// The log is still healthy and appendable afterwards.
 	if w.Err() != nil {
 		t.Fatalf("refused append poisoned the log: %v", w.Err())
 	}
-	if _, err := w.Append(delta(1)); err != nil {
+	if _, err := appendDurable(w, delta(1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -608,7 +618,7 @@ func TestReplayFailsOnSealedSegmentCorruption(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 1; i <= 8; i++ {
-		if _, err := w.Append(delta(i)); err != nil {
+		if _, err := appendDurable(w, delta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,29 +30,47 @@ func lastWALSegment(t *testing.T, dir string) string {
 	return names[len(names)-1]
 }
 
+// appendDurable appends d to w the one way there is: AppendAsync
+// sequences the record and WaitDurable commits it.
+func appendDurable(w *wal.WAL, d Delta) (uint64, error) {
+	lsn, err := w.AppendAsync(d)
+	if err == nil {
+		err = w.WaitDurable(lsn)
+	}
+	return lsn, err
+}
+
+// applyLogged is a WAL primary's write path, the server's: d goes through
+// ApplyRecords at the log's next LSN, and the hook appends it once the
+// engine has built its epoch. The ack would wait for the fsync.
+func applyLogged(eng *Engine, w *wal.WAL, d Delta) (UpdateStats, error) {
+	st, err := eng.ApplyRecords([]wal.Record{{LSN: w.NextLSN(), Delta: d}}, func(int) error {
+		_, err := w.AppendAsync(d)
+		return err
+	})
+	if err != nil {
+		return st, err
+	}
+	return st, w.WaitDurable(st.LSN)
+}
+
 // writePaths are the two ways an engine and its log advance together: a
 // record logged first and applied at its LSN (what replay and followers
 // do), and a primary's own write path — the engine accepts the update,
-// the log numbers it (AppendAsync inside ApplyUpdateLogged), and the ack
+// the log numbers it (AppendAsync in ApplyRecords' hook), and the ack
 // waits for the fsync. Each returns the LSN the update landed at.
 var writePaths = []struct {
 	name  string
 	write func(*Engine, *wal.WAL, Delta) (UpdateStats, error)
 }{
 	{"append-then-apply", func(eng *Engine, w *wal.WAL, d Delta) (UpdateStats, error) {
-		lsn, err := w.Append(d)
+		lsn, err := appendDurable(w, d)
 		if err != nil {
 			return UpdateStats{}, err
 		}
 		return eng.ApplyRecords([]wal.Record{{LSN: lsn, Delta: d}}, nil)
 	}},
-	{"primary", func(eng *Engine, w *wal.WAL, d Delta) (UpdateStats, error) {
-		st, err := eng.ApplyUpdateLogged(d, func() (uint64, error) { return w.AppendAsync(d) })
-		if err != nil {
-			return st, err
-		}
-		return st, w.WaitDurable(st.LSN)
-	}},
+	{"primary", applyLogged},
 }
 
 // TestCrashRecoveryEqualsUninterrupted is the acceptance property of the
@@ -174,7 +192,7 @@ func crashRecovery(t *testing.T, trial int, write func(*Engine, *wal.WAL, Delta)
 	// A second crash-recovery from the post-recovery state keeps
 	// working: the reopened log accepts appends past the tail.
 	d := randomToyDelta(rng, rec.Graph().NumNodes(), fmt.Sprintf("cr%d-post", trial))
-	lsn, err := w2.Append(d)
+	lsn, err := appendDurable(w2, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +224,7 @@ func TestReplayWALRejectsTruncatedLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for step := 1; step <= 6; step++ {
 		d := randomToyDelta(rng, eng.Graph().NumNodes(), fmt.Sprintf("tr-%d", step))
-		lsn, err := w.Append(d)
+		lsn, err := appendDurable(w, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +272,7 @@ func TestReplayWALRejectsUnrecordedRejection(t *testing.T) {
 			bad,
 			{Nodes: []DeltaNode{{Type: "user", Value: "Ada"}}},
 		} {
-			if _, err := w.Append(d); err != nil {
+			if _, err := appendDurable(w, d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -294,7 +312,7 @@ func TestReplayWALAppliesRuns(t *testing.T) {
 	for i := 0; i < N; i++ {
 		n := NodeID(primary.Graph().NumNodes())
 		d := Delta{Nodes: []DeltaNode{{Type: "user", Value: fmt.Sprintf("run-%d", i)}}, Edges: []Edge{{U: n, V: college}}}
-		if _, err := primary.ApplyUpdateLogged(d, func() (uint64, error) { return w.Append(d) }); err != nil {
+		if _, err := applyLogged(primary, w, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,13 +344,13 @@ func TestReplayWALAppliesRuns(t *testing.T) {
 }
 
 // TestRefusedUpdateNeverLogged: the engine refuses an update before the
-// log numbers it. On the count-overflow fixture ApplyUpdateLogged refuses
-// without calling appendLog, and the log (next and durable LSN, directory
-// listing) and the engine (Stats, Save bytes) stay exactly as they were;
-// an appendLog that fails, or that returns an LSN not beyond the
-// engine's, publishes nothing; every accepted update lands
-// at the next contiguous LSN; and a crash recovers the live engine byte
-// for byte.
+// log numbers it. On the count-overflow fixture ApplyRecords refuses
+// without calling its append hook, and the log (next and durable LSN,
+// directory listing) and the engine (Stats, Save bytes) stay exactly as
+// they were; a hook that fails publishes nothing; a record at an LSN not
+// beyond the engine's is refused before the hook runs; every accepted
+// update lands at the next contiguous LSN; and a crash recovers the live
+// engine byte for byte.
 func TestRefusedUpdateNeverLogged(t *testing.T) {
 	snap, a, b := sharedSchool(t)
 	full := fixtures.WithEveryCount(t, snap, engine.SnapshotMagic, math.MaxUint32)
@@ -377,21 +395,23 @@ func TestRefusedUpdateNeverLogged(t *testing.T) {
 		}
 	}
 	calls := 0
-	appendLog := func(d Delta) func() (uint64, error) {
-		return func() (uint64, error) { calls++; return w.AppendAsync(d) }
+	appendLog := func(d Delta) func(int) error {
+		return func(int) error { calls++; _, err := w.AppendAsync(d); return err }
 	}
+	// logged is the primary's record for d: at the log's next LSN.
+	logged := func(d Delta) []wal.Record { return []wal.Record{{LSN: w.NextLSN(), Delta: d}} }
 	// refuse enrols A and B at one new school: every count it adds to is
 	// already 2^32-1.
 	refuse := func() {
 		t.Helper()
 		was := capture()
 		d := newSchools(eng.Graph(), 1, a, b)
-		_, err := eng.ApplyUpdateLogged(d, appendLog(d))
+		_, err := eng.ApplyRecords(logged(d), appendLog(d))
 		if err == nil || !strings.Contains(err.Error(), "overflow") {
 			t.Fatalf("overflowing update returned %v, want an overflow refusal", err)
 		}
 		if calls != 0 {
-			t.Fatalf("a refused update reached the log (%d appendLog calls)", calls)
+			t.Fatalf("a refused update reached the log (%d append hook calls)", calls)
 		}
 		unchanged("a refused update", was)
 	}
@@ -403,12 +423,12 @@ func TestRefusedUpdateNeverLogged(t *testing.T) {
 	accept := func(name string, want uint64) {
 		t.Helper()
 		d := newUser(name)
-		st, err := eng.ApplyUpdateLogged(d, appendLog(d))
+		st, err := eng.ApplyRecords(logged(d), appendLog(d))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if calls != 1 || st.LSN != want || eng.LSN() != want {
-			t.Fatalf("accepted update: %d appendLog calls, stats LSN %d, engine LSN %d; want 1, %d", calls, st.LSN, eng.LSN(), want)
+			t.Fatalf("accepted update: %d append hook calls, stats LSN %d, engine LSN %d; want 1, %d", calls, st.LSN, eng.LSN(), want)
 		}
 		if err := w.WaitDurable(st.LSN); err != nil {
 			t.Fatal(err)
@@ -419,14 +439,18 @@ func TestRefusedUpdateNeverLogged(t *testing.T) {
 	refuse()
 	was := capture()
 	diskFull := errors.New("disk full")
-	if _, err := eng.ApplyUpdateLogged(newUser("D"), func() (uint64, error) { return 0, diskFull }); !errors.Is(err, diskFull) {
-		t.Fatalf("failed appendLog returned %v, want %v", err, diskFull)
+	if _, err := eng.ApplyRecords(logged(newUser("D")), func(int) error { return diskFull }); !errors.Is(err, diskFull) {
+		t.Fatalf("failed append hook returned %v, want %v", err, diskFull)
 	}
 	unchanged("a failed append", was)
-	// A log that numbers a record at or below the engine's LSN is out of
-	// step with it: the engine publishes nothing.
-	if _, err := eng.ApplyUpdateLogged(newUser("D"), func() (uint64, error) { return eng.LSN(), nil }); err == nil {
-		t.Fatal("an LSN not beyond the engine's was published")
+	// A record at or below the engine's LSN is out of step with it: the
+	// engine refuses it before the hook runs, and publishes nothing.
+	d := newUser("D")
+	if _, err := eng.ApplyRecords([]wal.Record{{LSN: eng.LSN(), Delta: d}}, appendLog(d)); !errors.Is(err, engine.ErrRecordOrder) {
+		t.Fatalf("a record at the engine's LSN returned %v, want %v", err, engine.ErrRecordOrder)
+	}
+	if calls != 0 {
+		t.Fatalf("a record at a stale LSN reached the log (%d append hook calls)", calls)
 	}
 	unchanged("a stale log position", was)
 	accept("D", 1)
