@@ -21,18 +21,11 @@ import (
 // parameters loose enough to find M1–M4-style patterns.
 func toyEngine(t testing.TB) (*Engine, *Graph) {
 	t.Helper()
-	return toyEngineWith(t, func(*Options) {})
-}
-
-// toyEngineWith is toyEngine with its options edited before mining.
-func toyEngineWith(t testing.TB, edit func(*Options)) (*Engine, *Graph) {
-	t.Helper()
 	g := fixtures.Toy()
 	opts := DefaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
 	opts.Train.Restarts = 2
 	opts.Train.MaxIters = 200
-	edit(&opts)
 	eng, err := NewEngine(g, "user", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -150,10 +143,10 @@ func TestEngineDualStageMatchesLazily(t *testing.T) {
 
 // TestEngineParallelTrainDeterministic asserts that Options.Workers only
 // changes wall-clock, never results: training is seeded and the parallel
-// matching merge is ordered by metagraph offset, so learned weights and
-// rankings must match the serial build exactly.
+// matching merge is ordered by metagraph offset, so learned weights,
+// rankings and snapshot bytes must match the serial build exactly.
 func TestEngineParallelTrainDeterministic(t *testing.T) {
-	weightsFor := func(workers int) ([]float64, []Ranked) {
+	weightsFor := func(workers int) ([]float64, []Ranked, []byte) {
 		g := fixtures.Toy()
 		opts := DefaultOptions()
 		opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
@@ -169,11 +162,18 @@ func TestEngineParallelTrainDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng.Weights("classmate"), res
+		var snap bytes.Buffer
+		if err := eng.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Weights("classmate"), res, snap.Bytes()
 	}
-	wantW, wantR := weightsFor(1)
+	wantW, wantR, wantSnap := weightsFor(1)
 	for _, workers := range []int{2, 8} {
-		gotW, gotR := weightsFor(workers)
+		gotW, gotR, gotSnap := weightsFor(workers)
+		if !bytes.Equal(gotSnap, wantSnap) {
+			t.Fatalf("workers=%d: Save wrote other bytes than workers=1", workers)
+		}
 		if len(gotW) != len(wantW) {
 			t.Fatalf("workers=%d: %d weights, want %d", workers, len(gotW), len(wantW))
 		}
@@ -287,23 +287,6 @@ func TestEngineQueryDuringTrain(t *testing.T) {
 	}
 }
 
-func TestEngineLogTransform(t *testing.T) {
-	g := fixtures.Toy()
-	opts := DefaultOptions()
-	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
-	opts.LogTransform = true
-	opts.Train.Restarts = 1
-	opts.Train.MaxIters = 50
-	eng, err := NewEngine(g, "user", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Train("any", classmateExamples(g))
-	if _, err := eng.Query("any", g.NodeByName("Kate"), 5); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGraphRoundTripViaFacade(t *testing.T) {
 	g := fixtures.Toy()
 	var buf bytes.Buffer
@@ -370,7 +353,7 @@ func TestQueryObservesCandidatesScanned(t *testing.T) {
 func TestOneIndexEqualsPerClassMerge(t *testing.T) {
 	toy, g := toyEngine(t)
 	toy.Train("classmate", classmateExamples(g))
-	hub, _ := hubEngine(t, 200, false)
+	hub, _ := hubEngine(t, 200)
 	for name, eng := range map[string]*Engine{"toy": toy, "hub": hub} {
 		g := eng.Graph()
 		users := g.NodesOfType(g.Types().ID("user"))

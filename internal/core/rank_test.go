@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -111,39 +110,29 @@ func randomWeights(rng *rand.Rand, n int) []float64 {
 	return w
 }
 
-// scanInput is one index reading and one weight vector to rank under.
-type scanInput struct {
-	ix *index.Index
-	w  []float64
-}
-
-// scanInputs are the readings and weights the identity properties run
-// under: on the raw counts, random weights and the sparse ones whose
-// zero-weight metagraphs a scan skips — all zero, one-hot at every
-// metagraph, every other metagraph zeroed — and through a log1p transform,
-// random and every-other-zeroed weights.
-func scanInputs(rng *rand.Rand, ix *index.Index) []scanInput {
-	n := ix.NumMeta()
+// scanWeights are the weights the identity properties run under: random
+// weights and the sparse ones whose zero-weight metagraphs a scan skips —
+// all zero, every other metagraph zeroed, one-hot at every metagraph.
+func scanWeights(rng *rand.Rand, n int) [][]float64 {
 	random, half := randomWeights(rng, n), randomWeights(rng, n)
 	for i := 0; i < n; i += 2 {
 		half[i] = 0
 	}
-	log1p := ix.Transform(math.Log1p)
-	in := []scanInput{{ix, random}, {ix, make([]float64, n)}, {ix, half}, {log1p, random}, {log1p, half}}
+	ws := [][]float64{random, make([]float64, n), half}
 	for i := 0; i < n; i++ {
 		oneHot := make([]float64, n)
 		oneHot[i] = 1
-		in = append(in, scanInput{ix, oneHot})
+		ws = append(ws, oneHot)
 	}
-	return in
+	return ws
 }
 
 // TestRankTopMatchesNaive is the identity property of the candidate scan:
 // on random graphs — sparse ones with ties and short lists, dense ones
 // with hundreds of candidates — under random weights and the sparse ones
-// whose zero-weight metagraphs the scan skips, on raw counts and through a
-// transform, RankTop and Rank equal the naive reference node-for-node and
-// score-bit-for-bit, for every k, for anchor and non-anchor queries alike.
+// whose zero-weight metagraphs the scan skips, RankTop and Rank equal the
+// naive reference node-for-node and score-bit-for-bit, for every k, for
+// anchor and non-anchor queries alike.
 func TestRankTopMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -155,11 +144,11 @@ func TestRankTopMatchesNaive(t *testing.T) {
 			g     *graph.Graph
 			ix    *index.Index
 		}{{"sparse", sparseG, sparseIx}, {"dense", denseG, denseIx}} {
-			for _, in := range scanInputs(rng, c.ix) {
+			for _, w := range scanWeights(rng, c.ix.NumMeta()) {
 				// Every node is a legal query: attribute nodes are never a
 				// symmetric anchor and must rank nothing.
 				for q := graph.NodeID(0); int(q) < c.g.NumNodes(); q++ {
-					checkRankIdentity(t, fmt.Sprintf("%s w=%v", c.label, in.w), c.g, in.ix, in.w, q)
+					checkRankIdentity(t, fmt.Sprintf("%s w=%v", c.label, w), c.g, c.ix, w, q)
 				}
 			}
 		}
@@ -201,8 +190,7 @@ func TestRankTopDegenerate(t *testing.T) {
 // TestRankTopOnPatchedIndex runs the identity property through a patch:
 // after a graph delta, the patched index and a from-scratch index of the
 // final graph both rank exactly as the naive
-// reference does, under the same weights and readings as
-// TestRankTopMatchesNaive.
+// reference does, under the same weights as TestRankTopMatchesNaive.
 func TestRankTopOnPatchedIndex(t *testing.T) {
 	mk := func(g *graph.Graph) match.Matcher { return match.NewSymISO(g) }
 	for seed := int64(1); seed <= 6; seed++ {
@@ -237,9 +225,9 @@ func TestRankTopOnPatchedIndex(t *testing.T) {
 			{"patched", patched},
 			{"scratch", buildIndex(ng, ms)},
 		} {
-			for _, in := range scanInputs(rng, c.ix) {
+			for _, w := range scanWeights(rng, c.ix.NumMeta()) {
 				for q := graph.NodeID(0); int(q) < ng.NumNodes(); q++ {
-					checkRankIdentity(t, fmt.Sprintf("%s w=%v", c.label, in.w), ng, in.ix, in.w, q)
+					checkRankIdentity(t, fmt.Sprintf("%s w=%v", c.label, w), ng, c.ix, w, q)
 				}
 			}
 		}

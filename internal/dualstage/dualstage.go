@@ -13,6 +13,7 @@ package dualstage
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -73,11 +74,6 @@ func CandidateScores(ms []*metagraph.Metagraph, seedIdx []int, w0 []float64, rev
 type Options struct {
 	// NumCandidates is |K|, the number of non-seed metagraphs to match.
 	NumCandidates int
-	// Stages splits candidate selection into this many progressive batches
-	// (the multi-stage extension of Sect. III-C); each batch re-scores the
-	// remaining metagraphs with the weights learned so far. 1 reproduces
-	// Alg. 1 exactly.
-	Stages int
 	// Reverse selects candidates by ascending H (the RCH control).
 	Reverse bool
 	// Train configures both training runs.
@@ -86,7 +82,7 @@ type Options struct {
 
 // Default returns Alg. 1 with the paper's training setup.
 func Default(numCandidates int) Options {
-	return Options{NumCandidates: numCandidates, Stages: 1, Train: core.DefaultTrain()}
+	return Options{NumCandidates: numCandidates, Train: core.DefaultTrain()}
 }
 
 // Result reports the trained model and which metagraphs were
@@ -99,45 +95,28 @@ type Result struct {
 	SeedW   []float64   // seed-stage weights w0, aligned with SeedIdx
 }
 
-// Run runs Alg. 1 (or its multi-stage extension) over the metagraph
-// set ms: seed stage on the metapaths, candidate selection by H, final
-// training on K0 ∪ K.
+// Run runs Alg. 1 over the metagraph set ms: seed stage on the metapaths,
+// one selection of the |K| candidates by H under w0, final training on
+// K0 ∪ K.
 func Run(ms []*metagraph.Metagraph, matchFn MatchFunc, examples []core.Example, opts Options) *Result {
-	opts.Stages = max(opts.Stages, 1)
 	res := &Result{SeedIdx: core.Seeds(ms)}
 
 	// Seed stage: match K0, train w0.
-	seedIx := matchFn(res.SeedIdx)
-	seedModel := core.Train(seedIx, examples, opts.Train)
-	res.SeedW = seedModel.W
+	seedModel := core.Train(matchFn(res.SeedIdx), examples, opts.Train)
+	res.SeedW, res.Model = seedModel.W, seedModel
 
-	// Candidate stage(s): progressively grow K, rescoring with the weights
-	// learned so far (stage 1 uses w0, reproducing Alg. 1).
-	kept := append([]int(nil), res.SeedIdx...)
-	keptW := append([]float64(nil), seedModel.W...)
-	remainingBudget := opts.NumCandidates
-	finalModel := seedModel
-	for s := 0; s < opts.Stages && remainingBudget > 0; s++ {
-		batch := remainingBudget / (opts.Stages - s)
-		if batch == 0 {
-			batch = remainingBudget
-		}
-		scores := CandidateScores(ms, kept, keptW, opts.Reverse)
-		if len(scores) == 0 {
-			break
-		}
-		batch = min(batch, len(scores))
-		for _, sc := range scores[:batch] {
+	// Candidate stage: the |K| best by H, then training on K0 ∪ K.
+	res.Kept = slices.Clone(res.SeedIdx)
+	if opts.NumCandidates > 0 {
+		scores := CandidateScores(ms, res.SeedIdx, seedModel.W, opts.Reverse)
+		for _, sc := range scores[:min(opts.NumCandidates, len(scores))] {
 			res.CandIdx = append(res.CandIdx, sc.Index)
-			kept = append(kept, sc.Index)
+			res.Kept = append(res.Kept, sc.Index)
 		}
-		remainingBudget -= batch
-
-		finalModel = core.Train(matchFn(kept), examples, opts.Train)
-		keptW = finalModel.W
 	}
-	res.Kept = kept
-	res.Model = finalModel
+	if len(res.CandIdx) > 0 {
+		res.Model = core.Train(matchFn(res.Kept), examples, opts.Train)
+	}
 	return res
 }
 

@@ -138,23 +138,28 @@ func TestDualStage(t *testing.T) {
 	}
 }
 
-func TestDualStageMultiStage(t *testing.T) {
+// TestDualStageCandidateBudget: Run selects |K| candidates once, capped at
+// the non-seed metagraphs there are. With |K| = 0 it matches the seeds
+// alone and keeps the seed model; otherwise it matches twice, the second
+// time K0 ∪ K.
+func TestDualStageCandidateBudget(t *testing.T) {
 	g, ix := toyIndex(t)
-	kate := g.NodeByName("Kate")
-	jay := g.NodeByName("Jay")
-	alice := g.NodeByName("Alice")
-	ms := fixtures.All()
-	matchFn := func(indices []int) *index.Index { return ix.Project(indices) }
-	ex := []core.Example{{Q: kate, X: jay, Y: alice}}
-	opts := Default(3)
-	opts.Stages = 3
-	opts.Train.Restarts = 1
-	res := Run(ms, matchFn, ex, opts)
-	if len(res.CandIdx) != 3 {
-		t.Fatalf("multi-stage CandIdx = %v", res.CandIdx)
-	}
-	if len(res.Kept) != 4 {
-		t.Fatalf("multi-stage Kept = %v", res.Kept)
+	ex := []core.Example{{Q: g.NodeByName("Kate"), X: g.NodeByName("Jay"), Y: g.NodeByName("Alice")}}
+	for _, c := range []struct{ k, cands, calls int }{{0, 0, 1}, {3, 3, 2}, {10, 3, 2}} {
+		calls := 0
+		matchFn := func(indices []int) *index.Index {
+			calls++
+			return ix.Project(indices)
+		}
+		opts := Default(c.k)
+		opts.Train.Restarts = 1
+		res := Run(fixtures.All(), matchFn, ex, opts)
+		if len(res.CandIdx) != c.cands || len(res.Kept) != 1+c.cands || calls != c.calls {
+			t.Fatalf("|K|=%d: CandIdx %v, Kept %v, %d match calls; want %d candidates, %d calls", c.k, res.CandIdx, res.Kept, calls, c.cands, c.calls)
+		}
+		if c.k == 0 && !slices.Equal(res.Model.W, res.SeedW) {
+			t.Fatalf("|K|=0: model %v, want the seed weights %v", res.Model.W, res.SeedW)
+		}
 	}
 }
 

@@ -288,7 +288,7 @@ func BenchmarkApplyUpdate(b *testing.B) {
 		b.ReportMetric(float64(enumerated), "enumerated/op")
 	}
 	b.Run("hub", func(b *testing.B) {
-		eng, hub := hubEngine(b, 600, false)
+		eng, hub := hubEngine(b, 600)
 		joins(b, eng, hub)
 	})
 	for _, sh := range snapShapes {

@@ -8,7 +8,6 @@ package engine
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,38 +34,9 @@ type Options struct {
 	// identical for every worker count. Queries never fan out: a ranked
 	// read is one short serial scan on the caller's goroutine. Mining is
 	// not bounded by Workers: it fans out over runtime.GOMAXPROCS(0), and
-	// its output is the same at any CPU count.
-	Workers int
-	// LogTransform reads the metagraph vectors as log(1+count), the count
-	// transform suggested in Sect. II-A. The index stores raw counts either
-	// way and applies it as each value is read. Off by default.
-	LogTransform bool
-}
-
-// countTransform is what the engine's index reads its counts through: log1p
-// when LogTransform is set, the count itself otherwise.
-func (o Options) countTransform() func(float64) float64 {
-	if o.LogTransform {
-		return log1pCount
-	}
-	return nil
-}
-
-// log1pSmall holds math.Log1p of the counts nearly every row holds (99.6 %
-// of them are below 128 at 5 000 users), so that reading one costs a lookup.
-var log1pSmall = func() (t [256]float64) {
-	for c := range t {
-		t[c] = math.Log1p(float64(c))
-	}
-	return t
-}()
-
-// log1pCount is math.Log1p of an instance count, bit for bit.
-func log1pCount(c float64) float64 {
-	if c < float64(len(log1pSmall)) {
-		return log1pSmall[int(c)]
-	}
-	return math.Log1p(c)
+	// its output is the same at any CPU count. A snapshot does not store it:
+	// a loaded engine matches with one worker per CPU of its own host.
+	Workers int `json:"-"`
 }
 
 // Engine is the end-to-end semantic proximity search system.
@@ -190,9 +160,8 @@ func (e *Engine) NumMetagraphs() int { return len(e.ms) }
 // index.MatchParts (one private matcher per worker), and merges them into
 // the index at their slots. It returns the index and matched set with every
 // requested slot populated — the ones passed in when nothing was missing,
-// copies otherwise (epochs are immutable; the caller publishes the copies),
-// the index reading its counts through Options' transform. Callers hold
-// e.mu.
+// copies otherwise (epochs are immutable; the caller publishes the copies).
+// Callers hold e.mu.
 //
 // index.MatchParts cannot fail: its only returns are the part indices
 // (one per input metagraph, always populated) and the per-metagraph
@@ -219,7 +188,7 @@ func (e *Engine) matchMissing(g *graph.Graph, ix *index.Index, matched []bool, i
 	for _, i := range missing {
 		matched[i] = true
 	}
-	return ix.AddParts(missing, parts).Transform(e.opts.countTransform()), matched
+	return ix.AddParts(missing, parts), matched
 }
 
 // MatchedCount reports how many metagraphs the serving epoch holds: matched,
@@ -334,7 +303,7 @@ func (e *Engine) Train(class string, examples []core.Example) {
 		}
 	}
 	parts := index.RootedParts(ms, func() *match.SymISO { return match.NewSymISO(ep.g) }, e.opts.Workers, keys)
-	rows := ep.ix.Select(keys).AddParts(missing, parts).Transform(e.opts.countTransform())
+	rows := ep.ix.Select(keys).AddParts(missing, parts)
 	all := make([]int, len(e.ms))
 	for i := range all {
 		all[i] = i

@@ -19,86 +19,81 @@ import (
 // TestDenominatorsCarriedEqualScratch is the property behind scanning with
 // precomputed denominators: whatever path published the epoch — training,
 // an update that patches node rows and adds nodes, a patch over a patch, a
-// coalesced batch, a hub update, a snapshot load; raw and
-// log-transformed counts — the vector the class carries is the vector a
-// recompute gives, so no score moves a bit.
+// coalesced batch, a hub update, a snapshot load — the vector the class
+// carries is the vector a recompute gives, so no score moves a bit.
 func TestDenominatorsCarriedEqualScratch(t *testing.T) {
-	for _, logTransform := range []bool{false, true} {
-		tag := fmt.Sprintf("toy, log %v", logTransform)
-		g := fixtures.Toy()
-		opts := defaultOptions()
-		opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
-		opts.Train.Restarts, opts.Train.MaxIters = 1, 50
-		opts.LogTransform = logTransform
-		eng, err := newEngine(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Train("classmate", classmateExamples(g))
-		trainDualStage(eng, "classmate2", classmateExamples(g), 2)
-		checkDenominators(t, eng, tag+" (trained)")
-
-		// Each delta enrols new users at a school of the toy graph, so each
-		// adds nodes and moves the node rows of that school's students: a
-		// carry over a trained base, then two over earlier patches.
-		rng := rand.New(rand.NewSource(21))
-		for step, school := range []string{"College A", "College B", "College A"} {
-			before := eng.cur.Load().classes["classmate"].dots
-			n := graph.NodeID(eng.Graph().NumNodes())
-			d := randomToyDelta(rng, int(n)+1, fmt.Sprintf("den-%d", step))
-			d.Nodes = append([]graph.DeltaNode{{Type: "user", Value: fmt.Sprintf("den-user-%d", step)}}, d.Nodes...)
-			d.Edges = append(d.Edges, graph.Edge{U: n, V: g.NodeByName(school)}, graph.Edge{U: n, V: g.NodeByName("Economics")})
-			if _, err := eng.ApplyUpdate(d); err != nil {
-				t.Fatal(err)
-			}
-			if slices.Equal(before, eng.cur.Load().classes["classmate"].dots[:len(before)]) {
-				t.Fatalf("%s: update %d moved no denominator; the carry was not exercised", tag, step)
-			}
-			checkDenominators(t, eng, fmt.Sprintf("%s (update %d)", tag, step))
-		}
-		n, lsn, college := graph.NodeID(eng.Graph().NumNodes()), eng.LSN(), g.NodeByName("College A")
-		if _, err := eng.ApplyRecords([]wal.Record{
-			{LSN: lsn + 1, Delta: graph.Delta{Nodes: []graph.DeltaNode{{Type: "user", Value: "den-a"}}, Edges: []graph.Edge{{U: n, V: college}}}},
-			{LSN: lsn + 2, Delta: graph.Delta{Nodes: []graph.DeltaNode{{Type: "user", Value: "den-b"}}, Edges: []graph.Edge{{U: n + 1, V: college}}}},
-		}, nil); err != nil {
-			t.Fatal(err)
-		}
-		checkDenominators(t, eng, tag+" (coalesced batch)")
-		checkDenominators(t, eng, tag+" (coalesced batch, again)")
-
-		var buf bytes.Buffer
-		if err := eng.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadEngine(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkDenominators(t, loaded, tag+" (loaded)")
-		// Proximity is scale-invariant and the toy's counts are nearly all 1,
-		// so the answers barely tell log1p from raw counts; the denominators,
-		// m_v·w by node, do: the loaded engine carries the saved ones.
-		if got, want := loaded.cur.Load().classes["classmate"].dots, eng.cur.Load().classes["classmate"].dots; !slices.Equal(got, want) {
-			t.Fatalf("%s: loaded denominators %v, want %v", tag, got, want)
-		}
-		if _, err := loaded.ApplyUpdate(randomToyDelta(rng, loaded.Graph().NumNodes(), "den-loaded")); err != nil {
-			t.Fatal(err)
-		}
-		checkDenominators(t, loaded, tag+" (loaded, updated)")
-
-		hubEng, hub := hubEngine(t, 200, logTransform)
-		m := graph.NodeID(hubEng.Graph().NumNodes())
-		for i, d := range []graph.Delta{
-			{Nodes: []graph.DeltaNode{{Type: "user"}}, Edges: []graph.Edge{{U: m, V: hub}}},
-			{Edges: []graph.Edge{{U: hubEng.Graph().NodesOfType(hubEng.Graph().Types().ID("user"))[0], V: hub}, {U: m, V: hub}}},
-		} {
-			if _, err := hubEng.ApplyUpdate(d); err != nil {
-				t.Fatal(err)
-			}
-			checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (update %d)", logTransform, i))
-		}
-		checkDenominators(t, hubEng, fmt.Sprintf("hub, log %v (updated)", logTransform))
+	const tag = "toy"
+	g := fixtures.Toy()
+	opts := defaultOptions()
+	opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
+	opts.Train.Restarts, opts.Train.MaxIters = 1, 50
+	eng, err := newEngine(g, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	eng.Train("classmate", classmateExamples(g))
+	trainDualStage(eng, "classmate2", classmateExamples(g), 2)
+	checkDenominators(t, eng, tag+" (trained)")
+
+	// Each delta enrols new users at a school of the toy graph, so each
+	// adds nodes and moves the node rows of that school's students: a
+	// carry over a trained base, then two over earlier patches.
+	rng := rand.New(rand.NewSource(21))
+	for step, school := range []string{"College A", "College B", "College A"} {
+		before := eng.cur.Load().classes["classmate"].dots
+		n := graph.NodeID(eng.Graph().NumNodes())
+		d := randomToyDelta(rng, int(n)+1, fmt.Sprintf("den-%d", step))
+		d.Nodes = append([]graph.DeltaNode{{Type: "user", Value: fmt.Sprintf("den-user-%d", step)}}, d.Nodes...)
+		d.Edges = append(d.Edges, graph.Edge{U: n, V: g.NodeByName(school)}, graph.Edge{U: n, V: g.NodeByName("Economics")})
+		if _, err := eng.ApplyUpdate(d); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Equal(before, eng.cur.Load().classes["classmate"].dots[:len(before)]) {
+			t.Fatalf("%s: update %d moved no denominator; the carry was not exercised", tag, step)
+		}
+		checkDenominators(t, eng, fmt.Sprintf("%s (update %d)", tag, step))
+	}
+	n, lsn, college := graph.NodeID(eng.Graph().NumNodes()), eng.LSN(), g.NodeByName("College A")
+	if _, err := eng.ApplyRecords([]wal.Record{
+		{LSN: lsn + 1, Delta: graph.Delta{Nodes: []graph.DeltaNode{{Type: "user", Value: "den-a"}}, Edges: []graph.Edge{{U: n, V: college}}}},
+		{LSN: lsn + 2, Delta: graph.Delta{Nodes: []graph.DeltaNode{{Type: "user", Value: "den-b"}}, Edges: []graph.Edge{{U: n + 1, V: college}}}},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkDenominators(t, eng, tag+" (coalesced batch)")
+	checkDenominators(t, eng, tag+" (coalesced batch, again)")
+
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDenominators(t, loaded, tag+" (loaded)")
+	// The denominators, m_v·w by node, are derived again on load: the
+	// loaded engine carries the saved ones bit for bit.
+	if got, want := loaded.cur.Load().classes["classmate"].dots, eng.cur.Load().classes["classmate"].dots; !slices.Equal(got, want) {
+		t.Fatalf("%s: loaded denominators %v, want %v", tag, got, want)
+	}
+	if _, err := loaded.ApplyUpdate(randomToyDelta(rng, loaded.Graph().NumNodes(), "den-loaded")); err != nil {
+		t.Fatal(err)
+	}
+	checkDenominators(t, loaded, tag+" (loaded, updated)")
+
+	hubEng, hub := hubEngine(t, 200)
+	m := graph.NodeID(hubEng.Graph().NumNodes())
+	for i, d := range []graph.Delta{
+		{Nodes: []graph.DeltaNode{{Type: "user"}}, Edges: []graph.Edge{{U: m, V: hub}}},
+		{Edges: []graph.Edge{{U: hubEng.Graph().NodesOfType(hubEng.Graph().Types().ID("user"))[0], V: hub}, {U: m, V: hub}}},
+	} {
+		if _, err := hubEng.ApplyUpdate(d); err != nil {
+			t.Fatal(err)
+		}
+		checkDenominators(t, hubEng, fmt.Sprintf("hub (update %d)", i))
+	}
+	checkDenominators(t, hubEng, "hub (updated)")
 }
 
 // TestPublishedEpochsNeedNoReaderBuild pins who derives the classes'
@@ -300,11 +295,11 @@ func TestPrunedEqualsUnpruned(t *testing.T) {
 }
 
 // TestUnlog1pRecoversCounts keeps its name and pins the fact that replaced
-// recovering a count from a stored log1p value: the index stores counts, so
-// on a LogTransform engine gains that land on a count c
-// read back bit for bit as math.Log1p(float64(c+g)) — for c and g on both
-// sides of the varint byte boundaries (127/128, 16383/16384) and sums up to
-// 2^32-1, through a snapshot and an update.
+// recovering a count from a stored log1p value: the index stores counts and
+// reads them as they are, so gains g that land on a count c read back as
+// exactly c+g — for c and g on both sides of the varint byte boundaries
+// (127/128, 16383/16384) and sums up to 2^32-1, through a snapshot and an
+// update.
 func TestUnlog1pRecoversCounts(t *testing.T) {
 	snap, a, b := sharedSchool(t)
 	for _, g := range []uint64{1, 127, 128, 16383, 16384} {
@@ -317,7 +312,7 @@ func TestUnlog1pRecoversCounts(t *testing.T) {
 				t.Fatalf("c=%d g=%d: %v", c, g, err)
 			}
 			ix := eng.cur.Load().ix
-			want := math.Float64bits(math.Log1p(float64(c + g)))
+			want := float64(c + g)
 			if eng.MatchedCount() == 0 {
 				t.Fatal("no metagraph matched")
 			}
@@ -326,8 +321,8 @@ func TestUnlog1pRecoversCounts(t *testing.T) {
 					continue
 				}
 				for name, v := range map[string]index.SparseVec{"m_A": ix.NodeVec(a), "m_B": ix.NodeVec(b), "m_AB": ix.PairVec(a, b)} {
-					if got := v.Get(i); math.Float64bits(got) != want {
-						t.Fatalf("c=%d g=%d: %s[%d] reads %v, want log1p(%d) = %v", c, g, name, i, got, c+g, math.Log1p(float64(c+g)))
+					if got := v.Get(i); got != want {
+						t.Fatalf("c=%d g=%d: %s[%d] reads %v, want %d", c, g, name, i, got, c+g)
 					}
 				}
 			}

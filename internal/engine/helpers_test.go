@@ -254,13 +254,12 @@ func checkDenominators(t *testing.T, e *Engine, tag string) {
 // hubEngine trains one class on a small LinkedIn-shaped graph, whose
 // college, employer and location nodes are hubs, and returns the engine
 // with the graph's highest-degree node.
-func hubEngine(t testing.TB, users int, logTransform bool) (*Engine, graph.NodeID) {
+func hubEngine(t testing.TB, users int) (*Engine, graph.NodeID) {
 	t.Helper()
 	ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 4, NoiseRate: 0.05})
 	opts := defaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 5}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 40
-	opts.LogTransform = logTransform
 	eng, err := newEngine(ds.G, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +278,7 @@ func hubEngine(t testing.TB, users int, logTransform bool) (*Engine, graph.NodeI
 	return eng, hub
 }
 
-// sharedSchool is a LogTransform engine over fixtures.SharedSchool,
+// sharedSchool is an engine over fixtures.SharedSchool,
 // trained so that the user–school–user metapath is matched, with its
 // snapshot. Every count of its index is 1: m_A, m_B and m_AB of that
 // metapath.
@@ -289,7 +288,6 @@ func sharedSchool(t *testing.T) (snap []byte, a, b graph.NodeID) {
 	opts := defaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 5
-	opts.LogTransform = true
 	eng, err := newEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ import (
 
 // SnapshotMagic opens every snapshot stream; it and the header types are
 // exported for the tests that take snapshots apart.
-const SnapshotMagic = "SPXS\x0a"
+const SnapshotMagic = "SPXS\x0b"
 
 // SnapshotMetagraph rebuilds one metagraph via metagraph.New.
 type SnapshotMetagraph struct {
@@ -206,8 +206,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if ep.ix, err = index.Decode(fr, g.NumNodes()); err != nil {
 		return nil, fmt.Errorf("semprox: snapshot index: %w", err)
 	}
-	// The section holds raw counts; the header says how they are read.
-	ep.ix = ep.ix.Transform(h.Opts.countTransform())
 	if ep.ix.NumMeta() != len(e.ms) {
 		return nil, fmt.Errorf("semprox: snapshot index spans %d metagraphs, want %d", ep.ix.NumMeta(), len(e.ms))
 	}

@@ -79,7 +79,6 @@ func (s *Suite) dualStageSweepUncached(name, class string, reverse bool) []dualS
 			} else {
 				opts := dualstage.Options{
 					NumCandidates: k,
-					Stages:        1,
 					Reverse:       reverse,
 					Train:         s.Cfg.Train,
 				}

@@ -443,8 +443,8 @@ type Accumulator struct {
 
 	// slot holds a partial sum by node id. A slot belongs to this scan when
 	// its stamp is gen, so a scan starts without clearing anything, and a
-	// sum that stays 0 (a negative weight, a transform reading 0) still
-	// marks its partner reached.
+	// sum that comes to 0 (weights of both signs cancelling) still marks its
+	// partner reached.
 	slot  []accSlot
 	gen   uint32
 	spans []span
@@ -460,12 +460,11 @@ type accSlot struct {
 var accumulators = sync.Pool{New: func() any { return new(Accumulator) }}
 
 // Accumulate scans the runs of q whose metagraph w weighs (w[m] != 0),
-// adding count·w[m] — the count read through the index's transform — into
-// the partial sum of each posting's partner, runs in ascending metagraph
-// order. Each sum then equals the pair row's SparseVec.Dot(w) bit for bit
-// (see the note at the top of this file). The result comes from a pool and
-// is valid until Release; once the pooled accumulator has grown to the
-// index's node span, a scan allocates nothing.
+// adding count·w[m] into the partial sum of each posting's partner, runs in
+// ascending metagraph order. Each sum then equals the pair row's
+// SparseVec.Dot(w) bit for bit (see the note at the top of this file). The
+// result comes from a pool and is valid until Release; once the pooled
+// accumulator has grown to the index's node span, a scan allocates nothing.
 func (ix *Index) Accumulate(q graph.NodeID, w []float64) *Accumulator {
 	acc := accumulators.Get().(*Accumulator)
 	if len(acc.slot) < len(ix.spans) {
@@ -476,7 +475,7 @@ func (ix *Index) Accumulate(q graph.NodeID, w []float64) *Accumulator {
 		acc.gen = 1
 	}
 	acc.Query, acc.spans, acc.ix = q, ix.spans, ix
-	slot, touched, gen, f := acc.slot, acc.Touched[:0], acc.gen, ix.f
+	slot, touched, gen := acc.slot, acc.Touched[:0], acc.gen
 	rs := &ix.flat
 	lo, hi := rs.runs(q)
 	for r := lo; r < hi; r++ {
@@ -485,16 +484,12 @@ func (ix *Index) Accumulate(q graph.NodeID, w []float64) *Accumulator {
 			continue
 		}
 		for _, p := range rs.postings(r) {
-			c := float64(p.count)
-			if f != nil {
-				c = f(c)
-			}
 			s := &slot[p.node]
 			if s.gen != gen {
 				*s = accSlot{0, gen}
 				touched = append(touched, p.node)
 			}
-			s.sum += c * wm
+			s.sum += float64(p.count) * wm
 		}
 	}
 	acc.Touched = touched
@@ -516,7 +511,7 @@ func (acc *Accumulator) QueryVec() SparseVec {
 // NodeVec returns m_v of a node v below the index's NodeSpan — every
 // touched partner is: the entries Index.NodeVec(v) finds by key.
 func (acc *Accumulator) NodeVec(v graph.NodeID) SparseVec {
-	return SparseVec{acc.spans[v].of(acc.ix.mx.ent), acc.ix.f}
+	return SparseVec{acc.spans[v].of(acc.ix.mx.ent)}
 }
 
 // Release returns the accumulator to the pool. It must not be used
@@ -537,7 +532,7 @@ func (ix *Index) NodeSpan() int { return len(ix.spans) }
 func (ix *Index) NodeDots(w []float64) []float64 {
 	dots := make([]float64, len(ix.spans))
 	for v, s := range ix.spans {
-		dots[v] = SparseVec{s.of(ix.mx.ent), ix.f}.Dot(w)
+		dots[v] = SparseVec{s.of(ix.mx.ent)}.Dot(w)
 	}
 	return dots
 }

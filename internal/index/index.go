@@ -12,8 +12,7 @@
 // keyed by PairKey exist only in flight — counted and gained — and become
 // runs in buildRuns; on the wire each node's runs above it stand for them
 // (io.go). Every entry
-// holds a raw instance count; a transform of the counts is a property of
-// the index, applied as a value is read (Transform, SparseVec).
+// holds a raw instance count, and a value read is that count.
 package index
 
 import (
@@ -50,20 +49,15 @@ func (k PairKey) String() string {
 }
 
 // Entry is one non-zero coordinate of a sparse metagraph vector: the raw
-// instance count of Eq. 1–2. Whatever transform the index applies is applied
-// when the value is read (SparseVec), never stored.
+// instance count of Eq. 1–2.
 type Entry struct {
 	Meta  int32  // metagraph index within M
 	Count uint32 // instance count, at least 1
 }
 
-// SparseVec is one row of the index, sorted by Meta: its raw counts and the
-// transform its index reads them through (nil: the count itself). Dot, Get
-// and At are the only readers of a value, so the choice between raw and
-// transformed is made once per row.
+// SparseVec is one row of the index, sorted by Meta: a value is its count.
 type SparseVec struct {
 	ent []Entry
-	f   func(float64) float64
 }
 
 // compareEntryMeta orders entries by metagraph index.
@@ -75,31 +69,16 @@ func (v SparseVec) Len() int { return len(v.ent) }
 // At returns the metagraph and value of coordinate i, 0 <= i < Len.
 func (v SparseVec) At(i int) (meta int, val float64) {
 	e := v.ent[i]
-	if v.f == nil {
-		return int(e.Meta), float64(e.Count)
-	}
-	return int(e.Meta), v.f(float64(e.Count))
+	return int(e.Meta), float64(e.Count)
 }
 
-// Dot returns v · w for a dense weight vector w indexed by metagraph. The
-// raw loop is the scan every ranked read runs; Dot stays small enough for
-// the compiler to inline it there.
+// Dot returns v · w for a dense weight vector w indexed by metagraph. It is
+// the scan every ranked read runs; Dot stays small enough for the compiler
+// to inline it there.
 func (v SparseVec) Dot(w []float64) float64 {
-	if v.f == nil {
-		var s float64
-		for _, e := range v.ent {
-			s += float64(e.Count) * w[e.Meta]
-		}
-		return s
-	}
-	return dotThrough(v.ent, v.f, w)
-}
-
-// dotThrough is Dot of a row read through transform f.
-func dotThrough(ent []Entry, f func(float64) float64, w []float64) float64 {
 	var s float64
-	for _, e := range ent {
-		s += f(float64(e.Count)) * w[e.Meta]
+	for _, e := range v.ent {
+		s += float64(e.Count) * w[e.Meta]
 	}
 	return s
 }
@@ -177,10 +156,7 @@ func count32[K any](c uint64, meta int32, k K) uint32 {
 // lays out the runs, so no read ever builds anything.
 type Index struct {
 	numMeta int
-	// f is the transform every value is read through (nil: the raw count);
-	// the node table and the runs hold raw counts whatever it is.
-	f  func(float64) float64
-	mx csr[graph.NodeID]
+	mx      csr[graph.NodeID]
 	// flat holds every m_xy as partner runs (see adjacency.go).
 	flat adjRuns
 	// spans[v] is the position of m_v (the empty span when v has none). It
@@ -189,7 +165,7 @@ type Index struct {
 }
 
 // fromRows is the index of node rows mx and pair rows mxy over numMeta
-// metagraphs, reading raw counts; the pair rows are laid out as runs.
+// metagraphs; the pair rows are laid out as runs.
 func fromRows(numMeta int, mx csr[graph.NodeID], mxy *csr[PairKey]) *Index {
 	return (&Index{numMeta: numMeta, mx: mx, flat: buildRuns(mxy)}).finish()
 }
@@ -216,25 +192,25 @@ func (ix *Index) finish() *Index {
 func (ix *Index) NumMeta() int { return ix.numMeta }
 
 // NodeVec returns m_x (empty when x never occurs symmetrically), a view into
-// the index arena read through the index's transform.
+// the index arena.
 func (ix *Index) NodeVec(x graph.NodeID) SparseVec {
-	return SparseVec{ix.mx.row(x), ix.f}
+	return SparseVec{ix.mx.row(x)}
 }
 
-// PairVec returns m_xy (empty when x and y never co-occur symmetrically),
-// read through the index's transform. The row is gathered into a slice of
-// its own, the one allocation; PairDot reads the same coordinates without.
+// PairVec returns m_xy (empty when x and y never co-occur symmetrically).
+// The row is gathered into a slice of its own, the one allocation; PairDot
+// reads the same coordinates without.
 func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
-	return SparseVec{ix.pairRow(nil, x, y), ix.f}
+	return SparseVec{ix.pairRow(nil, x, y)}
 }
 
-// pairRow appends the raw row of pair {x, y} to dst.
+// pairRow appends the row of pair {x, y} to dst.
 func (ix *Index) pairRow(dst []Entry, x, y graph.NodeID) []Entry {
 	ix.pairCoords(x, y, nil, func(m int32, c uint32) { dst = append(dst, Entry{m, c}) })
 	return dst
 }
 
-// pairCoords yields the raw coordinates of m_xy but those w weighs 0 (nil:
+// pairCoords yields the coordinates of m_xy but those w weighs 0 (nil:
 // none), ascending by metagraph, searching the endpoint with more runs in
 // each run of the other: the same coordinates from either side.
 func (ix *Index) pairCoords(x, y graph.NodeID, w []float64, yield func(meta int32, count uint32)) {
@@ -259,13 +235,7 @@ func (ix *Index) pairCoords(x, y graph.NodeID, w []float64, yield func(meta int3
 // a zero there.
 func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
 	var s float64
-	ix.pairCoords(x, y, w, func(m int32, c uint32) {
-		v := float64(c)
-		if ix.f != nil {
-			v = ix.f(v)
-		}
-		s += v * w[m]
-	})
+	ix.pairCoords(x, y, w, func(m int32, c uint32) { s += float64(c) * w[m] })
 	return s
 }
 
@@ -297,17 +267,6 @@ func (ix *Index) MetaSupport() []bool {
 		used[m] = true
 	}
 	return used
-}
-
-// Transform returns the index with every value read as f(count); the paper
-// mentions log-style transforms of the raw counts (Sect. II-A). A nil f reads
-// the raw counts. The result shares everything with the receiver, which
-// holds raw counts either way, so it costs O(1); WithPatch, AddParts and
-// Project carry the transform forward.
-func (ix *Index) Transform(f func(float64) float64) *Index {
-	out := *ix
-	out.f = f
-	return &out
 }
 
 // Project returns a view of the index restricted to the metagraph subset
@@ -342,12 +301,11 @@ func (ix *Index) Restrict(keep []bool) *Index {
 }
 
 // remapped is the index with metagraph i renumbered remap[i] (-1 drops it)
-// in an index spanning numMeta metagraphs, read through the same transform.
+// in an index spanning numMeta metagraphs.
 func (ix *Index) remapped(numMeta int, remap []int32) *Index {
 	meta := func(m int32) int32 { return remap[m] }
 	return (&Index{
 		numMeta: numMeta,
-		f:       ix.f,
 		mx:      mergeCSR([]source[graph.NodeID]{{&ix.mx, meta}}),
 		flat:    ix.relaid(meta),
 	}).finish()
@@ -357,8 +315,7 @@ func (ix *Index) remapped(numMeta int, remap []int32) *Index {
 // renumbering metagraphs by concatenation: part k's metagraph j becomes
 // offset(k)+j. BuildParallel merges the parts its workers matched; an
 // engine adds parts to the index it already serves (AddParts), which is the
-// same routine with the index as one more input. The result reads raw
-// counts.
+// same routine with the index as one more input.
 func Merge(parts ...*Index) *Index {
 	slots := make([]int, len(parts))
 	n := 0
@@ -373,8 +330,7 @@ func Merge(parts ...*Index) *Index {
 // becomes metagraph slots[i]+j of the result, which spans as many
 // metagraphs as ix does. No two inputs may hold the same metagraph. The
 // receiver is unchanged, and the result
-// is the index one Builder fed every metagraph at its slot would freeze,
-// read through the receiver's transform (parts add counts, not values).
+// is the index one Builder fed every metagraph at its slot would freeze.
 func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	if len(parts) == 0 {
 		return ix
@@ -401,7 +357,7 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 			return refs
 		})
 	}
-	return (&Index{numMeta: ix.numMeta, f: ix.f, mx: mergeCSR(mx), flat: flat}).finish()
+	return (&Index{numMeta: ix.numMeta, mx: mergeCSR(mx), flat: flat}).finish()
 }
 
 // source is one input of mergeCSR: a table whose rows enter the merge with

@@ -191,41 +191,32 @@ func TestEntryIsEightBytes(t *testing.T) {
 	}
 }
 
-// TestTransform: a transform is how an index reads its counts, not a copy of
-// them. The transformed index shares the receiver's node table and runs
-// (which hold raw counts too), reads every value as f(count) bit for bit,
-// and carries f through WithPatch, AddParts, Project and Restrict;
-// the receiver still reads raw counts.
+// TestTransform keeps its name from the read-time count transform the index
+// no longer has: every value an index hands out is its stored count, bit
+// for bit, whichever constructor made the index — WithPatch, a Write/Read
+// round trip of the patched index, AddParts, Project and Restrict.
 func TestTransform(t *testing.T) {
 	g, ix := buildToyIndex(t)
 	kate := g.NodeByName("Kate")
 	jay := g.NodeByName("Jay")
-	tr := ix.Transform(math.Log1p)
-	if &tr.mx.ent[0] != &ix.mx.ent[0] || &tr.flat.post[0] != &ix.flat.post[0] || &tr.spans[0] != &ix.spans[0] {
-		t.Fatal("Transform copied what it can share")
+	if got := ix.PairVec(kate, jay).Get(0); got != 1 {
+		t.Fatalf("m_KateJay[0] = %v, want the count 1", got)
 	}
-	if got := tr.PairVec(kate, jay).Get(0); got != math.Log1p(1) {
-		t.Fatalf("transformed count = %v", got)
-	}
-	scanEverything(t, tr, g.NumNodes())
-	readsThrough(t, tr, math.Log1p)
-	readsThrough(t, ix, nil)
-	readsThrough(t, tr.Transform(nil), nil)
-	patched := mustPatch(t, tr, selfPatch(ix, g.NumNodes()))
-	// A patch lays its result out flat, so transforming the patched raw
-	// index after the fact must give the very storage patched carries f in.
-	compacted := mustPatch(t, ix, selfPatch(ix, g.NumNodes())).Transform(math.Log1p)
-	if !slices.Equal(compacted.mx.ent, patched.mx.ent) || !slices.Equal(compacted.flat.post, patched.flat.post) {
-		t.Fatal("patching then transforming lays out other counts than transforming then patching")
+	scanEverything(t, ix, g.NumNodes())
+	readsCounts(t, ix)
+	patched := mustPatch(t, ix, selfPatch(ix, g.NumNodes()))
+	compacted, err := Read(bytes.NewReader(writeBytes(t, patched)), g.NumNodes())
+	if err != nil {
+		t.Fatal(err)
 	}
 	for label, carried := range map[string]*Index{
 		"patched":    patched,
 		"compacted":  compacted,
-		"grown":      tr.AddParts(nil, nil),
+		"grown":      NewBuilder(6).Build().AddParts([]int{1}, []*Index{patched}),
 		"projected":  patched.Project([]int{2, 0}),
 		"restricted": patched.Restrict([]bool{true, false, true, true}),
 	} {
-		t.Run(label, func(t *testing.T) { readsThrough(t, carried, math.Log1p) })
+		t.Run(label, func(t *testing.T) { readsCounts(t, carried) })
 	}
 }
 
@@ -986,10 +977,9 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 // sameRow reports whether two rows hold the same raw entries.
 func sameRow(a, b SparseVec) bool { return slices.Equal(a.ent, b.ent) }
 
-// readsThrough holds every value ix hands out — At, Get and Dot, by key and
-// through a scan — bit for bit to f of the count stored (the count itself
-// for a nil f).
-func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
+// readsCounts holds every value ix hands out — At, Get and Dot, by key and
+// through a scan — bit for bit to the count stored.
+func readsCounts(t testing.TB, ix *Index) {
 	t.Helper()
 	w := make([]float64, ix.NumMeta())
 	for i := range w {
@@ -1000,9 +990,6 @@ func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
 		var dot float64
 		for i, e := range v.ent {
 			want := float64(e.Count)
-			if f != nil {
-				want = f(want)
-			}
 			dot += want * w[e.Meta]
 			m, got := v.At(i)
 			if m != int(e.Meta) || math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(v.Get(m)) != math.Float64bits(want) {
@@ -1021,11 +1008,7 @@ func readsThrough(t testing.TB, ix *Index, f func(float64) float64) {
 			for _, y := range ix.Partners(x) {
 				var want float64
 				for _, e := range ix.PairVec(x, y).ent {
-					c := float64(e.Count)
-					if f != nil {
-						c = f(c)
-					}
-					want += c * w[e.Meta]
+					want += float64(e.Count) * w[e.Meta]
 				}
 				if got := acc.PairDot(y); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("scan of m_%d: m_%d%d · w = %v, want %v", x, x, y, got, want)

@@ -66,14 +66,13 @@ import (
 // ExpGolomb): a fixed constant of the format per field, chosen by a tally
 // of the field's bits in the LinkedIn read_direct, lifecycle and
 // paper-shape sections, so small gaps cost a few bits and no field pays a
-// whole byte. A
-// Count is the raw instance count — the index stores no transformed value
-// (see Index.Transform) — and most are 1, so a row or run of ones costs no
-// counts. A held metagraph such as user–college–user pairs everyone who
-// shares a hub, so a node's partners above it are mostly those of a
-// partner just below it: Encode tries the refCandidates nearest partners
-// below q in the run as references, the way WebGraph codes an adjacency
-// list against an earlier one, and keeps the cheapest in bits. Index
+// whole byte. A Count is the raw instance count, and most are 1, so a row
+// or run of ones costs no counts. A held metagraph such as
+// user–college–user pairs everyone who shares a hub, so a node's partners
+// above it are mostly those of a partner just below it: Encode tries the
+// refCandidates nearest partners below q in the run as references, the way
+// WebGraph codes an adjacency list against an earlier one, and keeps the
+// cheapest in bits. Index
 // internals are deterministic and so are the choices, so the bytes are
 // stable without any extra sorting. Engine snapshots embed one section per
 // index; Write/Read frame a single section as a file of its own.
@@ -122,8 +121,7 @@ const (
 )
 
 // Write serializes ix's counts. An incrementally updated index serializes
-// byte-identically to a from-scratch build of the same rows. The transform
-// is not written: the reader applies its own.
+// byte-identically to a from-scratch build of the same rows.
 func Write(w io.Writer, ix *Index) error {
 	fw := flat.NewWriter(w, fileMagic)
 	Encode(fw, ix)
@@ -519,8 +517,7 @@ func (pl *runPlan) write(w *flat.Writer, q graph.NodeID) {
 	}
 }
 
-// Decode reads one section for a graph of numNodes nodes; the index reads raw
-// counts (see Transform). The bytes are untrusted: everything reads rely on
+// Decode reads one section for a graph of numNodes nodes. The bytes are untrusted: everything reads rely on
 // (strictly ascending keys, nodes, partners and Metas, Metas within
 // numMeta, counts in [1, 2^32-1], runs never empty) and everything the runs
 // index by node id or by posting position (node keys and partners within

@@ -229,12 +229,9 @@ func TestRestrictEqualsBuildOfKept(t *testing.T) {
 
 // TestMergeGainsEqualsPerPartPatches is item 2(c): lifting every matched
 // metagraph's gains to its slot and patching the merged index ONCE gives the
-// bytes of patching every part and merging again — for raw counts and under
-// a transform, which the gains pass by (they add to counts) and the result
-// still reads through — and the lifted patch names exactly the keys that
-// gained.
+// bytes of patching every part and merging again, and the lifted patch
+// names exactly the keys that gained.
 func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
-	double := func(c float64) float64 { return 2 * c }
 	rng := rand.New(rand.NewSource(11))
 	ms := patchMetagraphs()
 	slots := []int{1, 3, 4}
@@ -245,38 +242,35 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range []func(float64) float64{nil, double} {
-			transformed := f != nil
-			var parts, patchedParts []*Index
-			var gains []*Patch
-			var enumerated int64
-			for _, m := range ms {
-				part, p := matchPart(m, match.NewSymISO(g)).Transform(f), RematchDelta(ng, m, nil, nil)
-				patchedParts = append(patchedParts, mustPatch(t, part, p))
-				parts, gains = append(parts, part), append(gains, p)
-				enumerated += p.Enumerated()
-			}
-			empty := NewBuilder(span).Build().Transform(f)
-			lifted := MergeGains(span, slots, gains)
-			if lifted.numMeta != span || lifted.Enumerated() != enumerated {
-				t.Fatalf("trial %d: lifted patch spans %d, enumerated %d; want %d, %d", trial, lifted.numMeta, lifted.Enumerated(), span, enumerated)
-			}
-			var nodeKeys []graph.NodeID
-			for _, p := range gains {
-				nodeKeys = append(nodeKeys, p.NodeKeys()...)
-			}
-			slices.Sort(nodeKeys)
-			if !slices.Equal(lifted.NodeKeys(), slices.Compact(nodeKeys)) {
-				t.Fatalf("trial %d: lifted patch names nodes %v, the parts gained on %v", trial, lifted.NodeKeys(), nodeKeys)
-			}
-			got := mustPatch(t, empty.AddParts(slots, parts), lifted)
-			want := empty.AddParts(slots, patchedParts)
-			if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
-				t.Fatalf("trial %d (transformed %v): one lifted patch differs from per-part patches merged", trial, transformed)
-			}
-			checkAdjacency(t, "lifted patch", got, want, ng.NumNodes())
-			readsThrough(t, got, f)
+		var parts, patchedParts []*Index
+		var gains []*Patch
+		var enumerated int64
+		for _, m := range ms {
+			part, p := matchPart(m, match.NewSymISO(g)), RematchDelta(ng, m, nil, nil)
+			patchedParts = append(patchedParts, mustPatch(t, part, p))
+			parts, gains = append(parts, part), append(gains, p)
+			enumerated += p.Enumerated()
 		}
+		empty := NewBuilder(span).Build()
+		lifted := MergeGains(span, slots, gains)
+		if lifted.numMeta != span || lifted.Enumerated() != enumerated {
+			t.Fatalf("trial %d: lifted patch spans %d, enumerated %d; want %d, %d", trial, lifted.numMeta, lifted.Enumerated(), span, enumerated)
+		}
+		var nodeKeys []graph.NodeID
+		for _, p := range gains {
+			nodeKeys = append(nodeKeys, p.NodeKeys()...)
+		}
+		slices.Sort(nodeKeys)
+		if !slices.Equal(lifted.NodeKeys(), slices.Compact(nodeKeys)) {
+			t.Fatalf("trial %d: lifted patch names nodes %v, the parts gained on %v", trial, lifted.NodeKeys(), nodeKeys)
+		}
+		got := mustPatch(t, empty.AddParts(slots, parts), lifted)
+		want := empty.AddParts(slots, patchedParts)
+		if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
+			t.Fatalf("trial %d: one lifted patch differs from per-part patches merged", trial)
+		}
+		checkAdjacency(t, "lifted patch", got, want, ng.NumNodes())
+		readsCounts(t, got)
 	}
 	if p := MergeGains(span, nil, nil); !p.Empty() || p.numMeta != span {
 		t.Fatal("no gains must lift to an empty patch")

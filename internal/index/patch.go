@@ -62,10 +62,9 @@ func MergeGains(numMeta int, slots []int, patches []*Patch) *Patch {
 }
 
 // WithPatch returns a new index holding the receiver's counts plus the
-// patch's gains; the receiver is unchanged and the transform carries over.
-// It is the one place gains meet stored counts, added as integers: the
-// index stores raw counts whatever its transform, so each sum is the count
-// a from-scratch match of the grown graph gives. The node gains are merged
+// patch's gains; the receiver is unchanged. It is the one place gains meet
+// stored counts, added as integers, so each sum is the count a from-scratch
+// match of the grown graph gives. The node gains are merged
 // into the node table; the pair gains are laid out as runs, and one pass
 // over the runs merges every gained endpoint's runs with its gain runs and
 // copies everyone else's as they are (adjRuns.plus). A sum beyond 2^32-1 is
@@ -88,7 +87,7 @@ func (ix *Index) WithPatch(p *Patch) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&Index{numMeta: ix.numMeta, f: ix.f, mx: mx, flat: flat}).finish(), nil
+	return (&Index{numMeta: ix.numMeta, mx: mx, flat: flat}).finish(), nil
 }
 
 // addGains returns the node table base with gains added: a key of both gets

@@ -31,7 +31,7 @@ type Keys struct {
 }
 
 // Select returns the index holding only the rows keys names that ix holds:
-// it spans the same metagraphs and reads through the same transform.
+// it spans the same metagraphs.
 func (ix *Index) Select(keys Keys) *Index {
 	var mx csr[graph.NodeID]
 	for _, v := range keys.Nodes {
@@ -47,7 +47,7 @@ func (ix *Index) Select(keys Keys) *Index {
 			mxy.appendRow(k, row)
 		}
 	}
-	return fromRows(ix.numMeta, mx, &mxy).Transform(ix.f)
+	return fromRows(ix.numMeta, mx, &mxy)
 }
 
 // RootedParts counts the rows keys names of every metagraph of ms into its

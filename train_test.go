@@ -31,17 +31,16 @@ func fullMatchTrain(e *Engine, class string, examples []Example) {
 // snapshot bytes, on a fresh engine (the read_direct and lifecycle shapes),
 // for a second class on an epoch that already holds the first class's
 // metagraphs, for a class trained after three updates whose new users are
-// among its examples, and through the log1p transform. Seeds 1–3.
+// among its examples. Seeds 1–3.
 func TestTrainEqualsFullMatchTrain(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			read := dataset.LinkedIn(dataset.Config{Users: 5000, Seed: seed, NoiseRate: 0.05})
 			life := dataset.LinkedIn(dataset.Config{Users: 600, Seed: seed, NoiseRate: 0.05})
-			pair := func(ds *dataset.Dataset, maxNodes int, logTransform bool) (*Engine, *Engine) {
+			pair := func(ds *dataset.Dataset, maxNodes int) (*Engine, *Engine) {
 				opts := DefaultOptions()
 				opts.Mining = mining.Options{MaxNodes: maxNodes, MinSupport: 5}
 				opts.Train.Restarts, opts.Train.MaxIters = 1, 60
-				opts.LogTransform = logTransform
 				got, err := NewEngine(ds.G, "user", opts)
 				if err != nil {
 					t.Fatal(err)
@@ -57,12 +56,12 @@ func TestTrainEqualsFullMatchTrain(t *testing.T) {
 				return MakeExamples(labels, labels.Queries(), ds.Users(), 100, seed)
 			}
 
-			got, want := pair(read, 3, false)
+			got, want := pair(read, 3)
 			got.Train("college", examples(read, "college"))
 			fullMatchTrain(want, "college", examples(read, "college"))
 			assertTrainedAlike(t, "read_direct", got, want, "college")
 
-			got, want = pair(life, 4, false)
+			got, want = pair(life, 4)
 			got.Train("college", examples(life, "college"))
 			fullMatchTrain(want, "college", examples(life, "college"))
 			assertTrainedAlike(t, "lifecycle", got, want, "college")
@@ -85,11 +84,6 @@ func TestTrainEqualsFullMatchTrain(t *testing.T) {
 			got.Train("coworker-updated", ex)
 			fullMatchTrain(want, "coworker-updated", ex)
 			assertTrainedAlike(t, "after updates", got, want, "coworker-updated")
-
-			got, want = pair(life, 4, true)
-			got.Train("college", examples(life, "college"))
-			fullMatchTrain(want, "college", examples(life, "college"))
-			assertTrainedAlike(t, "log1p", got, want, "college")
 		})
 	}
 }

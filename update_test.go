@@ -129,38 +129,15 @@ func TestApplyUpdateEqualsScratch(t *testing.T) {
 	}
 }
 
-// TestApplyUpdateLogTransform covers the transformed-count path: patched
-// rows must be transformed exactly like built rows.
-func TestApplyUpdateLogTransform(t *testing.T) {
-	g := fixtures.Toy()
-	opts := DefaultOptions()
-	opts.Mining.MaxNodes, opts.Mining.MinSupport = 4, 1
-	opts.Train.Restarts, opts.Train.MaxIters = 1, 50
-	opts.LogTransform = true
-	eng, err := NewEngine(g, "user", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Train("classmate", classmateExamples(g))
-	rng := rand.New(rand.NewSource(5))
-	for step := 0; step < 2; step++ {
-		if _, err := eng.ApplyUpdate(randomToyDelta(rng, eng.Graph().NumNodes(), fmt.Sprintf("lt-%d", step))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertEngineEquivalent(t, eng, rebuildFromScratch(t, eng), "log-transform")
-}
-
 // hubEngine trains one class on a small LinkedIn-shaped graph, whose
 // college, employer and location nodes are hubs, and returns the engine
 // with the graph's highest-degree node.
-func hubEngine(t testing.TB, users int, logTransform bool) (*Engine, NodeID) {
+func hubEngine(t testing.TB, users int) (*Engine, NodeID) {
 	t.Helper()
 	ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 4, NoiseRate: 0.05})
 	opts := DefaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 5}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 40
-	opts.LogTransform = logTransform
 	eng, err := NewEngine(ds.G, "user", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -182,51 +159,49 @@ func hubEngine(t testing.TB, users int, logTransform bool) (*Engine, NodeID) {
 // TestApplyUpdateOnHubEqualsScratch holds the tentpole property where the
 // hop-bounded re-match was slowest and the random toy deltas never go: an
 // edge on the highest-degree node, instances made of two to four delta
-// edges, and an old user joining the hub — on raw and log-transformed
-// counts. Every update reports the work it did and records it.
+// edges, and an old user joining the hub. Every update reports the work it
+// did and records it.
 func TestApplyUpdateOnHubEqualsScratch(t *testing.T) {
-	for _, logTransform := range []bool{false, true} {
-		eng, hub := hubEngine(t, 200, logTransform)
-		g := eng.Graph()
-		n := NodeID(g.NumNodes())
-		employer := g.NodesOfType(g.Types().ID("employer"))[0]
-		var outsider NodeID
-		for _, u := range g.NodesOfType(g.Types().ID("user")) {
-			if !g.HasEdge(u, hub) {
-				outsider = u
-				break
-			}
+	eng, hub := hubEngine(t, 200)
+	g := eng.Graph()
+	n := NodeID(g.NumNodes())
+	employer := g.NodesOfType(g.Types().ID("employer"))[0]
+	var outsider NodeID
+	for _, u := range g.NodesOfType(g.Types().ID("user")) {
+		if !g.HasEdge(u, hub) {
+			outsider = u
+			break
 		}
-		user := DeltaNode{Type: "user"}
-		enumerated := obs.Default().Histogram("semprox_update_instances_enumerated", "", obs.Units)
-		observed := enumerated.Summary().Count
-		for i, d := range []Delta{
-			{Nodes: []DeltaNode{user}, Edges: []Edge{{U: n, V: hub}}},
-			{Nodes: []DeltaNode{user, user}, Edges: []Edge{{U: n + 1, V: hub}, {U: n + 2, V: hub}, {U: employer, V: n + 1}, {U: n + 2, V: employer}}},
-			{Edges: []Edge{{U: outsider, V: hub}, {U: hub, V: outsider}}},
-		} {
-			st, err := eng.ApplyUpdate(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Rematched != eng.MatchedCount() || st.Enumerated == 0 {
-				t.Fatalf("log %v delta %d: stats %+v", logTransform, i, st)
-			}
-		}
-		if got := enumerated.Summary().Count - observed; got != 3 {
-			t.Fatalf("3 updates recorded %d enumeration counts", got)
-		}
-		scratch := rebuildFromScratch(t, eng)
-		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (patched)", logTransform))
-		assertEngineEquivalent(t, eng, scratch, fmt.Sprintf("hub, log %v (patched, again)", logTransform))
 	}
+	user := DeltaNode{Type: "user"}
+	enumerated := obs.Default().Histogram("semprox_update_instances_enumerated", "", obs.Units)
+	observed := enumerated.Summary().Count
+	for i, d := range []Delta{
+		{Nodes: []DeltaNode{user}, Edges: []Edge{{U: n, V: hub}}},
+		{Nodes: []DeltaNode{user, user}, Edges: []Edge{{U: n + 1, V: hub}, {U: n + 2, V: hub}, {U: employer, V: n + 1}, {U: n + 2, V: employer}}},
+		{Edges: []Edge{{U: outsider, V: hub}, {U: hub, V: outsider}}},
+	} {
+		st, err := eng.ApplyUpdate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rematched != eng.MatchedCount() || st.Enumerated == 0 {
+			t.Fatalf("delta %d: stats %+v", i, st)
+		}
+	}
+	if got := enumerated.Summary().Count - observed; got != 3 {
+		t.Fatalf("3 updates recorded %d enumeration counts", got)
+	}
+	scratch := rebuildFromScratch(t, eng)
+	assertEngineEquivalent(t, eng, scratch, "hub (patched)")
+	assertEngineEquivalent(t, eng, scratch, "hub (patched, again)")
 }
 
 // TestUpdateStagesAreObserved: a new user joining the highest-degree node
 // records its write path in both stages of semprox_update_stage_seconds,
 // once each, and the default registry exposes the two series.
 func TestUpdateStagesAreObserved(t *testing.T) {
-	eng, hub := hubEngine(t, 200, false)
+	eng, hub := hubEngine(t, 200)
 	stage := func(name string) *obs.Histogram {
 		return obs.Default().Histogram("semprox_update_stage_seconds", "", obs.Seconds, obs.L("stage", name))
 	}
@@ -252,7 +227,7 @@ func TestUpdateStagesAreObserved(t *testing.T) {
 	}
 }
 
-// sharedSchool is a LogTransform engine over fixtures.SharedSchool,
+// sharedSchool is an engine over fixtures.SharedSchool,
 // trained so that the user–school–user metapath is matched, with its
 // snapshot. Every count of its index is 1: m_A, m_B and m_AB of that
 // metapath.
@@ -262,7 +237,6 @@ func sharedSchool(t *testing.T) (snap []byte, a, b NodeID) {
 	opts := DefaultOptions()
 	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 5
-	opts.LogTransform = true
 	eng, err := NewEngine(g, "user", opts)
 	if err != nil {
 		t.Fatal(err)
