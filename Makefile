@@ -106,7 +106,9 @@ cover:
 # snapshot_bytes; the 2 000-user MaxNodes-5 paper shape stays out), the
 # merge of the read_direct engine's three matched parts into its one
 # index (what adding all three costs; Train adds only the one its w*
-# weighs), one Engine.Train on a fresh read_direct and
+# weighs), read_direct's user–college–user counted by the common-neighbour
+# merge every engine uses and by SymISO's MatchParts (postings/op),
+# one Engine.Train on a fresh read_direct and
 # lifecycle engine (the rooted count of every metagraph at the example
 # nodes, learning, the full match of what w* weighs laid out as runs;
 # the MaxNodes-5 paper shape stays out) and one TrainDualStage at
@@ -139,6 +141,7 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTwoEdgeMetapath/(merge|symiso)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)(_dual)?$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/^(hub|incremental|read_direct|lifecycle)$$' -benchtime=1x ./internal/engine

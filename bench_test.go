@@ -11,8 +11,10 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fixtures"
+	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/match"
+	"repro/internal/metagraph"
 	"repro/internal/mining"
 )
 
@@ -244,6 +246,44 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 					b.Fatal("empty index")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkTwoEdgeMetapath counts read_direct's one held metagraph,
+// user–college–user on the 5 000-user LinkedIn graph, into its part index
+// both ways: merge is index.TwoEdgePart, the common-neighbour merge every
+// engine counts a two-edge metapath with, and symiso is MatchParts on one
+// worker, SymISO's instance search and the counter's sort, the reference
+// the merge is tested against. Both include laying the part's runs out;
+// each reports the postings the part holds.
+func BenchmarkTwoEdgeMetapath(b *testing.B) {
+	ds := dataset.LinkedIn(dataset.Config{Users: 5000, Seed: 1, NoiseRate: 0.05})
+	user, college := ds.G.Types().ID("user"), ds.G.Types().ID("college")
+	m := metagraph.MustNew([]graph.TypeID{user, college, user}, []metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	for _, bc := range []struct {
+		name  string
+		count func() *index.Index
+	}{
+		{"merge", func() *index.Index {
+			p, err := index.TwoEdgePart(ds.G, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return p
+		}},
+		{"symiso", func() *index.Index {
+			parts, _ := index.MatchParts([]*metagraph.Metagraph{m}, func() match.Matcher { return match.NewSymISO(ds.G) }, 1)
+			return parts[0]
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var p *index.Index
+			for i := 0; i < b.N; i++ {
+				p = bc.count()
+			}
+			b.ReportMetric(float64(2*p.NumPairs()), "postings/op")
 		})
 	}
 }

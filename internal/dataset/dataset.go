@@ -118,17 +118,16 @@ func LinkedIn(cfg Config) *Dataset {
 		Classes: map[string]eval.Labels{"college": {}, "coworker": {}},
 	}
 
-	shares := func(u, v graph.NodeID, t string) bool {
-		return len(graph.CommonNeighborsOfType(g, u, v, g.Types().ID(t))) > 0
-	}
+	college, location, employer := g.Types().ID("college"), g.Types().ID("location"), g.Types().ID("employer")
+	shares := func(u, v graph.NodeID, t graph.TypeID) bool { return graph.ShareNeighborOfType(g, u, v, t) }
 	// Enumerate same-home groups rather than all user pairs.
 	labelGroups(users, homeCollege, func(u, v graph.NodeID) {
-		if shares(u, v, "college") && (shares(u, v, "location") || shares(u, v, "employer")) {
+		if shares(u, v, college) && (shares(u, v, location) || shares(u, v, employer)) {
 			ds.Classes["college"].Add(u, v)
 		}
 	})
 	labelGroups(users, homeEmployer, func(u, v graph.NodeID) {
-		if shares(u, v, "employer") && (shares(u, v, "location") || shares(u, v, "college")) {
+		if shares(u, v, employer) && (shares(u, v, location) || shares(u, v, college)) {
 			ds.Classes["coworker"].Add(u, v)
 		}
 	})
@@ -242,16 +241,17 @@ func Facebook(cfg Config) *Dataset {
 		Anchor:  g.Types().ID("user"),
 		Classes: map[string]eval.Labels{"family": {}, "classmate": {}},
 	}
-	shares := func(u, v graph.NodeID, t string) bool {
-		return len(graph.CommonNeighborsOfType(g, u, v, g.Types().ID(t))) > 0
-	}
+	ty := g.Types().ID
+	surname, location, hometown := ty("surname"), ty("location"), ty("hometown")
+	school, degree, major := ty("school"), ty("degree"), ty("major")
+	shares := func(u, v graph.NodeID, t graph.TypeID) bool { return graph.ShareNeighborOfType(g, u, v, t) }
 	labelGroups(users, family, func(u, v graph.NodeID) {
-		if shares(u, v, "surname") && (shares(u, v, "location") || shares(u, v, "hometown")) {
+		if shares(u, v, surname) && (shares(u, v, location) || shares(u, v, hometown)) {
 			ds.Classes["family"].Add(u, v)
 		}
 	})
 	labelGroups(users, cohort, func(u, v graph.NodeID) {
-		if shares(u, v, "school") && (shares(u, v, "degree") || shares(u, v, "major")) {
+		if shares(u, v, school) && (shares(u, v, degree) || shares(u, v, major)) {
 			ds.Classes["classmate"].Add(u, v)
 		}
 	})

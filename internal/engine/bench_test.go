@@ -202,7 +202,8 @@ func communityGraph(communities, usersPer int) *graph.Graph {
 // with every new user joining the highest-degree node, where a hop-bounded
 // re-match covered the whole graph. read_direct, lifecycle and paper are
 // snapShapes' engines with a new user joining college-0, as benchmark/'s
-// update stream sends it; paper_hub is the paper shape (2 000 users,
+// update stream sends it, and read_direct_20000 is read_direct's shape at
+// 20 000 users with the same update; paper_hub is the paper shape (2 000 users,
 // MaxNodes 5, dozens of held metagraphs) with a new user joining the
 // highest-degree node; -short skips the paper cases. The cases on one
 // engine report the search nodes the re-match visited per update and apply
@@ -297,6 +298,13 @@ func BenchmarkApplyUpdate(b *testing.B) {
 			joins(b, eng, eng.Graph().NodeByName("college-0"))
 		})
 	}
+	b.Run(bigShape.name, func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("building the 20 000-user engine takes seconds")
+		}
+		eng, _ := snapshotBench(b, bigShape)
+		joins(b, eng, eng.Graph().NodeByName("college-0"))
+	})
 	b.Run("paper_hub", func(b *testing.B) {
 		eng, _ := snapshotBench(b, snapShapes[2])
 		g := eng.Graph()
@@ -374,6 +382,10 @@ var snapShapes = []*snapShape{
 	{name: "lifecycle", users: 600, maxNodes: 4},
 	{name: "paper", users: 2000, maxNodes: 5},
 }
+
+// bigShape is read_direct at 20 000 users, four times the workload's size:
+// what an update costs as the graph grows. -short skips it.
+var bigShape = &snapShape{name: "read_direct_20000", users: 20000, maxNodes: 3}
 
 // workloadShapes are the shapes of snapShapes that benchmark/'s workloads
 // boot: read_direct and lifecycle.

@@ -156,36 +156,48 @@ func (e *Engine) Metagraphs() []*metagraph.Metagraph { return e.ms }
 func (e *Engine) NumMetagraphs() int { return len(e.ms) }
 
 // matchMissing matches the still-unmatched metagraphs of the subset on
-// ep's graph, fanning them out over Options.Workers goroutines via
-// index.MatchParts (one private matcher per worker), and merges them into
-// the index at their slots. It returns the index and matched set with every
-// requested slot populated — the ones passed in when nothing was missing,
-// copies otherwise (epochs are immutable; the caller publishes the copies).
-// Callers hold e.mu.
+// ep's graph and merges them into the index at their slots. A two-edge
+// metapath is counted from common neighbours (index.TwoEdgePart); the
+// others fan out over Options.Workers goroutines via index.MatchParts (one
+// private matcher per worker). It returns the index and matched set with
+// every requested slot populated — the ones passed in when nothing was
+// missing, copies otherwise (epochs are immutable; the caller publishes the
+// copies). Callers hold e.mu.
 //
 // index.MatchParts cannot fail: its only returns are the part indices
 // (one per input metagraph, always populated) and the per-metagraph
-// wall-clock durations — there is no error to propagate here, only
-// timing data this path has no use for.
+// wall-clock durations, which this path has no use for. TwoEdgePart
+// refuses a graph whose counts no index can hold; the offline build has no
+// error path for that, so, as a count past uint32 does, it panics.
 func (e *Engine) matchMissing(g *graph.Graph, ix *index.Index, matched []bool, indices []int) (*index.Index, []bool) {
 	var missing []int
+	var searched []*metagraph.Metagraph
 	for _, i := range indices {
 		if !matched[i] {
 			missing = append(missing, i)
+			if !index.IsTwoEdgeMetapath(e.ms[i]) {
+				searched = append(searched, e.ms[i])
+			}
 		}
 	}
 	if len(missing) == 0 {
 		return ix, matched
 	}
-	ms := make([]*metagraph.Metagraph, len(missing))
-	for k, i := range missing {
-		ms[k] = e.ms[i]
-	}
-	parts, _ := index.MatchParts(ms, func() match.Matcher {
+	found, _ := index.MatchParts(searched, func() match.Matcher {
 		return match.NewSymISO(g)
 	}, e.opts.Workers)
+	parts := make([]*index.Index, len(missing))
 	matched = slices.Clone(matched)
-	for _, i := range missing {
+	for k, i := range missing {
+		if index.IsTwoEdgeMetapath(e.ms[i]) {
+			p, err := index.TwoEdgePart(g, e.ms[i])
+			if err != nil {
+				panic(err)
+			}
+			parts[k] = p
+		} else {
+			parts[k], found = found[0], found[1:]
+		}
 		matched[i] = true
 	}
 	return ix.AddParts(missing, parts), matched

@@ -278,20 +278,16 @@ func hubEngine(t testing.TB, users int) (*Engine, graph.NodeID) {
 	return eng, hub
 }
 
-// sharedSchool is an engine over fixtures.SharedSchool,
-// trained so that the user–school–user metapath is matched, with its
-// snapshot. Every count of its index is 1: m_A, m_B and m_AB of that
-// metapath.
+// sharedSchool is an engine over fixtures.SharedSchool and its one
+// metagraph, the user–user–school triangle, trained so that it is matched,
+// with its snapshot. Every count of its index is 1: m_A, m_B and m_AB of
+// the triangle.
 func sharedSchool(t *testing.T) (snap []byte, a, b graph.NodeID) {
 	t.Helper()
 	g, a, b, c := fixtures.SharedSchool()
 	opts := defaultOptions()
-	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 5
-	eng, err := newEngine(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := New(g, g.Types().ID("user"), fixtures.SharedSchoolMetagraphs(g), opts)
 	eng.Train("peers", []core.Example{{Q: a, X: b, Y: c}})
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
@@ -301,7 +297,7 @@ func sharedSchool(t *testing.T) (snap []byte, a, b graph.NodeID) {
 }
 
 // newSchools enrols users a and b at n new schools: n new instances of the
-// user–school–user metapath for m_a, m_b and m_ab.
+// user–user–school triangle for m_a, m_b and m_ab.
 func newSchools(g *graph.Graph, n int, a, b graph.NodeID) graph.Delta {
 	var d graph.Delta
 	for i := 0; i < n; i++ {

@@ -8,12 +8,16 @@ import (
 
 	"repro/internal/flat"
 	"repro/internal/graph"
+	"repro/internal/metagraph"
 )
 
-// SharedSchool builds users a and b who share one school, and a third
-// user c who shares nothing with them (c's school is another). Trained on
-// (q=a, x=b, y=c), an engine over it matches the user–school–user
-// metapath, and every count of its index is 1: m_a, m_b and m_ab.
+// SharedSchool builds users a and b who are friends and share one school,
+// and a third user c who shares nothing with them (c's school is another).
+// Trained on (q=a, x=b, y=c), an engine over it and SharedSchoolMetagraphs
+// matches the user–user–school triangle, and every count of its index is
+// 1: m_a, m_b and m_ab. A new school of a and b is one more triangle. The
+// triangle is no two-edge metapath, so its counts travel in a snapshot's
+// index section, where WithEveryCount sets them.
 func SharedSchool() (g *graph.Graph, a, b, c graph.NodeID) {
 	gb := graph.NewBuilder()
 	for _, tn := range []string{"user", "school"} {
@@ -21,10 +25,18 @@ func SharedSchool() (g *graph.Graph, a, b, c graph.NodeID) {
 	}
 	a, b = gb.AddNode("user", "A"), gb.AddNode("user", "B")
 	c, school, other := gb.AddNode("user", "C"), gb.AddNode("school", "S"), gb.AddNode("school", "T")
+	gb.AddEdge(a, b)
 	gb.AddEdge(a, school)
 	gb.AddEdge(b, school)
 	gb.AddEdge(c, other)
 	return gb.MustBuild(), a, b, c
+}
+
+// SharedSchoolMetagraphs is the metagraph set of an engine over
+// SharedSchool's graph g: the user–user–school triangle alone.
+func SharedSchoolMetagraphs(g *graph.Graph) []*metagraph.Metagraph {
+	user, school := g.Types().ID("user"), g.Types().ID("school")
+	return []*metagraph.Metagraph{metagraph.MustNew([]graph.TypeID{user, user, school}, []metagraph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}})}
 }
 
 // The exp-Golomb orders of the index section's fields, as

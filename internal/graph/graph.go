@@ -171,6 +171,25 @@ func CommonNeighborsOfType(g *Graph, u, v NodeID, t TypeID) []NodeID {
 	return out
 }
 
+// ShareNeighborOfType reports whether u and v have a common neighbor of
+// type t: CommonNeighborsOfType's merge, stopped at the first one, with
+// nothing allocated.
+func ShareNeighborOfType(g *Graph, u, v NodeID, t TypeID) bool {
+	a := g.NeighborsOfType(u, t)
+	b := g.NeighborsOfType(v, t)
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
 // NodesOfType returns all nodes of type t in ascending order. The returned
 // slice aliases internal storage and must not be modified.
 func (g *Graph) NodesOfType(t TypeID) []NodeID {

@@ -279,6 +279,25 @@ func TestCommonNeighborsOfType(t *testing.T) {
 	}
 }
 
+// Property: ShareNeighborOfType is "CommonNeighborsOfType is not empty",
+// and allocates nothing.
+func TestShareNeighborOfType(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := randomGraph(rng, 40, 120, 3)
+	for u := range NodeID(g.NumNodes()) {
+		for v := range NodeID(g.NumNodes()) {
+			for ty := range TypeID(g.NumTypes()) {
+				if got, want := ShareNeighborOfType(g, u, v, ty), len(CommonNeighborsOfType(g, u, v, ty)) > 0; got != want {
+					t.Fatalf("ShareNeighborOfType(%d, %d, %d) = %v, want %v", u, v, ty, got, want)
+				}
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { ShareNeighborOfType(g, 0, 1, 0) }); a != 0 {
+		t.Fatalf("ShareNeighborOfType allocates %v times", a)
+	}
+}
+
 // randomGraph builds a random typed graph for property tests.
 func randomGraph(rng *rand.Rand, nodes, edges, types int) *Graph {
 	b := NewBuilder()

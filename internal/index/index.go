@@ -372,35 +372,58 @@ func shifted(shift int32) func(int32) int32 { return func(m int32) int32 { retur
 
 // mergeCSR unions row tables: the row of a key is every entry its inputs
 // hold for it, renumbered, ascending by metagraph, and a key left without
-// an entry goes. No two inputs may give one key the same metagraph. The
-// tables it merges are node tables and the few rows of a patch, never the
-// pair rows of a whole index, so it sorts them all at once.
+// an entry goes. No two inputs may give one key the same metagraph. Every
+// input's keys ascend, so the merge walks them side by side, a cursor per
+// input: the least key any input has left is the next row, gathered from
+// the inputs that hold it and sorted by metagraph only when a renumbering
+// put it out of order. The inputs are an index and the parts added to it,
+// or the few rows of a patch: a handful, so the least key is found by a
+// scan of the cursors.
 func mergeCSR[K cmp.Ordered](srcs []source[K]) csr[K] {
-	type keyed struct {
-		k K
-		e Entry
-	}
-	var all []keyed
+	n := 0
 	for _, s := range srcs {
-		c := s.table
-		for r, k := range c.keys {
-			for _, e := range c.ent[c.off[r]:c.off[r+1]] {
-				if m := s.meta(e.Meta); m >= 0 {
-					all = append(all, keyed{k, Entry{m, e.Count}})
-				}
+		for _, e := range s.table.ent {
+			if s.meta(e.Meta) >= 0 {
+				n++
 			}
 		}
 	}
-	slices.SortFunc(all, func(a, b keyed) int { return cmp.Or(cmp.Compare(a.k, b.k), compareEntryMeta(a.e, b.e)) })
 	var out csr[K]
-	for i, x := range all {
-		if i == 0 || x.k != all[i-1].k {
-			out.appendRow(x.k, nil)
-		}
-		out.ent = append(out.ent, x.e)
-		out.off[len(out.off)-1]++
+	if n == 0 {
+		return out
 	}
-	return out
+	out.off, out.ent = []int32{0}, make([]Entry, 0, n)
+	at := make([]int, len(srcs)) // each input's next row
+	for {
+		var k K
+		found := false
+		for i, s := range srcs {
+			if r := at[i]; r < len(s.table.keys) && (!found || s.table.keys[r] < k) {
+				k, found = s.table.keys[r], true
+			}
+		}
+		if !found {
+			return out
+		}
+		start := len(out.ent)
+		for i, s := range srcs {
+			c := s.table
+			if r := at[i]; r < len(c.keys) && c.keys[r] == k {
+				for _, e := range c.ent[c.off[r]:c.off[r+1]] {
+					if m := s.meta(e.Meta); m >= 0 {
+						out.ent = append(out.ent, Entry{m, e.Count})
+					}
+				}
+				at[i]++
+			}
+		}
+		if row := out.ent[start:]; len(row) > 0 {
+			if !slices.IsSortedFunc(row, compareEntryMeta) {
+				slices.SortFunc(row, compareEntryMeta)
+			}
+			out.keys, out.off = append(out.keys, k), append(out.off, int32(len(out.ent)))
+		}
+	}
 }
 
 // Builder accumulates instance counts metagraph by metagraph and freezes

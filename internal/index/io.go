@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/flat"
 	"repro/internal/graph"
+	"repro/internal/metagraph"
 )
 
 // Serialization of the metagraph-vector index. Matching dominates the
@@ -118,6 +119,18 @@ const (
 	// 8-byte places in the laid-out runs, plus the run and node tables'
 	// share, rounded up.
 	postingAlloc = 96
+	// countedAlloc bounds what one posting counted from the graph costs a
+	// load (DecodeCounting): its 8 bytes in an arena sized once, from
+	// twoEdgeBound, plus its two 8-byte places in the laid-out runs, plus
+	// its share of the run and node tables — a run holds one posting at
+	// least, a node row stands for half of one — rounded up.
+	countedAlloc = 48
+	// maxCountedPerByte caps the postings a load may count from the graph
+	// per byte received ahead of the section: as many as cost what
+	// maxPostingsPerByte decoded ones do, two per bit. A load costs at most
+	// maxPostingsPerByte·postingAlloc bytes of allocation per byte received,
+	// counted or decoded.
+	maxCountedPerByte = maxPostingsPerByte * postingAlloc / countedAlloc
 )
 
 // Write serializes ix's counts. An incrementally updated index serializes
@@ -147,10 +160,33 @@ func Read(r io.Reader, numNodes int) (*Index, error) {
 
 // Encode appends ix to w as one section: the node table, then each node's
 // runs above it, walked straight out of the runs.
-func Encode(w *flat.Writer, ix *Index) {
-	e := runEncoder{w: w, start: w.BitOffset(), rs: &ix.flat}
+func Encode(w *flat.Writer, ix *Index) { encode(w, ix, nil) }
+
+// EncodeCounting is Encode of an index over the metagraphs ms, those
+// matched set, on g, without the rows DecodeCounting counts again from g
+// (countedSlots): the node entries and runs of those metagraphs are
+// skipped as the section is written. ms spans ix's metagraphs.
+func EncodeCounting(w *flat.Writer, ix *Index, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) {
+	counted, _ := countedSlots(g, ms, matched, w.BitOffset())
+	encode(w, ix, counted)
+}
+
+// encode writes ix as one section without the rows of the metagraphs skip
+// holds (nil: none).
+func encode(w *flat.Writer, ix *Index, skip []bool) {
+	e := runEncoder{w: w, start: w.BitOffset(), rs: &ix.flat, skip: skip}
 	w.ExpGolomb(uint64(ix.numMeta), ordSize)
-	encodeTable(w, ix.numMeta, &ix.mx)
+	mx := &ix.mx
+	if slices.Contains(skip, true) {
+		kept := mergeCSR([]source[graph.NodeID]{{mx, func(m int32) int32 {
+			if skip[m] {
+				return -1
+			}
+			return m
+		}}})
+		mx = &kept
+	}
+	encodeTable(w, ix.numMeta, mx)
 	e.encode(ix.numMeta)
 	w.Align()
 }
@@ -195,6 +231,7 @@ type runEncoder struct {
 	w     *flat.Writer
 	start int64 // the section's first bit
 	rs    *adjRuns
+	skip  []bool  // per metagraph, whether its runs are left out (nil: none)
 	above []int32 // per run, its first posting above its node
 	// next[r] is run r's first posting above the node last written with
 	// it as a candidate: the nodes are written ascending, so it only moves
@@ -290,11 +327,14 @@ func (e *runEncoder) encode(numMeta int) {
 	rs := e.rs
 	n := max(len(rs.first)-1, 0)
 	e.above = make([]int32, len(rs.meta))
-	e.marks, e.at = make([]upMark, n), make([]int32, n)
 	nRuns, nPost := 0, 0
 	for q := range graph.NodeID(n) {
 		lo, hi := rs.runs(q)
 		for r := lo; r < hi; r++ {
+			if e.skip != nil && e.skip[rs.meta[r]] {
+				e.above[r] = rs.off[r+1] // nothing above q to write
+				continue
+			}
 			ps := rs.postings(r)
 			i, _ := slices.BinarySearchFunc(ps, q, comparePosting) // q is not its own partner
 			e.above[r] = rs.off[r] + int32(i)
@@ -303,10 +343,14 @@ func (e *runEncoder) encode(numMeta int) {
 			}
 		}
 	}
-	e.next = slices.Clone(e.above)
 	w := e.w
 	w.ExpGolomb(uint64(nRuns), ordSize)
 	w.ExpGolomb(uint64(nPost), ordSize)
+	if nRuns == 0 {
+		return
+	}
+	e.next = slices.Clone(e.above)
+	e.marks, e.at = make([]upMark, n), make([]int32, n)
 	b := uint(bits.Len(uint(numMeta)))
 	prev := graph.NodeID(-1)
 	for q := range graph.NodeID(n) {
@@ -527,6 +571,64 @@ func (pl *runPlan) write(w *flat.Writer, q graph.NodeID) {
 // flat.Grow; maxPostingsPerByte). The runs above each node are laid out
 // with the partners below it into the index's runs.
 func Decode(r *flat.Reader, numNodes int) (*Index, error) {
+	sec, err := decodeSection(r, numNodes)
+	if err != nil {
+		return nil, err
+	}
+	return sec.index(), nil
+}
+
+// DecodeCounting is Decode of a section EncodeCounting wrote for the
+// metagraphs ms, those matched set, beside g, the graph decoded ahead of
+// it: the rows the section left out are counted from g and their runs laid
+// out with the section's own in the one pass Decode makes. What the count
+// may allocate is priced from g's degrees before the section is read, at
+// most maxCountedPerByte postings per byte of the stream before it
+// (countedSlots). A
+// section that spans other than len(ms) metagraphs, holds a row of one it
+// should have left out, or whose runs with the counted ones would pass the
+// runs' int32 positions is refused. The count runs before the caller
+// checks the stream's trailer, as the layout of the section's own runs
+// does.
+func DecodeCounting(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) (*Index, error) {
+	counted, bound := countedSlots(g, ms, matched, r.BitOffset())
+	sec, err := decodeSection(r, g.NumNodes())
+	if err != nil {
+		return nil, err
+	}
+	if sec.numMeta != len(ms) {
+		return nil, fmt.Errorf("index: the section spans %d metagraphs, want %d", sec.numMeta, len(ms))
+	}
+	if slices.ContainsFunc(sec.up.meta, func(m int32) bool { return counted[m] }) ||
+		slices.ContainsFunc(sec.mx.ent, func(e Entry) bool { return counted[e.Meta] }) {
+		return nil, errors.New("index: the section holds rows of a two-edge metapath it leaves to the graph's common neighbours")
+	}
+	sec.up.post = slices.Grow(sec.up.post, int(bound))
+	srcs := []source[graph.NodeID]{{&sec.mx, shifted(0)}}
+	for slot, ok := range counted {
+		if ok {
+			rows := sec.up.addTwoEdge(g, ms[slot], int32(slot))
+			srcs = append(srcs, source[graph.NodeID]{&rows, shifted(0)})
+		}
+	}
+	if len(sec.up.post) > math.MaxInt32/2 {
+		return nil, errors.New("index: the section's runs and the counted ones overflow the runs' posting positions")
+	}
+	sec.mx = mergeCSR(srcs)
+	return sec.index(), nil
+}
+
+// section is what a section holds before its runs are laid out: the node
+// table and the runs above each node.
+type section struct {
+	numMeta int
+	mx      csr[graph.NodeID]
+	up      upperRuns
+}
+
+// decodeSection reads one section for a graph of numNodes nodes with the
+// checks Decode lists, leaving its runs to be laid out.
+func decodeSection(r *flat.Reader, numNodes int) (*section, error) {
 	start := r.BitOffset()
 	numMeta := r.ExpGolomb(ordSize)
 	if numMeta > math.MaxInt32 {
@@ -543,7 +645,12 @@ func Decode(r *flat.Reader, numNodes int) (*Index, error) {
 	if r.Align(); r.Err() != nil {
 		return nil, fmt.Errorf("index: %w", r.Err())
 	}
-	return (&Index{numMeta: int(numMeta), mx: mx, flat: d.up.layout(int(numMeta))}).finish(), nil
+	return &section{numMeta: int(numMeta), mx: mx, up: d.up}, nil
+}
+
+// index lays the section's runs out into an index.
+func (s *section) index() *Index {
+	return (&Index{numMeta: s.numMeta, mx: s.mx, flat: s.up.layout(s.numMeta)}).finish()
 }
 
 // corrupt names an invariant the stream broke — unless the stream itself

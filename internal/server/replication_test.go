@@ -15,9 +15,9 @@ import (
 
 	semprox "repro"
 	"repro/api"
+	"repro/internal/engine"
 	"repro/internal/fixtures"
 	"repro/internal/graph"
-	"repro/internal/mining"
 	"repro/internal/replica"
 	"repro/internal/wal"
 )
@@ -306,7 +306,7 @@ func TestFollowerServerIsReadOnly(t *testing.T) {
 
 // snapshotMagic opens semprox's snapshot stream (fixtures.WithEveryCount
 // refuses any other, so a format change fails this test loudly).
-const snapshotMagic = "SPXS\x0b"
+const snapshotMagic = "SPXS\x0c"
 
 // TestRefusedUpdateAnswersAlikeOnEveryRole: an update the engine refuses
 // (here: every count it would add to is already 2^32-1) gets one answer
@@ -316,12 +316,8 @@ const snapshotMagic = "SPXS\x0b"
 func TestRefusedUpdateAnswersAlikeOnEveryRole(t *testing.T) {
 	g, a, b, c := fixtures.SharedSchool()
 	opts := semprox.DefaultOptions()
-	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 5
-	eng, err := semprox.NewEngine(g, "user", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := engine.New(g, g.Types().ID("user"), fixtures.SharedSchoolMetagraphs(g), opts)
 	eng.Train("peers", []semprox.Example{{Q: a, X: b, Y: c}})
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/metagraph"
 	"repro/internal/mining"
 )
 
@@ -212,11 +213,14 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	if _, err := LoadEngine(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
-	// A v10 header could name a count transform no engine applies any more:
-	// that version is refused by its magic, not loaded as raw counts.
-	v10 := append([]byte("SPXS\x0a"), buf.Bytes()[len(engine.SnapshotMagic):]...)
-	if _, err := LoadEngine(bytes.NewReader(v10)); err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("v10 snapshot: %v, want refused by its magic", err)
+	// A v10 header could name a count transform no engine applies any more,
+	// and a v11 index section holds the rows of the two-edge metapaths: both
+	// versions are refused by their magic, not loaded as this one.
+	for _, magic := range []string{"SPXS\x0a", "SPXS\x0b"} {
+		old := append([]byte(magic), buf.Bytes()[len(engine.SnapshotMagic):]...)
+		if _, err := LoadEngine(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("%q snapshot: %v, want refused by its magic", magic, err)
+		}
 	}
 
 	// Streams whose checksum holds and whose parts contradict each other. A
@@ -237,6 +241,14 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 	if unmatched == len(h.Metas) {
 		t.Fatal("dual stage matched everything; need an unmatched metagraph")
+	}
+	// The section holds the rows of the matched metagraphs but the two-edge
+	// metapaths.
+	ms := headerMetagraphs(t, h)
+	carried := slices.IndexFunc(h.Matched, func(i int) bool { return !index.IsTwoEdgeMetapath(ms[i]) })
+	twoEdge := slices.IndexFunc(h.Matched, func(i int) bool { return index.IsTwoEdgeMetapath(ms[i]) })
+	if carried < 0 || twoEdge < 0 {
+		t.Fatalf("dual stage matched %v; need a two-edge metapath and another metagraph", h.Matched)
 	}
 	if _, err := LoadEngine(bytes.NewReader(recraft(t, buf.Bytes(), func(*engine.SnapshotHeader) {}))); err != nil {
 		t.Fatalf("unedited re-encoding refused: %v", err)
@@ -265,8 +277,8 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 		}},
 		{"matched metagraph out of range", "not ascending", func(h *engine.SnapshotHeader) { h.Matched = append(h.Matched, len(h.Metas)) }},
 		{"rows of an unmatched metagraph", "not matched", func(h *engine.SnapshotHeader) {
-			drop := h.Matched[0]
-			h.Matched = h.Matched[1:]
+			drop := h.Matched[carried]
+			h.Matched = slices.Delete(h.Matched, carried, carried+1)
 			h.Classes[0].Kept = slices.DeleteFunc(h.Classes[0].Kept, func(i int) bool { return i == drop })
 		}},
 		{"index narrower than the metagraph set", "spans", func(h *engine.SnapshotHeader) { h.Metas = append(h.Metas, h.Metas[0]) }},
@@ -277,12 +289,21 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 			t.Fatalf("%s: LoadEngine returned %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
+	// A section that carries the rows of a two-edge metapath, which the
+	// loader counts from the graph: one epoch has one encoding.
+	{
+		h, g, ix, _ := snapshotParts(t, buf.Bytes())
+		full := writeSnapshot(t, h, g, nil, func(fw *flat.Writer) { index.Encode(fw, ix) }, nil)
+		if _, err := LoadEngine(bytes.NewReader(full)); err == nil || !strings.Contains(err.Error(), "two-edge metapath") {
+			t.Fatalf("rows of two-edge metapath %d in the section: LoadEngine returned %v", h.Matched[twoEdge], err)
+		}
+	}
 
 	// Graph sections that break one rule each, behind an intact header and
 	// ahead of an intact index. Node 0 ("Alice") has neighbours above it,
 	// the first user with two of them shows the ascending rule.
 	h, g, ix, _ := snapshotParts(t, buf.Bytes())
-	if _, err := LoadEngine(bytes.NewReader(craft(t, h, rawOf(g).write, ix, nil))); err != nil {
+	if _, err := LoadEngine(bytes.NewReader(craft(t, h, g, rawOf(g).write, ix, nil))); err != nil {
 		t.Fatalf("a hand-written graph section is refused: %v", err)
 	}
 	two := slices.IndexFunc(rawOf(g).above, func(gaps []uint64) bool { return len(gaps) >= 2 })
@@ -307,7 +328,7 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	} {
 		rg := rawOf(g)
 		c.edit(&rg)
-		_, err := LoadEngine(bytes.NewReader(craft(t, h, rg.write, ix, nil)))
+		_, err := LoadEngine(bytes.NewReader(craft(t, h, g, rg.write, ix, nil)))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: LoadEngine returned %v, want an error naming %q", c.name, err, c.want)
 		}
@@ -342,7 +363,9 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// snapshotParts takes a snapshot apart: its header, graph, index, and each
+// snapshotParts takes a snapshot apart: its header, graph, the index the
+// loaded engine holds — the index section with the two-edge metapaths the
+// header holds counted from the graph, as LoadEngine decodes it — and each
 // class's log-likelihood and weights in the header's order.
 func snapshotParts(t testing.TB, data []byte) (engine.SnapshotHeader, *graph.Graph, *index.Index, []core.Model) {
 	t.Helper()
@@ -358,7 +381,7 @@ func snapshotParts(t testing.TB, data []byte) (engine.SnapshotHeader, *graph.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.Decode(fr, g.NumNodes())
+	ix, err := index.DecodeCounting(fr, g, headerMetagraphs(t, h), matchedOf(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +398,44 @@ func snapshotParts(t testing.TB, data []byte) (engine.SnapshotHeader, *graph.Gra
 	return h, g, ix, models
 }
 
-// craft writes a snapshot of h, the graph section writeGraph writes, ix and
-// the classes' models — checksum valid. With models nil, each class of h
-// gets a weight per kept metagraph, so only what the caller edited is wrong
-// with the stream.
-func craft(t testing.TB, h engine.SnapshotHeader, writeGraph func(*flat.Writer), ix *index.Index, models []core.Model) []byte {
+// headerMetagraphs builds the metagraphs h lists.
+func headerMetagraphs(t testing.TB, h engine.SnapshotHeader) []*metagraph.Metagraph {
+	t.Helper()
+	ms := make([]*metagraph.Metagraph, len(h.Metas))
+	for i, sm := range h.Metas {
+		m, err := metagraph.New(sm.Types, sm.Edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
+	}
+	return ms
+}
+
+// matchedOf is, per metagraph h lists, whether h matched it.
+func matchedOf(h engine.SnapshotHeader) []bool {
+	matched := make([]bool, len(h.Metas))
+	for _, i := range h.Matched {
+		if i >= 0 && i < len(matched) {
+			matched[i] = true
+		}
+	}
+	return matched
+}
+
+// craft writes a snapshot of h, g's graph section (the one writeGraph
+// writes, if it is not nil), ix's index section as Save writes it beside g
+// and the classes' models — checksum valid. With models nil, each class of
+// h gets a weight per kept metagraph, so only what the caller edited is
+// wrong with the stream.
+func craft(t testing.TB, h engine.SnapshotHeader, g *graph.Graph, writeGraph func(*flat.Writer), ix *index.Index, models []core.Model) []byte {
+	t.Helper()
+	ms, matched := headerMetagraphs(t, h), matchedOf(h)
+	return writeSnapshot(t, h, g, writeGraph, func(fw *flat.Writer) { index.EncodeCounting(fw, ix, g, ms, matched) }, models)
+}
+
+// writeSnapshot is craft with the index section writeSection writes.
+func writeSnapshot(t testing.TB, h engine.SnapshotHeader, g *graph.Graph, writeGraph, writeSection func(*flat.Writer), models []core.Model) []byte {
 	t.Helper()
 	hdr, err := json.Marshal(&h)
 	if err != nil {
@@ -388,8 +444,12 @@ func craft(t testing.TB, h engine.SnapshotHeader, writeGraph func(*flat.Writer),
 	var out bytes.Buffer
 	fw := flat.NewWriter(&out, engine.SnapshotMagic)
 	fw.Bytes(hdr)
-	writeGraph(fw)
-	index.Encode(fw, ix)
+	if writeGraph != nil {
+		writeGraph(fw)
+	} else {
+		graph.Encode(fw, g)
+	}
+	writeSection(fw)
 	for i, sc := range h.Classes {
 		m := core.Model{LogLikelihood: -1, W: slices.Repeat([]float64{0.5}, len(sc.Kept))}
 		if models != nil {
@@ -409,7 +469,7 @@ func craft(t testing.TB, h engine.SnapshotHeader, writeGraph func(*flat.Writer),
 // loadCrafted loads what craft wrote from the parts of a snapshot.
 func loadCrafted(t testing.TB, h engine.SnapshotHeader, g *graph.Graph, ix *index.Index, models []core.Model) *Engine {
 	t.Helper()
-	eng, err := LoadEngine(bytes.NewReader(craft(t, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, ix, models)))
+	eng, err := LoadEngine(bytes.NewReader(craft(t, h, g, nil, ix, models)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +492,7 @@ func recraft(t *testing.T, data []byte, edit func(h *engine.SnapshotHeader)) []b
 	t.Helper()
 	h, g, ix, _ := snapshotParts(t, data)
 	edit(&h)
-	return craft(t, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, ix, nil)
+	return craft(t, h, g, nil, ix, nil)
 }
 
 // rawGraph is a graph section as its fields, for writing broken ones.
@@ -618,7 +678,7 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	second := slices.IndexFunc(h.Classes, func(sc engine.SnapshotClass) bool { return sc.Name == "classmate" })
 	secondW := len(models[second].W)
 	h.Classes, models = slices.Delete(h.Classes, second, second+1), slices.Delete(models, second, second+1)
-	base := craft(t, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, ix, models)
+	base := craft(t, h, g, nil, ix, models)
 	hdrBase := header(base)
 	cost := two.Len() - len(base)
 	if want := (hdr - hdrBase) + 8*(1+secondW); cost > want+1 { // +1: the header's length prefix may grow a byte
@@ -720,6 +780,57 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 			t.Fatalf("%s: a %d-byte stream cost %d bytes of allocation (%v)", name, buf.Len(), got, err)
 		}
 	}
+
+	// A graph section of one hub and 46 342 members of the type a matched
+	// two-edge metapath pairs through it, and an index section without
+	// rows: counted from the graph, the members would pair into 2^30
+	// postings. The loader counts a metapath only while what it can pair
+	// stays within two postings per bit the stream delivered ahead of the
+	// section, so it leaves this one to the section and reads on to the
+	// classes, which the stream does not hold. Decoding the graph is all the
+	// load may cost: no more than the index's own rate,
+	// maxPostingsPerByte·postingAlloc = 8·96 bytes per byte received.
+	var h engine.SnapshotHeader
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		t.Fatal(err)
+	}
+	ms := headerMetagraphs(t, h)
+	k := slices.IndexFunc(h.Matched, func(i int) bool { return index.IsTwoEdgeMetapath(ms[i]) })
+	if k < 0 {
+		t.Fatalf("the snapshot matched %v, no two-edge metapath", h.Matched)
+	}
+	m, centre := ms[h.Matched[k]], 0
+	for m.Degree(centre) != 2 {
+		centre++
+	}
+	hb := graph.NewBuilder()
+	for id := range g.NumTypes() {
+		hb.Types().Register(g.Types().Name(graph.TypeID(id)))
+	}
+	hub := hb.AddNode(g.Types().Name(m.Type(centre)), "hub")
+	for i := range 46342 { // 46342·46341/2 > 2^30
+		hb.AddEdge(hub, hb.AddNode(g.Types().Name(m.Type((centre+1)%3)), fmt.Sprint(i)))
+	}
+	var buf bytes.Buffer
+	w := flat.NewWriter(&buf, engine.SnapshotMagic)
+	w.Bytes(hdr)
+	graph.Encode(w, hb.MustBuild())
+	index.Encode(w, index.NewBuilder(len(h.Metas)).Build())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = LoadEngine(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("one hub: a %d-byte stream without classes loaded", buf.Len())
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one hub: a %d-byte stream cost %d bytes of allocation (%v)", buf.Len(), got, err)
+	if got > uint64(8*96*buf.Len()) {
+		t.Fatalf("one hub: a %d-byte stream cost %d bytes of allocation (%v)", buf.Len(), got, err)
+	}
 }
 
 // hasCountAbove1 reports whether some pair row of eng holds a count above 1.
@@ -768,10 +879,12 @@ func FuzzLoadEngine(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(lb.Bytes())
-	// read_direct-shaped: MaxNodes 3, one class holding one metagraph, so
-	// the pair rows' heads run and change only where a count is above 1;
-	// and names that share prefixes (user-1, user-10, …), but none between
-	// the last attribute and user-0.
+	// read_direct-shaped: MaxNodes 3, one class holding one metagraph, the
+	// two-edge metapath user–college–user, whose rows the section leaves
+	// out and the load counts from the graph; and names that share
+	// prefixes (user-1, user-10, …), but none between the last attribute and
+	// user-0. The same stream with that metapath's rows in its section, and
+	// under the v11 magic, reach the two refusals that guard the format.
 	opts.Mining.MaxNodes = 3
 	direct, err := NewEngine(ds.G, "user", opts)
 	if err != nil {
@@ -782,10 +895,13 @@ func FuzzLoadEngine(f *testing.F) {
 	if err := direct.Save(&lb); err != nil {
 		f.Fatal(err)
 	}
-	if h, _, _, _ := snapshotParts(f, lb.Bytes()); len(h.Matched) != 1 || !hasCountAbove1(f, direct) {
-		f.Fatalf("the read_direct-shaped seed holds metagraphs %v, counts above 1: %v", h.Matched, hasCountAbove1(f, direct))
+	dh, dg, dix, _ := snapshotParts(f, lb.Bytes())
+	if len(dh.Matched) != 1 || !index.IsTwoEdgeMetapath(direct.Metagraphs()[dh.Matched[0]]) || !hasCountAbove1(f, direct) {
+		f.Fatalf("the read_direct-shaped seed holds metagraphs %v, counts above 1: %v", dh.Matched, hasCountAbove1(f, direct))
 	}
 	f.Add(lb.Bytes())
+	f.Add(writeSnapshot(f, dh, dg, nil, func(fw *flat.Writer) { index.Encode(fw, dix) }, nil))
+	f.Add(append([]byte("SPXS\x0b"), lb.Bytes()[len(engine.SnapshotMagic):]...))
 	// The snapshot shape written before training dropped the metagraphs no
 	// class weighs — every metagraph matched, zero weights in a kept set —
 	// and a class that weighs nothing, whose kept set is empty.
@@ -813,7 +929,7 @@ func FuzzLoadEngine(f *testing.F) {
 	for i := range metas {
 		h.Matched = append(h.Matched, i)
 	}
-	wide := craft(f, h, func(fw *flat.Writer) { graph.Encode(fw, g) }, index.Merge(parts...), nil)
+	wide := craft(f, h, g, nil, index.Merge(parts...), nil)
 	if eng, err := LoadEngine(bytes.NewReader(wide)); err != nil || eng.NumMetagraphs() <= 64 {
 		f.Fatalf("the wide seed loads as %v, %v", eng, err)
 	}
@@ -874,7 +990,7 @@ func FuzzLoadEngine(f *testing.F) {
 // grows a snapshot fails here, not in a benchmark run; one that shrinks it
 // lowers these.
 func TestSnapshotBytesBudget(t *testing.T) {
-	budgetKiB := map[string][3]int{"read_direct": {150, 154, 151}, "lifecycle": {76, 79, 74}}
+	budgetKiB := map[string][3]int{"read_direct": {40, 40, 40}, "lifecycle": {41, 43, 40}}
 	for _, sh := range workloadShapes() {
 		for seed := int64(1); seed <= 3; seed++ {
 			var buf bytes.Buffer
@@ -898,8 +1014,8 @@ func TestSnapshotBytesBudget(t *testing.T) {
 //	go test -run TestSnapshotSectionBytes -v .
 func TestSnapshotSectionBytes(t *testing.T) {
 	want := map[string][5]int64{ // magic, header, graph, index, classes
-		"read_direct": {5, 469, 39527, 112776, 16},
-		"lifecycle":   {5, 1241, 3901, 72543, 88},
+		"read_direct": {5, 469, 39527, 2, 16},
+		"lifecycle":   {5, 1241, 3901, 35915, 88},
 	}
 	for _, sh := range workloadShapes() {
 		eng := sh.build(1)
@@ -919,7 +1035,7 @@ func TestSnapshotSectionBytes(t *testing.T) {
 		offs = append(offs, fw.Offset())
 		graph.Encode(fw, g)
 		offs = append(offs, fw.Offset())
-		index.Encode(fw, ix)
+		index.EncodeCounting(fw, ix, g, headerMetagraphs(t, h), matchedOf(h))
 		offs = append(offs, fw.Offset())
 		for _, m := range models {
 			fw.Uint64(math.Float64bits(m.LogLikelihood))

@@ -25,9 +25,11 @@ import (
 // rebuildFromScratch builds a reference engine on the final graph: same
 // metagraph set, same trained weights (the paper's w* weighs metagraph
 // features, so a graph delta does not retrain), but every held metagraph
-// re-matched from scratch on the final graph and the index merged
+// re-matched from scratch on the final graph by SymISO and the index merged
 // afresh — e's snapshot with that index in place of its own, loaded.
-// ApplyUpdate must be indistinguishable from it.
+// The load counts the two-edge metapaths again from common neighbours, so
+// the reference's index is held to SymISO's too. ApplyUpdate must be
+// indistinguishable from it.
 func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
 	t.Helper()
 	h, g, _, models := snapshotParts(t, snapshotOf(t, e))
@@ -36,7 +38,22 @@ func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
 		ms[k] = e.Metagraphs()[i]
 	}
 	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, h.Opts.Workers)
-	return loadCrafted(t, h, g, index.NewBuilder(len(h.Metas)).Build().AddParts(h.Matched, parts), models)
+	ix := index.NewBuilder(len(h.Metas)).Build().AddParts(h.Matched, parts)
+	ref := loadCrafted(t, h, g, ix, models)
+	if _, _, got, _ := snapshotParts(t, snapshotOf(t, ref)); !bytes.Equal(indexBytes(t, got), indexBytes(t, ix)) {
+		t.Fatal("the reference engine's index, two-edge metapaths counted from common neighbours, is not SymISO's")
+	}
+	return ref
+}
+
+// indexBytes is ix written as an index file: equal rows write equal bytes.
+func indexBytes(t testing.TB, ix *index.Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := index.Write(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // randomToyDelta grows the toy graph with users, attributes and edges.
@@ -227,20 +244,16 @@ func TestUpdateStagesAreObserved(t *testing.T) {
 	}
 }
 
-// sharedSchool is an engine over fixtures.SharedSchool,
-// trained so that the user–school–user metapath is matched, with its
-// snapshot. Every count of its index is 1: m_A, m_B and m_AB of that
-// metapath.
+// sharedSchool is an engine over fixtures.SharedSchool and its one
+// metagraph, the user–user–school triangle, trained so that it is matched,
+// with its snapshot. Every count of its index is 1: m_A, m_B and m_AB of
+// the triangle.
 func sharedSchool(t *testing.T) (snap []byte, a, b NodeID) {
 	t.Helper()
 	g, a, b, c := fixtures.SharedSchool()
 	opts := DefaultOptions()
-	opts.Mining = mining.Options{MaxNodes: 3, MinSupport: 1}
 	opts.Train.Restarts, opts.Train.MaxIters = 1, 5
-	eng, err := NewEngine(g, "user", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := engine.New(g, g.Types().ID("user"), fixtures.SharedSchoolMetagraphs(g), opts)
 	eng.Train("peers", []Example{{Q: a, X: b, Y: c}})
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
@@ -250,7 +263,7 @@ func sharedSchool(t *testing.T) (snap []byte, a, b NodeID) {
 }
 
 // newSchools enrols users a and b at n new schools: n new instances of the
-// user–school–user metapath for m_a, m_b and m_ab.
+// user–user–school triangle for m_a, m_b and m_ab.
 func newSchools(g *Graph, n int, a, b NodeID) Delta {
 	var d Delta
 	for i := 0; i < n; i++ {
