@@ -28,10 +28,11 @@ import (
 // the others are added in ascending metagraph order, the order Dot uses;
 // and a partner with no weighted term is exactly the one Dot scores 0.
 //
-// Each m_xy[m] is a posting in a run of x and one in a run of y. Pair rows
-// become runs only in buildRuns; a section read off the wire holds each
-// node's runs above it, and upperRuns.layout (io.go) adds the postings
-// below. Nothing but the tests walks runs back out into pair rows.
+// Each m_xy[m] is a posting in a run of x and one in a run of y. Counts
+// arrive as the runs above each node (upperRuns), which hold each m_xy
+// once — decoded, counted, rooted, selected or gained — and
+// upperRuns.layout, the one routine that lays counts out as runs, adds the
+// postings below. Nothing but the tests walks runs back out into pair rows.
 
 // span is the position of one m_v row in the node table: ent[lo:hi] of its
 // arena. The zero span is the empty row.
@@ -85,109 +86,122 @@ func (r *adjRuns) appendRuns(refs []runRef, q graph.NodeID, meta func(int32) int
 	return refs
 }
 
-// buildRuns lays out the runs of a pair table in linear passes: a radix
-// sort of the table's entries by metagraph, then by endpoint.
-//
-//   - Counting gives each node's first posting and each metagraph's first
-//     entry, counted in slot m, or in its rank among the Metas present
-//     when there are no more entries than the largest Meta: nothing is
-//     sized by a Meta alone, which a decoded stream could claim.
-//   - The entries are partitioned by metagraph, each part in key order.
-//   - Metagraph after metagraph, every entry is appended to both of its
-//     endpoints' postings. A node's cursor thus runs through its postings
-//     one metagraph after the other, so its runs come out ascending by
-//     metagraph, and within one ascending by partner: the sorted (min, max)
-//     key order lists a node's partners below it first (ascending, while it
-//     is the max endpoint) and those above it after.
-//   - After each metagraph, a node whose cursor moved (checked over all
-//     nodes, or a small part's endpoints) has a run of it, starting where
-//     its previous run ended. The starts are then sorted by node.
-//
-// Each node's postings are contiguous and so are its runs, so a run ends
-// where the next one starts. The scatter writes one node stream per node,
-// not one per (node, metagraph), and nothing dense in both is allocated.
-func buildRuns(table *csr[PairKey]) adjRuns {
-	pairs := table.keys
-	if len(pairs) == 0 {
+// upperRuns are the runs above each node: node nodes[i] has the runs
+// first[i] to first[i+1]-1 (while a section is decoded, the last node's end
+// at len(meta)); run j is metagraph meta[j] with the postings
+// post[off[j]:off[j+1]], ascending by node, all above the node. They hold
+// every m_xy once, and whatever produces counts hands them over in this
+// form: a decoded section (nodes ascending, each node's runs by metagraph),
+// the counter, a rooted count, Select, the two-edge merge and an update's
+// gains (add and end). Within each metagraph the runs ascend by node,
+// which is all layout needs.
+type upperRuns struct {
+	nodes []graph.NodeID
+	first []int32
+	meta  []int32
+	off   []int32
+	post  []posting
+	top   graph.NodeID // the largest partner
+}
+
+// add appends the posting {y, n} to the run of x being filled, refusing as
+// count32 does a count a posting cannot hold; m is the run's metagraph.
+func (u *upperRuns) add(x, y graph.NodeID, m int32, n uint64) {
+	u.post = append(u.post, posting{y, count32(n, m, MakePairKey(x, y))})
+}
+
+// end closes x's run of metagraph m: the postings appended since the last
+// run ended. A run of none is not kept, and x joins the last node's runs
+// when it is that node.
+func (u *upperRuns) end(x graph.NodeID, m int32) {
+	if len(u.off) == 0 {
+		u.first, u.off = []int32{0}, []int32{0}
+	}
+	at := int32(len(u.post))
+	if at == u.off[len(u.off)-1] {
+		return
+	}
+	if n := len(u.nodes); n == 0 || u.nodes[n-1] != x {
+		u.nodes, u.first = append(u.nodes, x), append(u.first, 0)
+	}
+	u.meta, u.off = append(u.meta, m), append(u.off, at)
+	u.first[len(u.first)-1] = int32(len(u.meta))
+	u.top = max(u.top, u.post[at-1].node)
+}
+
+// layout lays out the index's runs, over numMeta metagraphs, from the runs
+// above each node: node v's run of m is its partners below it in ascending
+// order — every u whose run of m above it holds v — then its own run of m
+// above it. One pass over the runs, metagraph after metagraph and node
+// after node within one, places each posting in its node's run and the
+// mirror posting in its partner's.
+func (u *upperRuns) layout(numMeta int) adjRuns {
+	if len(u.meta) == 0 {
 		return adjRuns{}
 	}
-	n := 0
-	for _, k := range pairs {
-		if _, y := k.Nodes(); int(y) >= n {
-			n = int(y) + 1
+	n := int(u.top) + 1
+	node := make([]graph.NodeID, len(u.meta)) // each run's node
+	for i, q := range u.nodes {
+		for j := u.first[i]; j < u.first[i+1]; j++ {
+			node[j] = q
 		}
 	}
 	cur := make([]int32, n+1) // each node's first posting, then its cursor
-	for r, k := range pairs {
-		x, y := k.Nodes()
-		l := table.off[r+1] - table.off[r]
-		cur[x+1] += l
-		cur[y+1] += l
+	for j, q := range node {
+		ps := u.post[u.off[j]:u.off[j+1]]
+		cur[q+1] += int32(len(ps))
+		for _, p := range ps {
+			cur[p.node+1]++
+		}
 	}
 	for i := 1; i <= n; i++ {
 		cur[i] += cur[i-1]
 	}
-	ent, metas := table.ent, []int32(nil) // slot s counts metagraph metas[s], or s if nil
-	slots := int(slices.MaxFunc(ent, compareEntryMeta).Meta) + 1
-	if slots > len(ent) {
-		metas = make([]int32, len(ent))
-		for i, e := range ent {
-			metas[i] = e.Meta
+	// The runs by metagraph, each metagraph's in node order: counted when
+	// there are no more metagraphs than runs, sorted otherwise.
+	order := make([]int32, len(u.meta))
+	if numMeta <= len(u.meta) {
+		at := make([]int32, numMeta+1)
+		for _, m := range u.meta {
+			at[m+1]++
 		}
-		slices.Sort(metas)
-		metas = slices.Compact(metas)
-		ent = slices.Clone(ent)
-		for i, e := range ent {
-			s, _ := slices.BinarySearch(metas, e.Meta)
-			ent[i].Meta = int32(s)
+		for i := 1; i <= numMeta; i++ {
+			at[i] += at[i-1]
 		}
-		slots = len(metas)
-	}
-	bySlot := make([]int32, slots+1) // each slot's first entry, then its cursor
-	for _, e := range ent {
-		bySlot[e.Meta+1]++
-	}
-	for i := 1; i <= slots; i++ {
-		bySlot[i] += bySlot[i-1]
-	}
-
-	type pairEntry struct {
-		x, y  graph.NodeID
-		count uint32
-	}
-	part := make([]pairEntry, len(ent))
-	r, next := 0, table.off[1]
-	x, y := pairs[0].Nodes()
-	for i, e := range ent {
-		if int32(i) == next { // rows are never empty
-			r++
-			next = table.off[r+1]
-			x, y = pairs[r].Nodes()
+		for j, m := range u.meta {
+			order[at[m]] = int32(j)
+			at[m]++
 		}
-		at := bySlot[e.Meta]
-		part[at] = pairEntry{x, y, e.Count}
-		bySlot[e.Meta] = at + 1
+	} else {
+		for j := range order {
+			order[j] = int32(j)
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(u.meta[a], u.meta[b]) })
 	}
-
-	l := newRunLayout(cur, make([]posting, cur[n]))
-	lo := int32(0)
-	for s, hi := range bySlot[:slots] { // bySlot[s] is now where part s ends
-		m := int32(s)
-		if metas != nil {
-			m = metas[s]
+	l := &runLayout{cur: cur, end: slices.Clone(cur[:n]), post: make([]posting, 2*len(u.post))}
+	for lo := 0; lo < len(order); {
+		m, hi, placed := u.meta[order[lo]], lo, 0
+		for ; hi < len(order) && u.meta[order[hi]] == m; hi++ {
+			j := order[hi]
+			q, ps := node[j], u.post[u.off[j]:u.off[j+1]]
+			l.cur[q] += int32(copy(l.post[l.cur[q]:], ps))
+			for _, p := range ps {
+				c := l.cur[p.node]
+				l.post[c] = posting{q, p.count}
+				l.cur[p.node] = c + 1
+			}
+			placed += len(ps)
 		}
-		for _, p := range part[lo:hi] {
-			cx, cy := l.cur[p.x], l.cur[p.y]
-			l.post[cx] = posting{p.y, p.count}
-			l.post[cy] = posting{p.x, p.count}
-			l.cur[p.x], l.cur[p.y] = cx+1, cy+1
-		}
-		if 2*int(hi-lo) >= n {
-			l.closeAll(m)
+		if 2*placed >= n { // close m for every node
+			for q := range graph.NodeID(n) {
+				l.close(q, m)
+			}
 		} else {
-			for _, p := range part[lo:hi] {
-				l.close(p.x, m)
-				l.close(p.y, m)
+			for _, j := range order[lo:hi] {
+				l.close(node[j], m)
+				for _, p := range u.post[u.off[j]:u.off[j+1]] {
+					l.close(p.node, m)
+				}
 			}
 		}
 		lo = hi
@@ -212,25 +226,12 @@ type runStart struct {
 	at   int32
 }
 
-// newRunLayout lays out post, node v's postings starting at cur[v] (and
-// the last node's ending at cur[len(cur)-1]).
-func newRunLayout(cur []int32, post []posting) *runLayout {
-	return &runLayout{cur: cur, end: slices.Clone(cur[:len(cur)-1]), post: post}
-}
-
 // close records q's run of metagraph m if its cursor moved since its last
 // run.
 func (l *runLayout) close(q graph.NodeID, m int32) {
 	if c := l.cur[q]; c != l.end[q] {
 		l.starts = append(l.starts, runStart{q, m, l.end[q]})
 		l.end[q] = c
-	}
-}
-
-// closeAll closes metagraph m for every node.
-func (l *runLayout) closeAll(m int32) {
-	for q := range graph.NodeID(len(l.end)) {
-		l.close(q, m)
 	}
 }
 

@@ -68,8 +68,8 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 		for _, m := range patchMetagraphs() {
 			p1 := RematchDelta(g1, m, mk, touched1)
 			p2 := RematchDelta(g2, m, mk, touched2)
-			for _, k := range p1.mxy.keys {
-				if findKey(p2.mxy.keys, k) >= 0 {
+			for _, k := range rowsOf(&p1.up).keys {
+				if findKey(rowsOf(&p2.up).keys, k) >= 0 {
 					overlapped++
 					break
 				}
@@ -131,5 +131,6 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 		t.Fatalf("scan of 9 reached %v, m_3 = %v", acc.Touched, acc.NodeVec(3))
 	}
 	acc.Release()
-	checkAdjacency(t, "hand-built", patched, fromRows(1, p.mx, &p.mxy), 10)
+	gains := rowsOf(&p.up)
+	checkAdjacency(t, "hand-built", patched, (&Index{numMeta: 1, mx: p.mx, flat: refRuns(&gains)}).finish(), 10)
 }

@@ -32,8 +32,9 @@ import (
 // weight-1 gain into a flat slice, and one key with its weight per larger
 // gain into another, sorts both, and run-length counts them together: a
 // key's count is the length of its plain run plus its weights. Either way
-// the rows come out in key order, the order a table stores its rows in, so
-// no row is ever looked up or re-sorted. DESIGN.md "Counting instances" has
+// the counts come out in key order: the node table's order, and for pairs
+// the runs above each node, a new smaller node starting a run, so no count
+// is ever looked up or re-sorted. DESIGN.md "Counting instances" has
 // the numbers.
 
 // counter is the scratch one goroutine counts metagraphs with. Its slices
@@ -55,8 +56,8 @@ type weighted struct{ k, n uint64 }
 
 // part builds the single-metagraph part index of m.
 func (c *counter) part(m *metagraph.Metagraph, matcher match.Matcher) *Index {
-	mx, mxy := c.match(m, matcher, 0)
-	return fromRows(1, mx, &mxy)
+	mx, up := c.match(m, matcher, 0)
+	return (&section{numMeta: 1, mx: mx, up: up}).index()
 }
 
 // SortedPairKeys returns the number of pair keys counting ms with matcher
@@ -70,19 +71,20 @@ func SortedPairKeys(ms []*metagraph.Metagraph, matcher match.Matcher) int64 {
 }
 
 // match enumerates the instance sets of m through matcher and returns the
-// rows it contributes as metagraph number mi: per node, the instances in
-// which it sits on a position of a symmetric pair (Eq. 2); per pair, the
-// instances in which it sits on a symmetric pair. An asymmetric metagraph
+// counts it contributes as metagraph number mi: per node, the instances in
+// which it sits on a position of a symmetric pair (Eq. 2), as node rows;
+// per pair, the instances in which it sits on a symmetric pair, as the
+// runs above each node. An asymmetric metagraph
 // contributes nothing (ContainsSym can never hold) and is not matched.
-func (c *counter) match(m *metagraph.Metagraph, matcher match.Matcher, mi int32) (csr[graph.NodeID], csr[PairKey]) {
+func (c *counter) match(m *metagraph.Metagraph, matcher match.Matcher, mi int32) (csr[graph.NodeID], upperRuns) {
 	return c.count(m, mi, func(add match.SetVisitor) { match.InstanceSets(matcher, m, add) })
 }
 
 // count is match over the instance sets enumerate hands its visitor.
-func (c *counter) count(m *metagraph.Metagraph, mi int32, enumerate func(match.SetVisitor)) (csr[graph.NodeID], csr[PairKey]) {
+func (c *counter) count(m *metagraph.Metagraph, mi int32, enumerate func(match.SetVisitor)) (csr[graph.NodeID], upperRuns) {
 	pairs := m.SymmetricPairs()
 	if len(pairs) == 0 {
-		return csr[graph.NodeID]{}, csr[PairKey]{}
+		return csr[graph.NodeID]{}, upperRuns{}
 	}
 	var positions []int
 	for p := range m.N() {
@@ -179,9 +181,9 @@ func (c *counter) room(n int) {
 	c.pairs, c.weighed = grow(c.pairs, n), grow(c.weighed, n)
 }
 
-// rows turns what add counted into the tables of metagraph mi and clears
-// the node counts for the next metagraph.
-func (c *counter) rows(mi int32) (csr[graph.NodeID], csr[PairKey]) {
+// rows turns what add counted into the node table and the runs above each
+// node of metagraph mi, and clears the node counts for the next metagraph.
+func (c *counter) rows(mi int32) (csr[graph.NodeID], upperRuns) {
 	touched := c.touched
 	slices.Sort(touched)
 	c.sorted += int64(len(c.pairs) + len(c.weighed))
@@ -208,9 +210,7 @@ func (c *counter) rows(mi int32) (csr[graph.NodeID], csr[PairKey]) {
 	for i := range c.weighed {
 		c.weighed[i].k = pack(c.weighed[i].k)
 	}
-	low := uint64(1)<<w - 1
-	mxy := runs(c.sort(c.pairs, 2*w), c.sortWeighted(c.weighed, 2*w), mi, func(k uint64) PairKey { return PairKey(k>>w<<32 | k&low) })
-	return mx, mxy
+	return mx, runs(c.sort(c.pairs, 2*w), c.sortWeighted(c.weighed, 2*w), mi, w)
 }
 
 // gain returns C(n, k), what one set adds to the count of metagraph mi at
@@ -251,21 +251,20 @@ func (c *counter) sortWeighted(keys []weighted, width int) []weighted {
 	return radixSortWeighted(keys, c.wbuf[:len(keys)], width)
 }
 
-// runs counts sorted packed pair keys into the rows of metagraph mi: one
-// one-coordinate row per distinct key of either slice, decoded by key,
-// whose count is the key's plain run plus its weights. The table's capacity
-// counts a key in both slices twice.
-func runs(plain []uint64, weighed []weighted, mi int32, key func(uint64) PairKey) csr[PairKey] {
+// runs counts sorted packed pair keys, x<<w | y, into the runs above each
+// node of metagraph mi: one posting per distinct key of either slice, whose
+// count is the key's plain run plus its weights, a new x starting a run.
+// The postings' capacity counts a key in both slices twice.
+func runs(plain []uint64, weighed []weighted, mi int32, w int) upperRuns {
+	var u upperRuns
 	n := distinct(len(plain), func(i int) bool { return plain[i] != plain[i-1] }) +
 		distinct(len(weighed), func(i int) bool { return weighed[i].k != weighed[i-1].k })
 	if n == 0 {
-		return csr[PairKey]{}
+		return u
 	}
-	c := csr[PairKey]{
-		keys: make([]PairKey, 0, n),
-		off:  make([]int32, 1, n+1),
-		ent:  make([]Entry, 0, n),
-	}
+	u.post = make([]posting, 0, n)
+	low := uint64(1)<<w - 1
+	x := graph.NodeID(-1)
 	i, j := 0, 0
 	for i < len(plain) || j < len(weighed) {
 		k := uint64(math.MaxUint64)
@@ -282,9 +281,14 @@ func runs(plain []uint64, weighed []weighted, mi int32, key func(uint64) PairKey
 		for ; j < len(weighed) && weighed[j].k == k; j++ {
 			sum += weighed[j].n
 		}
-		c.appendRun(key(k), mi, uint64(i-start)+sum)
+		if kx := graph.NodeID(k >> w); kx != x {
+			u.end(x, mi)
+			x = kx
+		}
+		u.add(x, graph.NodeID(k&low), mi, uint64(i-start)+sum)
 	}
-	return c
+	u.end(x, mi)
+	return u
 }
 
 // appendRun appends the row of key k, n instances of metagraph mi,

@@ -53,7 +53,7 @@ func refBuild(ms []*metagraph.Metagraph, order []int, g *graph.Graph) *Index {
 		}
 	}
 	pairs := tableOf(mxy)
-	return fromRows(len(ms), tableOf(mx), &pairs)
+	return rowsIndex(len(ms), tableOf(mx), &pairs)
 }
 
 // lexMin visits each instance of m once: the assignments of matcher's Match
@@ -248,8 +248,8 @@ func TestQuickBuilderEqualsMapCounter(t *testing.T) {
 			small, large = small || n > 0 && n < smallSort, large || n >= smallSort
 			empty = empty || n == 0
 			_, pairs := new(counter).match(m, matcher, 0)
-			for _, e := range pairs.ent {
-				longestRun = max(longestRun, e.Count)
+			for _, p := range pairs.post {
+				longestRun = max(longestRun, p.count)
 			}
 			circle := m.String() == friendCircle().String()
 			match.InstanceSets(matcher, m, func(s match.Set) bool {
@@ -342,8 +342,8 @@ func TestSetCountsAsItsInstances(t *testing.T) {
 		}
 		gotX, gotXY := sets.rows(0)
 		wantX, wantXY := one.rows(0)
-		got := writeBytes(t, fromRows(1, gotX, &gotXY))
-		if want := writeBytes(t, fromRows(1, wantX, &wantXY)); !bytes.Equal(got, want) {
+		got := writeBytes(t, (&section{numMeta: 1, mx: gotX, up: gotXY}).index())
+		if want := writeBytes(t, (&section{numMeta: 1, mx: wantX, up: wantXY}).index()); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: the sets count differently from their instances", trial)
 		}
 		if len(one.weighed) != 0 {

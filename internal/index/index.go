@@ -7,12 +7,12 @@
 //
 // An Index stores each count once: the m_x rows in a CSR-style node table
 // (one []Entry arena behind sorted keys and offsets, so NodeVec is a
-// binary search), every m_xy in the partner runs (adjacency.go). An update
-// adds its gains into new flat storage (patch.go). Pair rows
-// keyed by PairKey exist only in flight — counted and gained — and become
-// runs in buildRuns; on the wire each node's runs above it stand for them
-// (io.go). Every entry
-// holds a raw instance count, and a value read is that count.
+// binary search), every m_xy in the partner runs (adjacency.go). Every
+// producer of counts — the counter, a rooted count, Select, an update's
+// gains (patch.go), the two-edge merge and the decoder (io.go) — hands the
+// m_xy over as the runs above each node, and upperRuns.layout lays them
+// out. Every entry holds a raw instance count, and a value read is that
+// count.
 package index
 
 import (
@@ -164,10 +164,18 @@ type Index struct {
 	spans []span
 }
 
-// fromRows is the index of node rows mx and pair rows mxy over numMeta
-// metagraphs; the pair rows are laid out as runs.
-func fromRows(numMeta int, mx csr[graph.NodeID], mxy *csr[PairKey]) *Index {
-	return (&Index{numMeta: numMeta, mx: mx, flat: buildRuns(mxy)}).finish()
+// section is an index before its runs are laid out: the node table and
+// the runs above each node, as a section holds them and every producer of
+// counts hands them over.
+type section struct {
+	numMeta int
+	mx      csr[graph.NodeID]
+	up      upperRuns
+}
+
+// index lays the section's runs out into an index.
+func (s *section) index() *Index {
+	return (&Index{numMeta: s.numMeta, mx: s.mx, flat: s.up.layout(s.numMeta)}).finish()
 }
 
 // finish sets the node-row positions of the index's node table and runs,
@@ -201,13 +209,9 @@ func (ix *Index) NodeVec(x graph.NodeID) SparseVec {
 // The row is gathered into a slice of its own, the one allocation; PairDot
 // reads the same coordinates without.
 func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
-	return SparseVec{ix.pairRow(nil, x, y)}
-}
-
-// pairRow appends the row of pair {x, y} to dst.
-func (ix *Index) pairRow(dst []Entry, x, y graph.NodeID) []Entry {
-	ix.pairCoords(x, y, nil, func(m int32, c uint32) { dst = append(dst, Entry{m, c}) })
-	return dst
+	var row []Entry
+	ix.pairCoords(x, y, nil, func(m int32, c uint32) { row = append(row, Entry{m, c}) })
+	return SparseVec{row}
 }
 
 // pairCoords yields the coordinates of m_xy but those w weighs 0 (nil:

@@ -415,7 +415,7 @@ func wideIndex() *Index {
 		[]Entry{{63, 1}, {64, 128}},
 	)
 	pairs := csr[PairKey]{keys: []PairKey{MakePairKey(0, 3), MakePairKey(3, 7), MakePairKey(5, 7)}, off: pairOff, ent: pairEnt}
-	return fromRows(numMeta, csr[graph.NodeID]{keys: []graph.NodeID{0, 3, 7}, off: nodeOff, ent: nodeEnt}, &pairs)
+	return rowsIndex(numMeta, csr[graph.NodeID]{keys: []graph.NodeID{0, 3, 7}, off: nodeOff, ent: nodeEnt}, &pairs)
 }
 
 // TestIndexRoundTripAnyWidth: one row layout for any number of metagraphs.
@@ -709,7 +709,7 @@ func TestIndexReadRejectsCorruptRuns(t *testing.T) {
 		}
 		rows := tableOf(c.rows)
 		holdsRows(t, c.name, ix, rows)
-		if want := buildRuns(&rows); !sameRuns(&ix.flat, &want) {
+		if want := refRuns(&rows); !sameRuns(&ix.flat, &want) {
 			t.Errorf("%s: the runs %+v are not the ones the pair rows lay out, %+v", c.name, ix.flat, want)
 		}
 	}
@@ -1069,7 +1069,8 @@ func unitPatch(ix *Index, numNodes int) *Patch {
 	}
 	mx, mxy := map[graph.NodeID][]Entry{}, map[PairKey][]Entry{}
 	self.mx.each(func(x graph.NodeID, row []Entry) { mx[x] = ones(ix.NodeVec(x), row) })
-	self.mxy.each(func(k PairKey, row []Entry) { mxy[k] = ones(ix.PairVec(k.Nodes()), row) })
+	gains := rowsOf(&self.up)
+	gains.each(func(k PairKey, row []Entry) { mxy[k] = ones(ix.PairVec(k.Nodes()), row) })
 	return handPatch(ix.NumMeta(), mx, mxy)
 }
 
@@ -1078,7 +1079,7 @@ func unitPatch(ix *Index, numNodes int) *Patch {
 // patched too — inside allocations bounded by the stated
 // graph size. What it serves is held to what the stream declares: the node
 // rows decodeTable and the pair rows declaredRuns read off the same bytes,
-// laid out as buildRuns lays them out, plus the gains once patched — or,
+// laid out as refRuns lays them out, plus the gains once patched — or,
 // where a sum does not fit a uint32, a refusal that leaves the receiver as
 // it was. Each input is patched twice: with selfPatch's large gains, and
 // with unitPatch's, which always fit, so every input reaches a patched
@@ -1162,15 +1163,15 @@ func FuzzIndexRead(f *testing.F) {
 		}
 		declared, _ := declaredRuns(fr, numMeta)
 		holdsRows(t, "decoded", ix, declared)
-		if want := buildRuns(&declared); !sameRuns(&ix.flat, &want) {
-			t.Fatal("the decoded runs are not the ones buildRuns lays out of the same pair rows")
+		if want := refRuns(&declared); !sameRuns(&ix.flat, &want) {
+			t.Fatal("the decoded runs are not the ones refRuns lays out of the same pair rows")
 		}
 		scanEverything(t, ix, int(numNodes))
 		// The same after a patch.
 		once := writeBytes(t, ix)
 		for name, patch := range map[string]*Patch{"self": selfPatch(ix, int(numNodes)), "unit": unitPatch(ix, int(numNodes))} {
 			wantMx, mxFits := addRows(declaredMx, patch.mx)
-			wantMxy, mxyFits := addRows(declared, patch.mxy)
+			wantMxy, mxyFits := addRows(declared, rowsOf(&patch.up))
 			fits := mxFits && mxyFits
 			if name == "unit" && !fits {
 				t.Fatal("unitPatch's gains overflow a uint32")
@@ -1187,6 +1188,7 @@ func FuzzIndexRead(f *testing.F) {
 					t.Fatalf("%s: node rows %v %v; the stream plus the gains hold %v %v", label, nodes.keys, nodes.ent, wantMx.keys, wantMx.ent)
 				}
 				holdsRows(t, label, got, wantMxy)
+				laysOutRef(t, label, got)
 				scanEverything(t, got, int(numNodes))
 			}
 		}
@@ -1294,7 +1296,7 @@ func cliqueIndex(n int) *Index {
 			rows.appendRow(MakePairKey(x, y), []Entry{{0, 1}})
 		}
 	}
-	return fromRows(1, csr[graph.NodeID]{}, &rows)
+	return rowsIndex(1, csr[graph.NodeID]{}, &rows)
 }
 
 // copies reports whether some run of the index stream raw copies from a

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -618,14 +617,6 @@ func DecodeCounting(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, m
 	return sec.index(), nil
 }
 
-// section is what a section holds before its runs are laid out: the node
-// table and the runs above each node.
-type section struct {
-	numMeta int
-	mx      csr[graph.NodeID]
-	up      upperRuns
-}
-
 // decodeSection reads one section for a graph of numNodes nodes with the
 // checks Decode lists, leaving its runs to be laid out.
 func decodeSection(r *flat.Reader, numNodes int) (*section, error) {
@@ -646,11 +637,6 @@ func decodeSection(r *flat.Reader, numNodes int) (*section, error) {
 		return nil, fmt.Errorf("index: %w", r.Err())
 	}
 	return &section{numMeta: int(numMeta), mx: mx, up: d.up}, nil
-}
-
-// index lays the section's runs out into an index.
-func (s *section) index() *Index {
-	return (&Index{numMeta: s.numMeta, mx: s.mx, flat: s.up.layout(s.numMeta)}).finish()
 }
 
 // corrupt names an invariant the stream broke — unless the stream itself
@@ -758,20 +744,6 @@ func decodeTable(r *flat.Reader, numMeta, limit uint64) (c csr[graph.NodeID], er
 		return c, corrupt(r, "row lengths", "fall short of the entry count")
 	}
 	return c, r.Err()
-}
-
-// upperRuns are the runs above each node, as a section holds them: node
-// nodes[i] has the runs first[i] to first[i+1]-1 (while decoding, the
-// last node's end at len(meta)), ascending by metagraph; run j is
-// metagraph meta[j] with the postings post[off[j]:off[j+1]], ascending by
-// node, all above the node.
-type upperRuns struct {
-	nodes []graph.NodeID
-	first []int32
-	meta  []int32
-	off   []int32
-	post  []posting
-	top   graph.NodeID // the largest partner
 }
 
 // runDecoder reads the runs above each node of one section.
@@ -989,83 +961,4 @@ func (u *upperRuns) find(p graph.NodeID, m int32) (int32, bool) {
 	lo, hi := u.first[i], u.first[i+1] // p lies below the node decoding
 	j, ok := slices.BinarySearch(u.meta[lo:hi], m)
 	return lo + int32(j), ok
-}
-
-// layout lays out the index's runs from the runs above each node: node
-// v's run of m is its partners below it in ascending order — every u
-// whose run of m above it holds v — then its own run of m above it. One
-// pass over the runs, metagraph after metagraph and node after node within
-// one, places each posting in its node's run and the mirror posting in
-// its partner's; the runs come out identical to what buildRuns lays out
-// from the same pair rows.
-func (u *upperRuns) layout(numMeta int) adjRuns {
-	if len(u.meta) == 0 {
-		return adjRuns{}
-	}
-	n := int(u.top) + 1
-	node := make([]graph.NodeID, len(u.meta)) // each run's node
-	for i, q := range u.nodes {
-		for j := u.first[i]; j < u.first[i+1]; j++ {
-			node[j] = q
-		}
-	}
-	cur := make([]int32, n+1) // each node's first posting, then its cursor
-	for j, q := range node {
-		ps := u.post[u.off[j]:u.off[j+1]]
-		cur[q+1] += int32(len(ps))
-		for _, p := range ps {
-			cur[p.node+1]++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		cur[i] += cur[i-1]
-	}
-	// The runs by metagraph, each metagraph's in node order: counted when
-	// there are no more metagraphs than runs, sorted otherwise.
-	order := make([]int32, len(u.meta))
-	if numMeta <= len(u.meta) {
-		at := make([]int32, numMeta+1)
-		for _, m := range u.meta {
-			at[m+1]++
-		}
-		for i := 1; i <= numMeta; i++ {
-			at[i] += at[i-1]
-		}
-		for j, m := range u.meta {
-			order[at[m]] = int32(j)
-			at[m]++
-		}
-	} else {
-		for j := range order {
-			order[j] = int32(j)
-		}
-		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(u.meta[a], u.meta[b]) })
-	}
-	l := newRunLayout(cur, make([]posting, 2*len(u.post)))
-	for lo := 0; lo < len(order); {
-		m, hi, placed := u.meta[order[lo]], lo, 0
-		for ; hi < len(order) && u.meta[order[hi]] == m; hi++ {
-			j := order[hi]
-			q, ps := node[j], u.post[u.off[j]:u.off[j+1]]
-			l.cur[q] += int32(copy(l.post[l.cur[q]:], ps))
-			for _, p := range ps {
-				c := l.cur[p.node]
-				l.post[c] = posting{q, p.count}
-				l.cur[p.node] = c + 1
-			}
-			placed += len(ps)
-		}
-		if 2*placed >= n {
-			l.closeAll(m)
-		} else {
-			for _, j := range order[lo:hi] {
-				l.close(node[j], m)
-				for _, p := range u.post[u.off[j]:u.off[j+1]] {
-					l.close(p.node, m)
-				}
-			}
-		}
-		lo = hi
-	}
-	return l.runs()
 }

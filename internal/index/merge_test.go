@@ -28,7 +28,7 @@ func sortMerge(parts ...*Index) *Index {
 		mx[i], mxy[i] = &p.mx, &pairs
 	}
 	pairs := sortMergeCSR(mxy, offsets)
-	return fromRows(numMeta, sortMergeCSR(mx, offsets), &pairs)
+	return rowsIndex(numMeta, sortMergeCSR(mx, offsets), &pairs)
 }
 
 func sortMergeCSR[K cmp.Ordered](tables []*csr[K], offsets []int32) csr[K] {

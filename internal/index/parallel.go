@@ -18,17 +18,8 @@ import (
 // built by the newMatcher factory, and a private counter whose key scratch
 // it reuses across its metagraphs.
 
-// Workers normalizes a worker-count option: values < 1 mean "one worker
-// per available CPU" (runtime.GOMAXPROCS).
-func Workers(n int) int {
-	if n < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // MatchParts matches every metagraph of ms into its own single-metagraph
-// index using the given number of workers (Workers-normalized). newMatcher
+// index using the given number of workers (as fanOut counts them). newMatcher
 // is invoked once per worker, and each worker counts with one scratch. The
 // returned parts and wall-clock durations are aligned with ms;
 // Merge(parts...) reproduces the serial build exactly.
@@ -49,12 +40,16 @@ func MatchParts(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, work
 	return parts, times
 }
 
-// fanOut calls job(i) for every i < n on min(n, Workers(workers))
-// goroutines, each job the one newWorker returned for its goroutine, so
-// that a worker's state is its own. One worker runs on the caller's
-// goroutine.
+// fanOut calls job(i) for every i < n on min(n, workers) goroutines, a
+// workers value below 1 meaning one per available CPU
+// (runtime.GOMAXPROCS), each job the one newWorker returned for its
+// goroutine, so that a worker's state is its own. One worker runs on the
+// caller's goroutine.
 func fanOut(n, workers int, newWorker func() func(int)) {
-	workers = min(Workers(workers), n)
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		if n > 0 {
 			job := newWorker()

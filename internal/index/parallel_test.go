@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/match"
@@ -52,11 +53,23 @@ func TestMatchPartsEmpty(t *testing.T) {
 	}
 }
 
+// TestWorkersNormalization: fanOut starts one worker per CPU
+// (runtime.GOMAXPROCS) for a worker count below 1, an explicit count as it
+// is, and never more workers than jobs.
 func TestWorkersNormalization(t *testing.T) {
-	if Workers(0) < 1 || Workers(-3) < 1 {
-		t.Fatal("Workers must normalize to >= 1")
+	started := func(n, workers int) (count int) {
+		fanOut(n, workers, func() func(int) {
+			count++ // newWorker runs on the caller's goroutine
+			return func(int) {}
+		})
+		return count
 	}
-	if Workers(5) != 5 {
-		t.Fatal("explicit worker counts must pass through")
+	cpus := min(runtime.GOMAXPROCS(0), 64)
+	for _, c := range []struct{ n, workers, want int }{
+		{64, 0, cpus}, {64, -3, cpus}, {64, 5, 5}, {3, 5, 3}, {0, 0, 0},
+	} {
+		if got := started(c.n, c.workers); got != c.want {
+			t.Errorf("fanOut(%d, %d) started %d workers, want %d", c.n, c.workers, got, c.want)
+		}
 	}
 }

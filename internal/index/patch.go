@@ -20,20 +20,20 @@ import (
 	"repro/internal/metagraph"
 )
 
-// Patch is what one update gained: per key, the raw instance counts to ADD
-// to the rows of the index it lands on (Eq. 1–2 count instances, and a
-// delta only adds them). Rows are canonical (keys ascending, entries
-// ascending by Meta) and never empty.
+// Patch is what one update gained: the raw instance counts to ADD to the
+// index it lands on (Eq. 1–2 count instances, and a delta only adds them),
+// per node as node rows (keys ascending, entries ascending by Meta, never
+// empty) and per pair as the runs above each node.
 type Patch struct {
 	numMeta int
 	mx      csr[graph.NodeID]
-	mxy     csr[PairKey]
+	up      upperRuns
 	// enumerated is the work the re-match behind the patch did.
 	enumerated int64
 }
 
 // Empty reports whether the patch gains nothing.
-func (p *Patch) Empty() bool { return len(p.mx.keys) == 0 && len(p.mxy.keys) == 0 }
+func (p *Patch) Empty() bool { return len(p.mx.keys) == 0 && len(p.up.meta) == 0 }
 
 // NodeKeys returns the node keys that gain, ascending. The slice is shared;
 // do not modify.
@@ -47,17 +47,24 @@ func (p *Patch) Enumerated() int64 { return p.enumerated }
 // numMeta metagraphs: patch i's metagraph j becomes metagraph slots[i]+j,
 // and a key's row is the coordinates that gained, wherever they came from.
 // One WithPatch of the result then adds every gain to the merged index — a
-// row changes only in the coordinates that gained. The work counts add up.
+// row changes only in the coordinates that gained. The slots are distinct,
+// so each metagraph's runs are one patch's, in node order, and are
+// appended as they are. The work counts add up.
 func MergeGains(numMeta int, slots []int, patches []*Patch) *Patch {
 	out := &Patch{numMeta: numMeta}
 	mx := make([]source[graph.NodeID], len(patches))
-	mxy := make([]source[PairKey], len(patches))
 	for i, p := range patches {
 		mx[i] = source[graph.NodeID]{&p.mx, shifted(int32(slots[i]))}
-		mxy[i] = source[PairKey]{&p.mxy, shifted(int32(slots[i]))}
+		u := &p.up
+		for k, x := range u.nodes {
+			for j := u.first[k]; j < u.first[k+1]; j++ {
+				out.up.post = append(out.up.post, u.post[u.off[j]:u.off[j+1]]...)
+				out.up.end(x, u.meta[j]+int32(slots[i]))
+			}
+		}
 		out.enumerated += p.enumerated
 	}
-	out.mx, out.mxy = mergeCSR(mx), mergeCSR(mxy)
+	out.mx = mergeCSR(mx)
 	return out
 }
 
@@ -83,7 +90,7 @@ func (ix *Index) WithPatch(p *Patch) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, err := ix.flat.plus(buildRuns(&p.mxy))
+	flat, err := ix.flat.plus(p.up.layout(p.numMeta))
 	if err != nil {
 		return nil, err
 	}
@@ -170,8 +177,8 @@ func RematchDelta(g *graph.Graph, m *metagraph.Metagraph, _ func(*graph.Graph) m
 	matcher := match.NewSymISO(g)
 	c := counters.Get().(*counter)
 	defer counters.Put(c)
-	mx, mxy := c.count(m, 0, func(add match.SetVisitor) { match.GainedInstanceSets(matcher, m, add) })
-	return &Patch{numMeta: 1, mx: mx, mxy: mxy, enumerated: matcher.Visited()}
+	mx, up := c.count(m, 0, func(add match.SetVisitor) { match.GainedInstanceSets(matcher, m, add) })
+	return &Patch{numMeta: 1, mx: mx, up: up, enumerated: matcher.Visited()}
 }
 
 // counters holds the scratch RematchDelta counts with. An update

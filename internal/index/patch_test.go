@@ -32,7 +32,8 @@ func handPatch(numMeta int, mx map[graph.NodeID][]Entry, mxy map[PairKey][]Entry
 			delete(mxy, k)
 		}
 	}
-	return &Patch{numMeta: numMeta, mx: tableOf(mx), mxy: tableOf(mxy)}
+	pairs := tableOf(mxy)
+	return &Patch{numMeta: numMeta, mx: tableOf(mx), up: upperOf(&pairs)}
 }
 
 // mustPatch is ix.WithPatch(p) for gains that cannot overflow.
@@ -245,7 +246,7 @@ func TestCountOverflowIsRefused(t *testing.T) {
 	}
 
 	mustPanic(t, "a run of 2^32 instances", "metagraph 1, key (2,4):", func() {
-		new(csr[PairKey]).appendRun(MakePairKey(2, 4), 1, math.MaxUint32+1)
+		new(upperRuns).add(2, 4, 1, math.MaxUint32+1)
 	})
 }
 
@@ -386,7 +387,7 @@ func TestRematchWorkIsLocal(t *testing.T) {
 		if small.Enumerated() != big.Enumerated() {
 			t.Fatalf("metagraph %d: %d assignments visited on G, %d on G plus a disjoint copy", mi, small.Enumerated(), big.Enumerated())
 		}
-		if len(small.mxy.keys) != len(big.mxy.keys) || len(small.NodeKeys()) != len(big.NodeKeys()) {
+		if len(small.up.post) != len(big.up.post) || len(small.NodeKeys()) != len(big.NodeKeys()) {
 			t.Fatalf("metagraph %d: gains differ between G and its doubling", mi)
 		}
 	}

@@ -31,23 +31,38 @@ type Keys struct {
 }
 
 // Select returns the index holding only the rows keys names that ix holds:
-// it spans the same metagraphs.
+// it spans the same metagraphs. Each run of a pair's smaller node x is cut
+// to the partners the pairs of x name.
 func (ix *Index) Select(keys Keys) *Index {
-	var mx csr[graph.NodeID]
+	s := section{numMeta: ix.numMeta}
 	for _, v := range keys.Nodes {
 		if row := ix.mx.row(v); len(row) > 0 {
-			mx.appendRow(v, row)
+			s.mx.appendRow(v, row)
 		}
 	}
-	var mxy csr[PairKey]
-	var row []Entry
-	for _, k := range keys.Pairs {
-		x, y := k.Nodes()
-		if row = ix.pairRow(row[:0], x, y); len(row) > 0 {
-			mxy.appendRow(k, row)
+	rs := &ix.flat
+	for pairs := keys.Pairs; len(pairs) > 0; {
+		x, _ := pairs[0].Nodes()
+		n := 1 // the pairs of x: contiguous, ascending by the larger node
+		for n < len(pairs) && pairs[n]>>32 == pairs[0]>>32 {
+			n++
 		}
+		lo, hi := rs.runs(x)
+		for r := lo; r < hi; r++ {
+			post := rs.postings(r)
+			for _, k := range pairs[:n] {
+				_, y := k.Nodes()
+				i, ok := slices.BinarySearchFunc(post, y, comparePosting)
+				if ok {
+					s.up.post = append(s.up.post, post[i])
+				}
+				post = post[i:]
+			}
+			s.up.end(x, rs.meta[r])
+		}
+		pairs = pairs[n:]
 	}
-	return fromRows(ix.numMeta, mx, &mxy)
+	return s.index()
 }
 
 // RootedParts counts the rows keys names of every metagraph of ms into its
@@ -80,8 +95,7 @@ func (c *counter) rooted(m *metagraph.Metagraph, matcher *match.SymISO, keys Key
 		roots = append(roots, p)
 	}
 	runs := make([]*match.Rooted, len(roots)) // planned on first use
-	var mx csr[graph.NodeID]
-	var mxy csr[PairKey]
+	s := section{numMeta: 1}
 	for _, v := range keys.Nodes {
 		var n uint64
 		c.touched = c.touched[:0]
@@ -95,7 +109,7 @@ func (c *counter) rooted(m *metagraph.Metagraph, matcher *match.SymISO, keys Key
 			})
 		}
 		if n > 0 {
-			mx.appendRun(v, 0, n)
+			s.mx.appendRun(v, 0, n)
 		}
 		// The pairs whose smaller node is v: keys of one first node are
 		// contiguous, ascending by the second.
@@ -106,14 +120,15 @@ func (c *counter) rooted(m *metagraph.Metagraph, matcher *match.SymISO, keys Key
 				break
 			}
 			if int(y) < len(c.counts) && c.counts[y] > 0 {
-				mxy.appendRun(k, 0, c.counts[y])
+				s.up.add(v, y, 0, c.counts[y])
 			}
 		}
+		s.up.end(v, 0)
 		for _, u := range c.touched {
 			c.counts[u] = 0
 		}
 	}
-	return fromRows(1, mx, &mxy)
+	return s.index()
 }
 
 // addRooted counts one set of a run that pins v to a position whose

@@ -21,10 +21,9 @@ import (
 // neighbour lists of x's middle-typed neighbours, cut to their nodes above
 // x, merge into x's run above it — a partner's multiplicity in the merge is
 // m_xy — and m_x is the lists' lengths less one each, summed. The runs
-// above each node are what an index section holds, so the decoder's layout
-// lays them out (upperRuns.layout): for the part an engine adds
-// (TwoEdgePart), and beside a section's own runs when a snapshot is loaded
-// (DecodeCounting). SymISO counts every other metagraph and stays the
+// above each node are the form every count arrives in, so upperRuns.layout
+// lays them out: for the part an engine adds (TwoEdgePart), and beside a
+// section's own runs when a snapshot is loaded (DecodeCounting). SymISO counts every other metagraph and stays the
 // reference the tests hold the merge to.
 
 // IsTwoEdgeMetapath reports whether TwoEdgePart counts m: m has three
@@ -105,9 +104,9 @@ func TwoEdgePart(g *graph.Graph, m *metagraph.Metagraph) (*Index, error) {
 	if b > math.MaxInt32/2 {
 		return nil, fmt.Errorf("index: metagraph %v: more than %d postings on one graph", m, math.MaxInt32)
 	}
-	u := upperRuns{post: make([]posting, 0, b)}
-	mx := u.addTwoEdge(g, m, 0)
-	return (&Index{numMeta: 1, mx: mx, flat: u.layout(1)}).finish(), nil
+	s := section{numMeta: 1, up: upperRuns{post: make([]posting, 0, b)}}
+	s.mx = s.up.addTwoEdge(g, m, 0)
+	return s.index(), nil
 }
 
 // addTwoEdge appends the runs above each node of the two-edge metapath m
@@ -118,9 +117,6 @@ func (u *upperRuns) addTwoEdge(g *graph.Graph, m *metagraph.Metagraph, slot int3
 	end, mid, _ := twoEdgeTypes(m)
 	if nt := graph.TypeID(g.NumTypes()); end < 0 || end >= nt || mid < 0 || mid >= nt {
 		return mx
-	}
-	if len(u.first) == 0 { // no runs yet
-		u.first, u.off = []int32{0}, []int32{0}
 	}
 	var mg merger
 	var above [][]graph.NodeID // x's lists, cut to their nodes above x
@@ -137,12 +133,8 @@ func (u *upperRuns) addTwoEdge(g *graph.Graph, m *metagraph.Metagraph, slot int3
 		if sum > 0 {
 			mx.appendRun(x, slot, sum)
 		}
-		if len(above) > 0 {
-			u.post = mg.merge(u.post, above)
-			u.nodes, u.meta, u.off = append(u.nodes, x), append(u.meta, slot), append(u.off, int32(len(u.post)))
-			u.first = append(u.first, int32(len(u.meta)))
-			u.top = max(u.top, u.post[len(u.post)-1].node)
-		}
+		u.post = mg.merge(u.post, above)
+		u.end(x, slot)
 	}
 	return mx
 }
