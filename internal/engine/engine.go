@@ -230,9 +230,7 @@ func (e *Engine) publish(ep *epoch) {
 			cm.dots = ep.ix.NodeDots(cm.w)
 		}
 	}
-	fp := ep.ix.Footprint()
-	engIndexTables.Set(fp.Tables)
-	engIndexAdjacency.Set(fp.Adjacency)
+	engIndexAdjacency.Set(ep.ix.Footprint())
 	e.cur.Store(ep)
 }
 

@@ -23,7 +23,6 @@ var (
 
 	// What the serving epoch's one index holds resident, set at every
 	// publish from its slice lengths.
-	engIndexTables    = indexResident("tables")
 	engIndexAdjacency = indexResident("adjacency")
 
 	// The write path of one update, stage by stage.
@@ -40,6 +39,6 @@ func updateStage(stage string) *obs.Histogram {
 
 func indexResident(part string) *obs.Gauge {
 	return obs.Default().Gauge("semprox_index_resident_bytes",
-		"Bytes the serving epoch's metagraph-vector index holds resident: the node table (tables) and the partner runs that are its one store of pair counts with the node-row positions (adjacency).",
+		"Bytes the serving epoch's metagraph-vector index holds resident: the partner runs (adjacency), its one store of pair counts, whose run headers hold the node counts.",
 		obs.L("part", part))
 }

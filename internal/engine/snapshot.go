@@ -50,7 +50,7 @@ import (
 
 // SnapshotMagic opens every snapshot stream; it and the header types are
 // exported for the tests that take snapshots apart.
-const SnapshotMagic = "SPXS\x0c"
+const SnapshotMagic = "SPXS\x0d"
 
 // SnapshotMetagraph rebuilds one metagraph via metagraph.New.
 type SnapshotMetagraph struct {

@@ -43,28 +43,30 @@ func SharedSchoolMetagraphs(g *graph.Graph) []*metagraph.Metagraph {
 // internal/index writes them (its io.go format comment). A drift fails
 // every test that loads what WithEveryCount writes.
 const (
-	ordSize     = 0
-	ordKey      = 1
-	ordNodeHead = 7
-	ordMetaGap  = 1
-	ordNodeCnt  = 6
-	ordNode     = 1
-	ordRunHead  = 3
-	ordRef      = 4
-	ordBlocks   = 0
-	ordBlock    = 1
-	ordResHead  = 2
-	ordResGap   = 4
-	ordResCnt   = 1
+	ordSize    = 0
+	ordMetaGap = 1
+	ordNode    = 1
+	ordRunHead = 3
+	ordRef     = 4
+	ordBlocks  = 0
+	ordBlock   = 1
+	ordResHead = 2
+	ordResGap  = 4
+	ordResCnt  = 1
+	ordDiv     = 1
+	ordCntGap  = 1
+	ordCnt     = 2
 )
 
 // WithEveryCount re-encodes an engine snapshot, whose stream starts with
-// magic, with every count of its index section set to cnt, checksum
-// valid: the on-disk form of an index whose instances number cnt wherever
-// it has a row. Every node row is written with a head of its own (reuse
-// bit clear), which a reader accepts as it does the shared ones; the runs
-// keep their references. Of the snapshot's header it reads only
-// classes[].kept, which sizes each class's weight section.
+// magic, with every pair count of its index section set to cnt, and every
+// count the section writes for a node too, checksum valid: the on-disk
+// form of an index whose instances number cnt wherever it has a pair row.
+// A node count the section derives from its run's sum follows the pairs:
+// SharedSchool's users have one partner each and a divisor of 1, so their
+// counts are cnt as well. The runs keep their references. Of the
+// snapshot's header it reads only classes[].kept, which sizes each class's
+// weight section.
 func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte {
 	tb.Helper()
 	fr, err := flat.NewReader(bytes.NewReader(snap), magic)
@@ -85,42 +87,23 @@ func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte
 	}
 	graph.Encode(fw, g)
 	eg := func(k uint) uint64 { v := fr.ExpGolomb(k); fw.ExpGolomb(v, k); return v }
-	b := uint(bits.Len64(eg(ordSize))) // numMeta sizes each row and run head
+	b := uint(bits.Len64(eg(ordSize))) // numMeta sizes each run head
 	ones := uint64(0)
 	if cnt == 1 {
 		ones = 1
 	}
-	// The node table: rows of counts.
-	nKeys, _ := eg(ordSize), eg(ordSize)
-	head := uint64(0)
-	for i := uint64(0); i < nKeys; i++ {
-		d := fr.ExpGolomb(ordKey) // key delta<<1 | reuse
-		fw.ExpGolomb(d&^1, ordKey)
-		if d&1 == 0 {
-			head = fr.ExpGolomb(ordNodeHead)
-		}
-		fw.ExpGolomb(head&^1|ones, ordNodeHead)
-		n := head >> (b + 1)
-		for j := uint64(1); j < n; j++ {
-			eg(ordMetaGap)
-		}
-		for j := uint64(0); j < n; j++ {
-			if head&1 == 0 {
-				fr.ExpGolomb(ordNodeCnt)
-			}
-			if ones == 0 {
-				fw.ExpGolomb(cnt, ordNodeCnt)
-			}
-		}
-	}
 	// The runs above each node: a copy takes its count from the run it
 	// copies, which holds cnt too, so only the residuals carry counts.
+	metas := map[uint64]bool{}
 	nRuns, _ := eg(ordSize), eg(ordSize)
 	for runs := uint64(0); runs < nRuns; {
 		eg(ordNode)
-		n := eg(ordRunHead) >> b // runs<<b | first metagraph
+		head := eg(ordRunHead) // runs<<b | first metagraph
+		n, m := head>>b, head&(1<<b-1)
+		metas[m] = true
 		for j := uint64(1); j < n; j++ {
-			eg(ordMetaGap)
+			m += eg(ordMetaGap)
+			metas[m] = true
 		}
 		for j := uint64(0); j < n; j++ {
 			if eg(ordRef) != 0 { // a reference, then its copy blocks
@@ -143,6 +126,21 @@ func WithEveryCount(tb testing.TB, snap []byte, magic string, cnt uint64) []byte
 			}
 		}
 		runs += n
+	}
+	// A divisor per metagraph the runs hold, then the written counts of
+	// those of divisor 0.
+	written := 0
+	for range metas {
+		if eg(ordDiv) == 0 {
+			written++
+		}
+	}
+	for ; written > 0; written-- {
+		for k := eg(ordSize); k > 0; k-- {
+			eg(ordCntGap)
+			fr.ExpGolomb(ordCnt)
+			fw.ExpGolomb(cnt, ordCnt)
+		}
 	}
 	fr.Align()
 	fw.Align()

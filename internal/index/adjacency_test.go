@@ -11,7 +11,7 @@ import (
 )
 
 // checkAdjacency compares the runs of got with want's run for run — the
-// same metagraphs in the same order, each with the same postings — and the
+// same headers in the same order, each with the same postings — and the
 // node row behind every posting, then (scanEverything) each run of got, its
 // scans and its denominators with the by-key reads they replace.
 func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int) {
@@ -29,10 +29,10 @@ func checkAdjacency(t *testing.T, label string, got, want *Index, numNodes int) 
 		}
 		accG, accW := got.Accumulate(v, ones), want.Accumulate(v, ones)
 		for i := int32(0); i < ghi-glo; i++ {
-			mg, pg := rg.meta[glo+i], rg.postings(glo+i)
-			mw, pw := rw.meta[wlo+i], rw.postings(wlo+i)
-			if mg != mw || !slices.Equal(pg, pw) {
-				t.Fatalf("%s: run %d of node %d is metagraph %d %v; from scratch %d %v", label, i, v, mg, pg, mw, pw)
+			hg, pg := rg.head[glo+i], rg.postings(glo+i)
+			hw, pw := rw.head[wlo+i], rw.postings(wlo+i)
+			if hg != hw || !slices.Equal(pg, pw) {
+				t.Fatalf("%s: run %d of node %d is %v %v; from scratch %v %v", label, i, v, hg, pg, hw, pw)
 			}
 			for _, p := range pg {
 				if !sameRow(accG.NodeVec(p.node), accW.NodeVec(p.node)) {
@@ -69,7 +69,7 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 			p1 := RematchDelta(g1, m, mk, touched1)
 			p2 := RematchDelta(g2, m, mk, touched2)
 			for _, k := range rowsOf(&p1.up).keys {
-				if findKey(rowsOf(&p2.up).keys, k) >= 0 {
+				if slices.Contains(rowsOf(&p2.up).keys, k) {
 					overlapped++
 					break
 				}
@@ -86,7 +86,7 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 }
 
 // TestAdjacencyOfHandBuiltPatch covers what re-matching never produces but
-// the types allow: a pair whose endpoints have no node row, a patch that
+// the types allow: node counts that are not their runs' sums, a patch that
 // introduces node ids beyond the base — which the pooled accumulator must
 // grow to reach — and an index with no pairs at all.
 func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
@@ -104,7 +104,7 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 	acc.slot = acc.slot[:0]
 	acc.Release()
 
-	p := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
+	p := handPatch(1, map[graph.NodeID][]Entry{1: {{Meta: 0, Count: 7}}, 3: {{Meta: 0, Count: 2}}, 9: {{Meta: 0, Count: 1}}},
 		map[PairKey][]Entry{MakePairKey(1, 3): {{Meta: 0, Count: 1}}, MakePairKey(3, 9): {{Meta: 0, Count: 4}}})
 	patched := mustPatch(t, empty, p)
 	if got := patched.Partners(3); !slices.Equal(got, []graph.NodeID{1, 9}) {
@@ -114,7 +114,7 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 	if len(acc.slot) < patched.NodeSpan() || !slices.Equal(acc.Touched, []graph.NodeID{1, 9}) {
 		t.Fatalf("scan of 3 over %d slots for a node span of %d reached %v, want [1 9]", len(acc.slot), patched.NodeSpan(), acc.Touched)
 	}
-	if acc.NodeVec(1).Len() != 0 || acc.PairDot(1) != 1 || acc.PairDot(9) != 4 {
+	if acc.NodeVec(1).Get(0) != 7 || acc.PairDot(1) != 1 || acc.PairDot(9) != 4 {
 		t.Fatalf("scan of 3 resolves to m_1 = %v, m_31·w = %v, m_39·w = %v", acc.NodeVec(1), acc.PairDot(1), acc.PairDot(9))
 	}
 	// Wrap the stamps with a stale sum on node 1 that would look current
@@ -131,6 +131,6 @@ func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 		t.Fatalf("scan of 9 reached %v, m_3 = %v", acc.Touched, acc.NodeVec(3))
 	}
 	acc.Release()
-	gains := rowsOf(&p.up)
-	checkAdjacency(t, "hand-built", patched, (&Index{numMeta: 1, mx: p.mx, flat: refRuns(&gains)}).finish(), 10)
+	gains, counts := rowsOf(&p.up), countsOf(&p.up)
+	checkAdjacency(t, "hand-built", patched, &Index{numMeta: 1, flat: refRuns(&counts, &gains)}, 10)
 }

@@ -26,16 +26,16 @@ import (
 //   - C(ℓ−2, m−2) to each pair of F: the subsets holding both.
 // Every weight is 1 when ℓ = m, so a plain instance takes the same code.
 // Node counts go straight into a dense per-node counter: the first count of
-// a node lists it as touched, and the touched nodes, sorted, are the rows
-// of the node table, after which their counts are cleared again. Pairs are
-// too many for a dense counter, so the counter writes one key per pair and
-// weight-1 gain into a flat slice, and one key with its weight per larger
-// gain into another, sorts both, and run-length counts them together: a
-// key's count is the length of its plain run plus its weights. Either way
-// the counts come out in key order: the node table's order, and for pairs
-// the runs above each node, a new smaller node starting a run, so no count
-// is ever looked up or re-sorted. DESIGN.md "Counting instances" has
-// the numbers.
+// a node lists it as touched, and the touched nodes, sorted, hand their
+// counts over in flight beside the runs, after which their counts are
+// cleared again. Pairs are too many for a dense counter, so the counter
+// writes one key per pair and weight-1 gain into a flat slice, and one key
+// with its weight per larger gain into another, sorts both, and run-length
+// counts them together: a key's count is the length of its plain run plus
+// its weights. Either way the counts come out in key order: nodes
+// ascending, and for pairs the runs above each node, a new smaller node
+// starting a run, so no count is ever looked up or re-sorted. DESIGN.md
+// "Counting instances" has the numbers.
 
 // counter is the scratch one goroutine counts metagraphs with. Its slices
 // grow to the largest metagraph it has counted (counts to the largest node
@@ -56,8 +56,7 @@ type weighted struct{ k, n uint64 }
 
 // part builds the single-metagraph part index of m.
 func (c *counter) part(m *metagraph.Metagraph, matcher match.Matcher) *Index {
-	mx, up := c.match(m, matcher, 0)
-	return (&section{numMeta: 1, mx: mx, up: up}).index()
+	return (&section{numMeta: 1, up: c.match(m, matcher, 0)}).index()
 }
 
 // SortedPairKeys returns the number of pair keys counting ms with matcher
@@ -71,20 +70,20 @@ func SortedPairKeys(ms []*metagraph.Metagraph, matcher match.Matcher) int64 {
 }
 
 // match enumerates the instance sets of m through matcher and returns the
-// counts it contributes as metagraph number mi: per node, the instances in
-// which it sits on a position of a symmetric pair (Eq. 2), as node rows;
-// per pair, the instances in which it sits on a symmetric pair, as the
-// runs above each node. An asymmetric metagraph
-// contributes nothing (ContainsSym can never hold) and is not matched.
-func (c *counter) match(m *metagraph.Metagraph, matcher match.Matcher, mi int32) (csr[graph.NodeID], upperRuns) {
+// counts it contributes as metagraph number mi: per pair, the instances in
+// which it sits on a symmetric pair, as the runs above each node; per
+// node, the instances in which it sits on a position of a symmetric pair
+// (Eq. 2), in flight beside them. An asymmetric metagraph contributes
+// nothing (ContainsSym can never hold) and is not matched.
+func (c *counter) match(m *metagraph.Metagraph, matcher match.Matcher, mi int32) upperRuns {
 	return c.count(m, mi, func(add match.SetVisitor) { match.InstanceSets(matcher, m, add) })
 }
 
 // count is match over the instance sets enumerate hands its visitor.
-func (c *counter) count(m *metagraph.Metagraph, mi int32, enumerate func(match.SetVisitor)) (csr[graph.NodeID], upperRuns) {
+func (c *counter) count(m *metagraph.Metagraph, mi int32, enumerate func(match.SetVisitor)) upperRuns {
 	pairs := m.SymmetricPairs()
 	if len(pairs) == 0 {
-		return csr[graph.NodeID]{}, upperRuns{}
+		return upperRuns{}
 	}
 	var positions []int
 	for p := range m.N() {
@@ -181,27 +180,18 @@ func (c *counter) room(n int) {
 	c.pairs, c.weighed = grow(c.pairs, n), grow(c.weighed, n)
 }
 
-// rows turns what add counted into the node table and the runs above each
-// node of metagraph mi, and clears the node counts for the next metagraph.
-func (c *counter) rows(mi int32) (csr[graph.NodeID], upperRuns) {
+// rows turns what add counted into the runs above each node of metagraph
+// mi, with the node counts in flight, and clears the node counts for the
+// next metagraph.
+func (c *counter) rows(mi int32) upperRuns {
 	touched := c.touched
 	slices.Sort(touched)
 	c.sorted += int64(len(c.pairs) + len(c.weighed))
-	var mx csr[graph.NodeID]
 	var w int
 	if len(touched) > 0 {
-		mx = csr[graph.NodeID]{
-			keys: make([]graph.NodeID, 0, len(touched)),
-			off:  make([]int32, 1, len(touched)+1),
-			ent:  make([]Entry, 0, len(touched)),
-		}
 		// Every node of a pair sits on a position, so w bits hold any node
 		// id, and a pair packs into 2w bits with its order kept.
 		w = bits.Len32(uint32(touched[len(touched)-1]))
-	}
-	for _, v := range touched {
-		mx.appendRun(v, mi, c.counts[v])
-		c.counts[v] = 0
 	}
 	pack := func(k uint64) uint64 { return k>>32<<w | k&math.MaxUint32 }
 	for i, k := range c.pairs {
@@ -210,7 +200,13 @@ func (c *counter) rows(mi int32) (csr[graph.NodeID], upperRuns) {
 	for i := range c.weighed {
 		c.weighed[i].k = pack(c.weighed[i].k)
 	}
-	return mx, runs(c.sort(c.pairs, 2*w), c.sortWeighted(c.weighed, 2*w), mi, w)
+	u := runs(c.sort(c.pairs, 2*w), c.sortWeighted(c.weighed, 2*w), mi, w)
+	u.mx = make([]nodeCount, 0, len(touched))
+	for _, v := range touched {
+		u.count(v, mi, c.counts[v])
+		c.counts[v] = 0
+	}
+	return u
 }
 
 // gain returns C(n, k), what one set adds to the count of metagraph mi at
@@ -254,7 +250,8 @@ func (c *counter) sortWeighted(keys []weighted, width int) []weighted {
 // runs counts sorted packed pair keys, x<<w | y, into the runs above each
 // node of metagraph mi: one posting per distinct key of either slice, whose
 // count is the key's plain run plus its weights, a new x starting a run.
-// The postings' capacity counts a key in both slices twice.
+// The slices are sized once, from the distinct keys and first nodes of
+// both slices: a key or an x in both is counted twice.
 func runs(plain []uint64, weighed []weighted, mi int32, w int) upperRuns {
 	var u upperRuns
 	n := distinct(len(plain), func(i int) bool { return plain[i] != plain[i-1] }) +
@@ -262,7 +259,9 @@ func runs(plain []uint64, weighed []weighted, mi int32, w int) upperRuns {
 	if n == 0 {
 		return u
 	}
-	u.post = make([]posting, 0, n)
+	nx := distinct(len(plain), func(i int) bool { return plain[i]>>w != plain[i-1]>>w }) +
+		distinct(len(weighed), func(i int) bool { return weighed[i].k>>w != weighed[i-1].k>>w })
+	u.reserve(nx, nx, n)
 	low := uint64(1)<<w - 1
 	x := graph.NodeID(-1)
 	i, j := 0, 0
@@ -289,12 +288,6 @@ func runs(plain []uint64, weighed []weighted, mi int32, w int) upperRuns {
 	}
 	u.end(x, mi)
 	return u
-}
-
-// appendRun appends the row of key k, n instances of metagraph mi,
-// refusing a count an Entry cannot hold.
-func (c *csr[K]) appendRun(k K, mi int32, n uint64) {
-	c.appendRow(k, []Entry{{mi, count32(n, mi, k)}})
 }
 
 // distinct returns the number of runs in a sorted slice of length n, where

@@ -247,7 +247,7 @@ func TestQuickBuilderEqualsMapCounter(t *testing.T) {
 			n := int(match.CountInstances(matcher, m)) * len(m.SymmetricPairs())
 			small, large = small || n > 0 && n < smallSort, large || n >= smallSort
 			empty = empty || n == 0
-			_, pairs := new(counter).match(m, matcher, 0)
+			pairs := new(counter).match(m, matcher, 0)
 			for _, p := range pairs.post {
 				longestRun = max(longestRun, p.count)
 			}
@@ -340,10 +340,8 @@ func TestSetCountsAsItsInstances(t *testing.T) {
 				}
 			}
 		}
-		gotX, gotXY := sets.rows(0)
-		wantX, wantXY := one.rows(0)
-		got := writeBytes(t, (&section{numMeta: 1, mx: gotX, up: gotXY}).index())
-		if want := writeBytes(t, (&section{numMeta: 1, mx: wantX, up: wantXY}).index()); !bytes.Equal(got, want) {
+		got := writeBytes(t, (&section{numMeta: 1, up: sets.rows(0)}).index())
+		if want := writeBytes(t, (&section{numMeta: 1, up: one.rows(0)}).index()); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: the sets count differently from their instances", trial)
 		}
 		if len(one.weighed) != 0 {

@@ -12,8 +12,9 @@ import (
 // ContentDigest is the SHA-256 of what ix holds, in no wire format: numMeta,
 // then per table (nodes, then pairs) its key count, every key, and per row
 // its length and each entry's Meta and Count, all fixed-width little-endian.
-// The pair rows are those the runs hold, walked out in key order. A codec
-// change leaves it alone; a change to any row does not.
+// The node rows are the run headers, the pair rows those the runs hold,
+// walked out in key order. A codec or layout change leaves it alone; a
+// change to any row does not.
 func ContentDigest(ix *Index) string {
 	h := sha256.New()
 	var b []byte
@@ -36,11 +37,12 @@ func ContentDigest(ix *Index) string {
 			}
 		}
 	}
-	keys := make([]uint64, len(ix.mx.keys))
-	for i, k := range ix.mx.keys {
+	nodes := ix.nodeTable()
+	keys := make([]uint64, len(nodes.keys))
+	for i, k := range nodes.keys {
 		keys[i] = uint64(k)
 	}
-	table(keys, ix.mx.off, ix.mx.ent)
+	table(keys, nodes.off, nodes.ent)
 	pairs := ix.pairTable()
 	keys = keys[:0]
 	for _, k := range pairs.keys {
@@ -49,6 +51,18 @@ func ContentDigest(ix *Index) string {
 	table(keys, pairs.off, pairs.ent)
 	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// nodeTable is the table of the node rows the run headers hold: a row per
+// node with a run, its headers in order.
+func (ix *Index) nodeTable() csr[graph.NodeID] {
+	var c csr[graph.NodeID]
+	for v := range graph.NodeID(ix.NodeSpan()) {
+		if row := ix.NodeVec(v).ent; len(row) > 0 {
+			c.appendRow(v, row)
+		}
+	}
+	return c
 }
 
 // pairTable is the table of the pair rows pairRows walks out.
@@ -69,13 +83,13 @@ func (ix *Index) pairRows(yield func(k PairKey, row []Entry)) {
 	}
 	var heads []head
 	var row []Entry
-	for q := range graph.NodeID(len(ix.spans)) {
+	for q := range graph.NodeID(ix.NodeSpan()) {
 		rs := &ix.flat
 		lo, hi := rs.runs(q)
 		for r := lo; r < hi; r++ {
 			post := rs.postings(r)
 			if i, _ := slices.BinarySearchFunc(post, q, comparePosting); i < len(post) {
-				heads = append(heads, head{rs.meta[r], post[i:]})
+				heads = append(heads, head{rs.head[r].Meta, post[i:]})
 			}
 		}
 		for len(heads) > 0 {
@@ -99,6 +113,11 @@ func (ix *Index) pairRows(yield func(k PairKey, row []Entry)) {
 		}
 	}
 }
+
+// Divisors returns, per metagraph of ix, the divisor Encode writes for it:
+// each node's count is its run's sum over it, and 0 means the counts are
+// written; -1 where ix holds no run of it.
+func Divisors(ix *Index) []int64 { return divisors(&ix.flat, ix.numMeta, nil) }
 
 // RaceEnabled tells the external tests that the race detector is on: it
 // slows matching about tenfold, and the MaxNodes-5 shapes skip themselves

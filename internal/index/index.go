@@ -5,14 +5,16 @@
 // position symmetric to some other position. The vectors are the features
 // of the MGP proximity measure and are precomputed offline (Fig. 3).
 //
-// An Index stores each count once: the m_x rows in a CSR-style node table
-// (one []Entry arena behind sorted keys and offsets, so NodeVec is a
-// binary search), every m_xy in the partner runs (adjacency.go). Every
-// producer of counts — the counter, a rooted count, Select, an update's
-// gains (patch.go), the two-edge merge and the decoder (io.go) — hands the
-// m_xy over as the runs above each node, and upperRuns.layout lays them
-// out. Every entry holds a raw instance count, and a value read is that
-// count.
+// An Index stores each count once, in one store: every m_xy in the partner
+// runs (adjacency.go), and every m_x as the headers of x's runs — x has a
+// run of metagraph m exactly when m_x[m] > 0, because the instance that
+// puts x on a symmetric position puts a partner on the position symmetric
+// to it — so NodeVec is a view of x's headers. Every producer of counts —
+// the counter, a rooted count, Select, an update's gains (patch.go), the
+// two-edge merge and the decoder (io.go) — hands the m_xy over as the runs
+// above each node and the m_x in flight beside them, and upperRuns.layout
+// lays them out, each count on its run's header. Every entry holds a raw
+// instance count, and a value read is that count.
 package index
 
 import (
@@ -92,53 +94,6 @@ func (v SparseVec) Get(i int) float64 {
 	return 0
 }
 
-// csr is one table of the index: rows of Entry keyed by K, stored as a
-// contiguous arena with sorted keys and per-row offsets. The zero value is
-// the empty table.
-type csr[K cmp.Ordered] struct {
-	keys []K
-	off  []int32 // len(keys)+1 when keys is non-empty
-	ent  []Entry // arena; row i is ent[off[i]:off[i+1]]
-}
-
-// row returns the row for key k, or nil when absent. Allocation-free.
-func (c *csr[K]) row(k K) []Entry {
-	i := findKey(c.keys, k)
-	if i < 0 {
-		return nil
-	}
-	return c.ent[c.off[i]:c.off[i+1]]
-}
-
-// appendRow appends the row of key k, which must be above every key c
-// holds.
-func (c *csr[K]) appendRow(k K, row []Entry) {
-	if len(c.off) == 0 {
-		c.off = append(c.off, 0)
-	}
-	c.keys = append(c.keys, k)
-	c.ent = append(c.ent, row...)
-	c.off = append(c.off, int32(len(c.ent)))
-}
-
-// each calls yield with every row of c, in key order.
-func (c *csr[K]) each(yield func(K, []Entry)) {
-	for i, k := range c.keys {
-		yield(k, c.ent[c.off[i]:c.off[i+1]])
-	}
-}
-
-// findKey binary-searches a sorted key slice, returning the position of k
-// or -1. slices.BinarySearch is closure-free, so reads stay
-// allocation-free.
-func findKey[K cmp.Ordered](keys []K, k K) int {
-	i, ok := slices.BinarySearch(keys, k)
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // count32 narrows the instance count of metagraph meta at key k to the width
 // an Entry stores. The offline build has no error path (MatchParts returns
 // parts, not errors), so a count that does not fit panics, naming where it
@@ -156,41 +111,35 @@ func count32[K any](c uint64, meta int32, k K) uint32 {
 // lays out the runs, so no read ever builds anything.
 type Index struct {
 	numMeta int
-	mx      csr[graph.NodeID]
-	// flat holds every m_xy as partner runs (see adjacency.go).
+	// flat holds every m_xy as partner runs and every m_x as their headers
+	// (see adjacency.go).
 	flat adjRuns
-	// spans[v] is the position of m_v (the empty span when v has none). It
-	// covers every node key and every partner of the index.
-	spans []span
 }
 
-// section is an index before its runs are laid out: the node table and
-// the runs above each node, as a section holds them and every producer of
-// counts hands them over.
+// section is an index before its runs are laid out: the runs above each
+// node, with the node counts in flight, as a section holds them and every
+// producer of counts hands them over.
 type section struct {
 	numMeta int
-	mx      csr[graph.NodeID]
 	up      upperRuns
 }
 
-// index lays the section's runs out into an index.
-func (s *section) index() *Index {
-	return (&Index{numMeta: s.numMeta, mx: s.mx, flat: s.up.layout(s.numMeta)}).finish()
+// build lays the section's runs out into an index, refusing counts that do
+// not match the runs one to one (upperRuns.layout).
+func (s *section) build() (*Index, error) {
+	flat, err := s.up.layout(s.numMeta)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{numMeta: s.numMeta, flat: flat}, nil
 }
 
-// finish sets the node-row positions of the index's node table and runs,
-// and returns the index. Every constructor ends with it.
-func (ix *Index) finish() *Index {
-	n := len(ix.flat.first) - 1
-	if keys := ix.mx.keys; len(keys) > 0 {
-		n = max(n, int(keys[len(keys)-1])+1)
-	}
-	if n <= 0 {
-		return ix
-	}
-	ix.spans = make([]span, n)
-	for r, v := range ix.mx.keys {
-		ix.spans[v] = span{ix.mx.off[r], ix.mx.off[r+1]}
+// index is build for counts a producer in memory hands over, which match
+// their runs by construction: a mismatch is a bug there, and panics.
+func (s *section) index() *Index {
+	ix, err := s.build()
+	if err != nil {
+		panic(err)
 	}
 	return ix
 }
@@ -199,10 +148,11 @@ func (ix *Index) finish() *Index {
 // with.
 func (ix *Index) NumMeta() int { return ix.numMeta }
 
-// NodeVec returns m_x (empty when x never occurs symmetrically), a view into
-// the index arena.
+// NodeVec returns m_x (empty when x never occurs symmetrically): the headers
+// of x's runs, a view into the index arena.
 func (ix *Index) NodeVec(x graph.NodeID) SparseVec {
-	return SparseVec{ix.mx.row(x)}
+	lo, hi := ix.flat.runs(x)
+	return SparseVec{ix.flat.head[lo:hi]}
 }
 
 // PairVec returns m_xy (empty when x and y never co-occur symmetrically).
@@ -224,7 +174,7 @@ func (ix *Index) pairCoords(x, y graph.NodeID, w []float64, yield func(meta int3
 		lo, hi, y = ylo, yhi, x
 	}
 	for r := lo; r < hi; r++ {
-		if m := rs.meta[r]; w == nil || w[m] != 0 {
+		if m := rs.head[r].Meta; w == nil || w[m] != 0 {
 			post := rs.postings(r)
 			if i, ok := slices.BinarySearchFunc(post, y, comparePosting); ok {
 				yield(m, post[i].count)
@@ -246,8 +196,9 @@ func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
 // NumPairs returns the number of node pairs with a non-zero m_xy: per node
 // q, the distinct partners above q in its runs.
 func (ix *Index) NumPairs() (n int) {
-	last := make([]graph.NodeID, len(ix.spans)) // the q+1 that last counted a partner
-	for q := range graph.NodeID(len(ix.spans)) {
+	span := ix.NodeSpan()
+	last := make([]graph.NodeID, span) // the q+1 that last counted a partner
+	for q := range graph.NodeID(span) {
 		lo, hi := ix.flat.runs(q)
 		for r := lo; r < hi; r++ {
 			for _, p := range ix.flat.postings(r) {
@@ -264,11 +215,8 @@ func (ix *Index) NumPairs() (n int) {
 // for it.
 func (ix *Index) MetaSupport() []bool {
 	used := make([]bool, ix.numMeta)
-	for _, e := range ix.mx.ent {
-		used[e.Meta] = true
-	}
-	for _, m := range ix.flat.meta {
-		used[m] = true
+	for _, h := range ix.flat.head {
+		used[h.Meta] = true
 	}
 	return used
 }
@@ -285,7 +233,7 @@ func (ix *Index) Project(keep []int) *Index {
 	for newI, oldI := range keep {
 		remap[oldI] = int32(newI)
 	}
-	return ix.remapped(len(keep), remap)
+	return &Index{numMeta: len(keep), flat: ix.relaid(func(m int32) int32 { return remap[m] })}
 }
 
 // Restrict returns the index without the rows of the metagraphs keep does
@@ -294,25 +242,12 @@ func (ix *Index) Project(keep []int) *Index {
 // without a coordinate goes. An engine drops the metagraphs no class weighs
 // with it.
 func (ix *Index) Restrict(keep []bool) *Index {
-	remap := make([]int32, ix.numMeta)
-	for i := range remap {
-		remap[i] = -1
-		if keep[i] {
-			remap[i] = int32(i)
+	return &Index{numMeta: ix.numMeta, flat: ix.relaid(func(m int32) int32 {
+		if keep[m] {
+			return m
 		}
-	}
-	return ix.remapped(ix.numMeta, remap)
-}
-
-// remapped is the index with metagraph i renumbered remap[i] (-1 drops it)
-// in an index spanning numMeta metagraphs.
-func (ix *Index) remapped(numMeta int, remap []int32) *Index {
-	meta := func(m int32) int32 { return remap[m] }
-	return (&Index{
-		numMeta: numMeta,
-		mx:      mergeCSR([]source[graph.NodeID]{{&ix.mx, meta}}),
-		flat:    ix.relaid(meta),
-	}).finish()
+		return -1
+	})}
 }
 
 // Merge combines single-metagraph (or multi-metagraph) indices into one,
@@ -333,8 +268,9 @@ func Merge(parts ...*Index) *Index {
 // AddParts returns ix with the rows of parts added: part i's metagraph j
 // becomes metagraph slots[i]+j of the result, which spans as many
 // metagraphs as ix does. No two inputs may hold the same metagraph. The
-// receiver is unchanged, and the result
-// is the index one Builder fed every metagraph at its slot would freeze.
+// receiver is unchanged, and the result is the index one Builder fed every
+// metagraph at its slot would freeze: each node's runs are its inputs'
+// runs, headers and all, ascending by metagraph.
 func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	if len(parts) == 0 {
 		return ix
@@ -343,12 +279,10 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	for i, p := range parts {
 		srcs, shifts = append(srcs, p), append(shifts, int32(slots[i]))
 	}
-	mx := make([]source[graph.NodeID], len(srcs))
 	n, lone, with := 0, 0, 0
 	for i, s := range srcs {
-		mx[i] = source[graph.NodeID]{&s.mx, shifted(shifts[i])}
-		n = max(n, len(s.flat.first)-1)
-		if len(s.flat.meta) > 0 {
+		n = max(n, s.NodeSpan())
+		if len(s.flat.head) > 0 {
 			lone, with = i, with+1
 		}
 	}
@@ -361,74 +295,11 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 			return refs
 		})
 	}
-	return (&Index{numMeta: ix.numMeta, mx: mergeCSR(mx), flat: flat}).finish()
-}
-
-// source is one input of mergeCSR: a table whose rows enter the merge with
-// every Meta m renumbered meta(m), or dropped where that is negative.
-type source[K cmp.Ordered] struct {
-	table *csr[K]
-	meta  func(int32) int32
+	return &Index{numMeta: ix.numMeta, flat: flat}
 }
 
 // shifted is the renumbering that adds shift.
 func shifted(shift int32) func(int32) int32 { return func(m int32) int32 { return m + shift } }
-
-// mergeCSR unions row tables: the row of a key is every entry its inputs
-// hold for it, renumbered, ascending by metagraph, and a key left without
-// an entry goes. No two inputs may give one key the same metagraph. Every
-// input's keys ascend, so the merge walks them side by side, a cursor per
-// input: the least key any input has left is the next row, gathered from
-// the inputs that hold it and sorted by metagraph only when a renumbering
-// put it out of order. The inputs are an index and the parts added to it,
-// or the few rows of a patch: a handful, so the least key is found by a
-// scan of the cursors.
-func mergeCSR[K cmp.Ordered](srcs []source[K]) csr[K] {
-	n := 0
-	for _, s := range srcs {
-		for _, e := range s.table.ent {
-			if s.meta(e.Meta) >= 0 {
-				n++
-			}
-		}
-	}
-	var out csr[K]
-	if n == 0 {
-		return out
-	}
-	out.off, out.ent = []int32{0}, make([]Entry, 0, n)
-	at := make([]int, len(srcs)) // each input's next row
-	for {
-		var k K
-		found := false
-		for i, s := range srcs {
-			if r := at[i]; r < len(s.table.keys) && (!found || s.table.keys[r] < k) {
-				k, found = s.table.keys[r], true
-			}
-		}
-		if !found {
-			return out
-		}
-		start := len(out.ent)
-		for i, s := range srcs {
-			c := s.table
-			if r := at[i]; r < len(c.keys) && c.keys[r] == k {
-				for _, e := range c.ent[c.off[r]:c.off[r+1]] {
-					if m := s.meta(e.Meta); m >= 0 {
-						out.ent = append(out.ent, Entry{m, e.Count})
-					}
-				}
-				at[i]++
-			}
-		}
-		if row := out.ent[start:]; len(row) > 0 {
-			if !slices.IsSortedFunc(row, compareEntryMeta) {
-				slices.SortFunc(row, compareEntryMeta)
-			}
-			out.keys, out.off = append(out.keys, k), append(out.off, int32(len(out.ent)))
-		}
-	}
-}
 
 // Builder accumulates instance counts metagraph by metagraph and freezes
 // them into an Index. Each AddMetagraph counts one metagraph into a part

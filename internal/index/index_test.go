@@ -387,40 +387,33 @@ func TestIndexRoundTrip(t *testing.T) {
 
 // wideIndex is an index over 261 metagraphs — as many as the Facebook
 // dataset mines at MaxNodes 5, too many for any layout that assumes a row
-// fits a 64-bit mask — whose heads take one to three bytes: rows that start
-// at the last metagraph, that hold every metagraph, that hold only ones,
-// and that carry counts of every varint width up to 2^32-1.
+// fits a 64-bit mask — whose run heads take one to three bytes: runs that
+// start at the last metagraph, a node with a run of every metagraph, runs
+// of only ones, and node and pair counts of every varint width up to
+// 2^32-1. Its node counts are no one divisor's, so they are written.
 func wideIndex() *Index {
 	const numMeta = 261
 	every := make([]Entry, numMeta)
 	for i := range every {
 		every[i] = Entry{Meta: int32(i), Count: 1}
 	}
-	table := func(rows ...[]Entry) (off []int32, ent []Entry) {
-		off = []int32{0}
-		for _, r := range rows {
-			ent = append(ent, r...)
-			off = append(off, int32(len(ent)))
-		}
-		return off, ent
+	pairs := map[PairKey][]Entry{
+		MakePairKey(0, 3): {{260, 1}},
+		MakePairKey(3, 7): every,
+		MakePairKey(5, 7): {{63, 1}, {64, 128}},
 	}
-	nodeOff, nodeEnt := table(
-		[]Entry{{0, 1}},
-		[]Entry{{1, 1}, {64, 1}, {65, 1}, {200, 1}, {260, 1}},
-		[]Entry{{5, 2}, {130, 70000}, {260, math.MaxUint32}},
-	)
-	pairOff, pairEnt := table(
-		[]Entry{{260, 1}},
-		every,
-		[]Entry{{63, 1}, {64, 128}},
-	)
-	pairs := csr[PairKey]{keys: []PairKey{MakePairKey(0, 3), MakePairKey(3, 7), MakePairKey(5, 7)}, off: pairOff, ent: pairEnt}
-	return rowsIndex(numMeta, csr[graph.NodeID]{keys: []graph.NodeID{0, 3, 7}, off: nodeOff, ent: nodeEnt}, &pairs)
+	rows := tableOf(pairs)
+	widths := []uint32{1, 2, 127, 128, 70000, math.MaxUint32}
+	mx := degreesOf(&rows)
+	for i := range mx.ent {
+		mx.ent[i].Count = widths[(i+int(mx.ent[i].Meta))%len(widths)]
+	}
+	return rowsIndex(numMeta, mx, &rows)
 }
 
-// TestIndexRoundTripAnyWidth: one row layout for any number of metagraphs.
-// The wide index comes back with the same node arena and the same runs,
-// and writes the same bytes again.
+// TestIndexRoundTripAnyWidth: one run layout for any number of
+// metagraphs. The wide index comes back with the same runs, headers and
+// all, and writes the same bytes again.
 func TestIndexRoundTripAnyWidth(t *testing.T) {
 	ix := wideIndex()
 	raw := writeBytes(t, ix)
@@ -428,10 +421,8 @@ func TestIndexRoundTripAnyWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumMeta() != ix.NumMeta() ||
-		!slices.Equal(got.mx.keys, ix.mx.keys) || !slices.Equal(got.mx.off, ix.mx.off) || !slices.Equal(got.mx.ent, ix.mx.ent) ||
-		!sameRuns(&got.flat, &ix.flat) {
-		t.Fatal("round trip changed the arenas")
+	if got.NumMeta() != ix.NumMeta() || !sameRuns(&got.flat, &ix.flat) {
+		t.Fatal("round trip changed the runs")
 	}
 	if !bytes.Equal(writeBytes(t, got), raw) {
 		t.Fatal("write after read drifted")
@@ -489,42 +480,35 @@ func TestIndexReadErrors(t *testing.T) {
 
 // TestIndexReadRejectsCorruptTables feeds structurally plausible but
 // invariant-violating files through Read; each must fail loudly instead of
-// panicking later at query time. rowBytes validates nothing — deltas,
-// gaps and counts of broken tables simply wrap, and a Meta too wide for its
-// head spills into the length — so it turns each hand-built table into
-// exactly the bytes a corrupt file would hold. Rows it cannot write (empty,
-// or longer than the arena) are written by hand, as are heads whose fields
-// each break one rule. TestIndexReadRejectsCorruptRuns covers the runs
+// panicking later at query time. It keeps its name from the node table the
+// section no longer has: what stands in for it is the counts section, each
+// metagraph's divisor and the counts written where there is none.
+// rowBytes validates nothing — gaps and counts of broken rows simply wrap
+// — so it turns each hand-built table into exactly the bytes a corrupt
+// file would hold; the counts section is also written field by field, each
+// field breaking one rule. TestIndexReadRejectsCorruptRuns covers the runs
 // section's own rules.
 func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	one := []Entry{{Meta: 0, Count: 1}}
 	two := []Entry{{Meta: 0, Count: 1}, {Meta: 0, Count: 1}}
-	node := func(numMeta int, keys []graph.NodeID, off []int32, ent []Entry) []byte {
-		return rowBytes(t, numMeta, csr[graph.NodeID]{keys: keys, off: off, ent: ent}, csr[PairKey]{})
-	}
 	pair := func(keys []PairKey, off []int32, ent []Entry) []byte {
 		return rowBytes(t, 1, csr[graph.NodeID]{}, csr[PairKey]{keys: keys, off: off, ent: ent})
+	}
+	pairOne := csr[PairKey]{keys: []PairKey{MakePairKey(1, 3)}, off: []int32{0, 1}, ent: one}
+	counts := func(keys []graph.NodeID, ent ...Entry) []byte {
+		off := []int32{0}
+		for i := range keys {
+			off = append(off, int32(i+1))
+		}
+		return rowBytes(t, 1, csr[graph.NodeID]{keys: keys, off: off, ent: ent}, pairOne)
 	}
 	cases := []struct {
 		name string
 		raw  []byte
 	}{
-		{"meta out of range", node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 5, Count: 1}})},
-		{"negative meta", node(2, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: -1, Count: 1}})},
-		{"unsorted keys", node(1, []graph.NodeID{4, 2}, []int32{0, 1, 2}, two)},
-		{"duplicate keys", node(1, []graph.NodeID{4, 4}, []int32{0, 1, 2}, two)},
-		{"rows shorter than the arena", node(1, []graph.NodeID{1}, []int32{0, 1}, two)},
-		{"entries without keys", node(1, nil, nil, one)},
-		{"unsorted row", node(4, []graph.NodeID{1}, []int32{0, 2}, []Entry{{Meta: 3, Count: 1}, {Meta: 1, Count: 1}})},
-		{"repeated meta in a row", node(4, []graph.NodeID{1}, []int32{0, 2}, []Entry{{Meta: 2, Count: 1}, {Meta: 2, Count: 1}})},
-		{"count of 0", node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 0}})},
-		{"negative numMeta", node(-1, nil, nil, nil)},
-		// What the runs index by: node ids and pair endpoints, against a
-		// graph of 8 nodes.
-		{"negative node key", node(1, []graph.NodeID{-1}, []int32{0, 1}, one)},
-		{"node key beyond the graph", node(1, []graph.NodeID{8}, []int32{0, 1}, one)},
-		{"id-sized node key", node(1, []graph.NodeID{math.MaxInt32}, []int32{0, 1}, one)},
-		// The pair rows, written as the runs above their smaller node.
+		{"negative numMeta", rowBytes(t, -1, csr[graph.NodeID]{}, csr[PairKey]{})},
+		// What the runs index by: pair endpoints, against a graph of 8
+		// nodes, the pair rows written as the runs above their smaller node.
 		{"pair endpoint beyond the graph", pair([]PairKey{MakePairKey(1, 8)}, []int32{0, 1}, one)},
 		{"id-sized pair endpoint", pair([]PairKey{MakePairKey(1, math.MaxInt32)}, []int32{0, 1}, one)},
 		{"negative pair endpoint", pair([]PairKey{PairKey(1)<<32 | 0xFFFFFFFF}, []int32{0, 1}, one)},
@@ -532,6 +516,12 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"pair with the larger endpoint first", pair([]PairKey{PairKey(5)<<32 | 2}, []int32{0, 1}, one)},
 		{"unsorted pair keys", pair([]PairKey{MakePairKey(2, 5), MakePairKey(1, 3)}, []int32{0, 1, 2}, two)},
 		{"duplicate pair keys", pair([]PairKey{MakePairKey(1, 3), MakePairKey(1, 3)}, []int32{0, 1, 2}, two)},
+		// The counts written for the run of pair (1, 3).
+		{"a written count for a node with no run", counts([]graph.NodeID{1, 3, 5}, Entry{0, 1}, Entry{0, 1}, Entry{0, 1})},
+		{"a run with no written count", counts([]graph.NodeID{1}, Entry{0, 1})},
+		{"a written count of 0", counts([]graph.NodeID{1, 3}, Entry{0, 0}, Entry{0, 1})},
+		{"unsorted written counts", counts([]graph.NodeID{3, 1}, Entry{0, 1}, Entry{0, 1})},
+		{"a written count beyond the graph", counts([]graph.NodeID{1, 3, 8}, Entry{0, 1}, Entry{0, 1}, Entry{0, 1})},
 	}
 	for _, c := range cases {
 		if _, err := Read(bytes.NewReader(c.raw), 8); err == nil {
@@ -539,68 +529,84 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		}
 	}
 
-	// Node rows in a 5-metagraph index (b = bits.Len(5) = 3, so a head is
-	// len<<4 | first<<1 | ones), then no runs. A row opens with
-	// its key delta shifted past the reuse bit: key(d) brings a head of its
-	// own, reuse(d) takes the previous row's. Each refusal names its rule.
-	head := func(l, first, ones uint64) uint64 { return l<<4 | first<<1 | ones }
-	key := func(delta uint64) uint64 { return delta << 1 }
-	reuse := func(delta uint64) uint64 { return delta<<1 | 1 }
+	// Node 0's run of metagraph 2 in a 5-metagraph index (b = bits.Len(5)
+	// = 3, so its head is 1<<3 | 2), holding the residuals 1, 2, 3 and 4 —
+	// of ones, or of the counts given — then the counts section: the one
+	// metagraph's divisor, and its written counts when that is 0, each a
+	// node gap from the one before (from -1 for the first) and a count.
+	run := func(cnts ...uint64) []uint64 {
+		if len(cnts) == 0 {
+			return []uint64{5, 1, 4, 1, 1<<3 | 2, 0, 4<<1 | 1, 1, 1, 1, 1}
+		}
+		return append([]uint64{5, 1, 4, 1, 1<<3 | 2, 0, 4 << 1, 1, 1, 1, 1}, cnts...)
+	}
+	with := func(body []uint64, tail ...uint64) []uint64 { return append(slices.Clone(body), tail...) }
 	const (
-		length  = "row length"
-		byMeta  = "not strictly ascending by metagraph"
-		badCnt  = "count of 0 or above 2^32-1"
-		badKeys = "keys not strictly ascending"
+		badDiv   = "divisor of metagraph 2 above 2^32-1"
+		divides  = "does not divide into a count"
+		badCnt   = "count of 0 or above 2^32-1"
+		outnum   = "outnumber the graph's 8 nodes"
+		asc      = "written counts' nodes of metagraph 2 not strictly ascending"
+		noRun    = "which has no run of metagraph 2"
+		noCount  = "has a run of metagraph 2 and no count"
+		nodeRows = "node rows"
 	)
 	for _, c := range []struct {
-		name, want  string // want is "" for a legal table
-		nKeys, nEnt uint64
-		rows        []uint64 // per row: key, head unless reused, gaps, counts
+		name, want string // want is "" for a legal section
+		vals       []uint64
+		nodes      map[graph.NodeID][]Entry // what a legal section holds
 	}{
-		{"a row of ones", "", 1, 3, []uint64{key(2), head(3, 1, 1), 1, 2}},
-		{"a row with its counts", "", 1, 3, []uint64{key(2), head(3, 1, 0), 1, 2, 1, 7, math.MaxUint32}},
-		{"a row of ones written with its counts", "", 1, 2, []uint64{key(2), head(2, 0, 0), 4, 1, 1}},
-		{"a row of every metagraph", "", 1, 5, []uint64{key(2), head(5, 0, 1), 1, 1, 1, 1}},
-		{"rows sharing a head, gaps their own", "", 3, 6, []uint64{key(1), head(2, 1, 1), 1, reuse(1), 3, reuse(2), 2}},
-		{"rows sharing a head, counts their own", "", 2, 2, []uint64{key(1), head(1, 4, 0), 9, reuse(6), math.MaxUint32}},
-		{"a head, a new one, then the new one again", "", 3, 4, []uint64{key(1), head(2, 0, 1), 1, key(1), head(1, 4, 1), reuse(1)}},
-		{"an empty row", length, 1, 0, []uint64{key(2), head(0, 0, 1)}},
-		{"an empty row among entries", length, 1, 1, []uint64{key(2), head(0, 0, 1)}},
-		{"length above numMeta", length, 1, 6, []uint64{key(2), head(6, 0, 1), 1, 1, 1, 1, 1}},
-		{"length past the entry count", length, 1, 1, []uint64{key(2), head(2, 0, 1), 1}},
-		{"a reused head's length past the entry count", length, 2, 4, []uint64{key(1), head(3, 1, 1), 1, 1, reuse(1), 1, 1}},
-		{"a reuse bit on the first row", "first row reuses a head", 1, 1, []uint64{reuse(2)}},
-		{"a reuse bit on the first row, a head behind it", "first row reuses a head", 1, 1, []uint64{reuse(2), head(1, 0, 1)}},
-		{"a reused head of a zero key delta", badKeys, 2, 2, []uint64{key(1), head(1, 0, 1), reuse(0)}},
-		{"first metagraph = numMeta", byMeta, 1, 1, []uint64{key(2), head(1, 5, 1)}},
-		{"first metagraph > numMeta", byMeta, 1, 1, []uint64{key(2), head(1, 7, 1)}},
-		{"a gap of 0", byMeta, 1, 2, []uint64{key(2), head(2, 1, 1), 0}},
-		{"a gap stepping past numMeta", byMeta, 1, 2, []uint64{key(2), head(2, 3, 1), 2}},
-		{"a gap of 2^64-1", byMeta, 1, 2, []uint64{key(2), head(2, 3, 1), math.MaxUint64}},
-		{"a reused head's gap stepping past numMeta", byMeta, 2, 4, []uint64{key(1), head(2, 3, 1), 1, reuse(1), 2}},
-		{"a count of 0 behind a clear all-ones bit", badCnt, 1, 2, []uint64{key(2), head(2, 1, 0), 1, 3, 0}},
-		{"a count of 2^32 behind a clear all-ones bit", badCnt, 1, 1, []uint64{key(2), head(1, 1, 0), math.MaxUint32 + 1}},
-		{"a count of 2^64-1 behind a clear all-ones bit", badCnt, 1, 1, []uint64{key(2), head(1, 1, 0), math.MaxUint64}},
-		{"a count of 0 behind a reused head", badCnt, 2, 2, []uint64{key(1), head(1, 1, 0), 3, reuse(1), 0}},
-		{"a missing count", badCnt, 1, 2, []uint64{key(2), head(2, 1, 0), 1, 3}},
+		{"a divisor of 1", "", with(run(), 1), map[graph.NodeID][]Entry{0: {{2, 4}}, 1: {{2, 1}}, 2: {{2, 1}}, 3: {{2, 1}}, 4: {{2, 1}}}},
+		{"a divisor of 2", "", with(run(2, 4, 6, 8), 2), map[graph.NodeID][]Entry{0: {{2, 10}}, 1: {{2, 1}}, 2: {{2, 2}}, 3: {{2, 3}}, 4: {{2, 4}}}},
+		{"written counts", "", with(run(), 0, 5, 1, 9, 1, 1, 1, 2, 1, 3, 1, math.MaxUint32),
+			map[graph.NodeID][]Entry{0: {{2, 9}}, 1: {{2, 1}}, 2: {{2, 2}}, 3: {{2, 3}}, 4: {{2, math.MaxUint32}}}},
+		{"a divisor above 2^32-1", badDiv, with(run(), math.MaxUint32+1), nil},
+		{"a sum its divisor does not divide", divides, with(run(), 2), nil},
+		{"a sum past 2^32-1 over a divisor of 1", divides, with(run(math.MaxUint32, 1, 1, 1), 1), nil},
+		{"more written counts than nodes", outnum, with(run(), 0, 9), nil},
+		{"a written node gap of 0", asc, with(run(), 0, 5, 1, 9, 0), nil},
+		{"a written node at the graph's size", asc, with(run(), 0, 5, 9), nil},
+		{"a written node gap of 2^64-1", asc, with(run(), 0, 5, math.MaxUint64), nil},
+		{"a written count of 0", badCnt, with(run(), 0, 5, 1, 0), nil},
+		{"a written count of 2^32", badCnt, with(run(), 0, 5, 1, math.MaxUint32+1), nil},
+		{"a written count for a node with no run", noRun, with(run(), 0, 6, 1, 9, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1), nil},
+		{"a run with no written count", noCount, with(run(), 0, 4, 1, 9, 1, 1, 1, 1, 1, 1), nil},
 	} {
-		_, err := Read(bytes.NewReader(fieldBytes(t, append(append([]uint64{5, c.nKeys, c.nEnt}, c.rows...), 0, 0)...)), 8)
-		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
-			t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
+		ix, err := Read(bytes.NewReader(fieldBytes(t, c.vals...)), 8)
+		if c.want != "" {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: Read refused a legal section: %v", c.name, err)
+			continue
+		}
+		if got, want := ix.nodeTable(), tableOf(c.nodes); !slices.Equal(got.keys, want.keys) || !slices.Equal(got.ent, want.ent) {
+			t.Errorf("%s: %s %v %v; want %v %v", c.name, nodeRows, got.keys, got.ent, want.keys, want.ent)
 		}
 	}
-	good := node(1, []graph.NodeID{1}, []int32{0, 1}, []Entry{{Meta: 0, Count: 2}})
-	if _, err := Read(bytes.NewReader(good), 8); err != nil {
+
+	// A flipped bit the section still decodes — a count turned into another
+	// legal count, say — is caught by the checksum alone.
+	good := fieldBytes(t, with(run(), 0, 5, 1, 9, 1, 1, 1, 2, 1, 3, 1, 4)...)
+	ix, err := Read(bytes.NewReader(good), 8)
+	if err != nil {
 		t.Fatalf("the cases' well-formed sibling is refused: %v", err)
 	}
+	decodes := func(raw []byte) bool {
+		fr, err := flat.NewReader(bytes.NewReader(raw), fileMagic)
+		if err != nil {
+			return false
+		}
+		got, err := Decode(fr, 8)
+		return err == nil && ContentDigest(got) != ContentDigest(ix)
+	}
+	flipped := flipBit(t, good, decodes)
 	for name, mutate := range map[string]func([]byte) []byte{
-		"bad version": func(b []byte) []byte { b[len(fileMagic)-1]--; return b },
-		// The section is 30 bits: numMeta, nKeys and nEntries (3 bits
-		// each), the key (4), the head (8), the count 2 (7 bits, 1000010,
-		// bits 21-27), the empty runs' two sizes (1 each), then padding and
-		// the 4-byte trailer. Flipping bit 25 turns the count 2 into 6, still
-		// a code of a legal count: only the checksum can catch this.
-		"flipped count bit":        func(b []byte) []byte { b[len(b)-5] ^= 0x40; return b },
+		"bad version":              func(b []byte) []byte { b[len(fileMagic)-1]--; return b },
+		"flipped count bit":        func([]byte) []byte { return flipped },
 		"truncated before trailer": func(b []byte) []byte { return b[:len(b)-4] },
 		"bytes after the trailer":  func(b []byte) []byte { return append(b, 0) },
 	} {
@@ -610,13 +616,15 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	}
 }
 
-// TestIndexReadRejectsCorruptRuns writes the runs section by hand, after
-// an empty node table, in a 5-metagraph index (b = bits.Len(5) = 3, so a
-// run head is runs<<3 | first) for a graph of 8 nodes: each legal run
-// shape reads back, and each broken invariant is refused by name. A node
-// opens with its gap from the node before; a run is its reference
-// distance, its copy blocks when that is not 0, the residuals' head
-// n<<1 | ones, their gaps from the node, and their counts unless ones.
+// TestIndexReadRejectsCorruptRuns writes the runs section by hand, in a
+// 5-metagraph index (b = bits.Len(5) = 3, so a run head is runs<<3 |
+// first) for a graph of 8 nodes: each legal run shape reads back, and each
+// broken invariant is refused by name. A node opens with its gap from the
+// node before; a run is its reference distance, its copy blocks when that
+// is not 0, the residuals' head n<<1 | ones, their gaps from the node, and
+// their counts unless ones. A legal section ends with a divisor of 1 per
+// metagraph its runs hold — each node's count its run's sum — but for the
+// one whose counts it writes.
 func TestIndexReadRejectsCorruptRuns(t *testing.T) {
 	head := func(runs, first uint64) uint64 { return runs<<3 | first }
 	res := func(n, ones uint64) uint64 { return n<<1 | ones }
@@ -638,6 +646,14 @@ func TestIndexReadRejectsCorruptRuns(t *testing.T) {
 		past     = "run past the count claimed"
 		short    = "fall short of the count claimed"
 	)
+	// The counts the legal sections write, where a divisor of 1 does not
+	// give them: node 1's run sums to 2^32+6.
+	written := map[string]struct {
+		counts []uint64
+		nodes  map[graph.NodeID][]Entry
+	}{
+		"residuals with counts": {[]uint64{0, 3, 2, 5, 3, 1, 2, 1}, map[graph.NodeID][]Entry{1: {{4, 5}}, 4: {{4, 1}}, 6: {{4, 1}}}},
+	}
 	for _, c := range []struct {
 		name, want   string // want is "" for a legal section
 		nRuns, nPost uint64
@@ -696,7 +712,14 @@ func TestIndexReadRejectsCorruptRuns(t *testing.T) {
 		{"2^31 runs", "overflow the runs' posting positions", 1 << 31, 1, nil, nil},
 		{"2^30 postings", "overflow the runs' posting positions", 1, 1 << 30, nil, nil},
 	} {
-		ix, err := Read(bytes.NewReader(fieldBytes(t, append([]uint64{5, 0, 0, c.nRuns, c.nPost}, c.body...)...)), 8)
+		rows, nodes, counts := tableOf(c.rows), tableOf(written[c.name].nodes), written[c.name].counts
+		if counts == nil {
+			nodes = sumsOf(&rows)
+			for range slices.Compact(slices.Sorted(slices.Values(nodes.metas()))) {
+				counts = append(counts, 1)
+			}
+		}
+		ix, err := Read(bytes.NewReader(fieldBytes(t, append(append([]uint64{5, c.nRuns, c.nPost}, c.body...), counts...)...)), 8)
 		if c.want != "" {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
@@ -707,44 +730,43 @@ func TestIndexReadRejectsCorruptRuns(t *testing.T) {
 			t.Errorf("%s: Read refused a legal section: %v", c.name, err)
 			continue
 		}
-		rows := tableOf(c.rows)
 		holdsRows(t, c.name, ix, rows)
-		if want := refRuns(&rows); !sameRuns(&ix.flat, &want) {
-			t.Errorf("%s: the runs %+v are not the ones the pair rows lay out, %+v", c.name, ix.flat, want)
+		if want := refRuns(&nodes, &rows); !sameRuns(&ix.flat, &want) {
+			t.Errorf("%s: the runs %+v are not the ones the rows lay out, %+v", c.name, ix.flat, want)
 		}
 	}
 }
 
 // TestIndexReadBoundsAllocationByBytesReceived: a follower decodes index
-// sections off the network, so a short stream claiming 2^31-1 keys and
-// entries (the most the int32 offsets admit; 2^40 is refused outright)
-// must cost what it sent, not what it claims — ~40 GB here. The same holds
-// for the runs section, claiming 2^31-1 runs and (2^31-1)/2 postings (the
-// most the runs' posting positions admit), or 2^40 of both. The stream's
-// rows are well formed — consecutive node keys, each a one-entry row of
-// metagraph 0, the first with its head and the rest reusing it; or
-// consecutive nodes, each one run of metagraph 0 holding the node after it
-// — until it just stops: after 80 rows, inside the first flat.Grow step of
-// each arena, and after 30 000, past its second.
+// sections off the network, so a short stream claiming 2^31-1 runs and
+// (2^31-1)/2 postings (the most the runs' posting positions admit), or
+// 2^40 of both, must cost what it sent, not what it claims — ~40 GB here.
+// The same holds for a metagraph's written counts, claiming as many as the
+// graph has nodes, or 2^40 (refused outright). The stream's rows are well
+// formed — consecutive nodes, each one run of metagraph 0 holding the node
+// after it; or one run and then consecutive nodes' counts of 1 — until it
+// just stops: after 80 rows, inside the first flat.Grow step of each
+// arena, and after 30 000, past its second.
 func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
-	const head = 1<<2 | 0<<1 | 1 // len 1, first 0, all ones; b = bits.Len(1) = 1
 	sections := map[string]func(claim uint64, rows int) []uint64{
-		"node table": func(claim uint64, rows int) []uint64 {
+		"written counts": func(claim uint64, rows int) []uint64 {
 			vals := []uint64{
-				claim, claim,
-				1 << 1, // key 0 and its head
-				head,
+				1, 1, // one run of one posting
+				1,        // node 0
+				1 << 1,   // one run, of metagraph 0
+				0,        // no reference
+				1<<1 | 1, // one residual, a count of 1
+				1,        // node 1
+				0,        // metagraph 0's counts are written
+				claim,
 			}
-			for i := 1; i < rows; i++ {
-				vals = append(vals, 1<<1|1) // the next key, the same head
+			for i := 0; i < rows; i++ {
+				vals = append(vals, 1, 1) // the next node, a count of 1
 			}
 			return vals
 		},
 		"runs": func(claim uint64, rows int) []uint64 {
-			vals := []uint64{
-				0, 0, // an empty node table
-				claim, min(claim, math.MaxInt32/2),
-			}
+			vals := []uint64{claim, min(claim, math.MaxInt32/2)}
 			for i := 0; i < rows; i++ {
 				vals = append(vals,
 					1,      // the next node
@@ -790,13 +812,13 @@ func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 	for _, meta := range []uint64{0, numMeta - 1} {
 		raw := fieldBytes(t,
 			numMeta,
-			0, 0, // an empty node table
 			1, 1, // one run of one posting
 			1, // node 0
 			1<<b|meta,
 			0,      // no reference
 			1<<1|1, // one residual, a count of 1
 			1,      // node 1
+			1,      // a divisor of 1: each node's count is its run's sum
 		)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -808,8 +830,8 @@ func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 			t.Fatalf("metagraph %d: a %d-byte stream cost %d bytes of allocation", meta, len(raw), got)
 		}
-		if row := ix.PairVec(1, 0); row.Len() != 1 || row.Get(int(meta)) != 1 {
-			t.Fatalf("metagraph %d: the pair reads %v", meta, row.ent)
+		if row := ix.PairVec(1, 0); row.Len() != 1 || row.Get(int(meta)) != 1 || ix.NodeVec(1).Get(int(meta)) != 1 {
+			t.Fatalf("metagraph %d: the pair reads %v, m_1 %v", meta, row.ent, ix.NodeVec(1).ent)
 		}
 	}
 }
@@ -826,8 +848,7 @@ func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 func TestIndexReadCopyChainCostsWhatItSent(t *testing.T) {
 	for _, n := range []int{4000, 60} {
 		vals := []uint64{
-			1,    // numMeta
-			0, 0, // an empty node table
+			1, // numMeta
 			uint64(n / 2),
 			min(uint64(n/2*(n/2+1)/2), math.MaxInt32/2), // all it holds, or the most a claim may
 		}
@@ -846,6 +867,7 @@ func TestIndexReadCopyChainCostsWhatItSent(t *testing.T) {
 			}
 			vals = append(vals, 1<<1|1, uint64(n-1-2*q)) // n-1-q, below every copy
 		}
+		vals = append(vals, 1) // a divisor of 1: each node's count is its partners
 		raw := fieldBytes(t, vals...)
 		budget := uint64(maxPostingsPerByte * postingAlloc * len(raw))
 		var before, after runtime.MemStats
@@ -922,9 +944,9 @@ func scanEverything(t testing.TB, ix *Index, numNodes int) {
 		rs := &ix.flat
 		lo, hi := rs.runs(v)
 		for r := lo; r < hi; r++ {
-			m, ps := rs.meta[r], rs.postings(r)
-			if len(ps) == 0 || (r > lo && m <= rs.meta[r-1]) {
-				t.Fatalf("run %d of node %d (metagraph %d, %d postings) is empty or out of order", r-lo, v, m, len(ps))
+			m, ps := rs.head[r].Meta, rs.postings(r)
+			if len(ps) == 0 || rs.head[r].Count == 0 || (r > lo && m <= rs.head[r-1].Meta) {
+				t.Fatalf("run %d of node %d (%v, %d postings) is empty, has no count or is out of order", r-lo, v, rs.head[r], len(ps))
 			}
 			for i, p := range ps {
 				if int(p.node) >= len(dots) || int(v) >= len(dots) {
@@ -1000,7 +1022,7 @@ func readsCounts(t testing.TB, ix *Index) {
 			t.Fatalf("%s: Dot = %v, want %v", what, got, dot)
 		}
 	}
-	for _, keys := range [][]graph.NodeID{ix.mx.keys} {
+	for _, keys := range [][]graph.NodeID{ix.nodeTable().keys} {
 		for _, x := range keys {
 			check(fmt.Sprintf("m_%d", x), ix.NodeVec(x))
 			acc := ix.Accumulate(x, w)
@@ -1026,10 +1048,12 @@ func readsCounts(t testing.TB, ix *Index) {
 	}
 }
 
-// selfPatch builds gains out of ix's own first rows with every count
+// selfPatch builds gains out of ix's own first pair rows with every count
 // doubled plus one (never 0, even where the doubling wraps), plus (when the
-// graph has room for one) a pair and a node gain on the highest node id,
-// which ix may or may not hold.
+// graph has room for one) a pair gain on the highest node id, which ix may
+// or may not hold, and on each endpoint of a gained pair the node gain of
+// the same doubling of its count in ix (3 where ix holds none): gains as a
+// re-match hands them over, a node count with every pair run.
 func selfPatch(ix *Index, numNodes int) *Patch {
 	double := func(row []Entry) []Entry {
 		out := slices.Clone(row)
@@ -1038,74 +1062,93 @@ func selfPatch(ix *Index, numNodes int) *Patch {
 		}
 		return out
 	}
-	mx, mxy := map[graph.NodeID][]Entry{}, map[PairKey][]Entry{}
-	for r, k := range ix.mx.keys[:min(3, len(ix.mx.keys))] {
-		mx[k] = double(ix.mx.ent[ix.mx.off[r]:ix.mx.off[r+1]])
-	}
+	mxy := map[PairKey][]Entry{}
 	pairs := ix.pairTable()
 	for r, k := range pairs.keys[:min(3, len(pairs.keys))] {
 		mxy[k] = double(pairs.ent[pairs.off[r]:pairs.off[r+1]])
 	}
 	if numNodes >= 2 && ix.NumMeta() > 0 {
 		last := graph.NodeID(numNodes - 1)
-		mx[last] = []Entry{{Meta: 0, Count: 3}}
 		mxy[MakePairKey(0, last)] = []Entry{{Meta: 0, Count: 1}}
 	}
-	return handPatch(ix.NumMeta(), mx, mxy)
+	return handPatch(ix.NumMeta(), endpointGains(ix, mxy, func(held uint32) (uint32, bool) {
+		if held == 0 {
+			return 3, true
+		}
+		return held<<1 | 1, true
+	}), mxy)
 }
 
-// unitPatch gains 1 on each coordinate selfPatch gains on whose count ix
-// holds below 2^32−1, so its sums always fit: where selfPatch's sums overflow,
-// it still takes the patched index through the checks.
-func unitPatch(ix *Index, numNodes int) *Patch {
-	self := selfPatch(ix, numNodes)
-	ones := func(held SparseVec, row []Entry) (out []Entry) {
-		for _, e := range row {
-			if held.Get(int(e.Meta)) < math.MaxUint32 {
-				out = append(out, Entry{e.Meta, 1})
+// endpointGains is the node gains of pair gains mxy on ix: for each
+// endpoint of a gained pair and each metagraph it gains in, gain(m_x[m])
+// as ix holds it, where that reports one.
+func endpointGains(ix *Index, mxy map[PairKey][]Entry, gain func(held uint32) (uint32, bool)) map[graph.NodeID][]Entry {
+	mx := map[graph.NodeID][]Entry{}
+	for k, row := range mxy {
+		x, y := k.Nodes()
+		for _, v := range []graph.NodeID{x, y} {
+			for _, e := range row {
+				held := uint32(ix.NodeVec(v).Get(int(e.Meta)))
+				if c, ok := gain(held); ok && !slices.ContainsFunc(mx[v], func(h Entry) bool { return h.Meta == e.Meta }) {
+					mx[v] = append(mx[v], Entry{e.Meta, c})
+				}
 			}
 		}
-		return out
 	}
-	mx, mxy := map[graph.NodeID][]Entry{}, map[PairKey][]Entry{}
-	self.mx.each(func(x graph.NodeID, row []Entry) { mx[x] = ones(ix.NodeVec(x), row) })
-	gains := rowsOf(&self.up)
-	gains.each(func(k PairKey, row []Entry) { mxy[k] = ones(ix.PairVec(k.Nodes()), row) })
-	return handPatch(ix.NumMeta(), mx, mxy)
+	return mx
+}
+
+// unitPatch gains 1 on each pair coordinate selfPatch gains on whose count
+// ix holds below 2^32−1, as do both endpoints' counts there, and 1 on each
+// such endpoint count: its sums always fit, so where selfPatch's overflow,
+// it still takes the patched index through the checks.
+func unitPatch(ix *Index, numNodes int) *Patch {
+	self := rowsOf(&selfPatch(ix, numNodes).up)
+	mxy := map[PairKey][]Entry{}
+	self.each(func(k PairKey, row []Entry) {
+		x, y := k.Nodes()
+		for _, e := range row {
+			if m := int(e.Meta); ix.PairVec(x, y).Get(m) < math.MaxUint32 && ix.NodeVec(x).Get(m) < math.MaxUint32 && ix.NodeVec(y).Get(m) < math.MaxUint32 {
+				mxy[k] = append(mxy[k], Entry{e.Meta, 1})
+			}
+		}
+	})
+	return handPatch(ix.NumMeta(), endpointGains(ix, mxy, func(uint32) (uint32, bool) { return 1, true }), mxy)
 }
 
 // FuzzIndexRead feeds arbitrary bytes through the decoder: it may refuse
 // them, but an index it returns must serve every row without a panic —
-// patched too — inside allocations bounded by the stated
-// graph size. What it serves is held to what the stream declares: the node
-// rows decodeTable and the pair rows declaredRuns read off the same bytes,
-// laid out as refRuns lays them out, plus the gains once patched — or,
-// where a sum does not fit a uint32, a refusal that leaves the receiver as
-// it was. Each input is patched twice: with selfPatch's large gains, and
-// with unitPatch's, which always fit, so every input reaches a patched
-// index. And what Read accepted, Write writes back as a fixed
-// point: written, read and written again, the bytes stay the same.
+// patched too — inside allocations bounded by the stated graph size. What
+// it serves is held to what the stream declares: the pair rows
+// declaredRuns and the node rows declaredCounts read off the same bytes —
+// a written count, or a run's sum over its metagraph's divisor — laid out
+// as refRuns lays them out, plus the gains once patched — or, where a sum
+// does not fit a uint32, a refusal that leaves the receiver as it was.
+// Each input is patched twice: with selfPatch's large gains, and with
+// unitPatch's, which always fit, so every input reaches a patched index.
+// And what Read accepted, Write writes back as a fixed point: written, read
+// and written again, the bytes stay the same.
 func FuzzIndexRead(f *testing.F) {
 	_, ix := buildToyIndex(f)
 	f.Add(writeBytes(f, ix), uint16(14))
 	f.Add(writeBytes(f, ix), uint16(3))
 	f.Add(writeBytes(f, NewBuilder(2).Build()), uint16(0))
-	// Counts of every varint width an Entry can hold, up to 2^32-1.
+	// Written counts of every varint width a header can hold, up to
+	// 2^32-1, beside pair counts of every width.
 	f.Add(rowBytes(f, 2,
-		csr[graph.NodeID]{keys: []graph.NodeID{1, 5}, off: []int32{0, 2, 3}, ent: []Entry{{0, 127}, {1, 128}, {1, math.MaxUint32}}},
+		csr[graph.NodeID]{keys: []graph.NodeID{1, 5}, off: []int32{0, 2, 4}, ent: []Entry{{0, 127}, {1, 128}, {0, 16384}, {1, math.MaxUint32}}},
 		csr[PairKey]{keys: []PairKey{MakePairKey(1, 5)}, off: []int32{0, 2}, ent: []Entry{{0, 16383}, {1, 16384}}},
 	), uint16(8))
 	f.Add(writeBytes(f, wideIndex()), uint16(8))
-	// Heads that run and then change, in both tables: three rows of one
-	// head, a new count, a new length, then the first head again.
+	// Counts written for one metagraph and derived for the others, the
+	// derived ones of pair counts above 1.
 	f.Add(rowBytes(f, 3,
-		csr[graph.NodeID]{keys: []graph.NodeID{0, 1, 2, 3, 5, 6}, off: []int32{0, 1, 2, 3, 4, 6, 7},
-			ent: []Entry{{1, 1}, {1, 1}, {1, 1}, {1, 4}, {0, 1}, {2, 1}, {1, 1}}},
+		csr[graph.NodeID]{keys: []graph.NodeID{1, 5}, off: []int32{0, 1, 2}, ent: []Entry{{0, 4}, {0, 9}}},
 		csr[PairKey]{keys: []PairKey{MakePairKey(0, 1), MakePairKey(0, 2), MakePairKey(1, 2), MakePairKey(1, 5), MakePairKey(3, 6)},
-			off: []int32{0, 1, 2, 3, 5, 6}, ent: []Entry{{2, 1}, {2, 1}, {2, 1}, {0, 2}, {2, 1}, {2, 1}}},
+			off: []int32{0, 1, 2, 3, 5, 6}, ent: []Entry{{2, 1}, {2, 1}, {2, 1}, {0, 2}, {2, 1}, {2, 3}}},
 	), uint16(8))
 	// Rows that mix 4-node metagraphs with counts above 1, as MaxNodes 4
-	// builds them: heads with the all-ones bit both set and clear.
+	// builds them: runs of ones and runs with counts.
 	rng := rand.New(rand.NewSource(1))
 	g, ms := countGraph(rng), countMetagraphs(rng)
 	bld := NewBuilder(len(ms))
@@ -1136,14 +1179,22 @@ func FuzzIndexRead(f *testing.F) {
 		f.Fatal("the patched seed copies nothing")
 	}
 	// The counted index with a bit of its last byte's padding set.
-	f.Add(paddingSet(f, writeBytes(f, counted), func(raw []byte) error {
+	f.Add(flipBit(f, writeBytes(f, counted), func(raw []byte) bool {
 		fr, err := flat.NewReader(bytes.NewReader(raw), fileMagic)
 		if err != nil {
-			return err
+			return false
 		}
 		_, err = Decode(fr, g.NumNodes())
-		return err
+		return err != nil && strings.Contains(err.Error(), "padding")
 	}), uint16(g.NumNodes()))
+	// Each refusal of the counts: node 0's run of metagraph 0 holds 1 and
+	// 2, of count 1 each, under a divisor of 2 (node 1's sum, 1, does not
+	// divide); under written counts, one more for node 4, which has no run;
+	// and a written count of 0.
+	run := []uint64{1, 1, 2, 1, 1 << 1, 0, 2<<1 | 1, 1, 1}
+	for _, counts := range [][]uint64{{2}, {0, 4, 1, 2, 1, 1, 1, 1, 2, 1}, {0, 3, 1, 2, 1, 0, 1, 1}} {
+		f.Add(fieldBytes(f, append(slices.Clone(run), counts...)...), uint16(8))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, numNodes uint16) {
 		// Decode, not Read: Read's checksum turns away nearly every
 		// mutation, and the structural checks must hold without it.
@@ -1157,20 +1208,15 @@ func FuzzIndexRead(f *testing.F) {
 		}
 		fr, _ = flat.NewReader(bytes.NewReader(data), fileMagic)
 		numMeta := fr.ExpGolomb(ordSize)
-		declaredMx, err := decodeTable(fr, numMeta, uint64(numNodes))
-		if err != nil {
-			t.Fatalf("Decode accepted a node table decodeTable refuses: %v", err)
-		}
 		declared, _ := declaredRuns(fr, numMeta)
+		declaredMx := declaredCounts(fr, &declared)
 		holdsRows(t, "decoded", ix, declared)
-		if want := refRuns(&declared); !sameRuns(&ix.flat, &want) {
-			t.Fatal("the decoded runs are not the ones refRuns lays out of the same pair rows")
-		}
+		laysOutRef(t, "decoded", ix, declaredMx)
 		scanEverything(t, ix, int(numNodes))
 		// The same after a patch.
 		once := writeBytes(t, ix)
 		for name, patch := range map[string]*Patch{"self": selfPatch(ix, int(numNodes)), "unit": unitPatch(ix, int(numNodes))} {
-			wantMx, mxFits := addRows(declaredMx, patch.mx)
+			wantMx, mxFits := addRows(declaredMx, countsOf(&patch.up))
 			wantMxy, mxyFits := addRows(declared, rowsOf(&patch.up))
 			fits := mxFits && mxyFits
 			if name == "unit" && !fits {
@@ -1183,14 +1229,9 @@ func FuzzIndexRead(f *testing.F) {
 				}
 				continue
 			}
-			for label, got := range map[string]*Index{name + " patched": patched} {
-				if nodes := got.mx; !slices.Equal(nodes.keys, wantMx.keys) || !slices.Equal(nodes.ent, wantMx.ent) {
-					t.Fatalf("%s: node rows %v %v; the stream plus the gains hold %v %v", label, nodes.keys, nodes.ent, wantMx.keys, wantMx.ent)
-				}
-				holdsRows(t, label, got, wantMxy)
-				laysOutRef(t, label, got)
-				scanEverything(t, got, int(numNodes))
-			}
+			holdsRows(t, name+" patched", patched, wantMxy)
+			laysOutRef(t, name+" patched", patched, wantMx)
+			scanEverything(t, patched, int(numNodes))
 		}
 
 		back, err := Read(bytes.NewReader(once), int(numNodes))
@@ -1287,8 +1328,40 @@ func declaredRuns(r *flat.Reader, numMeta uint64) (rows csr[PairKey], copying in
 	return tableOf(declared), copying
 }
 
+// declaredCounts reads the counts section of a stream Decode accepted,
+// after the runs declaredRuns read into the pair rows rows, the plain way:
+// per metagraph the rows hold, ascending, its divisor; a node's count is
+// its pairs' sum over that divisor, or, where it is 0, the count written.
+func declaredCounts(r *flat.Reader, rows *csr[PairKey]) csr[graph.NodeID] {
+	sums := sumsOf(rows)
+	metas := slices.Compact(slices.Sorted(slices.Values(sums.metas())))
+	div := map[int32]uint64{}
+	for _, m := range metas {
+		div[m] = r.ExpGolomb(ordDiv)
+	}
+	nodes := map[graph.NodeID][]Entry{}
+	sums.each(func(x graph.NodeID, row []Entry) {
+		for _, e := range row {
+			if d := div[e.Meta]; d != 0 {
+				nodes[x] = append(nodes[x], Entry{e.Meta, e.Count / uint32(d)})
+			}
+		}
+	})
+	for _, m := range metas {
+		if div[m] == 0 {
+			v := graph.NodeID(-1)
+			for n := r.ExpGolomb(ordSize); n > 0; n-- {
+				v += graph.NodeID(r.ExpGolomb(ordCntGap))
+				nodes[v] = append(nodes[v], Entry{m, uint32(r.ExpGolomb(ordCnt))})
+			}
+		}
+	}
+	return tableOf(nodes)
+}
+
 // cliqueIndex is the index of one metagraph over a clique of n nodes:
-// every pair holds a count of 1.
+// every pair holds a count of 1, and every node the count n-1, its run's
+// sum.
 func cliqueIndex(n int) *Index {
 	var rows csr[PairKey]
 	for x := range graph.NodeID(n) {
@@ -1296,7 +1369,7 @@ func cliqueIndex(n int) *Index {
 			rows.appendRow(MakePairKey(x, y), []Entry{{0, 1}})
 		}
 	}
-	return rowsIndex(1, csr[graph.NodeID]{}, &rows)
+	return pairsIndex(1, &rows)
 }
 
 // copies reports whether some run of the index stream raw copies from a
@@ -1307,26 +1380,22 @@ func copies(t testing.TB, raw []byte) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numMeta := fr.ExpGolomb(ordSize)
-	if _, err := decodeTable(fr, numMeta, math.MaxInt32); err != nil {
-		t.Fatal(err)
-	}
-	_, copying := declaredRuns(fr, numMeta)
+	_, copying := declaredRuns(fr, fr.ExpGolomb(ordSize))
 	return copying > 0
 }
 
 // rowBytes is the stream of an index of node rows mx and pair rows mxy,
-// laid down as given: the node table as Write writes it, and each pair row
-// (x, y) as postings above x — each run of x its residuals alone, x's runs
-// ascending by metagraph and x starting a new node wherever it differs
-// from the row before. Nothing is checked, and gaps wrap, so a corrupt
+// laid down as given: each pair row (x, y) as postings above x — each run
+// of x its residuals alone, x's runs ascending by metagraph and x starting
+// a new node wherever it differs from the row before — then, per
+// metagraph the runs hold, the divisor 1, or 0 and the counts mx holds of
+// it where it holds any. Nothing is checked, and gaps wrap, so a corrupt
 // table turns into exactly the bytes a corrupt file would hold.
 func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey]) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fw := flat.NewWriter(&buf, fileMagic)
 	fw.ExpGolomb(uint64(uint32(numMeta)), ordSize)
-	encodeTable(fw, numMeta, &mx)
 	type run struct {
 		meta int32
 		post []posting
@@ -1336,6 +1405,7 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 		runs []run
 	}
 	var nodes []node
+	var metas []int32
 	nRuns := 0
 	mxy.each(func(k PairKey, row []Entry) {
 		x, y := k.Nodes()
@@ -1349,6 +1419,7 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 				n.runs, i, nRuns = append(n.runs, run{meta: e.Meta}), len(n.runs), nRuns+1
 			}
 			n.runs[i].post = append(n.runs[i].post, posting{y, e.Count})
+			metas = append(metas, e.Meta)
 		}
 	})
 	fw.ExpGolomb(uint64(nRuns), ordSize)
@@ -1379,6 +1450,29 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 		}
 		prev = n.q
 	}
+	slices.Sort(metas)
+	metas = slices.Compact(metas)
+	written := slices.DeleteFunc(slices.Clone(metas), func(m int32) bool { return !slices.Contains(mx.metas(), m) })
+	for _, m := range metas {
+		fw.ExpGolomb(uint64(b2i(!slices.Contains(written, m))), ordDiv)
+	}
+	for _, m := range written {
+		var counts []nodeCount
+		mx.each(func(x graph.NodeID, row []Entry) {
+			for _, e := range row {
+				if e.Meta == m {
+					counts = append(counts, nodeCount{x, e})
+				}
+			}
+		})
+		fw.ExpGolomb(uint64(len(counts)), ordSize)
+		last := graph.NodeID(-1)
+		for _, c := range counts {
+			fw.ExpGolomb(uint64(uint32(c.node-last)), ordCntGap)
+			fw.ExpGolomb(uint64(c.Count), ordCnt)
+			last = c.node
+		}
+	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -1387,12 +1481,12 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 
 // fieldBytes is the index file of the section whose fields, in stream
 // order, are vals: each written as the code of the order Decode reads it
-// with, the format's grammar followed as the values steer it (row and run
-// lengths, all-ones bits, references, block counts) until they run out.
-// Decode reads the same values in the same order up to wherever it
-// refuses them, so a hand-written table of values is exactly the bytes a
-// corrupt file would hold. A value past the largest its order codes
-// (2^64-1 at order 0, say) is written as that largest value.
+// with, the format's grammar followed as the values steer it (run counts
+// and metagraphs, all-ones bits, references, block counts, divisors)
+// until they run out. Decode reads the same values in the same order up to
+// wherever it refuses them, so a hand-written table of values is exactly
+// the bytes a corrupt file would hold. A value past the largest its order
+// codes (2^64-1 at order 0, say) is written as that largest value.
 func fieldBytes(t testing.TB, vals ...uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -1409,26 +1503,16 @@ func fieldBytes(t testing.TB, vals ...uint64) []byte {
 	more := func() bool { return len(vals) > 0 }
 	numMeta := next(ordSize)
 	b := uint(bits.Len64(numMeta))
-	nKeys, _ := next(ordSize), next(ordSize)
-	head := uint64(0)
-	for i := uint64(0); i < nKeys && more(); i++ {
-		if next(ordKey)&1 == 0 {
-			head = next(ordNodeHead)
-		}
-		l := head >> (b + 1)
-		for j := uint64(1); j < l && more(); j++ {
-			next(ordMetaGap)
-		}
-		for j := uint64(0); head&1 == 0 && j < l && more(); j++ {
-			next(ordNodeCnt)
-		}
-	}
+	metas := map[uint64]bool{}
 	nRuns, _ := next(ordSize), next(ordSize)
 	for runs := uint64(0); runs < nRuns && more(); {
 		next(ordNode)
-		l := next(ordRunHead) >> b
+		head := next(ordRunHead)
+		l, m := head>>b, head&(1<<b-1)
+		metas[m] = true
 		for j := uint64(1); j < l && more(); j++ {
-			next(ordMetaGap)
+			m += next(ordMetaGap)
+			metas[m] = true
 		}
 		for j := uint64(0); j < l && more(); j++ {
 			if next(ordRef) != 0 {
@@ -1446,6 +1530,18 @@ func fieldBytes(t testing.TB, vals ...uint64) []byte {
 		}
 		runs += l
 	}
+	written := 0
+	for range metas {
+		if more() && next(ordDiv) == 0 {
+			written++
+		}
+	}
+	for ; written > 0 && more(); written-- {
+		for k := next(ordSize); k > 0 && more(); k-- {
+			next(ordCntGap)
+			next(ordCnt)
+		}
+	}
 	for more() {
 		next(ordSize)
 	}
@@ -1455,27 +1551,26 @@ func fieldBytes(t testing.TB, vals ...uint64) []byte {
 	return buf.Bytes()
 }
 
-// paddingSet returns raw with one bit flipped — the first, from the end of
-// the body back, that decode refuses as set padding — and its checksum
-// left as it was.
-func paddingSet(t testing.TB, raw []byte, decode func([]byte) error) []byte {
+// flipBit returns raw with one bit flipped — the first, from the end of the
+// body back, for which want holds — and its checksum left as it was.
+func flipBit(t testing.TB, raw []byte, want func([]byte) bool) []byte {
 	t.Helper()
 	for i := len(raw) - 5; i >= 0; i-- {
 		for bit := range 8 {
 			bad := bytes.Clone(raw)
 			bad[i] ^= 1 << bit
-			if err := decode(bad); err != nil && strings.Contains(err.Error(), "padding") {
+			if want(bad) {
 				return bad
 			}
 		}
 	}
-	t.Fatal("no bit of the stream is padding")
+	t.Fatal("no bit of the stream flips as wanted")
 	return nil
 }
 
-// sameRuns reports whether two run layouts are identical.
+// sameRuns reports whether two run layouts are identical, headers and all.
 func sameRuns(a, b *adjRuns) bool {
-	return slices.Equal(a.first, b.first) && slices.Equal(a.meta, b.meta) && slices.Equal(a.off, b.off) && slices.Equal(a.post, b.post)
+	return slices.Equal(a.first, b.first) && slices.Equal(a.head, b.head) && slices.Equal(a.off, b.off) && slices.Equal(a.post, b.post)
 }
 
 // addRows is base with the rows of gains added, key by key and metagraph

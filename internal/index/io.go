@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -17,34 +18,29 @@ import (
 // offline phase (Table III), so persisting its output lets deployments
 // mine+match once and train/query many times.
 //
-// An index travels as one section of a flat stream (internal/flat): its
-// node table as it is held, then node after node the runs above it — the
-// postings of each run (q, m) whose partner is above q, which hold every
-// m_xy once. The reader lays out the rest: a node's partners below it in
-// a run are the nodes whose runs above them hold it.
+// An index travels as one section of a flat stream (internal/flat): node
+// after node the runs above it — the postings of each run (q, m) whose
+// partner is above q, which hold every m_xy once — then what the run
+// headers' counts need. The reader lays out the rest: a node's partners
+// below it in a run are the nodes whose runs above them hold it, and a
+// header's count m_q[m] is, for nearly every metagraph, its run's sum over
+// a divisor d the section states. An instance that puts q on a symmetric
+// position adds 1 to m_q[m] and 1 to m_qy[m] for each partner y on a
+// position symmetric to q's; when every symmetric position of M_m lies in
+// the same number d of symmetric pairs, Σ_y m_qy[m] = d·m_q[m] for every
+// q. The writer finds d in the counts themselves, so the section needs no
+// metagraph; where no one d divides every run, it writes the counts.
 //
 //	                       order
 //	numMeta                  0
-//	node table:
-//	  nKeys nEntries         0
-//	  nKeys × row:
-//	    delta<<1 | reuse     1   keys ascend strictly, so every delta — the
-//	                             first one is key+1 — is at least 1; reuse
-//	                             is set when the row's head is the previous
-//	                             row's, which the first row has none of
-//	    head                 7   only when reuse is clear: len<<(b+1) |
-//	                             first<<1 | ones, b = bits.Len(numMeta): the
-//	                             row's length, its first Meta, and whether
-//	                             every Count in it is 1
-//	    len-1 × Meta gap     1   each next Meta minus the one before, ≥ 1
-//	    len × Count          6   only when ones is clear
 //	runs above each node:
 //	  nRuns nPostings        0   what follows, in all
 //	  per node q with a partner above it, ascending:
 //	    q-prev               1   prev the node before it (-1 for the
 //	                             first): at least 1
 //	    runs<<b | first      3   how many of q's runs hold a partner above
-//	                             q, and the first one's metagraph
+//	                             q, and the first one's metagraph, b =
+//	                             bits.Len(numMeta)
 //	    runs-1 × Meta gap    1   each next metagraph minus the one before,
 //	                             at least 1
 //	    per such run (q, m), its postings above q:
@@ -60,40 +56,46 @@ import (
 //	      res × gap          4   each partner minus the one before (q for
 //	                             the first): at least 1
 //	      res × Count        1   only when ones is clear
+//	per metagraph the runs hold, ascending:
+//	  divisor                1   each node's count is its run's postings'
+//	                             sum over it; 0: the counts are written
+//	per metagraph of divisor 0, ascending, its written counts:
+//	  n                      0   one per node with a run of it
+//	  n × (v-prev, Count)  1, 2  the nodes ascending from prev = -1, each
+//	                             gap at least 1; the count at least 1
 //	zero bits to the next byte boundary
 //
 // Every field is an exp-Golomb code of the order beside it (flat.Writer.
 // ExpGolomb): a fixed constant of the format per field, chosen by a tally
 // of the field's bits in the LinkedIn read_direct, lifecycle and
 // paper-shape sections, so small gaps cost a few bits and no field pays a
-// whole byte. A Count is the raw instance count, and most are 1, so a row
-// or run of ones costs no counts. A held metagraph such as
-// user–college–user pairs everyone who shares a hub, so a node's partners
-// above it are mostly those of a partner just below it: Encode tries the
-// refCandidates nearest partners below q in the run as references, the way
-// WebGraph codes an adjacency list against an earlier one, and keeps the
-// cheapest in bits. Index
-// internals are deterministic and so are the choices, so the bytes are
-// stable without any extra sorting. Engine snapshots embed one section per
-// index; Write/Read frame a single section as a file of its own.
+// whole byte. A Count is the raw instance count, and most are 1, so a run
+// of ones costs no counts. A held metagraph such as user–college–user pairs
+// everyone who shares a hub, so a node's partners above it are mostly
+// those of a partner just below it: Encode tries the refCandidates nearest
+// partners below q in the run as references, the way WebGraph codes an
+// adjacency list against an earlier one, and keeps the cheapest in bits.
+// Index internals are deterministic and so are the choices, so the bytes
+// are stable without any extra sorting. Engine snapshots embed one section
+// per index; Write/Read frame a single section as a file of its own.
 
-const fileMagic = "SPXI\x08"
+const fileMagic = "SPXI\x09"
 
 // The exp-Golomb order of each field of the section (see above).
 const (
-	ordSize     = 0 // numMeta, nKeys, nEntries, nRuns, nPostings
-	ordKey      = 1 // a node-table row's delta<<1 | reuse
-	ordNodeHead = 7 // a node-table row's head
-	ordMetaGap  = 1 // a Meta gap, in a row or a node's run heads
-	ordNodeCnt  = 6 // a node-table Count
-	ordNode     = 1 // a node's gap from the node before it
-	ordRunHead  = 3 // a node's runs<<b | first
-	ordRef      = 4 // a run's reference distance
-	ordBlocks   = 0 // a run's number of copy blocks
-	ordBlock    = 1 // a copy block
-	ordResHead  = 2 // a run's res<<1 | ones
-	ordResGap   = 4 // a residual's gap
-	ordResCnt   = 1 // a residual's Count
+	ordSize    = 0 // numMeta, nRuns, nPostings, a metagraph's written counts
+	ordMetaGap = 1 // a Meta gap in a node's run heads
+	ordNode    = 1 // a node's gap from the node before it
+	ordRunHead = 3 // a node's runs<<b | first
+	ordRef     = 4 // a run's reference distance
+	ordBlocks  = 0 // a run's number of copy blocks
+	ordBlock   = 1 // a copy block
+	ordResHead = 2 // a run's res<<1 | ones
+	ordResGap  = 4 // a residual's gap
+	ordResCnt  = 1 // a residual's Count
+	ordDiv     = 1 // a metagraph's divisor
+	ordCntGap  = 1 // a written count's node gap
+	ordCnt     = 2 // a written Count
 )
 
 const (
@@ -113,16 +115,28 @@ const (
 	// bytes of allocation per byte received.
 	maxPostingsPerByte = 8
 	// postingAlloc bounds what one posting above its node costs the
-	// decoder: its 8 bytes in an arena grown through flat.Grow, which can
-	// run 8× ahead of what was decoded (a lying claim), plus its two
-	// 8-byte places in the laid-out runs, plus the run and node tables'
-	// share, rounded up.
+	// decoder, with its share of the runs it makes: its 8 bytes in an
+	// arena grown through flat.Grow, which can run 8× ahead of what was
+	// decoded (a lying claim), plus its two 8-byte places in the laid-out
+	// runs — 80 — plus the runs' share. A laid-out run costs 44 bytes: its
+	// 8-byte header, its 4-byte offset, and the layout's 16-byte record of
+	// it, twice over while that grows. A run above its node costs 10 bits or more (a reference
+	// distance, a residuals' head and a metagraph gap), and every other run
+	// is a partner's, opened by a residual, 5 bits or more: at most 0.3 runs
+	// a bit, 13 bytes of runs per bit against the 8 of postings it could
+	// have copied instead — 93 bytes a bit at worst, rounded up. A written
+	// count costs 5 bits or more and takes 12 bytes, 96 while its arena
+	// grows, so less per bit.
 	postingAlloc = 96
-	// countedAlloc bounds what one posting counted from the graph costs a
-	// load (DecodeCounting): its 8 bytes in an arena sized once, from
-	// twoEdgeBound, plus its two 8-byte places in the laid-out runs, plus
-	// its share of the run and node tables — a run holds one posting at
-	// least, a node row stands for half of one — rounded up.
+	// countedAlloc is what one posting counted from the graph costs a load
+	// (DecodeCounting) where the budget binds: its 8 bytes in an arena
+	// sized once, from twoEdgeBound, plus its two 8-byte places in the
+	// laid-out runs — 24 — plus its share of the runs, 28 bytes a run (its
+	// 8-byte header, its 4-byte offset and the layout's 16-byte record; no
+	// count rides in flight, the header's being the run's sum). The budget
+	// binds where hubs pair their members, and a hub of d members makes
+	// d(d−1)/2 postings for at most d runs: two postings a run from d = 5,
+	// 14 bytes a posting, 38 in all, rounded up.
 	countedAlloc = 48
 	// maxCountedPerByte caps the postings a load may count from the graph
 	// per byte received ahead of the section: as many as cost what
@@ -157,14 +171,15 @@ func Read(r io.Reader, numNodes int) (*Index, error) {
 	return ix, nil
 }
 
-// Encode appends ix to w as one section: the node table, then each node's
-// runs above it, walked straight out of the runs.
+// Encode appends ix to w as one section: each node's runs above it,
+// walked straight out of the runs, then the counts' divisors and the counts
+// no divisor gives.
 func Encode(w *flat.Writer, ix *Index) { encode(w, ix, nil) }
 
 // EncodeCounting is Encode of an index over the metagraphs ms, those
 // matched set, on g, without the rows DecodeCounting counts again from g
-// (countedSlots): the node entries and runs of those metagraphs are
-// skipped as the section is written. ms spans ix's metagraphs.
+// (countedSlots): the runs of those metagraphs are skipped as the section
+// is written. ms spans ix's metagraphs.
 func EncodeCounting(w *flat.Writer, ix *Index, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) {
 	counted, _ := countedSlots(g, ms, matched, w.BitOffset())
 	encode(w, ix, counted)
@@ -175,53 +190,72 @@ func EncodeCounting(w *flat.Writer, ix *Index, g *graph.Graph, ms []*metagraph.M
 func encode(w *flat.Writer, ix *Index, skip []bool) {
 	e := runEncoder{w: w, start: w.BitOffset(), rs: &ix.flat, skip: skip}
 	w.ExpGolomb(uint64(ix.numMeta), ordSize)
-	mx := &ix.mx
-	if slices.Contains(skip, true) {
-		kept := mergeCSR([]source[graph.NodeID]{{mx, func(m int32) int32 {
-			if skip[m] {
-				return -1
-			}
-			return m
-		}}})
-		mx = &kept
-	}
-	encodeTable(w, ix.numMeta, mx)
 	e.encode(ix.numMeta)
+	e.counts(ix.numMeta)
 	w.Align()
 }
 
-// encodeTable writes the node table c.
-func encodeTable(w *flat.Writer, numMeta int, c *csr[graph.NodeID]) {
-	w.ExpGolomb(uint64(len(c.keys)), ordSize)
-	w.ExpGolomb(uint64(len(c.ent)), ordSize)
-	b := uint(bits.Len(uint(numMeta)))
-	prev, prevHead := uint64(0), uint64(0) // no head is 0: rows are never empty
-	c.each(func(k graph.NodeID, row []Entry) {
-		next := uint64(k) + 1
-		ones := uint64(1)
-		for _, e := range row {
-			if e.Count != 1 {
-				ones = 0
-				break
+// divisors returns, per metagraph of rs, what counts writes for it: -1
+// where it has no run outside skip, else the one ratio of a run's sum to
+// its header's count that every run of it has, or 0 where they do not
+// share one.
+func divisors(rs *adjRuns, numMeta int, skip []bool) []int64 {
+	div := make([]int64, numMeta)
+	for m := range div {
+		div[m] = -1
+	}
+	for r, h := range rs.head {
+		if skip != nil && skip[h.Meta] {
+			continue
+		}
+		sum := uint64(0)
+		for _, p := range rs.postings(int32(r)) {
+			sum += uint64(p.count)
+		}
+		d := int64(0)
+		if q := sum / uint64(h.Count); q*uint64(h.Count) == sum && q <= math.MaxUint32 {
+			d = int64(q)
+		}
+		if div[h.Meta] < 0 {
+			div[h.Meta] = d
+		} else if div[h.Meta] != d {
+			div[h.Meta] = 0
+		}
+	}
+	return div
+}
+
+// counts writes, for each metagraph the runs written hold, the divisor
+// that turns each of its runs' sums into the count on the run's header,
+// and then the counts of each metagraph of divisor 0, node by node.
+func (e *runEncoder) counts(numMeta int) {
+	rs, w := e.rs, e.w
+	div := divisors(rs, numMeta, e.skip)
+	for _, d := range div {
+		if d >= 0 {
+			w.ExpGolomb(uint64(d), ordDiv)
+		}
+	}
+	var written []nodeCount
+	for m, d := range div {
+		if d != 0 {
+			continue
+		}
+		written = written[:0]
+		for q := range graph.NodeID(len(rs.first) - 1) {
+			lo, hi := rs.runs(q)
+			if i, ok := slices.BinarySearchFunc(rs.head[lo:hi], Entry{Meta: int32(m)}, compareEntryMeta); ok {
+				written = append(written, nodeCount{q, rs.head[lo+int32(i)]})
 			}
 		}
-		head := uint64(len(row))<<(b+1) | uint64(uint32(row[0].Meta))<<1 | ones
-		if head == prevHead {
-			w.ExpGolomb((next-prev)<<1|1, ordKey)
-		} else {
-			w.ExpGolomb((next-prev)<<1, ordKey)
-			w.ExpGolomb(head, ordNodeHead)
+		w.ExpGolomb(uint64(len(written)), ordSize)
+		prev := graph.NodeID(-1)
+		for _, c := range written {
+			w.ExpGolomb(uint64(c.node-prev), ordCntGap)
+			w.ExpGolomb(uint64(c.Count), ordCnt)
+			prev = c.node
 		}
-		prev, prevHead = next, head
-		for j := 1; j < len(row); j++ {
-			w.ExpGolomb(uint64(uint32(row[j].Meta-row[j-1].Meta)), ordMetaGap)
-		}
-		if ones == 0 {
-			for _, e := range row {
-				w.ExpGolomb(uint64(e.Count), ordNodeCnt)
-			}
-		}
-	})
+	}
 }
 
 // runEncoder writes the runs above each node of rs, each against the
@@ -325,12 +359,12 @@ func b2i(b bool) int {
 func (e *runEncoder) encode(numMeta int) {
 	rs := e.rs
 	n := max(len(rs.first)-1, 0)
-	e.above = make([]int32, len(rs.meta))
+	e.above = make([]int32, len(rs.head))
 	nRuns, nPost := 0, 0
 	for q := range graph.NodeID(n) {
 		lo, hi := rs.runs(q)
 		for r := lo; r < hi; r++ {
-			if e.skip != nil && e.skip[rs.meta[r]] {
+			if e.skip != nil && e.skip[rs.head[r].Meta] {
 				e.above[r] = rs.off[r+1] // nothing above q to write
 				continue
 			}
@@ -358,7 +392,7 @@ func (e *runEncoder) encode(numMeta int) {
 		for r := lo; r < hi; r++ {
 			if e.above[r] < rs.off[r+1] {
 				if runs++; first < 0 {
-					first = rs.meta[r]
+					first = rs.head[r].Meta
 				}
 			}
 		}
@@ -370,7 +404,7 @@ func (e *runEncoder) encode(numMeta int) {
 		prev = q
 		last := first
 		for r := lo; r < hi; r++ {
-			if m := rs.meta[r]; e.above[r] < rs.off[r+1] && m != first {
+			if m := rs.head[r].Meta; e.above[r] < rs.off[r+1] && m != first {
 				w.ExpGolomb(uint64(m-last), ordMetaGap)
 				last = m
 			}
@@ -396,7 +430,7 @@ func (e *runEncoder) encode(numMeta int) {
 // bit.
 func (e *runEncoder) run(q graph.NodeID, r int32) {
 	rs := e.rs
-	m, up, below := rs.meta[r], rs.post[e.above[r]:rs.off[r+1]], rs.post[rs.off[r]:e.above[r]]
+	m, up, below := rs.head[r].Meta, rs.post[e.above[r]:rs.off[r+1]], rs.post[rs.off[r]:e.above[r]]
 	e.serial++ // one per run: fewer than 2^31, so it never wraps
 	e.all = resCost{}
 	last := q
@@ -416,7 +450,7 @@ func (e *runEncoder) run(q graph.NodeID, r int32) {
 		// list a copy reads, just past p's postings below q.
 		p := below[len(below)-c].node
 		plo, phi := rs.runs(p)
-		i, _ := slices.BinarySearch(rs.meta[plo:phi], m)
+		i, _ := slices.BinarySearchFunc(rs.head[plo:phi], Entry{Meta: m}, compareEntryMeta)
 		pr := plo + int32(i)
 		pl := &e.cands[c]
 		end := rs.off[pr+1]
@@ -560,21 +594,23 @@ func (pl *runPlan) write(w *flat.Writer, q graph.NodeID) {
 	}
 }
 
-// Decode reads one section for a graph of numNodes nodes. The bytes are untrusted: everything reads rely on
-// (strictly ascending keys, nodes, partners and Metas, Metas within
-// numMeta, counts in [1, 2^32-1], runs never empty) and everything the runs
-// index by node id or by posting position (node keys and partners within
-// the graph, references to runs decoded before) is checked as it is
-// decoded, so a corrupt stream is refused with an error and can neither
-// panic a reader nor size an allocation by a number it made up (see
-// flat.Grow; maxPostingsPerByte). The runs above each node are laid out
-// with the partners below it into the index's runs.
+// Decode reads one section for a graph of numNodes nodes. The bytes are
+// untrusted: everything reads rely on (strictly ascending nodes, partners
+// and Metas, Metas within numMeta, counts in [1, 2^32-1], runs never empty,
+// one count on every run's header and none anywhere else) and everything
+// the runs index by node id or by posting position (nodes and partners
+// within the graph, references to runs decoded before) is checked as it is
+// decoded or laid out, so a corrupt stream is refused with an error and can
+// neither panic a reader nor size an allocation by a number it made up
+// (see flat.Grow; maxPostingsPerByte). The runs above each node are laid
+// out with the partners below it into the index's runs, each header with
+// its count.
 func Decode(r *flat.Reader, numNodes int) (*Index, error) {
 	sec, err := decodeSection(r, numNodes)
 	if err != nil {
 		return nil, err
 	}
-	return sec.index(), nil
+	return sec.decoded()
 }
 
 // DecodeCounting is Decode of a section EncodeCounting wrote for the
@@ -583,12 +619,11 @@ func Decode(r *flat.Reader, numNodes int) (*Index, error) {
 // out with the section's own in the one pass Decode makes. What the count
 // may allocate is priced from g's degrees before the section is read, at
 // most maxCountedPerByte postings per byte of the stream before it
-// (countedSlots). A
-// section that spans other than len(ms) metagraphs, holds a row of one it
-// should have left out, or whose runs with the counted ones would pass the
-// runs' int32 positions is refused. The count runs before the caller
-// checks the stream's trailer, as the layout of the section's own runs
-// does.
+// (countedSlots). A section that spans other than len(ms) metagraphs,
+// holds a run or a count of one it should have left out, or whose runs with
+// the counted ones would pass the runs' int32 positions is refused. The
+// count runs before the caller checks the stream's trailer, as the layout
+// of the section's own runs does.
 func DecodeCounting(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) (*Index, error) {
 	counted, bound := countedSlots(g, ms, matched, r.BitOffset())
 	sec, err := decodeSection(r, g.NumNodes())
@@ -599,22 +634,40 @@ func DecodeCounting(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, m
 		return nil, fmt.Errorf("index: the section spans %d metagraphs, want %d", sec.numMeta, len(ms))
 	}
 	if slices.ContainsFunc(sec.up.meta, func(m int32) bool { return counted[m] }) ||
-		slices.ContainsFunc(sec.mx.ent, func(e Entry) bool { return counted[e.Meta] }) {
+		slices.ContainsFunc(sec.up.mx, func(c nodeCount) bool { return counted[c.Meta] }) {
 		return nil, errors.New("index: the section holds rows of a two-edge metapath it leaves to the graph's common neighbours")
 	}
 	sec.up.post = slices.Grow(sec.up.post, int(bound))
-	srcs := []source[graph.NodeID]{{&sec.mx, shifted(0)}}
 	for slot, ok := range counted {
 		if ok {
-			rows := sec.up.addTwoEdge(g, ms[slot], int32(slot))
-			srcs = append(srcs, source[graph.NodeID]{&rows, shifted(0)})
+			sec.up.addTwoEdge(g, ms[slot], int32(slot))
 		}
 	}
 	if len(sec.up.post) > math.MaxInt32/2 {
 		return nil, errors.New("index: the section's runs and the counted ones overflow the runs' posting positions")
 	}
-	sec.mx = mergeCSR(srcs)
-	return sec.index(), nil
+	slices.SortFunc(sec.up.div, func(a, b divisor) int { return cmp.Compare(a.meta, b.meta) })
+	return sec.decoded()
+}
+
+// decoded lays a decoded section out, refusing what layout refuses and a
+// count written for a node that has no run of its metagraph, which layout
+// gives a run of none.
+func (s *section) decoded() (*Index, error) {
+	ix, err := s.build()
+	if err != nil {
+		return nil, err
+	}
+	rs := &ix.flat
+	for q := range graph.NodeID(ix.NodeSpan()) {
+		lo, hi := rs.runs(q)
+		for r := lo; r < hi; r++ {
+			if rs.off[r] == rs.off[r+1] {
+				return nil, fmt.Errorf("index: a count is written for node %d, which has no run of metagraph %d", q, rs.head[r].Meta)
+			}
+		}
+	}
+	return ix, nil
 }
 
 // decodeSection reads one section for a graph of numNodes nodes with the
@@ -625,18 +678,17 @@ func decodeSection(r *flat.Reader, numNodes int) (*section, error) {
 	if numMeta > math.MaxInt32 {
 		return nil, fmt.Errorf("index: %w", corrupt(r, "metagraph count", "overflows int32"))
 	}
-	mx, err := decodeTable(r, numMeta, uint64(numNodes))
-	if err != nil {
-		return nil, fmt.Errorf("index: node table: %w", err)
-	}
 	d := runDecoder{r: r, start: start, numMeta: numMeta, numNodes: uint64(max(numNodes, 0))}
 	if err := d.decode(); err != nil {
 		return nil, fmt.Errorf("index: runs: %w", err)
 	}
+	if err := d.counts(); err != nil {
+		return nil, fmt.Errorf("index: counts: %w", err)
+	}
 	if r.Align(); r.Err() != nil {
 		return nil, fmt.Errorf("index: %w", r.Err())
 	}
-	return &section{numMeta: int(numMeta), mx: mx, up: d.up}, nil
+	return &section{numMeta: int(numMeta), up: d.up}, nil
 }
 
 // corrupt names an invariant the stream broke — unless the stream itself
@@ -648,10 +700,10 @@ func corrupt(r *flat.Reader, what, how string) error {
 	return errors.New(what + " " + how)
 }
 
-// unorderedMetas refuses a row or run head whose Metas do not ascend
-// strictly within [0, numMeta).
+// unorderedMetas refuses a run head whose Metas do not ascend strictly
+// within [0, numMeta).
 func unorderedMetas(r *flat.Reader, numMeta uint64) error {
-	return corrupt(r, "row entries", fmt.Sprintf("not strictly ascending by metagraph within [0, %d)", numMeta))
+	return corrupt(r, "run heads", fmt.Sprintf("not strictly ascending by metagraph within [0, %d)", numMeta))
 }
 
 // badCount refuses a count an Entry or a posting cannot hold.
@@ -659,91 +711,49 @@ func badCount(r *flat.Reader) error {
 	return corrupt(r, "counts", "hold a count of 0 or above 2^32-1")
 }
 
-// decodeTable reads a node table whose keys must lie in [0, limit).
-func decodeTable(r *flat.Reader, numMeta, limit uint64) (c csr[graph.NodeID], err error) {
-	nKeys, nEnt := r.ExpGolomb(ordSize), r.ExpGolomb(ordSize)
-	if nKeys > math.MaxInt32 || nEnt > math.MaxInt32 {
-		return c, corrupt(r, "table size", "overflows the int32 row offsets")
+// counts reads the divisor of each metagraph the runs hold and the counts
+// written for those of divisor 0, and hands them to layout: a divisor
+// beside the runs, a count in flight.
+func (d *runDecoder) counts() (err error) {
+	r, u := d.r, &d.up
+	metas := slices.Clone(u.meta)
+	slices.Sort(metas)
+	var written []int32
+	for _, m := range slices.Compact(metas) {
+		switch v := r.ExpGolomb(ordDiv); {
+		case v > math.MaxUint32:
+			return corrupt(r, "divisor", fmt.Sprintf("of metagraph %d above 2^32-1", m))
+		case v == 0:
+			written = append(written, m)
+		default:
+			u.div = append(u.div, divisor{m, uint32(v)})
+		}
 	}
-	if nKeys == 0 {
-		if nEnt != 0 {
-			return c, corrupt(r, "empty table", "has entries")
+	for _, m := range written {
+		n := r.ExpGolomb(ordSize)
+		if n > d.numNodes {
+			return corrupt(r, "written counts", fmt.Sprintf("of metagraph %d outnumber the graph's %d nodes", m, d.numNodes))
 		}
-		return c, r.Err()
-	}
-	n := int(nKeys)
-	if c.off, err = flat.Grow(r, c.off, n+1); err != nil {
-		return c, err
-	}
-	c.off = append(c.off, 0) // then the running total after each row
-	b := uint(bits.Len64(numMeta))
-	mask := uint64(1)<<b - 1
-	next := uint64(0) // key+1 of the previous key
-	head := uint64(0) // the previous row's, until a row brings its own
-	total := uint64(0)
-	for i := 0; i < n; i++ {
-		if len(c.keys) == cap(c.keys) {
-			if c.keys, err = flat.Grow(r, c.keys, n); err != nil {
-				return c, err
-			}
-		}
-		if len(c.off) == cap(c.off) {
-			if c.off, err = flat.Grow(r, c.off, n+1); err != nil {
-				return c, err
-			}
-		}
-		d := r.ExpGolomb(ordKey)
-		reuse := d&1 == 1
-		if d >>= 1; d == 0 || d > limit-next {
-			return c, corrupt(r, "keys", fmt.Sprintf("not strictly ascending within [0, %d)", limit))
-		}
-		next += d
-		c.keys = append(c.keys, graph.NodeID(next-1))
-		switch {
-		case !reuse:
-			head = r.ExpGolomb(ordNodeHead)
-		case i == 0:
-			return c, corrupt(r, "first row", "reuses a head, but no row comes before it")
-		}
-		l, m := head>>(b+1), head>>1&mask
-		if l == 0 || l > numMeta || l > nEnt-total {
-			return c, corrupt(r, "row length", fmt.Sprintf("not within [1, %d] or runs past the entry count", numMeta))
-		}
-		if m >= numMeta {
-			return c, unorderedMetas(r, numMeta)
-		}
-		start := len(c.ent)
-		for j := uint64(0); j < l; j++ {
-			if j > 0 {
-				g := r.ExpGolomb(ordMetaGap)
-				if g == 0 || g >= numMeta-m {
-					return c, unorderedMetas(r, numMeta)
-				}
-				m += g
-			}
-			if len(c.ent) == cap(c.ent) {
-				if c.ent, err = flat.Grow(r, c.ent, int(nEnt)); err != nil {
-					return c, err
+		v := int64(-1)
+		for j := uint64(0); j < n; j++ {
+			if len(u.mx) == cap(u.mx) {
+				if u.mx, err = flat.Grow(r, u.mx, len(u.mx)+int(n-j)); err != nil {
+					return err
 				}
 			}
-			c.ent = append(c.ent, Entry{Meta: int32(m), Count: 1})
-		}
-		if head&1 == 0 {
-			for j := start; j < len(c.ent); j++ {
-				cnt := r.ExpGolomb(ordNodeCnt)
-				if cnt == 0 || cnt > math.MaxUint32 {
-					return c, badCount(r)
-				}
-				c.ent[j].Count = uint32(cnt)
+			g := r.ExpGolomb(ordCntGap)
+			if g == 0 || g > d.numNodes-uint64(v+1) {
+				return corrupt(r, "written counts' nodes", fmt.Sprintf("of metagraph %d not strictly ascending below %d", m, d.numNodes))
 			}
+			v += int64(g)
+			c := r.ExpGolomb(ordCnt)
+			if c == 0 || c > math.MaxUint32 {
+				return badCount(r)
+			}
+			u.mx = append(u.mx, nodeCount{graph.NodeID(v), Entry{m, uint32(c)}})
 		}
-		total += l
-		c.off = append(c.off, int32(total))
 	}
-	if total != nEnt {
-		return c, corrupt(r, "row lengths", "fall short of the entry count")
-	}
-	return c, r.Err()
+	return r.Err()
 }
 
 // runDecoder reads the runs above each node of one section.

@@ -24,8 +24,8 @@ func sortMerge(parts ...*Index) *Index {
 	for i, p := range parts {
 		offsets[i] = int32(numMeta)
 		numMeta += p.numMeta
-		pairs := p.pairTable()
-		mx[i], mxy[i] = &p.mx, &pairs
+		nodes, pairs := p.nodeTable(), p.pairTable()
+		mx[i], mxy[i] = &nodes, &pairs
 	}
 	pairs := sortMergeCSR(mxy, offsets)
 	return rowsIndex(numMeta, sortMergeCSR(mx, offsets), &pairs)
@@ -46,7 +46,8 @@ func sortMergeCSR[K cmp.Ordered](tables []*csr[K], offsets []int32) csr[K] {
 	off := make([]int32, len(keys)+1)
 	for _, c := range tables {
 		for ki, k := range c.keys {
-			off[findKey(keys, k)+1] += c.off[ki+1] - c.off[ki]
+			at, _ := slices.BinarySearch(keys, k)
+			off[at+1] += c.off[ki+1] - c.off[ki]
 		}
 	}
 	for i := 1; i < len(off); i++ {
@@ -56,7 +57,7 @@ func sortMergeCSR[K cmp.Ordered](tables []*csr[K], offsets []int32) csr[K] {
 	cur := slices.Clone(off[:len(keys)])
 	for pi, c := range tables {
 		for ki, k := range c.keys {
-			at := findKey(keys, k)
+			at, _ := slices.BinarySearch(keys, k)
 			for _, e := range c.ent[c.off[ki]:c.off[ki+1]] {
 				ent[cur[at]] = Entry{e.Meta + offsets[pi], e.Count}
 				cur[at]++
@@ -277,25 +278,27 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 	}
 }
 
-// TestFootprint: the sizes follow the slices of the node table and the runs,
-// fresh and patched, and the runs are the only store of the pair counts:
-// each m_xy[m] is two postings, and no table holds it.
+// TestFootprint: the size follows the slices of the runs, fresh and
+// patched, and the runs are the only store of the counts: each m_xy[m] is
+// two postings, each m_x[m] one header, and no table holds either.
 func TestFootprint(t *testing.T) {
 	_, ix := buildToyIndex(t)
-	// The patch names a node beyond the index, which widens the node-row
-	// positions.
+	// The patch names a node beyond the index, which widens the runs' node
+	// range.
 	patched := mustPatch(t, ix, selfPatch(ix, 14))
-	fp := ix.Footprint()
 	for label, c := range map[string]*Index{"fresh": ix, "patched": patched} {
-		got := c.Footprint()
-		if got.Tables != csrBytes(&c.mx) || got.Adjacency != sliceBytes(c.spans)+c.flat.bytes() || got.Adjacency <= 0 {
-			t.Fatalf("%s index: %+v", label, got)
+		rs := &c.flat
+		if got, want := c.Footprint(), 4*int64(len(rs.first)+len(rs.off))+8*int64(len(rs.head)+len(rs.post)); got != want || got <= 0 {
+			t.Fatalf("%s index: %d bytes, the slices hold %d", label, got, want)
 		}
-		if pairs := c.pairTable(); len(c.flat.post) != 2*len(pairs.ent) {
-			t.Fatalf("%s index: the runs hold %d postings for %d pair coordinates", label, len(c.flat.post), len(pairs.ent))
+		if pairs := c.pairTable(); len(rs.post) != 2*len(pairs.ent) {
+			t.Fatalf("%s index: the runs hold %d postings for %d pair coordinates", label, len(rs.post), len(pairs.ent))
+		}
+		if nodes := c.nodeTable(); len(rs.head) != len(nodes.ent) {
+			t.Fatalf("%s index: the runs have %d headers for %d node coordinates", label, len(rs.head), len(nodes.ent))
 		}
 	}
-	if pp := patched.Footprint(); pp.Adjacency <= fp.Adjacency {
-		t.Fatalf("patched: %+v (was %+v)", pp, fp)
+	if pp, fp := patched.Footprint(), ix.Footprint(); pp <= fp {
+		t.Fatalf("patched: %d bytes (was %d)", pp, fp)
 	}
 }

@@ -32,8 +32,8 @@ func handPatch(numMeta int, mx map[graph.NodeID][]Entry, mxy map[PairKey][]Entry
 			delete(mxy, k)
 		}
 	}
-	pairs := tableOf(mxy)
-	return &Patch{numMeta: numMeta, mx: tableOf(mx), up: upperOf(&pairs)}
+	nodes, pairs := tableOf(mx), tableOf(mxy)
+	return &Patch{numMeta: numMeta, up: upperOf(&nodes, &pairs)}
 }
 
 // mustPatch is ix.WithPatch(p) for gains that cannot overflow.
@@ -179,7 +179,7 @@ func TestWithPatchBasics(t *testing.T) {
 	if mustPatch(t, ix, base) != ix {
 		t.Fatal("empty patch must return the receiver")
 	}
-	p := handPatch(1, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 2}}},
+	p := handPatch(1, map[graph.NodeID][]Entry{1: {{Meta: 0, Count: 1}}, 3: {{Meta: 0, Count: 2}}},
 		map[PairKey][]Entry{MakePairKey(1, 3): {{Meta: 0, Count: 1}}})
 	patched := mustPatch(t, ix, p)
 	if ix.NodeVec(3).Len() != 0 || ix.PairVec(1, 3).Len() != 0 {
@@ -216,12 +216,12 @@ func TestWithPatchBasics(t *testing.T) {
 // metagraph and key.
 func TestCountOverflowIsRefused(t *testing.T) {
 	base := mustPatch(t, NewBuilder(2).Build(), handPatch(2,
-		map[graph.NodeID][]Entry{3: {{Meta: 1, Count: math.MaxUint32 - 5}}},
+		map[graph.NodeID][]Entry{3: {{Meta: 1, Count: math.MaxUint32 - 5}}, 7: {{Meta: 1, Count: 9}}},
 		map[PairKey][]Entry{MakePairKey(3, 7): {{Meta: 1, Count: 9}}}))
 	was := writeBytes(t, base)
 	gains := func(node, pair uint32) *Patch {
-		return handPatch(2, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 1}, {Meta: 1, Count: node}}},
-			map[PairKey][]Entry{MakePairKey(3, 7): {{Meta: 1, Count: pair}}})
+		return handPatch(2, map[graph.NodeID][]Entry{3: {{Meta: 0, Count: 1}, {Meta: 1, Count: node}}, 5: {{Meta: 0, Count: 1}}, 7: {{Meta: 1, Count: 1}}},
+			map[PairKey][]Entry{MakePairKey(3, 5): {{Meta: 0, Count: 1}}, MakePairKey(3, 7): {{Meta: 1, Count: pair}}})
 	}
 	got := mustPatch(t, base, gains(5, math.MaxUint32-9))
 	if m := got.NodeVec(3); m.Get(1) != math.MaxUint32 || m.Get(0) != 1 {

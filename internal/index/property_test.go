@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -98,10 +99,127 @@ var readDirectIndex = sync.OnceValue(func() *index.Index { return minedIndex(500
 // minedIndex is the full offline build over the LinkedIn graph of the
 // given size (noise 0.05, seed 1) mined at maxNodes with MinSupport 5.
 func minedIndex(users, maxNodes int) *index.Index {
+	_, ix := mined(users, maxNodes)
+	return ix
+}
+
+// mined is minedIndex and the metagraphs it counts.
+func mined(users, maxNodes int) ([]*metagraph.Metagraph, *index.Index) {
 	ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 1, NoiseRate: 0.05})
 	ms := mining.Metagraphs(mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: maxNodes, MinSupport: 5}), ds.Anchor))
-	return index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
+	return ms, index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
+}
+
+// TestBuildAllocBudget holds the one-worker offline build to a ceiling of
+// allocations at the read_direct and lifecycle shapes: the counter's
+// scratch is reused across metagraphs and every slice of the runs above
+// each node is sized once, so what a build allocates follows the
+// metagraphs, not the keys. The ceilings are today's counts plus about 5 %;
+// a slice grown by append instead passes them by hundreds. The race
+// detector allocates on its own, so it only reports there.
+func TestBuildAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		users, maxNodes int
+		ceiling         float64
+	}{
+		{"read_direct", 5000, 3, 375},
+		{"lifecycle", 600, 4, 1400},
+	} {
+		ds := dataset.LinkedIn(dataset.Config{Users: c.users, Seed: 1, NoiseRate: 0.05})
+		ms := mining.Metagraphs(mining.ProximityFilter(
+			mining.Mine(ds.G, mining.Options{MaxNodes: c.maxNodes, MinSupport: 5}), ds.Anchor))
+		matcher := match.NewSymISO(ds.G)
+		allocs := testing.AllocsPerRun(3, func() {
+			index.BuildParallel(ms, func() match.Matcher { return matcher }, 1)
+		})
+		t.Logf("%s: %.0f allocations per build, ceiling %.0f", c.name, allocs, c.ceiling)
+		if allocs > c.ceiling && !index.RaceEnabled {
+			t.Errorf("%s: BuildParallel on one worker allocates %.0f times per build, over its ceiling of %.0f", c.name, allocs, c.ceiling)
+		}
+	}
+}
+
+// uniformD is the number d of symmetric pairs each symmetric position of m
+// lies in, or 0 when the positions lie in different numbers of them.
+func uniformD(m *metagraph.Metagraph) int64 {
+	in := map[int]int64{}
+	for _, p := range m.SymmetricPairs() {
+		in[p.U]++
+		in[p.V]++
+	}
+	d := int64(0)
+	for _, n := range in {
+		if d != 0 && n != d {
+			return 0
+		}
+		d = n
+	}
+	return d
+}
+
+// TestNodeCountIsRunSumOverD holds the identity the snapshot's counts rest
+// on. An instance that puts x on a symmetric position adds 1 to m_x and 1
+// to m_xy for every partner y on a position symmetric to x's; where every
+// symmetric position of a metagraph lies in the same number d of symmetric
+// pairs, Σ_y m_xy = d·m_x at every node, and the divisor Encode finds in
+// the counts is that d. At lifecycle that is every metagraph, checked at
+// every node. At the paper shape (600 users, MaxNodes 5, every metagraph
+// matched) the metagraphs whose positions lie in different numbers of
+// pairs are the ones Encode writes the counts of, and their counts come
+// back as they were, with every other row.
+func TestNodeCountIsRunSumOverD(t *testing.T) {
+	ms, ix := mined(600, 4)
+	div := index.Divisors(ix)
+	for i, m := range ms {
+		d := uniformD(m)
+		if d == 0 || div[i] != d {
+			t.Fatalf("lifecycle metagraph %d (%v): its positions lie in %d symmetric pairs each; the section's divisor is %d", i, m, d, div[i])
+		}
+		nodes := 0
+		for x := range graph.NodeID(ix.NodeSpan()) {
+			mx := ix.NodeVec(x).Get(i)
+			if mx == 0 {
+				continue
+			}
+			sum := 0.0
+			for _, y := range ix.Partners(x) {
+				sum += ix.PairVec(x, y).Get(i)
+			}
+			if sum != float64(d)*mx {
+				t.Fatalf("lifecycle metagraph %d, node %d: Σ_y m_xy = %v, d·m_x = %d·%v", i, x, sum, d, mx)
+			}
+			nodes++
+		}
+		if nodes == 0 {
+			t.Fatalf("lifecycle metagraph %d has no row", i)
+		}
+	}
+	if testing.Short() {
+		t.Skip("the paper shape's full match takes seconds")
+	}
+	ms, ix = mined(600, 5)
+	var written, unequal []int
+	for i, d := range index.Divisors(ix) {
+		if d == 0 {
+			written = append(written, i)
+		}
+		if uniformD(ms[i]) == 0 {
+			unequal = append(unequal, i)
+		}
+	}
+	if len(unequal) == 0 || !slices.Equal(written, unequal) {
+		t.Fatalf("paper shape: the counts of metagraphs %v are written, the positions of %v lie in unequal numbers of pairs", written, unequal)
+	}
+	raw := serialize(t, ix)
+	back, err := index.Read(bytes.NewReader(raw), math.MaxInt32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if index.ContentDigest(back) != index.ContentDigest(ix) || !bytes.Equal(serialize(t, back), raw) {
+		t.Fatalf("paper shape: the written counts of %v do not round-trip", written)
+	}
 }
 
 // lifecycleIndexContent describes the lifecycle index (600 LinkedIn users,
@@ -178,9 +296,9 @@ var paperShapeIndex = sync.OnceValues(func() ([]float64, *index.Index) {
 // the codec writes from them, so a change to how the index is laid out in
 // memory that shifts a byte of a snapshot fails here.
 const (
-	readDirectIndexWire = "abd28024fd54957b01e31549916de1c2309637eea7c2d9b7c7ebd14f2804cc99"
-	lifecycleIndexWire  = "1413b6181f171a950e4e9515ed1474c5b4b2f153957c9ad028182c7b0eaf01fb"
-	paperShapeIndexWire = "b1eb143022944c65c6ee751b5d9d974db563bd0baf57ff8603a1722d9a8eafdd"
+	readDirectIndexWire = "b1daeb4f2014197366940db398418404313b99b6daf186f67d25f1e16dcf5fe0"
+	lifecycleIndexWire  = "b9e0ffeebef1542ef942aa7c0065a48065dd4d98a4cf5634141dfd649da84b79"
+	paperShapeIndexWire = "5c47d549b10d49fb9cae97cffc05ca80f522c8dbf4a49abbd367e51cae8e864f"
 )
 
 // TestIndexWireGolden pins the index.Write bytes of the read_direct,

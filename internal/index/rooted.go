@@ -23,8 +23,8 @@ import (
 // by term: a full match of M_i holds the same rows at these keys.
 
 // Keys names rows of an index: the node rows of Nodes and the pair rows of
-// Pairs, each ascending without repeats. A rooted count needs both nodes of
-// every pair among Nodes.
+// Pairs, each ascending without repeats, both nodes of every pair among
+// Nodes.
 type Keys struct {
 	Nodes []graph.NodeID
 	Pairs []PairKey
@@ -32,15 +32,17 @@ type Keys struct {
 
 // Select returns the index holding only the rows keys names that ix holds:
 // it spans the same metagraphs. Each run of a pair's smaller node x is cut
-// to the partners the pairs of x name.
+// to the partners the pairs of x name, and every node of Nodes keeps its
+// row, on the headers of its runs however few partners they keep.
 func (ix *Index) Select(keys Keys) *Index {
 	s := section{numMeta: ix.numMeta}
+	rs := &ix.flat
 	for _, v := range keys.Nodes {
-		if row := ix.mx.row(v); len(row) > 0 {
-			s.mx.appendRow(v, row)
+		lo, hi := rs.runs(v)
+		for _, h := range rs.head[lo:hi] {
+			s.up.mx = append(s.up.mx, nodeCount{v, h})
 		}
 	}
-	rs := &ix.flat
 	for pairs := keys.Pairs; len(pairs) > 0; {
 		x, _ := pairs[0].Nodes()
 		n := 1 // the pairs of x: contiguous, ascending by the larger node
@@ -58,7 +60,7 @@ func (ix *Index) Select(keys Keys) *Index {
 				}
 				post = post[i:]
 			}
-			s.up.end(x, rs.meta[r])
+			s.up.end(x, rs.head[r].Meta)
 		}
 		pairs = pairs[n:]
 	}
@@ -109,7 +111,7 @@ func (c *counter) rooted(m *metagraph.Metagraph, matcher *match.SymISO, keys Key
 			})
 		}
 		if n > 0 {
-			s.mx.appendRun(v, 0, n)
+			s.up.count(v, 0, n)
 		}
 		// The pairs whose smaller node is v: keys of one first node are
 		// contiguous, ascending by the second.

@@ -20,11 +20,11 @@ import (
 // instance: for each end-typed node x, ascending, the sorted end-typed
 // neighbour lists of x's middle-typed neighbours, cut to their nodes above
 // x, merge into x's run above it — a partner's multiplicity in the merge is
-// m_xy — and m_x is the lists' lengths less one each, summed. The runs
-// above each node are the form every count arrives in, so upperRuns.layout
-// lays them out: for the part an engine adds (TwoEdgePart), and beside a
-// section's own runs when a snapshot is loaded (DecodeCounting). SymISO counts every other metagraph and stays the
-// reference the tests hold the merge to.
+// m_xy. The runs above each node are the form every count arrives in, so
+// upperRuns.layout lays them out, and puts on each run's header its sum,
+// m_x: for the part an engine adds (TwoEdgePart), and beside a section's
+// own runs when a snapshot is loaded (DecodeCounting). SymISO counts every
+// other metagraph and stays the reference the tests hold the merge to.
 
 // IsTwoEdgeMetapath reports whether TwoEdgePart counts m: m has three
 // nodes and two edges, and its two ends have one type.
@@ -96,47 +96,43 @@ func countedSlots(g *graph.Graph, ms []*metagraph.Metagraph, matched []bool, bit
 
 // TwoEdgePart counts the two-edge metapath m on g into the single-metagraph
 // part index MatchParts counts it into: the runs above each node, laid
-// out. A graph on which m could pair more postings than the runs' int32
-// positions hold is refused before anything is allocated. m must be a
-// two-edge metapath (IsTwoEdgeMetapath).
+// out, each m_x its run's sum. A graph on which m could pair more postings
+// than the runs' int32 positions hold is refused before anything is
+// allocated. m must be a two-edge metapath (IsTwoEdgeMetapath).
 func TwoEdgePart(g *graph.Graph, m *metagraph.Metagraph) (*Index, error) {
 	b := twoEdgeBound(g, m, math.MaxInt32/2)
 	if b > math.MaxInt32/2 {
 		return nil, fmt.Errorf("index: metagraph %v: more than %d postings on one graph", m, math.MaxInt32)
 	}
-	s := section{numMeta: 1, up: upperRuns{post: make([]posting, 0, b)}}
-	s.mx = s.up.addTwoEdge(g, m, 0)
+	s := section{numMeta: 1}
+	s.up.post = make([]posting, 0, b)
+	s.up.addTwoEdge(g, m, 0)
 	return s.index(), nil
 }
 
 // addTwoEdge appends the runs above each node of the two-edge metapath m
-// on g, as metagraph slot, to u, and returns its node rows: what a section
-// would hold of it.
-func (u *upperRuns) addTwoEdge(g *graph.Graph, m *metagraph.Metagraph, slot int32) csr[graph.NodeID] {
-	var mx csr[graph.NodeID]
+// on g, as metagraph slot, to u, and names slot among the metagraphs whose
+// counts layout derives, with a divisor of 1: m_x = Σ_y m_xy. slot must be
+// above every metagraph u.div names.
+func (u *upperRuns) addTwoEdge(g *graph.Graph, m *metagraph.Metagraph, slot int32) {
+	u.div = append(u.div, divisor{slot, 1})
 	end, mid, _ := twoEdgeTypes(m)
 	if nt := graph.TypeID(g.NumTypes()); end < 0 || end >= nt || mid < 0 || mid >= nt {
-		return mx
+		return
 	}
 	var mg merger
 	var above [][]graph.NodeID // x's lists, cut to their nodes above x
 	for _, x := range g.NodesOfType(end) {
-		sum := uint64(0)
 		above = above[:0]
 		for _, b := range g.NeighborsOfType(x, mid) {
 			l := g.NeighborsOfType(b, end)
-			i, _ := slices.BinarySearch(l, x) // l holds x
-			if sum += uint64(len(l) - 1); i+1 < len(l) {
+			if i, _ := slices.BinarySearch(l, x); i+1 < len(l) { // l holds x
 				above = append(above, l[i+1:])
 			}
-		}
-		if sum > 0 {
-			mx.appendRun(x, slot, sum)
 		}
 		u.post = mg.merge(u.post, above)
 		u.end(x, slot)
 	}
-	return mx
 }
 
 // merger merges sorted lists one at a time into what it merged so far,

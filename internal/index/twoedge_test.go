@@ -93,16 +93,13 @@ func checkTwoEdge(t *testing.T, g *graph.Graph) {
 		if !bytes.Equal(writeBytes(t, got), writeBytes(t, want[0])) {
 			t.Fatalf("%v on %v: the merge's part writes other bytes than SymISO's", m, g)
 		}
-		for r, x := range got.mx.keys {
+		for r, h := range got.flat.head {
 			sum := uint64(0)
-			lo, hi := got.flat.runs(x)
-			for i := lo; i < hi; i++ {
-				for _, p := range got.flat.postings(i) {
-					sum += uint64(p.count)
-				}
+			for _, p := range got.flat.postings(int32(r)) {
+				sum += uint64(p.count)
 			}
-			if c := got.mx.ent[got.mx.off[r]].Count; uint64(c) != sum {
-				t.Fatalf("%v: m_%d is %d, its run sums to %d", m, x, c, sum)
+			if uint64(h.Count) != sum {
+				t.Fatalf("%v: run %d's header is %v, its postings sum to %d", m, r, h, sum)
 			}
 		}
 	}
@@ -111,9 +108,8 @@ func checkTwoEdge(t *testing.T, g *graph.Graph) {
 // dumpPart lists a part's node rows and pair rows.
 func dumpPart(ix *Index) string {
 	var s strings.Builder
-	for r, x := range ix.mx.keys {
-		fmt.Fprintf(&s, "m_%d=%v ", x, ix.mx.ent[ix.mx.off[r]:ix.mx.off[r+1]])
-	}
+	nodes := ix.nodeTable()
+	nodes.each(func(x graph.NodeID, row []Entry) { fmt.Fprintf(&s, "m_%d=%v ", x, row) })
 	ix.pairRows(func(k PairKey, row []Entry) { fmt.Fprintf(&s, "m%v=%v ", k, row) })
 	return s.String()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -214,9 +215,10 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 		t.Fatal("truncated snapshot accepted")
 	}
 	// A v10 header could name a count transform no engine applies any more,
-	// and a v11 index section holds the rows of the two-edge metapaths: both
-	// versions are refused by their magic, not loaded as this one.
-	for _, magic := range []string{"SPXS\x0a", "SPXS\x0b"} {
+	// a v11 index section holds the rows of the two-edge metapaths, and a
+	// v12 one a node table before its runs: each version is refused by its
+	// magic, not loaded as this one.
+	for _, magic := range []string{"SPXS\x0a", "SPXS\x0b", "SPXS\x0c"} {
 		old := append([]byte(magic), buf.Bytes()[len(engine.SnapshotMagic):]...)
 		if _, err := LoadEngine(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "bad magic") {
 			t.Fatalf("%q snapshot: %v, want refused by its magic", magic, err)
@@ -688,7 +690,7 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 
 // TestSnapshotClaimsCostWhatTheStreamDelivers: a follower loads its
 // snapshot off the network, so a short stream that announces a gigantic
-// header, type registry, node table, name, index node table or index runs
+// header, type registry, node table, name, index runs or index counts
 // must be refused for what it sent, not allocated for what it claims.
 func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 	fr, err := flat.NewReader(bytes.NewReader(fullSnapshot(t)), engine.SnapshotMagic)
@@ -726,29 +728,27 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 			w.ExpGolomb(1<<40, gOrdSuffix)
 			w.Raw("user")
 		},
-		// The index section's orders: 0 for the sizes, 1 for a node-table
-		// key and for a node's gap (internal/index/io.go).
-		"index of 2^31-1 keys and entries": func(w *flat.Writer) {
+		// The index section's orders (internal/index/io.go): 0 for the sizes, 1
+		// for a node's gap, 3 for a run head, 4 for a reference and a
+		// residual's gap, 2 for the residuals' head, 1 for a divisor.
+		"index of 2^31-1 written counts": func(w *flat.Writer) {
 			w.Bytes(hdr)
 			graph.Encode(w, g)
-			w.ExpGolomb(1, 0) // numMeta
+			w.ExpGolomb(1, 0)    // numMeta
+			w.ExpGolomb(1, 0)    // one run
+			w.ExpGolomb(1, 0)    // of one posting:
+			w.ExpGolomb(1, 1)    // node 0's
+			w.ExpGolomb(1<<1, 3) // one run, of metagraph 0,
+			w.ExpGolomb(0, 4)    // no reference,
+			w.ExpGolomb(3, 2)    // one residual of count 1,
+			w.ExpGolomb(1, 4)    // node 1
+			w.ExpGolomb(0, 1)    // metagraph 0's counts are written
 			w.ExpGolomb(math.MaxInt32, 0)
-			w.ExpGolomb(math.MaxInt32, 0)
-			w.ExpGolomb(1, 1) // the first key; nothing else follows
-		},
-		"index of 2^40 keys and entries": func(w *flat.Writer) {
-			w.Bytes(hdr)
-			graph.Encode(w, g)
-			w.ExpGolomb(1, 0)
-			w.ExpGolomb(1<<40, 0)
-			w.ExpGolomb(1<<40, 0)
 		},
 		"index of 2^31-1 runs": func(w *flat.Writer) {
 			w.Bytes(hdr)
 			graph.Encode(w, g)
 			w.ExpGolomb(1, 0) // numMeta
-			w.ExpGolomb(0, 0) // an empty node table
-			w.ExpGolomb(0, 0)
 			w.ExpGolomb(math.MaxInt32, 0)
 			w.ExpGolomb(math.MaxInt32/2, 0) // the most postings a claim may
 			w.ExpGolomb(1, 1)               // the first node; nothing else follows
@@ -757,8 +757,6 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 			w.Bytes(hdr)
 			graph.Encode(w, g)
 			w.ExpGolomb(1, 0)
-			w.ExpGolomb(0, 0)
-			w.ExpGolomb(0, 0)
 			w.ExpGolomb(1<<40, 0)
 			w.ExpGolomb(1<<40, 0)
 		},
@@ -879,6 +877,41 @@ func FuzzLoadEngine(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(lb.Bytes())
+	// Each refusal of the index section's counts, in a section of one run
+	// of a metagraph it carries (no two-edge metapath): node 0's, holding
+	// node 1 once. Under a divisor of 2, which node 1's sum of 1 does not
+	// divide; with counts written for nodes 0, 1 and 2, which has no run;
+	// and with a written count of 0.
+	lh, lg, _, lmodels := snapshotParts(f, lb.Bytes())
+	lms := headerMetagraphs(f, lh)
+	carried := lh.Matched[slices.IndexFunc(lh.Matched, func(i int) bool { return !index.IsTwoEdgeMetapath(lms[i]) })]
+	for _, c := range []struct {
+		want   string
+		counts [][2]uint64 // each value and its order
+	}{
+		{"does not divide", [][2]uint64{{2, 1}}},
+		{"no run of metagraph", [][2]uint64{{0, 1}, {3, 0}, {1, 1}, {1, 2}, {1, 1}, {1, 2}, {1, 1}, {1, 2}}},
+		{"count of 0", [][2]uint64{{0, 1}, {2, 0}, {1, 1}, {0, 2}, {1, 1}, {1, 2}}},
+	} {
+		raw := writeSnapshot(f, lh, lg, nil, func(fw *flat.Writer) {
+			fw.ExpGolomb(uint64(len(lms)), 0)
+			fw.ExpGolomb(1, 0) // one run
+			fw.ExpGolomb(1, 0) // of one posting:
+			fw.ExpGolomb(1, 1) // node 0's,
+			fw.ExpGolomb(1<<bits.Len(uint(len(lms)))|uint64(carried), 3)
+			fw.ExpGolomb(0, 4) // no reference,
+			fw.ExpGolomb(3, 2) // one residual of count 1,
+			fw.ExpGolomb(1, 4) // node 1
+			for _, v := range c.counts {
+				fw.ExpGolomb(v[0], uint(v[1]))
+			}
+			fw.Align()
+		}, lmodels)
+		if _, err := LoadEngine(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), c.want) {
+			f.Fatalf("the counts seed refused for %q loads: %v", c.want, err)
+		}
+		f.Add(raw)
+	}
 	// read_direct-shaped: MaxNodes 3, one class holding one metagraph, the
 	// two-edge metapath user–college–user, whose rows the section leaves
 	// out and the load counts from the graph; and names that share
@@ -990,7 +1023,7 @@ func FuzzLoadEngine(f *testing.F) {
 // grows a snapshot fails here, not in a benchmark run; one that shrinks it
 // lowers these.
 func TestSnapshotBytesBudget(t *testing.T) {
-	budgetKiB := map[string][3]int{"read_direct": {40, 40, 40}, "lifecycle": {41, 43, 40}}
+	budgetKiB := map[string][3]int{"read_direct": {40, 40, 40}, "lifecycle": {36, 38, 35}}
 	for _, sh := range workloadShapes() {
 		for seed := int64(1); seed <= 3; seed++ {
 			var buf bytes.Buffer
@@ -1014,8 +1047,8 @@ func TestSnapshotBytesBudget(t *testing.T) {
 //	go test -run TestSnapshotSectionBytes -v .
 func TestSnapshotSectionBytes(t *testing.T) {
 	want := map[string][5]int64{ // magic, header, graph, index, classes
-		"read_direct": {5, 469, 39527, 2, 16},
-		"lifecycle":   {5, 1241, 3901, 35915, 88},
+		"read_direct": {5, 469, 39527, 1, 16},
+		"lifecycle":   {5, 1241, 3901, 30688, 88},
 	}
 	for _, sh := range workloadShapes() {
 		eng := sh.build(1)
