@@ -214,7 +214,8 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ix := index.BuildParallel(ms, func() match.Matcher { return matcher }, 1); ix.NodeSpan() == 0 {
+				parts, _ := index.MatchParts(ms, func() match.Matcher { return matcher }, 1)
+				if ix := index.Merge(parts...); ix.NodeSpan() == 0 {
 					b.Fatal("empty index")
 				}
 			}
@@ -240,9 +241,8 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ix := index.BuildParallel(ms,
-					func() match.Matcher { return match.NewSymISO(ds.G) }, workers)
-				if ix.NodeSpan() == 0 {
+				parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, workers)
+				if ix := index.Merge(parts...); ix.NodeSpan() == 0 {
 					b.Fatal("empty index")
 				}
 			}
@@ -252,7 +252,7 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 
 // BenchmarkTwoEdgeMetapath counts read_direct's one held metagraph,
 // user–college–user on the 5 000-user LinkedIn graph, into its part index
-// both ways: merge is index.TwoEdgePart, the common-neighbour merge every
+// both ways: merge is index.Count, whose common-neighbour merge every
 // engine counts a two-edge metapath with, and symiso is MatchParts on one
 // worker, SymISO's instance search and the counter's sort, the reference
 // the merge is tested against. Both include laying the part's runs out;
@@ -265,13 +265,7 @@ func BenchmarkTwoEdgeMetapath(b *testing.B) {
 		name  string
 		count func() *index.Index
 	}{
-		{"merge", func() *index.Index {
-			p, err := index.TwoEdgePart(ds.G, m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return p
-		}},
+		{"merge", func() *index.Index { return index.Count(ds.G, []*metagraph.Metagraph{m})[0] }},
 		{"symiso", func() *index.Index {
 			parts, _ := index.MatchParts([]*metagraph.Metagraph{m}, func() match.Matcher { return match.NewSymISO(ds.G) }, 1)
 			return parts[0]
@@ -295,13 +289,7 @@ func benchIndex(b *testing.B) (*Graph, *index.Index) {
 	ds := benchDataset()
 	pats := mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor)
-	ms := mining.Metagraphs(pats)
-	bld := index.NewBuilder(len(ms))
-	matcher := match.NewSymISO(ds.G)
-	for i, m := range ms {
-		bld.AddMetagraph(i, m, matcher)
-	}
-	return ds.G, bld.Build()
+	return ds.G, index.Merge(index.Count(ds.G, mining.Metagraphs(pats))...)
 }
 
 // BenchmarkOnlineQuery measures the online phase of Table III: one ranked
@@ -519,7 +507,11 @@ func BenchmarkSnapshotSave(b *testing.B) {
 
 // BenchmarkSnapshotLoad measures LoadEngine from memory at both shapes,
 // including laying out the decoded runs above each node, with the partners
-// below it, as the runs a loaded engine serves from.
+// below it, as the runs a loaded engine serves from. Each load allocates
+// megabytes the one before it left as garbage, so the heap is collected
+// with the timer stopped before every load: the figure is the load's, not
+// how much of the last one's garbage the collector happened to sweep
+// inside it.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, sh := range snapShapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -528,6 +520,9 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
 				if _, err := LoadEngine(bytes.NewReader(snap)); err != nil {
 					b.Fatal(err)
 				}

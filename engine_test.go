@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -141,18 +142,20 @@ func TestEngineDualStageMatchesLazily(t *testing.T) {
 	}
 }
 
-// TestEngineParallelTrainDeterministic asserts that Options.Workers only
-// changes wall-clock, never results: training is seeded and the parallel
-// matching merge is ordered by metagraph offset, so learned weights,
-// rankings and snapshot bytes must match the serial build exactly.
+// TestEngineParallelTrainDeterministic asserts that the CPU count
+// (runtime.GOMAXPROCS, which matching fans out over) only changes
+// wall-clock, never results: training is seeded and the parallel matching
+// merge is ordered by metagraph offset, so learned weights, rankings and
+// snapshot bytes must match the serial build exactly.
 func TestEngineParallelTrainDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	weightsFor := func(workers int) ([]float64, []Ranked, []byte) {
+		runtime.GOMAXPROCS(workers)
 		g := fixtures.Toy()
 		opts := DefaultOptions()
 		opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
 		opts.Train.Restarts = 2
 		opts.Train.MaxIters = 200
-		opts.Workers = workers
 		eng, err := NewEngine(g, "user", opts)
 		if err != nil {
 			t.Fatal(err)
@@ -197,13 +200,14 @@ func TestEngineParallelTrainDeterministic(t *testing.T) {
 // dual-stage path, which matches two different subsets through the
 // concurrent per-slot cache.
 func TestEngineDualStageParallelDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(workers int) ([]float64, int) {
+		runtime.GOMAXPROCS(workers)
 		g := fixtures.Toy()
 		opts := DefaultOptions()
 		opts.Mining = mining.Options{MaxNodes: 4, MinSupport: 1}
 		opts.Train.Restarts = 2
 		opts.Train.MaxIters = 200
-		opts.Workers = workers
 		eng, err := NewEngine(g, "user", opts)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +216,7 @@ func TestEngineDualStageParallelDeterministic(t *testing.T) {
 		return eng.Weights("classmate"), eng.MatchedCount()
 	}
 	wantW, wantMatched := run(1)
-	for _, workers := range []int{4} {
+	for _, workers := range []int{2, 8} {
 		gotW, gotMatched := run(workers)
 		if gotMatched != wantMatched {
 			t.Fatalf("workers=%d matched %d metagraphs, serial matched %d", workers, gotMatched, wantMatched)

@@ -8,19 +8,13 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/match"
 )
 
 func toyIndex(t testing.TB) (*graph.Graph, *index.Index) {
 	t.Helper()
 	g := fixtures.Toy()
 	mgs := fixtures.All()
-	b := index.NewBuilder(len(mgs))
-	matcher := match.NewSymISO(g)
-	for i, m := range mgs {
-		b.AddMetagraph(i, m, matcher)
-	}
-	return g, b.Build()
+	return g, index.Merge(index.Count(g, mgs)...)
 }
 
 func classmateExamples(g *graph.Graph) []core.Example {

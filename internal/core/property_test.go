@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/match"
 	"repro/internal/metagraph"
 )
 
@@ -52,12 +51,7 @@ func randomBipartiteIndex(rng *rand.Rand) (*graph.Graph, *index.Index) {
 		metagraph.MustNew([]graph.TypeID{tu, tu, ta, tb},
 			[]metagraph.Edge{{U: 0, V: 2}, {U: 1, V: 2}, {U: 0, V: 3}, {U: 1, V: 3}}),
 	}
-	bld := index.NewBuilder(len(ms))
-	matcher := match.NewSymISO(g)
-	for i, m := range ms {
-		bld.AddMetagraph(i, m, matcher)
-	}
-	return g, bld.Build()
+	return g, index.Merge(index.Count(g, ms)...)
 }
 
 // Property: π ∈ [0,1], symmetric, self-max, scale-invariant on random

@@ -94,12 +94,7 @@ func denseRandomGraph(rng *rand.Rand) *graph.Graph {
 }
 
 func buildIndex(g *graph.Graph, ms []*metagraph.Metagraph) *index.Index {
-	bld := index.NewBuilder(len(ms))
-	matcher := match.NewSymISO(g)
-	for i, m := range ms {
-		bld.AddMetagraph(i, m, matcher)
-	}
-	return bld.Build()
+	return index.Merge(index.Count(g, ms)...)
 }
 
 func randomWeights(rng *rand.Rand, n int) []float64 {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/match"
 )
 
 // toyIndex builds the metagraph vectors of the toy graph over M1–M4.
@@ -17,12 +16,7 @@ func toyIndex(t testing.TB) (*graph.Graph, *index.Index) {
 	t.Helper()
 	g := fixtures.Toy()
 	mgs := fixtures.All()
-	b := index.NewBuilder(len(mgs))
-	matcher := match.NewSymISO(g)
-	for i, m := range mgs {
-		b.AddMetagraph(i, m, matcher)
-	}
-	return g, b.Build()
+	return g, index.Merge(index.Count(g, mgs)...)
 }
 
 func TestCandidateScoresOrdering(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/match"
 	"repro/internal/mining"
 	"repro/internal/wal"
 )
@@ -28,12 +27,7 @@ func benchIndex(b *testing.B) (*graph.Graph, *index.Index) {
 	pats := mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: 4, MinSupport: 5}), ds.Anchor)
 	ms := mining.Metagraphs(pats)
-	bld := index.NewBuilder(len(ms))
-	matcher := match.NewSymISO(ds.G)
-	for i, m := range ms {
-		bld.AddMetagraph(i, m, matcher)
-	}
-	return ds.G, bld.Build()
+	return ds.G, index.Merge(index.Count(ds.G, ms)...)
 }
 
 // BenchmarkRankTop measures the online top-k scan behind /v1/query: one

@@ -16,27 +16,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/match"
 	"repro/internal/metagraph"
 )
 
-// Options configures an Engine.
+// Options configures an Engine. It has no worker count: matching fans out
+// one metagraph per goroutine over runtime.GOMAXPROCS, as mining does, and
+// the index it builds is the same at any CPU count. A query never fans out:
+// a ranked read is one short serial scan on the caller's goroutine.
 type Options struct {
 	// Mining bounds metagraph enumeration (size cap, MNI support).
 	Mining metagraph.MiningOptions
 	// Train configures gradient ascent (µ, γ, restarts, ...).
 	Train core.TrainOptions
-	// Workers bounds the goroutines used for offline metagraph matching
-	// (the dominant cost of Table III). Values < 1 mean one worker per
-	// available CPU. Matching fans out one metagraph per worker with a
-	// private matcher, and the per-metagraph vectors merge
-	// deterministically by metagraph offset, so the built index is
-	// identical for every worker count. Queries never fan out: a ranked
-	// read is one short serial scan on the caller's goroutine. Mining is
-	// not bounded by Workers: it fans out over runtime.GOMAXPROCS(0), and
-	// its output is the same at any CPU count. A snapshot does not store it:
-	// a loaded engine matches with one worker per CPU of its own host.
-	Workers int `json:"-"`
 }
 
 // Engine is the end-to-end semantic proximity search system.
@@ -73,9 +64,7 @@ type epoch struct {
 	// date by every update. Once a class is installed the held set is the
 	// union of the classes' non-zero weights (see install); a metagraph
 	// training needs and the epoch does not hold is matched again on the
-	// current graph. Matchers are built per worker by matchMissing (SymISO
-	// carries per-Match scratch sized to the graph, and SymISO-R style
-	// engines may carry mutable state), so none is retained.
+	// current graph (matchMissing), and no matcher is retained.
 	ix      *index.Index
 	matched []bool
 
@@ -128,7 +117,7 @@ func New(g *graph.Graph, anchor graph.TypeID, ms []*metagraph.Metagraph, opts Op
 	e := &Engine{anchor: anchor, opts: opts, ms: ms}
 	e.cur.Store(&epoch{
 		g:       g,
-		ix:      index.NewBuilder(len(ms)).Build(),
+		ix:      index.Empty(len(ms)),
 		matched: make([]bool, len(ms)),
 		classes: make(map[string]*classModel),
 		version: g.Version(),
@@ -155,52 +144,27 @@ func (e *Engine) Metagraphs() []*metagraph.Metagraph { return e.ms }
 // NumMetagraphs returns |M|.
 func (e *Engine) NumMetagraphs() int { return len(e.ms) }
 
-// matchMissing matches the still-unmatched metagraphs of the subset on
-// ep's graph and merges them into the index at their slots. A two-edge
-// metapath is counted from common neighbours (index.TwoEdgePart); the
-// others fan out over Options.Workers goroutines via index.MatchParts (one
-// private matcher per worker). It returns the index and matched set with
-// every requested slot populated — the ones passed in when nothing was
-// missing, copies otherwise (epochs are immutable; the caller publishes the
-// copies). Callers hold e.mu.
-//
-// index.MatchParts cannot fail: its only returns are the part indices
-// (one per input metagraph, always populated) and the per-metagraph
-// wall-clock durations, which this path has no use for. TwoEdgePart
-// refuses a graph whose counts no index can hold; the offline build has no
-// error path for that, so, as a count past uint32 does, it panics.
+// matchMissing counts the still-unmatched metagraphs of the subset on g
+// (index.Count) and adds them to the index at their slots. It returns the
+// index and matched set with every requested slot populated — the ones
+// passed in when nothing was missing, copies otherwise (epochs are
+// immutable; the caller publishes the copies). Callers hold e.mu.
 func (e *Engine) matchMissing(g *graph.Graph, ix *index.Index, matched []bool, indices []int) (*index.Index, []bool) {
 	var missing []int
-	var searched []*metagraph.Metagraph
+	var ms []*metagraph.Metagraph
 	for _, i := range indices {
 		if !matched[i] {
-			missing = append(missing, i)
-			if !index.IsTwoEdgeMetapath(e.ms[i]) {
-				searched = append(searched, e.ms[i])
-			}
+			missing, ms = append(missing, i), append(ms, e.ms[i])
 		}
 	}
 	if len(missing) == 0 {
 		return ix, matched
 	}
-	found, _ := index.MatchParts(searched, func() match.Matcher {
-		return match.NewSymISO(g)
-	}, e.opts.Workers)
-	parts := make([]*index.Index, len(missing))
 	matched = slices.Clone(matched)
-	for k, i := range missing {
-		if index.IsTwoEdgeMetapath(e.ms[i]) {
-			p, err := index.TwoEdgePart(g, e.ms[i])
-			if err != nil {
-				panic(err)
-			}
-			parts[k] = p
-		} else {
-			parts[k], found = found[0], found[1:]
-		}
+	for _, i := range missing {
 		matched[i] = true
 	}
-	return ix.AddParts(missing, parts), matched
+	return ix.AddParts(missing, index.Count(g, ms)), matched
 }
 
 // MatchedCount reports how many metagraphs the serving epoch holds: matched,
@@ -295,10 +259,9 @@ func (cm *classModel) weighed() *classModel {
 // Train learns the weight vector of the named class over all of M from the
 // rows its examples name (core.TrainKeys): the epoch's own rows for the
 // metagraphs it holds, and for every other metagraph a rooted count at the
-// example nodes alone (index.RootedParts, fanned out over
-// Options.Workers). install then matches in full only what the class
-// weighs. Queries keep serving the previous epoch until the trained class
-// is swapped in.
+// example nodes alone (index.RootedParts). install then matches in full
+// only what the class weighs. Queries keep serving the previous epoch
+// until the trained class is swapped in.
 func (e *Engine) Train(class string, examples []core.Example) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -312,7 +275,7 @@ func (e *Engine) Train(class string, examples []core.Example) {
 			ms = append(ms, e.ms[i])
 		}
 	}
-	parts := index.RootedParts(ms, func() *match.SymISO { return match.NewSymISO(ep.g) }, e.opts.Workers, keys)
+	parts := index.RootedParts(ep.g, ms, keys)
 	rows := ep.ix.Select(keys).AddParts(missing, parts)
 	all := make([]int, len(e.ms))
 	for i := range all {
@@ -325,7 +288,7 @@ func (e *Engine) Train(class string, examples []core.Example) {
 // Fit learns the named class with the caller's training (the root
 // package's TrainDualStage runs Alg. 1 through it). Under the writer lock,
 // fit gets M, the training options and a matcher that matches the requested
-// metagraphs the epoch does not hold yet (over Options.Workers) and returns
+// metagraphs the epoch does not hold yet (matchMissing) and returns
 // the index projected onto them, in the order given; it returns the
 // metagraphs its model weighs, aligned with its weights, for install.
 func (e *Engine) Fit(class string, fit func(ms []*metagraph.Metagraph, train core.TrainOptions, match func(indices []int) *index.Index) (kept []int, model *core.Model)) {

@@ -198,7 +198,7 @@ func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
 			slots = append(slots, i)
 		}
 	}
-	ix, matched := e2.matchMissing(g, index.NewBuilder(len(e.ms)).Build(), make([]bool, len(e.ms)), slots)
+	ix, matched := e2.matchMissing(g, index.Empty(len(e.ms)), make([]bool, len(e.ms)), slots)
 	nep := &epoch{g: g, ix: ix, matched: matched, classes: make(map[string]*classModel, len(ep.classes)), version: ep.version}
 	for name, cm := range ep.classes {
 		nep.classes[name] = newClass(len(e.ms), cm.kept, cm.model)

@@ -152,8 +152,8 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 // resumes at the saved epoch, and training new classes picks up the
 // restored index (the metagraphs it holds are never re-matched). The
 // bytes are untrusted — a follower takes them off the network: the index is
-// validated against the snapshot's own graph as it is decoded and against
-// the header's matched set after, a class may keep only matched metagraphs,
+// validated against the snapshot's own graph and the header's matched set
+// as it is decoded, a class may keep only matched metagraphs,
 // no allocation is sized by a count the stream merely claims, and nothing
 // is published before the checksum has passed. The two-edge metapaths
 // whose rows the section left out are counted from the graph as the index
@@ -211,11 +211,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	}
 	if ep.ix, err = index.DecodeCounting(fr, g, e.ms, ep.matched); err != nil {
 		return nil, fmt.Errorf("semprox: snapshot index: %w", err)
-	}
-	for i, used := range ep.ix.MetaSupport() {
-		if used && !ep.matched[i] {
-			return nil, fmt.Errorf("semprox: snapshot index has rows of metagraph %d, which is not matched", i)
-		}
 	}
 	for _, sc := range h.Classes {
 		if _, dup := ep.classes[sc.Name]; dup {

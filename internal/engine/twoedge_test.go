@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/match"
@@ -13,7 +14,7 @@ import (
 )
 
 // TestIndexEqualsSymISOCount: an engine's index, whose two-edge metapaths
-// are counted from common neighbours (index.TwoEdgePart), holds the rows
+// are counted from common neighbours (index.Count), holds the rows
 // SymISO's MatchParts counts for the metagraphs it holds on the graph it
 // serves — after Train, after Save → LoadEngine, after ApplyUpdate and
 // after a WAL replay — at the read_direct, lifecycle and paper shapes; and
@@ -42,7 +43,7 @@ func TestIndexEqualsSymISOCount(t *testing.T) {
 					t.Fatalf("the engine holds no two-edge metapath among %v", held)
 				}
 				parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(ep.g) }, 0)
-				return indexBytes(t, index.NewBuilder(len(e.ms)).Build().AddParts(held, parts))
+				return indexBytes(t, index.Empty(len(e.ms)).AddParts(held, parts))
 			}
 			check := func(tag string, e *Engine, want []byte) {
 				t.Helper()
@@ -90,11 +91,14 @@ func TestIndexEqualsSymISOCount(t *testing.T) {
 	}
 }
 
-// indexBytes is ix written as an index file: equal rows write equal bytes.
+// indexBytes is ix's section framed as a stream of its own: equal rows
+// write equal bytes.
 func indexBytes(t testing.TB, ix *index.Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := index.Write(&buf, ix); err != nil {
+	fw := flat.NewWriter(&buf, "")
+	index.Encode(fw, ix)
+	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

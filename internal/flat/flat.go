@@ -1,5 +1,5 @@
-// Package flat is the byte layer of the repo's persisted arenas: engine
-// snapshots (package semprox) and index files (internal/index) are both a
+// Package flat is the byte layer of the repo's persisted arenas: an engine
+// snapshot (internal/engine), its graph and index sections included, is a
 // magic string, a body of unsigned varints, exp-Golomb bit codes, fixed
 // 8-byte words and byte strings, and a CRC-32C trailer over everything
 // before it. Writer and Reader each own a 64 KiB buffer, so a caller may

@@ -231,6 +231,14 @@ func (u *upperRuns) layout(numMeta int) (adjRuns, error) {
 	order := byMeta(len(u.meta), numMeta, func(j int) int32 { return u.meta[j] })
 	counts := byMeta(len(u.mx), numMeta, func(i int) int32 { return u.mx[i].Meta })
 	l := &runLayout{cur: cur, end: slices.Clone(cur[:n]), post: make([]posting, 2*len(u.post)), pend: make([]uint32, n)}
+	// Every run has its count in mx but those of a metagraph whose counts
+	// are derived (div): a run above a node is one more there, and append
+	// makes room for a node whose partners in it all sit below it.
+	runs := len(u.mx)
+	if len(u.div) > 0 {
+		runs += len(u.meta)
+	}
+	l.starts = make([]runStart, 0, runs)
 	div := u.div
 	for lo, clo := 0, 0; (lo < len(order) || clo < len(counts)) && l.err == nil; {
 		m := int32(math.MaxInt32)

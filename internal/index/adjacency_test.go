@@ -91,7 +91,7 @@ func TestQuickAdjacencyCarriedEqualsScratch(t *testing.T) {
 // grow to reach — and an index with no pairs at all.
 func TestAdjacencyOfHandBuiltPatch(t *testing.T) {
 	w := []float64{1}
-	empty := NewBuilder(1).Build()
+	empty := Empty(1)
 	if got := empty.Partners(3); len(got) != 0 {
 		t.Fatalf("empty index has partners %v", got)
 	}

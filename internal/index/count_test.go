@@ -13,12 +13,12 @@ import (
 	"repro/internal/metagraph"
 )
 
-// refBuild is the map-based counter the sorting Builder replaced, kept as
+// refBuild is the map-based counter the sorting counter replaced, kept as
 // the reference it is checked against: per metagraph, in the given order,
 // one hash-map counter per touched key, its counts appended to per-key rows.
 // It enumerates the instances of g one by one, through the lex-min filter
 // over SymISO's unconditioned Match (every assignment), so it shares
-// neither the pruned search nor the instance sets with the Builder.
+// neither the pruned search nor the instance sets with the counter.
 func refBuild(ms []*metagraph.Metagraph, order []int, g *graph.Graph) *Index {
 	mx, mxy := map[graph.NodeID][]Entry{}, map[PairKey][]Entry{}
 	for _, i := range order {
@@ -160,7 +160,7 @@ func star(center, leaf graph.TypeID, n int) *metagraph.Metagraph {
 
 // randMetagraph draws a connected 3- or 4-node pattern over user, school
 // and hobby: a random spanning tree plus random extra edges. Most draws are
-// asymmetric, which the Builder skips.
+// asymmetric, which the counter skips.
 func randMetagraph(rng *rand.Rand) *metagraph.Metagraph {
 	n := 3 + rng.Intn(2)
 	types := make([]graph.TypeID, n)
@@ -208,15 +208,16 @@ func countMetagraphs(rng *rand.Rand) []*metagraph.Metagraph {
 	return ms
 }
 
-// TestQuickBuilderEqualsMapCounter: over random graphs and metagraphs, the
-// sorting Builder freezes the index the map-based counter does, byte for
-// byte, whether metagraphs arrive in ascending or descending order. The
+// TestQuickPartsEqualMapCounter: over random graphs and metagraphs, the
+// parts the sorting counter counts, added at their slots, are the index the
+// map-based counter builds, byte for byte, whether the slots come in
+// ascending or descending order. The
 // trials must include the shapes the sort has to get right: keys with long
 // runs, inputs on both sides of the small-sort threshold, and a symmetric
 // metagraph with no instance; and the shapes the sets have to: a set with
 // more candidates than positions, whose keys carry weights, and
 // friendCircle's instances, which SymISO must report one by one.
-func TestQuickBuilderEqualsMapCounter(t *testing.T) {
+func TestQuickPartsEqualMapCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var longestRun uint32
 	var small, large, empty, weighed, circled bool
@@ -232,12 +233,13 @@ func TestQuickBuilderEqualsMapCounter(t *testing.T) {
 		slices.Reverse(desc)
 		want := writeBytes(t, refBuild(ms, asc, g))
 		for _, order := range [][]int{asc, desc} {
-			b := NewBuilder(len(ms))
-			for _, i := range order {
-				b.AddMetagraph(i, ms[i], matcher)
+			ordered := make([]*metagraph.Metagraph, len(order))
+			for k, i := range order {
+				ordered[k] = ms[i]
 			}
-			if !bytes.Equal(writeBytes(t, b.Build()), want) {
-				t.Fatalf("trial %d, order %v: sorting Builder differs from the map counter", trial, order)
+			parts, _ := MatchParts(ordered, func() match.Matcher { return matcher }, 1)
+			if !bytes.Equal(writeBytes(t, Empty(len(ms)).AddParts(order, parts)), want) {
+				t.Fatalf("trial %d, order %v: the sorting counter's parts differ from the map counter", trial, order)
 			}
 		}
 		for _, m := range ms {
@@ -393,25 +395,6 @@ func TestRadixSortEqualsSlicesSort(t *testing.T) {
 		}
 		check(width, slices.Repeat(draw(width, 1), 3*smallSort))
 	}
-}
-
-// TestAddMetagraphRefusesBadSlot: a slot outside the builder, or one added
-// before, panics naming it; no caller does either.
-func TestAddMetagraphRefusesBadSlot(t *testing.T) {
-	g := buildToy(t)
-	m := toyMetagraphs()[2]
-	matcher := match.NewSymISO(g)
-	for _, i := range []int{-1, 4} {
-		mustPanic(t, fmt.Sprintf("AddMetagraph(%d) on 4 metagraphs", i), fmt.Sprintf("AddMetagraph(%d)", i), func() {
-			NewBuilder(4).AddMetagraph(i, m, matcher)
-		})
-	}
-	b := NewBuilder(4)
-	b.AddMetagraph(2, m, matcher)
-	mustPanic(t, "a slot added twice", "AddMetagraph(2): metagraph 2 was already added", func() { b.AddMetagraph(2, m, matcher) })
-	asym := metagraph.MustNew([]graph.TypeID{tUser, tSchool, tMajor}, []metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	b.AddMetagraph(3, asym, matcher)
-	mustPanic(t, "an asymmetric slot added twice", "AddMetagraph(3)", func() { b.AddMetagraph(3, asym, matcher) })
 }
 
 // TestCounterScratchStopsGrowing: a worker's scratch, plain and weighted,

@@ -4,10 +4,64 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"io"
 	"slices"
 
+	"repro/internal/flat"
 	"repro/internal/graph"
+	"repro/internal/match"
+	"repro/internal/metagraph"
 )
+
+// sectionMagic frames a lone section in the tests that take an index to
+// bytes and back. An index travels only inside a snapshot; this is the
+// magic its own file had, so the wire goldens still hash the bytes they
+// were recorded from.
+const sectionMagic = "SPXI\x09"
+
+// WriteSection writes ix's section as a flat stream of its own: magic,
+// section, checksum. Encode is deterministic, so equal bytes mean equal
+// rows.
+func WriteSection(w io.Writer, ix *Index) error {
+	fw := flat.NewWriter(w, sectionMagic)
+	Encode(fw, ix)
+	return fw.Close()
+}
+
+// ReadSection reads a stream WriteSection wrote for a graph of numNodes
+// nodes, with Decode's checks and the stream's checksum.
+func ReadSection(r io.Reader, numNodes int) (*Index, error) {
+	fr, err := flat.NewReader(r, sectionMagic)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	ix, err := Decode(fr, numNodes)
+	if err != nil {
+		return nil, err
+	}
+	if err := fr.Close(); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	return ix, nil
+}
+
+// Decode reads one section for a graph of numNodes nodes, every row in it,
+// with the checks DecodeCounting makes of the section itself.
+func Decode(r *flat.Reader, numNodes int) (*Index, error) {
+	sec, err := decodeSection(r, numNodes)
+	if err != nil {
+		return nil, err
+	}
+	return sec.decoded()
+}
+
+// SerialIndex is the serial reference build of ms: every metagraph
+// matched by matcher on one worker, the parts merged.
+func SerialIndex(ms []*metagraph.Metagraph, matcher match.Matcher) *Index {
+	parts, _ := MatchParts(ms, func() match.Matcher { return matcher }, 1)
+	return Merge(parts...)
+}
 
 // ContentDigest is the SHA-256 of what ix holds, in no wire format: numMeta,
 // then per table (nodes, then pairs) its key count, every key, and per row

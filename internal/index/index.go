@@ -24,8 +24,6 @@ import (
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/match"
-	"repro/internal/metagraph"
 )
 
 // PairKey identifies an unordered node pair.
@@ -144,6 +142,10 @@ func (s *section) index() *Index {
 	return ix
 }
 
+// Empty returns the index of no rows spanning numMeta metagraphs: what an
+// engine holds before anything is matched, which AddParts grows.
+func Empty(numMeta int) *Index { return &Index{numMeta: numMeta} }
+
 // NumMeta returns |M|, the length of the weight vectors this index pairs
 // with.
 func (ix *Index) NumMeta() int { return ix.numMeta }
@@ -252,9 +254,10 @@ func (ix *Index) Restrict(keep []bool) *Index {
 
 // Merge combines single-metagraph (or multi-metagraph) indices into one,
 // renumbering metagraphs by concatenation: part k's metagraph j becomes
-// offset(k)+j. BuildParallel merges the parts its workers matched; an
-// engine adds parts to the index it already serves (AddParts), which is the
-// same routine with the index as one more input.
+// offset(k)+j, so the merge of the parts MatchParts or Count hands over
+// for ms is the index of ms. An engine adds parts to the index it already
+// serves (AddParts), which is the same routine with the index as one more
+// input.
 func Merge(parts ...*Index) *Index {
 	slots := make([]int, len(parts))
 	n := 0
@@ -262,15 +265,15 @@ func Merge(parts ...*Index) *Index {
 		slots[i] = n
 		n += p.numMeta
 	}
-	return (&Index{numMeta: n}).AddParts(slots, parts)
+	return Empty(n).AddParts(slots, parts)
 }
 
 // AddParts returns ix with the rows of parts added: part i's metagraph j
 // becomes metagraph slots[i]+j of the result, which spans as many
 // metagraphs as ix does. No two inputs may hold the same metagraph. The
-// receiver is unchanged, and the result is the index one Builder fed every
-// metagraph at its slot would freeze: each node's runs are its inputs'
-// runs, headers and all, ascending by metagraph.
+// receiver is unchanged, and each node's runs in the result are its
+// inputs' runs, headers and all, ascending by metagraph: the layout Merge
+// gives every part at its slot.
 func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	if len(parts) == 0 {
 		return ix
@@ -300,45 +303,3 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 
 // shifted is the renumbering that adds shift.
 func shifted(shift int32) func(int32) int32 { return func(m int32) int32 { return m + shift } }
-
-// Builder accumulates instance counts metagraph by metagraph and freezes
-// them into an Index. Each AddMetagraph counts one metagraph into a part
-// index of its own (count.go), with scratch the builder reuses across
-// calls; Build adds the parts to an empty index at their slots.
-type Builder struct {
-	numMeta int
-	parts   []*Index // parts[i] holds metagraph i alone, nil until added
-	sc      *counter
-}
-
-// NewBuilder returns a Builder for a metagraph set of the given size.
-func NewBuilder(numMeta int) *Builder {
-	return &Builder{numMeta: numMeta, parts: make([]*Index, numMeta), sc: &counter{}}
-}
-
-// AddMetagraph matches metagraph number i with the given engine and counts
-// its contribution to every m_x and m_xy. Asymmetric metagraphs contribute
-// nothing (ContainsSym can never hold) and are skipped without matching. An
-// i outside [0, numMeta), or one already added, panics: its rows would
-// index past every weight vector, or count one metagraph twice.
-func (b *Builder) AddMetagraph(i int, m *metagraph.Metagraph, matcher match.Matcher) {
-	if i < 0 || i >= b.numMeta {
-		panic(fmt.Sprintf("index: AddMetagraph(%d) on a builder of %d metagraphs", i, b.numMeta))
-	}
-	if b.parts[i] != nil {
-		panic(fmt.Sprintf("index: AddMetagraph(%d): metagraph %d was already added", i, i))
-	}
-	b.parts[i] = b.sc.part(m, matcher)
-}
-
-// Build freezes the accumulated counts into an immutable Index.
-func (b *Builder) Build() *Index {
-	var slots []int
-	var parts []*Index
-	for i, p := range b.parts {
-		if p != nil {
-			slots, parts = append(slots, i), append(parts, p)
-		}
-	}
-	return (&Index{numMeta: b.numMeta}).AddParts(slots, parts)
-}

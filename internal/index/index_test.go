@@ -82,13 +82,7 @@ func toyMetagraphs() []*metagraph.Metagraph {
 
 func buildToyIndex(t testing.TB) (*graph.Graph, *Index) {
 	g := buildToy(t)
-	mgs := toyMetagraphs()
-	bld := NewBuilder(len(mgs))
-	matcher := match.NewSymISO(g)
-	for i, m := range mgs {
-		bld.AddMetagraph(i, m, matcher)
-	}
-	return g, bld.Build()
+	return g, SerialIndex(toyMetagraphs(), match.NewSymISO(g))
 }
 
 func TestPairKey(t *testing.T) {
@@ -205,14 +199,14 @@ func TestTransform(t *testing.T) {
 	scanEverything(t, ix, g.NumNodes())
 	readsCounts(t, ix)
 	patched := mustPatch(t, ix, selfPatch(ix, g.NumNodes()))
-	compacted, err := Read(bytes.NewReader(writeBytes(t, patched)), g.NumNodes())
+	compacted, err := ReadSection(bytes.NewReader(writeBytes(t, patched)), g.NumNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for label, carried := range map[string]*Index{
 		"patched":    patched,
 		"compacted":  compacted,
-		"grown":      NewBuilder(6).Build().AddParts([]int{1}, []*Index{patched}),
+		"grown":      Empty(6).AddParts([]int{1}, []*Index{patched}),
 		"projected":  patched.Project([]int{2, 0}),
 		"restricted": patched.Restrict([]bool{true, false, true, true}),
 	} {
@@ -249,9 +243,7 @@ func TestAsymmetricMetagraphSkipped(t *testing.T) {
 	g := buildToy(t)
 	asym := metagraph.MustNew([]graph.TypeID{tUser, tSchool, tMajor},
 		[]metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	bld := NewBuilder(1)
-	bld.AddMetagraph(0, asym, match.NewSymISO(g))
-	ix := bld.Build()
+	ix := SerialIndex([]*metagraph.Metagraph{asym}, match.NewSymISO(g))
 	if ix.NumPairs() != 0 {
 		t.Fatalf("asymmetric metagraph produced %d pairs", ix.NumPairs())
 	}
@@ -262,20 +254,11 @@ func TestMerge(t *testing.T) {
 	mgs := toyMetagraphs()
 	matcher := match.NewSymISO(g)
 
-	// Full index built at once.
-	full := NewBuilder(len(mgs))
-	for i, m := range mgs {
-		full.AddMetagraph(i, m, matcher)
-	}
-	want := full.Build()
+	// The map-based counter's index of all of them.
+	want := refBuild(mgs, []int{0, 1, 2, 3}, g)
 
 	// Same thing via per-metagraph parts and Merge.
-	parts := make([]*Index, len(mgs))
-	for i, m := range mgs {
-		b := NewBuilder(1)
-		b.AddMetagraph(0, m, matcher)
-		parts[i] = b.Build()
-	}
+	parts, _ := MatchParts(mgs, func() match.Matcher { return matcher }, 1)
 	got := Merge(parts...)
 
 	if got.NumMeta() != want.NumMeta() {
@@ -309,30 +292,20 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-// TestBuilderOutOfOrderAddMetagraph pins Build's row normalization: rows
-// accumulated by descending-index AddMetagraph calls are unsorted and must
-// freeze to the same index as an ascending build — with coalescing
-// confined to each row (a row's first entry must never merge into the
-// previous key's tail).
-func TestBuilderOutOfOrderAddMetagraph(t *testing.T) {
+// TestAddPartsOutOfOrderSlots pins AddParts' run order: parts handed over
+// at descending slots lay out each node's runs ascending by metagraph, the
+// index Merge gives the same parts in slot order.
+func TestAddPartsOutOfOrderSlots(t *testing.T) {
 	g := buildToy(t)
 	mgs := toyMetagraphs()
-	matcher := match.NewSymISO(g)
+	parts, _ := MatchParts(mgs, func() match.Matcher { return match.NewSymISO(g) }, 1)
+	want := Merge(parts...)
 
-	asc := NewBuilder(len(mgs))
-	for i, m := range mgs {
-		asc.AddMetagraph(i, m, matcher)
-	}
-	want := asc.Build()
-
-	desc := NewBuilder(len(mgs))
-	for i := len(mgs) - 1; i >= 0; i-- {
-		desc.AddMetagraph(i, mgs[i], matcher)
-	}
-	got := desc.Build()
+	slots := []int{3, 2, 1, 0}
+	got := Empty(len(mgs)).AddParts(slots, []*Index{parts[3], parts[2], parts[1], parts[0]})
 
 	if !bytes.Equal(writeBytes(t, got), writeBytes(t, want)) {
-		t.Fatal("out-of-order build differs from ascending build")
+		t.Fatal("parts added at descending slots differ from their merge")
 	}
 }
 
@@ -346,11 +319,11 @@ func TestMergeEmpty(t *testing.T) {
 func TestIndexRoundTrip(t *testing.T) {
 	g, ix := buildToyIndex(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, ix); err != nil {
+	if err := WriteSection(&buf, ix); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	raw := append([]byte(nil), buf.Bytes()...) // Read drains the buffer
-	got, err := Read(&buf, g.NumNodes())
+	got, err := ReadSection(&buf, g.NumNodes())
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -377,7 +350,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 	// Byte-stable output.
 	var buf2 bytes.Buffer
-	if err := Write(&buf2, ix); err != nil {
+	if err := WriteSection(&buf2, ix); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, buf2.Bytes()) {
@@ -417,7 +390,7 @@ func wideIndex() *Index {
 func TestIndexRoundTripAnyWidth(t *testing.T) {
 	ix := wideIndex()
 	raw := writeBytes(t, ix)
-	got, err := Read(bytes.NewReader(raw), 8)
+	got, err := ReadSection(bytes.NewReader(raw), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +446,7 @@ func TestZeroAllocReads(t *testing.T) {
 }
 
 func TestIndexReadErrors(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString("garbage"), 8); err == nil {
+	if _, err := ReadSection(bytes.NewBufferString("garbage"), 8); err == nil {
 		t.Fatal("Read accepted garbage")
 	}
 }
@@ -524,7 +497,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"a written count beyond the graph", counts([]graph.NodeID{1, 3, 8}, Entry{0, 1}, Entry{0, 1}, Entry{0, 1})},
 	}
 	for _, c := range cases {
-		if _, err := Read(bytes.NewReader(c.raw), 8); err == nil {
+		if _, err := ReadSection(bytes.NewReader(c.raw), 8); err == nil {
 			t.Errorf("%s: Read accepted corrupt file", c.name)
 		}
 	}
@@ -572,7 +545,7 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 		{"a written count for a node with no run", noRun, with(run(), 0, 6, 1, 9, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1), nil},
 		{"a run with no written count", noCount, with(run(), 0, 4, 1, 9, 1, 1, 1, 1, 1, 1), nil},
 	} {
-		ix, err := Read(bytes.NewReader(fieldBytes(t, c.vals...)), 8)
+		ix, err := ReadSection(bytes.NewReader(fieldBytes(t, c.vals...)), 8)
 		if c.want != "" {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
@@ -591,12 +564,12 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	// A flipped bit the section still decodes — a count turned into another
 	// legal count, say — is caught by the checksum alone.
 	good := fieldBytes(t, with(run(), 0, 5, 1, 9, 1, 1, 1, 2, 1, 3, 1, 4)...)
-	ix, err := Read(bytes.NewReader(good), 8)
+	ix, err := ReadSection(bytes.NewReader(good), 8)
 	if err != nil {
 		t.Fatalf("the cases' well-formed sibling is refused: %v", err)
 	}
 	decodes := func(raw []byte) bool {
-		fr, err := flat.NewReader(bytes.NewReader(raw), fileMagic)
+		fr, err := flat.NewReader(bytes.NewReader(raw), sectionMagic)
 		if err != nil {
 			return false
 		}
@@ -605,12 +578,12 @@ func TestIndexReadRejectsCorruptTables(t *testing.T) {
 	}
 	flipped := flipBit(t, good, decodes)
 	for name, mutate := range map[string]func([]byte) []byte{
-		"bad version":              func(b []byte) []byte { b[len(fileMagic)-1]--; return b },
+		"bad version":              func(b []byte) []byte { b[len(sectionMagic)-1]--; return b },
 		"flipped count bit":        func([]byte) []byte { return flipped },
 		"truncated before trailer": func(b []byte) []byte { return b[:len(b)-4] },
 		"bytes after the trailer":  func(b []byte) []byte { return append(b, 0) },
 	} {
-		if _, err := Read(bytes.NewReader(mutate(bytes.Clone(good))), 8); err == nil {
+		if _, err := ReadSection(bytes.NewReader(mutate(bytes.Clone(good))), 8); err == nil {
 			t.Errorf("%s: Read accepted corrupt file", name)
 		}
 	}
@@ -719,7 +692,7 @@ func TestIndexReadRejectsCorruptRuns(t *testing.T) {
 				counts = append(counts, 1)
 			}
 		}
-		ix, err := Read(bytes.NewReader(fieldBytes(t, append(append([]uint64{5, c.nRuns, c.nPost}, c.body...), counts...)...)), 8)
+		ix, err := ReadSection(bytes.NewReader(fieldBytes(t, append(append([]uint64{5, c.nRuns, c.nPost}, c.body...), counts...)...)), 8)
 		if c.want != "" {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: Read returned %v, want an error naming %q", c.name, err, c.want)
@@ -786,7 +759,7 @@ func TestIndexReadBoundsAllocationByBytesReceived(t *testing.T) {
 				cut := raw[:len(raw)-4]                                               // the checksum too
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				_, err := Read(bytes.NewReader(cut), math.MaxInt32)
+				_, err := ReadSection(bytes.NewReader(cut), math.MaxInt32)
 				runtime.ReadMemStats(&after)
 				if err == nil {
 					t.Fatalf("%s, claim %d: a %d-byte stream was accepted", name, claim, len(cut))
@@ -822,7 +795,7 @@ func TestIndexReadBoundsAllocationByMetagraphCount(t *testing.T) {
 		)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ix, err := Read(bytes.NewReader(raw), 2)
+		ix, err := ReadSection(bytes.NewReader(raw), 2)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("metagraph %d: %v", meta, err)
@@ -872,7 +845,7 @@ func TestIndexReadCopyChainCostsWhatItSent(t *testing.T) {
 		budget := uint64(maxPostingsPerByte * postingAlloc * len(raw))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ix, err := Read(bytes.NewReader(raw), n)
+		ix, err := ReadSection(bytes.NewReader(raw), n)
 		runtime.ReadMemStats(&after)
 		got := after.TotalAlloc - before.TotalAlloc
 		switch {
@@ -904,7 +877,7 @@ func TestWriteKeepsCopiesWithinTheCap(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := Read(bytes.NewReader(raw), n)
+	got, err := ReadSection(bytes.NewReader(raw), n)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("Read refuses what Write wrote: %v", err)
@@ -1132,7 +1105,7 @@ func FuzzIndexRead(f *testing.F) {
 	_, ix := buildToyIndex(f)
 	f.Add(writeBytes(f, ix), uint16(14))
 	f.Add(writeBytes(f, ix), uint16(3))
-	f.Add(writeBytes(f, NewBuilder(2).Build()), uint16(0))
+	f.Add(writeBytes(f, Empty(2)), uint16(0))
 	// Written counts of every varint width a header can hold, up to
 	// 2^32-1, beside pair counts of every width.
 	f.Add(rowBytes(f, 2,
@@ -1151,11 +1124,7 @@ func FuzzIndexRead(f *testing.F) {
 	// builds them: runs of ones and runs with counts.
 	rng := rand.New(rand.NewSource(1))
 	g, ms := countGraph(rng), countMetagraphs(rng)
-	bld := NewBuilder(len(ms))
-	for i, m := range ms {
-		bld.AddMetagraph(i, m, match.NewSymISO(g))
-	}
-	counted := bld.Build()
+	counted := SerialIndex(ms, match.NewSymISO(g))
 	if !slices.ContainsFunc(counted.pairTable().ent, func(e Entry) bool { return e.Count > 1 }) {
 		f.Fatal("the counted seed has no count above 1")
 	}
@@ -1180,7 +1149,7 @@ func FuzzIndexRead(f *testing.F) {
 	}
 	// The counted index with a bit of its last byte's padding set.
 	f.Add(flipBit(f, writeBytes(f, counted), func(raw []byte) bool {
-		fr, err := flat.NewReader(bytes.NewReader(raw), fileMagic)
+		fr, err := flat.NewReader(bytes.NewReader(raw), sectionMagic)
 		if err != nil {
 			return false
 		}
@@ -1198,7 +1167,7 @@ func FuzzIndexRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, numNodes uint16) {
 		// Decode, not Read: Read's checksum turns away nearly every
 		// mutation, and the structural checks must hold without it.
-		fr, err := flat.NewReader(bytes.NewReader(data), fileMagic)
+		fr, err := flat.NewReader(bytes.NewReader(data), sectionMagic)
 		if err != nil {
 			return
 		}
@@ -1206,7 +1175,7 @@ func FuzzIndexRead(f *testing.F) {
 		if err != nil || ix.NumMeta() > 1<<16 { // scanEverything allocates a weight vector
 			return
 		}
-		fr, _ = flat.NewReader(bytes.NewReader(data), fileMagic)
+		fr, _ = flat.NewReader(bytes.NewReader(data), sectionMagic)
 		numMeta := fr.ExpGolomb(ordSize)
 		declared, _ := declaredRuns(fr, numMeta)
 		declaredMx := declaredCounts(fr, &declared)
@@ -1234,12 +1203,12 @@ func FuzzIndexRead(f *testing.F) {
 			scanEverything(t, patched, int(numNodes))
 		}
 
-		back, err := Read(bytes.NewReader(once), int(numNodes))
+		back, err := ReadSection(bytes.NewReader(once), int(numNodes))
 		if err != nil {
 			t.Fatalf("Read refuses what Write wrote of a decoded index: %v", err)
 		}
 		if !bytes.Equal(writeBytes(t, back), once) {
-			t.Fatal("Write(Read(Write(ix))) differs from Write(ix)")
+			t.Fatal("Write(ReadSection(Write(ix))) differs from Write(ix)")
 		}
 	})
 }
@@ -1376,7 +1345,7 @@ func cliqueIndex(n int) *Index {
 // reference.
 func copies(t testing.TB, raw []byte) bool {
 	t.Helper()
-	fr, err := flat.NewReader(bytes.NewReader(raw), fileMagic)
+	fr, err := flat.NewReader(bytes.NewReader(raw), sectionMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1394,7 +1363,7 @@ func copies(t testing.TB, raw []byte) bool {
 func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey]) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fw := flat.NewWriter(&buf, fileMagic)
+	fw := flat.NewWriter(&buf, sectionMagic)
 	fw.ExpGolomb(uint64(uint32(numMeta)), ordSize)
 	type run struct {
 		meta int32
@@ -1479,7 +1448,7 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 	return buf.Bytes()
 }
 
-// fieldBytes is the index file of the section whose fields, in stream
+// fieldBytes is the framed section (WriteSection) whose fields, in stream
 // order, are vals: each written as the code of the order Decode reads it
 // with, the format's grammar followed as the values steer it (run counts
 // and metagraphs, all-ones bits, references, block counts, divisors)
@@ -1490,7 +1459,7 @@ func rowBytes(t testing.TB, numMeta int, mx csr[graph.NodeID], mxy csr[PairKey])
 func fieldBytes(t testing.TB, vals ...uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fw := flat.NewWriter(&buf, fileMagic)
+	fw := flat.NewWriter(&buf, sectionMagic)
 	next := func(k uint) uint64 {
 		if len(vals) == 0 {
 			return 0

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"slices"
@@ -76,10 +75,8 @@ import (
 // partners below q in the run as references, the way WebGraph codes an
 // adjacency list against an earlier one, and keeps the cheapest in bits.
 // Index internals are deterministic and so are the choices, so the bytes
-// are stable without any extra sorting. Engine snapshots embed one section
-// per index; Write/Read frame a single section as a file of its own.
-
-const fileMagic = "SPXI\x09"
+// are stable without any extra sorting. An engine snapshot embeds the
+// section of its one index; no index travels on its own.
 
 // The exp-Golomb order of each field of the section (see above).
 const (
@@ -108,11 +105,11 @@ const (
 	// adding one would make n²/2 of them out of a few bytes a run). The decoder
 	// refuses a copy that would take the section's postings past the bits
 	// received so far, and Encode writes residuals wherever a copy would,
-	// so whatever Write writes, Read reads. A residual needs no check: its
-	// gap alone costs ordResGap+1 = 5 bits or more, so residuals come at
-	// most 1.6 to the byte. A decoded posting costs at most postingAlloc
-	// bytes, so a section costs at most maxPostingsPerByte·postingAlloc
-	// bytes of allocation per byte received.
+	// so whatever Encode writes, the decoder reads. A residual needs no
+	// check: its gap alone costs ordResGap+1 = 5 bits or more, so residuals
+	// come at most 1.6 to the byte. A decoded posting costs at most
+	// postingAlloc bytes, so a section costs at most
+	// maxPostingsPerByte·postingAlloc bytes of allocation per byte received.
 	maxPostingsPerByte = 8
 	// postingAlloc bounds what one posting above its node costs the
 	// decoder, with its share of the runs it makes: its 8 bytes in an
@@ -145,31 +142,6 @@ const (
 	// counted or decoded.
 	maxCountedPerByte = maxPostingsPerByte * postingAlloc / countedAlloc
 )
-
-// Write serializes ix's counts. An incrementally updated index serializes
-// byte-identically to a from-scratch build of the same rows.
-func Write(w io.Writer, ix *Index) error {
-	fw := flat.NewWriter(w, fileMagic)
-	Encode(fw, ix)
-	return fw.Close()
-}
-
-// Read deserializes an index written by Write for a graph of numNodes
-// nodes, with the guarantees of Decode plus the stream's checksum.
-func Read(r io.Reader, numNodes int) (*Index, error) {
-	fr, err := flat.NewReader(r, fileMagic)
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	ix, err := Decode(fr, numNodes)
-	if err != nil {
-		return nil, err
-	}
-	if err := fr.Close(); err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	return ix, nil
-}
 
 // Encode appends ix to w as one section: each node's runs above it,
 // walked straight out of the runs, then the counts' divisors and the counts
@@ -594,36 +566,26 @@ func (pl *runPlan) write(w *flat.Writer, q graph.NodeID) {
 	}
 }
 
-// Decode reads one section for a graph of numNodes nodes. The bytes are
-// untrusted: everything reads rely on (strictly ascending nodes, partners
-// and Metas, Metas within numMeta, counts in [1, 2^32-1], runs never empty,
-// one count on every run's header and none anywhere else) and everything
-// the runs index by node id or by posting position (nodes and partners
-// within the graph, references to runs decoded before) is checked as it is
-// decoded or laid out, so a corrupt stream is refused with an error and can
-// neither panic a reader nor size an allocation by a number it made up
-// (see flat.Grow; maxPostingsPerByte). The runs above each node are laid
-// out with the partners below it into the index's runs, each header with
-// its count.
-func Decode(r *flat.Reader, numNodes int) (*Index, error) {
-	sec, err := decodeSection(r, numNodes)
-	if err != nil {
-		return nil, err
-	}
-	return sec.decoded()
-}
-
-// DecodeCounting is Decode of a section EncodeCounting wrote for the
-// metagraphs ms, those matched set, beside g, the graph decoded ahead of
-// it: the rows the section left out are counted from g and their runs laid
-// out with the section's own in the one pass Decode makes. What the count
-// may allocate is priced from g's degrees before the section is read, at
-// most maxCountedPerByte postings per byte of the stream before it
-// (countedSlots). A section that spans other than len(ms) metagraphs,
-// holds a run or a count of one it should have left out, or whose runs with
-// the counted ones would pass the runs' int32 positions is refused. The
-// count runs before the caller checks the stream's trailer, as the layout
-// of the section's own runs does.
+// DecodeCounting reads a section EncodeCounting wrote for the metagraphs
+// ms, those matched set, beside g, the graph decoded ahead of it. The bytes
+// are untrusted: everything reads rely on (strictly ascending nodes,
+// partners and Metas, Metas within numMeta, counts in [1, 2^32-1], runs
+// never empty, one count on every run's header and none anywhere else) and
+// everything the runs index by node id or by posting position (nodes and
+// partners within the graph, references to runs decoded before) is checked
+// as it is decoded or laid out, so a corrupt stream is refused with an
+// error and can neither panic a reader nor size an allocation by a number
+// it made up (see flat.Grow; maxPostingsPerByte). The rows the section left
+// out are counted from g, and their runs are laid out with the section's
+// own in one pass: the runs above each node with the partners below it,
+// each header with its count. What the count may allocate is priced from
+// g's degrees before the section is read, at most maxCountedPerByte
+// postings per byte of the stream before it (countedSlots). A section that
+// spans other than len(ms) metagraphs, holds a run or a count of a
+// metagraph matched does not hold or of one it should have left out, or
+// whose runs with the counted ones would pass the runs' int32 positions is
+// refused. The count runs before the caller checks the stream's trailer,
+// as the layout of the section's own runs does.
 func DecodeCounting(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) (*Index, error) {
 	counted, bound := countedSlots(g, ms, matched, r.BitOffset())
 	sec, err := decodeSection(r, g.NumNodes())
@@ -636,6 +598,10 @@ func DecodeCounting(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, m
 	if slices.ContainsFunc(sec.up.meta, func(m int32) bool { return counted[m] }) ||
 		slices.ContainsFunc(sec.up.mx, func(c nodeCount) bool { return counted[c.Meta] }) {
 		return nil, errors.New("index: the section holds rows of a two-edge metapath it leaves to the graph's common neighbours")
+	}
+	// A count of a metagraph needs a run of it, which decoded checks.
+	if i := slices.IndexFunc(sec.up.meta, func(m int32) bool { return !matched[m] }); i >= 0 {
+		return nil, fmt.Errorf("index: the section has rows of metagraph %d, which is not matched", sec.up.meta[i])
 	}
 	sec.up.post = slices.Grow(sec.up.post, int(bound))
 	for slot, ok := range counted {
@@ -671,7 +637,7 @@ func (s *section) decoded() (*Index, error) {
 }
 
 // decodeSection reads one section for a graph of numNodes nodes with the
-// checks Decode lists, leaving its runs to be laid out.
+// checks DecodeCounting lists, leaving its runs to be laid out.
 func decodeSection(r *flat.Reader, numNodes int) (*section, error) {
 	start := r.BitOffset()
 	numMeta := r.ExpGolomb(ordSize)

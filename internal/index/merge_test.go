@@ -120,10 +120,21 @@ func TestMergeKWayEqualsConcatenation(t *testing.T) {
 	}
 }
 
+// spread places metagraph i of ms at slots[i] of a set of span, for
+// refBuild to count at those slots.
+func spread(ms []*metagraph.Metagraph, slots []int, span int) []*metagraph.Metagraph {
+	out := make([]*metagraph.Metagraph, span)
+	for i, m := range ms {
+		out[slots[i]] = m
+	}
+	return out
+}
+
 // TestAddPartsEqualsOneBuild: parts added to an index at their slots, in any
 // order and over several calls, at slots that leave gaps, freeze to the
-// bytes of ONE Builder fed the same metagraphs at the same slots — the
-// rows of an added part land between the coordinates already there.
+// bytes of ONE build of the same metagraphs at the same slots, the map
+// counter's — the rows of an added part land between the coordinates
+// already there.
 func TestAddPartsEqualsOneBuild(t *testing.T) {
 	g := buildToy(t)
 	mgs := toyMetagraphs()
@@ -132,13 +143,9 @@ func TestAddPartsEqualsOneBuild(t *testing.T) {
 	const span = 9
 	slots := []int{7, 0, 4, 2} // metagraph i of the toy set sits at slots[i]; 1, 3, 5, 6, 8 stay unmatched
 
-	bld := NewBuilder(span)
-	for i, m := range mgs {
-		bld.AddMetagraph(slots[i], m, matcher)
-	}
-	want := writeBytes(t, bld.Build())
+	want := writeBytes(t, refBuild(spread(mgs, slots, span), slots, g))
 
-	empty := NewBuilder(span).Build()
+	empty := Empty(span)
 	for name, got := range map[string]*Index{
 		"all at once":   empty.AddParts(slots, parts),
 		"one at a time": empty.AddParts(slots[:1], parts[:1]).AddParts(slots[1:2], parts[1:2]).AddParts(slots[2:3], parts[2:3]).AddParts(slots[3:], parts[3:]),
@@ -172,9 +179,9 @@ func TestAddPartsEqualsOneBuild(t *testing.T) {
 
 // TestRestrictEqualsBuildOfKept: restricting an index to a metagraph subset
 // — every subset of the toy set, at slots that leave gaps — gives the bytes
-// of one Builder fed only the kept metagraphs at the same slots, and a
-// patched index restricts to its kept metagraphs' rows projected out one by
-// one and added back at their slots. Nothing is renumbered, so the span
+// of one build of only the kept metagraphs at the same slots (refBuild),
+// and a patched index restricts to its kept metagraphs' rows projected out
+// one by one and added back at their slots. Nothing is renumbered, so the span
 // stands and a weight vector over it reads the restricted index as it read
 // the whole one, minus the dropped coordinates.
 func TestRestrictEqualsBuildOfKept(t *testing.T) {
@@ -184,18 +191,16 @@ func TestRestrictEqualsBuildOfKept(t *testing.T) {
 	parts, _ := MatchParts(mgs, func() match.Matcher { return matcher }, 1)
 	const span = 9
 	slots := []int{7, 0, 4, 2}
-	empty := NewBuilder(span).Build()
+	empty := Empty(span)
 	full := empty.AddParts(slots, parts)
 	patched := mustPatch(t, full, selfPatch(full, g.NumNodes()))
 	for mask := 0; mask < 1<<len(mgs); mask++ {
 		keep := make([]bool, span)
 		var kept []int
-		bld := NewBuilder(span)
-		for i, m := range mgs {
+		for i := range mgs {
 			if mask&(1<<i) != 0 {
 				keep[slots[i]] = true
 				kept = append(kept, slots[i])
-				bld.AddMetagraph(slots[i], m, matcher)
 			}
 		}
 		oneByOne := func(ix *Index) []byte {
@@ -209,7 +214,7 @@ func TestRestrictEqualsBuildOfKept(t *testing.T) {
 			ix   *Index
 			want []byte
 		}{
-			"plain":   {full, writeBytes(t, bld.Build())},
+			"plain":   {full, writeBytes(t, refBuild(spread(mgs, slots, span), kept, g))},
 			"patched": {patched, oneByOne(patched)},
 		} {
 			got := c.ix.Restrict(keep)
@@ -252,7 +257,7 @@ func TestMergeGainsEqualsPerPartPatches(t *testing.T) {
 			parts, gains = append(parts, part), append(gains, p)
 			enumerated += p.Enumerated()
 		}
-		empty := NewBuilder(span).Build()
+		empty := Empty(span)
 		lifted := MergeGains(span, slots, gains)
 		if lifted.numMeta != span || lifted.Enumerated() != enumerated {
 			t.Fatalf("trial %d: lifted patch spans %d, enumerated %d; want %d, %d", trial, lifted.numMeta, lifted.Enumerated(), span, enumerated)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/metagraph"
 )
@@ -15,14 +16,47 @@ import (
 // parts merge deterministically by metagraph offset regardless of which
 // worker finished first. Matchers carry per-Match scratch plus
 // construction-time statistics, so every worker owns a private matcher
-// built by the newMatcher factory, and a private counter whose key scratch
-// it reuses across its metagraphs.
+// and a private counter whose key scratch it reuses across its metagraphs.
+
+// Count counts every metagraph of ms on g into its own single-metagraph
+// part index, aligned with ms: a two-edge metapath by the merge of common
+// neighbours (twoedge.go), every other metagraph by SymISO. It is how an
+// engine matches the metagraphs it holds. The metagraphs fan out over
+// runtime.GOMAXPROCS goroutines, each with a private scratch and, from its
+// first metagraph the merge does not count, a private SymISO; the parts
+// are the same at any CPU count. The offline build has no error path, so a
+// graph on which a two-edge metapath could pair more postings than an
+// index holds panics, as a count past uint32 does.
+func Count(g *graph.Graph, ms []*metagraph.Metagraph) []*Index {
+	parts := make([]*Index, len(ms))
+	fanOut(len(ms), 0, func() func(int) {
+		var matcher *match.SymISO
+		sc := &counter{}
+		return func(i int) {
+			if IsTwoEdgeMetapath(ms[i]) {
+				p, err := twoEdgePart(g, ms[i])
+				if err != nil {
+					panic(err)
+				}
+				parts[i] = p
+				return
+			}
+			if matcher == nil {
+				matcher = match.NewSymISO(g)
+			}
+			parts[i] = sc.part(ms[i], matcher)
+		}
+	})
+	return parts
+}
 
 // MatchParts matches every metagraph of ms into its own single-metagraph
 // index using the given number of workers (as fanOut counts them). newMatcher
 // is invoked once per worker, and each worker counts with one scratch. The
-// returned parts and wall-clock durations are aligned with ms;
-// Merge(parts...) reproduces the serial build exactly.
+// returned parts and wall-clock durations are aligned with ms, and
+// Merge(parts...) is the same index at any number of workers. Every
+// metagraph is searched, two-edge metapaths too: the paper's Table III
+// times SymISO itself.
 func MatchParts(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, workers int) ([]*Index, []time.Duration) {
 	if len(ms) == 0 {
 		return nil, nil
@@ -76,13 +110,4 @@ func fanOut(n, workers int, newWorker func() func(int)) {
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// BuildParallel is the parallel offline index build: MatchParts followed by
-// the offset-aware Merge. It produces an Index identical to adding every
-// metagraph to one Builder serially, in near-linear time in the worker
-// count when matching dominates.
-func BuildParallel(ms []*metagraph.Metagraph, newMatcher func() match.Matcher, workers int) *Index {
-	parts, _ := MatchParts(ms, newMatcher, workers)
-	return Merge(parts...)
 }

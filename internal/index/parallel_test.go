@@ -8,19 +8,20 @@ import (
 	"repro/internal/match"
 )
 
-// writeBytes serializes ix; Write is deterministic, so equal bytes mean
-// equal NodeVec/PairVec tables for every key.
+// writeBytes is ix's section framed as a stream of its own (WriteSection):
+// equal bytes mean equal NodeVec/PairVec tables for every key.
 func writeBytes(t testing.TB, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, ix); err != nil {
+	if err := WriteSection(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestMatchPartsAligned checks the MatchParts contract: parts and times
-// align with ms, and merging the parts reproduces the serial index.
+// align with ms, and merging the parts of three workers reproduces the
+// serial index of one.
 func TestMatchPartsAligned(t *testing.T) {
 	g := buildToy(t)
 	mgs := toyMetagraphs()
@@ -35,13 +36,7 @@ func TestMatchPartsAligned(t *testing.T) {
 		}
 	}
 	merged := Merge(parts...)
-
-	serial := NewBuilder(len(mgs))
-	matcher := match.NewSymISO(g)
-	for i, m := range mgs {
-		serial.AddMetagraph(i, m, matcher)
-	}
-	if !bytes.Equal(writeBytes(t, merged), writeBytes(t, serial.Build())) {
+	if !bytes.Equal(writeBytes(t, merged), writeBytes(t, SerialIndex(mgs, match.NewSymISO(g)))) {
 		t.Fatal("merged parts differ from serial build")
 	}
 }

@@ -119,7 +119,7 @@ func addCount[K any](c, g uint32, meta int32, k K) (uint32, error) {
 
 // RematchDelta returns what one metagraph's part index gains from the
 // delta behind g, the graph a graph.Apply returned: per key, the number of
-// new instances counted exactly as Builder.AddMetagraph counts all of them.
+// new instances counted exactly as MatchParts counts all of them.
 // The part's WithPatch adds the gains to its counts, giving the rows a
 // from-scratch match of g would produce.
 //

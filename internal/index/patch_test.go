@@ -138,10 +138,10 @@ func TestQuickPatchEqualsScratch(t *testing.T) {
 			scratch := matchPart(m, mk(ng))
 
 			var got, want bytes.Buffer
-			if err := Write(&got, patched); err != nil {
+			if err := WriteSection(&got, patched); err != nil {
 				t.Fatal(err)
 			}
-			if err := Write(&want, scratch); err != nil {
+			if err := WriteSection(&want, scratch); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -174,8 +174,7 @@ func TestWithPatchBasics(t *testing.T) {
 	if !base.Empty() {
 		t.Fatal("nil rows should be empty")
 	}
-	b := NewBuilder(1)
-	ix := b.Build()
+	ix := Empty(1)
 	if mustPatch(t, ix, base) != ix {
 		t.Fatal("empty patch must return the receiver")
 	}
@@ -215,7 +214,7 @@ func TestWithPatchBasics(t *testing.T) {
 // An offline build whose run of one key is longer panics, naming the
 // metagraph and key.
 func TestCountOverflowIsRefused(t *testing.T) {
-	base := mustPatch(t, NewBuilder(2).Build(), handPatch(2,
+	base := mustPatch(t, Empty(2), handPatch(2,
 		map[graph.NodeID][]Entry{3: {{Meta: 1, Count: math.MaxUint32 - 5}}, 7: {{Meta: 1, Count: 9}}},
 		map[PairKey][]Entry{MakePairKey(3, 7): {{Meta: 1, Count: 9}}}))
 	was := writeBytes(t, base)
@@ -315,12 +314,12 @@ func TestPatchOnHubEqualsScratch(t *testing.T) {
 		}
 		patched := mustPatch(t, mustPatch(t, matchPart(m, mk(g0)), p1), p2)
 		var want bytes.Buffer
-		if err := Write(&want, matchPart(m, mk(g2))); err != nil {
+		if err := WriteSection(&want, matchPart(m, mk(g2))); err != nil {
 			t.Fatal(err)
 		}
 		for label, ix := range map[string]*Index{"patched": patched} {
 			var got bytes.Buffer
-			if err := Write(&got, ix); err != nil {
+			if err := WriteSection(&got, ix); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {

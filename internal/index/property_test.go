@@ -22,19 +22,22 @@ import (
 	"repro/internal/mining"
 )
 
+// serialize is ix's section framed as a stream of its own
+// (index.WriteSection): equal rows write equal bytes.
 func serialize(t testing.TB, ix *index.Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := index.Write(&buf, ix); err != nil {
+	if err := index.WriteSection(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestParallelBuildMatchesSerial is the parallel/serial equivalence
-// property: building the offline index with any worker count must be
-// byte-for-byte identical to the one-builder serial build — same NodeVec,
-// PairVec and Partners for every key.
+// property: building the offline index with any worker count, and
+// counting it as an engine does (index.Count, the two-edge merge
+// included), must be byte-for-byte identical to the one-worker serial
+// build — same NodeVec, PairVec and Partners for every key.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	ds := dataset.LinkedIn(dataset.Config{Users: 200, Seed: 7, NoiseRate: 0.05})
 	pats := mining.ProximityFilter(
@@ -44,17 +47,17 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		t.Fatalf("only %d metagraphs mined; dataset too small to exercise parallelism", len(ms))
 	}
 
-	serial := index.NewBuilder(len(ms))
-	matcher := match.NewSymISO(ds.G)
-	for i, m := range ms {
-		serial.AddMetagraph(i, m, matcher)
-	}
-	want := serial.Build()
+	want := index.SerialIndex(ms, match.NewSymISO(ds.G))
 	wantBytes := serialize(t, want)
 
-	for _, workers := range []int{1, 2, 8} {
-		got := index.BuildParallel(ms,
-			func() match.Matcher { return match.NewSymISO(ds.G) }, workers)
+	for _, workers := range []int{1, 2, 8, 0} {
+		var got *index.Index
+		if workers > 0 {
+			parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, workers)
+			got = index.Merge(parts...)
+		} else { // 0: Count's fan-out
+			got = index.Merge(index.Count(ds.G, ms)...)
+		}
 		if got.NumMeta() != want.NumMeta() {
 			t.Fatalf("workers=%d: NumMeta %d != %d", workers, got.NumMeta(), want.NumMeta())
 		}
@@ -78,17 +81,17 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 
 // The two goldens below pin the indexes the benchmark's read_direct and
 // lifecycle workloads build by their content (index.ContentDigest: keys,
-// then per row Meta and Count, fixed-width), not by their index.Write
+// then per row Meta and Count, fixed-width), not by their section's
 // bytes, so a codec change leaves them alone and a change to any row fails
 // them. Both were recorded beside the wire digests they replaced.
 
 // readDirectIndexContent describes the read_direct index (5 000 LinkedIn
-// users, noise 0.05, seed 1, MaxNodes 3, MinSupport 5), the one the Builder
-// froze when it still counted instances through hash maps.
+// users, noise 0.05, seed 1, MaxNodes 3, MinSupport 5), the one the build
+// gave when it still counted instances through hash maps.
 const readDirectIndexContent = "e45a2fc8da79d540b683c354f04bd95a9421ce6bf8b5fb10cb52713a0f201d83"
 
 // TestReadDirectIndexGolden pins a full-size offline build: however the
-// Builder counts instances, the index it freezes is the same.
+// build counts instances, the index it lays out is the same.
 func TestReadDirectIndexGolden(t *testing.T) {
 	checkGolden(t, "read_direct", readDirectIndex(), readDirectIndexContent)
 }
@@ -108,7 +111,8 @@ func mined(users, maxNodes int) ([]*metagraph.Metagraph, *index.Index) {
 	ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 1, NoiseRate: 0.05})
 	ms := mining.Metagraphs(mining.ProximityFilter(
 		mining.Mine(ds.G, mining.Options{MaxNodes: maxNodes, MinSupport: 5}), ds.Anchor))
-	return ms, index.BuildParallel(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
+	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
+	return ms, index.Merge(parts...)
 }
 
 // TestBuildAllocBudget holds the one-worker offline build to a ceiling of
@@ -124,19 +128,19 @@ func TestBuildAllocBudget(t *testing.T) {
 		users, maxNodes int
 		ceiling         float64
 	}{
-		{"read_direct", 5000, 3, 375},
-		{"lifecycle", 600, 4, 1400},
+		{"read_direct", 5000, 3, 329},
+		{"lifecycle", 600, 4, 1274},
 	} {
 		ds := dataset.LinkedIn(dataset.Config{Users: c.users, Seed: 1, NoiseRate: 0.05})
 		ms := mining.Metagraphs(mining.ProximityFilter(
 			mining.Mine(ds.G, mining.Options{MaxNodes: c.maxNodes, MinSupport: 5}), ds.Anchor))
 		matcher := match.NewSymISO(ds.G)
 		allocs := testing.AllocsPerRun(3, func() {
-			index.BuildParallel(ms, func() match.Matcher { return matcher }, 1)
+			index.SerialIndex(ms, matcher)
 		})
 		t.Logf("%s: %.0f allocations per build, ceiling %.0f", c.name, allocs, c.ceiling)
 		if allocs > c.ceiling && !index.RaceEnabled {
-			t.Errorf("%s: BuildParallel on one worker allocates %.0f times per build, over its ceiling of %.0f", c.name, allocs, c.ceiling)
+			t.Errorf("%s: the one-worker build allocates %.0f times per build, over its ceiling of %.0f", c.name, allocs, c.ceiling)
 		}
 	}
 }
@@ -213,7 +217,7 @@ func TestNodeCountIsRunSumOverD(t *testing.T) {
 		t.Fatalf("paper shape: the counts of metagraphs %v are written, the positions of %v lie in unequal numbers of pairs", written, unequal)
 	}
 	raw := serialize(t, ix)
-	back, err := index.Read(bytes.NewReader(raw), math.MaxInt32)
+	back, err := index.ReadSection(bytes.NewReader(raw), math.MaxInt32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +292,11 @@ var paperShapeIndex = sync.OnceValues(func() ([]float64, *index.Index) {
 		}
 	}
 	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(ds.G) }, 2)
-	return w, index.NewBuilder(len(w)).Build().AddParts(weighed, parts)
+	return w, index.Empty(len(w)).AddParts(weighed, parts)
 })
 
-// The wire digests below are the SHA-256 of index.Write of the three
-// indexes above. The content goldens pin the rows; these pin the stream
+// The wire digests below are the SHA-256 of the three indexes above, each
+// written as one section framed as a stream of its own (WriteSection). The content goldens pin the rows; these pin the stream
 // the codec writes from them, so a change to how the index is laid out in
 // memory that shifts a byte of a snapshot fails here.
 const (
@@ -301,7 +305,7 @@ const (
 	paperShapeIndexWire = "5c47d549b10d49fb9cae97cffc05ca80f522c8dbf4a49abbd367e51cae8e864f"
 )
 
-// TestIndexWireGolden pins the index.Write bytes of the read_direct,
+// TestIndexWireGolden pins the section bytes of the read_direct,
 // lifecycle and paper-shape indexes.
 func TestIndexWireGolden(t *testing.T) {
 	_, paper := paperShapeIndex()

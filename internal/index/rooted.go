@@ -67,14 +67,14 @@ func (ix *Index) Select(keys Keys) *Index {
 	return s.index()
 }
 
-// RootedParts counts the rows keys names of every metagraph of ms into its
-// own single-metagraph index, as MatchParts does for every row: the same
-// workers, one private SymISO matcher (newMatcher) and one scratch each.
-// Part i holds, at each key, the row MatchParts' part i holds there.
-func RootedParts(ms []*metagraph.Metagraph, newMatcher func() *match.SymISO, workers int, keys Keys) []*Index {
+// RootedParts counts the rows keys names of every metagraph of ms on g into
+// its own single-metagraph index, fanned out as Count fans out, with one
+// private SymISO and one scratch per goroutine. Part i holds, at each key,
+// the row Count's part i holds there.
+func RootedParts(g *graph.Graph, ms []*metagraph.Metagraph, keys Keys) []*Index {
 	parts := make([]*Index, len(ms))
-	fanOut(len(ms), workers, func() func(int) {
-		matcher, sc := newMatcher(), &counter{}
+	fanOut(len(ms), 0, func() func(int) {
+		matcher, sc := match.NewSymISO(g), &counter{}
 		return func(i int) { parts[i] = sc.rooted(ms[i], matcher, keys) }
 	})
 	return parts

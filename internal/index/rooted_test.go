@@ -112,7 +112,7 @@ func checkRootedRows(t *testing.T, stage string, g *graph.Graph, ms []*metagraph
 	t.Helper()
 	keys := core.TrainKeys(examples)
 	full, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, 2)
-	rooted := index.RootedParts(ms, func() *match.SymISO { return match.NewSymISO(g) }, 2, keys)
+	rooted := index.RootedParts(g, ms, keys)
 	rows := 0
 	for i, m := range ms {
 		want := full[i].Select(keys)

@@ -252,9 +252,9 @@ func renumbered(mx csr[graph.NodeID], meta func(int32) int32) csr[graph.NodeID] 
 // constructor to refRuns of the rows they hold, and their headers to the
 // node rows the map counter (refBuild) gives at the same metagraphs: the
 // counter's parts, Merge, AddParts, Project, Restrict, Select, RootedParts,
-// TwoEdgePart, Read, and WithPatch of one re-match's gains and of
-// MergeGains over all of them, against a count of the grown graph. Select
-// must also hold, at each key it names, the row ix holds.
+// Count, its two-edge merge, Decode, and WithPatch of one re-match's gains
+// and of MergeGains over all of them, against a count of the grown graph.
+// Select must also hold, at each key it names, the row ix holds.
 func TestEveryConstructorLaysOutTheReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ms := patchMetagraphs()
@@ -290,12 +290,12 @@ func TestEveryConstructorLaysOutTheReference(t *testing.T) {
 				keys.Pairs = append(keys.Pairs, k)
 			}
 		}
-		rooted := RootedParts(ms, func() *match.SymISO { return match.NewSymISO(g) }, 1, keys)
-		two, err := TwoEdgePart(g, ms[0])
+		rooted := RootedParts(g, ms, keys)
+		two, err := twoEdgePart(g, ms[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		read, err := Read(bytes.NewReader(writeBytes(t, ix)), g.NumNodes())
+		read, err := ReadSection(bytes.NewReader(writeBytes(t, ix)), g.NumNodes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,13 +311,14 @@ func TestEveryConstructorLaysOutTheReference(t *testing.T) {
 		}{
 			"part":        {parts[2], renumbered(want, only(2))},
 			"Merge":       {ix, want},
-			"AddParts":    {NewBuilder(3).Build().AddParts([]int{2, 0}, []*Index{parts[2], parts[0]}), renumbered(want, drop1)},
+			"AddParts":    {Empty(3).AddParts([]int{2, 0}, []*Index{parts[2], parts[0]}), renumbered(want, drop1)},
 			"Project":     {ix.Project([]int{2, 0}), renumbered(want, only(2, 0))},
 			"Restrict":    {ix.Restrict([]bool{true, false, true}), renumbered(want, drop1)},
 			"Select":      {selected, want},
 			"RootedParts": {Merge(rooted...), want},
-			"TwoEdgePart": {two, renumbered(want, only(0))},
-			"Read":        {read, want},
+			"Count":       {Merge(Count(g, ms)...), want},
+			"twoEdgePart": {two, renumbered(want, only(0))},
+			"Decode":      {read, want},
 			"WithPatch":   {mustPatch(t, parts[2], gains[2]), renumbered(grown, only(2))},
 			"MergeGains":  {mustPatch(t, ix, MergeGains(3, all, gains)), grown},
 		} {

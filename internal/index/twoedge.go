@@ -22,12 +22,13 @@ import (
 // x, merge into x's run above it — a partner's multiplicity in the merge is
 // m_xy. The runs above each node are the form every count arrives in, so
 // upperRuns.layout lays them out, and puts on each run's header its sum,
-// m_x: for the part an engine adds (TwoEdgePart), and beside a section's
-// own runs when a snapshot is loaded (DecodeCounting). SymISO counts every
-// other metagraph and stays the reference the tests hold the merge to.
+// m_x: for the part Count hands an engine (twoEdgePart), and beside a
+// section's own runs when a snapshot is loaded (DecodeCounting). SymISO
+// counts every other metagraph and stays the reference the tests hold the
+// merge to.
 
-// IsTwoEdgeMetapath reports whether TwoEdgePart counts m: m has three
-// nodes and two edges, and its two ends have one type.
+// IsTwoEdgeMetapath reports whether Count counts m by the merge: m has
+// three nodes and two edges, and its two ends have one type.
 func IsTwoEdgeMetapath(m *metagraph.Metagraph) bool {
 	_, _, ok := twoEdgeTypes(m)
 	return ok
@@ -94,12 +95,12 @@ func countedSlots(g *graph.Graph, ms []*metagraph.Metagraph, matched []bool, bit
 	return counted, bound
 }
 
-// TwoEdgePart counts the two-edge metapath m on g into the single-metagraph
+// twoEdgePart counts the two-edge metapath m on g into the single-metagraph
 // part index MatchParts counts it into: the runs above each node, laid
 // out, each m_x its run's sum. A graph on which m could pair more postings
 // than the runs' int32 positions hold is refused before anything is
 // allocated. m must be a two-edge metapath (IsTwoEdgeMetapath).
-func TwoEdgePart(g *graph.Graph, m *metagraph.Metagraph) (*Index, error) {
+func twoEdgePart(g *graph.Graph, m *metagraph.Metagraph) (*Index, error) {
 	b := twoEdgeBound(g, m, math.MaxInt32/2)
 	if b > math.MaxInt32/2 {
 		return nil, fmt.Errorf("index: metagraph %v: more than %d postings on one graph", m, math.MaxInt32)

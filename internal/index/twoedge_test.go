@@ -74,23 +74,23 @@ func twoEdgeMetapaths(tb testing.TB, nt int) []*metagraph.Metagraph {
 	return ms
 }
 
-// checkTwoEdge holds TwoEdgePart of every two-edge metapath on g to the
-// part SymISO's MatchParts counts — the same rows (ContentDigest) and the
-// same bytes — and every node row to the sum of its node's run.
+// checkTwoEdge holds the part Count counts by the merge for every
+// two-edge metapath on g to the part SymISO's MatchParts counts — the same
+// rows (ContentDigest) and the same bytes — and every node row to the sum
+// of its node's run.
 func checkTwoEdge(t *testing.T, g *graph.Graph) {
-	for _, m := range twoEdgeMetapaths(t, g.NumTypes()) {
+	ms := twoEdgeMetapaths(t, g.NumTypes())
+	parts := Count(g, ms)
+	want, _ := MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, 1)
+	for i, m := range ms {
 		if !IsTwoEdgeMetapath(m) {
 			t.Fatalf("%v is not taken for a two-edge metapath", m)
 		}
-		got, err := TwoEdgePart(g, m)
-		if err != nil {
-			t.Fatal(err)
+		got := parts[i]
+		if ContentDigest(got) != ContentDigest(want[i]) {
+			t.Fatalf("%v on %v: the merge counts\n%v\nSymISO\n%v", m, g, dumpPart(got), dumpPart(want[i]))
 		}
-		want, _ := MatchParts([]*metagraph.Metagraph{m}, func() match.Matcher { return match.NewSymISO(g) }, 1)
-		if ContentDigest(got) != ContentDigest(want[0]) {
-			t.Fatalf("%v on %v: the merge counts\n%v\nSymISO\n%v", m, g, dumpPart(got), dumpPart(want[0]))
-		}
-		if !bytes.Equal(writeBytes(t, got), writeBytes(t, want[0])) {
+		if !bytes.Equal(writeBytes(t, got), writeBytes(t, want[i])) {
 			t.Fatalf("%v on %v: the merge's part writes other bytes than SymISO's", m, g)
 		}
 		for r, h := range got.flat.head {
@@ -141,7 +141,7 @@ func TestDecodeCountingEqualsFullIndex(t *testing.T) {
 	// stream writes filler bytes, then the section write writes.
 	stream := func(filler int, write func(w *flat.Writer)) []byte {
 		var buf bytes.Buffer
-		w := flat.NewWriter(&buf, fileMagic)
+		w := flat.NewWriter(&buf, sectionMagic)
 		w.Bytes(make([]byte, filler))
 		write(w)
 		if err := w.Close(); err != nil {
@@ -150,7 +150,7 @@ func TestDecodeCountingEqualsFullIndex(t *testing.T) {
 		return buf.Bytes()
 	}
 	decode := func(data []byte, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) (*Index, error) {
-		fr, err := flat.NewReader(bytes.NewReader(data), fileMagic)
+		fr, err := flat.NewReader(bytes.NewReader(data), sectionMagic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestDecodeCountingEqualsFullIndex(t *testing.T) {
 		for i := range matched {
 			matched[i] = rng.Intn(4) > 0
 		}
-		full := BuildParallel(ms, func() match.Matcher { return match.NewSymISO(g) }, 1).Restrict(matched)
+		full := SerialIndex(ms, match.NewSymISO(g)).Restrict(matched)
 		want := writeBytes(t, full)
 		// counted is the set a section after filler bytes leaves out.
 		counted := func(filler int) []bool {
@@ -276,10 +276,10 @@ func TestTwoEdgePartRefusesPastInt32(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = TwoEdgePart(g, m)
+	_, err = twoEdgePart(g, m)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "postings") {
-		t.Fatalf("TwoEdgePart of a 46 342-user hub returned %v, want a refusal", err)
+		t.Fatalf("twoEdgePart of a 46 342-user hub returned %v, want a refusal", err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
 		t.Fatalf("refusing the hub allocated %d bytes", alloc)

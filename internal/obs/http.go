@@ -4,8 +4,10 @@
 // api.HeaderTrace, and an optional structured per-request log line
 // (endpoint, status, latency, trace, epoch, cache disposition, plus
 // whatever attrs the handler added via AddAttrs) with a slow-query
-// threshold that escalates Info to Warn. Everything one request needs is
-// one record (see request), carried as one context value.
+// threshold that escalates Info to Warn, and the stages a read's handler
+// timed (Stages) in a labeled histogram family and on that WARN line.
+// Everything one request needs is one record (see request), carried as one
+// context value.
 package obs
 
 import (
@@ -25,6 +27,7 @@ import (
 const (
 	MetricHTTPRequests = "semprox_http_requests_total"
 	MetricHTTPLatency  = "semprox_http_request_seconds"
+	MetricHTTPStage    = "semprox_http_stage_seconds"
 )
 
 // SlowRequest is both daemons' SlowThreshold: a request that takes at
@@ -110,6 +113,7 @@ func statusClass(code int) int {
 type endpointMetrics struct {
 	latency *Histogram
 	codes   [len(statusClasses)]atomic.Pointer[Counter]
+	stages  [numStages]atomic.Pointer[Histogram]
 }
 
 // httpMetrics caches endpointMetrics by path label. PathLabel bounds
@@ -120,7 +124,7 @@ type httpMetrics struct {
 	by  map[string]*endpointMetrics
 }
 
-func (m *httpMetrics) observe(path string, status int, dur time.Duration) {
+func (m *httpMetrics) observe(path string, status int, dur time.Duration, rec *request) {
 	m.mu.RLock()
 	e := m.by[path]
 	m.mu.RUnlock()
@@ -145,6 +149,19 @@ func (m *httpMetrics) observe(path string, status int, dur time.Duration) {
 		e.codes[class].Store(c)
 	}
 	c.Inc()
+	for st := range numStages {
+		if rec.marked&(1<<st) == 0 {
+			continue
+		}
+		h := e.stages[st].Load()
+		if h == nil {
+			h = m.reg.Histogram(MetricHTTPStage,
+				"Time a read spent in each stage its handler timed, by canonical endpoint.",
+				Seconds, L("path", path), L("stage", stageNames[st]))
+			e.stages[st].Store(h)
+		}
+		h.ObserveDuration(rec.stage[st])
+	}
 }
 
 // WrapHTTP wraps next with tracing, metrics, and request logging per o.
@@ -168,7 +185,7 @@ func WrapHTTP(next http.Handler, o HTTPOptions) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &request{statusWriter: statusWriter{ResponseWriter: w}, log: lines != nil}
+		rec := &request{statusWriter: statusWriter{ResponseWriter: w}, log: lines != nil, start: start}
 		rec.trace = r.Header.Get(api.HeaderTrace)
 		if !validTrace(rec.trace) {
 			rec.trace = NewTraceID()
@@ -188,7 +205,7 @@ func WrapHTTP(next http.Handler, o HTTPOptions) http.Handler {
 			path = o.PathLabel(path)
 		}
 		if metrics != nil {
-			metrics.observe(path, status, dur)
+			metrics.observe(path, status, dur, rec)
 		}
 		if lines != nil {
 			logRequest(ctx, lines, o, rec, r, status, end, dur)
@@ -226,9 +243,55 @@ func logRequest(ctx context.Context, h slog.Handler, o HTTPOptions, rec *request
 	}
 	attrs = append(attrs, rec.takeAttrs()...)
 	if slow {
+		for st := range numStages {
+			if rec.marked&(1<<st) != 0 {
+				attrs = append(attrs, slog.Float64(stageNames[st]+"_ms", float64(rec.stage[st].Microseconds())/1e3))
+			}
+		}
 		attrs = append(attrs, slog.Bool("slow", true))
 	}
 	line := slog.NewRecord(end, level, "request", 0)
 	line.AddAttrs(attrs...)
 	h.Handle(ctx, line) //nolint:errcheck // a failed log write is not the request's failure
+}
+
+// Stage is one step of a read that its handler times (Stages.Mark).
+type Stage uint8
+
+// The stages of a read, in the order a handler passes them.
+const (
+	StageDecode  Stage = iota // routing, the method check and the parsed request
+	StageResolve              // the class and the node names on the pinned epoch
+	StageRank                 // the engine's answer: the ranked scan, or π(x, y)
+	StageEncode               // the response rendered and encoded
+	StageWrite                // the status, headers and body handed to the connection
+	numStages
+)
+
+// stageNames are the stage label's values, indexed by Stage.
+var stageNames = [numStages]string{"decode", "resolve", "rank", "encode", "write"}
+
+// Stages is the clock a handler times the stages of its read with. Each
+// Mark charges the time since the one before it — since the request
+// arrived, for the first — to a stage of the request's record, which
+// WrapHTTP observes into MetricHTTPStage and writes on a slow request's
+// line. The zero Stages, of a request WrapHTTP did not record, marks
+// nothing.
+type Stages struct{ rec *request }
+
+// StagesOf returns the stage clock of the request ctx belongs to.
+func StagesOf(ctx context.Context) Stages {
+	rec, _ := ctx.Value(requestKey).(*request)
+	return Stages{rec}
+}
+
+// Mark charges the time since the last mark to stage st. It reads the
+// monotonic clock alone (time.Since), half the cost of a time.Now.
+func (c Stages) Mark(st Stage) {
+	if c.rec == nil {
+		return
+	}
+	at := time.Since(c.rec.start)
+	c.rec.stage[st] += at - c.rec.mark
+	c.rec.mark, c.rec.marked = at, c.rec.marked|1<<st
 }

@@ -151,12 +151,15 @@ func TestMiddlewareMetrics(t *testing.T) {
 // TestMiddlewareMetricsResolveChildrenOnce: recording a request must not
 // look its series up again (a lookup builds a label key under two
 // mutexes), and an unseen status class must not appear in the exposition
-// before it has counted something.
+// before it has counted something; nor a stage before a handler has
+// timed it.
 func TestMiddlewareMetricsResolveChildrenOnce(t *testing.T) {
 	reg := NewRegistry()
 	m := &httpMetrics{reg: reg, by: make(map[string]*endpointMetrics)}
-	m.observe("/known", 200, time.Millisecond)
-	if a := testing.AllocsPerRun(100, func() { m.observe("/known", 200, time.Millisecond) }); a != 0 {
+	staged := &request{marked: 1<<StageDecode | 1<<StageRank}
+	staged.stage[StageRank] = time.Microsecond
+	m.observe("/known", 200, time.Millisecond, staged)
+	if a := testing.AllocsPerRun(100, func() { m.observe("/known", 200, time.Millisecond, staged) }); a != 0 {
 		t.Fatalf("recording a request allocates %.0f times, want 0", a)
 	}
 	series := parseExposition(t, gatherText(t, reg))
@@ -166,7 +169,13 @@ func TestMiddlewareMetricsResolveChildrenOnce(t *testing.T) {
 	if _, ok := series[MetricHTTPRequests+`{code="5xx",path="/known"}`]; ok {
 		t.Fatal("a status class that never occurred is exposed")
 	}
-	m.observe("/known", 503, time.Millisecond)
+	if got := series[MetricHTTPStage+`_count{path="/known",stage="rank"}`]; got != 102 {
+		t.Fatalf("rank stage count = %v, want 102", got)
+	}
+	if _, ok := series[MetricHTTPStage+`_count{path="/known",stage="resolve"}`]; ok {
+		t.Fatal("a stage no handler timed is exposed")
+	}
+	m.observe("/known", 503, time.Millisecond, &request{})
 	if got := parseExposition(t, gatherText(t, reg))[MetricHTTPRequests+`{code="5xx",path="/known"}`]; got != 1 {
 		t.Fatalf("5xx counter = %v, want 1", got)
 	}

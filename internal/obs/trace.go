@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"sync"
+	"time"
 )
 
 type traceKeyType struct{}
@@ -80,6 +81,15 @@ type request struct {
 	statusWriter
 	trace string
 	log   bool // a request line will be written, so AddAttrs keeps attrs
+
+	// The handler's stage clock (Stages): when the request arrived, the
+	// last mark as the time since then, the time charged to each stage and
+	// which stages were marked. One goroutine, the handler's, marks them,
+	// before WrapHTTP reads them.
+	start  time.Time
+	mark   time.Duration
+	stage  [numStages]time.Duration
+	marked uint8
 
 	// mu guards attrs: hedged reads race their attribute writes.
 	mu    sync.Mutex

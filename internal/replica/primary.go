@@ -196,14 +196,6 @@ func (p *Primary) noteConfirmed(lsn uint64) {
 	}
 }
 
-// Confirmed returns the highest LSN any follower has reported durably
-// applied.
-func (p *Primary) Confirmed() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.confirmed
-}
-
 // WaitConfirmed blocks until some follower has reported lsn durably
 // applied (true) or ctx ends (false). This is the synchronous-replication
 // gate: a primary started with -ack-replicas holds each update's ack here

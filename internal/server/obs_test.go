@@ -116,3 +116,44 @@ func TestRequestLogLine(t *testing.T) {
 		t.Errorf("1ns threshold did not escalate: %s", line)
 	}
 }
+
+// TestReadStagesObserved: a query and a proximity each time their five
+// stages — decode, resolve, rank, encode, write — into one labeled
+// histogram family, and a slow read's WARN line carries them; a request
+// that times no stage (healthz) exposes none and logs none.
+func TestReadStagesObserved(t *testing.T) {
+	s, _, _ := trainedServer(t)
+	var buf bytes.Buffer
+	s.SetRequestLog(slog.New(slog.NewTextHandler(&buf, nil)), time.Nanosecond)
+	stages := []string{"decode", "resolve", "rank", "encode", "write"}
+	for _, target := range []string{
+		api.PathQuery + "?class=classmate&query=Kate",
+		api.PathProximity + "?class=classmate&x=Kate&y=Jay",
+	} {
+		buf.Reset()
+		if rec := do(t, s, http.MethodGet, target, ""); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body.String())
+		}
+		for _, st := range stages {
+			if !strings.Contains(buf.String(), " "+st+"_ms=") {
+				t.Errorf("%s: the slow line lacks stage %s: %s", target, st, buf.String())
+			}
+		}
+	}
+	buf.Reset()
+	do(t, s, http.MethodGet, api.PathHealthz, "")
+	if strings.Contains(buf.String(), "_ms=") {
+		t.Errorf("healthz logged stages: %s", buf.String())
+	}
+	expo := do(t, s, http.MethodGet, "/metrics", "").Body.String()
+	for _, path := range []string{api.PathQuery, api.PathProximity} {
+		for _, st := range stages {
+			if series := `semprox_http_stage_seconds_count{path="` + path + `",stage="` + st + `"} 1`; !strings.Contains(expo, series) {
+				t.Errorf("exposition lacks %s", series)
+			}
+		}
+	}
+	if strings.Contains(expo, `semprox_http_stage_seconds_count{path="`+api.PathHealthz) {
+		t.Error("healthz exposes stages")
+	}
+}

@@ -394,6 +394,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.K == 0 {
 		req.K = defaultK
 	}
+	st := obs.StagesOf(r.Context())
+	st.Mark(obs.StageDecode)
 	// One pinned View answers the whole request — name resolution, the
 	// scan, and the epoch header all describe the same generation, even
 	// if an update swaps a new epoch in mid-request.
@@ -406,37 +408,50 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case req.Query != "" && len(req.Queries) > 0:
 		wire.WriteErr(w, errBadRequest("set query or queries, not both"))
 	case req.Query != "":
-		querySingle(w, v, req)
+		querySingle(w, st, v, req)
 	case len(req.Queries) > 0:
-		queryBatch(w, v, req)
+		queryBatch(w, st, v, req)
 	default:
 		wire.WriteErr(w, errBadRequest("missing query"))
 	}
 }
 
-// querySingle answers one ranked query.
-func querySingle(w http.ResponseWriter, v engine.View, req api.QueryRequest) {
+// querySingle answers one ranked query, timing its stages on st.
+func querySingle(w http.ResponseWriter, st obs.Stages, v engine.View, req api.QueryRequest) {
 	q, herr := resolveNode(v.Graph(), "query", req.Query)
 	if herr != nil {
 		wire.WriteErr(w, herr)
 		return
 	}
+	st.Mark(obs.StageResolve)
 	ranked, err := v.Query(req.Class, q, req.K)
 	if err != nil {
 		wire.WriteErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
+	st.Mark(obs.StageRank)
 	setEpochHeader(w, v)
-	wire.WriteJSON(w, http.StatusOK, &api.QueryResponse{
+	writeStaged(w, st, &api.QueryResponse{
 		Class:   req.Class,
 		K:       req.K,
 		Results: []api.QueryResult{render(v.Graph(), req.Query, ranked)},
 	})
 }
 
+// writeStaged is wire.WriteJSON of a read's answer with its two halves
+// timed on st: the render and the encoding, then the write.
+func writeStaged(w http.ResponseWriter, st obs.Stages, v any) {
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
+	status := wire.EncodeJSON(bp, http.StatusOK, v)
+	st.Mark(obs.StageEncode)
+	wire.SendJSON(w, status, *bp)
+	st.Mark(obs.StageWrite)
+}
+
 // queryBatch resolves every query name, then answers them in one
 // QueryBatch call — one epoch for the whole batch.
-func queryBatch(w http.ResponseWriter, v engine.View, req api.QueryRequest) {
+func queryBatch(w http.ResponseWriter, st obs.Stages, v engine.View, req api.QueryRequest) {
 	if len(req.Queries) > MaxBatch {
 		wire.WriteErr(w, errBadRequest("batch of %d queries exceeds limit %d", len(req.Queries), MaxBatch))
 		return
@@ -454,17 +469,19 @@ func queryBatch(w http.ResponseWriter, v engine.View, req api.QueryRequest) {
 		}
 		qs[i] = q
 	}
+	st.Mark(obs.StageResolve)
 	rankings, err := v.QueryBatch(req.Class, qs, req.K)
 	if err != nil {
 		wire.WriteErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
+	st.Mark(obs.StageRank)
 	out := api.QueryResponse{Class: req.Class, K: req.K, Results: make([]api.QueryResult, len(rankings))}
 	for i, ranked := range rankings {
 		out.Results[i] = render(v.Graph(), req.Queries[i], ranked)
 	}
 	setEpochHeader(w, v)
-	wire.WriteJSON(w, http.StatusOK, &out)
+	writeStaged(w, st, &out)
 }
 
 // render converts one engine ranking to its wire shape.
@@ -745,6 +762,8 @@ func (s *Server) handleProximity(w http.ResponseWriter, r *http.Request) {
 		wire.WriteErr(w, herr)
 		return
 	}
+	st := obs.StagesOf(r.Context())
+	st.Mark(obs.StageDecode)
 	v := s.engine().View()
 	if herr := resolveClass(v, req.Class); herr != nil {
 		wire.WriteErr(w, herr)
@@ -760,11 +779,13 @@ func (s *Server) handleProximity(w http.ResponseWriter, r *http.Request) {
 		wire.WriteErr(w, herr)
 		return
 	}
+	st.Mark(obs.StageResolve)
 	p, err := v.Proximity(req.Class, x, y)
 	if err != nil {
 		wire.WriteErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
+	st.Mark(obs.StageRank)
 	setEpochHeader(w, v)
-	wire.WriteJSON(w, http.StatusOK, &api.ProximityResponse{Class: req.Class, X: req.X, Y: req.Y, Proximity: p})
+	writeStaged(w, st, &api.ProximityResponse{Class: req.Class, X: req.X, Y: req.Y, Proximity: p})
 }

@@ -104,14 +104,27 @@ var jsonType = []string{"application/json"}
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	bp := GetBuf()
 	defer PutBuf(bp)
+	SendJSON(w, EncodeJSON(bp, status, v), *bp)
+}
+
+// EncodeJSON is WriteJSON's first half: it encodes v into the pooled
+// buffer *bp, newline-terminated, and returns the status to send it under
+// — status, or 500 with the error envelope in *bp when v cannot be
+// encoded.
+func EncodeJSON(bp *[]byte, status int, v any) int {
 	body, err := AppendJSON(*bp, v)
 	if err != nil {
 		status = http.StatusInternalServerError
 		env := api.ErrorEnvelope{Error: *api.Errorf(status, api.CodeInternal, "encoding response: %v", err)}
 		body, _ = AppendJSON((*bp)[:0], env) // two strings: cannot fail
 	}
-	body = append(body, '\n')
-	*bp = body
+	*bp = append(body, '\n')
+	return status
+}
+
+// SendJSON is WriteJSON's second half: it sends the JSON body EncodeJSON
+// encoded under status.
+func SendJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header()["Content-Type"] = jsonType
 	WriteBody(w, status, body)
 }

@@ -34,7 +34,7 @@ func installUnpruned(t testing.TB, e *Engine, name string, kept []int, w []float
 			ms = append(ms, e.Metagraphs()[i])
 		}
 	}
-	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, h.Opts.Workers)
+	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, 1)
 	h.Matched = every(len(h.Metas))
 	at, found := slices.BinarySearchFunc(h.Classes, name, func(sc engine.SnapshotClass, name string) int { return strings.Compare(sc.Name, name) })
 	sc, m := engine.SnapshotClass{Name: name, Kept: kept}, core.Model{W: slices.Clone(w)}

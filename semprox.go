@@ -124,7 +124,7 @@ func NewEngine(g *Graph, anchorType string, opts Options) (*Engine, error) {
 // TrainDualStage learns the class with dual-stage training (Alg. 1):
 // only the metapath seeds plus numCandidates heuristically-selected
 // metagraphs are ever matched. Each stage's matching fans out over
-// Options.Workers, and each stage trains on the projection of the index
+// runtime.GOMAXPROCS, and each stage trains on the projection of the index
 // onto the metagraphs it selected.
 func TrainDualStage(eng *Engine, class string, examples []Example, numCandidates int) {
 	eng.Fit(class, func(ms []*Metagraph, train core.TrainOptions, match func([]int) *index.Index) ([]int, *core.Model) {

@@ -653,10 +653,8 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 		return hdr
 	}
 	h, g, ix, models := snapshotParts(t, two.Bytes())
-	var ixFile, graphSection bytes.Buffer
-	if err := index.Write(&ixFile, ix); err != nil {
-		t.Fatal(err)
-	}
+	var graphSection bytes.Buffer
+	ixFile := indexBytes(t, ix)
 	gw := flat.NewWriter(&graphSection, "")
 	graph.Encode(gw, g)
 	if err := gw.Close(); err != nil {
@@ -668,12 +666,12 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	}
 	hdr, graphBytes := header(two.Bytes()), graphSection.Len()-4
 	// Framing: magic and checksum, and the header's length prefix of at
-	// most 10 bytes; the index file's own magic and checksum only loosen
-	// the bound.
+	// most 10 bytes; the index section's own checksum only loosens the
+	// bound.
 	const framing = len(engine.SnapshotMagic) + 4 + 10
-	if limit := hdr + graphBytes + ixFile.Len() + 8*floats + framing; two.Len() > limit {
+	if limit := hdr + graphBytes + len(ixFile) + 8*floats + framing; two.Len() > limit {
 		t.Fatalf("snapshot with %d classes is %d bytes; header %d + graph %d + one index %d + %d floats + framing allow %d",
-			len(models), two.Len(), hdr, graphBytes, ixFile.Len(), floats, limit)
+			len(models), two.Len(), hdr, graphBytes, len(ixFile), floats, limit)
 	}
 
 	// The same epoch without the second class prices that class alone.
@@ -813,7 +811,7 @@ func TestSnapshotClaimsCostWhatTheStreamDelivers(t *testing.T) {
 	w := flat.NewWriter(&buf, engine.SnapshotMagic)
 	w.Bytes(hdr)
 	graph.Encode(w, hb.MustBuild())
-	index.Encode(w, index.NewBuilder(len(h.Metas)).Build())
+	index.Encode(w, index.Empty(len(h.Metas)))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

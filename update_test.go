@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/fixtures"
+	"repro/internal/flat"
 	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/mining"
@@ -37,8 +38,8 @@ func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
 	for k, i := range h.Matched {
 		ms[k] = e.Metagraphs()[i]
 	}
-	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, h.Opts.Workers)
-	ix := index.NewBuilder(len(h.Metas)).Build().AddParts(h.Matched, parts)
+	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, 1)
+	ix := index.Empty(len(h.Metas)).AddParts(h.Matched, parts)
 	ref := loadCrafted(t, h, g, ix, models)
 	if _, _, got, _ := snapshotParts(t, snapshotOf(t, ref)); !bytes.Equal(indexBytes(t, got), indexBytes(t, ix)) {
 		t.Fatal("the reference engine's index, two-edge metapaths counted from common neighbours, is not SymISO's")
@@ -46,11 +47,14 @@ func rebuildFromScratch(t testing.TB, e *Engine) *Engine {
 	return ref
 }
 
-// indexBytes is ix written as an index file: equal rows write equal bytes.
+// indexBytes is ix's section framed as a stream of its own: equal rows
+// write equal bytes.
 func indexBytes(t testing.TB, ix *index.Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := index.Write(&buf, ix); err != nil {
+	fw := flat.NewWriter(&buf, "")
+	index.Encode(fw, ix)
+	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
