@@ -106,16 +106,17 @@ cover:
 # snapshot_bytes; the 2 000-user MaxNodes-5 paper shape stays out), the
 # merge of the read_direct engine's three matched parts into its one
 # index (what adding all three costs; Train adds only the one its w*
-# weighs), read_direct's user–college–user counted by the common-neighbour
-# merge every engine uses and by SymISO's MatchParts (postings/op),
+# weighs), read_direct's user–college–user counted by SymISO's MatchParts
+# (postings/op) and ranked both from the graph, as every engine serves it,
+# and from SymISO's runs (candidates/op),
 # one Engine.Train on a fresh read_direct and
-# lifecycle engine (the rooted count of every metagraph at the example
-# nodes, learning, the full match of what w* weighs laid out as runs;
-# the MaxNodes-5 paper shape stays out) and one TrainDualStage at
+# lifecycle engine (the rooted count of every metagraph but the two-edge
+# metapaths at the example nodes, learning, the full match of what w*
+# weighs; the MaxNodes-5 paper shape stays out) and one TrainDualStage at
 # K = 2 on the same two engines (the `_dual` cases), the offline
 # build of that engine's index, of lifecycle's and of lifecycle's at 2 000
-# users on one worker (instances counted, pair keys sorted, bytes and
-# allocations reported; paper_2000 stays out), one update
+# users through index.Count on one CPU (instances counted, pair keys
+# sorted, bytes and allocations reported; paper_2000 stays out), one update
 # on the highest-degree node of a LinkedIn-shaped graph, one small update
 # on a community graph (`incremental`) and one new user joining college-0
 # on the read_direct and lifecycle engines (the update mixed_rw's stream
@@ -141,7 +142,7 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Save|Load)/(read_direct|lifecycle)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMerge$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkTwoEdgeMetapath/(merge|symiso)$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTwoEdgeMetapath/(symiso|rank_graph|rank_runs)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineTrain/(read_direct|lifecycle)(_dual)?$$' -benchtime=1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkOfflineIndexBuild/(read_direct|lifecycle|lifecycle_2000)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyUpdate/^(hub|incremental|read_direct|lifecycle)$$' -benchtime=1x ./internal/engine

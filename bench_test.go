@@ -3,7 +3,9 @@ package semprox
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -183,19 +185,21 @@ func BenchmarkMatchSymISOR(b *testing.B) {
 }
 
 // BenchmarkOfflineIndexBuild measures the offline matching+indexing phase
-// (the dominant cost of Table III) across worker counts. On multicore
-// hardware the build scales near-linearly: matching fans out one metagraph
-// per worker and the parts merge by offset. read_direct is the build the
-// benchmark's 5 000-user workloads pay at bring-up (MaxNodes 3), and
-// lifecycle the one its 600-user workload pays (MaxNodes 4, whose 3-leaf
-// stars have six automorphic assignments per instance); lifecycle_2000 is
-// that shape at 2 000 users, and paper_2000 the paper's MaxNodes 5 at
-// 2 000 users (tens of seconds, so -short skips it). All run on one worker
-// so that the figure is
-// the work, not the machine's core count; each reports the instances
-// counted per build and the pair keys the counter sorted for them (one per
-// weight, not per instance, where SymISO hands it a set) next to the bytes
-// and allocations counting them costs.
+// (the dominant cost of Table III) as an engine runs it: index.Count, which
+// serves every two-edge metapath from the graph and counts every other
+// metagraph by SymISO, the parts merged. read_direct is the build the
+// benchmark's 5 000-user workloads pay at bring-up (MaxNodes 3: three
+// two-edge metapaths, so nothing is searched or counted), and lifecycle
+// the one its 600-user workload pays (MaxNodes 4, whose 3-leaf stars have
+// six automorphic assignments per instance); lifecycle_2000 is that shape
+// at 2 000 users, and paper_2000 the paper's MaxNodes 5 at 2 000 users
+// (tens of seconds, so -short skips it). All run with GOMAXPROCS 1, so
+// that Count's fan-out is one worker and the figure is the work, not the
+// machine's core count; each reports the instances SymISO counts per build
+// and the pair keys the counter sorts for them (one per weight, not per
+// instance, where SymISO hands it a set) next to the bytes and allocations
+// counting them costs. SymISO over every metagraph, two-edge metapaths
+// included, is BenchmarkMatchSymISO's and the workers= cases' below.
 func BenchmarkOfflineIndexBuild(b *testing.B) {
 	offline := func(users, maxNodes int) func(*testing.B) {
 		return func(b *testing.B) {
@@ -205,17 +209,23 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 			ds := dataset.LinkedIn(dataset.Config{Users: users, Seed: 1, NoiseRate: 0.05})
 			ms := mining.Metagraphs(mining.ProximityFilter(
 				mining.Mine(ds.G, mining.Options{MaxNodes: maxNodes, MinSupport: 5}), ds.Anchor))
+			var searched []*metagraph.Metagraph
+			for _, m := range ms {
+				if !index.IsTwoEdgeMetapath(m) {
+					searched = append(searched, m)
+				}
+			}
 			matcher := match.NewSymISO(ds.G)
 			var instances int64
-			for _, m := range ms {
+			for _, m := range searched {
 				instances += match.CountInstances(matcher, m)
 			}
-			keys := index.SortedPairKeys(ms, matcher)
+			keys := index.SortedPairKeys(searched, matcher)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				parts, _ := index.MatchParts(ms, func() match.Matcher { return matcher }, 1)
-				if ix := index.Merge(parts...); ix.NodeSpan() == 0 {
+				if ix := index.Merge(index.Count(ds.G, ms)...); ix.NodeSpan() == 0 {
 					b.Fatal("empty index")
 				}
 			}
@@ -250,34 +260,51 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkTwoEdgeMetapath counts read_direct's one held metagraph,
-// user–college–user on the 5 000-user LinkedIn graph, into its part index
-// both ways: merge is index.Count, whose common-neighbour merge every
-// engine counts a two-edge metapath with, and symiso is MatchParts on one
-// worker, SymISO's instance search and the counter's sort, the reference
-// the merge is tested against. Both include laying the part's runs out;
-// each reports the postings the part holds.
+// BenchmarkTwoEdgeMetapath is read_direct's one held metagraph,
+// user–college–user on the 5 000-user LinkedIn graph, both ways an index
+// can hold it. symiso counts it into runs with MatchParts on one worker —
+// SymISO's instance search, the counter's sort and the layout — and reports
+// the postings the part holds. rank_graph and rank_runs rank every user,
+// in a seeded random order, under weight 1 on the part index.Count hands
+// an engine, which reads each row from the graph's common neighbours, and
+// on the runs SymISO counted: the same scores, bit for bit, and what the
+// graph costs a ranked read. Each reports candidates/op.
 func BenchmarkTwoEdgeMetapath(b *testing.B) {
 	ds := dataset.LinkedIn(dataset.Config{Users: 5000, Seed: 1, NoiseRate: 0.05})
 	user, college := ds.G.Types().ID("user"), ds.G.Types().ID("college")
 	m := metagraph.MustNew([]graph.TypeID{user, college, user}, []metagraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	symiso := func() *index.Index {
+		parts, _ := index.MatchParts([]*metagraph.Metagraph{m}, func() match.Matcher { return match.NewSymISO(ds.G) }, 1)
+		return parts[0]
+	}
+	b.Run("symiso", func(b *testing.B) {
+		b.ReportAllocs()
+		var p *index.Index
+		for i := 0; i < b.N; i++ {
+			p = symiso()
+		}
+		b.ReportMetric(float64(2*p.NumPairs()), "postings/op")
+	})
+	users := slices.Clone(ds.G.NodesOfType(user))
+	rand.New(rand.NewSource(1)).Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
+	w := []float64{1}
 	for _, bc := range []struct {
-		name  string
-		count func() *index.Index
+		name string
+		ix   *index.Index
 	}{
-		{"merge", func() *index.Index { return index.Count(ds.G, []*metagraph.Metagraph{m})[0] }},
-		{"symiso", func() *index.Index {
-			parts, _ := index.MatchParts([]*metagraph.Metagraph{m}, func() match.Matcher { return match.NewSymISO(ds.G) }, 1)
-			return parts[0]
-		}},
+		{"rank_graph", index.Count(ds.G, []*metagraph.Metagraph{m})[0]},
+		{"rank_runs", symiso()},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			dots := bc.ix.NodeDots(w)
+			candidates := 0
 			b.ReportAllocs()
-			var p *index.Index
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p = bc.count()
+				_, n := core.RankCandidates(bc.ix, w, dots, users[i%len(users)], 10)
+				candidates += n
 			}
-			b.ReportMetric(float64(2*p.NumPairs()), "postings/op")
+			b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
 		})
 	}
 }

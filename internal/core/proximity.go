@@ -23,7 +23,7 @@ func Proximity(ix *index.Index, w []float64, x, y graph.NodeID) float64 {
 	if x == y {
 		return 1
 	}
-	den := ix.NodeVec(x).Dot(w) + ix.NodeVec(y).Dot(w)
+	den := ix.NodeDot(x, w) + ix.NodeDot(y, w)
 	if den <= 0 {
 		return 0
 	}
@@ -83,8 +83,8 @@ func RankTop(ix *index.Index, w []float64, q graph.NodeID, k int) []Ranked {
 // gives, bit for bit. dots, when non-nil, is ix.NodeDots(w) — m_v·w is a
 // constant of (w, v), so a caller that ranks under one w many times
 // computes it once — and the scan then reads no node row at all; with nil
-// dots it evaluates the same SparseVec.Dot per partner, so both give the
-// same bits. scanned is the number of partners scored.
+// dots it evaluates the same sum per partner (index.NodeDot), so both give
+// the same bits. scanned is the number of partners scored.
 func RankCandidates(ix *index.Index, w, dots []float64, q graph.NodeID, k int) ([]Ranked, int) {
 	acc := ix.Accumulate(q, w)
 	defer acc.Release()
@@ -102,14 +102,14 @@ func RankCandidates(ix *index.Index, w, dots []float64, q graph.NodeID, k int) (
 	if dots != nil {
 		qDot = dots[q]
 	} else {
-		qDot = acc.QueryVec().Dot(w)
+		qDot = ix.NodeDot(q, w)
 	}
 	for _, v := range acc.Touched {
 		den := qDot
 		if dots != nil {
 			den += dots[v]
 		} else {
-			den += acc.NodeVec(v).Dot(w)
+			den += ix.NodeDot(v, w)
 		}
 		if den <= 0 {
 			continue

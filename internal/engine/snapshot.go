@@ -40,17 +40,15 @@ import (
 // its log-likelihood and weights as IEEE-754 bits (JSON has no NaN, and
 // they must round-trip exactly), closed by a CRC-32C trailer. Every row is
 // stored once: a class costs its weights. The rows of a two-edge metapath
-// are not stored at all while the bytes ahead of the index section pay
-// for counting them: the graph holds them, and LoadEngine counts them from
-// it by one merge of common neighbours (index.EncodeCounting and
-// index.DecodeCounting decide which alike). Both ends
+// are not stored at all: the graph holds them, and the loaded index serves
+// them from it as the saved one did (index.Decode). Both ends
 // stream through their own buffer: Save writes straight from the serving
 // epoch's arenas, LoadEngine reads straight into fresh ones, and a
 // follower decodes while its primary is still encoding.
 
 // SnapshotMagic opens every snapshot stream; it and the header types are
 // exported for the tests that take snapshots apart.
-const SnapshotMagic = "SPXS\x0d"
+const SnapshotMagic = "SPXS\x0e"
 
 // SnapshotMetagraph rebuilds one metagraph via metagraph.New.
 type SnapshotMetagraph struct {
@@ -133,7 +131,7 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 	fw := flat.NewWriter(w, SnapshotMagic)
 	fw.Bytes(hdr)
 	graph.Encode(fw, ep.g)
-	index.EncodeCounting(fw, ep.ix, ep.g, e.ms, ep.matched)
+	index.Encode(fw, ep.ix)
 	for _, sc := range h.Classes {
 		cm := ep.classes[sc.Name]
 		fw.Uint64(math.Float64bits(cm.model.LogLikelihood))
@@ -156,10 +154,9 @@ func (e *Engine) saveEpoch(ep *epoch, w io.Writer) error {
 // as it is decoded, a class may keep only matched metagraphs,
 // no allocation is sized by a count the stream merely claims, and nothing
 // is published before the checksum has passed. The two-edge metapaths
-// whose rows the section left out are counted from the graph as the index
-// is decoded (index.DecodeCounting), the partner runs of both are laid out
-// in one pass, and the classes' denominators — derived,
-// never stored — are rebuilt here, so the first query pays for nothing.
+// are served from the decoded graph (index.Decode), which costs nothing,
+// and the classes' denominators — derived, never stored — are rebuilt
+// here, so the first query pays for nothing.
 func LoadEngine(r io.Reader) (*Engine, error) {
 	fr, err := flat.NewReader(r, SnapshotMagic)
 	if err != nil {
@@ -209,7 +206,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		}
 		ep.matched[slot] = true
 	}
-	if ep.ix, err = index.DecodeCounting(fr, g, e.ms, ep.matched); err != nil {
+	if ep.ix, err = index.Decode(fr, g, e.ms, ep.matched); err != nil {
 		return nil, fmt.Errorf("semprox: snapshot index: %w", err)
 	}
 	for _, sc := range h.Classes {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/match"
@@ -14,22 +13,23 @@ import (
 )
 
 // TestIndexEqualsSymISOCount: an engine's index, whose two-edge metapaths
-// are counted from common neighbours (index.Count), holds the rows
-// SymISO's MatchParts counts for the metagraphs it holds on the graph it
-// serves — after Train, after Save → LoadEngine, after ApplyUpdate and
-// after a WAL replay — at the read_direct, lifecycle and paper shapes; and
-// save → load → save is byte-identical. -short and the race detector skip
-// the paper shape, whose engine takes seconds to build.
+// it reads from the graph's common neighbours (index.Count), holds the
+// rows SymISO's MatchParts counts for the metagraphs it holds on the graph
+// it serves — every node's row, partners and pair rows — after Train,
+// after Save → LoadEngine, after ApplyUpdate and after a WAL replay, at
+// the read_direct, lifecycle and paper shapes; and save → load → save is
+// byte-identical. -short and the race detector skip the paper shape, whose
+// engine takes seconds to build.
 func TestIndexEqualsSymISOCount(t *testing.T) {
 	for _, sh := range snapShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			if sh.maxNodes > 4 && (testing.Short() || raceEnabled) {
 				t.Skip("building the engine at MaxNodes 5 takes seconds")
 			}
-			// symISO writes the index SymISO counts for what e holds; the
-			// engines compared after it serve the same graph and hold the same
+			// symISO is the index SymISO counts for what e holds; the engines
+			// compared after it serve the same graph and hold the same
 			// metagraphs.
-			symISO := func(e *Engine) []byte {
+			symISO := func(e *Engine) *index.Index {
 				t.Helper()
 				ep := e.cur.Load()
 				var held []int
@@ -43,12 +43,21 @@ func TestIndexEqualsSymISOCount(t *testing.T) {
 					t.Fatalf("the engine holds no two-edge metapath among %v", held)
 				}
 				parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(ep.g) }, 0)
-				return indexBytes(t, index.Empty(len(e.ms)).AddParts(held, parts))
+				return index.Empty(len(e.ms)).AddParts(held, parts)
 			}
-			check := func(tag string, e *Engine, want []byte) {
+			check := func(tag string, e *Engine, want *index.Index) {
 				t.Helper()
-				if !bytes.Equal(indexBytes(t, e.cur.Load().ix), want) {
-					t.Fatalf("%s: the engine's index is not the one SymISO counts", tag)
+				ix := e.cur.Load().ix
+				for x := range graph.NodeID(e.Graph().NumNodes()) {
+					partners := ix.Partners(x)
+					if !sameVec(ix.NodeVec(x), want.NodeVec(x)) || !slices.Equal(partners, want.Partners(x)) {
+						t.Fatalf("%s: node %d: m_x %v, partners %v; SymISO's %v, %v", tag, x, ix.NodeVec(x), partners, want.NodeVec(x), want.Partners(x))
+					}
+					for _, y := range partners {
+						if !sameVec(ix.PairVec(x, y), want.PairVec(x, y)) {
+							t.Fatalf("%s: m_%d,%d is %v, SymISO's %v", tag, x, y, ix.PairVec(x, y), want.PairVec(x, y))
+						}
+					}
 				}
 			}
 			eng := sh.build(1)
@@ -91,17 +100,19 @@ func TestIndexEqualsSymISOCount(t *testing.T) {
 	}
 }
 
-// indexBytes is ix's section framed as a stream of its own: equal rows
-// write equal bytes.
-func indexBytes(t testing.TB, ix *index.Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	fw := flat.NewWriter(&buf, "")
-	index.Encode(fw, ix)
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
+// sameVec reports whether a and b hold the same coordinates.
+func sameVec(a, b index.SparseVec) bool {
+	if a.Len() != b.Len() {
+		return false
 	}
-	return buf.Bytes()
+	for i := range a.Len() {
+		am, av := a.At(i)
+		bm, bv := b.At(i)
+		if am != bm || av != bv {
+			return false
+		}
+	}
+	return true
 }
 
 // saveBytes is e's snapshot.

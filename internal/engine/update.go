@@ -16,7 +16,9 @@ import (
 // holds ONLY the instances through the delta's new edges are enumerated, by
 // SymISO pinned at each of them (index.RematchDelta,
 // match.GainedInstanceSets), their gains are added into the flat index
-// (index.MergeGains, index.WithPatch), and the trained weight
+// (index.MergeGains, index.WithPatch) — but a two-edge metapath's, whose
+// rows the index reads from the grown graph (index.On, index.PathNodes) —
+// and the trained weight
 // vectors are kept verbatim — the paper's w* weighs metagraph features,
 // not nodes, so a graph delta changes the features, never the learned
 // weights. The result is swapped
@@ -40,7 +42,8 @@ type UpdateStats struct {
 	// Touched counts the pre-existing nodes whose adjacency changed.
 	Touched int
 	// Rematched counts the held metagraphs that were incrementally
-	// re-matched; what they gained was patched into the index.
+	// re-matched; what they gained was patched into the index. A two-edge
+	// metapath is never re-matched: the grown graph holds its rows.
 	Rematched int
 	// Enumerated counts the search nodes the re-match visited over all
 	// those metagraphs (match.SymISO.Visited). It depends on the degrees
@@ -162,13 +165,15 @@ func (e *Engine) applyUpdate(d graph.Delta, records int, lsn uint64, logged func
 		Touched:    len(touched),
 	}
 
-	ix, classes := ep.ix, ep.classes
+	ix, classes := ep.ix.On(ng), ep.classes
+	var nodes []graph.NodeID // the nodes whose rows the update changed
+	patch := time.Now()
 	if len(ng.DeltaEdges()) > 0 {
 		rematch := time.Now()
 		var slots []int
 		var gains []*index.Patch
 		for i, ok := range ep.matched {
-			if ok {
+			if ok && !index.IsTwoEdgeMetapath(e.ms[i]) {
 				slots = append(slots, i)
 				gains = append(gains, index.RematchDelta(ng, e.ms[i], nil, nil))
 			}
@@ -177,20 +182,23 @@ func (e *Engine) applyUpdate(d graph.Delta, records int, lsn uint64, logged func
 		engStageRematch.Since(rematch)
 		st.Rematched = len(slots)
 		st.Enumerated = p.Enumerated()
-		if !p.Empty() {
-			patch := time.Now()
-			// The gains are added to the stored counts here, before anything
-			// is published: a count they would carry past 2^32-1 refuses the
-			// update and leaves the engine as it was.
-			if ix, err = ix.WithPatch(p); err != nil {
-				return UpdateStats{}, fmt.Errorf("semprox: update refused: %w", err)
-			}
-			classes = make(map[string]*classModel, len(ep.classes))
-			for name, cm := range ep.classes {
-				classes[name] = cm.patched(ix, p.NodeKeys())
-			}
-			engStagePatch.Since(patch)
+		patch = time.Now()
+		// The gains are added to the stored counts here, before anything is
+		// published: a count they would carry past 2^32-1 refuses the update
+		// and leaves the engine as it was.
+		if ix, err = ix.WithPatch(p); err != nil {
+			return UpdateStats{}, fmt.Errorf("semprox: update refused: %w", err)
 		}
+		nodes = append(p.NodeKeys(), ix.PathNodes()...)
+	}
+	// A two-edge metapath's node span is the graph's, so new nodes widen
+	// the denominators even where no row changed.
+	if len(nodes) > 0 || ix.NodeSpan() != ep.ix.NodeSpan() {
+		classes = make(map[string]*classModel, len(ep.classes))
+		for name, cm := range ep.classes {
+			classes[name] = cm.patched(ix, nodes)
+		}
+		engStagePatch.Since(patch)
 	}
 
 	if logged != nil {
@@ -206,15 +214,15 @@ func (e *Engine) applyUpdate(d graph.Delta, records int, lsn uint64, logged func
 	return st, nil
 }
 
-// patched carries a class onto ix, the epoch's index after a patch that
-// replaced the node rows of nodeKeys: kept set and weights stand, and the
-// denominators are recomputed for exactly those rows. A node the delta
-// added either is one of them or has no row.
+// patched carries a class onto ix, the epoch's index after an update that
+// changed the node rows of nodeKeys (a node may repeat): kept set and
+// weights stand, and the denominators are recomputed for exactly those
+// rows. A node the delta added either is one of them or has no row.
 func (cm *classModel) patched(ix *index.Index, nodeKeys []graph.NodeID) *classModel {
 	dots := make([]float64, ix.NodeSpan())
 	copy(dots, cm.dots)
 	for _, x := range nodeKeys {
-		dots[x] = ix.NodeVec(x).Dot(cm.w)
+		dots[x] = ix.NodeDot(x, cm.w)
 	}
 	return &classModel{kept: cm.kept, model: cm.model, w: cm.w, dots: dots}
 }

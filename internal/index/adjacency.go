@@ -23,13 +23,15 @@ import (
 // into an accumulator by node id (Accumulate) — the term-at-a-time
 // evaluation an inverted index uses to read only the terms a query weighs,
 // the terms being metagraphs. q's headers, in order, are m_q itself, so the
-// scans that have no precomputed denominators (NodeDots,
-// Accumulator.NodeVec) read them where the scan does.
+// scans that have no precomputed denominators (NodeDots, NodeDot) read
+// them where the scan does.
 //
 // The sums are bit-identical to SparseVec.Dot of each pair row: a skipped
 // term would add +0, which leaves every sum the scan can reach unchanged;
-// the others are added in ascending metagraph order, the order Dot uses;
-// and a partner with no weighted term is exactly the one Dot scores 0.
+// the others are added in ascending metagraph order, the order Dot uses —
+// a two-edge metapath's, read from the graph, at its place in that order
+// (Accumulator.addPath); and a partner with no weighted term is exactly
+// the one Dot scores 0.
 //
 // Each m_xy[m] is a posting in a run of x and one in a run of y. Counts
 // arrive as the runs above each node (upperRuns), which hold each m_xy
@@ -91,8 +93,8 @@ func (r *adjRuns) appendRuns(refs []runRef, q graph.NodeID, meta func(int32) int
 // post[off[j]:off[j+1]], ascending by node, all above the node. They hold
 // every m_xy once, and whatever produces counts hands them over in this
 // form: a decoded section (nodes ascending, each node's runs by metagraph),
-// the counter, a rooted count, Select, the two-edge merge and an update's
-// gains (add and end). Within each metagraph the runs ascend by node,
+// the counter, a rooted count, Select and an update's gains (add and
+// end). Within each metagraph the runs ascend by node,
 // which is all layout needs. The m_x ride beside them, for layout to put on
 // the headers: mx lists them, in any order, and a metagraph div names has
 // none listed, its counts being its runs' sums over d.
@@ -542,19 +544,23 @@ func (r *adjRuns) below(v int) int32 {
 }
 
 // Partners returns the nodes that co-occur symmetrically with x in at least
-// one instance, in ascending order: the union of x's runs. The ranked read
-// does not call it (see Accumulate); it allocates the union.
+// one instance, in ascending order: the union of x's runs and of its
+// two-edge metapaths' partners. The ranked read does not call it (see
+// Accumulate); it allocates the union.
 func (ix *Index) Partners(x graph.NodeID) []graph.NodeID {
 	rs := &ix.flat
 	lo, hi := rs.runs(x)
-	if lo == hi || rs.off[hi] == rs.off[lo] {
-		return nil
+	var out []graph.NodeID
+	if lo < hi && rs.off[hi] > rs.off[lo] {
+		out = make([]graph.NodeID, 0, rs.off[hi]-rs.off[lo])
+		for _, p := range rs.post[rs.off[lo]:rs.off[hi]] {
+			out = append(out, p.node)
+		}
 	}
-	out := make([]graph.NodeID, 0, rs.off[hi]-rs.off[lo])
-	for _, p := range rs.post[rs.off[lo]:rs.off[hi]] {
-		out = append(out, p.node)
+	for _, p := range ix.paths {
+		out = ix.pathPartners(out, x, p)
 	}
-	if hi-lo > 1 {
+	if hi-lo > 1 || len(ix.paths) > 0 {
 		slices.Sort(out)
 		out = slices.Compact(out)
 	}
@@ -576,26 +582,30 @@ type Accumulator struct {
 	// its stamp is gen, so a scan starts without clearing anything, and a
 	// sum that comes to 0 (weights of both signs cancelling) still marks its
 	// partner reached.
-	slot  []accSlot
-	gen   uint32
-	first []int32 // the index's runs, whose headers are the node rows
-	head  []Entry
+	slot []accSlot
+	gen  uint32
+	path uint32 // the stamp of the two-edge metapath addPath scans last
+	ix   *Index // the index scanned, whose node rows NodeVec reads
 }
 
-// accSlot is one node's partial sum and the scan it belongs to.
+// accSlot is one node's partial sum and the scan it belongs to; and, for
+// the two-edge metapath whose stamp path is, the middle nodes the node
+// shares with the query in it and its sum before it (see addPath).
 type accSlot struct {
-	sum float64
-	gen uint32
+	sum, before  float64
+	gen          uint32
+	path, shared uint32
 }
 
 var accumulators = sync.Pool{New: func() any { return new(Accumulator) }}
 
 // Accumulate scans the runs of q whose metagraph w weighs (w[m] != 0),
-// adding count·w[m] into the partial sum of each posting's partner, runs in
-// ascending metagraph order. Each sum then equals the pair row's
-// SparseVec.Dot(w) bit for bit (see the note at the top of this file). The
-// result comes from a pool and is valid until Release; once the pooled
-// accumulator has grown to the index's node span, a scan allocates nothing.
+// adding count·w[m] into the partial sum of each posting's partner, and
+// q's two-edge metapaths w weighs alike, in one ascending metagraph order.
+// Each sum then equals the pair row's SparseVec.Dot(w) bit for bit (see
+// the note at the top of this file). The result comes from a pool and is
+// valid until Release; once the pooled accumulator has grown to the
+// index's node span, a scan allocates nothing.
 func (ix *Index) Accumulate(q graph.NodeID, w []float64) *Accumulator {
 	acc := accumulators.Get().(*Accumulator)
 	if span := ix.NodeSpan(); len(acc.slot) < span {
@@ -606,75 +616,109 @@ func (ix *Index) Accumulate(q graph.NodeID, w []float64) *Accumulator {
 		acc.gen = 1
 	}
 	rs := &ix.flat
-	acc.Query, acc.first, acc.head = q, rs.first, rs.head
+	acc.Query, acc.ix = q, ix
 	slot, touched, gen := acc.slot, acc.Touched[:0], acc.gen
 	lo, hi := rs.runs(q)
-	for r := lo; r < hi; r++ {
-		wm := w[rs.head[r].Meta]
-		if wm == 0 {
+	ps := ix.paths
+	for r := lo; r < hi || len(ps) > 0; {
+		if len(ps) > 0 && (r == hi || ps[0].meta < rs.head[r].Meta) {
+			if wm := w[ps[0].meta]; wm != 0 && ix.onEnd(q, ps[0]) {
+				touched = acc.addPath(q, ps[0], wm, touched)
+			}
+			ps = ps[1:]
 			continue
 		}
-		for _, p := range rs.postings(r) {
-			s := &slot[p.node]
-			if s.gen != gen {
-				*s = accSlot{0, gen}
-				touched = append(touched, p.node)
+		if wm := w[rs.head[r].Meta]; wm != 0 {
+			for _, p := range rs.postings(r) {
+				s := &slot[p.node]
+				if s.gen != gen {
+					*s = accSlot{gen: gen}
+					touched = append(touched, p.node)
+				}
+				s.sum += float64(p.count) * wm
 			}
-			s.sum += float64(p.count) * wm
 		}
+		r++
 	}
 	acc.Touched = touched
 	return acc
 }
 
+// addPath adds m_qy·wm of the two-edge metapath p to the sum of every
+// partner y of q, an end-typed node, and returns touched with the partners
+// it reached first appended. It walks the partners of q's middle nodes
+// once, counting per partner the middle nodes it shares with q, an integer
+// k, and keeping its sum at what it was before p plus k·wm: the sum a run's
+// posting of count k adds, bit for bit, whichever middle node comes last.
+// q's own slot is stamped as reached, so q, which every list of its middle
+// nodes holds, is never listed; no scan reads its sum.
+func (acc *Accumulator) addPath(q graph.NodeID, p path, wm float64, touched []graph.NodeID) []graph.NodeID {
+	g, slot, gen := acc.ix.g, acc.slot, acc.gen
+	slot[q].gen = gen
+	if acc.path++; acc.path == 0 { // the path stamps wrapped
+		for i := range acc.slot {
+			acc.slot[i].path = 0
+		}
+		acc.path = 1
+	}
+	at := acc.path
+	for _, b := range g.NeighborsOfType(q, p.mid) {
+		for _, y := range g.NeighborsOfType(b, p.end) {
+			switch s := &slot[y]; {
+			case s.gen != gen:
+				*s = accSlot{sum: wm, gen: gen, path: at, shared: 1}
+				touched = append(touched, y)
+			case s.path != at:
+				s.before, s.path, s.shared = s.sum, at, 1
+				s.sum += wm
+			default:
+				s.shared++
+				s.sum = s.before + float64(s.shared)*wm
+			}
+		}
+	}
+	return touched
+}
+
 // PairDot returns m_qv · w of a touched partner v.
 func (acc *Accumulator) PairDot(v graph.NodeID) float64 { return acc.slot[v].sum }
-
-// QueryVec returns m_q of the query node itself: the entries
-// Index.NodeVec(Query) finds.
-func (acc *Accumulator) QueryVec() SparseVec {
-	if acc.Query < 0 || int(acc.Query)+1 >= len(acc.first) {
-		return SparseVec{}
-	}
-	return acc.NodeVec(acc.Query)
-}
-
-// NodeVec returns m_v of a node v below the index's NodeSpan — every
-// touched partner is: the entries Index.NodeVec(v) finds.
-func (acc *Accumulator) NodeVec(v graph.NodeID) SparseVec {
-	return SparseVec{acc.head[acc.first[v]:acc.first[v+1]]}
-}
 
 // Release returns the accumulator to the pool. It must not be used
 // afterwards.
 func (acc *Accumulator) Release() {
-	acc.first, acc.head = nil, nil
+	acc.ix = nil
 	accumulators.Put(acc)
 }
 
 // NodeSpan returns the length of the node id range the index names: one
-// past the largest node with a run, which is every partner.
-func (ix *Index) NodeSpan() int { return max(len(ix.flat.first)-1, 0) }
+// past the largest node with a run, or the graph's node count when the
+// index serves a two-edge metapath from it — past every partner either way.
+func (ix *Index) NodeSpan() int {
+	n := max(len(ix.flat.first)-1, 0)
+	if len(ix.paths) > 0 {
+		n = max(n, ix.g.NumNodes())
+	}
+	return n
+}
 
 // NodeDots returns m_v · w for every node id below NodeSpan, dense by id
 // (0 for a node without a row): the half of every candidate's denominator
 // that does not depend on the query. Every partner and every query node
 // with partners indexes it in range.
 func (ix *Index) NodeDots(w []float64) []float64 {
-	rs := &ix.flat
 	dots := make([]float64, ix.NodeSpan())
 	for v := range dots {
-		dots[v] = SparseVec{rs.head[rs.first[v]:rs.first[v+1]]}.Dot(w)
+		dots[v] = ix.NodeDot(graph.NodeID(v), w)
 	}
 	return dots
 }
 
 // Footprint is what an index holds resident, in bytes of slice contents:
 // its runs, which hold every m_xy in their postings and every m_x in their
-// headers.
+// headers, and its two-edge metapaths, whose counts the graph holds.
 func (ix *Index) Footprint() int64 {
 	rs := &ix.flat
-	return sliceBytes(rs.first) + sliceBytes(rs.head) + sliceBytes(rs.off) + sliceBytes(rs.post)
+	return sliceBytes(rs.first) + sliceBytes(rs.head) + sliceBytes(rs.off) + sliceBytes(rs.post) + sliceBytes(ix.paths)
 }
 
 func sliceBytes[T any](s []T) int64 {

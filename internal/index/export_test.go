@@ -21,22 +21,58 @@ import (
 const sectionMagic = "SPXI\x09"
 
 // WriteSection writes ix's section as a flat stream of its own: magic,
-// section, checksum. Encode is deterministic, so equal bytes mean equal
-// rows.
+// section, checksum — the two-edge metapaths ix serves from its graph laid
+// out as runs first (materialized), so that every row is written. Encode
+// is deterministic, so equal bytes mean equal rows.
 func WriteSection(w io.Writer, ix *Index) error {
 	fw := flat.NewWriter(w, sectionMagic)
-	Encode(fw, ix)
+	Encode(fw, materialized(ix))
 	return fw.Close()
 }
 
+// materialized is ix with the rows of every two-edge metapath it serves
+// from its graph laid out as the runs MatchParts lays them out in: each
+// node's partners above it (pathPartners, one per shared middle node) and
+// its count (pathNode), read through the index's own readers.
+func materialized(ix *Index) *Index {
+	if len(ix.paths) == 0 {
+		return ix
+	}
+	slots, parts := make([]int, len(ix.paths)), make([]*Index, len(ix.paths))
+	var buf []graph.NodeID
+	for i, p := range ix.paths {
+		s := section{numMeta: 1}
+		for q := range graph.NodeID(ix.g.NumNodes()) {
+			buf = ix.pathPartners(buf[:0], q, p)
+			slices.Sort(buf)
+			for j := 0; j < len(buf); {
+				k := j + 1
+				for k < len(buf) && buf[k] == buf[j] {
+					k++
+				}
+				if buf[j] > q {
+					s.up.add(q, buf[j], 0, uint64(k-j))
+				}
+				j = k
+			}
+			s.up.end(q, 0)
+			if c := ix.pathNode(q, p); c > 0 {
+				s.up.count(q, 0, c)
+			}
+		}
+		slots[i], parts[i] = int(p.meta), s.index()
+	}
+	return (&Index{numMeta: ix.numMeta, flat: ix.flat}).AddParts(slots, parts)
+}
+
 // ReadSection reads a stream WriteSection wrote for a graph of numNodes
-// nodes, with Decode's checks and the stream's checksum.
+// nodes, with DecodeRuns' checks and the stream's checksum.
 func ReadSection(r io.Reader, numNodes int) (*Index, error) {
 	fr, err := flat.NewReader(r, sectionMagic)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	ix, err := Decode(fr, numNodes)
+	ix, err := DecodeRuns(fr, numNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -46,9 +82,9 @@ func ReadSection(r io.Reader, numNodes int) (*Index, error) {
 	return ix, nil
 }
 
-// Decode reads one section for a graph of numNodes nodes, every row in it,
-// with the checks DecodeCounting makes of the section itself.
-func Decode(r *flat.Reader, numNodes int) (*Index, error) {
+// DecodeRuns reads one section for a graph of numNodes nodes, every row in
+// it, with the checks Decode makes of the section itself.
+func DecodeRuns(r *flat.Reader, numNodes int) (*Index, error) {
 	sec, err := decodeSection(r, numNodes)
 	if err != nil {
 		return nil, err
@@ -126,11 +162,13 @@ func (ix *Index) pairTable() csr[PairKey] {
 	return c
 }
 
-// pairRows walks the runs back out into pair rows, in key order. The rows
-// of q are the postings above q in its runs, merged by partner; each comes
-// out ascending by metagraph, as q's runs are. The row passed to yield is
-// reused by the next call.
+// pairRows walks the runs back out into pair rows, in key order, those of
+// the two-edge metapaths ix serves from its graph too (materialized). The
+// rows of q are the postings above q in its runs, merged by partner; each
+// comes out ascending by metagraph, as q's runs are. The row passed to
+// yield is reused by the next call.
 func (ix *Index) pairRows(yield func(k PairKey, row []Entry)) {
+	ix = materialized(ix)
 	type head struct {
 		meta int32
 		post []posting // never empty
@@ -171,7 +209,7 @@ func (ix *Index) pairRows(yield func(k PairKey, row []Entry)) {
 // Divisors returns, per metagraph of ix, the divisor Encode writes for it:
 // each node's count is its run's sum over it, and 0 means the counts are
 // written; -1 where ix holds no run of it.
-func Divisors(ix *Index) []int64 { return divisors(&ix.flat, ix.numMeta, nil) }
+func Divisors(ix *Index) []int64 { return divisors(&ix.flat, ix.numMeta) }
 
 // RaceEnabled tells the external tests that the race detector is on: it
 // slows matching about tenfold, and the MaxNodes-5 shapes skip themselves

@@ -10,11 +10,13 @@
 // run of metagraph m exactly when m_x[m] > 0, because the instance that
 // puts x on a symmetric position puts a partner on the position symmetric
 // to it — so NodeVec is a view of x's headers. Every producer of counts —
-// the counter, a rooted count, Select, an update's gains (patch.go), the
-// two-edge merge and the decoder (io.go) — hands the m_xy over as the runs
-// above each node and the m_x in flight beside them, and upperRuns.layout
-// lays them out, each count on its run's header. Every entry holds a raw
-// instance count, and a value read is that count.
+// the counter, a rooted count, Select, an update's gains (patch.go) and
+// the decoder (io.go) — hands the m_xy over as the runs above each node
+// and the m_x in flight beside them, and upperRuns.layout lays them out,
+// each count on its run's header. Every entry holds a raw instance count,
+// and a value read is that count. A two-edge metapath is the exception: its
+// counts are the graph's common neighbours, so the index stores none of
+// them and reads them from the graph it serves (twoedge.go).
 package index
 
 import (
@@ -110,8 +112,12 @@ func count32[K any](c uint64, meta int32, k K) uint32 {
 type Index struct {
 	numMeta int
 	// flat holds every m_xy as partner runs and every m_x as their headers
-	// (see adjacency.go).
+	// (see adjacency.go), but those of the two-edge metapaths.
 	flat adjRuns
+	// paths are the two-edge metapaths the index reads from g, ascending
+	// by metagraph; no run holds one (twoedge.go). g is nil without them.
+	paths []path
+	g     *graph.Graph
 }
 
 // section is an index before its runs are laid out: the runs above each
@@ -151,10 +157,43 @@ func Empty(numMeta int) *Index { return &Index{numMeta: numMeta} }
 func (ix *Index) NumMeta() int { return ix.numMeta }
 
 // NodeVec returns m_x (empty when x never occurs symmetrically): the headers
-// of x's runs, a view into the index arena.
+// of x's runs, a view into the index arena — gathered into a slice of its
+// own, with the counts of the two-edge metapaths, when the index serves
+// any (NodeDot reads the same coordinates without).
 func (ix *Index) NodeVec(x graph.NodeID) SparseVec {
+	if len(ix.paths) == 0 {
+		lo, hi := ix.flat.runs(x)
+		return SparseVec{ix.flat.head[lo:hi]}
+	}
+	var row []Entry
+	ix.nodeCoords(x, func(m int32, c uint64) { row = append(row, Entry{m, count32(c, m, x)}) })
+	return SparseVec{row}
+}
+
+// NodeDot returns NodeVec(x).Dot(w), the same sum in the same order, bit
+// for bit, without gathering the row.
+func (ix *Index) NodeDot(x graph.NodeID, w []float64) float64 {
+	var s float64
+	ix.nodeCoords(x, func(m int32, c uint64) { s += float64(c) * w[m] })
+	return s
+}
+
+// nodeCoords yields the coordinates of m_x ascending by metagraph: the
+// headers of x's runs, and each two-edge metapath's count that is not 0.
+func (ix *Index) nodeCoords(x graph.NodeID, yield func(meta int32, count uint64)) {
 	lo, hi := ix.flat.runs(x)
-	return SparseVec{ix.flat.head[lo:hi]}
+	head, ps := ix.flat.head[lo:hi], ix.paths
+	for len(head) > 0 || len(ps) > 0 {
+		if len(ps) > 0 && (len(head) == 0 || ps[0].meta < head[0].Meta) {
+			if c := ix.pathNode(x, ps[0]); c > 0 {
+				yield(ps[0].meta, c)
+			}
+			ps = ps[1:]
+			continue
+		}
+		yield(head[0].Meta, uint64(head[0].Count))
+		head = head[1:]
+	}
 }
 
 // PairVec returns m_xy (empty when x and y never co-occur symmetrically).
@@ -168,20 +207,33 @@ func (ix *Index) PairVec(x, y graph.NodeID) SparseVec {
 
 // pairCoords yields the coordinates of m_xy but those w weighs 0 (nil:
 // none), ascending by metagraph, searching the endpoint with more runs in
-// each run of the other: the same coordinates from either side.
+// each run of the other — the same coordinates from either side — and
+// counting each two-edge metapath's from the graph.
 func (ix *Index) pairCoords(x, y graph.NodeID, w []float64, yield func(meta int32, count uint32)) {
 	rs := &ix.flat
 	lo, hi := rs.runs(x)
+	in := y // the endpoint searched for
 	if ylo, yhi := rs.runs(y); yhi-ylo < hi-lo {
-		lo, hi, y = ylo, yhi, x
+		lo, hi, in = ylo, yhi, x
 	}
-	for r := lo; r < hi; r++ {
+	ps := ix.paths
+	for r := lo; r < hi || len(ps) > 0; {
+		if len(ps) > 0 && (r == hi || ps[0].meta < rs.head[r].Meta) {
+			if m := ps[0].meta; w == nil || w[m] != 0 {
+				if c := ix.pathPair(x, y, ps[0]); c > 0 {
+					yield(m, c)
+				}
+			}
+			ps = ps[1:]
+			continue
+		}
 		if m := rs.head[r].Meta; w == nil || w[m] != 0 {
 			post := rs.postings(r)
-			if i, ok := slices.BinarySearchFunc(post, y, comparePosting); ok {
+			if i, ok := slices.BinarySearchFunc(post, in, comparePosting); ok {
 				yield(m, post[i].count)
 			}
 		}
+		r++
 	}
 }
 
@@ -196,29 +248,26 @@ func (ix *Index) PairDot(x, y graph.NodeID, w []float64) float64 {
 }
 
 // NumPairs returns the number of node pairs with a non-zero m_xy: per node
-// q, the distinct partners above q in its runs.
+// q, its partners above q.
 func (ix *Index) NumPairs() (n int) {
-	span := ix.NodeSpan()
-	last := make([]graph.NodeID, span) // the q+1 that last counted a partner
-	for q := range graph.NodeID(span) {
-		lo, hi := ix.flat.runs(q)
-		for r := lo; r < hi; r++ {
-			for _, p := range ix.flat.postings(r) {
-				if p.node > q && last[p.node] != q+1 {
-					last[p.node], n = q+1, n+1
-				}
-			}
-		}
+	for q := range graph.NodeID(ix.NodeSpan()) {
+		ps := ix.Partners(q)
+		i, _ := slices.BinarySearch(ps, q+1)
+		n += len(ps) - i
 	}
 	return n
 }
 
 // MetaSupport reports, per metagraph, whether any row holds a coordinate
-// for it.
+// for it: a two-edge metapath's does when a middle-typed node has two
+// end-typed neighbours.
 func (ix *Index) MetaSupport() []bool {
 	used := make([]bool, ix.numMeta)
 	for _, h := range ix.flat.head {
 		used[h.Meta] = true
+	}
+	for _, p := range ix.paths {
+		used[p.meta] = slices.ContainsFunc(ix.g.NodesOfType(p.mid), func(b graph.NodeID) bool { return ix.g.DegreeOfType(b, p.end) > 1 })
 	}
 	return used
 }
@@ -235,7 +284,7 @@ func (ix *Index) Project(keep []int) *Index {
 	for newI, oldI := range keep {
 		remap[oldI] = int32(newI)
 	}
-	return &Index{numMeta: len(keep), flat: ix.relaid(func(m int32) int32 { return remap[m] })}
+	return ix.renumbered(len(keep), func(m int32) int32 { return remap[m] })
 }
 
 // Restrict returns the index without the rows of the metagraphs keep does
@@ -244,13 +293,30 @@ func (ix *Index) Project(keep []int) *Index {
 // without a coordinate goes. An engine drops the metagraphs no class weighs
 // with it.
 func (ix *Index) Restrict(keep []bool) *Index {
-	return &Index{numMeta: ix.numMeta, flat: ix.relaid(func(m int32) int32 {
+	return ix.renumbered(ix.numMeta, func(m int32) int32 {
 		if keep[m] {
 			return m
 		}
 		return -1
-	})}
+	})
 }
+
+// renumbered is ix over numMeta metagraphs with every metagraph m
+// renumbered meta(m), or dropped where that is negative: its runs laid out
+// anew, its two-edge metapaths renumbered alike.
+func (ix *Index) renumbered(numMeta int, meta func(int32) int32) *Index {
+	out := &Index{numMeta: numMeta, flat: ix.relaid(meta)}
+	for _, p := range ix.paths {
+		if m := meta(p.meta); m >= 0 {
+			out.paths, out.g = append(out.paths, path{m, p.end, p.mid}), ix.g
+		}
+	}
+	slices.SortFunc(out.paths, comparePathMeta)
+	return out
+}
+
+// comparePathMeta orders two-edge metapaths by metagraph.
+func comparePathMeta(a, b path) int { return cmp.Compare(a.meta, b.meta) }
 
 // Merge combines single-metagraph (or multi-metagraph) indices into one,
 // renumbering metagraphs by concatenation: part k's metagraph j becomes
@@ -270,7 +336,8 @@ func Merge(parts ...*Index) *Index {
 
 // AddParts returns ix with the rows of parts added: part i's metagraph j
 // becomes metagraph slots[i]+j of the result, which spans as many
-// metagraphs as ix does. No two inputs may hold the same metagraph. The
+// metagraphs as ix does. No two inputs may hold the same metagraph, and
+// the inputs that serve two-edge metapaths serve them from one graph. The
 // receiver is unchanged, and each node's runs in the result are its
 // inputs' runs, headers and all, ascending by metagraph: the layout Merge
 // gives every part at its slot.
@@ -282,23 +349,28 @@ func (ix *Index) AddParts(slots []int, parts []*Index) *Index {
 	for i, p := range parts {
 		srcs, shifts = append(srcs, p), append(shifts, int32(slots[i]))
 	}
+	out := &Index{numMeta: ix.numMeta}
 	n, lone, with := 0, 0, 0
 	for i, s := range srcs {
-		n = max(n, s.NodeSpan())
+		n = max(n, len(s.flat.first)-1)
 		if len(s.flat.head) > 0 {
 			lone, with = i, with+1
 		}
+		for _, p := range s.paths {
+			out.paths, out.g = append(out.paths, path{p.meta + shifts[i], p.end, p.mid}), s.g
+		}
 	}
-	flat := srcs[lone].flat // the only input with runs, unshifted, lays out the result's
+	slices.SortFunc(out.paths, comparePathMeta)
+	out.flat = srcs[lone].flat // the only input with runs, unshifted, lays out the result's
 	if with > 1 || shifts[lone] != 0 {
-		flat = layRuns(n, func(q graph.NodeID, refs []runRef) []runRef {
+		out.flat = layRuns(n, func(q graph.NodeID, refs []runRef) []runRef {
 			for i, s := range srcs {
 				refs = s.flat.appendRuns(refs, q, shifted(shifts[i]))
 			}
 			return refs
 		})
 	}
-	return &Index{numMeta: ix.numMeta, flat: flat}
+	return out
 }
 
 // shifted is the renumbering that adds shift.

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -125,42 +124,15 @@ const (
 	// count costs 5 bits or more and takes 12 bytes, 96 while its arena
 	// grows, so less per bit.
 	postingAlloc = 96
-	// countedAlloc is what one posting counted from the graph costs a load
-	// (DecodeCounting) where the budget binds: its 8 bytes in an arena
-	// sized once, from twoEdgeBound, plus its two 8-byte places in the
-	// laid-out runs — 24 — plus its share of the runs, 28 bytes a run (its
-	// 8-byte header, its 4-byte offset and the layout's 16-byte record; no
-	// count rides in flight, the header's being the run's sum). The budget
-	// binds where hubs pair their members, and a hub of d members makes
-	// d(d−1)/2 postings for at most d runs: two postings a run from d = 5,
-	// 14 bytes a posting, 38 in all, rounded up.
-	countedAlloc = 48
-	// maxCountedPerByte caps the postings a load may count from the graph
-	// per byte received ahead of the section: as many as cost what
-	// maxPostingsPerByte decoded ones do, two per bit. A load costs at most
-	// maxPostingsPerByte·postingAlloc bytes of allocation per byte received,
-	// counted or decoded.
-	maxCountedPerByte = maxPostingsPerByte * postingAlloc / countedAlloc
 )
 
 // Encode appends ix to w as one section: each node's runs above it,
 // walked straight out of the runs, then the counts' divisors and the counts
-// no divisor gives.
-func Encode(w *flat.Writer, ix *Index) { encode(w, ix, nil) }
-
-// EncodeCounting is Encode of an index over the metagraphs ms, those
-// matched set, on g, without the rows DecodeCounting counts again from g
-// (countedSlots): the runs of those metagraphs are skipped as the section
-// is written. ms spans ix's metagraphs.
-func EncodeCounting(w *flat.Writer, ix *Index, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) {
-	counted, _ := countedSlots(g, ms, matched, w.BitOffset())
-	encode(w, ix, counted)
-}
-
-// encode writes ix as one section without the rows of the metagraphs skip
-// holds (nil: none).
-func encode(w *flat.Writer, ix *Index, skip []bool) {
-	e := runEncoder{w: w, start: w.BitOffset(), rs: &ix.flat, skip: skip}
+// no divisor gives. The two-edge metapaths ix serves from its graph have no
+// runs, so none of their rows is written: Decode serves them from the
+// graph decoded ahead of the section.
+func Encode(w *flat.Writer, ix *Index) {
+	e := runEncoder{w: w, start: w.BitOffset(), rs: &ix.flat}
 	w.ExpGolomb(uint64(ix.numMeta), ordSize)
 	e.encode(ix.numMeta)
 	e.counts(ix.numMeta)
@@ -168,18 +140,14 @@ func encode(w *flat.Writer, ix *Index, skip []bool) {
 }
 
 // divisors returns, per metagraph of rs, what counts writes for it: -1
-// where it has no run outside skip, else the one ratio of a run's sum to
-// its header's count that every run of it has, or 0 where they do not
-// share one.
-func divisors(rs *adjRuns, numMeta int, skip []bool) []int64 {
+// where it has no run, else the one ratio of a run's sum to its header's
+// count that every run of it has, or 0 where they do not share one.
+func divisors(rs *adjRuns, numMeta int) []int64 {
 	div := make([]int64, numMeta)
 	for m := range div {
 		div[m] = -1
 	}
 	for r, h := range rs.head {
-		if skip != nil && skip[h.Meta] {
-			continue
-		}
 		sum := uint64(0)
 		for _, p := range rs.postings(int32(r)) {
 			sum += uint64(p.count)
@@ -202,7 +170,7 @@ func divisors(rs *adjRuns, numMeta int, skip []bool) []int64 {
 // and then the counts of each metagraph of divisor 0, node by node.
 func (e *runEncoder) counts(numMeta int) {
 	rs, w := e.rs, e.w
-	div := divisors(rs, numMeta, e.skip)
+	div := divisors(rs, numMeta)
 	for _, d := range div {
 		if d >= 0 {
 			w.ExpGolomb(uint64(d), ordDiv)
@@ -236,7 +204,6 @@ type runEncoder struct {
 	w     *flat.Writer
 	start int64 // the section's first bit
 	rs    *adjRuns
-	skip  []bool  // per metagraph, whether its runs are left out (nil: none)
 	above []int32 // per run, its first posting above its node
 	// next[r] is run r's first posting above the node last written with
 	// it as a candidate: the nodes are written ascending, so it only moves
@@ -336,10 +303,6 @@ func (e *runEncoder) encode(numMeta int) {
 	for q := range graph.NodeID(n) {
 		lo, hi := rs.runs(q)
 		for r := lo; r < hi; r++ {
-			if e.skip != nil && e.skip[rs.head[r].Meta] {
-				e.above[r] = rs.off[r+1] // nothing above q to write
-				continue
-			}
 			ps := rs.postings(r)
 			i, _ := slices.BinarySearchFunc(ps, q, comparePosting) // q is not its own partner
 			e.above[r] = rs.off[r] + int32(i)
@@ -566,28 +529,20 @@ func (pl *runPlan) write(w *flat.Writer, q graph.NodeID) {
 	}
 }
 
-// DecodeCounting reads a section EncodeCounting wrote for the metagraphs
-// ms, those matched set, beside g, the graph decoded ahead of it. The bytes
-// are untrusted: everything reads rely on (strictly ascending nodes,
-// partners and Metas, Metas within numMeta, counts in [1, 2^32-1], runs
-// never empty, one count on every run's header and none anywhere else) and
+// Decode reads a section Encode wrote for the metagraphs ms, those
+// matched set, beside g, the graph decoded ahead of it. The bytes are
+// untrusted: everything reads rely on (strictly ascending nodes, partners
+// and Metas, Metas within numMeta, counts in [1, 2^32-1], runs never
+// empty, one count on every run's header and none anywhere else) and
 // everything the runs index by node id or by posting position (nodes and
 // partners within the graph, references to runs decoded before) is checked
 // as it is decoded or laid out, so a corrupt stream is refused with an
 // error and can neither panic a reader nor size an allocation by a number
-// it made up (see flat.Grow; maxPostingsPerByte). The rows the section left
-// out are counted from g, and their runs are laid out with the section's
-// own in one pass: the runs above each node with the partners below it,
-// each header with its count. What the count may allocate is priced from
-// g's degrees before the section is read, at most maxCountedPerByte
-// postings per byte of the stream before it (countedSlots). A section that
-// spans other than len(ms) metagraphs, holds a run or a count of a
-// metagraph matched does not hold or of one it should have left out, or
-// whose runs with the counted ones would pass the runs' int32 positions is
-// refused. The count runs before the caller checks the stream's trailer,
-// as the layout of the section's own runs does.
-func DecodeCounting(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) (*Index, error) {
-	counted, bound := countedSlots(g, ms, matched, r.BitOffset())
+// it made up (see flat.Grow; maxPostingsPerByte). A section that spans
+// other than len(ms) metagraphs, or holds a run or a count of a metagraph
+// matched does not hold or of a two-edge metapath, is refused. The index
+// serves each matched two-edge metapath from g, which holds its rows.
+func Decode(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, matched []bool) (*Index, error) {
 	sec, err := decodeSection(r, g.NumNodes())
 	if err != nil {
 		return nil, err
@@ -595,25 +550,27 @@ func DecodeCounting(r *flat.Reader, g *graph.Graph, ms []*metagraph.Metagraph, m
 	if sec.numMeta != len(ms) {
 		return nil, fmt.Errorf("index: the section spans %d metagraphs, want %d", sec.numMeta, len(ms))
 	}
-	if slices.ContainsFunc(sec.up.meta, func(m int32) bool { return counted[m] }) ||
-		slices.ContainsFunc(sec.up.mx, func(c nodeCount) bool { return counted[c.Meta] }) {
-		return nil, errors.New("index: the section holds rows of a two-edge metapath it leaves to the graph's common neighbours")
-	}
-	// A count of a metagraph needs a run of it, which decoded checks.
-	if i := slices.IndexFunc(sec.up.meta, func(m int32) bool { return !matched[m] }); i >= 0 {
-		return nil, fmt.Errorf("index: the section has rows of metagraph %d, which is not matched", sec.up.meta[i])
-	}
-	sec.up.post = slices.Grow(sec.up.post, int(bound))
-	for slot, ok := range counted {
-		if ok {
-			sec.up.addTwoEdge(g, ms[slot], int32(slot))
+	parts := make([]*Index, 0, len(ms))
+	var slots []int
+	for i, m := range ms {
+		if matched[i] && IsTwoEdgeMetapath(m) {
+			parts, slots = append(parts, pathPart(g, m)), append(slots, i)
 		}
 	}
-	if len(sec.up.post) > math.MaxInt32/2 {
-		return nil, errors.New("index: the section's runs and the counted ones overflow the runs' posting positions")
+	// A count of a metagraph needs a run of it, which decoded checks.
+	for _, m := range sec.up.meta {
+		switch {
+		case !matched[m]:
+			return nil, fmt.Errorf("index: the section has rows of metagraph %d, which is not matched", m)
+		case slices.Contains(slots, int(m)):
+			return nil, fmt.Errorf("index: the section has rows of metagraph %d, a two-edge metapath the graph serves", m)
+		}
 	}
-	slices.SortFunc(sec.up.div, func(a, b divisor) int { return cmp.Compare(a.meta, b.meta) })
-	return sec.decoded()
+	ix, err := sec.decoded()
+	if err != nil {
+		return nil, err
+	}
+	return ix.AddParts(slots, parts), nil
 }
 
 // decoded lays a decoded section out, refusing what layout refuses and a
@@ -637,7 +594,7 @@ func (s *section) decoded() (*Index, error) {
 }
 
 // decodeSection reads one section for a graph of numNodes nodes with the
-// checks DecodeCounting lists, leaving its runs to be laid out.
+// checks Decode lists, leaving its runs to be laid out.
 func decodeSection(r *flat.Reader, numNodes int) (*section, error) {
 	start := r.BitOffset()
 	numMeta := r.ExpGolomb(ordSize)

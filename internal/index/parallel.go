@@ -19,32 +19,31 @@ import (
 // and a private counter whose key scratch it reuses across its metagraphs.
 
 // Count counts every metagraph of ms on g into its own single-metagraph
-// part index, aligned with ms: a two-edge metapath by the merge of common
-// neighbours (twoedge.go), every other metagraph by SymISO. It is how an
-// engine matches the metagraphs it holds. The metagraphs fan out over
-// runtime.GOMAXPROCS goroutines, each with a private scratch and, from its
-// first metagraph the merge does not count, a private SymISO; the parts
-// are the same at any CPU count. The offline build has no error path, so a
-// graph on which a two-edge metapath could pair more postings than an
-// index holds panics, as a count past uint32 does.
+// part index, aligned with ms: a two-edge metapath's part serves its rows
+// from g (twoedge.go), every other metagraph is counted by SymISO. It is
+// how an engine matches the metagraphs it holds. The parts are the same at
+// any CPU count.
 func Count(g *graph.Graph, ms []*metagraph.Metagraph) []*Index {
+	return countParts(g, ms, func(c *counter, s *match.SymISO, m *metagraph.Metagraph) *Index { return c.part(m, s) })
+}
+
+// countParts fans ms out over runtime.GOMAXPROCS goroutines: a two-edge
+// metapath's part is served from g, every other metagraph's is count's,
+// with the goroutine's scratch and, from its first such one, its SymISO.
+func countParts(g *graph.Graph, ms []*metagraph.Metagraph, count func(*counter, *match.SymISO, *metagraph.Metagraph) *Index) []*Index {
 	parts := make([]*Index, len(ms))
 	fanOut(len(ms), 0, func() func(int) {
 		var matcher *match.SymISO
 		sc := &counter{}
 		return func(i int) {
 			if IsTwoEdgeMetapath(ms[i]) {
-				p, err := twoEdgePart(g, ms[i])
-				if err != nil {
-					panic(err)
-				}
-				parts[i] = p
+				parts[i] = pathPart(g, ms[i])
 				return
 			}
 			if matcher == nil {
 				matcher = match.NewSymISO(g)
 			}
-			parts[i] = sc.part(ms[i], matcher)
+			parts[i] = count(sc, matcher, ms[i])
 		}
 	})
 	return parts

@@ -105,7 +105,7 @@ func (ix *Index) WithPatch(p *Patch) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{numMeta: ix.numMeta, flat: flat}, nil
+	return &Index{numMeta: ix.numMeta, flat: flat, paths: ix.paths, g: ix.g}, nil
 }
 
 // addCount returns the stored count c of metagraph meta at key k plus the

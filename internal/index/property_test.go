@@ -35,9 +35,10 @@ func serialize(t testing.TB, ix *index.Index) []byte {
 
 // TestParallelBuildMatchesSerial is the parallel/serial equivalence
 // property: building the offline index with any worker count, and
-// counting it as an engine does (index.Count, the two-edge merge
-// included), must be byte-for-byte identical to the one-worker serial
-// build — same NodeVec, PairVec and Partners for every key.
+// counting it as an engine does (index.Count, whose two-edge metapaths
+// the graph serves, written out as runs by WriteSection), must be
+// byte-for-byte identical to the one-worker serial build — same NodeVec,
+// PairVec and Partners for every key.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	ds := dataset.LinkedIn(dataset.Config{Users: 200, Seed: 7, NoiseRate: 0.05})
 	pats := mining.ProximityFilter(

@@ -33,7 +33,9 @@ type Keys struct {
 // Select returns the index holding only the rows keys names that ix holds:
 // it spans the same metagraphs. Each run of a pair's smaller node x is cut
 // to the partners the pairs of x name, and every node of Nodes keeps its
-// row, on the headers of its runs however few partners they keep.
+// row, on the headers of its runs however few partners they keep. The
+// two-edge metapaths ix serves from its graph keep every row: the graph
+// holds them, and holding them costs nothing.
 func (ix *Index) Select(keys Keys) *Index {
 	s := section{numMeta: ix.numMeta}
 	rs := &ix.flat
@@ -64,20 +66,18 @@ func (ix *Index) Select(keys Keys) *Index {
 		}
 		pairs = pairs[n:]
 	}
-	return s.index()
+	out := s.index()
+	out.paths, out.g = ix.paths, ix.g
+	return out
 }
 
 // RootedParts counts the rows keys names of every metagraph of ms on g into
 // its own single-metagraph index, fanned out as Count fans out, with one
 // private SymISO and one scratch per goroutine. Part i holds, at each key,
-// the row Count's part i holds there.
+// the row Count's part i holds there: a two-edge metapath's part is
+// Count's, which serves every row from g and counts nothing.
 func RootedParts(g *graph.Graph, ms []*metagraph.Metagraph, keys Keys) []*Index {
-	parts := make([]*Index, len(ms))
-	fanOut(len(ms), 0, func() func(int) {
-		matcher, sc := match.NewSymISO(g), &counter{}
-		return func(i int) { parts[i] = sc.rooted(ms[i], matcher, keys) }
-	})
-	return parts
+	return countParts(g, ms, func(c *counter, s *match.SymISO, m *metagraph.Metagraph) *Index { return c.rooted(m, s, keys) })
 }
 
 // rooted builds the part index of m holding the rows keys names: it runs

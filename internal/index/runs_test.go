@@ -228,8 +228,8 @@ func laysOutRef(t testing.TB, label string, ix *Index, want csr[graph.NodeID]) {
 	if !slices.Equal(mx.keys, want.keys) || !slices.Equal(mx.off, want.off) || !slices.Equal(mx.ent, want.ent) {
 		t.Fatalf("%s: the run headers hold node rows %v %v %v; want %v %v %v", label, mx.keys, mx.off, mx.ent, want.keys, want.off, want.ent)
 	}
-	if ref := refRuns(&mx, &rows); !sameRuns(&ix.flat, &ref) {
-		t.Fatalf("%s: the runs %+v are not the reference layout of their rows, %+v", label, ix.flat, ref)
+	if ref, got := refRuns(&mx, &rows), materialized(ix); !sameRuns(&got.flat, &ref) {
+		t.Fatalf("%s: the runs %+v are not the reference layout of their rows, %+v", label, got.flat, ref)
 	}
 }
 
@@ -252,7 +252,8 @@ func renumbered(mx csr[graph.NodeID], meta func(int32) int32) csr[graph.NodeID] 
 // constructor to refRuns of the rows they hold, and their headers to the
 // node rows the map counter (refBuild) gives at the same metagraphs: the
 // counter's parts, Merge, AddParts, Project, Restrict, Select, RootedParts,
-// Count, its two-edge merge, Decode, and WithPatch of one re-match's gains
+// Count, a two-edge metapath's part served from the graph (laid out as
+// runs by materialized), Decode, and WithPatch of one re-match's gains
 // and of MergeGains over all of them, against a count of the grown graph.
 // Select must also hold, at each key it names, the row ix holds.
 func TestEveryConstructorLaysOutTheReference(t *testing.T) {
@@ -291,10 +292,6 @@ func TestEveryConstructorLaysOutTheReference(t *testing.T) {
 			}
 		}
 		rooted := RootedParts(g, ms, keys)
-		two, err := twoEdgePart(g, ms[0])
-		if err != nil {
-			t.Fatal(err)
-		}
 		read, err := ReadSection(bytes.NewReader(writeBytes(t, ix)), g.NumNodes())
 		if err != nil {
 			t.Fatal(err)
@@ -317,7 +314,7 @@ func TestEveryConstructorLaysOutTheReference(t *testing.T) {
 			"Select":      {selected, want},
 			"RootedParts": {Merge(rooted...), want},
 			"Count":       {Merge(Count(g, ms)...), want},
-			"twoEdgePart": {two, renumbered(want, only(0))},
+			"pathPart":    {pathPart(g, ms[0]), renumbered(want, only(0))},
 			"Decode":      {read, want},
 			"WithPatch":   {mustPatch(t, parts[2], gains[2]), renumbered(grown, only(2))},
 			"MergeGains":  {mustPatch(t, ix, MergeGains(3, all, gains)), grown},

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -10,25 +8,25 @@ import (
 )
 
 // Two-edge metapaths. A metagraph A–B–A — three nodes, two edges, its ends
-// of one type — has one symmetric pair, its two ends: its centre is the
-// only node of degree 2, so the swap of the ends is its one non-identity
-// automorphism. An instance is an end-typed x, a middle-typed b and an
-// end-typed y ≠ x, b adjacent to both, so Eq. 2's m_xy is the number of
-// B-neighbours x and y share, and Eq. 1's m_x, the instances with x on an
-// end, is the row sum Σ_y m_xy: PathSim's commuting matrix W_AB·W_ABᵀ
-// (Sun et al., VLDB 2011). It is counted without enumerating a single
-// instance: for each end-typed node x, ascending, the sorted end-typed
-// neighbour lists of x's middle-typed neighbours, cut to their nodes above
-// x, merge into x's run above it — a partner's multiplicity in the merge is
-// m_xy. The runs above each node are the form every count arrives in, so
-// upperRuns.layout lays them out, and puts on each run's header its sum,
-// m_x: for the part Count hands an engine (twoEdgePart), and beside a
-// section's own runs when a snapshot is loaded (DecodeCounting). SymISO
-// counts every other metagraph and stays the reference the tests hold the
-// merge to.
+// of one type — has one symmetric pair, its ends. An instance is an
+// end-typed x, a middle-typed b and an end-typed y ≠ x, b adjacent to
+// both, so Eq. 2's m_xy = |N_B(x) ∩ N_B(y)| and Eq. 1's m_x =
+// Σ_{b∈N_B(x)} (d_A(b) − 1): PathSim's commuting matrix W_AB·W_ABᵀ (Sun
+// et al., VLDB 2011). The graph is the index of such a metapath: an index
+// holds only its slot and types (a path), and every reader computes the
+// row it asks for from the graph the index serves. Nothing is counted,
+// stored, decoded or patched for it. SymISO (MatchParts) still counts
+// every metagraph into runs, the reference the tests hold these rows to.
 
-// IsTwoEdgeMetapath reports whether Count counts m by the merge: m has
-// three nodes and two edges, and its two ends have one type.
+// path is a two-edge metapath an index serves from its graph: metagraph
+// meta, of end type end and middle type mid, both types of the graph.
+type path struct {
+	meta     int32
+	end, mid graph.TypeID
+}
+
+// IsTwoEdgeMetapath reports whether an index serves m from the graph: m
+// has three nodes and two edges, and its two ends have one type.
 func IsTwoEdgeMetapath(m *metagraph.Metagraph) bool {
 	_, _, ok := twoEdgeTypes(m)
 	return ok
@@ -52,128 +50,96 @@ func twoEdgeTypes(m *metagraph.Metagraph) (end, mid graph.TypeID, ok bool) {
 	return m.Type(a), m.Type(c), true
 }
 
-// twoEdgeBound is the most postings above their nodes the two-edge
-// metapath m can have on g, Σ_b d_b(d_b−1)/2 over the middle-typed nodes
-// b, d_b being b's end-typed neighbours — the count itself when no two
-// nodes share two of them — or a number past limit once the sum passes it.
-// It reads degrees only, so a graph's hubs cost nothing to price.
-func twoEdgeBound(g *graph.Graph, m *metagraph.Metagraph, limit int64) int64 {
+// pathPart is the single-metagraph part index of the two-edge metapath m
+// on g: its one slot served from g. A metapath naming a type g does not
+// have has no instance on it, and its part holds nothing.
+func pathPart(g *graph.Graph, m *metagraph.Metagraph) *Index {
 	end, mid, _ := twoEdgeTypes(m)
 	if nt := graph.TypeID(g.NumTypes()); end < 0 || end >= nt || mid < 0 || mid >= nt {
-		return 0
+		return Empty(1)
 	}
-	sum := int64(0)
-	for _, b := range g.NodesOfType(mid) {
-		d := int64(g.DegreeOfType(b, end))
-		if sum += d * (d - 1) / 2; sum > limit {
-			break
-		}
-	}
-	return sum
+	return &Index{numMeta: 1, g: g, paths: []path{{0, end, mid}}}
 }
 
-// countedSlots returns, per metagraph, whether a section saved beside g
-// leaves its rows out for DecodeCounting to count from g — each matched
-// two-edge metapath of ms, in slot order, while the most postings the
-// counted ones can have (twoEdgeBound) sum to at most maxCountedPerByte
-// per byte of the stream before the section — and that sum. A metapath
-// past it keeps its rows in the section, so a graph section of a few bytes
-// a member cannot make a load pair a hub's members into postings it never
-// sent. Both ends of a stream see the same graph at the same offset, so
-// EncodeCounting and DecodeCounting leave out the same metapaths.
-func countedSlots(g *graph.Graph, ms []*metagraph.Metagraph, matched []bool, bitsBefore int64) (counted []bool, bound int64) {
-	budget := maxCountedPerByte * bitsBefore / 8
-	counted = make([]bool, len(ms))
-	for i, m := range ms {
-		if !matched[i] || !IsTwoEdgeMetapath(m) {
-			continue
-		}
-		if b := twoEdgeBound(g, m, budget-bound); bound+b <= budget {
-			counted[i], bound = true, bound+b
-		}
+// On returns the index serving its two-edge metapaths from g, a later
+// version of the graph it was built on (graph.Apply keeps every type): an
+// update moves the index, and those metapaths' rows, to the grown graph.
+func (ix *Index) On(g *graph.Graph) *Index {
+	if len(ix.paths) == 0 {
+		return ix
 	}
-	return counted, bound
+	return &Index{numMeta: ix.numMeta, flat: ix.flat, paths: ix.paths, g: g}
 }
 
-// twoEdgePart counts the two-edge metapath m on g into the single-metagraph
-// part index MatchParts counts it into: the runs above each node, laid
-// out, each m_x its run's sum. A graph on which m could pair more postings
-// than the runs' int32 positions hold is refused before anything is
-// allocated. m must be a two-edge metapath (IsTwoEdgeMetapath).
-func twoEdgePart(g *graph.Graph, m *metagraph.Metagraph) (*Index, error) {
-	b := twoEdgeBound(g, m, math.MaxInt32/2)
-	if b > math.MaxInt32/2 {
-		return nil, fmt.Errorf("index: metagraph %v: more than %d postings on one graph", m, math.MaxInt32)
-	}
-	s := section{numMeta: 1}
-	s.up.post = make([]posting, 0, b)
-	s.up.addTwoEdge(g, m, 0)
-	return s.index(), nil
-}
-
-// addTwoEdge appends the runs above each node of the two-edge metapath m
-// on g, as metagraph slot, to u, and names slot among the metagraphs whose
-// counts layout derives, with a divisor of 1: m_x = Σ_y m_xy. slot must be
-// above every metagraph u.div names.
-func (u *upperRuns) addTwoEdge(g *graph.Graph, m *metagraph.Metagraph, slot int32) {
-	u.div = append(u.div, divisor{slot, 1})
-	end, mid, _ := twoEdgeTypes(m)
-	if nt := graph.TypeID(g.NumTypes()); end < 0 || end >= nt || mid < 0 || mid >= nt {
-		return
-	}
-	var mg merger
-	var above [][]graph.NodeID // x's lists, cut to their nodes above x
-	for _, x := range g.NodesOfType(end) {
-		above = above[:0]
-		for _, b := range g.NeighborsOfType(x, mid) {
-			l := g.NeighborsOfType(b, end)
-			if i, _ := slices.BinarySearch(l, x); i+1 < len(l) { // l holds x
-				above = append(above, l[i+1:])
+// PathNodes returns, ascending and without repeats, the nodes whose m_x of
+// a two-edge metapath the edges the index's graph added last
+// (graph.DeltaEdges) changed: for each new edge between an end-typed node
+// and a middle-typed node b, every end-typed neighbour of b.
+func (ix *Index) PathNodes() []graph.NodeID {
+	var out []graph.NodeID
+	for _, p := range ix.paths {
+		for _, e := range ix.g.DeltaEdges() {
+			for _, bo := range [2][2]graph.NodeID{{e.U, e.V}, {e.V, e.U}} {
+				if b, o := bo[0], bo[1]; ix.g.Type(b) == p.mid && ix.g.Type(o) == p.end {
+					out = append(out, ix.g.NeighborsOfType(b, p.end)...)
+				}
 			}
 		}
-		u.post = mg.merge(u.post, above)
-		u.end(x, slot)
 	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// merger merges sorted lists one at a time into what it merged so far,
-// with two scratch buffers it reuses from merge to merge, one read while
-// the other is written.
-type merger struct {
-	acc [2][]posting
+// onEnd reports whether x is an end-typed node of p in the index's graph.
+func (ix *Index) onEnd(x graph.NodeID, p path) bool {
+	return x >= 0 && int(x) < ix.g.NumNodes() && ix.g.Type(x) == p.end
 }
 
-// merge appends to dst the nodes of the lists ls, ascending, each once
-// with the number of lists that hold it.
-func (mg *merger) merge(dst []posting, ls [][]graph.NodeID) []posting {
-	if len(ls) == 0 {
-		return dst
+// pathNode returns m_x of p: Σ_{b∈N_B(x)} (d_A(b) − 1), 0 off the end type.
+func (ix *Index) pathNode(x graph.NodeID, p path) uint64 {
+	if !ix.onEnd(x, p) {
+		return 0
 	}
-	var acc []posting
-	for i, l := range ls[:len(ls)-1] {
-		mg.acc[i%2] = mergeUp(mg.acc[i%2][:0], acc, l)
-		acc = mg.acc[i%2]
+	n := uint64(0)
+	for _, b := range ix.g.NeighborsOfType(x, p.mid) {
+		n += uint64(ix.g.DegreeOfType(b, p.end) - 1)
 	}
-	return mergeUp(dst, acc, ls[len(ls)-1])
+	return n
 }
 
-// mergeUp appends to dst the merge of acc, nodes with their counts so far,
-// and list, each of whose nodes counts 1.
-func mergeUp(dst, acc []posting, list []graph.NodeID) []posting {
-	i, j := 0, 0
-	for i < len(acc) && j < len(list) {
-		switch a, y := acc[i], list[j]; {
-		case a.node < y:
-			dst, i = append(dst, a), i+1
-		case y < a.node:
-			dst, j = append(dst, posting{y, 1}), j+1
+// pathPair returns m_xy of p: |N_B(x) ∩ N_B(y)| for x ≠ y, by one merge
+// of the two sorted lists.
+func (ix *Index) pathPair(x, y graph.NodeID, p path) uint32 {
+	if x == y || !ix.onEnd(x, p) || !ix.onEnd(y, p) {
+		return 0
+	}
+	a, b := ix.g.NeighborsOfType(x, p.mid), ix.g.NeighborsOfType(y, p.mid)
+	n := uint32(0)
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
 		default:
-			dst, i, j = append(dst, posting{y, a.count + 1}), i+1, j+1
+			n, i, j = n+1, i+1, j+1
 		}
 	}
-	dst = append(dst, acc[i:]...)
-	for _, y := range list[j:] {
-		dst = append(dst, posting{y, 1})
+	return n
+}
+
+// pathPartners appends q's partners in p to dst, each once per middle
+// node it shares with q, unsorted.
+func (ix *Index) pathPartners(dst []graph.NodeID, q graph.NodeID, p path) []graph.NodeID {
+	if !ix.onEnd(q, p) {
+		return dst
+	}
+	for _, b := range ix.g.NeighborsOfType(q, p.mid) {
+		for _, y := range ix.g.NeighborsOfType(b, p.end) {
+			if y != q {
+				dst = append(dst, y)
+			}
+		}
 	}
 	return dst
 }

@@ -74,34 +74,75 @@ func twoEdgeMetapaths(tb testing.TB, nt int) []*metagraph.Metagraph {
 	return ms
 }
 
-// checkTwoEdge holds the part Count counts by the merge for every
-// two-edge metapath on g to the part SymISO's MatchParts counts — the same
-// rows (ContentDigest) and the same bytes — and every node row to the sum
-// of its node's run.
+// checkTwoEdge holds the rows the index reads from the graph for every
+// two-edge metapath on g (Count's parts, one metapath each and all of them
+// in one index) to the rows SymISO's MatchParts counts into runs, through
+// every reader: NodeVec and NodeDot of every node, PairVec and PairDot of
+// every pair, Partners, Accumulate's sums and touched partners, NodeDots,
+// NumPairs and MetaSupport, and the content the rows lay out to. The
+// weights are uneven and some are 0, so a term added out of order or where
+// the runs add none changes the bits of a sum.
 func checkTwoEdge(t *testing.T, g *graph.Graph) {
 	ms := twoEdgeMetapaths(t, g.NumTypes())
 	parts := Count(g, ms)
 	want, _ := MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, 1)
+	w := make([]float64, len(ms))
+	for i := range w {
+		if i%3 != 2 {
+			w[i] = 1 / float64(i+3)
+		}
+	}
 	for i, m := range ms {
 		if !IsTwoEdgeMetapath(m) {
 			t.Fatalf("%v is not taken for a two-edge metapath", m)
 		}
-		got := parts[i]
-		if ContentDigest(got) != ContentDigest(want[i]) {
-			t.Fatalf("%v on %v: the merge counts\n%v\nSymISO\n%v", m, g, dumpPart(got), dumpPart(want[i]))
+		if len(parts[i].flat.head) != 0 {
+			t.Fatalf("%v: Count laid out runs for a metapath the graph serves", m)
 		}
-		if !bytes.Equal(writeBytes(t, got), writeBytes(t, want[i])) {
-			t.Fatalf("%v on %v: the merge's part writes other bytes than SymISO's", m, g)
+		sameReads(t, fmt.Sprint(m, " on ", g), g, parts[i], want[i], []float64{0.7})
+	}
+	sameReads(t, fmt.Sprint("all on ", g), g, Merge(parts...), Merge(want...), w)
+}
+
+// sameReads holds every read of got to the same read of want, on every
+// node and pair of g, under w.
+func sameReads(t *testing.T, label string, g *graph.Graph, got, want *Index, w []float64) {
+	t.Helper()
+	if ContentDigest(got) != ContentDigest(want) {
+		t.Fatalf("%s: the graph serves\n%v\nSymISO counts\n%v", label, dumpPart(got), dumpPart(want))
+	}
+	if got.NumPairs() != want.NumPairs() || !slices.Equal(got.MetaSupport(), want.MetaSupport()) {
+		t.Fatalf("%s: %d pairs and support %v; SymISO's %d and %v", label, got.NumPairs(), got.MetaSupport(), want.NumPairs(), want.MetaSupport())
+	}
+	dots := got.NodeDots(w)
+	n := graph.NodeID(g.NumNodes())
+	if len(dots) < int(n) {
+		t.Fatalf("%s: NodeDots spans %d of %d nodes", label, len(dots), n)
+	}
+	for x := range n {
+		if d := want.NodeVec(x).Dot(w); !sameRow(got.NodeVec(x), want.NodeVec(x)) || got.NodeDot(x, w) != d || dots[x] != d {
+			t.Fatalf("%s: m_%d is %v, SymISO's %v", label, x, got.NodeVec(x), want.NodeVec(x))
 		}
-		for r, h := range got.flat.head {
-			sum := uint64(0)
-			for _, p := range got.flat.postings(int32(r)) {
-				sum += uint64(p.count)
+		if !slices.Equal(got.Partners(x), want.Partners(x)) {
+			t.Fatalf("%s: the partners of %d are %v, SymISO's %v", label, x, got.Partners(x), want.Partners(x))
+		}
+		for y := range n {
+			if !sameRow(got.PairVec(x, y), want.PairVec(x, y)) || got.PairDot(x, y, w) != want.PairDot(x, y, w) {
+				t.Fatalf("%s: m_%d,%d is %v, SymISO's %v", label, x, y, got.PairVec(x, y), want.PairVec(x, y))
 			}
-			if uint64(h.Count) != sum {
-				t.Fatalf("%v: run %d's header is %v, its postings sum to %d", m, r, h, sum)
+		}
+		acc, wacc := got.Accumulate(x, w), want.Accumulate(x, w)
+		a, b := slices.Sorted(slices.Values(acc.Touched)), slices.Sorted(slices.Values(wacc.Touched))
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: a scan of %d touches %v, SymISO's %v", label, x, a, b)
+		}
+		for _, v := range a {
+			if acc.PairDot(v) != wacc.PairDot(v) || acc.PairDot(v) != want.PairDot(x, v, w) {
+				t.Fatalf("%s: a scan of %d sums %v for %d, SymISO's %v", label, x, acc.PairDot(v), v, wacc.PairDot(v))
 			}
 		}
+		acc.Release()
+		wacc.Release()
 	}
 }
 
@@ -114,9 +155,9 @@ func dumpPart(ix *Index) string {
 	return s.String()
 }
 
-// FuzzTwoEdgeMetapath is the merge against the instance search on random
-// typed graphs of up to 16 nodes and 1–3 types, hubs and metapaths whose
-// middle type is their end type included.
+// FuzzTwoEdgeMetapath is the rows read from the graph against the
+// instance search on random typed graphs of up to 16 nodes and 1–3 types,
+// hubs and metapaths whose middle type is their end type included.
 func FuzzTwoEdgeMetapath(f *testing.F) {
 	f.Add([]byte{1, 0, 6, 0, 1, 0, 1, 0, 0, 0, 1, 2, 1, 3, 1, 4, 3, 5, 3})
 	f.Add([]byte{0, 1, 9})                                   // one type, a hub: A–A–A with every pair sharing node 0
@@ -129,20 +170,16 @@ func FuzzTwoEdgeMetapath(f *testing.F) {
 	})
 }
 
-// TestDecodeCountingEqualsFullIndex: a section EncodeCounting writes,
-// decoded with the rows it left out counted from the graph, is the index
-// SymISO counted, byte for byte, on random graphs, metagraph sets and
-// matched sets, with the stream ahead of the section long enough for none,
-// some or all of the two-edge metapaths to be counted — at each length
-// where the counted set changes and the one before it. A section that
-// holds the rows of one it should have left out, or spans other than the
+// TestDecodeEqualsFullIndex: a section Encode writes of an engine's index,
+// whose two-edge metapaths the graph serves, decodes beside that graph to
+// the rows SymISO counts for the matched metagraphs, on random graphs,
+// metagraph sets and matched sets. A section that holds rows of a matched
+// two-edge metapath or of an unmatched metagraph, or spans other than the
 // metagraphs it is decoded for, is refused.
-func TestDecodeCountingEqualsFullIndex(t *testing.T) {
-	// stream writes filler bytes, then the section write writes.
-	stream := func(filler int, write func(w *flat.Writer)) []byte {
+func TestDecodeEqualsFullIndex(t *testing.T) {
+	section := func(write func(w *flat.Writer)) []byte {
 		var buf bytes.Buffer
 		w := flat.NewWriter(&buf, sectionMagic)
-		w.Bytes(make([]byte, filler))
 		write(w)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -154,77 +191,59 @@ func TestDecodeCountingEqualsFullIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr.Bytes()
-		ix, err := DecodeCounting(fr, g, ms, matched)
+		ix, err := Decode(fr, g, ms, matched)
 		if err == nil {
 			err = fr.Close()
 		}
 		return ix, err
 	}
 	rng := rand.New(rand.NewSource(54))
-	changes, refused := 0, 0
+	refused := 0
 	for trial := range 12 {
 		g, ms := countGraph(rng), countMetagraphs(rng)
 		matched := make([]bool, len(ms))
+		var held []int
+		var heldMs []*metagraph.Metagraph
 		for i := range matched {
-			matched[i] = rng.Intn(4) > 0
+			if matched[i] = rng.Intn(4) > 0; matched[i] {
+				held, heldMs = append(held, i), append(heldMs, ms[i])
+			}
 		}
 		full := SerialIndex(ms, match.NewSymISO(g)).Restrict(matched)
-		want := writeBytes(t, full)
-		// counted is the set a section after filler bytes leaves out.
-		counted := func(filler int) []bool {
-			var off int64
-			stream(filler, func(w *flat.Writer) { off = w.BitOffset() })
-			c, _ := countedSlots(g, ms, matched, off)
-			return c
+		served := Empty(len(ms)).AddParts(held, Count(g, heldMs))
+		data := section(func(w *flat.Writer) { Encode(w, served) })
+		got, err := decode(data, g, ms, matched)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		check := func(filler int) {
-			data := stream(filler, func(w *flat.Writer) { EncodeCounting(w, full, g, ms, matched) })
-			got, err := decode(data, g, ms, matched)
-			if err != nil {
-				t.Fatalf("trial %d, %d filler bytes: %v", trial, filler, err)
-			}
-			if !bytes.Equal(writeBytes(t, got), want) {
-				t.Fatalf("trial %d, %d filler bytes: the section with metagraphs %v counted is not the full index", trial, filler, counted(filler))
-			}
-			if _, err := decode(data, g, append(ms, ms[0]), append(matched, false)); err == nil || !strings.Contains(err.Error(), "spans") {
-				t.Fatalf("trial %d: a section narrower than its metagraphs: %v", trial, err)
-			}
-			c, support, held := counted(filler), full.MetaSupport(), false
-			for i := range c {
-				held = held || c[i] && support[i]
-			}
-			if held { // the full section holds rows the decoder counts
+		if ContentDigest(got) != ContentDigest(full) || !bytes.Equal(writeBytes(t, got), writeBytes(t, full)) {
+			t.Fatalf("trial %d: the decoded index is not the one SymISO counts", trial)
+		}
+		if _, err := decode(data, g, append(ms, ms[0]), append(matched, false)); err == nil || !strings.Contains(err.Error(), "spans") {
+			t.Fatalf("trial %d: a section narrower than its metagraphs: %v", trial, err)
+		}
+		support := full.MetaSupport()
+		for i, m := range ms {
+			if support[i] && IsTwoEdgeMetapath(m) { // the full section holds rows the graph serves
 				refused++
-				data := stream(filler, func(w *flat.Writer) { Encode(w, full) })
+				data := section(func(w *flat.Writer) { Encode(w, full) })
 				if _, err := decode(data, g, ms, matched); err == nil || !strings.Contains(err.Error(), "two-edge metapath") {
-					t.Fatalf("trial %d: a section holding the rows it counts: %v", trial, err)
+					t.Fatalf("trial %d: a section holding the rows of a two-edge metapath: %v", trial, err)
 				}
+				break
 			}
 		}
-		all := matchedTwoEdge(ms, matched)
-		check(0)
-		for filler := 0; !slices.Equal(counted(filler), all); filler++ {
-			if next := counted(filler + 1); !slices.Equal(counted(filler), next) {
-				changes++
-				check(filler)
-				check(filler + 1)
+		if len(held) > 0 && !IsTwoEdgeMetapath(ms[held[0]]) && support[held[0]] {
+			unmatched := slices.Clone(matched)
+			unmatched[held[0]] = false
+			if _, err := decode(data, g, ms, unmatched); err == nil || !strings.Contains(err.Error(), "not matched") {
+				t.Fatalf("trial %d: a section holding the rows of an unmatched metagraph: %v", trial, err)
 			}
 		}
 	}
-	if changes == 0 || refused == 0 {
-		t.Fatalf("the counted set changed %d times with the stream's length and %d sections held counted rows; want both", changes, refused)
+	if refused == 0 {
+		t.Fatal("no section held the rows of a two-edge metapath; want some")
 	}
-}
-
-// matchedTwoEdge is, per metagraph of ms, whether it is a matched two-edge
-// metapath: what a long enough stream counts.
-func matchedTwoEdge(ms []*metagraph.Metagraph, matched []bool) []bool {
-	out := make([]bool, len(ms))
-	for i, m := range ms {
-		out[i] = matched[i] && IsTwoEdgeMetapath(m)
-	}
-	return out
 }
 
 // TestIsTwoEdgeMetapath pins the shapes the merge takes: three nodes, two
@@ -258,15 +277,18 @@ func TestIsTwoEdgeMetapath(t *testing.T) {
 	}
 }
 
-// TestTwoEdgePartRefusesPastInt32: a hub whose end-typed neighbours would
-// pair into more postings than the runs' int32 positions hold is refused
-// before the merge allocates them.
-func TestTwoEdgePartRefusesPastInt32(t *testing.T) {
+// TestPathPartOnHubCostsNothing: a hub of 46 342 users, whose
+// user–college–user rows would pair more postings than an int32 position
+// holds, is served from the graph without an allocation in proportion to
+// its pairs: Count's part and a scan of one member cost kilobytes, and the
+// member's rows are the hub's.
+func TestPathPartOnHubCostsNothing(t *testing.T) {
+	const users = 46342 // 46342·46341 > 2^31-1
 	b := graph.NewBuilder()
 	b.Types().Register("user")
 	b.Types().Register("college")
 	hub := b.AddNode("college", "")
-	for range 46342 { // 46342·46341 > 2^31-1
+	for range users {
 		b.AddEdge(hub, b.AddNode("user", ""))
 	}
 	g := b.MustBuild()
@@ -276,12 +298,20 @@ func TestTwoEdgePartRefusesPastInt32(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = twoEdgePart(g, m)
+	ix := Count(g, []*metagraph.Metagraph{m})[0]
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "postings") {
-		t.Fatalf("twoEdgePart of a 46 342-user hub returned %v, want a refusal", err)
-	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
-		t.Fatalf("refusing the hub allocated %d bytes", alloc)
+		t.Fatalf("serving the hub allocated %d bytes", alloc)
+	}
+	if got := ix.NodeVec(1).Get(0); got != users-1 {
+		t.Fatalf("m_1 = %v, want %d", got, users-1)
+	}
+	if got := ix.PairVec(1, 2).Get(0); got != 1 {
+		t.Fatalf("m_1,2 = %v, want 1", got)
+	}
+	acc := ix.Accumulate(1, []float64{1})
+	defer acc.Release()
+	if len(acc.Touched) != users-1 || acc.PairDot(users) != 1 {
+		t.Fatalf("a scan of 1 touched %d partners, m_1,%d·w = %v", len(acc.Touched), users, acc.PairDot(users))
 	}
 }

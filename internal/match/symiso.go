@@ -544,8 +544,9 @@ func (st *symState) matchGroup(k int) {
 	// one step of plain backtracking — no materialization needed.
 	if len(g.Members) == 1 && len(rep.Nodes) == 1 {
 		u, step := rep.Nodes[0], &st.steps[st.firstStep[k]]
-		for _, v := range st.candidatesFor(u) {
-			if st.taken(v) || !st.consistent(u, v) {
+		cands, pivot := st.candidatesFor(u)
+		for _, v := range cands {
+			if st.taken(v) || !st.consistent(u, v, pivot) {
 				continue
 			}
 			st.visited++
@@ -640,14 +641,15 @@ func (st *symState) tuple(k, j, prev int) {
 // candidatesFor returns the candidate list for a single metagraph node:
 // the pinned node on a pinned position, else the typed adjacency of the
 // cheapest assigned neighbor, or the full type list if none is assigned
-// yet.
-func (st *symState) candidatesFor(u int) []graph.NodeID {
+// yet. pivot is the position of the neighbor whose adjacency it is (-1:
+// none): every candidate is adjacent to it already.
+func (st *symState) candidatesFor(u int) (cands []graph.NodeID, pivot int) {
 	for k, p := range st.pins {
 		if u == p {
-			return st.pinned[k : k+1]
+			return st.pinned[k : k+1], -1
 		}
 	}
-	pivot := graph.InvalidNode
+	pivot = -1
 	bestDeg := 0
 	for _, w := range st.m.Neighbors(u) {
 		a := st.assign[w]
@@ -655,20 +657,21 @@ func (st *symState) candidatesFor(u int) []graph.NodeID {
 			continue
 		}
 		d := st.s.g.DegreeOfType(a, st.m.Type(u))
-		if pivot == graph.InvalidNode || d < bestDeg {
-			pivot, bestDeg = a, d
+		if pivot < 0 || d < bestDeg {
+			pivot, bestDeg = w, d
 		}
 	}
-	if pivot != graph.InvalidNode {
-		return st.s.g.NeighborsOfType(pivot, st.m.Type(u))
+	if pivot >= 0 {
+		return st.s.g.NeighborsOfType(st.assign[pivot], st.m.Type(u)), pivot
 	}
-	return st.s.g.NodesOfType(st.m.Type(u))
+	return st.s.g.NodesOfType(st.m.Type(u)), -1
 }
 
-// consistent checks every assigned metagraph neighbor of u against v.
-func (st *symState) consistent(u int, v graph.NodeID) bool {
+// consistent checks every assigned metagraph neighbor of u but the one on
+// position pivot, whose adjacency v was drawn from, against v.
+func (st *symState) consistent(u int, v graph.NodeID, pivot int) bool {
 	for _, w := range st.m.Neighbors(u) {
-		if a := st.assign[w]; a != graph.InvalidNode && !st.s.g.HasEdge(v, a) {
+		if a := st.assign[w]; w != pivot && a != graph.InvalidNode && !st.s.g.HasEdge(v, a) {
 			return false
 		}
 	}
@@ -686,8 +689,9 @@ func (st *symState) componentMatchings(out []graph.NodeID, walk []int, i int) []
 		return append(out, st.cur[:len(walk)]...)
 	}
 	u := walk[i]
-	for _, v := range st.candidatesFor(u) {
-		if st.taken(v) || !st.consistent(u, v) {
+	cands, pivot := st.candidatesFor(u)
+	for _, v := range cands {
+		if st.taken(v) || !st.consistent(u, v, pivot) {
 			continue
 		}
 		st.visited++

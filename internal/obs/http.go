@@ -114,6 +114,7 @@ type endpointMetrics struct {
 	latency *Histogram
 	codes   [len(statusClasses)]atomic.Pointer[Counter]
 	stages  [numStages]atomic.Pointer[Histogram]
+	batch   [numStages]atomic.Pointer[Histogram] // a batch's, under path+BatchSuffix
 }
 
 // httpMetrics caches endpointMetrics by path label. PathLabel bounds
@@ -149,20 +150,30 @@ func (m *httpMetrics) observe(path string, status int, dur time.Duration, rec *r
 		e.codes[class].Store(c)
 	}
 	c.Inc()
+	stages, suffix := &e.stages, ""
+	if rec.batch {
+		stages, suffix = &e.batch, BatchSuffix
+	}
 	for st := range numStages {
 		if rec.marked&(1<<st) == 0 {
 			continue
 		}
-		h := e.stages[st].Load()
+		h := stages[st].Load()
 		if h == nil {
+			label := path + suffix
 			h = m.reg.Histogram(MetricHTTPStage,
 				"Time a read spent in each stage its handler timed, by canonical endpoint.",
-				Seconds, L("path", path), L("stage", stageNames[st]))
-			e.stages[st].Store(h)
+				Seconds, L("path", label), L("stage", stageNames[st]))
+			stages[st].Store(h)
 		}
 		h.ObserveDuration(rec.stage[st])
 	}
 }
+
+// BatchSuffix marks the path label of a batch's stage series: a handler
+// that answers single reads and batches at one path files a batch's stages
+// (Stages.Batch) under path+BatchSuffix, so the two shapes are read apart.
+const BatchSuffix = ":batch"
 
 // WrapHTTP wraps next with tracing, metrics, and request logging per o.
 // Every request carries a trace ID in api.HeaderTrace: the caller's when
@@ -248,6 +259,9 @@ func logRequest(ctx context.Context, h slog.Handler, o HTTPOptions, rec *request
 				attrs = append(attrs, slog.Float64(stageNames[st]+"_ms", float64(rec.stage[st].Microseconds())/1e3))
 			}
 		}
+		if rec.batch {
+			attrs = append(attrs, slog.Bool("batch", true))
+		}
 		attrs = append(attrs, slog.Bool("slow", true))
 	}
 	line := slog.NewRecord(end, level, "request", 0)
@@ -258,18 +272,23 @@ func logRequest(ctx context.Context, h slog.Handler, o HTTPOptions, rec *request
 // Stage is one step of a read that its handler times (Stages.Mark).
 type Stage uint8
 
-// The stages of a read, in the order a handler passes them.
+// The stages of a read, in the order a handler passes them: semproxd's
+// decode to write, and the proxy's decode, cache, forward, hedge_wait and
+// write.
 const (
-	StageDecode  Stage = iota // routing, the method check and the parsed request
-	StageResolve              // the class and the node names on the pinned epoch
-	StageRank                 // the engine's answer: the ranked scan, or π(x, y)
-	StageEncode               // the response rendered and encoded
-	StageWrite                // the status, headers and body handed to the connection
+	StageDecode    Stage = iota // routing, the method check and the parsed request
+	StageResolve                // the class and the node names on the pinned epoch
+	StageRank                   // the engine's answer: the ranked scan, or π(x, y)
+	StageEncode                 // the response rendered and encoded
+	StageWrite                  // the status, headers and body handed to the connection
+	StageCache                  // the proxy's cache: the lookup, and the fill after a miss
+	StageForward                // the proxy's forward, up to a hedge's launch if one fires
+	StageHedgeWait              // the proxy's forward from a hedge's launch to the answer
 	numStages
 )
 
 // stageNames are the stage label's values, indexed by Stage.
-var stageNames = [numStages]string{"decode", "resolve", "rank", "encode", "write"}
+var stageNames = [numStages]string{"decode", "resolve", "rank", "encode", "write", "cache", "forward", "hedge_wait"}
 
 // Stages is the clock a handler times the stages of its read with. Each
 // Mark charges the time since the one before it — since the request
@@ -294,4 +313,12 @@ func (c Stages) Mark(st Stage) {
 	at := time.Since(c.rec.start)
 	c.rec.stage[st] += at - c.rec.mark
 	c.rec.mark, c.rec.marked = at, c.rec.marked|1<<st
+}
+
+// Batch files the request's stages under its path's batch label
+// (BatchSuffix) and marks a slow request's line as a batch.
+func (c Stages) Batch() {
+	if c.rec != nil {
+		c.rec.batch = true
+	}
 }

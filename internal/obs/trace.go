@@ -90,6 +90,7 @@ type request struct {
 	mark   time.Duration
 	stage  [numStages]time.Duration
 	marked uint8
+	batch  bool // the stages are a batch's (Stages.Batch)
 
 	// mu guards attrs: hedged reads race their attribute writes.
 	mu    sync.Mutex

@@ -345,8 +345,9 @@ func readResponse(resp *http.Response, limit int64) ([]byte, error) {
 // failover-grade outcome (transport error or 5xx) ejects the backend
 // from rotation (cancelled losers are never reported: their context
 // error says nothing about the backend) and moves on to the next
-// candidate when no other attempt is still in flight.
-func (p *Proxy) forwardRead(ctx context.Context, method, path, rawQuery string, body []byte) (result, *api.Error) {
+// candidate when no other attempt is still in flight. The wait is timed
+// on st: forward up to a hedge's launch, hedge_wait from there.
+func (p *Proxy) forwardRead(ctx context.Context, st obs.Stages, method, path, rawQuery string, body []byte) (result, *api.Error) {
 	p.reads.Inc()
 	targets := p.router.ReadTargets(maxReadTargets)
 	if len(targets) == 0 {
@@ -376,6 +377,13 @@ func (p *Proxy) forwardRead(ctx context.Context, method, path, rawQuery string, 
 	launch(false)
 	inflight := 1
 	hedgeLaunched := false
+	defer func() {
+		if hedgeLaunched {
+			st.Mark(obs.StageHedgeWait)
+		} else {
+			st.Mark(obs.StageForward)
+		}
+	}()
 	var timerC <-chan time.Time
 	if p.opts.Hedge && next < len(targets) && p.hedgeAllowed() {
 		t := time.NewTimer(p.budgetFor(targets[0]))
@@ -422,6 +430,7 @@ func (p *Proxy) forwardRead(ctx context.Context, method, path, rawQuery string, 
 		case <-timerC:
 			timerC = nil
 			if next < len(targets) {
+				st.Mark(obs.StageForward)
 				hedgeLaunched = true
 				p.hedgesIssued.Inc()
 				launch(true)
@@ -477,14 +486,19 @@ func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
 	}
 	path := r.URL.Path
 	key := cacheKey(r.Method, path, r.URL.RawQuery, body)
-	if cached, epoch, ok := p.cache.get(key); ok {
+	st := obs.StagesOf(r.Context())
+	st.Mark(obs.StageDecode)
+	cached, epoch, ok := p.cache.get(key)
+	st.Mark(obs.StageCache)
+	if ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(api.HeaderEpoch, strconv.FormatUint(epoch, 10))
 		w.Header().Set(HeaderCache, "hit")
 		wire.WriteBody(w, http.StatusOK, cached)
+		st.Mark(obs.StageWrite)
 		return
 	}
-	res, herr := p.forwardRead(r.Context(), r.Method, path, r.URL.RawQuery, body)
+	res, herr := p.forwardRead(r.Context(), st, r.Method, path, r.URL.RawQuery, body)
 	if herr != nil {
 		wire.WriteErr(w, herr)
 		return
@@ -494,9 +508,11 @@ func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
 			p.cache.put(key, epoch, res.body)
 		}
 	}
+	st.Mark(obs.StageCache)
 	copyRespHeaders(w, res.header)
 	w.Header().Set(HeaderCache, "miss")
 	wire.WriteBody(w, res.status, res.body)
+	st.Mark(obs.StageWrite)
 }
 
 // handlePlainRead serves healthz and classes: hedged forward, no cache
@@ -505,7 +521,7 @@ func (p *Proxy) handlePlainRead(w http.ResponseWriter, r *http.Request) {
 	if !wire.MethodCheck(w, r, http.MethodGet) {
 		return
 	}
-	res, herr := p.forwardRead(r.Context(), r.Method, r.URL.Path, r.URL.RawQuery, nil)
+	res, herr := p.forwardRead(r.Context(), obs.Stages{}, r.Method, r.URL.Path, r.URL.RawQuery, nil)
 	if herr != nil {
 		wire.WriteErr(w, herr)
 		return

@@ -157,6 +157,48 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	}
 }
 
+// TestReadStagesObserved: every cached read times its decode, cache
+// lookup (and fill) and write into the stage family on the proxy's own
+// /metrics, every miss its forward, and a hedged miss the wait from its
+// hedge's launch as hedge_wait; a plain read times none.
+func TestReadStagesObserved(t *testing.T) {
+	primary := newFake(t, api.RolePrimary, 0)
+	slow := newFake(t, api.RoleFollower, 300*time.Millisecond)
+	fast := newFake(t, api.RoleFollower, 0)
+	p, ts := tunedStack(t, Options{Hedge: true}, hedging{capPct: 100, budget: 20 * time.Millisecond, min: defaultHedging.min, max: defaultHedging.max}, primary, slow, fast)
+	count := func(expo, st string) int {
+		series := `semprox_http_stage_seconds_count{path="` + api.PathQuery + `",stage="` + st + `"} `
+		n := 0
+		if i := strings.Index(expo, series); i >= 0 {
+			fmt.Sscan(expo[i+len(series):], &n)
+		}
+		return n
+	}
+	queries := []string{"a", "b", "c", "d", "a"}
+	for _, q := range queries {
+		if status, body, _ := get(t, ts.URL+api.PathQuery+"?class=c&query="+q); status != http.StatusOK {
+			t.Fatalf("query %s: status %d: %s", q, status, body)
+		}
+	}
+	get(t, ts.URL+api.PathHealthz)
+	_, body, _ := get(t, ts.URL+"/metrics")
+	expo, c := string(body), p.Counters()
+	for _, st := range []string{"decode", "cache", "write"} {
+		if got := count(expo, st); got != len(queries) {
+			t.Errorf("stage %s observed %d times, want %d", st, got, len(queries))
+		}
+	}
+	if got := count(expo, "forward"); uint64(got) != c.CacheMisses {
+		t.Errorf("forward observed %d times for %d misses", got, c.CacheMisses)
+	}
+	if got := count(expo, "hedge_wait"); got == 0 || uint64(got) != c.HedgesIssued {
+		t.Errorf("hedge_wait observed %d times for %d hedges", got, c.HedgesIssued)
+	}
+	if strings.Contains(expo, `semprox_http_stage_seconds_count{path="`+api.PathHealthz) {
+		t.Error("a plain read exposes stages")
+	}
+}
+
 // tsProxy recovers the *Proxy behind a test server (fakeStack returns it
 // already; this helper exists for tests that only kept the server).
 func tsProxy(t *testing.T, ts *httptest.Server) *Proxy {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/api"
+	"repro/internal/obs"
 )
 
 // TestMetricsEndpoint: /metrics renders the server registry (per-endpoint
@@ -117,27 +118,33 @@ func TestRequestLogLine(t *testing.T) {
 	}
 }
 
-// TestReadStagesObserved: a query and a proximity each time their five
-// stages — decode, resolve, rank, encode, write — into one labeled
-// histogram family, and a slow read's WARN line carries them; a request
-// that times no stage (healthz) exposes none and logs none.
+// TestReadStagesObserved: a query, a batch and a proximity each time their
+// five stages — decode, resolve, rank, encode, write — into one labeled
+// histogram family, a batch's under its own path label (obs.BatchSuffix),
+// and a slow read's WARN line carries them; a request that times no stage
+// (healthz) exposes none and logs none.
 func TestReadStagesObserved(t *testing.T) {
 	s, _, _ := trainedServer(t)
 	var buf bytes.Buffer
 	s.SetRequestLog(slog.New(slog.NewTextHandler(&buf, nil)), time.Nanosecond)
 	stages := []string{"decode", "resolve", "rank", "encode", "write"}
-	for _, target := range []string{
-		api.PathQuery + "?class=classmate&query=Kate",
-		api.PathProximity + "?class=classmate&x=Kate&y=Jay",
+	for _, read := range []struct{ method, target, body string }{
+		{http.MethodGet, api.PathQuery + "?class=classmate&query=Kate", ""},
+		{http.MethodPost, api.PathQuery, `{"class":"classmate","queries":["Kate","Jay"]}`},
+		{http.MethodGet, api.PathProximity + "?class=classmate&x=Kate&y=Jay", ""},
 	} {
 		buf.Reset()
-		if rec := do(t, s, http.MethodGet, target, ""); rec.Code != http.StatusOK {
+		target := read.target + read.body
+		if rec := do(t, s, read.method, read.target, read.body); rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body.String())
 		}
 		for _, st := range stages {
 			if !strings.Contains(buf.String(), " "+st+"_ms=") {
 				t.Errorf("%s: the slow line lacks stage %s: %s", target, st, buf.String())
 			}
+		}
+		if batch := read.body != ""; strings.Contains(buf.String(), " batch=true") != batch {
+			t.Errorf("%s: the slow line marks a batch: %v, want %v: %s", target, !batch, batch, buf.String())
 		}
 	}
 	buf.Reset()
@@ -146,7 +153,7 @@ func TestReadStagesObserved(t *testing.T) {
 		t.Errorf("healthz logged stages: %s", buf.String())
 	}
 	expo := do(t, s, http.MethodGet, "/metrics", "").Body.String()
-	for _, path := range []string{api.PathQuery, api.PathProximity} {
+	for _, path := range []string{api.PathQuery, api.PathQuery + obs.BatchSuffix, api.PathProximity} {
 		for _, st := range stages {
 			if series := `semprox_http_stage_seconds_count{path="` + path + `",stage="` + st + `"} 1`; !strings.Contains(expo, series) {
 				t.Errorf("exposition lacks %s", series)

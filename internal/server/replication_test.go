@@ -306,7 +306,7 @@ func TestFollowerServerIsReadOnly(t *testing.T) {
 
 // snapshotMagic opens semprox's snapshot stream (fixtures.WithEveryCount
 // refuses any other, so a format change fails this test loudly).
-const snapshotMagic = "SPXS\x0d"
+const snapshotMagic = "SPXS\x0e"
 
 // TestRefusedUpdateAnswersAlikeOnEveryRole: an update the engine refuses
 // (here: every count it would add to is already 2^32-1) gets one answer

@@ -456,6 +456,7 @@ func queryBatch(w http.ResponseWriter, st obs.Stages, v engine.View, req api.Que
 		wire.WriteErr(w, errBadRequest("batch of %d queries exceeds limit %d", len(req.Queries), MaxBatch))
 		return
 	}
+	st.Batch()
 	qs := make([]graph.NodeID, len(req.Queries))
 	for i, name := range req.Queries {
 		if name == "" {

@@ -9,15 +9,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/index"
-	"repro/internal/match"
 )
 
 // installUnpruned returns e with a class installed the way an engine did
 // before training dropped the metagraphs no class weighs: every metagraph
 // matched, the class keeping all it was trained on, zero weights included,
 // and no row dropped. No engine method publishes such an epoch, so it is
-// e's snapshot with every missing metagraph matched into its index and the
-// class added, loaded. It is the reference the pruned engine must answer
+// e's snapshot with every missing metagraph counted into its index as an
+// engine counts it (index.Count) and the class added, loaded. It is the reference the pruned engine must answer
 // like.
 func installUnpruned(t testing.TB, e *Engine, name string, kept []int, w []float64) *Engine {
 	t.Helper()
@@ -34,7 +33,7 @@ func installUnpruned(t testing.TB, e *Engine, name string, kept []int, w []float
 			ms = append(ms, e.Metagraphs()[i])
 		}
 	}
-	parts, _ := index.MatchParts(ms, func() match.Matcher { return match.NewSymISO(g) }, 1)
+	parts := index.Count(g, ms)
 	h.Matched = every(len(h.Metas))
 	at, found := slices.BinarySearchFunc(h.Classes, name, func(sc engine.SnapshotClass, name string) int { return strings.Compare(sc.Name, name) })
 	sc, m := engine.SnapshotClass{Name: name, Kept: kept}, core.Model{W: slices.Clone(w)}

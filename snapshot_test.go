@@ -22,6 +22,7 @@ import (
 	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/match"
 	"repro/internal/metagraph"
 	"repro/internal/mining"
 )
@@ -215,10 +216,11 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 		t.Fatal("truncated snapshot accepted")
 	}
 	// A v10 header could name a count transform no engine applies any more,
-	// a v11 index section holds the rows of the two-edge metapaths, and a
-	// v12 one a node table before its runs: each version is refused by its
-	// magic, not loaded as this one.
-	for _, magic := range []string{"SPXS\x0a", "SPXS\x0b", "SPXS\x0c"} {
+	// a v11 index section holds the rows of the two-edge metapaths, a v12
+	// one a node table before its runs, and a v13 one the rows of a
+	// two-edge metapath its counting budget kept: each version is refused
+	// by its magic, not loaded as this one.
+	for _, magic := range []string{"SPXS\x0a", "SPXS\x0b", "SPXS\x0c", "SPXS\x0d"} {
 		old := append([]byte(magic), buf.Bytes()[len(engine.SnapshotMagic):]...)
 		if _, err := LoadEngine(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "bad magic") {
 			t.Fatalf("%q snapshot: %v, want refused by its magic", magic, err)
@@ -292,10 +294,18 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 		}
 	}
 	// A section that carries the rows of a two-edge metapath, which the
-	// loader counts from the graph: one epoch has one encoding.
+	// graph serves — SymISO's runs of every matched metagraph: one epoch
+	// has one encoding.
 	{
-		h, g, ix, _ := snapshotParts(t, buf.Bytes())
-		full := writeSnapshot(t, h, g, nil, func(fw *flat.Writer) { index.Encode(fw, ix) }, nil)
+		h, g, _, _ := snapshotParts(t, buf.Bytes())
+		ms := headerMetagraphs(t, h)
+		held := make([]*metagraph.Metagraph, len(h.Matched))
+		for k, i := range h.Matched {
+			held[k] = ms[i]
+		}
+		parts, _ := index.MatchParts(held, func() match.Matcher { return match.NewSymISO(g) }, 1)
+		runs := index.Empty(len(ms)).AddParts(h.Matched, parts)
+		full := writeSnapshot(t, h, g, nil, func(fw *flat.Writer) { index.Encode(fw, runs) }, nil)
 		if _, err := LoadEngine(bytes.NewReader(full)); err == nil || !strings.Contains(err.Error(), "two-edge metapath") {
 			t.Fatalf("rows of two-edge metapath %d in the section: LoadEngine returned %v", h.Matched[twoEdge], err)
 		}
@@ -383,7 +393,7 @@ func snapshotParts(t testing.TB, data []byte) (engine.SnapshotHeader, *graph.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.DecodeCounting(fr, g, headerMetagraphs(t, h), matchedOf(h))
+	ix, err := index.Decode(fr, g, headerMetagraphs(t, h), matchedOf(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +442,7 @@ func matchedOf(h engine.SnapshotHeader) []bool {
 // wrong with the stream.
 func craft(t testing.TB, h engine.SnapshotHeader, g *graph.Graph, writeGraph func(*flat.Writer), ix *index.Index, models []core.Model) []byte {
 	t.Helper()
-	ms, matched := headerMetagraphs(t, h), matchedOf(h)
-	return writeSnapshot(t, h, g, writeGraph, func(fw *flat.Writer) { index.EncodeCounting(fw, ix, g, ms, matched) }, models)
+	return writeSnapshot(t, h, g, writeGraph, func(fw *flat.Writer) { index.Encode(fw, ix) }, models)
 }
 
 // writeSnapshot is craft with the index section writeSection writes.
@@ -1066,7 +1075,7 @@ func TestSnapshotSectionBytes(t *testing.T) {
 		offs = append(offs, fw.Offset())
 		graph.Encode(fw, g)
 		offs = append(offs, fw.Offset())
-		index.EncodeCounting(fw, ix, g, headerMetagraphs(t, h), matchedOf(h))
+		index.Encode(fw, ix)
 		offs = append(offs, fw.Offset())
 		for _, m := range models {
 			fw.Uint64(math.Float64bits(m.LogLikelihood))
